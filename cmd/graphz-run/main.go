@@ -62,13 +62,10 @@ func main() {
 		dosPfx  = flag.String("dos", "", "prefix of pre-converted DOS files from graphz-convert (graphz engine only; skips conversion)")
 		iters   = flag.Int("iters", 10, "iterations for pr/bp/rw")
 		source  = flag.Int("source", -1, "bfs/sssp source (original ID; default: max-degree vertex)")
-		pdrain  = flag.Bool("parallel-drain", false, "graphz: apply pending messages with the mutex-pool worker pool")
 		workers = flag.Int("workers", 1, "graphz: Worker-stage goroutines (deterministic chunked speculation; 1 = sequential)")
 		cache   = flag.Bool("cache-adjacency", false, "graphz: keep adjacency resident when it fits the budget")
 		sel     = flag.Bool("selective", false, "graphz: skip adjacency blocks with no active vertex and no pending message (selective block scheduling; see DESIGN.md §9)")
-		sorted  = flag.Bool("sorted-spill", false, "graphz: sort spilled cross-partition messages by destination and merge-sort them at drain time (see DESIGN.md §11)")
 		semF    = flag.String("sem", "auto", "graphz: semi-external-memory mode — auto (pin all vertex states resident when they fit the budget), on (force; fails if they don't fit), off (always partition); see DESIGN.md §13")
-		comb    = flag.Bool("combine", false, "graphz: fold same-destination messages with the program's Combine hook (pr/bfs/cc/sssp; implies -sorted-spill)")
 		top     = flag.Int("top", 5, "print the top-N result vertices")
 		maddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof/ on this address while the run is live (e.g. :8080, or :0 for a free port)")
 		traceTo = flag.String("trace", "", "write one JSONL span per (iteration, partition, stage) to this file")
@@ -92,9 +89,6 @@ func main() {
 	}
 	if (*ckDir != "" || *resume) && *engine != "graphz" {
 		fatal(fmt.Errorf("-checkpoint-dir/-resume need -engine graphz, got %q", *engine))
-	}
-	if (*sorted || *comb) && *engine != "graphz" {
-		fatal(fmt.Errorf("-sorted-spill/-combine need -engine graphz, got %q", *engine))
 	}
 	semMode, err := core.ParseSemMode(*semF)
 	if err != nil {
@@ -210,7 +204,7 @@ func main() {
 				}
 			}
 		}
-		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *pdrain, *cache, *sel, *sorted, *comb, semMode, *workers, ck)
+		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *cache, *sel, semMode, *workers, ck)
 	case "graphchi":
 		iterations, values, err = runGraphChi(dev, clock, reg, tracer, *algo, *budget, *iters, src)
 	case "xstream":
@@ -251,12 +245,10 @@ func main() {
 			Device:      kind.String(),
 			BudgetBytes: *budget,
 			Config: map[string]string{
-				"input":        inputName,
-				"workers":      fmt.Sprint(*workers),
-				"selective":    fmt.Sprint(*sel),
-				"sorted_spill": fmt.Sprint(*sorted || *comb),
-				"combine":      fmt.Sprint(*comb),
-				"sem":          semMode.String(),
+				"input":     inputName,
+				"workers":   fmt.Sprint(*workers),
+				"selective": fmt.Sprint(*sel),
+				"sem":       semMode.String(),
 			},
 		}, reg, tracer, core.DeviceFileIO(dev))
 		if err := report.WriteFile(*repTo); err != nil {
@@ -306,7 +298,7 @@ func importDOS(dev *storage.Device, prefix string) error {
 
 // runGraphZ preprocesses to DOS (or loads a pre-converted graph) and runs
 // the algorithm, returning values keyed by original IDs.
-func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, pdrain, cacheAdj, selective, sortedSpill, combine bool, sem core.SemMode, workers int, ck core.CheckpointOptions) (int, map[graph.VertexID]float64, error) {
+func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, cacheAdj, selective bool, sem core.SemMode, workers int, ck core.CheckpointOptions) (int, map[graph.VertexID]float64, error) {
 	var g *dos.Graph
 	var err error
 	if preconverted {
@@ -327,8 +319,7 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	}
 	opts := core.Options{
 		Context: ctx, MemoryBudget: budget, Clock: clock, DynamicMessages: true, MaxIterations: 200,
-		ParallelDrain: pdrain, CacheAdjacency: cacheAdj, WorkerParallelism: workers,
-		SelectiveScheduling: selective, SortedSpill: sortedSpill, Combine: combine,
+		CacheAdjacency: cacheAdj, WorkerParallelism: workers, SelectiveScheduling: selective,
 		SemiExternal: sem, Obs: reg, Trace: tracer, Checkpoint: ck,
 	}
 	if ck.Dir != "" {
@@ -410,10 +401,6 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	if selective {
 		fmt.Printf("selective: %d blocks scanned, %d skipped\n",
 			res.BlocksScanned, res.BlocksSkipped)
-	}
-	if sortedSpill || combine {
-		fmt.Printf("sort-reduce: %d messages combined, %d drain merge passes, %d B spill writes saved\n",
-			res.MessagesCombined, res.DrainMergePasses, res.SpillBytesSaved)
 	}
 	out := make(map[graph.VertexID]float64, len(vals))
 	for newID, val := range vals {

@@ -41,16 +41,6 @@ func (bfsProgram) Apply(v *bfsVal, m uint32) {
 	}
 }
 
-// Combine folds same-destination hop counts into their minimum (the
-// core.Combiner hook for Options.Combine); exact, so combined runs stay
-// byte-identical.
-func (bfsProgram) Combine(a, b uint32) uint32 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
 // BFS computes hop counts from source (in the graph's ID space) along
 // out-edges, running until quiescent. Unreached vertices report
 // Unreached.

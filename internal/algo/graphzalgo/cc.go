@@ -42,16 +42,6 @@ func (ccProgram) Apply(v *ccVal, m uint32) {
 	}
 }
 
-// Combine folds same-destination label proposals into their minimum (the
-// core.Combiner hook for Options.Combine). Min is an exact fold, so
-// combined runs stay byte-identical.
-func (ccProgram) Combine(a, b uint32) uint32 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
 // ConnectedComponents labels every vertex with the smallest vertex ID
 // that reaches it, running until quiescent. Symmetrize the graph first
 // for weakly-connected components.

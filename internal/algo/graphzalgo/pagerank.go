@@ -39,12 +39,6 @@ func (prProgram) Apply(v *prVal, m float32) {
 	v.B += m
 }
 
-// Combine pre-sums rank mass headed to the same destination (the
-// core.Combiner hook for Options.Combine). Float addition is only
-// associative up to rounding, so combined runs match uncombined ones to
-// float tolerance, not bit-for-bit.
-func (prProgram) Combine(a, b float32) float32 { return a + b }
-
 // PageRank runs the given number of damped PageRank iterations and
 // returns the ranks by the graph's (degree-ordered) vertex ID. Ranks are
 // unnormalized: they sum to roughly the vertex count, as in the paper's

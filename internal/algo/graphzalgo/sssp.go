@@ -45,17 +45,6 @@ func (ssspProgram) Apply(v *ssspVal, m float32) {
 	}
 }
 
-// Combine folds same-destination distance proposals into their minimum
-// (the core.Combiner hook for Options.Combine). Min selects one operand
-// bit-for-bit — no arithmetic — so even float distances stay
-// byte-identical under combining.
-func (ssspProgram) Combine(a, b float32) float32 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
 // SSSP computes single-source shortest path distances from source (in
 // the graph's ID space) with hash-derived positive edge weights, running
 // until quiescent. Unreached vertices report +Inf.

@@ -82,11 +82,6 @@ type Counters struct {
 	// byte-identical.
 	BlocksScanned int64 `json:"blocks_scanned,omitempty"`
 	BlocksSkipped int64 `json:"blocks_skipped,omitempty"`
-	// Sort-reduce totals (SortedSpill/Combine runs); omitted for
-	// checkpoints from runs without it, same compatibility rule.
-	Combined    int64 `json:"combined,omitempty"`
-	MergePasses int64 `json:"merge_passes,omitempty"`
-	SpillSaved  int64 `json:"spill_saved,omitempty"`
 }
 
 // Section describes one data file of a checkpoint.
@@ -107,7 +102,7 @@ type Manifest struct {
 	VSize      int    `json:"vsize"`
 	MSize      int    `json:"msize"`
 	// Sem marks a checkpoint from a semi-external-memory run: it has no
-	// message, tail, or runs sections (nothing is ever pending), and it
+	// message or tail sections (nothing is ever pending), and it
 	// only resumes into a SEM engine — cross-mode resume is a typed
 	// ErrConfigMismatch, since the modes' runtime file sets differ.
 	Sem      bool      `json:"sem,omitempty"`

@@ -242,12 +242,7 @@ func TestSelectiveMatchesFullStreamingMinLabel(t *testing.T) {
 	if fullRes.BlocksScanned != 0 || fullRes.BlocksSkipped != 0 {
 		t.Fatalf("full-streaming run reported block scheduling: %+v", fullRes)
 	}
-	variants := append(selectiveVariants[:len(selectiveVariants):len(selectiveVariants)],
-		struct {
-			name string
-			mut  func(*Options)
-		}{"parallelDrain", func(o *Options) { o.ParallelDrain = true }})
-	for _, v := range variants {
+	for _, v := range selectiveVariants {
 		opts := base
 		opts.SelectiveScheduling = true
 		v.mut(&opts)

@@ -108,9 +108,6 @@ func (e *Engine[V, M]) checkpointCounters() checkpoint.Counters {
 		Updates:       e.updates,
 		BlocksScanned: e.blocksScanned,
 		BlocksSkipped: e.blocksSkipped,
-		Combined:      e.combined,
-		MergePasses:   e.mergePasses,
-		SpillSaved:    e.spillSaved,
 	}
 }
 
@@ -126,39 +123,6 @@ const activeSectionName = "activeset"
 // resumed run's counters identical to the uninterrupted run's.
 func msgSectionName(p int) string  { return fmt.Sprintf("msgs.%d", p) }
 func tailSectionName(p int) string { return fmt.Sprintf("tail.%d", p) }
-
-// runsSectionName holds partition p's sorted-run lengths (8-byte LE
-// each); written only under Options.SortedSpill, so a resumed sorted run
-// merge-drains the restored message file along the same run boundaries —
-// keeping the resumed operation sequence byte-identical. A checkpoint
-// without it (from an unsorted run) makes the sorted drain replay that
-// backlog in arrival order once, which is equally safe.
-func runsSectionName(p int) string { return fmt.Sprintf("runs.%d", p) }
-
-// marshalRuns encodes run byte-lengths as 8-byte little-endian values.
-func marshalRuns(runs []int64) []byte {
-	out := make([]byte, 8*len(runs))
-	for i, n := range runs {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(n))
-	}
-	return out
-}
-
-// unmarshalRuns decodes a runs section.
-func unmarshalRuns(data []byte) ([]int64, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("runs section is %d bytes, want a multiple of 8", len(data))
-	}
-	runs := make([]int64, len(data)/8)
-	for i := range runs {
-		n := int64(binary.LittleEndian.Uint64(data[8*i:]))
-		if n <= 0 {
-			return nil, fmt.Errorf("run %d has non-positive length %d", i, n)
-		}
-		runs[i] = n
-	}
-	return runs, nil
-}
 
 // writeCheckpoint persists the engine state after iteration `iters`
 // completed: vertex states, each partition's spilled-message file, and
@@ -196,9 +160,6 @@ func (e *Engine[V, M]) writeCheckpoint(iters int, done bool) error {
 		secs = append(secs,
 			checkpoint.SectionData{Name: msgSectionName(p), Data: data},
 			checkpoint.SectionData{Name: tailSectionName(p), Data: e.msgBufs[p]})
-		if e.opts.SortedSpill {
-			secs = append(secs, checkpoint.SectionData{Name: runsSectionName(p), Data: marshalRuns(e.msgRuns[p])})
-		}
 	}
 	m := checkpoint.Manifest{
 		Name:       e.opts.Name,
@@ -341,9 +302,6 @@ func (e *Engine[V, M]) resume() (Result, error) {
 		msgParts = 0
 	} else {
 		e.msgBufs = make([][]byte, nParts)
-		if e.opts.SortedSpill {
-			e.msgRuns = make([][]int64, nParts)
-		}
 	}
 	rec := int64(4 + e.msize)
 	for p := 0; p < msgParts; p++ {
@@ -371,26 +329,6 @@ func (e *Engine[V, M]) resume() (Result, error) {
 			}
 			e.msgBufs[p] = append(make([]byte, 0, c), tail...)
 		}
-		if e.opts.SortedSpill && ck.HasSection(runsSectionName(p)) {
-			rd, err := ck.Section(runsSectionName(p))
-			if err != nil {
-				return Result{}, err
-			}
-			runs, err := unmarshalRuns(rd)
-			if err != nil {
-				return Result{}, fmt.Errorf("%w: partition %d: %v", checkpoint.ErrTruncated, p, err)
-			}
-			var sum int64
-			for _, n := range runs {
-				sum += n
-			}
-			if sum != int64(len(data)) {
-				return Result{}, fmt.Errorf("%w: run lengths of partition %d sum to %d, message section is %d bytes",
-					checkpoint.ErrTruncated, p, sum, len(data))
-			}
-			e.msgRuns[p] = runs
-			restored += int64(len(rd))
-		}
 		restored += int64(len(data) + len(tail))
 	}
 	if e.sel != nil {
@@ -417,9 +355,6 @@ func (e *Engine[V, M]) resume() (Result, error) {
 	e.updates = m.Counters.Updates
 	e.blocksScanned = m.Counters.BlocksScanned
 	e.blocksSkipped = m.Counters.BlocksSkipped
-	e.combined = m.Counters.Combined
-	e.mergePasses = m.Counters.MergePasses
-	e.spillSaved = m.Counters.SpillSaved
 	e.chargeCheckpointIO(restored, true)
 	if e.sem {
 		e.eo.semRuns.Inc()

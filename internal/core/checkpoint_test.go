@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -383,5 +385,181 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 	plain, ck := run(false), run(true)
 	if ck <= plain {
 		t.Fatalf("modeled time with checkpoints (%d ns) not above plain (%d ns)", ck, plain)
+	}
+}
+
+// sortedRunCheckpoint rewrites the newest checkpoint in dir into the
+// shape the removed destination-sorted spill path wrote: every msgs.<p>
+// section cut into spill-buffer-sized runs, each stably sorted by
+// destination, a runs.<p> section of 8-byte little-endian run lengths
+// beside it, and combined / merge_passes / spill_saved counters in the
+// manifest. fold additionally collapses each run's same-destination
+// records into their minimum, as Options.Combine did for min-label.
+// tear > 0 cuts that many bytes off the first non-empty msgs section.
+func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear int) {
+	t.Helper()
+	st, err := checkpoint.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := st.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rec = 8 // 4-byte destination + uint32 label
+	dstOf := func(r []byte) uint32 { return binary.LittleEndian.Uint32(r) }
+	var secs []checkpoint.SectionData
+	var folded int
+	for _, s := range ck.Manifest.Sections {
+		data, err := ck.Section(s.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p int
+		if _, err := fmt.Sscanf(s.Name, "msgs.%d", &p); err != nil {
+			secs = append(secs, checkpoint.SectionData{Name: s.Name, Data: data})
+			continue
+		}
+		var msgs, runs []byte
+		for off := 0; off < len(data); off += bufBytes {
+			buf := data[off:min(off+bufBytes, len(data))]
+			recs := make([][]byte, len(buf)/rec)
+			for i := range recs {
+				recs[i] = buf[i*rec : (i+1)*rec]
+			}
+			sort.SliceStable(recs, func(a, b int) bool { return dstOf(recs[a]) < dstOf(recs[b]) })
+			start := len(msgs)
+			for i, r := range recs {
+				if last := len(msgs) - rec; fold && i > 0 && dstOf(msgs[last:]) == dstOf(r) {
+					m := min(binary.LittleEndian.Uint32(msgs[last+4:]), binary.LittleEndian.Uint32(r[4:]))
+					binary.LittleEndian.PutUint32(msgs[last+4:], m)
+					folded++
+					continue
+				}
+				msgs = append(msgs, r...)
+			}
+			runs = binary.LittleEndian.AppendUint64(runs, uint64(len(msgs)-start))
+		}
+		if tear > 0 && len(msgs) >= rec {
+			msgs = msgs[:len(msgs)-tear]
+			tear = 0
+		}
+		secs = append(secs,
+			checkpoint.SectionData{Name: s.Name, Data: msgs},
+			checkpoint.SectionData{Name: fmt.Sprintf("runs.%d", p), Data: runs})
+	}
+	if fold && folded == 0 {
+		t.Fatal("no run held two messages for one destination; nothing was folded")
+	}
+	if _, err := st.Write(ck.Manifest, secs); err != nil {
+		t.Fatal(err)
+	}
+
+	// The writer no longer knows the sort-reduce counters; splice them into
+	// the manifest payload (magic, u16 version, u32 CRC, JSON) by hand.
+	path := latestManifestPath(t, dir)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = len("GZCKPT") + 6
+	var m, counters map[string]json.RawMessage
+	if err := json.Unmarshal(raw[header:], &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(m["counters"], &counters); err != nil {
+		t.Fatal(err)
+	}
+	counters["combined"] = json.RawMessage(fmt.Sprint(folded))
+	counters["merge_passes"] = json.RawMessage("1")
+	counters["spill_saved"] = json.RawMessage(fmt.Sprint(folded * rec))
+	if m["counters"], err = json.Marshal(counters); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[header-4:], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, append(raw[:header], payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSortedCheckpointResume: checkpoints written by the removed sorted
+// spill path stay resumable. Their runs.<p> sections and sort-reduce
+// counters are ignored, and replaying the destination-sorted runs in
+// file order applies every destination's messages in the order they were
+// sent — so a resumed "sorted" checkpoint ends byte-identical to an
+// uninterrupted run, counters included. A "combine" checkpoint's runs
+// were folded (min-label's fold is exact): the states still match, the
+// send-side counters too, and only MessagesApplied is short by the folds.
+// A torn msgs.<p> is still ErrTruncated, runs section or not.
+func TestSortedCheckpointResume(t *testing.T) {
+	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 74)
+	gRef := buildDOS(t, edges)
+	refRes, refVals := runMinLabel(t, gRef, ckptBaseOpts(gRef))
+	if refRes.Iterations < 3 {
+		t.Fatalf("converged in %d iterations; too few for mid-run resume", refRes.Iterations)
+	}
+
+	// midRunDir leaves the reshaped checkpoint of a run that died in
+	// iteration 2.
+	midRunDir := func(t *testing.T, fold bool, tear int) string {
+		dir := t.TempDir()
+		g := buildDOS(t, edges)
+		opts := ckptBaseOpts(g)
+		opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
+		runMinLabel(t, g, opts)
+		for it := 2; it <= refRes.Iterations; it++ {
+			os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
+		}
+		sortedRunCheckpoint(t, dir, opts.MsgBufferBytes, fold, tear)
+		return dir
+	}
+
+	for _, mode := range []struct {
+		name string
+		fold bool
+	}{{"sorted", false}, {"combine", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := midRunDir(t, mode.fold, 0)
+			runs, err := filepath.Glob(filepath.Join(dir, ckptDirName(1), "runs.*"))
+			if err != nil || len(runs) != refRes.Partitions {
+				t.Fatalf("checkpoint 1 has runs sections %v (err=%v), want one per partition", runs, err)
+			}
+			g := buildDOS(t, edges)
+			opts := ckptBaseOpts(g)
+			opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Resume: true}
+			eng := newMinLabelEngine(t, g, opts)
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			vals, err := eng.Values()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := stripDurability(res), stripDurability(refRes)
+			if mode.fold {
+				if got.MessagesApplied >= want.MessagesApplied {
+					t.Errorf("applied %d, want fewer than the uninterrupted %d: folded records are applied once",
+						got.MessagesApplied, want.MessagesApplied)
+				}
+				got.MessagesApplied = want.MessagesApplied
+			}
+			if got != want {
+				t.Errorf("resumed result %+v, uninterrupted %+v", res, refRes)
+			}
+			for i := range refVals {
+				if vals[i] != refVals[i] {
+					t.Fatalf("vertex %d = %+v, uninterrupted %+v", i, vals[i], refVals[i])
+				}
+			}
+
+			if err := resumeWith(t, edges, midRunDir(t, mode.fold, 3), ""); !errors.Is(err, checkpoint.ErrTruncated) {
+				t.Fatalf("Resume with a torn msgs section = %v, want ErrTruncated", err)
+			}
+		})
 	}
 }

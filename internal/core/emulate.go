@@ -83,12 +83,9 @@ func (p *emulatedProgram[V, E]) Update(ctx *Context[emulatedMsg[E]], id graph.Ve
 	}
 }
 
-// Apply is deliberately the program's ONLY message hook: the append is
-// neither commutative nor idempotent (each message contributes one edge
-// slot, and the slot order is the arrival order), so emulatedProgram
-// must never implement Combiner — folding two messages would lose an
-// edge. SortedSpill without Combine remains safe: the stable
-// destination sort preserves per-destination arrival order.
+// Apply is neither commutative nor idempotent: each message contributes
+// one edge slot, and the slot order is the arrival order — which the
+// engine's arrival-order message store preserves.
 func (p *emulatedProgram[V, E]) Apply(v *EmulatedVertex[V, E], m emulatedMsg[E]) {
 	// Algorithm 6's apply_message: append the edge. The value slice is
 	// stable per apply round because Edges is rebuilt alongside it.

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"graphz/internal/checkpoint"
-	"graphz/internal/extsort"
 	"graphz/internal/graph"
 	"graphz/internal/obs"
 	"graphz/internal/sim"
@@ -53,18 +52,6 @@ type Program[V, M any] interface {
 	// apply_message. It runs immediately for in-partition destinations
 	// and at partition load for spilled ones.
 	Apply(v *V, m M)
-}
-
-// Combiner is the optional sort-reduce hook behind Options.Combine:
-// programs whose Apply is a commutative, associative fold (PageRank's
-// sum, label propagation's min) implement Combine to collapse two
-// messages for the same destination into one. The contract: applying
-// Combine(a, b) must leave the destination in the state that applying a
-// then b would — the engine combines in arbitrary groupings across spill
-// buffers and merge passes. Programs with order-sensitive applies (the
-// Section IV-E GraphChi emulation's append) must not implement it.
-type Combiner[M any] interface {
-	Combine(a, b M) M
 }
 
 // Context is the per-update view of the runtime handed to Program.Update.
@@ -127,30 +114,6 @@ type Options struct {
 	// MsgBufferBytes is the in-memory buffer per destination partition
 	// before spilling; defaults to 64 KiB.
 	MsgBufferBytes int
-	// ParallelDrain applies a partition's pending messages with a
-	// worker pool guarded by a mutex pool (the paper's Section V-C).
-	// Requires Program.Apply to be commutative and associative; leave
-	// off for order-sensitive applies.
-	ParallelDrain bool
-	// SortedSpill sorts spilled cross-partition messages by destination
-	// vertex: every spilled buffer becomes a destination-sorted run in
-	// the partition's message file, and the drain merge-sorts the runs
-	// (plus the in-memory tail) instead of replaying arrival order, so
-	// applies walk the vertex states sequentially instead of randomly.
-	// The sort and merge are stable, preserving per-destination send
-	// order — vertex states and message counters stay byte-identical to
-	// the unsorted path for every program (DESIGN.md §11). Takes
-	// precedence over ParallelDrain for the drain stage.
-	SortedSpill bool
-	// Combine additionally folds messages to the same destination into
-	// one — in the spill buffer before it hits the device, at
-	// intermediate merge passes, and during the drain merge — using the
-	// program's Combiner hook; New fails if the program lacks it.
-	// Implies SortedSpill. Fan-in hot spots then cost one apply per
-	// sorted run instead of one per message; Result.MessagesCombined
-	// keeps the books balanced (applied + combined equals the unsorted
-	// path's applied).
-	Combine bool
 	// WorkerParallelism runs the Worker stage on this many goroutines.
 	// Each resident partition's vertex range is split into contiguous
 	// chunks that execute speculatively in parallel and commit in
@@ -160,8 +123,7 @@ type Options struct {
 	// commit time, so the observable operation sequence — and every
 	// vertex state byte — is identical to the sequential engine
 	// (DESIGN.md, "Deterministic parallel Worker stage"). Values <= 1
-	// keep the sequential Worker. Unlike ParallelDrain, this mode does
-	// NOT require Apply to commute.
+	// keep the sequential Worker. Apply need not commute.
 	WorkerParallelism int
 	// CacheAdjacency keeps adjacency bytes resident after their first
 	// read when the whole graph fits the leftover budget, eliminating
@@ -233,8 +195,8 @@ func DefaultOptions(budget int64) Options {
 var ErrMemoryBudget = errors.New("core: memory budget exceeded")
 
 // ErrInvalidOptions reports a configuration New rejects outright — a
-// non-positive budget, Options.Combine on a program without a Combiner,
-// a shared adjacency that belongs to a different graph. It marks errors
+// non-positive budget, a shared adjacency that belongs to a different
+// graph, SemOn without dynamic messages. It marks errors
 // a caller caused (a serving API maps it to HTTP 400), as opposed to
 // runtime failures. Match with errors.Is.
 var ErrInvalidOptions = errors.New("core: invalid options")
@@ -271,21 +233,6 @@ type Result struct {
 	MessagesSpilled  int64 // messages that crossed the partition boundary to disk
 	SpillErrors      int64 // spill failures observed (first one aborts the run)
 	UpdatesRun       int64
-	// MessagesCombined counts messages the Combine hook folded into
-	// another (Options.Combine): on the sorted-spill path,
-	// applied + combined equals the unsorted path's applied for runs
-	// that drain every message (any converged run). A run stopped by
-	// MaxIterations folds its final iteration's never-drained spills
-	// too, so there applied + combined may exceed the unsorted applied
-	// by the folds among those leftover messages.
-	// DrainMergePasses counts the intermediate merge passes sorted
-	// drains needed when a partition accumulated more runs than the
-	// merge fan-in; SpillBytesSaved is the device bytes never written
-	// because records combined before a spill or merge-pass write. All
-	// zero unless Options.SortedSpill (or Combine) is set.
-	MessagesCombined int64
-	DrainMergePasses int64
-	SpillBytesSaved  int64
 	// BlocksScanned/BlocksSkipped count adjacency blocks the selective
 	// scheduler read versus skipped; both zero unless
 	// Options.SelectiveScheduling is set.
@@ -342,13 +289,6 @@ type Engine[V, M any] struct {
 	runErr    error // first deferred error from message spilling
 	spillErrs int64 // all spill failures, including ones after runErr
 
-	// sort-reduce state (Options.SortedSpill / Options.Combine)
-	combineFn   func(a, b M) M // program's Combine; nil unless Options.Combine
-	msgRuns     [][]int64      // per partition: byte length of each sorted run in its message file
-	combined    int64
-	mergePasses int64
-	spillSaved  int64
-
 	// Worker batch-dispatch scratch, reused across partitions by the
 	// engine-goroutine Workers (sequential, selective, re-execute);
 	// speculating chunks carry their own.
@@ -392,9 +332,6 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 	if opts.MemoryBudget <= 0 {
 		return nil, fmt.Errorf("%w: memory budget must be positive, got %d", ErrInvalidOptions, opts.MemoryBudget)
 	}
-	if opts.Combine {
-		opts.SortedSpill = true
-	}
 	e := &Engine[V, M]{
 		layout: layout,
 		prog:   prog,
@@ -406,13 +343,6 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		vsize:  vcodec.Size(),
 		msize:  mcodec.Size(),
 		eo:     newEngineObs(opts.Obs, opts.Trace),
-	}
-	if opts.Combine {
-		c, ok := any(prog).(Combiner[M])
-		if !ok {
-			return nil, fmt.Errorf("%w: Options.Combine requires the program to implement Combine(M, M) M; %T does not", ErrInvalidOptions, prog)
-		}
-		e.combineFn = c.Combine
 	}
 	if opts.SharedAdjacency != nil && !opts.SharedAdjacency.matches(layout) {
 		return nil, fmt.Errorf("%w: shared adjacency belongs to %q (%d entries), layout reads %q (%d entries)",
@@ -552,9 +482,6 @@ func (e *Engine[V, M]) Run() (Result, error) {
 		// also keeps the checkpoint writer's per-partition message
 		// sections and the memory sampler's buffer walk empty.
 		e.msgBufs = make([][]byte, nParts)
-		if e.opts.SortedSpill {
-			e.msgRuns = make([][]int64, nParts)
-		}
 	}
 	if _, err := e.dev.Create(e.vstateFile()); err != nil {
 		return Result{}, err
@@ -681,29 +608,10 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 // the results are already durable — but they are counted.
 func (e *Engine[V, M]) removeMsgFiles(nParts int) {
 	if e.sem {
-		return // no message or scratch files were ever created
+		return // no message files were ever created
 	}
 	for p := 0; p < nParts; p++ {
 		if err := e.dev.Remove(e.msgFile(p)); err != nil {
-			e.eo.removeErrs.Inc()
-		}
-		e.removeScratchFiles(p)
-	}
-}
-
-// removeScratchFiles deletes partition p's sorted-drain merge scratch
-// files, if any pass ever created them (Size probes the catalog so a
-// never-created scratch costs no removal attempt).
-func (e *Engine[V, M]) removeScratchFiles(p int) {
-	if !e.opts.SortedSpill {
-		return
-	}
-	for side := 0; side < 2; side++ {
-		name := e.mergeScratchFile(p, side)
-		if _, err := e.dev.Size(name); err != nil {
-			continue
-		}
-		if err := e.dev.Remove(name); err != nil {
 			e.eo.removeErrs.Inc()
 		}
 	}
@@ -722,9 +630,6 @@ func (e *Engine[V, M]) result(iters, nParts int) Result {
 		MessagesSpilled:   e.spilled,
 		SpillErrors:       e.spillErrs,
 		UpdatesRun:        e.updates,
-		MessagesCombined:  e.combined,
-		DrainMergePasses:  e.mergePasses,
-		SpillBytesSaved:   e.spillSaved,
 		BlocksScanned:     e.blocksScanned,
 		BlocksSkipped:     e.blocksSkipped,
 		Checkpoints:       e.ckCount,
@@ -812,15 +717,7 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 		if e.eo.on {
 			drainStart = time.Now()
 		}
-		if e.opts.SortedSpill {
-			if err := e.drainMessagesSorted(p, lo); err != nil {
-				return err
-			}
-		} else if e.opts.ParallelDrain {
-			if err := e.drainMessagesParallel(p, lo); err != nil {
-				return err
-			}
-		} else if err := e.drainMessages(p, lo); err != nil {
+		if err := e.drainMessages(p, lo); err != nil {
 			return err
 		}
 		if e.eo.on {
@@ -1180,30 +1077,7 @@ func (e *Engine[V, M]) bufferMessage(dst graph.VertexID, m M) {
 // file. Spill failures (e.g. device out of space) are recorded in runErr
 // and fail the run at the next partition boundary — Send has no error
 // return, matching the paper's API.
-//
-// Under SortedSpill the buffer is stably sorted by destination first, so
-// each spill lands as one destination-sorted run (recorded in msgRuns);
-// with Combine, same-destination records are folded before they ever hit
-// the device. MessagesSpilled stays a logical (pre-combine) count, so it
-// remains comparable across spill modes.
 func (e *Engine[V, M]) spillBuffer(p int, buf []byte) {
-	rec := 4 + e.msize
-	logical := int64(len(buf) / rec)
-	out := buf
-	if e.opts.SortedSpill {
-		extsort.SortRecords(buf, rec, msgRecordKey)
-		e.charge(logical, sim.CostRecordSort)
-		if e.combineFn != nil {
-			var folded int64
-			out, folded = extsort.CombineSorted(buf, rec, msgRecordKey, e.combineRecord)
-			if folded > 0 {
-				e.noteCombined(folded)
-				saved := folded * int64(rec)
-				e.spillSaved += saved
-				e.eo.sortedSaved.Add(saved)
-			}
-		}
-	}
 	f, err := e.dev.Open(e.msgFile(p))
 	if err != nil {
 		e.spillErrs++
@@ -1213,7 +1087,7 @@ func (e *Engine[V, M]) spillBuffer(p int, buf []byte) {
 		}
 		return
 	}
-	if _, err := f.Append(out); err != nil {
+	if _, err := f.Append(buf); err != nil {
 		e.spillErrs++
 		e.eo.spillErrs.Inc()
 		if e.runErr == nil {
@@ -1221,12 +1095,9 @@ func (e *Engine[V, M]) spillBuffer(p int, buf []byte) {
 		}
 		return
 	}
-	if e.opts.SortedSpill {
-		e.msgRuns[p] = append(e.msgRuns[p], int64(len(out)))
-		e.eo.sortedRuns.Inc()
-	}
-	e.spilled += logical
-	e.eo.spilled.Add(logical)
+	n := int64(len(buf) / (4 + e.msize))
+	e.spilled += n
+	e.eo.spilled.Add(n)
 }
 
 // drainMessages applies partition p's pending messages — first the
@@ -1363,6 +1234,5 @@ func (e *Engine[V, M]) Cleanup() {
 		if err := e.dev.Remove(e.msgFile(p)); err != nil {
 			e.eo.removeErrs.Inc()
 		}
-		e.removeScratchFiles(p)
 	}
 }

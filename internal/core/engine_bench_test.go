@@ -98,17 +98,10 @@ func BenchmarkEngineSelective(b *testing.B) {
 	}
 }
 
-// combinableRank is prProg with the sum Combine hook: a PageRank-style
-// program that spills every iteration, so the sorted drain and the
-// Combine fold have steady work (min-label converges and starves them).
-type combinableRank struct{ prProg }
-
-func (combinableRank) Combine(a, b float64) float64 { return a + b }
-
-// BenchmarkEngineSortedSpill measures the spill drain on a high-fan-in
-// Zipf graph — the sort-reduce target case — across the arrival-order
-// path, the sorted merge, and the sorted merge with the Combine fold.
-func BenchmarkEngineSortedSpill(b *testing.B) {
+// BenchmarkEngineSpill measures the buffer/spill/drain path on a
+// high-fan-in Zipf graph with a PageRank-style program that spills every
+// iteration (min-label converges and starves the path).
+func BenchmarkEngineSpill(b *testing.B) {
 	edges := gen.Zipf(16000, 160_000, 1.05, 7)
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
@@ -118,35 +111,23 @@ func BenchmarkEngineSortedSpill(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		mod  func(*Options)
-	}{
-		{"unsorted", func(*Options) {}},
-		{"sorted", func(o *Options) { o.SortedSpill = true }},
-		{"combine", func(o *Options) { o.Combine = true }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := Options{
-				MemoryBudget:    budgetForPartitions(g, 16, 4, 4096),
-				DynamicMessages: true,
-				MsgBufferBytes:  4096,
-				MaxIterations:   3,
-			}
-			mode.mod(&opts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := New[prVal, float64](DOSLayout(g), combinableRank{}, prCodec{}, f64Codec{}, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-				eng.Cleanup()
-			}
-		})
+	opts := Options{
+		MemoryBudget:    budgetForPartitions(g, 16, 4, 4096),
+		DynamicMessages: true,
+		MsgBufferBytes:  4096,
+		MaxIterations:   3,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, f64Codec{}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+		eng.Cleanup()
 	}
 }
 

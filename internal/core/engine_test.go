@@ -60,16 +60,6 @@ func (minLabel) Apply(v *minVal, m uint32) {
 	}
 }
 
-// Combine folds same-destination labels into their minimum, making
-// minLabel eligible for Options.Combine. Min is exact, so combined runs
-// must stay byte-identical to uncombined ones.
-func (minLabel) Combine(a, b uint32) uint32 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
 // referenceMinLabels computes the fixpoint in memory over the layout's ID
 // space.
 func referenceMinLabels(n int, edges []graph.Edge) []uint32 {

@@ -3,14 +3,19 @@ package core
 import (
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
+	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
+	"graphz/internal/obs"
 )
 
-// Regression tests for the message-path fixes: the spill-buffer capacity
-// clamp in bufferMessage and the bounded streaming parallel drain.
+// Tests of the one message path — buffer, spill, drain — at the level of
+// its routines: the spill-buffer capacity clamp, the streaming drain's
+// memory bound and order, the skip of an empty drain, a torn message
+// file, and message conservation over a whole forced-spill run.
 
 // TestBufferMessageRecordLargerThanBuffer: bufferMessage used to
 // allocate the destination buffer with exactly MsgBufferBytes capacity
@@ -75,28 +80,42 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	}
 }
 
-// TestParallelDrainBoundedMemory: drainMessagesParallel used to read the
-// entire spill file into one allocation. The spill file holds a full
-// iteration's cross-partition traffic and is not covered by the memory
-// budget, so a file several times the budget blew straight past it. The
-// drain must now stream: draining a spill file much larger than the
-// chunk ceiling may not allocate anywhere near the file size.
-func TestParallelDrainBoundedMemory(t *testing.T) {
-	g := buildDOS(t, gen.RMAT(7, 400, gen.NaturalRMAT, 51))
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true, ParallelDrain: true})
+// drainEngine builds a single-partition engine ready for direct
+// bufferMessage / drainMessages calls: resident states from init, empty
+// buffers, message file created — what Run sets up before its first
+// partition.
+func drainEngine[V any](t *testing.T, g *dos.Graph, prog Program[V, uint32], vc graph.Codec[V], opts Options, init func(i int) V) *Engine[V, uint32] {
+	t.Helper()
+	opts.DynamicMessages = true
+	opts.SemiExternal = SemOff
+	eng, err := New[V, uint32](DOSLayout(g), prog, vc, graph.Uint32Codec{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv := uint32(g.NumVertices)
-	eng.verts = make([]minVal, nv)
-	for i := range eng.verts {
-		eng.verts[i] = minVal{label: uint32(i), pending: uint32(i)}
+	if eng.NumPartitions() != 1 {
+		t.Fatalf("%d partitions, want 1", eng.NumPartitions())
 	}
-	eng.msgBufs = make([][]byte, eng.NumPartitions())
+	eng.verts = make([]V, g.NumVertices)
+	for i := range eng.verts {
+		eng.verts[i] = init(i)
+	}
+	eng.msgBufs = make([][]byte, 1)
 	if _, err := eng.dev.Create(eng.msgFile(0)); err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+func minValOf(i int) minVal { return minVal{label: uint32(i), pending: uint32(i)} }
+
+// TestDrainBoundedMemory: the spill file holds a whole iteration's
+// cross-partition traffic and is not covered by the memory budget, so
+// the drain must stream it: draining a file four times MemoryBudget may
+// not allocate anywhere near the file size.
+func TestDrainBoundedMemory(t *testing.T) {
+	g := buildDOS(t, gen.RMAT(7, 400, gen.NaturalRMAT, 51))
+	eng := drainEngine[minVal](t, g, minLabel{}, minValCodec{}, Options{MemoryBudget: 4 << 20}, minValOf)
+	nv := uint32(g.NumVertices)
 
 	// Build a 16 MiB spill file of valid records and track the expected
 	// per-vertex minimum.
@@ -118,10 +137,8 @@ func TestParallelDrainBoundedMemory(t *testing.T) {
 			x = x*1664525 + 1013904223
 			dst := x % nv
 			m := (x >> 8) % nv
-			var r [8]byte
-			binary.LittleEndian.PutUint32(r[:], dst)
-			binary.LittleEndian.PutUint32(r[4:], m)
-			batch = append(batch, r[:]...)
+			batch = binary.LittleEndian.AppendUint32(batch, dst)
+			batch = binary.LittleEndian.AppendUint32(batch, m)
 			if m < want[dst] {
 				want[dst] = m
 			}
@@ -136,13 +153,12 @@ func TestParallelDrainBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := eng.drainMessagesParallel(0, 0); err != nil {
+	if err := eng.drainMessages(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if alloc > fileBytes/2 {
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > fileBytes/16 {
 		t.Errorf("drain allocated %d bytes for a %d-byte spill file; want bounded streaming", alloc, fileBytes)
 	}
 	if eng.applied != total {
@@ -158,35 +174,113 @@ func TestParallelDrainBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestParallelDrainMemoryTail: the in-memory buffer tail (records that
-// never spilled) must still be applied after the streamed file.
-func TestParallelDrainMemoryTail(t *testing.T) {
+// TestDrainTailAfterFile: the drain replays the spilled file first and
+// the in-memory tail (records that never spilled) after it, so every
+// destination sees its messages in send order. mixProg's apply is
+// order-sensitive: any other order leaves a different hash.
+func TestDrainTailAfterFile(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(6, 200, gen.NaturalRMAT, 52))
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true, ParallelDrain: true})
-	if err != nil {
+	// A 32-byte buffer holds four records: of six sends, four spill and
+	// two stay in the tail.
+	eng := drainEngine[mixVal](t, g, mixProg{}, mixCodec{}, Options{MemoryBudget: 64 << 20, MsgBufferBytes: 32},
+		func(int) mixVal { return mixVal{h: 7} })
+	want := mixVal{h: 7}
+	for m := uint32(1); m <= 6; m++ {
+		eng.bufferMessage(3, m)
+		mixProg{}.Apply(&want, m)
+	}
+	if eng.runErr != nil {
+		t.Fatal(eng.runErr)
+	}
+	if eng.spilled != 4 || len(eng.msgBufs[0]) != 2*(4+eng.msize) {
+		t.Fatalf("spilled %d records with %d tail bytes, want 4 and 16", eng.spilled, len(eng.msgBufs[0]))
+	}
+	if err := eng.drainMessages(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	eng.verts = make([]minVal, g.NumVertices)
-	for i := range eng.verts {
-		eng.verts[i] = minVal{label: uint32(i), pending: uint32(i)}
+	if eng.verts[3] != want {
+		t.Errorf("vertex 3 = %+v after file-then-tail drain, want %+v", eng.verts[3], want)
 	}
-	eng.msgBufs = make([][]byte, eng.NumPartitions())
-	if _, err := eng.dev.Create(eng.msgFile(0)); err != nil {
-		t.Fatal(err)
-	}
-	eng.bufferMessage(3, 0)
-	eng.bufferMessage(5, 1)
-	if err := eng.drainMessagesParallel(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if eng.verts[3].pending != 0 || eng.verts[5].pending != 1 {
-		t.Errorf("memory-tail messages not applied: verts[3]=%+v verts[5]=%+v", eng.verts[3], eng.verts[5])
-	}
-	if eng.applied != 2 {
-		t.Errorf("applied = %d, want 2", eng.applied)
+	if eng.applied != 6 {
+		t.Errorf("applied = %d, want 6", eng.applied)
 	}
 	if len(eng.msgBufs[0]) != 0 {
 		t.Errorf("message buffer not cleared: %d bytes", len(eng.msgBufs[0]))
+	}
+	if sz, _ := eng.dev.Size(eng.msgFile(0)); sz != 0 {
+		t.Errorf("spill file not truncated: %d bytes", sz)
+	}
+}
+
+// TestDrainSkippedWhenEmpty: with nothing buffered and nothing spilled
+// the drain neither opens nor reads the message file, and says so on
+// graphz_drain_skipped_total.
+func TestDrainSkippedWhenEmpty(t *testing.T) {
+	g := buildDOS(t, []graph.Edge{{Src: 0, Dst: 1}})
+	reg := obs.NewRegistry()
+	eng := drainEngine[minVal](t, g, minLabel{}, minValCodec{}, Options{MemoryBudget: 64 << 20, Obs: reg}, minValOf)
+	before := eng.dev.Stats()
+	if err := eng.drainMessages(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if io := eng.dev.Stats().Sub(before); io.ReadOps != 0 || io.WriteOps != 0 {
+		t.Errorf("empty drain touched the device: %+v", io)
+	}
+	if got := reg.CounterValue("graphz_drain_skipped_total"); got != 1 {
+		t.Errorf("graphz_drain_skipped_total = %d, want 1", got)
+	}
+	if eng.applied != 0 {
+		t.Errorf("applied = %d on an empty drain", eng.applied)
+	}
+}
+
+// TestDrainTornMessageFile: a message file that is not a whole number of
+// records (a torn append) fails the drain by name before any record is
+// applied — never a panic, never a half-decoded message.
+func TestDrainTornMessageFile(t *testing.T) {
+	g := buildDOS(t, gen.RMAT(6, 200, gen.NaturalRMAT, 53))
+	eng := drainEngine[minVal](t, g, minLabel{}, minValCodec{}, Options{MemoryBudget: 64 << 20}, minValOf)
+	f, err := eng.dev.Open(eng.msgFile(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Append([]byte{5, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0}); err != nil { // one record + 3 bytes
+		t.Fatal(err)
+	}
+	err = eng.drainMessages(0, 0)
+	if err == nil || !strings.Contains(err.Error(), "torn") || !strings.Contains(err.Error(), eng.msgFile(0)) {
+		t.Fatalf("drain of a torn file = %v, want an error naming the torn file", err)
+	}
+	if eng.applied != 0 {
+		t.Errorf("applied %d records of a torn file", eng.applied)
+	}
+}
+
+// TestMessageConservation: on a forced-spill run to convergence every
+// sent message is either applied inline or buffered, every buffered one
+// is eventually drained, and the registry agrees with the Result.
+func TestMessageConservation(t *testing.T) {
+	g := buildDOS(t, gen.Zipf(400, 8000, 1.2, 72)) // high fan-in: many messages share a destination
+	reg := obs.NewRegistry()
+	res, _ := runMinLabel(t, g, Options{
+		MemoryBudget:    budgetForPartitions(g, 8, 4, 128),
+		DynamicMessages: true,
+		MsgBufferBytes:  128,
+		Obs:             reg,
+	})
+	if res.MessagesSpilled == 0 {
+		t.Fatal("no spills; test needs cross-partition traffic")
+	}
+	if res.MessagesInline+res.MessagesBuffered != res.MessagesSent {
+		t.Errorf("inline %d + buffered %d != sent %d", res.MessagesInline, res.MessagesBuffered, res.MessagesSent)
+	}
+	if res.MessagesApplied != res.MessagesSent {
+		t.Errorf("applied %d != sent %d at convergence", res.MessagesApplied, res.MessagesSent)
+	}
+	if res.MessagesSpilled > res.MessagesBuffered {
+		t.Errorf("spilled %d > buffered %d", res.MessagesSpilled, res.MessagesBuffered)
+	}
+	if got := reg.CounterValue("graphz_messages_spilled_total"); got != res.MessagesSpilled {
+		t.Errorf("graphz_messages_spilled_total = %d, result says %d", got, res.MessagesSpilled)
 	}
 }

@@ -42,20 +42,11 @@ type engineObs struct {
 	workerNS   *obs.Counter
 	drainNS    *obs.Counter
 
-	drainSerial   *obs.Counter // drain invocations by path
-	drainParallel *obs.Counter
-	drainSorted   *obs.Counter
+	drains *obs.Counter // drain phases entered (skipped ones included)
 
 	// semRuns counts runs on the semi-external fast path (sem.go). A SEM
 	// run's drain instruments all stay 0 — the stage genuinely never ran.
 	semRuns *obs.Counter
-
-	// Sort-reduce instruments (Options.SortedSpill / Options.Combine;
-	// DESIGN.md §11).
-	combinedMsgs *obs.Counter // messages folded away by the Combine hook
-	drainMerges  *obs.Counter // intermediate merge passes in sorted drains
-	sortedSaved  *obs.Counter // spill bytes never written thanks to combining
-	sortedRuns   *obs.Counter // destination-sorted runs spilled to the device
 
 	// Worker sub-stage instruments for the chunked parallel Worker
 	// (Options.WorkerParallelism > 1); all zero on the sequential path.
@@ -110,16 +101,9 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
 		workerNS:   reg.Counter("graphz_stage_worker_ns_total"),
 		drainNS:    reg.Counter("graphz_stage_drain_ns_total"),
 
-		drainSerial:   reg.Counter("graphz_drain_serial_total"),
-		drainParallel: reg.Counter("graphz_drain_parallel_total"),
-		drainSorted:   reg.Counter("graphz_drain_sorted_total"),
+		drains: reg.Counter("graphz_drain_serial_total"),
 
 		semRuns: reg.Counter("graphz_sem_runs_total"),
-
-		combinedMsgs: reg.Counter("graphz_messages_combined_total"),
-		drainMerges:  reg.Counter("graphz_drain_merge_passes_total"),
-		sortedSaved:  reg.Counter("graphz_sorted_spill_bytes_saved_total"),
-		sortedRuns:   reg.Counter("graphz_sorted_runs_total"),
 
 		workerChunks:   reg.Counter("graphz_worker_chunks_total"),
 		workerReexecs:  reg.Counter("graphz_worker_chunk_reexecs_total"),
@@ -285,14 +269,7 @@ func (e *Engine[V, M]) recordDrain(iter, p int, start time.Time, row *obs.IterSt
 	e.eo.tr.Emit(engineName, obs.StageDrain, iter, p, start, d)
 	e.eo.drainNS.Add(int64(d))
 	e.eo.drainHist.Observe(d)
-	switch {
-	case e.opts.SortedSpill:
-		e.eo.drainSorted.Inc()
-	case e.opts.ParallelDrain:
-		e.eo.drainParallel.Inc()
-	default:
-		e.eo.drainSerial.Inc()
-	}
+	e.eo.drains.Inc()
 	e.stageTotals.Drain += d
 	if row != nil {
 		row.Stages.Drain += d

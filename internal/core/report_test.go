@@ -125,31 +125,6 @@ func TestRunReportReconciliation(t *testing.T) {
 	}
 }
 
-func TestRunReportParallelDrainHeat(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 62)
-	g := buildDOS(t, edges)
-	reg := obs.NewRegistry()
-	res, _ := runMinLabel(t, g, Options{
-		MemoryBudget:    budgetForPartitions(g, 8, 4, 64),
-		DynamicMessages: true,
-		MsgBufferBytes:  64,
-		ParallelDrain:   true,
-		Obs:             reg,
-	})
-	if res.MessagesBuffered == 0 {
-		t.Fatal("want buffered messages")
-	}
-	var drainMsgs int64
-	for _, c := range reg.Heatmap().Cells() {
-		if c.File == "graphz.vstate" {
-			drainMsgs += c.DrainMsgs
-		}
-	}
-	if drainMsgs != res.MessagesBuffered {
-		t.Errorf("parallel drain heat msgs = %d, want %d buffered", drainMsgs, res.MessagesBuffered)
-	}
-}
-
 func TestRunReportCodecDecodeReconciliation(t *testing.T) {
 	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 63)
 	g := buildDOSCodec(t, edges, storage.CodecVarint, 0)

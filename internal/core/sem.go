@@ -34,8 +34,7 @@ import "fmt"
 // waits for the next iteration's drain, while SEM folds it the moment
 // it is sent, so information propagates at least as fast — the same
 // reason the partitioned engine itself converges faster with fewer
-// partitions. Options.Combine is a no-op here: the hook folds messages
-// on the spill path, and SEM never spills.
+// partitions.
 
 // SemMode selects the semi-external-memory fast path.
 type SemMode int

@@ -66,9 +66,7 @@ func assertSemShape(t *testing.T, res Result) {
 // match exactly, but SEM may take fewer iterations: a cross-partition
 // message there waits for the next iteration's drain, while SEM applies
 // it inline, so information propagates at least as fast. Both checks run
-// across sequential and parallel workers, selective scheduling, and the
-// sorted-spill + Combine baseline (spill-path hooks SEM must accept and
-// ignore).
+// across sequential and parallel workers and selective scheduling.
 func TestSemMatchesPartitioned(t *testing.T) {
 	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 71)
 	variants := []struct {
@@ -78,7 +76,6 @@ func TestSemMatchesPartitioned(t *testing.T) {
 		{"sequential", func(*Options) {}},
 		{"workers4", func(o *Options) { o.WorkerParallelism = 4 }},
 		{"selective", func(o *Options) { o.SelectiveScheduling = true }},
-		{"sorted-combine", func(o *Options) { o.SortedSpill = true; o.Combine = true }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -56,7 +56,7 @@ func TestSharedGraphConcurrentEngines(t *testing.T) {
 		{MemoryBudget: budgetForPartitions(g, 8, 3, 256), DynamicMessages: true, MsgBufferBytes: 256},
 		{MemoryBudget: budgetForPartitions(g, 8, 5, 256), DynamicMessages: true, MsgBufferBytes: 256},
 		{MemoryBudget: 256 << 20, DynamicMessages: false},
-		{MemoryBudget: budgetForPartitions(g, 8, 4, 256), DynamicMessages: true, MsgBufferBytes: 256, SortedSpill: true},
+		{MemoryBudget: budgetForPartitions(g, 8, 4, 256), DynamicMessages: true, MsgBufferBytes: 256},
 		{MemoryBudget: 256 << 20, DynamicMessages: true, WorkerParallelism: 2},
 	}
 
@@ -275,15 +275,6 @@ func TestEngineCancellation(t *testing.T) {
 	})
 }
 
-// noCombine is minLabel without the Combiner hook.
-type noCombine struct{}
-
-func (noCombine) Init(id graph.VertexID, deg uint32) minVal { return minLabel{}.Init(id, deg) }
-func (noCombine) Update(ctx *Context[uint32], id graph.VertexID, v *minVal, adj []graph.VertexID) {
-	minLabel{}.Update(ctx, id, v, adj)
-}
-func (noCombine) Apply(v *minVal, m uint32) { minLabel{}.Apply(v, m) }
-
 // TestInvalidOptionsSentinel: every configuration error out of New must
 // match ErrInvalidOptions, so a serving API can map it to HTTP 400.
 func TestInvalidOptionsSentinel(t *testing.T) {
@@ -293,12 +284,6 @@ func TestInvalidOptionsSentinel(t *testing.T) {
 		Options{MemoryBudget: 0})
 	if !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("zero budget: err = %v, want ErrInvalidOptions", err)
-	}
-
-	_, err = New[minVal, uint32](DOSLayout(g), noCombine{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, Combine: true})
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("Combine without Combiner: err = %v, want ErrInvalidOptions", err)
 	}
 
 	// A shared adjacency from a different graph must be rejected.

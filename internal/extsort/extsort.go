@@ -10,6 +10,7 @@
 package extsort
 
 import (
+	"container/heap"
 	"fmt"
 	"io"
 	"math"
@@ -54,14 +55,8 @@ type Config struct {
 	// formed, halving the peak device footprint. Use only when the
 	// caller owns the input.
 	RemoveInput bool
-	// Combine, when non-nil, folds the later of two equal-comparing
-	// records into the earlier one in place, during run formation and at
-	// every merge pass. The fold must be commutative and associative:
-	// records may be grouped arbitrarily across passes. The output then
-	// holds one record per distinct key.
-	Combine func(dst, src []byte)
-	// Stats, when non-nil, receives the sort's run/merge/combine totals
-	// and any temp-file removal failures.
+	// Stats, when non-nil, receives the sort's run/merge totals and any
+	// temp-file removal failures.
 	Stats *Stats
 	// Obs, when non-nil, counts removal failures on
 	// RemoveErrorsCounter; nil disables metric collection.
@@ -82,11 +77,9 @@ type Stats struct {
 	// input formed at most one run).
 	MergePasses int
 	// RecordsIn/RecordsOut are the record counts read from the input and
-	// written to the output; they differ only when Combine folded some.
+	// written to the output.
 	RecordsIn  int64
 	RecordsOut int64
-	// Combined is the number of records Combine folded away.
-	Combined int64
 	// RemoveErrors counts input/temp removals that failed. The files
 	// leak on the device (its Stats.RemoveErrors counts them too), but
 	// the sorted output is unaffected, so Sort does not fail.
@@ -151,7 +144,7 @@ func Sort(cfg Config, input, output string) error {
 		cfg.Clock.ComputeUnits(nRecords*levels, sim.CostRecordSort)
 	}
 
-	runs, err := formRuns(cfg, st, in)
+	runs, err := formRuns(cfg, in)
 	if err != nil {
 		return err
 	}
@@ -168,7 +161,7 @@ func Sort(cfg Config, input, output string) error {
 }
 
 // formRuns splits the input into sorted runs and returns their file names.
-func formRuns(cfg Config, st *Stats, in *storage.File) ([]string, error) {
+func formRuns(cfg Config, in *storage.File) ([]string, error) {
 	recSz := cfg.RecordSize
 	perRun := int(cfg.MemoryBudget) / recSz
 	if perRun < 1 {
@@ -194,11 +187,6 @@ func formRuns(cfg Config, st *Stats, in *storage.File) ([]string, error) {
 			sortChunkByKey(chunk, recSz, cfg.Key)
 		} else {
 			sortChunk(chunk, recSz, cfg.Less)
-		}
-		if cfg.Combine != nil {
-			var folded int64
-			chunk, folded = combineChunk(cfg, chunk)
-			st.Combined += folded
 		}
 		name := fmt.Sprintf("%s%d", cfg.TempPrefix, len(runs))
 		if err := storage.WriteAll(cfg.Dev, name, chunk); err != nil {
@@ -269,7 +257,7 @@ func mergeRuns(cfg Config, st *Stats, runs []string, output string) error {
 			} else {
 				dst = fmt.Sprintf("%s.m%d_%d", cfg.TempPrefix, pass, len(next))
 			}
-			written, err := mergeGroup(cfg, st, group, dst)
+			written, err := mergeGroup(cfg, group, dst)
 			if err != nil {
 				return err
 			}
@@ -297,35 +285,6 @@ func mergeRuns(cfg Config, st *Stats, runs []string, output string) error {
 		removeTemp(cfg, st, runs[0])
 	}
 	return nil
-}
-
-// combineChunk collapses a sorted chunk's equal-comparing neighbors with
-// cfg.Combine, dispatching on the comparison mode.
-func combineChunk(cfg Config, chunk []byte) ([]byte, int64) {
-	if cfg.Key != nil {
-		return CombineSorted(chunk, cfg.RecordSize, cfg.Key, cfg.Combine)
-	}
-	recSz := cfg.RecordSize
-	n := len(chunk) / recSz
-	if n < 2 {
-		return chunk, 0
-	}
-	w := 0
-	var folded int64
-	for i := 1; i < n; i++ {
-		cur := chunk[i*recSz : (i+1)*recSz]
-		kept := chunk[w*recSz : (w+1)*recSz]
-		if !cfg.Less(kept, cur) && !cfg.Less(cur, kept) {
-			cfg.Combine(kept, cur)
-			folded++
-			continue
-		}
-		w++
-		if w != i {
-			copy(chunk[w*recSz:(w+1)*recSz], cur)
-		}
-	}
-	return chunk[:(w+1)*recSz], folded
 }
 
 // sortChunkByKey sorts records by their uint64 keys, stably.
@@ -357,7 +316,7 @@ func sortChunkByKey(chunk []byte, recSz int, key func([]byte) uint64) {
 
 // mergeSource is one run feeding the merge heap.
 type mergeSource struct {
-	src Source
+	r   *storage.Reader
 	cur []byte
 	key uint64 // cached sort key when key-based sorting is active
 	ord int    // tie-break by run order for stability
@@ -401,47 +360,56 @@ func (h *mergeHeap) Pop() any {
 	return x
 }
 
-// mergeGroup merges a group of sorted runs into dst through a streaming
-// Merger, folding equal keys when a Combine hook is configured. It
-// returns the number of records written.
-func mergeGroup(cfg Config, st *Stats, group []string, dst string) (int64, error) {
-	srcs := make([]Source, 0, len(group))
-	for _, name := range group {
+// mergeGroup merges a group of sorted runs into dst with a k-way heap
+// merge; on equal keys, records from earlier runs win, which keeps the
+// sort stable. It returns the number of records written.
+func mergeGroup(cfg Config, group []string, dst string) (int64, error) {
+	h := &mergeHeap{less: cfg.Less, keyFn: cfg.Key}
+	for ord, name := range group {
 		f, err := cfg.Dev.Open(name)
 		if err != nil {
 			return 0, fmt.Errorf("extsort: opening run %q: %w", name, err)
 		}
-		srcs = append(srcs, NewReaderSource(storage.NewReader(f)))
+		ms := &mergeSource{r: storage.NewReader(f), cur: make([]byte, cfg.RecordSize), ord: ord}
+		if err := ms.r.ReadFull(ms.cur); err != nil {
+			if err == io.EOF {
+				continue // empty run
+			}
+			return 0, fmt.Errorf("extsort: priming run %q: %w", name, err)
+		}
+		if h.keyFn != nil {
+			ms.key = h.keyFn(ms.cur)
+		}
+		h.src = append(h.src, ms)
 	}
-	m, err := NewMerger(MergeConfig{
-		RecordSize: cfg.RecordSize,
-		Less:       cfg.Less,
-		Key:        cfg.Key,
-		Combine:    cfg.Combine,
-	}, srcs)
-	if err != nil {
-		return 0, err
-	}
+	heap.Init(h)
 
 	out, err := cfg.Dev.Create(dst)
 	if err != nil {
 		return 0, err
 	}
 	w := storage.NewWriter(out)
+	rec := make([]byte, cfg.RecordSize)
 	var written int64
-	for {
-		rec, err := m.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return written, err
+	for h.Len() > 0 {
+		// Copy the head out before advancing its run: ReadFull reuses cur.
+		top := h.src[0]
+		copy(rec, top.cur)
+		switch err := top.r.ReadFull(top.cur); err {
+		case nil:
+			if h.keyFn != nil {
+				top.key = h.keyFn(top.cur)
+			}
+			heap.Fix(h, 0)
+		case io.EOF:
+			heap.Pop(h)
+		default:
+			return written, fmt.Errorf("extsort: reading run %q: %w", group[top.ord], err)
 		}
 		if _, err := w.Write(rec); err != nil {
 			return written, fmt.Errorf("extsort: writing %q: %w", dst, err)
 		}
 		written++
 	}
-	st.Combined += m.Combined()
 	return written, w.Flush()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -114,8 +115,16 @@ func respond(w http.ResponseWriter, payload any, err error) {
 	writeJSON(w, status, errBody{Error: err.Error()})
 }
 
+// writeJSON encodes before it writes the header, so a payload that
+// cannot be encoded is a 500 with an errBody, not a 200 with no body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(errBody{Error: "encoding response: " + err.Error()}) //nolint:errcheck // a string field cannot fail
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone mid-write
+	w.Write(buf.Bytes()) //nolint:errcheck // client gone mid-write
 }

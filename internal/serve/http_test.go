@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"graphz/internal/dos"
+	"graphz/internal/graph"
+	"graphz/internal/storage"
 )
 
 // doJSON issues a request against the test server and decodes the JSON
@@ -167,3 +172,54 @@ func TestHTTPAPI(t *testing.T) {
 }
 
 func u32s(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
+
+// TestResultNonFiniteValues: SSSP leaves +Inf on vertices the root cannot
+// reach, and JSON has no literal for it. Every result view must still be
+// a 200 with a valid body — the unreached value encoded as null — where
+// it used to be a 200 with no body at all.
+func TestResultNonFiniteValues(t *testing.T) {
+	// 0 → 1 → 2, and 3 → 0: vertex 3 is unreachable from root 0.
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 0}}
+	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
+		t.Fatal(err)
+	}
+	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t, 256<<20, g)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	src := uint32(0)
+	st := submitWait(t, s, SubmitRequest{Graph: "main", Algo: "SSSP", Budget: 8 << 20, Source: &src})
+	if st.State != StateDone {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	for _, query := range []string{"?all=1", "?vertex=3", "?top=3"} {
+		resp, err := ts.Client().Get(ts.URL + "/jobs/" + st.ID + "/result" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 || !json.Valid(body) {
+			t.Fatalf("GET result%s = %d with body %q, want 200 and valid JSON", query, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), `{"vertex":3,"value":null}`) {
+			t.Errorf("GET result%s: unreached vertex 3 not encoded as null: %s", query, body)
+		}
+	}
+
+	// A payload that cannot be encoded is a 500 with an error body.
+	rec := httptest.NewRecorder()
+	writeJSON(rec, 200, math.Inf(1))
+	var eb errBody
+	if rec.Code != 500 || json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Error == "" {
+		t.Errorf("writeJSON(+Inf) = %d %q, want 500 with an error body", rec.Code, rec.Body)
+	}
+}

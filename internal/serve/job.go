@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -272,14 +274,26 @@ func (s *Server) run(j *Job) {
 	}
 	var report *obs.RunReport
 	if err == nil {
+		// The device is shared: the report lists the graph's files and
+		// this job's own runtime files, not other jobs'.
+		files := core.DeviceFileIO(dev)
+		own, shared := j.ID+".", j.rg.sg.Graph().Prefix()+"."
+		for name := range files {
+			if !strings.HasPrefix(name, own) && !strings.HasPrefix(name, shared) {
+				delete(files, name)
+			}
+		}
 		report = obs.BuildReport(obs.ReportInfo{
 			Engine:      "graphz-serve",
 			Algo:        string(j.Algo),
 			Device:      dev.Kind().String(),
 			BudgetBytes: j.Budget,
 			Config:      map[string]string{"graph": j.Graph, "job": j.ID},
-		}, j.reg, tr, core.DeviceFileIO(dev))
+		}, j.reg, tr, files)
 	}
+	// The job's files are gone; so must their per-file counters be, or a
+	// long-lived device grows by 1 + partitions entries per job.
+	dev.ForgetFileStats(j.ID + ".")
 
 	s.mu.Lock()
 	j.finished = time.Now()
@@ -403,6 +417,17 @@ func (s *Server) Wait(id string) (JobStatus, error) {
 type VertexValue struct {
 	Vertex uint32  `json:"vertex"`
 	Value  float64 `json:"value"`
+}
+
+// MarshalJSON encodes a non-finite value — SSSP leaves +Inf on vertices
+// the root cannot reach — as null: JSON has no literal for it and
+// encoding/json refuses the float.
+func (v VertexValue) MarshalJSON() ([]byte, error) {
+	if math.IsInf(v.Value, 0) || math.IsNaN(v.Value) {
+		return fmt.Appendf(nil, `{"vertex":%d,"value":null}`, v.Vertex), nil
+	}
+	type plain VertexValue // drops the method, keeps the tags
+	return json.Marshal(plain(v))
 }
 
 // JobResult is the GET /jobs/{id}/result payload: the top-K vertices by

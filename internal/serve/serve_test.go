@@ -440,3 +440,42 @@ func TestJobFilesCleanedUp(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceFileStatsBounded: a long-lived server's device must not grow
+// one per-file counter set per finished job, and a job's report lists the
+// graph's files and that job's own runtime files only — the fiftieth
+// job's report is the same size as the first's.
+func TestDeviceFileStatsBounded(t *testing.T) {
+	g, _ := buildGraph(t, 97)
+	s := newServer(t, 256<<20, g)
+	dev := g.Device()
+	var firstStats, firstFiles int
+	for i := 1; i <= 50; i++ {
+		st := submitWait(t, s, SubmitRequest{Graph: "main", Algo: "CC", Budget: 8 << 20})
+		if st.State != StateDone {
+			t.Fatalf("job %d: %s (%s)", i, st.State, st.Error)
+		}
+		rep, err := s.Report(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name := range rep.Files {
+			if !strings.HasPrefix(name, st.ID+".") && !strings.HasPrefix(name, g.Prefix()+".") {
+				t.Errorf("job %s's report lists %q", st.ID, name)
+			}
+		}
+		if _, ok := rep.Files[st.ID+".vstate"]; !ok {
+			t.Errorf("job %s's report lacks its own vertex-state file: %v", st.ID, rep.Files)
+		}
+		if i == 1 {
+			firstStats, firstFiles = len(dev.FileStats()), len(rep.Files)
+			continue
+		}
+		if got := len(dev.FileStats()); got != firstStats {
+			t.Fatalf("after job %d the device tracks %d files, after job 1 it tracked %d", i, got, firstStats)
+		}
+		if got := len(rep.Files); got != firstFiles {
+			t.Fatalf("job %d's report lists %d files, job 1's listed %d", i, got, firstFiles)
+		}
+	}
+}

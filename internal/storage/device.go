@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -233,6 +234,20 @@ func (d *Device) FileStats() map[string]Stats {
 		out[n] = *s
 	}
 	return out
+}
+
+// ForgetFileStats drops the per-file counters of every name starting
+// with prefix. A long-lived device calls it once the owner of a family
+// of removed runtime files (one served job) has reported their traffic;
+// the device-wide Stats are unaffected.
+func (d *Device) ForgetFileStats(prefix string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name := range d.fileStats {
+		if strings.HasPrefix(name, prefix) {
+			delete(d.fileStats, name)
+		}
+	}
 }
 
 // fileStat returns the per-file accumulator for name. Caller holds d.mu.
