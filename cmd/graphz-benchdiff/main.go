@@ -1,9 +1,9 @@
 // Command graphz-benchdiff is the benchmark-regression gate: it records
 // `go test -bench` text output as a JSON snapshot and compares two
-// snapshots, exiting non-zero when any benchmark's ns/op regressed past
-// a threshold (or disappeared). CI runs it against the committed
-// baseline in ci/bench-baseline.json (see `make bench-json` and the
-// "bench" job in .github/workflows/ci.yml).
+// snapshots, exiting non-zero when any benchmark's ns/op or allocs/op
+// regressed past a threshold (or the benchmark disappeared). CI runs it
+// against the committed baseline in ci/bench-baseline.json (see `make
+// bench-json` and the "bench" job in .github/workflows/ci.yml).
 //
 // Usage:
 //
@@ -42,7 +42,7 @@ func main() {
 		out       = flag.String("out", "", "output file for -record (default stdout)")
 		baseline  = flag.String("baseline", "", "baseline snapshot to compare against")
 		current   = flag.String("current", "", "current snapshot to compare")
-		threshold = flag.Float64("threshold", 0.15, "allowed fractional ns/op regression before failing")
+		threshold = flag.Float64("threshold", 0.15, "allowed fractional ns/op or allocs/op regression before failing")
 	)
 	flag.Parse()
 
@@ -220,9 +220,12 @@ func stripProcSuffix(name string) string {
 }
 
 // compare prints an aligned report of current vs baseline and returns
-// the number of failures: benchmarks whose ns/op regressed beyond the
-// threshold, or that vanished from the current run. Improvements beyond
-// the threshold are noted (refresh the baseline) but never fail.
+// the number of failures: benchmarks whose ns/op or allocs/op regressed
+// beyond the threshold, or that vanished from the current run. ns/op
+// moves with the machine; allocs/op does not, so it is the half of the
+// gate that holds on a noisy box (gated wherever the baseline recorded
+// it). Improvements beyond the threshold are noted (refresh the
+// baseline) but never fail.
 func compare(w io.Writer, base, cur Snapshot, threshold float64) int {
 	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
@@ -234,28 +237,37 @@ func compare(w io.Writer, base, cur Snapshot, threshold float64) int {
 			nameW = len(b.Name)
 		}
 	}
-	fmt.Fprintf(w, "%-*s  %12s  %12s  %8s  %s\n", nameW, "benchmark", "baseline", "current", "delta", "verdict")
+	fmt.Fprintf(w, "%-*s  %12s  %12s  %8s  %8s  %s\n", nameW, "benchmark", "baseline", "current", "delta", "allocs", "verdict")
 	regressions := 0
 	for _, b := range base.Benchmarks {
 		c, ok := curBy[b.Name]
 		if !ok {
-			fmt.Fprintf(w, "%-*s  %12.0f  %12s  %8s  MISSING\n", nameW, b.Name, b.NsPerOp, "-", "-")
+			fmt.Fprintf(w, "%-*s  %12.0f  %12s  %8s  %8s  MISSING\n", nameW, b.Name, b.NsPerOp, "-", "-", "-")
 			regressions++
 			continue
 		}
-		delta := 0.0
-		if b.NsPerOp > 0 {
-			delta = (c.NsPerOp - b.NsPerOp) / b.NsPerOp
+		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp
+		allocs, allocsCol := 0.0, "-"
+		if b.AllocsPerOp > 0 {
+			allocs = (c.AllocsPerOp - b.AllocsPerOp) / b.AllocsPerOp
+			allocsCol = fmt.Sprintf("%+.1f%%", allocs*100)
+		}
+		var over []string
+		if delta > threshold {
+			over = append(over, "ns/op")
+		}
+		if allocs > threshold {
+			over = append(over, "allocs/op")
 		}
 		verdict := "ok"
 		switch {
-		case delta > threshold:
-			verdict = "REGRESSION"
+		case len(over) > 0:
+			verdict = "REGRESSION (" + strings.Join(over, ", ") + ")"
 			regressions++
-		case delta < -threshold:
+		case delta < -threshold || allocs < -threshold:
 			verdict = "improved (consider refreshing baseline)"
 		}
-		fmt.Fprintf(w, "%-*s  %12.0f  %12.0f  %+7.1f%%  %s\n", nameW, b.Name, b.NsPerOp, c.NsPerOp, delta*100, verdict)
+		fmt.Fprintf(w, "%-*s  %12.0f  %12.0f  %+7.1f%%  %8s  %s\n", nameW, b.Name, b.NsPerOp, c.NsPerOp, delta*100, allocsCol, verdict)
 	}
 	// New benchmarks are informational: they have no baseline to regress
 	// against, and the next baseline refresh picks them up.
@@ -274,7 +286,7 @@ func compare(w io.Writer, base, cur Snapshot, threshold float64) int {
 	}
 	sort.Strings(fresh)
 	for _, name := range fresh {
-		fmt.Fprintf(w, "%-*s  %12s  %12.0f  %8s  new (no baseline)\n", nameW, name, "-", curBy[name].NsPerOp, "-")
+		fmt.Fprintf(w, "%-*s  %12s  %12.0f  %8s  %8s  new (no baseline)\n", nameW, name, "-", curBy[name].NsPerOp, "-", "-")
 	}
 	return regressions
 }

@@ -97,6 +97,28 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 }
 
+// TestCompareAllocsOnlyRegression: allocs/op is gated with the same
+// threshold as ns/op, on its own — a benchmark whose time held but whose
+// allocations grew past the threshold fails, one exactly at it passes,
+// and a baseline without memory stats gates nothing.
+func TestCompareAllocsOnlyRegression(t *testing.T) {
+	mem := func(name string, ns, allocs float64) Benchmark {
+		return Benchmark{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
+	}
+	base := Snapshot{Benchmarks: []Benchmark{mem("A", 1000, 200), mem("B", 1000, 200), mem("C", 1000, 0), mem("D", 1000, 200)}}
+	cur := Snapshot{Benchmarks: []Benchmark{mem("A", 1000, 231), mem("B", 900, 230), mem("C", 1000, 999), mem("D", 1000, 100)}}
+	var out strings.Builder
+	if got := compare(&out, base, cur, 0.15); got != 1 {
+		t.Fatalf("regressions = %d, want 1 (A's allocs/op grew 15.5%%):\n%s", got, out.String())
+	}
+	report := out.String()
+	for _, want := range []string{"REGRESSION (allocs/op)", "+15.5%", "+15.0%", "-50.0%", "improved"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+}
+
 func TestCompareExactThresholdPasses(t *testing.T) {
 	base := Snapshot{Benchmarks: []Benchmark{bench("A", 1000)}}
 	cur := Snapshot{Benchmarks: []Benchmark{bench("A", 1150)}}

@@ -279,21 +279,41 @@ func main() {
 }
 
 // importDOS copies graphz-convert's exported files onto the device under
-// the prefix "g" so the run can skip conversion.
+// the prefix "g" so the run can skip conversion. The files come from
+// outside the program, so they are verified first — an out-of-range
+// adjacency entry would otherwise index vertex state — on a scratch
+// device, so the run's device statistics and modeled clock describe the
+// run and not the check.
 func importDOS(dev *storage.Device, prefix string) error {
-	for hostSuffix, devName := range map[string]string{
-		".edges": "g.edges", ".meta": "g.meta",
-		".new2old": "g.new2old", ".old2new": "g.old2new",
-	} {
-		data, err := os.ReadFile(prefix + hostSuffix)
+	suffixes := []string{".edges", ".meta", ".new2old", ".old2new"}
+	files := make([][]byte, len(suffixes))
+	for i, suffix := range suffixes {
+		data, err := os.ReadFile(prefix + suffix)
 		if err != nil {
 			return err
 		}
-		if err := storage.WriteAll(dev, devName, data); err != nil {
-			return err
-		}
+		files[i] = data
 	}
-	return nil
+	put := func(d *storage.Device) error {
+		for i, suffix := range suffixes {
+			if err := storage.WriteAll(d, "g"+suffix, files[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	scratch := storage.NewDevice(storage.NullDevice, storage.Options{})
+	if err := put(scratch); err != nil {
+		return err
+	}
+	g, err := dos.Load(scratch, "g")
+	if err == nil {
+		err = dos.Verify(g)
+	}
+	if err != nil {
+		return fmt.Errorf("-dos %s: %w", prefix, err)
+	}
+	return put(dev)
 }
 
 // runGraphZ preprocesses to DOS (or loads a pre-converted graph) and runs

@@ -167,7 +167,10 @@ func convert(dev *storage.Device, name, codecName string, budget int64) *dos.Gra
 }
 
 // importConverted copies graphz-convert's exported host files onto the
-// device under the graph's own prefix and loads them.
+// device under the graph's own prefix, loads them, and verifies them: the
+// files come from outside the program, and one out-of-range entry would
+// otherwise surface as an index panic inside a job, taking the daemon
+// with it.
 func importConverted(dev *storage.Device, name, prefix string) (*dos.Graph, error) {
 	for _, suffix := range []string{".edges", ".meta", ".new2old", ".old2new"} {
 		data, err := os.ReadFile(prefix + suffix)
@@ -178,7 +181,11 @@ func importConverted(dev *storage.Device, name, prefix string) (*dos.Graph, erro
 			return nil, err
 		}
 	}
-	return dos.Load(dev, name+".dos")
+	g, err := dos.Load(dev, name+".dos")
+	if err != nil {
+		return nil, err
+	}
+	return g, dos.Verify(g)
 }
 
 // splitSpec parses "name=value".

@@ -1,11 +1,16 @@
 package graphz_test
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestCommandLineTools builds the CLIs and chains them end to end:
@@ -114,4 +119,143 @@ func TestCommandLineTools(t *testing.T) {
 	if _, err := exec.Command(run, "-in", graphFile, "-engine", "bogus").CombinedOutput(); err == nil {
 		t.Error("bogus engine should fail")
 	}
+}
+
+// buildTool compiles one CLI into dir.
+func buildTool(t *testing.T, dir, name string) string {
+	t.Helper()
+	bin := filepath.Join(dir, name)
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
+		t.Fatalf("building %s: %v\n%s", name, err, out)
+	}
+	return bin
+}
+
+// exportHostileGraph generates a graph, exports it with graphz-convert,
+// and returns the raw file, the export prefix, and a function that
+// overwrites one adjacency entry of the exported .edges file with
+// 0xFFFFFFFF — a destination no graph has — returning its byte offset.
+func exportHostileGraph(t *testing.T, dir string) (graphFile, prefix string, corrupt func() int64) {
+	t.Helper()
+	graphFile = filepath.Join(dir, "g.bin")
+	if out, err := exec.Command(buildTool(t, dir, "graphz-gen"), "-kind", "rmat", "-scale", "9",
+		"-edges", "5000", "-seed", "5", "-out", graphFile).CombinedOutput(); err != nil {
+		t.Fatalf("graphz-gen: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(buildTool(t, dir, "graphz-convert"), "-in", graphFile).CombinedOutput(); err != nil {
+		t.Fatalf("graphz-convert: %v\n%s", err, out)
+	}
+	prefix = filepath.Join(dir, "g.dos")
+	return graphFile, prefix, func() int64 {
+		const off = 4 * 10
+		f, err := os.OpenFile(prefix+".edges", os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, off); err != nil {
+			t.Fatal(err)
+		}
+		return off
+	}
+}
+
+// checkRejected asserts a CLI refused a hostile graph the typed way: a
+// non-zero exit whose message names the edges file and the byte offset of
+// the bad entry, and no panic trace.
+func checkRejected(t *testing.T, tool string, err error, out []byte, off int64) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("%s accepted an edges file with an out-of-range entry:\n%s", tool, out)
+	}
+	if want := fmt.Sprintf(".edges@%d", off); !strings.Contains(string(out), want) {
+		t.Errorf("%s error does not name the edges file and offset (%q):\n%s", tool, want, out)
+	}
+	if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine ") {
+		t.Errorf("%s panicked on a hostile graph file:\n%s", tool, out)
+	}
+}
+
+// TestRunRejectsHostileDOSFiles: graphz-run -dos loads host files it did
+// not write; an out-of-range adjacency entry must fail verification, not
+// index vertex state.
+func TestRunRejectsHostileDOSFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the CLI binaries")
+	}
+	dir := t.TempDir()
+	run := buildTool(t, dir, "graphz-run")
+	graphFile, prefix, corrupt := exportHostileGraph(t, dir)
+	args := []string{"-in", graphFile, "-dos", prefix, "-algo", "pr", "-iters", "3"}
+	if out, err := exec.Command(run, args...).CombinedOutput(); err != nil {
+		t.Fatalf("graphz-run on the unmodified export: %v\n%s", err, out)
+	}
+	off := corrupt()
+	out, err := exec.Command(run, args...).CombinedOutput()
+	checkRejected(t, "graphz-run", err, out, off)
+}
+
+// TestServeRejectsHostileGraphFiles: graphz-serve -graph must verify
+// before it registers the graph and starts listening — nothing in the
+// daemon recovers a panicking job.
+func TestServeRejectsHostileGraphFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the CLI binaries")
+	}
+	dir := t.TempDir()
+	serve := buildTool(t, dir, "graphz-serve")
+	_, prefix, corrupt := exportHostileGraph(t, dir)
+	// boot runs the daemon until it either exits or prints its serving
+	// line (then it is interrupted); it returns everything it printed.
+	boot := func() (served bool, out []byte, err error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, serve, "-addr", "127.0.0.1:0", "-graph", "g="+prefix)
+		var buf lockedBuffer
+		cmd.Stdout, cmd.Stderr = &buf, &buf
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		for {
+			select {
+			case err := <-done:
+				return served, buf.Bytes(), err
+			case <-time.After(20 * time.Millisecond):
+				if !served && strings.Contains(string(buf.Bytes()), "serving on") {
+					served = true
+					cmd.Process.Signal(os.Interrupt) //nolint:errcheck
+				}
+			}
+		}
+	}
+	if served, out, err := boot(); !served || err != nil {
+		t.Fatalf("graphz-serve on the unmodified export: served=%v err=%v\n%s", served, err, out)
+	}
+	off := corrupt()
+	served, out, err := boot()
+	if served {
+		t.Errorf("graphz-serve started listening with a hostile graph registered")
+	}
+	checkRejected(t, "graphz-serve", err, out, off)
+}
+
+// lockedBuffer is a bytes.Buffer safe to read while a child process
+// writes to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) Bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]byte(nil), b.buf.Bytes()...)
 }

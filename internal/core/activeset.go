@@ -297,35 +297,3 @@ func planSelective(as *activeSet, lo, hi graph.VertexID, start int64, degs []uin
 func blocksIn(start, end, epb int64) int64 {
 	return (end - start + epb - 1) / epb
 }
-
-// memRunsStream serves adjacency entries for a schedule's runs from
-// resident cache sub-slices, in run order.
-type memRunsStream struct {
-	segs [][]byte
-	cur  memEntryStream
-}
-
-func (s *memRunsStream) next() (graph.VertexID, error) {
-	for s.cur.pos >= len(s.cur.data) {
-		if len(s.segs) == 0 {
-			return 0, fmt.Errorf("core: cached adjacency exhausted early")
-		}
-		s.cur = memEntryStream{data: s.segs[0]}
-		s.segs = s.segs[1:]
-	}
-	return s.cur.next()
-}
-
-// read bulk-parses entries from the current run segment (batchSource).
-func (s *memRunsStream) read(dst []graph.VertexID) (int, error) {
-	for s.cur.pos >= len(s.cur.data) {
-		if len(s.segs) == 0 {
-			return 0, fmt.Errorf("core: cached adjacency exhausted early")
-		}
-		s.cur = memEntryStream{data: s.segs[0]}
-		s.segs = s.segs[1:]
-	}
-	return s.cur.read(dst)
-}
-
-func (s *memRunsStream) stop() {}

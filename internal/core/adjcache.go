@@ -1,77 +1,27 @@
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"time"
-
-	"graphz/internal/graph"
-	"graphz/internal/storage"
-)
-
 // In-memory adjacency caching, an extension the paper lists as future
 // work ("our current implementation does not have many in-memory
 // optimizations", Section VI-E): iterative algorithms re-read the whole
 // adjacency file every iteration, so when the graph fits the leftover
-// memory budget the engine keeps each partition's adjacency bytes
-// resident after the first read and serves later iterations from memory,
+// memory budget the engine keeps the decoded adjacency resident after one
+// pass and serves every later partition and iteration from memory,
 // eliminating the per-iteration edge IO that dominates small-graph runs.
 //
-// The cache is strictly budget-accounted: plan() enables it only when
-// the full adjacency fits alongside the index, pipeline buffers, message
-// buffers, and the largest partition's vertex states.
+// There is one cache type, SharedAdjacency (shared.go). This file is the
+// engine's side of it: whether to create a private one, and choosing
+// between the resident entries and the Sio prefetcher.
 
-// entrySource abstracts where the Worker's adjacency entries come from:
-// the Sio prefetcher (device) or the resident cache.
-type entrySource interface {
-	next() (graph.VertexID, error)
-	stop()
-}
-
-// memEntryStream serves adjacency entries from a resident byte slice.
-type memEntryStream struct {
-	data []byte
-	pos  int
-}
-
-func (s *memEntryStream) next() (graph.VertexID, error) {
-	if s.pos+4 > len(s.data) {
-		return 0, fmt.Errorf("core: cached adjacency exhausted early")
-	}
-	v := graph.VertexID(binary.LittleEndian.Uint32(s.data[s.pos:]))
-	s.pos += 4
-	return v, nil
-}
-
-// read bulk-parses resident entries into dst (batchSource).
-func (s *memEntryStream) read(dst []graph.VertexID) (int, error) {
-	avail := (len(s.data) - s.pos) / 4
-	if avail == 0 {
-		return 0, fmt.Errorf("core: cached adjacency exhausted early")
-	}
-	n := len(dst)
-	if n > avail {
-		n = avail
-	}
-	data := s.data[s.pos:]
-	for i := 0; i < n; i++ {
-		dst[i] = graph.VertexID(binary.LittleEndian.Uint32(data[i*4:]))
-	}
-	s.pos += n * 4
-	return n, nil
-}
-
-func (s *memEntryStream) stop() {}
-
-// maybeEnableAdjCache decides (post-plan) whether the adjacency fits the
-// leftover budget and sets up the cache slots. A shared adjacency cache
-// (Options.SharedAdjacency) always enables the cached path — its bytes
-// are accounted by the cache's owner, not this engine's budget — with
-// the per-partition slots becoming views into the shared entries.
+// maybeEnableAdjCache decides (post-plan) where the adjacency is served
+// from. A shared cache (Options.SharedAdjacency) is always used — its
+// bytes are accounted by its owner, not this engine's budget. With
+// Options.CacheAdjacency the engine creates a private one, strictly
+// budget-accounted: only when the full adjacency fits alongside the
+// index, pipeline buffers, message buffers, and the largest partition's
+// vertex states.
 func (e *Engine[V, M]) maybeEnableAdjCache() {
 	if e.opts.SharedAdjacency != nil {
-		e.adjCache = make([][]byte, e.NumPartitions())
-		e.cacheOn = true
+		e.adjCache = e.opts.SharedAdjacency
 		return
 	}
 	if !e.opts.CacheAdjacency {
@@ -94,104 +44,42 @@ func (e *Engine[V, M]) maybeEnableAdjCache() {
 		used = e.layout.IndexBytes() + e.adj.TableBytes() + pipelineOverheadBytes +
 			p*int64(e.opts.MsgBufferBytes) + maxPartVerts
 	}
-	adjBytes := e.layout.NumEdges() * 4
-	if used+adjBytes <= e.opts.MemoryBudget {
-		e.adjCache = make([][]byte, e.NumPartitions())
-		e.cacheOn = true
+	if used+e.layout.NumEdges()*4 <= e.opts.MemoryBudget {
+		e.adjCache = NewSharedAdjacency(e.layout)
 	}
 }
 
-// ensureAdjCached makes partition p's adjacency bytes for entry range
-// [start, end) resident, charging the one-time fill read. It must only
-// be called with the cache enabled, and only from the engine goroutine
-// (ps.fillNS and ps.cacheHit are not synchronized).
-func (e *Engine[V, M]) ensureAdjCached(p int, start, end int64, ps *pipeStats) error {
-	if e.adjCache[p] != nil {
-		if ps != nil {
-			ps.cacheHit = true
-		}
-		return nil
-	}
-	if s := e.opts.SharedAdjacency; s != nil {
-		// The shared cache fills the whole file once (whichever engine
-		// gets there first pays); this partition's slot becomes a
-		// zero-copy view into the resident entries, so every downstream
-		// consumer — sequential, selective, parallel — is unchanged.
-		data, filled, err := s.slice(start, end, ps)
-		if err != nil {
-			return fmt.Errorf("core: shared adjacency of partition %d: %w", p, err)
-		}
-		e.adjCache[p] = data
-		if filled && ps != nil {
-			ps.cacheHit = true
-		}
-		return nil
-	}
-	// First visit: one charged fill read, then resident forever. The
-	// cache always holds raw little-endian entries — a block-encoded
-	// layout decodes during the fill, so every cache consumer stays
-	// codec-independent.
-	var t0 time.Time
-	if ps != nil {
-		t0 = time.Now()
-	}
-	var data []byte
-	if e.adj.FixedEntries() {
-		f, err := e.dev.Open(e.layout.EdgesFile())
-		if err != nil {
+// ensureResident makes the cached adjacency available to this run before
+// a partition's Worker starts, and marks the partition a cache hit when
+// that took no fill (the fill happens once per cache: in this engine's
+// first partition, or in another engine sharing it). Engine goroutine
+// only — ps.cacheHit is not synchronized.
+func (e *Engine[V, M]) ensureResident(ps *pipeStats) error {
+	hit := e.adjData != nil
+	if !hit {
+		var err error
+		if e.adjData, hit, err = e.adjCache.load(ps); err != nil {
 			return err
 		}
-		data = make([]byte, (end-start)*4)
-		r := storage.NewRangeReader(f, start*4, end*4)
-		if len(data) > 0 {
-			if err := r.ReadFull(data); err != nil {
-				return fmt.Errorf("core: caching adjacency of partition %d: %w", p, err)
-			}
-			ps.heatRead(start, end-start)
-		}
-	} else {
-		var err error
-		data, err = decodeEntryRange(e.dev, e.adj, e.layout.EdgesFile(), start, end, ps)
-		if err != nil {
-			return fmt.Errorf("core: caching adjacency of partition %d: %w", p, err)
-		}
 	}
-	if ps != nil {
-		ps.fillNS = int64(time.Since(t0))
+	if hit && ps != nil {
+		ps.cacheHit = true
 	}
-	e.adjCache[p] = data
 	return nil
 }
 
-// partitionEntrySource returns the adjacency source for partition p's
-// range [start, end) (in entries): the cache when resident, a caching
-// first read when enabled, or the Sio prefetcher. ps, when non-nil,
-// receives the pipeline's observability counters.
-func (e *Engine[V, M]) partitionEntrySource(p int, start, end int64, ps *pipeStats) (entrySource, error) {
-	if e.cacheOn {
-		if err := e.ensureAdjCached(p, start, end, ps); err != nil {
-			return nil, err
-		}
-		return &memEntryStream{data: e.adjCache[p]}, nil
+// adjSource returns the adjacency source for the given ascending entry
+// ranges: the resident entries when cached (ensureResident has run), or
+// one Sio prefetcher. Safe to call from concurrently speculating chunks:
+// a prefetcher is private to its caller, the resident entries are
+// read-only, and ps only takes atomic updates off the engine goroutine.
+func (e *Engine[V, M]) adjSource(ranges []entryRange, ps *pipeStats) (entrySource, error) {
+	if e.adjCache != nil {
+		return &memEntryStream{data: e.adjData, ranges: ranges}, nil
 	}
-	return newAdjStream(e.dev, e.adj, e.layout.EdgesFile(), []entryRange{{start: start, end: end}}, ps)
+	return openEntryStream(e.dev, e.adj, e.layout.EdgesFile(), ranges, ps)
 }
 
-// rangeEntrySource returns an adjacency source for an arbitrary entry
-// sub-range [start, end) of partition p, whose full range began at
-// partStart. The cached path serves a zero-copy sub-slice (the cache
-// must already be resident); the streaming path opens its own bounded
-// prefetcher, safe to run concurrently with others. ps may be shared
-// across concurrent sources — it only uses atomic fields off the engine
-// goroutine.
-func (e *Engine[V, M]) rangeEntrySource(p int, partStart, start, end int64, ps *pipeStats) (entrySource, error) {
-	if e.cacheOn {
-		data := e.adjCache[p]
-		return &memEntryStream{data: data[(start-partStart)*4 : (end-partStart)*4]}, nil
-	}
-	return newAdjStream(e.dev, e.adj, e.layout.EdgesFile(), []entryRange{{start: start, end: end}}, ps)
-}
-
-// AdjacencyCached reports whether the engine is serving adjacency from
-// memory (set after Run starts).
-func (e *Engine[V, M]) AdjacencyCached() bool { return e.cacheOn }
+// AdjacencyCached reports whether the engine serves adjacency from
+// memory (resolved at New).
+func (e *Engine[V, M]) AdjacencyCached() bool { return e.adjCache != nil }

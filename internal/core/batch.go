@@ -7,57 +7,28 @@ import (
 	"graphz/internal/storage"
 )
 
-// Batch adjacency dispatch for the Worker stage. The seed Worker pulled
-// adjacency entries one at a time through entrySource.next() — an
-// interface call per edge — and re-appended them into a per-vertex
-// slice. The batch path instead bulk-copies whatever the source has
-// already buffered or decoded into one flat reusable buffer and hands
-// each vertex's Update a sub-slice of it: one interface call per block
-// (not per edge), bounds checks hoisted into a single copy loop, and
-// zero per-vertex allocations in steady state. Entry order and error
-// semantics are identical to the next() path, so the engine's ordering
-// guarantee (and byte-identity across worker counts, codecs, and
-// selective mode) is untouched.
+// Batch adjacency dispatch for the Worker stage. The Worker never pulls
+// adjacency an entry at a time: batchReader bulk-copies whatever its
+// entrySource has already decoded into one flat reusable buffer and hands
+// each vertex's Update a sub-slice of it — one interface call per block
+// (not per edge), bounds checks hoisted into a single copy loop, and zero
+// per-vertex allocations in steady state. Entries are served in stream
+// order, which is all the engine's ordering guarantee (and byte-identity
+// across worker counts, codecs, and selective mode) needs.
 
 // workerBatchEntries sizes the Worker's flat batch buffer: one Sio
 // block's worth of entries, so a single refill captures everything a
 // block decode produced.
 const workerBatchEntries = storage.DefaultBlockSize / 4
 
-// batchSource is the bulk side of an entrySource: read copies entries
-// into dst in stream order and returns how many it delivered (at least
-// one, at most len(dst)). Like next(), it may block on the prefetcher;
-// a stream with no entries left reports the same error next() would.
-type batchSource interface {
-	read(dst []graph.VertexID) (int, error)
-}
-
-// disableBatchRead forces batchReader onto the per-entry next()
-// fallback — the pre-batch dispatch sequence — so tests can prove the
-// two paths are byte-identical. Only tests may flip it, and never in
-// parallel with an engine run.
-var disableBatchRead = false
-
 // batchReader adapts an entrySource to per-vertex adjacency slices
 // served from a flat buffer. Not safe for concurrent use; each Worker
 // (the engine goroutine, or one speculating chunk) owns its own.
 type batchReader struct {
 	src  entrySource
-	bulk batchSource // nil: fall back to src.next() per entry
-	buf  []graph.VertexID
-	pos  int // first unserved entry in buf
-	fill int // first free slot in buf
-}
-
-// newBatchReader wraps src, reusing buf (which may be nil) as the batch
-// buffer. src may be nil when the caller proves every degree is zero —
-// adj(0) never touches it.
-func newBatchReader(src entrySource, buf []graph.VertexID) batchReader {
-	r := batchReader{src: src, buf: buf}
-	if src != nil && !disableBatchRead {
-		r.bulk, _ = src.(batchSource)
-	}
-	return r
+	buf  []graph.VertexID // reusable across readers; nil grows on first use
+	pos  int              // first unserved entry in buf
+	fill int              // first free slot in buf
 }
 
 // adj returns the vertex's next deg adjacency entries in stream order.
@@ -97,26 +68,14 @@ func (r *batchReader) refill(n int) error {
 		r.buf = nb
 	}
 	for r.fill < n {
-		if r.bulk != nil {
-			m, err := r.bulk.read(r.buf[r.fill:])
-			if err != nil {
-				return err
-			}
-			if m <= 0 {
-				return fmt.Errorf("core: adjacency batch read returned %d entries", m)
-			}
-			r.fill += m
-			continue
-		}
-		if r.src == nil {
-			return fmt.Errorf("core: adjacency stream exhausted early")
-		}
-		v, err := r.src.next()
+		m, err := r.src.read(r.buf[r.fill:])
 		if err != nil {
 			return err
 		}
-		r.buf[r.fill] = v
-		r.fill++
+		if m <= 0 {
+			return fmt.Errorf("core: adjacency batch read returned %d entries", m)
+		}
+		r.fill += m
 	}
 	return nil
 }

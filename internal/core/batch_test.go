@@ -2,8 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
+	"errors"
 	"testing"
 
 	"graphz/internal/dos"
@@ -14,8 +13,7 @@ import (
 
 // Tests for the batch adjacency dispatch path: the batchReader must do
 // zero allocations per vertex in steady state (the point of the flat
-// buffer), and flipping disableBatchRead must not change a single state
-// byte — batching is a dispatch optimization, not a semantics change.
+// buffer).
 
 // batchDegrees is a mixed degree schedule: zero-degree vertices, degrees
 // straddling refill boundaries, and one degree larger than the initial
@@ -52,117 +50,79 @@ func consumeAll(t *testing.T, br *batchReader, n int, check bool) {
 
 // TestBatchReaderAllocs pins the acceptance criterion directly: after
 // the buffer has grown to cover the degree schedule, serving adjacency
-// slices allocates nothing — on the bulk read path and on the next()
-// fallback alike.
+// slices allocates nothing.
 func TestBatchReaderAllocs(t *testing.T) {
 	const entries = 4096
-	data := make([]byte, entries*4)
-	for i := 0; i < entries; i++ {
-		binary.LittleEndian.PutUint32(data[i*4:], uint32(3*i))
+	data := make([]graph.VertexID, entries)
+	for i := range data {
+		data[i] = graph.VertexID(3 * i)
 	}
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"bulk", false},
-		{"fallback", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			old := disableBatchRead
-			disableBatchRead = tc.disable
-			defer func() { disableBatchRead = old }()
-			src := &memEntryStream{data: data}
-			br := newBatchReader(src, nil)
-			if got := br.bulk != nil; got == tc.disable {
-				t.Fatalf("bulk path engaged = %v with disableBatchRead = %v", got, tc.disable)
-			}
-			// Warm-up pass: grows the buffer and checks entry order.
-			consumeAll(t, &br, entries, true)
-			run := func() {
-				src.pos = 0
-				br.pos, br.fill = 0, 0
-				consumeAll(t, &br, entries, false)
-			}
-			if avg := testing.AllocsPerRun(20, run); avg != 0 {
-				t.Errorf("steady-state batch dispatch allocates %.1f times per pass over %d vertices, want 0", avg, entries)
-			}
-		})
-	}
+	t.Run("bulk", func(t *testing.T) {
+		ranges := make([]entryRange, 1)
+		src := &memEntryStream{data: data}
+		br := batchReader{src: src}
+		rewind := func() {
+			ranges[0] = entryRange{0, entries}
+			src.ranges = ranges
+			br.pos, br.fill = 0, 0
+		}
+		// Warm-up pass: grows the buffer and checks entry order.
+		rewind()
+		consumeAll(t, &br, entries, true)
+		run := func() {
+			rewind()
+			consumeAll(t, &br, entries, false)
+		}
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("steady-state batch dispatch allocates %.1f times per pass over %d vertices, want 0", avg, entries)
+		}
+	})
 }
 
 // TestBatchReaderExhaustion: demanding more entries than the stream
-// holds must surface the source's exhaustion error, and a nil source
-// must serve only zero degrees.
+// holds must surface the source's exhaustion error.
 func TestBatchReaderExhaustion(t *testing.T) {
-	src := &memEntryStream{data: make([]byte, 8)}
-	br := newBatchReader(src, nil)
-	if _, err := br.adj(3); err == nil {
-		t.Error("adj(3) over a 2-entry stream did not fail")
+	br := batchReader{src: &memEntryStream{data: make([]graph.VertexID, 2), ranges: []entryRange{{0, 2}}}}
+	if adj, err := br.adj(0); err != nil || adj != nil {
+		t.Errorf("adj(0) = (%v, %v), want (nil, nil)", adj, err)
 	}
-	nilbr := newBatchReader(nil, nil)
-	if adj, err := nilbr.adj(0); err != nil || adj != nil {
-		t.Errorf("adj(0) on a nil source = (%v, %v), want (nil, nil)", adj, err)
-	}
-	if _, err := nilbr.adj(1); err == nil {
-		t.Error("adj(1) on a nil source did not fail")
+	if _, err := br.adj(3); !errors.Is(err, errAdjExhausted) {
+		t.Errorf("adj(3) over a 2-entry stream = %v, want errAdjExhausted", err)
 	}
 }
 
-// TestBatchDispatchByteIdentity is the batch-vs-pre-batch property test:
-// the same run with batching disabled (the seed per-entry next() path)
-// and enabled must produce identical Results and state bytes. The
-// non-commutative mix program makes any dispatch-order perturbation
-// change the fixpoint bytes, and the matrix spans the engine modes that
-// dispatch adjacency — sequential, selective, and the parallel Worker —
-// over both a fixed-entry v1 graph and a block-encoded v2 graph.
+// TestBatchDispatchByteIdentity: on the non-commutative mix program —
+// any dispatch-order perturbation changes the fixpoint bytes — the
+// parallel Worker (per-chunk batch readers over per-chunk sources) gives
+// the sequential run's state bytes and counters, over both a fixed-entry
+// v1 graph and a block-encoded v2 graph. (parallelworker_test.go runs the
+// mix program on v1 only, codec_engine_test.go runs v2 on the commutative
+// min-label program only.)
 func TestBatchDispatchByteIdentity(t *testing.T) {
-	runMix := func(g *dos.Graph, opts Options, disable bool) (Result, []byte) {
-		old := disableBatchRead
-		disableBatchRead = disable
-		defer func() { disableBatchRead = old }()
-		return runProg[mixVal, uint32](t, g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, opts)
-	}
 	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 83)
-	graphs := []struct {
+	for _, gr := range []struct {
 		name string
 		g    *dos.Graph
 	}{
 		{"v1", buildDOS(t, edges)},
 		{"v2-groupvarint", buildDOSCodec(t, edges, storage.CodecGroupVarint, 0)},
-	}
-	modes := []struct {
-		name string
-		mod  func(*Options)
-	}{
-		{"sequential", func(*Options) {}},
-		{"selective", func(o *Options) { o.SelectiveScheduling = true }},
-		{"workers=4", func(o *Options) { o.WorkerParallelism = 4 }},
-	}
-	for _, gr := range graphs {
-		for _, mode := range modes {
-			name := fmt.Sprintf("%s/%s", gr.name, mode.name)
-			opts := Options{
-				MemoryBudget:   budgetForPartitions(gr.g, 4, 3, 64),
-				MsgBufferBytes: 64,
-				MaxIterations:  4,
-			}
-			mode.mod(&opts)
-			preRes, preBytes := runMix(gr.g, opts, true)
-			batRes, batBytes := runMix(gr.g, opts, false)
-			if preRes.Partitions < 2 {
-				t.Errorf("%s: only %d partitions; the matrix needs cross-partition dispatch", name, preRes.Partitions)
-			}
-			if counterFields(preRes) != counterFields(batRes) {
-				t.Errorf("%s: counters %v with batching, %v without", name, counterFields(batRes), counterFields(preRes))
-			}
-			if !bytes.Equal(preBytes, batBytes) {
-				for i := 0; i < len(preBytes)/4; i++ {
-					a, b := preBytes[i*4:(i+1)*4], batBytes[i*4:(i+1)*4]
-					if !bytes.Equal(a, b) {
-						t.Fatalf("%s: vertex %d state bytes %x with batching, %x without", name, i, b, a)
-					}
-				}
-			}
+	} {
+		opts := Options{
+			MemoryBudget:   budgetForPartitions(gr.g, 4, 3, 64),
+			MsgBufferBytes: 64,
+			MaxIterations:  4,
+		}
+		seqRes, seqBytes := runProg[mixVal, uint32](t, gr.g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, opts)
+		opts.WorkerParallelism = 4
+		parRes, parBytes := runProg[mixVal, uint32](t, gr.g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, opts)
+		if seqRes.Partitions < 2 {
+			t.Errorf("%s: only %d partitions; the test needs cross-partition dispatch", gr.name, seqRes.Partitions)
+		}
+		if counterFields(seqRes) != counterFields(parRes) {
+			t.Errorf("%s: counters %v with workers=4, %v sequential", gr.name, counterFields(parRes), counterFields(seqRes))
+		}
+		if !bytes.Equal(seqBytes, parBytes) {
+			t.Errorf("%s: state bytes differ between workers=4 and the sequential run", gr.name)
 		}
 	}
 }

@@ -94,8 +94,8 @@ func TestEngineV2MatchesV1AcrossPaths(t *testing.T) {
 				}
 				prevRes, prevVals = res, vals
 			}
-			if got := codecBlockPool.outstanding(); got != 0 {
-				t.Errorf("codec block pool leaks %d buffers", got)
+			if got := blockPool.outstanding(); got != 0 {
+				t.Errorf("block pool leaks %d buffers", got)
 			}
 		})
 	}
@@ -121,8 +121,8 @@ func TestEngineV2TinyBlocks(t *testing.T) {
 			}
 		}
 	}
-	if got := codecBlockPool.outstanding(); got != 0 {
-		t.Errorf("codec block pool leaks %d buffers", got)
+	if got := blockPool.outstanding(); got != 0 {
+		t.Errorf("block pool leaks %d buffers", got)
 	}
 }
 

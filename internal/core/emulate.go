@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"graphz/internal/graph"
 	"graphz/internal/graphchi"
+	"graphz/internal/storage"
 )
 
 // This file implements the paper's Section IV-E expressiveness
@@ -243,7 +245,9 @@ func EmulateGraphChi[V, E any](layout Layout, prog graphchi.Program[V, E],
 }
 
 // InDegrees computes per-vertex in-degrees for a layout by streaming its
-// adjacency file once — the setup pass the emulation needs.
+// adjacency file once — the setup pass the emulation needs. The layout
+// need not have been verified: an entry naming a vertex the layout does
+// not have fails with an error matching storage.ErrCorruptBlock.
 func InDegrees(l Layout) ([]uint32, error) {
 	n := l.NumVertices()
 	in := make([]uint32, n)
@@ -253,17 +257,25 @@ func InDegrees(l Layout) ([]uint32, error) {
 	if err := l.LoadIndex(); err != nil {
 		return nil, err
 	}
-	stream, err := newAdjStream(l.Device(), l.Adj(), l.EdgesFile(), []entryRange{{start: 0, end: l.NumEdges()}}, nil)
+	stream, err := openEntryStream(l.Device(), l.Adj(), l.EdgesFile(), []entryRange{{start: 0, end: l.NumEdges()}}, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer stream.stop()
-	for i := int64(0); i < l.NumEdges(); i++ {
-		dst, err := stream.next()
+	buf := make([]graph.VertexID, workerBatchEntries)
+	for off := int64(0); off < l.NumEdges(); {
+		m, err := stream.read(buf)
 		if err != nil {
 			return nil, err
 		}
-		in[dst]++
+		for i, dst := range buf[:m] {
+			if int(dst) >= n {
+				return nil, fmt.Errorf("core: adjacency entry %d of %q names vertex %d, layout has %d: %w",
+					off+int64(i), l.EdgesFile(), dst, n, storage.ErrCorruptBlock)
+			}
+			in[dst]++
+		}
+		off += int64(m)
 	}
 	return in, nil
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"graphz/internal/csr"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
 	"graphz/internal/graphchi"
+	"graphz/internal/storage"
 )
 
 // chiMinProgram is a GraphChi-style min-label propagation program (the
@@ -167,6 +171,40 @@ func TestInDegrees(t *testing.T) {
 	}
 	if inDeg[o2n[1]] != 2 || inDeg[o2n[0]] != 1 || inDeg[o2n[2]] != 0 {
 		t.Errorf("in-degrees = %v", inDeg)
+	}
+}
+
+// TestInDegreesOutOfRangeEntry: InDegrees runs on layouts nobody has
+// verified (a CSR build, host files behind -dos); an adjacency entry
+// naming a vertex the layout does not have must come back as a typed
+// error carrying its entry offset, not index the result slice.
+func TestInDegreesOutOfRangeEntry(t *testing.T) {
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}
+	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
+		t.Fatal(err)
+	}
+	g, err := csr.Build(csr.BuildConfig{Dev: dev}, "raw", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := InDegrees(CSRLayout(g)); err != nil {
+		t.Fatalf("in-degrees of the intact layout: %v", err)
+	}
+	f, err := dev.Open(g.EdgesFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Entry 2 (vertex 1's only neighbour) becomes vertex 3 of a 3-vertex graph.
+	if _, err := f.WriteAt([]byte{3, 0, 0, 0}, 2*4); err != nil {
+		t.Fatal(err)
+	}
+	_, err = InDegrees(CSRLayout(g))
+	if !errors.Is(err, storage.ErrCorruptBlock) {
+		t.Fatalf("InDegrees over an out-of-range entry = %v, want an error matching storage.ErrCorruptBlock", err)
+	}
+	if !strings.Contains(err.Error(), "entry 2 ") {
+		t.Errorf("error does not name the entry offset: %v", err)
 	}
 }
 

@@ -274,9 +274,11 @@ type Engine[V, M any] struct {
 	sem        bool // semi-external mode: states pinned, every apply inline
 
 	// per-run state
-	verts     []V
-	adjCache  [][]byte // resident adjacency per partition, when cacheOn
-	cacheOn   bool
+	verts     []V // states of the resident partition, [partLo, partHi)
+	partLo    graph.VertexID
+	partHi    graph.VertexID
+	adjCache  *SharedAdjacency // adjacency cache, shared or private; nil streams from the device
+	adjData   []graph.VertexID // the cache's whole-file entries, once filled
 	msgBufs   [][]byte
 	active    bool
 	sent      int64
@@ -290,9 +292,13 @@ type Engine[V, M any] struct {
 	spillErrs int64 // all spill failures, including ones after runErr
 
 	// Worker batch-dispatch scratch, reused across partitions by the
-	// engine-goroutine Workers (sequential, selective, re-execute);
-	// speculating chunks carry their own.
+	// engine-goroutine Worker loop (updateRuns); speculating chunks carry
+	// their own.
 	batchBuf []graph.VertexID
+	// onInline, when non-nil, observes every inline apply to the live
+	// states — the parallel Worker's committer marks later chunks dirty
+	// through it.
+	onInline func(dst graph.VertexID)
 
 	// selective scheduling state (Options.SelectiveScheduling)
 	sel           *activeSet // per-vertex schedulability bits; nil when off
@@ -355,7 +361,7 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 	}
 	if sem {
 		// One partition covering the whole vertex space: partitionOf is
-		// the identity and every send takes makeSend's inline branch.
+		// the identity and every send takes the inline branch.
 		e.sem = true
 		e.partStarts = []graph.VertexID{0, graph.VertexID(layout.NumVertices())}
 	} else if err := e.plan(); err != nil {
@@ -725,15 +731,19 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 		}
 	}
 
-	// Plan the block schedule after the drain, so bits set by pending
-	// messages are visible; a dense partition streams fully.
-	var sched selSchedule
-	selSparse := false
+	// The Worker's schedule is a list of vertex runs. A full scan is the
+	// one run [lo, hi), built directly: with selective scheduling off the
+	// planner never runs and BlocksScanned/BlocksSkipped never move. With
+	// it on, plan after the drain, so bits set by pending messages are
+	// visible; a dense partition comes back as that same single run.
+	runs := []selRun{{lo: lo, hi: hi, startOff: start, endOff: end}}
+	var degs []uint32 // the planner's degree scratch, when it ran
+	sparse := false
 	if e.sel != nil {
-		sched = e.planPartition(lo, hi, start)
+		sched := e.planPartition(lo, hi, start)
 		e.accountSelective(sched, row)
 		e.heatSelective(sched, start, end)
-		selSparse = !sched.streamAll
+		runs, degs, sparse = sched.runs, e.selDegs, !sched.streamAll
 	}
 
 	// --- Sio: adjacency entries, prefetched off the device or served
@@ -744,33 +754,12 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 		ps = e.newPipeStats()
 		partStart = time.Now()
 	}
-	parallel := !selSparse && e.workerCount() > 1 && count > 1
-	var stream entrySource
-	if parallel {
-		// The cache first-fill is a Sio-attributed read; do it before
-		// the worker clock starts, mirroring the sequential path where
-		// the fill happens during stream creation.
-		if e.cacheOn {
-			if err := e.ensureAdjCached(p, start, end, ps); err != nil {
-				return err
-			}
-		}
-	} else if selSparse {
-		s, err := e.selectiveEntrySource(p, start, end, sched, ps)
-		if err != nil {
+	if e.adjCache != nil {
+		// The one-time fill is a Sio-attributed read; do it before the
+		// worker clock starts.
+		if err := e.ensureResident(ps); err != nil {
 			return err
 		}
-		if s != nil {
-			stream = s
-			defer stream.stop()
-		}
-	} else {
-		s, err := e.partitionEntrySource(p, start, end, ps)
-		if err != nil {
-			return err
-		}
-		stream = s
-		defer stream.stop()
 	}
 
 	// --- Worker: update vertices in order, intercepting messages ---
@@ -780,12 +769,11 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 	}
 	var active bool
 	var err error
-	if parallel {
-		active, err = e.runWorkerParallel(p, iter, lo, hi, start, end, ps, row)
-	} else if selSparse {
-		active, err = e.runWorkerSelective(stream, iter, lo, hi, sched)
+	if !sparse && e.workerCount() > 1 && count > 1 {
+		active, err = e.runWorkerParallel(iter, start, end, ps, row)
 	} else {
-		active, err = e.runWorkerSequential(stream, iter, lo, hi)
+		// Sparse tails are IO-bound, so they always run sequentially.
+		active, err = e.updateRuns(iter, runs, degs, ps)
 	}
 	if err != nil {
 		return err
@@ -814,92 +802,81 @@ func (e *Engine[V, M]) workerCount() int {
 	return e.opts.WorkerParallelism
 }
 
-// makeSend builds the sequential Worker's send closure for a resident
-// partition [lo, hi): inline apply for in-partition destinations under
-// dynamic messages, buffer/spill otherwise. An inline apply keeps the
-// destination schedulable under selective scheduling.
-func (e *Engine[V, M]) makeSend(lo, hi graph.VertexID) func(dst graph.VertexID, m M) {
-	return func(dst graph.VertexID, m M) {
-		e.sent++
-		e.charge(1, sim.CostMessageSend)
-		if e.opts.DynamicMessages && dst >= lo && dst < hi {
-			// Ordered dynamic message: the destination is
-			// resident — apply immediately.
-			e.prog.Apply(&e.verts[dst-lo], m)
-			e.applied++
-			e.inline++
-			e.eo.inline.Inc()
-			e.charge(1, sim.CostMessageApply)
-			if e.sel != nil {
-				e.sel.set(dst)
-			}
-			return
-		}
-		e.bufferedN++
-		e.eo.buffered.Inc()
-		e.bufferMessage(dst, m)
-	}
-}
-
-// runWorkerSequential is the seed Worker stage: update vertices in
-// ascending ID order, intercepting every message the program sends.
-func (e *Engine[V, M]) runWorkerSequential(stream entrySource, iter int, lo, hi graph.VertexID) (bool, error) {
-	active := false
-	ctx := &Context[M]{
-		iteration: iter,
-		active:    &active,
-		as:        e.sel,
-	}
-	ctx.send = e.makeSend(lo, hi)
-
-	br := newBatchReader(stream, e.batchBuf)
-	for v := lo; v < hi; v++ {
-		deg := e.layout.DegreeOf(v)
+// send routes one message against the live states — the only place that
+// decides inline apply versus buffer. Program.Update reaches it through
+// Context.Send; the parallel Worker's committer replays logged messages
+// through it. A destination in the resident partition gets the message
+// applied immediately under dynamic messages (an ordered dynamic
+// message), which also keeps it schedulable under selective scheduling;
+// every other message is buffered for its partition's next drain.
+func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
+	e.sent++
+	e.charge(1, sim.CostMessageSend)
+	if e.opts.DynamicMessages && dst >= e.partLo && dst < e.partHi {
+		e.prog.Apply(&e.verts[dst-e.partLo], m)
+		e.applied++
+		e.inline++
+		e.eo.inline.Inc()
+		e.charge(1, sim.CostMessageApply)
 		if e.sel != nil {
-			// Iteration 0 is the Init pass: programs conventionally
-			// broadcast there and ignore pending messages, so its bits
-			// survive into iteration 1 (where the update acts on them).
-			if iter > 0 {
-				e.sel.clear(v)
-			}
-			ctx.cur = v
+			e.sel.set(dst)
 		}
-		adj, err := br.adj(deg)
-		if err != nil {
-			return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
+		if e.onInline != nil {
+			e.onInline(dst)
 		}
-		e.prog.Update(ctx, v, &e.verts[v-lo], adj)
-		e.updates++
-		e.charge(1, sim.CostVertexUpdate)
-		e.charge(int64(deg), sim.CostEdgeScan)
+		return
 	}
-	e.batchBuf = br.buf
-	return active, nil
+	e.bufferedN++
+	e.eo.buffered.Inc()
+	e.bufferMessage(dst, m)
 }
 
-// runWorkerSelective is the sparse Worker: it updates only the
-// schedule's runs, consuming their entry spans from the skip-aware
-// stream. Vertices outside every run have a clear bit and no pending
-// message, so a frontier-safe program's update would be a no-op there.
-// Sparse tails are IO-bound, so this path is always sequential.
-func (e *Engine[V, M]) runWorkerSelective(stream entrySource, iter int, lo, hi graph.VertexID, sched selSchedule) (bool, error) {
-	active := false
-	ctx := &Context[M]{iteration: iter, active: &active, as: e.sel}
-	ctx.send = e.makeSend(lo, hi)
+// updateRuns is the Worker loop on live states: it updates the vertices
+// of each run in ascending ID order, feeding every Update its adjacency
+// from one source opened over the runs' entry spans and intercepting
+// every message it sends. A full partition scan, a sparse selective
+// schedule and the parallel Worker's re-execution of one chunk are all
+// calls to it. Vertices outside every run are not touched: under
+// selective scheduling they have a clear bit and no pending message, so a
+// frontier-safe program's update would be a no-op there. degs, when
+// non-nil, holds the resident partition's out-degrees (index v-partLo) for
+// callers that already walked the index; nil reads them from the layout.
+func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, degs []uint32, ps *pipeStats) (bool, error) {
+	ranges := make([]entryRange, len(runs))
+	for i, r := range runs {
+		ranges[i] = entryRange{start: r.startOff, end: r.endOff}
+	}
+	src, err := e.adjSource(ranges, ps)
+	if err != nil {
+		return false, err
+	}
+	defer src.stop()
 
-	br := newBatchReader(stream, e.batchBuf)
-	for _, run := range sched.runs {
+	active := false
+	ctx := &Context[M]{iteration: iter, send: e.send, active: &active, as: e.sel}
+	br := batchReader{src: src, buf: e.batchBuf}
+	for _, run := range runs {
 		for v := run.lo; v < run.hi; v++ {
-			deg := e.selDegs[v-lo]
-			if iter > 0 { // Init-pass bits survive; see runWorkerSequential
-				e.sel.clear(v)
+			var deg uint32
+			if degs != nil {
+				deg = degs[v-e.partLo]
+			} else {
+				deg = e.layout.DegreeOf(v)
 			}
-			ctx.cur = v
+			if e.sel != nil {
+				// Iteration 0 is the Init pass: programs conventionally
+				// broadcast there and ignore pending messages, so its bits
+				// survive into iteration 1 (where the update acts on them).
+				if iter > 0 {
+					e.sel.clear(v)
+				}
+				ctx.cur = v
+			}
 			adj, err := br.adj(deg)
 			if err != nil {
 				return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
 			}
-			e.prog.Update(ctx, v, &e.verts[v-lo], adj)
+			e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
 			e.updates++
 			e.charge(1, sim.CostVertexUpdate)
 			e.charge(int64(deg), sim.CostEdgeScan)
@@ -924,8 +901,8 @@ func (e *Engine[V, M]) pendingBytes(p int) (int64, error) {
 }
 
 // planPartition computes partition [lo, hi)'s block schedule from the
-// bitmap, filling the reusable degree scratch (the selective Worker
-// reads degrees from it instead of re-walking the index).
+// bitmap, filling the reusable degree scratch (the Worker loop then reads
+// degrees from it instead of re-walking the index).
 func (e *Engine[V, M]) planPartition(lo, hi graph.VertexID, start int64) selSchedule {
 	count := int(hi - lo)
 	if cap(e.selDegs) < count {
@@ -953,42 +930,10 @@ func (e *Engine[V, M]) accountSelective(sched selSchedule, row *obs.IterStats) {
 	}
 }
 
-// selectiveEntrySource builds the sparse Worker's adjacency source for
-// partition p: cached sub-slices per run when the cache is on, or one
-// skip-aware prefetcher over the runs' entry ranges. Returns nil (no
-// source needed) when the schedule reads no entries at all.
-func (e *Engine[V, M]) selectiveEntrySource(p int, start, end int64, sched selSchedule, ps *pipeStats) (entrySource, error) {
-	if len(sched.runs) == 0 {
-		return nil, nil
-	}
-	if e.cacheOn {
-		if err := e.ensureAdjCached(p, start, end, ps); err != nil {
-			return nil, err
-		}
-		data := e.adjCache[p]
-		segs := make([][]byte, 0, len(sched.runs))
-		for _, r := range sched.runs {
-			if r.endOff > r.startOff {
-				segs = append(segs, data[(r.startOff-start)*4:(r.endOff-start)*4])
-			}
-		}
-		return &memRunsStream{segs: segs}, nil
-	}
-	ranges := make([]entryRange, 0, len(sched.runs))
-	for _, r := range sched.runs {
-		if r.endOff > r.startOff {
-			ranges = append(ranges, entryRange{start: r.startOff, end: r.endOff})
-		}
-	}
-	if len(ranges) == 0 {
-		return nil, nil
-	}
-	return newAdjStream(e.dev, e.adj, e.layout.EdgesFile(), ranges, ps)
-}
-
 // loadVertices brings [lo, hi) into e.verts: decoded from the vertex
 // state file, or initialized via Program.Init on the first iteration.
 func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
+	e.partLo, e.partHi = lo, hi
 	if e.sem && iter > 0 {
 		// SEM: e.verts already holds every state — populated by the Init
 		// pass (iteration 0) or by resume, and pinned for the whole run.

@@ -136,7 +136,7 @@ func BenchmarkEngineSpill(b *testing.B) {
 // over chunks, so both the engine-goroutine batch reader (re-execution)
 // and the per-chunk readers are on the measured path. The CI baseline
 // holds this and its alloc count — a regression here means a dispatch
-// path fell back to per-entry next() or re-grew its buffer per vertex.
+// path re-grew its buffer per vertex or per block.
 func BenchmarkEngineBatchWorker(b *testing.B) {
 	g := benchGraph(b)
 	opts := Options{

@@ -133,8 +133,8 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
 // With the parallel Worker, one pipeStats is shared by several concurrent
 // entry streams: producers (prefetch goroutines) write readNS/blocks and
 // consumers (worker goroutines) write stalls/stallNS/dispatchNS, so all
-// five are atomic. fillNS and cacheHit stay plain — they are written and
-// read only on the engine goroutine.
+// five are atomic. cacheHit stays plain — it is written and read only on
+// the engine goroutine.
 type pipeStats struct {
 	readNS atomic.Int64 // producers: device read time
 	blocks atomic.Int64 // producers: blocks handed to the queue
@@ -147,59 +147,36 @@ type pipeStats struct {
 	codecRawB atomic.Int64 // consumers: decoded bytes produced
 	codecEncB atomic.Int64 // consumers: encoded bytes consumed
 
-	fillNS   int64 // engine goroutine: adjacency-cache first-fill read time
-	cacheHit bool  // partition served from the resident cache
+	cacheHit bool // partition served from the resident adjacency without a fill
 
 	// Block-heat attribution, set once at construction and read by the
-	// producer goroutines (the heatmap itself is mutex-guarded). heatBE
-	// is the edges file's entries-per-block; nil heat disables it all.
+	// producer goroutines (the heatmap itself is mutex-guarded); nil heat
+	// disables it all.
 	heat     *obs.BlockHeatmap
 	heatFile string
-	heatBE   int64
 }
 
-// heatRead attributes one prefetcher read of adjacency entries
-// [off, off+n) to the absolute entry blocks it overlaps, splitting the
-// byte count by overlap. Safe on a nil receiver or nil heatmap.
-func (ps *pipeStats) heatRead(off, n int64) {
-	if ps == nil || ps.heat == nil || n <= 0 || ps.heatBE <= 0 {
-		return
+// heatRead attributes one prefetcher read of `bytes` bytes to entry
+// block b. Safe on a nil heatmap.
+func (ps *pipeStats) heatRead(b, bytes int64) {
+	if ps.heat != nil {
+		ps.heat.AddRead(ps.heatFile, b, bytes)
 	}
-	for b := off / ps.heatBE; b <= (off+n-1)/ps.heatBE; b++ {
-		lo, hi := b*ps.heatBE, (b+1)*ps.heatBE
-		if off > lo {
-			lo = off
-		}
-		if off+n < hi {
-			hi = off + n
-		}
-		ps.heat.AddRead(ps.heatFile, b, (hi-lo)*4)
-	}
-}
-
-// heatReadBlock attributes one encoded-block read of `bytes` bytes to
-// entry block b (the codec prefetcher knows its block index directly).
-func (ps *pipeStats) heatReadBlock(b, bytes int64) {
-	if ps == nil || ps.heat == nil {
-		return
-	}
-	ps.heat.AddRead(ps.heatFile, b, bytes)
 }
 
 // heatDecode attributes ns nanoseconds of codec decode time to entry
 // block b.
 func (ps *pipeStats) heatDecode(b, ns int64) {
-	if ps == nil || ps.heat == nil {
-		return
+	if ps.heat != nil {
+		ps.heat.AddDecode(ps.heatFile, b, ns)
 	}
-	ps.heat.AddDecode(ps.heatFile, b, ns)
 }
 
 // recordPipe folds a finished partition's pipeline stats into spans,
 // counters, and the iteration row. partStart anchors the accumulated-
 // duration spans.
 func (e *Engine[V, M]) recordPipe(ps *pipeStats, iter, p int, partStart time.Time, row *obs.IterStats) {
-	sio := time.Duration(ps.readNS.Load() + ps.fillNS)
+	sio := time.Duration(ps.readNS.Load())
 	dispatch := time.Duration(ps.dispatchNS.Load())
 	stalls := ps.stalls.Load()
 	e.eo.tr.Emit(engineName, obs.StageSio, iter, p, partStart, sio)
@@ -279,7 +256,7 @@ func (e *Engine[V, M]) recordDrain(iter, p int, start time.Time, row *obs.IterSt
 // newPipeStats builds one partition's pipeline accumulator with the
 // heat-attribution fields resolved.
 func (e *Engine[V, M]) newPipeStats() *pipeStats {
-	return &pipeStats{heat: e.eo.heat, heatFile: e.layout.EdgesFile(), heatBE: e.adj.BlockEntries}
+	return &pipeStats{heat: e.eo.heat, heatFile: e.layout.EdgesFile()}
 }
 
 // heatSelective attributes a partition's skipped adjacency blocks — the
@@ -337,9 +314,7 @@ func (e *Engine[V, M]) sampleMemory(iter int) {
 		TableBytes:       e.adj.TableBytes(),
 		PipelineBytes:    pipelineOverheadBytes,
 		VertexStateBytes: int64(cap(e.verts)) * int64(e.vsize), // high-water partition
-	}
-	for _, data := range e.adjCache {
-		s.AdjCacheBytes += int64(len(data))
+		AdjCacheBytes:    int64(len(e.adjData)) * 4,
 	}
 	for p, buf := range e.msgBufs {
 		s.MsgBufferBytes += int64(cap(buf))

@@ -32,11 +32,11 @@ import (
 //     in send order.
 //  3. A single committer consumes chunks in ascending order. A clean
 //     chunk commits by installing its speculated states and replaying
-//     its log through the sequential inline-apply/buffer/spill routing.
-//     Any in-partition apply that lands in a not-yet-committed chunk
-//     marks that chunk dirty: its speculation read stale inputs, so at
-//     its turn it is re-executed sequentially on the live states — the
-//     exact operation sequence the sequential Worker performs.
+//     its log through Engine.send, the sequential routing. Any
+//     in-partition apply that lands in a not-yet-committed chunk marks
+//     that chunk dirty: its speculation read stale inputs, so at its
+//     turn it is re-executed on the live states by the sequential Worker
+//     loop itself (updateRuns over the chunk's one run).
 //
 // Because commits happen in chunk order and a chunk's speculation is
 // only kept when nothing mutated its inputs, the observable sequence of
@@ -66,16 +66,12 @@ const inFlightWindowFactor = 2
 // workerChunk is one contiguous vertex sub-range of a partition and
 // everything its speculative execution produced.
 type workerChunk[V any] struct {
-	part             int
-	lo, hi           graph.VertexID // vertex sub-range [lo, hi)
-	partStartOff     int64          // partition's first entry offset
-	startOff, endOff int64          // chunk's entry offsets [startOff, endOff)
-	degs             []uint32       // out-degrees for [lo, hi), precomputed
+	selRun          // vertex sub-range [lo, hi) and its entry span
+	degs   []uint32 // out-degrees for [lo, hi), precomputed
 
 	states []V        // speculated vertex states (private deep copies)
 	acts   *activeSet // speculated schedulability bits (selective scheduling)
 	log    []byte     // extra-chunk messages, send order: 4 B dst + msize
-	sent   int64      // all messages sent by the chunk
 	inline int64      // intra-chunk dynamic messages applied privately
 	edges  int64      // adjacency entries consumed
 	active bool
@@ -84,11 +80,11 @@ type workerChunk[V any] struct {
 	done   chan struct{}
 }
 
-// runWorkerParallel executes the Worker stage of partition p (vertex
-// range [lo, hi), entry range [start, end)) on the configured worker
-// pool. It returns the partition's activity flag, exactly as
-// runWorkerSequential does.
-func (e *Engine[V, M]) runWorkerParallel(p, iter int, lo, hi graph.VertexID, start, end int64, ps *pipeStats, row *obs.IterStats) (bool, error) {
+// runWorkerParallel executes the Worker stage of the resident partition
+// (entry range [start, end)) on the configured worker pool. It returns
+// the partition's activity flag, exactly as updateRuns does.
+func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeStats, row *obs.IterStats) (bool, error) {
+	lo, hi := e.partLo, e.partHi
 	count := int(hi - lo)
 	workers := e.workerCount()
 	numChunks := workers * chunksPerWorker
@@ -114,7 +110,7 @@ func (e *Engine[V, M]) runWorkerParallel(p, iter int, lo, hi graph.VertexID, sta
 	}
 	chunkOff[numChunks] = off
 	if off != end {
-		return false, fmt.Errorf("core: partition %d adjacency range [%d,%d) disagrees with degree sum %d", p, start, end, off-start)
+		return false, fmt.Errorf("core: vertices [%d,%d) adjacency range [%d,%d) disagrees with degree sum %d", lo, hi, start, end, off-start)
 	}
 
 	// Deep snapshot of the post-drain vertex states through the codec:
@@ -134,11 +130,9 @@ func (e *Engine[V, M]) runWorkerParallel(p, iter int, lo, hi graph.VertexID, sta
 			chi = hi
 		}
 		chunks[i] = &workerChunk[V]{
-			part: p, lo: clo, hi: chi,
-			partStartOff: start,
-			startOff:     chunkOff[i], endOff: chunkOff[i+1],
-			degs: degs[clo-lo : chi-lo],
-			done: make(chan struct{}),
+			selRun: selRun{lo: clo, hi: chi, startOff: chunkOff[i], endOff: chunkOff[i+1]},
+			degs:   degs[clo-lo : chi-lo],
+			done:   make(chan struct{}),
 		}
 	}
 
@@ -174,12 +168,17 @@ func (e *Engine[V, M]) runWorkerParallel(p, iter int, lo, hi graph.VertexID, sta
 				close(c.done)
 				return
 			}
-			e.speculateChunk(c, snap, lo, iter, ps)
+			e.speculateChunk(c, snap, iter, ps)
 			close(c.done)
 		}()
 	}
 
+	// Any inline apply the committer performs on the live states — a
+	// replayed log record or a re-executed chunk's send — invalidates the
+	// speculation of the chunk it lands in.
 	dirty := make([]bool, numChunks)
+	e.onInline = func(dst graph.VertexID) { dirty[int(dst-lo)/chunkSize] = true }
+	defer func() { e.onInline = nil }()
 	var reexecs, specNS, commitNS int64
 	active := false
 	for i, c := range chunks {
@@ -195,14 +194,18 @@ func (e *Engine[V, M]) runWorkerParallel(p, iter int, lo, hi graph.VertexID, sta
 		if dirty[i] {
 			// An earlier chunk's dynamic message landed here after
 			// the snapshot: the speculation read stale inputs.
-			// Discard it and run the chunk sequentially on the live
-			// states — the exact sequential operation sequence.
-			if err := e.reexecuteChunk(c, iter, lo, hi, chunkSize, dirty, &active, ps); err != nil {
+			// Discard it and run the chunk through the sequential
+			// Worker loop on the live states — the exact sequential
+			// operation sequence.
+			act, err := e.updateRuns(iter, []selRun{c.selRun}, degs, ps)
+			if err != nil {
 				return false, err
 			}
+			active = active || act
 			reexecs++
 		} else {
-			e.commitChunk(c, lo, hi, chunkSize, dirty, &active)
+			e.commitChunk(c)
+			active = active || c.active
 		}
 		if e.eo.on {
 			commitNS += int64(time.Since(t0))
@@ -222,12 +225,12 @@ func (e *Engine[V, M]) runWorkerParallel(p, iter int, lo, hi graph.VertexID, sta
 // vertex states. It mutates nothing shared: messages leaving the chunk
 // are logged, counters are accumulated locally, and the committer folds
 // everything in later.
-func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, partLo graph.VertexID, iter int, ps *pipeStats) {
+func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, ps *pipeStats) {
 	var t0 time.Time
 	if e.eo.on {
 		t0 = time.Now()
 	}
-	src, err := e.rangeEntrySource(c.part, c.partStartOff, c.startOff, c.endOff, ps)
+	src, err := e.adjSource([]entryRange{{start: c.startOff, end: c.endOff}}, ps)
 	if err != nil {
 		c.err = err
 		return
@@ -236,7 +239,7 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, partLo gra
 
 	n := int(c.hi - c.lo)
 	c.states = make([]V, n)
-	base := int(c.lo-partLo) * e.vsize
+	base := int(c.lo-e.partLo) * e.vsize
 	for i := 0; i < n; i++ {
 		c.states[i] = e.vcodec.Decode(snap[base+i*e.vsize:])
 	}
@@ -249,8 +252,8 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, partLo gra
 		// MarkActive) landed after its update within this chunk — the
 		// overlay records exactly those, and the committer installs it
 		// over the global set when the speculation is kept. At
-		// iteration 0 the Init pass leaves every bit set (see
-		// runWorkerSequential), so the overlay starts full.
+		// iteration 0 the Init pass leaves every bit set (see updateRuns),
+		// so the overlay starts full.
 		c.acts = newEmptyActiveSet(c.lo, n)
 		if iter == 0 {
 			c.acts.fillAll()
@@ -259,7 +262,6 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, partLo gra
 	}
 	rec := 4 + e.msize
 	ctx.send = func(dst graph.VertexID, m M) {
-		c.sent++
 		if e.opts.DynamicMessages && dst >= c.lo && dst < c.hi {
 			// Intra-chunk ordered dynamic message: the chunk runs
 			// sequentially, so applying to the private state is
@@ -277,7 +279,7 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, partLo gra
 		e.mcodec.Encode(c.log[off+4:], m)
 	}
 
-	br := newBatchReader(src, nil)
+	br := batchReader{src: src}
 	for v := c.lo; v < c.hi; v++ {
 		deg := c.degs[v-c.lo]
 		if c.acts != nil {
@@ -302,11 +304,10 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, partLo gra
 
 // commitChunk installs a clean chunk's speculated states, folds its
 // locally accumulated counters and compute charges, and replays its
-// extra-chunk message log — in send order — through the sequential
-// routing. In-partition applies that land in a later, uncommitted chunk
-// mark it dirty.
-func (e *Engine[V, M]) commitChunk(c *workerChunk[V], lo, hi graph.VertexID, chunkSize int, dirty []bool, active *bool) {
-	copy(e.verts[c.lo-lo:c.hi-lo], c.states)
+// extra-chunk message log — in send order — through Engine.send, exactly
+// as the sequential Worker would have sent each one.
+func (e *Engine[V, M]) commitChunk(c *workerChunk[V]) {
+	copy(e.verts[c.lo-e.partLo:c.hi-e.partLo], c.states)
 	if c.acts != nil {
 		// A clean commit means no earlier chunk's apply landed here, so
 		// the overlay is exactly the bit state the sequential
@@ -318,94 +319,18 @@ func (e *Engine[V, M]) commitChunk(c *workerChunk[V], lo, hi graph.VertexID, chu
 	e.updates += n
 	e.charge(n, sim.CostVertexUpdate)
 	e.charge(c.edges, sim.CostEdgeScan)
-	e.sent += c.sent
-	e.charge(c.sent, sim.CostMessageSend)
+	// Intra-chunk messages were sent and applied privately; the logged
+	// ones are counted by send as they replay.
+	e.sent += c.inline
+	e.charge(c.inline, sim.CostMessageSend)
 	e.inline += c.inline
 	e.applied += c.inline
 	e.eo.inline.Add(c.inline)
 	e.charge(c.inline, sim.CostMessageApply)
-	if c.active {
-		*active = true
-	}
 	rec := 4 + e.msize
 	for off := 0; off+rec <= len(c.log); off += rec {
-		dst := graph.VertexID(binary.LittleEndian.Uint32(c.log[off:]))
-		m := e.mcodec.Decode(c.log[off+4:])
-		// Already counted in c.sent; route exactly as the sequential
-		// send does.
-		if e.opts.DynamicMessages && dst >= lo && dst < hi {
-			e.prog.Apply(&e.verts[dst-lo], m)
-			e.applied++
-			e.inline++
-			e.eo.inline.Inc()
-			e.charge(1, sim.CostMessageApply)
-			if e.sel != nil {
-				e.sel.set(dst)
-			}
-			dirty[int(dst-lo)/chunkSize] = true
-			continue
-		}
-		e.bufferedN++
-		e.eo.buffered.Inc()
-		e.bufferMessage(dst, m)
+		e.send(graph.VertexID(binary.LittleEndian.Uint32(c.log[off:])), e.mcodec.Decode(c.log[off+4:]))
 	}
-}
-
-// reexecuteChunk runs an invalidated chunk's updates sequentially on the
-// live vertex states with the full sequential send path — the fallback
-// that preserves the ordering guarantee when speculation lost its bet.
-func (e *Engine[V, M]) reexecuteChunk(c *workerChunk[V], iter int, lo, hi graph.VertexID, chunkSize int, dirty []bool, active *bool, ps *pipeStats) error {
-	src, err := e.rangeEntrySource(c.part, c.partStartOff, c.startOff, c.endOff, ps)
-	if err != nil {
-		return err
-	}
-	defer src.stop()
-
-	act := false
-	ctx := &Context[M]{iteration: iter, active: &act, as: e.sel}
-	ctx.send = func(dst graph.VertexID, m M) {
-		e.sent++
-		e.charge(1, sim.CostMessageSend)
-		if e.opts.DynamicMessages && dst >= lo && dst < hi {
-			e.prog.Apply(&e.verts[dst-lo], m)
-			e.applied++
-			e.inline++
-			e.eo.inline.Inc()
-			e.charge(1, sim.CostMessageApply)
-			if e.sel != nil {
-				e.sel.set(dst)
-			}
-			dirty[int(dst-lo)/chunkSize] = true
-			return
-		}
-		e.bufferedN++
-		e.eo.buffered.Inc()
-		e.bufferMessage(dst, m)
-	}
-
-	br := newBatchReader(src, e.batchBuf)
-	for v := c.lo; v < c.hi; v++ {
-		deg := c.degs[v-c.lo]
-		if e.sel != nil {
-			if iter > 0 {
-				e.sel.clear(v)
-			}
-			ctx.cur = v
-		}
-		adj, err := br.adj(deg)
-		if err != nil {
-			return fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
-		}
-		e.prog.Update(ctx, v, &e.verts[v-lo], adj)
-		e.updates++
-		e.charge(1, sim.CostVertexUpdate)
-		e.charge(int64(deg), sim.CostEdgeScan)
-	}
-	e.batchBuf = br.buf
-	if act {
-		*active = true
-	}
-	return nil
 }
 
 // growRecord extends b by rec bytes, reallocating geometrically.

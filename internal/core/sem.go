@@ -16,8 +16,8 @@ import "fmt"
 // In SEM mode the engine pins the full vertex-state array resident for
 // the whole run and applies every message inline at dispatch time, the
 // moment Update sends it: there is exactly one partition covering the
-// entire vertex space, so the ordered-dynamic-message fast path of
-// makeSend covers every destination. No message buffers are allocated,
+// entire vertex space, so the ordered-dynamic-message branch of
+// Engine.send covers every destination. No message buffers are allocated,
 // no spill files are created, and the drain stage never runs — the
 // adjacency still streams through Sio (v1 fixed-entry and v2
 // block-encoded codecs alike) with selective scheduling and the
@@ -107,7 +107,7 @@ func (e *Engine[V, M]) SemiExternal() bool { return e.sem }
 
 // planSem resolves Options.SemiExternal against the budget. On the fast
 // path the whole vertex space is one partition — partitionOf is the
-// identity, makeSend's inline branch covers every destination — and the
+// identity, send's inline branch covers every destination — and the
 // planner's message-buffer arithmetic is skipped entirely: SEM
 // allocates no buffers.
 func (e *Engine[V, M]) planSem() (bool, error) {

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"graphz/internal/dos"
+	"graphz/internal/graph"
 	"graphz/internal/storage"
 )
 
@@ -28,14 +28,17 @@ import (
 
 // SharedAdjacency is a graph's decoded adjacency, resident once and read
 // by any number of concurrent engines. The first engine to touch it pays
-// the fill — one pass over the edges file, decoding blocks for a v2
-// layout — and every later access (same engine or another) is a zero-copy
-// sub-slice of the resident entries.
+// the fill — one pass of the Sio prefetcher over the edges file — and
+// every later access (same engine or another) reads the resident entries
+// in place. It is the engine's only adjacency cache: Options.SharedAdjacency
+// hands an engine one owned by somebody else, Options.CacheAdjacency makes
+// the engine create a private one.
 //
-// The cache is deliberately NOT charged against any engine's
-// MemoryBudget: it is owned by whoever created it (a serving process
-// accounts it against a server-wide budget; see docs/SERVING.md, "Budget
-// math"). Bytes reports the resident size for that accounting.
+// A cache handed in through Options.SharedAdjacency is deliberately NOT
+// charged against any engine's MemoryBudget: it is owned by whoever
+// created it (a serving process accounts it against a server-wide budget;
+// see docs/SERVING.md, "Budget math"). Bytes reports the resident size
+// for that accounting.
 type SharedAdjacency struct {
 	dev     *storage.Device
 	adj     storage.BlockLayout
@@ -43,7 +46,7 @@ type SharedAdjacency struct {
 	entries int64
 
 	mu   sync.Mutex
-	data []byte // raw little-endian u32 entries; nil until the first fill
+	data []graph.VertexID // decoded entries; nil until the fill
 }
 
 // NewSharedAdjacency prepares a shared adjacency cache for the layout's
@@ -68,55 +71,33 @@ func (s *SharedAdjacency) Filled() bool {
 	return s.data != nil
 }
 
-// slice returns the resident entries [start, end) as raw u32 bytes,
-// filling the whole cache on first use. filled reports whether this call
-// was served without doing the fill (the shared analogue of an adjacency
-// cache hit). ps, when non-nil, receives the fill's codec counters and
-// read time; it is only consulted by the filling call.
-func (s *SharedAdjacency) slice(start, end int64, ps *pipeStats) (data []byte, filled bool, err error) {
+// load returns the whole file's decoded entries, filling the cache on
+// first use: the fill is the Sio prefetcher over the full entry range,
+// read to completion into the resident slice, so it reads and decodes
+// exactly as a streaming run does. hit reports that this call found the
+// entries already resident. ps, when non-nil, receives the fill's
+// pipeline counters; it is only consulted by the filling call.
+func (s *SharedAdjacency) load(ps *pipeStats) (data []graph.VertexID, hit bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.data == nil {
-		var t0 time.Time
-		if ps != nil {
-			t0 = time.Now()
-		}
-		if err := s.fillLocked(ps); err != nil {
-			return nil, false, err
-		}
-		if ps != nil {
-			ps.fillNS = int64(time.Since(t0))
-		}
-		return s.data[start*4 : end*4], false, nil
+	if s.data != nil {
+		return s.data, true, nil
 	}
-	return s.data[start*4 : end*4], true, nil
-}
-
-// fillLocked reads (and for block-encoded layouts decodes) the entire
-// edges file into the resident entry slice. Caller holds s.mu.
-func (s *SharedAdjacency) fillLocked(ps *pipeStats) error {
-	if s.adj.FixedEntries() {
-		f, err := s.dev.Open(s.file)
-		if err != nil {
-			return err
-		}
-		data := make([]byte, s.entries*4)
-		if len(data) > 0 {
-			r := storage.NewRangeReader(f, 0, s.entries*4)
-			if err := r.ReadFull(data); err != nil {
-				return fmt.Errorf("core: filling shared adjacency from %q: %w", s.file, err)
-			}
-			ps.heatRead(0, s.entries)
-		}
-		s.data = data
-		return nil
-	}
-	data, err := decodeEntryRange(s.dev, s.adj, s.file, 0, s.entries, ps)
+	src, err := openEntryStream(s.dev, s.adj, s.file, []entryRange{{start: 0, end: s.entries}}, ps)
 	if err != nil {
-		return fmt.Errorf("core: filling shared adjacency from %q: %w", s.file, err)
+		return nil, false, err
+	}
+	defer src.stop()
+	data = make([]graph.VertexID, s.entries)
+	for n := 0; n < len(data); {
+		m, err := src.read(data[n:])
+		if err != nil {
+			return nil, false, fmt.Errorf("core: filling resident adjacency from %q: %w", s.file, err)
+		}
+		n += m
 	}
 	s.data = data
-	return nil
+	return data, false, nil
 }
 
 // matches verifies the cache belongs to the same adjacency the layout

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -27,9 +27,17 @@ type countedPool struct {
 	gets, puts atomic.Int64
 }
 
-func (p *countedPool) Get() []byte {
+// Get checks out a buffer of exactly n bytes. Fixed-entry blocks and
+// nearly every encoded block fit the pooled DefaultBlockSize; an encoded
+// block past it (the varint worst case is 5 bytes per entry) gets a grown
+// buffer, which re-enters the pool on Put.
+func (p *countedPool) Get(n int) []byte {
 	p.gets.Add(1)
-	return p.pool.Get().([]byte)
+	buf := p.pool.Get().([]byte)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	return buf[:n]
 }
 
 func (p *countedPool) Put(buf []byte) {
@@ -41,32 +49,18 @@ func (p *countedPool) Put(buf []byte) {
 // every stream is stopped it must be back to its starting value.
 func (p *countedPool) outstanding() int64 { return p.gets.Load() - p.puts.Load() }
 
-// entryStream is the Sio + Dispatcher pair of the paper's runtime
-// (Section V-A): a prefetch goroutine reads adjacency blocks sequentially
-// off the device and hands them to the consumer through a bounded queue,
-// so IO overlaps the Worker's computation; the consumer side parses the
-// blocks into adjacency entries (the Dispatcher's job) on demand.
-type entryStream struct {
-	blocks chan sioBlock
-	stopc  chan struct{}
-	cur    []byte
-	pos    int
-	err    error
-
-	// met, when non-nil, switches the consumer to the measured path:
-	// blocks are batch-parsed (a timed Dispatcher step) into entries and
-	// queue-empty stalls are counted. Nil keeps the seed per-entry decode
-	// untouched — the no-op fast path.
-	met     *pipeStats
-	entries []graph.VertexID
-	epos    int
+// entrySource is where the Worker's adjacency entries come from: the Sio
+// prefetcher (entryStream) or the resident adjacency (memEntryStream).
+// read copies entries into dst in stream order and returns how many it
+// delivered — at least one, at most len(dst). It may block on the
+// prefetcher, and fails with errAdjExhausted once the source's ranges are
+// spent. stop releases the source; it must be called exactly once.
+type entrySource interface {
+	read(dst []graph.VertexID) (int, error)
+	stop()
 }
 
-type sioBlock struct {
-	data []byte
-	idx  int64 // block index, set only by the codec prefetcher
-	err  error
-}
+var errAdjExhausted = errors.New("core: adjacency stream exhausted early")
 
 // entryRange is one contiguous edge-entry range [start, end) of the
 // adjacency file, in entries.
@@ -74,21 +68,48 @@ type entryRange struct {
 	start, end int64
 }
 
-// newEntryStream starts a prefetcher over edge-entry range [start, end)
-// (in entries) of the named adjacency file. met, when non-nil, receives
-// the pipeline's timing and stall counters.
-func newEntryStream(dev *storage.Device, file string, start, end int64, met *pipeStats) (*entryStream, error) {
-	return newMultiEntryStream(dev, file, []entryRange{{start: start, end: end}}, met)
+// entryStream is the Sio + Dispatcher pair of the paper's runtime
+// (Section V-A), for every layout: a prefetch goroutine reads the
+// adjacency blocks the ranges need sequentially off the device and hands
+// them to the consumer through a bounded queue, so IO overlaps the
+// Worker's computation; the consumer decodes each block once (the
+// Dispatcher's job) and serves entries by absolute entry offset.
+//
+// storage.BlockLayout is where entry offsets meet bytes. A block-encoded
+// file (DOS v2) is fetched whole block by whole block — blocks no range
+// touches are never read, which is selective scheduling's skip math
+// landing as byte extents — and a block two consecutive ranges share is
+// read once. A fixed-entry file (DOS v1, CSR) is the same pipeline with
+// codec 0: its blocks are addressed arithmetically, so each read is
+// clipped to the requesting range and not one byte outside a range is
+// read.
+type entryStream struct {
+	blocks chan sioBlock
+	stopc  chan struct{}
+	adj    storage.BlockLayout
+	ranges []entryRange
+	met    *pipeStats // nil-able: the pipeline's timing and stall counters
+
+	// consumer state
+	dec      []uint32 // decoded entries [decStart, decStart+len(dec))
+	decStart int64
+	ri       int   // current range index
+	cur      int64 // absolute entry offset the next read serves
+	err      error
 }
 
-// newMultiEntryStream is the skip-aware Sio prefetcher: it reads the
-// given entry ranges in order through one bounded queue, never touching
-// the bytes between them — the device-level half of selective block
-// scheduling (a seek between ranges replaces the skipped blocks' reads).
-// Each range is entry-aligned and each starts a fresh block, so entries
-// still never straddle a block boundary. A single full range is exactly
-// the seed prefetcher.
-func newMultiEntryStream(dev *storage.Device, file string, ranges []entryRange, met *pipeStats) (*entryStream, error) {
+type sioBlock struct {
+	data       []byte
+	idx        int64 // block index
+	start, end int64 // absolute entry span the bytes decode to
+	err        error
+}
+
+// openEntryStream starts the prefetcher over the given ascending, disjoint
+// entry ranges of the named adjacency file; the bytes between ranges are
+// never touched (a seek replaces the skipped blocks' reads). A single
+// full range is the seed prefetcher.
+func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, ranges []entryRange, met *pipeStats) (*entryStream, error) {
 	f, err := dev.Open(file)
 	if err != nil {
 		return nil, err
@@ -96,180 +117,175 @@ func newMultiEntryStream(dev *storage.Device, file string, ranges []entryRange, 
 	s := &entryStream{
 		blocks: make(chan sioBlock, sioQueueDepth),
 		stopc:  make(chan struct{}),
+		adj:    adj,
+		ranges: ranges,
 		met:    met,
 	}
-	go func() {
-		defer close(s.blocks)
-		for _, rng := range ranges {
-			r := storage.NewRangeReader(f, rng.start*4, rng.end*4)
-			off := rng.start // entry offset of the next chunk, for heat attribution
-			for {
-				buf := blockPool.Get()
-				var t0 time.Time
-				if met != nil {
-					t0 = time.Now()
-				}
-				n, err := readChunk(r, buf)
-				if met != nil {
-					met.readNS.Add(int64(time.Since(t0)))
-					if n > 0 {
-						met.blocks.Add(1)
-						met.heatRead(off, int64(n)/4)
-						off += int64(n) / 4
-					}
-				}
-				if n > 0 {
-					select {
-					case s.blocks <- sioBlock{data: buf[:n]}:
-					case <-s.stopc:
-						// Early stop with the block still in hand:
-						// ownership never transferred, so recycle it
-						// here or it is lost to the GC.
-						blockPool.Put(buf)
-						return
-					}
-				} else {
-					blockPool.Put(buf)
-				}
-				if err == io.EOF {
-					break // next range
-				}
-				if err != nil {
-					select {
-					case s.blocks <- sioBlock{err: err}:
-					case <-s.stopc:
-					}
-					return
-				}
-			}
-		}
-	}()
+	if len(ranges) > 0 {
+		s.cur = ranges[0].start
+	}
+	go s.prefetch(f)
 	return s, nil
 }
 
-// readChunk fills buf with as many whole bytes as available, returning
-// io.EOF when the range is exhausted.
-func readChunk(r *storage.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
+// prefetch is the Sio goroutine — the only code in the package that
+// reads the edges file.
+func (s *entryStream) prefetch(f *storage.File) {
+	defer close(s.blocks)
+	be := s.adj.BlockEntries
+	have := int64(0) // entries below this offset are already fetched
+	for _, rng := range s.ranges {
+		if rng.end <= rng.start {
+			continue
+		}
+		for b := rng.start / be; b <= (rng.end-1)/be; b++ {
+			first, last := b*be, b*be+s.adj.EntriesIn(b)
+			lo, hi := s.adj.BlockRange(b)
+			if s.adj.FixedEntries() {
+				first, last = max(first, rng.start), min(last, rng.end)
+				lo, hi = first*4, last*4
+			} else if last <= have {
+				continue // consecutive ranges share this encoded block
+			}
+			have = last
+			buf := blockPool.Get(int(hi - lo))
+			var t0 time.Time
+			if s.met != nil {
+				t0 = time.Now()
+			}
+			err := readExtent(f, buf, lo)
+			if s.met != nil {
+				s.met.readNS.Add(int64(time.Since(t0)))
+			}
+			if err != nil {
+				blockPool.Put(buf)
+				select {
+				case s.blocks <- sioBlock{err: fmt.Errorf("core: reading block %d at byte %d: %w", b, lo, err)}:
+				case <-s.stopc:
+				}
+				return
+			}
+			if s.met != nil {
+				s.met.blocks.Add(1)
+				s.met.heatRead(b, hi-lo)
+			}
+			select {
+			case s.blocks <- sioBlock{data: buf, idx: b, start: first, end: last}:
+			case <-s.stopc:
+				// Early stop with the block still in hand: ownership
+				// never transferred, so recycle it here or it is lost
+				// to the GC.
+				blockPool.Put(buf)
+				return
+			}
+		}
+	}
+}
+
+// readExtent fills buf from file offset off in device-block-sized
+// operations, so op counts reflect realistic request sizes even for an
+// encoded block larger than DefaultBlockSize.
+func readExtent(f *storage.File, buf []byte, off int64) error {
+	for done := 0; done < len(buf); {
+		n, err := f.ReadAt(buf[done:min(len(buf), done+storage.DefaultBlockSize)], off+int64(done))
 		if err != nil {
-			return total, err
+			return err
 		}
+		if n == 0 {
+			return io.ErrUnexpectedEOF
+		}
+		done += n
 	}
-	return total, nil
+	return nil
 }
 
-// next returns the next adjacency entry.
-func (s *entryStream) next() (graph.VertexID, error) {
-	if s.met != nil {
-		if err := s.fillParsed(); err != nil {
-			return 0, err
-		}
-		v := s.entries[s.epos]
-		s.epos++
-		return v, nil
-	}
-	if err := s.fillRaw(); err != nil {
-		return 0, err
-	}
-	v := graph.VertexID(binary.LittleEndian.Uint32(s.cur[s.pos:]))
-	s.pos += 4
-	return v, nil
-}
-
-// read bulk-parses entries from the current block into dst
-// (batchSource), refilling from the prefetcher when the block is spent.
+// read bulk-copies decoded entries into dst: everything the current
+// decoded block still holds of the current range, receiving and decoding
+// the next block when it is spent.
 func (s *entryStream) read(dst []graph.VertexID) (int, error) {
-	if s.met != nil {
-		if err := s.fillParsed(); err != nil {
+	if s.err != nil {
+		return 0, s.err
+	}
+	for s.ri < len(s.ranges) && s.cur >= s.ranges[s.ri].end {
+		s.ri++
+		if s.ri < len(s.ranges) {
+			s.cur = s.ranges[s.ri].start
+		}
+	}
+	if s.ri >= len(s.ranges) {
+		s.err = errAdjExhausted
+		return 0, s.err
+	}
+	if s.cur < s.decStart || s.cur >= s.decStart+int64(len(s.dec)) {
+		if err := s.recvDecode(); err != nil {
+			s.err = err
 			return 0, err
 		}
-		n := copy(dst, s.entries[s.epos:])
-		s.epos += n
-		return n, nil
 	}
-	if err := s.fillRaw(); err != nil {
-		return 0, err
+	end := min(s.decStart+int64(len(s.dec)), s.ranges[s.ri].end)
+	n := min(int(end-s.cur), len(dst))
+	off := int(s.cur - s.decStart)
+	src := s.dec[off : off+n]
+	dst = dst[:len(src)] // one bounds check for the whole copy
+	for i, v := range src {
+		dst[i] = graph.VertexID(v)
 	}
-	n := (len(s.cur) - s.pos) / 4
-	if n > len(dst) {
-		n = len(dst)
-	}
-	data := s.cur[s.pos:]
-	for i := 0; i < n; i++ {
-		dst[i] = graph.VertexID(binary.LittleEndian.Uint32(data[i*4:]))
-	}
-	s.pos += n * 4
+	s.cur += int64(n)
 	return n, nil
 }
 
-// fillRaw makes at least one entry available in the current block on
-// the unmeasured path. Entries never straddle blocks: block size is a
-// multiple of the entry size and ranges are entry-aligned.
-func (s *entryStream) fillRaw() error {
-	if s.err != nil {
-		return s.err
+// recvDecode receives the next block from the prefetcher and decodes it —
+// the Dispatcher step. The producer emits exactly the blocks the ranges
+// need, in ascending order, so the block received must hold s.cur.
+func (s *entryStream) recvDecode() error {
+	blk, ok := s.recv()
+	if !ok {
+		return errAdjExhausted
 	}
-	for s.pos+4 > len(s.cur) {
-		if s.cur != nil {
-			blockPool.Put(s.cur)
-			s.cur = nil
-		}
-		blk, ok := <-s.blocks
-		if !ok {
-			s.err = fmt.Errorf("core: adjacency stream exhausted early")
-			return s.err
-		}
-		if blk.err != nil {
-			s.err = blk.err
-			return s.err
-		}
-		s.cur = blk.data
-		s.pos = 0
+	if blk.err != nil {
+		return blk.err
 	}
+	if s.dec == nil {
+		// One decode buffer per stream, sized for a whole block up front:
+		// codecs append entry by entry, and growing by doubling would cost
+		// a dozen allocations and twice the bytes on every stream.
+		s.dec = make([]uint32, 0, s.adj.EntriesIn(blk.idx))
+	}
+	var t0 time.Time
+	if s.met != nil {
+		t0 = time.Now()
+	}
+	dec, err := s.adj.Codec.DecodeBlock(s.dec[:0], blk.data)
+	if s.met != nil {
+		ns := int64(time.Since(t0))
+		s.met.dispatchNS.Add(ns)
+		if !s.adj.FixedEntries() {
+			// The codec counters are a contract about encoded layouts:
+			// they stay zero where entry offsets are byte arithmetic.
+			s.met.decodeNS.Add(ns)
+			s.met.codecEncB.Add(int64(len(blk.data)))
+			s.met.codecRawB.Add(int64(len(dec)) * 4)
+			s.met.heatDecode(blk.idx, ns)
+		}
+	}
+	blockPool.Put(blk.data)
+	if err != nil {
+		return fmt.Errorf("core: decoding block %d: %w", blk.idx, err)
+	}
+	if int64(len(dec)) != blk.end-blk.start {
+		return fmt.Errorf("core: block %d decodes to %d entries, want %d", blk.idx, len(dec), blk.end-blk.start)
+	}
+	if s.cur < blk.start || s.cur >= blk.end {
+		return fmt.Errorf("core: adjacency stream out of order: got entries [%d,%d) of block %d, want entry %d", blk.start, blk.end, blk.idx, s.cur)
+	}
+	s.dec, s.decStart = dec, blk.start
 	return nil
 }
 
-// fillParsed is fillRaw on the measured path: each block is batch-parsed
-// into the entries slice — the same total decode work as the seed path,
-// but grouped so the Dispatcher's parse time is attributable — and the
-// block buffer is recycled immediately.
-func (s *entryStream) fillParsed() error {
-	if s.err != nil {
-		return s.err
-	}
-	for s.epos >= len(s.entries) {
-		blk, ok := s.recvBlock()
-		if !ok {
-			s.err = fmt.Errorf("core: adjacency stream exhausted early")
-			return s.err
-		}
-		if blk.err != nil {
-			s.err = blk.err
-			return s.err
-		}
-		t0 := time.Now()
-		n := len(blk.data) / 4
-		if cap(s.entries) < n {
-			s.entries = make([]graph.VertexID, n)
-		}
-		s.entries = s.entries[:n]
-		for i := 0; i < n; i++ {
-			s.entries[i] = graph.VertexID(binary.LittleEndian.Uint32(blk.data[i*4:]))
-		}
-		s.epos = 0
-		s.met.dispatchNS.Add(int64(time.Since(t0)))
-		blockPool.Put(blk.data)
-	}
-	return nil
-}
-
-// recvBlock receives the next prefetched block, counting a stall (and its
-// duration) whenever the Worker finds the queue empty and has to wait for
-// the Sio producer.
-func (s *entryStream) recvBlock() (sioBlock, bool) {
+// recv receives the next prefetched block, counting a stall (and its
+// duration) whenever the consumer finds the queue empty and has to wait
+// for the Sio producer.
+func (s *entryStream) recv() (sioBlock, bool) {
 	select {
 	case blk, ok := <-s.blocks:
 		return blk, ok
@@ -277,7 +293,7 @@ func (s *entryStream) recvBlock() (sioBlock, bool) {
 	}
 	t0 := time.Now()
 	blk, ok := <-s.blocks
-	if ok {
+	if ok && s.met != nil {
 		s.met.stalls.Add(1)
 		s.met.stallNS.Add(int64(time.Since(t0)))
 	}
@@ -293,8 +309,27 @@ func (s *entryStream) stop() {
 			blockPool.Put(blk.data)
 		}
 	}
-	if s.cur != nil {
-		blockPool.Put(s.cur)
-		s.cur = nil
-	}
 }
+
+// memEntryStream is the resident source: it serves a list of entry ranges
+// over the whole-file decoded adjacency, in order. It consumes the ranges
+// slice it is given.
+type memEntryStream struct {
+	data   []graph.VertexID
+	ranges []entryRange
+}
+
+func (s *memEntryStream) read(dst []graph.VertexID) (int, error) {
+	for len(s.ranges) > 0 && s.ranges[0].start >= s.ranges[0].end {
+		s.ranges = s.ranges[1:]
+	}
+	if len(s.ranges) == 0 {
+		return 0, errAdjExhausted
+	}
+	r := &s.ranges[0]
+	n := copy(dst, s.data[r.start:r.end])
+	r.start += int64(n)
+	return n, nil
+}
+
+func (s *memEntryStream) stop() {}
