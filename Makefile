@@ -42,19 +42,25 @@ cover:
 # at random device operations must resume to byte-identical results), a
 # run-report round trip (a profiled run writes its artifact, and
 # graphz-report must render and self-diff it cleanly), the semi-external
-# differential at the exec level (the same generated graph run with
-# -sem on and -sem off must print byte-identical results, and the SEM
+# differential at the exec level (the same generated graph — 1.6 MB of
+# vertex states — run under a budget that fits them and one that does not
+# must report semi-external and partitioned respectively and print
+# byte-identical results, CC being partition-independent, and the fitting
 # run's report must render), and the graphz-serve end-to-end session:
 # boot on a free port, submit BFS and PageRank jobs, poll to completion,
 # fetch results and reports, cancel, and drain on SIGINT.
+SMOKE_RUN = $(GO) run ./cmd/graphz-run -gen er -gen-vertices 200000 -gen-edges 600000 -seed 9 -algo cc -top 20
+SMOKE_KEEP = sed -n -e '/^sem:/p' -e '/top 20 vertices/,$$p'
 smoke:
 	$(GO) test -run 'TestCrashRecovery' -count=1 -v ./internal/core/
 	$(GO) run ./cmd/graphz-run -gen rmat -gen-scale 8 -gen-edges 2000 -seed 7 -algo cc -report RUNREPORT_smoke.json
 	$(GO) run ./cmd/graphz-report show RUNREPORT_smoke.json
 	$(GO) run ./cmd/graphz-report diff RUNREPORT_smoke.json RUNREPORT_smoke.json
-	$(GO) run ./cmd/graphz-run -gen zipf -gen-vertices 4000 -gen-edges 30000 -seed 9 -algo cc -sem on -top 20 -report RUNREPORT_sem.json | grep -A20 'top 20 vertices' > SEM_on.txt
-	$(GO) run ./cmd/graphz-run -gen zipf -gen-vertices 4000 -gen-edges 30000 -seed 9 -algo cc -sem off -top 20 | grep -A20 'top 20 vertices' > SEM_off.txt
-	diff SEM_on.txt SEM_off.txt && rm -f SEM_on.txt SEM_off.txt
+	$(SMOKE_RUN) -budget 8388608 -report RUNREPORT_sem.json | $(SMOKE_KEEP) > SMOKE_fit.txt
+	$(SMOKE_RUN) -budget 2621440 | $(SMOKE_KEEP) > SMOKE_tight.txt
+	grep '^sem: semi-external' SMOKE_fit.txt
+	grep '^sem: partitioned' SMOKE_tight.txt
+	diff -I '^sem:' SMOKE_fit.txt SMOKE_tight.txt && rm -f SMOKE_fit.txt SMOKE_tight.txt
 	$(GO) run ./cmd/graphz-report show RUNREPORT_sem.json
 	$(GO) test -run 'TestServe' -count=1 -v ./cmd/graphz-serve/
 

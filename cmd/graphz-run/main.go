@@ -65,7 +65,6 @@ func main() {
 		workers = flag.Int("workers", 1, "graphz: Worker-stage goroutines (deterministic chunked speculation; 1 = sequential)")
 		cache   = flag.Bool("cache-adjacency", false, "graphz: keep adjacency resident when it fits the budget")
 		sel     = flag.Bool("selective", false, "graphz: skip adjacency blocks with no active vertex and no pending message (selective block scheduling; see DESIGN.md §9)")
-		semF    = flag.String("sem", "auto", "graphz: semi-external-memory mode — auto (pin all vertex states resident when they fit the budget), on (force; fails if they don't fit), off (always partition); see DESIGN.md §13")
 		top     = flag.Int("top", 5, "print the top-N result vertices")
 		maddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof/ on this address while the run is live (e.g. :8080, or :0 for a free port)")
 		traceTo = flag.String("trace", "", "write one JSONL span per (iteration, partition, stage) to this file")
@@ -89,13 +88,6 @@ func main() {
 	}
 	if (*ckDir != "" || *resume) && *engine != "graphz" {
 		fatal(fmt.Errorf("-checkpoint-dir/-resume need -engine graphz, got %q", *engine))
-	}
-	semMode, err := core.ParseSemMode(*semF)
-	if err != nil {
-		fatal(err)
-	}
-	if semMode != core.SemAuto && *engine != "graphz" {
-		fatal(fmt.Errorf("-sem needs -engine graphz, got %q", *engine))
 	}
 	if *resume && *ckDir == "" {
 		fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
@@ -204,7 +196,7 @@ func main() {
 				}
 			}
 		}
-		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *cache, *sel, semMode, *workers, ck)
+		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *cache, *sel, *workers, ck)
 	case "graphchi":
 		iterations, values, err = runGraphChi(dev, clock, reg, tracer, *algo, *budget, *iters, src)
 	case "xstream":
@@ -248,7 +240,6 @@ func main() {
 				"input":     inputName,
 				"workers":   fmt.Sprint(*workers),
 				"selective": fmt.Sprint(*sel),
-				"sem":       semMode.String(),
 			},
 		}, reg, tracer, core.DeviceFileIO(dev))
 		if err := report.WriteFile(*repTo); err != nil {
@@ -318,7 +309,7 @@ func importDOS(dev *storage.Device, prefix string) error {
 
 // runGraphZ preprocesses to DOS (or loads a pre-converted graph) and runs
 // the algorithm, returning values keyed by original IDs.
-func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, cacheAdj, selective bool, sem core.SemMode, workers int, ck core.CheckpointOptions) (int, map[graph.VertexID]float64, error) {
+func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, cacheAdj, selective bool, workers int, ck core.CheckpointOptions) (int, map[graph.VertexID]float64, error) {
 	var g *dos.Graph
 	var err error
 	if preconverted {
@@ -340,7 +331,7 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	opts := core.Options{
 		Context: ctx, MemoryBudget: budget, Clock: clock, DynamicMessages: true, MaxIterations: 200,
 		CacheAdjacency: cacheAdj, WorkerParallelism: workers, SelectiveScheduling: selective,
-		SemiExternal: sem, Obs: reg, Trace: tracer, Checkpoint: ck,
+		Obs: reg, Trace: tracer, Checkpoint: ck,
 	}
 	if ck.Dir != "" {
 		// Bind checkpoints to the algorithm: resuming a "pr" checkpoint
@@ -409,10 +400,10 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 		return 0, nil, fmt.Errorf("unknown algorithm %q", algo)
 	}
 	if res.SemiExternal {
-		fmt.Printf("sem: semi-external mode (%s) — vertex states resident, %d messages applied inline, zero spill\n",
-			sem, res.MessagesInline)
-	} else if sem == core.SemAuto {
-		fmt.Printf("sem: partitioned mode — resident vertex states would exceed the %d B budget\n", budget)
+		fmt.Printf("sem: semi-external — one partition, vertex states resident, %d messages applied inline, zero spill\n",
+			res.MessagesInline)
+	} else {
+		fmt.Printf("sem: partitioned — %d partitions, resident vertex states would exceed the %d B budget\n", res.Partitions, budget)
 	}
 	if ck.Dir != "" {
 		fmt.Printf("checkpoint: %d written (%d B, %v) -> %s\n",

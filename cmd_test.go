@@ -3,6 +3,7 @@ package graphz_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -69,11 +70,13 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	}
 
-	// Observability flags: a live metrics endpoint plus a JSONL trace.
+	// Observability flags: a live metrics endpoint plus a JSONL trace. The
+	// generated graph's 1.6 MB of states exceed what the 2.5 MiB budget
+	// leaves beside the pipeline buffers, so the run partitions — only a
+	// partitioned run has pending messages to drain, hence drain spans.
 	traceFile := filepath.Join(dir, "run.jsonl")
-	out, err = exec.Command(run, "-in", graphFile, "-algo", "pr",
-		"-engine", "graphz", "-iters", "5", "-budget", "4194304",
-		"-sem", "off", // the partitioned path is the one with drain spans
+	out, err = exec.Command(run, "-gen", "er", "-gen-vertices", "200000", "-gen-edges", "400000",
+		"-seed", "3", "-algo", "pr", "-engine", "graphz", "-iters", "5", "-budget", "2621440",
 		"-metrics-addr", "127.0.0.1:0", "-trace", traceFile).CombinedOutput()
 	if err != nil {
 		t.Fatalf("graphz-run with obs flags: %v\n%s", err, out)
@@ -82,6 +85,7 @@ func TestCommandLineTools(t *testing.T) {
 		"metrics: serving /metrics and /debug/pprof/",
 		"per-iteration:",
 		"device:",
+		"sem: partitioned",
 		"top 5 vertices",
 	} {
 		if !strings.Contains(string(out), want) {
@@ -113,6 +117,13 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "top 5 vertices") {
 		t.Errorf("-dos run output missing results: %s", out)
+	}
+
+	// The retired -sem flag is a usage error (exit 2), not silently ignored:
+	// residency follows from -budget alone.
+	var exit *exec.ExitError
+	if _, err := exec.Command(run, "-in", graphFile, "-sem", "off").CombinedOutput(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("graphz-run -sem off: %v, want exit status 2", err)
 	}
 
 	// Unknown engine errors out.

@@ -344,7 +344,7 @@ func TestCodecCompressionAcceptance(t *testing.T) {
 
 // TestGroupVarintDifferentialMatrix pins the new fast codec against raw
 // across the full engine-mode cross: {sequential, workers=4} ×
-// {selective scheduling on/off} × {SEM on/off}. Every cell must produce
+// {selective scheduling on/off} × {fitting, tight budget}. Every cell must produce
 // byte-identical states and identical routing counters — the codec (and
 // the batch Worker dispatch riding on its decode path) is invisible to
 // every engine mode combination.
@@ -359,9 +359,9 @@ func TestGroupVarintDifferentialMatrix(t *testing.T) {
 				optsFor := func(g *dos.Graph) core.Options {
 					var o core.Options
 					if sem {
-						// SEM pins all states resident: one partition,
-						// every apply inline.
-						o = core.Options{MemoryBudget: 64 << 20, DynamicMessages: true, SemiExternal: core.SemOn}
+						// A fitting budget pins all states resident: one
+						// partition, every apply inline.
+						o = core.Options{MemoryBudget: 64 << 20, DynamicMessages: true}
 					} else {
 						o = tightCodecOpts(g, 8)
 					}
@@ -382,7 +382,7 @@ func TestGroupVarintDifferentialMatrix(t *testing.T) {
 					t.Fatalf("%s: groupvarint counters %+v, raw %+v", name, countersOf(resG), countersOf(resR))
 				}
 				if sem && !resG.SemiExternal {
-					t.Fatalf("%s: run did not take the semi-external path", name)
+					t.Fatalf("%s: run was not semi-external", name)
 				}
 				if !sem && resR.Partitions < 2 {
 					t.Errorf("%s: %d partitions, want several (budget too loose to test spills)", name, resR.Partitions)

@@ -15,39 +15,27 @@ import (
 	"graphz/internal/storage"
 )
 
-// The differential property behind the semi-external-memory fast path:
-// SEM is invisible to the algorithm. Against the single-partition
-// partitioned run — identical message routing, every send already
-// inline — a SEM run must be byte-identical in states AND counters for
-// every algorithm, adjacency codec, and worker count. Against the
-// spilling multi-partition baseline the converged fixpoints (CC, SSSP)
-// must still match bit-for-bit; PageRank's fixed-iteration ranks agree
-// approximately, exactly as they do between partition counts (a
-// cross-partition message waits an iteration, an inline one does not).
-// The raw and varint codecs must stay indistinguishable under SEM, and
-// a mid-run crash/resume cycle must reproduce the uninterrupted SEM run.
+// The differential property behind the semi-external case (a fitting
+// budget: one partition, states pinned, every send inline): residency is
+// invisible to the algorithm. Against the spilling multi-partition
+// baseline — the same run under a budget that fits an eighth of the
+// states — the converged fixpoints (CC, SSSP) must match bit-for-bit for
+// every algorithm, adjacency codec, and worker count; PageRank's
+// fixed-iteration ranks agree approximately, exactly as they do between
+// any two partition counts (a cross-partition message waits an iteration,
+// an inline one does not). The raw and varint codecs must stay
+// indistinguishable on one partition, and a mid-run crash/resume cycle
+// must reproduce the uninterrupted run.
 
-// semRunOpts forces the fast path with room to pin the states.
+// semRunOpts is a budget with room to pin every state: one partition.
 func semRunOpts() core.Options {
-	return core.Options{
-		MemoryBudget:    64 << 20,
-		DynamicMessages: true,
-		SemiExternal:    core.SemOn,
-	}
-}
-
-// onePartOpts is the partitioned control with identical routing: same
-// budget, fast path disabled.
-func onePartOpts() core.Options {
-	o := semRunOpts()
-	o.SemiExternal = core.SemOff
-	return o
+	return core.Options{MemoryBudget: 64 << 20, DynamicMessages: true}
 }
 
 func checkSemShape(t *testing.T, label string, r core.Result) {
 	t.Helper()
 	if !r.SemiExternal {
-		t.Fatalf("%s: run did not take the semi-external path", label)
+		t.Fatalf("%s: run was not semi-external", label)
 	}
 	if r.MessagesBuffered != 0 || r.MessagesSpilled != 0 {
 		t.Fatalf("%s: buffered %d spilled %d, want 0/0", label, r.MessagesBuffered, r.MessagesSpilled)
@@ -69,8 +57,8 @@ func TestSemDifferential(t *testing.T) {
 			return res, bitsF32(dists), err
 		}},
 		// PageRank stops at a fixed iteration count, so the faster
-		// cross-partition propagation under SEM shifts the float sums
-		// the same way fewer partitions would: compare approximately.
+		// propagation on one partition shifts the float sums the same
+		// way fewer partitions always do: compare approximately.
 		{"pagerank", false, func(g *dos.Graph, opts core.Options) (core.Result, []uint64, error) {
 			res, ranks, err := graphzalgo.PageRank(g, opts, 20, 0.85)
 			return res, bitsF32(ranks), err
@@ -91,7 +79,7 @@ func TestSemDifferential(t *testing.T) {
 	edges := symmetrize(gen.Zipf(3000, 16000, 0.9, 81))
 	for _, a := range algos {
 		for _, cfg := range configs {
-			// One SEM outcome per codec, to cross-check raw vs varint.
+			// One fitting-budget outcome per codec, to cross-check raw vs varint.
 			semStates := map[string][]uint64{}
 			semCounters := map[string]codecCounters{}
 			for _, c := range codecs {
@@ -104,21 +92,6 @@ func TestSemDifferential(t *testing.T) {
 				}
 				checkSemShape(t, name, semRes)
 				semStates[c.name], semCounters[c.name] = semSt, countersOf(semRes)
-
-				// Byte identity vs the single-partition partitioned run.
-				gOne := convertCodec(t, edges, c.codec)
-				oneRes, oneSt, err := a.run(gOne, cfg.mod(onePartOpts()))
-				if err != nil {
-					t.Fatalf("%s one-partition: %v", name, err)
-				}
-				if oneRes.Partitions != 1 {
-					t.Fatalf("%s: control split into %d partitions", name, oneRes.Partitions)
-				}
-				sameBits(t, name+" sem-vs-one-partition", semSt, oneSt)
-				if countersOf(semRes) != countersOf(oneRes) {
-					t.Fatalf("%s: sem counters %+v, one-partition %+v",
-						name, countersOf(semRes), countersOf(oneRes))
-				}
 
 				// Fixpoint identity vs the spilling multi-partition run.
 				gMulti := convertCodec(t, edges, c.codec)
@@ -144,7 +117,7 @@ func TestSemDifferential(t *testing.T) {
 					}
 				}
 			}
-			// The codec must stay invisible under SEM too.
+			// The codec must stay invisible on one partition too.
 			for _, other := range []string{"varint", "groupvarint"} {
 				sameBits(t, a.name+"/"+cfg.name+" sem raw-vs-"+other, semStates[other], semStates["raw"])
 				if semCounters[other] != semCounters["raw"] {
@@ -156,8 +129,8 @@ func TestSemDifferential(t *testing.T) {
 	}
 }
 
-// A SEM checkpoint taken mid-run resumes to the same final state and
-// cumulative counters as the uninterrupted SEM run, on both v2 codecs.
+// A one-partition checkpoint taken mid-run resumes to the same final state
+// and cumulative counters as the uninterrupted run, on every v2 codec.
 func TestSemCheckpointResumeDifferential(t *testing.T) {
 	edges := symmetrize(gen.Zipf(2500, 14000, 0.9, 82))
 	type outcome struct {

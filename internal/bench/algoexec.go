@@ -112,21 +112,6 @@ func ExecAlgo(a Algo, layout core.Layout, opts core.Options, p AlgoParams) (core
 	return core.Result{}, nil, fmt.Errorf("bench: unknown algorithm %q", a)
 }
 
-// AlgoVertexSize returns the encoded vertex-state size in bytes of the
-// core-engine program ExecAlgo dispatches for a — the per-vertex cost a
-// semi-external run pins resident (core.SemBudgetBytes), which admission
-// control must reserve for the whole run.
-func AlgoVertexSize(a Algo) int {
-	switch a {
-	case BP:
-		return 16 // belief pair of float64
-	case RW:
-		return 12 // visit count + two RNG words
-	default:
-		return 8 // PR/BFS/CC/SSSP: pair-of-32-bit states
-	}
-}
-
 func f32to64(in []float32) []float64 {
 	if in == nil {
 		return nil

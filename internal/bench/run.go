@@ -84,13 +84,6 @@ type RunConfig struct {
 	// shows up in Runtime/IO and the BlocksSkipped column. Part of the
 	// memo key.
 	Selective bool
-	// Sem selects the GraphZ engines' semi-external-memory mode
-	// (core.Options.SemiExternal): core.SemAuto (zero value) detects,
-	// core.SemOn forces states-resident inline apply, core.SemOff keeps
-	// the partitioned path. Final states are identical for converged
-	// runs; what changes is the message routing (zero buffered/spilled
-	// under SEM) and the runtime. Part of the memo key.
-	Sem core.SemMode
 	// Codec selects the DOS adjacency block codec for the GraphZ engine:
 	// "raw" or "varint" preps the v2 block-encoded format, "" keeps v1.
 	// Final states are byte-identical across codecs (the two v2 codecs
@@ -114,8 +107,8 @@ type Outcome struct {
 	IndexBytes int64
 	Spilled    int64 // GraphZ engines: messages spilled to the device
 	Inline     int64 // GraphZ engines: messages applied inline (ordered dynamic)
-	// SemiExternal reports the GraphZ run took the semi-external-memory
-	// fast path (states resident, zero spill).
+	// SemiExternal reports the GraphZ run's budget planned one partition,
+	// so its vertex states stayed resident (core.Result.SemiExternal).
 	SemiExternal bool
 	// SpillErrors counts spill failures the engine observed (GraphZ
 	// engines; the first failure aborts the run).
@@ -275,7 +268,6 @@ func runLocked(cfg RunConfig) Outcome {
 			"scale":     cfg.Scale.Name,
 			"workers":   fmt.Sprint(cfg.Workers),
 			"selective": fmt.Sprint(cfg.Selective),
-			"sem":       cfg.Sem.String(),
 			"codec":     cfg.Codec,
 		},
 	}, reg, tr, core.DeviceFileIO(dev))
@@ -305,7 +297,6 @@ func runGraphZ(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Re
 		MemoryBudget:        cfg.Budget,
 		Clock:               clock,
 		DynamicMessages:     cfg.Engine != GraphZNoDOSNoDM,
-		SemiExternal:        cfg.Sem,
 		WorkerParallelism:   cfg.Workers,
 		SelectiveScheduling: cfg.Selective,
 		Obs:                 reg,

@@ -101,10 +101,10 @@ type Manifest struct {
 	Partitions int    `json:"partitions"`
 	VSize      int    `json:"vsize"`
 	MSize      int    `json:"msize"`
-	// Sem marks a checkpoint from a semi-external-memory run: it has no
-	// message or tail sections (nothing is ever pending), and it
-	// only resumes into a SEM engine — cross-mode resume is a typed
-	// ErrConfigMismatch, since the modes' runtime file sets differ.
+	// Sem is a legacy key, read but no longer written: it marks a
+	// one-partition checkpoint from when such runs kept no message store,
+	// so it has no message or tail sections (nothing was pending). Resume
+	// restores it with empty message stores (docs/DURABILITY.md).
 	Sem      bool      `json:"sem,omitempty"`
 	Counters Counters  `json:"counters"`
 	Sections []Section `json:"sections"`

@@ -322,14 +322,15 @@ func TestSectionFileMissing(t *testing.T) {
 	}
 }
 
-// The Sem flag must round-trip, and manifests written without it (every
-// pre-SEM checkpoint) must decode to Sem=false — the compatibility rule
-// that lets old checkpoints resume into partitioned engines unchanged.
+// The legacy Sem key must still decode — the engine no longer writes it,
+// but reads it to resume a checkpoint that has no message sections — and
+// manifests without it (everything written today) must decode to
+// Sem=false.
 func TestSemFlagRoundTripAndCompat(t *testing.T) {
 	s := mustStore(t)
 	m := testManifest(4)
 	m.Sem = true
-	// A SEM checkpoint has no message sections.
+	// A legacy sem checkpoint has no message sections.
 	if _, err := s.Write(m, []SectionData{{Name: "vstate", Data: []byte("pinned")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestSemFlagRoundTripAndCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ck.Manifest.Sem {
-		t.Error("Sem flag lost in round trip")
+		t.Error("legacy sem key not decoded")
 	}
 
 	s2 := mustStore(t)
@@ -350,6 +351,6 @@ func TestSemFlagRoundTripAndCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ck2.Manifest.Sem {
-		t.Error("partitioned manifest decoded with Sem=true")
+		t.Error("manifest without the key decoded with Sem=true")
 	}
 }

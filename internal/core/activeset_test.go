@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
 	"graphz/internal/obs"
@@ -214,20 +215,38 @@ func TestPlanSelectiveTable(t *testing.T) {
 	}
 }
 
-// selectiveVariants are option mutations that must each reproduce the
-// full-streaming run's final state bytes. Results are deliberately NOT
-// compared: a post-plan in-partition send can defer a vertex's update by
-// one iteration under selective scheduling, so iteration and update
-// counts may legally differ — the fixpoint may not.
+// selectiveVariants are selective-scheduling configurations that must each
+// reproduce the full-streaming run's final state bytes. Results are
+// deliberately NOT compared: a post-plan in-partition send can defer a
+// vertex's update by one iteration under selective scheduling, so
+// iteration and update counts may legally differ — the fixpoint may not.
 var selectiveVariants = []struct {
-	name string
-	mut  func(*Options)
+	name    string
+	workers int
+	sparse  bool // forceSparse
 }{
-	{"sequential", func(o *Options) {}},
-	{"workers4", func(o *Options) { o.WorkerParallelism = 4 }},
-	// A threshold above 1.0 can never be reached: every partition takes
-	// the sparse run-scheduled path instead of the streamAll fallback.
-	{"forcedSparse", func(o *Options) { o.SelectiveDensity = 2 }},
+	{name: "sequential"},
+	{name: "workers4", workers: 4},
+	{name: "forcedSparse", sparse: true},
+}
+
+// forceSparse raises the engine's full-streaming fallback threshold above
+// 1.0, a density that can never be reached: every partition takes the
+// sparse run-scheduled path instead of the streamAll fallback.
+func forceSparse[V, M any](e *Engine[V, M]) { e.denseAt = 2 }
+
+// runSelectiveVariant runs prog under base with selective scheduling on,
+// configured as variant i of selectiveVariants.
+func runSelectiveVariant[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], base Options, i int) (Result, []byte) {
+	t.Helper()
+	v := selectiveVariants[i]
+	base.SelectiveScheduling = true
+	base.WorkerParallelism = v.workers
+	var tune func(*Engine[V, M])
+	if v.sparse {
+		tune = forceSparse[V, M]
+	}
+	return runProgTuned(t, g, prog, vc, mc, base, tune)
 }
 
 func TestSelectiveMatchesFullStreamingMinLabel(t *testing.T) {
@@ -242,11 +261,8 @@ func TestSelectiveMatchesFullStreamingMinLabel(t *testing.T) {
 	if fullRes.BlocksScanned != 0 || fullRes.BlocksSkipped != 0 {
 		t.Fatalf("full-streaming run reported block scheduling: %+v", fullRes)
 	}
-	for _, v := range selectiveVariants {
-		opts := base
-		opts.SelectiveScheduling = true
-		v.mut(&opts)
-		res, got := runProg[minVal, uint32](t, g, minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
+	for i, v := range selectiveVariants {
+		res, got := runSelectiveVariant[minVal, uint32](t, g, minLabel{}, minValCodec{}, graph.Uint32Codec{}, base, i)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: selective fixpoint bytes differ from full streaming", v.name)
 		}
@@ -269,11 +285,8 @@ func TestSelectiveMatchesFullStreamingPageRank(t *testing.T) {
 		MaxIterations:   5,
 	}
 	_, want := runProg[prVal, float64](t, g, prProg{}, prCodec{}, f64Codec{}, base)
-	for _, v := range selectiveVariants {
-		opts := base
-		opts.SelectiveScheduling = true
-		v.mut(&opts)
-		_, got := runProg[prVal, float64](t, g, prProg{}, prCodec{}, f64Codec{}, opts)
+	for i, v := range selectiveVariants {
+		_, got := runSelectiveVariant[prVal, float64](t, g, prProg{}, prCodec{}, f64Codec{}, base, i)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: selective PageRank bytes differ from full streaming", v.name)
 		}
@@ -292,11 +305,8 @@ func TestSelectiveMatchesFullStreamingStaticMessages(t *testing.T) {
 		MaxIterations:  4,
 	}
 	_, want := runProg[mixVal, uint32](t, g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, base)
-	for _, v := range selectiveVariants {
-		opts := base
-		opts.SelectiveScheduling = true
-		v.mut(&opts)
-		_, got := runProg[mixVal, uint32](t, g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, opts)
+	for i, v := range selectiveVariants {
+		_, got := runSelectiveVariant[mixVal, uint32](t, g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, base, i)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: selective static-message bytes differ from full streaming", v.name)
 		}

@@ -27,23 +27,14 @@ func (e *Engine[V, M]) maybeEnableAdjCache() {
 	if !e.opts.CacheAdjacency {
 		return
 	}
-	var used int64
-	if e.sem {
-		// SEM pins the full vertex-state array and the bitmap but holds
-		// no message buffers; its resident floor is exactly what planSem
-		// charged.
-		used = SemBudgetBytes(e.layout, e.vsize)
-	} else {
-		p := int64(e.NumPartitions())
-		var maxPartVerts int64
-		for i := 0; i < e.NumPartitions(); i++ {
-			if n := int64(e.partStarts[i+1]-e.partStarts[i]) * int64(e.vsize); n > maxPartVerts {
-				maxPartVerts = n
-			}
+	p := int64(e.NumPartitions())
+	var maxPartVerts int64
+	for i := 0; i < e.NumPartitions(); i++ {
+		if n := int64(e.partStarts[i+1]-e.partStarts[i]) * int64(e.vsize); n > maxPartVerts {
+			maxPartVerts = n
 		}
-		used = e.layout.IndexBytes() + e.adj.TableBytes() + pipelineOverheadBytes +
-			p*int64(e.opts.MsgBufferBytes) + maxPartVerts
 	}
+	used := e.residentFloor().ResidentBytes() + p*int64(e.opts.MsgBufferBytes) + maxPartVerts
 	if used+e.layout.NumEdges()*4 <= e.opts.MemoryBudget {
 		e.adjCache = NewSharedAdjacency(e.layout)
 	}

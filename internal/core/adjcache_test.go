@@ -125,7 +125,7 @@ func TestOneAdjacencyCache(t *testing.T) {
 			run := func(mod func(*Options)) outcome {
 				reg := obs.NewRegistry()
 				opts := Options{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64,
-					SemiExternal: SemOff, MaxIterations: 4, Obs: reg}
+					MaxIterations: 4, Obs: reg}
 				mod(&opts)
 				dev.ResetStats()
 				eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)

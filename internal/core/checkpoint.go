@@ -130,10 +130,10 @@ func tailSectionName(p int) string { return fmt.Sprintf("tail.%d", p) }
 func (e *Engine[V, M]) writeCheckpoint(iters int, done bool) error {
 	start := time.Now()
 	var vstate []byte
-	if e.sem {
-		// SEM keeps the states pinned in memory and only flushes the
-		// vstate file at the end of the run — encode the checkpoint's
-		// copy from the resident array, not the (stale) device file.
+	if e.pinned() {
+		// Pinned states are only flushed to the vstate file at the end of
+		// the run — encode the checkpoint's copy from the resident array,
+		// not the (stale) device file.
 		vstate = make([]byte, len(e.verts)*e.vsize)
 		for i := range e.verts {
 			e.vcodec.Encode(vstate[i*e.vsize:], e.verts[i])
@@ -169,7 +169,6 @@ func (e *Engine[V, M]) writeCheckpoint(iters int, done bool) error {
 		Partitions: e.NumPartitions(),
 		VSize:      e.vsize,
 		MSize:      e.msize,
-		Sem:        e.sem,
 		Counters:   e.checkpointCounters(),
 	}
 	n, err := e.ckStore.Write(m, secs)
@@ -259,19 +258,6 @@ func (e *Engine[V, M]) resume() (Result, error) {
 		return Result{}, fmt.Errorf("%w: checkpoint (partitions=%d vsize=%d msize=%d), engine (partitions=%d vsize=%d msize=%d)",
 			checkpoint.ErrConfigMismatch, m.Partitions, m.VSize, m.MSize, nParts, e.vsize, e.msize)
 	}
-	if m.Sem != e.sem {
-		// The two modes have different runtime file sets (a SEM
-		// checkpoint has no message sections; a partitioned one expects
-		// them restored), so resume never crosses modes.
-		mode := func(sem bool) string {
-			if sem {
-				return "semi-external"
-			}
-			return "partitioned"
-		}
-		return Result{}, fmt.Errorf("%w: checkpoint is from a %s run, this engine is %s",
-			checkpoint.ErrConfigMismatch, mode(m.Sem), mode(e.sem))
-	}
 	vstate, err := ck.Section("vstate")
 	if err != nil {
 		return Result{}, err
@@ -284,34 +270,24 @@ func (e *Engine[V, M]) resume() (Result, error) {
 		return Result{}, fmt.Errorf("core: restoring vertex states: %w", err)
 	}
 	restored := int64(len(vstate))
-	if e.sem {
-		// SEM re-pins the states: decode the restored bytes into the
-		// resident array (loadVertices is a no-op past iteration 0), and
-		// skip the message machinery — a SEM checkpoint has none.
-		e.verts = make([]V, e.layout.NumVertices())
-		for i := range e.verts {
-			e.verts[i] = e.vcodec.Decode(vstate[i*e.vsize:])
-		}
-	}
 	// Spilled files go back to the device; buffer tails go back into
 	// memory at the exact occupancy — and capacity — they had, so both
 	// the drain order (file then tail) and every future spill boundary
 	// replay identically.
-	msgParts := nParts
-	if e.sem {
-		msgParts = 0
-	} else {
-		e.msgBufs = make([][]byte, nParts)
-	}
+	e.msgBufs = make([][]byte, nParts)
 	rec := int64(4 + e.msize)
-	for p := 0; p < msgParts; p++ {
-		data, err := ck.Section(msgSectionName(p))
-		if err != nil {
-			return Result{}, err
-		}
-		tail, err := ck.Section(tailSectionName(p))
-		if err != nil {
-			return Result{}, err
+	for p := 0; p < nParts; p++ {
+		var data, tail []byte
+		// Legacy: a checkpoint flagged "sem" was written when a
+		// one-partition dynamic-message run kept no message store, so it
+		// has no message sections — and nothing was pending.
+		if !m.Sem {
+			if data, err = ck.Section(msgSectionName(p)); err != nil {
+				return Result{}, err
+			}
+			if tail, err = ck.Section(tailSectionName(p)); err != nil {
+				return Result{}, err
+			}
 		}
 		if int64(len(data))%rec != 0 || int64(len(tail))%rec != 0 {
 			return Result{}, fmt.Errorf("%w: message sections of partition %d are %d+%d bytes, record size %d",
@@ -356,21 +332,13 @@ func (e *Engine[V, M]) resume() (Result, error) {
 	e.blocksScanned = m.Counters.BlocksScanned
 	e.blocksSkipped = m.Counters.BlocksSkipped
 	e.chargeCheckpointIO(restored, true)
-	if e.sem {
-		e.eo.semRuns.Inc()
-	}
 	d := time.Since(start)
 	e.eo.restores.Inc()
 	e.eo.restoreNS.Add(int64(d))
 	e.eo.tr.Emit(engineName, obs.StageRestore, m.Iteration, -1, start, d)
 	if m.Converged {
 		// The checkpointed run already finished; nothing to iterate.
-		e.finished = true
-		e.removeMsgFiles(nParts)
-		if e.eo.on {
-			foldDeviceStats(e.eo.reg, e.dev.Stats())
-		}
-		return e.result(m.Iteration, nParts), nil
+		return e.finish(m.Iteration), nil
 	}
 	return e.loop(m.Iteration)
 }

@@ -52,6 +52,14 @@ func encodeStates[V any](vc graph.Codec[V], vals []V) []byte {
 
 func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters, workers int, seed uint64, mutate ...func(*Options)) {
 	t.Helper()
+	crashRecoveryHarnessTuned(t, edges, prog, vc, mc, maxIters, workers, seed, nil, mutate...)
+}
+
+// crashRecoveryHarnessTuned is the harness with a hook applied to every
+// engine it builds (reference, probe, crashing and recovering alike)
+// between New and Run, for an unexported seam such as forceSparse.
+func crashRecoveryHarnessTuned[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters, workers int, seed uint64, tune func(*Engine[V, M]), mutate ...func(*Options)) {
+	t.Helper()
 	baseOpts := func(g *dos.Graph) Options {
 		opts := Options{
 			MemoryBudget:      budgetForPartitions(g, int64(vc.Size()), 4, 64),
@@ -71,6 +79,9 @@ func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Progr
 		eng, err := New[V, M](DOSLayout(g), prog, vc, mc, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tune != nil {
+			tune(eng)
 		}
 		return eng
 	}
@@ -169,8 +180,8 @@ func TestCrashRecoverySelectiveSequential(t *testing.T) {
 	// A never-reachable density threshold keeps every partition on the
 	// sparse run-scheduled path, so the restored bitmap drives real
 	// block skipping across the crash boundary.
-	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 0, 105,
-		func(o *Options) { o.SelectiveScheduling = true; o.SelectiveDensity = 2 })
+	crashRecoveryHarnessTuned[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 0, 105,
+		forceSparse[minVal, uint32], func(o *Options) { o.SelectiveScheduling = true })
 }
 
 func TestCrashRecoverySelectiveParallel(t *testing.T) {

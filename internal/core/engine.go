@@ -135,8 +135,8 @@ type Options struct {
 	// set when a message is applied to it or its update marks active,
 	// cleared when its update runs — and skips reading adjacency blocks
 	// (and whole partitions) with no schedulable vertex and no pending
-	// message, falling back to full streaming when the active density
-	// reaches SelectiveDensity. Requires a frontier-safe program: Update
+	// message, falling back to full streaming when a quarter of the
+	// partition's vertices are active. Requires a frontier-safe program: Update
 	// must be a no-op (no state change, no sends, no MarkActive) for a
 	// vertex that received no message since its last update. Programs
 	// that mark every vertex active every round run unchanged (nothing
@@ -145,19 +145,6 @@ type Options struct {
 	// update/message counters may differ, since a skipped vertex's
 	// propagation can shift by an iteration. See DESIGN.md §9.
 	SelectiveScheduling bool
-	// SelectiveDensity is the active-vertex density (set bits /
-	// partition vertices) at or above which a partition streams fully
-	// instead of scheduling blocks; 0 means the default 0.25.
-	SelectiveDensity float64
-	// SemiExternal selects the semi-external-memory fast path (sem.go;
-	// DESIGN.md §13): pin the full vertex-state array resident and apply
-	// every message inline at dispatch time — no message buffers, no
-	// spill files, no drain stage — while adjacency still streams
-	// through Sio. SemAuto (the zero value) engages it whenever
-	// SemBudgetBytes fits MemoryBudget and DynamicMessages is on; SemOn
-	// forces it (New fails typed when it cannot); SemOff keeps the
-	// partitioned path unconditionally.
-	SemiExternal SemMode
 	// ConvergeOnInactivity stops the run as soon as an iteration ends
 	// with no vertex marked active, even if messages were sent. Use
 	// for programs that re-send unchanged state every round (like the
@@ -196,9 +183,8 @@ var ErrMemoryBudget = errors.New("core: memory budget exceeded")
 
 // ErrInvalidOptions reports a configuration New rejects outright — a
 // non-positive budget, a shared adjacency that belongs to a different
-// graph, SemOn without dynamic messages. It marks errors
-// a caller caused (a serving API maps it to HTTP 400), as opposed to
-// runtime failures. Match with errors.Is.
+// graph. It marks errors a caller caused (a serving API maps it to HTTP
+// 400), as opposed to runtime failures. Match with errors.Is.
 var ErrInvalidOptions = errors.New("core: invalid options")
 
 // ErrCancelled reports a run aborted because Options.Context was
@@ -222,9 +208,10 @@ const maxPartitions = 65536
 type Result struct {
 	Iterations int
 	Partitions int
-	// SemiExternal reports the run took the semi-external-memory fast
-	// path (sem.go): states pinned resident, every message applied
-	// inline — MessagesBuffered and MessagesSpilled are structurally 0.
+	// SemiExternal reports the semi-external case (DESIGN.md §13): the
+	// budget planned one partition, so the vertex states stayed pinned in
+	// memory for the whole run. With DynamicMessages every message was
+	// applied inline — MessagesBuffered and MessagesSpilled are 0.
 	SemiExternal     bool
 	MessagesSent     int64
 	MessagesApplied  int64
@@ -269,9 +256,9 @@ type Engine[V, M any] struct {
 	dev        *storage.Device
 	adj        storage.BlockLayout // how the edges file maps entries to bytes
 	partStarts []graph.VertexID    // partition p covers [partStarts[p], partStarts[p+1])
+	msgFiles   []string            // partition p's message store on the device
 	vsize      int
 	msize      int
-	sem        bool // semi-external mode: states pinned, every apply inline
 
 	// per-run state
 	verts     []V // states of the resident partition, [partLo, partHi)
@@ -302,6 +289,7 @@ type Engine[V, M any] struct {
 
 	// selective scheduling state (Options.SelectiveScheduling)
 	sel           *activeSet // per-vertex schedulability bits; nil when off
+	denseAt       float64    // density at which a partition streams fully; tests raise it to force the sparse plan
 	selDegs       []uint32   // planner scratch: current partition's degrees
 	blocksScanned int64
 	blocksSkipped int64
@@ -349,52 +337,51 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		vsize:  vcodec.Size(),
 		msize:  mcodec.Size(),
 		eo:     newEngineObs(opts.Obs, opts.Trace),
+
+		denseAt: defaultSelectiveDensity,
 	}
 	if opts.SharedAdjacency != nil && !opts.SharedAdjacency.matches(layout) {
 		return nil, fmt.Errorf("%w: shared adjacency belongs to %q (%d entries), layout reads %q (%d entries)",
 			ErrInvalidOptions, opts.SharedAdjacency.file, opts.SharedAdjacency.entries,
 			layout.EdgesFile(), layout.NumEdges())
 	}
-	sem, err := e.planSem()
-	if err != nil {
-		return nil, err
-	}
-	if sem {
-		// One partition covering the whole vertex space: partitionOf is
-		// the identity and every send takes the inline branch.
-		e.sem = true
-		e.partStarts = []graph.VertexID{0, graph.VertexID(layout.NumVertices())}
-	} else if err := e.plan(); err != nil {
+	if err := e.plan(); err != nil {
 		return nil, err
 	}
 	e.maybeEnableAdjCache()
 	if opts.SelectiveScheduling {
 		// One bit per vertex (1/32 of a minimal uint32 state). It is
-		// deliberately NOT budget-accounted: charging it would shift
-		// partition boundaries between selective and full-streaming
-		// runs of the same budget, breaking their comparability.
+		// deliberately NOT budget-accounted — not by plan, not by the
+		// adjacency-cache fit: charging it would shift partition
+		// boundaries between selective and full-streaming runs of the
+		// same budget, breaking their comparability.
 		e.sel = newActiveSet(layout.NumVertices())
 	}
 	return e, nil
 }
 
-// selDensity resolves the configured full-streaming fallback threshold.
-func (e *Engine[V, M]) selDensity() float64 {
-	if e.opts.SelectiveDensity > 0 {
-		return e.opts.SelectiveDensity
+// residentFloor is the budget-accounted memory every run holds whatever
+// its partitioning: the vertex index, a block-encoded layout's per-block
+// offset table (zero for fixed-entry layouts) and the pipeline buffers.
+// The planner, the adjacency-cache fit and the memory sampler all start
+// from it.
+func (e *Engine[V, M]) residentFloor() obs.MemSample {
+	return obs.MemSample{
+		IndexBytes:    e.layout.IndexBytes(),
+		TableBytes:    e.adj.TableBytes(),
+		PipelineBytes: pipelineOverheadBytes,
 	}
-	return defaultSelectiveDensity
 }
 
 // plan chooses the partition count: the smallest P such that the index,
 // pipeline buffers, P message buffers, and one partition's vertex states
-// fit the budget, then splits the vertex space evenly.
+// fit the budget, then splits the vertex space evenly. It is the only
+// place residency is decided: when P comes out as 1 the run is the
+// semi-external case (SemiExternal).
 func (e *Engine[V, M]) plan() error {
 	n := int64(e.layout.NumVertices())
 	vertexBytes := n * int64(e.vsize)
-	// A block-encoded layout holds its per-block offset table resident
-	// (TableBytes is zero for fixed-entry layouts).
-	fixed := e.layout.IndexBytes() + e.adj.TableBytes() + pipelineOverheadBytes
+	fixed := e.residentFloor().ResidentBytes()
 	p := int64(1)
 	for {
 		avail := e.opts.MemoryBudget - fixed - p*int64(e.opts.MsgBufferBytes)
@@ -420,11 +407,29 @@ func (e *Engine[V, M]) plan() error {
 	for i := int64(0); i <= p; i++ {
 		e.partStarts[i] = graph.VertexID(i * n / p)
 	}
+	// Named once: every iteration looks each store's size up, and a run
+	// with nothing pending must not pay an allocation per lookup.
+	e.msgFiles = make([]string, p)
+	for i := range e.msgFiles {
+		e.msgFiles[i] = fmt.Sprintf("%s.msgs.%d", e.opts.Name, i)
+	}
 	return nil
 }
 
 // NumPartitions returns the planned partition count.
 func (e *Engine[V, M]) NumPartitions() int { return len(e.partStarts) - 1 }
+
+// SemiExternal reports the one-partition case (resolved at New): the whole
+// vertex-state array fits the budget, so it is loaded once, stays pinned in
+// memory for the run and is flushed once at the end, while the adjacency
+// still streams. With DynamicMessages every send is then inline — GraphMP's
+// semi-external model (DESIGN.md §13).
+func (e *Engine[V, M]) SemiExternal() bool { return e.NumPartitions() == 1 }
+
+// pinned reports that e.verts is the authoritative copy of every vertex
+// state: the one-partition case, once its partition has been loaded. The
+// vertex-state file is then stale until the final flush.
+func (e *Engine[V, M]) pinned() bool { return e.SemiExternal() && e.verts != nil }
 
 // partitionOf returns the partition index containing vertex v. Partitions
 // are an even split, so this is arithmetic, not search.
@@ -444,9 +449,7 @@ func (e *Engine[V, M]) partitionOf(v graph.VertexID) int {
 
 func (e *Engine[V, M]) vstateFile() string { return e.opts.Name + ".vstate" }
 
-func (e *Engine[V, M]) msgFile(p int) string {
-	return fmt.Sprintf("%s.msgs.%d", e.opts.Name, p)
-}
+func (e *Engine[V, M]) msgFile(p int) string { return e.msgFiles[p] }
 
 func (e *Engine[V, M]) charge(n int64, cost time.Duration) {
 	if e.opts.Clock != nil {
@@ -482,25 +485,14 @@ func (e *Engine[V, M]) Run() (Result, error) {
 		return e.resume()
 	}
 	nParts := e.NumPartitions()
-	if !e.sem {
-		// SEM applies every message inline at dispatch: no buffers, no
-		// message files, nothing to drain. e.msgBufs stays nil, which
-		// also keeps the checkpoint writer's per-partition message
-		// sections and the memory sampler's buffer walk empty.
-		e.msgBufs = make([][]byte, nParts)
-	}
+	e.msgBufs = make([][]byte, nParts)
 	if _, err := e.dev.Create(e.vstateFile()); err != nil {
 		return Result{}, err
 	}
-	if !e.sem {
-		for p := 0; p < nParts; p++ {
-			if _, err := e.dev.Create(e.msgFile(p)); err != nil {
-				return Result{}, err
-			}
+	for p := 0; p < nParts; p++ {
+		if _, err := e.dev.Create(e.msgFile(p)); err != nil {
+			return Result{}, err
 		}
-	}
-	if e.sem {
-		e.eo.semRuns.Inc()
 	}
 	return e.loop(0)
 }
@@ -518,15 +510,12 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 		e.active = false
 		sentBefore := e.sent
 		var pendingBefore int64
-		if !e.sem { // SEM never has pending messages: every apply is inline
-			for p := 0; p < nParts; p++ {
-				pendingBefore += int64(len(e.msgBufs[p]))
-				sz, err := e.dev.Size(e.msgFile(p))
-				if err != nil {
-					return Result{}, err
-				}
-				pendingBefore += sz
+		for p := 0; p < nParts; p++ {
+			pend, err := e.pendingBytes(p)
+			if err != nil {
+				return Result{}, err
 			}
+			pendingBefore += pend
 		}
 		var row *obs.IterStats
 		var devBefore storage.Stats
@@ -593,42 +582,40 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 			break
 		}
 	}
-	if e.sem {
+	if e.pinned() {
 		// The states stayed pinned all run; one flush makes them durable
-		// for Values (and mirrors the partitioned path's final state of
-		// the vstate file exactly).
-		if err := e.storeVertices(e.partStarts[0], e.partStarts[len(e.partStarts)-1]); err != nil {
+		// for Values (and leaves the vstate file exactly as a run that
+		// stored them every iteration would).
+		if err := e.storeVertices(e.partLo, e.partHi); err != nil {
 			return Result{}, err
 		}
 	}
-	e.finished = true
-	e.removeMsgFiles(nParts)
-	if e.eo.on {
-		foldDeviceStats(e.eo.reg, e.dev.Stats())
-	}
-	return e.result(iters, nParts), nil
+	return e.finish(iters), nil
 }
 
-// removeMsgFiles deletes the message stores after a finished run; the
-// vertex states remain for Values. Removal failures don't fail the run —
-// the results are already durable — but they are counted.
-func (e *Engine[V, M]) removeMsgFiles(nParts int) {
-	if e.sem {
-		return // no message files were ever created
-	}
+// finish marks the run (fresh, resumed, or restored already converged)
+// complete: the message stores are deleted — the vertex states remain for
+// Values; removal failures don't fail the run, the results are already
+// durable, but they are counted — and the Result is assembled from the
+// engine's cumulative counters.
+func (e *Engine[V, M]) finish(iters int) Result {
+	e.finished = true
+	nParts := e.NumPartitions()
 	for p := 0; p < nParts; p++ {
 		if err := e.dev.Remove(e.msgFile(p)); err != nil {
 			e.eo.removeErrs.Inc()
 		}
 	}
-}
-
-// result assembles the Result from the engine's cumulative counters.
-func (e *Engine[V, M]) result(iters, nParts int) Result {
+	if e.SemiExternal() {
+		e.eo.semRuns.Inc()
+	}
+	if e.eo.on {
+		foldDeviceStats(e.eo.reg, e.dev.Stats())
+	}
 	return Result{
 		Iterations:        iters,
 		Partitions:        nParts,
-		SemiExternal:      e.sem,
+		SemiExternal:      e.SemiExternal(),
 		MessagesSent:      e.sent,
 		MessagesApplied:   e.applied,
 		MessagesInline:    e.inline,
@@ -715,20 +702,19 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 	if err := e.loadVertices(lo, hi, iter); err != nil {
 		return err
 	}
-	// SEM has no drain stage at all — every message was already applied
-	// inline when it was sent. Skipping recordDrain too keeps the stage
-	// tables honest: drain time stays 0 and no drain-path counter moves.
-	if !e.sem {
-		var drainStart time.Time
-		if e.eo.on {
-			drainStart = time.Now()
-		}
-		if err := e.drainMessages(p, lo); err != nil {
-			return err
-		}
-		if e.eo.on {
-			e.recordDrain(iter, p, drainStart, row)
-		}
+	// A drain that found nothing pending is not a drain stage: it records
+	// no time, span or drain-path counter, so a run whose every message is
+	// inline reports drain time 0.
+	var drainStart time.Time
+	if e.eo.on {
+		drainStart = time.Now()
+	}
+	appliedBefore := e.applied
+	if err := e.drainMessages(p, lo); err != nil {
+		return err
+	}
+	if e.eo.on && e.applied != appliedBefore {
+		e.recordDrain(iter, p, drainStart, row)
 	}
 
 	// The Worker's schedule is a list of vertex runs. A full scan is the
@@ -787,8 +773,8 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 	}
 
 	// Flush this partition's vertex states back to the device — except
-	// under SEM, where they stay pinned until one final flush at loop end.
-	if e.sem {
+	// when pinned: they stay resident until one final flush at loop end.
+	if e.pinned() {
 		return nil
 	}
 	return e.storeVertices(lo, hi)
@@ -890,9 +876,6 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, degs []uint32, ps *pi
 // the spilled file plus the in-memory buffer tail. Size is a catalog
 // lookup, not a charged device read.
 func (e *Engine[V, M]) pendingBytes(p int) (int64, error) {
-	if e.sem {
-		return 0, nil // inline apply leaves nothing pending, ever
-	}
 	sz, err := e.dev.Size(e.msgFile(p))
 	if err != nil {
 		return 0, err
@@ -913,7 +896,7 @@ func (e *Engine[V, M]) planPartition(lo, hi graph.VertexID, start int64) selSche
 		e.selDegs[v-lo] = e.layout.DegreeOf(v)
 	}
 	e.charge(int64(count), sim.CostActiveScan)
-	return planSelective(e.sel, lo, hi, start, e.selDegs, e.adj.BlockEntries, e.selDensity())
+	return planSelective(e.sel, lo, hi, start, e.selDegs, e.adj.BlockEntries, e.denseAt)
 }
 
 // accountSelective folds one partition's schedule into the run's
@@ -934,9 +917,9 @@ func (e *Engine[V, M]) accountSelective(sched selSchedule, row *obs.IterStats) {
 // state file, or initialized via Program.Init on the first iteration.
 func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
 	e.partLo, e.partHi = lo, hi
-	if e.sem && iter > 0 {
-		// SEM: e.verts already holds every state — populated by the Init
-		// pass (iteration 0) or by resume, and pinned for the whole run.
+	if e.pinned() {
+		// One partition: e.verts already holds every state — from the Init
+		// pass or the first load after a resume — and stays for the run.
 		return nil
 	}
 	count := int(hi - lo)
@@ -1171,9 +1154,6 @@ func (e *Engine[V, M]) ValuesByOldID() (map[graph.VertexID]V, error) {
 func (e *Engine[V, M]) Cleanup() {
 	if err := e.dev.Remove(e.vstateFile()); err != nil {
 		e.eo.removeErrs.Inc()
-	}
-	if e.sem {
-		return // the vertex-state file is SEM's only runtime file
 	}
 	for p := 0; p < e.NumPartitions(); p++ {
 		if err := e.dev.Remove(e.msgFile(p)); err != nil {

@@ -87,7 +87,6 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 func drainEngine[V any](t *testing.T, g *dos.Graph, prog Program[V, uint32], vc graph.Codec[V], opts Options, init func(i int) V) *Engine[V, uint32] {
 	t.Helper()
 	opts.DynamicMessages = true
-	opts.SemiExternal = SemOff
 	eng, err := New[V, uint32](DOSLayout(g), prog, vc, graph.Uint32Codec{}, opts)
 	if err != nil {
 		t.Fatal(err)

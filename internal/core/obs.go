@@ -42,10 +42,11 @@ type engineObs struct {
 	workerNS   *obs.Counter
 	drainNS    *obs.Counter
 
-	drains *obs.Counter // drain phases entered (skipped ones included)
+	drains *obs.Counter // drains that applied at least one message
 
-	// semRuns counts runs on the semi-external fast path (sem.go). A SEM
-	// run's drain instruments all stay 0 — the stage genuinely never ran.
+	// semRuns counts finished runs of the semi-external case: one
+	// partition, states pinned (Engine.SemiExternal). With dynamic messages
+	// such a run's drain instruments all stay 0 — nothing was ever pending.
 	semRuns *obs.Counter
 
 	// Worker sub-stage instruments for the chunked parallel Worker
@@ -240,7 +241,8 @@ func (e *Engine[V, M]) recordWorker(iter, p int, start time.Time, row *obs.IterS
 	}
 }
 
-// recordDrain accounts the MsgManager drain of one partition.
+// recordDrain accounts a MsgManager drain of one partition that applied
+// pending messages; one that found nothing pending is not recorded.
 func (e *Engine[V, M]) recordDrain(iter, p int, start time.Time, row *obs.IterStats) {
 	d := time.Since(start)
 	e.eo.tr.Emit(engineName, obs.StageDrain, iter, p, start, d)
@@ -307,15 +309,11 @@ func (e *Engine[V, M]) sampleMemory(iter int) {
 	if e.eo.reg == nil {
 		return
 	}
-	s := obs.MemSample{
-		Iteration:        iter,
-		BudgetBytes:      e.opts.MemoryBudget,
-		IndexBytes:       e.layout.IndexBytes(),
-		TableBytes:       e.adj.TableBytes(),
-		PipelineBytes:    pipelineOverheadBytes,
-		VertexStateBytes: int64(cap(e.verts)) * int64(e.vsize), // high-water partition
-		AdjCacheBytes:    int64(len(e.adjData)) * 4,
-	}
+	s := e.residentFloor()
+	s.Iteration = iter
+	s.BudgetBytes = e.opts.MemoryBudget
+	s.VertexStateBytes = int64(cap(e.verts)) * int64(e.vsize) // high-water partition
+	s.AdjCacheBytes = int64(len(e.adjData)) * 4
 	for p, buf := range e.msgBufs {
 		s.MsgBufferBytes += int64(cap(buf))
 		// Size is an uncharged catalog lookup; a missing file reads as

@@ -28,9 +28,19 @@ import (
 // vertex states, so comparisons are on the exact state bytes.
 func runProg[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts Options) (Result, []byte) {
 	t.Helper()
+	return runProgTuned(t, g, prog, vc, mc, opts, nil)
+}
+
+// runProgTuned is runProg with a hook on the engine between New and Run,
+// for tests that reach an unexported seam (forceSparse).
+func runProgTuned[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts Options, tune func(*Engine[V, M])) (Result, []byte) {
+	t.Helper()
 	eng, err := New[V, M](DOSLayout(g), prog, vc, mc, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tune != nil {
+		tune(eng)
 	}
 	res, err := eng.Run()
 	if err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,65 +19,67 @@ import (
 	"graphz/internal/storage"
 )
 
-// semOpts forces the fast path under a budget that can pin the states.
+// semOpts is a fitting budget: the planner cuts one partition, so the
+// states stay pinned and, with dynamic messages, every send is inline.
 func semOpts() Options {
-	return Options{
-		MemoryBudget:    64 << 20,
-		DynamicMessages: true,
-		SemiExternal:    SemOn,
-	}
+	return Options{MemoryBudget: 64 << 20, DynamicMessages: true}
 }
 
-// partitionedOpts is the spilling multi-partition baseline every SEM
-// differential compares against.
+// partitionedOpts is the spilling multi-partition baseline every
+// semi-external differential compares against: the same run under a
+// budget that fits only a quarter of the states.
 func partitionedOpts(g *dos.Graph) Options {
 	return Options{
 		MemoryBudget:    budgetForPartitions(g, 8, 4, 64),
 		DynamicMessages: true,
 		MsgBufferBytes:  64,
-		SemiExternal:    SemOff,
 	}
 }
 
-// assertSemShape checks the structural invariants of a SEM result: one
-// partition, everything inline, nothing buffered or spilled.
+// assertSemShape checks the structural invariants of a one-partition
+// dynamic-message result: everything inline, nothing buffered or spilled.
 func assertSemShape(t *testing.T, res Result) {
 	t.Helper()
 	if !res.SemiExternal {
-		t.Fatal("run did not take the semi-external path")
+		t.Fatal("run was not semi-external")
 	}
 	if res.Partitions != 1 {
-		t.Errorf("partitions = %d, want 1 under SEM", res.Partitions)
+		t.Errorf("partitions = %d, want 1 when semi-external", res.Partitions)
 	}
 	if res.MessagesBuffered != 0 || res.MessagesSpilled != 0 {
-		t.Errorf("buffered %d spilled %d, want 0/0 under SEM",
+		t.Errorf("buffered %d spilled %d, want 0/0 on one partition",
 			res.MessagesBuffered, res.MessagesSpilled)
 	}
 	if res.MessagesInline != res.MessagesSent {
-		t.Errorf("inline %d != sent %d: SEM must apply every message inline",
+		t.Errorf("inline %d != sent %d: one partition must apply every message inline",
 			res.MessagesInline, res.MessagesSent)
 	}
 }
 
 // TestSemMatchesPartitioned is the core differential, in two strengths.
-// Against the single-partition partitioned run — same message routing,
-// every send inline — the SEM result must be IDENTICAL: same states,
-// same counters, same iteration count; the fast path only removes the
-// per-iteration vertex-state round trip and the empty drain. Against
-// the spilling multi-partition baseline the converged states must still
-// match exactly, but SEM may take fewer iterations: a cross-partition
-// message there waits for the next iteration's drain, while SEM applies
-// it inline, so information propagates at least as fast. Both checks run
-// across sequential and parallel workers and selective scheduling.
+// The fitting-budget run must be IDENTICAL — states, counters, iteration
+// count — to what the engine produced when semi-external was a mode
+// (values recorded from that binary's auto-detected run of the same
+// configuration): pinning only removes the per-iteration vertex-state
+// round trip. Against the spilling multi-partition baseline the converged
+// states must still match exactly, but the one-partition run may take
+// fewer iterations: a cross-partition message there waits for the next
+// iteration's drain, while one partition applies it inline, so information
+// propagates at least as fast. Both checks run across sequential and
+// parallel workers and selective scheduling.
 func TestSemMatchesPartitioned(t *testing.T) {
 	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 71)
+	recorded := Result{Iterations: 3, Partitions: 1, SemiExternal: true,
+		MessagesSent: 7593, MessagesApplied: 7593, MessagesInline: 7593, UpdatesRun: 1248}
+	const recordedStates = 0x76344cf5835dcb95 // FNV-64a of the encoded states
 	variants := []struct {
-		name string
-		mod  func(*Options)
+		name          string
+		mod           func(*Options)
+		blocksScanned int64
 	}{
-		{"sequential", func(*Options) {}},
-		{"workers4", func(o *Options) { o.WorkerParallelism = 4 }},
-		{"selective", func(o *Options) { o.SelectiveScheduling = true }},
+		{"sequential", func(*Options) {}, 0},
+		{"workers4", func(o *Options) { o.WorkerParallelism = 4 }, 0},
+		{"selective", func(o *Options) { o.SelectiveScheduling = true }, 3},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -85,23 +89,15 @@ func TestSemMatchesPartitioned(t *testing.T) {
 			semRes, semVals := runMinLabel(t, gSem, so)
 			assertSemShape(t, semRes)
 
-			// Exact identity vs the single-partition partitioned run.
-			gOne := buildDOS(t, edges)
-			oneOpts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, SemiExternal: SemOff}
-			v.mod(&oneOpts)
-			oneRes, oneVals := runMinLabel(t, gOne, oneOpts)
-			if oneRes.Partitions != 1 {
-				t.Fatalf("partitioned control split into %d partitions", oneRes.Partitions)
+			want := recorded
+			want.BlocksScanned = v.blocksScanned
+			if stripDurability(semRes) != want {
+				t.Errorf("fitting-budget result %+v, recorded %+v", semRes, want)
 			}
-			normalized := stripDurability(oneRes)
-			normalized.SemiExternal = true // the only field allowed to differ
-			if normalized != stripDurability(semRes) {
-				t.Errorf("sem result %+v differs from single-partition control %+v", semRes, oneRes)
-			}
-			for i := range oneVals {
-				if semVals[i] != oneVals[i] {
-					t.Fatalf("vertex %d: sem %+v, single-partition %+v", i, semVals[i], oneVals[i])
-				}
+			h := fnv.New64a()
+			h.Write(encodeStates[minVal](minValCodec{}, semVals))
+			if h.Sum64() != recordedStates {
+				t.Errorf("fitting-budget states hash %#x, recorded %#x", h.Sum64(), uint64(recordedStates))
 			}
 
 			// Converged-state identity vs the spilling multi-partition run.
@@ -109,131 +105,153 @@ func TestSemMatchesPartitioned(t *testing.T) {
 			baseOpts := partitionedOpts(gBase)
 			v.mod(&baseOpts)
 			baseRes, baseVals := runMinLabel(t, gBase, baseOpts)
-			if baseRes.Partitions < 2 {
-				t.Fatalf("baseline partitions = %d, want >= 2", baseRes.Partitions)
+			if baseRes.Partitions < 2 || baseRes.SemiExternal {
+				t.Fatalf("baseline partitions = %d (semi-external %v), want >= 2", baseRes.Partitions, baseRes.SemiExternal)
 			}
 			if baseRes.MessagesSpilled == 0 {
 				t.Fatal("baseline did not spill — differential would prove nothing")
 			}
 			if semRes.Iterations > baseRes.Iterations {
-				t.Errorf("sem took %d iterations, multi-partition %d — inline apply cannot be slower",
+				t.Errorf("one partition took %d iterations, multi-partition %d — inline apply cannot be slower",
 					semRes.Iterations, baseRes.Iterations)
 			}
 			for i := range baseVals {
 				if semVals[i] != baseVals[i] {
-					t.Fatalf("vertex %d: sem %+v, partitioned %+v", i, semVals[i], baseVals[i])
+					t.Fatalf("vertex %d: one partition %+v, partitioned %+v", i, semVals[i], baseVals[i])
 				}
 			}
 		})
 	}
 }
 
-// TestSemAutoDetection pins the auto boundary: exactly at SemBudgetBytes
-// the engine goes semi-external, one byte below it partitions, and
-// without dynamic messages it never does regardless of budget.
+// TestSemAutoDetection pins the boundary, which is plan()'s p = 1 test and
+// nothing else: at the smallest budget that fits the resident floor, one
+// message buffer and every state the run is semi-external; one byte below
+// it partitions — with or without dynamic messages.
 func TestSemAutoDetection(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 72)
-	g := buildDOS(t, edges)
-	need := SemBudgetBytes(DOSLayout(g), 8)
+	need := budgetForPartitions(buildDOS(t, edges), 8, 1, 64)
 
-	run := func(budget int64) Result {
-		t.Helper()
-		res, _ := runMinLabel(t, buildDOS(t, edges), Options{
-			MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64,
-		})
-		return res
-	}
-
-	if res := run(need); !res.SemiExternal {
-		t.Errorf("budget == SemBudgetBytes (%d): partitioned, want semi-external", need)
-	}
-	if res := run(need - 1); res.SemiExternal {
-		t.Errorf("budget one below SemBudgetBytes: semi-external, want partitioned")
-	}
-
-	// Without DynamicMessages auto must not trigger even with slack.
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{
-		MemoryBudget: 64 << 20, MaxIterations: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.SemiExternal() {
-		t.Error("static-message engine took the SEM path")
-	}
-	eng.Cleanup()
-}
-
-// TestSemForcedErrors: SemOn fails typed at New — ErrMemoryBudget when
-// the states cannot be pinned, ErrInvalidOptions without dynamic
-// messages.
-func TestSemForcedErrors(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 73)
-	g := buildDOS(t, edges)
-
-	_, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{
-		MemoryBudget: SemBudgetBytes(DOSLayout(g), 8) - 1, DynamicMessages: true, SemiExternal: SemOn,
-	})
-	if !errors.Is(err, ErrMemoryBudget) {
-		t.Errorf("unpinnable SemOn: %v, want ErrMemoryBudget", err)
-	}
-
-	_, err = New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{
-		MemoryBudget: 64 << 20, SemiExternal: SemOn,
-	})
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("SemOn without DynamicMessages: %v, want ErrInvalidOptions", err)
-	}
-}
-
-func TestSemParseMode(t *testing.T) {
-	for in, want := range map[string]SemMode{
-		"": SemAuto, "auto": SemAuto, "on": SemOn, "true": SemOn, "off": SemOff, "false": SemOff,
-	} {
-		got, err := ParseSemMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSemMode(%q) = %v, %v; want %v", in, got, err, want)
+	for _, dm := range []bool{true, false} {
+		run := func(budget int64) Result {
+			t.Helper()
+			res, _ := runMinLabel(t, buildDOS(t, edges), Options{
+				MemoryBudget: budget, DynamicMessages: dm, MsgBufferBytes: 64,
+			})
+			return res
 		}
-	}
-	if _, err := ParseSemMode("fast"); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("ParseSemMode(fast) = %v, want ErrInvalidOptions", err)
-	}
-	for m, s := range map[SemMode]string{SemAuto: "auto", SemOn: "on", SemOff: "off"} {
-		if m.String() != s {
-			t.Errorf("SemMode(%d).String() = %q, want %q", m, m.String(), s)
+		if res := run(need); !res.SemiExternal || res.Partitions != 1 {
+			t.Errorf("dm=%v budget == one-partition floor (%d): %d partitions, want semi-external", dm, need, res.Partitions)
+		}
+		if res := run(need - 1); res.SemiExternal || res.Partitions != 2 {
+			t.Errorf("dm=%v budget one below the floor: %d partitions (semi-external %v), want 2", dm, res.Partitions, res.SemiExternal)
 		}
 	}
 }
 
-// TestSemNoMessageFiles: a SEM run never creates message or spill files,
-// and Cleanup leaves the shared device empty of runtime files.
+// TestSemNoMessageFiles: a one-partition dynamic-message run never writes
+// a byte to its (single, empty) message store, the store is gone when the
+// run finishes, and Cleanup leaves the shared device empty of runtime
+// files.
 func TestSemNoMessageFiles(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 74)
 	g := buildDOS(t, edges)
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, semOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newMinLabelEngine(t, g, semOpts())
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if st := g.Device().FileStats()[eng.msgFile(0)]; st.WriteBytes != 0 || st.ReadBytes != 0 {
+		t.Errorf("message store traffic %+v, want none", st)
+	}
 	for _, f := range g.Device().List() {
-		if strings.Contains(f, ".msgs") || strings.Contains(f, ".runs") {
-			t.Errorf("SEM run created message/spill file %q", f)
+		if strings.Contains(f, ".msgs") {
+			t.Errorf("finished run left message store %q", f)
 		}
 	}
 	eng.Cleanup()
-	for _, f := range g.Device().List() {
-		if strings.Contains(f, ".vstate") {
+	assertNoRuntimeFiles(t, g.Device(), eng.opts.Name)
+}
+
+// assertNoRuntimeFiles checks that no file of the engine named name is
+// left on the device.
+func assertNoRuntimeFiles(t *testing.T, dev *storage.Device, name string) {
+	t.Helper()
+	for _, f := range dev.List() {
+		if strings.HasPrefix(f, name+".") {
 			t.Errorf("Cleanup left %q behind", f)
 		}
 	}
 }
 
-// TestSemObservability: the fast path is honest about itself — a
-// graphz_sem_runs_total tick, zero buffered/spilled counters, and
-// exactly three spans per iteration (sio, dispatch, worker; the drain
-// stage genuinely never runs, so it emits nothing).
+// TestSinglePartitionStaysResident pins the rule down: a budget that plans
+// one partition keeps it resident — the vstate file sees no read and one
+// flush of n × vsize bytes over a multi-iteration run, whatever the message
+// mode, scheduler, Worker count or adjacency codec — and a budget that
+// plans two round-trips the states every iteration.
+func TestSinglePartitionStaysResident(t *testing.T) {
+	for _, codec := range []storage.Codec{nil, storage.CodecGroupVarint} {
+		for _, dm := range []bool{true, false} {
+			for _, selective := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("codec=%v/dm=%v/selective=%v/workers=%d", codec != nil, dm, selective, workers)
+					t.Run(name, func(t *testing.T) {
+						checkResidency(t, codec, Options{MsgBufferBytes: 64,
+							DynamicMessages: dm, SelectiveScheduling: selective, WorkerParallelism: workers})
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkResidency runs min-label under opts at a one-partition and a
+// two-partition budget and checks the vstate file's traffic at each.
+func checkResidency(t *testing.T, codec storage.Codec, opts Options) {
+	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 79)
+	run := func(parts int64) (Result, storage.Stats, *dos.Graph) {
+		g := buildDOS(t, edges)
+		if codec != nil {
+			g = buildDOSCodec(t, edges, codec, 0)
+		}
+		opts.MemoryBudget = budgetForPartitions(g, 8, parts, 64)
+		eng := newMinLabelEngine(t, g, opts)
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vstate := g.Device().FileStats()[eng.vstateFile()]
+		eng.Cleanup()
+		assertNoRuntimeFiles(t, g.Device(), eng.opts.Name)
+		return res, vstate, g
+	}
+
+	res, vstate, g := run(1)
+	stateBytes := int64(g.NumVertices) * 8
+	if !res.SemiExternal || res.Partitions != 1 || res.Iterations < 3 {
+		t.Fatalf("fitting budget: %+v, want one semi-external partition over >= 3 iterations", res)
+	}
+	if vstate.ReadBytes != 0 || vstate.WriteOps != 1 || vstate.WriteBytes != stateBytes {
+		t.Errorf("pinned vstate traffic %+v, want no read and one %d-byte write", vstate, stateBytes)
+	}
+	if opts.DynamicMessages {
+		assertSemShape(t, res)
+	} else if res.MessagesBuffered != res.MessagesSent || res.MessagesInline != 0 {
+		t.Errorf("static messages: buffered %d inline %d of %d sent", res.MessagesBuffered, res.MessagesInline, res.MessagesSent)
+	}
+
+	res2, vstate2, _ := run(2)
+	if res2.SemiExternal || res2.Partitions != 2 {
+		t.Fatalf("two-partition budget: %+v", res2)
+	}
+	if vstate2.ReadBytes == 0 || vstate2.WriteBytes <= stateBytes {
+		t.Errorf("two-partition vstate traffic %+v, want a round trip per iteration", vstate2)
+	}
+}
+
+// TestSemObservability: a run with nothing ever pending is honest about
+// it — a graphz_sem_runs_total tick, zero buffered/spilled counters, and
+// exactly three spans per iteration (sio, dispatch, worker; no drain
+// applied anything, so the drain stage emits nothing).
 func TestSemObservability(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 75)
 	g := buildDOS(t, edges)
@@ -258,6 +276,9 @@ func TestSemObservability(t *testing.T) {
 	if got := reg.CounterValue("graphz_messages_inline_total"); got != res.MessagesSent {
 		t.Errorf("graphz_messages_inline_total = %d, want %d", got, res.MessagesSent)
 	}
+	if got := reg.CounterValue("graphz_drain_serial_total"); got != 0 {
+		t.Errorf("graphz_drain_serial_total = %d, want 0 — nothing was pending", got)
+	}
 
 	spans := parseSpans(t, &traceBuf)
 	byStage := map[string]int{}
@@ -265,7 +286,7 @@ func TestSemObservability(t *testing.T) {
 		byStage[e.Stage]++
 	}
 	if byStage[obs.StageDrain] != 0 {
-		t.Errorf("SEM run emitted %d drain spans, want 0", byStage[obs.StageDrain])
+		t.Errorf("run emitted %d drain spans, want 0", byStage[obs.StageDrain])
 	}
 	for _, st := range []string{obs.StageSio, obs.StageDispatch, obs.StageWorker} {
 		if byStage[st] != res.Iterations {
@@ -273,46 +294,50 @@ func TestSemObservability(t *testing.T) {
 		}
 	}
 	if res.Stages.Drain != 0 {
-		t.Errorf("Result.Stages.Drain = %v, want 0 — the stage never ran", res.Stages.Drain)
+		t.Errorf("Result.Stages.Drain = %v, want 0 — no drain applied anything", res.Stages.Drain)
 	}
 }
 
-// TestSemCheckpointResume: resuming a SEM run from every mid-run
-// checkpoint reproduces the uninterrupted SEM run exactly.
+// semCheckpoints runs the fitting-budget min-label job over edges with a
+// checkpoint after every iteration and returns the checkpoint directory,
+// trimmed to the checkpoints of iterations <= k.
+func semCheckpoints(t *testing.T, edges []graph.Edge, k int) string {
+	t.Helper()
+	dir := t.TempDir()
+	opts := semOpts()
+	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
+	runMinLabel(t, buildDOS(t, edges), opts)
+	st, err := checkpoint.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters, err := st.Iterations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range iters {
+		if it > k {
+			os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
+		}
+	}
+	return dir
+}
+
+// TestSemCheckpointResume: resuming a one-partition run from every mid-run
+// checkpoint reproduces the uninterrupted run exactly.
 func TestSemCheckpointResume(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 76)
 	gRef := buildDOS(t, edges)
-	refOpts := semOpts()
-	refRes, refVals := runMinLabel(t, gRef, refOpts)
+	refRes, refVals := runMinLabel(t, gRef, semOpts())
 	assertSemShape(t, refRes)
 	if refRes.Iterations < 3 {
 		t.Fatalf("converged in %d iterations; too few for mid-run resume", refRes.Iterations)
 	}
 
 	for k := 1; k < refRes.Iterations; k++ {
-		dir := t.TempDir()
-		g1 := buildDOS(t, edges)
-		opts := semOpts()
-		opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
-		runMinLabel(t, g1, opts)
-		st, err := checkpoint.NewStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iters, err := st.Iterations()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range iters {
-			if it > k {
-				os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
-			}
-		}
-
-		g2 := buildDOS(t, edges)
 		ropts := semOpts()
-		ropts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Resume: true}
-		eng := newMinLabelEngine(t, g2, ropts)
+		ropts.Checkpoint = CheckpointOptions{Dir: semCheckpoints(t, edges, k), Every: 1, Resume: true}
+		eng := newMinLabelEngine(t, buildDOS(t, edges), ropts)
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatalf("resume from iteration %d: %v", k, err)
@@ -334,47 +359,109 @@ func TestSemCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestSemCheckpointCrossMode: a checkpoint written by one mode cannot be
-// resumed by the other — the iteration cursor and message sections mean
-// different things, so the mismatch must fail typed, not corrupt.
-func TestSemCheckpointCrossMode(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 77)
-
-	// SEM checkpoint, partitioned resume.
-	semDir := t.TempDir()
-	g1 := buildDOS(t, edges)
-	so := semOpts()
-	so.Checkpoint = CheckpointOptions{Dir: semDir, Every: 1}
-	runMinLabel(t, g1, so)
-
-	g2 := buildDOS(t, edges)
-	po := partitionedOpts(g2)
-	po.Checkpoint = CheckpointOptions{Dir: semDir, Resume: true}
-	eng := newMinLabelEngine(t, g2, po)
-	if _, err := eng.Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
-		t.Errorf("partitioned resume of SEM checkpoint = %v, want ErrConfigMismatch", err)
+// oldLayoutCheckpoint rewrites the fitting-budget run's iteration-1
+// checkpoint the way the engine laid it out when semi-external was a mode:
+// a vstate section only, no message or tail sections, and the manifest's
+// "sem" key as given. It returns the rewritten checkpoint's directory.
+func oldLayoutCheckpoint(t *testing.T, edges []graph.Edge, semKey bool) string {
+	t.Helper()
+	st, err := checkpoint.NewStore(semCheckpoints(t, edges, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	ck, err := st.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vstate, err := ck.Section("vstate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ck.Manifest
+	m.Sem = semKey
+	old, err := checkpoint.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Write(m, []checkpoint.SectionData{{Name: "vstate", Data: vstate}}); err != nil {
+		t.Fatal(err)
+	}
+	return old.Dir()
+}
 
-	// Partitioned checkpoint, SEM resume. The partitioned baseline here
-	// must be single-partition so only the mode differs, not the
-	// partition count (which already fails the config check).
-	partDir := t.TempDir()
-	g3 := buildDOS(t, edges)
-	po2 := Options{MemoryBudget: 64 << 20, DynamicMessages: true, SemiExternal: SemOff,
-		Checkpoint: CheckpointOptions{Dir: partDir, Every: 1}}
-	runMinLabel(t, g3, po2)
+// TestSemLegacyCheckpointResume: a checkpoint as the engine wrote it when
+// semi-external was a mode — manifest flagged "sem", no message or tail
+// sections — resumes into a one-partition engine to the uninterrupted
+// run's bytes.
+func TestSemLegacyCheckpointResume(t *testing.T) {
+	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 76)
+	refRes, refVals := runMinLabel(t, buildDOS(t, edges), semOpts())
 
-	g4 := buildDOS(t, edges)
-	so2 := semOpts()
-	so2.Checkpoint = CheckpointOptions{Dir: partDir, Resume: true}
-	eng2 := newMinLabelEngine(t, g4, so2)
-	if _, err := eng2.Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
-		t.Errorf("SEM resume of partitioned checkpoint = %v, want ErrConfigMismatch", err)
+	opts := semOpts()
+	opts.Checkpoint = CheckpointOptions{Dir: oldLayoutCheckpoint(t, edges, true), Every: 1, Resume: true}
+	eng := newMinLabelEngine(t, buildDOS(t, edges), opts)
+	res, err := eng.Resume()
+	if err != nil {
+		t.Fatalf("legacy sem checkpoint: %v", err)
+	}
+	if stripDurability(res) != stripDurability(refRes) {
+		t.Errorf("legacy resume result %+v, uninterrupted %+v", res, refRes)
+	}
+	vals, err := eng.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range refVals {
+		if vals[i] != refVals[i] {
+			t.Fatalf("legacy resume: vertex %d = %+v, uninterrupted %+v", i, vals[i], refVals[i])
+		}
+	}
+	eng.Cleanup()
+}
+
+// TestSemCheckpointMissingMessages: only the legacy "sem" key excuses a
+// checkpoint from carrying its message sections; without it the same
+// checkpoint is damaged and resume fails typed.
+func TestSemCheckpointMissingMessages(t *testing.T) {
+	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 76)
+	opts := semOpts()
+	opts.Checkpoint = CheckpointOptions{Dir: oldLayoutCheckpoint(t, edges, false), Resume: true}
+	if _, err := newMinLabelEngine(t, buildDOS(t, edges), opts).Resume(); !errors.Is(err, checkpoint.ErrBadManifest) {
+		t.Errorf("unflagged checkpoint without message sections = %v, want ErrBadManifest", err)
 	}
 }
 
-// TestSemConvergedResume: Values() after resuming a converged SEM
-// checkpoint reads the restored states without iterating.
+// TestSemCheckpointCrossMode: a checkpoint only resumes under a budget
+// that plans the partition count it was written with — the message
+// sections are per partition — so crossing between a one-partition and a
+// partitioned engine, either way, fails typed instead of corrupting.
+func TestSemCheckpointCrossMode(t *testing.T) {
+	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 77)
+
+	// One-partition checkpoint, partitioned resume.
+	g2 := buildDOS(t, edges)
+	po := partitionedOpts(g2)
+	po.Checkpoint = CheckpointOptions{Dir: semCheckpoints(t, edges, 1<<20), Resume: true}
+	if _, err := newMinLabelEngine(t, g2, po).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Errorf("partitioned resume of one-partition checkpoint = %v, want ErrConfigMismatch", err)
+	}
+
+	// Partitioned checkpoint, one-partition resume.
+	partDir := t.TempDir()
+	g3 := buildDOS(t, edges)
+	po2 := partitionedOpts(g3)
+	po2.Checkpoint = CheckpointOptions{Dir: partDir, Every: 1}
+	runMinLabel(t, g3, po2)
+
+	so := semOpts()
+	so.Checkpoint = CheckpointOptions{Dir: partDir, Resume: true}
+	if _, err := newMinLabelEngine(t, buildDOS(t, edges), so).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Errorf("one-partition resume of partitioned checkpoint = %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestSemConvergedResume: Values() after resuming a converged
+// one-partition checkpoint reads the restored states without iterating.
 func TestSemConvergedResume(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 78)
 	dir := t.TempDir()
@@ -392,7 +479,7 @@ func TestSemConvergedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.UpdatesRun != refRes.UpdatesRun || res.Iterations != refRes.Iterations {
-		t.Errorf("converged SEM resume ran work: %+v vs %+v", res, refRes)
+		t.Errorf("converged resume ran work: %+v vs %+v", res, refRes)
 	}
 	vals, err := eng.Values()
 	if err != nil {
@@ -406,9 +493,9 @@ func TestSemConvergedResume(t *testing.T) {
 	eng.Cleanup()
 }
 
-// semZipfGraph is the medium high-fan-in graph the SEM crossover is
-// measured on: the partitioned baseline buffers and spills heavily, SEM
-// pins 16000 states in a few hundred KiB.
+// semZipfGraph is the medium high-fan-in graph the semi-external
+// crossover is measured on: the partitioned baseline buffers and spills
+// heavily, the fitting budget pins 16000 states in a few hundred KiB.
 func semZipfGraph(tb testing.TB) *dos.Graph {
 	tb.Helper()
 	edges := gen.Zipf(16000, 160_000, 1.05, 7)
@@ -423,16 +510,14 @@ func semZipfGraph(tb testing.TB) *dos.Graph {
 	return g
 }
 
-// semBenchOpts pairs the buffered multi-partition baseline against the
-// forced fast path on the same graph and program.
+// semBenchOpts pairs the buffered multi-partition budget against the
+// fitting one on the same graph and program.
 func semBenchOpts(g *dos.Graph, sem bool) Options {
 	if sem {
-		return Options{MemoryBudget: 64 << 20, DynamicMessages: true,
-			SemiExternal: SemOn, MaxIterations: 3}
+		return Options{MemoryBudget: 64 << 20, DynamicMessages: true, MaxIterations: 3}
 	}
 	return Options{MemoryBudget: budgetForPartitions(g, 16, 4, 4096),
-		DynamicMessages: true, MsgBufferBytes: 4096,
-		SemiExternal: SemOff, MaxIterations: 3}
+		DynamicMessages: true, MsgBufferBytes: 4096, MaxIterations: 3}
 }
 
 func runSemBench(tb testing.TB, g *dos.Graph, sem bool) Result {
@@ -468,7 +553,7 @@ func BenchmarkEngineSEM(b *testing.B) {
 	}
 }
 
-// TestSEMSpeedup asserts the paper-level claim the mode exists for: on
+// TestSEMSpeedup asserts the paper-level claim pinning exists for: on
 // the medium Zipf graph, the zero-spill resident-state run beats the
 // buffered partitioned run by at least 1.5x. Timing-sensitive; skipped
 // under -short and race builds.

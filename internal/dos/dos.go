@@ -176,34 +176,16 @@ func (g *Graph) Adjacency(x graph.VertexID, dst []graph.VertexID) ([]graph.Verte
 		return dst, nil
 	}
 	off := g.Buckets[b].FirstOff + int64(x-g.Buckets[b].FirstID)*int64(g.Buckets[b].Degree)
-	if g.Version() == 2 {
-		r, err := g.Entries(off, off+int64(deg))
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < deg; i++ {
-			v, err := r.Next()
-			if err != nil {
-				return nil, fmt.Errorf("dos: adjacency of vertex %d: %w", x, err)
-			}
-			dst = append(dst, v)
-		}
-		return dst, nil
-	}
-	f, err := g.dev.Open(g.EdgesFile())
+	r, err := g.Entries(off, off+int64(deg))
 	if err != nil {
 		return nil, err
-	}
-	buf := make([]byte, deg*EntryBytes)
-	n, err := f.ReadAt(buf, off*EntryBytes)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("dos: short adjacency read for vertex %d: %d of %d bytes", x, n, len(buf))
 	}
 	for i := 0; i < deg; i++ {
-		dst = append(dst, graph.VertexID(binary.LittleEndian.Uint32(buf[i*EntryBytes:])))
+		v, err := r.Next()
+		if err != nil {
+			return nil, fmt.Errorf("dos: adjacency of vertex %d: %w", x, err)
+		}
+		dst = append(dst, v)
 	}
 	return dst, nil
 }
@@ -470,34 +452,6 @@ func Load(dev *storage.Device, prefix string) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// RangeEdgeReader returns a sequential reader over the adjacency entries
-// of the vertex range [lo, hi) — the access pattern of the engine's Sio
-// component — plus the entry offset the range starts at. It is a v1-only
-// raw-byte view; block-encoded graphs must use Entries.
-func (g *Graph) RangeEdgeReader(lo, hi graph.VertexID) (*storage.Reader, int64, error) {
-	if g.Version() != 1 {
-		return nil, 0, fmt.Errorf("dos: RangeEdgeReader reads raw v1 bytes; use Entries for a v%d graph", g.Version())
-	}
-	start, err := g.EdgeOffset(lo)
-	if err != nil {
-		return nil, 0, err
-	}
-	var end int64
-	if int(hi) >= g.NumVertices {
-		end = g.NumEdges
-	} else {
-		end, err = g.EdgeOffset(hi)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	f, err := g.dev.Open(g.EdgesFile())
-	if err != nil {
-		return nil, 0, err
-	}
-	return storage.NewRangeReader(f, start*EntryBytes, end*EntryBytes), start, nil
 }
 
 // ConvertConfig parameterizes the out-of-core conversion.

@@ -244,30 +244,6 @@ func TestConvertSelfLoopsAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestRangeEdgeReader(t *testing.T) {
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	g := convertEdges(t, dev, paperEdges, "g")
-	r, start, err := g.RangeEdgeReader(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start != 3 {
-		t.Errorf("start = %d, want 3", start)
-	}
-	// Vertices 1..2 have degrees 2 and 1: 3 entries * 4 bytes.
-	if r.Remaining() != 12 {
-		t.Errorf("Remaining = %d, want 12", r.Remaining())
-	}
-	// Range to the end.
-	r2, _, err := g.RangeEdgeReader(0, graph.VertexID(g.NumVertices))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Remaining() != g.NumEdges*EntryBytes {
-		t.Errorf("full range = %d bytes, want %d", r2.Remaining(), g.NumEdges*EntryBytes)
-	}
-}
-
 // referenceRelabel computes the degree ordering in memory: vertices (IDs
 // appearing as src or dst) sorted by (out-degree desc, old ID asc).
 func referenceRelabel(edges []graph.Edge) (n2o []graph.VertexID, deg map[graph.VertexID]uint32) {

@@ -159,14 +159,6 @@ func TestV2Entries(t *testing.T) {
 	}
 }
 
-func TestV2RangeEdgeReaderRejected(t *testing.T) {
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecRaw, 0)
-	if _, _, err := g.RangeEdgeReader(0, 2); err == nil {
-		t.Error("RangeEdgeReader on a v2 graph should fail")
-	}
-}
-
 func TestV2EmptyGraph(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	g := convertEdgesV2(t, dev, nil, "g", storage.CodecVarint, 0)

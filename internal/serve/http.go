@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -53,9 +54,30 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a POST /jobs body — two orders of magnitude above
+// any real SubmitRequest — so a hostile request cannot allocate outside
+// every serve budget.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	err := dec.Decode(&req)
+	if err == nil {
+		// Only whitespace may follow the object.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the request object")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errBody{Error: "request body exceeds " + strconv.FormatInt(tooBig.Limit, 10) + " bytes"})
+		return
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

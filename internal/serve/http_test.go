@@ -223,3 +223,54 @@ func TestResultNonFiniteValues(t *testing.T) {
 		t.Errorf("writeJSON(+Inf) = %d %q, want 500 with an error body", rec.Code, rec.Body)
 	}
 }
+
+// TestSubmitBody: POST /jobs reads a bounded body holding exactly one
+// JSON object. An oversized body is refused with 413 before it is
+// buffered, trailing data with 400; unknown keys — the retired "sem" among
+// them — stay ignored, so an old client's request still runs.
+func TestSubmitBody(t *testing.T) {
+	g, _ := buildGraph(t, 96)
+	s := newServer(t, 256<<20, g)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"oversized", `{"graph":"` + strings.Repeat("a", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"trailing data", `{"graph":"main","algo":"BFS"} junk`, http.StatusBadRequest},
+		{"second object", `{"graph":"main","algo":"BFS"}{}`, http.StatusBadRequest},
+		{"normal", `{"graph":"main","algo":"BFS"}` + "\n", http.StatusAccepted},
+		{"retired sem key", `{"graph":"main","algo":"CC","sem":"on"}`, http.StatusAccepted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := c.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				t.Fatalf("POST /jobs = %d, want %d", resp.StatusCode, tc.code)
+			}
+			if tc.code != http.StatusAccepted {
+				var eb errBody
+				if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+					t.Errorf("error body %+v (%v), want a JSON error", eb, err)
+				}
+				return
+			}
+			var st JobStatus
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = s.Wait(st.ID); err != nil || st.State != StateDone {
+				t.Errorf("accepted job: %+v (%v), want done", st, err)
+			}
+		})
+	}
+	if got := s.Stats().JobsTotal; got != 2 {
+		t.Errorf("%d jobs admitted, want the 2 accepted ones", got)
+	}
+}

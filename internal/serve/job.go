@@ -46,13 +46,6 @@ type SubmitRequest struct {
 	Iterations int     `json:"iterations,omitempty"`
 	Damping    float32 `json:"damping,omitempty"`
 	Walkers    int     `json:"walkers,omitempty"`
-	// Sem selects the engine's semi-external-memory mode: "auto" (or
-	// empty), "on", "off". A "sem":"on" job is rejected at submission
-	// unless its budget clears core.SemBudgetBytes for this graph and
-	// algorithm — admission reserves the job's whole budget, and a SEM
-	// run pins its vertex states resident for the entire run, so a
-	// budget that cannot pin them could never start.
-	Sem string `json:"sem,omitempty"`
 }
 
 // Job is one submitted run. Fields past the constructor are guarded by
@@ -62,7 +55,6 @@ type Job struct {
 	Graph  string
 	Algo   bench.Algo
 	Budget int64
-	Sem    core.SemMode
 
 	state     JobState
 	err       error
@@ -94,7 +86,6 @@ type JobStatus struct {
 	Algo      string    `json:"algo"`
 	State     JobState  `json:"state"`
 	Budget    int64     `json:"budget"`
-	Sem       string    `json:"sem,omitempty"`
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started,omitempty"`
 	Finished  time.Time `json:"finished,omitempty"`
@@ -125,7 +116,7 @@ func (j *Job) setRunning() {
 func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID: j.ID, Graph: j.Graph, Algo: string(j.Algo), State: j.state,
-		Budget: j.Budget, Sem: j.Sem.String(),
+		Budget:    j.Budget,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,
 		Iterations: j.result.Iterations, Partitions: j.result.Partitions,
 		WallTime:          j.wall,
@@ -183,22 +174,6 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("%w: job budget %d cannot fit: %d of %d server budget remain after resident graphs",
 			ErrBadRequest, budget, s.cfg.MemoryBudget-s.resident, s.cfg.MemoryBudget)
 	}
-	sem, err := core.ParseSemMode(req.Sem)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	// A forced-SEM job pins its full vertex-state array resident for the
-	// whole run, all inside the budget admission reserves for it. If the
-	// budget cannot cover that pin, core.New would fail the moment the
-	// job is admitted — reject now, at submission, with the floor the
-	// caller must clear. (An "auto" job whose budget misses the floor
-	// simply runs partitioned; nothing to reject.)
-	if sem == core.SemOn {
-		if need := core.SemBudgetBytes(rg.sg.View(), bench.AlgoVertexSize(algo)); budget < need {
-			return JobStatus{}, fmt.Errorf("%w: semi-external %s on %q needs a job budget of at least %d B to pin vertex states resident, got %d B",
-				ErrBadRequest, algo, req.Graph, need, budget)
-		}
-	}
 	params := bench.AlgoParams{
 		Iterations: req.Iterations,
 		Damping:    req.Damping,
@@ -222,7 +197,6 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 		Graph:     req.Graph,
 		Algo:      algo,
 		Budget:    budget,
-		Sem:       sem,
 		state:     StateQueued,
 		submitted: time.Now(),
 		params:    params,
@@ -256,7 +230,6 @@ func (s *Server) run(j *Job) {
 	opts := core.Options{
 		MemoryBudget:    j.Budget,
 		DynamicMessages: true,
-		SemiExternal:    j.Sem,
 		Context:         j.ctx,
 		Name:            j.ID,
 		SharedAdjacency: j.rg.sg.Adjacency(),

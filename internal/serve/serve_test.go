@@ -361,70 +361,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSemAdmission: a forced-SEM job whose budget cannot pin its vertex
-// states resident is never admitted — rejected at submission, before it
-// can occupy a queue slot or reach core.New — while the same job with a
-// budget clearing core.SemBudgetBytes runs semi-external and returns
-// values identical to the partitioned solo run.
-func TestSemAdmission(t *testing.T) {
-	g, _ := buildGraph(t, 96)
-	s := newServer(t, 256<<20, g)
-
-	need := core.SemBudgetBytes(core.DOSLayout(g), bench.AlgoVertexSize(bench.CC))
-
-	// Under the pin floor: rejected outright, nothing queued or running.
-	_, err := s.Submit(SubmitRequest{Graph: "main", Algo: "CC", Budget: need - 1, Sem: "on"})
-	if !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("unpinnable SEM submit err = %v, want ErrBadRequest", err)
-	}
-	if st := s.Stats(); st.JobsQueued != 0 || st.JobsRunning != 0 || st.BudgetInUse != 0 {
-		t.Fatalf("rejected SEM job left admission state behind: %+v", st)
-	}
-
-	// Garbage mode string is a 400, not a silent auto.
-	if _, err := s.Submit(SubmitRequest{Graph: "main", Algo: "CC", Sem: "fast"}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("bad sem mode err = %v, want ErrBadRequest", err)
-	}
-
-	// At the floor: admitted, runs semi-external, matches the
-	// partitioned baseline byte for byte.
-	st := submitWait(t, s, SubmitRequest{Graph: "main", Algo: "CC", Budget: need, Sem: "on"})
-	if st.State != StateDone {
-		t.Fatalf("SEM job: %s (%s)", st.State, st.Error)
-	}
-	if st.Sem != "on" {
-		t.Errorf("status sem = %q, want on", st.Sem)
-	}
-	want := soloValues(t, g, bench.CC, bench.AlgoParams{}, 8<<20)
-	res, err := s.Result(st.ID, 0, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vv := range res.All {
-		if vv.Value != want[vv.Vertex] {
-			t.Fatalf("SEM vertex %d = %v, partitioned solo %v", vv.Vertex, vv.Value, want[vv.Vertex])
-		}
-	}
-	// The exported per-job metrics prove the engine actually took the
-	// fast path (and, by the zero spill counter, never buffered).
-	snap := s.reg.Snapshot()
-	semRuns, spilled := false, int64(0)
-	for name, v := range snap {
-		if strings.Contains(name, "graphz_sem_runs_total") && strings.Contains(name, st.ID) {
-			semRuns = v == 1
-		}
-		if strings.Contains(name, "graphz_messages_spilled_total") && strings.Contains(name, st.ID) {
-			spilled = v
-		}
-	}
-	if !semRuns {
-		t.Errorf("job metrics missing graphz_sem_runs_total=1 for %s", st.ID)
-	}
-	if spilled != 0 {
-		t.Errorf("SEM job spilled %d messages, want 0", spilled)
-	}
-}
-
 // TestJobFilesCleanedUp: a finished (or cancelled) job leaves no runtime
 // files on the shared device.
 func TestJobFilesCleanedUp(t *testing.T) {
