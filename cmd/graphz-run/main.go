@@ -24,8 +24,8 @@ import (
 	"time"
 
 	"graphz/internal/algo/chialgo"
-	"graphz/internal/algo/graphzalgo"
 	"graphz/internal/algo/xsalgo"
+	"graphz/internal/bench"
 	"graphz/internal/checkpoint"
 	"graphz/internal/core"
 	"graphz/internal/dos"
@@ -339,65 +339,16 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 		// silently mixing states.
 		opts.Name = "graphz-" + algo
 	}
-	var res core.Result
-	var vals []float64
-	collect32 := func(v []float32) {
-		vals = make([]float64, len(v))
-		for i, x := range v {
-			vals[i] = float64(x)
-		}
+	a, err := bench.ParseAlgo(algo)
+	if err != nil {
+		return 0, nil, err
 	}
-	collectU := func(v []uint32) {
-		vals = make([]float64, len(v))
-		for i, x := range v {
-			vals[i] = float64(x)
-		}
+	if int(src) >= len(o2n) {
+		return 0, nil, fmt.Errorf("-source %d is not a vertex of the graph (%d vertices)", src, len(o2n))
 	}
-	switch algo {
-	case "pr":
-		r, v, err := graphzalgo.PageRank(g, opts, iters, 0.85)
-		if err != nil {
-			return 0, nil, err
-		}
-		res = r
-		collect32(v)
-	case "bfs":
-		r, v, err := graphzalgo.BFS(g, opts, o2n[src])
-		if err != nil {
-			return 0, nil, err
-		}
-		res = r
-		collectU(v)
-	case "cc":
-		r, v, err := graphzalgo.ConnectedComponents(g, opts)
-		if err != nil {
-			return 0, nil, err
-		}
-		res = r
-		collectU(v)
-	case "sssp":
-		r, v, err := graphzalgo.SSSP(g, opts, o2n[src])
-		if err != nil {
-			return 0, nil, err
-		}
-		res = r
-		collect32(v)
-	case "bp":
-		r, v, err := graphzalgo.BeliefPropagation(g, opts, iters)
-		if err != nil {
-			return 0, nil, err
-		}
-		res = r
-		collect32(v)
-	case "rw":
-		r, v, err := graphzalgo.RandomWalk(g, opts, iters, 1)
-		if err != nil {
-			return 0, nil, err
-		}
-		res = r
-		collectU(v)
-	default:
-		return 0, nil, fmt.Errorf("unknown algorithm %q", algo)
+	res, vals, err := bench.ExecAlgo(a, core.DOSLayout(g), opts, bench.AlgoParams{Source: o2n[src], Iterations: iters})
+	if err != nil {
+		return 0, nil, err
 	}
 	if res.SemiExternal {
 		fmt.Printf("sem: semi-external — one partition, vertex states resident, %d messages applied inline, zero spill\n",
@@ -439,37 +390,37 @@ func runGraphChi(dev *storage.Device, clock *sim.Clock, reg *obs.Registry, trace
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widen32(v)
+		res, vals = r, widen(v)
 	case "bfs":
 		r, v, err := chialgo.BFS(sh, opts, src)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widenU(v)
+		res, vals = r, widen(v)
 	case "cc":
 		r, v, err := chialgo.ConnectedComponents(sh, opts)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widenU(v)
+		res, vals = r, widen(v)
 	case "sssp":
 		r, v, err := chialgo.SSSP(sh, opts, src)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widen32(v)
+		res, vals = r, widen(v)
 	case "bp":
 		r, v, err := chialgo.BeliefPropagation(sh, opts, iters)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widen32(v)
+		res, vals = r, widen(v)
 	case "rw":
 		r, v, err := chialgo.RandomWalk(sh, opts, iters, 1)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widenU(v)
+		res, vals = r, widen(v)
 	default:
 		return 0, nil, fmt.Errorf("unknown algorithm %q", algo)
 	}
@@ -491,52 +442,44 @@ func runXStream(dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widen32(v)
+		res, vals = r, widen(v)
 	case "bfs":
 		r, v, err := xsalgo.BFS(pt, opts, src)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widenU(v)
+		res, vals = r, widen(v)
 	case "cc":
 		r, v, err := xsalgo.ConnectedComponents(pt, opts)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widenU(v)
+		res, vals = r, widen(v)
 	case "sssp":
 		r, v, err := xsalgo.SSSP(pt, opts, src)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widen32(v)
+		res, vals = r, widen(v)
 	case "bp":
 		r, v, err := xsalgo.BeliefPropagation(pt, opts, iters)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widen32(v)
+		res, vals = r, widen(v)
 	case "rw":
 		r, v, err := xsalgo.RandomWalk(pt, opts, iters, 1)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, vals = r, widenU(v)
+		res, vals = r, widen(v)
 	default:
 		return 0, nil, fmt.Errorf("unknown algorithm %q", algo)
 	}
 	return res.Iterations, identityMap(vals), nil
 }
 
-func widen32(v []float32) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-func widenU(v []uint32) []float64 {
+func widen[T float32 | uint32](v []T) []float64 {
 	out := make([]float64, len(v))
 	for i, x := range v {
 		out[i] = float64(x)

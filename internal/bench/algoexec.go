@@ -10,9 +10,10 @@ import (
 )
 
 // One shared dispatch from an algorithm name to a core-engine run, used
-// by the benchmark harness and the graphz-serve job runner: both hand an
-// (algo, layout, options) triple here, so a served job executes exactly
-// the code path the CLI and the evaluation tables measure.
+// by the benchmark harness, the graphz-serve job runner and graphz-run:
+// all three hand an (algo, layout, options) triple here, so a served job
+// executes exactly the code path the CLI and the evaluation tables
+// measure.
 
 // AlgoParams carries the per-algorithm knobs. Zero values mean the
 // benchmark defaults (Section VI-A: 10 PR iterations at 0.85 damping,

@@ -97,20 +97,6 @@ func (e *Engine[V, M]) computeLayoutHash() uint64 {
 	return h.Sum64()
 }
 
-// checkpointCounters snapshots the cumulative counters for the manifest.
-func (e *Engine[V, M]) checkpointCounters() checkpoint.Counters {
-	return checkpoint.Counters{
-		Sent:          e.sent,
-		Applied:       e.applied,
-		Inline:        e.inline,
-		Buffered:      e.bufferedN,
-		Spilled:       e.spilled,
-		Updates:       e.updates,
-		BlocksScanned: e.blocksScanned,
-		BlocksSkipped: e.blocksSkipped,
-	}
-}
-
 // activeSectionName is the checkpoint section holding the selective
 // scheduler's bitmap; written only when selective scheduling is on.
 const activeSectionName = "activeset"
@@ -169,7 +155,7 @@ func (e *Engine[V, M]) writeCheckpoint(iters int, done bool) error {
 		Partitions: e.NumPartitions(),
 		VSize:      e.vsize,
 		MSize:      e.msize,
-		Counters:   e.checkpointCounters(),
+		Counters:   e.c.Counters,
 	}
 	n, err := e.ckStore.Write(m, secs)
 	if err != nil {
@@ -180,17 +166,13 @@ func (e *Engine[V, M]) writeCheckpoint(iters int, done bool) error {
 	}
 	e.chargeCheckpointIO(n, false)
 	d := time.Since(start)
-	e.ckCount++
-	e.ckBytes += n
-	e.ckNS += int64(d)
-	e.eo.ckpts.Inc()
-	e.eo.ckptBytes.Add(n)
-	e.eo.ckptNS.Add(int64(d))
-	e.eo.ckptHist.Observe(d)
+	e.c.ckpts++
+	e.c.ckptBytes += n
+	e.c.ckptNS += int64(d)
 	// The span carries the same duration the graphz_checkpoint_ns_total
 	// counter accumulated, so report stage totals reconcile exactly.
 	// Checkpoints cover the whole iteration boundary: part is -1.
-	e.eo.tr.Emit(engineName, obs.StageCheckpoint, iters, -1, start, d)
+	e.eo.Tr.Emit(engineName, obs.StageCheckpoint, iters, -1, start, d)
 	return nil
 }
 
@@ -323,19 +305,15 @@ func (e *Engine[V, M]) resume() (Result, error) {
 		// all-ones set New built stands — a conservative full rescan,
 		// never a wrongly skipped vertex.
 	}
-	e.sent = m.Counters.Sent
-	e.applied = m.Counters.Applied
-	e.inline = m.Counters.Inline
-	e.bufferedN = m.Counters.Buffered
-	e.spilled = m.Counters.Spilled
-	e.updates = m.Counters.Updates
-	e.blocksScanned = m.Counters.BlocksScanned
-	e.blocksSkipped = m.Counters.BlocksSkipped
+	// The ledger continues the logical run; publishing the restored
+	// baseline once keeps this process's registry equal to its Result.
+	e.c.Counters = m.Counters
+	e.publish()
 	e.chargeCheckpointIO(restored, true)
 	d := time.Since(start)
 	e.eo.restores.Inc()
 	e.eo.restoreNS.Add(int64(d))
-	e.eo.tr.Emit(engineName, obs.StageRestore, m.Iteration, -1, start, d)
+	e.eo.Tr.Emit(engineName, obs.StageRestore, m.Iteration, -1, start, d)
 	if m.Converged {
 		// The checkpointed run already finished; nothing to iterate.
 		return e.finish(m.Iteration), nil

@@ -268,15 +268,10 @@ type Engine[V, M any] struct {
 	adjData   []graph.VertexID // the cache's whole-file entries, once filled
 	msgBufs   [][]byte
 	active    bool
-	sent      int64
-	applied   int64
-	inline    int64
-	bufferedN int64
-	spilled   int64
-	updates   int64
 	finished  bool
-	runErr    error // first deferred error from message spilling
-	spillErrs int64 // all spill failures, including ones after runErr
+	runErr    error    // first deferred error from message spilling
+	c         counters // the ledger: every cumulative count, one writer each
+	published counters // c as of the last publish
 
 	// Worker batch-dispatch scratch, reused across partitions by the
 	// engine-goroutine Worker loop (updateRuns); speculating chunks carry
@@ -288,26 +283,15 @@ type Engine[V, M any] struct {
 	onInline func(dst graph.VertexID)
 
 	// selective scheduling state (Options.SelectiveScheduling)
-	sel           *activeSet // per-vertex schedulability bits; nil when off
-	denseAt       float64    // density at which a partition streams fully; tests raise it to force the sparse plan
-	selDegs       []uint32   // planner scratch: current partition's degrees
-	blocksScanned int64
-	blocksSkipped int64
+	sel     *activeSet // per-vertex schedulability bits; nil when off
+	denseAt float64    // density at which a partition streams fully; tests raise it to force the sparse plan
+	selDegs []uint32   // planner scratch: current partition's degrees
 
 	// durability state (Options.Checkpoint)
 	ckStore    *checkpoint.Store
 	layoutHash uint64
-	ckCount    int64
-	ckBytes    int64
-	ckNS       int64
 
-	// adjacency-codec accounting (block-encoded layouts only)
-	codecRawBytes int64
-	codecEncBytes int64
-	codecDecodeNS int64
-
-	eo          engineObs
-	stageTotals obs.StageTimes
+	eo engineObs
 }
 
 // New validates the configuration and plans the partitioning. It returns
@@ -501,6 +485,7 @@ func (e *Engine[V, M]) Run() (Result, error) {
 // completed by a restored checkpoint) until convergence or
 // MaxIterations, checkpointing at the configured boundaries.
 func (e *Engine[V, M]) loop(startIter int) (Result, error) {
+	defer e.publish()
 	nParts := e.NumPartitions()
 	iters := startIter
 	for {
@@ -508,7 +493,7 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 			e.opts.Clock.BeginPhase(fmt.Sprintf("iter%d", iters))
 		}
 		e.active = false
-		sentBefore := e.sent
+		before := e.c
 		var pendingBefore int64
 		for p := 0; p < nParts; p++ {
 			pend, err := e.pendingBytes(p)
@@ -517,48 +502,16 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 			}
 			pendingBefore += pend
 		}
-		var row *obs.IterStats
 		var devBefore storage.Stats
-		inlineBefore, bufferedBefore, spilledBefore := e.inline, e.bufferedN, e.spilled
-		if e.eo.on {
-			row = &obs.IterStats{Iteration: iters}
+		if e.eo.On {
 			devBefore = e.dev.Stats()
 		}
-		for p := 0; p < nParts; p++ {
-			// Cancellation is honored at partition boundaries: the
-			// per-run state is never left mid-partition, so a cancelled
-			// job's budget can be released immediately and its files
-			// removed without draining anything.
-			if err := e.ctxErr(); err != nil {
-				return Result{}, err
-			}
-			err := e.runPartition(p, iters, row)
-			// A deferred spill failure predates whatever the partition
-			// tripped over afterwards (often a knock-on effect of the
-			// same full device), so it takes precedence.
-			if e.runErr != nil {
-				return Result{}, e.wrapRunErr()
-			}
-			if err != nil {
-				return Result{}, err
-			}
+		err := e.runIteration(iters)
+		if e.eo.On {
+			e.recordIter(iters, before, devBefore)
 		}
-		if e.sel != nil {
-			e.eo.activeVerts.Set(e.sel.count)
-			if row != nil {
-				row.ActiveVertices = e.sel.count
-			}
-		}
-		if row != nil {
-			row.MessagesInline = e.inline - inlineBefore
-			row.MessagesBuffered = e.bufferedN - bufferedBefore
-			row.MessagesSpilled = e.spilled - spilledBefore
-			devNow := e.dev.Stats()
-			row.DeviceReadBytes = devNow.ReadBytes - devBefore.ReadBytes
-			row.DeviceWriteBytes = devNow.WriteBytes - devBefore.WriteBytes
-			row.DeviceSeeks = devNow.Seeks - devBefore.Seeks
-			e.eo.reg.RecordIter(*row)
-			e.sampleMemory(iters)
+		if err != nil {
+			return Result{}, err
 		}
 		iters++
 		// Done on MaxIterations, or converged: nothing changed, nothing
@@ -566,7 +519,7 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 		// or, under ConvergeOnInactivity, as soon as nothing changed.
 		done := e.opts.MaxIterations > 0 && iters >= e.opts.MaxIterations
 		if !done && !e.active && (e.opts.ConvergeOnInactivity ||
-			(e.sent == sentBefore && pendingBefore == 0)) {
+			(e.c.Sent == before.Sent && pendingBefore == 0)) {
 			done = true
 		}
 		// Checkpoint at the iteration boundary: on cadence (absolute
@@ -593,45 +546,63 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 	return e.finish(iters), nil
 }
 
+// runIteration runs every partition once, publishing the ledger after
+// each.
+func (e *Engine[V, M]) runIteration(iter int) error {
+	for p := 0; p < e.NumPartitions(); p++ {
+		// Cancellation is honored at partition boundaries: the
+		// per-run state is never left mid-partition, so a cancelled
+		// job's budget can be released immediately and its files
+		// removed without draining anything.
+		if err := e.ctxErr(); err != nil {
+			return err
+		}
+		err := e.runPartition(p, iter)
+		e.publish()
+		// A deferred spill failure predates whatever the partition
+		// tripped over afterwards (often a knock-on effect of the
+		// same full device), so it takes precedence.
+		if e.runErr != nil {
+			return e.wrapRunErr()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // finish marks the run (fresh, resumed, or restored already converged)
 // complete: the message stores are deleted — the vertex states remain for
 // Values; removal failures don't fail the run, the results are already
-// durable, but they are counted — and the Result is assembled from the
-// engine's cumulative counters.
+// durable, but they are counted — and the Result is projected from the
+// ledger.
 func (e *Engine[V, M]) finish(iters int) Result {
 	e.finished = true
-	nParts := e.NumPartitions()
-	for p := 0; p < nParts; p++ {
-		if err := e.dev.Remove(e.msgFile(p)); err != nil {
-			e.eo.removeErrs.Inc()
-		}
-	}
+	e.removeFiles(e.msgFiles...)
 	if e.SemiExternal() {
 		e.eo.semRuns.Inc()
 	}
-	if e.eo.on {
-		foldDeviceStats(e.eo.reg, e.dev.Stats())
-	}
 	return Result{
 		Iterations:        iters,
-		Partitions:        nParts,
+		Partitions:        e.NumPartitions(),
 		SemiExternal:      e.SemiExternal(),
-		MessagesSent:      e.sent,
-		MessagesApplied:   e.applied,
-		MessagesInline:    e.inline,
-		MessagesBuffered:  e.bufferedN,
-		MessagesSpilled:   e.spilled,
-		SpillErrors:       e.spillErrs,
-		UpdatesRun:        e.updates,
-		BlocksScanned:     e.blocksScanned,
-		BlocksSkipped:     e.blocksSkipped,
-		Checkpoints:       e.ckCount,
-		CheckpointBytes:   e.ckBytes,
-		CheckpointTime:    time.Duration(e.ckNS),
-		CodecBytesRaw:     e.codecRawBytes,
-		CodecBytesEncoded: e.codecEncBytes,
-		DecodeTime:        time.Duration(e.codecDecodeNS),
-		Stages:            e.stageTotals,
+		MessagesSent:      e.c.Sent,
+		MessagesApplied:   e.c.Applied,
+		MessagesInline:    e.c.Inline,
+		MessagesBuffered:  e.c.Buffered,
+		MessagesSpilled:   e.c.Spilled,
+		SpillErrors:       e.c.spillErrs,
+		UpdatesRun:        e.c.Updates,
+		BlocksScanned:     e.c.BlocksScanned,
+		BlocksSkipped:     e.c.BlocksSkipped,
+		Checkpoints:       e.c.ckpts,
+		CheckpointBytes:   e.c.ckptBytes,
+		CheckpointTime:    time.Duration(e.c.ckptNS),
+		CodecBytesRaw:     e.c.codecRawBytes,
+		CodecBytesEncoded: e.c.codecEncBytes,
+		DecodeTime:        time.Duration(e.c.codecDecodeNS),
+		Stages:            e.eo.Run,
 	}
 }
 
@@ -656,7 +627,7 @@ func (e *Engine[V, M]) ctxErr() error {
 // itself, so spillErrs-1 were dropped. The %w keeps errors.Is working on
 // the original cause.
 func (e *Engine[V, M]) wrapRunErr() error {
-	dropped := e.spillErrs - 1
+	dropped := e.c.spillErrs - 1
 	if dropped <= 0 {
 		return e.runErr
 	}
@@ -667,9 +638,8 @@ func (e *Engine[V, M]) wrapRunErr() error {
 	return fmt.Errorf("%w (%d later spill %s dropped)", e.runErr, dropped, noun)
 }
 
-// runPartition processes one partition for one iteration. row, when
-// non-nil, accumulates this iteration's observability stats.
-func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
+// runPartition processes one partition for one iteration.
+func (e *Engine[V, M]) runPartition(p, iter int) error {
 	lo, hi := e.partStarts[p], e.partStarts[p+1]
 	count := int(hi - lo)
 	if count == 0 {
@@ -689,11 +659,11 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 			return err
 		}
 		if pend == 0 && !e.sel.anyInRange(lo, hi) {
-			e.accountSelective(selSchedule{blocksTotal: blocksIn(start, end, e.adj.BlockEntries)}, row)
+			e.accountSelective(selSchedule{blocksTotal: blocksIn(start, end, e.adj.BlockEntries)})
 			// A whole-partition skip schedules no runs: every block of the
 			// partition's entry range is a skip cell.
 			e.heatSelective(selSchedule{}, start, end)
-			e.eo.partsSkipped.Inc()
+			e.c.partsSkipped++
 			return nil
 		}
 	}
@@ -706,15 +676,18 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 	// no time, span or drain-path counter, so a run whose every message is
 	// inline reports drain time 0.
 	var drainStart time.Time
-	if e.eo.on {
+	if e.eo.On {
 		drainStart = time.Now()
 	}
-	appliedBefore := e.applied
+	appliedBefore := e.c.Applied
 	if err := e.drainMessages(p, lo); err != nil {
 		return err
 	}
-	if e.eo.on && e.applied != appliedBefore {
-		e.recordDrain(iter, p, drainStart, row)
+	if e.c.Applied != appliedBefore {
+		e.c.drains++
+		if e.eo.On {
+			e.eo.Since(obs.StageDrain, iter, p, drainStart)
+		}
 	}
 
 	// The Worker's schedule is a list of vertex runs. A full scan is the
@@ -727,7 +700,7 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 	sparse := false
 	if e.sel != nil {
 		sched := e.planPartition(lo, hi, start)
-		e.accountSelective(sched, row)
+		e.accountSelective(sched)
 		e.heatSelective(sched, start, end)
 		runs, degs, sparse = sched.runs, e.selDegs, !sched.streamAll
 	}
@@ -736,7 +709,7 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 	// from the resident cache ---
 	var ps *pipeStats
 	var partStart time.Time
-	if e.eo.on {
+	if e.eo.On {
 		ps = e.newPipeStats()
 		partStart = time.Now()
 	}
@@ -750,13 +723,13 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 
 	// --- Worker: update vertices in order, intercepting messages ---
 	var workerStart time.Time
-	if e.eo.on {
+	if e.eo.On {
 		workerStart = time.Now()
 	}
 	var active bool
 	var err error
 	if !sparse && e.workerCount() > 1 && count > 1 {
-		active, err = e.runWorkerParallel(iter, start, end, ps, row)
+		active, err = e.runWorkerParallel(iter, start, end, ps)
 	} else {
 		// Sparse tails are IO-bound, so they always run sequentially.
 		active, err = e.updateRuns(iter, runs, degs, ps)
@@ -764,9 +737,9 @@ func (e *Engine[V, M]) runPartition(p, iter int, row *obs.IterStats) error {
 	if err != nil {
 		return err
 	}
-	if e.eo.on {
-		e.recordWorker(iter, p, workerStart, row)
-		e.recordPipe(ps, iter, p, partStart, row)
+	if e.eo.On {
+		e.eo.Since(obs.StageWorker, iter, p, workerStart)
+		e.recordPipe(ps, iter, p, partStart)
 	}
 	if active {
 		e.active = true
@@ -796,13 +769,12 @@ func (e *Engine[V, M]) workerCount() int {
 // message), which also keeps it schedulable under selective scheduling;
 // every other message is buffered for its partition's next drain.
 func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
-	e.sent++
+	e.c.Sent++
 	e.charge(1, sim.CostMessageSend)
 	if e.opts.DynamicMessages && dst >= e.partLo && dst < e.partHi {
 		e.prog.Apply(&e.verts[dst-e.partLo], m)
-		e.applied++
-		e.inline++
-		e.eo.inline.Inc()
+		e.c.Applied++
+		e.c.Inline++
 		e.charge(1, sim.CostMessageApply)
 		if e.sel != nil {
 			e.sel.set(dst)
@@ -812,8 +784,7 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 		}
 		return
 	}
-	e.bufferedN++
-	e.eo.buffered.Inc()
+	e.c.Buffered++
 	e.bufferMessage(dst, m)
 }
 
@@ -863,7 +834,7 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, degs []uint32, ps *pi
 				return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
 			}
 			e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
-			e.updates++
+			e.c.Updates++
 			e.charge(1, sim.CostVertexUpdate)
 			e.charge(int64(deg), sim.CostEdgeScan)
 		}
@@ -899,18 +870,11 @@ func (e *Engine[V, M]) planPartition(lo, hi graph.VertexID, start int64) selSche
 	return planSelective(e.sel, lo, hi, start, e.selDegs, e.adj.BlockEntries, e.denseAt)
 }
 
-// accountSelective folds one partition's schedule into the run's
-// block-scheduling totals, counters, and iteration row.
-func (e *Engine[V, M]) accountSelective(sched selSchedule, row *obs.IterStats) {
-	skipped := sched.blocksTotal - sched.blocksRead
-	e.blocksScanned += sched.blocksRead
-	e.blocksSkipped += skipped
-	e.eo.blocksScanned.Add(sched.blocksRead)
-	e.eo.blocksSkipped.Add(skipped)
-	if row != nil {
-		row.BlocksScanned += sched.blocksRead
-		row.BlocksSkipped += skipped
-	}
+// accountSelective folds one partition's schedule into the ledger's
+// block-scheduling totals.
+func (e *Engine[V, M]) accountSelective(sched selSchedule) {
+	e.c.BlocksScanned += sched.blocksRead
+	e.c.BlocksSkipped += sched.blocksTotal - sched.blocksRead
 }
 
 // loadVertices brings [lo, hi) into e.verts: decoded from the vertex
@@ -1008,24 +972,20 @@ func (e *Engine[V, M]) bufferMessage(dst graph.VertexID, m M) {
 func (e *Engine[V, M]) spillBuffer(p int, buf []byte) {
 	f, err := e.dev.Open(e.msgFile(p))
 	if err != nil {
-		e.spillErrs++
-		e.eo.spillErrs.Inc()
+		e.c.spillErrs++
 		if e.runErr == nil {
 			e.runErr = err
 		}
 		return
 	}
 	if _, err := f.Append(buf); err != nil {
-		e.spillErrs++
-		e.eo.spillErrs.Inc()
+		e.c.spillErrs++
 		if e.runErr == nil {
 			e.runErr = fmt.Errorf("core: spilling messages for partition %d: %w", p, err)
 		}
 		return
 	}
-	n := int64(len(buf) / (4 + e.msize))
-	e.spilled += n
-	e.eo.spilled.Add(n)
+	e.c.Spilled += int64(len(buf) / (4 + e.msize))
 }
 
 // drainMessages applies partition p's pending messages — first the
@@ -1039,7 +999,7 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 		if sz, err := e.dev.Size(e.msgFile(p)); err != nil {
 			return err
 		} else if sz == 0 {
-			e.eo.drainSkipped.Inc()
+			e.c.drainSkipped++
 			return nil
 		}
 	}
@@ -1095,7 +1055,7 @@ func (e *Engine[V, M]) applyRecord(rec []byte, lo graph.VertexID) graph.VertexID
 	dst := graph.VertexID(binary.LittleEndian.Uint32(rec))
 	m := e.mcodec.Decode(rec[4:])
 	e.prog.Apply(&e.verts[dst-lo], m)
-	e.applied++
+	e.c.Applied++
 	e.charge(1, sim.CostMessageApply)
 	if e.sel != nil {
 		// A delivered message makes the destination schedulable.
@@ -1152,11 +1112,14 @@ func (e *Engine[V, M]) ValuesByOldID() (map[graph.VertexID]V, error) {
 // rather than returned: by the time Cleanup runs the results have been
 // read, and a leftover file is an audit concern, not a correctness one.
 func (e *Engine[V, M]) Cleanup() {
-	if err := e.dev.Remove(e.vstateFile()); err != nil {
-		e.eo.removeErrs.Inc()
-	}
-	for p := 0; p < e.NumPartitions(); p++ {
-		if err := e.dev.Remove(e.msgFile(p)); err != nil {
+	e.removeFiles(e.vstateFile())
+	e.removeFiles(e.msgFiles...)
+}
+
+// removeFiles removes runtime files, counting the failures.
+func (e *Engine[V, M]) removeFiles(names ...string) {
+	for _, name := range names {
+		if err := e.dev.Remove(name); err != nil {
 			e.eo.removeErrs.Inc()
 		}
 	}

@@ -32,20 +32,7 @@ func TestEngineSurfacesDeviceFull(t *testing.T) {
 	// A capacity just above the converted graph: message spills hit the
 	// wall during the first partition's worker loop, before the vertex
 	// state is ever flushed.
-	tight := storage.NewDevice(storage.SSD, storage.Options{Capacity: used + 512})
-	for _, name := range staging.List() {
-		data, err := storage.ReadAllFile(staging, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := storage.WriteAll(tight, name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g2, err := dos.Load(tight, "g")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := loadOnCapped(t, staging, used+512)
 
 	budget := int64(pipelineOverheadBytes) + g2.IndexBytes() + int64(g2.NumVertices)*8/4 + 8*64
 	reg := obs.NewRegistry()
@@ -66,12 +53,12 @@ func TestEngineSurfacesDeviceFull(t *testing.T) {
 	}
 	// Every spill failure lands in the counter, not just the first one
 	// that aborts the run.
-	errCount := reg.CounterValue("messages_spill_errors")
+	errCount := reg.CounterValue("graphz_messages_spill_errors_total")
 	if errCount < 1 {
-		t.Error("messages_spill_errors counter not incremented")
+		t.Error("graphz_messages_spill_errors_total counter not incremented")
 	}
-	if errCount != eng.spillErrs {
-		t.Errorf("counter = %d, engine saw %d", errCount, eng.spillErrs)
+	if errCount != eng.c.spillErrs {
+		t.Errorf("counter = %d, engine saw %d", errCount, eng.c.spillErrs)
 	}
 	// When later failures were dropped behind the first, the error text
 	// says exactly how many (grammatical number included): the first
@@ -88,6 +75,28 @@ func TestEngineSurfacesDeviceFull(t *testing.T) {
 	}
 }
 
+// loadOnCapped copies a staging device holding the converted graph "g"
+// onto a fresh device of the given capacity and loads the graph there, so
+// conversion temp files do not count against the cap.
+func loadOnCapped(t *testing.T, staging *storage.Device, capacity int64) *dos.Graph {
+	t.Helper()
+	dev := storage.NewDevice(storage.SSD, storage.Options{Capacity: capacity})
+	for _, name := range staging.List() {
+		data, err := storage.ReadAllFile(staging, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.WriteAll(dev, name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := dos.Load(dev, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestWrapRunErrMessage pins wrapRunErr's exact annotation: no suffix for
 // a single failure, singular for one dropped, plural beyond — and never
 // the historical off-by-grammar "(1 later spill errors dropped)".
@@ -102,7 +111,7 @@ func TestWrapRunErrMessage(t *testing.T) {
 		{3, "boom (2 later spill errors dropped)"},
 		{5, "boom (4 later spill errors dropped)"},
 	} {
-		e := &Engine[minVal, uint32]{runErr: base, spillErrs: tc.spillErrs}
+		e := &Engine[minVal, uint32]{runErr: base, c: counters{spillErrs: tc.spillErrs}}
 		err := e.wrapRunErr()
 		if got := err.Error(); got != tc.want {
 			t.Errorf("spillErrs=%d: message = %q, want %q", tc.spillErrs, got, tc.want)

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graphz/internal/checkpoint"
 	"graphz/internal/graph"
 	"graphz/internal/obs"
 	"graphz/internal/storage"
@@ -12,122 +13,152 @@ import (
 // engineName labels the core engine's spans and metrics.
 const engineName = "graphz"
 
-// engineObs bundles the engine's resolved observability instruments. All
-// instruments are nil-safe, so the struct is populated unconditionally;
-// `on` gates the timing code (time.Now calls, per-iteration rows) that
-// would otherwise cost even with no sink attached.
+// counters is the engine's one ledger: every cumulative count it keeps,
+// each written on the engine goroutine as a plain += at the one site
+// where the fact happens (send, plus commitChunk's fold of a chunk's
+// privately counted messages). Everything else is a view: Result is a projection at finish, the
+// iteration row is the delta across an iteration (recordIter), the
+// registry receives current − last published through ledgerMetrics
+// (publish), and the embedded checkpoint.Counters is the manifest's copy
+// as is. Stage wall time is the one family kept beside it, in the
+// StageRecorder the three engines share. Comparable.
+type counters struct {
+	// The counts a checkpoint carries: a resumed run continues them, so
+	// its Result and registry describe the whole logical run.
+	checkpoint.Counters
+
+	// This process only.
+	spillErrs    int64 // spill failures (the first aborts the run)
+	partsSkipped int64 // whole partitions skipped (no bits, no messages)
+	drains       int64 // drains that applied at least one message
+	drainSkipped int64 // drains that found nothing pending
+
+	// Pipeline activity, folded from pipeStats once per partition and so
+	// counted only while a sink is attached.
+	sioBlocks     int64 // adjacency blocks prefetched off the device
+	sioStalls     int64 // Worker waits on an empty prefetch queue
+	adjHits       int64 // partitions served from the resident adjacency cache
+	codecRawBytes int64 // decoded adjacency bytes produced (4 per entry)
+	codecEncBytes int64 // encoded adjacency bytes read off the device
+	codecDecodeNS int64 // time spent in Codec.DecodeBlock
+
+	// Chunked parallel Worker; all zero on the sequential path.
+	workerChunks   int64 // chunks executed speculatively
+	workerReexecs  int64 // chunks invalidated and re-executed at commit
+	workerSpecNS   int64 // summed speculative-execution time across workers
+	workerCommitNS int64 // ordered commit (validate/replay/re-execute) time
+
+	ckpts     int64 // checkpoints written
+	ckptBytes int64 // bytes persisted across all checkpoints
+	ckptNS    int64 // wall time spent writing checkpoints
+}
+
+// ledgerMetrics is the one name table: every ledger field the registry
+// exposes. Adding or removing a metric is one row here (and one in
+// docs/OBSERVABILITY.md, which TestMetricCatalog holds to it).
+var ledgerMetrics = [...]struct {
+	name  string
+	field func(*counters) *int64
+}{
+	{"graphz_messages_inline_total", func(c *counters) *int64 { return &c.Inline }},
+	{"graphz_messages_buffered_total", func(c *counters) *int64 { return &c.Buffered }},
+	{"graphz_messages_spilled_total", func(c *counters) *int64 { return &c.Spilled }},
+	{"graphz_messages_spill_errors_total", func(c *counters) *int64 { return &c.spillErrs }},
+	{"graphz_blocks_scanned_total", func(c *counters) *int64 { return &c.BlocksScanned }},
+	{"graphz_blocks_skipped_total", func(c *counters) *int64 { return &c.BlocksSkipped }},
+	{"graphz_partitions_skipped_total", func(c *counters) *int64 { return &c.partsSkipped }},
+	{"graphz_drain_serial_total", func(c *counters) *int64 { return &c.drains }},
+	{"graphz_drain_skipped_total", func(c *counters) *int64 { return &c.drainSkipped }},
+	{"graphz_sio_blocks_total", func(c *counters) *int64 { return &c.sioBlocks }},
+	{"graphz_sio_stalls_total", func(c *counters) *int64 { return &c.sioStalls }},
+	{"graphz_adjcache_hits_total", func(c *counters) *int64 { return &c.adjHits }},
+	{"graphz_codec_bytes_raw_total", func(c *counters) *int64 { return &c.codecRawBytes }},
+	{"graphz_codec_bytes_encoded_total", func(c *counters) *int64 { return &c.codecEncBytes }},
+	{"graphz_codec_decode_ns_total", func(c *counters) *int64 { return &c.codecDecodeNS }},
+	{"graphz_worker_chunks_total", func(c *counters) *int64 { return &c.workerChunks }},
+	{"graphz_worker_chunk_reexecs_total", func(c *counters) *int64 { return &c.workerReexecs }},
+	{"graphz_stage_worker_spec_ns_total", func(c *counters) *int64 { return &c.workerSpecNS }},
+	{"graphz_stage_worker_commit_ns_total", func(c *counters) *int64 { return &c.workerCommitNS }},
+	{"graphz_checkpoint_total", func(c *counters) *int64 { return &c.ckpts }},
+	{"graphz_checkpoint_bytes_total", func(c *counters) *int64 { return &c.ckptBytes }},
+	{"graphz_checkpoint_ns_total", func(c *counters) *int64 { return &c.ckptNS }},
+}
+
+// engineObs is the engine's observability sinks. Every instrument is
+// nil-safe, so it is populated unconditionally; the recorder's On gates
+// the timing code (time.Now calls, per-iteration rows) that would
+// otherwise cost even with no sink attached.
 type engineObs struct {
-	on   bool
-	reg  *obs.Registry
-	tr   *obs.Tracer
+	obs.StageRecorder
 	heat *obs.BlockHeatmap // block-level IO attribution (nil-safe)
 
-	inline    *obs.Counter // messages applied immediately (ordered dynamic)
-	buffered  *obs.Counter // messages queued for a non-resident destination
-	spilled   *obs.Counter // buffered messages written to the device
-	spillErrs *obs.Counter // spill failures (first aborts the run, rest are counted)
+	ledger [len(ledgerMetrics)]*obs.Counter // ledgerMetrics' instruments, written by publish only
 
-	sioBlocks *obs.Counter // adjacency blocks prefetched off the device
-	sioStalls *obs.Counter // Worker waits on an empty prefetch queue
-	adjHits   *obs.Counter // partitions served from the resident adjacency cache
-
-	// Adjacency-codec instruments (DOS v2; docs/FORMAT.md §Version 2).
-	// All zero on fixed-entry layouts — the raw path never decodes.
-	codecRawBytes *obs.Counter // decoded adjacency bytes produced (4 per entry)
-	codecEncBytes *obs.Counter // encoded adjacency bytes read off the device
-	codecDecodeNS *obs.Counter // time spent in Codec.DecodeBlock
-
-	sioNS      *obs.Counter // cumulative stage time, nanoseconds
-	dispatchNS *obs.Counter
-	workerNS   *obs.Counter
-	drainNS    *obs.Counter
-
-	drains *obs.Counter // drains that applied at least one message
-
-	// semRuns counts finished runs of the semi-external case: one
-	// partition, states pinned (Engine.SemiExternal). With dynamic messages
-	// such a run's drain instruments all stay 0 — nothing was ever pending.
-	semRuns *obs.Counter
-
-	// Worker sub-stage instruments for the chunked parallel Worker
-	// (Options.WorkerParallelism > 1); all zero on the sequential path.
-	workerChunks   *obs.Counter // chunks executed speculatively
-	workerReexecs  *obs.Counter // chunks invalidated and re-executed at commit
-	workerSpecNS   *obs.Counter // summed speculative-execution time across workers
-	workerCommitNS *obs.Counter // ordered commit (validate/replay/re-execute) time
-
-	workerHist *obs.Histogram // per-partition worker duration
-	drainHist  *obs.Histogram // per-partition drain duration
-
-	// Selective-scheduling instruments (Options.SelectiveScheduling;
-	// DESIGN.md §9).
-	blocksScanned *obs.Counter // adjacency blocks the block scheduler read
-	blocksSkipped *obs.Counter // adjacency blocks it proved inactive and skipped
-	partsSkipped  *obs.Counter // whole partitions skipped (no bits, no messages)
-	drainSkipped  *obs.Counter // drains skipped for partitions with nothing pending
-	activeVerts   *obs.Gauge   // schedulable vertices at the last iteration boundary
-
-	// Durability instruments (Options.Checkpoint; docs/DURABILITY.md).
-	ckpts      *obs.Counter   // checkpoints written
-	ckptBytes  *obs.Counter   // bytes persisted across all checkpoints
-	ckptNS     *obs.Counter   // wall time spent writing checkpoints
-	restores   *obs.Counter   // successful Resume restorations
-	restoreNS  *obs.Counter   // wall time spent restoring
-	removeErrs *obs.Counter   // failed runtime-file removals
-	ckptHist   *obs.Histogram // per-checkpoint write duration
+	// Facts outside the iteration loop, with no Result or row twin: each
+	// keeps its one direct write.
+	restores   *obs.Counter // successful Resume restorations
+	restoreNS  *obs.Counter // wall time spent restoring
+	removeErrs *obs.Counter // failed runtime-file removals
+	semRuns    *obs.Counter // finished runs of the semi-external (one-partition) case
 }
 
 func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
-	return engineObs{
-		on:   reg != nil || tr != nil,
-		reg:  reg,
-		tr:   tr,
-		heat: reg.Heatmap(),
-
-		inline:    reg.Counter("graphz_messages_inline_total"),
-		buffered:  reg.Counter("graphz_messages_buffered_total"),
-		spilled:   reg.Counter("graphz_messages_spilled_total"),
-		spillErrs: reg.Counter("messages_spill_errors"),
-
-		sioBlocks: reg.Counter("graphz_sio_blocks_total"),
-		sioStalls: reg.Counter("graphz_sio_stalls_total"),
-		adjHits:   reg.Counter("graphz_adjcache_hits_total"),
-
-		codecRawBytes: reg.Counter("graphz_codec_bytes_raw_total"),
-		codecEncBytes: reg.Counter("graphz_codec_bytes_encoded_total"),
-		codecDecodeNS: reg.Counter("graphz_codec_decode_ns_total"),
-
-		sioNS:      reg.Counter("graphz_stage_sio_ns_total"),
-		dispatchNS: reg.Counter("graphz_stage_dispatch_ns_total"),
-		workerNS:   reg.Counter("graphz_stage_worker_ns_total"),
-		drainNS:    reg.Counter("graphz_stage_drain_ns_total"),
-
-		drains: reg.Counter("graphz_drain_serial_total"),
-
-		semRuns: reg.Counter("graphz_sem_runs_total"),
-
-		workerChunks:   reg.Counter("graphz_worker_chunks_total"),
-		workerReexecs:  reg.Counter("graphz_worker_chunk_reexecs_total"),
-		workerSpecNS:   reg.Counter("graphz_stage_worker_spec_ns_total"),
-		workerCommitNS: reg.Counter("graphz_stage_worker_commit_ns_total"),
-
-		workerHist: reg.Histogram("graphz_worker_partition_ns"),
-		drainHist:  reg.Histogram("graphz_drain_partition_ns"),
-
-		blocksScanned: reg.Counter("graphz_blocks_scanned_total"),
-		blocksSkipped: reg.Counter("graphz_blocks_skipped_total"),
-		partsSkipped:  reg.Counter("graphz_partitions_skipped_total"),
-		drainSkipped:  reg.Counter("graphz_drain_skipped_total"),
-		activeVerts:   reg.Gauge("graphz_active_vertices"),
-
-		ckpts:      reg.Counter("graphz_checkpoint_total"),
-		ckptBytes:  reg.Counter("graphz_checkpoint_bytes_total"),
-		ckptNS:     reg.Counter("graphz_checkpoint_ns_total"),
-		restores:   reg.Counter("graphz_restore_total"),
-		restoreNS:  reg.Counter("graphz_restore_ns_total"),
-		removeErrs: reg.Counter("graphz_remove_errors_total"),
-		ckptHist:   reg.Histogram("graphz_checkpoint_write_ns"),
+	eo := engineObs{
+		StageRecorder: obs.NewStageRecorder(engineName, reg, tr),
+		heat:          reg.Heatmap(),
+		restores:      reg.Counter("graphz_restore_total"),
+		restoreNS:     reg.Counter("graphz_restore_ns_total"),
+		removeErrs:    reg.Counter("graphz_remove_errors_total"),
+		semRuns:       reg.Counter("graphz_sem_runs_total"),
 	}
+	for i, m := range ledgerMetrics {
+		eo.ledger[i] = reg.Counter(m.name)
+	}
+	return eo
+}
+
+// publish advances the registry to the ledger: each instrument receives
+// what its field gained since the last call. It runs after every
+// partition and on every exit of loop — error and cancellation included —
+// so a scrape is at most one partition behind and an aborted run's tail
+// is not lost; a resumed run's restored baseline goes out in the first
+// call, so a finished run's registry equals its Result, fresh or resumed.
+func (e *Engine[V, M]) publish() {
+	if e.eo.Reg == nil || e.c == e.published {
+		return
+	}
+	for i, m := range ledgerMetrics {
+		e.eo.ledger[i].Add(*m.field(&e.c) - *m.field(&e.published))
+	}
+	e.published = e.c
+}
+
+// recordIter closes iteration iter: its row is the ledger's delta since
+// before plus the device's since devBefore (the recorder adds the stage
+// time), followed by the iteration's memory sample. It runs on aborted
+// iterations too, so the rows always sum to the ledger.
+func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.Stats) {
+	c, io := e.c, e.dev.Stats().Sub(devBefore)
+	row := obs.IterStats{
+		Iteration:        iter,
+		MessagesInline:   c.Inline - before.Inline,
+		MessagesBuffered: c.Buffered - before.Buffered,
+		MessagesSpilled:  c.Spilled - before.Spilled,
+		PrefetchStalls:   c.sioStalls - before.sioStalls,
+		AdjCacheHits:     c.adjHits - before.adjHits,
+		WorkerChunks:     c.workerChunks - before.workerChunks,
+		WorkerReexecs:    c.workerReexecs - before.workerReexecs,
+		BlocksScanned:    c.BlocksScanned - before.BlocksScanned,
+		BlocksSkipped:    c.BlocksSkipped - before.BlocksSkipped,
+		DeviceReadBytes:  io.ReadBytes,
+		DeviceWriteBytes: io.WriteBytes,
+		DeviceSeeks:      io.Seeks,
+	}
+	if e.sel != nil {
+		row.ActiveVertices = e.sel.count
+	}
+	e.eo.EndIter(row)
+	e.sampleMemory(iter)
 }
 
 // pipeStats accumulates one partition's Sio/Dispatcher pipeline activity.
@@ -173,85 +204,27 @@ func (ps *pipeStats) heatDecode(b, ns int64) {
 	}
 }
 
-// recordPipe folds a finished partition's pipeline stats into spans,
-// counters, and the iteration row. partStart anchors the accumulated-
-// duration spans.
-func (e *Engine[V, M]) recordPipe(ps *pipeStats, iter, p int, partStart time.Time, row *obs.IterStats) {
-	sio := time.Duration(ps.readNS.Load())
-	dispatch := time.Duration(ps.dispatchNS.Load())
-	stalls := ps.stalls.Load()
-	e.eo.tr.Emit(engineName, obs.StageSio, iter, p, partStart, sio)
-	e.eo.tr.Emit(engineName, obs.StageDispatch, iter, p, partStart, dispatch)
-	e.eo.sioBlocks.Add(ps.blocks.Load())
-	e.eo.sioStalls.Add(stalls)
-	e.eo.sioNS.Add(int64(sio))
-	e.eo.dispatchNS.Add(int64(dispatch))
+// recordPipe folds a finished partition's pipeline stats into the ledger
+// and the stage recorder. partStart anchors the accumulated-duration
+// spans.
+func (e *Engine[V, M]) recordPipe(ps *pipeStats, iter, p int, partStart time.Time) {
+	e.eo.Record(obs.StageSio, iter, p, partStart, time.Duration(ps.readNS.Load()))
+	e.eo.Record(obs.StageDispatch, iter, p, partStart, time.Duration(ps.dispatchNS.Load()))
+	e.c.sioBlocks += ps.blocks.Load()
+	e.c.sioStalls += ps.stalls.Load()
 	if ps.cacheHit {
-		e.eo.adjHits.Inc()
+		e.c.adjHits++
 	}
 	if raw := ps.codecRawB.Load(); raw > 0 {
 		dec := ps.decodeNS.Load()
-		e.eo.codecRawBytes.Add(raw)
-		e.eo.codecEncBytes.Add(ps.codecEncB.Load())
-		e.eo.codecDecodeNS.Add(dec)
-		e.codecRawBytes += raw
-		e.codecEncBytes += ps.codecEncB.Load()
-		e.codecDecodeNS += dec
+		e.c.codecRawBytes += raw
+		e.c.codecEncBytes += ps.codecEncB.Load()
+		e.c.codecDecodeNS += dec
 		if dec > 0 {
 			// The decode sub-span mirrors the counter exactly, so report
 			// stage totals reconcile with graphz_codec_decode_ns_total.
-			e.eo.tr.Emit(engineName, obs.StageDecode, iter, p, partStart, time.Duration(dec))
+			e.eo.Tr.Emit(engineName, obs.StageDecode, iter, p, partStart, time.Duration(dec))
 		}
-	}
-	e.stageTotals.Sio += sio
-	e.stageTotals.Dispatch += dispatch
-	if row != nil {
-		row.Stages.Sio += sio
-		row.Stages.Dispatch += dispatch
-		row.PrefetchStalls += stalls
-		if ps.cacheHit {
-			row.AdjCacheHits++
-		}
-	}
-}
-
-// recordParallelWorker accounts the chunked Worker's sub-stages: how many
-// chunks ran, how many were invalidated and re-executed, the summed
-// speculative compute across workers, and the ordered-commit time.
-func (e *Engine[V, M]) recordParallelWorker(chunks, reexecs, specNS, commitNS int64, row *obs.IterStats) {
-	e.eo.workerChunks.Add(chunks)
-	e.eo.workerReexecs.Add(reexecs)
-	e.eo.workerSpecNS.Add(specNS)
-	e.eo.workerCommitNS.Add(commitNS)
-	if row != nil {
-		row.WorkerChunks += chunks
-		row.WorkerReexecs += reexecs
-	}
-}
-
-// recordWorker accounts the Worker update loop of one partition.
-func (e *Engine[V, M]) recordWorker(iter, p int, start time.Time, row *obs.IterStats) {
-	d := time.Since(start)
-	e.eo.tr.Emit(engineName, obs.StageWorker, iter, p, start, d)
-	e.eo.workerNS.Add(int64(d))
-	e.eo.workerHist.Observe(d)
-	e.stageTotals.Worker += d
-	if row != nil {
-		row.Stages.Worker += d
-	}
-}
-
-// recordDrain accounts a MsgManager drain of one partition that applied
-// pending messages; one that found nothing pending is not recorded.
-func (e *Engine[V, M]) recordDrain(iter, p int, start time.Time, row *obs.IterStats) {
-	d := time.Since(start)
-	e.eo.tr.Emit(engineName, obs.StageDrain, iter, p, start, d)
-	e.eo.drainNS.Add(int64(d))
-	e.eo.drainHist.Observe(d)
-	e.eo.drains.Inc()
-	e.stageTotals.Drain += d
-	if row != nil {
-		row.Stages.Drain += d
 	}
 }
 
@@ -306,7 +279,7 @@ func (e *Engine[V, M]) flushDrainHeat(acc map[int64]int64) {
 // iteration boundary: what is resident right now, per accounted class,
 // against the configured budget (docs/OBSERVABILITY.md, "Run reports").
 func (e *Engine[V, M]) sampleMemory(iter int) {
-	if e.eo.reg == nil {
+	if e.eo.Reg == nil {
 		return
 	}
 	s := e.residentFloor()
@@ -325,7 +298,7 @@ func (e *Engine[V, M]) sampleMemory(iter int) {
 	if e.sel != nil {
 		s.BitmapBytes = int64(len(e.sel.words)) * 8
 	}
-	e.eo.reg.RecordMem(s)
+	e.eo.Reg.RecordMem(s)
 }
 
 // DeviceFileIO snapshots a device's per-file traffic in the report's
@@ -348,16 +321,4 @@ func DeviceFileIO(dev *storage.Device) map[string]obs.FileIO {
 		}
 	}
 	return out
-}
-
-// foldDeviceStats mirrors the device's cumulative counters into the
-// registry as gauges, so /metrics tracks IO alongside the pipeline.
-func foldDeviceStats(reg *obs.Registry, st storage.Stats) {
-	reg.Gauge("device_read_ops").Set(st.ReadOps)
-	reg.Gauge("device_write_ops").Set(st.WriteOps)
-	reg.Gauge("device_read_bytes").Set(st.ReadBytes)
-	reg.Gauge("device_write_bytes").Set(st.WriteBytes)
-	reg.Gauge("device_seeks").Set(st.Seeks)
-	reg.Gauge("device_pagecache_hits").Set(st.CacheHits)
-	reg.Gauge("device_remove_errors").Set(st.RemoveErrors)
 }

@@ -133,9 +133,14 @@ func TestEngineObservability(t *testing.T) {
 			inline, buffered, spilled, res.MessagesInline, res.MessagesBuffered, res.MessagesSpilled)
 	}
 
-	// Device stats were folded into the registry as gauges.
-	if reg.GaugeValue("device_read_bytes") == 0 {
-		t.Error("device_read_bytes gauge not set")
+	// Device traffic reaches the rows as per-iteration deltas: together
+	// they cannot exceed what the device saw over the whole run.
+	var readBytes int64
+	for _, row := range rows {
+		readBytes += row.DeviceReadBytes
+	}
+	if total := g.Device().Stats().ReadBytes; readBytes == 0 || readBytes > total {
+		t.Errorf("rows read %d device bytes, device saw %d", readBytes, total)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"graphz/internal/graph"
-	"graphz/internal/obs"
 	"graphz/internal/sim"
 )
 
@@ -83,7 +82,7 @@ type workerChunk[V any] struct {
 // runWorkerParallel executes the Worker stage of the resident partition
 // (entry range [start, end)) on the configured worker pool. It returns
 // the partition's activity flag, exactly as updateRuns does.
-func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeStats, row *obs.IterStats) (bool, error) {
+func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeStats) (bool, error) {
 	lo, hi := e.partLo, e.partHi
 	count := int(hi - lo)
 	workers := e.workerCount()
@@ -188,7 +187,7 @@ func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeSta
 		}
 		specNS += c.durNS
 		var t0 time.Time
-		if e.eo.on {
+		if e.eo.On {
 			t0 = time.Now()
 		}
 		if dirty[i] {
@@ -207,7 +206,7 @@ func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeSta
 			e.commitChunk(c)
 			active = active || c.active
 		}
-		if e.eo.on {
+		if e.eo.On {
 			commitNS += int64(time.Since(t0))
 		}
 		c.states, c.log, c.degs = nil, nil, nil
@@ -215,9 +214,10 @@ func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeSta
 			close(gates[next])
 		}
 	}
-	if e.eo.on {
-		e.recordParallelWorker(int64(numChunks), reexecs, specNS, commitNS, row)
-	}
+	e.c.workerChunks += int64(numChunks)
+	e.c.workerReexecs += reexecs
+	e.c.workerSpecNS += specNS
+	e.c.workerCommitNS += commitNS
 	return active, nil
 }
 
@@ -227,7 +227,7 @@ func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeSta
 // everything in later.
 func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, ps *pipeStats) {
 	var t0 time.Time
-	if e.eo.on {
+	if e.eo.On {
 		t0 = time.Now()
 	}
 	src, err := e.adjSource([]entryRange{{start: c.startOff, end: c.endOff}}, ps)
@@ -297,7 +297,7 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, 
 		c.edges += int64(deg)
 	}
 	c.active = act
-	if e.eo.on {
+	if e.eo.On {
 		c.durNS = int64(time.Since(t0))
 	}
 }
@@ -316,16 +316,15 @@ func (e *Engine[V, M]) commitChunk(c *workerChunk[V]) {
 		c.acts = nil
 	}
 	n := int64(len(c.states))
-	e.updates += n
+	e.c.Updates += n
 	e.charge(n, sim.CostVertexUpdate)
 	e.charge(c.edges, sim.CostEdgeScan)
 	// Intra-chunk messages were sent and applied privately; the logged
 	// ones are counted by send as they replay.
-	e.sent += c.inline
+	e.c.Sent += c.inline
 	e.charge(c.inline, sim.CostMessageSend)
-	e.inline += c.inline
-	e.applied += c.inline
-	e.eo.inline.Add(c.inline)
+	e.c.Inline += c.inline
+	e.c.Applied += c.inline
 	e.charge(c.inline, sim.CostMessageApply)
 	rec := 4 + e.msize
 	for off := 0; off+rec <= len(c.log); off += rec {

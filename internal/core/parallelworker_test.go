@@ -371,7 +371,7 @@ func TestParallelWorkerObserved(t *testing.T) {
 		t.Errorf("observed parallel result %+v differs from sequential %+v", res, seqRes)
 	}
 
-	snap := reg.Snapshot()
+	snap := reg.Counters()
 	if snap["graphz_worker_chunks_total"] == 0 {
 		t.Error("graphz_worker_chunks_total not incremented by the parallel Worker")
 	}

@@ -114,14 +114,16 @@ func TestRunReportReconciliation(t *testing.T) {
 		t.Errorf("file IO read bytes = %d, heat says %d", got, readBytes)
 	}
 
-	// Iteration snapshots are cumulative; the last one holds the final
-	// message counters.
+	// One row per iteration; the rows sum to the final message counters.
 	if len(rep.Iterations) != res.Iterations {
 		t.Fatalf("iteration rows = %d, want %d", len(rep.Iterations), res.Iterations)
 	}
-	last := rep.Iterations[len(rep.Iterations)-1].Snapshot
-	if got := last["graphz_messages_inline_total"]; got != res.MessagesInline {
-		t.Errorf("final snapshot inline = %d, result says %d", got, res.MessagesInline)
+	var inline int64
+	for _, row := range rep.Iterations {
+		inline += row.MessagesInline
+	}
+	if got := rep.Counters["graphz_messages_inline_total"]; got != res.MessagesInline || inline != got {
+		t.Errorf("report inline counter = %d, rows sum to %d, result says %d", got, inline, res.MessagesInline)
 	}
 }
 

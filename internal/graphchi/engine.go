@@ -16,44 +16,6 @@ import (
 // engineName labels this engine's spans and metrics.
 const engineName = "graphchi"
 
-// engineObs bundles the engine's resolved instruments; all are nil-safe,
-// and `on` gates the time.Now calls on the hot path.
-type engineObs struct {
-	on  bool
-	reg *obs.Registry
-	tr  *obs.Tracer
-
-	stageNS map[string]*obs.Counter
-}
-
-func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
-	eo := engineObs{
-		on:      reg != nil || tr != nil,
-		reg:     reg,
-		tr:      tr,
-		stageNS: make(map[string]*obs.Counter, 4),
-	}
-	for _, st := range []string{obs.StageSio, obs.StageDispatch, obs.StageWorker, obs.StageDrain} {
-		eo.stageNS[st] = reg.Counter(engineName + "_stage_" + st + "_ns_total")
-	}
-	return eo
-}
-
-// recordStage closes out one stage of interval p: emits its span, adds
-// the stage counters, and returns the current time as the next stage's
-// start.
-func (e *Engine[V, E]) recordStage(stage string, iter, p int, start time.Time, row *obs.IterStats) time.Time {
-	now := time.Now()
-	d := now.Sub(start)
-	e.eo.tr.Emit(engineName, stage, iter, p, start, d)
-	e.eo.stageNS[stage].Add(int64(d))
-	e.stages.AddStage(stage, d)
-	if row != nil {
-		row.Stages.AddStage(stage, d)
-	}
-	return now
-}
-
 // EdgeRef exposes one edge of the in-memory subgraph to an update
 // function: the neighbor on the other end and a pointer to the mutable
 // edge value. Writing through Val communicates with the neighbor — the
@@ -139,8 +101,7 @@ type Engine[V, E any] struct {
 	traversed     int64
 	finished      bool
 
-	eo     engineObs
-	stages obs.StageTimes
+	rec obs.StageRecorder
 }
 
 // New validates the budget (the degree index plus one interval's working
@@ -163,7 +124,7 @@ func New[V, E any](sh *Shards, prog Program[V, E], vcodec graph.Codec[V], ecodec
 	return &Engine[V, E]{
 		sh: sh, prog: prog, vcodec: vcodec, ecodec: ecodec, opts: opts,
 		dev: sh.Device(),
-		eo:  newEngineObs(opts.Obs, opts.Trace),
+		rec: obs.NewStageRecorder(engineName, opts.Obs, opts.Trace),
 	}, nil
 }
 
@@ -198,21 +159,17 @@ func (e *Engine[V, E]) Run() (Result, error) {
 			e.opts.Clock.BeginPhase(fmt.Sprintf("iter%d", iters))
 		}
 		active := false
-		var row *obs.IterStats
 		var devBefore storage.Stats
-		if e.eo.on {
-			row = &obs.IterStats{Iteration: iters}
+		if e.rec.On {
 			devBefore = e.dev.Stats()
 		}
-		if err := e.runIteration(iters, &active, row); err != nil {
+		if err := e.runIteration(iters, &active); err != nil {
 			return Result{}, err
 		}
-		if row != nil {
-			devNow := e.dev.Stats()
-			row.DeviceReadBytes = devNow.ReadBytes - devBefore.ReadBytes
-			row.DeviceWriteBytes = devNow.WriteBytes - devBefore.WriteBytes
-			row.DeviceSeeks = devNow.Seeks - devBefore.Seeks
-			e.eo.reg.RecordIter(*row)
+		if e.rec.On {
+			io := e.dev.Stats().Sub(devBefore)
+			e.rec.EndIter(obs.IterStats{Iteration: iters,
+				DeviceReadBytes: io.ReadBytes, DeviceWriteBytes: io.WriteBytes, DeviceSeeks: io.Seeks})
 		}
 		iters++
 		if e.opts.MaxIterations > 0 && iters >= e.opts.MaxIterations {
@@ -223,27 +180,13 @@ func (e *Engine[V, E]) Run() (Result, error) {
 		}
 	}
 	e.finished = true
-	if e.eo.on {
-		foldDeviceStats(e.eo.reg, e.dev.Stats())
-	}
 	return Result{
 		Iterations:     iters,
 		Shards:         e.sh.NumShards(),
 		UpdatesRun:     e.updates,
 		EdgesTraversed: e.traversed,
-		Stages:         e.stages,
+		Stages:         e.rec.Run,
 	}, nil
-}
-
-// foldDeviceStats mirrors the device's cumulative counters into the
-// registry as gauges.
-func foldDeviceStats(reg *obs.Registry, st storage.Stats) {
-	reg.Gauge("device_read_ops").Set(st.ReadOps)
-	reg.Gauge("device_write_ops").Set(st.WriteOps)
-	reg.Gauge("device_read_bytes").Set(st.ReadBytes)
-	reg.Gauge("device_write_bytes").Set(st.WriteBytes)
-	reg.Gauge("device_seeks").Set(st.Seeks)
-	reg.Gauge("device_pagecache_hits").Set(st.CacheHits)
 }
 
 // loadDegrees makes the per-vertex degree index resident (this is the
@@ -339,12 +282,12 @@ func (c *shardCursor) invalidate() {
 }
 
 // runIteration performs one PSW pass over all intervals.
-func (e *Engine[V, E]) runIteration(iter int, active *bool, row *obs.IterStats) error {
+func (e *Engine[V, E]) runIteration(iter int, active *bool) error {
 	nShards := e.sh.NumShards()
 	// Per-shard sliding-window cursors, reset each iteration.
 	cursors := make([]shardCursor, nShards)
 	for p := 0; p < nShards; p++ {
-		if err := e.runInterval(p, iter, cursors, active, row); err != nil {
+		if err := e.runInterval(p, iter, cursors, active); err != nil {
 			return err
 		}
 	}
@@ -358,14 +301,14 @@ type memShard[E any] struct {
 }
 
 // runInterval executes updates for interval p.
-func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *bool, row *obs.IterStats) error {
+func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *bool) error {
 	lo, hi := e.sh.IntervalStart[p], e.sh.IntervalStart[p+1]
 	count := int(hi - lo)
 	if count == 0 {
 		return nil
 	}
 	var t time.Time
-	if e.eo.on {
+	if e.rec.On {
 		t = time.Now()
 	}
 	// Load vertex states.
@@ -411,8 +354,8 @@ func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *b
 			src: w.src, dst: w.dst, vals: w.vals,
 		})
 	}
-	if e.eo.on {
-		t = e.recordStage(obs.StageSio, iter, p, t, row)
+	if e.rec.On {
+		t = e.rec.Since(obs.StageSio, iter, p, t)
 	}
 
 	// Build the subgraph: per-vertex in-edge and out-edge reference
@@ -430,8 +373,8 @@ func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *b
 			out[s-lo] = append(out[s-lo], EdgeRef[E]{Neighbor: w.dst[i], Val: &w.vals[i]})
 		}
 	}
-	if e.eo.on {
-		t = e.recordStage(obs.StageDispatch, iter, p, t, row)
+	if e.rec.On {
+		t = e.rec.Since(obs.StageDispatch, iter, p, t)
 	}
 
 	// Update vertices in ID order.
@@ -445,8 +388,8 @@ func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *b
 		e.charge(1, sim.CostVertexUpdate)
 		e.charge(ne, sim.CostEdgeScan)
 	}
-	if e.eo.on {
-		t = e.recordStage(obs.StageWorker, iter, p, t, row)
+	if e.rec.On {
+		t = e.rec.Since(obs.StageWorker, iter, p, t)
 	}
 
 	// Write back: vertex states, the memory shard, and the windows.
@@ -464,8 +407,8 @@ func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *b
 			return err
 		}
 	}
-	if e.eo.on {
-		e.recordStage(obs.StageDrain, iter, p, t, row)
+	if e.rec.On {
+		e.rec.Since(obs.StageDrain, iter, p, t)
 	}
 	return nil
 }

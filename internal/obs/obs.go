@@ -3,11 +3,11 @@
 // gauges, and lock-cheap duration histograms), a JSONL span tracer, and a
 // /metrics + pprof HTTP surface.
 //
-// The design constraint is a no-op fast path: every instrument is
-// nil-safe, so an engine resolves its counters once at construction and
-// the hot path pays only a nil check when no registry is attached. The
-// disabled path allocates nothing (proved by obs_test.go) and costs under
-// 5% on the engine benchmarks (bench_test.go).
+// Every instrument is nil-safe, so an engine resolves its counters once
+// at construction and writes them unconditionally; with no registry
+// attached a write is a nil check that allocates nothing (obs_test.go).
+// The engines write at partition and iteration boundaries, never per
+// message or per vertex (DESIGN.md §15).
 package obs
 
 import (
@@ -196,14 +196,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // and every record is dropped, which is how the engines run with
 // observability disabled.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	iters     []IterStats
-	iterSnaps []map[string]int64 // cumulative snapshot taken with each row
-	mems      []MemSample        // memory-budget timeline (RecordMem)
-	heat      *BlockHeatmap
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	iters    []IterStats
+	mems     []MemSample // memory-budget timeline (RecordMem)
+	heat     *BlockHeatmap
 }
 
 // NewRegistry returns an empty registry.
@@ -284,48 +283,15 @@ func (r *Registry) GaugeValue(name string) int64 {
 	return g.Value()
 }
 
-// RecordIter appends one per-iteration breakdown row, capturing the
-// cumulative counter/gauge/histogram snapshot alongside it (histograms
-// contribute `<name>_count` and `<name>_sum_ns` keys). Engines call it
-// at the end of every iteration when a registry is attached.
+// RecordIter appends one per-iteration breakdown row. Engines call it at
+// the end of every iteration when a registry is attached.
 func (r *Registry) RecordIter(row IterStats) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.iters = append(r.iters, row)
-	r.iterSnaps = append(r.iterSnaps, r.snapshotLocked())
 	r.mu.Unlock()
-}
-
-// snapshotLocked captures every instrument's cumulative value. Caller
-// holds r.mu; instrument reads are atomic and don't retake it.
-func (r *Registry) snapshotLocked() map[string]int64 {
-	out := make(map[string]int64, len(r.counters)+len(r.gauges)+2*len(r.hists))
-	for n, c := range r.counters {
-		out[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		out[n] = g.Value()
-	}
-	for n, h := range r.hists {
-		out[n+"_count"] = h.Count()
-		out[n+"_sum_ns"] = int64(h.Sum())
-	}
-	return out
-}
-
-// IterSnapshots returns the cumulative instrument snapshots captured
-// with each iteration row, parallel to Iters().
-func (r *Registry) IterSnapshots() []map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]map[string]int64, len(r.iterSnaps))
-	copy(out, r.iterSnaps)
-	return out
 }
 
 // RecordMem appends one memory-budget accounting sample. Engines call it
@@ -373,20 +339,16 @@ func (r *Registry) Iters() []IterStats {
 	return out
 }
 
-// Snapshot returns all counters and gauges by name (gauges prefixed with
-// nothing — names are already distinct by convention).
-func (r *Registry) Snapshot() map[string]int64 {
+// Counters returns every counter's current value by name.
+func (r *Registry) Counters() map[string]int64 {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters)+len(r.gauges))
+	out := make(map[string]int64, len(r.counters))
 	for n, c := range r.counters {
 		out[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		out[n] = g.Value()
 	}
 	return out
 }
@@ -398,11 +360,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	counters := r.Counters()
 	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c.Value()
-	}
 	gauges := make(map[string]int64, len(r.gauges))
 	for n, g := range r.gauges {
 		gauges[n] = g.Value()

@@ -68,7 +68,7 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	r.Gauge("g").Set(1)
 	r.Histogram("h").Observe(time.Second)
 	r.RecordIter(IterStats{})
-	if r.Iters() != nil || r.Snapshot() != nil {
+	if r.Iters() != nil || r.Counters() != nil {
 		t.Error("nil registry should return nil views")
 	}
 	if err := r.WritePrometheus(io.Discard); err != nil {

@@ -26,14 +26,12 @@ type RunReport struct {
 	BudgetBytes int64             `json:"budget_bytes,omitempty"`
 	Config      map[string]string `json:"config,omitempty"`
 
-	// Final instrument values.
-	Counters   map[string]int64           `json:"counters,omitempty"`
-	Gauges     map[string]int64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramExport `json:"histograms,omitempty"`
+	// Final counter values. (Engines register counters only; the gauges
+	// and histograms sections older builds wrote are ignored on read.)
+	Counters map[string]int64 `json:"counters,omitempty"`
 
-	// Per-iteration rows, each with the counter/gauge snapshot taken at
-	// its boundary.
-	Iterations []IterReport `json:"iterations,omitempty"`
+	// Per-iteration rows.
+	Iterations []IterStats `json:"iterations,omitempty"`
 
 	// Memory-budget accounting timeline, one sample per iteration.
 	Memory []MemSample `json:"memory,omitempty"`
@@ -47,29 +45,6 @@ type RunReport struct {
 
 	// Per-file physical device traffic.
 	Files map[string]FileIO `json:"files,omitempty"`
-}
-
-// HistogramExport is a histogram's final state: observation count, summed
-// nanoseconds, and the non-empty power-of-two buckets.
-type HistogramExport struct {
-	Count   int64        `json:"count"`
-	SumNS   int64        `json:"sum_ns"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
-// HistBucket is one non-empty histogram bucket: observations in
-// [2^(i), 2^(i+1)) ns where UpperNS = 2^(i+1).
-type HistBucket struct {
-	UpperNS int64 `json:"upper_ns"`
-	Count   int64 `json:"count"`
-}
-
-// IterReport is one iteration's row plus the cumulative counter/gauge
-// snapshot captured when the row was recorded. Histograms contribute
-// `<name>_count` and `<name>_sum_ns` keys.
-type IterReport struct {
-	IterStats
-	Snapshot map[string]int64 `json:"snapshot,omitempty"`
 }
 
 // MemSample is one point of the memory-budget accounting timeline,
@@ -129,10 +104,10 @@ type ReportInfo struct {
 }
 
 // BuildReport assembles a RunReport from a finished run's registry
-// (counters, gauges, histograms, iteration rows, memory samples,
-// heatmap), tracer (span aggregation — a collecting tracer keeps its
-// events in memory), and per-file device traffic. Any of reg, tr, and
-// files may be nil/empty; the corresponding sections are omitted.
+// (counters, iteration rows, memory samples, heatmap), tracer (span
+// aggregation — a collecting tracer keeps its events in memory), and
+// per-file device traffic. Any of reg, tr, and files may be nil/empty;
+// the corresponding sections are omitted.
 func BuildReport(info ReportInfo, reg *Registry, tr *Tracer, files map[string]FileIO) *RunReport {
 	rep := &RunReport{
 		Schema:      ReportSchemaVersion,
@@ -145,41 +120,11 @@ func BuildReport(info ReportInfo, reg *Registry, tr *Tracer, files map[string]Fi
 		rep.Config = info.Config
 	}
 	if reg != nil {
-		reg.mu.Lock()
-		if len(reg.counters) > 0 {
-			rep.Counters = make(map[string]int64, len(reg.counters))
-			for n, c := range reg.counters {
-				rep.Counters[n] = c.Value()
-			}
+		if c := reg.Counters(); len(c) > 0 {
+			rep.Counters = c
 		}
-		if len(reg.gauges) > 0 {
-			rep.Gauges = make(map[string]int64, len(reg.gauges))
-			for n, g := range reg.gauges {
-				rep.Gauges[n] = g.Value()
-			}
-		}
-		if len(reg.hists) > 0 {
-			rep.Histograms = make(map[string]HistogramExport, len(reg.hists))
-			for n, h := range reg.hists {
-				rep.Histograms[n] = exportHistogram(h)
-			}
-		}
-		if len(reg.iters) > 0 {
-			rep.Iterations = make([]IterReport, len(reg.iters))
-			for i, row := range reg.iters {
-				ir := IterReport{IterStats: row}
-				if i < len(reg.iterSnaps) {
-					ir.Snapshot = reg.iterSnaps[i]
-				}
-				rep.Iterations[i] = ir
-			}
-		}
-		if len(reg.mems) > 0 {
-			rep.Memory = append([]MemSample(nil), reg.mems...)
-		}
-		heat := reg.heat
-		reg.mu.Unlock()
-		rep.Blocks = heat.Cells()
+		rep.Iterations, rep.Memory = reg.Iters(), reg.MemSamples()
+		rep.Blocks = reg.Heatmap().Cells()
 	}
 	if tr != nil {
 		rep.Stages = AggregateSpans(tr.Events())
@@ -191,17 +136,6 @@ func BuildReport(info ReportInfo, reg *Registry, tr *Tracer, files map[string]Fi
 		}
 	}
 	return rep
-}
-
-// exportHistogram snapshots one histogram's buckets.
-func exportHistogram(h *Histogram) HistogramExport {
-	out := HistogramExport{Count: h.Count(), SumNS: int64(h.Sum())}
-	for i := 0; i < histBucketCount; i++ {
-		if c := h.buckets[i].Load(); c > 0 {
-			out.Buckets = append(out.Buckets, HistBucket{UpperNS: int64(1) << uint(i+1), Count: c})
-		}
-	}
-	return out
 }
 
 // AggregateSpans folds span events into per-(engine, stage, iteration,

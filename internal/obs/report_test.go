@@ -15,9 +15,6 @@ func buildSampleReport() *RunReport {
 	reg := NewRegistry()
 	reg.Counter("graphz_messages_inline_total").Add(100)
 	reg.Counter("graphz_messages_spilled_total").Add(7)
-	reg.Gauge("graphz_partitions").Set(4)
-	reg.Histogram("graphz_iteration_seconds").Observe(3 * time.Millisecond)
-	reg.Histogram("graphz_iteration_seconds").Observe(5 * time.Millisecond)
 	reg.RecordIter(IterStats{Iteration: 0, MessagesInline: 60})
 	reg.Counter("graphz_messages_inline_total").Add(50)
 	reg.RecordIter(IterStats{Iteration: 1, MessagesInline: 40})
@@ -56,36 +53,13 @@ func TestBuildReportSections(t *testing.T) {
 	if rep.Counters["graphz_messages_inline_total"] != 150 {
 		t.Errorf("inline counter = %d, want 150", rep.Counters["graphz_messages_inline_total"])
 	}
-	if rep.Gauges["graphz_partitions"] != 4 {
-		t.Errorf("partitions gauge = %d, want 4", rep.Gauges["graphz_partitions"])
-	}
-	h := rep.Histograms["graphz_iteration_seconds"]
-	if h.Count != 2 || h.SumNS != int64(8*time.Millisecond) {
-		t.Errorf("histogram export = %+v, want count 2 sum 8ms", h)
-	}
-	var bucketSum int64
-	for _, b := range h.Buckets {
-		if b.Count <= 0 {
-			t.Errorf("empty bucket exported: %+v", b)
-		}
-		bucketSum += b.Count
-	}
-	if bucketSum != h.Count {
-		t.Errorf("bucket counts sum to %d, want %d", bucketSum, h.Count)
-	}
-
 	if len(rep.Iterations) != 2 {
 		t.Fatalf("iterations = %d, want 2", len(rep.Iterations))
 	}
-	// Snapshots are cumulative at each iteration boundary.
-	if got := rep.Iterations[0].Snapshot["graphz_messages_inline_total"]; got != 100 {
-		t.Errorf("iter 0 snapshot inline = %d, want 100", got)
-	}
-	if got := rep.Iterations[1].Snapshot["graphz_messages_inline_total"]; got != 150 {
-		t.Errorf("iter 1 snapshot inline = %d, want 150", got)
-	}
-	if got := rep.Iterations[0].Snapshot["graphz_iteration_seconds_count"]; got != 2 {
-		t.Errorf("iter 0 snapshot hist count = %d, want 2", got)
+	// The rows carry each iteration's own counts; the cumulative value is
+	// the counters section's.
+	if a, b := rep.Iterations[0].MessagesInline, rep.Iterations[1].MessagesInline; a != 60 || b != 40 {
+		t.Errorf("row inline counts = %d, %d, want 60, 40", a, b)
 	}
 
 	if len(rep.Memory) != 2 {
@@ -156,6 +130,21 @@ func TestParseReportRejectsBadSchema(t *testing.T) {
 	}
 	if _, err := ParseReport([]byte(`not json`)); err == nil {
 		t.Error("garbage input: want error")
+	}
+}
+
+// TestParseReportLegacySections: a schema-1 report written before the
+// per-iteration snapshots and the gauges/histograms sections were dropped
+// still parses; the dropped keys are ignored.
+func TestParseReportLegacySections(t *testing.T) {
+	rep, err := ParseReport([]byte(`{"schema":1,"counters":{"c":3},"gauges":{"g":1},
+		"histograms":{"h":{"count":1,"sum_ns":5}},
+		"iterations":[{"Iteration":0,"MessagesInline":7,"snapshot":{"c":3}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counters["c"] != 3 || len(rep.Iterations) != 1 || rep.Iterations[0].MessagesInline != 7 {
+		t.Errorf("legacy report parsed as %+v", rep)
 	}
 }
 

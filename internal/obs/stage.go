@@ -64,9 +64,63 @@ func (s StageTimes) Total() time.Duration {
 	return s.Sio + s.Dispatch + s.Worker + s.Drain
 }
 
+// StageRecorder is the stage accounting the three engines share: one call
+// per finished stage emits its span and adds the duration to the
+// <engine>_stage_<stage>_ns_total counter, the run total and the current
+// iteration's total, so span sums, counters, Result.Stages and the
+// iteration rows are fed the same measured durations. Stages end at
+// partition boundaries, so that is when the counters advance. Engine
+// goroutine only.
+type StageRecorder struct {
+	On  bool       // a sink is attached: gates the engines' time.Now calls
+	Reg *Registry  // nil-safe
+	Tr  *Tracer    // nil-safe
+	Run StageTimes // whole run so far; the engines' Result.Stages
+
+	engine string
+	iter   StageTimes          // since the last EndIter
+	ns     map[string]*Counter // nil without a registry: every lookup is the no-op nil counter
+}
+
+// NewStageRecorder resolves engine's four stage counters in reg.
+func NewStageRecorder(engine string, reg *Registry, tr *Tracer) StageRecorder {
+	r := StageRecorder{On: reg != nil || tr != nil, Reg: reg, Tr: tr, engine: engine}
+	if reg != nil {
+		r.ns = make(map[string]*Counter, 4)
+		for _, st := range []string{StageSio, StageDispatch, StageWorker, StageDrain} {
+			r.ns[st] = reg.Counter(engine + "_stage_" + st + "_ns_total")
+		}
+	}
+	return r
+}
+
+// Record accounts d of one pipeline stage to (iter, part); start anchors
+// the span.
+func (r *StageRecorder) Record(stage string, iter, part int, start time.Time, d time.Duration) {
+	r.Tr.Emit(r.engine, stage, iter, part, start, d)
+	r.ns[stage].Add(int64(d))
+	r.Run.AddStage(stage, d)
+	r.iter.AddStage(stage, d)
+}
+
+// Since records the stage that ran from start until now and returns now,
+// the next stage's start.
+func (r *StageRecorder) Since(stage string, iter, part int, start time.Time) time.Time {
+	now := time.Now()
+	r.Record(stage, iter, part, start, now.Sub(start))
+	return now
+}
+
+// EndIter closes an iteration: row receives the stage time recorded since
+// the previous call and joins the registry's per-iteration rows.
+func (r *StageRecorder) EndIter(row IterStats) {
+	row.Stages, r.iter = r.iter, StageTimes{}
+	r.Reg.RecordIter(row)
+}
+
 // IterStats is one iteration's observability breakdown: stage wall times,
 // message routing counts, pipeline stalls, and device traffic deltas.
-// Engines record one row per iteration via Registry.RecordIter.
+// Engines record one row per iteration via StageRecorder.EndIter.
 type IterStats struct {
 	Iteration int
 	Stages    StageTimes

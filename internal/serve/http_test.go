@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -135,7 +136,9 @@ func TestHTTPAPI(t *testing.T) {
 		"graphz_serve_jobs_running",
 		"graphz_serve_budget_total_bytes",
 		`graphz_serve_jobs_finished_total{state="done"} 1`,
-		`job="` + st.ID + `"`,
+		// The job's counters joined the per-(graph, algorithm) series.
+		fmt.Sprintf(`graphz_messages_inline_total{graph="main",algo="BFS"} %.0f`,
+			report["counters"].(map[string]any)["graphz_messages_inline_total"]),
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)

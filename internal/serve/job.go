@@ -303,16 +303,17 @@ func removeJobFiles(dev *storage.Device, prefix string) {
 	}
 }
 
-// exportJobMetricsLocked folds a finished job's engine metrics into the
-// server registry as labeled series (obs.LabelName), so one /metrics
-// scrape shows per-job counters next to the server gauges. Series
-// accumulate for the life of the process — one set per finished job —
-// which is fine at admission-queue scale; a production deployment would
-// cap or age them out. Caller holds mu.
+// exportJobMetricsLocked adds a job's final engine counters into the
+// server registry at its terminal transition, as true counters labeled by
+// graph and algorithm: the series count is metrics × graphs × algorithms,
+// whatever the number of jobs served. A failed or cancelled job adds the
+// part it got through (the engine publishes on abort). Per-job detail
+// stays where it is exact: GET /jobs/{id} and /jobs/{id}/report. Caller
+// holds mu.
 func (s *Server) exportJobMetricsLocked(j *Job) {
 	s.reg.Counter(obs.LabelName("graphz_serve_jobs_finished_total", "state", string(j.state))).Inc()
-	for name, v := range j.reg.Snapshot() {
-		s.reg.Gauge(obs.LabelName(name, "job", j.ID, "graph", j.Graph, "algo", string(j.Algo))).Set(v)
+	for name, v := range j.reg.Counters() {
+		s.reg.Counter(obs.LabelName(name, "graph", j.Graph, "algo", string(j.Algo))).Add(v)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
+	"graphz/internal/obs"
 	"graphz/internal/storage"
 )
 
@@ -413,5 +414,53 @@ func TestDeviceFileStatsBounded(t *testing.T) {
 		if got := len(rep.Files); got != firstFiles {
 			t.Fatalf("job %d's report lists %d files, job 1's listed %d", i, got, firstFiles)
 		}
+	}
+}
+
+// TestMetricsSeriesBounded: /metrics carries one series per (metric,
+// graph, algorithm), not per job — thirty jobs of the same graph and
+// algorithms expose exactly the series three did — and each series is a
+// true counter: the sum of what its jobs reported.
+func TestMetricsSeriesBounded(t *testing.T) {
+	g, _ := buildGraph(t, 98)
+	s := newServer(t, 256<<20, g)
+	algos := []string{"BFS", "CC", "PR"}
+	series := func() int {
+		var b strings.Builder
+		if err := s.Registry().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, line := range strings.Split(b.String(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
+	}
+	var after3 int
+	var ccInline int64
+	for i := 0; i < 30; i++ {
+		st := submitWait(t, s, SubmitRequest{Graph: "main", Algo: algos[i%3], Budget: 8 << 20, Iterations: 2})
+		if st.State != StateDone {
+			t.Fatalf("job %d: %s (%s)", i+1, st.State, st.Error)
+		}
+		if algos[i%3] == "CC" {
+			rep, err := s.Report(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ccInline += rep.Counters["graphz_messages_inline_total"]
+		}
+		if i == 2 {
+			after3 = series()
+		}
+	}
+	if got := series(); got != after3 {
+		t.Errorf("/metrics has %d series after 30 jobs, %d after 3", got, after3)
+	}
+	name := obs.LabelName("graphz_messages_inline_total", "graph", "main", "algo", "CC")
+	if got := s.Registry().CounterValue(name); got != ccInline || got == 0 {
+		t.Errorf("%s = %d, its ten jobs reported %d", name, got, ccInline)
 	}
 }

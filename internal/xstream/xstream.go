@@ -22,59 +22,10 @@ import (
 	"graphz/internal/storage"
 )
 
-// engineName labels this engine's spans and metrics.
-const engineName = "xstream"
-
-// engineObs bundles the engine's resolved instruments; all are nil-safe,
-// and `on` gates the time.Now calls on the hot path. The edge-centric
+// engineName labels this engine's spans and metrics. The edge-centric
 // model has no Dispatcher, so its stages map to sio (vertex-state loads),
 // worker (the scatter edge stream), and drain (the gather pass).
-type engineObs struct {
-	on  bool
-	reg *obs.Registry
-	tr  *obs.Tracer
-
-	stageNS map[string]*obs.Counter
-}
-
-func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
-	eo := engineObs{
-		on:      reg != nil || tr != nil,
-		reg:     reg,
-		tr:      tr,
-		stageNS: make(map[string]*obs.Counter, 4),
-	}
-	for _, st := range []string{obs.StageSio, obs.StageDispatch, obs.StageWorker, obs.StageDrain} {
-		eo.stageNS[st] = reg.Counter(engineName + "_stage_" + st + "_ns_total")
-	}
-	return eo
-}
-
-// recordStage closes out one stage of partition p: emits its span, adds
-// the stage counters, and returns the current time as the next stage's
-// start.
-func (e *Engine[V, U]) recordStage(stage string, iter, p int, start time.Time, row *obs.IterStats) time.Time {
-	now := time.Now()
-	d := now.Sub(start)
-	e.eo.tr.Emit(engineName, stage, iter, p, start, d)
-	e.eo.stageNS[stage].Add(int64(d))
-	e.stages.AddStage(stage, d)
-	if row != nil {
-		row.Stages.AddStage(stage, d)
-	}
-	return now
-}
-
-// foldDeviceStats mirrors the device's cumulative counters into the
-// registry as gauges.
-func foldDeviceStats(reg *obs.Registry, st storage.Stats) {
-	reg.Gauge("device_read_ops").Set(st.ReadOps)
-	reg.Gauge("device_write_ops").Set(st.WriteOps)
-	reg.Gauge("device_read_bytes").Set(st.ReadBytes)
-	reg.Gauge("device_write_bytes").Set(st.WriteBytes)
-	reg.Gauge("device_seeks").Set(st.Seeks)
-	reg.Gauge("device_pagecache_hits").Set(st.CacheHits)
-}
+const engineName = "xstream"
 
 // Program is an X-Stream-style edge-centric program. V is the vertex
 // state, U the update record type. The engine is bulk-synchronous:
@@ -343,8 +294,7 @@ type Engine[V, U any] struct {
 	streamed int64
 	finished bool
 
-	eo     engineObs
-	stages obs.StageTimes
+	rec obs.StageRecorder
 }
 
 // New prepares a run.
@@ -358,7 +308,7 @@ func New[V, U any](pt *Partitioned, prog Program[V, U], vcodec graph.Codec[V], u
 	return &Engine[V, U]{
 		pt: pt, prog: prog, vcodec: vcodec, ucodec: ucodec, opts: opts,
 		dev: pt.Device(),
-		eo:  newEngineObs(opts.Obs, opts.Trace),
+		rec: obs.NewStageRecorder(engineName, opts.Obs, opts.Trace),
 	}, nil
 }
 
@@ -399,26 +349,22 @@ func (e *Engine[V, U]) Run() (Result, error) {
 		if e.opts.Clock != nil {
 			e.opts.Clock.BeginPhase(fmt.Sprintf("iter%d", iters))
 		}
-		var row *obs.IterStats
 		var devBefore storage.Stats
-		if e.eo.on {
-			row = &obs.IterStats{Iteration: iters}
+		if e.rec.On {
 			devBefore = e.dev.Stats()
 		}
-		emitted, err := e.scatterPhase(iters, row)
+		emitted, err := e.scatterPhase(iters)
 		if err != nil {
 			return Result{}, err
 		}
-		active, err := e.gatherPhase(iters, row)
+		active, err := e.gatherPhase(iters)
 		if err != nil {
 			return Result{}, err
 		}
-		if row != nil {
-			devNow := e.dev.Stats()
-			row.DeviceReadBytes = devNow.ReadBytes - devBefore.ReadBytes
-			row.DeviceWriteBytes = devNow.WriteBytes - devBefore.WriteBytes
-			row.DeviceSeeks = devNow.Seeks - devBefore.Seeks
-			e.eo.reg.RecordIter(*row)
+		if e.rec.On {
+			io := e.dev.Stats().Sub(devBefore)
+			e.rec.EndIter(obs.IterStats{Iteration: iters,
+				DeviceReadBytes: io.ReadBytes, DeviceWriteBytes: io.WriteBytes, DeviceSeeks: io.Seeks})
 		}
 		iters++
 		if e.opts.MaxIterations > 0 && iters >= e.opts.MaxIterations {
@@ -432,15 +378,12 @@ func (e *Engine[V, U]) Run() (Result, error) {
 	for i := 0; i < k; i++ {
 		e.dev.Remove(e.updateFile(i))
 	}
-	if e.eo.on {
-		foldDeviceStats(e.eo.reg, e.dev.Stats())
-	}
 	return Result{
 		Iterations:     iters,
 		Partitions:     k,
 		UpdatesEmitted: e.updates,
 		EdgesStreamed:  e.streamed,
-		Stages:         e.stages,
+		Stages:         e.rec.Run,
 	}, nil
 }
 
@@ -477,7 +420,7 @@ func (e *Engine[V, U]) initPass() error {
 
 // scatterPhase streams every partition's edges against its vertex states,
 // appending updates binned by destination partition.
-func (e *Engine[V, U]) scatterPhase(iter int, row *obs.IterStats) (int64, error) {
+func (e *Engine[V, U]) scatterPhase(iter int) (int64, error) {
 	k := e.pt.NumPartitions()
 	// Buffered appenders for the destination bins.
 	bins := make([]*storage.Writer, k)
@@ -496,14 +439,14 @@ func (e *Engine[V, U]) scatterPhase(iter int, row *obs.IterStats) (int64, error)
 			continue
 		}
 		var t time.Time
-		if e.eo.on {
+		if e.rec.On {
 			t = time.Now()
 		}
 		if err := e.loadVertices(lo, hi); err != nil {
 			return 0, err
 		}
-		if e.eo.on {
-			t = e.recordStage(obs.StageSio, iter, p, t, row)
+		if e.rec.On {
+			t = e.rec.Since(obs.StageSio, iter, p, t)
 		}
 		f, err := e.dev.Open(e.pt.EdgeFile(p))
 		if err != nil {
@@ -540,8 +483,8 @@ func (e *Engine[V, U]) scatterPhase(iter int, row *obs.IterStats) (int64, error)
 		if err := e.storeVertices(lo, hi); err != nil {
 			return 0, err
 		}
-		if e.eo.on {
-			e.recordStage(obs.StageWorker, iter, p, t, row)
+		if e.rec.On {
+			e.rec.Since(obs.StageWorker, iter, p, t)
 		}
 	}
 	for _, b := range bins {
@@ -554,7 +497,7 @@ func (e *Engine[V, U]) scatterPhase(iter int, row *obs.IterStats) (int64, error)
 
 // gatherPhase streams every partition's update bin into its vertex
 // states, then runs PostGather.
-func (e *Engine[V, U]) gatherPhase(iter int, row *obs.IterStats) (bool, error) {
+func (e *Engine[V, U]) gatherPhase(iter int) (bool, error) {
 	k := e.pt.NumPartitions()
 	active := false
 	urec := make([]byte, 4+e.ucodec.Size())
@@ -564,7 +507,7 @@ func (e *Engine[V, U]) gatherPhase(iter int, row *obs.IterStats) (bool, error) {
 			continue
 		}
 		var t time.Time
-		if e.eo.on {
+		if e.rec.On {
 			t = time.Now()
 		}
 		if err := e.loadVertices(lo, hi); err != nil {
@@ -603,8 +546,8 @@ func (e *Engine[V, U]) gatherPhase(iter int, row *obs.IterStats) (bool, error) {
 		if err := e.storeVertices(lo, hi); err != nil {
 			return false, err
 		}
-		if e.eo.on {
-			e.recordStage(obs.StageDrain, iter, p, t, row)
+		if e.rec.On {
+			e.rec.Since(obs.StageDrain, iter, p, t)
 		}
 	}
 	return active, nil
