@@ -133,6 +133,54 @@ func TestBFSUnreachedStaysUnreached(t *testing.T) {
 	}
 }
 
+// TestSelectiveUpdatesTrackFrontier: selective scheduling reads blocks but
+// updates bits. A BFS across a 64x64 grid is dozens of iterations of a
+// thin frontier over one adjacency block; with selective scheduling on the
+// run is the full-streaming run — same levels, same iterations, same
+// messages — except that Update runs on the vertices whose bit is set, not
+// on every vertex whose block was read: a few per vertex over the whole
+// run (each is updated when reached and once more for having marked itself
+// active), where streaming makes one per vertex per iteration.
+func TestSelectiveUpdatesTrackFrontier(t *testing.T) {
+	f := newFixture(t, gen.Grid(64, 64))
+	o2n, err := f.g.OldToNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	source := o2n[32*64+32] // the centre: in vertex order the frontier advances about a row per iteration
+	want := plain.BFS(f.adj, source)
+	full, fullLevels, err := BFS(f.g, bigOpts(), source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := bigOpts()
+	opts.SelectiveScheduling = true
+	sel, selLevels, err := BFS(f.g, opts, source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if fullLevels[i] != want[i] || selLevels[i] != want[i] {
+			t.Fatalf("level[%d] = %d streaming, %d selective, want %d", i, fullLevels[i], selLevels[i], want[i])
+		}
+	}
+	if sel.Iterations != full.Iterations || sel.MessagesSent != full.MessagesSent {
+		t.Errorf("selective ran %d iterations / %d messages, streaming %d / %d",
+			sel.Iterations, sel.MessagesSent, full.Iterations, full.MessagesSent)
+	}
+	if sel.Iterations < 50 || sel.BlocksScanned == 0 {
+		t.Fatalf("want a long scheduled run, got %+v", sel)
+	}
+	v := int64(f.g.NumVertices)
+	if sel.UpdatesRun > 4*v {
+		t.Errorf("selective ran %d updates over %d vertices, want at most 4 per vertex (streaming: %d)",
+			sel.UpdatesRun, v, full.UpdatesRun)
+	}
+	if full.UpdatesRun != int64(full.Iterations)*v {
+		t.Errorf("streaming ran %d updates, want %d iterations x %d vertices", full.UpdatesRun, full.Iterations, v)
+	}
+}
+
 func TestConnectedComponentsMatchesPlain(t *testing.T) {
 	// Symmetrize for weakly-connected components, as the harness does.
 	base := gen.RMAT(8, 1200, gen.NaturalRMAT, 34)

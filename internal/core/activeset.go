@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"graphz/internal/graph"
-	"graphz/internal/storage"
 )
 
 // Selective block scheduling (Options.SelectiveScheduling), the GraphMP
@@ -25,10 +25,6 @@ import (
 // density reaches a threshold the partition falls back to full streaming
 // (dense iterations are faster streamed, as GraphMP observes). See
 // DESIGN.md §9.
-
-// entriesPerBlock is the scheduling granularity in adjacency entries:
-// one device block.
-const entriesPerBlock = int64(storage.DefaultBlockSize / 4)
 
 // defaultSelectiveDensity is the active-vertex density at or above which
 // a partition streams fully instead of scheduling blocks.
@@ -116,6 +112,18 @@ func (s *activeSet) anyInRange(lo, hi graph.VertexID) bool {
 	return any
 }
 
+// rangeMask returns the bits of word w that fall in bit range [i, j).
+func rangeMask(w, i, j int) uint64 {
+	mask := ^uint64(0)
+	if w == i/64 {
+		mask <<= uint(i % 64)
+	}
+	if tail := uint(j % 64); w == (j-1)/64 && tail != 0 {
+		mask &= uint64(1)<<tail - 1
+	}
+	return mask
+}
+
 // eachWord visits the set's words masked to [lo, hi), stopping early
 // when fn returns false.
 func (s *activeSet) eachWord(lo, hi graph.VertexID, fn func(w uint64) bool) {
@@ -123,34 +131,77 @@ func (s *activeSet) eachWord(lo, hi graph.VertexID, fn func(w uint64) bool) {
 	if i >= j {
 		return
 	}
-	first, last := i/64, (j-1)/64
-	for w := first; w <= last; w++ {
-		word := s.words[w]
-		if w == first {
-			word &= ^uint64(0) << uint(i%64)
-		}
-		if w == last {
-			if tail := uint(j % 64); tail != 0 {
-				word &= (uint64(1) << tail) - 1
-			}
-		}
-		if !fn(word) {
+	for w := i / 64; w <= (j-1)/64; w++ {
+		if !fn(s.words[w] & rangeMask(w, i, j)) {
 			return
 		}
 	}
 }
 
+// nextBit returns the smallest v' in [v, hi) whose bit equals want, or hi
+// when there is none. It reads the live words, so a caller that sets bits
+// ahead of v between calls finds them.
+func (s *activeSet) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
+	i, j := int(v-s.base), int(hi-s.base)
+	if i >= j {
+		return hi
+	}
+	var flip uint64
+	if !want {
+		flip = ^uint64(0)
+	}
+	w := i / 64
+	word := (s.words[w] ^ flip) &^ (uint64(1)<<uint(i%64) - 1)
+	for word == 0 {
+		w++
+		if w*64 >= j {
+			return hi
+		}
+		word = s.words[w] ^ flip
+	}
+	if p := w*64 + bits.TrailingZeros64(word); p < j {
+		return s.base + graph.VertexID(p)
+	}
+	return hi
+}
+
+// nextSet returns the smallest set bit in [v, hi), or hi.
+func (s *activeSet) nextSet(v, hi graph.VertexID) graph.VertexID { return s.nextBit(v, hi, true) }
+
+// bitsAt returns the 64 bits starting at bit index p of the set, which
+// may begin before the first word or run past the last; bits outside the
+// set read as zero.
+func (s *activeSet) bitsAt(p int) uint64 {
+	word := func(w int) uint64 {
+		if w < 0 || w >= len(s.words) {
+			return 0
+		}
+		return s.words[w]
+	}
+	w, r := p>>6, uint(p&63) // floor division: p may be negative
+	if r == 0 {
+		return word(w)
+	}
+	return word(w)>>r | word(w+1)<<(64-r)
+}
+
 // copyFrom overwrites dst bits [lo, hi) with src's — the commit step
 // that installs a speculative chunk's private overlay into the global
 // set, exactly as the sequential clear-on-update/set-on-apply sequence
-// would have left them.
+// would have left them. It moves whole masked words (src's base need not
+// be word-aligned with dst's) and settles count by popcount.
 func (s *activeSet) copyFrom(src *activeSet, lo, hi graph.VertexID) {
-	for v := lo; v < hi; v++ {
-		if src.get(v) {
-			s.set(v)
-		} else {
-			s.clear(v)
-		}
+	i, j := int(lo-s.base), int(hi-s.base)
+	if i >= j {
+		return
+	}
+	shift := int(s.base) - int(src.base) // dst bit p is src bit p+shift
+	for w := i / 64; w <= (j-1)/64; w++ {
+		mask := rangeMask(w, i, j)
+		old := s.words[w]
+		word := old&^mask | src.bitsAt(w*64+shift)&mask
+		s.words[w] = word
+		s.count += int64(bits.OnesCount64(word)) - int64(bits.OnesCount64(old))
 	}
 }
 
@@ -192,108 +243,205 @@ type selRun struct {
 
 // selSchedule is one partition's worker plan for one iteration.
 type selSchedule struct {
+	// runs aliases the planner's scratch: valid until its next plan.
 	runs []selRun
 	// streamAll marks a dense partition that reads its whole entry
 	// range as a single run (the GraphMP fallback).
 	streamAll bool
 	// blocksTotal is the partition's adjacency block count; blocksRead
 	// is how many the schedule touches. Their difference is the saved IO.
+	// Both count blocks of the edges file's own grid (entry offset / epb,
+	// the blocks Sio reads and the heatmap attributes), so a block two
+	// partitions share is one block to each of them.
 	blocksTotal int64
 	blocksRead  int64
 	activeCount int64
 }
 
-// planSelective computes the block schedule for partition [lo, hi),
-// whose adjacency occupies entries starting at offset start with the
-// given per-vertex degrees. epb is the block size in entries; a
-// partition whose active density (set bits / vertices) is at or above
-// threshold streams fully.
-//
-// Scheduling is block-granular: a block holding any active vertex's
-// edges is read whole, and every vertex whose entries the schedule
-// reads is updated — the extra updates are no-ops for frontier-safe
-// programs (see Options.SelectiveScheduling). Active zero-degree
-// vertices are scheduled too (their updates consume no entries).
-func planSelective(as *activeSet, lo, hi graph.VertexID, start int64, degs []uint32, epb int64, threshold float64) selSchedule {
-	count := int64(hi - lo)
-	var entries int64
-	for _, d := range degs {
-		entries += int64(d)
+// examined is what planning looked at, the unit of sim.CostActiveScan:
+// the partition's blocks, plus every set bit a sparse plan walked.
+func (s selSchedule) examined() int64 {
+	if s.streamAll {
+		return s.blocksTotal
 	}
+	return s.blocksTotal + s.activeCount
+}
+
+// spanIndex is what the planner needs of a Layout: a vertex's entry span,
+// computed (the paper's DOS formula) rather than stored per vertex.
+type spanIndex interface {
+	DegreeOf(x graph.VertexID) uint32
+	OffsetOf(x graph.VertexID) int64
+	NextZeroDegree(x, hi graph.VertexID) graph.VertexID
+}
+
+// blockSpan is a maximal interval [first, last] of marked blocks.
+type blockSpan struct{ first, last int64 }
+
+// selPlanner computes selective schedules. It holds only scratch, reused
+// from one plan to the next so a sparse iteration allocates nothing.
+type selPlanner struct {
+	marked []blockSpan
+	runs   []selRun
+}
+
+// runBuilder assembles one plan's runs over partition [.., hi), whose
+// adjacency ends at entry offset end.
+type runBuilder struct {
+	as      *activeSet
+	idx     spanIndex
+	hi      graph.VertexID
+	end     int64
+	runs    []selRun
+	covered int64 // entries below this offset belong to a run already
+}
+
+// blocksSpanned returns how many blocks of epb entries the entry range
+// [start, end) touches.
+func blocksSpanned(start, end, epb int64) int64 {
+	if end <= start {
+		return 0
+	}
+	return (end-1)/epb - start/epb + 1
+}
+
+// plan computes the block schedule for partition [lo, hi), whose
+// adjacency occupies entries [start, end). epb is the block size in
+// entries; a partition whose active density (set bits / vertices) is at
+// or above threshold streams fully.
+//
+// IO is block-granular: a block holding any active vertex's edges is read
+// whole, and a run is a maximal range of vertices whose entry spans touch
+// such a block (spans are read whole, so a run may begin or end
+// mid-block). Updates are bit-granular: the Worker visits only the set
+// bits inside a run. Active zero-degree vertices are scheduled too (their
+// updates consume no entries); inactive ones belong to no run.
+//
+// The cost is O(words + set bits + marked blocks · log vertices): one pass
+// over the set bits marks blocks through the vertex → span arithmetic,
+// and the runs come back from the marked intervals by an offset → vertex
+// search. There is no per-vertex pass and no per-block activity summary to
+// maintain — the word scan that finds the bits is V/64 loads.
+func (pl *selPlanner) plan(as *activeSet, idx spanIndex, lo, hi graph.VertexID, start, end, epb int64, threshold float64) selSchedule {
 	sched := selSchedule{
-		blocksTotal: (entries + epb - 1) / epb,
+		blocksTotal: blocksSpanned(start, end, epb),
 		activeCount: as.countRange(lo, hi),
 	}
+	pl.runs = pl.runs[:0]
 	if sched.activeCount == 0 {
 		return sched
 	}
-	if float64(sched.activeCount) >= threshold*float64(count) {
+	if float64(sched.activeCount) >= threshold*float64(hi-lo) {
 		sched.streamAll = true
-		sched.runs = []selRun{{lo: lo, hi: hi, startOff: start, endOff: start + entries}}
+		pl.runs = append(pl.runs, selRun{lo: lo, hi: hi, startOff: start, endOff: end})
+		sched.runs = pl.runs
 		sched.blocksRead = sched.blocksTotal
 		return sched
 	}
 
-	// Pass 1: mark the blocks an active vertex's entry span touches.
-	activeBlk := make([]bool, sched.blocksTotal)
-	off := start
-	for i := int64(0); i < count; i++ {
-		d := int64(degs[i])
-		if d > 0 && as.get(lo+graph.VertexID(i)) {
-			first := (off - start) / epb
-			last := (off + d - 1 - start) / epb
-			for b := first; b <= last; b++ {
-				activeBlk[b] = true
-			}
+	// Mark the blocks an active vertex's entry span touches. Bits ascend,
+	// so do spans, so the marks arrive as ascending intervals.
+	pl.marked = pl.marked[:0]
+	for v := as.nextSet(lo, hi); v < hi; v = as.nextSet(v+1, hi) {
+		d := int64(idx.DegreeOf(v))
+		if d == 0 {
+			continue
 		}
-		off += d
+		off := idx.OffsetOf(v)
+		first, last := off/epb, (off+d-1)/epb
+		if n := len(pl.marked); n > 0 && first <= pl.marked[n-1].last+1 {
+			pl.marked[n-1].last = max(pl.marked[n-1].last, last)
+		} else {
+			pl.marked = append(pl.marked, blockSpan{first, last})
+		}
 	}
 
-	// Pass 2: a vertex is scheduled iff it is active itself or shares a
-	// marked block; consecutive scheduled vertices merge into runs.
-	off = start
-	for i := int64(0); i < count; i++ {
-		v := lo + graph.VertexID(i)
-		d := int64(degs[i])
-		inc := as.get(v)
-		if !inc && d > 0 {
-			for b := (off - start) / epb; b <= (off+d-1-start)/epb && !inc; b++ {
-				inc = activeBlk[b]
-			}
+	// A vertex with entries is scheduled iff its span touches a marked
+	// block: the owners of a marked interval's first and last entry and
+	// everyone between them. Between two such ranges only the active
+	// (necessarily zero-degree) vertices are scheduled.
+	b := runBuilder{as: as, idx: idx, hi: hi, end: end, runs: pl.runs, covered: start}
+	next := lo // first vertex no run has considered yet
+	for _, m := range pl.marked {
+		// Clip to the partition, and to what the previous interval's last
+		// owner — read whole — already covers.
+		from, to := max(m.first*epb, b.covered), min((m.last+1)*epb, end)
+		if from >= to {
+			continue
 		}
-		if inc {
-			if n := len(sched.runs); n > 0 && sched.runs[n-1].hi == v {
-				sched.runs[n-1].hi = v + 1
-				sched.runs[n-1].endOff = off + d
-			} else {
-				sched.runs = append(sched.runs, selRun{lo: v, hi: v + 1, startOff: off, endOff: off + d})
-			}
-		}
-		off += d
+		first := b.ownerOf(next, from)
+		last := b.ownerOf(first, to-1)
+		b.appendActive(next, first)
+		b.appendOwners(first, last+1)
+		next = last + 1
 	}
+	b.appendActive(next, hi)
+	pl.runs, sched.runs = b.runs, b.runs
 
 	// Blocks read: distinct blocks under the runs' entry spans. Runs may
 	// begin or end mid-block (a scheduled vertex straddling an unmarked
 	// block is read whole), so count from the spans, not the marks.
-	last := int64(-1)
+	lastBlk := int64(-1)
 	for _, r := range sched.runs {
 		if r.endOff == r.startOff {
 			continue
 		}
-		first, end := (r.startOff-start)/epb, (r.endOff-1-start)/epb
-		if first <= last {
-			first = last + 1
-		}
-		if end >= first {
-			sched.blocksRead += end - first + 1
-			last = end
+		first, last := max(r.startOff/epb, lastBlk+1), (r.endOff-1)/epb
+		if last >= first {
+			sched.blocksRead += last - first + 1
+			lastBlk = last
 		}
 	}
 	return sched
 }
 
-// blocksIn returns the block count of entry range [start, end) at epb
-// entries per block.
-func blocksIn(start, end, epb int64) int64 {
-	return (end - start + epb - 1) / epb
+// ownerOf returns the vertex in [from, hi) whose adjacency holds entry
+// off: the last one whose span starts at or before it. OffsetOf(from)
+// must not exceed off.
+func (b *runBuilder) ownerOf(from graph.VertexID, off int64) graph.VertexID {
+	n := sort.Search(int(b.hi-from), func(i int) bool {
+		return b.idx.OffsetOf(from+graph.VertexID(i)) > off
+	})
+	return from + graph.VertexID(n) - 1
+}
+
+// appendRun schedules vertices [lo, hi), extending the last run when they
+// follow it directly.
+func (b *runBuilder) appendRun(lo, hi graph.VertexID) {
+	if lo >= hi {
+		return
+	}
+	endOff := b.end
+	if hi < b.hi {
+		endOff = b.idx.OffsetOf(hi)
+	}
+	b.covered = endOff
+	if n := len(b.runs); n > 0 && b.runs[n-1].hi == lo {
+		b.runs[n-1].hi, b.runs[n-1].endOff = hi, endOff
+		return
+	}
+	b.runs = append(b.runs, selRun{lo: lo, hi: hi, startOff: b.idx.OffsetOf(lo), endOff: endOff})
+}
+
+// appendActive schedules the set bits of [lo, hi), a range no marked
+// block reaches: one run per maximal stretch of them.
+func (b *runBuilder) appendActive(lo, hi graph.VertexID) {
+	for s := b.as.nextSet(lo, hi); s < hi; {
+		t := b.as.nextBit(s, hi, false)
+		b.appendRun(s, t)
+		s = b.as.nextSet(t, hi)
+	}
+}
+
+// appendOwners schedules [lo, hi), the owners of a marked interval: every
+// vertex with entries, and of the zero-degree ones among them the active.
+func (b *runBuilder) appendOwners(lo, hi graph.VertexID) {
+	s := lo
+	for z := b.idx.NextZeroDegree(lo, hi); z < hi; z = b.idx.NextZeroDegree(z+1, hi) {
+		if !b.as.get(z) {
+			b.appendRun(s, z)
+			s = z + 1
+		}
+	}
+	b.appendRun(s, hi)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"graphz/internal/dos"
@@ -11,7 +12,7 @@ import (
 )
 
 // Tests for selective block scheduling: the activeSet bitmap primitives,
-// the planSelective block-granular scheduler, the end-to-end property
+// the block-granular scheduler against its reference, the end-to-end property
 // that selective runs reproduce full-streaming state bytes exactly, and
 // the BFS-tail IO-reduction claim the feature exists for.
 
@@ -74,6 +75,37 @@ func TestActiveSetPrimitives(t *testing.T) {
 	if dst.countRange(0, 100) != 100 || dst.countRange(120, 200) != 80 {
 		t.Error("copyFrom touched bits outside [lo, hi)")
 	}
+
+	// copyFrom moves words; bit by bit is what it must equal, whatever the
+	// two bases' alignment and wherever the range starts and ends.
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(300)
+		lo := graph.VertexID(rng.Intn(n))
+		hi := lo + graph.VertexID(rng.Intn(n-int(lo)+1))
+		src := newEmptyActiveSet(lo, int(hi-lo))
+		got, want := newEmptyActiveSet(0, n), newEmptyActiveSet(0, n)
+		for v := graph.VertexID(0); int(v) < n; v++ {
+			if rng.Intn(2) == 0 {
+				got.set(v)
+				want.set(v)
+			}
+			if v >= lo && v < hi && rng.Intn(2) == 0 {
+				src.set(v)
+			}
+		}
+		for v := lo; v < hi; v++ {
+			if src.get(v) {
+				want.set(v)
+			} else {
+				want.clear(v)
+			}
+		}
+		got.copyFrom(src, lo, hi)
+		if got.count != want.count || !bytes.Equal(got.marshal(), want.marshal()) {
+			t.Fatalf("copyFrom [%d,%d) of %d: count %d, bit by bit %d", lo, hi, n, got.count, want.count)
+		}
+	}
 }
 
 func TestActiveSetMarshalRoundTrip(t *testing.T) {
@@ -100,6 +132,149 @@ func TestActiveSetMarshalRoundTrip(t *testing.T) {
 	if _, err := unmarshalActiveSet(data, 7000); err == nil {
 		t.Error("vertex-count mismatch should fail to unmarshal")
 	}
+}
+
+// planSelectiveRef is the reference planner: the two passes over every
+// vertex of the partition the engine ran before the planner walked set
+// bits, kept (on the edges file's own block grid) as the definition the
+// planner is property-tested against. degs holds the out-degrees of
+// [lo, hi), whose adjacency starts at entry offset start.
+//
+// Scheduling is block-granular: a block holding any active vertex's
+// edges is read whole, and every vertex whose entries touch such a block
+// is scheduled. Active zero-degree vertices are scheduled too (their
+// updates consume no entries).
+func planSelectiveRef(as *activeSet, lo, hi graph.VertexID, start int64, degs []uint32, epb int64, threshold float64) selSchedule {
+	count := int64(hi - lo)
+	var entries int64
+	for _, d := range degs {
+		entries += int64(d)
+	}
+	sched := selSchedule{
+		blocksTotal: blocksSpanned(start, start+entries, epb),
+		activeCount: as.countRange(lo, hi),
+	}
+	if sched.activeCount == 0 {
+		return sched
+	}
+	if float64(sched.activeCount) >= threshold*float64(count) {
+		sched.streamAll = true
+		sched.runs = []selRun{{lo: lo, hi: hi, startOff: start, endOff: start + entries}}
+		sched.blocksRead = sched.blocksTotal
+		return sched
+	}
+
+	// Pass 1: mark the blocks an active vertex's entry span touches.
+	base := start / epb
+	activeBlk := make([]bool, sched.blocksTotal)
+	off := start
+	for i := int64(0); i < count; i++ {
+		d := int64(degs[i])
+		if d > 0 && as.get(lo+graph.VertexID(i)) {
+			for b := off / epb; b <= (off+d-1)/epb; b++ {
+				activeBlk[b-base] = true
+			}
+		}
+		off += d
+	}
+
+	// Pass 2: a vertex is scheduled iff it is active itself or shares a
+	// marked block; consecutive scheduled vertices merge into runs.
+	off = start
+	for i := int64(0); i < count; i++ {
+		v := lo + graph.VertexID(i)
+		d := int64(degs[i])
+		inc := as.get(v)
+		if !inc && d > 0 {
+			for b := off / epb; b <= (off+d-1)/epb && !inc; b++ {
+				inc = activeBlk[b-base]
+			}
+		}
+		if inc {
+			if n := len(sched.runs); n > 0 && sched.runs[n-1].hi == v {
+				sched.runs[n-1].hi = v + 1
+				sched.runs[n-1].endOff = off + d
+			} else {
+				sched.runs = append(sched.runs, selRun{lo: v, hi: v + 1, startOff: off, endOff: off + d})
+			}
+		}
+		off += d
+	}
+
+	// Blocks read: distinct blocks under the runs' entry spans. Runs may
+	// begin or end mid-block (a scheduled vertex straddling an unmarked
+	// block is read whole), so count from the spans, not the marks.
+	last := int64(-1)
+	for _, r := range sched.runs {
+		if r.endOff == r.startOff {
+			continue
+		}
+		first, end := r.startOff/epb, (r.endOff-1)/epb
+		if first <= last {
+			first = last + 1
+		}
+		if end >= first {
+			sched.blocksRead += end - first + 1
+			last = end
+		}
+	}
+	return sched
+}
+
+// degIndex is a spanIndex over an explicit degree sequence: vertex lo+i
+// has degs[i] entries, the first of them at offset start.
+type degIndex struct {
+	lo   graph.VertexID
+	offs []int64 // offs[i] is vertex lo+i's offset; one extra for the end
+}
+
+func newDegIndex(lo graph.VertexID, start int64, degs []uint32) *degIndex {
+	x := &degIndex{lo: lo, offs: make([]int64, len(degs)+1)}
+	x.offs[0] = start
+	for i, d := range degs {
+		x.offs[i+1] = x.offs[i] + int64(d)
+	}
+	return x
+}
+
+func (x *degIndex) OffsetOf(v graph.VertexID) int64 { return x.offs[v-x.lo] }
+
+func (x *degIndex) DegreeOf(v graph.VertexID) uint32 {
+	return uint32(x.offs[v-x.lo+1] - x.offs[v-x.lo])
+}
+
+func (x *degIndex) NextZeroDegree(v, hi graph.VertexID) graph.VertexID {
+	for ; v < hi; v++ {
+		if x.DegreeOf(v) == 0 {
+			return v
+		}
+	}
+	return hi
+}
+
+// planBoth plans with the planner and with the reference, and fails the
+// test unless they agree on everything the engine reads off a schedule.
+func planBoth(t *testing.T, pl *selPlanner, as *activeSet, lo graph.VertexID, start int64, degs []uint32, epb int64, threshold float64) selSchedule {
+	t.Helper()
+	hi := lo + graph.VertexID(len(degs))
+	x := newDegIndex(lo, start, degs)
+	got := pl.plan(as, x, lo, hi, start, x.offs[len(degs)], epb, threshold)
+	want := planSelectiveRef(as, lo, hi, start, degs, epb, threshold)
+	if got.streamAll != want.streamAll || got.blocksTotal != want.blocksTotal ||
+		got.blocksRead != want.blocksRead || got.activeCount != want.activeCount {
+		t.Errorf("plan = {streamAll %v, blocks %d of %d, active %d}, reference {streamAll %v, blocks %d of %d, active %d}",
+			got.streamAll, got.blocksRead, got.blocksTotal, got.activeCount,
+			want.streamAll, want.blocksRead, want.blocksTotal, want.activeCount)
+	}
+	if len(got.runs) != len(want.runs) {
+		t.Fatalf("runs = %+v, reference %+v", got.runs, want.runs)
+	}
+	for i, r := range got.runs {
+		if r != want.runs[i] {
+			t.Errorf("run %d = %+v, reference %+v", i, r, want.runs[i])
+		}
+	}
+	return got
 }
 
 func TestPlanSelectiveTable(t *testing.T) {
@@ -183,14 +358,14 @@ func TestPlanSelectiveTable(t *testing.T) {
 			runs: []selRun{{lo: 101, hi: 102, startOff: 1004, endOff: 1008}},
 		},
 	}
+	var pl selPlanner // one planner for the whole table: its scratch is reused
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			as := newEmptyActiveSet(0, int(tc.lo)+len(tc.degs))
 			for _, v := range tc.active {
 				as.set(v)
 			}
-			hi := tc.lo + graph.VertexID(len(tc.degs))
-			sched := planSelective(as, tc.lo, hi, tc.start, tc.degs, tc.epb, tc.threshold)
+			sched := planBoth(t, &pl, as, tc.lo, tc.start, tc.degs, tc.epb, tc.threshold)
 			if sched.streamAll != tc.streamAll {
 				t.Errorf("streamAll = %v, want %v", sched.streamAll, tc.streamAll)
 			}
@@ -212,6 +387,64 @@ func TestPlanSelectiveTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlanSelectiveMatchesReference: on random bitmaps over random degree
+// sequences — zero-degree vertices anywhere, vertices spanning several
+// blocks, partitions starting mid-block, densities on either side of the
+// threshold — the planner's schedule is the two-pass reference's: same
+// runs, same blocks read, same blocks total.
+func TestPlanSelectiveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var pl selPlanner
+	for trial := 0; trial < 3000 && !t.Failed(); trial++ {
+		n := 1 + rng.Intn(120)
+		epb := int64(1 + rng.Intn(9))
+		lo := graph.VertexID(rng.Intn(130))
+		start := int64(rng.Intn(40))
+		shape := rng.Intn(4)
+		degs := make([]uint32, n)
+		for i := range degs {
+			switch {
+			case shape == 0: // degree-ordered, as DOS stores it
+				degs[i] = uint32((n - 1 - i) * 6 / n)
+			case rng.Intn(4) == 0:
+				degs[i] = 0
+			case rng.Intn(12) == 0: // spans several blocks
+				degs[i] = uint32(epb) * uint32(2+rng.Intn(3))
+			default:
+				degs[i] = uint32(1 + rng.Intn(5))
+			}
+		}
+		const threshold = 0.25
+		as := newEmptyActiveSet(0, int(lo)+n+rng.Intn(70))
+		var want int
+		switch rng.Intn(3) {
+		case 0:
+			want = min(rng.Intn(4), n)
+		case 1: // just under the threshold: the densest sparse plan
+			want = n / 4
+			for want > 0 && float64(want) >= threshold*float64(n) {
+				want--
+			}
+		default:
+			want = rng.Intn(n + 1)
+		}
+		for _, i := range rng.Perm(n)[:want] {
+			as.set(lo + graph.VertexID(i))
+		}
+		// Bits outside the partition must not matter.
+		if lo > 0 {
+			as.set(lo - 1)
+		}
+		if int(lo)+n < as.n {
+			as.set(lo + graph.VertexID(n))
+		}
+		sched := planBoth(t, &pl, as, lo, start, degs, epb, threshold)
+		if t.Failed() {
+			t.Logf("trial %d: lo %d start %d epb %d degs %v active %d: %+v", trial, lo, start, epb, degs, want, sched)
+		}
 	}
 }
 
@@ -400,6 +633,47 @@ func TestSelectiveBFSTailBlockReduction(t *testing.T) {
 	}
 	if fullReg.CounterValue("graphz_blocks_scanned_total") != 0 {
 		t.Error("full-streaming run incremented selective counters")
+	}
+}
+
+// TestSparseIterationAllocs bounds what a sparse iteration allocates on the
+// resident source: the planner's marks and runs and the Worker's range
+// list are scratch the engine keeps, the resident entries need no stream,
+// so one more iteration of a thin frontier costs the Worker pass's Context
+// and nothing that grows with the graph. A per-iteration block-mark slice,
+// degree array or range list coming back fails it.
+func TestSparseIterationAllocs(t *testing.T) {
+	const perIteration = 2
+	const k = 400
+	g := buildDOS(t, slowChainEdges(k)) // one frontier vertex per tail iteration
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{
+				MemoryBudget:        64 << 20,
+				DynamicMessages:     true,
+				CacheAdjacency:      true,
+				SelectiveScheduling: true,
+				MaxIterations:       iters,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run()
+			if err != nil || res.Iterations != iters || res.Partitions != 1 || !eng.AdjacencyCached() {
+				t.Fatalf("ran %d of %d iterations in %d partitions (cached %v): %v",
+					res.Iterations, iters, res.Partitions, eng.AdjacencyCached(), err)
+			}
+			if res.UpdatesRun > 3*int64(g.NumVertices)+4*int64(iters) {
+				t.Fatalf("%d updates in %d iterations: the tail is not sparse", res.UpdatesRun, iters)
+			}
+			eng.Cleanup()
+		})
+	}
+	const short, long = 40, 360
+	per := (allocs(long) - allocs(short)) / (long - short)
+	t.Logf("a sparse iteration on the resident source allocates %.2f times", per)
+	if per > perIteration {
+		t.Errorf("a sparse iteration on the resident source allocates %.2f times, want <= %d", per, perIteration)
 	}
 }
 

@@ -46,10 +46,10 @@ func (e *Engine[V, M]) maybeEnableAdjCache() {
 // first partition, or in another engine sharing it). Engine goroutine
 // only — ps.cacheHit is not synchronized.
 func (e *Engine[V, M]) ensureResident(ps *pipeStats) error {
-	hit := e.adjData != nil
+	hit := e.resident.data != nil
 	if !hit {
 		var err error
-		if e.adjData, hit, err = e.adjCache.load(ps); err != nil {
+		if e.resident.data, hit, err = e.adjCache.load(ps); err != nil {
 			return err
 		}
 	}
@@ -60,15 +60,16 @@ func (e *Engine[V, M]) ensureResident(ps *pipeStats) error {
 }
 
 // adjSource returns the adjacency source for the given ascending entry
-// ranges: the resident entries when cached (ensureResident has run), or
-// one Sio prefetcher. Safe to call from concurrently speculating chunks:
-// a prefetcher is private to its caller, the resident entries are
+// ranges: the resident entries when cached (ensureResident has run; they
+// need no ranges), or one Sio prefetcher — lazy for a sparse schedule's
+// hopping Worker. Safe to call from concurrently speculating chunks: a
+// prefetcher is private to its caller, the resident entries are
 // read-only, and ps only takes atomic updates off the engine goroutine.
-func (e *Engine[V, M]) adjSource(ranges []entryRange, ps *pipeStats) (entrySource, error) {
+func (e *Engine[V, M]) adjSource(ranges []entryRange, lazy bool, ps *pipeStats) (entrySource, error) {
 	if e.adjCache != nil {
-		return &memEntryStream{data: e.adjData, ranges: ranges}, nil
+		return &e.resident, nil
 	}
-	return openEntryStream(e.dev, e.adj, e.layout.EdgesFile(), ranges, ps)
+	return openEntryStream(e.dev, e.adj, e.layout.EdgesFile(), ranges, lazy, ps)
 }
 
 // AdjacencyCached reports whether the engine serves adjacency from

@@ -12,8 +12,8 @@ import (
 )
 
 // Tests for the batch adjacency dispatch path: the batchReader must do
-// zero allocations per vertex in steady state (the point of the flat
-// buffer).
+// zero allocations per vertex in steady state (the point of serving
+// sub-slices of a window).
 
 // batchDegrees is a mixed degree schedule: zero-degree vertices, degrees
 // straddling refill boundaries, and one degree larger than the initial
@@ -30,7 +30,7 @@ func consumeAll(t *testing.T, br *batchReader, n int, check bool) {
 		if rem := n - served; int(deg) > rem {
 			deg = uint32(rem)
 		}
-		adj, err := br.adj(deg)
+		adj, err := br.adj(int64(served), deg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,9 +48,8 @@ func consumeAll(t *testing.T, br *batchReader, n int, check bool) {
 	}
 }
 
-// TestBatchReaderAllocs pins the acceptance criterion directly: after
-// the buffer has grown to cover the degree schedule, serving adjacency
-// slices allocates nothing.
+// TestBatchReaderAllocs pins the acceptance criterion directly: serving
+// adjacency slices out of a window allocates nothing.
 func TestBatchReaderAllocs(t *testing.T) {
 	const entries = 4096
 	data := make([]graph.VertexID, entries)
@@ -58,19 +57,11 @@ func TestBatchReaderAllocs(t *testing.T) {
 		data[i] = graph.VertexID(3 * i)
 	}
 	t.Run("bulk", func(t *testing.T) {
-		ranges := make([]entryRange, 1)
-		src := &memEntryStream{data: data}
-		br := batchReader{src: src}
-		rewind := func() {
-			ranges[0] = entryRange{0, entries}
-			src.ranges = ranges
-			br.pos, br.fill = 0, 0
-		}
-		// Warm-up pass: grows the buffer and checks entry order.
-		rewind()
+		br := batchReader{src: &memEntryStream{data: data}}
+		// First pass: checks entry order.
 		consumeAll(t, &br, entries, true)
 		run := func() {
-			rewind()
+			br.w, br.at = nil, 0
 			consumeAll(t, &br, entries, false)
 		}
 		if avg := testing.AllocsPerRun(20, run); avg != 0 {
@@ -82,12 +73,12 @@ func TestBatchReaderAllocs(t *testing.T) {
 // TestBatchReaderExhaustion: demanding more entries than the stream
 // holds must surface the source's exhaustion error.
 func TestBatchReaderExhaustion(t *testing.T) {
-	br := batchReader{src: &memEntryStream{data: make([]graph.VertexID, 2), ranges: []entryRange{{0, 2}}}}
-	if adj, err := br.adj(0); err != nil || adj != nil {
-		t.Errorf("adj(0) = (%v, %v), want (nil, nil)", adj, err)
+	br := batchReader{src: &memEntryStream{data: make([]graph.VertexID, 2)}}
+	if adj, err := br.adj(0, 0); err != nil || adj != nil {
+		t.Errorf("adj(0, 0) = (%v, %v), want (nil, nil)", adj, err)
 	}
-	if _, err := br.adj(3); !errors.Is(err, errAdjExhausted) {
-		t.Errorf("adj(3) over a 2-entry stream = %v, want errAdjExhausted", err)
+	if _, err := br.adj(0, 3); !errors.Is(err, errAdjExhausted) {
+		t.Errorf("adj(0, 3) over a 2-entry stream = %v, want errAdjExhausted", err)
 	}
 }
 

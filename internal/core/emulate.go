@@ -257,25 +257,24 @@ func InDegrees(l Layout) ([]uint32, error) {
 	if err := l.LoadIndex(); err != nil {
 		return nil, err
 	}
-	stream, err := openEntryStream(l.Device(), l.Adj(), l.EdgesFile(), []entryRange{{start: 0, end: l.NumEdges()}}, nil)
+	stream, err := openEntryStream(l.Device(), l.Adj(), l.EdgesFile(), []entryRange{{start: 0, end: l.NumEdges()}}, false, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer stream.stop()
-	buf := make([]graph.VertexID, workerBatchEntries)
 	for off := int64(0); off < l.NumEdges(); {
-		m, err := stream.read(buf)
+		w, err := stream.window(off, 1)
 		if err != nil {
 			return nil, err
 		}
-		for i, dst := range buf[:m] {
+		for i, dst := range w {
 			if int(dst) >= n {
 				return nil, fmt.Errorf("core: adjacency entry %d of %q names vertex %d, layout has %d: %w",
 					off+int64(i), l.EdgesFile(), dst, n, storage.ErrCorruptBlock)
 			}
 			in[dst]++
 		}
-		off += int64(m)
+		off += int64(len(w))
 	}
 	return in, nil
 }

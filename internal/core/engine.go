@@ -58,7 +58,7 @@ type Program[V, M any] interface {
 type Context[M any] struct {
 	iteration int
 	send      func(dst graph.VertexID, m M)
-	active    *bool
+	active    bool           // some update of this Worker pass called MarkActive
 	as        *activeSet     // schedulability bits; nil unless selective scheduling
 	cur       graph.VertexID // vertex being updated (for MarkActive's bit)
 }
@@ -74,7 +74,7 @@ func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
 // flows. Under selective scheduling it also keeps the vertex
 // schedulable for the next iteration.
 func (c *Context[M]) MarkActive() {
-	*c.active = true
+	c.active = true
 	if c.as != nil {
 		c.as.set(c.cur)
 	}
@@ -136,14 +136,18 @@ type Options struct {
 	// cleared when its update runs — and skips reading adjacency blocks
 	// (and whole partitions) with no schedulable vertex and no pending
 	// message, falling back to full streaming when a quarter of the
-	// partition's vertices are active. Requires a frontier-safe program: Update
-	// must be a no-op (no state change, no sends, no MarkActive) for a
-	// vertex that received no message since its last update. Programs
-	// that mark every vertex active every round run unchanged (nothing
-	// is ever skipped). Final vertex states are byte-identical to a
-	// full-streaming run for such programs; iteration counts and
-	// update/message counters may differ, since a skipped vertex's
-	// propagation can shift by an iteration. See DESIGN.md §9.
+	// partition's vertices are active. IO is block-granular — a block
+	// holding any schedulable vertex's edges is read whole — but updates
+	// are bit-granular: in a partition that does not stream fully, Update
+	// runs only on the vertices whose bit is set when the Worker reaches
+	// them, and Result.UpdatesRun counts exactly those calls. Requires a
+	// frontier-safe program: Update must be a no-op (no state change, no
+	// sends, no MarkActive) for a vertex that received no message since
+	// its last update. Programs that mark every vertex active every round
+	// run unchanged (nothing is ever skipped). Final vertex states are
+	// byte-identical to a full-streaming run for such programs; iteration
+	// counts and update/message counters may differ, since a skipped
+	// vertex's propagation can shift by an iteration. See DESIGN.md §9.
 	SelectiveScheduling bool
 	// ConvergeOnInactivity stops the run as soon as an iteration ends
 	// with no vertex marked active, even if messages were sent. Use
@@ -245,7 +249,7 @@ type Result struct {
 }
 
 // Engine runs one Program over one Layout. Create with New, run with Run,
-// read results with Values or ValuesByOldID.
+// read results with Values (map them to input IDs with Layout.NewToOld).
 type Engine[V, M any] struct {
 	layout Layout
 	prog   Program[V, M]
@@ -265,7 +269,7 @@ type Engine[V, M any] struct {
 	partLo    graph.VertexID
 	partHi    graph.VertexID
 	adjCache  *SharedAdjacency // adjacency cache, shared or private; nil streams from the device
-	adjData   []graph.VertexID // the cache's whole-file entries, once filled
+	resident  memEntryStream   // the cache's whole-file entries, once filled
 	msgBufs   [][]byte
 	active    bool
 	finished  bool
@@ -273,10 +277,11 @@ type Engine[V, M any] struct {
 	c         counters // the ledger: every cumulative count, one writer each
 	published counters // c as of the last publish
 
-	// Worker batch-dispatch scratch, reused across partitions by the
-	// engine-goroutine Worker loop (updateRuns); speculating chunks carry
-	// their own.
-	batchBuf []graph.VertexID
+	// sendFn is e.send, bound once: every Worker pass hands it to its
+	// Context. rangeBuf is the entry-range list updateRuns opens its
+	// prefetcher over, reused across passes.
+	sendFn   func(dst graph.VertexID, m M)
+	rangeBuf []entryRange
 	// onInline, when non-nil, observes every inline apply to the live
 	// states — the parallel Worker's committer marks later chunks dirty
 	// through it.
@@ -285,7 +290,7 @@ type Engine[V, M any] struct {
 	// selective scheduling state (Options.SelectiveScheduling)
 	sel     *activeSet // per-vertex schedulability bits; nil when off
 	denseAt float64    // density at which a partition streams fully; tests raise it to force the sparse plan
-	selDegs []uint32   // planner scratch: current partition's degrees
+	planner selPlanner // schedule scratch, reused across partitions and iterations
 
 	// durability state (Options.Checkpoint)
 	ckStore    *checkpoint.Store
@@ -324,6 +329,7 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 
 		denseAt: defaultSelectiveDensity,
 	}
+	e.sendFn = e.send
 	if opts.SharedAdjacency != nil && !opts.SharedAdjacency.matches(layout) {
 		return nil, fmt.Errorf("%w: shared adjacency belongs to %q (%d entries), layout reads %q (%d entries)",
 			ErrInvalidOptions, opts.SharedAdjacency.file, opts.SharedAdjacency.entries,
@@ -659,7 +665,7 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 			return err
 		}
 		if pend == 0 && !e.sel.anyInRange(lo, hi) {
-			e.accountSelective(selSchedule{blocksTotal: blocksIn(start, end, e.adj.BlockEntries)})
+			e.accountSelective(selSchedule{blocksTotal: blocksSpanned(start, end, e.adj.BlockEntries)})
 			// A whole-partition skip schedules no runs: every block of the
 			// partition's entry range is a skip cell.
 			e.heatSelective(selSchedule{}, start, end)
@@ -695,14 +701,16 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	// planner never runs and BlocksScanned/BlocksSkipped never move. With
 	// it on, plan after the drain, so bits set by pending messages are
 	// visible; a dense partition comes back as that same single run.
-	runs := []selRun{{lo: lo, hi: hi, startOff: start, endOff: end}}
-	var degs []uint32 // the planner's degree scratch, when it ran
+	var runs []selRun
 	sparse := false
 	if e.sel != nil {
-		sched := e.planPartition(lo, hi, start)
+		sched := e.planner.plan(e.sel, e.layout, lo, hi, start, end, e.adj.BlockEntries, e.denseAt)
+		e.charge(sched.examined(), sim.CostActiveScan)
 		e.accountSelective(sched)
 		e.heatSelective(sched, start, end)
-		runs, degs, sparse = sched.runs, e.selDegs, !sched.streamAll
+		runs, sparse = sched.runs, !sched.streamAll
+	} else {
+		runs = []selRun{{lo: lo, hi: hi, startOff: start, endOff: end}}
 	}
 
 	// --- Sio: adjacency entries, prefetched off the device or served
@@ -732,7 +740,7 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 		active, err = e.runWorkerParallel(iter, start, end, ps)
 	} else {
 		// Sparse tails are IO-bound, so they always run sequentially.
-		active, err = e.updateRuns(iter, runs, degs, ps)
+		active, err = e.updateRuns(iter, runs, sparse, nil, ps)
 	}
 	if err != nil {
 		return err
@@ -795,25 +803,39 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 // schedule and the parallel Worker's re-execution of one chunk are all
 // calls to it. Vertices outside every run are not touched: under
 // selective scheduling they have a clear bit and no pending message, so a
-// frontier-safe program's update would be a no-op there. degs, when
-// non-nil, holds the resident partition's out-degrees (index v-partLo) for
-// callers that already walked the index; nil reads them from the layout.
-func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, degs []uint32, ps *pipeStats) (bool, error) {
-	ranges := make([]entryRange, len(runs))
-	for i, r := range runs {
-		ranges[i] = entryRange{start: r.startOff, end: r.endOff}
+// frontier-safe program's update would be a no-op there. The same holds
+// inside a sparse schedule's runs, whose blocks are read for somebody
+// else's sake: there the loop's next vertex is the next set bit, read
+// live — a bit an inline message sets ahead of the cursor is picked up in
+// this pass, as a full scan would pick its vertex up. degs, when non-nil,
+// holds the resident partition's out-degrees (index v-partLo) for callers
+// that already walked the index; nil reads them from the layout.
+func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, degs []uint32, ps *pipeStats) (bool, error) {
+	var ranges []entryRange // what the prefetcher reads; resident entries need none
+	if e.adjCache == nil {
+		ranges = e.rangeBuf[:0]
+		for _, r := range runs {
+			ranges = append(ranges, entryRange{start: r.startOff, end: r.endOff})
+		}
+		e.rangeBuf = ranges
 	}
-	src, err := e.adjSource(ranges, ps)
+	src, err := e.adjSource(ranges, sparse, ps)
 	if err != nil {
 		return false, err
 	}
 	defer src.stop()
 
-	active := false
-	ctx := &Context[M]{iteration: iter, send: e.send, active: &active, as: e.sel}
-	br := batchReader{src: src, buf: e.batchBuf}
+	ctx := &Context[M]{iteration: iter, send: e.sendFn, as: e.sel}
+	br := batchReader{src: src}
 	for _, run := range runs {
+		off := run.startOff
 		for v := run.lo; v < run.hi; v++ {
+			if sparse {
+				if v = e.sel.nextSet(v, run.hi); v == run.hi {
+					break
+				}
+				off = e.layout.OffsetOf(v)
+			}
 			var deg uint32
 			if degs != nil {
 				deg = degs[v-e.partLo]
@@ -829,7 +851,7 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, degs []uint32, ps *pi
 				}
 				ctx.cur = v
 			}
-			adj, err := br.adj(deg)
+			adj, err := br.adj(off, deg)
 			if err != nil {
 				return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
 			}
@@ -837,10 +859,10 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, degs []uint32, ps *pi
 			e.c.Updates++
 			e.charge(1, sim.CostVertexUpdate)
 			e.charge(int64(deg), sim.CostEdgeScan)
+			off += int64(deg)
 		}
 	}
-	e.batchBuf = br.buf
-	return active, nil
+	return ctx.active, nil
 }
 
 // pendingBytes returns the bytes of messages pending for partition p:
@@ -852,22 +874,6 @@ func (e *Engine[V, M]) pendingBytes(p int) (int64, error) {
 		return 0, err
 	}
 	return sz + int64(len(e.msgBufs[p])), nil
-}
-
-// planPartition computes partition [lo, hi)'s block schedule from the
-// bitmap, filling the reusable degree scratch (the Worker loop then reads
-// degrees from it instead of re-walking the index).
-func (e *Engine[V, M]) planPartition(lo, hi graph.VertexID, start int64) selSchedule {
-	count := int(hi - lo)
-	if cap(e.selDegs) < count {
-		e.selDegs = make([]uint32, count)
-	}
-	e.selDegs = e.selDegs[:count]
-	for v := lo; v < hi; v++ {
-		e.selDegs[v-lo] = e.layout.DegreeOf(v)
-	}
-	e.charge(int64(count), sim.CostActiveScan)
-	return planSelective(e.sel, lo, hi, start, e.selDegs, e.adj.BlockEntries, e.denseAt)
 }
 
 // accountSelective folds one partition's schedule into the ledger's
@@ -1080,29 +1086,6 @@ func (e *Engine[V, M]) Values() ([]V, error) {
 	out := make([]V, n)
 	for i := range out {
 		out[i] = e.vcodec.Decode(data[i*e.vsize:])
-	}
-	return out, nil
-}
-
-// ValuesByOldID returns the final vertex states keyed by original input
-// IDs: a map for DOS layouts (whose ID space is relabeled and dense) or a
-// direct slice copy for identity layouts.
-func (e *Engine[V, M]) ValuesByOldID() (map[graph.VertexID]V, error) {
-	vals, err := e.Values()
-	if err != nil {
-		return nil, err
-	}
-	n2o, err := e.layout.NewToOld()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[graph.VertexID]V, len(vals))
-	for i, v := range vals {
-		if n2o == nil {
-			out[graph.VertexID(i)] = v
-		} else {
-			out[n2o[i]] = v
-		}
 	}
 	return out, nil
 }

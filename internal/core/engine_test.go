@@ -289,11 +289,20 @@ func TestEngineValuesByOldID(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	byOld, err := eng.ValuesByOldID()
+	// Values is indexed by layout ID; NewToOld maps those back to input IDs.
+	vals, err := eng.Values()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(byOld) != 3 {
+	n2o, err := DOSLayout(g).NewToOld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byOld := make(map[graph.VertexID]minVal, len(vals))
+	for i, v := range vals {
+		byOld[n2o[i]] = v
+	}
+	if len(byOld) != 3 || len(n2o) != 3 {
 		t.Fatalf("got %d old IDs: %v", len(byOld), byOld)
 	}
 	// The graph {10<->20, 10->30} propagates min over ancestors. In

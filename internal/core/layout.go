@@ -31,6 +31,11 @@ type Layout interface {
 	DegreeOf(x graph.VertexID) uint32
 	// OffsetOf returns the edge-entry offset of x's adjacency.
 	OffsetOf(x graph.VertexID) int64
+	// NextZeroDegree returns the smallest y in [x, hi) with no
+	// out-edges, or hi when every vertex of the range has some. The
+	// selective planner breaks its runs there; a degree-ordered layout
+	// answers from its bucket table.
+	NextZeroDegree(x, hi graph.VertexID) graph.VertexID
 	// EdgesFile names the packed adjacency file on the device.
 	EdgesFile() string
 	// Device returns the device everything lives on.
@@ -88,6 +93,15 @@ func (l *dosLayout) OffsetOf(x graph.VertexID) int64 {
 	return bk.FirstOff + int64(x-bk.FirstID)*int64(bk.Degree)
 }
 
+// NextZeroDegree: degrees descend, so the zero-degree vertices are the
+// last bucket or nobody.
+func (l *dosLayout) NextZeroDegree(x, hi graph.VertexID) graph.VertexID {
+	if b := l.g.Buckets; len(b) > 0 && b[len(b)-1].Degree == 0 {
+		return min(max(x, b[len(b)-1].FirstID), hi)
+	}
+	return hi
+}
+
 func (l *dosLayout) EdgesFile() string { return l.g.EdgesFile() }
 
 func (l *dosLayout) Device() *storage.Device { return l.g.Device() }
@@ -117,6 +131,15 @@ func (l *csrLayout) LoadIndex() error { return l.g.LoadIndex() }
 func (l *csrLayout) DegreeOf(x graph.VertexID) uint32 { return l.g.DegreeOf(x) }
 
 func (l *csrLayout) OffsetOf(x graph.VertexID) int64 { return l.g.OffsetOf(x) }
+
+func (l *csrLayout) NextZeroDegree(x, hi graph.VertexID) graph.VertexID {
+	for ; x < hi; x++ {
+		if l.g.DegreeOf(x) == 0 {
+			return x
+		}
+	}
+	return hi
+}
 
 func (l *csrLayout) EdgesFile() string { return l.g.EdgesFile() }
 

@@ -236,7 +236,8 @@ func (e *Engine[V, M]) newPipeStats() *pipeStats {
 
 // heatSelective attributes a partition's skipped adjacency blocks — the
 // blocks of entry range [start, end) no scheduled run touches — to the
-// heatmap, in absolute entry-block units (matching read attribution).
+// heatmap, on the edges file's own block grid (matching read attribution
+// and the ledger's BlocksSkipped).
 func (e *Engine[V, M]) heatSelective(sched selSchedule, start, end int64) {
 	h := e.eo.heat
 	if h == nil || sched.streamAll || end <= start {
@@ -244,19 +245,18 @@ func (e *Engine[V, M]) heatSelective(sched selSchedule, start, end int64) {
 	}
 	be := e.adj.BlockEntries
 	file := e.layout.EdgesFile()
-	covered := make(map[int64]bool, len(sched.runs))
+	b := start / be // first block not yet known read or skipped
 	for _, r := range sched.runs {
 		if r.endOff <= r.startOff {
 			continue
 		}
-		for b := r.startOff / be; b <= (r.endOff-1)/be; b++ {
-			covered[b] = true
-		}
-	}
-	for b := start / be; b <= (end-1)/be; b++ {
-		if !covered[b] {
+		for ; b < r.startOff/be; b++ {
 			h.AddSkip(file, b)
 		}
+		b = max(b, (r.endOff-1)/be+1)
+	}
+	for ; b <= (end-1)/be; b++ {
+		h.AddSkip(file, b)
 	}
 }
 
@@ -286,7 +286,7 @@ func (e *Engine[V, M]) sampleMemory(iter int) {
 	s.Iteration = iter
 	s.BudgetBytes = e.opts.MemoryBudget
 	s.VertexStateBytes = int64(cap(e.verts)) * int64(e.vsize) // high-water partition
-	s.AdjCacheBytes = int64(len(e.adjData)) * 4
+	s.AdjCacheBytes = int64(len(e.resident.data)) * 4
 	for p, buf := range e.msgBufs {
 		s.MsgBufferBytes += int64(cap(buf))
 		// Size is an uncharged catalog lookup; a missing file reads as

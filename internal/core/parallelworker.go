@@ -196,7 +196,7 @@ func (e *Engine[V, M]) runWorkerParallel(iter int, start, end int64, ps *pipeSta
 			// Discard it and run the chunk through the sequential
 			// Worker loop on the live states — the exact sequential
 			// operation sequence.
-			act, err := e.updateRuns(iter, []selRun{c.selRun}, degs, ps)
+			act, err := e.updateRuns(iter, []selRun{c.selRun}, false, degs, ps)
 			if err != nil {
 				return false, err
 			}
@@ -230,7 +230,7 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, 
 	if e.eo.On {
 		t0 = time.Now()
 	}
-	src, err := e.adjSource([]entryRange{{start: c.startOff, end: c.endOff}}, ps)
+	src, err := e.adjSource([]entryRange{{start: c.startOff, end: c.endOff}}, false, ps)
 	if err != nil {
 		c.err = err
 		return
@@ -244,8 +244,7 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, 
 		c.states[i] = e.vcodec.Decode(snap[base+i*e.vsize:])
 	}
 
-	act := false
-	ctx := &Context[M]{iteration: iter, active: &act}
+	ctx := &Context[M]{iteration: iter}
 	if e.sel != nil {
 		// Private bit overlay for [c.lo, c.hi): the sequential Worker
 		// would leave a chunk vertex's bit set only if an apply (or
@@ -280,6 +279,7 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, 
 	}
 
 	br := batchReader{src: src}
+	off := c.startOff
 	for v := c.lo; v < c.hi; v++ {
 		deg := c.degs[v-c.lo]
 		if c.acts != nil {
@@ -288,15 +288,16 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, 
 			}
 			ctx.cur = v
 		}
-		adj, err := br.adj(deg)
+		adj, err := br.adj(off, deg)
 		if err != nil {
 			c.err = fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
 			return
 		}
 		e.prog.Update(ctx, v, &c.states[v-c.lo], adj)
-		c.edges += int64(deg)
+		off += int64(deg)
 	}
-	c.active = act
+	c.edges = off - c.startOff
+	c.active = ctx.active
 	if e.eo.On {
 		c.durNS = int64(time.Since(t0))
 	}

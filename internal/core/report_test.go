@@ -162,33 +162,49 @@ func TestRunReportCodecDecodeReconciliation(t *testing.T) {
 	}
 }
 
+// TestRunReportSelectiveSkips: the ledger and the heatmap count the same
+// blocks. Every block visit the scheduler decides — read or skipped — is
+// on the edges file's own block grid, so the prefetcher's reads sum to
+// BlocksScanned and the skip cells to BlocksSkipped, also when partitions
+// start mid-block (the v2 case: 64-entry blocks, four partitions).
 func TestRunReportSelectiveSkips(t *testing.T) {
 	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 64)
-	g := buildDOS(t, edges)
-	reg := obs.NewRegistry()
-	res, _ := runMinLabel(t, g, Options{
-		MemoryBudget:        budgetForPartitions(g, 8, 4, 64),
-		DynamicMessages:     true,
-		MsgBufferBytes:      64,
-		SelectiveScheduling: true,
-		Obs:                 reg,
-	})
-	if res.BlocksSkipped == 0 {
-		t.Fatal("want a run that skips blocks")
-	}
-	var skips int64
-	for _, c := range reg.Heatmap().Cells() {
-		skips += c.Skips
-	}
-	if skips == 0 {
-		t.Errorf("scheduler skipped %d blocks but attributed none", res.BlocksSkipped)
-	}
-	if len(reg.MemSamples()) != res.Iterations {
-		t.Errorf("memory samples = %d, want %d", len(reg.MemSamples()), res.Iterations)
-	}
-	// The bitmap is accounted once selective scheduling is on.
-	if reg.MemSamples()[0].BitmapBytes == 0 {
-		t.Error("bitmap bytes not accounted")
+	for _, tc := range []struct {
+		name string
+		g    *dos.Graph
+	}{
+		{"v1", buildDOS(t, edges)},
+		{"v2-groupvarint-64", buildDOSCodec(t, edges, storage.CodecGroupVarint, 64)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			res, _ := runMinLabel(t, tc.g, Options{
+				MemoryBudget:        budgetForPartitions(tc.g, 8, 4, 64),
+				DynamicMessages:     true,
+				MsgBufferBytes:      64,
+				SelectiveScheduling: true,
+				Obs:                 reg,
+			})
+			if res.BlocksSkipped == 0 || res.Partitions < 2 {
+				t.Fatalf("want a partitioned run that skips blocks: %+v", res)
+			}
+			var reads, skips int64
+			for _, c := range reg.Heatmap().Cells() {
+				reads += c.Reads
+				skips += c.Skips
+			}
+			if reads != res.BlocksScanned || skips != res.BlocksSkipped {
+				t.Errorf("heatmap has %d reads / %d skips, Result %d scanned / %d skipped",
+					reads, skips, res.BlocksScanned, res.BlocksSkipped)
+			}
+			if len(reg.MemSamples()) != res.Iterations {
+				t.Errorf("memory samples = %d, want %d", len(reg.MemSamples()), res.Iterations)
+			}
+			// The bitmap is accounted once selective scheduling is on.
+			if reg.MemSamples()[0].BitmapBytes == 0 {
+				t.Error("bitmap bytes not accounted")
+			}
+		})
 	}
 }
 

@@ -83,18 +83,18 @@ func (s *SharedAdjacency) load(ps *pipeStats) (data []graph.VertexID, hit bool, 
 	if s.data != nil {
 		return s.data, true, nil
 	}
-	src, err := openEntryStream(s.dev, s.adj, s.file, []entryRange{{start: 0, end: s.entries}}, ps)
+	src, err := openEntryStream(s.dev, s.adj, s.file, []entryRange{{start: 0, end: s.entries}}, false, ps)
 	if err != nil {
 		return nil, false, err
 	}
 	defer src.stop()
 	data = make([]graph.VertexID, s.entries)
 	for n := 0; n < len(data); {
-		m, err := src.read(data[n:])
+		w, err := src.window(int64(n), 1)
 		if err != nil {
 			return nil, false, fmt.Errorf("core: filling resident adjacency from %q: %w", s.file, err)
 		}
-		n += m
+		n += copy(data[n:], w)
 	}
 	s.data = data
 	return data, false, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -49,14 +50,25 @@ func (p *countedPool) Put(buf []byte) {
 // every stream is stopped it must be back to its starting value.
 func (p *countedPool) outstanding() int64 { return p.gets.Load() - p.puts.Load() }
 
+// windowPool recycles the flat buffers entry streams assemble their
+// windows in, one Sio block's worth of entries each (a vertex with more
+// entries than that grows its stream's buffer, which re-enters the pool).
+var windowPool = sync.Pool{New: func() any { return make([]graph.VertexID, 0, workerBatchEntries) }}
+
 // entrySource is where the Worker's adjacency entries come from: the Sio
 // prefetcher (entryStream) or the resident adjacency (memEntryStream).
-// read copies entries into dst in stream order and returns how many it
-// delivered — at least one, at most len(dst). It may block on the
-// prefetcher, and fails with errAdjExhausted once the source's ranges are
-// spent. stop releases the source; it must be called exactly once.
+// Entries are addressed by absolute offset in the edges file, so asking
+// for one vertex's span is also the seek past everything before it.
+//
+// window returns the entries from offset off on — w[0] is entry off, and
+// len(w) is at least n, usually more: whatever the source holds decoded
+// beyond them. off must not precede the previous call's, the entries must
+// be ones the source was opened over, and w is valid until the next call
+// and must not be written. window may block on the prefetcher; asking for
+// entries beyond the source's last fails with errAdjExhausted. stop
+// releases the source and must be called exactly once.
 type entrySource interface {
-	read(dst []graph.VertexID) (int, error)
+	window(off int64, n int) ([]graph.VertexID, error)
 	stop()
 }
 
@@ -72,30 +84,34 @@ type entryRange struct {
 // (Section V-A), for every layout: a prefetch goroutine reads the
 // adjacency blocks the ranges need sequentially off the device and hands
 // them to the consumer through a bounded queue, so IO overlaps the
-// Worker's computation; the consumer decodes each block once (the
-// Dispatcher's job) and serves entries by absolute entry offset.
+// Worker's computation; the consumer (the Dispatcher's job) turns blocks
+// into entries, served by absolute entry offset out of one flat buffer. A
+// block the consumer hops over is dropped as received, undecoded.
 //
 // storage.BlockLayout is where entry offsets meet bytes. A block-encoded
 // file (DOS v2) is fetched whole block by whole block — blocks no range
 // touches are never read, which is selective scheduling's skip math
-// landing as byte extents — and a block two consecutive ranges share is
-// read once. A fixed-entry file (DOS v1, CSR) is the same pipeline with
+// landing as byte extents — a block two consecutive ranges share is
+// read once, and a block is decoded whole the first time a window reaches
+// into it. A fixed-entry file (DOS v1, CSR) is the same pipeline with
 // codec 0: its blocks are addressed arithmetically, so each read is
 // clipped to the requesting range and not one byte outside a range is
-// read.
+// read, and its entries go from the block's bytes straight into the
+// window, only the ones a window takes.
 type entryStream struct {
 	blocks chan sioBlock
 	stopc  chan struct{}
 	adj    storage.BlockLayout
 	ranges []entryRange
+	lazy   bool       // a window fetches the n entries asked for, not all its block holds
 	met    *pipeStats // nil-able: the pipeline's timing and stall counters
 
 	// consumer state
-	dec      []uint32 // decoded entries [decStart, decStart+len(dec))
-	decStart int64
-	ri       int   // current range index
-	cur      int64 // absolute entry offset the next read serves
-	err      error
+	blk    sioBlock         // the block being served: entries [blk.start, blk.end)
+	dec    []uint32         // an encoded blk, decoded; a fixed-entry blk is served from blk.data
+	buf    []graph.VertexID // the window: entries [bufOff, bufOff+len(buf)); pooled
+	bufOff int64
+	err    error
 }
 
 type sioBlock struct {
@@ -108,8 +124,10 @@ type sioBlock struct {
 // openEntryStream starts the prefetcher over the given ascending, disjoint
 // entry ranges of the named adjacency file; the bytes between ranges are
 // never touched (a seek replaces the skipped blocks' reads). A single
-// full range is the seed prefetcher.
-func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, ranges []entryRange, met *pipeStats) (*entryStream, error) {
+// full range is the seed prefetcher. lazy is for the consumer that hops —
+// a sparse schedule's Worker: each window then decodes only the entries
+// it was asked for instead of everything its block holds.
+func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, ranges []entryRange, lazy bool, met *pipeStats) (*entryStream, error) {
 	f, err := dev.Open(file)
 	if err != nil {
 		return nil, err
@@ -119,10 +137,8 @@ func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, 
 		stopc:  make(chan struct{}),
 		adj:    adj,
 		ranges: ranges,
+		lazy:   lazy,
 		met:    met,
-	}
-	if len(ranges) > 0 {
-		s.cur = ranges[0].start
 	}
 	go s.prefetch(f)
 	return s, nil
@@ -199,52 +215,125 @@ func readExtent(f *storage.File, buf []byte, off int64) error {
 	return nil
 }
 
-// read bulk-copies decoded entries into dst: everything the current
-// decoded block still holds of the current range, receiving and decoding
-// the next block when it is spent.
-func (s *entryStream) read(dst []graph.VertexID) (int, error) {
+// window serves entries from offset off on out of the stream's flat
+// buffer: what is already buffered from off on is kept, everything before
+// it — buffered, or in blocks not yet received — is dropped unread, and
+// the buffer is topped up to at least n entries from the blocks that
+// follow. A failure sticks.
+func (s *entryStream) window(off int64, n int) ([]graph.VertexID, error) {
 	if s.err != nil {
-		return 0, s.err
+		return nil, s.err
 	}
-	for s.ri < len(s.ranges) && s.cur >= s.ranges[s.ri].end {
-		s.ri++
-		if s.ri < len(s.ranges) {
-			s.cur = s.ranges[s.ri].start
-		}
+	if s.err = s.fill(off, n); s.err != nil {
+		return nil, s.err
 	}
-	if s.ri >= len(s.ranges) {
-		s.err = errAdjExhausted
-		return 0, s.err
-	}
-	if s.cur < s.decStart || s.cur >= s.decStart+int64(len(s.dec)) {
-		if err := s.recvDecode(); err != nil {
-			s.err = err
-			return 0, err
-		}
-	}
-	end := min(s.decStart+int64(len(s.dec)), s.ranges[s.ri].end)
-	n := min(int(end-s.cur), len(dst))
-	off := int(s.cur - s.decStart)
-	src := s.dec[off : off+n]
-	dst = dst[:len(src)] // one bounds check for the whole copy
-	for i, v := range src {
-		dst[i] = graph.VertexID(v)
-	}
-	s.cur += int64(n)
-	return n, nil
+	return s.buf, nil
 }
 
-// recvDecode receives the next block from the prefetcher and decodes it —
-// the Dispatcher step. The producer emits exactly the blocks the ranges
-// need, in ascending order, so the block received must hold s.cur.
-func (s *entryStream) recvDecode() error {
-	blk, ok := s.recv()
-	if !ok {
-		return errAdjExhausted
+func (s *entryStream) fill(off int64, n int) error {
+	switch have := s.bufOff + int64(len(s.buf)); {
+	case off < s.bufOff:
+		return fmt.Errorf("core: adjacency stream asked for entry %d after entry %d", off, s.bufOff)
+	case off < have:
+		s.buf = s.buf[:copy(s.buf, s.buf[off-s.bufOff:])]
+	default:
+		s.buf = s.buf[:0]
 	}
-	if blk.err != nil {
-		return blk.err
+	s.bufOff = off
+	if s.buf == nil {
+		s.buf = windowPool.Get().([]graph.VertexID)
 	}
+	if n > cap(s.buf) {
+		grown := make([]graph.VertexID, len(s.buf), max(n, 2*cap(s.buf)))
+		copy(grown, s.buf)
+		windowPool.Put(s.buf[:0]) //nolint:staticcheck // slice header reuse is intended
+		s.buf = grown
+	}
+	for len(s.buf) < n {
+		next := off + int64(len(s.buf)) // the first entry not yet buffered
+		if next >= s.blk.end {
+			if err := s.advance(next); err != nil {
+				return err
+			}
+		}
+		room := cap(s.buf)
+		if s.lazy {
+			room = n
+		}
+		take := min(room-len(s.buf), int(s.blk.end-next))
+		dst := s.buf[len(s.buf) : len(s.buf)+take]
+		if s.adj.FixedEntries() {
+			// Straight from the block bytes: only the entries taken are
+			// ever decoded. A lazy take is one vertex's few entries —
+			// reading the clock twice would cost many times what it
+			// measures — so only bulk takes are timed as dispatch.
+			timed := s.met != nil && !s.lazy
+			var t0 time.Time
+			if timed {
+				t0 = time.Now()
+			}
+			src := s.blk.data[4*(next-s.blk.start):]
+			for i := range dst {
+				dst[i] = graph.VertexID(binary.LittleEndian.Uint32(src))
+				src = src[4:]
+			}
+			if timed {
+				s.met.dispatchNS.Add(int64(time.Since(t0)))
+			}
+		} else {
+			for i, v := range s.dec[next-s.blk.start:][:take] {
+				dst[i] = graph.VertexID(v)
+			}
+		}
+		s.buf = s.buf[:len(s.buf)+take]
+	}
+	return nil
+}
+
+// advance makes the block holding entry off the current one. The producer
+// emits exactly the blocks the ranges need, in ascending order; the ones
+// that end at or before off are blocks the consumer hopped over, and go
+// back to the pool undecoded.
+func (s *entryStream) advance(off int64) error {
+	for {
+		s.release()
+		blk, ok := s.recv()
+		if !ok {
+			return errAdjExhausted
+		}
+		if blk.err != nil {
+			return blk.err
+		}
+		s.blk = blk
+		if blk.end > off {
+			break
+		}
+	}
+	if off < s.blk.start {
+		return fmt.Errorf("%w: entry %d is outside the stream's ranges (block %d follows with [%d,%d))",
+			errAdjExhausted, off, s.blk.idx, s.blk.start, s.blk.end)
+	}
+	if s.adj.FixedEntries() {
+		if want := 4 * (s.blk.end - s.blk.start); int64(len(s.blk.data)) != want {
+			return fmt.Errorf("core: block %d holds %d bytes, want %d", s.blk.idx, len(s.blk.data), want)
+		}
+		return nil
+	}
+	return s.decode()
+}
+
+// release returns the current block's bytes to the pool.
+func (s *entryStream) release() {
+	if s.blk.data != nil {
+		blockPool.Put(s.blk.data)
+		s.blk.data = nil
+	}
+}
+
+// decode decodes the current (encoded) block — the Dispatcher step — and
+// releases its bytes.
+func (s *entryStream) decode() error {
+	blk := s.blk
 	if s.dec == nil {
 		// One decode buffer per stream, sized for a whole block up front:
 		// codecs append entry by entry, and growing by doubling would cost
@@ -257,28 +346,23 @@ func (s *entryStream) recvDecode() error {
 	}
 	dec, err := s.adj.Codec.DecodeBlock(s.dec[:0], blk.data)
 	if s.met != nil {
+		// The codec counters are a contract about encoded layouts: they
+		// stay zero where entry offsets are byte arithmetic.
 		ns := int64(time.Since(t0))
 		s.met.dispatchNS.Add(ns)
-		if !s.adj.FixedEntries() {
-			// The codec counters are a contract about encoded layouts:
-			// they stay zero where entry offsets are byte arithmetic.
-			s.met.decodeNS.Add(ns)
-			s.met.codecEncB.Add(int64(len(blk.data)))
-			s.met.codecRawB.Add(int64(len(dec)) * 4)
-			s.met.heatDecode(blk.idx, ns)
-		}
+		s.met.decodeNS.Add(ns)
+		s.met.codecEncB.Add(int64(len(blk.data)))
+		s.met.codecRawB.Add(int64(len(dec)) * 4)
+		s.met.heatDecode(blk.idx, ns)
 	}
-	blockPool.Put(blk.data)
+	s.release()
 	if err != nil {
 		return fmt.Errorf("core: decoding block %d: %w", blk.idx, err)
 	}
 	if int64(len(dec)) != blk.end-blk.start {
 		return fmt.Errorf("core: block %d decodes to %d entries, want %d", blk.idx, len(dec), blk.end-blk.start)
 	}
-	if s.cur < blk.start || s.cur >= blk.end {
-		return fmt.Errorf("core: adjacency stream out of order: got entries [%d,%d) of block %d, want entry %d", blk.start, blk.end, blk.idx, s.cur)
-	}
-	s.dec, s.decStart = dec, blk.start
+	s.dec = dec
 	return nil
 }
 
@@ -300,36 +384,34 @@ func (s *entryStream) recv() (sioBlock, bool) {
 	return blk, ok
 }
 
-// stop shuts the prefetcher down, releasing queued buffers back to the
-// pool.
+// stop shuts the prefetcher down, releasing the block in hand, the queued
+// ones and the window buffer back to their pools.
 func (s *entryStream) stop() {
 	close(s.stopc)
+	s.release()
 	for blk := range s.blocks {
 		if blk.data != nil {
 			blockPool.Put(blk.data)
 		}
 	}
+	if s.buf != nil {
+		windowPool.Put(s.buf[:0]) //nolint:staticcheck // slice header reuse is intended
+		s.buf = nil
+	}
 }
 
-// memEntryStream is the resident source: it serves a list of entry ranges
-// over the whole-file decoded adjacency, in order. It consumes the ranges
-// slice it is given.
+// memEntryStream is the resident source: the whole-file decoded
+// adjacency, handed out as sub-slices — nothing is copied and nothing is
+// skipped over. It holds no cursor, so concurrent Workers share one.
 type memEntryStream struct {
-	data   []graph.VertexID
-	ranges []entryRange
+	data []graph.VertexID
 }
 
-func (s *memEntryStream) read(dst []graph.VertexID) (int, error) {
-	for len(s.ranges) > 0 && s.ranges[0].start >= s.ranges[0].end {
-		s.ranges = s.ranges[1:]
+func (s *memEntryStream) window(off int64, n int) ([]graph.VertexID, error) {
+	if off < 0 || off+int64(n) > int64(len(s.data)) {
+		return nil, fmt.Errorf("%w: entries [%d,%d) of %d resident", errAdjExhausted, off, off+int64(n), len(s.data))
 	}
-	if len(s.ranges) == 0 {
-		return 0, errAdjExhausted
-	}
-	r := &s.ranges[0]
-	n := copy(dst, s.data[r.start:r.end])
-	r.start += int64(n)
-	return n, nil
+	return s.data[off:], nil
 }
 
 func (s *memEntryStream) stop() {}

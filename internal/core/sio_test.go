@@ -110,20 +110,30 @@ func wantEntries(entries []uint32, ranges []entryRange) []graph.VertexID {
 	return want
 }
 
-// readN drains exactly n entries through a deliberately small, odd-sized
-// destination, so reads stop short at block and range boundaries alike.
-func readN(src entrySource, n int) ([]graph.VertexID, error) {
+// readRanges drains the ranges' entries, in order, through deliberately
+// small, odd-sized windows, so requests straddle block boundaries and end
+// at range boundaries alike.
+func readRanges(src entrySource, ranges []entryRange) ([]graph.VertexID, error) {
 	var got []graph.VertexID
-	dst := make([]graph.VertexID, 5)
-	for len(got) < n {
-		m, err := src.read(dst[:min(len(dst), n-len(got))])
-		if err != nil {
-			return got, err
+	for _, r := range ranges {
+		for off := r.start; off < r.end; {
+			n := int(min(5, r.end-off))
+			w, err := src.window(off, n)
+			if err != nil {
+				return got, err
+			}
+			if len(w) < n {
+				return got, fmt.Errorf("window(%d, %d) returned %d entries", off, n, len(w))
+			}
+			got = append(got, w[:n]...)
+			off += int64(n)
 		}
-		got = append(got, dst[:m]...)
 	}
 	return got, nil
 }
+
+// pastRanges is an entry offset beyond every table file and range list.
+const pastRanges = 4096
 
 func checkEntries(t *testing.T, got, want []graph.VertexID) {
 	t.Helper()
@@ -142,18 +152,18 @@ func checkEntries(t *testing.T, got, want []graph.VertexID) {
 func TestEntryStreamReadsRange(t *testing.T) {
 	forEachSioCase(t, nullDevice, func(t *testing.T, dev *storage.Device, adj storage.BlockLayout, entries []uint32, ranges []entryRange) {
 		want := wantEntries(entries, ranges)
-		s, err := openEntryStream(dev, adj, "e", ranges, nil)
+		s, err := openEntryStream(dev, adj, "e", ranges, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.stop()
-		got, err := readN(s, len(want))
+		got, err := readRanges(s, ranges)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkEntries(t, got, want)
 		for i := 0; i < 2; i++ {
-			if _, err := s.read(make([]graph.VertexID, 4)); !errors.Is(err, errAdjExhausted) {
+			if _, err := s.window(pastRanges, 1); !errors.Is(err, errAdjExhausted) {
 				t.Errorf("read %d past the ranges = %v, want errAdjExhausted", i, err)
 			}
 		}
@@ -168,11 +178,11 @@ func TestEntryStreamEmptyRange(t *testing.T) {
 		adj := writeEntryFile(t, dev, "e", testEntries(100), l.codec, sioTestBlock)
 		dev.ResetStats()
 		for _, ranges := range [][]entryRange{nil, {{5, 5}}, {{9, 9}, {40, 40}}} {
-			s, err := openEntryStream(dev, adj, "e", ranges, nil)
+			s, err := openEntryStream(dev, adj, "e", ranges, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.read(make([]graph.VertexID, 4)); !errors.Is(err, errAdjExhausted) {
+			if _, err := s.window(5, 1); !errors.Is(err, errAdjExhausted) {
 				t.Errorf("%s %v: read = %v, want errAdjExhausted", l.name, ranges, err)
 			}
 			s.stop()
@@ -184,7 +194,7 @@ func TestEntryStreamEmptyRange(t *testing.T) {
 }
 
 func TestEntryStreamMissingFile(t *testing.T) {
-	if _, err := openEntryStream(nullDevice(), storage.RawBlockLayout(1), "missing", []entryRange{{0, 1}}, nil); err == nil {
+	if _, err := openEntryStream(nullDevice(), storage.RawBlockLayout(1), "missing", []entryRange{{0, 1}}, false, nil); err == nil {
 		t.Error("missing file should fail")
 	}
 }
@@ -204,12 +214,12 @@ func TestEntryStreamDeviceError(t *testing.T) {
 			return // a single block read: no second read to fail
 		}
 		fd.Arm(storage.FaultPlan{FailAtOps: []int64{2}})
-		s, err := openEntryStream(dev, adj, "e", ranges, nil)
+		s, err := openEntryStream(dev, adj, "e", ranges, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.stop()
-		got, err := readN(s, len(want))
+		got, err := readRanges(s, ranges)
 		if !errors.Is(err, storage.ErrInjected) {
 			t.Fatalf("read error = %v, want the injected device error", err)
 		}
@@ -217,7 +227,7 @@ func TestEntryStreamDeviceError(t *testing.T) {
 		if len(got) == 0 || len(got) >= len(want) {
 			t.Errorf("delivered %d of %d entries around a failed second read", len(got), len(want))
 		}
-		if _, again := s.read(make([]graph.VertexID, 4)); again != err {
+		if _, again := s.window(pastRanges, 1); again != err {
 			t.Errorf("second read = %v, want the same sticky error", again)
 		}
 		if ops := fd.Ops(); ops != 2 {
@@ -230,12 +240,12 @@ func TestEntryStreamDeviceError(t *testing.T) {
 // mid-flight.
 func TestEntryStreamStopMidway(t *testing.T) {
 	forEachSioCase(t, nullDevice, func(t *testing.T, dev *storage.Device, adj storage.BlockLayout, entries []uint32, ranges []entryRange) {
-		s, err := openEntryStream(dev, adj, "e", ranges, nil)
+		s, err := openEntryStream(dev, adj, "e", ranges, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(wantEntries(entries, ranges)) > 0 {
-			if _, err := s.read(make([]graph.VertexID, 1)); err != nil {
+			if _, err := s.window(ranges[0].start, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -259,7 +269,7 @@ func TestEntryStreamStopRecyclesInFlightBlock(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			before := blockPool.outstanding()
 			gets0 := blockPool.gets.Load()
-			s, err := openEntryStream(dev, adj, "e", []entryRange{{0, int64(len(entries))}}, nil)
+			s, err := openEntryStream(dev, adj, "e", []entryRange{{0, int64(len(entries))}}, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,12 +321,12 @@ func TestFixedEntryExtentsClipped(t *testing.T) {
 				opsFromStart += (r.end - r.start + be - 1) / be
 			}
 			dev.ResetStats()
-			s, err := openEntryStream(dev, adj, "e", append([]entryRange(nil), ranges...), nil)
+			s, err := openEntryStream(dev, adj, "e", append([]entryRange(nil), ranges...), false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.stop()
-			got, err := readN(s, int(total))
+			got, err := readRanges(s, ranges)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,26 +342,105 @@ func TestFixedEntryExtentsClipped(t *testing.T) {
 	}
 }
 
+// TestEntryStreamSeeks: a consumer that hops — the sparse schedule's
+// Worker — gets the entries it asks for and pays for nothing else. It
+// skips the rest of a block, a whole block, and the tail of one range
+// into the next; the blocks it hopped over are never decoded; a hop past
+// the last range is a typed error, not a panic; and every pooled block is
+// back when the stream stops. On every layout, lazy and not.
+func TestEntryStreamSeeks(t *testing.T) {
+	ranges := []entryRange{{3, 30}, {50, 70}} // blocks 0-3 and 6-8 of 8 entries
+	hops := []struct {
+		off int64
+		n   int
+	}{
+		{3, 2},  // block 0
+		{20, 4}, // past the rest of block 0 and the whole of block 1
+		{52, 3}, // across the range boundary: block 3 is never looked at
+		{55, 6}, // straddles blocks 6 and 7
+	}
+	const decodedBlocks = 4 // 0, 2, 6, 7 — not 1, 3 or 8
+	for _, l := range sioLayouts {
+		for _, lazy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/lazy=%v", l.name, lazy), func(t *testing.T) {
+				dev := nullDevice()
+				entries := testEntries(100)
+				adj := writeEntryFile(t, dev, "e", entries, l.codec, sioTestBlock)
+				before := blockPool.outstanding()
+				ps := &pipeStats{}
+				s, err := openEntryStream(dev, adj, "e", append([]entryRange(nil), ranges...), lazy, ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range hops {
+					w, err := s.window(h.off, h.n)
+					if err != nil {
+						t.Fatalf("window(%d, %d): %v", h.off, h.n, err)
+					}
+					if len(w) < h.n || (lazy && len(w) != h.n) {
+						t.Fatalf("window(%d, %d) returned %d entries (lazy=%v)", h.off, h.n, len(w), lazy)
+					}
+					checkEntries(t, w[:h.n], wantEntries(entries, []entryRange{{h.off, h.off + int64(h.n)}}))
+				}
+				// Entry 40 lies between the ranges, but the stream is already
+				// past it; 75 lies beyond the last block any range needs.
+				if _, err := s.window(75, 1); !errors.Is(err, errAdjExhausted) {
+					t.Errorf("window past the last range = %v, want errAdjExhausted", err)
+				}
+				s.stop()
+				if got := blockPool.outstanding(); got != before {
+					t.Errorf("%d pooled blocks outstanding after the stream stopped, want %d", got, before)
+				}
+				if got := ps.blocks.Load(); got != 7 {
+					t.Errorf("prefetcher read %d blocks, want the ranges' 7", got)
+				}
+				// The codec counters stay zero on a fixed-entry layout.
+				want := int64(decodedBlocks * sioTestBlock * 4)
+				if adj.FixedEntries() {
+					want = 0
+				}
+				if got := ps.codecRawB.Load(); got != want {
+					t.Errorf("decoded %d bytes, want %d: only the %d blocks a window touched", got, want, decodedBlocks)
+				}
+			})
+		}
+	}
+	// A hop into the gap between two ranges, from before it, is the same
+	// typed error: nothing there was scheduled.
+	dev := nullDevice()
+	adj := writeEntryFile(t, dev, "e", testEntries(100), nil, sioTestBlock)
+	s, err := openEntryStream(dev, adj, "e", append([]entryRange(nil), ranges...), true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.stop()
+	if _, err := s.window(40, 1); !errors.Is(err, errAdjExhausted) {
+		t.Errorf("window between the ranges = %v, want errAdjExhausted", err)
+	}
+}
+
 // TestMemEntryStream: the resident source serves the same table of range
-// lists over a whole-file entry slice, with the same exhaustion error.
+// lists out of a whole-file entry slice — as sub-slices of it, not copies
+// — with the same exhaustion error.
 func TestMemEntryStream(t *testing.T) {
 	entries := testEntries(100)
 	data := make([]graph.VertexID, len(entries))
 	for i, v := range entries {
 		data[i] = graph.VertexID(v)
 	}
+	s := &memEntryStream{data: data}
 	for _, r := range sioRanges {
-		ranges := append([]entryRange(nil), r.ranges...)
-		want := wantEntries(entries, ranges)
-		s := &memEntryStream{data: data, ranges: ranges}
-		got, err := readN(s, len(want))
+		got, err := readRanges(s, r.ranges)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		checkEntries(t, got, want)
-		if _, err := s.read(make([]graph.VertexID, 4)); !errors.Is(err, errAdjExhausted) {
-			t.Errorf("%s: read past the ranges = %v, want errAdjExhausted", r.name, err)
-		}
-		s.stop() // no-op, must not panic
+		checkEntries(t, got, wantEntries(entries, r.ranges))
 	}
+	if w, err := s.window(7, 3); err != nil || &w[0] != &data[7] {
+		t.Errorf("window(7, 3) = (%p, %v), want a view of the resident entries at %p", w, err, &data[7])
+	}
+	if _, err := s.window(98, 3); !errors.Is(err, errAdjExhausted) {
+		t.Errorf("read past the entries = %v, want errAdjExhausted", err)
+	}
+	s.stop() // no-op, must not panic
 }

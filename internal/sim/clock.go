@@ -33,9 +33,12 @@ const (
 	// CostRecordSort is charged per record per merge-sort level in
 	// external sorting (comparison + move).
 	CostRecordSort = 9 * time.Nanosecond
-	// CostActiveScan is charged per vertex examined by the selective
-	// block scheduler's planning pass (a bitmap test plus a degree
-	// lookup) — the compute price of skipping IO.
+	// CostActiveScan is charged per item the selective block scheduler's
+	// planning pass examines: each adjacency block of the partition it
+	// decides on, plus — when it plans a sparse schedule — each set bit
+	// it walks (a span computation and a block mark). It is the compute
+	// price of skipping IO, and it follows the frontier, not the vertex
+	// count.
 	CostActiveScan = 1 * time.Nanosecond
 	// CostByteCopy is charged per byte for bulk buffer copies
 	// (dispatcher parsing, shuffle binning). Expressed per 4 bytes

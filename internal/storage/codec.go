@@ -111,8 +111,17 @@ func (rawCodec) DecodeBlock(dst []uint32, src []byte) ([]uint32, error) {
 		return dst, &CodecError{Codec: "raw", Offset: len(src) - len(src)%4,
 			Msg: fmt.Sprintf("%d trailing bytes, entries are 4 bytes", len(src)%4)}
 	}
-	for i := 0; i+4 <= len(src); i += 4 {
-		dst = append(dst, binary.LittleEndian.Uint32(src[i:]))
+	// Size the output once and index into it: an append per entry pays a
+	// capacity check per entry on what is a bulk copy.
+	n, start := len(src)/4, len(dst)
+	if cap(dst)-start < n {
+		dst = append(make([]uint32, 0, start+n), dst...)
+	}
+	dst = dst[:start+n]
+	out := dst[start:]
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(src)
+		src = src[4:]
 	}
 	return dst, nil
 }
