@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-json benchdiff cover smoke fuzz-short run-report
+.PHONY: build test check fmt vet race bench bench-json benchdiff pairs cover smoke fuzz-short run-report
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ bench-json:
 
 benchdiff: bench-json
 	$(GO) run ./cmd/graphz-benchdiff -baseline ci/bench-baseline.json -current BENCH_core.json -threshold 0.15
+
+# pairs measures a performance claim the way ROADMAP.md requires: PAIRS
+# alternating runs of repo-benchmark workload W at git ref BASE and on the
+# working tree, with medians, quartiles, wins and the exact IO counts
+# (ci/pairs.sh). Example: make pairs BASE=HEAD~1 W=stream-pr
+PAIRS ?= 10
+SEED ?= 1
+pairs:
+	ci/pairs.sh $(BASE) $(W) $(PAIRS) $(SEED)
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

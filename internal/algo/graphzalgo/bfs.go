@@ -28,10 +28,7 @@ func (p bfsProgram) Update(ctx *core.Context[uint32], id graph.VertexID, v *bfsV
 	if v.B < v.A {
 		v.A = v.B
 		ctx.MarkActive()
-		next := v.A + 1
-		for _, a := range adj {
-			ctx.Send(a, next)
-		}
+		ctx.SendAll(adj, v.A+1)
 	}
 }
 

@@ -22,17 +22,13 @@ func (ccProgram) Init(id graph.VertexID, deg uint32) ccVal {
 
 func (ccProgram) Update(ctx *core.Context[uint32], id graph.VertexID, v *ccVal, adj []graph.VertexID) {
 	if ctx.Iteration() == 0 {
-		for _, a := range adj {
-			ctx.Send(a, v.A)
-		}
+		ctx.SendAll(adj, v.A)
 		return
 	}
 	if v.B < v.A {
 		v.A = v.B
 		ctx.MarkActive()
-		for _, a := range adj {
-			ctx.Send(a, v.A)
-		}
+		ctx.SendAll(adj, v.A)
 	}
 }
 

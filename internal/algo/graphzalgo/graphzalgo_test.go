@@ -98,11 +98,24 @@ func TestPageRankMassSane(t *testing.T) {
 	}
 }
 
+// routing is the part of a Result that says what a run did with its
+// messages. BFS and CC scatter through Context.SendAll; the values pinned
+// below are the ones their per-edge Send loops produced on these fixtures
+// before the switch, so the bulk route changed no count.
+type routing struct {
+	iterations, partitions                      int
+	sent, inline, buffered, spilled, updatesRun int64
+}
+
+func routingOf(r core.Result) routing {
+	return routing{r.Iterations, r.Partitions, r.MessagesSent, r.MessagesInline, r.MessagesBuffered, r.MessagesSpilled, r.UpdatesRun}
+}
+
 func TestBFSMatchesPlain(t *testing.T) {
 	f := newFixture(t, gen.RMAT(9, 3000, gen.NaturalRMAT, 33))
 	source := graph.VertexID(0) // highest-degree vertex in new-ID space
 	want := plain.BFS(f.adj, source)
-	for _, opts := range []core.Options{bigOpts(), tightOpts(f.g, 8)} {
+	for i, opts := range []core.Options{bigOpts(), tightOpts(f.g, 8)} {
 		res, levels, err := BFS(f.g, opts, source)
 		if err != nil {
 			t.Fatal(err)
@@ -111,6 +124,13 @@ func TestBFSMatchesPlain(t *testing.T) {
 			if levels[i] != want[i] {
 				t.Fatalf("partitions=%d: level[%d] = %d, want %d", res.Partitions, i, levels[i], want[i])
 			}
+		}
+		wantRouting := []routing{
+			{3, 1, 2894, 2894, 0, 0, 1161},
+			{4, 3, 2894, 2141, 753, 704, 1548},
+		}[i]
+		if got := routingOf(res); got != wantRouting {
+			t.Errorf("routing = %+v, want %+v", got, wantRouting)
 		}
 	}
 }
@@ -190,7 +210,7 @@ func TestConnectedComponentsMatchesPlain(t *testing.T) {
 	}
 	f := newFixture(t, edges)
 	want := plain.ConnectedComponents(f.adj)
-	for _, opts := range []core.Options{bigOpts(), tightOpts(f.g, 8)} {
+	for i, opts := range []core.Options{bigOpts(), tightOpts(f.g, 8)} {
 		res, labels, err := ConnectedComponents(f.g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -199,6 +219,13 @@ func TestConnectedComponentsMatchesPlain(t *testing.T) {
 			if labels[i] != want[i] {
 				t.Fatalf("partitions=%d: label[%d] = %d, want %d", res.Partitions, i, labels[i], want[i])
 			}
+		}
+		wantRouting := []routing{
+			{3, 1, 4551, 4551, 0, 0, 603},
+			{4, 2, 4551, 3853, 698, 608, 804},
+		}[i]
+		if got := routingOf(res); got != wantRouting {
+			t.Errorf("routing = %+v, want %+v", got, wantRouting)
 		}
 	}
 }

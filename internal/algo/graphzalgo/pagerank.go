@@ -29,10 +29,7 @@ func (p prProgram) Update(ctx *core.Context[float32], id graph.VertexID, v *prVa
 	if len(adj) == 0 {
 		return
 	}
-	msg := v.A / float32(len(adj))
-	for _, a := range adj {
-		ctx.Send(a, msg)
-	}
+	ctx.SendAll(adj, v.A/float32(len(adj)))
 }
 
 func (prProgram) Apply(v *prVal, m float32) {

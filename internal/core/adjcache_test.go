@@ -113,7 +113,7 @@ func TestOneAdjacencyCache(t *testing.T) {
 			// Two partitions' worth of states, the adjacency, and a
 			// vertex of slack for the odd split.
 			budget := budgetForPartitions(g, 8, 2, 64) + g.NumEdges*4 + 8
-			poolBefore := blockPool.outstanding()
+			poolBefore := pooledOutstanding()
 
 			type outcome struct {
 				res      Result
@@ -190,7 +190,7 @@ func TestOneAdjacencyCache(t *testing.T) {
 					}
 				}
 			}
-			if got := blockPool.outstanding(); got != poolBefore {
+			if got := pooledOutstanding(); got != poolBefore {
 				t.Errorf("%d pooled blocks outstanding after Cleanup, want %d", got, poolBefore)
 			}
 		})

@@ -16,9 +16,9 @@ import (
 // selective mode) needs: a full scan asks for consecutive spans, a sparse
 // schedule hops, and neither copies what it does not use.
 
-// workerBatchEntries sizes an entry stream's flat window buffer: one Sio
-// block's worth of entries, so a single refill captures everything a
-// block decode produced.
+// workerBatchEntries sizes the entry streams' pooled entry buffers: one
+// Sio block's worth of entries, so one buffer holds everything a block
+// decode produces.
 const workerBatchEntries = storage.DefaultBlockSize / 4
 
 // batchReader serves per-vertex adjacency slices out of its source's

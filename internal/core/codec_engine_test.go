@@ -94,7 +94,7 @@ func TestEngineV2MatchesV1AcrossPaths(t *testing.T) {
 				}
 				prevRes, prevVals = res, vals
 			}
-			if got := blockPool.outstanding(); got != 0 {
+			if got := pooledOutstanding(); got != 0 {
 				t.Errorf("block pool leaks %d buffers", got)
 			}
 		})
@@ -121,7 +121,7 @@ func TestEngineV2TinyBlocks(t *testing.T) {
 			}
 		}
 	}
-	if got := blockPool.outstanding(); got != 0 {
+	if got := pooledOutstanding(); got != 0 {
 		t.Errorf("block pool leaks %d buffers", got)
 	}
 }

@@ -46,7 +46,9 @@ type Program[V, M any] interface {
 	// (called once, on the first iteration).
 	Init(id graph.VertexID, deg uint32) V
 	// Update is called on every vertex every iteration, in ascending
-	// ID order, with the vertex's out-neighbors.
+	// ID order, with the vertex's out-neighbors. A program that scatters
+	// one value to all of them says ctx.SendAll(adj, msg); one whose
+	// message differs per edge calls ctx.Send per neighbor.
 	Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID)
 	// Apply folds a message into the destination vertex — the paper's
 	// apply_message. It runs immediately for in-partition destinations
@@ -58,9 +60,10 @@ type Program[V, M any] interface {
 type Context[M any] struct {
 	iteration int
 	send      func(dst graph.VertexID, m M)
-	active    bool           // some update of this Worker pass called MarkActive
-	as        *activeSet     // schedulability bits; nil unless selective scheduling
-	cur       graph.VertexID // vertex being updated (for MarkActive's bit)
+	sendAll   func(dsts []graph.VertexID, m M) // the bulk route; nil loops send
+	active    bool                             // some update of this Worker pass called MarkActive
+	as        *activeSet                       // schedulability bits; nil unless selective scheduling
+	cur       graph.VertexID                   // vertex being updated (for MarkActive's bit)
 }
 
 // Iteration returns the current iteration number (0-based).
@@ -68,6 +71,22 @@ func (c *Context[M]) Iteration() int { return c.iteration }
 
 // Send sends an ordered dynamic message to dst.
 func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
+
+// SendAll sends m to every vertex of dsts, in order: it is Send in a loop
+// — the same applies in the same sequence, the same counters — handed to
+// the engine as one call per vertex instead of one per edge. Use it when
+// an update scatters one value over its adjacency (ctx.SendAll(adj, msg));
+// keep Send when the message differs from edge to edge. dsts is not
+// retained.
+func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) {
+	if c.sendAll != nil {
+		c.sendAll(dsts, m)
+		return
+	}
+	for _, dst := range dsts {
+		c.send(dst, m)
+	}
+}
 
 // MarkActive signals that the vertex's value changed this iteration;
 // the engine keeps iterating while any vertex is active or any message
@@ -277,11 +296,12 @@ type Engine[V, M any] struct {
 	c         counters // the ledger: every cumulative count, one writer each
 	published counters // c as of the last publish
 
-	// sendFn is e.send, bound once: every Worker pass hands it to its
-	// Context. rangeBuf is the entry-range list updateRuns opens its
-	// prefetcher over, reused across passes.
-	sendFn   func(dst graph.VertexID, m M)
-	rangeBuf []entryRange
+	// sendFn and sendAllFn are e.send and e.sendAll, bound once: every
+	// Worker pass hands them to its Context. rangeBuf is the entry-range
+	// list updateRuns opens its prefetcher over, reused across passes.
+	sendFn    func(dst graph.VertexID, m M)
+	sendAllFn func(dsts []graph.VertexID, m M)
+	rangeBuf  []entryRange
 	// onInline, when non-nil, observes every inline apply to the live
 	// states — the parallel Worker's committer marks later chunks dirty
 	// through it.
@@ -329,7 +349,7 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 
 		denseAt: defaultSelectiveDensity,
 	}
-	e.sendFn = e.send
+	e.sendFn, e.sendAllFn = e.send, e.sendAll
 	if opts.SharedAdjacency != nil && !opts.SharedAdjacency.matches(layout) {
 		return nil, fmt.Errorf("%w: shared adjacency belongs to %q (%d entries), layout reads %q (%d entries)",
 			ErrInvalidOptions, opts.SharedAdjacency.file, opts.SharedAdjacency.entries,
@@ -447,6 +467,21 @@ func (e *Engine[V, M]) charge(n int64, cost time.Duration) {
 	}
 }
 
+// chargeLedger charges the modeled clock for the messages, updates and
+// adjacency entries the ledger gained since before. Modeled compute is a
+// view of the ledger like every other report of those counts: the hot
+// paths only count, and one partition's work is priced here in one
+// charge — the same integer sum the per-event charges came to.
+func (e *Engine[V, M]) chargeLedger(before *counters) {
+	if e.opts.Clock == nil {
+		return
+	}
+	e.opts.Clock.Compute(time.Duration(e.c.Sent-before.Sent)*sim.CostMessageSend +
+		time.Duration(e.c.Applied-before.Applied)*sim.CostMessageApply +
+		time.Duration(e.c.Updates-before.Updates)*sim.CostVertexUpdate +
+		time.Duration(e.c.edges-before.edges)*sim.CostEdgeScan)
+}
+
 func (e *Engine[V, M]) chargeBytes(n int64) {
 	if e.opts.Clock != nil {
 		e.opts.Clock.ComputeBytes(n)
@@ -552,8 +587,8 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 	return e.finish(iters), nil
 }
 
-// runIteration runs every partition once, publishing the ledger after
-// each.
+// runIteration runs every partition once; after each, what the ledger
+// gained is charged to the modeled clock and published.
 func (e *Engine[V, M]) runIteration(iter int) error {
 	for p := 0; p < e.NumPartitions(); p++ {
 		// Cancellation is honored at partition boundaries: the
@@ -563,7 +598,9 @@ func (e *Engine[V, M]) runIteration(iter int) error {
 		if err := e.ctxErr(); err != nil {
 			return err
 		}
+		before := e.c
 		err := e.runPartition(p, iter)
+		e.chargeLedger(&before)
 		e.publish()
 		// A deferred spill failure predates whatever the partition
 		// tripped over afterwards (often a knock-on effect of the
@@ -769,31 +806,74 @@ func (e *Engine[V, M]) workerCount() int {
 	return e.opts.WorkerParallelism
 }
 
-// send routes one message against the live states — the only place that
-// decides inline apply versus buffer. Program.Update reaches it through
-// Context.Send; the parallel Worker's committer replays logged messages
-// through it. A destination in the resident partition gets the message
-// applied immediately under dynamic messages (an ordered dynamic
-// message), which also keeps it schedulable under selective scheduling;
-// every other message is buffered for its partition's next drain.
+// inlineTargets is the inline-versus-buffer rule, stated once for send and
+// sendAll: the states a message is applied to the moment it is sent — the
+// resident partition's, and only under dynamic messages — with the ID of
+// the first. A message to any other destination is buffered for its
+// partition's next drain.
+func (e *Engine[V, M]) inlineTargets() ([]V, graph.VertexID) {
+	if !e.opts.DynamicMessages {
+		return nil, 0
+	}
+	return e.verts, e.partLo
+}
+
+// send routes one message against the live states: sendAll for a single
+// destination, written out because a call per message cannot afford the
+// loop's set-up. Program.Update reaches it through Context.Send; the
+// parallel Worker's committer replays logged messages through it.
 func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 	e.c.Sent++
-	e.charge(1, sim.CostMessageSend)
-	if e.opts.DynamicMessages && dst >= e.partLo && dst < e.partHi {
-		e.prog.Apply(&e.verts[dst-e.partLo], m)
-		e.c.Applied++
-		e.c.Inline++
-		e.charge(1, sim.CostMessageApply)
-		if e.sel != nil {
-			e.sel.set(dst)
-		}
-		if e.onInline != nil {
-			e.onInline(dst)
-		}
+	verts, lo := e.inlineTargets()
+	i := uint64(dst - lo)
+	if i >= uint64(len(verts)) {
+		e.c.Buffered++
+		e.bufferMessage(dst, m)
 		return
 	}
-	e.c.Buffered++
-	e.bufferMessage(dst, m)
+	e.prog.Apply(&verts[i], m)
+	e.c.Applied++
+	e.c.Inline++
+	if e.sel != nil {
+		e.sel.set(dst)
+	}
+	if e.onInline != nil {
+		e.onInline(dst)
+	}
+}
+
+// sendAll routes m to every vertex of dsts, in order, against the live
+// states. An inline destination gets the message applied immediately (an
+// ordered dynamic message), which also keeps it schedulable under
+// selective scheduling and tells the parallel Worker's committer; the
+// others are buffered, in list order. The loop does per message only what
+// differs per message: the residency test is one unsigned compare, which
+// covers both ends of the range, and the ledger takes the call's totals
+// once (nothing reads it in between: a spill counts spills, nothing else).
+func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
+	verts, lo := e.inlineTargets()
+	prog, sel, onInline := e.prog, e.sel, e.onInline
+	inline := int64(0)
+	for _, dst := range dsts {
+		i := uint64(dst - lo)
+		if i >= uint64(len(verts)) {
+			e.bufferMessage(dst, m)
+			continue
+		}
+		prog.Apply(&verts[i], m)
+		inline++
+		if sel != nil {
+			sel.set(dst)
+		}
+		if onInline != nil {
+			onInline(dst)
+		}
+	}
+	n := int64(len(dsts))
+	e.c.Sent += n
+	e.c.Applied += inline
+	e.c.Inline += inline
+	e.c.Buffered += n - inline
 }
 
 // updateRuns is the Worker loop on live states: it updates the vertices
@@ -825,7 +905,7 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, degs []u
 	}
 	defer src.stop()
 
-	ctx := &Context[M]{iteration: iter, send: e.sendFn, as: e.sel}
+	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn, as: e.sel}
 	br := batchReader{src: src}
 	for _, run := range runs {
 		off := run.startOff
@@ -857,8 +937,7 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, degs []u
 			}
 			e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
 			e.c.Updates++
-			e.charge(1, sim.CostVertexUpdate)
-			e.charge(int64(deg), sim.CostEdgeScan)
+			e.c.edges += int64(deg)
 			off += int64(deg)
 		}
 	}
@@ -1062,7 +1141,6 @@ func (e *Engine[V, M]) applyRecord(rec []byte, lo graph.VertexID) graph.VertexID
 	m := e.mcodec.Decode(rec[4:])
 	e.prog.Apply(&e.verts[dst-lo], m)
 	e.c.Applied++
-	e.charge(1, sim.CostMessageApply)
 	if e.sel != nil {
 		// A delivered message makes the destination schedulable.
 		e.sel.set(dst)

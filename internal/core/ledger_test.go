@@ -1,19 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"graphz/internal/checkpoint"
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
 	"graphz/internal/obs"
+	"graphz/internal/sim"
 	"graphz/internal/storage"
 )
 
@@ -101,13 +105,195 @@ func checkLedgerViews[V, M any](t *testing.T, eng *Engine[V, M], reg *obs.Regist
 	}
 }
 
+// witnessLabel is minLabel written as a scatter program — one SendAll per
+// update — whose Apply also folds every message, in arrival order, into a
+// hash: any difference in which messages a vertex was applied, or in what
+// order, changes its state bytes. The hash steers nothing, so the program
+// stays frontier-safe.
+type witnessVal struct{ label, pending, trace uint32 }
+
+type witnessCodec struct{}
+
+func (witnessCodec) Size() int { return 12 }
+
+func (witnessCodec) Encode(b []byte, v witnessVal) {
+	binary.LittleEndian.PutUint32(b, v.label)
+	binary.LittleEndian.PutUint32(b[4:], v.pending)
+	binary.LittleEndian.PutUint32(b[8:], v.trace)
+}
+
+func (witnessCodec) Decode(b []byte) witnessVal {
+	return witnessVal{binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])}
+}
+
+type witnessLabel struct{}
+
+func (witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
+	return witnessVal{label: uint32(id), pending: uint32(id)}
+}
+
+func (witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, adj []graph.VertexID) {
+	if ctx.Iteration() == 0 {
+		ctx.SendAll(adj, v.label) // sinks send to nobody: an empty dsts
+		return
+	}
+	if v.pending < v.label {
+		v.label = v.pending
+		ctx.MarkActive()
+		ctx.SendAll(adj, v.label)
+	}
+}
+
+func (witnessLabel) Apply(v *witnessVal, m uint32) {
+	v.trace = v.trace*1664525 + m + 1
+	if m < v.pending {
+		v.pending = m
+	}
+}
+
+// sendLoop runs a program with Context.SendAll degraded to its
+// definition, Send in a loop.
+type sendLoop[V, M any] struct{ Program[V, M] }
+
+func (p sendLoop[V, M]) Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID) {
+	bulk := ctx.sendAll
+	ctx.sendAll = nil
+	p.Program.Update(ctx, id, v, adj)
+	ctx.sendAll = bulk
+}
+
+// ledgerProbe is a run context that never cancels and, each time the
+// engine polls it — on its own goroutine, once when Run starts and then
+// before every partition — snapshots the ledger.
+type ledgerProbe struct {
+	context.Context
+	snap func()
+}
+
+func (p ledgerProbe) Done() <-chan struct{} { p.snap(); return nil }
+
+// manifestAt loads the manifest of the checkpoint taken after iteration
+// iter.
+func manifestAt(t *testing.T, dir string, iter int) checkpoint.Manifest {
+	t.Helper()
+	st, err := checkpoint.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := st.Load(iter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck.Manifest
+}
+
+// comparableRun strips what legitimately differs between two runs of one
+// configuration from a Result and its rows: wall-clock; the seeks of
+// concurrently reading chunks; and for a run resumed in a second process
+// the counts Result keeps per process and the device traffic of the
+// restore (with the states pinned, the first resumed iteration loads what
+// an uninterrupted run never stored).
+func comparableRun(res Result, rows []obs.IterStats, workers int, resumed bool) (Result, []obs.IterStats) {
+	res = stripDurability(res)
+	res.DecodeTime = 0
+	if resumed {
+		res.CodecBytesRaw, res.CodecBytesEncoded = 0, 0
+	}
+	out := make([]obs.IterStats, len(rows))
+	for i, row := range rows {
+		row.Stages, row.PrefetchStalls = obs.StageTimes{}, 0
+		if workers > 1 || resumed {
+			row.DeviceSeeks = 0
+		}
+		if resumed {
+			row.DeviceReadBytes, row.DeviceWriteBytes = 0, 0
+		}
+		out[i] = row
+	}
+	return res, out
+}
+
+// checkModeledCompute asserts that the modeled clock's compute is a view
+// of the ledger: every iteration's phase holds exactly the per-event
+// prices of what the ledger gained during it — snaps[1+i*P+p] is the
+// ledger before partition p of iteration i — plus the charges kept where
+// they happen: Init, the bytes moved, and the selective planner's scan,
+// which is bounded here (one unit per block decided on, at most one more
+// per vertex) since the ledger does not hold it.
+func checkModeledCompute(t *testing.T, eng *Engine[witnessVal, uint32], clock *sim.Clock, snaps []counters, iters int) {
+	t.Helper()
+	nParts := eng.NumPartitions()
+	snaps = append(snaps[1:], eng.c)
+	if len(snaps) != iters*nParts+1 {
+		t.Fatalf("%d ledger snapshots for %d iterations of %d partitions", len(snaps), iters, nParts)
+	}
+	compute := map[string]time.Duration{} // an iteration that charged nothing has no phase
+	for _, ph := range clock.Phases() {
+		compute[ph.Name] = ph.Compute
+	}
+	n := int64(eng.layout.NumVertices())
+	// The one count the ledger holds for the clock alone, checked against
+	// the graph: a full scan hands every entry to an Update, a selective
+	// one at most that.
+	if scans := int64(iters) * eng.layout.NumEdges(); eng.c.edges > scans || (eng.sel == nil && eng.c.edges != scans) {
+		t.Errorf("ledger counts %d adjacency entries over %d iterations of %d", eng.c.edges, iters, eng.layout.NumEdges())
+	}
+	units := func(n int64, cost time.Duration) time.Duration { return time.Duration(n) * cost }
+	for i := 0; i < iters; i++ {
+		var want time.Duration
+		var scanned int64 // blocks the planner decided on, in partitions it planned
+		for p := 0; p < nParts; p++ {
+			a, b := snaps[i*nParts+p], snaps[i*nParts+p+1]
+			want += units(b.Sent-a.Sent, sim.CostMessageSend) +
+				units(b.Applied-a.Applied, sim.CostMessageApply) +
+				units(b.Updates-a.Updates, sim.CostVertexUpdate) +
+				units(b.edges-a.edges, sim.CostEdgeScan) +
+				units((b.Buffered-a.Buffered)*int64(4+eng.msize)/4, sim.CostByteCopy4)
+			if b.partsSkipped != a.partsSkipped {
+				continue
+			}
+			scanned += b.BlocksScanned + b.BlocksSkipped - a.BlocksScanned - a.BlocksSkipped
+			if nParts > 1 {
+				// Stored every iteration, loaded every one but the first.
+				moved := int64(eng.partStarts[p+1]-eng.partStarts[p]) * int64(eng.vsize) / 4
+				if i > 0 {
+					moved *= 2
+				}
+				want += units(moved, sim.CostByteCopy4)
+			}
+		}
+		if i == 0 {
+			want += units(n, sim.CostVertexUpdate) // Init
+		}
+		if nParts == 1 && i == iters-1 {
+			want += units(n*int64(eng.vsize)/4, sim.CostByteCopy4) // the pinned states' one flush
+		}
+		lo, hi := want+units(scanned, sim.CostActiveScan), want+units(scanned+n, sim.CostActiveScan)
+		if i == 0 {
+			hi = lo // every bit set: each partition streams fully, no bit is walked
+		}
+		if got := compute[fmt.Sprintf("iter%d", i)]; got < lo || got > hi {
+			t.Errorf("iteration %d: modeled compute %v, the ledger prices it in [%v, %v]", i, got, lo, hi)
+		}
+	}
+}
+
 // TestLedgerViewsAgree pins the rule, not the rows: over the reachable
-// option lattice, Result, the registry, the iteration rows and the run
-// report are all views of one ledger and cannot disagree. With workers = 4
-// under -race it is also the proof that the speculating goroutines never
-// touch the ledger.
+// option lattice, Result, the registry, the iteration rows, the run
+// report and the modeled clock's compute are all views of one ledger and
+// cannot disagree. With workers = 4 under -race it is also the proof that
+// the speculating goroutines never touch the ledger. And at every point
+// the same program with SendAll degraded to a Send loop — crashed and
+// resumed, where the point checkpoints — leaves the same state bytes, the
+// same Result and the same rows: the bulk route is a route, not a
+// semantics.
 func TestLedgerViewsAgree(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 71)
+	// Self-loops and duplicate edges: the one place where the order of
+	// applies inside a single SendAll can show.
+	for i := 0; i < 40; i++ {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i)}, edges[3*i], edges[3*i])
+	}
 	for i := 0; i < 1<<6; i++ { // one bit per axis
 		bit := func(b int) bool { return i>>b&1 == 1 }
 		codec, parts, dm, sel, workers, ckpt := storage.Codec(nil), int64(1), bit(2), bit(3), 1, bit(5)
@@ -123,29 +309,56 @@ func TestLedgerViewsAgree(t *testing.T) {
 		}
 		name := fmt.Sprintf("%s/parts=%d/dm=%v/sel=%v/workers=%d/ckpt=%v", layout, parts, dm, sel, workers, ckpt)
 		t.Run(name, func(t *testing.T) {
-			var g *dos.Graph
-			if codec == nil {
-				g = buildDOS(t, edges)
-			} else {
-				g = buildDOSCodec(t, edges, codec, 64)
+			build := func() *dos.Graph {
+				if codec == nil {
+					return buildDOS(t, edges)
+				}
+				return buildDOSCodec(t, edges, codec, 64)
 			}
-			reg, tr := obs.NewRegistry(), obs.NewCollectingTracer(nil)
-			opts := Options{
-				MemoryBudget:        64 << 20,
-				DynamicMessages:     dm,
-				SelectiveScheduling: sel,
-				WorkerParallelism:   workers,
-				MsgBufferBytes:      64,
-				Obs:                 reg,
-				Trace:               tr,
+			g := build()
+			if l := DOSLayout(g); l.DegreeOf(graph.VertexID(l.NumVertices()-1)) != 0 {
+				t.Fatal("the graph has no sink: no update sends to an empty adjacency")
 			}
-			if parts > 1 {
-				opts.MemoryBudget = budgetForPartitions(g, 8, parts, 64)
+			options := func(reg *obs.Registry, dir string) Options {
+				opts := Options{
+					MemoryBudget:        64 << 20,
+					DynamicMessages:     dm,
+					SelectiveScheduling: sel,
+					WorkerParallelism:   workers,
+					MsgBufferBytes:      64,
+					Obs:                 reg,
+				}
+				if parts > 1 {
+					opts.MemoryBudget = budgetForPartitions(g, 12, parts, 64)
+				}
+				if ckpt {
+					opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
+				}
+				return opts
 			}
-			if ckpt {
-				opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1}
+			newEngine := func(g *dos.Graph, prog Program[witnessVal, uint32], opts Options) *Engine[witnessVal, uint32] {
+				eng, err := New[witnessVal, uint32](DOSLayout(g), prog, witnessCodec{}, graph.Uint32Codec{}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
 			}
-			eng := newMinLabelEngine(t, g, opts)
+			stateBytes := func(eng *Engine[witnessVal, uint32]) []byte {
+				vals, err := eng.Values()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return encodeStates[witnessVal](witnessCodec{}, vals)
+			}
+
+			// As written: SendAll, every view attached.
+			reg, tr, clock := obs.NewRegistry(), obs.NewCollectingTracer(nil), sim.NewClock()
+			opts := options(reg, t.TempDir())
+			opts.Trace, opts.Clock = tr, clock
+			var eng *Engine[witnessVal, uint32]
+			var snaps []counters
+			opts.Context = ledgerProbe{context.Background(), func() { snaps = append(snaps, eng.c) }}
+			eng = newEngine(g, witnessLabel{}, opts)
 			res, err := eng.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -166,6 +379,59 @@ func TestLedgerViewsAgree(t *testing.T) {
 				if _, ok := rep.Counters[m.name]; !ok {
 					t.Errorf("report lacks %s", m.name)
 				}
+			}
+			checkModeledCompute(t, eng, clock, snaps, res.Iterations)
+
+			// The same point through the Send loop. A checkpointing point
+			// is killed after iteration 2 and finished by a second process.
+			const cut = 2
+			if res.Iterations <= cut {
+				t.Fatalf("the run took %d iterations; the resume needs more than %d", res.Iterations, cut)
+			}
+			loop := sendLoop[witnessVal, uint32]{witnessLabel{}}
+			loopReg, dir := obs.NewRegistry(), t.TempDir()
+			loopEng := newEngine(build(), loop, options(loopReg, dir))
+			loopRes, err := loopEng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ckpt {
+				// Every state byte, bit and pending message record — a
+				// manifest names each section's CRC — and every counter are
+				// already the same mid-run: inside one SendAll the order
+				// shows only in the order of the records it buffers.
+				if got, want := manifestAt(t, dir, cut), manifestAt(t, opts.Checkpoint.Dir, cut); !reflect.DeepEqual(got, want) {
+					t.Errorf("Send loop: checkpoint %d is %+v, SendAll: %+v", cut, got, want)
+				}
+				for it := cut + 1; it <= loopRes.Iterations; it++ {
+					os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
+				}
+				loopReg = obs.NewRegistry()
+				ropts := options(loopReg, dir)
+				ropts.Checkpoint.Resume = true
+				loopEng = newEngine(build(), loop, ropts)
+				if loopRes, err = loopEng.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantRes, wantRows := comparableRun(res, reg.Iters(), workers, ckpt)
+			gotRes, gotRows := comparableRun(loopRes, loopReg.Iters(), workers, ckpt)
+			if ckpt {
+				wantRows = wantRows[cut:]
+			}
+			if gotRes != wantRes {
+				t.Errorf("Send loop: result %+v, SendAll: %+v", gotRes, wantRes)
+			}
+			if len(gotRows) != len(wantRows) {
+				t.Fatalf("Send loop: %d rows, SendAll: %d", len(gotRows), len(wantRows))
+			}
+			for i := range wantRows {
+				if gotRows[i] != wantRows[i] {
+					t.Errorf("Send loop: row %+v, SendAll: %+v", gotRows[i], wantRows[i])
+				}
+			}
+			if !bytes.Equal(stateBytes(loopEng), stateBytes(eng)) {
+				t.Error("Send loop and SendAll leave different vertex state bytes")
 			}
 		})
 	}

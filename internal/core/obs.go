@@ -15,19 +15,22 @@ const engineName = "graphz"
 
 // counters is the engine's one ledger: every cumulative count it keeps,
 // each written on the engine goroutine as a plain += at the one site
-// where the fact happens (send, plus commitChunk's fold of a chunk's
-// privately counted messages). Everything else is a view: Result is a projection at finish, the
-// iteration row is the delta across an iteration (recordIter), the
-// registry receives current − last published through ledgerMetrics
-// (publish), and the embedded checkpoint.Counters is the manifest's copy
-// as is. Stage wall time is the one family kept beside it, in the
-// StageRecorder the three engines share. Comparable.
+// where the fact happens (send per message, sendAll once per call, plus
+// commitChunk's fold of a chunk's privately counted messages). Everything else is a view:
+// Result is a projection at finish, the iteration row is the delta across
+// an iteration (recordIter), the registry receives current − last
+// published through ledgerMetrics (publish), modeled compute is the
+// partition's delta priced by the cost table (chargeLedger), and the
+// embedded checkpoint.Counters is the manifest's copy as is. Stage wall
+// time is the one family kept beside it, in the StageRecorder the three
+// engines share. Comparable.
 type counters struct {
 	// The counts a checkpoint carries: a resumed run continues them, so
 	// its Result and registry describe the whole logical run.
 	checkpoint.Counters
 
 	// This process only.
+	edges        int64 // adjacency entries handed to Update (priced by chargeLedger)
 	spillErrs    int64 // spill failures (the first aborts the run)
 	partsSkipped int64 // whole partitions skipped (no bits, no messages)
 	drains       int64 // drains that applied at least one message
@@ -163,21 +166,22 @@ func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.S
 
 // pipeStats accumulates one partition's Sio/Dispatcher pipeline activity.
 // With the parallel Worker, one pipeStats is shared by several concurrent
-// entry streams: producers (prefetch goroutines) write readNS/blocks and
-// consumers (worker goroutines) write stalls/stallNS/dispatchNS, so all
-// five are atomic. cacheHit stays plain — it is written and read only on
-// the engine goroutine.
+// entry streams: producers (prefetch goroutines) write readNS/blocks,
+// consumers (worker goroutines) write stalls/stallNS, and the Dispatcher's
+// fields are written by whichever side dispatches — the producer on a bulk
+// stream, the consumer on a lazy one — so all of them are atomic. cacheHit
+// stays plain — it is written and read only on the engine goroutine.
 type pipeStats struct {
 	readNS atomic.Int64 // producers: device read time
 	blocks atomic.Int64 // producers: blocks handed to the queue
 
-	stalls     atomic.Int64 // consumers: recv found the queue empty
-	stallNS    atomic.Int64 // consumers: time blocked on an empty queue
-	dispatchNS atomic.Int64 // consumers: block parse (Dispatcher) time
+	stalls  atomic.Int64 // consumers: recv found the queue empty
+	stallNS atomic.Int64 // consumers: time blocked on an empty queue
 
-	decodeNS  atomic.Int64 // consumers: block codec decode time (⊆ dispatchNS)
-	codecRawB atomic.Int64 // consumers: decoded bytes produced
-	codecEncB atomic.Int64 // consumers: encoded bytes consumed
+	dispatchNS atomic.Int64 // block parse (Dispatcher) time
+	decodeNS   atomic.Int64 // block codec decode time (⊆ dispatchNS)
+	codecRawB  atomic.Int64 // decoded bytes produced
+	codecEncB  atomic.Int64 // encoded bytes consumed
 
 	cacheHit bool // partition served from the resident adjacency without a fill
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"graphz/internal/graph"
-	"graphz/internal/sim"
 )
 
 // Deterministic parallel Worker stage (Options.WorkerParallelism).
@@ -304,7 +303,7 @@ func (e *Engine[V, M]) speculateChunk(c *workerChunk[V], snap []byte, iter int, 
 }
 
 // commitChunk installs a clean chunk's speculated states, folds its
-// locally accumulated counters and compute charges, and replays its
+// locally accumulated counters, and replays its
 // extra-chunk message log — in send order — through Engine.send, exactly
 // as the sequential Worker would have sent each one.
 func (e *Engine[V, M]) commitChunk(c *workerChunk[V]) {
@@ -316,17 +315,13 @@ func (e *Engine[V, M]) commitChunk(c *workerChunk[V]) {
 		e.sel.copyFrom(c.acts, c.lo, c.hi)
 		c.acts = nil
 	}
-	n := int64(len(c.states))
-	e.c.Updates += n
-	e.charge(n, sim.CostVertexUpdate)
-	e.charge(c.edges, sim.CostEdgeScan)
+	e.c.Updates += int64(len(c.states))
+	e.c.edges += c.edges
 	// Intra-chunk messages were sent and applied privately; the logged
 	// ones are counted by send as they replay.
 	e.c.Sent += c.inline
-	e.charge(c.inline, sim.CostMessageSend)
 	e.c.Inline += c.inline
 	e.c.Applied += c.inline
-	e.charge(c.inline, sim.CostMessageApply)
 	rec := 4 + e.msize
 	for off := 0; off+rec <= len(c.log); off += rec {
 		e.send(graph.VertexID(binary.LittleEndian.Uint32(c.log[off:])), e.mcodec.Decode(c.log[off+4:]))

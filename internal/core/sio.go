@@ -13,47 +13,55 @@ import (
 	"graphz/internal/storage"
 )
 
-// blockPool recycles Sio prefetch buffers; the repro environment's note
-// about Go GC pressure on edge buffers is real — per-block allocations
-// across every partition of every iteration would churn hundreds of MB.
-// The pool counts gets and puts so tests can assert that no code path
-// loses a buffer (one atomic add per 256 KiB block is noise).
-var blockPool = &countedPool{
-	pool: sync.Pool{New: func() any { return make([]byte, storage.DefaultBlockSize) }},
-}
+// blockPool recycles the byte buffers Sio reads blocks into, entryPool the
+// entry buffers they are decoded into (and the flat buffers windows are
+// assembled in); the repro environment's note about Go GC pressure on edge
+// buffers is real — per-block allocations across every partition of every
+// iteration would churn hundreds of MB. Both hold one Sio block each: a
+// larger request (an encoded block past DefaultBlockSize — the varint
+// worst case is 5 bytes per entry — or a vertex with more entries than a
+// block) gets a grown buffer, which re-enters the pool on Put.
+var (
+	blockPool = newBufferPool[byte](storage.DefaultBlockSize)
+	entryPool = newBufferPool[graph.VertexID](workerBatchEntries)
+)
 
-// countedPool wraps sync.Pool with get/put accounting.
-type countedPool struct {
-	pool       sync.Pool
+// pooled counts the buffers checked out of the two pools together, so
+// tests can assert that no code path loses one and bound how many a
+// stream holds at once (a few atomic operations per 256 KiB block is
+// noise).
+var pooled struct {
 	gets, puts atomic.Int64
+	peak       atomic.Int64 // high-water mark of gets - puts
 }
 
-// Get checks out a buffer of exactly n bytes. Fixed-entry blocks and
-// nearly every encoded block fit the pooled DefaultBlockSize; an encoded
-// block past it (the varint worst case is 5 bytes per entry) gets a grown
-// buffer, which re-enters the pool on Put.
-func (p *countedPool) Get(n int) []byte {
-	p.gets.Add(1)
-	buf := p.pool.Get().([]byte)
+// pooledOutstanding returns how many pooled buffers are currently checked
+// out; once every stream is stopped it must be back to its starting value.
+func pooledOutstanding() int64 { return pooled.gets.Load() - pooled.puts.Load() }
+
+// bufferPool is a sync.Pool of []T buffers that reports to pooled.
+type bufferPool[T any] struct{ pool sync.Pool }
+
+func newBufferPool[T any](size int) *bufferPool[T] {
+	return &bufferPool[T]{pool: sync.Pool{New: func() any { return make([]T, size) }}}
+}
+
+// Get checks out a buffer of exactly n elements.
+func (p *bufferPool[T]) Get(n int) []T {
+	out := pooled.gets.Add(1) - pooled.puts.Load()
+	for pk := pooled.peak.Load(); out > pk && !pooled.peak.CompareAndSwap(pk, out); pk = pooled.peak.Load() {
+	}
+	buf := p.pool.Get().([]T)
 	if cap(buf) < n {
-		buf = make([]byte, n)
+		buf = make([]T, n)
 	}
 	return buf[:n]
 }
 
-func (p *countedPool) Put(buf []byte) {
-	p.puts.Add(1)
+func (p *bufferPool[T]) Put(buf []T) {
+	pooled.puts.Add(1)
 	p.pool.Put(buf[:cap(buf)]) //nolint:staticcheck // slice header reuse is intended
 }
-
-// outstanding returns how many buffers are currently checked out; once
-// every stream is stopped it must be back to its starting value.
-func (p *countedPool) outstanding() int64 { return p.gets.Load() - p.puts.Load() }
-
-// windowPool recycles the flat buffers entry streams assemble their
-// windows in, one Sio block's worth of entries each (a vertex with more
-// entries than that grows its stream's buffer, which re-enters the pool).
-var windowPool = sync.Pool{New: func() any { return make([]graph.VertexID, 0, workerBatchEntries) }}
 
 // entrySource is where the Worker's adjacency entries come from: the Sio
 // prefetcher (entryStream) or the resident adjacency (memEntryStream).
@@ -84,40 +92,57 @@ type entryRange struct {
 // (Section V-A), for every layout: a prefetch goroutine reads the
 // adjacency blocks the ranges need sequentially off the device and hands
 // them to the consumer through a bounded queue, so IO overlaps the
-// Worker's computation; the consumer (the Dispatcher's job) turns blocks
-// into entries, served by absolute entry offset out of one flat buffer. A
-// block the consumer hops over is dropped as received, undecoded.
+// Worker's computation, and windows of entries are served by absolute
+// entry offset.
+//
+// Who turns a block's bytes into entries — the Dispatcher's job — depends
+// on the one mode switch, lazy. A bulk stream (a full scan, a chunk's
+// range, a cache fill: contiguous ranges consumed whole) dispatches on the
+// prefetch goroutine, as the paper's concurrent stages do: the queue
+// carries decoded entries, a window is a sub-slice of the current block,
+// and only a request that straddles two blocks is assembled in a flat
+// buffer — neither decode nor copy is left on the Worker's goroutine. A
+// lazy stream (a sparse schedule's hopping Worker) queues the bytes as
+// read: a block the consumer hops over is dropped as received, undecoded,
+// and a window converts only the entries asked for.
 //
 // storage.BlockLayout is where entry offsets meet bytes. A block-encoded
 // file (DOS v2) is fetched whole block by whole block — blocks no range
 // touches are never read, which is selective scheduling's skip math
 // landing as byte extents — a block two consecutive ranges share is
-// read once, and a block is decoded whole the first time a window reaches
-// into it. A fixed-entry file (DOS v1, CSR) is the same pipeline with
-// codec 0: its blocks are addressed arithmetically, so each read is
-// clipped to the requesting range and not one byte outside a range is
-// read, and its entries go from the block's bytes straight into the
-// window, only the ones a window takes.
+// read once, and a block is decoded whole. A fixed-entry file (DOS v1,
+// CSR) is the same pipeline with codec 0: its blocks are addressed
+// arithmetically, so each read is clipped to the requesting range and not
+// one byte outside a range is read, and its entries are widened from the
+// block's little-endian bytes.
 type entryStream struct {
 	blocks chan sioBlock
 	stopc  chan struct{}
 	adj    storage.BlockLayout
 	ranges []entryRange
-	lazy   bool       // a window fetches the n entries asked for, not all its block holds
+	lazy   bool       // the consumer hops: queue bytes, decode what a window asks for
 	met    *pipeStats // nil-able: the pipeline's timing and stall counters
+
+	// dec is the decode buffer of whichever side dispatches, never both:
+	// the producer's scratch on a bulk stream, on a lazy one the consumer's
+	// current encoded blk, decoded (a fixed-entry blk is served from
+	// blk.data).
+	dec []uint32
 
 	// consumer state
 	blk    sioBlock         // the block being served: entries [blk.start, blk.end)
-	dec    []uint32         // an encoded blk, decoded; a fixed-entry blk is served from blk.data
-	buf    []graph.VertexID // the window: entries [bufOff, bufOff+len(buf)); pooled
+	buf    []graph.VertexID // the flat buffer: entries [bufOff, bufOff+len(buf)); pooled
 	bufOff int64
 	err    error
 }
 
+// sioBlock is one block in the queue: its bytes on a lazy stream, its
+// entries on a bulk one.
 type sioBlock struct {
 	data       []byte
+	ents       []graph.VertexID
 	idx        int64 // block index
-	start, end int64 // absolute entry span the bytes decode to
+	start, end int64 // absolute entry span
 	err        error
 }
 
@@ -125,14 +150,16 @@ type sioBlock struct {
 // entry ranges of the named adjacency file; the bytes between ranges are
 // never touched (a seek replaces the skipped blocks' reads). A single
 // full range is the seed prefetcher. lazy is for the consumer that hops —
-// a sparse schedule's Worker: each window then decodes only the entries
-// it was asked for instead of everything its block holds.
+// a sparse schedule's Worker: blocks then stay bytes until a window
+// reaches into them, and each window converts only the entries it was
+// asked for instead of everything its block holds.
 func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, ranges []entryRange, lazy bool, met *pipeStats) (*entryStream, error) {
 	f, err := dev.Open(file)
 	if err != nil {
 		return nil, err
 	}
 	s := &entryStream{
+		// sioQueueDepth blocks of read-ahead: the paper's bounded queue.
 		blocks: make(chan sioBlock, sioQueueDepth),
 		stopc:  make(chan struct{}),
 		adj:    adj,
@@ -145,7 +172,7 @@ func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, 
 }
 
 // prefetch is the Sio goroutine — the only code in the package that
-// reads the edges file.
+// reads the edges file — and, on a bulk stream, the Dispatcher too.
 func (s *entryStream) prefetch(f *storage.File) {
 	defer close(s.blocks)
 	be := s.adj.BlockEntries
@@ -175,26 +202,38 @@ func (s *entryStream) prefetch(f *storage.File) {
 			}
 			if err != nil {
 				blockPool.Put(buf)
-				select {
-				case s.blocks <- sioBlock{err: fmt.Errorf("core: reading block %d at byte %d: %w", b, lo, err)}:
-				case <-s.stopc:
-				}
+				s.fail(fmt.Errorf("core: reading block %d at byte %d: %w", b, lo, err))
 				return
 			}
 			if s.met != nil {
 				s.met.blocks.Add(1)
 				s.met.heatRead(b, hi-lo)
 			}
+			blk := sioBlock{data: buf, idx: b, start: first, end: last}
+			if !s.lazy {
+				if blk, err = s.dispatch(blk); err != nil {
+					s.fail(err)
+					return
+				}
+			}
 			select {
-			case s.blocks <- sioBlock{data: buf, idx: b, start: first, end: last}:
+			case s.blocks <- blk:
 			case <-s.stopc:
 				// Early stop with the block still in hand: ownership
 				// never transferred, so recycle it here or it is lost
 				// to the GC.
-				blockPool.Put(buf)
+				blk.release()
 				return
 			}
 		}
+	}
+}
+
+// fail hands the consumer the error that ends the stream.
+func (s *entryStream) fail(err error) {
+	select {
+	case s.blocks <- sioBlock{err: err}:
+	case <-s.stopc:
 	}
 }
 
@@ -215,125 +254,53 @@ func readExtent(f *storage.File, buf []byte, off int64) error {
 	return nil
 }
 
-// window serves entries from offset off on out of the stream's flat
-// buffer: what is already buffered from off on is kept, everything before
-// it — buffered, or in blocks not yet received — is dropped unread, and
-// the buffer is topped up to at least n entries from the blocks that
-// follow. A failure sticks.
-func (s *entryStream) window(off int64, n int) ([]graph.VertexID, error) {
-	if s.err != nil {
-		return nil, s.err
+// dispatch is the Dispatcher step of a bulk stream, run by the producer:
+// the block's bytes become its entries — decoded for an encoded block,
+// widened from little-endian for a fixed-entry one — and go back to their
+// pool. An encoded block's bytes are returned before its entry buffer is
+// taken (the decode buffer stands between them), so the producer holds
+// two pooled buffers at most, never three.
+func (s *entryStream) dispatch(blk sioBlock) (sioBlock, error) {
+	fixed := s.adj.FixedEntries()
+	if !fixed {
+		err := s.decode(blk)
+		blockPool.Put(blk.data)
+		if err != nil {
+			return sioBlock{}, err
+		}
 	}
-	if s.err = s.fill(off, n); s.err != nil {
-		return nil, s.err
+	var t0 time.Time
+	if s.met != nil {
+		t0 = time.Now()
 	}
-	return s.buf, nil
+	blk.ents = entryPool.Get(int(blk.end - blk.start))
+	if fixed {
+		widen(blk.ents, blk.data)
+		blockPool.Put(blk.data)
+	} else {
+		ents := blk.ents[:len(s.dec)] // decode checked the count; says so to the compiler
+		for i, v := range s.dec {
+			ents[i] = graph.VertexID(v)
+		}
+	}
+	blk.data = nil
+	if s.met != nil {
+		s.met.dispatchNS.Add(int64(time.Since(t0)))
+	}
+	return blk, nil
 }
 
-func (s *entryStream) fill(off int64, n int) error {
-	switch have := s.bufOff + int64(len(s.buf)); {
-	case off < s.bufOff:
-		return fmt.Errorf("core: adjacency stream asked for entry %d after entry %d", off, s.bufOff)
-	case off < have:
-		s.buf = s.buf[:copy(s.buf, s.buf[off-s.bufOff:])]
-	default:
-		s.buf = s.buf[:0]
-	}
-	s.bufOff = off
-	if s.buf == nil {
-		s.buf = windowPool.Get().([]graph.VertexID)
-	}
-	if n > cap(s.buf) {
-		grown := make([]graph.VertexID, len(s.buf), max(n, 2*cap(s.buf)))
-		copy(grown, s.buf)
-		windowPool.Put(s.buf[:0]) //nolint:staticcheck // slice header reuse is intended
-		s.buf = grown
-	}
-	for len(s.buf) < n {
-		next := off + int64(len(s.buf)) // the first entry not yet buffered
-		if next >= s.blk.end {
-			if err := s.advance(next); err != nil {
-				return err
-			}
-		}
-		room := cap(s.buf)
-		if s.lazy {
-			room = n
-		}
-		take := min(room-len(s.buf), int(s.blk.end-next))
-		dst := s.buf[len(s.buf) : len(s.buf)+take]
-		if s.adj.FixedEntries() {
-			// Straight from the block bytes: only the entries taken are
-			// ever decoded. A lazy take is one vertex's few entries —
-			// reading the clock twice would cost many times what it
-			// measures — so only bulk takes are timed as dispatch.
-			timed := s.met != nil && !s.lazy
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			src := s.blk.data[4*(next-s.blk.start):]
-			for i := range dst {
-				dst[i] = graph.VertexID(binary.LittleEndian.Uint32(src))
-				src = src[4:]
-			}
-			if timed {
-				s.met.dispatchNS.Add(int64(time.Since(t0)))
-			}
-		} else {
-			for i, v := range s.dec[next-s.blk.start:][:take] {
-				dst[i] = graph.VertexID(v)
-			}
-		}
-		s.buf = s.buf[:len(s.buf)+take]
-	}
-	return nil
-}
-
-// advance makes the block holding entry off the current one. The producer
-// emits exactly the blocks the ranges need, in ascending order; the ones
-// that end at or before off are blocks the consumer hopped over, and go
-// back to the pool undecoded.
-func (s *entryStream) advance(off int64) error {
-	for {
-		s.release()
-		blk, ok := s.recv()
-		if !ok {
-			return errAdjExhausted
-		}
-		if blk.err != nil {
-			return blk.err
-		}
-		s.blk = blk
-		if blk.end > off {
-			break
-		}
-	}
-	if off < s.blk.start {
-		return fmt.Errorf("%w: entry %d is outside the stream's ranges (block %d follows with [%d,%d))",
-			errAdjExhausted, off, s.blk.idx, s.blk.start, s.blk.end)
-	}
-	if s.adj.FixedEntries() {
-		if want := 4 * (s.blk.end - s.blk.start); int64(len(s.blk.data)) != want {
-			return fmt.Errorf("core: block %d holds %d bytes, want %d", s.blk.idx, len(s.blk.data), want)
-		}
-		return nil
-	}
-	return s.decode()
-}
-
-// release returns the current block's bytes to the pool.
-func (s *entryStream) release() {
-	if s.blk.data != nil {
-		blockPool.Put(s.blk.data)
-		s.blk.data = nil
+// widen fills dst from src's little-endian u32s.
+func widen(dst []graph.VertexID, src []byte) {
+	for i := range dst {
+		dst[i] = graph.VertexID(binary.LittleEndian.Uint32(src))
+		src = src[4:]
 	}
 }
 
-// decode decodes the current (encoded) block — the Dispatcher step — and
-// releases its bytes.
-func (s *entryStream) decode() error {
-	blk := s.blk
+// decode decodes an encoded block's bytes into s.dec: the producer's step
+// on a bulk stream, the consumer's on first touch on a lazy one.
+func (s *entryStream) decode(blk sioBlock) error {
 	if s.dec == nil {
 		// One decode buffer per stream, sized for a whole block up front:
 		// codecs append entry by entry, and growing by doubling would cost
@@ -355,7 +322,6 @@ func (s *entryStream) decode() error {
 		s.met.codecRawB.Add(int64(len(dec)) * 4)
 		s.met.heatDecode(blk.idx, ns)
 	}
-	s.release()
 	if err != nil {
 		return fmt.Errorf("core: decoding block %d: %w", blk.idx, err)
 	}
@@ -364,6 +330,135 @@ func (s *entryStream) decode() error {
 	}
 	s.dec = dec
 	return nil
+}
+
+// release returns the block's buffer to its pool.
+func (b *sioBlock) release() {
+	if b.data != nil {
+		blockPool.Put(b.data)
+		b.data = nil
+	}
+	if b.ents != nil {
+		entryPool.Put(b.ents)
+		b.ents = nil
+	}
+}
+
+// window serves the entries from offset off on, at least n of them: on a
+// bulk stream a view of the current block's entries, on a lazy one the
+// flat buffer topped up to exactly n. A failure sticks.
+func (s *entryStream) window(off int64, n int) ([]graph.VertexID, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	var w []graph.VertexID
+	if s.lazy {
+		w, s.err = s.fill(off, n)
+	} else {
+		w, s.err = s.view(off, n)
+	}
+	return w, s.err
+}
+
+// view is a bulk stream's window: everything the current block holds from
+// off on, as a sub-slice of it, when the n entries asked for lie inside
+// one block — every request but a vertex that straddles a block boundary,
+// which alone is assembled in the flat buffer.
+func (s *entryStream) view(off int64, n int) ([]graph.VertexID, error) {
+	if off >= s.blk.end {
+		if err := s.advance(off); err != nil {
+			return nil, err
+		}
+		// Whatever was assembled ended in a block now gone.
+		s.buf, s.bufOff = s.buf[:0], s.blk.start
+	}
+	if off >= s.blk.start && off+int64(n) <= s.blk.end {
+		return s.blk.ents[off-s.blk.start:], nil
+	}
+	return s.fill(off, n)
+}
+
+// fill makes the flat buffer hold the n entries from offset off on: what
+// is already buffered from off on is kept, everything before it —
+// buffered, or in blocks not yet received — is dropped unread, and the
+// rest comes from the current block and the ones that follow. It returns
+// the buffer: a lazy stream's window, a bulk stream's straddler.
+func (s *entryStream) fill(off int64, n int) ([]graph.VertexID, error) {
+	switch have := s.bufOff + int64(len(s.buf)); {
+	case off < s.bufOff:
+		return nil, fmt.Errorf("core: adjacency stream asked for entry %d after entry %d", off, s.bufOff)
+	case off < have:
+		s.buf = s.buf[:copy(s.buf, s.buf[off-s.bufOff:])]
+	default:
+		s.buf = s.buf[:0]
+	}
+	s.bufOff = off
+	if s.buf == nil {
+		s.buf = entryPool.Get(0)
+	}
+	if n > cap(s.buf) {
+		grown := entryPool.Get(max(n, 2*cap(s.buf)))[:len(s.buf)]
+		copy(grown, s.buf)
+		entryPool.Put(s.buf)
+		s.buf = grown
+	}
+	for len(s.buf) < n {
+		next := off + int64(len(s.buf)) // the first entry not yet buffered
+		if next >= s.blk.end {
+			if err := s.advance(next); err != nil {
+				return nil, err
+			}
+		}
+		take := min(n-len(s.buf), int(s.blk.end-next))
+		dst := s.buf[len(s.buf) : len(s.buf)+take]
+		i := next - s.blk.start
+		switch {
+		case !s.lazy:
+			copy(dst, s.blk.ents[i:])
+		case s.adj.FixedEntries():
+			// Straight from the block bytes: only the entries taken are
+			// ever converted.
+			widen(dst, s.blk.data[4*i:])
+		default:
+			for j, v := range s.dec[i:][:take] {
+				dst[j] = graph.VertexID(v)
+			}
+		}
+		s.buf = s.buf[:len(s.buf)+take]
+	}
+	return s.buf, nil
+}
+
+// advance makes the block holding entry off the current one. The producer
+// emits exactly the blocks the ranges need, in ascending order; the ones
+// that end at or before off are blocks the consumer hopped over, and go
+// back to the pool as they came — on a lazy stream, undecoded. There the
+// block that is kept is decoded now, on first touch.
+func (s *entryStream) advance(off int64) error {
+	for {
+		s.blk.release()
+		blk, ok := s.recv()
+		if !ok {
+			return errAdjExhausted
+		}
+		if blk.err != nil {
+			return blk.err
+		}
+		s.blk = blk
+		if blk.end > off {
+			break
+		}
+	}
+	if off < s.blk.start {
+		return fmt.Errorf("%w: entry %d is outside the stream's ranges (block %d follows with [%d,%d))",
+			errAdjExhausted, off, s.blk.idx, s.blk.start, s.blk.end)
+	}
+	if !s.lazy || s.adj.FixedEntries() {
+		return nil
+	}
+	err := s.decode(s.blk)
+	s.blk.release()
+	return err
 }
 
 // recv receives the next prefetched block, counting a stall (and its
@@ -385,17 +480,15 @@ func (s *entryStream) recv() (sioBlock, bool) {
 }
 
 // stop shuts the prefetcher down, releasing the block in hand, the queued
-// ones and the window buffer back to their pools.
+// ones and the flat buffer back to their pools.
 func (s *entryStream) stop() {
 	close(s.stopc)
-	s.release()
+	s.blk.release()
 	for blk := range s.blocks {
-		if blk.data != nil {
-			blockPool.Put(blk.data)
-		}
+		blk.release()
 	}
 	if s.buf != nil {
-		windowPool.Put(s.buf[:0]) //nolint:staticcheck // slice header reuse is intended
+		entryPool.Put(s.buf)
 		s.buf = nil
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,10 +88,10 @@ func forEachSioCase(t *testing.T, newDev func() *storage.Device, fn func(t *test
 				dev := newDev()
 				entries := testEntries(100)
 				adj := writeEntryFile(t, dev, "e", entries, l.codec, sioTestBlock)
-				before := blockPool.outstanding()
+				before := pooledOutstanding()
 				fn(t, dev, adj, entries, append([]entryRange(nil), r.ranges...))
-				if got := blockPool.outstanding(); got != before {
-					t.Errorf("%d pooled blocks outstanding after the stream stopped, want %d", got, before)
+				if got := pooledOutstanding(); got != before {
+					t.Errorf("%d pooled buffers outstanding after the stream stopped, want %d", got, before)
 				}
 			})
 		}
@@ -253,12 +254,34 @@ func TestEntryStreamStopMidway(t *testing.T) {
 	})
 }
 
+// waitProducerBlocked spins until the stream's producer has filled the
+// queue and holds the next block in hand, ready to queue — decoded, on a
+// bulk stream: sioQueueDepth+1 blocks' worth of buffers drawn from the
+// pools since gets0, one per block on a lazy stream (its bytes), two on a
+// bulk one (bytes, then entries).
+func waitProducerBlocked(t *testing.T, lazy bool, gets0 int64) {
+	t.Helper()
+	want := int64(2 * (sioQueueDepth + 1))
+	if lazy {
+		want = sioQueueDepth + 1
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pooled.gets.Load()-gets0 < want {
+		if time.Now().After(deadline) {
+			t.Fatal("producer never filled the prefetch queue")
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestEntryStreamStopRecyclesInFlightBlock: stopping a stream while the
 // producer is blocked handing over a block used to leak that block — the
 // stop branch returned without putting the in-hand buffer back, so every
 // early partition stop (engine errors, parallel-worker chunk sources)
-// bled one pooled block. The pool's get/put accounting must balance
-// after every stop.
+// bled one pooled block. The pools' get/put accounting must balance
+// after every stop: with the queue full and a block — a decoded one, on a
+// bulk stream — in the producer's hand, and at whatever point of its
+// read/decode/queue cycle an immediate stop catches it.
 func TestEntryStreamStopRecyclesInFlightBlock(t *testing.T) {
 	for _, l := range sioLayouts {
 		dev := nullDevice()
@@ -266,29 +289,209 @@ func TestEntryStreamStopRecyclesInFlightBlock(t *testing.T) {
 		// has an undelivered block in hand when stopped.
 		entries := testEntries(32 * sioTestBlock)
 		adj := writeEntryFile(t, dev, "e", entries, l.codec, sioTestBlock)
-		for i := 0; i < 10; i++ {
-			before := blockPool.outstanding()
-			gets0 := blockPool.gets.Load()
-			s, err := openEntryStream(dev, adj, "e", []entryRange{{0, int64(len(entries))}}, false, nil)
+		for i := 0; i < 20; i++ {
+			lazy, wait := i&1 == 1, i&2 == 0
+			before := pooledOutstanding()
+			gets0 := pooled.gets.Load()
+			s, err := openEntryStream(dev, adj, "e", []entryRange{{0, int64(len(entries))}}, lazy, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Wait until the producer has filled the queue and taken the
-			// next block in hand (queue depth + 1 gets), the state the
-			// leaky path fired from.
-			deadline := time.Now().Add(5 * time.Second)
-			for blockPool.gets.Load()-gets0 < sioQueueDepth+1 {
-				if time.Now().After(deadline) {
-					t.Fatal("producer never filled the prefetch queue")
-				}
-				runtime.Gosched()
+			if wait {
+				waitProducerBlocked(t, lazy, gets0)
 			}
 			s.stop()
-			if got := blockPool.outstanding(); got != before {
-				t.Fatalf("%s iteration %d: %d pooled blocks outstanding after stop, want %d",
-					l.name, i, got, before)
+			if got := pooledOutstanding(); got != before {
+				t.Fatalf("%s iteration %d (lazy=%v, queue full=%v): %d pooled buffers outstanding after stop, want %d",
+					l.name, i, lazy, wait, got, before)
 			}
 		}
+	}
+}
+
+// TestEntryStreamBlockErrors: a corrupt encoded block and a failed device
+// read in the middle of a stream reach the consumer as typed errors naming
+// the block — the same error whether the producer met it (bulk) or the
+// consumer's first touch did (lazy) — after every entry before it was
+// delivered intact; the error sticks, nothing panics or hangs, and the
+// pools balance.
+func TestEntryStreamBlockErrors(t *testing.T) {
+	const badBlock = 5
+	entries := testEntries(12 * sioTestBlock)
+	full := []entryRange{{0, int64(len(entries))}}
+	for _, tc := range []struct {
+		name string
+		is   error
+		text string
+		// breakIt damages the file or arms the device after the file is written.
+		breakIt func(t *testing.T, fd *storage.FaultDevice, adj storage.BlockLayout)
+	}{
+		{"corrupt block", storage.ErrCorruptBlock, fmt.Sprintf("core: decoding block %d: ", badBlock),
+			func(t *testing.T, fd *storage.FaultDevice, adj storage.BlockLayout) {
+				// A block cut short by one byte, the rest padded with a
+				// control byte no encoder writes: undecodable.
+				lo, hi := adj.BlockRange(badBlock)
+				data, err := storage.ReadAllFile(fd.Device, "e")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := lo + 1; i < hi; i++ {
+					data[i] = 0xFF
+				}
+				if err := storage.WriteAll(fd.Device, "e", data); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{"device read error", storage.ErrInjected, fmt.Sprintf("core: reading block %d at byte ", badBlock),
+			func(t *testing.T, fd *storage.FaultDevice, adj storage.BlockLayout) {
+				fd.Arm(storage.FaultPlan{FailAtOps: []int64{badBlock + 1}}) // one read per block
+			}},
+	} {
+		var texts []string
+		for _, lazy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/lazy=%v", tc.name, lazy), func(t *testing.T) {
+				fd := storage.NewFaultDevice(storage.NullDevice, storage.Options{})
+				adj := writeEntryFile(t, fd.Device, "e", entries, storage.CodecGroupVarint, sioTestBlock)
+				tc.breakIt(t, fd, adj)
+				before := pooledOutstanding()
+				s, err := openEntryStream(fd.Device, adj, "e", full, lazy, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := readRanges(s, full)
+				if !errors.Is(err, tc.is) || !strings.HasPrefix(err.Error(), tc.text) {
+					t.Fatalf("error = %v, want one matching %v and starting %q", err, tc.is, tc.text)
+				}
+				// Windows are 5 entries, blocks 8: everything up to the last
+				// window that ends inside block 4 arrived.
+				checkEntries(t, got, wantEntries(entries, []entryRange{{0, int64(len(got))}}))
+				if want := badBlock * sioTestBlock / 5 * 5; len(got) != want {
+					t.Errorf("delivered %d entries before the bad block, want %d", len(got), want)
+				}
+				if _, again := s.window(int64(len(got)), 1); again != err {
+					t.Errorf("second read = %v, want the same sticky error", again)
+				}
+				s.stop()
+				if got := pooledOutstanding(); got != before {
+					t.Errorf("%d pooled buffers outstanding after the stream stopped, want %d", got, before)
+				}
+				texts = append(texts, err.Error())
+			})
+		}
+		if len(texts) == 2 && texts[0] != texts[1] {
+			t.Errorf("%s: bulk says %q, lazy says %q", tc.name, texts[0], texts[1])
+		}
+	}
+}
+
+// TestBulkWindowsAreViews: on a bulk stream a vertex whose entries lie
+// inside one block is served as a sub-slice of that block — the flat
+// buffer is not even allocated — and only one that straddles a block
+// boundary, or is longer than a block, is assembled in it, whole and in
+// order.
+func TestBulkWindowsAreViews(t *testing.T) {
+	for _, l := range sioLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			dev := nullDevice()
+			entries := testEntries(100)
+			adj := writeEntryFile(t, dev, "e", entries, l.codec, sioTestBlock)
+			before := pooledOutstanding()
+			s, err := openEntryStream(dev, adj, "e", []entryRange{{0, 100}}, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ask := func(off int64, n int) []graph.VertexID {
+				t.Helper()
+				w, err := s.window(off, n)
+				if err != nil {
+					t.Fatalf("window(%d, %d): %v", off, n, err)
+				}
+				if len(w) < n {
+					t.Fatalf("window(%d, %d) returned %d entries", off, n, len(w))
+				}
+				checkEntries(t, w[:n], wantEntries(entries, []entryRange{{off, off + int64(n)}}))
+				return w
+			}
+			// Inside blocks 0 and 1, up to a block's last entry: views.
+			for _, v := range []struct {
+				off int64
+				n   int
+			}{{0, 3}, {3, 5}, {8, 8}} {
+				w := ask(v.off, v.n)
+				if &w[0] != &s.blk.ents[v.off-s.blk.start] {
+					t.Errorf("window(%d, %d) is not a view of the current block", v.off, v.n)
+				}
+				if want := int(s.blk.end - v.off); len(w) != want {
+					t.Errorf("window(%d, %d) holds %d entries, want the block's remaining %d", v.off, v.n, len(w), want)
+				}
+			}
+			if s.buf != nil {
+				t.Error("in-block windows allocated the flat buffer")
+			}
+			// 20..26 straddles blocks 2 and 3; 27..51 covers the rest of 3,
+			// all of 4 and 5, and the start of 6.
+			for _, v := range []struct {
+				off int64
+				n   int
+			}{{20, 7}, {27, 25}} {
+				if w := ask(v.off, v.n); len(w) != v.n || &w[0] != &s.buf[0] {
+					t.Errorf("window(%d, %d) = %d entries at %p, want exactly %d assembled in the flat buffer", v.off, v.n, len(w), &w[0], v.n)
+				}
+			}
+			// And the next in-block vertex is a view again.
+			if w := ask(52, 4); &w[0] != &s.blk.ents[52-s.blk.start] {
+				t.Error("the window after a straddler is not a view of the current block")
+			}
+			// A window may begin inside the last straddler's.
+			ask(53, 3)
+			s.stop()
+			if got := pooledOutstanding(); got != before {
+				t.Errorf("%d pooled buffers outstanding after the stream stopped, want %d", got, before)
+			}
+		})
+	}
+}
+
+// TestEntryStreamBufferHighWater: a full scan through the Dispatcher stage
+// holds no more block-sized buffers at once than the consumer-side decode
+// it replaced — there, the queue's 4 blocks, one in each hand, the decode
+// buffer and the window: sioQueueDepth+4. Here: the queue's entries, one
+// block in the consumer's hand, the flat buffer, and in the producer's
+// either bytes and entries (a fixed-entry block being widened) or the
+// decode scratch and one of the two — never all three.
+func TestEntryStreamBufferHighWater(t *testing.T) {
+	for _, l := range sioLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			dev := nullDevice()
+			entries := testEntries(64 * sioTestBlock)
+			adj := writeEntryFile(t, dev, "e", entries, l.codec, sioTestBlock)
+			full := []entryRange{{0, int64(len(entries))}}
+			before, gets0 := pooledOutstanding(), pooled.gets.Load()
+			pooled.peak.Store(before)
+			s, err := openEntryStream(dev, adj, "e", full, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.stop()
+			// Let the pipeline fill, then scan in 5-entry windows, so most
+			// blocks end in a straddler and the flat buffer is in use.
+			waitProducerBlocked(t, false, gets0)
+			got, err := readRanges(s, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEntries(t, got, wantEntries(entries, full))
+			peak := pooled.peak.Load() - before
+			if !adj.FixedEntries() {
+				peak++ // the producer's decode scratch, not pooled
+			}
+			if peak > sioQueueDepth+4 {
+				t.Errorf("high water: %d block-sized buffers, want <= %d", peak, sioQueueDepth+4)
+			}
+			if peak < sioQueueDepth+2 {
+				t.Errorf("high water %d: the queue never filled, the bound was not exercised", peak)
+			}
+		})
 	}
 }
 
@@ -345,9 +548,11 @@ func TestFixedEntryExtentsClipped(t *testing.T) {
 // TestEntryStreamSeeks: a consumer that hops — the sparse schedule's
 // Worker — gets the entries it asks for and pays for nothing else. It
 // skips the rest of a block, a whole block, and the tail of one range
-// into the next; the blocks it hopped over are never decoded; a hop past
-// the last range is a typed error, not a panic; and every pooled block is
-// back when the stream stops. On every layout, lazy and not.
+// into the next; on a lazy stream, the only kind that hops in production,
+// the blocks it hopped over are never decoded, while a bulk stream's
+// producer decodes every block it fetches; a hop past the last range is a
+// typed error, not a panic; and every pooled buffer is back when the
+// stream stops. On every layout, lazy and not.
 func TestEntryStreamSeeks(t *testing.T) {
 	ranges := []entryRange{{3, 30}, {50, 70}} // blocks 0-3 and 6-8 of 8 entries
 	hops := []struct {
@@ -359,14 +564,15 @@ func TestEntryStreamSeeks(t *testing.T) {
 		{52, 3}, // across the range boundary: block 3 is never looked at
 		{55, 6}, // straddles blocks 6 and 7
 	}
-	const decodedBlocks = 4 // 0, 2, 6, 7 — not 1, 3 or 8
+	const fetchedBlocks = 7
+	const touchedBlocks = 4 // 0, 2, 6, 7 — not 1, 3 or 8
 	for _, l := range sioLayouts {
 		for _, lazy := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/lazy=%v", l.name, lazy), func(t *testing.T) {
 				dev := nullDevice()
 				entries := testEntries(100)
 				adj := writeEntryFile(t, dev, "e", entries, l.codec, sioTestBlock)
-				before := blockPool.outstanding()
+				before := pooledOutstanding()
 				ps := &pipeStats{}
 				s, err := openEntryStream(dev, adj, "e", append([]entryRange(nil), ranges...), lazy, ps)
 				if err != nil {
@@ -388,19 +594,24 @@ func TestEntryStreamSeeks(t *testing.T) {
 					t.Errorf("window past the last range = %v, want errAdjExhausted", err)
 				}
 				s.stop()
-				if got := blockPool.outstanding(); got != before {
-					t.Errorf("%d pooled blocks outstanding after the stream stopped, want %d", got, before)
+				if got := pooledOutstanding(); got != before {
+					t.Errorf("%d pooled buffers outstanding after the stream stopped, want %d", got, before)
 				}
-				if got := ps.blocks.Load(); got != 7 {
-					t.Errorf("prefetcher read %d blocks, want the ranges' 7", got)
+				if got := ps.blocks.Load(); got != fetchedBlocks {
+					t.Errorf("prefetcher read %d blocks, want the ranges' %d", got, fetchedBlocks)
 				}
-				// The codec counters stay zero on a fixed-entry layout.
-				want := int64(decodedBlocks * sioTestBlock * 4)
+				// Lazy: only the blocks a window touched. Bulk: every block
+				// fetched arrives decoded. The codec counters stay zero on a
+				// fixed-entry layout.
+				decoded := int64(touchedBlocks * sioTestBlock * 4)
+				if !lazy {
+					decoded = fetchedBlocks * sioTestBlock * 4
+				}
 				if adj.FixedEntries() {
-					want = 0
+					decoded = 0
 				}
-				if got := ps.codecRawB.Load(); got != want {
-					t.Errorf("decoded %d bytes, want %d: only the %d blocks a window touched", got, want, decodedBlocks)
+				if got := ps.codecRawB.Load(); got != decoded {
+					t.Errorf("decoded %d bytes, want %d (lazy=%v)", got, decoded, lazy)
 				}
 			})
 		}

@@ -10,10 +10,12 @@
 package extsort
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"graphz/internal/obs"
@@ -301,11 +303,13 @@ func sortChunkByKey(chunk []byte, recSz int, key func([]byte) uint64) {
 	for i := range ks {
 		ks[i] = keyed{k: key(chunk[i*recSz : (i+1)*recSz]), idx: int32(i)}
 	}
-	sort.Slice(ks, func(a, b int) bool {
-		if ks[a].k != ks[b].k {
-			return ks[a].k < ks[b].k
+	// (k, idx) is a total order, so any comparison sort yields the same
+	// permutation; the typed one swaps without reflection.
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.k, b.k); c != 0 {
+			return c
 		}
-		return ks[a].idx < ks[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	out := make([]byte, len(chunk))
 	for i, kv := range ks {
