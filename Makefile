@@ -35,13 +35,16 @@ benchdiff: bench-json
 	$(GO) run ./cmd/graphz-benchdiff -baseline ci/bench-baseline.json -current BENCH_core.json -threshold 0.15
 
 # pairs measures a performance claim the way ROADMAP.md requires: PAIRS
-# alternating runs of repo-benchmark workload W at git ref BASE and on the
-# working tree, with medians, quartiles, wins and the exact IO counts
-# (ci/pairs.sh). Example: make pairs BASE=HEAD~1 W=stream-pr
+# alternating runs of repo-benchmark workload W (one, a comma-separated
+# list, or `all`) at git ref BASE and on the working tree, with medians,
+# quartiles, wins and the exact IO counts per workload (ci/pairs.sh).
+# RECORD=BENCH_e2e.json also appends one row per workload to the committed
+# trajectory. Examples: make pairs BASE=HEAD~1 W=stream-pr
+#                       make pairs BASE=HEAD~1 W=all RECORD=BENCH_e2e.json
 PAIRS ?= 10
 SEED ?= 1
 pairs:
-	ci/pairs.sh $(BASE) $(W) $(PAIRS) $(SEED)
+	ci/pairs.sh $(if $(RECORD),--record $(RECORD)) $(BASE) $(W) $(PAIRS) $(SEED)
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

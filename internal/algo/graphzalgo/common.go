@@ -10,31 +10,12 @@ package graphzalgo
 
 import (
 	"graphz/internal/core"
-	"graphz/internal/dos"
 	"graphz/internal/graph"
 )
 
-// run wires a program into the engine over a degree-ordered graph and
-// executes it.
-func run[V, M any](g *dos.Graph, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts core.Options) (core.Result, []V, error) {
-	eng, err := core.New[V, M](core.DOSLayout(g), prog, vc, mc, opts)
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	res, err := eng.Run()
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	vals, err := eng.Values()
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	eng.Cleanup()
-	return res, vals, nil
-}
-
-// runLayout is run for a caller-chosen layout (used by the Figure 7
-// ablations, which swap degree-ordered storage for CSR).
+// runLayout wires a program into the engine over a layout — degree-ordered
+// storage (core.DOSLayout) everywhere but the Figure 7 ablations, which
+// swap in CSR — executes it and returns the result and the final states.
 func runLayout[V, M any](l core.Layout, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts core.Options) (core.Result, []V, error) {
 	eng, err := core.New[V, M](l, prog, vc, mc, opts)
 	if err != nil {

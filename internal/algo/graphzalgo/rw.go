@@ -122,7 +122,7 @@ func randomWalkLayout(l core.Layout, opts core.Options, iterations int, walkersP
 // step (the Incoming field), for conservation checks and examples.
 func RandomWalkFinalWalkers(g *dos.Graph, opts core.Options, iterations int, walkersPerVertex uint32) ([]uint32, error) {
 	opts.MaxIterations = iterations
-	_, vals, err := run[rwVal, uint32](g, rwProgram{walkersPerVertex: walkersPerVertex}, rwValCodec{}, graph.Uint32Codec{}, opts)
+	_, vals, err := runLayout[rwVal, uint32](core.DOSLayout(g), rwProgram{walkersPerVertex: walkersPerVertex}, rwValCodec{}, graph.Uint32Codec{}, opts)
 	if err != nil {
 		return nil, err
 	}

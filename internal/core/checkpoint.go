@@ -256,7 +256,7 @@ func (e *Engine[V, M]) resume() (Result, error) {
 	// memory at the exact occupancy — and capacity — they had, so both
 	// the drain order (file then tail) and every future spill boundary
 	// replay identically.
-	e.msgBufs = make([][]byte, nParts)
+	e.msgBufs = e.newMsgBufs()
 	rec := int64(4 + e.msize)
 	for p := 0; p < nParts; p++ {
 		var data, tail []byte
@@ -278,15 +278,15 @@ func (e *Engine[V, M]) resume() (Result, error) {
 		if err := storage.WriteAll(e.dev, e.msgFile(p), data); err != nil {
 			return Result{}, fmt.Errorf("core: restoring messages of partition %d: %w", p, err)
 		}
-		if len(tail) > 0 {
-			// Same capacity rule as bufferMessage, so the refilled
-			// buffer spills at the same boundary it would have.
-			c := e.opts.MsgBufferBytes
-			if c < int(rec) {
-				c = int(rec)
-			}
-			e.msgBufs[p] = append(make([]byte, 0, c), tail...)
+		// A tail that leaves no room for one more record was cut by a
+		// larger buffer than this engine's: bufferMessage could neither
+		// take the next record nor spill at the boundary the checkpointed
+		// run would have.
+		if len(tail)+int(rec) > cap(e.msgBufs[p]) {
+			return Result{}, fmt.Errorf("%w: buffer tail of partition %d is %d bytes, this engine's message buffers hold %d",
+				checkpoint.ErrConfigMismatch, p, len(tail), cap(e.msgBufs[p]))
 		}
+		e.msgBufs[p] = append(e.msgBufs[p], tail...)
 		restored += int64(len(data) + len(tail))
 	}
 	if e.sel != nil {

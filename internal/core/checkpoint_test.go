@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"graphz/internal/checkpoint"
@@ -281,6 +282,25 @@ func TestResumeConfigMismatch(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 51)
 	if err := resumeWith(t, edges, dir, "other-engine"); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Fatalf("Resume with different engine name = %v, want ErrConfigMismatch", err)
+	}
+
+	// Buffer tails cut by 256-byte buffers do not fit an engine of the same
+	// partitioning planned with 64-byte ones: it could not take the next
+	// record into them.
+	edges = gen.RMAT(8, 1500, gen.NaturalRMAT, 53)
+	dir = t.TempDir()
+	g := buildDOS(t, edges)
+	opts := ckptBaseOpts(g)
+	opts.MemoryBudget, opts.MsgBufferBytes, opts.MaxIterations = budgetForPartitions(g, 8, 4, 256), 256, 1
+	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1}
+	res, _ := runMinLabel(t, g, opts)
+	opts.MsgBufferBytes, opts.Checkpoint.Resume = 64, true
+	eng := newMinLabelEngine(t, buildDOS(t, edges), opts)
+	if eng.NumPartitions() != res.Partitions {
+		t.Fatalf("resuming engine plans %d partitions, the checkpointed run used %d", eng.NumPartitions(), res.Partitions)
+	}
+	if _, err := eng.Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) || !strings.Contains(err.Error(), "buffer tail") {
+		t.Fatalf("Resume with smaller message buffers = %v, want ErrConfigMismatch naming the buffer tail", err)
 	}
 }
 

@@ -317,6 +317,14 @@ type Engine[V, M any] struct {
 	layoutHash uint64
 
 	eo engineObs
+
+	// The buffered path's state, kept behind the fields the inline path
+	// reads per message. partScale is partitionOf's fixed-point multiplier
+	// (split). staging is the one byte buffer the MsgManager moves device
+	// blocks through: a partition's encoded states on load and store, the
+	// spill file's blocks in the drain between them — never two at once.
+	partScale uint64
+	staging   []byte
 }
 
 // New validates the configuration and plans the partitioning. It returns
@@ -412,11 +420,7 @@ func (e *Engine[V, M]) plan() error {
 				ErrMemoryBudget, n, e.vsize, maxPartitions)
 		}
 	}
-	// Even split of the vertex space into p ranges.
-	e.partStarts = make([]graph.VertexID, p+1)
-	for i := int64(0); i <= p; i++ {
-		e.partStarts[i] = graph.VertexID(i * n / p)
-	}
+	e.split(n, p)
 	// Named once: every iteration looks each store's size up, and a run
 	// with nothing pending must not pay an allocation per lookup.
 	e.msgFiles = make([]string, p)
@@ -424,6 +428,19 @@ func (e *Engine[V, M]) plan() error {
 		e.msgFiles[i] = fmt.Sprintf("%s.msgs.%d", e.opts.Name, i)
 	}
 	return nil
+}
+
+// split divides n vertices evenly into p partitions and derives
+// partitionOf's multiplier, ⌊2^32·p/n⌋: for v < n the product stays below
+// 2^32·p ≤ 2^48, and its high part is ⌊v·p/n⌋ or one less.
+func (e *Engine[V, M]) split(n, p int64) {
+	e.partStarts = make([]graph.VertexID, p+1)
+	for i := int64(0); i <= p; i++ {
+		e.partStarts[i] = graph.VertexID(i * n / p)
+	}
+	if n > 0 {
+		e.partScale = uint64(p) << 32 / uint64(n)
+	}
 }
 
 // NumPartitions returns the planned partition count.
@@ -442,12 +459,14 @@ func (e *Engine[V, M]) SemiExternal() bool { return e.NumPartitions() == 1 }
 func (e *Engine[V, M]) pinned() bool { return e.SemiExternal() && e.verts != nil }
 
 // partitionOf returns the partition index containing vertex v. Partitions
-// are an even split, so this is arithmetic, not search.
+// are an even split, so this is arithmetic, not search — and fixed-point
+// arithmetic, not a divide per message: v·partScale >> 32 is ⌊v·P/n⌋ or
+// one below it, which is itself the partition or one below it. The two
+// loops are the proof that rounding does not matter: wherever they start,
+// they end on the one partition whose range holds v — here after at most
+// two steps.
 func (e *Engine[V, M]) partitionOf(v graph.VertexID) int {
-	p := len(e.partStarts) - 1
-	n := e.layout.NumVertices()
-	i := int(int64(v) * int64(p) / int64(n))
-	// The even split rounds; fix up by at most one step either way.
+	i := min(int(uint64(v)*e.partScale>>32), len(e.partStarts)-2)
 	for i+1 < len(e.partStarts)-1 && v >= e.partStarts[i+1] {
 		i++
 	}
@@ -468,10 +487,12 @@ func (e *Engine[V, M]) charge(n int64, cost time.Duration) {
 }
 
 // chargeLedger charges the modeled clock for the messages, updates and
-// adjacency entries the ledger gained since before. Modeled compute is a
-// view of the ledger like every other report of those counts: the hot
-// paths only count, and one partition's work is priced here in one
-// charge — the same integer sum the per-event charges came to.
+// adjacency entries the ledger gained since before, and for the bytes of
+// the records it buffered (a record is copied in 4-byte units, as
+// Clock.ComputeBytes prices one). Modeled compute is a view of the ledger
+// like every other report of those counts: the hot paths only count, and
+// one partition's work is priced here in one charge — the same integer sum
+// the per-event charges came to.
 func (e *Engine[V, M]) chargeLedger(before *counters) {
 	if e.opts.Clock == nil {
 		return
@@ -479,7 +500,8 @@ func (e *Engine[V, M]) chargeLedger(before *counters) {
 	e.opts.Clock.Compute(time.Duration(e.c.Sent-before.Sent)*sim.CostMessageSend +
 		time.Duration(e.c.Applied-before.Applied)*sim.CostMessageApply +
 		time.Duration(e.c.Updates-before.Updates)*sim.CostVertexUpdate +
-		time.Duration(e.c.edges-before.edges)*sim.CostEdgeScan)
+		time.Duration(e.c.edges-before.edges)*sim.CostEdgeScan +
+		time.Duration((e.c.Buffered-before.Buffered)*int64((4+e.msize)/4))*sim.CostByteCopy4)
 }
 
 func (e *Engine[V, M]) chargeBytes(n int64) {
@@ -510,7 +532,7 @@ func (e *Engine[V, M]) Run() (Result, error) {
 		return e.resume()
 	}
 	nParts := e.NumPartitions()
-	e.msgBufs = make([][]byte, nParts)
+	e.msgBufs = e.newMsgBufs()
 	if _, err := e.dev.Create(e.vstateFile()); err != nil {
 		return Result{}, err
 	}
@@ -962,6 +984,17 @@ func (e *Engine[V, M]) accountSelective(sched selSchedule) {
 	e.c.BlocksSkipped += sched.blocksTotal - sched.blocksRead
 }
 
+// stage returns the staging buffer cut to n bytes. It is made on first use,
+// for the largest partition's states at least (partitions differ by at most
+// one vertex), and reused from then on.
+func (e *Engine[V, M]) stage(n int) []byte {
+	if cap(e.staging) < n {
+		nParts := e.NumPartitions()
+		e.staging = make([]byte, max(n, (e.layout.NumVertices()+nParts-1)/nParts*e.vsize))
+	}
+	return e.staging[:n]
+}
+
 // loadVertices brings [lo, hi) into e.verts: decoded from the vertex
 // state file, or initialized via Program.Init on the first iteration.
 func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
@@ -988,9 +1021,8 @@ func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, count*e.vsize)
-	r := storage.NewRangeReader(f, int64(lo)*int64(e.vsize), int64(hi)*int64(e.vsize))
-	if err := r.ReadFull(buf); err != nil {
+	buf := e.stage(count * e.vsize)
+	if err := storage.ReadFullAt(f, buf, int64(lo)*int64(e.vsize)); err != nil {
 		return fmt.Errorf("core: loading vertex states [%d,%d): %w", lo, hi, err)
 	}
 	for i := 0; i < count; i++ {
@@ -1003,7 +1035,7 @@ func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
 // storeVertices writes [lo, hi) back to the vertex state file.
 func (e *Engine[V, M]) storeVertices(lo, hi graph.VertexID) error {
 	count := int(hi - lo)
-	buf := make([]byte, count*e.vsize)
+	buf := e.stage(count * e.vsize)
 	for i := 0; i < count; i++ {
 		e.vcodec.Encode(buf[i*e.vsize:], e.verts[i])
 	}
@@ -1011,38 +1043,40 @@ func (e *Engine[V, M]) storeVertices(lo, hi graph.VertexID) error {
 	if err != nil {
 		return err
 	}
-	w := storage.NewWriterAt(f, int64(lo)*int64(e.vsize))
-	if _, err := w.Write(buf); err != nil {
+	if err := storage.WriteFullAt(f, buf, int64(lo)*int64(e.vsize)); err != nil {
 		return err
 	}
 	e.chargeBytes(int64(len(buf)))
-	return w.Flush()
+	return nil
+}
+
+// newMsgBufs makes the message buffers plan charged to the budget, one per
+// partition, empty. Each holds at least one whole record: bufferMessage's
+// re-slice would otherwise panic with slice bounds out of range whenever a
+// record outgrows the configured buffer. New clamps MsgBufferBytes, but the
+// hot path must not depend on a distant invariant surviving refactors.
+func (e *Engine[V, M]) newMsgBufs() [][]byte {
+	c := max(e.opts.MsgBufferBytes, 4+e.msize)
+	bufs := make([][]byte, e.NumPartitions())
+	for p := range bufs {
+		bufs[p] = make([]byte, 0, c)
+	}
+	return bufs
 }
 
 // bufferMessage queues a message for a non-resident destination (or any
 // destination when dynamic messages are disabled), spilling the
-// destination partition's buffer when full.
+// destination partition's buffer when full. Every buffer has room for one
+// more record on entry: newMsgBufs and resume make them so, and a buffer
+// that could not take another is spilled before this returns.
 func (e *Engine[V, M]) bufferMessage(dst graph.VertexID, m M) {
 	p := e.partitionOf(dst)
 	rec := 4 + e.msize
 	buf := e.msgBufs[p]
-	if buf == nil {
-		// The capacity must hold at least one whole record: the
-		// re-slice below would otherwise panic with slice bounds out
-		// of range whenever a record outgrows the configured buffer.
-		// New clamps MsgBufferBytes, but this hot path must not
-		// depend on a distant invariant surviving refactors.
-		c := e.opts.MsgBufferBytes
-		if c < rec {
-			c = rec
-		}
-		buf = make([]byte, 0, c)
-	}
 	n := len(buf)
 	buf = buf[:n+rec]
 	binary.LittleEndian.PutUint32(buf[n:], uint32(dst))
 	e.mcodec.Encode(buf[n+4:], m)
-	e.chargeBytes(int64(rec))
 	if len(buf)+rec > cap(buf) {
 		e.spillBuffer(p, buf)
 		buf = buf[:0]
@@ -1075,7 +1109,10 @@ func (e *Engine[V, M]) spillBuffer(p int, buf []byte) {
 
 // drainMessages applies partition p's pending messages — first the
 // spilled file, then the in-memory tail — in their original send order,
-// then clears both.
+// then clears both. The file comes through the staging buffer one device
+// block at a time and each block's whole records are applied where they
+// lie; a record that straddles two blocks is carried to the front of the
+// next.
 func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 	rec := 4 + e.msize
 	if len(e.msgBufs[p]) == 0 {
@@ -1092,8 +1129,9 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 	if err != nil {
 		return err
 	}
-	if f.Size()%int64(rec) != 0 {
-		return fmt.Errorf("core: message file %q torn (%d bytes, record %d)", e.msgFile(p), f.Size(), rec)
+	size := f.Size()
+	if size%int64(rec) != 0 {
+		return fmt.Errorf("core: message file %q torn (%d bytes, record %d)", e.msgFile(p), size, rec)
 	}
 	// Drain fan-in attribution: accumulate per vstate block locally and
 	// fold into the heatmap once per drain, keeping the per-record cost
@@ -1102,50 +1140,51 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 	if e.eo.heat != nil {
 		heatAcc = make(map[int64]int64)
 	}
-	r := storage.NewReader(f)
-	buf := make([]byte, rec)
-	for {
-		err := r.ReadFull(buf)
-		if err == io.EOF {
-			break
+	block := int(min(size, storage.DefaultBlockSize))
+	buf := e.stage(block + rec) // a carried record is shorter than rec
+	carry := 0
+	for off := int64(0); off < size; {
+		want := int(min(size-off, int64(block)))
+		n, err := f.ReadAt(buf[carry:carry+want], off)
+		if err == nil && n < want {
+			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
 			return fmt.Errorf("core: draining messages for partition %d: %w", p, err)
 		}
-		dst := e.applyRecord(buf, lo)
-		if heatAcc != nil {
-			heatAcc[e.vstateBlock(dst)]++
-		}
+		off += int64(n)
+		whole := (carry + n) / rec * rec
+		e.applyRecords(buf[:whole], lo, heatAcc)
+		carry = copy(buf, buf[whole:carry+n])
 	}
 	if err := f.Truncate(0); err != nil {
 		return err
 	}
-	mem := e.msgBufs[p]
-	for off := 0; off+rec <= len(mem); off += rec {
-		dst := e.applyRecord(mem[off:off+rec], lo)
-		if heatAcc != nil {
-			heatAcc[e.vstateBlock(dst)]++
-		}
-	}
-	if mem != nil {
-		e.msgBufs[p] = mem[:0]
-	}
+	e.applyRecords(e.msgBufs[p], lo, heatAcc)
+	e.msgBufs[p] = e.msgBufs[p][:0]
 	if len(heatAcc) > 0 {
 		e.flushDrainHeat(heatAcc)
 	}
 	return nil
 }
 
-func (e *Engine[V, M]) applyRecord(rec []byte, lo graph.VertexID) graph.VertexID {
-	dst := graph.VertexID(binary.LittleEndian.Uint32(rec))
-	m := e.mcodec.Decode(rec[4:])
-	e.prog.Apply(&e.verts[dst-lo], m)
-	e.c.Applied++
-	if e.sel != nil {
-		// A delivered message makes the destination schedulable.
-		e.sel.set(dst)
+// applyRecords applies a run of whole message records — one block of the
+// spill file, or the in-memory tail — to the resident partition, in order.
+func (e *Engine[V, M]) applyRecords(recs []byte, lo graph.VertexID, heatAcc map[int64]int64) {
+	rec := 4 + e.msize
+	verts, prog, mcodec, sel := e.verts, e.prog, e.mcodec, e.sel
+	for off := 0; off+rec <= len(recs); off += rec {
+		dst := graph.VertexID(binary.LittleEndian.Uint32(recs[off:]))
+		prog.Apply(&verts[dst-lo], mcodec.Decode(recs[off+4:off+rec]))
+		if sel != nil {
+			// A delivered message makes the destination schedulable.
+			sel.set(dst)
+		}
+		if heatAcc != nil {
+			heatAcc[e.vstateBlock(dst)]++
+		}
 	}
-	return dst
+	e.c.Applied += int64(len(recs) / rec)
 }
 
 // Values reads the final vertex states (by layout ID) after Run.

@@ -335,6 +335,59 @@ func TestPartitionOfConsistent(t *testing.T) {
 	}
 }
 
+// TestPartitionOfMatchesDivision: the fixed-point partitionOf names the
+// partition the division it replaced named — ⌊v·P/n⌋, fixed up by the same
+// two loops — for every vertex of every small split (P past n included:
+// partitions that hold no vertex), and at both sides of every boundary of
+// large random ones.
+func TestPartitionOfMatchesDivision(t *testing.T) {
+	var eng Engine[minVal, uint32]
+	byDivision := func(n int64, v graph.VertexID) int {
+		p := len(eng.partStarts) - 1
+		i := int(int64(v) * int64(p) / n)
+		for i+1 < p && v >= eng.partStarts[i+1] {
+			i++
+		}
+		for i > 0 && v < eng.partStarts[i] {
+			i--
+		}
+		return i
+	}
+	check := func(n, p int64, v graph.VertexID) {
+		got := eng.partitionOf(v)
+		if got != byDivision(n, v) || v < eng.partStarts[got] || v >= eng.partStarts[got+1] {
+			t.Fatalf("n=%d P=%d: partitionOf(%d) = %d covering [%d,%d), division says %d",
+				n, p, v, got, eng.partStarts[got], eng.partStarts[got+1], byDivision(n, v))
+		}
+	}
+	for n := int64(1); n <= 300; n++ {
+		for p := int64(1); p <= n+2; p++ {
+			eng.split(n, p)
+			for v := int64(0); v < n; v++ {
+				check(n, p, graph.VertexID(v))
+			}
+		}
+	}
+	rng := uint64(77)
+	for trial := 0; trial < 60; trial++ {
+		n := int64(1 + splitmix64(&rng)%(1<<32-1))
+		if trial%3 == 0 {
+			n = 1<<32 - 1 - int64(splitmix64(&rng)%1000) // the top of the ID space
+		}
+		p := min(int64(1+splitmix64(&rng)%maxPartitions), n)
+		if trial%5 == 0 {
+			p = min(maxPartitions, n)
+		}
+		eng.split(n, p)
+		check(n, p, 0)
+		check(n, p, graph.VertexID(n-1))
+		for _, start := range eng.partStarts[1:p] {
+			check(n, p, start-1)
+			check(n, p, start)
+		}
+	}
+}
+
 func TestEngineConvergesWithoutMaxIters(t *testing.T) {
 	// A path graph 0->1->2->...->9 takes several iterations; the
 	// engine must stop by itself shortly after quiescence.

@@ -2,6 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,21 +14,24 @@ import (
 	"graphz/internal/gen"
 	"graphz/internal/graph"
 	"graphz/internal/obs"
+	"graphz/internal/storage"
 )
 
 // Tests of the one message path — buffer, spill, drain — at the level of
 // its routines: the spill-buffer capacity clamp, the streaming drain's
-// memory bound and order, the skip of an empty drain, a torn message
-// file, and message conservation over a whole forced-spill run.
+// memory bound and order (against the per-record drain it replaced), device
+// faults mid-drain, the skip of an empty drain, a torn message file,
+// message conservation over a whole forced-spill run, and the allocation
+// bound of the state load/store round the drain sits between.
 
-// TestBufferMessageRecordLargerThanBuffer: bufferMessage used to
-// allocate the destination buffer with exactly MsgBufferBytes capacity
-// and then re-slice it by one record, so a record larger than the
-// configured buffer panicked with a slice-bounds violation. New clamps
-// MsgBufferBytes high enough that the public API cannot reach that
-// state, so this test drops the option below one record after
-// construction — what a refactor that loses the distant clamp would do —
-// and requires each oversized record to be spilled whole instead.
+// TestBufferMessageRecordLargerThanBuffer: a destination buffer made with
+// exactly MsgBufferBytes capacity and then re-sliced by one record panics
+// with a slice-bounds violation when a record is larger than the
+// configured buffer. New clamps MsgBufferBytes high enough that the public
+// API cannot reach that state, so this test drops the option below one
+// record after construction — what a refactor that loses the distant
+// clamp would do — and requires the buffers Run makes to take each
+// oversized record and spill it whole instead.
 func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(7, 400, gen.NaturalRMAT, 50))
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
@@ -32,15 +39,15 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stand in for Run's per-run setup, then shrink the buffer below
-	// one 8-byte record.
-	eng.msgBufs = make([][]byte, eng.NumPartitions())
+	// Shrink the buffer below one 8-byte record, then stand in for Run's
+	// per-run setup, which makes the buffers.
+	eng.opts.MsgBufferBytes = 4
+	eng.msgBufs = eng.newMsgBufs()
 	for p := 0; p < eng.NumPartitions(); p++ {
 		if _, err := eng.dev.Create(eng.msgFile(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	eng.opts.MsgBufferBytes = 4
 
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -86,8 +93,15 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 // partition.
 func drainEngine[V any](t *testing.T, g *dos.Graph, prog Program[V, uint32], vc graph.Codec[V], opts Options, init func(i int) V) *Engine[V, uint32] {
 	t.Helper()
+	return drainEngineCodec(t, g, prog, vc, graph.Uint32Codec{}, opts, init)
+}
+
+// drainEngineCodec is drainEngine with the message codec — and so the
+// record size — chosen by the caller.
+func drainEngineCodec[V any](t *testing.T, g *dos.Graph, prog Program[V, uint32], vc graph.Codec[V], mc graph.Codec[uint32], opts Options, init func(i int) V) *Engine[V, uint32] {
+	t.Helper()
 	opts.DynamicMessages = true
-	eng, err := New[V, uint32](DOSLayout(g), prog, vc, graph.Uint32Codec{}, opts)
+	eng, err := New[V, uint32](DOSLayout(g), prog, vc, mc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +112,7 @@ func drainEngine[V any](t *testing.T, g *dos.Graph, prog Program[V, uint32], vc 
 	for i := range eng.verts {
 		eng.verts[i] = init(i)
 	}
-	eng.msgBufs = make([][]byte, 1)
+	eng.msgBufs = eng.newMsgBufs()
 	if _, err := eng.dev.Create(eng.msgFile(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +223,239 @@ func TestDrainTailAfterFile(t *testing.T) {
 	if sz, _ := eng.dev.Size(eng.msgFile(0)); sz != 0 {
 		t.Errorf("spill file not truncated: %d bytes", sz)
 	}
+
+	// The same applies in the same order — and the same ledger, bits, heat
+	// and device operations — as the per-record drain (drainMessagesRef),
+	// for records that do not divide the device block and spill files that
+	// end just short of, on and just past a block boundary.
+	big := buildDOS(t, ringEdges(150_000)) // enough 4-byte states to span several heat blocks
+	for _, msize := range []int{4, 2, 12, 20} {
+		perBlock := storage.DefaultBlockSize / (4 + msize)
+		for _, spilled := range []int{0, 1, perBlock - 1, perBlock, perBlock + 1, 2*perBlock + 3} {
+			for _, watched := range []bool{false, true} { // selective scheduling and the heatmap
+				t.Run(fmt.Sprintf("msize=%d/spilled=%d/watched=%v", msize, spilled, watched), func(t *testing.T) {
+					checkDrainMatchesRef(t, big, padCodec{msize}, spilled, 3, watched)
+				})
+			}
+		}
+	}
+}
+
+// ringEdges is the cheapest graph of n vertices: i → i+1, closed.
+func ringEdges(n int) []graph.Edge {
+	ring := make([]graph.Edge, n)
+	for i := range ring {
+		ring[i] = graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID((i + 1) % n)}
+	}
+	return ring
+}
+
+// padCodec encodes a uint32 message into size bytes — the low two for size
+// 2, else four and zero padding — giving the drain records (4+size bytes)
+// that straddle device blocks. Decode refuses padding that is not zero: a
+// record cut at the wrong offset shows even where the hash would not.
+type padCodec struct{ size int }
+
+func (c padCodec) Size() int { return c.size }
+
+func (c padCodec) Encode(b []byte, m uint32) {
+	if c.size == 2 {
+		binary.LittleEndian.PutUint16(b, uint16(m))
+		return
+	}
+	clear(b[:c.size])
+	binary.LittleEndian.PutUint32(b, m)
+}
+
+func (c padCodec) Decode(b []byte) uint32 {
+	if c.size == 2 {
+		return uint32(binary.LittleEndian.Uint16(b))
+	}
+	for _, pad := range b[4:c.size] {
+		if pad != 0 {
+			panic("padCodec: record decoded at the wrong offset")
+		}
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+// drainMessagesRef is the drain as it was written per record — one
+// storage.Reader call, one copy and one apply for each — kept as the
+// reference the block-wise drain must match.
+func drainMessagesRef[V, M any](e *Engine[V, M], p int, lo graph.VertexID) error {
+	rec := 4 + e.msize
+	var heatAcc map[int64]int64
+	if e.eo.heat != nil {
+		heatAcc = make(map[int64]int64)
+	}
+	apply := func(b []byte) {
+		dst := graph.VertexID(binary.LittleEndian.Uint32(b))
+		e.prog.Apply(&e.verts[dst-lo], e.mcodec.Decode(b[4:]))
+		e.c.Applied++
+		if e.sel != nil {
+			e.sel.set(dst)
+		}
+		if heatAcc != nil {
+			heatAcc[e.vstateBlock(dst)]++
+		}
+	}
+	f, err := e.dev.Open(e.msgFile(p))
+	if err != nil {
+		return err
+	}
+	r := storage.NewReader(f)
+	buf := make([]byte, rec)
+	for {
+		err := r.ReadFull(buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		apply(buf)
+	}
+	if err := f.Truncate(0); err != nil {
+		return err
+	}
+	mem := e.msgBufs[p]
+	for off := 0; off+rec <= len(mem); off += rec {
+		apply(mem[off : off+rec])
+	}
+	e.msgBufs[p] = mem[:0]
+	if len(heatAcc) > 0 {
+		e.flushDrainHeat(heatAcc)
+	}
+	return nil
+}
+
+// pendingRecords fills eng's partition-0 message store with spilled records
+// in the file, appended in buffer-sized spills as a run would, and tail
+// more in the in-memory buffer, from a fixed pseudo-random sequence.
+func pendingRecords[V any](t *testing.T, eng *Engine[V, uint32], spilled, tail int) {
+	t.Helper()
+	f, err := eng.dev.Open(eng.msgFile(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, nv, x := 4+eng.msize, uint32(len(eng.verts)), uint32(2463534242)
+	next := func(buf []byte) []byte {
+		x = x*1664525 + 1013904223
+		buf = binary.LittleEndian.AppendUint32(buf, (x>>4)%nv)
+		buf = buf[:len(buf)+eng.msize]
+		eng.mcodec.Encode(buf[len(buf)-eng.msize:], x>>9)
+		return buf
+	}
+	buf := make([]byte, 0, 64<<10)
+	for i := 0; i < spilled; i++ {
+		buf = next(buf)
+		if len(buf)+rec > cap(buf) || i == spilled-1 {
+			if _, err := f.Append(buf); err != nil {
+				t.Fatal(err)
+			}
+			buf = buf[:0]
+		}
+	}
+	for i := 0; i < tail; i++ {
+		eng.msgBufs[0] = next(eng.msgBufs[0])
+	}
+}
+
+// checkDrainMatchesRef drains the same pending records through
+// drainMessages and through drainMessagesRef on twin engines and demands
+// the same states, ledger, schedulability bits, drain heat and device
+// operations on the message file.
+func checkDrainMatchesRef(t *testing.T, g *dos.Graph, mc graph.Codec[uint32], spilled, tail int, watched bool) {
+	t.Helper()
+	twin := func(name string) (*Engine[mixVal, uint32], *obs.Registry) {
+		opts := Options{MemoryBudget: 64 << 20, Name: name, SelectiveScheduling: watched}
+		var reg *obs.Registry
+		if watched {
+			reg = obs.NewRegistry()
+			opts.Obs = reg
+		}
+		eng := drainEngineCodec[mixVal](t, g, mixProg{}, mixCodec{}, mc, opts, func(i int) mixVal { return mixVal{h: uint32(i)} })
+		if watched {
+			eng.sel = newEmptyActiveSet(0, g.NumVertices) // New's starts all ones: no set would show
+		}
+		pendingRecords(t, eng, spilled, tail)
+		return eng, reg
+	}
+	got, gotReg := twin("blocks")
+	want, wantReg := twin("records")
+	if err := got.drainMessages(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := drainMessagesRef(want, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got.c != want.c || got.c.Applied != int64(spilled+tail) {
+		t.Errorf("ledger %+v, per-record drain %+v, %d records pending", got.c, want.c, spilled+tail)
+	}
+	for i := range want.verts {
+		if got.verts[i] != want.verts[i] {
+			t.Fatalf("vertex %d = %+v, per-record drain %+v", i, got.verts[i], want.verts[i])
+		}
+	}
+	if sz, _ := got.dev.Size(got.msgFile(0)); sz != 0 || len(got.msgBufs[0]) != 0 {
+		t.Errorf("%d file bytes and %d buffer bytes left pending", sz, len(got.msgBufs[0]))
+	}
+	io := got.dev.FileStats()
+	if g, w := io[got.msgFile(0)], io[want.msgFile(0)]; g != w {
+		t.Errorf("device traffic on the message file %+v, per-record drain %+v", g, w)
+	}
+	if !watched {
+		return
+	}
+	if !reflect.DeepEqual(got.sel, want.sel) {
+		t.Errorf("schedulability bits differ: %d set, per-record drain %d", got.sel.count, want.sel.count)
+	}
+	heat := func(reg *obs.Registry) map[int64]int64 {
+		cells := map[int64]int64{}
+		for _, c := range reg.Heatmap().Cells() {
+			cells[c.Block] += c.DrainMsgs
+		}
+		return cells
+	}
+	if g, w := heat(gotReg), heat(wantReg); !reflect.DeepEqual(g, w) || (spilled+tail > 0 && len(g) < 2) {
+		t.Errorf("drain heat %v, per-record drain %v (want several blocks)", g, w)
+	}
+}
+
+// TestDrainDeviceFaults: a device read that fails or a device that dies
+// in the middle of a multi-block drain surfaces as a typed error naming
+// the drain — never a panic, never a half-applied block counted — and
+// leaves the spill file whole for the run's restart.
+func TestDrainDeviceFaults(t *testing.T) {
+	for name, tc := range map[string]struct {
+		plan storage.FaultPlan
+		want error
+	}{
+		"read error": {storage.FaultPlan{FailAtOps: []int64{2}}, storage.ErrInjected},
+		"crash":      {storage.FaultPlan{CrashAtOp: 2}, storage.ErrCrashed},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fd := storage.NewFaultDevice(storage.NullDevice, storage.Options{})
+			g := buildDOSOn(t, fd.Device, gen.RMAT(6, 200, gen.NaturalRMAT, 55))
+			eng := drainEngineCodec[mixVal](t, g, mixProg{}, mixCodec{}, padCodec{20}, Options{MemoryBudget: 64 << 20},
+				func(i int) mixVal { return mixVal{h: uint32(i)} })
+			perBlock := storage.DefaultBlockSize / (4 + eng.msize)
+			pendingRecords(t, eng, 2*perBlock+3, 3)
+			size, _ := eng.dev.Size(eng.msgFile(0))
+			fd.Arm(tc.plan) // the drain's second block read is the device's second operation
+			err := eng.drainMessages(0, 0)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "draining messages for partition 0") {
+				t.Fatalf("drain = %v, want %v under the drain's name", err, tc.want)
+			}
+			// The first block held perBlock whole records and a straddler.
+			if eng.c.Applied != int64(perBlock) {
+				t.Errorf("applied %d records before the failed read, want the first block's %d", eng.c.Applied, perBlock)
+			}
+			if sz, _ := eng.dev.Size(eng.msgFile(0)); sz != size || len(eng.msgBufs[0]) != 3*(4+eng.msize) {
+				t.Errorf("a failed drain left %d of %d file bytes and %d tail bytes", sz, size, len(eng.msgBufs[0]))
+			}
+		})
+	}
 }
 
 // TestDrainSkippedWhenEmpty: with nothing buffered and nothing spilled
@@ -282,5 +529,47 @@ func TestMessageConservation(t *testing.T) {
 	}
 	if got := reg.CounterValue("graphz_messages_spilled_total"); got != res.MessagesSpilled {
 		t.Errorf("graphz_messages_spilled_total = %d, result says %d", got, res.MessagesSpilled)
+	}
+}
+
+// TestStateRoundAllocs: once the staging buffer exists, loading a
+// partition's states and storing them back allocates nothing that grows
+// with the partition — no encode buffer per call, no stream buffers.
+func TestStateRoundAllocs(t *testing.T) {
+	g := buildDOS(t, ringEdges(100_000))
+	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
+		Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.NumPartitions() < 2 {
+		t.Fatalf("%d partitions; a pinned run never reloads its states", eng.NumPartitions())
+	}
+	if _, err := eng.dev.Create(eng.vstateFile()); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := eng.partStarts[0], eng.partStarts[1]
+	partition := int64(hi-lo) * int64(eng.vsize)
+	if partition < 64<<10 {
+		t.Fatalf("a partition of %d bytes is too small to tell", partition)
+	}
+	round := func(iter int) {
+		if err := eng.loadVertices(lo, hi, iter); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.storeVertices(lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(0) // Init, the staging buffer and the file's first bytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 20
+	for i := 1; i <= rounds; i++ {
+		round(i)
+	}
+	runtime.ReadMemStats(&after)
+	if per := int64(after.TotalAlloc-before.TotalAlloc) / rounds; per >= 1<<10 {
+		t.Errorf("a load+store round of a %d-byte partition allocates %d bytes, want < 1 KiB", partition, per)
 	}
 }

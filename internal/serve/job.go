@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -419,54 +420,94 @@ type JobResult struct {
 
 // Result extracts a finished job's values. top <= 0 means 10; vertex,
 // when non-nil, selects one original-ID vertex instead; all dumps the
-// whole vector.
+// whole vector. The lock is held only while the job's fields are read: a
+// done job's values and its graph's ID maps never change again, so the
+// O(V) work — selecting, sorting, copying — runs beside Submit, status
+// polls and budget releases instead of ahead of them.
 func (s *Server) Result(id string, top int, vertex *uint32, all bool) (JobResult, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		s.mu.Unlock()
 		return JobResult{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	if j.state != StateDone {
-		return JobResult{}, fmt.Errorf("%w: job %s is %s, results exist only for done jobs", ErrBadRequest, id, j.state)
-	}
 	out := JobResult{ID: j.ID, Algo: string(j.Algo), State: j.state, Iterations: j.result.Iterations}
+	values, rg := j.values, j.rg
+	s.mu.Unlock()
+	if out.State != StateDone {
+		return JobResult{}, fmt.Errorf("%w: job %s is %s, results exist only for done jobs", ErrBadRequest, id, out.State)
+	}
+
 	switch {
 	case vertex != nil:
 		old := graph.VertexID(*vertex)
-		if !j.rg.old[old] {
+		if !rg.old[old] {
 			return JobResult{}, fmt.Errorf("%w: vertex %d not in graph %q", ErrBadRequest, old, j.Graph)
 		}
-		out.Vertex = &VertexValue{Vertex: uint32(old), Value: j.values[j.rg.o2n[old]]}
+		out.Vertex = &VertexValue{Vertex: uint32(old), Value: values[rg.o2n[old]]}
 	case all:
-		out.All = make([]VertexValue, len(j.values))
-		for newID, v := range j.values {
-			out.All[newID] = VertexValue{Vertex: uint32(j.rg.n2o[newID]), Value: v}
+		out.All = make([]VertexValue, len(values))
+		for newID, v := range values {
+			out.All[newID] = VertexValue{Vertex: uint32(rg.n2o[newID]), Value: v}
 		}
 		sort.Slice(out.All, func(a, b int) bool { return out.All[a].Vertex < out.All[b].Vertex })
 	default:
 		if top <= 0 {
 			top = 10
 		}
-		if top > len(j.values) {
-			top = len(j.values)
-		}
-		idx := make([]int, len(j.values))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			if j.values[idx[a]] != j.values[idx[b]] {
-				return j.values[idx[a]] > j.values[idx[b]]
-			}
-			return idx[a] < idx[b] // deterministic ties
-		})
-		out.Top = make([]VertexValue, top)
-		for i := 0; i < top; i++ {
-			out.Top[i] = VertexValue{Vertex: uint32(j.rg.n2o[idx[i]]), Value: j.values[idx[i]]}
+		best := topK(values, min(top, len(values)))
+		out.Top = make([]VertexValue, len(best))
+		for i, newID := range best {
+			out.Top[i] = VertexValue{Vertex: uint32(rg.n2o[newID]), Value: values[newID]}
 		}
 	}
 	return out, nil
+}
+
+// topK returns the indices of the k best of values, best first — value
+// descending, index ascending on ties: the first k of a full sort by that
+// order, selected in O(len(values)·log k) with a heap whose root is the
+// worst index kept so far.
+func topK(values []float64, k int) []int {
+	h := &worstFirst{values: values, idx: make([]int, 0, k)}
+	for i := range values {
+		switch {
+		case len(h.idx) < k:
+			heap.Push(h, i)
+		case k > 0 && h.better(i, h.idx[0]):
+			h.idx[0] = i
+			heap.Fix(h, 0)
+		}
+	}
+	best := make([]int, len(h.idx))
+	for i := len(best) - 1; i >= 0; i-- {
+		best[i] = heap.Pop(h).(int)
+	}
+	return best
+}
+
+// worstFirst is a container/heap of indices into values, the worst on top.
+type worstFirst struct {
+	values []float64
+	idx    []int
+}
+
+func (h *worstFirst) better(a, b int) bool {
+	if h.values[a] != h.values[b] {
+		return h.values[a] > h.values[b]
+	}
+	return a < b
+}
+
+func (h *worstFirst) Len() int           { return len(h.idx) }
+func (h *worstFirst) Less(a, b int) bool { return h.better(h.idx[b], h.idx[a]) }
+func (h *worstFirst) Swap(a, b int)      { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
+func (h *worstFirst) Push(x any)         { h.idx = append(h.idx, x.(int)) }
+
+func (h *worstFirst) Pop() any {
+	last := h.idx[len(h.idx)-1]
+	h.idx = h.idx[:len(h.idx)-1]
+	return last
 }
 
 // Report returns a finished job's RunReport profiling artifact.

@@ -286,6 +286,60 @@ func TestStreamUnexpectedEOF(t *testing.T) {
 	}
 }
 
+// TestFullAtMatchesStreams: ReadFullAt and WriteFullAt move a range in the
+// very device operations a Reader and a Writer over it issue — same bytes,
+// same op count, same seeks — whether the range rewrites the middle of a
+// file, overlaps its end or extends it, and a file that ends early is
+// io.ErrUnexpectedEOF.
+func TestFullAtMatchesStreams(t *testing.T) {
+	payload := make([]byte, 2*DefaultBlockSize+1000)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	const off = 300
+	write := func(name string, direct bool) *Device {
+		dev := NewDevice(SSD, Options{})
+		f, _ := dev.Create(name)
+		for _, at := range []int64{0, off, int64(len(payload)) - 5, int64(2 * len(payload))} { // fresh, rewrite, overlap, past a gap
+			var err error
+			if direct {
+				err = WriteFullAt(f, payload, at)
+			} else {
+				w := NewWriterAt(f, at)
+				if _, err = w.Write(payload); err == nil {
+					err = w.Flush()
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dev
+	}
+	direct, streamed := write("f", true), write("f", false)
+	if direct.Stats() != streamed.Stats() {
+		t.Errorf("WriteFullAt: %v, a Writer: %v", direct.Stats(), streamed.Stats())
+	}
+	want, _ := ReadAllFile(streamed, "f")
+	f, _ := direct.Open("f")
+	direct.ResetStats()
+	streamed.ResetStats()
+	got := make([]byte, len(want)-off)
+	if err := ReadFullAt(f, got, off); err != nil || !bytes.Equal(got, want[off:]) {
+		t.Fatalf("ReadFullAt: %v, bytes equal %v", err, bytes.Equal(got, want[off:]))
+	}
+	fs, _ := streamed.Open("f")
+	if err := NewRangeReader(fs, off, int64(len(want))).ReadFull(make([]byte, len(want)-off)); err != nil {
+		t.Fatal(err)
+	}
+	if direct.Stats() != streamed.Stats() {
+		t.Errorf("ReadFullAt: %v, a Reader: %v", direct.Stats(), streamed.Stats())
+	}
+	if err := ReadFullAt(f, make([]byte, 10), int64(len(want))-3); err != io.ErrUnexpectedEOF {
+		t.Errorf("read past the end = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
 func TestWriterBlockedOps(t *testing.T) {
 	// A writer flushing 1MB through 256KB blocks should issue 4-5 ops,
 	// not thousands.

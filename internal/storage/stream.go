@@ -163,6 +163,38 @@ func (w *Writer) Flush() error {
 // Close flushes the writer. The file needs no separate close.
 func (w *Writer) Close() error { return w.Flush() }
 
+// ReadFullAt fills p from f starting at off, one DefaultBlockSize device
+// read at a time: the operations a Reader over the same range issues, made
+// straight into p instead of through the Reader's buffer. A file that ends
+// before p is full is io.ErrUnexpectedEOF.
+func ReadFullAt(f *File, p []byte, off int64) error {
+	for len(p) > 0 {
+		n, err := f.ReadAt(p[:min(len(p), DefaultBlockSize)], off)
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			return io.ErrUnexpectedEOF
+		}
+		p, off = p[n:], off+int64(n)
+	}
+	return nil
+}
+
+// WriteFullAt writes p to f starting at off, one DefaultBlockSize device
+// write at a time: the operations a Writer at off issues for Write(p) and
+// Flush, made straight from p instead of through the Writer's buffer.
+func WriteFullAt(f *File, p []byte, off int64) error {
+	for len(p) > 0 {
+		n, err := f.WriteAt(p[:min(len(p), DefaultBlockSize)], off)
+		if err != nil {
+			return err
+		}
+		p, off = p[n:], off+int64(n)
+	}
+	return nil
+}
+
 // WriteAll creates (or truncates) the named file and writes data to it in
 // block-sized operations.
 func WriteAll(dev *Device, name string, data []byte) error {
