@@ -23,12 +23,14 @@ race:
 bench:
 	$(GO) test -bench BenchmarkEngine -benchmem -run '^$$' ./internal/core/
 
-# bench-json records the engine and codec benchmarks as a JSON snapshot
-# for the CI regression gate; benchdiff compares it to the committed
-# baseline.
+# bench-json records the engine, codec and preprocessing benchmarks as a
+# JSON snapshot for the CI regression gate; benchdiff compares it to the
+# committed baseline (whose preprocessing rows gate allocs/op only).
 bench-json:
 	{ $(GO) test -bench BenchmarkEngine -benchmem -run '^$$' ./internal/core/ ; \
-	  $(GO) test -bench BenchmarkCodec -benchmem -run '^$$' ./internal/storage/ ; } \
+	  $(GO) test -bench BenchmarkCodec -benchmem -run '^$$' ./internal/storage/ ; \
+	  $(GO) test -bench BenchmarkSort -benchmem -run '^$$' ./internal/extsort/ ; \
+	  $(GO) test -bench BenchmarkConvert -benchmem -run '^$$' ./internal/dos/ ; } \
 		| $(GO) run ./cmd/graphz-benchdiff -record -out BENCH_core.json
 
 benchdiff: bench-json

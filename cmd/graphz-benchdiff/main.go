@@ -116,8 +116,10 @@ func readSnapshot(path string) (Snapshot, error) {
 		if b.Name == "" {
 			return Snapshot{}, fmt.Errorf("%s: benchmark entry %d has an empty name", path, i)
 		}
-		if !(b.NsPerOp > 0) {
-			return Snapshot{}, fmt.Errorf("%s: benchmark %q has no positive ns/op (%v)", path, b.Name, b.NsPerOp)
+		// A baseline entry may leave ns/op out: it then gates allocs/op
+		// alone (preprocessing's rows — their time moves 2x with the box).
+		if b.NsPerOp < 0 || !(b.NsPerOp > 0 || b.AllocsPerOp > 0) {
+			return Snapshot{}, fmt.Errorf("%s: benchmark %q has no positive ns/op (%v) or allocs/op", path, b.Name, b.NsPerOp)
 		}
 	}
 	return s, nil
@@ -223,9 +225,10 @@ func stripProcSuffix(name string) string {
 // the number of failures: benchmarks whose ns/op or allocs/op regressed
 // beyond the threshold, or that vanished from the current run. ns/op
 // moves with the machine; allocs/op does not, so it is the half of the
-// gate that holds on a noisy box (gated wherever the baseline recorded
-// it). Improvements beyond the threshold are noted (refresh the
-// baseline) but never fail.
+// gate that holds on a noisy box (each gated wherever the baseline
+// recorded it: an entry without ns/op gates allocs/op alone).
+// Improvements beyond the threshold are noted (refresh the baseline) but
+// never fail.
 func compare(w io.Writer, base, cur Snapshot, threshold float64) int {
 	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
@@ -246,7 +249,11 @@ func compare(w io.Writer, base, cur Snapshot, threshold float64) int {
 			regressions++
 			continue
 		}
-		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp
+		delta, deltaCol := 0.0, "-"
+		if b.NsPerOp > 0 {
+			delta = (c.NsPerOp - b.NsPerOp) / b.NsPerOp
+			deltaCol = fmt.Sprintf("%+.1f%%", delta*100)
+		}
 		allocs, allocsCol := 0.0, "-"
 		if b.AllocsPerOp > 0 {
 			allocs = (c.AllocsPerOp - b.AllocsPerOp) / b.AllocsPerOp
@@ -267,7 +274,7 @@ func compare(w io.Writer, base, cur Snapshot, threshold float64) int {
 		case delta < -threshold || allocs < -threshold:
 			verdict = "improved (consider refreshing baseline)"
 		}
-		fmt.Fprintf(w, "%-*s  %12.0f  %12.0f  %+7.1f%%  %8s  %s\n", nameW, b.Name, b.NsPerOp, c.NsPerOp, delta*100, allocsCol, verdict)
+		fmt.Fprintf(w, "%-*s  %12.0f  %12.0f  %8s  %8s  %s\n", nameW, b.Name, b.NsPerOp, c.NsPerOp, deltaCol, allocsCol, verdict)
 	}
 	// New benchmarks are informational: they have no baseline to regress
 	// against, and the next baseline refresh picks them up.

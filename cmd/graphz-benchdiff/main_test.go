@@ -119,6 +119,17 @@ func TestCompareAllocsOnlyRegression(t *testing.T) {
 	}
 }
 
+// TestCompareAllocsOnlyBaseline: a baseline entry without ns/op gates
+// allocs/op and nothing else, however the time moved.
+func TestCompareAllocsOnlyBaseline(t *testing.T) {
+	base := Snapshot{Benchmarks: []Benchmark{{Name: "A", AllocsPerOp: 100}, {Name: "B", AllocsPerOp: 100}}}
+	cur := Snapshot{Benchmarks: []Benchmark{{Name: "A", NsPerOp: 9e9, AllocsPerOp: 101}, {Name: "B", NsPerOp: 1, AllocsPerOp: 120}}}
+	var out strings.Builder
+	if got := compare(&out, base, cur, 0.15); got != 1 || !strings.Contains(out.String(), "REGRESSION (allocs/op)") {
+		t.Fatalf("regressions = %d, want 1 (B's allocs/op grew 20%%):\n%s", got, out.String())
+	}
+}
+
 func TestCompareExactThresholdPasses(t *testing.T) {
 	base := Snapshot{Benchmarks: []Benchmark{bench("A", 1000)}}
 	cur := Snapshot{Benchmarks: []Benchmark{bench("A", 1150)}}
@@ -156,14 +167,19 @@ func TestReadSnapshotRejectsMalformedEntries(t *testing.T) {
 		}
 		return path
 	}
-	good := writeSnap("good.json", `{"benchmarks":[{"name":"BenchmarkEngine","ns_per_op":100}]}`)
-	if _, err := readSnapshot(good); err != nil {
-		t.Fatalf("well-formed snapshot rejected: %v", err)
+	for name, body := range map[string]string{
+		"good.json":        `{"benchmarks":[{"name":"BenchmarkEngine","ns_per_op":100}]}`,
+		"allocs-only.json": `{"benchmarks":[{"name":"BenchmarkConvert/v1","allocs_per_op":90}]}`,
+	} {
+		if _, err := readSnapshot(writeSnap(name, body)); err != nil {
+			t.Fatalf("%s: well-formed snapshot rejected: %v", name, err)
+		}
 	}
 	for name, body := range map[string]string{
-		"empty-name.json": `{"benchmarks":[{"name":"","ns_per_op":100}]}`,
-		"no-name.json":    `{"benchmarks":[{"ns_per_op":100}]}`,
-		"zero-ns.json":    `{"benchmarks":[{"name":"BenchmarkEngine"}]}`,
+		"empty-name.json":  `{"benchmarks":[{"name":"","ns_per_op":100}]}`,
+		"no-name.json":     `{"benchmarks":[{"ns_per_op":100}]}`,
+		"zero-ns.json":     `{"benchmarks":[{"name":"BenchmarkEngine"}]}`,
+		"negative-ns.json": `{"benchmarks":[{"name":"BenchmarkEngine","ns_per_op":-1,"allocs_per_op":9}]}`,
 	} {
 		if _, err := readSnapshot(writeSnap(name, body)); err == nil {
 			t.Errorf("%s: malformed snapshot accepted", name)

@@ -245,12 +245,12 @@ func (r *EntryReader) Next() (graph.VertexID, error) {
 		return 0, io.EOF
 	}
 	if r.r != nil {
-		var buf [EntryBytes]byte
-		if err := r.r.ReadFull(buf[:]); err != nil {
+		rec, err := r.r.Next(EntryBytes)
+		if err != nil {
 			return 0, fmt.Errorf("dos: reading entry %d: %w", r.next, err)
 		}
 		r.next++
-		return graph.VertexID(binary.LittleEndian.Uint32(buf[:])), nil
+		return graph.VertexID(binary.LittleEndian.Uint32(rec)), nil
 	}
 	b := r.next / r.blk.BlockEntries
 	if b != r.cur {
@@ -545,6 +545,29 @@ func (c *converter) charge(bytes int64) {
 	}
 }
 
+// putID, putPair and putTriad write the conversion's three record shapes —
+// one, two and three little-endian 32-bit words — where they go in w's
+// block buffer.
+func putID(w *storage.Writer, a uint32) error {
+	binary.LittleEndian.PutUint32(w.Next(4), a)
+	return w.Commit()
+}
+
+func putPair(w *storage.Writer, a, b uint32) error {
+	rec := w.Next(8)
+	binary.LittleEndian.PutUint32(rec[0:], a)
+	binary.LittleEndian.PutUint32(rec[4:], b)
+	return w.Commit()
+}
+
+func putTriad(w *storage.Writer, a, b, c uint32) error {
+	rec := w.Next(triadBytes)
+	binary.LittleEndian.PutUint32(rec[0:], a)
+	binary.LittleEndian.PutUint32(rec[4:], b)
+	binary.LittleEndian.PutUint32(rec[8:], c)
+	return w.Commit()
+}
+
 const triadBytes = 12
 
 // triadKeyDegSrc orders by degree descending (complemented into the high
@@ -711,16 +734,15 @@ func (c *converter) scanExtent(in string) (maxOld graph.VertexID, numEdges int64
 		return 0, 0, err
 	}
 	r := storage.NewReader(inF)
-	var ebuf [graph.EdgeBytes]byte
 	for {
-		rerr := r.ReadFull(ebuf[:])
+		rec, rerr := r.Next(graph.EdgeBytes)
 		if rerr == io.EOF {
 			return maxOld, numEdges, nil
 		}
 		if rerr != nil {
 			return 0, 0, fmt.Errorf("dos: scanning edges: %w", rerr)
 		}
-		e := graph.GetEdge(ebuf[:])
+		e := graph.GetEdge(rec)
 		numEdges++
 		if e.Src > maxOld {
 			maxOld = e.Src
@@ -740,16 +762,15 @@ func (c *converter) buildTriadsCounted(in, out string, maxOld graph.VertexID, nu
 		return err
 	}
 	r := storage.NewReader(inF)
-	var ebuf [graph.EdgeBytes]byte
 	for {
-		rerr := r.ReadFull(ebuf[:])
+		rec, rerr := r.Next(graph.EdgeBytes)
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
 			return fmt.Errorf("dos: counting degrees: %w", rerr)
 		}
-		deg[graph.GetEdge(ebuf[:]).Src]++
+		deg[graph.GetEdge(rec).Src]++
 	}
 	outF, err := c.cfg.Dev.Create(out)
 	if err != nil {
@@ -757,20 +778,16 @@ func (c *converter) buildTriadsCounted(in, out string, maxOld graph.VertexID, nu
 	}
 	w := storage.NewWriter(outF)
 	r = storage.NewReader(inF)
-	var buf [triadBytes]byte
 	for {
-		rerr := r.ReadFull(ebuf[:])
+		rec, rerr := r.Next(graph.EdgeBytes)
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
 			return fmt.Errorf("dos: emitting triads: %w", rerr)
 		}
-		e := graph.GetEdge(ebuf[:])
-		binary.LittleEndian.PutUint32(buf[0:], uint32(e.Src))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(e.Dst))
-		binary.LittleEndian.PutUint32(buf[8:], deg[e.Src])
-		if _, err := w.Write(buf[:]); err != nil {
+		e := graph.GetEdge(rec)
+		if err := putTriad(w, uint32(e.Src), uint32(e.Dst), deg[e.Src]); err != nil {
 			return err
 		}
 	}
@@ -801,13 +818,9 @@ func (c *converter) buildTriadsSorted(in, out string, numEdges int64) error {
 	var runSrc graph.VertexID
 	var runDsts []graph.VertexID
 	flush := func() error {
-		var buf [triadBytes]byte
 		deg := uint32(len(runDsts))
 		for _, d := range runDsts {
-			binary.LittleEndian.PutUint32(buf[0:], uint32(runSrc))
-			binary.LittleEndian.PutUint32(buf[4:], uint32(d))
-			binary.LittleEndian.PutUint32(buf[8:], deg)
-			if _, err := w.Write(buf[:]); err != nil {
+			if err := putTriad(w, uint32(runSrc), uint32(d), deg); err != nil {
 				return err
 			}
 		}
@@ -815,17 +828,16 @@ func (c *converter) buildTriadsSorted(in, out string, numEdges int64) error {
 		return nil
 	}
 
-	var ebuf [graph.EdgeBytes]byte
 	first := true
 	for {
-		rerr := r.ReadFull(ebuf[:])
+		rec, rerr := r.Next(graph.EdgeBytes)
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
 			return fmt.Errorf("dos: scanning sorted edges: %w", rerr)
 		}
-		e := graph.GetEdge(ebuf[:])
+		e := graph.GetEdge(rec)
 		if first || e.Src != runSrc {
 			if !first {
 				if err := flush(); err != nil {
@@ -871,15 +883,13 @@ func (c *converter) relabelSources(in, edgesOut, pairsOut string, g *Graph) (int
 	pw := storage.NewWriter(pF)
 	nw := storage.NewWriter(n2oF)
 
-	var buf [triadBytes]byte
-	var out [8]byte
 	nextID := -1 // last assigned new ID
 	var curSrc graph.VertexID
 	var curDeg uint32
 	var edgeOff int64
 	var bytesScanned int64
 	for {
-		err := r.ReadFull(buf[:])
+		rec, err := r.Next(triadBytes)
 		if err == io.EOF {
 			break
 		}
@@ -887,9 +897,9 @@ func (c *converter) relabelSources(in, edgesOut, pairsOut string, g *Graph) (int
 			return 0, fmt.Errorf("dos: scanning triads: %w", err)
 		}
 		bytesScanned += triadBytes
-		src := graph.VertexID(binary.LittleEndian.Uint32(buf[0:]))
-		dst := binary.LittleEndian.Uint32(buf[4:])
-		deg := binary.LittleEndian.Uint32(buf[8:])
+		src := graph.VertexID(binary.LittleEndian.Uint32(rec[0:]))
+		dst := binary.LittleEndian.Uint32(rec[4:])
+		deg := binary.LittleEndian.Uint32(rec[8:])
 		if nextID < 0 || src != curSrc {
 			nextID++
 			curSrc = src
@@ -904,20 +914,15 @@ func (c *converter) relabelSources(in, edgesOut, pairsOut string, g *Graph) (int
 			}
 			curDeg = deg
 			// Map records.
-			binary.LittleEndian.PutUint32(out[0:], uint32(src))
-			binary.LittleEndian.PutUint32(out[4:], uint32(nextID))
-			if _, err := pw.Write(out[:]); err != nil {
+			if err := putPair(pw, uint32(src), uint32(nextID)); err != nil {
 				return 0, err
 			}
-			binary.LittleEndian.PutUint32(out[0:4], uint32(src))
-			if _, err := nw.Write(out[0:4]); err != nil {
+			if err := putID(nw, uint32(src)); err != nil {
 				return 0, err
 			}
 			edgeOff += int64(curDeg)
 		}
-		binary.LittleEndian.PutUint32(out[0:], uint32(nextID))
-		binary.LittleEndian.PutUint32(out[4:], dst)
-		if _, err := ew.Write(out[:]); err != nil {
+		if err := putPair(ew, uint32(nextID), dst); err != nil {
 			return 0, err
 		}
 	}
@@ -951,8 +956,7 @@ func newPairStream(dev *storage.Device, name string) (*pairStream, error) {
 }
 
 func (s *pairStream) advance() error {
-	var buf [8]byte
-	err := s.r.ReadFull(buf[:])
+	rec, err := s.r.Next(8)
 	if err == io.EOF {
 		s.done = true
 		return nil
@@ -960,8 +964,8 @@ func (s *pairStream) advance() error {
 	if err != nil {
 		return err
 	}
-	s.a = binary.LittleEndian.Uint32(buf[0:])
-	s.b = binary.LittleEndian.Uint32(buf[4:])
+	s.a = binary.LittleEndian.Uint32(rec[0:])
+	s.b = binary.LittleEndian.Uint32(rec[4:])
 	return nil
 }
 
@@ -995,11 +999,9 @@ func (c *converter) relabelDestinations(byDst, pairsByOld, edgesOut, zeroPairs s
 	var lastDst uint32
 	var lastNew uint32
 	haveLast := false
-	var ebuf [graph.EdgeBytes]byte
-	var out [8]byte
 	var bytesScanned int64
 	for {
-		err := r.ReadFull(ebuf[:])
+		rec, err := r.Next(graph.EdgeBytes)
 		if err == io.EOF {
 			break
 		}
@@ -1007,8 +1009,8 @@ func (c *converter) relabelDestinations(byDst, pairsByOld, edgesOut, zeroPairs s
 			return 0, fmt.Errorf("dos: scanning dst-sorted edges: %w", err)
 		}
 		bytesScanned += graph.EdgeBytes
-		newSrc := binary.LittleEndian.Uint32(ebuf[0:])
-		dst := binary.LittleEndian.Uint32(ebuf[4:])
+		newSrc := binary.LittleEndian.Uint32(rec[0:])
+		dst := binary.LittleEndian.Uint32(rec[4:])
 		if !haveLast || dst != lastDst {
 			// Advance the map to dst.
 			for !m.done && m.a < dst {
@@ -1022,18 +1024,14 @@ func (c *converter) relabelDestinations(byDst, pairsByOld, edgesOut, zeroPairs s
 				// Zero-out-degree vertex: assign the next ID.
 				lastNew = uint32(numPositive + numZero)
 				numZero++
-				binary.LittleEndian.PutUint32(out[0:], dst)
-				binary.LittleEndian.PutUint32(out[4:], lastNew)
-				if _, err := zw.Write(out[:]); err != nil {
+				if err := putPair(zw, dst, lastNew); err != nil {
 					return 0, err
 				}
 			}
 			lastDst = dst
 			haveLast = true
 		}
-		binary.LittleEndian.PutUint32(out[0:], newSrc)
-		binary.LittleEndian.PutUint32(out[4:], lastNew)
-		if _, err := ew.Write(out[:]); err != nil {
+		if err := putPair(ew, newSrc, lastNew); err != nil {
 			return 0, err
 		}
 	}
@@ -1069,12 +1067,10 @@ func (c *converter) emitMaps(pairsByOld, zeroPairs string, g *Graph) error {
 	ow := storage.NewWriter(oF)
 	nw := storage.NewWriterAt(n2oF, n2oF.Size())
 
-	var out [4]byte
 	next := uint32(0) // next old ID to emit
 	emitGapsTo := func(old uint32) error {
 		for ; next < old; next++ {
-			binary.LittleEndian.PutUint32(out[:], uint32(graph.NoVertex))
-			if _, err := ow.Write(out[:]); err != nil {
+			if err := putID(ow, uint32(graph.NoVertex)); err != nil {
 				return err
 			}
 		}
@@ -1084,14 +1080,12 @@ func (c *converter) emitMaps(pairsByOld, zeroPairs string, g *Graph) error {
 		if err := emitGapsTo(old); err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint32(out[:], newID)
-		if _, err := ow.Write(out[:]); err != nil {
+		if err := putID(ow, newID); err != nil {
 			return err
 		}
 		next = old + 1
 		if zero {
-			binary.LittleEndian.PutUint32(out[:], old)
-			if _, err := nw.Write(out[:]); err != nil {
+			if err := putID(nw, old); err != nil {
 				return err
 			}
 		}
@@ -1139,23 +1133,22 @@ func (c *converter) emitEdges(finalSorted string, g *Graph) error {
 	}
 	r := storage.NewReader(inF)
 	w := storage.NewWriter(outF)
-	var ebuf [graph.EdgeBytes]byte
 	var entries int64
 	var prevSrc uint32
 	for {
-		err := r.ReadFull(ebuf[:])
+		rec, err := r.Next(graph.EdgeBytes)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("dos: emitting edges: %w", err)
 		}
-		src := binary.LittleEndian.Uint32(ebuf[0:])
+		src := binary.LittleEndian.Uint32(rec[0:])
 		if src < prevSrc {
 			return fmt.Errorf("dos: final edges not sorted: src %d after %d", src, prevSrc)
 		}
 		prevSrc = src
-		if _, err := w.Write(ebuf[4:8]); err != nil {
+		if err := putID(w, binary.LittleEndian.Uint32(rec[4:])); err != nil {
 			return err
 		}
 		entries++
@@ -1202,19 +1195,18 @@ func (c *converter) emitEdgesV2(finalSorted string, g *Graph) error {
 		return nil
 	}
 
-	var ebuf [graph.EdgeBytes]byte
 	var entries int64
 	var prevSrc, prevDst uint32
 	for {
-		err := r.ReadFull(ebuf[:])
+		rec, err := r.Next(graph.EdgeBytes)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("dos: emitting edges: %w", err)
 		}
-		src := binary.LittleEndian.Uint32(ebuf[0:])
-		dst := binary.LittleEndian.Uint32(ebuf[4:])
+		src := binary.LittleEndian.Uint32(rec[0:])
+		dst := binary.LittleEndian.Uint32(rec[4:])
 		if src < prevSrc || (src == prevSrc && entries > 0 && dst < prevDst) {
 			return fmt.Errorf("dos: final edges not sorted: (%d,%d) after (%d,%d)", src, dst, prevSrc, prevDst)
 		}

@@ -222,18 +222,17 @@ func verifyMaps(g *Graph) error {
 	// stream new2old verifying the inverse through point reads of
 	// old2new (block reads keep this O(V) with buffered IO).
 	r := storage.NewReader(o2nF)
-	var buf [4]byte
 	count := 0
 	var old int64
 	for ; ; old++ {
-		err := r.ReadFull(buf[:])
+		rec, err := r.Next(4)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		newID := graph.VertexID(binary.LittleEndian.Uint32(buf[:]))
+		newID := graph.VertexID(binary.LittleEndian.Uint32(rec))
 		if newID == graph.NoVertex {
 			continue
 		}
@@ -248,11 +247,12 @@ func verifyMaps(g *Graph) error {
 	}
 	rn := storage.NewReader(n2oF)
 	for newID := 0; newID < g.NumVertices; newID++ {
-		if err := rn.ReadFull(buf[:]); err != nil {
+		rec, err := rn.Next(4)
+		if err != nil {
 			return err
 		}
 		bkt, _ := g.bucketOf(graph.VertexID(newID))
-		old := int64(binary.LittleEndian.Uint32(buf[:]))
+		old := int64(binary.LittleEndian.Uint32(rec))
 		if old > int64(g.MaxOldID) {
 			return violate(n2oName, int64(newID)*4, bkt,
 				"new2old[%d] = %d exceeds MaxOldID %d", newID, old, g.MaxOldID)

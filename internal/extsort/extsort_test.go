@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sort"
@@ -12,9 +11,7 @@ import (
 	"graphz/internal/storage"
 )
 
-func u32Less(a, b []byte) bool {
-	return binary.LittleEndian.Uint32(a) < binary.LittleEndian.Uint32(b)
-}
+func u32Key(rec []byte) uint64 { return uint64(binary.LittleEndian.Uint32(rec)) }
 
 func writeU32s(t *testing.T, dev *storage.Device, name string, vals []uint32) {
 	t.Helper()
@@ -45,7 +42,7 @@ func sortU32File(t *testing.T, dev *storage.Device, budget int64, in, out string
 	err := Sort(Config{
 		Dev:          dev,
 		RecordSize:   4,
-		Less:         u32Less,
+		Key:          u32Key,
 		MemoryBudget: budget,
 	}, in, out)
 	if err != nil {
@@ -99,7 +96,7 @@ func TestSortManyRunsMultiPass(t *testing.T) {
 	err := Sort(Config{
 		Dev:          dev,
 		RecordSize:   4,
-		Less:         u32Less,
+		Key:          u32Key,
 		MemoryBudget: MinMemoryBudget, // 64KB -> 16k records per run -> 4 runs
 		FanIn:        2,               // force multiple merge passes
 	}, "in", "out")
@@ -140,7 +137,7 @@ func TestSortProperty(t *testing.T) {
 		err := Sort(Config{
 			Dev:          dev,
 			RecordSize:   4,
-			Less:         u32Less,
+			Key:          u32Key,
 			MemoryBudget: int64(budgetSeed),
 			FanIn:        2 + int(budgetSeed)%5,
 		}, "in", "out")
@@ -186,7 +183,7 @@ func TestSortStability(t *testing.T) {
 	err := Sort(Config{
 		Dev:        dev,
 		RecordSize: 8,
-		Less:       u32Less, // compares first 4 bytes (the key)
+		Key:        u32Key, // the first 4 bytes
 		// Force one record per run so stability depends on the
 		// merge tie-break.
 		MemoryBudget: 1,
@@ -214,7 +211,7 @@ func TestSortStability(t *testing.T) {
 func TestSortErrors(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	writeU32s(t, dev, "in", []uint32{1})
-	base := Config{Dev: dev, RecordSize: 4, Less: u32Less}
+	base := Config{Dev: dev, RecordSize: 4, Key: u32Key}
 
 	cfg := base
 	cfg.RecordSize = 0
@@ -222,9 +219,9 @@ func TestSortErrors(t *testing.T) {
 		t.Error("zero record size should fail")
 	}
 	cfg = base
-	cfg.Less = nil
+	cfg.Key = nil
 	if err := Sort(cfg, "in", "out"); err == nil {
-		t.Error("nil Less should fail")
+		t.Error("nil Key should fail")
 	}
 	if err := Sort(base, "in", "in"); err == nil {
 		t.Error("in-place sort should fail")
@@ -250,7 +247,7 @@ func TestSortChargesCompute(t *testing.T) {
 	}
 	writeU32s(t, dev, "in", vals)
 	err := Sort(Config{
-		Dev: dev, Clock: clock, RecordSize: 4, Less: u32Less,
+		Dev: dev, Clock: clock, RecordSize: 4, Key: u32Key,
 	}, "in", "out")
 	if err != nil {
 		t.Fatal(err)
@@ -263,31 +260,11 @@ func TestSortChargesCompute(t *testing.T) {
 	}
 }
 
-func TestBytesCompare(t *testing.T) {
-	// Guard the assumption u32Less makes about little-endian compare:
-	// a mis-ordered comparator would silently corrupt every pipeline
-	// above. Compare against bytes.Compare on big-endian keys.
-	a := make([]byte, 4)
-	b := make([]byte, 4)
-	f := func(x, y uint32) bool {
-		binary.LittleEndian.PutUint32(a, x)
-		binary.LittleEndian.PutUint32(b, y)
-		ltLE := u32Less(a, b)
-		binary.BigEndian.PutUint32(a, x)
-		binary.BigEndian.PutUint32(b, y)
-		ltBE := bytes.Compare(a, b) < 0
-		return ltLE == ltBE
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRemoveInput(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	writeU32s(t, dev, "in", []uint32{3, 1, 2})
 	err := Sort(Config{
-		Dev: dev, RecordSize: 4, Less: u32Less, RemoveInput: true,
+		Dev: dev, RecordSize: 4, Key: u32Key, RemoveInput: true,
 	}, "in", "out")
 	if err != nil {
 		t.Fatal(err)
@@ -297,33 +274,5 @@ func TestRemoveInput(t *testing.T) {
 	}
 	if got := readU32s(t, dev, "out"); len(got) != 3 || got[0] != 1 {
 		t.Errorf("output wrong: %v", got)
-	}
-}
-
-func TestKeyAndLessAgree(t *testing.T) {
-	// Sorting by Key must produce the same order as the equivalent
-	// Less for a random input.
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	rng := rand.New(rand.NewSource(99))
-	vals := make([]uint32, 5000)
-	for i := range vals {
-		vals[i] = rng.Uint32() % 500 // plenty of duplicates
-	}
-	writeU32s(t, dev, "in", vals)
-	if err := Sort(Config{Dev: dev, RecordSize: 4, Less: u32Less, MemoryBudget: 1}, "in", "less"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Sort(Config{
-		Dev: dev, RecordSize: 4, MemoryBudget: 1,
-		Key: func(rec []byte) uint64 { return uint64(binary.LittleEndian.Uint32(rec)) },
-	}, "in", "key"); err != nil {
-		t.Fatal(err)
-	}
-	a := readU32s(t, dev, "less")
-	b := readU32s(t, dev, "key")
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Key and Less orders diverge at %d", i)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"encoding/binary"
 	"slices"
 	"strings"
 	"testing"
@@ -11,7 +10,13 @@ import (
 
 // Unit tests of the k-way merge (mergeGroup) behind Sort's merge passes.
 
-func u32Key(rec []byte) uint64 { return uint64(binary.LittleEndian.Uint32(rec)) }
+// mergeFiles merges the named runs into dst the way one group of a merge
+// pass is merged.
+func mergeFiles(cfg Config, group []string, dst string) (int64, error) {
+	k := len(group)
+	s := &sorter{cfg: cfg, readers: make([]storage.Reader, k), recs: make([][]byte, k), tree: make([]entry, 2*k)}
+	return s.mergeGroup(group, dst, false)
+}
 
 // TestMergerBasic: three sorted runs and an empty one merge into one
 // ascending stream; the empty run contributes nothing.
@@ -21,7 +26,7 @@ func TestMergerBasic(t *testing.T) {
 	writeU32s(t, dev, "r1", []uint32{2, 5, 8})
 	writeU32s(t, dev, "r2", nil)
 	writeU32s(t, dev, "r3", []uint32{3, 6, 9})
-	n, err := mergeGroup(Config{Dev: dev, RecordSize: 4, Key: u32Key}, []string{"r0", "r1", "r2", "r3"}, "out")
+	n, err := mergeFiles(Config{Dev: dev, RecordSize: 4, Key: u32Key}, []string{"r0", "r1", "r2", "r3"}, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,34 +41,20 @@ func TestMergerBasic(t *testing.T) {
 	}
 }
 
-// TestMergerStability: equal keys leave the merge in run order, on the
-// key path and on the Less path — what keeps a multi-run Sort stable.
+// TestMergerStability: equal keys leave the merge in run order — what
+// keeps a multi-run Sort stable.
 func TestMergerStability(t *testing.T) {
-	writePairs := func(dev *storage.Device, name string, pairs ...[2]uint32) {
-		buf := make([]byte, 0, 8*len(pairs))
-		for _, p := range pairs {
-			buf = binary.LittleEndian.AppendUint32(buf, p[0])
-			buf = binary.LittleEndian.AppendUint32(buf, p[1])
-		}
-		if err := storage.WriteAll(dev, name, buf); err != nil {
-			t.Fatal(err)
-		}
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	writeU32s(t, dev, "r0", []uint32{1, 10, 2, 11})
+	writeU32s(t, dev, "r1", []uint32{1, 20, 2, 21})
+	writeU32s(t, dev, "r2", []uint32{1, 30, 2, 31})
+	if _, err := mergeFiles(Config{Dev: dev, RecordSize: 8, Key: u32Key}, []string{"r0", "r1", "r2"}, "out"); err != nil {
+		t.Fatal(err)
 	}
-	for name, cfg := range map[string]Config{
-		"key":  {RecordSize: 8, Key: u32Key},
-		"less": {RecordSize: 8, Less: u32Less},
-	} {
-		cfg.Dev = storage.NewDevice(storage.NullDevice, storage.Options{})
-		writePairs(cfg.Dev, "r0", [2]uint32{1, 10}, [2]uint32{2, 11})
-		writePairs(cfg.Dev, "r1", [2]uint32{1, 20}, [2]uint32{2, 21})
-		if _, err := mergeGroup(cfg, []string{"r0", "r1"}, "out"); err != nil {
-			t.Fatal(err)
-		}
-		got := readU32s(t, cfg.Dev, "out")
-		want := []uint32{1, 10, 1, 20, 2, 11, 2, 21}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: merged %v, want %v", name, got, want)
-		}
+	got := readU32s(t, dev, "out")
+	want := []uint32{1, 10, 1, 20, 1, 30, 2, 11, 2, 21, 2, 31}
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
 	}
 }
 
@@ -73,19 +64,19 @@ func TestMergerErrors(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	cfg := Config{Dev: dev, RecordSize: 4, Key: u32Key}
 	writeU32s(t, dev, "ok", []uint32{1, 2})
-	if _, err := mergeGroup(cfg, []string{"ok", "missing"}, "out"); err == nil || !strings.Contains(err.Error(), `"missing"`) {
+	if _, err := mergeFiles(cfg, []string{"ok", "missing"}, "out"); err == nil || !strings.Contains(err.Error(), `"missing"`) {
 		t.Errorf("missing run: err = %v", err)
 	}
 	if err := storage.WriteAll(dev, "torn0", []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mergeGroup(cfg, []string{"ok", "torn0"}, "out"); err == nil || !strings.Contains(err.Error(), `"torn0"`) {
+	if _, err := mergeFiles(cfg, []string{"ok", "torn0"}, "out"); err == nil || !strings.Contains(err.Error(), `"torn0"`) {
 		t.Errorf("run torn at its first record: err = %v", err)
 	}
 	if err := storage.WriteAll(dev, "torn1", []byte{1, 0, 0, 0, 9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mergeGroup(cfg, []string{"ok", "torn1"}, "out"); err == nil || !strings.Contains(err.Error(), `"torn1"`) {
+	if _, err := mergeFiles(cfg, []string{"ok", "torn1"}, "out"); err == nil || !strings.Contains(err.Error(), `"torn1"`) {
 		t.Errorf("run torn mid-merge: err = %v", err)
 	}
 }

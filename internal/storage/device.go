@@ -153,9 +153,19 @@ type Device struct {
 	inj       *injector  // nil unless constructed via NewFaultDevice
 }
 
+// extentBytes is the unit a file's bytes are held in. A quarter of the
+// streams' block, so a block-sized operation copies through four of
+// them and a file of a few bytes costs one.
+const extentBytes = 64 << 10
+
 type file struct {
 	name string
-	data []byte
+	size int64
+	// ext[i] holds bytes [i*extentBytes, (i+1)*extentBytes) of the file.
+	// Growing the file attaches extents and shrinking it drops them; the
+	// bytes already stored never move. What lies at or past size in the
+	// last extent is zero (setSize).
+	ext [][]byte
 	// lastReadEnd / lastWriteEnd track sequentiality per stream
 	// direction; an access that does not start where the previous one
 	// of the same direction ended is charged a seek.
@@ -278,8 +288,7 @@ func (d *Device) Create(name string) (*File, error) {
 		return nil, ErrCrashed
 	}
 	if f, ok := d.files[name]; ok {
-		d.used -= int64(len(f.data))
-		f.data = f.data[:0]
+		d.setSize(f, 0)
 		f.lastReadEnd, f.lastWriteEnd = 0, 0
 		if d.cache != nil {
 			d.cache.invalidateFile(f)
@@ -327,7 +336,7 @@ func (d *Device) Remove(name string) error {
 		}
 	}
 	if f, ok := d.files[name]; ok {
-		d.used -= int64(len(f.data))
+		d.setSize(f, 0)
 		delete(d.files, name)
 		if d.cache != nil {
 			d.cache.invalidateFile(f)
@@ -356,7 +365,7 @@ func (d *Device) Size(name string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return int64(len(f.data)), nil
+	return f.size, nil
 }
 
 // chargeRead accounts one read op of n bytes at offset off. Caller holds
@@ -419,22 +428,51 @@ func (d *Device) chargeWrite(f *file, off, n int64) {
 	}
 }
 
-// writeRaw persists p at off with no charging or fault checks: the
-// torn-prefix path of an injected crash. Growth beyond capacity is
-// dropped (the device is full AND crashed). Caller holds d.mu.
-func (d *Device) writeRaw(f *file, p []byte, off int64) {
-	end := off + int64(len(p))
-	if grow := end - int64(len(f.data)); grow > 0 {
-		if d.capacity > 0 && d.used+grow > d.capacity {
-			return
-		}
-		f.data = append(f.data, make([]byte, grow)...)
-		d.used += grow
+// setSize makes the file size bytes long by attaching or dropping extents.
+// Extents come zeroed from make and a shrink zeroes what it cuts off the
+// last extent it keeps, so the bytes at or past size are always zero:
+// growth exposes zeros — the gap a write past the end leaves, the tail a
+// Truncate adds — without clearing anything. Caller holds d.mu and has
+// checked the capacity.
+func (d *Device) setSize(f *file, size int64) {
+	d.used += size - f.size
+	need := int((size + extentBytes - 1) / extentBytes)
+	if size < f.size && need > 0 {
+		base := int64(need-1) * extentBytes
+		clear(f.ext[need-1][size-base : min(f.size-base, extentBytes)])
 	}
-	copy(f.data[off:end], p)
-	if d.cache != nil {
-		d.cache.span(f, off, int64(len(p)))
+	for len(f.ext) < need {
+		f.ext = append(f.ext, make([]byte, extentBytes))
 	}
+	clear(f.ext[need:])
+	f.ext = f.ext[:need]
+	f.size = size
+}
+
+// write stores p at off, growing the file to hold it: the one way bytes
+// reach a file, of which an append is the off == size case. No
+// charging, fault or capacity checks. Caller holds d.mu.
+func (d *Device) write(f *file, p []byte, off int64) {
+	if end := off + int64(len(p)); end > f.size {
+		d.setSize(f, end)
+	}
+	for len(p) > 0 {
+		n := copy(f.ext[off/extentBytes][off%extentBytes:], p)
+		p, off = p[n:], off+int64(n)
+	}
+}
+
+// read copies the file's bytes from off, which lies inside the file, into
+// p, as far as the file goes, and returns how many. Caller holds d.mu.
+func (f *file) read(p []byte, off int64) int {
+	if left := f.size - off; left < int64(len(p)) {
+		p = p[:left]
+	}
+	for rest := p; len(rest) > 0; {
+		n := copy(rest, f.ext[off/extentBytes][off%extentBytes:])
+		rest, off = rest[n:], off+int64(n)
+	}
+	return len(p)
 }
 
 // File is a handle to a device file. Handles are cheap; any number may
@@ -451,7 +489,7 @@ func (h *File) Name() string { return h.f.name }
 func (h *File) Size() int64 {
 	h.dev.mu.Lock()
 	defer h.dev.mu.Unlock()
-	return int64(len(h.f.data))
+	return h.f.size
 }
 
 // ReadAt reads len(p) bytes at offset off. Short reads at EOF return the
@@ -468,11 +506,10 @@ func (h *File) ReadAt(p []byte, off int64) (int, error) {
 			return 0, fmt.Errorf("storage: reading %q: %w", h.f.name, err)
 		}
 	}
-	size := int64(len(h.f.data))
-	if off >= size {
+	if off >= h.f.size {
 		return 0, nil
 	}
-	n := copy(p, h.f.data[off:])
+	n := h.f.read(p, off)
 	h.dev.chargeRead(h.f, off, int64(n))
 	return n, nil
 }
@@ -485,41 +522,51 @@ func (h *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	h.dev.mu.Lock()
 	defer h.dev.mu.Unlock()
-	if j := h.dev.inj; j != nil {
+	return h.writeLocked(p, off)
+}
+
+// hasRoom reports whether the device can hold f grown to end bytes.
+// Caller holds d.mu.
+func (d *Device) hasRoom(f *file, end int64) bool {
+	return end <= f.size || d.capacity == 0 || d.used+end-f.size <= d.capacity
+}
+
+// writeLocked is one counted, charged device write. Caller holds d.mu.
+func (h *File) writeLocked(p []byte, off int64) (int, error) {
+	d, f := h.dev, h.f
+	if j := d.inj; j != nil {
 		if torn, err := j.op(opWrite, len(p)); err != nil {
-			if torn > 0 {
+			if torn > 0 && d.hasRoom(f, off+int64(torn)) {
 				// The crash interrupted the transfer mid-write: a
 				// seeded prefix reaches the media, the rest is lost —
-				// the torn-write case durable formats must detect.
-				h.dev.writeRaw(h.f, p[:torn], off)
+				// the torn-write case durable formats must detect. No
+				// charging; a prefix the device has no room for is
+				// dropped (it is full and crashed).
+				d.write(f, p[:torn], off)
+				if d.cache != nil {
+					d.cache.span(f, off, int64(torn))
+				}
 			}
-			return 0, fmt.Errorf("storage: writing %q: %w", h.f.name, err)
+			return 0, fmt.Errorf("storage: writing %q: %w", f.name, err)
 		}
 	}
-	end := off + int64(len(p))
-	if grow := end - int64(len(h.f.data)); grow > 0 {
-		if h.dev.capacity > 0 && h.dev.used+grow > h.dev.capacity {
-			return 0, fmt.Errorf("%w: %q needs %d bytes, %d of %d used",
-				ErrNoSpace, h.f.name, grow, h.dev.used, h.dev.capacity)
-		}
-		h.f.data = append(h.f.data, make([]byte, grow)...)
-		h.dev.used += grow
+	if end := off + int64(len(p)); !d.hasRoom(f, end) {
+		return 0, fmt.Errorf("%w: %q needs %d bytes, %d of %d used",
+			ErrNoSpace, f.name, end-f.size, d.used, d.capacity)
 	}
-	copy(h.f.data[off:end], p)
-	h.dev.chargeWrite(h.f, off, int64(len(p)))
+	d.write(f, p, off)
+	d.chargeWrite(f, off, int64(len(p)))
 	return len(p), nil
 }
 
 // Append writes p at the end of the file and returns the offset at which
-// the data landed.
+// the data landed. Finding the end and writing there are one critical
+// section, so concurrent appenders never overlap.
 func (h *File) Append(p []byte) (int64, error) {
 	h.dev.mu.Lock()
-	off := int64(len(h.f.data))
-	h.dev.mu.Unlock()
-	// A concurrent appender could race between the size read and the
-	// write; engines serialize appends per file, and WriteAt itself is
-	// safe, so this is acceptable for the simulation.
-	if _, err := h.WriteAt(p, off); err != nil {
+	defer h.dev.mu.Unlock()
+	off := h.f.size
+	if _, err := h.writeLocked(p, off); err != nil {
 		return 0, err
 	}
 	return off, nil
@@ -537,19 +584,10 @@ func (h *File) Truncate(size int64) error {
 			return fmt.Errorf("storage: truncating %q: %w", h.f.name, err)
 		}
 	}
-	cur := int64(len(h.f.data))
-	switch {
-	case size < cur:
-		h.dev.used -= cur - size
-		h.f.data = h.f.data[:size]
-	case size > cur:
-		grow := size - cur
-		if h.dev.capacity > 0 && h.dev.used+grow > h.dev.capacity {
-			return fmt.Errorf("%w: truncate %q to %d", ErrNoSpace, h.f.name, size)
-		}
-		h.f.data = append(h.f.data, make([]byte, grow)...)
-		h.dev.used += grow
+	if !h.dev.hasRoom(h.f, size) {
+		return fmt.Errorf("%w: truncate %q to %d", ErrNoSpace, h.f.name, size)
 	}
+	h.dev.setSize(h.f, size)
 	if h.f.lastReadEnd > size {
 		h.f.lastReadEnd = size
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // DefaultBlockSize is the transfer unit of the buffered streams: engines
@@ -11,15 +12,16 @@ import (
 const DefaultBlockSize = 256 * 1024
 
 // Reader streams a file (or a sub-range of it) sequentially through a
-// block-sized buffer. It implements io.Reader.
+// block-sized buffer. It implements io.Reader. A zero Reader is ready for
+// Reset.
 type Reader struct {
 	f       *File
 	off     int64
 	end     int64
 	buf     []byte
-	pos     int
-	filled  int
+	rest    []byte // the part of buf not yet read
 	blockSz int
+	rec     []byte // Next's assembly of a record that straddles two blocks
 }
 
 // NewReader returns a Reader over the whole file with the default block
@@ -30,7 +32,18 @@ func NewReader(f *File) *Reader {
 
 // NewRangeReader returns a Reader over file bytes [off, end).
 func NewRangeReader(f *File, off, end int64) *Reader {
-	return &Reader{f: f, off: off, end: end, blockSz: DefaultBlockSize}
+	r := new(Reader)
+	r.Reset(f, off, end)
+	return r
+}
+
+// Reset makes r a Reader over bytes [off, end) of f that keeps r's block
+// buffer and block size: one Reader can stream many files in turn.
+func (r *Reader) Reset(f *File, off, end int64) {
+	r.f, r.off, r.end, r.rest = f, off, end, nil
+	if r.blockSz == 0 {
+		r.blockSz = DefaultBlockSize
+	}
 }
 
 // SetBlockSize overrides the transfer unit; useful in tests exercising the
@@ -43,7 +56,7 @@ func (r *Reader) SetBlockSize(n int) {
 
 // Remaining returns the number of unread bytes, including buffered ones.
 func (r *Reader) Remaining() int64 {
-	return r.end - r.off + int64(r.filled-r.pos)
+	return r.end - r.off + int64(len(r.rest))
 }
 
 func (r *Reader) fill() error {
@@ -65,19 +78,19 @@ func (r *Reader) fill() error {
 		return io.EOF
 	}
 	r.off += int64(n)
-	r.pos, r.filled = 0, n
+	r.rest = r.buf[:n]
 	return nil
 }
 
 // Read implements io.Reader.
 func (r *Reader) Read(p []byte) (int, error) {
-	if r.pos == r.filled {
+	if len(r.rest) == 0 {
 		if err := r.fill(); err != nil {
 			return 0, err
 		}
 	}
-	n := copy(p, r.buf[r.pos:r.filled])
-	r.pos += n
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
 	return n, nil
 }
 
@@ -102,39 +115,124 @@ func (r *Reader) ReadFull(p []byte) error {
 	return nil
 }
 
+// Next returns the next n bytes of the stream as a view into the block
+// buffer, valid until the next call on r: ReadFull without the copy. It
+// issues the device reads ReadFull issues for the same bytes, when
+// ReadFull issues them; only a record that straddles two blocks is
+// assembled in a buffer of its own. The error is io.EOF at a record
+// boundary and io.ErrUnexpectedEOF inside a record.
+func (r *Reader) Next(n int) ([]byte, error) {
+	if n > len(r.rest) {
+		return r.nextRefill(n)
+	}
+	p := r.rest[:n]
+	r.rest = r.rest[n:]
+	return p, nil
+}
+
+// nextRefill is Next when the buffered bytes do not hold the record.
+func (r *Reader) nextRefill(n int) ([]byte, error) {
+	if len(r.rest) == 0 {
+		if err := r.fill(); err != nil {
+			return nil, err
+		}
+		if n <= len(r.rest) {
+			return r.Next(n)
+		}
+	}
+	if cap(r.rec) < n {
+		r.rec = make([]byte, n)
+	}
+	if err := r.ReadFull(r.rec[:n]); err != nil {
+		return nil, err
+	}
+	return r.rec[:n], nil
+}
+
 // Writer streams sequential appends to a file through a block-sized
 // buffer. It implements io.Writer; Flush or Close must be called to
-// persist the tail.
+// persist the tail. A zero Writer is ready for Reset.
 type Writer struct {
 	f   *File
 	off int64
+	// buf holds the bytes not yet written: at most a block of them
+	// between calls, and past that only between Next and Commit.
 	buf []byte
 }
+
+// writerSlack is the room a Writer's buffer has past a block, so that
+// Next can hand out a record that straddles two blocks in one piece.
+// A longer record grows the buffer.
+const writerSlack = 64
 
 // NewWriter returns a Writer appending at the end of f with the default
 // block size.
 func NewWriter(f *File) *Writer {
-	return &Writer{f: f, off: f.Size(), buf: make([]byte, 0, DefaultBlockSize)}
+	return NewWriterAt(f, f.Size())
 }
 
 // NewWriterAt returns a Writer writing sequentially starting at off.
 func NewWriterAt(f *File, off int64) *Writer {
-	return &Writer{f: f, off: off, buf: make([]byte, 0, DefaultBlockSize)}
+	w := new(Writer)
+	w.Reset(f, off)
+	return w
+}
+
+// Reset makes w a Writer at offset off of f that keeps w's block buffer,
+// dropping whatever it held unflushed.
+func (w *Writer) Reset(f *File, off int64) {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, DefaultBlockSize+writerSlack)
+	}
+	w.f, w.off, w.buf = f, off, w.buf[:0]
 }
 
 // Offset returns the file offset the next byte will land at.
 func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 
+// Next returns the next n bytes of the stream for the caller to fill
+// where they lie in the block buffer; Commit, which must follow before
+// any other call on w, makes them part of the stream. The pair is
+// Write(p) without building p elsewhere and copying it, and issues the
+// device writes Write issues, when Write issues them: Commit after the
+// record is filled is where Write's flush falls.
+func (w *Writer) Next(n int) []byte {
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:at+n]
+	return w.buf[at:]
+}
+
+// Commit ends the record Next handed out, writing out each block the
+// stream now extends past — as Write does, a block that is exactly full
+// waits for the next byte.
+func (w *Writer) Commit() error {
+	if len(w.buf) <= DefaultBlockSize {
+		return nil
+	}
+	return w.writeBlocks()
+}
+
+func (w *Writer) writeBlocks() error {
+	for len(w.buf) > DefaultBlockSize {
+		if _, err := w.f.WriteAt(w.buf[:DefaultBlockSize], w.off); err != nil {
+			return err
+		}
+		w.off += DefaultBlockSize
+		w.buf = w.buf[:copy(w.buf, w.buf[DefaultBlockSize:])]
+	}
+	return nil
+}
+
 // Write implements io.Writer.
 func (w *Writer) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
-		space := cap(w.buf) - len(w.buf)
+		space := DefaultBlockSize - len(w.buf)
 		if space == 0 {
 			if err := w.Flush(); err != nil {
 				return total, err
 			}
-			space = cap(w.buf)
+			space = DefaultBlockSize
 		}
 		n := len(p)
 		if n > space {
