@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race bench bench-json benchdiff pairs cover smoke fuzz-short run-report
+.PHONY: build test check fmt vet race inline-check bench bench-json benchdiff pairs cover smoke fuzz-short run-report
 
 build:
 	$(GO) build ./...
@@ -20,14 +20,21 @@ vet:
 race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/checkpoint/... ./internal/storage/... ./internal/bench/... ./internal/serve/...
 
+# inline-check asserts that the compiler inlines Apply into the bulk route
+# of every shipped program with an ApplyAll delegate (ci/inlinecheck.sh) —
+# run it after any edit to a program or to core.ApplyAll.
+inline-check:
+	ci/inlinecheck.sh
+
 bench:
-	$(GO) test -bench BenchmarkEngine -benchmem -run '^$$' ./internal/core/
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkSendAll' -benchmem -run '^$$' ./internal/core/
 
 # bench-json records the engine, codec and preprocessing benchmarks as a
 # JSON snapshot for the CI regression gate; benchdiff compares it to the
-# committed baseline (whose preprocessing rows gate allocs/op only).
+# committed baseline, whose engine and preprocessing rows gate allocs/op
+# only (nanoseconds on a shared box gate nothing: ROADMAP item 5(a)).
 bench-json:
-	{ $(GO) test -bench BenchmarkEngine -benchmem -run '^$$' ./internal/core/ ; \
+	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkSendAll' -benchmem -run '^$$' ./internal/core/ ; \
 	  $(GO) test -bench BenchmarkCodec -benchmem -run '^$$' ./internal/storage/ ; \
 	  $(GO) test -bench BenchmarkSort -benchmem -run '^$$' ./internal/extsort/ ; \
 	  $(GO) test -bench BenchmarkConvert -benchmem -run '^$$' ./internal/dos/ ; } \
@@ -99,4 +106,4 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupVarintDecode$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupVarintRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/storage/
 
-check: fmt vet race test
+check: fmt vet inline-check race test

@@ -38,6 +38,11 @@ func (bfsProgram) Apply(v *bfsVal, m uint32) {
 	}
 }
 
+// ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
+func (p bfsProgram) ApplyAll(vs []bfsVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	return core.ApplyAll(vs, lo, dsts, m, func(v *bfsVal, m uint32) { p.Apply(v, m) })
+}
+
 // BFS computes hop counts from source (in the graph's ID space) along
 // out-edges, running until quiescent. Unreached vertices report
 // Unreached.

@@ -38,6 +38,11 @@ func (ccProgram) Apply(v *ccVal, m uint32) {
 	}
 }
 
+// ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
+func (p ccProgram) ApplyAll(vs []ccVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	return core.ApplyAll(vs, lo, dsts, m, func(v *ccVal, m uint32) { p.Apply(v, m) })
+}
+
 // ConnectedComponents labels every vertex with the smallest vertex ID
 // that reaches it, running until quiescent. Symmetrize the graph first
 // for weakly-connected components.

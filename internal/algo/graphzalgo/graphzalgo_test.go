@@ -1,7 +1,9 @@
 package graphzalgo
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"graphz/internal/algo/plain"
@@ -410,5 +412,91 @@ func TestAblationLayoutsAgree(t *testing.T) {
 		if dosLevels[newID] != csrLevels[old] {
 			t.Fatalf("vertex old=%d: DOS level %d, CSR level %d", old, dosLevels[newID], csrLevels[old])
 		}
+	}
+}
+
+// checkDelegate holds one program's ApplyAll to its definition: over
+// seeded random resident ranges [lo, lo+n) — and none at all, dynamic
+// messages off — and destination lists mixing resident IDs with IDs below
+// lo and at and past lo+n, duplicates and the empty list, the states it
+// leaves are byte-equal to a copy on which Apply was called for each
+// resident destination in list order, and it returns that count.
+func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], state func(*rand.Rand) V, msg func(*rand.Rand) M) {
+	t.Helper()
+	bulk, ok := prog.(core.BulkApplier[V, M])
+	if !ok {
+		t.Fatalf("%T has no ApplyAll", prog)
+	}
+	encode := func(vs []V) []byte {
+		b := make([]byte, len(vs)*vc.Size())
+		for i, v := range vs {
+			vc.Encode(b[i*vc.Size():], v)
+		}
+		return b
+	}
+	rng := rand.New(rand.NewSource(90))
+	for c := 0; c < 300; c++ {
+		n, lo := rng.Intn(40), graph.VertexID(rng.Intn(100))
+		var got, want []V // nil when nothing is resident
+		if c%10 == 0 {
+			n, lo = 0, 0
+		}
+		for i := 0; i < n; i++ {
+			got = append(got, state(rng))
+		}
+		want = append(want, got...)
+		dsts := make([]graph.VertexID, rng.Intn(60))
+		if c%7 == 0 {
+			dsts = nil
+		}
+		for i := range dsts {
+			switch rng.Intn(4) {
+			case 0: // anywhere, mostly outside
+				dsts[i] = graph.VertexID(rng.Intn(200))
+			case 1: // the last resident ID and the first past it
+				dsts[i] = lo + graph.VertexID(n) - graph.VertexID(rng.Intn(2))
+			case 2: // a duplicate of an earlier destination
+				dsts[i] = dsts[rng.Intn(i+1)]
+			default:
+				dsts[i] = lo + graph.VertexID(rng.Intn(n+1))
+			}
+		}
+		m, applied := msg(rng), 0
+		for _, dst := range dsts {
+			if dst >= lo && int(dst-lo) < n {
+				prog.Apply(&want[dst-lo], m)
+				applied++
+			}
+		}
+		if k := bulk.ApplyAll(got, lo, dsts, m); k != applied {
+			t.Fatalf("%T.ApplyAll over [%d,%d) and %v returned %d, want %d", prog, lo, int(lo)+n, dsts, k, applied)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Fatalf("%T.ApplyAll over [%d,%d) and %v left %v, Apply in a loop leaves %v", prog, lo, int(lo)+n, dsts, got, want)
+		}
+	}
+}
+
+// TestApplyAllIsApplyInALoop covers every program that has the optional
+// bulk form; one that gains it joins by adding a row.
+func TestApplyAllIsApplyInALoop(t *testing.T) {
+	u32 := func(rng *rand.Rand) uint32 { return uint32(rng.Intn(50)) } // small: messages both below and above B
+	u32Pair := func(rng *rand.Rand) graph.U32Pair { return graph.U32Pair{A: u32(rng), B: u32(rng)} }
+	f32Pair := func(rng *rand.Rand) graph.F32Pair { return graph.F32Pair{A: rng.Float32(), B: rng.Float32()} }
+	for _, row := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"PageRank", func(t *testing.T) {
+			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, f32Pair, (*rand.Rand).Float32)
+		}},
+		{"BFS", func(t *testing.T) {
+			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, u32Pair, u32)
+		}},
+		{"CC", func(t *testing.T) {
+			checkDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, u32Pair, u32)
+		}},
+	} {
+		t.Run(row.name, row.check)
 	}
 }

@@ -36,6 +36,11 @@ func (prProgram) Apply(v *prVal, m float32) {
 	v.B += m
 }
 
+// ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
+func (p prProgram) ApplyAll(vs []prVal, lo graph.VertexID, dsts []graph.VertexID, m float32) int {
+	return core.ApplyAll(vs, lo, dsts, m, func(v *prVal, m float32) { p.Apply(v, m) })
+}
+
 // PageRank runs the given number of damped PageRank iterations and
 // returns the ranks by the graph's (degree-ordered) vertex ID. Ranks are
 // unnormalized: they sum to roughly the vertex count, as in the paper's

@@ -56,6 +56,49 @@ type Program[V, M any] interface {
 	Apply(v *V, m M)
 }
 
+// BulkApplier is the optional fourth method of a Program: Apply, in a loop
+// the compiler can inline it into. A program that scatters through
+// Context.SendAll may add it, and the only body to give it is the delegate
+//
+//	func (p prog) ApplyAll(verts []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
+//		return core.ApplyAll(verts, lo, dsts, m, func(v *V, m M) { p.Apply(v, m) })
+//	}
+//
+// — a closure literal that calls Apply and nothing else, so Apply keeps its
+// one definition. The method value form (core.ApplyAll(..., p.Apply))
+// compiles and runs correctly but is not inlined. New looks for the method
+// once; a program without it runs the same loop over its Apply through a
+// function value, one indirect call per message. The engine checks the
+// count an ApplyAll returns (ErrProgramContract).
+type BulkApplier[V, M any] interface {
+	ApplyAll(verts []V, lo graph.VertexID, dsts []graph.VertexID, m M) int
+}
+
+// ApplyAll applies m, in list order, to every vertex of dsts that is
+// resident — verts holds the states of vertices [lo, lo+len(verts)) — skips
+// the others, and returns how many it applied. One unsigned compare covers
+// both ends of the range. It is small enough to be inlined into a
+// BulkApplier delegate, and with it the closure literal and the Apply the
+// literal calls (ci/inlinecheck.sh asserts it).
+func ApplyAll[V, M any](verts []V, lo graph.VertexID, dsts []graph.VertexID, m M, apply func(*V, M)) int {
+	applied := 0
+	for _, dst := range dsts {
+		if i := uint64(dst - lo); i < uint64(len(verts)) {
+			apply(&verts[i], m)
+			applied++
+		}
+	}
+	return applied
+}
+
+// applyLoop is the BulkApplier of a program that has none of its own:
+// ApplyAll over its Apply, bound once.
+type applyLoop[V, M any] struct{ apply func(*V, M) }
+
+func (a applyLoop[V, M]) ApplyAll(verts []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
+	return ApplyAll(verts, lo, dsts, m, a.apply)
+}
+
 // Context is the per-update view of the runtime handed to Program.Update.
 type Context[M any] struct {
 	iteration int
@@ -73,11 +116,13 @@ func (c *Context[M]) Iteration() int { return c.iteration }
 func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
 
 // SendAll sends m to every vertex of dsts, in order: it is Send in a loop
-// — the same applies in the same sequence, the same counters — handed to
+// — every destination sees the same applies in the same sequence, the
+// device the same operations, the counters the same totals — handed to
 // the engine as one call per vertex instead of one per edge. Use it when
 // an update scatters one value over its adjacency (ctx.SendAll(adj, msg));
-// keep Send when the message differs from edge to edge. dsts is not
-// retained.
+// keep Send when the message differs from edge to edge. A program that
+// also has the BulkApplier delegate gets its Apply inlined into this
+// route: no call per message at all. dsts is not retained.
 func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) {
 	if c.sendAll != nil {
 		c.sendAll(dsts, m)
@@ -210,6 +255,14 @@ var ErrMemoryBudget = errors.New("core: memory budget exceeded")
 // 400), as opposed to runtime failures. Match with errors.Is.
 var ErrInvalidOptions = errors.New("core: invalid options")
 
+// ErrProgramContract reports a program that broke a rule the engine relies
+// on and can check: a BulkApplier whose ApplyAll returned a count other
+// than the number of resident destinations it was handed. The ledger
+// (inline + buffered == sent) would otherwise go quietly wrong, so the run
+// fails at the next partition boundary and returns no Result. Match with
+// errors.Is.
+var ErrProgramContract = errors.New("core: program contract violated")
+
 // ErrCancelled reports a run aborted because Options.Context was
 // cancelled. The returned error also matches the context's own error
 // (context.Canceled or context.DeadlineExceeded) via errors.Is.
@@ -272,6 +325,7 @@ type Result struct {
 type Engine[V, M any] struct {
 	layout Layout
 	prog   Program[V, M]
+	bulk   BulkApplier[V, M] // prog's own ApplyAll, or applyLoop over prog.Apply
 	vcodec graph.Codec[V]
 	mcodec graph.Codec[M]
 	opts   Options
@@ -292,7 +346,7 @@ type Engine[V, M any] struct {
 	msgBufs   [][]byte
 	active    bool
 	finished  bool
-	runErr    error    // first deferred error from message spilling
+	runErr    error    // first deferred error: a failed spill, a miscounting ApplyAll
 	c         counters // the ledger: every cumulative count, one writer each
 	published counters // c as of the last publish
 
@@ -358,6 +412,11 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		denseAt: defaultSelectiveDensity,
 	}
 	e.sendFn, e.sendAllFn = e.send, e.sendAll
+	if bulk, ok := any(prog).(BulkApplier[V, M]); ok {
+		e.bulk = bulk
+	} else {
+		e.bulk = applyLoop[V, M]{prog.Apply}
+	}
 	if opts.SharedAdjacency != nil && !opts.SharedAdjacency.matches(layout) {
 		return nil, fmt.Errorf("%w: shared adjacency belongs to %q (%d entries), layout reads %q (%d entries)",
 			ErrInvalidOptions, opts.SharedAdjacency.file, opts.SharedAdjacency.entries,
@@ -693,6 +752,9 @@ func (e *Engine[V, M]) ctxErr() error {
 // the original cause.
 func (e *Engine[V, M]) wrapRunErr() error {
 	dropped := e.c.spillErrs - 1
+	if errors.Is(e.runErr, ErrProgramContract) {
+		dropped++ // runErr is not itself a spill failure
+	}
 	if dropped <= 0 {
 		return e.runErr
 	}
@@ -864,38 +926,63 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 	}
 }
 
-// sendAll routes m to every vertex of dsts, in order, against the live
-// states. An inline destination gets the message applied immediately (an
-// ordered dynamic message), which also keeps it schedulable under
-// selective scheduling and tells the parallel Worker's committer; the
-// others are buffered, in list order. The loop does per message only what
-// differs per message: the residency test is one unsigned compare, which
-// covers both ends of the range, and the ledger takes the call's totals
-// once (nothing reads it in between: a spill counts spills, nothing else).
+// sendAll routes m to every vertex of dsts against the live states — send
+// in a loop, done as three passes over the list. The program's ApplyAll
+// applies m to the inline destinations (ordered dynamic messages); the
+// others, when there are any, are buffered; and when selective scheduling
+// or the parallel Worker's committer is listening, the inline ones are
+// marked schedulable and reported. Each pass keeps list order, and that
+// makes it the loop's execution: Apply sees only its own vertex, so what is
+// ordered is the applies each destination sees, the records each partition
+// buffers and the device operations they cause, all unchanged; the marks
+// are idempotent and nothing reads them before Update returns. The ledger
+// takes the call's totals once (nothing reads it in between: a spill counts
+// spills, nothing else).
+//
+// The engine learns how many messages were applied from the program, so the
+// count is checked against what the buffer pass found. A mismatch is
+// recorded the way a failed spill is — Send has no error return — and fails
+// the run at the next partition boundary (ErrProgramContract); the ledger
+// keeps the count that adds up. An ApplyAll that claims every destination is
+// taken at its word: with one partition there is nothing else to claim
+// (dos.Verify bounded every destination), and a second look would cost every
+// call a pass.
 func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
 	verts, lo := e.inlineTargets()
-	prog, sel, onInline := e.prog, e.sel, e.onInline
-	inline := int64(0)
-	for _, dst := range dsts {
-		i := uint64(dst - lo)
-		if i >= uint64(len(verts)) {
-			e.bufferMessage(dst, m)
-			continue
-		}
-		prog.Apply(&verts[i], m)
-		inline++
-		if sel != nil {
-			sel.set(dst)
-		}
-		if onInline != nil {
-			onInline(dst)
+	applied := e.bulk.ApplyAll(verts, lo, dsts, m)
+	buffered := 0
+	if applied < len(dsts) {
+		for _, dst := range dsts {
+			if uint64(dst-lo) >= uint64(len(verts)) {
+				e.bufferMessage(dst, m)
+				buffered++
+			}
 		}
 	}
-	n := int64(len(dsts))
-	e.c.Sent += n
-	e.c.Applied += inline
-	e.c.Inline += inline
-	e.c.Buffered += n - inline
+	if applied+buffered != len(dsts) {
+		if e.runErr == nil {
+			e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, %d are resident",
+				ErrProgramContract, applied, len(dsts), len(dsts)-buffered)
+		}
+		applied = len(dsts) - buffered
+	}
+	if sel, onInline := e.sel, e.onInline; applied > 0 && (sel != nil || onInline != nil) {
+		for _, dst := range dsts {
+			if uint64(dst-lo) >= uint64(len(verts)) {
+				continue
+			}
+			if sel != nil {
+				sel.set(dst)
+			}
+			if onInline != nil {
+				onInline(dst)
+			}
+		}
+	}
+	e.c.Sent += int64(len(dsts))
+	e.c.Applied += int64(applied)
+	e.c.Inline += int64(applied)
+	e.c.Buffered += int64(buffered)
 }
 
 // updateRuns is the Worker loop on live states: it updates the vertices

@@ -98,6 +98,40 @@ func BenchmarkEngineSelective(b *testing.B) {
 	}
 }
 
+// BenchmarkSendAll runs witnessLabel to convergence with every state
+// resident — each message goes through sendAll and is applied inline — by
+// the bulk route's two forms: the program's ApplyAll delegate, which inlines
+// Apply, and the engine's default loop over the bound Apply (the method
+// hidden). What it predicts is stream-pr's run_vs_plain; what CI gates of it
+// is the allocation count, which the route must not move.
+func BenchmarkSendAll(b *testing.B) {
+	g := benchGraph(b)
+	for _, route := range []struct {
+		name string
+		prog Program[witnessVal, uint32]
+	}{
+		{"delegate", witnessLabel{}},
+		{"default", noBulk[witnessVal, uint32]{witnessLabel{}}},
+	} {
+		b.Run(route.name, func(b *testing.B) {
+			opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true}
+			b.ReportAllocs()
+			b.SetBytes(4 * g.NumEdges)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng, err := New[witnessVal, uint32](DOSLayout(g), route.prog, witnessCodec{}, graph.Uint32Codec{}, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
+				eng.Cleanup()
+			}
+		})
+	}
+}
+
 // BenchmarkEngineSpill measures the buffer/spill/drain path on a
 // high-fan-in Zipf graph with a PageRank-style program that spills every
 // iteration (min-label converges and starves the path).

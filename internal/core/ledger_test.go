@@ -151,6 +151,17 @@ func (witnessLabel) Apply(v *witnessVal, m uint32) {
 	}
 }
 
+// ApplyAll is the BulkApplier delegate, so witnessLabel as written takes
+// the route that inlines Apply.
+func (p witnessLabel) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	return ApplyAll(vs, lo, dsts, m, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+}
+
+// noBulk runs a program with its ApplyAll, if it has one, hidden from New
+// (the embedded interface has Program's three methods and no more): the
+// engine's default bulk route, ApplyAll over the bound Apply.
+type noBulk[V, M any] struct{ Program[V, M] }
+
 // sendLoop runs a program with Context.SendAll degraded to its
 // definition, Send in a loop.
 type sendLoop[V, M any] struct{ Program[V, M] }
@@ -283,10 +294,13 @@ func checkModeledCompute(t *testing.T, eng *Engine[witnessVal, uint32], clock *s
 // report and the modeled clock's compute are all views of one ledger and
 // cannot disagree. With workers = 4 under -race it is also the proof that
 // the speculating goroutines never touch the ledger. And at every point
-// the same program with SendAll degraded to a Send loop — crashed and
-// resumed, where the point checkpoints — leaves the same state bytes, the
-// same Result and the same rows: the bulk route is a route, not a
-// semantics.
+// the same program by two other routes — its ApplyAll hidden, so that
+// SendAll applies through the engine's default loop, and SendAll degraded
+// to a Send loop; each crashed and resumed where the point checkpoints —
+// leaves the same state bytes, the same Result, the same rows, the same
+// checkpoint and the same device traffic file by file: the bulk route is a
+// route, not a semantics, and inlining Apply into it changes nothing but
+// the time.
 func TestLedgerViewsAgree(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 71)
 	// Self-loops and duplicate edges: the one place where the order of
@@ -357,8 +371,23 @@ func TestLedgerViewsAgree(t *testing.T) {
 				}
 				return encodeStates[witnessVal](witnessCodec{}, vals)
 			}
+			// The device's whole traffic, Convert's included, in total and
+			// file by file; concurrently reading chunks move only the seeks.
+			traffic := func(eng *Engine[witnessVal, uint32]) (storage.Stats, map[string]storage.Stats) {
+				total, files := eng.dev.Stats(), eng.dev.FileStats()
+				if workers > 1 {
+					total.Seeks = 0
+					for name, st := range files {
+						st.Seeks = 0
+						files[name] = st
+					}
+				}
+				return total, files
+			}
+			pool := pooledOutstanding()
 
-			// As written: SendAll, every view attached.
+			// As written: SendAll through the program's own ApplyAll, every
+			// view attached.
 			reg, tr, clock := obs.NewRegistry(), obs.NewCollectingTracer(nil), sim.NewClock()
 			opts := options(reg, t.TempDir())
 			opts.Trace, opts.Clock = tr, clock
@@ -366,10 +395,14 @@ func TestLedgerViewsAgree(t *testing.T) {
 			var snaps []counters
 			opts.Context = ledgerProbe{context.Background(), func() { snaps = append(snaps, eng.c) }}
 			eng = newEngine(g, witnessLabel{}, opts)
+			if _, own := eng.bulk.(witnessLabel); !own {
+				t.Fatalf("New bound %T, not the program's ApplyAll", eng.bulk)
+			}
 			res, err := eng.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantTotal, wantFiles := traffic(eng)
 			if (res.Partitions == 1) != (parts == 1) {
 				t.Fatalf("partitions = %d, want the %d-partition case", res.Partitions, parts)
 			}
@@ -389,56 +422,73 @@ func TestLedgerViewsAgree(t *testing.T) {
 			}
 			checkModeledCompute(t, eng, clock, snaps, res.Iterations)
 
-			// The same point through the Send loop. A checkpointing point
+			// The same point by the two other routes. A checkpointing point
 			// is killed after iteration 2 and finished by a second process.
 			const cut = 2
 			if res.Iterations <= cut {
 				t.Fatalf("the run took %d iterations; the resume needs more than %d", res.Iterations, cut)
 			}
-			loop := sendLoop[witnessVal, uint32]{witnessLabel{}}
-			loopReg, dir := obs.NewRegistry(), t.TempDir()
-			loopEng := newEngine(build(), loop, options(loopReg, dir))
-			loopRes, err := loopEng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ckpt {
-				// Every state byte, bit and pending message record — a
-				// manifest names each section's CRC — and every counter are
-				// already the same mid-run: inside one SendAll the order
-				// shows only in the order of the records it buffers.
-				if got, want := manifestAt(t, dir, cut), manifestAt(t, opts.Checkpoint.Dir, cut); !reflect.DeepEqual(got, want) {
-					t.Errorf("Send loop: checkpoint %d is %+v, SendAll: %+v", cut, got, want)
-				}
-				for it := cut + 1; it <= loopRes.Iterations; it++ {
-					os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
-				}
-				loopReg = obs.NewRegistry()
-				ropts := options(loopReg, dir)
-				ropts.Checkpoint.Resume = true
-				loopEng = newEngine(build(), loop, ropts)
-				if loopRes, err = loopEng.Run(); err != nil {
-					t.Fatal(err)
-				}
-			}
 			wantRes, wantRows := comparableRun(res, reg.Iters(), workers, ckpt)
-			gotRes, gotRows := comparableRun(loopRes, loopReg.Iters(), workers, ckpt)
 			if ckpt {
 				wantRows = wantRows[cut:]
 			}
-			if gotRes != wantRes {
-				t.Errorf("Send loop: result %+v, SendAll: %+v", gotRes, wantRes)
-			}
-			if len(gotRows) != len(wantRows) {
-				t.Fatalf("Send loop: %d rows, SendAll: %d", len(gotRows), len(wantRows))
-			}
-			for i := range wantRows {
-				if gotRows[i] != wantRows[i] {
-					t.Errorf("Send loop: row %+v, SendAll: %+v", gotRows[i], wantRows[i])
+			wantBytes := stateBytes(eng)
+			for _, route := range []struct {
+				name string
+				prog Program[witnessVal, uint32]
+			}{
+				{"default ApplyAll", noBulk[witnessVal, uint32]{witnessLabel{}}},
+				{"Send loop", sendLoop[witnessVal, uint32]{witnessLabel{}}},
+			} {
+				gotReg, dir := obs.NewRegistry(), t.TempDir()
+				gotEng := newEngine(build(), route.prog, options(gotReg, dir))
+				if _, own := gotEng.bulk.(applyLoop[witnessVal, uint32]); !own {
+					t.Fatalf("%s: New bound %T, not the default loop", route.name, gotEng.bulk)
+				}
+				gotRes, err := gotEng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if total, files := traffic(gotEng); total != wantTotal || !reflect.DeepEqual(files, wantFiles) {
+					t.Errorf("%s: device traffic %+v %+v, as written: %+v %+v", route.name, total, files, wantTotal, wantFiles)
+				}
+				if ckpt {
+					// Every state byte, bit and pending message record — a
+					// manifest names each section's CRC — and every counter are
+					// already the same mid-run: inside one SendAll the order
+					// shows only in the order of the records it buffers.
+					if got, want := manifestAt(t, dir, cut), manifestAt(t, opts.Checkpoint.Dir, cut); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: checkpoint %d is %+v, as written: %+v", route.name, cut, got, want)
+					}
+					for it := cut + 1; it <= gotRes.Iterations; it++ {
+						os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
+					}
+					gotReg = obs.NewRegistry()
+					ropts := options(gotReg, dir)
+					ropts.Checkpoint.Resume = true
+					gotEng = newEngine(build(), route.prog, ropts)
+					if gotRes, err = gotEng.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				gotRes, gotRows := comparableRun(gotRes, gotReg.Iters(), workers, ckpt)
+				if gotRes != wantRes {
+					t.Errorf("%s: result %+v, as written: %+v", route.name, gotRes, wantRes)
+				}
+				if len(gotRows) != len(wantRows) {
+					t.Fatalf("%s: %d rows, as written: %d", route.name, len(gotRows), len(wantRows))
+				}
+				for i := range wantRows {
+					if gotRows[i] != wantRows[i] {
+						t.Errorf("%s: row %+v, as written: %+v", route.name, gotRows[i], wantRows[i])
+					}
+				}
+				if !bytes.Equal(stateBytes(gotEng), wantBytes) {
+					t.Errorf("%s leaves different vertex state bytes", route.name)
 				}
 			}
-			if !bytes.Equal(stateBytes(loopEng), stateBytes(eng)) {
-				t.Error("Send loop and SendAll leave different vertex state bytes")
+			if got := pooledOutstanding(); got != pool {
+				t.Errorf("%d pooled buffers outstanding after the three runs, %d before", got, pool)
 			}
 		})
 	}

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"graphz/internal/checkpoint"
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
@@ -571,5 +573,107 @@ func TestStateRoundAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := int64(after.TotalAlloc-before.TotalAlloc) / rounds; per >= 1<<10 {
 		t.Errorf("a load+store round of a %d-byte partition allocates %d bytes, want < 1 KiB", partition, per)
+	}
+}
+
+// TestApplyAll: ApplyAll is Apply in a loop over the resident destinations
+// and returns their count — over seeded random resident ranges [lo, lo+n),
+// and none at all (inlineTargets with dynamic messages off), and destination
+// lists mixing resident IDs with IDs below lo and at and past lo+n,
+// duplicates, and the empty list. One call carries one message, so within it
+// the order of two applies to one vertex cannot show; an apply dropped,
+// doubled or landed on the wrong vertex does — mixProg's hash moves with
+// every one.
+func TestApplyAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	for c := 0; c < 200; c++ {
+		n, lo := rng.Intn(40), graph.VertexID(rng.Intn(100))
+		if c%10 == 0 {
+			n, lo = 0, 0
+		}
+		var got, want []mixVal // nil when nothing is resident
+		for i := 0; i < n; i++ {
+			got = append(got, mixVal{h: rng.Uint32()})
+		}
+		want = append(want, got...)
+		dsts := make([]graph.VertexID, rng.Intn(60))
+		if c%7 == 0 {
+			dsts = nil
+		}
+		for i := range dsts {
+			switch rng.Intn(4) {
+			case 0: // anywhere, mostly outside
+				dsts[i] = graph.VertexID(rng.Intn(200))
+			case 1: // the last resident ID and the first past it
+				dsts[i] = lo + graph.VertexID(n) - graph.VertexID(rng.Intn(2))
+			case 2: // a duplicate of an earlier destination
+				dsts[i] = dsts[rng.Intn(i+1)]
+			default:
+				dsts[i] = lo + graph.VertexID(rng.Intn(n+1))
+			}
+		}
+		m, applied := rng.Uint32(), 0
+		for _, dst := range dsts {
+			if dst >= lo && int(dst-lo) < n {
+				mixProg{}.Apply(&want[dst-lo], m)
+				applied++
+			}
+		}
+		if k := ApplyAll(got, lo, dsts, m, mixProg{}.Apply); k != applied {
+			t.Fatalf("ApplyAll over [%d,%d) and %v returned %d, want %d", lo, int(lo)+n, dsts, k, applied)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ApplyAll over [%d,%d) and %v left %v, Apply in a loop leaves %v", lo, int(lo)+n, dsts, got, want)
+		}
+	}
+}
+
+// miscount is witnessLabel with a hand-written ApplyAll that applies
+// every resident destination and reports off more.
+type miscount struct {
+	witnessLabel
+	off int
+}
+
+func (p miscount) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	if n := p.witnessLabel.ApplyAll(vs, lo, dsts, m); n > 0 {
+		return n + p.off
+	}
+	return 0
+}
+
+// TestApplyAllMiscountFailsRun: the engine learns how many messages were
+// applied from the program, so a program that miscounts gets a typed error
+// and no Result — not a ledger in which inline + buffered != sent. The
+// ledger the aborted run publishes still adds up: it holds what the buffer
+// pass found, not what the program said.
+func TestApplyAllMiscountFailsRun(t *testing.T) {
+	g := buildDOS(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 82))
+	for _, parts := range []int64{1, 4} {
+		for _, off := range []int{-1, 1} {
+			t.Run(fmt.Sprintf("parts=%d/off=%+d", parts, off), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, MsgBufferBytes: 64, Obs: reg}
+				if parts > 1 {
+					opts.MemoryBudget = budgetForPartitions(g, 12, parts, 64)
+				}
+				eng, err := New[witnessVal, uint32](DOSLayout(g), miscount{off: off}, witnessCodec{}, graph.Uint32Codec{}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Run()
+				if !errors.Is(err, ErrProgramContract) {
+					t.Fatalf("err = %v, want ErrProgramContract", err)
+				}
+				if res != (Result{}) {
+					t.Errorf("a failed run returned %+v", res)
+				}
+				if first := int64(eng.partStarts[1]); eng.NumPartitions() != int(parts) || eng.c.Updates != first {
+					t.Errorf("%d partitions, %d updates: want %d and the run stopped after the first's %d",
+						eng.NumPartitions(), eng.c.Updates, parts, first)
+				}
+				checkLedgerViews(t, eng, reg, checkpoint.Counters{})
+			})
+		}
 	}
 }
