@@ -32,7 +32,7 @@ bench:
 # bench-json records the engine, codec and preprocessing benchmarks as a
 # JSON snapshot for the CI regression gate; benchdiff compares it to the
 # committed baseline, whose engine and preprocessing rows gate allocs/op
-# only (nanoseconds on a shared box gate nothing: ROADMAP item 5(a)).
+# only (nanoseconds on a shared box gate nothing: ROADMAP item 6(a)).
 bench-json:
 	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkSendAll' -benchmem -run '^$$' ./internal/core/ ; \
 	  $(GO) test -bench BenchmarkCodec -benchmem -run '^$$' ./internal/storage/ ; \

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	graphz-convert -in graph.bin -prefix graph.dos [-device ssd] [-budget 8388608] [-codec varint]
+//	graphz-convert -in graph.bin -prefix graph.dos [-device ssd] [-budget 8388608] [-codec raw|varint|groupvarint]
 package main
 
 import (

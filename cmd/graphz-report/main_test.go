@@ -21,7 +21,7 @@ func sampleReport() *obs.RunReport {
 		Algo:        "pagerank",
 		Device:      "null",
 		BudgetBytes: 64 << 20,
-		Config:      map[string]string{"workers": "4", "input": "rmat16"},
+		Config:      map[string]string{"selective": "true", "input": "rmat16"},
 		Counters: map[string]int64{
 			"graphz_messages_inline_total":     900,
 			"graphz_messages_buffered_total":   100,
@@ -62,7 +62,7 @@ func TestShowRendersAllSections(t *testing.T) {
 	for _, w := range []string{
 		"engine=graphz algo=pagerank device=null budget=64.00 MiB",
 		"input=rmat16",
-		"workers=4",
+		"selective=true",
 		"stages (10ms total):",
 		"sio", "80.0%", // 8ms of 10ms
 		"busiest sio partitions: p1=5ms p0=3ms",

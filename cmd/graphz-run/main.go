@@ -62,7 +62,6 @@ func main() {
 		dosPfx  = flag.String("dos", "", "prefix of pre-converted DOS files from graphz-convert (graphz engine only; skips conversion)")
 		iters   = flag.Int("iters", 10, "iterations for pr/bp/rw")
 		source  = flag.Int("source", -1, "bfs/sssp source (original ID; default: max-degree vertex)")
-		workers = flag.Int("workers", 1, "graphz: Worker-stage goroutines (deterministic chunked speculation; 1 = sequential)")
 		cache   = flag.Bool("cache-adjacency", false, "graphz: keep adjacency resident when it fits the budget")
 		sel     = flag.Bool("selective", false, "graphz: skip adjacency blocks with no active vertex and no pending message (selective block scheduling; see DESIGN.md §9)")
 		top     = flag.Int("top", 5, "print the top-N result vertices")
@@ -196,7 +195,7 @@ func main() {
 				}
 			}
 		}
-		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *cache, *sel, *workers, ck)
+		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *cache, *sel, ck)
 	case "graphchi":
 		iterations, values, err = runGraphChi(dev, clock, reg, tracer, *algo, *budget, *iters, src)
 	case "xstream":
@@ -238,7 +237,6 @@ func main() {
 			BudgetBytes: *budget,
 			Config: map[string]string{
 				"input":     inputName,
-				"workers":   fmt.Sprint(*workers),
 				"selective": fmt.Sprint(*sel),
 			},
 		}, reg, tracer, core.DeviceFileIO(dev))
@@ -309,7 +307,7 @@ func importDOS(dev *storage.Device, prefix string) error {
 
 // runGraphZ preprocesses to DOS (or loads a pre-converted graph) and runs
 // the algorithm, returning values keyed by original IDs.
-func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, cacheAdj, selective bool, workers int, ck core.CheckpointOptions) (int, map[graph.VertexID]float64, error) {
+func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, cacheAdj, selective bool, ck core.CheckpointOptions) (int, map[graph.VertexID]float64, error) {
 	var g *dos.Graph
 	var err error
 	if preconverted {
@@ -330,7 +328,7 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	}
 	opts := core.Options{
 		Context: ctx, MemoryBudget: budget, Clock: clock, DynamicMessages: true, MaxIterations: 200,
-		CacheAdjacency: cacheAdj, WorkerParallelism: workers, SelectiveScheduling: selective,
+		CacheAdjacency: cacheAdj, SelectiveScheduling: selective,
 		Obs: reg, Trace: tracer, Checkpoint: ck,
 	}
 	if ck.Dir != "" {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	graphz-serve -addr :8090 -gen social=rmat,scale=12,edges=40000,seed=7
-//	graphz-serve -in web=crawl.bin -codec varint -budget 268435456
+//	graphz-serve -in web=crawl.bin -codec groupvarint -budget 268435456
 //	graphz-serve -graph road=./road-dos -addr 127.0.0.1:0
 //
 // Then:
@@ -52,7 +52,7 @@ func main() {
 		jobB   = flag.Int64("job-budget", 0, "default per-job engine budget when a submission omits one (default budget/8)")
 		queue  = flag.Int("queue", 16, "admission queue limit")
 		device = flag.String("device", "ssd", "simulated device for the resident graphs: hdd or ssd")
-		codec  = flag.String("codec", "varint", "adjacency block codec for converted graphs: raw, varint, or v1 for fixed entries")
+		codec  = flag.String("codec", "groupvarint", "adjacency block codec for converted graphs: "+strings.Join(storage.CodecNames(), ", ")+", or v1 for fixed entries")
 		drain  = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain window on SIGINT/SIGTERM")
 	)
 	flag.Var(&genSpecs, "gen", "generated graph, repeatable: name=kind[,scale=N][,vertices=N][,edges=N][,s=F][,seed=N] with kind rmat, zipf, er, or grid")

@@ -119,11 +119,14 @@ func TestCommandLineTools(t *testing.T) {
 		t.Errorf("-dos run output missing results: %s", out)
 	}
 
-	// The retired -sem flag is a usage error (exit 2), not silently ignored:
-	// residency follows from -budget alone.
-	var exit *exec.ExitError
-	if _, err := exec.Command(run, "-in", graphFile, "-sem", "off").CombinedOutput(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Errorf("graphz-run -sem off: %v, want exit status 2", err)
+	// Retired flags are usage errors (exit 2), not silently ignored:
+	// residency follows from -budget alone, and there is one Worker.
+	for _, retired := range [][]string{{"-sem", "off"}, {"-workers", "2"}} {
+		var exit *exec.ExitError
+		args := append([]string{"-in", graphFile}, retired...)
+		if _, err := exec.Command(run, args...).CombinedOutput(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("graphz-run %v: %v, want exit status 2", retired, err)
+		}
 	}
 
 	// Unknown engine errors out.

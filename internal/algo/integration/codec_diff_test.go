@@ -22,9 +22,8 @@ import (
 // and one converted with CodecVarint share the vertex relabeling, the
 // adjacency order, and the partitioning (their resident block tables are
 // the same size), so every run over them must produce byte-identical
-// vertex states AND identical message-routing counters — sequentially,
-// with parallel workers, under selective scheduling, and across a
-// checkpoint/resume cycle. The v1 format keeps a different adjacency
+// vertex states AND identical message-routing counters — with and without
+// selective scheduling, and across a checkpoint/resume cycle. The v1 format keeps a different adjacency
 // order, so against it only the converged states are comparable.
 
 // convertCodec prepares one graph under the given adjacency codec (nil
@@ -128,7 +127,6 @@ func TestCodecDifferential(t *testing.T) {
 		mod  func(o core.Options) core.Options
 	}{
 		{"sequential", func(o core.Options) core.Options { return o }},
-		{"workers4", func(o core.Options) core.Options { o.WorkerParallelism = 4; return o }},
 		{"selective", func(o core.Options) core.Options { o.SelectiveScheduling = true; return o }},
 	}
 	graphs := []struct {
@@ -343,8 +341,8 @@ func TestCodecCompressionAcceptance(t *testing.T) {
 }
 
 // TestGroupVarintDifferentialMatrix pins the new fast codec against raw
-// across the full engine-mode cross: {sequential, workers=4} ×
-// {selective scheduling on/off} × {fitting, tight budget}. Every cell must produce
+// across the engine-mode cross: {selective scheduling on/off} ×
+// {fitting, tight budget}. Every cell must produce
 // byte-identical states and identical routing counters — the codec (and
 // the batch Worker dispatch riding on its decode path) is invisible to
 // every engine mode combination.
@@ -352,41 +350,38 @@ func TestGroupVarintDifferentialMatrix(t *testing.T) {
 	edges := symmetrize(gen.Zipf(3000, 16000, 0.9, 83))
 	graw := convertCodec(t, edges, storage.CodecRaw)
 	ggv := convertCodec(t, edges, storage.CodecGroupVarint)
-	for _, workers := range []int{1, 4} {
-		for _, selective := range []bool{false, true} {
-			for _, sem := range []bool{false, true} {
-				name := fmt.Sprintf("workers%d/selective=%v/sem=%v", workers, selective, sem)
-				optsFor := func(g *dos.Graph) core.Options {
-					var o core.Options
-					if sem {
-						// A fitting budget pins all states resident: one
-						// partition, every apply inline.
-						o = core.Options{MemoryBudget: 64 << 20, DynamicMessages: true}
-					} else {
-						o = tightCodecOpts(g, 8)
-					}
-					o.WorkerParallelism = workers
-					o.SelectiveScheduling = selective
-					return o
+	for _, selective := range []bool{false, true} {
+		for _, sem := range []bool{false, true} {
+			name := fmt.Sprintf("selective=%v/sem=%v", selective, sem)
+			optsFor := func(g *dos.Graph) core.Options {
+				var o core.Options
+				if sem {
+					// A fitting budget pins all states resident: one
+					// partition, every apply inline.
+					o = core.Options{MemoryBudget: 64 << 20, DynamicMessages: true}
+				} else {
+					o = tightCodecOpts(g, 8)
 				}
-				resR, labelsR, err := graphzalgo.ConnectedComponents(graw, optsFor(graw))
-				if err != nil {
-					t.Fatalf("%s raw: %v", name, err)
-				}
-				resG, labelsG, err := graphzalgo.ConnectedComponents(ggv, optsFor(ggv))
-				if err != nil {
-					t.Fatalf("%s groupvarint: %v", name, err)
-				}
-				sameBits(t, name+" raw-vs-groupvarint", bits32(labelsG), bits32(labelsR))
-				if countersOf(resG) != countersOf(resR) {
-					t.Fatalf("%s: groupvarint counters %+v, raw %+v", name, countersOf(resG), countersOf(resR))
-				}
-				if sem && !resG.SemiExternal {
-					t.Fatalf("%s: run was not semi-external", name)
-				}
-				if !sem && resR.Partitions < 2 {
-					t.Errorf("%s: %d partitions, want several (budget too loose to test spills)", name, resR.Partitions)
-				}
+				o.SelectiveScheduling = selective
+				return o
+			}
+			resR, labelsR, err := graphzalgo.ConnectedComponents(graw, optsFor(graw))
+			if err != nil {
+				t.Fatalf("%s raw: %v", name, err)
+			}
+			resG, labelsG, err := graphzalgo.ConnectedComponents(ggv, optsFor(ggv))
+			if err != nil {
+				t.Fatalf("%s groupvarint: %v", name, err)
+			}
+			sameBits(t, name+" raw-vs-groupvarint", bits32(labelsG), bits32(labelsR))
+			if countersOf(resG) != countersOf(resR) {
+				t.Fatalf("%s: groupvarint counters %+v, raw %+v", name, countersOf(resG), countersOf(resR))
+			}
+			if sem && !resG.SemiExternal {
+				t.Fatalf("%s: run was not semi-external", name)
+			}
+			if !sem && resR.Partitions < 2 {
+				t.Errorf("%s: %d partitions, want several (budget too loose to test spills)", name, resR.Partitions)
 			}
 		}
 	}

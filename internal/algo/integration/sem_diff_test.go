@@ -20,7 +20,7 @@ import (
 // invisible to the algorithm. Against the spilling multi-partition
 // baseline — the same run under a budget that fits an eighth of the
 // states — the converged fixpoints (CC, SSSP) must match bit-for-bit for
-// every algorithm, adjacency codec, and worker count; PageRank's
+// every algorithm and adjacency codec; PageRank's
 // fixed-iteration ranks agree approximately, exactly as they do between
 // any two partition counts (a cross-partition message waits an iteration,
 // an inline one does not). The raw and varint codecs must stay
@@ -64,13 +64,6 @@ func TestSemDifferential(t *testing.T) {
 			return res, bitsF32(ranks), err
 		}},
 	}
-	configs := []struct {
-		name string
-		mod  func(o core.Options) core.Options
-	}{
-		{"sequential", func(o core.Options) core.Options { return o }},
-		{"workers4", func(o core.Options) core.Options { o.WorkerParallelism = 4; return o }},
-	}
 	codecs := []struct {
 		name  string
 		codec storage.Codec
@@ -78,52 +71,49 @@ func TestSemDifferential(t *testing.T) {
 
 	edges := symmetrize(gen.Zipf(3000, 16000, 0.9, 81))
 	for _, a := range algos {
-		for _, cfg := range configs {
-			// One fitting-budget outcome per codec, to cross-check raw vs varint.
-			semStates := map[string][]uint64{}
-			semCounters := map[string]codecCounters{}
-			for _, c := range codecs {
-				name := a.name + "/" + cfg.name + "/" + c.name
-				g := convertCodec(t, edges, c.codec)
+		// One fitting-budget outcome per codec, to cross-check raw vs varint.
+		semStates := map[string][]uint64{}
+		semCounters := map[string]codecCounters{}
+		for _, c := range codecs {
+			name := a.name + "/" + c.name
+			g := convertCodec(t, edges, c.codec)
 
-				semRes, semSt, err := a.run(g, cfg.mod(semRunOpts()))
-				if err != nil {
-					t.Fatalf("%s sem: %v", name, err)
-				}
-				checkSemShape(t, name, semRes)
-				semStates[c.name], semCounters[c.name] = semSt, countersOf(semRes)
+			semRes, semSt, err := a.run(g, semRunOpts())
+			if err != nil {
+				t.Fatalf("%s sem: %v", name, err)
+			}
+			checkSemShape(t, name, semRes)
+			semStates[c.name], semCounters[c.name] = semSt, countersOf(semRes)
 
-				// Fixpoint identity vs the spilling multi-partition run.
-				gMulti := convertCodec(t, edges, c.codec)
-				multiRes, multiSt, err := a.run(gMulti, cfg.mod(tightCodecOpts(gMulti, 8)))
-				if err != nil {
-					t.Fatalf("%s multi-partition: %v", name, err)
+			// Fixpoint identity vs the spilling multi-partition run.
+			gMulti := convertCodec(t, edges, c.codec)
+			multiRes, multiSt, err := a.run(gMulti, tightCodecOpts(gMulti, 8))
+			if err != nil {
+				t.Fatalf("%s multi-partition: %v", name, err)
+			}
+			if multiRes.Partitions < 2 {
+				t.Fatalf("%s: baseline has %d partitions, want several", name, multiRes.Partitions)
+			}
+			if a.exact {
+				if multiRes.MessagesSpilled == 0 {
+					t.Errorf("%s: baseline never spilled — differential proves little", name)
 				}
-				if multiRes.Partitions < 2 {
-					t.Fatalf("%s: baseline has %d partitions, want several", name, multiRes.Partitions)
-				}
-				if a.exact {
-					if multiRes.MessagesSpilled == 0 {
-						t.Errorf("%s: baseline never spilled — differential proves little", name)
-					}
-					sameBits(t, name+" sem-vs-multi-partition", semSt, multiSt)
-				} else {
-					for i := range multiSt {
-						vm := float64(math.Float32frombits(uint32(multiSt[i])))
-						vs := float64(math.Float32frombits(uint32(semSt[i])))
-						if math.Abs(vm-vs) > 1e-3*(1+math.Abs(vm)) {
-							t.Fatalf("%s: state[%d] = %v, multi-partition has %v", name, i, vs, vm)
-						}
+				sameBits(t, name+" sem-vs-multi-partition", semSt, multiSt)
+			} else {
+				for i := range multiSt {
+					vm := float64(math.Float32frombits(uint32(multiSt[i])))
+					vs := float64(math.Float32frombits(uint32(semSt[i])))
+					if math.Abs(vm-vs) > 1e-3*(1+math.Abs(vm)) {
+						t.Fatalf("%s: state[%d] = %v, multi-partition has %v", name, i, vs, vm)
 					}
 				}
 			}
-			// The codec must stay invisible on one partition too.
-			for _, other := range []string{"varint", "groupvarint"} {
-				sameBits(t, a.name+"/"+cfg.name+" sem raw-vs-"+other, semStates[other], semStates["raw"])
-				if semCounters[other] != semCounters["raw"] {
-					t.Fatalf("%s/%s: sem %s counters %+v, raw %+v",
-						a.name, cfg.name, other, semCounters[other], semCounters["raw"])
-				}
+		}
+		// The codec must stay invisible on one partition too.
+		for _, other := range []string{"varint", "groupvarint"} {
+			sameBits(t, a.name+" sem raw-vs-"+other, semStates[other], semStates["raw"])
+			if semCounters[other] != semCounters["raw"] {
+				t.Fatalf("%s: sem %s counters %+v, raw %+v", a.name, other, semCounters[other], semCounters["raw"])
 			}
 		}
 	}

@@ -66,11 +66,6 @@ type RunConfig struct {
 	Engine Engine
 	Kind   storage.Kind
 	Budget int64
-	// Workers sets the GraphZ engines' Worker-stage parallelism
-	// (core.Options.WorkerParallelism); 0 or 1 keeps the sequential
-	// Worker. Results are bit-identical across settings, so it is a
-	// pure performance knob — and part of the memo key.
-	Workers int
 	// CheckpointEvery enables GraphZ iteration-boundary checkpointing
 	// to a throwaway host directory every N iterations (0 disables).
 	// Results are identical with or without it — checkpoints only read
@@ -266,7 +261,6 @@ func runLocked(cfg RunConfig) Outcome {
 		BudgetBytes: cfg.Budget,
 		Config: map[string]string{
 			"scale":     cfg.Scale.Name,
-			"workers":   fmt.Sprint(cfg.Workers),
 			"selective": fmt.Sprint(cfg.Selective),
 			"codec":     cfg.Codec,
 		},
@@ -297,7 +291,6 @@ func runGraphZ(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Re
 		MemoryBudget:        cfg.Budget,
 		Clock:               clock,
 		DynamicMessages:     cfg.Engine != GraphZNoDOSNoDM,
-		WorkerParallelism:   cfg.Workers,
 		SelectiveScheduling: cfg.Selective,
 		Obs:                 reg,
 		Trace:               tr,

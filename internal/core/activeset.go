@@ -30,13 +30,9 @@ import (
 // a partition streams fully instead of scheduling blocks.
 const defaultSelectiveDensity = 0.25
 
-// activeSet is a dense bitmap over vertex IDs [base, base+n) with a
-// maintained population count. The engine's global set uses base 0; the
-// parallel Worker's speculative chunks use private overlays based at
-// their chunk start.
+// activeSet is a dense bitmap over vertex IDs [0, n) with a maintained
+// population count.
 type activeSet struct {
-	base  graph.VertexID
-	n     int
 	words []uint64
 	count int64
 }
@@ -45,29 +41,24 @@ type activeSet struct {
 // schedulable until its first update runs (iteration 0 is the Init
 // pass, which must visit everyone).
 func newActiveSet(n int) *activeSet {
-	s := newEmptyActiveSet(0, n)
-	s.fillAll()
-	return s
-}
-
-// fillAll sets every bit in [base, base+n).
-func (s *activeSet) fillAll() {
+	s := newEmptyActiveSet(n)
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
 	}
-	if tail := uint(s.n % 64); tail != 0 && len(s.words) > 0 {
+	if tail := uint(n % 64); tail != 0 {
 		s.words[len(s.words)-1] = (uint64(1) << tail) - 1
 	}
-	s.count = int64(s.n)
+	s.count = int64(n)
+	return s
 }
 
-// newEmptyActiveSet returns an all-zeros set over [base, base+n).
-func newEmptyActiveSet(base graph.VertexID, n int) *activeSet {
-	return &activeSet{base: base, n: n, words: make([]uint64, (n+63)/64)}
+// newEmptyActiveSet returns an all-zeros set over [0, n).
+func newEmptyActiveSet(n int) *activeSet {
+	return &activeSet{words: make([]uint64, (n+63)/64)}
 }
 
 func (s *activeSet) set(v graph.VertexID) {
-	i := int(v - s.base)
+	i := int(v)
 	w, b := i/64, uint(i%64)
 	if s.words[w]&(1<<b) == 0 {
 		s.words[w] |= 1 << b
@@ -76,7 +67,7 @@ func (s *activeSet) set(v graph.VertexID) {
 }
 
 func (s *activeSet) clear(v graph.VertexID) {
-	i := int(v - s.base)
+	i := int(v)
 	w, b := i/64, uint(i%64)
 	if s.words[w]&(1<<b) != 0 {
 		s.words[w] &^= 1 << b
@@ -85,7 +76,7 @@ func (s *activeSet) clear(v graph.VertexID) {
 }
 
 func (s *activeSet) get(v graph.VertexID) bool {
-	i := int(v - s.base)
+	i := int(v)
 	return s.words[i/64]&(1<<uint(i%64)) != 0
 }
 
@@ -127,7 +118,7 @@ func rangeMask(w, i, j int) uint64 {
 // eachWord visits the set's words masked to [lo, hi), stopping early
 // when fn returns false.
 func (s *activeSet) eachWord(lo, hi graph.VertexID, fn func(w uint64) bool) {
-	i, j := int(lo-s.base), int(hi-s.base)
+	i, j := int(lo), int(hi)
 	if i >= j {
 		return
 	}
@@ -142,7 +133,7 @@ func (s *activeSet) eachWord(lo, hi graph.VertexID, fn func(w uint64) bool) {
 // when there is none. It reads the live words, so a caller that sets bits
 // ahead of v between calls finds them.
 func (s *activeSet) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
-	i, j := int(v-s.base), int(hi-s.base)
+	i, j := int(v), int(hi)
 	if i >= j {
 		return hi
 	}
@@ -160,50 +151,13 @@ func (s *activeSet) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
 		word = s.words[w] ^ flip
 	}
 	if p := w*64 + bits.TrailingZeros64(word); p < j {
-		return s.base + graph.VertexID(p)
+		return graph.VertexID(p)
 	}
 	return hi
 }
 
 // nextSet returns the smallest set bit in [v, hi), or hi.
 func (s *activeSet) nextSet(v, hi graph.VertexID) graph.VertexID { return s.nextBit(v, hi, true) }
-
-// bitsAt returns the 64 bits starting at bit index p of the set, which
-// may begin before the first word or run past the last; bits outside the
-// set read as zero.
-func (s *activeSet) bitsAt(p int) uint64 {
-	word := func(w int) uint64 {
-		if w < 0 || w >= len(s.words) {
-			return 0
-		}
-		return s.words[w]
-	}
-	w, r := p>>6, uint(p&63) // floor division: p may be negative
-	if r == 0 {
-		return word(w)
-	}
-	return word(w)>>r | word(w+1)<<(64-r)
-}
-
-// copyFrom overwrites dst bits [lo, hi) with src's — the commit step
-// that installs a speculative chunk's private overlay into the global
-// set, exactly as the sequential clear-on-update/set-on-apply sequence
-// would have left them. It moves whole masked words (src's base need not
-// be word-aligned with dst's) and settles count by popcount.
-func (s *activeSet) copyFrom(src *activeSet, lo, hi graph.VertexID) {
-	i, j := int(lo-s.base), int(hi-s.base)
-	if i >= j {
-		return
-	}
-	shift := int(s.base) - int(src.base) // dst bit p is src bit p+shift
-	for w := i / 64; w <= (j-1)/64; w++ {
-		mask := rangeMask(w, i, j)
-		old := s.words[w]
-		word := old&^mask | src.bitsAt(w*64+shift)&mask
-		s.words[w] = word
-		s.count += int64(bits.OnesCount64(word)) - int64(bits.OnesCount64(old))
-	}
-}
 
 // marshal serializes the bitmap words little-endian for checkpointing.
 func (s *activeSet) marshal() []byte {
@@ -219,7 +173,7 @@ func (s *activeSet) marshal() []byte {
 // unmarshalActiveSet restores a checkpointed bitmap over [0, n),
 // recomputing the population count.
 func unmarshalActiveSet(data []byte, n int) (*activeSet, error) {
-	s := newEmptyActiveSet(0, n)
+	s := newEmptyActiveSet(n)
 	if len(data) != len(s.words)*8 {
 		return nil, fmt.Errorf("core: active-set section is %d bytes, %d vertices need %d", len(data), n, len(s.words)*8)
 	}

@@ -17,7 +17,7 @@ import (
 // the BFS-tail IO-reduction claim the feature exists for.
 
 func TestActiveSetPrimitives(t *testing.T) {
-	s := newEmptyActiveSet(0, 200)
+	s := newEmptyActiveSet(200)
 	if s.count != 0 || s.anyInRange(0, 200) {
 		t.Fatal("empty set reports activity")
 	}
@@ -58,58 +58,10 @@ func TestActiveSetPrimitives(t *testing.T) {
 	if full.count != 70 || full.countRange(0, 70) != 70 {
 		t.Errorf("all-ones set count = %d / range %d, want 70", full.count, full.countRange(0, 70))
 	}
-
-	// An overlay based off zero behaves like the parallel Worker's
-	// chunk-private sets.
-	ov := newEmptyActiveSet(100, 20)
-	ov.set(105)
-	ov.set(119)
-	if ov.count != 2 || !ov.get(105) || ov.get(100) {
-		t.Error("based overlay misaddresses bits")
-	}
-	dst := newActiveSet(200)
-	dst.copyFrom(ov, 100, 120)
-	if dst.countRange(100, 120) != 2 || !dst.get(119) || dst.get(110) {
-		t.Error("copyFrom did not install the overlay bits")
-	}
-	if dst.countRange(0, 100) != 100 || dst.countRange(120, 200) != 80 {
-		t.Error("copyFrom touched bits outside [lo, hi)")
-	}
-
-	// copyFrom moves words; bit by bit is what it must equal, whatever the
-	// two bases' alignment and wherever the range starts and ends.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(300)
-		lo := graph.VertexID(rng.Intn(n))
-		hi := lo + graph.VertexID(rng.Intn(n-int(lo)+1))
-		src := newEmptyActiveSet(lo, int(hi-lo))
-		got, want := newEmptyActiveSet(0, n), newEmptyActiveSet(0, n)
-		for v := graph.VertexID(0); int(v) < n; v++ {
-			if rng.Intn(2) == 0 {
-				got.set(v)
-				want.set(v)
-			}
-			if v >= lo && v < hi && rng.Intn(2) == 0 {
-				src.set(v)
-			}
-		}
-		for v := lo; v < hi; v++ {
-			if src.get(v) {
-				want.set(v)
-			} else {
-				want.clear(v)
-			}
-		}
-		got.copyFrom(src, lo, hi)
-		if got.count != want.count || !bytes.Equal(got.marshal(), want.marshal()) {
-			t.Fatalf("copyFrom [%d,%d) of %d: count %d, bit by bit %d", lo, hi, n, got.count, want.count)
-		}
-	}
 }
 
 func TestActiveSetMarshalRoundTrip(t *testing.T) {
-	s := newEmptyActiveSet(0, 130)
+	s := newEmptyActiveSet(130)
 	for _, v := range []graph.VertexID{0, 1, 64, 100, 129} {
 		s.set(v)
 	}
@@ -361,7 +313,7 @@ func TestPlanSelectiveTable(t *testing.T) {
 	var pl selPlanner // one planner for the whole table: its scratch is reused
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			as := newEmptyActiveSet(0, int(tc.lo)+len(tc.degs))
+			as := newEmptyActiveSet(int(tc.lo) + len(tc.degs))
 			for _, v := range tc.active {
 				as.set(v)
 			}
@@ -418,7 +370,7 @@ func TestPlanSelectiveMatchesReference(t *testing.T) {
 			}
 		}
 		const threshold = 0.25
-		as := newEmptyActiveSet(0, int(lo)+n+rng.Intn(70))
+		as := newEmptyActiveSet(int(lo) + n + rng.Intn(70))
 		var want int
 		switch rng.Intn(3) {
 		case 0:
@@ -438,7 +390,7 @@ func TestPlanSelectiveMatchesReference(t *testing.T) {
 		if lo > 0 {
 			as.set(lo - 1)
 		}
-		if int(lo)+n < as.n {
+		if int(lo)+n < len(as.words)*64 {
 			as.set(lo + graph.VertexID(n))
 		}
 		sched := planBoth(t, &pl, as, lo, start, degs, epb, threshold)
@@ -448,20 +400,45 @@ func TestPlanSelectiveMatchesReference(t *testing.T) {
 	}
 }
 
+// runProg runs prog over g and returns the result plus the encoded
+// vertex states, so comparisons are on the exact state bytes.
+func runProg[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts Options) (Result, []byte) {
+	t.Helper()
+	return runProgTuned(t, g, prog, vc, mc, opts, nil)
+}
+
+// runProgTuned is runProg with a hook on the engine between New and Run,
+// for tests that reach an unexported seam (forceSparse).
+func runProgTuned[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts Options, tune func(*Engine[V, M])) (Result, []byte) {
+	t.Helper()
+	eng, err := New[V, M](DOSLayout(g), prog, vc, mc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tune != nil {
+		tune(eng)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := eng.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Cleanup()
+	return res, encodeStates(vc, vals)
+}
+
 // selectiveVariants are selective-scheduling configurations that must each
 // reproduce the full-streaming run's final state bytes. Results are
 // deliberately NOT compared: a post-plan in-partition send can defer a
 // vertex's update by one iteration under selective scheduling, so
 // iteration and update counts may legally differ — the fixpoint may not.
 var selectiveVariants = []struct {
-	name    string
-	workers int
-	sparse  bool // forceSparse
-}{
-	{name: "sequential"},
-	{name: "workers4", workers: 4},
-	{name: "forcedSparse", sparse: true},
-}
+	name   string
+	sparse bool // forceSparse
+}{{name: "sequential"}, {name: "forcedSparse", sparse: true}}
 
 // forceSparse raises the engine's full-streaming fallback threshold above
 // 1.0, a density that can never be reached: every partition takes the
@@ -474,7 +451,6 @@ func runSelectiveVariant[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M
 	t.Helper()
 	v := selectiveVariants[i]
 	base.SelectiveScheduling = true
-	base.WorkerParallelism = v.workers
 	var tune func(*Engine[V, M])
 	if v.sparse {
 		tune = forceSparse[V, M]
@@ -517,9 +493,9 @@ func TestSelectiveMatchesFullStreamingPageRank(t *testing.T) {
 		MsgBufferBytes:  128,
 		MaxIterations:   5,
 	}
-	_, want := runProg[prVal, float64](t, g, prProg{}, prCodec{}, f64Codec{}, base)
+	_, want := runProg[prVal, float64](t, g, prProg{}, prCodec{}, graph.Float64Codec{}, base)
 	for i, v := range selectiveVariants {
-		_, got := runSelectiveVariant[prVal, float64](t, g, prProg{}, prCodec{}, f64Codec{}, base, i)
+		_, got := runSelectiveVariant[prVal, float64](t, g, prProg{}, prCodec{}, graph.Float64Codec{}, base, i)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: selective PageRank bytes differ from full streaming", v.name)
 		}

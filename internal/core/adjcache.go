@@ -62,9 +62,7 @@ func (e *Engine[V, M]) ensureResident(ps *pipeStats) error {
 // adjSource returns the adjacency source for the given ascending entry
 // ranges: the resident entries when cached (ensureResident has run; they
 // need no ranges), or one Sio prefetcher — lazy for a sparse schedule's
-// hopping Worker. Safe to call from concurrently speculating chunks: a
-// prefetcher is private to its caller, the resident entries are
-// read-only, and ps only takes atomic updates off the engine goroutine.
+// hopping Worker.
 func (e *Engine[V, M]) adjSource(ranges []entryRange, lazy bool, ps *pipeStats) (entrySource, error) {
 	if e.adjCache != nil {
 		return &e.resident, nil

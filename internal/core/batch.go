@@ -12,8 +12,8 @@ import (
 // Update a sub-slice of the current one: one interface call per window
 // (not per vertex, let alone per edge) and zero per-vertex allocations.
 // Entries are addressed by absolute offset, which is all the engine's
-// ordering guarantee (and byte-identity across worker counts, codecs, and
-// selective mode) needs: a full scan asks for consecutive spans, a sparse
+// ordering guarantee (and byte-identity across codecs and selective mode)
+// needs: a full scan asks for consecutive spans, a sparse
 // schedule hops, and neither copies what it does not use.
 
 // workerBatchEntries sizes the entry streams' pooled entry buffers: one
@@ -22,8 +22,7 @@ import (
 const workerBatchEntries = storage.DefaultBlockSize / 4
 
 // batchReader serves per-vertex adjacency slices out of its source's
-// current window. Not safe for concurrent use; each Worker (the engine
-// goroutine, or one speculating chunk) owns its own.
+// current window. Not safe for concurrent use; the Worker owns it.
 type batchReader struct {
 	src entrySource
 	w   []graph.VertexID // entries [at, at+len(w)), as src last handed them out

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
-	"graphz/internal/dos"
-	"graphz/internal/gen"
 	"graphz/internal/graph"
-	"graphz/internal/storage"
 )
 
 // Tests for the batch adjacency dispatch path: the batchReader must do
@@ -79,41 +75,5 @@ func TestBatchReaderExhaustion(t *testing.T) {
 	}
 	if _, err := br.adj(0, 3); !errors.Is(err, errAdjExhausted) {
 		t.Errorf("adj(0, 3) over a 2-entry stream = %v, want errAdjExhausted", err)
-	}
-}
-
-// TestBatchDispatchByteIdentity: on the non-commutative mix program —
-// any dispatch-order perturbation changes the fixpoint bytes — the
-// parallel Worker (per-chunk batch readers over per-chunk sources) gives
-// the sequential run's state bytes and counters, over both a fixed-entry
-// v1 graph and a block-encoded v2 graph. (parallelworker_test.go runs the
-// mix program on v1 only, codec_engine_test.go runs v2 on the commutative
-// min-label program only.)
-func TestBatchDispatchByteIdentity(t *testing.T) {
-	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 83)
-	for _, gr := range []struct {
-		name string
-		g    *dos.Graph
-	}{
-		{"v1", buildDOS(t, edges)},
-		{"v2-groupvarint", buildDOSCodec(t, edges, storage.CodecGroupVarint, 0)},
-	} {
-		opts := Options{
-			MemoryBudget:   budgetForPartitions(gr.g, 4, 3, 64),
-			MsgBufferBytes: 64,
-			MaxIterations:  4,
-		}
-		seqRes, seqBytes := runProg[mixVal, uint32](t, gr.g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, opts)
-		opts.WorkerParallelism = 4
-		parRes, parBytes := runProg[mixVal, uint32](t, gr.g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, opts)
-		if seqRes.Partitions < 2 {
-			t.Errorf("%s: only %d partitions; the test needs cross-partition dispatch", gr.name, seqRes.Partitions)
-		}
-		if counterFields(seqRes) != counterFields(parRes) {
-			t.Errorf("%s: counters %v with workers=4, %v sequential", gr.name, counterFields(parRes), counterFields(seqRes))
-		}
-		if !bytes.Equal(seqBytes, parBytes) {
-			t.Errorf("%s: state bytes differ between workers=4 and the sequential run", gr.name)
-		}
 	}
 }

@@ -62,9 +62,6 @@ func TestEngineV2MatchesV1AcrossPaths(t *testing.T) {
 		{"selective", func(g *dos.Graph) Options {
 			return Options{MemoryBudget: budgetForPartitions(g, 8, 4, 256), DynamicMessages: true, MsgBufferBytes: 256, SelectiveScheduling: true}
 		}},
-		{"parallel", func(g *dos.Graph) Options {
-			return Options{MemoryBudget: budgetForPartitions(g, 8, 4, 256), DynamicMessages: true, MsgBufferBytes: 256, WorkerParallelism: 4}
-		}},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -112,7 +109,6 @@ func TestEngineV2TinyBlocks(t *testing.T) {
 	for _, opts := range []Options{
 		{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 128},
 		{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 128, SelectiveScheduling: true},
-		{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 128, WorkerParallelism: 3},
 	} {
 		_, vals := runMinLabel(t, g2, opts)
 		for v := range want {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
+	"graphz/internal/obs"
 	"graphz/internal/storage"
 )
 
@@ -52,23 +55,17 @@ func encodeStates[V any](vc graph.Codec[V], vals []V) []byte {
 	return enc
 }
 
-func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters, workers int, seed uint64, mutate ...func(*Options)) {
-	t.Helper()
-	crashRecoveryHarnessTuned(t, edges, prog, vc, mc, maxIters, workers, seed, nil, mutate...)
-}
-
-// crashRecoveryHarnessTuned is the harness with a hook applied to every
-// engine it builds (reference, probe, crashing and recovering alike)
+// crashRecoveryHarness runs the property for one program. tune, when non-nil,
+// is applied to every engine it builds (reference, probe, crashing, recovering)
 // between New and Run, for an unexported seam such as forceSparse.
-func crashRecoveryHarnessTuned[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters, workers int, seed uint64, tune func(*Engine[V, M]), mutate ...func(*Options)) {
+func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters int, seed uint64, tune func(*Engine[V, M]), mutate ...func(*Options)) {
 	t.Helper()
 	baseOpts := func(g *dos.Graph) Options {
 		opts := Options{
-			MemoryBudget:      budgetForPartitions(g, int64(vc.Size()), 4, 64),
-			DynamicMessages:   true,
-			MsgBufferBytes:    64,
-			MaxIterations:     maxIters,
-			WorkerParallelism: workers,
+			MemoryBudget:    budgetForPartitions(g, int64(vc.Size()), 4, 64),
+			DynamicMessages: true,
+			MsgBufferBytes:  64,
+			MaxIterations:   maxIters,
 		}
 		for _, m := range mutate {
 			m(&opts)
@@ -134,8 +131,7 @@ func crashRecoveryHarnessTuned[V, M any](t *testing.T, edges []graph.Edge, prog 
 		reng := newEng(g, dir, true)
 		res, err := reng.Run()
 		if err != nil {
-			t.Fatalf("trial %d (workers=%d, crash at op %d/%d): recovery failed: %v",
-				trial, workers, crashAt, totalOps, err)
+			t.Fatalf("trial %d (crash at op %d/%d): recovery failed: %v", trial, crashAt, totalOps, err)
 		}
 		vals, err := reng.Values()
 		if err != nil {
@@ -146,14 +142,12 @@ func crashRecoveryHarnessTuned[V, M any](t *testing.T, edges []graph.Edge, prog 
 				a := refBytes[i*vc.Size() : (i+1)*vc.Size()]
 				b := got[i*vc.Size() : (i+1)*vc.Size()]
 				if !bytes.Equal(a, b) {
-					t.Fatalf("trial %d (workers=%d, crash at op %d/%d): vertex %d state %x, uninterrupted %x",
-						trial, workers, crashAt, totalOps, i, b, a)
+					t.Fatalf("trial %d (crash at op %d/%d): vertex %d state %x, uninterrupted %x", trial, crashAt, totalOps, i, b, a)
 				}
 			}
 		}
 		if stripDurability(res) != stripDurability(refRes) {
-			t.Fatalf("trial %d (workers=%d, crash at op %d/%d): result %+v, uninterrupted %+v",
-				trial, workers, crashAt, totalOps, res, refRes)
+			t.Fatalf("trial %d (crash at op %d/%d): result %+v, uninterrupted %+v", trial, crashAt, totalOps, res, refRes)
 		}
 	}
 	if crashes == 0 {
@@ -163,12 +157,7 @@ func crashRecoveryHarnessTuned[V, M any](t *testing.T, edges []graph.Edge, prog 
 
 func TestCrashRecoveryMinLabelSequential(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 61)
-	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 0, 101)
-}
-
-func TestCrashRecoveryMinLabelParallel(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 62)
-	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 4, 102)
+	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 101, nil)
 }
 
 // The selective variants add the active-vertex bitmap to the durable
@@ -182,27 +171,56 @@ func TestCrashRecoverySelectiveSequential(t *testing.T) {
 	// A never-reachable density threshold keeps every partition on the
 	// sparse run-scheduled path, so the restored bitmap drives real
 	// block skipping across the crash boundary.
-	crashRecoveryHarnessTuned[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 0, 105,
+	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 105,
 		forceSparse[minVal, uint32], func(o *Options) { o.SelectiveScheduling = true })
-}
-
-func TestCrashRecoverySelectiveParallel(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 66)
-	// Default density: dense iterations stream fully through the
-	// parallel Worker (exercising the chunk bit overlays), sparse tails
-	// take the selective path.
-	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 4, 106,
-		func(o *Options) { o.SelectiveScheduling = true })
 }
 
 func TestCrashRecoveryPageRankSequential(t *testing.T) {
 	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 63)
-	crashRecoveryHarness[prVal, float64](t, edges, prProg{}, prCodec{}, f64Codec{}, 5, 0, 103)
+	crashRecoveryHarness[prVal, float64](t, edges, prProg{}, prCodec{}, graph.Float64Codec{}, 5, 103, nil)
 }
 
-func TestCrashRecoveryPageRankParallel(t *testing.T) {
-	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 64)
-	crashRecoveryHarness[prVal, float64](t, edges, prProg{}, prCodec{}, f64Codec{}, 5, 4, 104)
+// TestCrashRecoveryParentCheckpoint resumes a checkpoint the parent commit's
+// engine wrote (testdata/ckpt-parent-b279982: min-label on this graph, four
+// partitions, selective scheduling, the process gone after iteration 2 of 4)
+// to the states and counters of an uninterrupted run of today's engine.
+func TestCrashRecoveryParentCheckpoint(t *testing.T) {
+	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 61)
+	g := buildDOS(t, edges)
+	opts := ckptBaseOpts(g)
+	opts.SelectiveScheduling = true
+	refRes, refVals := runMinLabel(t, g, opts)
+
+	// Resume from a copy: the resumed run checkpoints where it resumes from.
+	src, dir := "testdata/ckpt-parent-b279982/"+ckptDirName(2), t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, ckptDirName(2)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(src + "/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%d fixture files under %s: %v", len(files), src, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, ckptDirName(2), filepath.Base(f)), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	opts.Obs, opts.Checkpoint = reg, CheckpointOptions{Dir: dir, Resume: true}
+	res, vals := runMinLabel(t, buildDOS(t, edges), opts)
+	if got := reg.CounterValue("graphz_restore_total"); got != 1 {
+		t.Fatalf("graphz_restore_total = %d: the run did not start from the checkpoint", got)
+	}
+	if stripDurability(res) != stripDurability(refRes) {
+		t.Errorf("resumed result %+v, uninterrupted %+v", res, refRes)
+	}
+	if !bytes.Equal(encodeStates[minVal](minValCodec{}, vals), encodeStates[minVal](minValCodec{}, refVals)) {
+		t.Error("resumed run's state bytes differ from the uninterrupted run's")
+	}
 }
 
 // TestCrashRecoveryMidDrain aims the crash instead of drawing it: the

@@ -216,7 +216,6 @@ func EmulateGraphChi[V, E any](layout Layout, prog graphchi.Program[V, E],
 	}
 	p := &emulatedProgram[V, E]{inner: prog, inDeg: inDegrees}
 	codec := emulatedCodec[V, E]{vcodec: vcodec, ecodec: ecodec, maxInDeg: maxIn, maxOutDeg: maxOut}
-	opts.ConvergeOnInactivity = true
 	// The emulation construction is not frontier-safe: every vertex
 	// re-sends its value along every out-edge each round whether or not
 	// it received anything, so a vertex with no in-neighbors would go
@@ -228,6 +227,7 @@ func EmulateGraphChi[V, E any](layout Layout, prog graphchi.Program[V, E],
 	if err != nil {
 		return Result{}, nil, err
 	}
+	eng.convergeOnInactivity = true
 	res, err := eng.Run()
 	if err != nil {
 		return Result{}, nil, err

@@ -103,7 +103,7 @@ func (a applyLoop[V, M]) ApplyAll(verts []V, lo graph.VertexID, dsts []graph.Ver
 type Context[M any] struct {
 	iteration int
 	send      func(dst graph.VertexID, m M)
-	sendAll   func(dsts []graph.VertexID, m M) // the bulk route; nil loops send
+	sendAll   func(dsts []graph.VertexID, m M) // the bulk route
 	active    bool                             // some update of this Worker pass called MarkActive
 	as        *activeSet                       // schedulability bits; nil unless selective scheduling
 	cur       graph.VertexID                   // vertex being updated (for MarkActive's bit)
@@ -123,15 +123,7 @@ func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
 // keep Send when the message differs from edge to edge. A program that
 // also has the BulkApplier delegate gets its Apply inlined into this
 // route: no call per message at all. dsts is not retained.
-func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) {
-	if c.sendAll != nil {
-		c.sendAll(dsts, m)
-		return
-	}
-	for _, dst := range dsts {
-		c.send(dst, m)
-	}
-}
+func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) { c.sendAll(dsts, m) }
 
 // MarkActive signals that the vertex's value changed this iteration;
 // the engine keeps iterating while any vertex is active or any message
@@ -178,17 +170,6 @@ type Options struct {
 	// MsgBufferBytes is the in-memory buffer per destination partition
 	// before spilling; defaults to 64 KiB.
 	MsgBufferBytes int
-	// WorkerParallelism runs the Worker stage on this many goroutines.
-	// Each resident partition's vertex range is split into contiguous
-	// chunks that execute speculatively in parallel and commit in
-	// ascending order, replaying their message logs through the
-	// sequential inline-apply/buffer/spill routing; chunks invalidated
-	// by an earlier chunk's in-partition message are re-executed at
-	// commit time, so the observable operation sequence — and every
-	// vertex state byte — is identical to the sequential engine
-	// (DESIGN.md, "Deterministic parallel Worker stage"). Values <= 1
-	// keep the sequential Worker. Apply need not commute.
-	WorkerParallelism int
 	// CacheAdjacency keeps adjacency bytes resident after their first
 	// read when the whole graph fits the leftover budget, eliminating
 	// per-iteration edge IO (the in-memory optimization the paper
@@ -213,13 +194,6 @@ type Options struct {
 	// counts and update/message counters may differ, since a skipped
 	// vertex's propagation can shift by an iteration. See DESIGN.md §9.
 	SelectiveScheduling bool
-	// ConvergeOnInactivity stops the run as soon as an iteration ends
-	// with no vertex marked active, even if messages were sent. Use
-	// for programs that re-send unchanged state every round (like the
-	// Section IV-E GraphChi emulation) and whose updates are
-	// deterministic in (value, in-edges), so an inactive round can
-	// only be followed by inactive rounds.
-	ConvergeOnInactivity bool
 	// Name prefixes the engine's runtime files on the device; defaults
 	// to "graphz".
 	Name string
@@ -356,10 +330,14 @@ type Engine[V, M any] struct {
 	sendFn    func(dst graph.VertexID, m M)
 	sendAllFn func(dsts []graph.VertexID, m M)
 	rangeBuf  []entryRange
-	// onInline, when non-nil, observes every inline apply to the live
-	// states — the parallel Worker's committer marks later chunks dirty
-	// through it.
-	onInline func(dst graph.VertexID)
+
+	// convergeOnInactivity stops the run as soon as an iteration ends with
+	// no vertex marked active, even if messages were sent. It is a property
+	// of the Section IV-E emulation, its only setter (EmulateGraphChi, after
+	// New): that program re-sends unchanged state every round and its
+	// updates are deterministic in (value, in-edges), so an inactive round
+	// can only be followed by inactive rounds.
+	convergeOnInactivity bool
 
 	// selective scheduling state (Options.SelectiveScheduling)
 	sel     *activeSet // per-vertex schedulability bits; nil when off
@@ -638,9 +616,9 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 		iters++
 		// Done on MaxIterations, or converged: nothing changed, nothing
 		// was sent this iteration, and nothing was pending from before —
-		// or, under ConvergeOnInactivity, as soon as nothing changed.
+		// or, under convergeOnInactivity, as soon as nothing changed.
 		done := e.opts.MaxIterations > 0 && iters >= e.opts.MaxIterations
-		if !done && !e.active && (e.opts.ConvergeOnInactivity ||
+		if !done && !e.active && (e.convergeOnInactivity ||
 			(e.c.Sent == before.Sent && pendingBefore == 0)) {
 			done = true
 		}
@@ -768,8 +746,7 @@ func (e *Engine[V, M]) wrapRunErr() error {
 // runPartition processes one partition for one iteration.
 func (e *Engine[V, M]) runPartition(p, iter int) error {
 	lo, hi := e.partStarts[p], e.partStarts[p+1]
-	count := int(hi - lo)
-	if count == 0 {
+	if lo == hi {
 		return nil
 	}
 	start := e.layout.OffsetOf(lo)
@@ -855,14 +832,7 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	if e.eo.On {
 		workerStart = time.Now()
 	}
-	var active bool
-	var err error
-	if !sparse && e.workerCount() > 1 && count > 1 {
-		active, err = e.runWorkerParallel(iter, start, end, ps)
-	} else {
-		// Sparse tails are IO-bound, so they always run sequentially.
-		active, err = e.updateRuns(iter, runs, sparse, nil, ps)
-	}
+	active, err := e.updateRuns(iter, runs, sparse, ps)
 	if err != nil {
 		return err
 	}
@@ -882,14 +852,6 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	return e.storeVertices(lo, hi)
 }
 
-// workerCount resolves the configured Worker-stage parallelism.
-func (e *Engine[V, M]) workerCount() int {
-	if e.opts.WorkerParallelism < 1 {
-		return 1
-	}
-	return e.opts.WorkerParallelism
-}
-
 // inlineTargets is the inline-versus-buffer rule, stated once for send and
 // sendAll: the states a message is applied to the moment it is sent — the
 // resident partition's, and only under dynamic messages — with the ID of
@@ -904,8 +866,7 @@ func (e *Engine[V, M]) inlineTargets() ([]V, graph.VertexID) {
 
 // send routes one message against the live states: sendAll for a single
 // destination, written out because a call per message cannot afford the
-// loop's set-up. Program.Update reaches it through Context.Send; the
-// parallel Worker's committer replays logged messages through it.
+// loop's set-up. Program.Update reaches it through Context.Send.
 func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 	e.c.Sent++
 	verts, lo := e.inlineTargets()
@@ -921,23 +882,19 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 	if e.sel != nil {
 		e.sel.set(dst)
 	}
-	if e.onInline != nil {
-		e.onInline(dst)
-	}
 }
 
 // sendAll routes m to every vertex of dsts against the live states — send
 // in a loop, done as three passes over the list. The program's ApplyAll
 // applies m to the inline destinations (ordered dynamic messages); the
-// others, when there are any, are buffered; and when selective scheduling
-// or the parallel Worker's committer is listening, the inline ones are
-// marked schedulable and reported. Each pass keeps list order, and that
-// makes it the loop's execution: Apply sees only its own vertex, so what is
-// ordered is the applies each destination sees, the records each partition
-// buffers and the device operations they cause, all unchanged; the marks
-// are idempotent and nothing reads them before Update returns. The ledger
-// takes the call's totals once (nothing reads it in between: a spill counts
-// spills, nothing else).
+// others, when there are any, are buffered; and under selective scheduling
+// the inline ones are marked schedulable. Each pass keeps list order, and
+// that makes it the loop's execution: Apply sees only its own vertex, so
+// what is ordered is the applies each destination sees, the records each
+// partition buffers and the device operations they cause, all unchanged;
+// the marks are idempotent and nothing reads them before Update returns.
+// The ledger takes the call's totals once (nothing reads it in between: a
+// spill counts spills, nothing else).
 //
 // The engine learns how many messages were applied from the program, so the
 // count is checked against what the buffer pass found. A mismatch is
@@ -966,16 +923,10 @@ func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
 		}
 		applied = len(dsts) - buffered
 	}
-	if sel, onInline := e.sel, e.onInline; applied > 0 && (sel != nil || onInline != nil) {
+	if sel := e.sel; sel != nil && applied > 0 {
 		for _, dst := range dsts {
-			if uint64(dst-lo) >= uint64(len(verts)) {
-				continue
-			}
-			if sel != nil {
+			if uint64(dst-lo) < uint64(len(verts)) {
 				sel.set(dst)
-			}
-			if onInline != nil {
-				onInline(dst)
 			}
 		}
 	}
@@ -988,18 +939,15 @@ func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
 // updateRuns is the Worker loop on live states: it updates the vertices
 // of each run in ascending ID order, feeding every Update its adjacency
 // from one source opened over the runs' entry spans and intercepting
-// every message it sends. A full partition scan, a sparse selective
-// schedule and the parallel Worker's re-execution of one chunk are all
-// calls to it. Vertices outside every run are not touched: under
-// selective scheduling they have a clear bit and no pending message, so a
-// frontier-safe program's update would be a no-op there. The same holds
-// inside a sparse schedule's runs, whose blocks are read for somebody
-// else's sake: there the loop's next vertex is the next set bit, read
-// live — a bit an inline message sets ahead of the cursor is picked up in
-// this pass, as a full scan would pick its vertex up. degs, when non-nil,
-// holds the resident partition's out-degrees (index v-partLo) for callers
-// that already walked the index; nil reads them from the layout.
-func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, degs []uint32, ps *pipeStats) (bool, error) {
+// every message it sends. A full partition scan and a sparse selective
+// schedule are both calls to it. Vertices outside every run are not
+// touched: under selective scheduling they have a clear bit and no pending
+// message, so a frontier-safe program's update would be a no-op there. The
+// same holds inside a sparse schedule's runs, whose blocks are read for
+// somebody else's sake: there the loop's next vertex is the next set bit,
+// read live — a bit an inline message sets ahead of the cursor is picked up
+// in this pass, as a full scan would pick its vertex up.
+func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipeStats) (bool, error) {
 	var ranges []entryRange // what the prefetcher reads; resident entries need none
 	if e.adjCache == nil {
 		ranges = e.rangeBuf[:0]
@@ -1025,12 +973,7 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, degs []u
 				}
 				off = e.layout.OffsetOf(v)
 			}
-			var deg uint32
-			if degs != nil {
-				deg = degs[v-e.partLo]
-			} else {
-				deg = e.layout.DegreeOf(v)
-			}
+			deg := e.layout.DegreeOf(v)
 			if e.sel != nil {
 				// Iteration 0 is the Init pass: programs conventionally
 				// broadcast there and ignore pending messages, so its bits

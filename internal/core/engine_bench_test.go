@@ -154,7 +154,7 @@ func BenchmarkEngineSpill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, f64Codec{}, opts)
+		eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, graph.Float64Codec{}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,93 +162,5 @@ func BenchmarkEngineSpill(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng.Cleanup()
-	}
-}
-
-// BenchmarkEngineBatchWorker pins the batch adjacency dispatch: the
-// same run as BenchmarkEngine but with the parallel Worker speculating
-// over chunks, so both the engine-goroutine batch reader (re-execution)
-// and the per-chunk readers are on the measured path. The CI baseline
-// holds this and its alloc count — a regression here means a dispatch
-// path re-grew its buffer per vertex or per block.
-func BenchmarkEngineBatchWorker(b *testing.B) {
-	g := benchGraph(b)
-	opts := Options{
-		MemoryBudget:      budgetForPartitions(g, 8, 4, 4096),
-		DynamicMessages:   true,
-		MsgBufferBytes:    4096,
-		MaxIterations:     3,
-		WorkerParallelism: 4,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-		eng.Cleanup()
-	}
-}
-
-// BenchmarkWorkerParallel measures the chunked Worker on the
-// compute-heavy, message-free program where speculation never loses its
-// bet — the intended speedup case for Options.WorkerParallelism.
-func BenchmarkWorkerParallel(b *testing.B) {
-	g := benchGraph(b)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := Options{
-				MemoryBudget:      64 << 20,
-				DynamicMessages:   true,
-				MaxIterations:     3,
-				WorkerParallelism: w,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := New[mixVal, uint32](DOSLayout(g), heavyProg{rounds: 64}, mixCodec{}, graph.Uint32Codec{}, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-				eng.Cleanup()
-			}
-		})
-	}
-}
-
-// BenchmarkWorkerParallelPageRank is the degradation case: dense forward
-// dynamic messages invalidate most chunks, so the parallel Worker should
-// track (not catastrophically trail) the sequential engine.
-func BenchmarkWorkerParallelPageRank(b *testing.B) {
-	g := benchGraph(b)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := Options{
-				MemoryBudget:      budgetForPartitions(g, 16, 4, 4096),
-				DynamicMessages:   true,
-				MsgBufferBytes:    4096,
-				MaxIterations:     3,
-				WorkerParallelism: w,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, f64Codec{}, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-				eng.Cleanup()
-			}
-		})
 	}
 }

@@ -125,6 +125,80 @@ func runMinLabel(t *testing.T, g *dos.Graph, opts Options) (Result, []minVal) {
 	return res, vals
 }
 
+// prVal / prProg is PageRank with ordered dynamic messages: every vertex
+// pushes rank shares every iteration. Floating-point addition is
+// order-sensitive, so byte equality proves the apply order matched exactly.
+type prVal struct{ rank, acc float64 }
+
+type prCodec struct{}
+
+func (prCodec) Size() int { return 16 }
+
+func (prCodec) Encode(b []byte, v prVal) {
+	graph.Float64Codec{}.Encode(b, v.rank)
+	graph.Float64Codec{}.Encode(b[8:], v.acc)
+}
+
+func (prCodec) Decode(b []byte) prVal {
+	return prVal{rank: graph.Float64Codec{}.Decode(b), acc: graph.Float64Codec{}.Decode(b[8:])}
+}
+
+type prProg struct{}
+
+func (prProg) Init(id graph.VertexID, deg uint32) prVal { return prVal{rank: 1} }
+
+func (prProg) Update(ctx *Context[float64], id graph.VertexID, v *prVal, adj []graph.VertexID) {
+	if ctx.Iteration() > 0 {
+		v.rank = 0.15 + 0.85*v.acc
+		v.acc = 0
+	}
+	if len(adj) > 0 {
+		share := v.rank / float64(len(adj))
+		for _, a := range adj {
+			ctx.Send(a, share)
+		}
+	}
+	ctx.MarkActive()
+}
+
+func (prProg) Apply(v *prVal, m float64) { v.acc += m }
+
+// mixVal / mixProg scatters hash-mixed values with static messages
+// (DynamicMessages off): every message goes through the buffer/spill store
+// and is drained next iteration. Apply is deliberately non-commutative, so
+// any reordering of the spill stream changes the fixpoint bytes.
+type mixVal struct{ h uint32 }
+
+type mixCodec struct{}
+
+func (mixCodec) Size() int                 { return 4 }
+func (mixCodec) Encode(b []byte, v mixVal) { binary.LittleEndian.PutUint32(b, v.h) }
+func (mixCodec) Decode(b []byte) mixVal    { return mixVal{binary.LittleEndian.Uint32(b)} }
+
+type mixProg struct{ rounds int }
+
+func (mixProg) Init(id graph.VertexID, deg uint32) mixVal {
+	return mixVal{h: uint32(id)*2654435761 + deg}
+}
+
+func (p mixProg) Update(ctx *Context[uint32], id graph.VertexID, v *mixVal, adj []graph.VertexID) {
+	acc := v.h
+	for _, a := range adj {
+		x := acc ^ uint32(a)*2654435761
+		for r := 0; r < p.rounds; r++ {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+		}
+		ctx.Send(a, x)
+		acc = acc*31 + x
+	}
+	v.h = acc
+	ctx.MarkActive()
+}
+
+func (mixProg) Apply(v *mixVal, m uint32) { v.h = v.h*1664525 + m }
+
 func TestEngineMinLabelSinglePartition(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 21)
 	g := buildDOS(t, edges)

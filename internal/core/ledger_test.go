@@ -79,8 +79,6 @@ func checkLedgerViews[V, M any](t *testing.T, eng *Engine[V, M], reg *obs.Regist
 		sum.MessagesSpilled += row.MessagesSpilled
 		sum.PrefetchStalls += row.PrefetchStalls
 		sum.AdjCacheHits += row.AdjCacheHits
-		sum.WorkerChunks += row.WorkerChunks
-		sum.WorkerReexecs += row.WorkerReexecs
 		sum.BlocksScanned += row.BlocksScanned
 		sum.BlocksSkipped += row.BlocksSkipped
 	}
@@ -92,8 +90,6 @@ func checkLedgerViews[V, M any](t *testing.T, eng *Engine[V, M], reg *obs.Regist
 		MessagesSpilled:  c.Spilled - base.Spilled,
 		PrefetchStalls:   c.sioStalls,
 		AdjCacheHits:     c.adjHits,
-		WorkerChunks:     c.workerChunks,
-		WorkerReexecs:    c.workerReexecs,
 		BlocksScanned:    c.BlocksScanned - base.BlocksScanned,
 		BlocksSkipped:    c.BlocksSkipped - base.BlocksSkipped,
 	}
@@ -163,14 +159,17 @@ func (p witnessLabel) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.
 type noBulk[V, M any] struct{ Program[V, M] }
 
 // sendLoop runs a program with Context.SendAll degraded to its
-// definition, Send in a loop.
+// definition, Send in a loop (a Context serves one Worker pass of one
+// program, so the route is swapped and never restored).
 type sendLoop[V, M any] struct{ Program[V, M] }
 
 func (p sendLoop[V, M]) Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID) {
-	bulk := ctx.sendAll
-	ctx.sendAll = nil
+	ctx.sendAll = func(dsts []graph.VertexID, m M) {
+		for _, dst := range dsts {
+			ctx.send(dst, m)
+		}
+	}
 	p.Program.Update(ctx, id, v, adj)
-	ctx.sendAll = bulk
 }
 
 // ledgerProbe is a run context that never cancels and, each time the
@@ -199,12 +198,11 @@ func manifestAt(t *testing.T, dir string, iter int) checkpoint.Manifest {
 }
 
 // comparableRun strips what legitimately differs between two runs of one
-// configuration from a Result and its rows: wall-clock; the seeks of
-// concurrently reading chunks; and for a run resumed in a second process
-// the counts Result keeps per process and the device traffic of the
-// restore (with the states pinned, the first resumed iteration loads what
-// an uninterrupted run never stored).
-func comparableRun(res Result, rows []obs.IterStats, workers int, resumed bool) (Result, []obs.IterStats) {
+// configuration from a Result and its rows: wall-clock; and for a run
+// resumed in a second process the counts Result keeps per process and the
+// device traffic of the restore (with the states pinned, the first resumed
+// iteration loads what an uninterrupted run never stored).
+func comparableRun(res Result, rows []obs.IterStats, resumed bool) (Result, []obs.IterStats) {
 	res = stripDurability(res)
 	res.DecodeTime = 0
 	if resumed {
@@ -213,11 +211,8 @@ func comparableRun(res Result, rows []obs.IterStats, workers int, resumed bool) 
 	out := make([]obs.IterStats, len(rows))
 	for i, row := range rows {
 		row.Stages, row.PrefetchStalls = obs.StageTimes{}, 0
-		if workers > 1 || resumed {
-			row.DeviceSeeks = 0
-		}
 		if resumed {
-			row.DeviceReadBytes, row.DeviceWriteBytes = 0, 0
+			row.DeviceSeeks, row.DeviceReadBytes, row.DeviceWriteBytes = 0, 0, 0
 		}
 		out[i] = row
 	}
@@ -292,9 +287,7 @@ func checkModeledCompute(t *testing.T, eng *Engine[witnessVal, uint32], clock *s
 // TestLedgerViewsAgree pins the rule, not the rows: over the reachable
 // option lattice, Result, the registry, the iteration rows, the run
 // report and the modeled clock's compute are all views of one ledger and
-// cannot disagree. With workers = 4 under -race it is also the proof that
-// the speculating goroutines never touch the ledger. And at every point
-// the same program by two other routes — its ApplyAll hidden, so that
+// cannot disagree. And at every point the same program by two other routes — its ApplyAll hidden, so that
 // SendAll applies through the engine's default loop, and SendAll degraded
 // to a Send loop; each crashed and resumed where the point checkpoints —
 // leaves the same state bytes, the same Result, the same rows, the same
@@ -308,14 +301,14 @@ func TestLedgerViewsAgree(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		edges = append(edges, graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i)}, edges[3*i], edges[3*i])
 	}
-	for i := 0; i < 1<<7; i++ { // one bit per axis
+	for i := 0; i < 1<<6; i++ { // one bit per axis
 		bit := func(b int) bool { return i>>b&1 == 1 }
-		codec, parts, dm, sel, workers, ckpt := storage.Codec(nil), int64(1), bit(2), bit(3), 1, bit(5)
+		codec, parts, dm, sel, ckpt := storage.Codec(nil), int64(1), bit(2), bit(3), bit(4)
 		// The 8-byte record every shipped program buffers, and (labels fit
 		// 16 bits here) the awkward 6-byte one: it fills neither a 4-byte
 		// copy unit, nor the 64-byte buffer, nor a device block evenly.
 		mc, rec := graph.Codec[uint32](graph.Uint32Codec{}), ""
-		if bit(6) {
+		if bit(5) {
 			mc, rec = padCodec{2}, "rec=6/"
 		}
 		layout := "v1"
@@ -325,10 +318,8 @@ func TestLedgerViewsAgree(t *testing.T) {
 		if bit(1) {
 			parts = 4
 		}
-		if bit(4) {
-			workers = 4
-		}
-		name := fmt.Sprintf("%s%s/parts=%d/dm=%v/sel=%v/workers=%d/ckpt=%v", rec, layout, parts, dm, sel, workers, ckpt)
+		// workers=1: the rows' IDs from when workers=4 ran beside them.
+		name := fmt.Sprintf("%s%s/parts=%d/dm=%v/sel=%v/workers=1/ckpt=%v", rec, layout, parts, dm, sel, ckpt)
 		t.Run(name, func(t *testing.T) {
 			build := func() *dos.Graph {
 				if codec == nil {
@@ -345,7 +336,6 @@ func TestLedgerViewsAgree(t *testing.T) {
 					MemoryBudget:        64 << 20,
 					DynamicMessages:     dm,
 					SelectiveScheduling: sel,
-					WorkerParallelism:   workers,
 					MsgBufferBytes:      64,
 					Obs:                 reg,
 				}
@@ -371,19 +361,6 @@ func TestLedgerViewsAgree(t *testing.T) {
 				}
 				return encodeStates[witnessVal](witnessCodec{}, vals)
 			}
-			// The device's whole traffic, Convert's included, in total and
-			// file by file; concurrently reading chunks move only the seeks.
-			traffic := func(eng *Engine[witnessVal, uint32]) (storage.Stats, map[string]storage.Stats) {
-				total, files := eng.dev.Stats(), eng.dev.FileStats()
-				if workers > 1 {
-					total.Seeks = 0
-					for name, st := range files {
-						st.Seeks = 0
-						files[name] = st
-					}
-				}
-				return total, files
-			}
 			pool := pooledOutstanding()
 
 			// As written: SendAll through the program's own ApplyAll, every
@@ -402,7 +379,8 @@ func TestLedgerViewsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTotal, wantFiles := traffic(eng)
+			// The device's whole traffic, Convert's included: total and per file.
+			wantTotal, wantFiles := eng.dev.Stats(), eng.dev.FileStats()
 			if (res.Partitions == 1) != (parts == 1) {
 				t.Fatalf("partitions = %d, want the %d-partition case", res.Partitions, parts)
 			}
@@ -428,7 +406,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 			if res.Iterations <= cut {
 				t.Fatalf("the run took %d iterations; the resume needs more than %d", res.Iterations, cut)
 			}
-			wantRes, wantRows := comparableRun(res, reg.Iters(), workers, ckpt)
+			wantRes, wantRows := comparableRun(res, reg.Iters(), ckpt)
 			if ckpt {
 				wantRows = wantRows[cut:]
 			}
@@ -449,7 +427,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if total, files := traffic(gotEng); total != wantTotal || !reflect.DeepEqual(files, wantFiles) {
+				if total, files := gotEng.dev.Stats(), gotEng.dev.FileStats(); total != wantTotal || !reflect.DeepEqual(files, wantFiles) {
 					t.Errorf("%s: device traffic %+v %+v, as written: %+v %+v", route.name, total, files, wantTotal, wantFiles)
 				}
 				if ckpt {
@@ -471,7 +449,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				gotRes, gotRows := comparableRun(gotRes, gotReg.Iters(), workers, ckpt)
+				gotRes, gotRows := comparableRun(gotRes, gotReg.Iters(), ckpt)
 				if gotRes != wantRes {
 					t.Errorf("%s: result %+v, as written: %+v", route.name, gotRes, wantRes)
 				}
@@ -618,7 +596,7 @@ func TestObservedAllocs(t *testing.T) {
 			if observed {
 				opts.Obs, opts.Trace = obs.NewRegistry(), obs.NewCollectingTracer(nil)
 			}
-			eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, f64Codec{}, opts)
+			eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, graph.Float64Codec{}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

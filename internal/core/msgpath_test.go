@@ -378,7 +378,7 @@ func checkDrainMatchesRef(t *testing.T, g *dos.Graph, mc graph.Codec[uint32], sp
 		}
 		eng := drainEngineCodec[mixVal](t, g, mixProg{}, mixCodec{}, mc, opts, func(i int) mixVal { return mixVal{h: uint32(i)} })
 		if watched {
-			eng.sel = newEmptyActiveSet(0, g.NumVertices) // New's starts all ones: no set would show
+			eng.sel = newEmptyActiveSet(g.NumVertices) // New's starts all ones: no set would show
 		}
 		pendingRecords(t, eng, spilled, tail)
 		return eng, reg

@@ -15,15 +15,14 @@ const engineName = "graphz"
 
 // counters is the engine's one ledger: every cumulative count it keeps,
 // each written on the engine goroutine as a plain += at the one site
-// where the fact happens (send per message, sendAll once per call, plus
-// commitChunk's fold of a chunk's privately counted messages). Everything else is a view:
-// Result is a projection at finish, the iteration row is the delta across
-// an iteration (recordIter), the registry receives current − last
-// published through ledgerMetrics (publish), modeled compute is the
-// partition's delta priced by the cost table (chargeLedger), and the
-// embedded checkpoint.Counters is the manifest's copy as is. Stage wall
-// time is the one family kept beside it, in the StageRecorder the three
-// engines share. Comparable.
+// where the fact happens (send per message, sendAll once per call).
+// Everything else is a view: Result is a projection at finish, the
+// iteration row is the delta across an iteration (recordIter), the registry
+// receives current − last published through ledgerMetrics (publish),
+// modeled compute is the partition's delta priced by the cost table
+// (chargeLedger), and the embedded checkpoint.Counters is the manifest's
+// copy as is. Stage wall time is the one family kept beside it, in the
+// StageRecorder the three engines share. Comparable.
 type counters struct {
 	// The counts a checkpoint carries: a resumed run continues them, so
 	// its Result and registry describe the whole logical run.
@@ -44,12 +43,6 @@ type counters struct {
 	codecRawBytes int64 // decoded adjacency bytes produced (4 per entry)
 	codecEncBytes int64 // encoded adjacency bytes read off the device
 	codecDecodeNS int64 // time spent in Codec.DecodeBlock
-
-	// Chunked parallel Worker; all zero on the sequential path.
-	workerChunks   int64 // chunks executed speculatively
-	workerReexecs  int64 // chunks invalidated and re-executed at commit
-	workerSpecNS   int64 // summed speculative-execution time across workers
-	workerCommitNS int64 // ordered commit (validate/replay/re-execute) time
 
 	ckpts     int64 // checkpoints written
 	ckptBytes int64 // bytes persisted across all checkpoints
@@ -78,10 +71,6 @@ var ledgerMetrics = [...]struct {
 	{"graphz_codec_bytes_raw_total", func(c *counters) *int64 { return &c.codecRawBytes }},
 	{"graphz_codec_bytes_encoded_total", func(c *counters) *int64 { return &c.codecEncBytes }},
 	{"graphz_codec_decode_ns_total", func(c *counters) *int64 { return &c.codecDecodeNS }},
-	{"graphz_worker_chunks_total", func(c *counters) *int64 { return &c.workerChunks }},
-	{"graphz_worker_chunk_reexecs_total", func(c *counters) *int64 { return &c.workerReexecs }},
-	{"graphz_stage_worker_spec_ns_total", func(c *counters) *int64 { return &c.workerSpecNS }},
-	{"graphz_stage_worker_commit_ns_total", func(c *counters) *int64 { return &c.workerCommitNS }},
 	{"graphz_checkpoint_total", func(c *counters) *int64 { return &c.ckpts }},
 	{"graphz_checkpoint_bytes_total", func(c *counters) *int64 { return &c.ckptBytes }},
 	{"graphz_checkpoint_ns_total", func(c *counters) *int64 { return &c.ckptNS }},
@@ -149,8 +138,6 @@ func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.S
 		MessagesSpilled:  c.Spilled - before.Spilled,
 		PrefetchStalls:   c.sioStalls - before.sioStalls,
 		AdjCacheHits:     c.adjHits - before.adjHits,
-		WorkerChunks:     c.workerChunks - before.workerChunks,
-		WorkerReexecs:    c.workerReexecs - before.workerReexecs,
 		BlocksScanned:    c.BlocksScanned - before.BlocksScanned,
 		BlocksSkipped:    c.BlocksSkipped - before.BlocksSkipped,
 		DeviceReadBytes:  io.ReadBytes,
@@ -165,18 +152,18 @@ func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.S
 }
 
 // pipeStats accumulates one partition's Sio/Dispatcher pipeline activity.
-// With the parallel Worker, one pipeStats is shared by several concurrent
-// entry streams: producers (prefetch goroutines) write readNS/blocks,
-// consumers (worker goroutines) write stalls/stallNS, and the Dispatcher's
-// fields are written by whichever side dispatches — the producer on a bulk
-// stream, the consumer on a lazy one — so all of them are atomic. cacheHit
-// stays plain — it is written and read only on the engine goroutine.
+// The producer (the prefetch goroutine) writes readNS/blocks, the consumer
+// (the Worker, on the engine goroutine) writes stalls/stallNS, and the
+// Dispatcher's fields are written by whichever side dispatches — the
+// producer on a bulk stream, the consumer on a lazy one — so all of them
+// are atomic. cacheHit stays plain — it is written and read only on the
+// engine goroutine.
 type pipeStats struct {
-	readNS atomic.Int64 // producers: device read time
-	blocks atomic.Int64 // producers: blocks handed to the queue
+	readNS atomic.Int64 // producer: device read time
+	blocks atomic.Int64 // producer: blocks handed to the queue
 
-	stalls  atomic.Int64 // consumers: recv found the queue empty
-	stallNS atomic.Int64 // consumers: time blocked on an empty queue
+	stalls  atomic.Int64 // consumer: recv found the queue empty
+	stallNS atomic.Int64 // consumer: time blocked on an empty queue
 
 	dispatchNS atomic.Int64 // block parse (Dispatcher) time
 	decodeNS   atomic.Int64 // block codec decode time (⊆ dispatchNS)
@@ -186,7 +173,7 @@ type pipeStats struct {
 	cacheHit bool // partition served from the resident adjacency without a fill
 
 	// Block-heat attribution, set once at construction and read by the
-	// producer goroutines (the heatmap itself is mutex-guarded); nil heat
+	// producer goroutine (the heatmap itself is mutex-guarded); nil heat
 	// disables it all.
 	heat     *obs.BlockHeatmap
 	heatFile string

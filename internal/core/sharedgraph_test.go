@@ -38,7 +38,7 @@ func runShared(t *testing.T, sg *SharedGraph, name string, opts Options) (Result
 	return res, vals
 }
 
-// TestSharedGraphConcurrentEngines is the -race sharing test: six
+// TestSharedGraphConcurrentEngines is the -race sharing test: five
 // engines run simultaneously over one shared immutable graph and one
 // shared adjacency cache, each with its own runtime-file prefix, and
 // every one must produce vertex states byte-identical to a solo run of
@@ -57,7 +57,6 @@ func TestSharedGraphConcurrentEngines(t *testing.T) {
 		{MemoryBudget: budgetForPartitions(g, 8, 5, 256), DynamicMessages: true, MsgBufferBytes: 256},
 		{MemoryBudget: 256 << 20, DynamicMessages: false},
 		{MemoryBudget: budgetForPartitions(g, 8, 4, 256), DynamicMessages: true, MsgBufferBytes: 256},
-		{MemoryBudget: 256 << 20, DynamicMessages: true, WorkerParallelism: 2},
 	}
 
 	// Solo references, one per configuration, on private engines.

@@ -96,9 +96,9 @@ type entryRange struct {
 // entry offset.
 //
 // Who turns a block's bytes into entries — the Dispatcher's job — depends
-// on the one mode switch, lazy. A bulk stream (a full scan, a chunk's
-// range, a cache fill: contiguous ranges consumed whole) dispatches on the
-// prefetch goroutine, as the paper's concurrent stages do: the queue
+// on the one mode switch, lazy. A bulk stream (a full scan, a cache fill:
+// contiguous ranges consumed whole) dispatches on the prefetch goroutine,
+// as the paper's concurrent stages do: the queue
 // carries decoded entries, a window is a sub-slice of the current block,
 // and only a request that straddles two blocks is assembled in a flat
 // buffer — neither decode nor copy is left on the Worker's goroutine. A
@@ -495,7 +495,7 @@ func (s *entryStream) stop() {
 
 // memEntryStream is the resident source: the whole-file decoded
 // adjacency, handed out as sub-slices — nothing is copied and nothing is
-// skipped over. It holds no cursor, so concurrent Workers share one.
+// skipped over.
 type memEntryStream struct {
 	data []graph.VertexID
 }

@@ -36,7 +36,7 @@ var sioLayouts = []struct {
 
 // sioRanges are the range-list shapes: one range, several with gaps (the
 // selective schedule), consecutive ranges whose boundary falls inside a
-// block (parallel chunks, adjacent runs), and nothing to read at all.
+// block (adjacent runs), and nothing to read at all.
 var sioRanges = []struct {
 	name   string
 	ranges []entryRange
@@ -277,9 +277,8 @@ func waitProducerBlocked(t *testing.T, lazy bool, gets0 int64) {
 // TestEntryStreamStopRecyclesInFlightBlock: stopping a stream while the
 // producer is blocked handing over a block used to leak that block — the
 // stop branch returned without putting the in-hand buffer back, so every
-// early partition stop (engine errors, parallel-worker chunk sources)
-// bled one pooled block. The pools' get/put accounting must balance
-// after every stop: with the queue full and a block — a decoded one, on a
+// early partition stop (an engine error) bled one pooled block. The pools'
+// get/put accounting must balance after every stop: with the queue full and a block — a decoded one, on a
 // bulk stream — in the producer's hand, and at whatever point of its
 // read/decode/queue cycle an immediate stop catches it.
 func TestEntryStreamStopRecyclesInFlightBlock(t *testing.T) {

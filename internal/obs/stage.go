@@ -134,10 +134,6 @@ type IterStats struct {
 	PrefetchStalls int64 // Worker waited on an empty Sio queue
 	AdjCacheHits   int64 // partitions served from the resident adjacency cache
 
-	// Chunked parallel Worker sub-stage (zero on the sequential path).
-	WorkerChunks  int64 // chunks executed speculatively
-	WorkerReexecs int64 // chunks invalidated by an earlier chunk's message and re-executed
-
 	// Selective block scheduling (zero unless enabled).
 	BlocksScanned  int64 // adjacency blocks the block scheduler read
 	BlocksSkipped  int64 // adjacency blocks proved inactive and skipped
@@ -156,7 +152,7 @@ func FormatIterTable(rows []IterStats) string {
 		return ""
 	}
 	header := []string{"iter", "sio", "dispatch", "worker", "drain",
-		"inline", "buffered", "spilled", "stalls", "reexec", "blkskip", "active", "readB", "writeB", "seeks"}
+		"inline", "buffered", "spilled", "stalls", "blkskip", "active", "readB", "writeB", "seeks"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -169,7 +165,6 @@ func FormatIterTable(rows []IterStats) string {
 			fmt.Sprintf("%d", r.MessagesBuffered),
 			fmt.Sprintf("%d", r.MessagesSpilled),
 			fmt.Sprintf("%d", r.PrefetchStalls),
-			fmt.Sprintf("%d", r.WorkerReexecs),
 			fmt.Sprintf("%d", r.BlocksSkipped),
 			fmt.Sprintf("%d", r.ActiveVertices),
 			fmt.Sprintf("%d", r.DeviceReadBytes),
