@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	graphz-convert -in graph.bin -prefix graph.dos [-device ssd] [-budget 8388608] [-codec raw|varint|groupvarint]
+//	graphz-convert -in graph.bin -prefix graph.dos [-device ssd] [-budget 8388608] [-codec raw|groupvarint]
 package main
 
 import (
@@ -41,13 +41,13 @@ func main() {
 		ext := filepath.Ext(*in)
 		*prefix = (*in)[:len(*in)-len(ext)] + ".dos"
 	}
-	kind := storage.SSD
-	if *device == "hdd" {
-		kind = storage.HDD
+	kind, err := storage.ParseKind(*device)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphz-convert:", err)
+		os.Exit(2)
 	}
 	var blockCodec storage.Codec
 	if *codec != "" {
-		var err error
 		if blockCodec, err = storage.CodecByName(*codec); err != nil {
 			fatal(err)
 		}

@@ -38,18 +38,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var es []graph.Edge
-	switch *kind {
-	case "rmat":
-		es = gen.RMAT(*scale, *edges, gen.NaturalRMAT, *seed)
-	case "zipf":
-		es = gen.Zipf(*vertices, *edges, *zipfS, *seed)
-	case "er":
-		es = gen.ErdosRenyi(*vertices, *edges, *seed)
-	case "grid":
-		es = gen.Grid(*rows, *cols)
-	default:
-		fmt.Fprintf(os.Stderr, "graphz-gen: unknown kind %q\n", *kind)
+	es, err := gen.Generate(gen.Spec{Kind: *kind, Scale: *scale, Vertices: *vertices, Edges: *edges,
+		Skew: *zipfS, Rows: *rows, Cols: *cols, Seed: *seed})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphz-gen:", err)
 		os.Exit(2)
 	}
 

@@ -23,8 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"graphz/internal/algo/chialgo"
-	"graphz/internal/algo/xsalgo"
 	"graphz/internal/bench"
 	"graphz/internal/checkpoint"
 	"graphz/internal/core"
@@ -91,9 +89,10 @@ func main() {
 	if *resume && *ckDir == "" {
 		fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
 	}
-	kind := storage.SSD
-	if *device == "hdd" {
-		kind = storage.HDD
+	kind, err := storage.ParseKind(*device)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphz-run:", err)
+		os.Exit(2)
 	}
 
 	clock := sim.NewClock()
@@ -107,18 +106,10 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		var genEdges []graph.Edge
-		switch *genKind {
-		case "rmat":
-			genEdges = gen.RMAT(*genScl, *genE, gen.NaturalRMAT, *seed)
-		case "zipf":
-			genEdges = gen.Zipf(*genV, *genE, *genS, *seed)
-		case "er":
-			genEdges = gen.ErdosRenyi(*genV, *genE, *seed)
-		case "grid":
-			genEdges = gen.Grid(*genV, *genV)
-		default:
-			fatal(fmt.Errorf("unknown generator %q (want rmat, zipf, er, or grid)", *genKind))
+		genEdges, err := gen.Generate(gen.Spec{Kind: *genKind, Scale: *genScl, Vertices: *genV, Edges: *genE,
+			Skew: *genS, Rows: *genV, Cols: *genV, Seed: *seed})
+		if err != nil {
+			fatal(err)
 		}
 		if err := graph.WriteEdges(dev, "raw", genEdges); err != nil {
 			fatal(err)
@@ -371,8 +362,12 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 
 // runGraphChi shards and runs the algorithm.
 func runGraphChi(dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID) (int, map[graph.VertexID]float64, error) {
+	a, err := bench.ParseAlgo(algo)
+	if err != nil {
+		return 0, nil, err
+	}
 	evalSize := 4
-	if algo == "bp" {
+	if a == bench.BP {
 		evalSize = 8
 	}
 	sh, err := graphchi.Shard(graphchi.ShardConfig{Dev: dev, Clock: clock, MemoryBudget: budget, EdgeValSize: evalSize}, "raw", "g")
@@ -380,109 +375,29 @@ func runGraphChi(dev *storage.Device, clock *sim.Clock, reg *obs.Registry, trace
 		return 0, nil, err
 	}
 	opts := graphchi.Options{MemoryBudget: budget, Clock: clock, MaxIterations: 200, Obs: reg, Trace: tracer}
-	var res graphchi.Result
-	var vals []float64
-	switch algo {
-	case "pr":
-		r, v, err := chialgo.PageRank(sh, opts, iters, 0.85)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "bfs":
-		r, v, err := chialgo.BFS(sh, opts, src)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "cc":
-		r, v, err := chialgo.ConnectedComponents(sh, opts)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "sssp":
-		r, v, err := chialgo.SSSP(sh, opts, src)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "bp":
-		r, v, err := chialgo.BeliefPropagation(sh, opts, iters)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "rw":
-		r, v, err := chialgo.RandomWalk(sh, opts, iters, 1)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	default:
-		return 0, nil, fmt.Errorf("unknown algorithm %q", algo)
+	res, vals, err := bench.ExecGraphChi(a, sh, opts, bench.AlgoParams{Source: src, Iterations: iters})
+	if err != nil {
+		return 0, nil, err
 	}
 	return res.Iterations, identityMap(vals), nil
 }
 
 // runXStream partitions and runs the algorithm.
 func runXStream(dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID) (int, map[graph.VertexID]float64, error) {
+	a, err := bench.ParseAlgo(algo)
+	if err != nil {
+		return 0, nil, err
+	}
 	pt, err := xstream.Partition(xstream.PartitionConfig{Dev: dev, Clock: clock, MemoryBudget: budget}, "raw", "g")
 	if err != nil {
 		return 0, nil, err
 	}
 	opts := xstream.Options{MemoryBudget: budget, Clock: clock, MaxIterations: 200, Obs: reg, Trace: tracer}
-	var res xstream.Result
-	var vals []float64
-	switch algo {
-	case "pr":
-		r, v, err := xsalgo.PageRank(pt, opts, iters, 0.85)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "bfs":
-		r, v, err := xsalgo.BFS(pt, opts, src)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "cc":
-		r, v, err := xsalgo.ConnectedComponents(pt, opts)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "sssp":
-		r, v, err := xsalgo.SSSP(pt, opts, src)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "bp":
-		r, v, err := xsalgo.BeliefPropagation(pt, opts, iters)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	case "rw":
-		r, v, err := xsalgo.RandomWalk(pt, opts, iters, 1)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, vals = r, widen(v)
-	default:
-		return 0, nil, fmt.Errorf("unknown algorithm %q", algo)
+	res, vals, err := bench.ExecXStream(a, pt, opts, bench.AlgoParams{Source: src, Iterations: iters})
+	if err != nil {
+		return 0, nil, err
 	}
 	return res.Iterations, identityMap(vals), nil
-}
-
-func widen[T float32 | uint32](v []T) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 func identityMap(vals []float64) map[graph.VertexID]float64 {

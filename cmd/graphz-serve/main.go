@@ -65,9 +65,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	kind := storage.SSD
-	if *device == "hdd" {
-		kind = storage.HDD
+	kind, err := storage.ParseKind(*device)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphz-serve:", err)
+		os.Exit(2)
 	}
 
 	s, err := serve.New(serve.Config{MemoryBudget: *budget, DefaultJobBudget: *jobB, QueueLimit: *queue})
@@ -226,17 +227,9 @@ func generate(spec string) (string, []graph.Edge, error) {
 			return "", nil, fmt.Errorf("bad %s: %w", p, err)
 		}
 	}
-	switch kind {
-	case "rmat":
-		return name, gen.RMAT(int(params["scale"]), int(params["edges"]), gen.NaturalRMAT, params["seed"]), nil
-	case "zipf":
-		return name, gen.Zipf(int(params["vertices"]), int(params["edges"]), skew, params["seed"]), nil
-	case "er":
-		return name, gen.ErdosRenyi(int(params["vertices"]), int(params["edges"]), params["seed"]), nil
-	case "grid":
-		return name, gen.Grid(int(params["vertices"]), int(params["vertices"])), nil
-	}
-	return "", nil, fmt.Errorf("unknown generator %q (want rmat, zipf, er, or grid)", kind)
+	edges, err := gen.Generate(gen.Spec{Kind: kind, Scale: int(params["scale"]), Vertices: int(params["vertices"]),
+		Edges: int(params["edges"]), Skew: skew, Rows: int(params["vertices"]), Cols: int(params["vertices"]), Seed: params["seed"]})
+	return name, edges, err
 }
 
 func fatal(err error) {

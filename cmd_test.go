@@ -129,6 +129,34 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	}
 
+	// A misspelt -device is a usage error (exit 2) on every binary that
+	// takes one, not a silent SSD cost model; an unknown generator names
+	// the four it could have been, and the retired codec says to reconvert.
+	serve := buildTool(t, dir, "graphz-serve")
+	for _, tc := range []struct {
+		tool string
+		args []string
+		exit int // 0: any failure
+		want string
+	}{
+		{run, []string{"-in", graphFile, "-device", "sdd"}, 2, `unknown device "sdd"`},
+		{convert, []string{"-in", graphFile, "-device", "sdd"}, 2, `unknown device "sdd"`},
+		{serve, []string{"-in", "g=" + graphFile, "-device", "sdd"}, 2, `unknown device "sdd"`},
+		{gen, []string{"-kind", "rmatt", "-out", filepath.Join(dir, "x.bin")}, 2, `unknown generator "rmatt" (want rmat, zipf, er, or grid)`},
+		{run, []string{"-gen", "rmatt"}, 0, `unknown generator "rmatt" (want rmat, zipf, er, or grid)`},
+		{serve, []string{"-gen", "g=rmatt"}, 0, `unknown generator "rmatt" (want rmat, zipf, er, or grid)`},
+		{convert, []string{"-in", graphFile, "-codec", "varint"}, 0, `"varint" (id 1) is retired, reconvert`},
+	} {
+		out, err := exec.Command(tc.tool, tc.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || (tc.exit != 0 && exit.ExitCode() != tc.exit) {
+			t.Errorf("%s %v: %v, want exit status %d\n%s", filepath.Base(tc.tool), tc.args, err, tc.exit, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s %v: output does not say %q:\n%s", filepath.Base(tc.tool), tc.args, tc.want, out)
+		}
+	}
+
 	// Unknown engine errors out.
 	if _, err := exec.Command(run, "-in", graphFile, "-engine", "bogus").CombinedOutput(); err == nil {
 		t.Error("bogus engine should fail")

@@ -1,7 +1,9 @@
 package graphz_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -89,5 +91,39 @@ func TestMetricCatalog(t *testing.T) {
 	}
 	if len(code) < 30 {
 		t.Errorf("only %d metric families found; the catalog check is vacuous", len(code))
+	}
+}
+
+// TestDesignNamesExistingFiles resolves every `file.go` DESIGN.md names in
+// backticks — bare, or with as much of its directory as the text gives —
+// to a file of this repository, so the design cannot go on describing a
+// file a PR deleted or renamed. (History is told without the backticks.)
+func TestDesignNamesExistingFiles(t *testing.T) {
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, "/"+filepath.ToSlash(path))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go)`").FindAllStringSubmatch(string(md), -1)
+	if len(names) < 20 {
+		t.Errorf("only %d file names found in DESIGN.md; the check is vacuous", len(names))
+	}
+next:
+	for _, m := range names {
+		for _, f := range files {
+			if strings.HasSuffix(f, "/"+m[1]) {
+				continue next
+			}
+		}
+		t.Errorf("DESIGN.md names `%s`, which is no file of this repository", m[1])
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // The differential property behind the DOS v2 codec layer: the block
 // codec is invisible to the algorithm. A graph converted with CodecRaw
-// and one converted with CodecVarint share the vertex relabeling, the
+// and one converted with CodecGroupVarint share the vertex relabeling, the
 // adjacency order, and the partitioning (their resident block tables are
 // the same size), so every run over them must produce byte-identical
 // vertex states AND identical message-routing counters — with and without
@@ -115,8 +115,8 @@ func TestCodecDifferential(t *testing.T) {
 			return res, bitsF32(dists), err
 		}},
 		// PageRank applies float additions in adjacency order, so v1
-		// (legacy order) agrees only approximately; raw vs varint still
-		// must agree exactly.
+		// (legacy order) agrees only approximately; raw vs groupvarint
+		// still must agree exactly.
 		{"pagerank", false, func(g *dos.Graph, opts core.Options) (core.Result, []uint64, error) {
 			res, ranks, err := graphzalgo.PageRank(g, opts, 20, 0.85)
 			return res, bitsF32(ranks), err
@@ -140,7 +140,6 @@ func TestCodecDifferential(t *testing.T) {
 	for _, gr := range graphs {
 		g1 := convertCodec(t, gr.edges, nil)
 		graw := convertCodec(t, gr.edges, storage.CodecRaw)
-		gvar := convertCodec(t, gr.edges, storage.CodecVarint)
 		ggv := convertCodec(t, gr.edges, storage.CodecGroupVarint)
 		for _, a := range algos {
 			for _, cfg := range configs {
@@ -153,20 +152,12 @@ func TestCodecDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s raw: %v", name, err)
 				}
-				resV, stV, err := a.run(gvar, cfg.mod(tightCodecOpts(gvar, 8)))
-				if err != nil {
-					t.Fatalf("%s varint: %v", name, err)
-				}
 				resG, stG, err := a.run(ggv, cfg.mod(tightCodecOpts(ggv, 8)))
 				if err != nil {
 					t.Fatalf("%s groupvarint: %v", name, err)
 				}
-				// The headline property: the three v2 codecs are
+				// The headline property: the two v2 codecs are
 				// indistinguishable — states and counters.
-				sameBits(t, name+" raw-vs-varint", stV, stR)
-				if countersOf(resV) != countersOf(resR) {
-					t.Fatalf("%s: varint counters %+v, raw %+v", name, countersOf(resV), countersOf(resR))
-				}
 				sameBits(t, name+" raw-vs-groupvarint", stG, stR)
 				if countersOf(resG) != countersOf(resR) {
 					t.Fatalf("%s: groupvarint counters %+v, raw %+v", name, countersOf(resG), countersOf(resR))
@@ -205,7 +196,7 @@ func TestCodecCheckpointResumeDifferential(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		codec storage.Codec
-	}{{"raw", storage.CodecRaw}, {"varint", storage.CodecVarint}, {"groupvarint", storage.CodecGroupVarint}} {
+	}{{"raw", storage.CodecRaw}, {"groupvarint", storage.CodecGroupVarint}} {
 		gRef := convertCodec(t, edges, c.codec)
 		refRes, refLabels, err := graphzalgo.ConnectedComponents(gRef, tightCodecOpts(gRef, 8))
 		if err != nil {
@@ -250,16 +241,15 @@ func TestCodecCheckpointResumeDifferential(t *testing.T) {
 		}
 		results[c.name] = outcome{res: res, st: bits32(labels)}
 	}
-	for _, name := range []string{"varint", "groupvarint"} {
-		sameBits(t, "raw-vs-"+name+" after resume", results[name].st, results["raw"].st)
-		if countersOf(results[name].res) != countersOf(results["raw"].res) {
-			t.Fatalf("resume counters differ: %s %+v, raw %+v", name, countersOf(results[name].res), countersOf(results["raw"].res))
-		}
+	gv, raw := results["groupvarint"], results["raw"]
+	sameBits(t, "raw-vs-groupvarint after resume", gv.st, raw.st)
+	if countersOf(gv.res) != countersOf(raw.res) {
+		t.Fatalf("resume counters differ: groupvarint %+v, raw %+v", countersOf(gv.res), countersOf(raw.res))
 	}
 }
 
 // The acceptance bar from the issue: on a power-law graph with >= 1M
-// edges, the varint edges file is at least 1.8x smaller than raw, and an
+// edges, the groupvarint edges file is at least 1.9x smaller than raw, and an
 // end-to-end PageRank reads proportionally fewer device bytes — measured
 // by the graphz_codec_bytes_{raw,encoded}_total counters — while the
 // final states stay byte-identical.
@@ -269,7 +259,6 @@ func TestCodecCompressionAcceptance(t *testing.T) {
 	}
 	edges := gen.Zipf(200_000, 1_100_000, 0.9, 99)
 	graw := convertCodec(t, edges, storage.CodecRaw)
-	gvar := convertCodec(t, edges, storage.CodecVarint)
 	ggv := convertCodec(t, edges, storage.CodecGroupVarint)
 	if graw.NumEdges < 1_000_000 {
 		t.Fatalf("generator produced %d edges, want >= 1M", graw.NumEdges)
@@ -282,18 +271,13 @@ func TestCodecCompressionAcceptance(t *testing.T) {
 		}
 		return n
 	}
-	rawBytes, varBytes, gvBytes := sizeOf(graw), sizeOf(gvar), sizeOf(ggv)
-	fileRatio := float64(rawBytes) / float64(varBytes)
-	t.Logf("edges file: raw %d B, varint %d B (%.2fx)", rawBytes, varBytes, fileRatio)
-	if fileRatio < 1.8 {
-		t.Errorf("varint edges file only %.2fx smaller than raw, want >= 1.8x", fileRatio)
-	}
-	// The fast codec's acceptance bar: the ~2 control bits per entry it
-	// spends on branch-free decode still leave at least a 1.9x ratio.
-	gvRatio := float64(rawBytes) / float64(gvBytes)
-	t.Logf("edges file: groupvarint %d B (%.2fx)", gvBytes, gvRatio)
-	if gvRatio < 1.9 {
-		t.Errorf("groupvarint edges file only %.2fx smaller than raw, want >= 1.9x", gvRatio)
+	// The ~2 control bits per entry spent on branch-free decode still
+	// leave at least a 1.9x ratio.
+	rawBytes, gvBytes := sizeOf(graw), sizeOf(ggv)
+	fileRatio := float64(rawBytes) / float64(gvBytes)
+	t.Logf("edges file: raw %d B, groupvarint %d B (%.2fx)", rawBytes, gvBytes, fileRatio)
+	if fileRatio < 1.9 {
+		t.Errorf("groupvarint edges file only %.2fx smaller than raw, want >= 1.9x", fileRatio)
 	}
 
 	run := func(g *dos.Graph) (core.Result, []uint64, storage.Stats) {
@@ -306,41 +290,30 @@ func TestCodecCompressionAcceptance(t *testing.T) {
 		return res, bitsF32(ranks), g.Device().Stats()
 	}
 	resR, stR, ioR := run(graw)
-	resV, stV, ioV := run(gvar)
 	resG, stG, ioG := run(ggv)
 
-	sameBits(t, "pagerank raw-vs-varint", stV, stR)
-	if countersOf(resV) != countersOf(resR) {
-		t.Fatalf("counters differ: varint %+v, raw %+v", countersOf(resV), countersOf(resR))
-	}
 	sameBits(t, "pagerank raw-vs-groupvarint", stG, stR)
 	if countersOf(resG) != countersOf(resR) {
 		t.Fatalf("counters differ: groupvarint %+v, raw %+v", countersOf(resG), countersOf(resR))
 	}
-	if resG.CodecBytesRaw != resR.CodecBytesRaw {
-		t.Fatalf("decoded bytes: groupvarint %d, raw %d, want equal", resG.CodecBytesRaw, resR.CodecBytesRaw)
+	if resG.CodecBytesRaw == 0 || resG.CodecBytesRaw != resR.CodecBytesRaw {
+		t.Fatalf("decoded bytes: groupvarint %d, raw %d, want equal and nonzero", resG.CodecBytesRaw, resR.CodecBytesRaw)
+	}
+	// The device-byte saving matches the file-size saving: the run reads
+	// the same index/state/message bytes on both codecs, fewer edge
+	// bytes on groupvarint.
+	readRatio := float64(resR.CodecBytesEncoded) / float64(resG.CodecBytesEncoded)
+	t.Logf("edge bytes read: raw %d, groupvarint %d (%.2fx); device reads raw %d, groupvarint %d",
+		resR.CodecBytesEncoded, resG.CodecBytesEncoded, readRatio, ioR.ReadBytes, ioG.ReadBytes)
+	if readRatio < fileRatio*0.95 {
+		t.Errorf("groupvarint run read only %.2fx fewer edge bytes; file is %.2fx smaller", readRatio, fileRatio)
 	}
 	if ioG.ReadBytes >= ioR.ReadBytes {
 		t.Errorf("groupvarint run read %d device bytes, raw read %d", ioG.ReadBytes, ioR.ReadBytes)
 	}
-	if resV.CodecBytesRaw == 0 || resV.CodecBytesRaw != resR.CodecBytesRaw {
-		t.Fatalf("decoded bytes: varint %d, raw %d, want equal and nonzero", resV.CodecBytesRaw, resR.CodecBytesRaw)
-	}
-	// The device-byte saving matches the file-size saving: the run reads
-	// the same index/state/message bytes on both codecs, fewer edge
-	// bytes on varint.
-	readRatio := float64(resR.CodecBytesEncoded) / float64(resV.CodecBytesEncoded)
-	t.Logf("edge bytes read: raw %d, varint %d (%.2fx); device reads raw %d, varint %d",
-		resR.CodecBytesEncoded, resV.CodecBytesEncoded, readRatio, ioR.ReadBytes, ioV.ReadBytes)
-	if readRatio < fileRatio*0.95 {
-		t.Errorf("varint run read only %.2fx fewer edge bytes; file is %.2fx smaller", readRatio, fileRatio)
-	}
-	if ioV.ReadBytes >= ioR.ReadBytes {
-		t.Errorf("varint run read %d device bytes, raw read %d", ioV.ReadBytes, ioR.ReadBytes)
-	}
 }
 
-// TestGroupVarintDifferentialMatrix pins the new fast codec against raw
+// TestGroupVarintDifferentialMatrix pins the delta codec against raw
 // across the engine-mode cross: {selective scheduling on/off} ×
 // {fitting, tight budget}. Every cell must produce
 // byte-identical states and identical routing counters — the codec (and

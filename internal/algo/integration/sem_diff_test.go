@@ -23,7 +23,7 @@ import (
 // every algorithm and adjacency codec; PageRank's
 // fixed-iteration ranks agree approximately, exactly as they do between
 // any two partition counts (a cross-partition message waits an iteration,
-// an inline one does not). The raw and varint codecs must stay
+// an inline one does not). The raw and groupvarint codecs must stay
 // indistinguishable on one partition, and a mid-run crash/resume cycle
 // must reproduce the uninterrupted run.
 
@@ -67,11 +67,11 @@ func TestSemDifferential(t *testing.T) {
 	codecs := []struct {
 		name  string
 		codec storage.Codec
-	}{{"raw", storage.CodecRaw}, {"varint", storage.CodecVarint}, {"groupvarint", storage.CodecGroupVarint}}
+	}{{"raw", storage.CodecRaw}, {"groupvarint", storage.CodecGroupVarint}}
 
 	edges := symmetrize(gen.Zipf(3000, 16000, 0.9, 81))
 	for _, a := range algos {
-		// One fitting-budget outcome per codec, to cross-check raw vs varint.
+		// One fitting-budget outcome per codec, to cross-check raw vs groupvarint.
 		semStates := map[string][]uint64{}
 		semCounters := map[string]codecCounters{}
 		for _, c := range codecs {
@@ -110,11 +110,9 @@ func TestSemDifferential(t *testing.T) {
 			}
 		}
 		// The codec must stay invisible on one partition too.
-		for _, other := range []string{"varint", "groupvarint"} {
-			sameBits(t, a.name+" sem raw-vs-"+other, semStates[other], semStates["raw"])
-			if semCounters[other] != semCounters["raw"] {
-				t.Fatalf("%s: sem %s counters %+v, raw %+v", a.name, other, semCounters[other], semCounters["raw"])
-			}
+		sameBits(t, a.name+" sem raw-vs-groupvarint", semStates["groupvarint"], semStates["raw"])
+		if semCounters["groupvarint"] != semCounters["raw"] {
+			t.Fatalf("%s: sem groupvarint counters %+v, raw %+v", a.name, semCounters["groupvarint"], semCounters["raw"])
 		}
 	}
 }
@@ -131,7 +129,7 @@ func TestSemCheckpointResumeDifferential(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		codec storage.Codec
-	}{{"raw", storage.CodecRaw}, {"varint", storage.CodecVarint}, {"groupvarint", storage.CodecGroupVarint}} {
+	}{{"raw", storage.CodecRaw}, {"groupvarint", storage.CodecGroupVarint}} {
 		gRef := convertCodec(t, edges, c.codec)
 		refRes, refLabels, err := graphzalgo.ConnectedComponents(gRef, semRunOpts())
 		if err != nil {
@@ -175,11 +173,9 @@ func TestSemCheckpointResumeDifferential(t *testing.T) {
 		}
 		results[c.name] = outcome{res: res, st: bits32(labels)}
 	}
-	for _, name := range []string{"varint", "groupvarint"} {
-		sameBits(t, "sem raw-vs-"+name+" after resume", results[name].st, results["raw"].st)
-		if countersOf(results[name].res) != countersOf(results["raw"].res) {
-			t.Fatalf("resume counters differ: %s %+v, raw %+v",
-				name, countersOf(results[name].res), countersOf(results["raw"].res))
-		}
+	gv, raw := results["groupvarint"], results["raw"]
+	sameBits(t, "sem raw-vs-groupvarint after resume", gv.st, raw.st)
+	if countersOf(gv.res) != countersOf(raw.res) {
+		t.Fatalf("resume counters differ: groupvarint %+v, raw %+v", countersOf(gv.res), countersOf(raw.res))
 	}
 }

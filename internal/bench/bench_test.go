@@ -119,7 +119,7 @@ func TestMaxDegreeVertexIsDOSZero(t *testing.T) {
 	// (smallest-ID tie break) to new ID 0.
 	edges := EdgesFor(Small, false)
 	src := MaxDegreeVertex(edges)
-	prep := Prep(Small, FormatDOS, storage.HDD, 4, false, "")
+	prep := Prep(Small, FormatDOS, storage.HDD, 4, false)
 	if prep.Err != nil {
 		t.Fatal(prep.Err)
 	}
@@ -208,88 +208,6 @@ func TestGraphChiFastFail(t *testing.T) {
 	}
 	if o.IndexBytes == 0 {
 		t.Error("failure should report the index size")
-	}
-}
-
-func TestRunCheckpointedMatchesPlain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the harness end to end")
-	}
-	base := Run(RunConfig{Scale: Small, Algo: CC, Engine: GraphZ, Kind: storage.SSD, Budget: Mem8})
-	ck := Run(RunConfig{Scale: Small, Algo: CC, Engine: GraphZ, Kind: storage.SSD, Budget: Mem8, CheckpointEvery: 1})
-	if base.Failed() || ck.Failed() {
-		t.Fatalf("runs failed: %v / %v", base.Err, ck.Err)
-	}
-	if ck.Checkpoints == 0 || ck.CheckpointBytes == 0 || ck.CheckpointTime <= 0 {
-		t.Fatalf("checkpointed run reported no checkpoint work: %+v", ck)
-	}
-	if base.Checkpoints != 0 {
-		t.Fatalf("plain run reported %d checkpoints", base.Checkpoints)
-	}
-	// Checkpoints only read state: the algorithm outcome is unchanged,
-	// and the modeled runtime grows by the charged checkpoint IO.
-	if ck.Iterations != base.Iterations || ck.Spilled != base.Spilled || ck.Inline != base.Inline {
-		t.Fatalf("checkpointing changed the run: base %+v, ckpt %+v", base, ck)
-	}
-	if ck.Runtime <= base.Runtime {
-		t.Errorf("checkpoint IO should cost modeled time: base %v, ckpt %v", base.Runtime, ck.Runtime)
-	}
-	table := TableCheckpointOverhead(Small, storage.SSD, Mem8)
-	if !strings.Contains(table, "Checkpoint overhead") || !strings.Contains(table, "PR") {
-		t.Fatalf("overhead table malformed:\n%s", table)
-	}
-}
-
-func TestRunSelectiveScheduling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the harness end to end")
-	}
-	base := Run(RunConfig{Scale: Small, Algo: BFS, Engine: GraphZ, Kind: storage.SSD, Budget: Mem8})
-	sel := Run(RunConfig{Scale: Small, Algo: BFS, Engine: GraphZ, Kind: storage.SSD, Budget: Mem8, Selective: true})
-	if base.Failed() || sel.Failed() {
-		t.Fatalf("runs failed: %v / %v", base.Err, sel.Err)
-	}
-	if base.BlocksScanned != 0 || base.BlocksSkipped != 0 {
-		t.Fatalf("full-streaming run reported block scheduling: %+v", base)
-	}
-	if sel.BlocksScanned == 0 {
-		t.Fatalf("selective run reported no scanned blocks: %+v", sel)
-	}
-	table := TableSelectiveScheduling(Small, storage.SSD, Mem8)
-	if !strings.Contains(table, "Selective block scheduling") || !strings.Contains(table, "BFS") {
-		t.Fatalf("selective table malformed:\n%s", table)
-	}
-}
-
-func TestRunCodec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the harness end to end")
-	}
-	v1 := Run(RunConfig{Scale: Small, Algo: PR, Engine: GraphZ, Kind: storage.SSD, Budget: Mem8})
-	vi := Run(RunConfig{Scale: Small, Algo: PR, Engine: GraphZ, Kind: storage.SSD, Budget: Mem8, Codec: "varint"})
-	if v1.Failed() || vi.Failed() {
-		t.Fatalf("runs failed: %v / %v", v1.Err, vi.Err)
-	}
-	if v1.CodecBytesRaw != 0 || v1.CodecBytesEncoded != 0 {
-		t.Fatalf("v1 run reported codec activity: %+v", v1)
-	}
-	if vi.CodecBytesRaw == 0 || vi.CodecBytesEncoded == 0 || vi.DecodeTime <= 0 {
-		t.Fatalf("varint run reported no codec work: %+v", vi)
-	}
-	if vi.CodecBytesEncoded >= vi.CodecBytesRaw {
-		t.Errorf("varint read %d encoded bytes for %d raw, no saving", vi.CodecBytesEncoded, vi.CodecBytesRaw)
-	}
-	// Compression must show up as fewer device bytes read end to end.
-	if vi.Stats.ReadBytes >= v1.Stats.ReadBytes {
-		t.Errorf("varint run read %d device bytes, v1 read %d", vi.Stats.ReadBytes, v1.Stats.ReadBytes)
-	}
-	// The algorithm outcome is codec-independent.
-	if vi.Iterations != v1.Iterations || vi.Spilled != v1.Spilled || vi.Inline != v1.Inline {
-		t.Fatalf("codec changed the run: v1 %+v, varint %+v", v1, vi)
-	}
-	table := TableCodec(Small, storage.SSD, Mem8)
-	if !strings.Contains(table, "Adjacency codecs") || !strings.Contains(table, "v2 varint") {
-		t.Fatalf("codec table malformed:\n%s", table)
 	}
 }
 

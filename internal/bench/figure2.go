@@ -72,7 +72,7 @@ func InPartitionCDF(g *dos.Graph, points int) ([]float64, error) {
 // InPartitionCDFFor builds (or reuses) the DOS conversion of a scale and
 // computes its CDF.
 func InPartitionCDFFor(s Scale, points int) ([]float64, error) {
-	prep := Prep(s, FormatDOS, storageKindForAnalysis, 4, false, "")
+	prep := Prep(s, FormatDOS, storageKindForAnalysis, 4, false)
 	if prep.Err != nil {
 		return nil, prep.Err
 	}

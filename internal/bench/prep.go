@@ -48,7 +48,6 @@ type prepKey struct {
 	kind     storage.Kind
 	evalSize int
 	sym      bool
-	codec    string
 }
 
 var (
@@ -57,27 +56,23 @@ var (
 )
 
 // Prep preprocesses a scale into the given format on a fresh device of
-// the given kind, memoizing the result. codec names the DOS adjacency
-// block codec ("raw" or "varint" selects the v2 format; "" keeps v1) and
-// is ignored by the other formats. Callers that run algorithms on the
+// the given kind, memoizing the result. DOS is the paper's v1 format: raw
+// 4-byte entries, no block codec. Callers that run algorithms on the
 // returned device must ResetStats/SetClock first and clean their runtime
 // files after.
-func Prep(s Scale, format Format, kind storage.Kind, evalSize int, sym bool, codec string) *PrepResult {
-	if format != FormatDOS {
-		codec = ""
-	}
-	key := prepKey{s.Name, format, kind, evalSize, sym, codec}
+func Prep(s Scale, format Format, kind storage.Kind, evalSize int, sym bool) *PrepResult {
+	key := prepKey{s.Name, format, kind, evalSize, sym}
 	prepMu.Lock()
 	defer prepMu.Unlock()
 	if r, ok := prepMemo[key]; ok {
 		return r
 	}
-	r := doPrep(s, format, kind, evalSize, sym, codec)
+	r := doPrep(s, format, kind, evalSize, sym)
 	prepMemo[key] = r
 	return r
 }
 
-func doPrep(s Scale, format Format, kind storage.Kind, evalSize int, sym bool, codec string) *PrepResult {
+func doPrep(s Scale, format Format, kind storage.Kind, evalSize int, sym bool) *PrepResult {
 	clock := sim.NewClock()
 	dev := NewDevice(kind, nil) // raw ingest is not charged
 	edges := EdgesFor(s, sym)
@@ -90,13 +85,7 @@ func doPrep(s Scale, format Format, kind storage.Kind, evalSize int, sym bool, c
 	var err error
 	switch format {
 	case FormatDOS:
-		var blockCodec storage.Codec
-		if codec != "" {
-			if blockCodec, err = storage.CodecByName(codec); err != nil {
-				break
-			}
-		}
-		_, err = dos.Convert(dos.ConvertConfig{Dev: dev, Clock: clock, MemoryBudget: DefaultBudget / 4, RemoveInput: true, Codec: blockCodec}, RawEdgeFile, Prefix)
+		_, err = dos.Convert(dos.ConvertConfig{Dev: dev, Clock: clock, MemoryBudget: DefaultBudget / 4, RemoveInput: true}, RawEdgeFile, Prefix)
 	case FormatCSR:
 		_, err = csr.Build(csr.BuildConfig{Dev: dev, Clock: clock, MemoryBudget: DefaultBudget / 4}, RawEdgeFile, Prefix)
 	case FormatChi:

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
-	"graphz/internal/algo/chialgo"
-	"graphz/internal/algo/xsalgo"
 	"graphz/internal/core"
 	"graphz/internal/csr"
 	"graphz/internal/dos"
@@ -66,26 +63,6 @@ type RunConfig struct {
 	Engine Engine
 	Kind   storage.Kind
 	Budget int64
-	// CheckpointEvery enables GraphZ iteration-boundary checkpointing
-	// to a throwaway host directory every N iterations (0 disables).
-	// Results are identical with or without it — checkpoints only read
-	// engine state — so it isolates the durability overhead the
-	// checkpoint table reports. Part of the memo key.
-	CheckpointEvery int
-	// Selective enables GraphZ selective block scheduling
-	// (core.Options.SelectiveScheduling): adjacency blocks with no
-	// active vertex and no pending message are skipped. Final states are
-	// byte-identical for the frontier-safe benchmarks; the saved IO
-	// shows up in Runtime/IO and the BlocksSkipped column. Part of the
-	// memo key.
-	Selective bool
-	// Codec selects the DOS adjacency block codec for the GraphZ engine:
-	// "raw" or "varint" preps the v2 block-encoded format, "" keeps v1.
-	// Final states are byte-identical across codecs (the two v2 codecs
-	// even share the adjacency order); what changes is the device bytes
-	// read, reported in the CodecBytes columns. Ignored by the CSR/
-	// GraphChi/X-Stream engines. Part of the memo key.
-	Codec string
 }
 
 // Outcome is everything the tables and figures report about one run.
@@ -111,18 +88,6 @@ type Outcome struct {
 	// Stages is the per-pipeline-stage wall-clock breakdown reported by
 	// the engine's observability layer.
 	Stages obs.StageTimes
-	// Checkpoint accounting (GraphZ engines with CheckpointEvery > 0).
-	Checkpoints     int64
-	CheckpointBytes int64
-	CheckpointTime  time.Duration
-	// Selective-scheduling accounting (GraphZ engines with Selective).
-	BlocksScanned int64
-	BlocksSkipped int64
-	// Adjacency-codec accounting (GraphZ engine with Codec set): decoded
-	// bytes produced vs encoded bytes read, and the decode wall clock.
-	CodecBytesRaw     int64
-	CodecBytesEncoded int64
-	DecodeTime        time.Duration
 	// Report is the run's full profiling artifact — stage spans, per-
 	// iteration snapshots, memory timeline, block heatmap, per-file IO —
 	// built from the same registry the scalar fields above summarize.
@@ -215,11 +180,7 @@ func runLocked(cfg RunConfig) Outcome {
 			return out
 		}
 	}
-	codec := ""
-	if formatFor(cfg.Engine) == FormatDOS {
-		codec = cfg.Codec
-	}
-	prep := Prep(cfg.Scale, formatFor(cfg.Engine), cfg.Kind, evalSizeFor(cfg.Algo), sym, codec)
+	prep := Prep(cfg.Scale, formatFor(cfg.Engine), cfg.Kind, evalSizeFor(cfg.Algo), sym)
 	out.PrepTime = prep.Time
 	if prep.Err != nil {
 		out.Err = fmt.Errorf("preprocessing: %w", prep.Err)
@@ -259,11 +220,7 @@ func runLocked(cfg RunConfig) Outcome {
 		Algo:        string(cfg.Algo),
 		Device:      cfg.Kind.String(),
 		BudgetBytes: cfg.Budget,
-		Config: map[string]string{
-			"scale":     cfg.Scale.Name,
-			"selective": fmt.Sprint(cfg.Selective),
-			"codec":     cfg.Codec,
-		},
+		Config:      map[string]string{"scale": cfg.Scale.Name},
 	}, reg, tr, core.DeviceFileIO(dev))
 	return out
 }
@@ -288,20 +245,11 @@ func runGraphZ(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Re
 	}
 	out.IndexBytes = layout.IndexBytes()
 	opts := core.Options{
-		MemoryBudget:        cfg.Budget,
-		Clock:               clock,
-		DynamicMessages:     cfg.Engine != GraphZNoDOSNoDM,
-		SelectiveScheduling: cfg.Selective,
-		Obs:                 reg,
-		Trace:               tr,
-	}
-	if cfg.CheckpointEvery > 0 {
-		ckdir, err := os.MkdirTemp("", "graphz-bench-ckpt-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(ckdir)
-		opts.Checkpoint = core.CheckpointOptions{Dir: ckdir, Every: cfg.CheckpointEvery}
+		MemoryBudget:    cfg.Budget,
+		Clock:           clock,
+		DynamicMessages: cfg.Engine != GraphZNoDOSNoDM,
+		Obs:             reg,
+		Trace:           tr,
 	}
 
 	source := graph.VertexID(0) // DOS relabels the max-degree vertex to 0
@@ -319,18 +267,10 @@ func runGraphZ(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Re
 	out.SemiExternal = res.SemiExternal
 	out.SpillErrors = res.SpillErrors
 	out.Stages = res.Stages
-	out.Checkpoints = res.Checkpoints
-	out.CheckpointBytes = res.CheckpointBytes
-	out.CheckpointTime = res.CheckpointTime
-	out.BlocksScanned = res.BlocksScanned
-	out.BlocksSkipped = res.BlocksSkipped
-	out.CodecBytesRaw = res.CodecBytesRaw
-	out.CodecBytesEncoded = res.CodecBytesEncoded
-	out.DecodeTime = res.DecodeTime
 	return nil
 }
 
-// runGraphChi dispatches the six algorithms on the PSW baseline.
+// runGraphChi runs the algorithm on the PSW baseline.
 func runGraphChi(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tr *obs.Tracer, out *Outcome) error {
 	sh, err := graphchi.LoadShards(dev, Prefix)
 	if err != nil {
@@ -338,28 +278,7 @@ func runGraphChi(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.
 	}
 	out.IndexBytes = sh.IndexBytes()
 	opts := graphchi.Options{MemoryBudget: cfg.Budget, Clock: clock, Obs: reg, Trace: tr}
-	source := sourceFor(cfg.Scale)
-
-	var res graphchi.Result
-	switch cfg.Algo {
-	case PR:
-		res, _, err = chialgo.PageRank(sh, opts, prIterations, prDamping)
-	case BFS:
-		opts.MaxIterations = maxConvergeIters
-		res, _, err = chialgo.BFS(sh, opts, source)
-	case CC:
-		opts.MaxIterations = maxConvergeIters
-		res, _, err = chialgo.ConnectedComponents(sh, opts)
-	case SSSP:
-		opts.MaxIterations = maxConvergeIters
-		res, _, err = chialgo.SSSP(sh, opts, source)
-	case BP:
-		res, _, err = chialgo.BeliefPropagation(sh, opts, bpIterations)
-	case RW:
-		res, _, err = chialgo.RandomWalk(sh, opts, rwIterations, rwWalkers)
-	default:
-		err = fmt.Errorf("bench: unknown algorithm %q", cfg.Algo)
-	}
+	res, _, err := ExecGraphChi(cfg.Algo, sh, opts, AlgoParams{Source: sourceFor(cfg.Scale)})
 	if err != nil {
 		return err
 	}
@@ -368,7 +287,7 @@ func runGraphChi(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.
 	return nil
 }
 
-// runXStream dispatches the six algorithms on the edge-centric baseline.
+// runXStream runs the algorithm on the edge-centric baseline.
 func runXStream(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tr *obs.Tracer, out *Outcome) error {
 	pt, err := xstream.LoadPartitioned(dev, Prefix)
 	if err != nil {
@@ -376,28 +295,7 @@ func runXStream(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.R
 	}
 	out.IndexBytes = 0 // the model's selling point: no vertex index
 	opts := xstream.Options{MemoryBudget: cfg.Budget, Clock: clock, Obs: reg, Trace: tr}
-	source := sourceFor(cfg.Scale)
-
-	var res xstream.Result
-	switch cfg.Algo {
-	case PR:
-		res, _, err = xsalgo.PageRank(pt, opts, prIterations, prDamping)
-	case BFS:
-		opts.MaxIterations = maxConvergeIters
-		res, _, err = xsalgo.BFS(pt, opts, source)
-	case CC:
-		opts.MaxIterations = maxConvergeIters
-		res, _, err = xsalgo.ConnectedComponents(pt, opts)
-	case SSSP:
-		opts.MaxIterations = maxConvergeIters
-		res, _, err = xsalgo.SSSP(pt, opts, source)
-	case BP:
-		res, _, err = xsalgo.BeliefPropagation(pt, opts, bpIterations)
-	case RW:
-		res, _, err = xsalgo.RandomWalk(pt, opts, rwIterations, rwWalkers)
-	default:
-		err = fmt.Errorf("bench: unknown algorithm %q", cfg.Algo)
-	}
+	res, _, err := ExecXStream(cfg.Algo, pt, opts, AlgoParams{Source: sourceFor(cfg.Scale)})
 	if err != nil {
 		return err
 	}

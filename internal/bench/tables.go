@@ -221,7 +221,7 @@ func Table10() string {
 func Table11() string {
 	var rows [][]string
 	for _, s := range Scales {
-		prep := Prep(s, FormatDOS, storageKindForAnalysis, 4, false, "")
+		prep := Prep(s, FormatDOS, storageKindForAnalysis, 4, false)
 		if prep.Err != nil {
 			rows = append(rows, []string{s.Name, "?", "FAIL"})
 			continue
@@ -249,9 +249,9 @@ func Table12() string {
 	var rows [][]string
 	for _, s := range Scales {
 		for _, kind := range []storage.Kind{storage.HDD, storage.SSD} {
-			chi := Prep(s, FormatChi, kind, 4, false, "")
-			gz := Prep(s, FormatDOS, kind, 4, false, "")
-			xs := Prep(s, FormatXS, kind, 4, false, "")
+			chi := Prep(s, FormatChi, kind, 4, false)
+			gz := Prep(s, FormatDOS, kind, 4, false)
+			xs := Prep(s, FormatXS, kind, 4, false)
 			cell := func(p *PrepResult) string {
 				if p.Err != nil {
 					return "FAIL"
@@ -479,90 +479,4 @@ func Figure9() string {
 	}
 	return FormatTable("Figure 9: external IO, large graph (SSD, 8GB analog)",
 		[]string{"benchmark", "engine", "read", "written", "seeks"}, rows)
-}
-
-// TableCheckpointOverhead quantifies the durability tax: every benchmark
-// on the GraphZ engine with checkpointing off versus checkpointing every
-// iteration, the modeled-runtime overhead that induces, and the
-// checkpoint volume written. Not a paper table — it documents what the
-// checkpoint/restore subsystem (docs/DURABILITY.md) costs.
-func TableCheckpointOverhead(s Scale, kind storage.Kind, budget int64) string {
-	header := []string{"benchmark", "no ckpt", "ckpt every it", "overhead", "ckpts", "ckpt bytes"}
-	var rows [][]string
-	for _, a := range Algos {
-		base := Run(RunConfig{Scale: s, Algo: a, Engine: GraphZ, Kind: kind, Budget: budget})
-		ck := Run(RunConfig{Scale: s, Algo: a, Engine: GraphZ, Kind: kind, Budget: budget, CheckpointEvery: 1})
-		row := []string{string(a), outcomeCell(base), outcomeCell(ck)}
-		if base.Failed() || ck.Failed() || base.Runtime <= 0 {
-			row = append(row, "-", "-", "-")
-		} else {
-			row = append(row,
-				fmt.Sprintf("%+.1f%%", 100*(float64(ck.Runtime)/float64(base.Runtime)-1)),
-				fmt.Sprint(ck.Checkpoints),
-				fmtBytes(ck.CheckpointBytes))
-		}
-		rows = append(rows, row)
-	}
-	return FormatTable(
-		fmt.Sprintf("Checkpoint overhead: %s graph (%s, checkpoint every iteration)", s.Name, kind),
-		header, rows)
-}
-
-// TableSelectiveScheduling quantifies selective block scheduling: every
-// benchmark on the GraphZ engine full-streaming versus selective, the
-// modeled-runtime change, and the block-level skip counts. Not a paper
-// table — it documents the GraphMP-style optimization of DESIGN.md §9.
-// Converging frontier algorithms (BFS, SSSP, CC) skip heavily in their
-// tails; always-active benchmarks (PR, BP, RW) never skip and should
-// show ~0 overhead.
-func TableSelectiveScheduling(s Scale, kind storage.Kind, budget int64) string {
-	header := []string{"benchmark", "full", "selective", "speedup", "scanned", "skipped"}
-	var rows [][]string
-	for _, a := range Algos {
-		base := Run(RunConfig{Scale: s, Algo: a, Engine: GraphZ, Kind: kind, Budget: budget})
-		sel := Run(RunConfig{Scale: s, Algo: a, Engine: GraphZ, Kind: kind, Budget: budget, Selective: true})
-		row := []string{string(a), outcomeCell(base), outcomeCell(sel)}
-		if base.Failed() || sel.Failed() || sel.Runtime <= 0 {
-			row = append(row, "-", "-", "-")
-		} else {
-			row = append(row,
-				fmt.Sprintf("%.2fx", float64(base.Runtime)/float64(sel.Runtime)),
-				fmt.Sprint(sel.BlocksScanned),
-				fmt.Sprint(sel.BlocksSkipped))
-		}
-		rows = append(rows, row)
-	}
-	return FormatTable(
-		fmt.Sprintf("Selective block scheduling: %s graph (%s)", s.Name, kind),
-		header, rows)
-}
-
-// TableCodec quantifies the DOS v2 adjacency codecs: every benchmark on
-// the GraphZ engine over the v1 format versus v2-raw versus v2-varint,
-// with the device bytes each run read and the varint run's decode
-// accounting. Not a paper table — it documents the compressed adjacency
-// codec of docs/FORMAT.md §Version 2. Final states are byte-identical
-// across the three columns; varint trades decode compute for edge IO.
-func TableCodec(s Scale, kind storage.Kind, budget int64) string {
-	header := []string{"benchmark", "v1", "v2 raw", "v2 varint", "read v1", "read varint", "decoded", "decode t"}
-	var rows [][]string
-	for _, a := range Algos {
-		v1 := Run(RunConfig{Scale: s, Algo: a, Engine: GraphZ, Kind: kind, Budget: budget})
-		raw := Run(RunConfig{Scale: s, Algo: a, Engine: GraphZ, Kind: kind, Budget: budget, Codec: "raw"})
-		vi := Run(RunConfig{Scale: s, Algo: a, Engine: GraphZ, Kind: kind, Budget: budget, Codec: "varint"})
-		row := []string{string(a), outcomeCell(v1), outcomeCell(raw), outcomeCell(vi)}
-		if v1.Failed() || vi.Failed() {
-			row = append(row, "-", "-", "-", "-")
-		} else {
-			row = append(row,
-				fmtBytes(v1.Stats.ReadBytes),
-				fmtBytes(vi.Stats.ReadBytes),
-				fmtBytes(vi.CodecBytesRaw),
-				fmtDur(vi.DecodeTime))
-		}
-		rows = append(rows, row)
-	}
-	return FormatTable(
-		fmt.Sprintf("Adjacency codecs: %s graph (%s)", s.Name, kind),
-		header, rows)
 }

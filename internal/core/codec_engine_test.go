@@ -41,7 +41,7 @@ func counterFields(r Result) [10]int64 {
 }
 
 // TestEngineV2MatchesV1AcrossPaths runs minLabel over the same edge set
-// stored as DOS v1, v2-raw, and v2-varint, through every scheduling path,
+// stored as DOS v1, v2-raw, and v2-groupvarint, through every scheduling path,
 // and demands identical final states everywhere — with identical counters
 // between the two v2 codecs, which share the adjacency order exactly.
 func TestEngineV2MatchesV1AcrossPaths(t *testing.T) {
@@ -68,7 +68,7 @@ func TestEngineV2MatchesV1AcrossPaths(t *testing.T) {
 			_, v1Vals := runMinLabel(t, g1, path.opts(g1))
 			var prevRes Result
 			var prevVals []minVal
-			for i, codec := range []storage.Codec{storage.CodecRaw, storage.CodecVarint} {
+			for i, codec := range []storage.Codec{storage.CodecRaw, storage.CodecGroupVarint} {
 				g2 := buildDOSCodec(t, edges, codec, 0)
 				res, vals := runMinLabel(t, g2, path.opts(g2))
 				for v := range want {
@@ -81,11 +81,11 @@ func TestEngineV2MatchesV1AcrossPaths(t *testing.T) {
 				}
 				if i == 1 {
 					if counterFields(res) != counterFields(prevRes) {
-						t.Errorf("raw counters %v != varint counters %v", counterFields(prevRes), counterFields(res))
+						t.Errorf("raw counters %v != groupvarint counters %v", counterFields(prevRes), counterFields(res))
 					}
 					for v := range vals {
 						if vals[v] != prevVals[v] {
-							t.Fatalf("vertex %d state %+v (varint) != %+v (raw)", v, vals[v], prevVals[v])
+							t.Fatalf("vertex %d state %+v (groupvarint) != %+v (raw)", v, vals[v], prevVals[v])
 						}
 					}
 				}
@@ -104,7 +104,7 @@ func TestEngineV2TinyBlocks(t *testing.T) {
 	edges := gen.RMAT(7, 700, gen.NaturalRMAT, 32)
 	g1 := buildDOS(t, edges)
 	want := referenceMinLabels(g1.NumVertices, relabeledEdges(t, g1, edges))
-	g2 := buildDOSCodec(t, edges, storage.CodecVarint, 2)
+	g2 := buildDOSCodec(t, edges, storage.CodecGroupVarint, 2)
 	budget := budgetForPartitions(g2, 8, 3, 128)
 	for _, opts := range []Options{
 		{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 128},
@@ -123,11 +123,11 @@ func TestEngineV2TinyBlocks(t *testing.T) {
 }
 
 // TestEngineV2CodecCounters reconciles the graphz_codec_* counters: the
-// varint engine must report decoded bytes equal to 4 bytes per streamed
+// groupvarint engine must report decoded bytes equal to 4 bytes per streamed
 // entry, encoded bytes no larger, and a v1 run reports nothing.
 func TestEngineV2CodecCounters(t *testing.T) {
 	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 33)
-	g := buildDOSCodec(t, edges, storage.CodecVarint, 0)
+	g := buildDOSCodec(t, edges, storage.CodecGroupVarint, 0)
 	reg := obs.NewRegistry()
 	res, _ := runMinLabel(t, g, Options{
 		MemoryBudget: 64 << 20, DynamicMessages: true, Obs: reg,
@@ -142,7 +142,7 @@ func TestEngineV2CodecCounters(t *testing.T) {
 			res.CodecBytesRaw, wantRaw, res.Iterations, g.NumEdges)
 	}
 	if res.CodecBytesEncoded >= res.CodecBytesRaw {
-		t.Errorf("varint encoded bytes %d not smaller than raw %d", res.CodecBytesEncoded, res.CodecBytesRaw)
+		t.Errorf("groupvarint encoded bytes %d not smaller than raw %d", res.CodecBytesEncoded, res.CodecBytesRaw)
 	}
 	if got := reg.CounterValue("graphz_codec_bytes_raw_total"); got != res.CodecBytesRaw {
 		t.Errorf("registry raw bytes %d != result %d", got, res.CodecBytesRaw)
@@ -179,12 +179,12 @@ func TestEngineV2LayoutHash(t *testing.T) {
 	}
 	h1 := hash(buildDOS(t, edges))
 	hRaw := hash(buildDOSCodec(t, edges, storage.CodecRaw, 0))
-	hVarint := hash(buildDOSCodec(t, edges, storage.CodecVarint, 0))
+	hGV := hash(buildDOSCodec(t, edges, storage.CodecGroupVarint, 0))
 	if h1 == hRaw {
 		t.Error("v1 and v2 layouts share a checkpoint hash")
 	}
-	if hRaw != hVarint {
-		t.Error("v2-raw and v2-varint layouts hash differently")
+	if hRaw != hGV {
+		t.Error("v2-raw and v2-groupvarint layouts hash differently")
 	}
 }
 
@@ -196,7 +196,7 @@ func TestInDegreesV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecVarint} {
+	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecGroupVarint} {
 		in2, err := InDegrees(DOSLayout(buildDOSCodec(t, edges, codec, 3)))
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)

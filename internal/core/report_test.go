@@ -129,7 +129,7 @@ func TestRunReportReconciliation(t *testing.T) {
 
 func TestRunReportCodecDecodeReconciliation(t *testing.T) {
 	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 63)
-	g := buildDOSCodec(t, edges, storage.CodecVarint, 0)
+	g := buildDOSCodec(t, edges, storage.CodecGroupVarint, 0)
 	reg := obs.NewRegistry()
 	tr := obs.NewCollectingTracer(nil)
 	res, _ := runMinLabel(t, g, Options{

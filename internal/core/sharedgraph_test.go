@@ -125,7 +125,7 @@ func TestSharedGraphConcurrentEngines(t *testing.T) {
 // by the first run.
 func TestSharedAdjacencyFillOncePerGraph(t *testing.T) {
 	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 82)
-	g := buildDOSCodec(t, edges, storage.CodecVarint, 0)
+	g := buildDOSCodec(t, edges, storage.CodecGroupVarint, 0)
 	sg := NewSharedGraph(g)
 	dev := g.Device()
 	edgesFile := DOSLayout(g).EdgesFile()

@@ -18,9 +18,10 @@ import (
 // assembled in); the repro environment's note about Go GC pressure on edge
 // buffers is real — per-block allocations across every partition of every
 // iteration would churn hundreds of MB. Both hold one Sio block each: a
-// larger request (an encoded block past DefaultBlockSize — the varint
-// worst case is 5 bytes per entry — or a vertex with more entries than a
-// block) gets a grown buffer, which re-enters the pool on Put.
+// larger request (an encoded block past DefaultBlockSize — group-varint's
+// worst case is 4¼ bytes per entry plus a count, storage.MaxEncodedLen —
+// or a vertex with more entries than a block) gets a grown buffer, which
+// re-enters the pool on Put.
 var (
 	blockPool = newBufferPool[byte](storage.DefaultBlockSize)
 	entryPool = newBufferPool[graph.VertexID](workerBatchEntries)

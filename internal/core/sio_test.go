@@ -21,7 +21,7 @@ import (
 // of entries spans many blocks and ranges start and end mid-block.
 const sioTestBlock = 8
 
-// sioLayouts are the four ways an edges file maps entries to bytes. A nil
+// sioLayouts are the three ways an edges file maps entries to bytes. A nil
 // codec is the fixed-entry form (DOS v1, CSR): no offset table, blocks
 // addressed arithmetically.
 var sioLayouts = []struct {
@@ -30,7 +30,6 @@ var sioLayouts = []struct {
 }{
 	{"fixed-entry", nil},
 	{"raw-v2", storage.CodecRaw},
-	{"varint", storage.CodecVarint},
 	{"groupvarint", storage.CodecGroupVarint},
 }
 

@@ -413,7 +413,7 @@ func Load(dev *storage.Device, prefix string) (*Graph, error) {
 			return nil, fmt.Errorf("dos: v2 meta claims %d blocks, %d edges at %d entries/block need %d",
 				nb, g.NumEdges, be, wantBlocks)
 		}
-		codec, err := storage.CodecByID(byte(binary.LittleEndian.Uint32(buf[32:])))
+		codec, err := storage.CodecByID(binary.LittleEndian.Uint32(buf[32:]))
 		if err != nil {
 			return nil, fmt.Errorf("dos: v2 meta: %w", err)
 		}
@@ -466,7 +466,7 @@ type ConvertConfig struct {
 	// capacity-limited devices).
 	RemoveInput bool
 	// Codec selects the DOS v2 block codec for the emitted edges file
-	// (storage.CodecRaw or storage.CodecVarint). Nil emits the v1
+	// (storage.CodecRaw or storage.CodecGroupVarint). Nil emits the v1
 	// format: raw fixed 4-byte entries and no offset table. A v2
 	// conversion additionally orders each vertex's adjacency by
 	// ascending new destination ID — the property the delta codec

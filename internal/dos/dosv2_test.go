@@ -1,8 +1,11 @@
 package dos
 
 import (
+	"encoding/binary"
+	"errors"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 
 	"graphz/internal/gen"
@@ -27,7 +30,7 @@ func convertEdgesV2(t *testing.T, dev *storage.Device, edges []graph.Edge, prefi
 }
 
 func TestConvertV2MatchesV1(t *testing.T) {
-	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecVarint} {
+	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecGroupVarint} {
 		t.Run(codec.Name(), func(t *testing.T) {
 			dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 			g1 := convertEdges(t, dev, paperEdges, "v1")
@@ -76,12 +79,12 @@ func TestConvertV2MatchesV1(t *testing.T) {
 
 func TestV2LoadRoundTrip(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecVarint, 3)
+	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecGroupVarint, 3)
 	g2, err := Load(dev, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Version() != 2 || g2.Codec().Name() != "varint" {
+	if g2.Version() != 2 || g2.Codec().Name() != "groupvarint" {
 		t.Fatalf("loaded version %d codec %s", g2.Version(), g2.Codec().Name())
 	}
 	if g2.blockEntries != 3 {
@@ -115,9 +118,30 @@ func TestV2LoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownCodecWord: the v2 meta stores the codec ID as a
+// 32-bit word and Load compares all of it — the retired ID 1, an ID never
+// assigned, and words whose low byte alone would name a registered codec
+// (0x100 read as raw before PR 22) all fail with ErrUnknownCodec.
+func TestLoadRejectsUnknownCodecWord(t *testing.T) {
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecGroupVarint, 2)
+	for _, id := range []uint32{1, 3, 0x100, 0x102, 0xFFFFFFFF} {
+		var word [4]byte
+		binary.LittleEndian.PutUint32(word[:], id)
+		writeAt(t, dev, g.MetaFile(), 32, word[:])
+		_, err := Load(dev, "g")
+		if !errors.Is(err, storage.ErrUnknownCodec) {
+			t.Errorf("codec word %#x: Load = %v, want an error matching storage.ErrUnknownCodec", id, err)
+		}
+		if retired := err != nil && strings.Contains(err.Error(), "retired"); retired != (id == 1) {
+			t.Errorf("codec word %#x: %v: says retired = %v", id, err, retired)
+		}
+	}
+}
+
 func TestV2Entries(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecVarint, 2)
+	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecGroupVarint, 2)
 
 	// Full scan equals the concatenation of per-vertex adjacencies.
 	var want []graph.VertexID
@@ -161,7 +185,7 @@ func TestV2Entries(t *testing.T) {
 
 func TestV2EmptyGraph(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	g := convertEdgesV2(t, dev, nil, "g", storage.CodecVarint, 0)
+	g := convertEdgesV2(t, dev, nil, "g", storage.CodecGroupVarint, 0)
 	if g.NumVertices != 0 || g.NumEdges != 0 {
 		t.Fatalf("empty graph: V=%d E=%d", g.NumVertices, g.NumEdges)
 	}
@@ -174,18 +198,18 @@ func TestV2EmptyGraph(t *testing.T) {
 	}
 }
 
-func TestV2VarintSmallerOnPowerLaw(t *testing.T) {
+func TestV2GroupVarintSmallerOnPowerLaw(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	edges := gen.Zipf(5000, 60000, 0.9, 7)
 	raw := convertEdgesV2(t, dev, edges, "raw", storage.CodecRaw, 0)
-	vv := convertEdgesV2(t, dev, edges, "vv", storage.CodecVarint, 0)
+	gv := convertEdgesV2(t, dev, edges, "gv", storage.CodecGroupVarint, 0)
 	rawBytes := raw.blockOffs[len(raw.blockOffs)-1]
-	vvBytes := vv.blockOffs[len(vv.blockOffs)-1]
+	gvBytes := gv.blockOffs[len(gv.blockOffs)-1]
 	if rawBytes != raw.NumEdges*EntryBytes {
 		t.Fatalf("raw codec emitted %d bytes for %d entries", rawBytes, raw.NumEdges)
 	}
-	if vvBytes*2 > rawBytes {
-		t.Errorf("varint %d bytes vs raw %d: expected at least 2x on a power-law graph", vvBytes, rawBytes)
+	if gvBytes*2 > rawBytes {
+		t.Errorf("groupvarint %d bytes vs raw %d: expected at least 2x on a power-law graph", gvBytes, rawBytes)
 	}
 }
 
@@ -198,7 +222,7 @@ func TestConvertChargesClockAndExposesDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := sim.NewClock()
-	g, err := Convert(ConvertConfig{Dev: dev, Clock: clock, Codec: storage.CodecVarint}, "raw", "g")
+	g, err := Convert(ConvertConfig{Dev: dev, Clock: clock, Codec: storage.CodecGroupVarint}, "raw", "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +240,13 @@ func TestBuildTriadsSortedMatchesCounted(t *testing.T) {
 	edges := gen.Zipf(300, 2500, 0.9, 17)
 
 	devA := storage.NewDevice(storage.NullDevice, storage.Options{})
-	gA := convertEdgesV2(t, devA, edges, "a", storage.CodecVarint, 7)
+	gA := convertEdgesV2(t, devA, edges, "a", storage.CodecGroupVarint, 7)
 
 	old := hostDegreeCapIDs
 	hostDegreeCapIDs = 4 // force the sort-by-source fallback
 	defer func() { hostDegreeCapIDs = old }()
 	devB := storage.NewDevice(storage.NullDevice, storage.Options{})
-	gB := convertEdgesV2(t, devB, edges, "b", storage.CodecVarint, 7)
+	gB := convertEdgesV2(t, devB, edges, "b", storage.CodecGroupVarint, 7)
 
 	if gA.NumVertices != gB.NumVertices || gA.NumEdges != gB.NumEdges {
 		t.Fatalf("sorted path: %d vertices / %d edges, counted: %d / %d",

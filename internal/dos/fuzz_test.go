@@ -2,9 +2,13 @@ package dos
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"graphz/internal/graph"
@@ -44,7 +48,7 @@ func seedFiles(tb testing.TB, codec storage.Codec) (meta, edges, n2o, o2n []byte
 // them, at the in-memory accessors that trust the bucket table.
 func FuzzMetaParse(f *testing.F) {
 	m1, _, _, _ := seedFiles(f, nil)
-	m2, _, _, _ := seedFiles(f, storage.CodecVarint)
+	m2, _, _, _ := seedFiles(f, storage.CodecGroupVarint)
 	f.Add(m1)
 	f.Add(m2)
 	f.Add(m1[:20])
@@ -58,6 +62,14 @@ func FuzzMetaParse(f *testing.F) {
 		g, err := Load(dev, "g")
 		if err != nil {
 			return
+		}
+		// An accepted v2 meta names a registered codec with its whole
+		// 32-bit word; anything else (the retired ID 1 of the checked-in
+		// meta-v2-varint seed, a word above 255) is an error above.
+		if g.Version() == 2 {
+			if id := binary.LittleEndian.Uint32(data[32:]); id != uint32(g.Codec().ID()) {
+				t.Fatalf("Load accepted codec word %#x as %s (id %d)", id, g.Codec().Name(), g.Codec().ID())
+			}
 		}
 		// Accepted metas must support the accessors without panicking,
 		// even when the bucket table is semantically nonsense.
@@ -79,16 +91,15 @@ func FuzzMetaParse(f *testing.F) {
 func FuzzEdgesDecode(f *testing.F) {
 	_, e1, _, _ := seedFiles(f, nil)
 	_, e2, _, _ := seedFiles(f, storage.CodecRaw)
-	_, e3, _, _ := seedFiles(f, storage.CodecVarint)
-	_, e4, _, _ := seedFiles(f, storage.CodecGroupVarint)
+	_, e3, _, _ := seedFiles(f, storage.CodecGroupVarint)
 	f.Add(e1)
 	f.Add(e2)
 	f.Add(e3)
-	f.Add(e4)
 	f.Add(e3[:len(e3)-1])
+	f.Add([]byte{0x02, 0x0c, 0x01, 0x02}) // one block, lane 1 truncated
 	f.Add([]byte{0x80, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range []storage.Codec{nil, storage.CodecRaw, storage.CodecVarint, storage.CodecGroupVarint} {
+		for _, codec := range []storage.Codec{nil, storage.CodecRaw, storage.CodecGroupVarint} {
 			dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 			if err := graph.WriteEdges(dev, "g.raw", paperEdges); err != nil {
 				t.Fatal(err)
@@ -113,7 +124,6 @@ func FuzzEdgesDecode(f *testing.F) {
 			_ = Verify(g)
 		}
 		_, _ = storage.CodecRaw.DecodeBlock(nil, data)
-		_, _ = storage.CodecVarint.DecodeBlock(nil, data)
 		_, _ = storage.CodecGroupVarint.DecodeBlock(nil, data)
 	})
 }
@@ -121,7 +131,7 @@ func FuzzEdgesDecode(f *testing.F) {
 // FuzzVerify feeds a whole fuzzed file set through Load+Verify: whatever
 // Load accepts, Verify must walk to a verdict without panicking.
 func FuzzVerify(f *testing.F) {
-	for _, codec := range []storage.Codec{nil, storage.CodecVarint, storage.CodecGroupVarint} {
+	for _, codec := range []storage.Codec{nil, storage.CodecRaw, storage.CodecGroupVarint} {
 		meta, edges, n2o, o2n := seedFiles(f, codec)
 		f.Add(meta, edges, n2o, o2n)
 		f.Add(meta, edges[:len(edges)-2], n2o, o2n)
@@ -157,14 +167,16 @@ func corpusEntry(vals ...[]byte) []byte {
 
 // TestWriteFuzzCorpus regenerates the committed seed corpora under
 // testdata/fuzz. It is a no-op unless GRAPHZ_WRITE_FUZZ_CORPUS is set.
+// The three *-v2-varint seeds were written by the codec PR 22 retired and
+// cannot be regenerated; they stay checked in as hostile inputs (see
+// TestRetiredCodecSeedsFailTyped).
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("GRAPHZ_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set GRAPHZ_WRITE_FUZZ_CORPUS=1 to regenerate testdata/fuzz")
 	}
 	m1, e1, n1, o1 := seedFiles(t, nil)
 	m2, e2, n2, o2 := seedFiles(t, storage.CodecRaw)
-	m3, e3, n3, o3 := seedFiles(t, storage.CodecVarint)
-	m4, e4, n4, o4 := seedFiles(t, storage.CodecGroupVarint)
+	m3, e3, n3, o3 := seedFiles(t, storage.CodecGroupVarint)
 	write := func(target, name string, vals ...[]byte) {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -176,17 +188,55 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	write("FuzzMetaParse", "meta-v1", m1)
 	write("FuzzMetaParse", "meta-v2-raw", m2)
-	write("FuzzMetaParse", "meta-v2-varint", m3)
 	write("FuzzMetaParse", "meta-v2-truncated", m3[:40])
-	write("FuzzMetaParse", "meta-v2-groupvarint", m4)
+	write("FuzzMetaParse", "meta-v2-groupvarint", m3)
 	write("FuzzEdgesDecode", "edges-v1", e1)
 	write("FuzzEdgesDecode", "edges-v2-raw", e2)
-	write("FuzzEdgesDecode", "edges-v2-varint", e3)
-	write("FuzzEdgesDecode", "edges-v2-groupvarint", e4)
+	write("FuzzEdgesDecode", "edges-v2-groupvarint", e3)
 	write("FuzzEdgesDecode", "edges-continuation-tail", []byte{0x02, 0x02, 0x80})
 	write("FuzzVerify", "set-v1", m1, e1, n1, o1)
 	write("FuzzVerify", "set-v2-raw", m2, e2, n2, o2)
-	write("FuzzVerify", "set-v2-varint", m3, e3, n3, o3)
-	write("FuzzVerify", "set-v2-groupvarint", m4, e4, n4, o4)
+	write("FuzzVerify", "set-v2-groupvarint", m3, e3, n3, o3)
 	write("FuzzVerify", "set-v2-truncated-edges", m3, e3[:len(e3)-2], n3, o3)
+}
+
+// readCorpus parses a go fuzz v1 corpus file back into its []byte values.
+func readCorpus(t *testing.T, target, name string) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var vals [][]byte
+	for _, line := range lines[1:] {
+		q, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s/%s: %q: %v", target, name, line, err)
+		}
+		vals = append(vals, []byte(q))
+	}
+	return vals
+}
+
+// TestRetiredCodecSeedsFailTyped: the meta files the retired varint codec
+// (ID 1) wrote are still in the fuzz corpora, and loading one is a typed
+// error that says to reconvert — never a panic, never another codec.
+func TestRetiredCodecSeedsFailTyped(t *testing.T) {
+	for _, seed := range []struct{ target, name string }{
+		{"FuzzMetaParse", "meta-v2-varint"},
+		{"FuzzVerify", "set-v2-varint"},
+	} {
+		dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+		files := readCorpus(t, seed.target, seed.name)
+		for i, name := range []string{"g.meta", "g.edges", "g" + suffixNew2Old, "g" + suffixOld2New}[:len(files)] {
+			if err := storage.WriteAll(dev, name, files[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Load(dev, "g")
+		if !errors.Is(err, storage.ErrUnknownCodec) || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("%s/%s: Load = %v, want storage.ErrUnknownCodec naming the retired codec", seed.target, seed.name, err)
+		}
+	}
 }

@@ -8,23 +8,24 @@ import (
 	"graphz/internal/storage"
 )
 
+// writeAt corrupts a device file in place.
+func writeAt(t *testing.T, dev *storage.Device, name string, off int64, b []byte) {
+	t.Helper()
+	f, err := dev.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVerifyViolations drives Verify over one corrupt graph per invariant
 // and asserts the typed *Violation pins the right file, byte offset, and
 // bucket index. Paper-graph geometry used throughout: 4 buckets with
 // FirstOff {0,3,5,7}; v1 meta header is 32 bytes, v2 is 48; a bucket row
 // is 16 bytes.
 func TestVerifyViolations(t *testing.T) {
-	// writeAt corrupts a device file in place.
-	writeAt := func(t *testing.T, dev *storage.Device, name string, off int64, b []byte) {
-		t.Helper()
-		f, err := dev.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(b, off); err != nil {
-			t.Fatal(err)
-		}
-	}
 	cases := []struct {
 		name     string
 		corrupt  func(t *testing.T, dev *storage.Device) *Graph
@@ -117,9 +118,11 @@ func TestVerifyViolations(t *testing.T) {
 		{
 			name: "v2 undecodable block",
 			corrupt: func(t *testing.T, dev *storage.Device) *Graph {
-				g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecVarint, 2)
-				// A trailing continuation bit truncates block 0's last varint.
-				writeAt(t, dev, g.EdgesFile(), g.blockOffs[1]-1, []byte{0x80})
+				g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecGroupVarint, 2)
+				// Block 0 is a count, a control byte and two 1-byte
+				// lanes. Coding lane 1 as 4 bytes (the unused lanes
+				// stay zero) leaves it truncated.
+				writeAt(t, dev, g.EdgesFile(), g.blockOffs[0]+1, []byte{0x0C})
 				return g
 			},
 			file:   (*Graph).EdgesFile,
@@ -240,14 +243,8 @@ func TestVerifyViolations(t *testing.T) {
 // decode failure inside Verify still matches storage.ErrCorruptBlock.
 func TestVerifyViolationUnwrapsCodecError(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecVarint, 2)
-	f, err := dev.Open(g.EdgesFile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0x80}, g.blockOffs[1]-1); err != nil {
-		t.Fatal(err)
-	}
+	g := convertEdgesV2(t, dev, paperEdges, "g", storage.CodecGroupVarint, 2)
+	writeAt(t, dev, g.EdgesFile(), g.blockOffs[0]+1, []byte{0x0C}) // lane 1 coded 4 bytes, 1 remains
 	verr := Verify(g)
 	if !errors.Is(verr, storage.ErrCorruptBlock) {
 		t.Errorf("Verify error %v does not match storage.ErrCorruptBlock", verr)
@@ -257,7 +254,7 @@ func TestVerifyViolationUnwrapsCodecError(t *testing.T) {
 // TestVerifyV2Graphs runs the full checker over clean v2 conversions of
 // the standard corpus under both codecs.
 func TestVerifyV2Graphs(t *testing.T) {
-	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecVarint, storage.CodecGroupVarint} {
+	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecGroupVarint} {
 		dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 		g := convertEdgesV2(t, dev, paperEdges, "g", codec, 2)
 		if err := Verify(g); err != nil {

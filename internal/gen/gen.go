@@ -194,6 +194,34 @@ func Grid(rows, cols int) []graph.Edge {
 	return edges
 }
 
+// Spec names one of the four generators and carries the parameters the
+// command-line tools expose; each generator reads only its own.
+type Spec struct {
+	Kind       string  // rmat, zipf, er or grid
+	Scale      int     // rmat: log2 of the vertex ID space
+	Vertices   int     // zipf, er: vertex count
+	Edges      int     // rmat, zipf, er: edge count
+	Skew       float64 // zipf: skew exponent
+	Rows, Cols int     // grid
+	Seed       uint64  // rmat, zipf, er
+}
+
+// Generate runs the generator s.Kind names (R-MAT with the NaturalRMAT
+// parameters).
+func Generate(s Spec) ([]graph.Edge, error) {
+	switch s.Kind {
+	case "rmat":
+		return RMAT(s.Scale, s.Edges, NaturalRMAT, s.Seed), nil
+	case "zipf":
+		return Zipf(s.Vertices, s.Edges, s.Skew, s.Seed), nil
+	case "er":
+		return ErdosRenyi(s.Vertices, s.Edges, s.Seed), nil
+	case "grid":
+		return Grid(s.Rows, s.Cols), nil
+	}
+	return nil, fmt.Errorf("gen: unknown generator %q (want rmat, zipf, er, or grid)", s.Kind)
+}
+
 // Stats summarizes a generated edge list the way the paper's Table X
 // reports graph properties.
 type Stats struct {

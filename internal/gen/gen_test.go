@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"graphz/internal/graph"
@@ -157,5 +158,29 @@ func TestSummarize(t *testing.T) {
 	}
 	if st.Bytes != 3*graph.EdgeBytes {
 		t.Errorf("Bytes = %d", st.Bytes)
+	}
+}
+
+// TestGenerateMatchesGenerators: the by-name dispatch the command-line
+// tools share produces exactly what each generator does, from that
+// generator's own fields of the Spec, and rejects a name it does not know.
+func TestGenerateMatchesGenerators(t *testing.T) {
+	spec := Spec{Scale: 7, Vertices: 90, Edges: 400, Skew: 1.1, Rows: 5, Cols: 8, Seed: 11}
+	want := map[string][]graph.Edge{
+		"rmat": RMAT(7, 400, NaturalRMAT, 11),
+		"zipf": Zipf(90, 400, 1.1, 11),
+		"er":   ErdosRenyi(90, 400, 11),
+		"grid": Grid(5, 8),
+	}
+	for kind, edges := range want {
+		spec.Kind = kind
+		got, err := Generate(spec)
+		if err != nil || !slices.Equal(got, edges) {
+			t.Errorf("Generate(%s): %d edges, err %v; the generator gives %d", kind, len(got), err, len(edges))
+		}
+	}
+	spec.Kind = "rmatt"
+	if _, err := Generate(spec); err == nil {
+		t.Error("Generate accepted an unknown generator")
 	}
 }

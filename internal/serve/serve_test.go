@@ -15,7 +15,7 @@ import (
 	"graphz/internal/storage"
 )
 
-// buildGraph converts an RMAT edge set to a block-encoded (varint) DOS
+// buildGraph converts an RMAT edge set to a block-encoded (groupvarint) DOS
 // graph on a fresh device, so the serving win includes codec decode.
 func buildGraph(t *testing.T, seed uint64) (*dos.Graph, []graph.Edge) {
 	t.Helper()
@@ -24,7 +24,7 @@ func buildGraph(t *testing.T, seed uint64) (*dos.Graph, []graph.Edge) {
 	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
 		t.Fatal(err)
 	}
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev, Codec: storage.CodecVarint}, "raw", "g")
+	g, err := dos.Convert(dos.ConvertConfig{Dev: dev, Codec: storage.CodecGroupVarint}, "raw", "g")
 	if err != nil {
 		t.Fatal(err)
 	}

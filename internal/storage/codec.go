@@ -11,8 +11,9 @@ import (
 // independently, so a block can be fetched and decoded without touching
 // its neighbors — the unit of Sio prefetch and of selective block
 // scheduling. Two codecs exist: raw little-endian u32 (byte-compatible
-// with a v1 block's content) and delta+varint, which exploits the v2
-// guarantee that destinations within one vertex's adjacency ascend.
+// with a v1 block's content) and group-varint over zigzag deltas, which
+// exploits the v2 guarantee that destinations within one vertex's
+// adjacency ascend.
 
 // Codec encodes and decodes one adjacency block of destination IDs.
 // Implementations must be stateless and safe for concurrent use.
@@ -31,30 +32,31 @@ type Codec interface {
 	DecodeBlock(dst []uint32, src []byte) ([]uint32, error)
 }
 
-// Codec IDs as stored in the v2 meta file.
+// Codec IDs as stored in the v2 meta file. ID 1 belonged to the
+// byte-at-a-time varint codec retired in PR 22 (DESIGN.md §10); it stays
+// reserved and is never reused, so an old file fails typed instead of
+// decoding as something else.
 const (
 	CodecIDRaw         = byte(0)
-	CodecIDVarint      = byte(1)
+	codecIDRetired     = 1
 	CodecIDGroupVarint = byte(2)
 )
 
+// retiredCodecName is the CLI name codec ID 1 had.
+const retiredCodecName = "varint"
+
 // CodecRaw stores each entry as a little-endian u32 — the fallback for
-// graphs whose destination distribution defeats delta+varint.
+// graphs whose destination distribution defeats delta coding.
 var CodecRaw Codec = rawCodec{}
 
-// CodecVarint stores zigzag(entry - previous entry) as a varint, with the
-// previous entry starting at 0 for each block. Within one vertex's
-// adjacency the v2 format guarantees ascending destinations, so deltas are
-// small and non-negative; the signed zigzag absorbs the backward jump at
-// each adjacency-list boundary.
-var CodecVarint Codec = varintCodec{}
-
-// CodecGroupVarint is the stream-vbyte-style fast codec: the same zigzag
-// deltas as CodecVarint, but framed in groups of four with one control
-// byte holding four 2-bit byte-length codes. Decoding walks a 256-entry
-// length table and reconstructs four entries per control byte with masked
-// 32-bit loads — no per-entry branching — trading ~0.25 bytes/entry of
-// control overhead for a multiple of CodecVarint's decode throughput.
+// CodecGroupVarint is the stream-vbyte-style codec. Each entry is stored
+// as zigzag(entry - previous entry), the previous entry starting at 0 for
+// each block: within one vertex's adjacency the v2 format guarantees
+// ascending destinations, so deltas are small, and the zigzag absorbs the
+// backward jump at each adjacency-list boundary. Deltas are framed in
+// groups of four with one control byte holding four 2-bit byte-length
+// codes. Decoding walks a 256-entry length table and reconstructs four
+// entries per control byte with masked loads — no per-entry branching.
 // Deltas are taken modulo 2^32 (wrap-around), so every delta zigzags into
 // 32 bits and at most four data bytes; the encoding stays bijective
 // because the decoder adds the delta back modulo 2^32.
@@ -78,19 +80,12 @@ func (e *CodecError) Error() string {
 
 func (e *CodecError) Is(target error) bool { return target == ErrCorruptBlock }
 
-// maxVarintBytesU32 bounds the varint encoding of one entry: a zigzagged
-// u32 delta spans at most 33 bits, i.e. five varint bytes.
-const maxVarintBytesU32 = 5
-
-// maxBlockHeaderBytes bounds the per-block framing any registered codec
-// adds beyond its per-entry bytes: group-varint's uvarint entry-count
-// header (at most 5 bytes) plus tail-group slack. Per entry, group-varint
-// costs at most 4 data bytes + 1/4 control byte < maxVarintBytesU32.
-const maxBlockHeaderBytes = 8
-
 // MaxEncodedLen returns the worst-case encoded size of a block of n
 // entries under any registered codec — a sizing hint for encode buffers.
-func MaxEncodedLen(n int) int { return n*maxVarintBytesU32 + maxBlockHeaderBytes }
+// It is group-varint's bound: four data bytes per entry, one control byte
+// per group of four, and a uvarint entry count of at most five bytes (a
+// block holds fewer than 2^35 entries). Raw needs 4n.
+func MaxEncodedLen(n int) int { return 4*n + (n+3)/4 + 5 }
 
 type rawCodec struct{}
 
@@ -122,48 +117,6 @@ func (rawCodec) DecodeBlock(dst []uint32, src []byte) ([]uint32, error) {
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(src)
 		src = src[4:]
-	}
-	return dst, nil
-}
-
-type varintCodec struct{}
-
-func (varintCodec) Name() string { return "varint" }
-func (varintCodec) ID() byte     { return CodecIDVarint }
-
-func (varintCodec) EncodeBlock(dst []byte, entries []uint32) []byte {
-	var buf [maxVarintBytesU32]byte
-	prev := int64(0)
-	for _, v := range entries {
-		d := int64(v) - prev
-		zz := uint64(d<<1) ^ uint64(d>>63) // zigzag: signed delta to unsigned
-		n := binary.PutUvarint(buf[:], zz)
-		dst = append(dst, buf[:n]...)
-		prev = int64(v)
-	}
-	return dst
-}
-
-func (varintCodec) DecodeBlock(dst []uint32, src []byte) ([]uint32, error) {
-	prev := int64(0)
-	for off := 0; off < len(src); {
-		zz, n := binary.Uvarint(src[off:])
-		if n <= 0 {
-			msg := "truncated varint"
-			if n < 0 {
-				msg = "varint overflows 64 bits"
-			}
-			return dst, &CodecError{Codec: "varint", Offset: off, Msg: msg}
-		}
-		d := int64(zz>>1) ^ -int64(zz&1) // un-zigzag
-		v := prev + d
-		if v < 0 || v > int64(^uint32(0)) {
-			return dst, &CodecError{Codec: "varint", Offset: off,
-				Msg: fmt.Sprintf("delta %d from %d leaves the u32 range", d, prev)}
-		}
-		dst = append(dst, uint32(v))
-		prev = v
-		off += n
 	}
 	return dst, nil
 }
@@ -222,8 +175,7 @@ func gvUnzig(zz uint32) uint32 {
 // A short final group carries only its real lanes; the unused length
 // codes stay zero.
 func (groupVarintCodec) EncodeBlock(dst []byte, entries []uint32) []byte {
-	var hdr [maxVarintBytesU32]byte
-	dst = append(dst, hdr[:binary.PutUvarint(hdr[:], uint64(len(entries)))]...)
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	prev := uint32(0)
 	for i := 0; i < len(entries); i += 4 {
 		ctrlAt := len(dst)
@@ -343,16 +295,32 @@ func (groupVarintCodec) DecodeBlock(dst []uint32, src []byte) ([]uint32, error) 
 }
 
 // codecs registers every codec by ID order.
-var codecs = []Codec{CodecRaw, CodecVarint, CodecGroupVarint}
+var codecs = []Codec{CodecRaw, CodecGroupVarint}
 
-// CodecByID resolves an on-disk codec identifier.
-func CodecByID(id byte) (Codec, error) {
+// ErrUnknownCodec is the sentinel matched (via errors.Is) when a codec ID
+// or name resolves to no registered codec — including the retired ID 1 /
+// name "varint".
+var ErrUnknownCodec = errors.New("storage: unknown codec")
+
+// errRetiredCodec is what codec ID 1 and its name resolve to.
+func errRetiredCodec() error {
+	return fmt.Errorf("%w: %q (id %d) is retired, reconvert the graph with one of %v",
+		ErrUnknownCodec, retiredCodecName, codecIDRetired, CodecNames())
+}
+
+// CodecByID resolves an on-disk codec identifier. It takes the meta
+// file's whole 32-bit word, so a word above 255 is unknown rather than
+// its low byte's codec.
+func CodecByID(id uint32) (Codec, error) {
 	for _, c := range codecs {
-		if c.ID() == id {
+		if uint32(c.ID()) == id {
 			return c, nil
 		}
 	}
-	return nil, fmt.Errorf("storage: unknown codec id %d", id)
+	if id == codecIDRetired {
+		return nil, errRetiredCodec()
+	}
+	return nil, fmt.Errorf("%w: id %d", ErrUnknownCodec, id)
 }
 
 // CodecByName resolves a CLI/config codec name.
@@ -362,7 +330,10 @@ func CodecByName(name string) (Codec, error) {
 			return c, nil
 		}
 	}
-	return nil, fmt.Errorf("storage: unknown codec %q (have %v)", name, CodecNames())
+	if name == retiredCodecName {
+		return nil, errRetiredCodec()
+	}
+	return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownCodec, name, CodecNames())
 }
 
 // CodecNames lists the registered codec names in ID order.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,16 +80,16 @@ func TestCodecAppendsToDst(t *testing.T) {
 	}
 }
 
-func TestCodecVarintCompressesAscendingRuns(t *testing.T) {
+func TestCodecGroupVarintCompressesAscendingRuns(t *testing.T) {
 	// The v2 invariant: ascending destinations within each adjacency.
 	entries := make([]uint32, 4096)
 	for i := range entries {
 		entries[i] = uint32(i / 4) // slowly ascending, many zero deltas
 	}
 	raw := CodecRaw.EncodeBlock(nil, entries)
-	vv := CodecVarint.EncodeBlock(nil, entries)
-	if len(vv)*2 > len(raw) {
-		t.Fatalf("varint %d bytes vs raw %d: expected at least 2x on ascending data", len(vv), len(raw))
+	gv := CodecGroupVarint.EncodeBlock(nil, entries)
+	if len(gv)*2 > len(raw) {
+		t.Fatalf("groupvarint %d bytes vs raw %d: expected at least 2x on ascending data", len(gv), len(raw))
 	}
 }
 
@@ -99,10 +100,13 @@ func TestCodecDecodeCorrupt(t *testing.T) {
 		src   []byte
 	}{
 		{"raw trailing bytes", CodecRaw, []byte{1, 2, 3}},
-		{"varint truncated", CodecVarint, []byte{0x80}},
-		{"varint truncated tail", CodecVarint, CodecVarint.EncodeBlock(nil, []uint32{100000})[:1]},
-		{"varint 64-bit overflow", CodecVarint, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}},
-		{"varint leaves u32 range", CodecVarint, CodecVarint.EncodeBlock(CodecVarint.EncodeBlock(nil, []uint32{math.MaxUint32}), []uint32{math.MaxUint32})},
+		{"groupvarint truncated count", CodecGroupVarint, []byte{0x80}},
+		{"groupvarint count overflows 64 bits", CodecGroupVarint, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{"groupvarint count above input size", CodecGroupVarint, []byte{9, 0, 1}},
+		{"groupvarint truncated control byte", CodecGroupVarint, []byte{1}},
+		{"groupvarint truncated lane", CodecGroupVarint, CodecGroupVarint.EncodeBlock(nil, []uint32{100000})[:3]},
+		{"groupvarint unused lanes coded", CodecGroupVarint, []byte{1, 0x04, 7}},
+		{"groupvarint trailing bytes", CodecGroupVarint, append(CodecGroupVarint.EncodeBlock(nil, []uint32{7}), 0)},
 	}
 	for _, tc := range cases {
 		_, err := tc.codec.DecodeBlock(nil, tc.src)
@@ -136,7 +140,7 @@ func TestCodecDecodeArbitraryNeverPanics(t *testing.T) {
 
 func TestCodecRegistry(t *testing.T) {
 	for _, c := range codecs {
-		byID, err := CodecByID(c.ID())
+		byID, err := CodecByID(uint32(c.ID()))
 		if err != nil || byID.Name() != c.Name() {
 			t.Errorf("CodecByID(%d) = %v, %v", c.ID(), byID, err)
 		}
@@ -145,11 +149,54 @@ func TestCodecRegistry(t *testing.T) {
 			t.Errorf("CodecByName(%q) = %v, %v", c.Name(), byName, err)
 		}
 	}
-	if _, err := CodecByID(250); err == nil {
-		t.Error("CodecByID(250) succeeded")
+	if got := CodecNames(); len(got) != 2 || got[0] != "raw" || got[1] != "groupvarint" {
+		t.Errorf("CodecNames() = %v, want [raw groupvarint]", got)
 	}
-	if _, err := CodecByName("nope"); err == nil {
-		t.Error(`CodecByName("nope") succeeded`)
+	// Unregistered IDs — the retired 1, one never assigned, and two that
+	// only fit the meta file's 32-bit word — and unregistered names all
+	// match ErrUnknownCodec; the retired ones say what to do about it.
+	for _, id := range []uint32{1, 3, 0x100, 0xFFFFFFFF} {
+		_, err := CodecByID(id)
+		if !errors.Is(err, ErrUnknownCodec) {
+			t.Errorf("CodecByID(%#x) = %v, want ErrUnknownCodec", id, err)
+		}
+		if retired := err != nil && strings.Contains(err.Error(), "retired"); retired != (id == 1) {
+			t.Errorf("CodecByID(%#x) = %v: says retired = %v", id, err, retired)
+		}
+	}
+	for _, name := range []string{"varint", "nope", ""} {
+		_, err := CodecByName(name)
+		if !errors.Is(err, ErrUnknownCodec) {
+			t.Errorf("CodecByName(%q) = %v, want ErrUnknownCodec", name, err)
+		}
+		if retired := err != nil && strings.Contains(err.Error(), "retired"); retired != (name == "varint") {
+			t.Errorf("CodecByName(%q) = %v: says retired = %v", name, err, retired)
+		}
+	}
+}
+
+// TestMaxEncodedLenBoundsEveryCodec: no registered codec exceeds the
+// sizing hint on worst-case deltas (every zigzag delta needs four bytes),
+// at every tail-group length, and group-varint is what sets it.
+func TestMaxEncodedLenBoundsEveryCodec(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		entries := make([]uint32, n)
+		for i := range entries {
+			if i%2 == 0 {
+				entries[i] = math.MaxUint32 / 2 // alternating ±2^31 steps
+			}
+		}
+		for _, c := range codecs {
+			if got := len(c.EncodeBlock(nil, entries)); got > MaxEncodedLen(n) {
+				t.Errorf("%s: %d entries encode to %d bytes, MaxEncodedLen = %d", c.Name(), n, got, MaxEncodedLen(n))
+			}
+		}
+	}
+	// The count header reaches its five bytes only past 2^28 entries;
+	// at one byte the bound is slack by exactly four.
+	entries := []uint32{math.MaxUint32 / 2, 0, math.MaxUint32 / 2, 0, math.MaxUint32 / 2}
+	if got, want := len(CodecGroupVarint.EncodeBlock(nil, entries)), MaxEncodedLen(5)-4; got != want {
+		t.Errorf("groupvarint worst case: 5 entries encode to %d bytes, want %d", got, want)
 	}
 }
 
@@ -164,7 +211,7 @@ func TestBlockLayoutArithmetic(t *testing.T) {
 	}
 
 	l := BlockLayout{
-		Codec:        CodecVarint,
+		Codec:        CodecGroupVarint,
 		BlockEntries: 8,
 		NumEntries:   20,
 		BlockOffs:    []int64{0, 11, 25, 31},
@@ -187,7 +234,7 @@ func TestBlockLayoutArithmetic(t *testing.T) {
 }
 
 // benchEntries builds a power-law-ish ascending-run workload: the shape
-// the varint codec sees on a converted DOS v2 graph.
+// a delta codec sees on a converted DOS v2 graph.
 func benchEntries(n int) []uint32 {
 	rng := rand.New(rand.NewSource(42))
 	out := make([]uint32, n)

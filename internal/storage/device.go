@@ -51,6 +51,17 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind resolves a command-line device name, "hdd" or "ssd".
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "hdd":
+		return HDD, nil
+	case "ssd":
+		return SSD, nil
+	}
+	return 0, fmt.Errorf("storage: unknown device %q (want hdd or ssd)", name)
+}
+
 // Profile holds the cost model parameters for a device kind.
 type Profile struct {
 	// SeekLatency is charged whenever an access is not sequential with

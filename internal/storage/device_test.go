@@ -184,6 +184,17 @@ func TestDeviceKindsAndProfiles(t *testing.T) {
 	if hdd.ReadBandwidth >= ssd.ReadBandwidth {
 		t.Error("SSD bandwidth should exceed HDD")
 	}
+	if k, err := ParseKind("hdd"); err != nil || k != HDD {
+		t.Errorf(`ParseKind("hdd") = %v, %v`, k, err)
+	}
+	if k, err := ParseKind("ssd"); err != nil || k != SSD {
+		t.Errorf(`ParseKind("ssd") = %v, %v`, k, err)
+	}
+	for _, name := range []string{"sdd", "SSD", "null", ""} {
+		if k, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error: a typo must not pick a cost model", name, k)
+		}
+	}
 }
 
 func TestStatsAddSub(t *testing.T) {

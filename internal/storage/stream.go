@@ -15,13 +15,12 @@ const DefaultBlockSize = 256 * 1024
 // block-sized buffer. It implements io.Reader. A zero Reader is ready for
 // Reset.
 type Reader struct {
-	f       *File
-	off     int64
-	end     int64
-	buf     []byte
-	rest    []byte // the part of buf not yet read
-	blockSz int
-	rec     []byte // Next's assembly of a record that straddles two blocks
+	f    *File
+	off  int64
+	end  int64
+	buf  []byte // one DefaultBlockSize block
+	rest []byte // the part of buf not yet read
+	rec  []byte // Next's assembly of a record that straddles two blocks
 }
 
 // NewReader returns a Reader over the whole file with the default block
@@ -38,20 +37,9 @@ func NewRangeReader(f *File, off, end int64) *Reader {
 }
 
 // Reset makes r a Reader over bytes [off, end) of f that keeps r's block
-// buffer and block size: one Reader can stream many files in turn.
+// buffer: one Reader can stream many files in turn.
 func (r *Reader) Reset(f *File, off, end int64) {
 	r.f, r.off, r.end, r.rest = f, off, end, nil
-	if r.blockSz == 0 {
-		r.blockSz = DefaultBlockSize
-	}
-}
-
-// SetBlockSize overrides the transfer unit; useful in tests exercising the
-// cost model.
-func (r *Reader) SetBlockSize(n int) {
-	if n > 0 {
-		r.blockSz = n
-	}
 }
 
 // Remaining returns the number of unread bytes, including buffered ones.
@@ -64,7 +52,7 @@ func (r *Reader) fill() error {
 		return io.EOF
 	}
 	if r.buf == nil {
-		r.buf = make([]byte, r.blockSz)
+		r.buf = make([]byte, DefaultBlockSize)
 	}
 	want := int64(len(r.buf))
 	if left := r.end - r.off; left < want {
