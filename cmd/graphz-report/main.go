@@ -192,7 +192,8 @@ func showEfficiency(w io.Writer, rep *obs.RunReport) {
 }
 
 // showMemory prints the budget-accounting timeline, one row per sampled
-// iteration.
+// iteration. Every column but spill is memory the run's own budget pays
+// for — adjcache too: a cache handed in by a server is its owner's.
 func showMemory(w io.Writer, rep *obs.RunReport) {
 	if len(rep.Memory) == 0 {
 		return
@@ -205,6 +206,7 @@ func showMemory(w io.Writer, rep *obs.RunReport) {
 			m.Iteration, fmtBytes(m.ResidentBytes()), fmtBytes(m.VertexStateBytes),
 			fmtBytes(m.AdjCacheBytes), fmtBytes(m.MsgBufferBytes), fmtBytes(m.SpillBytes))
 	}
+	fmt.Fprintln(w, "  (adjcache: the run's own resident adjacency, on its budget; one shared by a server is the server's and reads 0)")
 }
 
 // showBlocks prints the top blocks by read traffic and, when present, by

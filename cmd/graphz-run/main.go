@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -60,7 +61,6 @@ func main() {
 		dosPfx  = flag.String("dos", "", "prefix of pre-converted DOS files from graphz-convert (graphz engine only; skips conversion)")
 		iters   = flag.Int("iters", 10, "iterations for pr/bp/rw")
 		source  = flag.Int("source", -1, "bfs/sssp source (original ID; default: max-degree vertex)")
-		cache   = flag.Bool("cache-adjacency", false, "graphz: keep adjacency resident when it fits the budget")
 		sel     = flag.Bool("selective", false, "graphz: skip adjacency blocks with no active vertex and no pending message (selective block scheduling; see DESIGN.md §9)")
 		top     = flag.Int("top", 5, "print the top-N result vertices")
 		maddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof/ on this address while the run is live (e.g. :8080, or :0 for a free port)")
@@ -83,16 +83,19 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if (*ckDir != "" || *resume) && *engine != "graphz" {
-		fatal(fmt.Errorf("-checkpoint-dir/-resume need -engine graphz, got %q", *engine))
+	if *engine != "graphz" {
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains(graphzOnly, f.Name) {
+				usageError(fmt.Errorf("-%s needs -engine graphz, got %q", f.Name, *engine))
+			}
+		})
 	}
 	if *resume && *ckDir == "" {
 		fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
 	}
 	kind, err := storage.ParseKind(*device)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphz-run:", err)
-		os.Exit(2)
+		usageError(err)
 	}
 
 	clock := sim.NewClock()
@@ -167,6 +170,11 @@ func main() {
 	ctx, stop := obs.SignalContext(context.Background())
 	defer stop()
 
+	inputName := *in
+	if inputName == "" {
+		inputName = fmt.Sprintf("gen:%s(seed=%d)", *genKind, *seed)
+	}
+	config := map[string]string{"input": inputName} // the run report's; runGraphZ adds its engine's
 	var (
 		iterations int
 		values     map[graph.VertexID]float64
@@ -186,7 +194,7 @@ func main() {
 				}
 			}
 		}
-		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *cache, *sel, ck)
+		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *sel, ck, config)
 	case "graphchi":
 		iterations, values, err = runGraphChi(dev, clock, reg, tracer, *algo, *budget, *iters, src)
 	case "xstream":
@@ -200,10 +208,6 @@ func main() {
 
 	rep := energy.Measure(clock, kind)
 	st := dev.Stats()
-	inputName := *in
-	if inputName == "" {
-		inputName = fmt.Sprintf("gen:%s(seed=%d)", *genKind, *seed)
-	}
 	fmt.Printf("%s %s on %s (%s, %d B budget)\n", *engine, *algo, inputName, kind, *budget)
 	fmt.Printf("  iterations:   %d\n", iterations)
 	fmt.Printf("  modeled time: %v (compute %v, IO %v)\n", clock.Total(), clock.TotalCompute(), clock.TotalIO())
@@ -226,10 +230,7 @@ func main() {
 			Algo:        *algo,
 			Device:      kind.String(),
 			BudgetBytes: *budget,
-			Config: map[string]string{
-				"input":     inputName,
-				"selective": fmt.Sprint(*sel),
-			},
+			Config:      config,
 		}, reg, tracer, core.DeviceFileIO(dev))
 		if err := report.WriteFile(*repTo); err != nil {
 			fatal(err)
@@ -297,8 +298,10 @@ func importDOS(dev *storage.Device, prefix string) error {
 }
 
 // runGraphZ preprocesses to DOS (or loads a pre-converted graph) and runs
-// the algorithm, returning values keyed by original IDs.
-func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, cacheAdj, selective bool, ck core.CheckpointOptions) (int, map[graph.VertexID]float64, error) {
+// the algorithm, returning values keyed by original IDs. It adds to config
+// what the run report says of this engine: the scheduler asked for and the
+// adjacency residency the budget decided.
+func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, selective bool, ck core.CheckpointOptions, config map[string]string) (int, map[graph.VertexID]float64, error) {
 	var g *dos.Graph
 	var err error
 	if preconverted {
@@ -319,8 +322,7 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	}
 	opts := core.Options{
 		Context: ctx, MemoryBudget: budget, Clock: clock, DynamicMessages: true, MaxIterations: 200,
-		CacheAdjacency: cacheAdj, SelectiveScheduling: selective,
-		Obs: reg, Trace: tracer, Checkpoint: ck,
+		SelectiveScheduling: selective, Obs: reg, Trace: tracer, Checkpoint: ck,
 	}
 	if ck.Dir != "" {
 		// Bind checkpoints to the algorithm: resuming a "pr" checkpoint
@@ -345,6 +347,15 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	} else {
 		fmt.Printf("sem: partitioned — %d partitions, resident vertex states would exceed the %d B budget\n", res.Partitions, budget)
 	}
+	config["selective"] = fmt.Sprint(selective)
+	config["adjacency"] = "streamed"
+	verdict := "exceed"
+	if res.ResidentAdjacency {
+		config["adjacency"] = "resident"
+		verdict = "fit in"
+	}
+	fmt.Printf("adjacency: %s — 4·E = %d B %s what %d partition(s) leave of the %d-byte budget\n",
+		config["adjacency"], 4*g.NumEdges, verdict, res.Partitions, budget)
 	if ck.Dir != "" {
 		fmt.Printf("checkpoint: %d written (%d B, %v) -> %s\n",
 			res.Checkpoints, res.CheckpointBytes, res.CheckpointTime, ck.Dir)
@@ -445,6 +456,17 @@ func printTop(values map[graph.VertexID]float64, n int) {
 	for _, e := range list[:n] {
 		fmt.Printf("    vertex %-10d %g\n", e.id, e.val)
 	}
+}
+
+// graphzOnly names the flags only -engine graphz reads; any of them beside
+// another engine is a usage error, not a setting silently dropped.
+var graphzOnly = []string{"dos", "selective", "checkpoint-dir", "checkpoint-every", "checkpoint-keep", "resume"}
+
+// usageError reports a command line that cannot mean anything. It is for
+// flag checks, before anything has registered an exit hook.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "graphz-run:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {

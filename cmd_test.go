@@ -86,6 +86,7 @@ func TestCommandLineTools(t *testing.T) {
 		"per-iteration:",
 		"device:",
 		"sem: partitioned",
+		"adjacency: streamed",
 		"top 5 vertices",
 	} {
 		if !strings.Contains(string(out), want) {
@@ -120,12 +121,26 @@ func TestCommandLineTools(t *testing.T) {
 	}
 
 	// Retired flags are usage errors (exit 2), not silently ignored:
-	// residency follows from -budget alone, and there is one Worker.
-	for _, retired := range [][]string{{"-sem", "off"}, {"-workers", "2"}} {
+	// residency — the states' and the adjacency's — follows from -budget
+	// alone, and there is one Worker. So is a graphz-only flag beside another
+	// engine, which names the flag.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sem", "off"}, "not defined: -sem"},
+		{[]string{"-workers", "2"}, "not defined: -workers"},
+		{[]string{"-cache-adjacency"}, "not defined: -cache-adjacency"},
+		{[]string{"-selective", "-engine", "xstream"}, `-selective needs -engine graphz, got "xstream"`},
+		{[]string{"-dos", "p", "-engine", "graphchi"}, `-dos needs -engine graphz, got "graphchi"`},
+	} {
 		var exit *exec.ExitError
-		args := append([]string{"-in", graphFile}, retired...)
-		if _, err := exec.Command(run, args...).CombinedOutput(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("graphz-run %v: %v, want exit status 2", retired, err)
+		out, err := exec.Command(run, append([]string{"-in", graphFile}, tc.args...)...).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("graphz-run %v: %v, want exit status 2", tc.args, err)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("graphz-run %v: output does not say %q:\n%s", tc.args, tc.want, out)
 		}
 	}
 

@@ -282,7 +282,8 @@ func TestCodecCompressionAcceptance(t *testing.T) {
 
 	run := func(g *dos.Graph) (core.Result, []uint64, storage.Stats) {
 		g.Device().ResetStats()
-		opts := core.Options{MemoryBudget: 64 << 20, DynamicMessages: true, Obs: obs.NewRegistry()}
+		// Streamed, so that the edge bytes are read on every iteration.
+		opts := core.Options{MemoryBudget: 64 << 20, DynamicMessages: true, StreamAdjacency: true, Obs: obs.NewRegistry()}
 		res, ranks, err := graphzalgo.PageRank(g, opts, 3, 0.85)
 		if err != nil {
 			t.Fatal(err)

@@ -248,6 +248,7 @@ func runGraphZ(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Re
 		MemoryBudget:    cfg.Budget,
 		Clock:           clock,
 		DynamicMessages: cfg.Engine != GraphZNoDOSNoDM,
+		StreamAdjacency: true, // the paper's engine (§VI-E): every table is of it
 		Obs:             reg,
 		Trace:           tr,
 	}

@@ -627,7 +627,6 @@ func TestSparseIterationAllocs(t *testing.T) {
 			eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{
 				MemoryBudget:        64 << 20,
 				DynamicMessages:     true,
-				CacheAdjacency:      true,
 				SelectiveScheduling: true,
 				MaxIterations:       iters,
 			})

@@ -8,37 +8,10 @@ package core
 // pass and serves every later partition and iteration from memory,
 // eliminating the per-iteration edge IO that dominates small-graph runs.
 //
-// There is one cache type, SharedAdjacency (shared.go). This file is the
-// engine's side of it: whether to create a private one, and choosing
-// between the resident entries and the Sio prefetcher.
-
-// maybeEnableAdjCache decides (post-plan) where the adjacency is served
-// from. A shared cache (Options.SharedAdjacency) is always used — its
-// bytes are accounted by its owner, not this engine's budget. With
-// Options.CacheAdjacency the engine creates a private one, strictly
-// budget-accounted: only when the full adjacency fits alongside the
-// index, pipeline buffers, message buffers, and the largest partition's
-// vertex states.
-func (e *Engine[V, M]) maybeEnableAdjCache() {
-	if e.opts.SharedAdjacency != nil {
-		e.adjCache = e.opts.SharedAdjacency
-		return
-	}
-	if !e.opts.CacheAdjacency {
-		return
-	}
-	p := int64(e.NumPartitions())
-	var maxPartVerts int64
-	for i := 0; i < e.NumPartitions(); i++ {
-		if n := int64(e.partStarts[i+1]-e.partStarts[i]) * int64(e.vsize); n > maxPartVerts {
-			maxPartVerts = n
-		}
-	}
-	used := e.residentFloor().ResidentBytes() + p*int64(e.opts.MsgBufferBytes) + maxPartVerts
-	if used+e.layout.NumEdges()*4 <= e.opts.MemoryBudget {
-		e.adjCache = NewSharedAdjacency(e.layout)
-	}
-}
+// There is one cache type, SharedAdjacency (shared.go), and one place that
+// decides whether a run has one, plan (engine.go). This file is the
+// engine's side of it: filling it, and choosing between the resident
+// entries and the Sio prefetcher.
 
 // ensureResident makes the cached adjacency available to this run before
 // a partition's Worker starts, and marks the partition a cache hit when
@@ -71,5 +44,6 @@ func (e *Engine[V, M]) adjSource(ranges []entryRange, lazy bool, ps *pipeStats) 
 }
 
 // AdjacencyCached reports whether the engine serves adjacency from
-// memory (resolved at New).
+// memory (resolved at New): its own budget fits the decoded entries, or it
+// was handed a SharedAdjacency.
 func (e *Engine[V, M]) AdjacencyCached() bool { return e.adjCache != nil }

@@ -55,10 +55,13 @@ func encodeStates[V any](vc graph.Codec[V], vals []V) []byte {
 	return enc
 }
 
-// crashRecoveryHarness runs the property for one program. tune, when non-nil,
-// is applied to every engine it builds (reference, probe, crashing, recovering)
-// between New and Run, for an unexported seam such as forceSparse.
-func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters int, seed uint64, tune func(*Engine[V, M]), mutate ...func(*Options)) {
+// crashRecoveryHarness runs the property for one program and returns the
+// uninterrupted run's Result. tune, when non-nil, is applied to every engine
+// it builds (reference, probe, crashing, recovering) between New and Run, for
+// an unexported seam such as forceSparse. A recovering process that keeps
+// the adjacency resident must also read the edges file exactly once — its
+// own fill — or, restored already converged, not at all.
+func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters int, seed uint64, tune func(*Engine[V, M]), mutate ...func(*dos.Graph, *Options)) Result {
 	t.Helper()
 	baseOpts := func(g *dos.Graph) Options {
 		opts := Options{
@@ -68,7 +71,7 @@ func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Progr
 			MaxIterations:   maxIters,
 		}
 		for _, m := range mutate {
-			m(&opts)
+			m(g, &opts)
 		}
 		return opts
 	}
@@ -129,9 +132,21 @@ func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Progr
 		// Reboot: same device, crash latch cleared, torn state intact.
 		fd.Disarm()
 		reng := newEng(g, dir, true)
+		edgeReads := fd.FileStats()[g.EdgesFile()].ReadBytes
 		res, err := reng.Run()
 		if err != nil {
 			t.Fatalf("trial %d (crash at op %d/%d): recovery failed: %v", trial, crashAt, totalOps, err)
+		}
+		if reng.AdjacencyCached() {
+			var want int64
+			if reng.resident.data != nil {
+				if want, err = fd.Size(g.EdgesFile()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fd.FileStats()[g.EdgesFile()].ReadBytes - edgeReads; got != want {
+				t.Fatalf("trial %d (crash at op %d/%d): recovery read %d bytes of the edges file, want %d", trial, crashAt, totalOps, got, want)
+			}
 		}
 		vals, err := reng.Values()
 		if err != nil {
@@ -153,6 +168,7 @@ func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Progr
 	if crashes == 0 {
 		t.Fatalf("none of %d trials crashed; harness is vacuous", trials)
 	}
+	return refRes
 }
 
 func TestCrashRecoveryMinLabelSequential(t *testing.T) {
@@ -172,12 +188,25 @@ func TestCrashRecoverySelectiveSequential(t *testing.T) {
 	// sparse run-scheduled path, so the restored bitmap drives real
 	// block skipping across the crash boundary.
 	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 105,
-		forceSparse[minVal, uint32], func(o *Options) { o.SelectiveScheduling = true })
+		forceSparse[minVal, uint32], func(_ *dos.Graph, o *Options) { o.SelectiveScheduling = true })
 }
 
 func TestCrashRecoveryPageRankSequential(t *testing.T) {
 	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 63)
 	crashRecoveryHarness[prVal, float64](t, edges, prProg{}, prCodec{}, graph.Float64Codec{}, 5, 103, nil)
+}
+
+// TestCrashRecoveryResidentAdjacency: the property with the adjacency kept
+// — a graph sparse enough that the budget holds it beside half the states,
+// so messages still spill between two partitions. Every recovering process
+// starts with an empty cache and fills it once.
+func TestCrashRecoveryResidentAdjacency(t *testing.T) {
+	edges := gen.ErdosRenyi(6000, 3000, 69)
+	ref := crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 107, nil,
+		func(g *dos.Graph, o *Options) { o.MemoryBudget = budgetForPartitions(g, 8, 2, 64) + g.NumEdges*4 + 8 })
+	if !ref.ResidentAdjacency || ref.Partitions != 2 || ref.MessagesSpilled == 0 {
+		t.Errorf("the run %+v, want a resident adjacency and spills between two partitions", ref)
+	}
 }
 
 // TestCrashRecoveryParentCheckpoint resumes a checkpoint the parent commit's

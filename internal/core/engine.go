@@ -139,7 +139,8 @@ func (c *Context[M]) MarkActive() {
 // Options configures an engine run.
 type Options struct {
 	// MemoryBudget bounds the engine-resident bytes: vertex index,
-	// partition vertex states, message buffers, and pipeline blocks.
+	// partition vertex states, message buffers, pipeline blocks, and the
+	// decoded adjacency when what those leave holds it (StreamAdjacency).
 	MemoryBudget int64
 	// Context, when non-nil, makes the run cancellable: the engine
 	// checks it at every partition boundary (and before the run starts)
@@ -149,12 +150,12 @@ type Options struct {
 	Context context.Context
 	// SharedAdjacency serves the adjacency from a resident decoded-entry
 	// cache shared with other engines (created via NewSharedGraph /
-	// NewSharedAdjacency, typically by a serving process). It implies
-	// CacheAdjacency semantics but is NOT charged against this engine's
-	// MemoryBudget — the cache's owner accounts for SharedAdjacency.Bytes
-	// once, instead of every job paying (and re-reading) it. New fails
-	// with ErrInvalidOptions if the cache does not belong to the
-	// layout's edges file.
+	// NewSharedAdjacency, typically by a serving process). The engine
+	// uses it as is, whatever its own budget would have decided, and it is
+	// NOT charged against this engine's MemoryBudget — the cache's owner
+	// accounts for SharedAdjacency.Bytes once, instead of every job paying
+	// (and re-reading) it. New fails with ErrInvalidOptions if the cache
+	// does not belong to the layout's edges file.
 	SharedAdjacency *SharedAdjacency
 	// MaxIterations stops the run after this many iterations; 0 means
 	// run until convergence (no activity and no messages).
@@ -170,11 +171,15 @@ type Options struct {
 	// MsgBufferBytes is the in-memory buffer per destination partition
 	// before spilling; defaults to 64 KiB.
 	MsgBufferBytes int
-	// CacheAdjacency keeps adjacency bytes resident after their first
-	// read when the whole graph fits the leftover budget, eliminating
-	// per-iteration edge IO (the in-memory optimization the paper
-	// defers to future work). Auto-disabled when it does not fit.
-	CacheAdjacency bool
+	// StreamAdjacency makes the engine never keep the adjacency, whatever
+	// the budget leaves: the paper's engine, which re-reads the edges file
+	// every iteration (§VI-E). Left false, the planner keeps the decoded
+	// adjacency resident after one pass whenever 4 bytes per edge fit
+	// beside everything else the budget pays for (Result.ResidentAdjacency
+	// says which it was). It pins the engine for the paper's tables and for
+	// tests of the streaming pipeline, as DynamicMessages pins Figure 7's;
+	// no binary exposes it.
+	StreamAdjacency bool
 	// SelectiveScheduling enables GraphMP-style selective block
 	// scheduling: the engine keeps one schedulability bit per vertex —
 	// set when a message is applied to it or its update marks active,
@@ -262,14 +267,20 @@ type Result struct {
 	// budget planned one partition, so the vertex states stayed pinned in
 	// memory for the whole run. With DynamicMessages every message was
 	// applied inline — MessagesBuffered and MessagesSpilled are 0.
-	SemiExternal     bool
-	MessagesSent     int64
-	MessagesApplied  int64
-	MessagesInline   int64 // applied immediately as ordered dynamic messages
-	MessagesBuffered int64 // queued for a non-resident destination
-	MessagesSpilled  int64 // messages that crossed the partition boundary to disk
-	SpillErrors      int64 // spill failures observed (first one aborts the run)
-	UpdatesRun       int64
+	SemiExternal bool
+	// ResidentAdjacency reports that Update was fed from the decoded
+	// adjacency held in memory — the budget left 4 bytes per edge beside
+	// the plan, or a SharedAdjacency was handed in — so a process read the
+	// edges file at most once, for the fill. False: it streamed off the
+	// device every iteration.
+	ResidentAdjacency bool
+	MessagesSent      int64
+	MessagesApplied   int64
+	MessagesInline    int64 // applied immediately as ordered dynamic messages
+	MessagesBuffered  int64 // queued for a non-resident destination
+	MessagesSpilled   int64 // messages that crossed the partition boundary to disk
+	SpillErrors       int64 // spill failures observed (first one aborts the run)
+	UpdatesRun        int64
 	// BlocksScanned/BlocksSkipped count adjacency blocks the selective
 	// scheduler read versus skipped; both zero unless
 	// Options.SelectiveScheduling is set.
@@ -403,13 +414,13 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 	if err := e.plan(); err != nil {
 		return nil, err
 	}
-	e.maybeEnableAdjCache()
 	if opts.SelectiveScheduling {
 		// One bit per vertex (1/32 of a minimal uint32 state). It is
-		// deliberately NOT budget-accounted — not by plan, not by the
-		// adjacency-cache fit: charging it would shift partition
-		// boundaries between selective and full-streaming runs of the
-		// same budget, breaking their comparability.
+		// deliberately NOT budget-accounted by plan, in the partition count
+		// or in the adjacency fit: charging it would shift partition
+		// boundaries, or the adjacency's residency, between selective and
+		// full-streaming runs of the same budget, breaking their
+		// comparability.
 		e.sel = newActiveSet(layout.NumVertices())
 	}
 	return e, nil
@@ -418,8 +429,7 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 // residentFloor is the budget-accounted memory every run holds whatever
 // its partitioning: the vertex index, a block-encoded layout's per-block
 // offset table (zero for fixed-entry layouts) and the pipeline buffers.
-// The planner, the adjacency-cache fit and the memory sampler all start
-// from it.
+// The planner's two decisions and the memory sampler all start from it.
 func (e *Engine[V, M]) residentFloor() obs.MemSample {
 	return obs.MemSample{
 		IndexBytes:    e.layout.IndexBytes(),
@@ -431,8 +441,11 @@ func (e *Engine[V, M]) residentFloor() obs.MemSample {
 // plan chooses the partition count: the smallest P such that the index,
 // pipeline buffers, P message buffers, and one partition's vertex states
 // fit the budget, then splits the vertex space evenly. It is the only
-// place residency is decided: when P comes out as 1 the run is the
-// semi-external case (SemiExternal).
+// place residency is decided, the vertex states' first — when P comes out
+// as 1 the run is the semi-external case (SemiExternal) — and then the
+// adjacency's: it stays resident, decoded, when 4 bytes per edge fit beside
+// all of that and the largest partition's states (ResidentAdjacency). A
+// handed-in SharedAdjacency is used as is: its owner pays for it.
 func (e *Engine[V, M]) plan() error {
 	n := int64(e.layout.NumVertices())
 	vertexBytes := n * int64(e.vsize)
@@ -444,9 +457,15 @@ func (e *Engine[V, M]) plan() error {
 			return fmt.Errorf("%w: index (%d B) and buffers exceed budget %d B",
 				ErrMemoryBudget, e.layout.IndexBytes(), e.opts.MemoryBudget)
 		}
-		need := (vertexBytes + avail - 1) / avail
-		if need < 1 {
-			need = 1
+		// In whole states: the largest of p even partitions holds ⌈n/p⌉
+		// vertices, which n·vsize/p bytes undercount when p does not
+		// divide n.
+		need := int64(1)
+		if vertexBytes > 0 {
+			need = maxPartitions + 1 // not one state fits
+			if perPart := avail / int64(e.vsize); perPart > 0 {
+				need = (n + perPart - 1) / perPart
+			}
 		}
 		if need <= p {
 			break
@@ -463,6 +482,14 @@ func (e *Engine[V, M]) plan() error {
 	e.msgFiles = make([]string, p)
 	for i := range e.msgFiles {
 		e.msgFiles[i] = fmt.Sprintf("%s.msgs.%d", e.opts.Name, i)
+	}
+	// An even split's largest partition holds ⌈n/p⌉ vertices.
+	used := fixed + p*int64(e.opts.MsgBufferBytes) + (n+p-1)/p*int64(e.vsize)
+	switch {
+	case e.opts.SharedAdjacency != nil:
+		e.adjCache = e.opts.SharedAdjacency
+	case !e.opts.StreamAdjacency && used+e.layout.NumEdges()*4 <= e.opts.MemoryBudget:
+		e.adjCache = NewSharedAdjacency(e.layout)
 	}
 	return nil
 }
@@ -689,6 +716,7 @@ func (e *Engine[V, M]) finish(iters int) Result {
 		Iterations:        iters,
 		Partitions:        e.NumPartitions(),
 		SemiExternal:      e.SemiExternal(),
+		ResidentAdjacency: e.AdjacencyCached(),
 		MessagesSent:      e.c.Sent,
 		MessagesApplied:   e.c.Applied,
 		MessagesInline:    e.c.Inline,

@@ -102,8 +102,9 @@ func BenchmarkEngineSelective(b *testing.B) {
 // resident — each message goes through sendAll and is applied inline — by
 // the bulk route's two forms: the program's ApplyAll delegate, which inlines
 // Apply, and the engine's default loop over the bound Apply (the method
-// hidden). What it predicts is stream-pr's run_vs_plain; what CI gates of it
-// is the allocation count, which the route must not move.
+// hidden). What it predicts is stream-pr's run_vs_plain, so like stream-pr it
+// streams the adjacency (pinned: this small graph would fit); what CI gates
+// of it is the allocation count, which the route must not move.
 func BenchmarkSendAll(b *testing.B) {
 	g := benchGraph(b)
 	for _, route := range []struct {
@@ -114,7 +115,7 @@ func BenchmarkSendAll(b *testing.B) {
 		{"default", noBulk[witnessVal, uint32]{witnessLabel{}}},
 	} {
 		b.Run(route.name, func(b *testing.B) {
-			opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true}
+			opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, StreamAdjacency: true}
 			b.ReportAllocs()
 			b.SetBytes(4 * g.NumEdges)
 			b.ResetTimer()

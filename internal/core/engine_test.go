@@ -224,8 +224,7 @@ func TestEngineMinLabelSinglePartition(t *testing.T) {
 // budgetForPartitions builds a memory budget that should yield roughly
 // wantP partitions for a graph with the given vertex state size.
 func budgetForPartitions(g *dos.Graph, vsize, wantP, msgBuf int64) int64 {
-	vertexBytes := int64(g.NumVertices) * vsize
-	avail := (vertexBytes + wantP - 1) / wantP
+	avail := (int64(g.NumVertices) + wantP - 1) / wantP * vsize // the largest partition's states
 	return pipelineOverheadBytes + g.IndexBytes() + g.BlockTableBytes() + avail + wantP*msgBuf
 }
 

@@ -199,9 +199,12 @@ func manifestAt(t *testing.T, dir string, iter int) checkpoint.Manifest {
 
 // comparableRun strips what legitimately differs between two runs of one
 // configuration from a Result and its rows: wall-clock; and for a run
-// resumed in a second process the counts Result keeps per process and the
+// resumed in a second process the counts Result keeps per process, the
 // device traffic of the restore (with the states pinned, the first resumed
-// iteration loads what an uninterrupted run never stored).
+// iteration loads what an uninterrupted run never stored) and the resident
+// adjacency's hits, a this-process count like the device columns: the
+// resuming process fills its own cache, so its first partition visit is the
+// fill where the uninterrupted run's was a hit.
 func comparableRun(res Result, rows []obs.IterStats, resumed bool) (Result, []obs.IterStats) {
 	res = stripDurability(res)
 	res.DecodeTime = 0
@@ -213,6 +216,7 @@ func comparableRun(res Result, rows []obs.IterStats, resumed bool) (Result, []ob
 		row.Stages, row.PrefetchStalls = obs.StageTimes{}, 0
 		if resumed {
 			row.DeviceSeeks, row.DeviceReadBytes, row.DeviceWriteBytes = 0, 0, 0
+			row.AdjCacheHits = 0
 		}
 		out[i] = row
 	}
@@ -293,7 +297,12 @@ func checkModeledCompute(t *testing.T, eng *Engine[witnessVal, uint32], clock *s
 // leaves the same state bytes, the same Result, the same rows, the same
 // checkpoint and the same device traffic file by file: the bulk route is a
 // route, not a semantics, and inlining Apply into it changes nothing but
-// the time.
+// the time. The adjacency's residency is an axis like the others: the
+// one-partition points run under a roomy budget, which keeps the adjacency,
+// and again pinned streamed; the four-partition budget is exact and leaves
+// it no room, so there the pin would change nothing and has no rows. Every
+// run of every point keeps its memory timeline within its budget
+// (checkWithinBudget).
 func TestLedgerViewsAgree(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 71)
 	// Self-loops and duplicate edges: the one place where the order of
@@ -301,9 +310,9 @@ func TestLedgerViewsAgree(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		edges = append(edges, graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i)}, edges[3*i], edges[3*i])
 	}
-	for i := 0; i < 1<<6; i++ { // one bit per axis
+	for i := 0; i < 1<<7; i++ { // one bit per axis
 		bit := func(b int) bool { return i>>b&1 == 1 }
-		codec, parts, dm, sel, ckpt := storage.Codec(nil), int64(1), bit(2), bit(3), bit(4)
+		codec, parts, dm, sel, ckpt, stream := storage.Codec(nil), int64(1), bit(2), bit(3), bit(4), bit(6)
 		// The 8-byte record every shipped program buffers, and (labels fit
 		// 16 bits here) the awkward 6-byte one: it fills neither a 4-byte
 		// copy unit, nor the 64-byte buffer, nor a device block evenly.
@@ -320,6 +329,12 @@ func TestLedgerViewsAgree(t *testing.T) {
 		}
 		// workers=1: the rows' IDs from when workers=4 ran beside them.
 		name := fmt.Sprintf("%s%s/parts=%d/dm=%v/sel=%v/workers=1/ckpt=%v", rec, layout, parts, dm, sel, ckpt)
+		if stream {
+			if parts > 1 {
+				continue
+			}
+			name += "/streamed"
+		}
 		t.Run(name, func(t *testing.T) {
 			build := func() *dos.Graph {
 				if codec == nil {
@@ -337,6 +352,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 					DynamicMessages:     dm,
 					SelectiveScheduling: sel,
 					MsgBufferBytes:      64,
+					StreamAdjacency:     stream,
 					Obs:                 reg,
 				}
 				if parts > 1 {
@@ -384,6 +400,10 @@ func TestLedgerViewsAgree(t *testing.T) {
 			if (res.Partitions == 1) != (parts == 1) {
 				t.Fatalf("partitions = %d, want the %d-partition case", res.Partitions, parts)
 			}
+			if want := parts == 1 && !stream; res.ResidentAdjacency != want {
+				t.Fatalf("ResidentAdjacency = %v, want %v", res.ResidentAdjacency, want)
+			}
+			checkWithinBudget(t, reg.MemSamples())
 			checkRegistryMatchesResult(t, reg, res)
 			checkLedgerViews(t, eng, reg, checkpoint.Counters{})
 			if len(reg.Iters()) != res.Iterations {
@@ -441,6 +461,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 					for it := cut + 1; it <= gotRes.Iterations; it++ {
 						os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
 					}
+					checkWithinBudget(t, gotReg.MemSamples()) // the killed process's
 					gotReg = obs.NewRegistry()
 					ropts := options(gotReg, dir)
 					ropts.Checkpoint.Resume = true
@@ -449,6 +470,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				checkWithinBudget(t, gotReg.MemSamples())
 				gotRes, gotRows := comparableRun(gotRes, gotReg.Iters(), ckpt)
 				if gotRes != wantRes {
 					t.Errorf("%s: result %+v, as written: %+v", route.name, gotRes, wantRes)

@@ -277,7 +277,10 @@ func (e *Engine[V, M]) sampleMemory(iter int) {
 	s.Iteration = iter
 	s.BudgetBytes = e.opts.MemoryBudget
 	s.VertexStateBytes = int64(cap(e.verts)) * int64(e.vsize) // high-water partition
-	s.AdjCacheBytes = int64(len(e.resident.data)) * 4
+	if e.opts.SharedAdjacency == nil {
+		// A handed-in cache is its owner's memory, not this budget's.
+		s.AdjCacheBytes = int64(len(e.resident.data)) * 4
+	}
 	for p, buf := range e.msgBufs {
 		s.MsgBufferBytes += int64(cap(buf))
 		// Size is an uncharged catalog lookup; a missing file reads as

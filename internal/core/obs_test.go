@@ -176,7 +176,6 @@ func TestEngineObservabilityAdjCacheHits(t *testing.T) {
 	res, _ := runMinLabel(t, g, Options{
 		MemoryBudget:    64 << 20,
 		DynamicMessages: true,
-		CacheAdjacency:  true,
 		MaxIterations:   3,
 		Obs:             reg,
 	})

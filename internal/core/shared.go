@@ -31,8 +31,8 @@ import (
 // the fill — one pass of the Sio prefetcher over the edges file — and
 // every later access (same engine or another) reads the resident entries
 // in place. It is the engine's only adjacency cache: Options.SharedAdjacency
-// hands an engine one owned by somebody else, Options.CacheAdjacency makes
-// the engine create a private one.
+// hands an engine one owned by somebody else, and an engine handed none
+// creates a private one when its own budget holds it (plan).
 //
 // A cache handed in through Options.SharedAdjacency is deliberately NOT
 // charged against any engine's MemoryBudget: it is owned by whoever

@@ -167,14 +167,16 @@ func TestSharedAdjacencyFillOncePerGraph(t *testing.T) {
 
 // TestSharedAdjacencyTightBudget: the shared cache is not charged to the
 // engine's budget, so even a budget forcing several partitions must run
-// cached — partitions become sub-slices of the resident entries.
+// cached — partitions become sub-slices of the resident entries — and its
+// memory timeline, which counts what the budget pays for, stays within it.
 func TestSharedAdjacencyTightBudget(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 83)
 	g := buildDOS(t, edges)
 	sg := NewSharedGraph(g)
 	want := referenceMinLabels(g.NumVertices, relabeledEdges(t, g, edges))
 
-	opts := Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64}
+	reg := obs.NewRegistry()
+	opts := Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64, Obs: reg}
 	opts.Name = "tight"
 	opts.SharedAdjacency = sg.Adjacency()
 	eng, err := New[minVal, uint32](sg.View(), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
@@ -190,6 +192,7 @@ func TestSharedAdjacencyTightBudget(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	checkWithinBudget(t, reg.MemSamples())
 	vals, err := eng.Values()
 	if err != nil {
 		t.Fatal(err)
