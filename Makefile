@@ -66,13 +66,14 @@ cover:
 # differential at the exec level (the same generated graph — 1.6 MB of
 # vertex states, 2.4 MB of adjacency entries — run under a budget that fits
 # both and one that fits neither must report semi-external with a resident
-# adjacency and partitioned with a streamed one respectively and print
-# byte-identical results, CC being partition-independent, and the fitting
-# run's report must render), and the graphz-serve end-to-end session:
+# adjacency and partitioned with a streamed one respectively, both
+# scheduled selectively (CC is frontier-safe), and print byte-identical
+# results, CC being partition-independent, and the fitting run's report
+# must render), and the graphz-serve end-to-end session:
 # boot on a free port, submit BFS and PageRank jobs, poll to completion,
 # fetch results and reports, cancel, and drain on SIGINT.
 SMOKE_RUN = $(GO) run ./cmd/graphz-run -gen er -gen-vertices 200000 -gen-edges 600000 -seed 9 -algo cc -top 20
-SMOKE_KEEP = sed -n -e '/^sem:/p' -e '/^adjacency:/p' -e '/top 20 vertices/,$$p'
+SMOKE_KEEP = sed -n -e '/^sem:/p' -e '/^adjacency:/p' -e '/^selective:/p' -e '/top 20 vertices/,$$p'
 smoke:
 	$(GO) test -run 'TestCrashRecovery' -count=1 -v ./internal/core/
 	$(GO) run ./cmd/graphz-run -gen rmat -gen-scale 8 -gen-edges 2000 -seed 7 -algo cc -report RUNREPORT_smoke.json
@@ -84,7 +85,9 @@ smoke:
 	grep '^sem: partitioned' SMOKE_tight.txt
 	grep '^adjacency: resident' SMOKE_fit.txt
 	grep '^adjacency: streamed' SMOKE_tight.txt
-	diff -I '^sem:' -I '^adjacency:' SMOKE_fit.txt SMOKE_tight.txt && rm -f SMOKE_fit.txt SMOKE_tight.txt
+	grep '^selective: ' SMOKE_fit.txt
+	grep '^selective: ' SMOKE_tight.txt
+	diff -I '^sem:' -I '^adjacency:' -I '^selective:' SMOKE_fit.txt SMOKE_tight.txt && rm -f SMOKE_fit.txt SMOKE_tight.txt
 	$(GO) run ./cmd/graphz-report show RUNREPORT_sem.json
 	$(GO) test -run 'TestServe' -count=1 -v ./cmd/graphz-serve/
 

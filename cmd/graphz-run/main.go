@@ -61,7 +61,6 @@ func main() {
 		dosPfx  = flag.String("dos", "", "prefix of pre-converted DOS files from graphz-convert (graphz engine only; skips conversion)")
 		iters   = flag.Int("iters", 10, "iterations for pr/bp/rw")
 		source  = flag.Int("source", -1, "bfs/sssp source (original ID; default: max-degree vertex)")
-		sel     = flag.Bool("selective", false, "graphz: skip adjacency blocks with no active vertex and no pending message (selective block scheduling; see DESIGN.md §9)")
 		top     = flag.Int("top", 5, "print the top-N result vertices")
 		maddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof/ on this address while the run is live (e.g. :8080, or :0 for a free port)")
 		traceTo = flag.String("trace", "", "write one JSONL span per (iteration, partition, stage) to this file")
@@ -91,7 +90,7 @@ func main() {
 		})
 	}
 	if *resume && *ckDir == "" {
-		fatal(fmt.Errorf("-resume needs -checkpoint-dir"))
+		usageError(fmt.Errorf("-resume needs -checkpoint-dir"))
 	}
 	kind, err := storage.ParseKind(*device)
 	if err != nil {
@@ -194,7 +193,7 @@ func main() {
 				}
 			}
 		}
-		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", *sel, ck, config)
+		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", ck, config)
 	case "graphchi":
 		iterations, values, err = runGraphChi(dev, clock, reg, tracer, *algo, *budget, *iters, src)
 	case "xstream":
@@ -299,9 +298,11 @@ func importDOS(dev *storage.Device, prefix string) error {
 
 // runGraphZ preprocesses to DOS (or loads a pre-converted graph) and runs
 // the algorithm, returning values keyed by original IDs. It adds to config
-// what the run report says of this engine: the scheduler asked for and the
-// adjacency residency the budget decided.
-func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted, selective bool, ck core.CheckpointOptions, config map[string]string) (int, map[graph.VertexID]float64, error) {
+// what the run report says of this engine: whether blocks were scheduled
+// selectively (asked for whenever the algorithm is frontier-safe; the counts
+// on the selective: line are the Result's, which a resumed run continues
+// from its checkpoint) and the adjacency residency the budget decided.
+func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted bool, ck core.CheckpointOptions, config map[string]string) (int, map[graph.VertexID]float64, error) {
 	var g *dos.Graph
 	var err error
 	if preconverted {
@@ -320,19 +321,19 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	if err != nil {
 		return 0, nil, err
 	}
+	a, err := bench.ParseAlgo(algo)
+	if err != nil {
+		return 0, nil, err
+	}
 	opts := core.Options{
 		Context: ctx, MemoryBudget: budget, Clock: clock, DynamicMessages: true, MaxIterations: 200,
-		SelectiveScheduling: selective, Obs: reg, Trace: tracer, Checkpoint: ck,
+		SelectiveScheduling: a.FrontierSafe(), Obs: reg, Trace: tracer, Checkpoint: ck,
 	}
 	if ck.Dir != "" {
 		// Bind checkpoints to the algorithm: resuming a "pr" checkpoint
 		// under -algo bfs fails the manifest's name check instead of
 		// silently mixing states.
 		opts.Name = "graphz-" + algo
-	}
-	a, err := bench.ParseAlgo(algo)
-	if err != nil {
-		return 0, nil, err
 	}
 	if int(src) >= len(o2n) {
 		return 0, nil, fmt.Errorf("-source %d is not a vertex of the graph (%d vertices)", src, len(o2n))
@@ -347,7 +348,7 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 	} else {
 		fmt.Printf("sem: partitioned — %d partitions, resident vertex states would exceed the %d B budget\n", res.Partitions, budget)
 	}
-	config["selective"] = fmt.Sprint(selective)
+	config["selective"] = fmt.Sprint(opts.SelectiveScheduling)
 	config["adjacency"] = "streamed"
 	verdict := "exceed"
 	if res.ResidentAdjacency {
@@ -360,7 +361,7 @@ func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *
 		fmt.Printf("checkpoint: %d written (%d B, %v) -> %s\n",
 			res.Checkpoints, res.CheckpointBytes, res.CheckpointTime, ck.Dir)
 	}
-	if selective {
+	if opts.SelectiveScheduling {
 		fmt.Printf("selective: %d blocks scanned, %d skipped\n",
 			res.BlocksScanned, res.BlocksSkipped)
 	}
@@ -460,7 +461,7 @@ func printTop(values map[graph.VertexID]float64, n int) {
 
 // graphzOnly names the flags only -engine graphz reads; any of them beside
 // another engine is a usage error, not a setting silently dropped.
-var graphzOnly = []string{"dos", "selective", "checkpoint-dir", "checkpoint-every", "checkpoint-keep", "resume"}
+var graphzOnly = []string{"dos", "checkpoint-dir", "checkpoint-every", "checkpoint-keep", "resume"}
 
 // usageError reports a command line that cannot mean anything. It is for
 // flag checks, before anything has registered an exit hook.

@@ -3,6 +3,7 @@ package graphz_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"graphz/internal/algo/graphzalgo"
+	"graphz/internal/algo/plain"
+	"graphz/internal/core"
+	"graphz/internal/dos"
+	"graphz/internal/gen"
+	"graphz/internal/graph"
+	"graphz/internal/storage"
 )
 
 // TestCommandLineTools builds the CLIs and chains them end to end:
@@ -122,8 +131,9 @@ func TestCommandLineTools(t *testing.T) {
 
 	// Retired flags are usage errors (exit 2), not silently ignored:
 	// residency — the states' and the adjacency's — follows from -budget
-	// alone, and there is one Worker. So is a graphz-only flag beside another
-	// engine, which names the flag.
+	// alone, there is one Worker, and the algorithm decides whether blocks
+	// are scheduled selectively. So is a graphz-only flag beside another
+	// engine, which names the flag, and -resume with nowhere to resume from.
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -131,7 +141,8 @@ func TestCommandLineTools(t *testing.T) {
 		{[]string{"-sem", "off"}, "not defined: -sem"},
 		{[]string{"-workers", "2"}, "not defined: -workers"},
 		{[]string{"-cache-adjacency"}, "not defined: -cache-adjacency"},
-		{[]string{"-selective", "-engine", "xstream"}, `-selective needs -engine graphz, got "xstream"`},
+		{[]string{"-selective"}, "not defined: -selective"},
+		{[]string{"-resume"}, "-resume needs -checkpoint-dir"},
 		{[]string{"-dos", "p", "-engine", "graphchi"}, `-dos needs -engine graphz, got "graphchi"`},
 	} {
 		var exit *exec.ExitError
@@ -175,6 +186,163 @@ func TestCommandLineTools(t *testing.T) {
 	// Unknown engine errors out.
 	if _, err := exec.Command(run, "-in", graphFile, "-engine", "bogus").CombinedOutput(); err == nil {
 		t.Error("bogus engine should fail")
+	}
+}
+
+// topValues parses the "vertex ID VALUE" lines under graphz-run's "top N
+// vertices by value" heading.
+func topValues(t *testing.T, out []byte) map[int]float64 {
+	t.Helper()
+	_, list, ok := strings.Cut(string(out), "vertices by value:\n")
+	if !ok {
+		t.Fatalf("no result list in:\n%s", out)
+	}
+	vals := map[int]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(list), "\n") {
+		var id int
+		var val float64
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "vertex %d %g", &id, &val); err != nil {
+			t.Fatalf("result line %q: %v", line, err)
+		}
+		vals[id] = val
+	}
+	return vals
+}
+
+// TestRunSchedulesWhatTheAlgorithmAllows: graphz-run has no -selective. A
+// frontier-safe algorithm is scheduled selectively — BFS over a grid skips
+// blocks and still prints plain's levels — PageRank is not, and the output
+// and the run report say which it was.
+func TestRunSchedulesWhatTheAlgorithmAllows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the CLI binaries")
+	}
+	dir := t.TempDir()
+	run := buildTool(t, dir, "graphz-run")
+	// 159,200 entries, three 64 Ki-entry blocks. From the centre the frontier
+	// is a thin ring for a few hundred iterations (from vertex 0 ascending-ID
+	// inline messages finish the search in one pass).
+	const side = 200
+	const centre = side/2*side + side/2
+	reportSays := func(file string) string {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Config map[string]string `json:"config"`
+		}
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Config["selective"]
+	}
+
+	bfsReport := filepath.Join(dir, "bfs.json")
+	out, err := exec.Command(run, "-gen", "grid", "-gen-vertices", fmt.Sprint(side), "-algo", "bfs",
+		"-source", fmt.Sprint(centre), "-top", fmt.Sprint(side*side), "-report", bfsReport).CombinedOutput()
+	if err != nil {
+		t.Fatalf("graphz-run bfs: %v\n%s", err, out)
+	}
+	var scanned, skipped int
+	_, line, _ := strings.Cut(string(out), "selective: ")
+	if _, err := fmt.Sscanf(line, "%d blocks scanned, %d skipped", &scanned, &skipped); err != nil || skipped == 0 {
+		t.Errorf("bfs run scanned %d blocks and skipped %d (%v), want a selective: line with skips:\n%.2000s", scanned, skipped, err, out)
+	}
+	if got := reportSays(bfsReport); got != "true" {
+		t.Errorf("bfs report says selective: %q, want true", got)
+	}
+	got := topValues(t, out)
+	want := plain.BFS(plain.BuildAdjacency(side*side, gen.Grid(side, side)), centre)
+	if len(got) != len(want) {
+		t.Fatalf("bfs printed %d levels, want %d", len(got), len(want))
+	}
+	for v, level := range want {
+		if got[v] != float64(level) {
+			t.Fatalf("bfs level of vertex %d = %v, plain has %d", v, got[v], level)
+		}
+	}
+
+	prReport := filepath.Join(dir, "pr.json")
+	out, err = exec.Command(run, "-gen", "grid", "-gen-vertices", fmt.Sprint(side), "-algo", "pr",
+		"-iters", "2", "-report", prReport).CombinedOutput()
+	if err != nil {
+		t.Fatalf("graphz-run pr: %v\n%s", err, out)
+	}
+	if strings.Contains(string(out), "selective:") {
+		t.Errorf("pr run prints a selective: line:\n%s", out)
+	}
+	if got := reportSays(prReport); got != "false" {
+		t.Errorf("pr report says selective: %q, want false", got)
+	}
+}
+
+// TestRunResumesNonSelectiveCheckpoint: graphz-run -algo cc now always
+// schedules selectively, and a checkpoint directory written before it did
+// — by an engine with no bitmap, so with no activeset section — must still
+// resume, to the labels an uninterrupted run prints. resume's all-ones
+// fallback is what makes that so.
+func TestRunResumesNonSelectiveCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the CLI binaries")
+	}
+	dir := t.TempDir()
+	run := buildTool(t, dir, "graphz-run")
+	spec := gen.Spec{Kind: "rmat", Scale: 10, Edges: 8192, Seed: 11}
+	args := []string{"-gen", spec.Kind, "-gen-scale", fmt.Sprint(spec.Scale), "-gen-edges", fmt.Sprint(spec.Edges),
+		"-seed", fmt.Sprint(spec.Seed), "-algo", "cc", "-top", "2000"}
+
+	// The old process: graphz-run's conversion, budget and engine name,
+	// full streaming, killed after iteration 2 (later checkpoints removed).
+	edges, err := gen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := storage.NewDevice(storage.SSD, storage.Options{})
+	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
+		t.Fatal(err)
+	}
+	g, err := dos.Convert(dos.ConvertConfig{Dev: dev, MemoryBudget: 8 << 20 / 4}, "raw", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckDir := filepath.Join(dir, "ck")
+	res, _, err := graphzalgo.ConnectedComponents(g, core.Options{
+		MemoryBudget: 8 << 20, DynamicMessages: true, MaxIterations: 200, Name: "graphz-cc",
+		Checkpoint: core.CheckpointOptions{Dir: ckDir, Every: 1, Keep: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 2
+	if res.Iterations <= cut {
+		t.Fatalf("cc took %d iterations; the resume needs more than %d", res.Iterations, cut)
+	}
+	for it := cut + 1; it <= res.Iterations; it++ {
+		os.RemoveAll(filepath.Join(ckDir, fmt.Sprintf("ckpt-%010d", it)))
+	}
+	if sections, err := filepath.Glob(filepath.Join(ckDir, "*", "activeset*")); err != nil || len(sections) != 0 {
+		t.Fatalf("the full-streaming run wrote a bitmap: %v %v", sections, err)
+	}
+
+	want, err := exec.Command(run, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("graphz-run cc: %v\n%s", err, want)
+	}
+	got, err := exec.Command(run, append(args, "-checkpoint-dir", ckDir, "-resume")...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("graphz-run cc -resume: %v\n%s", err, got)
+	}
+	if say := fmt.Sprintf("checkpoint: resuming from iteration %d", cut); !strings.Contains(string(got), say) {
+		t.Errorf("resumed run does not say %q:\n%.1000s", say, got)
+	}
+	if !strings.Contains(string(got), "selective: ") {
+		t.Errorf("resumed run was not scheduled selectively:\n%.1000s", got)
+	}
+	_, wantList, _ := strings.Cut(string(want), "vertices by value:")
+	_, gotList, _ := strings.Cut(string(got), "vertices by value:")
+	if wantList == "" || gotList != wantList {
+		t.Errorf("resumed labels differ from the uninterrupted run's:\n%.600s\nwant:\n%.600s", gotList, wantList)
 	}
 }
 

@@ -38,6 +38,10 @@ func (bfsProgram) Apply(v *bfsVal, m uint32) {
 	}
 }
 
+// FrontierSafe declares core.FrontierSafe: without a message B is not below
+// A, and Update does nothing.
+func (bfsProgram) FrontierSafe() {}
+
 // ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
 func (p bfsProgram) ApplyAll(vs []bfsVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
 	return core.ApplyAll(vs, lo, dsts, m, func(v *bfsVal, m uint32) { p.Apply(v, m) })
@@ -47,15 +51,11 @@ func (p bfsProgram) ApplyAll(vs []bfsVal, lo graph.VertexID, dsts []graph.Vertex
 // out-edges, running until quiescent. Unreached vertices report
 // Unreached.
 func BFS(g *dos.Graph, opts core.Options, source graph.VertexID) (core.Result, []uint32, error) {
-	return bfsLayout(core.DOSLayout(g), opts, source)
+	return BFSLayout(core.DOSLayout(g), opts, source)
 }
 
 // BFSLayout is BFS over an explicit layout (for the ablations).
 func BFSLayout(l core.Layout, opts core.Options, source graph.VertexID) (core.Result, []uint32, error) {
-	return bfsLayout(l, opts, source)
-}
-
-func bfsLayout(l core.Layout, opts core.Options, source graph.VertexID) (core.Result, []uint32, error) {
 	res, vals, err := runLayout[bfsVal, uint32](l, bfsProgram{source: source}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 	if err != nil {
 		return core.Result{}, nil, err

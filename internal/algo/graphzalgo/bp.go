@@ -127,16 +127,12 @@ func (bpProgram) Apply(v *bpVal, m bpMsg) {
 // BeliefPropagation runs the given number of loopy BP iterations and
 // returns each vertex's marginal probability of state 1.
 func BeliefPropagation(g *dos.Graph, opts core.Options, iterations int) (core.Result, []float32, error) {
-	return bpLayout(core.DOSLayout(g), opts, iterations)
+	return BeliefPropagationLayout(core.DOSLayout(g), opts, iterations)
 }
 
 // BeliefPropagationLayout is BP over an explicit layout (for the
 // ablations).
 func BeliefPropagationLayout(l core.Layout, opts core.Options, iterations int) (core.Result, []float32, error) {
-	return bpLayout(l, opts, iterations)
-}
-
-func bpLayout(l core.Layout, opts core.Options, iterations int) (core.Result, []float32, error) {
 	opts.MaxIterations = iterations
 	res, vals, err := runLayout[bpVal, bpMsg](l, bpProgram{}, bpValCodec{}, bpMsgCodec{}, opts)
 	if err != nil {

@@ -38,6 +38,10 @@ func (ccProgram) Apply(v *ccVal, m uint32) {
 	}
 }
 
+// FrontierSafe declares core.FrontierSafe: after iteration 0's broadcast,
+// without a message B is not below A, and Update does nothing.
+func (ccProgram) FrontierSafe() {}
+
 // ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
 func (p ccProgram) ApplyAll(vs []ccVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
 	return core.ApplyAll(vs, lo, dsts, m, func(v *ccVal, m uint32) { p.Apply(v, m) })
@@ -47,16 +51,12 @@ func (p ccProgram) ApplyAll(vs []ccVal, lo graph.VertexID, dsts []graph.VertexID
 // that reaches it, running until quiescent. Symmetrize the graph first
 // for weakly-connected components.
 func ConnectedComponents(g *dos.Graph, opts core.Options) (core.Result, []uint32, error) {
-	return ccLayout(core.DOSLayout(g), opts)
+	return ConnectedComponentsLayout(core.DOSLayout(g), opts)
 }
 
 // ConnectedComponentsLayout is CC over an explicit layout (for the
 // ablations).
 func ConnectedComponentsLayout(l core.Layout, opts core.Options) (core.Result, []uint32, error) {
-	return ccLayout(l, opts)
-}
-
-func ccLayout(l core.Layout, opts core.Options) (core.Result, []uint32, error) {
 	res, vals, err := runLayout[ccVal, uint32](l, ccProgram{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 	if err != nil {
 		return core.Result{}, nil, err

@@ -46,16 +46,12 @@ func (p prProgram) ApplyAll(vs []prVal, lo graph.VertexID, dsts []graph.VertexID
 // unnormalized: they sum to roughly the vertex count, as in the paper's
 // formulation.
 func PageRank(g *dos.Graph, opts core.Options, iterations int, damping float32) (core.Result, []float32, error) {
-	return pageRankLayout(core.DOSLayout(g), opts, iterations, damping)
+	return PageRankLayout(core.DOSLayout(g), opts, iterations, damping)
 }
 
 // PageRankLayout is PageRank over an explicit layout; the Figure 7
 // ablations use it to swap storage formats.
 func PageRankLayout(l core.Layout, opts core.Options, iterations int, damping float32) (core.Result, []float32, error) {
-	return pageRankLayout(l, opts, iterations, damping)
-}
-
-func pageRankLayout(l core.Layout, opts core.Options, iterations int, damping float32) (core.Result, []float32, error) {
 	opts.MaxIterations = iterations
 	res, vals, err := runLayout[prVal, float32](l, prProgram{damping: damping}, graph.F32PairCodec, graph.Float32Codec{}, opts)
 	if err != nil {

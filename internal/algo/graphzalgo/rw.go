@@ -96,16 +96,12 @@ func (rwProgram) Apply(v *rwVal, m uint32) {
 // RandomWalk runs the given number of steps with walkersPerVertex walkers
 // starting at every vertex, returning per-vertex visit counts.
 func RandomWalk(g *dos.Graph, opts core.Options, iterations int, walkersPerVertex uint32) (core.Result, []uint32, error) {
-	return randomWalkLayout(core.DOSLayout(g), opts, iterations, walkersPerVertex)
+	return RandomWalkLayout(core.DOSLayout(g), opts, iterations, walkersPerVertex)
 }
 
 // RandomWalkLayout is RandomWalk over an explicit layout (for the
 // ablations).
 func RandomWalkLayout(l core.Layout, opts core.Options, iterations int, walkersPerVertex uint32) (core.Result, []uint32, error) {
-	return randomWalkLayout(l, opts, iterations, walkersPerVertex)
-}
-
-func randomWalkLayout(l core.Layout, opts core.Options, iterations int, walkersPerVertex uint32) (core.Result, []uint32, error) {
 	opts.MaxIterations = iterations
 	res, vals, err := runLayout[rwVal, uint32](l, rwProgram{walkersPerVertex: walkersPerVertex}, rwValCodec{}, graph.Uint32Codec{}, opts)
 	if err != nil {

@@ -45,19 +45,19 @@ func (ssspProgram) Apply(v *ssspVal, m float32) {
 	}
 }
 
+// FrontierSafe declares core.FrontierSafe: without a message B is not below
+// A, and Update does nothing.
+func (ssspProgram) FrontierSafe() {}
+
 // SSSP computes single-source shortest path distances from source (in
 // the graph's ID space) with hash-derived positive edge weights, running
 // until quiescent. Unreached vertices report +Inf.
 func SSSP(g *dos.Graph, opts core.Options, source graph.VertexID) (core.Result, []float32, error) {
-	return ssspLayout(core.DOSLayout(g), opts, source)
+	return SSSPLayout(core.DOSLayout(g), opts, source)
 }
 
 // SSSPLayout is SSSP over an explicit layout (for the ablations).
 func SSSPLayout(l core.Layout, opts core.Options, source graph.VertexID) (core.Result, []float32, error) {
-	return ssspLayout(l, opts, source)
-}
-
-func ssspLayout(l core.Layout, opts core.Options, source graph.VertexID) (core.Result, []float32, error) {
 	res, vals, err := runLayout[ssspVal, float32](l, ssspProgram{source: source}, graph.F32PairCodec, graph.Float32Codec{}, opts)
 	if err != nil {
 		return core.Result{}, nil, err

@@ -143,6 +143,13 @@ func TestCodecDifferential(t *testing.T) {
 		ggv := convertCodec(t, gr.edges, storage.CodecGroupVarint)
 		for _, a := range algos {
 			for _, cfg := range configs {
+				if a.name == "pagerank" && cfg.name == "selective" {
+					// Not frontier-safe: core.New refuses the combination.
+					// The row that stood here ran it on these symmetrized
+					// graphs, where every vertex gets a message every round
+					// and the schedule could not go wrong.
+					continue
+				}
 				name := gr.name + "/" + a.name + "/" + cfg.name
 				res1, st1, err := a.run(g1, cfg.mod(tightCodecOpts(g1, 8)))
 				if err != nil {

@@ -8,16 +8,18 @@ import (
 	"graphz/internal/graph"
 )
 
-// Selective block scheduling (Options.SelectiveScheduling), the GraphMP
-// observation applied to GraphZ: converging algorithms spend their tail
-// iterations touching a handful of vertices, yet a streaming engine
-// re-reads every adjacency block anyway. The engine keeps one bit per
-// vertex — set when a message is applied to the vertex or its update
-// calls MarkActive, cleared the moment its update runs (except during
-// iteration 0: the Init pass conventionally broadcasts and ignores
-// pending messages, so its bits survive into iteration 1, where the
-// first real update acts on them) — and, per partition per iteration,
-// derives per-block activity from the bitmap.
+// Selective block scheduling (Options.SelectiveScheduling, for programs
+// that declare FrontierSafe), the GraphMP observation applied to GraphZ:
+// converging algorithms spend their tail iterations touching a handful of
+// vertices, yet a streaming engine re-reads every adjacency block anyway.
+// The engine keeps one bit per vertex — set when a message is applied to
+// the vertex (send, sendAll, applyRecords) or its update called MarkActive
+// (updateRuns, which reads the Context's flag once Update returns), cleared
+// just before its update runs (except during iteration 0: the Init pass
+// conventionally broadcasts and ignores pending messages, so its bits
+// survive into iteration 1, where the first real update acts on them),
+// replaced whole by resume — every writer is a method of Engine — and, per
+// partition per iteration, derives per-block activity from the bitmap.
 // Degree-Ordered Storage makes that derivation arithmetic: a partition's
 // adjacency is a contiguous entry range, so "does block b contain an
 // active vertex's edges" is a bitmap range test over a contiguous new-ID

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -652,28 +654,63 @@ func TestSparseIterationAllocs(t *testing.T) {
 	}
 }
 
-func TestEmulationForcesSelectiveOff(t *testing.T) {
-	// The Section IV-E emulation re-sends every edge every round whether
-	// or not the source received anything; under selective scheduling a
-	// vertex with no in-edges would never be rescheduled and its
-	// neighbors' gathered in-edge lists would starve. EmulateGraphChi
-	// must therefore ignore the option.
-	edges := gen.RMAT(7, 600, gen.NaturalRMAT, 44)
+// restlessPR is the shipped PageRank's shape: every vertex re-sends its
+// rank every round, message or none, and nothing marks it active. It is
+// not frontier-safe and does not say it is.
+type restlessPR struct{}
+
+func (restlessPR) Init(id graph.VertexID, deg uint32) prVal { return prVal{rank: 1} }
+
+func (restlessPR) Update(ctx *Context[float64], id graph.VertexID, v *prVal, adj []graph.VertexID) {
+	if ctx.Iteration() > 0 {
+		v.rank = 0.15 + 0.85*v.acc
+		v.acc = 0
+	}
+	for _, a := range adj {
+		ctx.Send(a, v.rank/float64(len(adj)))
+	}
+}
+
+func (restlessPR) Apply(v *prVal, m float64) { v.acc += m }
+
+// TestSelectiveNeedsFrontierSafe holds DESIGN.md §9's invariant: a program
+// that does not declare FrontierSafe is never scheduled selectively. On a
+// bipartite graph — 2,000 sources with no in-edge, 200 to each of 10 sinks
+// — the sources get no message, so a selective schedule would never run
+// them again and every sink would keep their first-round votes (195.65 for
+// the shipped PageRank, where 25.65 is right). New refuses instead, and so
+// does the Section IV-E emulation, which re-sends every round too.
+func TestSelectiveNeedsFrontierSafe(t *testing.T) {
+	const sources, sinks = 2000, 10
+	edges := make([]graph.Edge, sources)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(sinks + i), Dst: graph.VertexID(i % sinks)}
+	}
 	g := buildDOS(t, edges)
+	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, MaxIterations: 5}
+
+	_, states := runProg[prVal, float64](t, g, restlessPR{}, prCodec{}, graph.Float64Codec{}, opts)
+	o2n, err := g.OldToNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.15 + 0.85*(sources/sinks)*0.15 // 25.65: each source settles at 0.15
+	for s := 0; s < sinks; s++ {
+		if got := (prCodec{}).Decode(states[int(o2n[s])*16:]).rank; math.Abs(got-want) > 1e-9 {
+			t.Fatalf("full streaming: sink %d ranks %v, want %v", s, got, want)
+		}
+	}
+
+	opts.SelectiveScheduling = true
+	if _, err := New[prVal, float64](DOSLayout(g), restlessPR{}, prCodec{}, graph.Float64Codec{}, opts); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("New over an undeclared program with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)
+	}
 	inDeg, err := InDegrees(DOSLayout(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := EmulateGraphChi[uint32, uint32](DOSLayout(g), chiMinProgram{},
-		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg, Options{
-			MemoryBudget:        256 << 20,
-			DynamicMessages:     true,
-			SelectiveScheduling: true,
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BlocksScanned != 0 || res.BlocksSkipped != 0 {
-		t.Errorf("emulation ran with selective scheduling enabled: %+v", res)
+	if _, _, err := EmulateGraphChi[uint32, uint32](DOSLayout(g), chiMinProgram{},
+		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg, opts); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("EmulateGraphChi with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)
 	}
 }

@@ -195,7 +195,10 @@ func (c emulatedMsgCodec[E]) Decode(buf []byte) emulatedMsg[E] {
 // EmulateGraphChi runs a GraphChi-style program on the GraphZ engine via
 // the Section IV-E construction and returns the engine result plus the
 // final vertex values (by layout ID). inDegrees must give each vertex's
-// in-degree in the layout's ID space (GraphChi's Init receives it).
+// in-degree in the layout's ID space (GraphChi's Init receives it). The
+// construction re-sends every out-edge value every round, message or none,
+// so it does not declare FrontierSafe: with opts.SelectiveScheduling New's
+// ErrInvalidOptions comes back.
 func EmulateGraphChi[V, E any](layout Layout, prog graphchi.Program[V, E],
 	vcodec graph.Codec[V], ecodec graph.Codec[E], inDegrees []uint32, opts Options) (Result, []V, error) {
 
@@ -216,12 +219,6 @@ func EmulateGraphChi[V, E any](layout Layout, prog graphchi.Program[V, E],
 	}
 	p := &emulatedProgram[V, E]{inner: prog, inDeg: inDegrees}
 	codec := emulatedCodec[V, E]{vcodec: vcodec, ecodec: ecodec, maxInDeg: maxIn, maxOutDeg: maxOut}
-	// The emulation construction is not frontier-safe: every vertex
-	// re-sends its value along every out-edge each round whether or not
-	// it received anything, so a vertex with no in-neighbors would go
-	// unscheduled under selective scheduling and starve its neighbors'
-	// gathered in-edge lists. Force full streaming.
-	opts.SelectiveScheduling = false
 	eng, err := New[EmulatedVertex[V, E], emulatedMsg[E]](layout, p, codec,
 		emulatedMsgCodec[E]{ecodec: ecodec}, opts)
 	if err != nil {

@@ -99,14 +99,29 @@ func (a applyLoop[V, M]) ApplyAll(verts []V, lo graph.VertexID, dsts []graph.Ver
 	return ApplyAll(verts, lo, dsts, m, a.apply)
 }
 
+// FrontierSafe is the optional marker of a Program that may be scheduled
+// selectively (Options.SelectiveScheduling). Declaring it, with
+// func (prog) FrontierSafe() {}, promises that Update on a vertex no message
+// was applied to since its last update changes nothing and sends nothing; a
+// program that wants a vertex updated next iteration anyway calls MarkActive
+// on it. (Iteration 0 visits every vertex, so a program may broadcast
+// there.) The engine then skips such updates and the blocks only they would
+// read, and the final states are byte-identical to a full-streaming run's;
+// iteration, update and message counts may differ, since a skipped vertex's
+// propagation can shift by an iteration. A program whose Update acts
+// unprompted — PageRank re-sending its rank every round — must not declare
+// it: its unscheduled vertices would silently stop contributing. An
+// undeclared program is never scheduled selectively (New, DESIGN.md §9).
+type FrontierSafe interface {
+	FrontierSafe()
+}
+
 // Context is the per-update view of the runtime handed to Program.Update.
 type Context[M any] struct {
 	iteration int
 	send      func(dst graph.VertexID, m M)
 	sendAll   func(dsts []graph.VertexID, m M) // the bulk route
-	active    bool                             // some update of this Worker pass called MarkActive
-	as        *activeSet                       // schedulability bits; nil unless selective scheduling
-	cur       graph.VertexID                   // vertex being updated (for MarkActive's bit)
+	active    bool                             // an update called MarkActive since the Worker last cleared it
 }
 
 // Iteration returns the current iteration number (0-based).
@@ -129,12 +144,7 @@ func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) { c.sendAll(dsts, m) }
 // the engine keeps iterating while any vertex is active or any message
 // flows. Under selective scheduling it also keeps the vertex
 // schedulable for the next iteration.
-func (c *Context[M]) MarkActive() {
-	c.active = true
-	if c.as != nil {
-		c.as.set(c.cur)
-	}
-}
+func (c *Context[M]) MarkActive() { c.active = true }
 
 // Options configures an engine run.
 type Options struct {
@@ -181,23 +191,16 @@ type Options struct {
 	// no binary exposes it.
 	StreamAdjacency bool
 	// SelectiveScheduling enables GraphMP-style selective block
-	// scheduling: the engine keeps one schedulability bit per vertex —
-	// set when a message is applied to it or its update marks active,
-	// cleared when its update runs — and skips reading adjacency blocks
-	// (and whole partitions) with no schedulable vertex and no pending
-	// message, falling back to full streaming when a quarter of the
-	// partition's vertices are active. IO is block-granular — a block
-	// holding any schedulable vertex's edges is read whole — but updates
-	// are bit-granular: in a partition that does not stream fully, Update
-	// runs only on the vertices whose bit is set when the Worker reaches
-	// them, and Result.UpdatesRun counts exactly those calls. Requires a
-	// frontier-safe program: Update must be a no-op (no state change, no
-	// sends, no MarkActive) for a vertex that received no message since
-	// its last update. Programs that mark every vertex active every round
-	// run unchanged (nothing is ever skipped). Final vertex states are
-	// byte-identical to a full-streaming run for such programs; iteration
-	// counts and update/message counters may differ, since a skipped
-	// vertex's propagation can shift by an iteration. See DESIGN.md §9.
+	// scheduling: the engine keeps one schedulability bit per vertex — set
+	// when a message is applied to it or its update marks active, cleared
+	// when its update runs — reads only the adjacency blocks (and loads
+	// only the partitions) that hold a schedulable vertex or a pending
+	// message, runs Update only on the vertices whose bit is set when the
+	// Worker reaches them, and streams a partition fully once a quarter of
+	// it is schedulable. Result.BlocksScanned/BlocksSkipped and UpdatesRun
+	// count what it did. Only a program that declares FrontierSafe — where
+	// the contract lives — may ask: for any other, New returns
+	// ErrInvalidOptions.
 	SelectiveScheduling bool
 	// Name prefixes the engine's runtime files on the device; defaults
 	// to "graphz".
@@ -230,8 +233,9 @@ var ErrMemoryBudget = errors.New("core: memory budget exceeded")
 
 // ErrInvalidOptions reports a configuration New rejects outright — a
 // non-positive budget, a shared adjacency that belongs to a different
-// graph. It marks errors a caller caused (a serving API maps it to HTTP
-// 400), as opposed to runtime failures. Match with errors.Is.
+// graph, selective scheduling of a program that does not declare
+// FrontierSafe. It marks errors a caller caused (a serving API maps it to
+// HTTP 400), as opposed to runtime failures. Match with errors.Is.
 var ErrInvalidOptions = errors.New("core: invalid options")
 
 // ErrProgramContract reports a program that broke a rule the engine relies
@@ -282,8 +286,8 @@ type Result struct {
 	SpillErrors       int64 // spill failures observed (first one aborts the run)
 	UpdatesRun        int64
 	// BlocksScanned/BlocksSkipped count adjacency blocks the selective
-	// scheduler read versus skipped; both zero unless
-	// Options.SelectiveScheduling is set.
+	// scheduler read versus skipped: both zero unless the run was scheduled
+	// selectively, and then (on a graph with an edge) their sum is not.
 	BlocksScanned int64
 	BlocksSkipped int64
 	// Checkpoints counts the snapshots written this run;
@@ -415,6 +419,10 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		return nil, err
 	}
 	if opts.SelectiveScheduling {
+		if _, ok := any(prog).(FrontierSafe); !ok {
+			return nil, fmt.Errorf("%w: SelectiveScheduling needs a program that declares core.FrontierSafe; %T does not",
+				ErrInvalidOptions, prog)
+		}
 		// One bit per vertex (1/32 of a minimal uint32 state). It is
 		// deliberately NOT budget-accounted by plan, in the partition count
 		// or in the adjacency fit: charging it would shift partition
@@ -970,11 +978,12 @@ func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
 // every message it sends. A full partition scan and a sparse selective
 // schedule are both calls to it. Vertices outside every run are not
 // touched: under selective scheduling they have a clear bit and no pending
-// message, so a frontier-safe program's update would be a no-op there. The
+// message, so a FrontierSafe program's update would be a no-op there. The
 // same holds inside a sparse schedule's runs, whose blocks are read for
 // somebody else's sake: there the loop's next vertex is the next set bit,
 // read live — a bit an inline message sets ahead of the cursor is picked up
-// in this pass, as a full scan would pick its vertex up.
+// in this pass, as a full scan would pick its vertex up. A vertex's own bit
+// is this loop's to write: Context only carries MarkActive's flag back.
 func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipeStats) (bool, error) {
 	var ranges []entryRange // what the prefetcher reads; resident entries need none
 	if e.adjCache == nil {
@@ -990,7 +999,8 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 	}
 	defer src.stop()
 
-	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn, as: e.sel}
+	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn}
+	marked := false // an update of this pass called MarkActive (selective: ctx.active is per vertex there)
 	br := batchReader{src: src}
 	for _, run := range runs {
 		off := run.startOff
@@ -1002,26 +1012,34 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 				off = e.layout.OffsetOf(v)
 			}
 			deg := e.layout.DegreeOf(v)
-			if e.sel != nil {
-				// Iteration 0 is the Init pass: programs conventionally
-				// broadcast there and ignore pending messages, so its bits
-				// survive into iteration 1 (where the update acts on them).
-				if iter > 0 {
-					e.sel.clear(v)
-				}
-				ctx.cur = v
-			}
 			adj, err := br.adj(off, deg)
 			if err != nil {
 				return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
 			}
-			e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
+			if e.sel == nil {
+				e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
+			} else {
+				// The bit is cleared before the update and set again if it
+				// marked active. Iteration 0 is the Init pass: programs
+				// conventionally broadcast there and ignore pending messages,
+				// so its bits survive into iteration 1 (where the update acts
+				// on them).
+				if iter > 0 {
+					e.sel.clear(v)
+				}
+				ctx.active = false
+				e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
+				if ctx.active {
+					e.sel.set(v)
+					marked = true
+				}
+			}
 			e.c.Updates++
 			e.c.edges += int64(deg)
 			off += int64(deg)
 		}
 	}
-	return ctx.active, nil
+	return marked || ctx.active, nil
 }
 
 // pendingBytes returns the bytes of messages pending for partition p:

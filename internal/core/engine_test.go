@@ -54,6 +54,10 @@ func (minLabel) Update(ctx *Context[uint32], id graph.VertexID, v *minVal, adj [
 	}
 }
 
+// FrontierSafe: after iteration 0, without a message pending is not below
+// label and Update does nothing.
+func (minLabel) FrontierSafe() {}
+
 func (minLabel) Apply(v *minVal, m uint32) {
 	if m < v.pending {
 		v.pending = m
@@ -163,6 +167,10 @@ func (prProg) Update(ctx *Context[float64], id graph.VertexID, v *prVal, adj []g
 
 func (prProg) Apply(v *prVal, m float64) { v.acc += m }
 
+// FrontierSafe: unlike the shipped PageRank, every update calls MarkActive,
+// so every vertex is scheduled every round and none is ever skipped.
+func (prProg) FrontierSafe() {}
+
 // mixVal / mixProg scatters hash-mixed values with static messages
 // (DynamicMessages off): every message goes through the buffer/spill store
 // and is drained next iteration. Apply is deliberately non-commutative, so
@@ -198,6 +206,9 @@ func (p mixProg) Update(ctx *Context[uint32], id graph.VertexID, v *mixVal, adj 
 }
 
 func (mixProg) Apply(v *mixVal, m uint32) { v.h = v.h*1664525 + m }
+
+// FrontierSafe: as prProg, by marking every vertex active every round.
+func (mixProg) FrontierSafe() {}
 
 func TestEngineMinLabelSinglePartition(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 21)

@@ -147,21 +147,32 @@ func (witnessLabel) Apply(v *witnessVal, m uint32) {
 	}
 }
 
+// FrontierSafe: as minLabel — the trace steers nothing.
+func (witnessLabel) FrontierSafe() {}
+
 // ApplyAll is the BulkApplier delegate, so witnessLabel as written takes
 // the route that inlines Apply.
 func (p witnessLabel) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
 	return ApplyAll(vs, lo, dsts, m, func(v *witnessVal, m uint32) { p.Apply(v, m) })
 }
 
+// safeProgram is what the two wrappers below keep of the program they
+// wrap: Program's three methods and the FrontierSafe declaration the
+// lattice's selective points need, forwarded and no more.
+type safeProgram[V, M any] interface {
+	Program[V, M]
+	FrontierSafe
+}
+
 // noBulk runs a program with its ApplyAll, if it has one, hidden from New
-// (the embedded interface has Program's three methods and no more): the
-// engine's default bulk route, ApplyAll over the bound Apply.
-type noBulk[V, M any] struct{ Program[V, M] }
+// (the embedded interface has no such method): the engine's default bulk
+// route, ApplyAll over the bound Apply.
+type noBulk[V, M any] struct{ safeProgram[V, M] }
 
 // sendLoop runs a program with Context.SendAll degraded to its
 // definition, Send in a loop (a Context serves one Worker pass of one
 // program, so the route is swapped and never restored).
-type sendLoop[V, M any] struct{ Program[V, M] }
+type sendLoop[V, M any] struct{ safeProgram[V, M] }
 
 func (p sendLoop[V, M]) Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID) {
 	ctx.sendAll = func(dsts []graph.VertexID, m M) {
@@ -169,7 +180,7 @@ func (p sendLoop[V, M]) Update(ctx *Context[M], id graph.VertexID, v *V, adj []g
 			ctx.send(dst, m)
 		}
 	}
-	p.Program.Update(ctx, id, v, adj)
+	p.safeProgram.Update(ctx, id, v, adj)
 }
 
 // ledgerProbe is a run context that never cancels and, each time the
@@ -402,6 +413,11 @@ func TestLedgerViewsAgree(t *testing.T) {
 			}
 			if want := parts == 1 && !stream; res.ResidentAdjacency != want {
 				t.Fatalf("ResidentAdjacency = %v, want %v", res.ResidentAdjacency, want)
+			}
+			// A selective point whose option was dropped on the way would pass
+			// every comparison below while scheduling nothing.
+			if scheduled := res.BlocksScanned+res.BlocksSkipped > 0; scheduled != sel {
+				t.Fatalf("sel=%v, yet the planner scanned %d blocks and skipped %d", sel, res.BlocksScanned, res.BlocksSkipped)
 			}
 			checkWithinBudget(t, reg.MemSamples())
 			checkRegistryMatchesResult(t, reg, res)
