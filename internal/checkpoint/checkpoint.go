@@ -93,21 +93,16 @@ type Section struct {
 
 // Manifest binds a checkpoint's sections to the run that produced it.
 type Manifest struct {
-	Version    int    `json:"version"`
-	Name       string `json:"name"` // engine Options.Name
-	LayoutHash uint64 `json:"layout_hash"`
-	Iteration  int    `json:"iteration"` // iterations completed (resume continues at this count)
-	Converged  bool   `json:"converged"` // the run finished; resume just restores
-	Partitions int    `json:"partitions"`
-	VSize      int    `json:"vsize"`
-	MSize      int    `json:"msize"`
-	// Sem is a legacy key, read but no longer written: it marks a
-	// one-partition checkpoint from when such runs kept no message store,
-	// so it has no message or tail sections (nothing was pending). Resume
-	// restores it with empty message stores (docs/DURABILITY.md).
-	Sem      bool      `json:"sem,omitempty"`
-	Counters Counters  `json:"counters"`
-	Sections []Section `json:"sections"`
+	Version    int       `json:"version"`
+	Name       string    `json:"name"` // engine Options.Name
+	LayoutHash uint64    `json:"layout_hash"`
+	Iteration  int       `json:"iteration"` // iterations completed (resume continues at this count)
+	Converged  bool      `json:"converged"` // the run finished; resume just restores
+	Partitions int       `json:"partitions"`
+	VSize      int       `json:"vsize"`
+	MSize      int       `json:"msize"`
+	Counters   Counters  `json:"counters"`
+	Sections   []Section `json:"sections"`
 }
 
 // SectionData is one section to be written.

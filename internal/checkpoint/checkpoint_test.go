@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -322,35 +323,23 @@ func TestSectionFileMissing(t *testing.T) {
 	}
 }
 
-// The legacy Sem key must still decode — the engine no longer writes it,
-// but reads it to resume a checkpoint that has no message sections — and
-// manifests without it (everything written today) must decode to
-// Sem=false.
+// A manifest carries only what the engine writes: the retired "sem" key of
+// one-partition checkpoints is gone from the encoding, and a manifest that
+// still has it decodes like any other (the engine then finds the message
+// sections such a checkpoint lacks missing: ErrBadManifest).
 func TestSemFlagRoundTripAndCompat(t *testing.T) {
 	s := mustStore(t)
-	m := testManifest(4)
-	m.Sem = true
-	// A legacy sem checkpoint has no message sections.
-	if _, err := s.Write(m, []SectionData{{Name: "vstate", Data: []byte("pinned")}}); err != nil {
+	if _, err := s.Write(testManifest(1), testSections()); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := s.Latest()
+	raw, err := os.ReadFile(filepath.Join(s.Dir(), ckptName(1), manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ck.Manifest.Sem {
-		t.Error("legacy sem key not decoded")
+	if strings.Contains(string(raw), `"sem"`) {
+		t.Errorf("manifest %s carries the retired sem key", raw)
 	}
-
-	s2 := mustStore(t)
-	if _, err := s2.Write(testManifest(1), testSections()); err != nil {
+	if _, err := s.Latest(); err != nil {
 		t.Fatal(err)
-	}
-	ck2, err := s2.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck2.Manifest.Sem {
-		t.Error("manifest without the key decoded with Sem=true")
 	}
 }

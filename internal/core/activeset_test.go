@@ -8,15 +8,14 @@ import (
 	"testing"
 
 	"graphz/internal/dos"
-	"graphz/internal/gen"
 	"graphz/internal/graph"
 	"graphz/internal/obs"
 )
 
 // Tests for selective block scheduling: the activeSet bitmap primitives,
-// the block-granular scheduler against its reference, the end-to-end property
-// that selective runs reproduce full-streaming state bytes exactly, and
-// the BFS-tail IO-reduction claim the feature exists for.
+// the block-granular scheduler against its reference, and the BFS-tail
+// IO-reduction claim the feature exists for. (That selective runs reach the
+// reference's fixpoint is FuzzEngineOracle's to hold.)
 
 func TestActiveSetPrimitives(t *testing.T) {
 	s := newEmptyActiveSet(200)
@@ -406,19 +405,9 @@ func TestPlanSelectiveMatchesReference(t *testing.T) {
 // vertex states, so comparisons are on the exact state bytes.
 func runProg[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts Options) (Result, []byte) {
 	t.Helper()
-	return runProgTuned(t, g, prog, vc, mc, opts, nil)
-}
-
-// runProgTuned is runProg with a hook on the engine between New and Run,
-// for tests that reach an unexported seam (forceSparse).
-func runProgTuned[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], opts Options, tune func(*Engine[V, M])) (Result, []byte) {
-	t.Helper()
 	eng, err := New[V, M](DOSLayout(g), prog, vc, mc, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tune != nil {
-		tune(eng)
 	}
 	res, err := eng.Run()
 	if err != nil {
@@ -430,98 +419,6 @@ func runProgTuned[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc g
 	}
 	eng.Cleanup()
 	return res, encodeStates(vc, vals)
-}
-
-// selectiveVariants are selective-scheduling configurations that must each
-// reproduce the full-streaming run's final state bytes. Results are
-// deliberately NOT compared: a post-plan in-partition send can defer a
-// vertex's update by one iteration under selective scheduling, so
-// iteration and update counts may legally differ — the fixpoint may not.
-var selectiveVariants = []struct {
-	name   string
-	sparse bool // forceSparse
-}{{name: "sequential"}, {name: "forcedSparse", sparse: true}}
-
-// forceSparse raises the engine's full-streaming fallback threshold above
-// 1.0, a density that can never be reached: every partition takes the
-// sparse run-scheduled path instead of the streamAll fallback.
-func forceSparse[V, M any](e *Engine[V, M]) { e.denseAt = 2 }
-
-// runSelectiveVariant runs prog under base with selective scheduling on,
-// configured as variant i of selectiveVariants.
-func runSelectiveVariant[V, M any](t *testing.T, g *dos.Graph, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], base Options, i int) (Result, []byte) {
-	t.Helper()
-	v := selectiveVariants[i]
-	base.SelectiveScheduling = true
-	var tune func(*Engine[V, M])
-	if v.sparse {
-		tune = forceSparse[V, M]
-	}
-	return runProgTuned(t, g, prog, vc, mc, base, tune)
-}
-
-func TestSelectiveMatchesFullStreamingMinLabel(t *testing.T) {
-	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 41)
-	g := buildDOS(t, edges)
-	base := Options{
-		MemoryBudget:    budgetForPartitions(g, 8, 4, 64),
-		DynamicMessages: true,
-		MsgBufferBytes:  64,
-	}
-	fullRes, want := runProg[minVal, uint32](t, g, minLabel{}, minValCodec{}, graph.Uint32Codec{}, base)
-	if fullRes.BlocksScanned != 0 || fullRes.BlocksSkipped != 0 {
-		t.Fatalf("full-streaming run reported block scheduling: %+v", fullRes)
-	}
-	for i, v := range selectiveVariants {
-		res, got := runSelectiveVariant[minVal, uint32](t, g, minLabel{}, minValCodec{}, graph.Uint32Codec{}, base, i)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: selective fixpoint bytes differ from full streaming", v.name)
-		}
-		if res.BlocksScanned == 0 {
-			t.Errorf("%s: selective run scanned no blocks: %+v", v.name, res)
-		}
-	}
-}
-
-func TestSelectiveMatchesFullStreamingPageRank(t *testing.T) {
-	// prProg marks every vertex active every iteration, so selective
-	// scheduling must degenerate to the exact full-streaming execution;
-	// float accumulation order makes byte equality a strict order check.
-	edges := gen.RMAT(9, 5000, gen.NaturalRMAT, 42)
-	g := buildDOS(t, edges)
-	base := Options{
-		MemoryBudget:    budgetForPartitions(g, 16, 4, 128),
-		DynamicMessages: true,
-		MsgBufferBytes:  128,
-		MaxIterations:   5,
-	}
-	_, want := runProg[prVal, float64](t, g, prProg{}, prCodec{}, graph.Float64Codec{}, base)
-	for i, v := range selectiveVariants {
-		_, got := runSelectiveVariant[prVal, float64](t, g, prProg{}, prCodec{}, graph.Float64Codec{}, base, i)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: selective PageRank bytes differ from full streaming", v.name)
-		}
-	}
-}
-
-func TestSelectiveMatchesFullStreamingStaticMessages(t *testing.T) {
-	// mixProg's non-commutative Apply over buffered static messages
-	// detects any drain-order perturbation the bitmap bookkeeping might
-	// introduce.
-	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 43)
-	g := buildDOS(t, edges)
-	base := Options{
-		MemoryBudget:   budgetForPartitions(g, 4, 3, 64),
-		MsgBufferBytes: 64,
-		MaxIterations:  4,
-	}
-	_, want := runProg[mixVal, uint32](t, g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, base)
-	for i, v := range selectiveVariants {
-		_, got := runSelectiveVariant[mixVal, uint32](t, g, mixProg{rounds: 4}, mixCodec{}, graph.Uint32Codec{}, base, i)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: selective static-message bytes differ from full streaming", v.name)
-		}
-	}
 }
 
 // slowChainEdges builds a graph whose min-label run has a long sparse

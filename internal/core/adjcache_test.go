@@ -11,21 +11,6 @@ import (
 	"graphz/internal/storage"
 )
 
-func TestAdjCacheSameResults(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 101)
-	g := buildDOS(t, edges)
-	streamed, plain := runMinLabel(t, g, Options{MemoryBudget: 64 << 20, DynamicMessages: true, StreamAdjacency: true})
-	resident, cached := runMinLabel(t, g, Options{MemoryBudget: 64 << 20, DynamicMessages: true})
-	if streamed.ResidentAdjacency || !resident.ResidentAdjacency {
-		t.Fatalf("ResidentAdjacency = %v pinned streamed, %v under a roomy budget", streamed.ResidentAdjacency, resident.ResidentAdjacency)
-	}
-	for i := range plain {
-		if plain[i] != cached[i] {
-			t.Fatalf("vertex %d differs with adjacency cache", i)
-		}
-	}
-}
-
 func TestAdjCacheCutsIO(t *testing.T) {
 	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 102)
 

@@ -259,17 +259,13 @@ func (e *Engine[V, M]) resume() (Result, error) {
 	e.msgBufs = e.newMsgBufs()
 	rec := int64(4 + e.msize)
 	for p := 0; p < nParts; p++ {
-		var data, tail []byte
-		// Legacy: a checkpoint flagged "sem" was written when a
-		// one-partition dynamic-message run kept no message store, so it
-		// has no message sections — and nothing was pending.
-		if !m.Sem {
-			if data, err = ck.Section(msgSectionName(p)); err != nil {
-				return Result{}, err
-			}
-			if tail, err = ck.Section(tailSectionName(p)); err != nil {
-				return Result{}, err
-			}
+		data, err := ck.Section(msgSectionName(p))
+		if err != nil {
+			return Result{}, err
+		}
+		tail, err := ck.Section(tailSectionName(p))
+		if err != nil {
+			return Result{}, err
 		}
 		if int64(len(data))%rec != 0 || int64(len(tail))%rec != 0 {
 			return Result{}, fmt.Errorf("%w: message sections of partition %d are %d+%d bytes, record size %d",

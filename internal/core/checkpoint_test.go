@@ -90,113 +90,6 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 	}
 }
 
-// Resuming from every possible mid-run checkpoint must reproduce the
-// uninterrupted run exactly: same vertex states, same counters.
-func TestResumeMidRunMatchesUninterrupted(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 42)
-	gRef := buildDOS(t, edges)
-	refRes, refVals := runMinLabel(t, gRef, ckptBaseOpts(gRef))
-	if refRes.Iterations < 3 {
-		t.Fatalf("graph converged in %d iterations; too few to test mid-run resume", refRes.Iterations)
-	}
-
-	for k := 1; k < refRes.Iterations; k++ {
-		dir := t.TempDir()
-		g1 := buildDOS(t, edges)
-		opts := ckptBaseOpts(g1)
-		opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
-		runMinLabel(t, g1, opts)
-		// Keep only checkpoints up to iteration k: the state of a run
-		// that crashed during iteration k+1.
-		st, err := checkpoint.NewStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iters, err := st.Iterations()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range iters {
-			if it > k {
-				os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
-			}
-		}
-
-		g2 := buildDOS(t, edges)
-		ropts := ckptBaseOpts(g2)
-		ropts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Resume: true}
-		eng := newMinLabelEngine(t, g2, ropts)
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatalf("resume from iteration %d: %v", k, err)
-		}
-		vals, err := eng.Values()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stripDurability(res) != stripDurability(refRes) {
-			t.Errorf("resume from %d: result %+v, uninterrupted %+v", k, res, refRes)
-		}
-		for i := range refVals {
-			if vals[i] != refVals[i] {
-				t.Fatalf("resume from %d: vertex %d = %+v, uninterrupted %+v", k, i, vals[i], refVals[i])
-			}
-		}
-	}
-}
-
-// Resuming a converged checkpoint restores the final state without
-// iterating.
-func TestResumeConvergedCheckpoint(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 43)
-	dir := t.TempDir()
-	g := buildDOS(t, edges)
-	opts := ckptBaseOpts(g)
-	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1}
-	refRes, refVals := runMinLabel(t, g, opts)
-
-	g2 := buildDOS(t, edges)
-	ropts := ckptBaseOpts(g2)
-	ropts.Checkpoint = CheckpointOptions{Dir: dir, Resume: true}
-	eng := newMinLabelEngine(t, g2, ropts)
-	res, err := eng.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UpdatesRun != refRes.UpdatesRun || res.Iterations != refRes.Iterations {
-		t.Errorf("converged resume ran work: %+v vs %+v", res, refRes)
-	}
-	vals, err := eng.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range refVals {
-		if vals[i] != refVals[i] {
-			t.Fatalf("vertex %d: resumed %+v, original %+v", i, vals[i], refVals[i])
-		}
-	}
-}
-
-// Run with Resume set and an empty checkpoint directory starts fresh.
-func TestRunResumeEmptyDirStartsFresh(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 44)
-	gRef := buildDOS(t, edges)
-	refRes, refVals := runMinLabel(t, gRef, ckptBaseOpts(gRef))
-
-	g := buildDOS(t, edges)
-	opts := ckptBaseOpts(g)
-	opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1, Resume: true}
-	res, vals := runMinLabel(t, g, opts)
-	if stripDurability(res) != stripDurability(refRes) {
-		t.Errorf("fresh-dir resume result %+v, want %+v", res, refRes)
-	}
-	for i := range refVals {
-		if vals[i] != refVals[i] {
-			t.Fatalf("vertex %d differs", i)
-		}
-	}
-}
-
 // convergedCheckpointDir runs a checkpointed min-label run to completion
 // and returns the edges and checkpoint dir for corruption tests.
 func convergedCheckpointDir(t *testing.T, seed uint64) ([]graph.Edge, string) {

@@ -40,88 +40,6 @@ func counterFields(r Result) [10]int64 {
 	}
 }
 
-// TestEngineV2MatchesV1AcrossPaths runs minLabel over the same edge set
-// stored as DOS v1, v2-raw, and v2-groupvarint, through every scheduling path,
-// and demands identical final states everywhere — with identical counters
-// between the two v2 codecs, which share the adjacency order exactly.
-func TestEngineV2MatchesV1AcrossPaths(t *testing.T) {
-	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 31)
-	g1 := buildDOS(t, edges)
-	want := referenceMinLabels(g1.NumVertices, relabeledEdges(t, g1, edges))
-	// Budgets depend on the graph (the v2 offset table is resident).
-	paths := []struct {
-		name string
-		opts func(g *dos.Graph) Options
-	}{
-		{"sequential", func(g *dos.Graph) Options {
-			return Options{MemoryBudget: budgetForPartitions(g, 8, 4, 256), DynamicMessages: true, MsgBufferBytes: 256}
-		}},
-		{"cached", func(g *dos.Graph) Options {
-			return Options{MemoryBudget: 256 << 20, DynamicMessages: true}
-		}},
-		{"selective", func(g *dos.Graph) Options {
-			return Options{MemoryBudget: budgetForPartitions(g, 8, 4, 256), DynamicMessages: true, MsgBufferBytes: 256, SelectiveScheduling: true}
-		}},
-	}
-	for _, path := range paths {
-		t.Run(path.name, func(t *testing.T) {
-			_, v1Vals := runMinLabel(t, g1, path.opts(g1))
-			var prevRes Result
-			var prevVals []minVal
-			for i, codec := range []storage.Codec{storage.CodecRaw, storage.CodecGroupVarint} {
-				g2 := buildDOSCodec(t, edges, codec, 0)
-				res, vals := runMinLabel(t, g2, path.opts(g2))
-				for v := range want {
-					if vals[v].label != want[v] {
-						t.Fatalf("%s: vertex %d label = %d, want %d", codec.Name(), v, vals[v].label, want[v])
-					}
-					if vals[v].label != v1Vals[v].label {
-						t.Fatalf("%s: vertex %d label = %d, v1 got %d", codec.Name(), v, vals[v].label, v1Vals[v].label)
-					}
-				}
-				if i == 1 {
-					if counterFields(res) != counterFields(prevRes) {
-						t.Errorf("raw counters %v != groupvarint counters %v", counterFields(prevRes), counterFields(res))
-					}
-					for v := range vals {
-						if vals[v] != prevVals[v] {
-							t.Fatalf("vertex %d state %+v (groupvarint) != %+v (raw)", v, vals[v], prevVals[v])
-						}
-					}
-				}
-				prevRes, prevVals = res, vals
-			}
-			if got := pooledOutstanding(); got != 0 {
-				t.Errorf("block pool leaks %d buffers", got)
-			}
-		})
-	}
-}
-
-// TestEngineV2TinyBlocks forces a many-block layout (2 entries per block)
-// so block boundaries land inside adjacency lists on every path.
-func TestEngineV2TinyBlocks(t *testing.T) {
-	edges := gen.RMAT(7, 700, gen.NaturalRMAT, 32)
-	g1 := buildDOS(t, edges)
-	want := referenceMinLabels(g1.NumVertices, relabeledEdges(t, g1, edges))
-	g2 := buildDOSCodec(t, edges, storage.CodecGroupVarint, 2)
-	budget := budgetForPartitions(g2, 8, 3, 128)
-	for _, opts := range []Options{
-		{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 128},
-		{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 128, SelectiveScheduling: true},
-	} {
-		_, vals := runMinLabel(t, g2, opts)
-		for v := range want {
-			if vals[v].label != want[v] {
-				t.Fatalf("vertex %d label = %d, want %d", v, vals[v].label, want[v])
-			}
-		}
-	}
-	if got := pooledOutstanding(); got != 0 {
-		t.Errorf("block pool leaks %d buffers", got)
-	}
-}
-
 // TestEngineV2CodecCounters reconciles the graphz_codec_* counters: the
 // groupvarint engine must report decoded bytes equal to 4 bytes per streamed
 // entry — one full stream per iteration when pinned streamed, one fill when

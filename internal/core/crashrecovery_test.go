@@ -55,160 +55,6 @@ func encodeStates[V any](vc graph.Codec[V], vals []V) []byte {
 	return enc
 }
 
-// crashRecoveryHarness runs the property for one program and returns the
-// uninterrupted run's Result. tune, when non-nil, is applied to every engine
-// it builds (reference, probe, crashing, recovering) between New and Run, for
-// an unexported seam such as forceSparse. A recovering process that keeps
-// the adjacency resident must also read the edges file exactly once — its
-// own fill — or, restored already converged, not at all.
-func crashRecoveryHarness[V, M any](t *testing.T, edges []graph.Edge, prog Program[V, M], vc graph.Codec[V], mc graph.Codec[M], maxIters int, seed uint64, tune func(*Engine[V, M]), mutate ...func(*dos.Graph, *Options)) Result {
-	t.Helper()
-	baseOpts := func(g *dos.Graph) Options {
-		opts := Options{
-			MemoryBudget:    budgetForPartitions(g, int64(vc.Size()), 4, 64),
-			DynamicMessages: true,
-			MsgBufferBytes:  64,
-			MaxIterations:   maxIters,
-		}
-		for _, m := range mutate {
-			m(g, &opts)
-		}
-		return opts
-	}
-	newEng := func(g *dos.Graph, dir string, resume bool) *Engine[V, M] {
-		opts := baseOpts(g)
-		opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Resume: resume}
-		eng, err := New[V, M](DOSLayout(g), prog, vc, mc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tune != nil {
-			tune(eng)
-		}
-		return eng
-	}
-
-	// Reference: uninterrupted checkpointed run.
-	refDev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	refEng := newEng(buildDOSOn(t, refDev, edges), t.TempDir(), false)
-	refRes, err := refEng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refVals, err := refEng.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBytes := encodeStates(vc, refVals)
-
-	// Probe: same run on an armed (but fault-free) device to count ops.
-	probe := storage.NewFaultDevice(storage.NullDevice, storage.Options{})
-	gP := buildDOSOn(t, probe.Device, edges)
-	probe.Arm(storage.FaultPlan{})
-	if _, err := newEng(gP, t.TempDir(), false).Run(); err != nil {
-		t.Fatal(err)
-	}
-	totalOps := probe.Ops()
-	if totalOps < 10 {
-		t.Fatalf("probe counted only %d device ops; harness is vacuous", totalOps)
-	}
-
-	rng := seed
-	crashes := 0
-	const trials = 8
-	for trial := 0; trial < trials; trial++ {
-		crashAt := int64(1 + splitmix64(&rng)%uint64(totalOps))
-		dir := t.TempDir()
-		fd := storage.NewFaultDevice(storage.NullDevice, storage.Options{})
-		g := buildDOSOn(t, fd.Device, edges)
-		fd.Arm(storage.FaultPlan{Seed: splitmix64(&rng), CrashAtOp: crashAt, TornWrites: true})
-		_, err := newEng(g, dir, false).Run()
-		if err != nil {
-			if !errors.Is(err, storage.ErrCrashed) {
-				t.Logf("trial %d (crash at op %d): run failed with %v (not ErrCrashed; wrapped errors are fine as long as recovery works)", trial, crashAt, err)
-			}
-			crashes++
-		}
-		// Reboot: same device, crash latch cleared, torn state intact.
-		fd.Disarm()
-		reng := newEng(g, dir, true)
-		edgeReads := fd.FileStats()[g.EdgesFile()].ReadBytes
-		res, err := reng.Run()
-		if err != nil {
-			t.Fatalf("trial %d (crash at op %d/%d): recovery failed: %v", trial, crashAt, totalOps, err)
-		}
-		if reng.AdjacencyCached() {
-			var want int64
-			if reng.resident.data != nil {
-				if want, err = fd.Size(g.EdgesFile()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := fd.FileStats()[g.EdgesFile()].ReadBytes - edgeReads; got != want {
-				t.Fatalf("trial %d (crash at op %d/%d): recovery read %d bytes of the edges file, want %d", trial, crashAt, totalOps, got, want)
-			}
-		}
-		vals, err := reng.Values()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encodeStates(vc, vals); !bytes.Equal(got, refBytes) {
-			for i := 0; i < len(refBytes)/vc.Size(); i++ {
-				a := refBytes[i*vc.Size() : (i+1)*vc.Size()]
-				b := got[i*vc.Size() : (i+1)*vc.Size()]
-				if !bytes.Equal(a, b) {
-					t.Fatalf("trial %d (crash at op %d/%d): vertex %d state %x, uninterrupted %x", trial, crashAt, totalOps, i, b, a)
-				}
-			}
-		}
-		if stripDurability(res) != stripDurability(refRes) {
-			t.Fatalf("trial %d (crash at op %d/%d): result %+v, uninterrupted %+v", trial, crashAt, totalOps, res, refRes)
-		}
-	}
-	if crashes == 0 {
-		t.Fatalf("none of %d trials crashed; harness is vacuous", trials)
-	}
-	return refRes
-}
-
-func TestCrashRecoveryMinLabelSequential(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 61)
-	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 101, nil)
-}
-
-// The selective variants add the active-vertex bitmap to the durable
-// state: a resumed run must restore it from the checkpoint's "activeset"
-// section and reproduce the uninterrupted run's schedule exactly —
-// including the BlocksScanned/BlocksSkipped counters compared through
-// stripDurability's Result equality below.
-
-func TestCrashRecoverySelectiveSequential(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 65)
-	// A never-reachable density threshold keeps every partition on the
-	// sparse run-scheduled path, so the restored bitmap drives real
-	// block skipping across the crash boundary.
-	crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 105,
-		forceSparse[minVal, uint32], func(_ *dos.Graph, o *Options) { o.SelectiveScheduling = true })
-}
-
-func TestCrashRecoveryPageRankSequential(t *testing.T) {
-	edges := gen.RMAT(8, 2000, gen.NaturalRMAT, 63)
-	crashRecoveryHarness[prVal, float64](t, edges, prProg{}, prCodec{}, graph.Float64Codec{}, 5, 103, nil)
-}
-
-// TestCrashRecoveryResidentAdjacency: the property with the adjacency kept
-// — a graph sparse enough that the budget holds it beside half the states,
-// so messages still spill between two partitions. Every recovering process
-// starts with an empty cache and fills it once.
-func TestCrashRecoveryResidentAdjacency(t *testing.T) {
-	edges := gen.ErdosRenyi(6000, 3000, 69)
-	ref := crashRecoveryHarness[minVal, uint32](t, edges, minLabel{}, minValCodec{}, graph.Uint32Codec{}, 0, 107, nil,
-		func(g *dos.Graph, o *Options) { o.MemoryBudget = budgetForPartitions(g, 8, 2, 64) + g.NumEdges*4 + 8 })
-	if !ref.ResidentAdjacency || ref.Partitions != 2 || ref.MessagesSpilled == 0 {
-		t.Errorf("the run %+v, want a resident adjacency and spills between two partitions", ref)
-	}
-}
-
 // TestCrashRecoveryParentCheckpoint resumes a checkpoint the parent commit's
 // engine wrote (testdata/ckpt-parent-b279982: min-label on this graph, four
 // partitions, selective scheduling, the process gone after iteration 2 of 4)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"testing"
 
 	"graphz/internal/dos"
@@ -167,10 +166,6 @@ func (prProg) Update(ctx *Context[float64], id graph.VertexID, v *prVal, adj []g
 
 func (prProg) Apply(v *prVal, m float64) { v.acc += m }
 
-// FrontierSafe: unlike the shipped PageRank, every update calls MarkActive,
-// so every vertex is scheduled every round and none is ever skipped.
-func (prProg) FrontierSafe() {}
-
 // mixVal / mixProg scatters hash-mixed values with static messages
 // (DynamicMessages off): every message goes through the buffer/spill store
 // and is drained next iteration. Apply is deliberately non-commutative, so
@@ -210,57 +205,11 @@ func (mixProg) Apply(v *mixVal, m uint32) { v.h = v.h*1664525 + m }
 // FrontierSafe: as prProg, by marking every vertex active every round.
 func (mixProg) FrontierSafe() {}
 
-func TestEngineMinLabelSinglePartition(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 21)
-	g := buildDOS(t, edges)
-	res, vals := runMinLabel(t, g, Options{MemoryBudget: 64 << 20, DynamicMessages: true})
-	if res.Partitions != 1 {
-		t.Fatalf("partitions = %d, want 1 with a large budget", res.Partitions)
-	}
-	if res.MessagesSpilled != 0 {
-		t.Errorf("spilled %d messages with one partition and DM on", res.MessagesSpilled)
-	}
-	want := referenceMinLabels(g.NumVertices, relabeledEdges(t, g, edges))
-	for i := range want {
-		if vals[i].label != want[i] {
-			t.Fatalf("vertex %d label = %d, want %d", i, vals[i].label, want[i])
-		}
-	}
-	if res.UpdatesRun != int64(res.Iterations)*int64(g.NumVertices) {
-		t.Errorf("updates = %d over %d iterations of %d vertices",
-			res.UpdatesRun, res.Iterations, g.NumVertices)
-	}
-}
-
 // budgetForPartitions builds a memory budget that should yield roughly
 // wantP partitions for a graph with the given vertex state size.
 func budgetForPartitions(g *dos.Graph, vsize, wantP, msgBuf int64) int64 {
 	avail := (int64(g.NumVertices) + wantP - 1) / wantP * vsize // the largest partition's states
 	return pipelineOverheadBytes + g.IndexBytes() + g.BlockTableBytes() + avail + wantP*msgBuf
-}
-
-func TestEngineMinLabelManyPartitions(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 22)
-	g := buildDOS(t, edges)
-	// Budget sized for roughly four partitions.
-	budget := budgetForPartitions(g, 8, 4, 64)
-	res, vals := runMinLabel(t, g, Options{
-		MemoryBudget:    budget,
-		DynamicMessages: true,
-		MsgBufferBytes:  64,
-	})
-	if res.Partitions < 2 {
-		t.Fatalf("partitions = %d, want >= 2 under tight budget", res.Partitions)
-	}
-	if res.MessagesSpilled == 0 {
-		t.Error("expected cross-partition message spills")
-	}
-	want := referenceMinLabels(g.NumVertices, relabeledEdges(t, g, edges))
-	for i := range want {
-		if vals[i].label != want[i] {
-			t.Fatalf("vertex %d label = %d, want %d", i, vals[i].label, want[i])
-		}
-	}
 }
 
 func TestEngineStaticMessagesSameFixpoint(t *testing.T) {
@@ -284,54 +233,6 @@ func TestEngineStaticMessagesSameFixpoint(t *testing.T) {
 	if statRes.Iterations < dynRes.Iterations {
 		t.Errorf("static converged in %d iterations, dynamic took %d",
 			statRes.Iterations, dynRes.Iterations)
-	}
-}
-
-func TestEngineDeterminism(t *testing.T) {
-	edges := gen.RMAT(8, 1000, gen.NaturalRMAT, 24)
-	g := buildDOS(t, edges)
-	budget := budgetForPartitions(g, 8, 3, 64)
-	res1, vals1 := runMinLabel(t, g, Options{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64})
-	res2, vals2 := runMinLabel(t, g, Options{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64})
-	if res1 != res2 {
-		t.Errorf("results differ across runs: %+v vs %+v", res1, res2)
-	}
-	for i := range vals1 {
-		if vals1[i] != vals2[i] {
-			t.Fatalf("vertex %d state differs across runs", i)
-		}
-	}
-}
-
-func TestEngineMaxIterations(t *testing.T) {
-	edges := gen.RMAT(7, 500, gen.NaturalRMAT, 25)
-	g := buildDOS(t, edges)
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true, MaxIterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 2 {
-		t.Errorf("iterations = %d, want 2", res.Iterations)
-	}
-}
-
-func TestEngineRejectsTinyBudget(t *testing.T) {
-	edges := gen.RMAT(7, 500, gen.NaturalRMAT, 26)
-	g := buildDOS(t, edges)
-	_, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 100, DynamicMessages: true})
-	if !errors.Is(err, ErrMemoryBudget) {
-		t.Errorf("tiny budget error = %v, want ErrMemoryBudget", err)
-	}
-	_, err = New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 0})
-	if err == nil {
-		t.Error("zero budget should fail")
 	}
 }
 
@@ -399,26 +300,6 @@ func TestEngineValuesByOldID(t *testing.T) {
 	}
 }
 
-func TestPartitionOfConsistent(t *testing.T) {
-	g := buildDOS(t, gen.RMAT(9, 3000, gen.NaturalRMAT, 29))
-	budget := budgetForPartitions(g, 8, 6, 64)
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.NumPartitions() < 2 {
-		t.Fatalf("want multiple partitions, got %d", eng.NumPartitions())
-	}
-	for v := 0; v < g.NumVertices; v++ {
-		p := eng.partitionOf(graph.VertexID(v))
-		lo, hi := eng.partStarts[p], eng.partStarts[p+1]
-		if graph.VertexID(v) < lo || graph.VertexID(v) >= hi {
-			t.Fatalf("partitionOf(%d) = %d covering [%d,%d)", v, p, lo, hi)
-		}
-	}
-}
-
 // TestPartitionOfMatchesDivision: the fixed-point partitionOf names the
 // partition the division it replaced named — ⌊v·P/n⌋, fixed up by the same
 // two loops — for every vertex of every small split (P past n included:
@@ -468,28 +349,6 @@ func TestPartitionOfMatchesDivision(t *testing.T) {
 		for _, start := range eng.partStarts[1:p] {
 			check(n, p, start-1)
 			check(n, p, start)
-		}
-	}
-}
-
-func TestEngineConvergesWithoutMaxIters(t *testing.T) {
-	// A path graph 0->1->2->...->9 takes several iterations; the
-	// engine must stop by itself shortly after quiescence.
-	var edges []graph.Edge
-	for i := 0; i < 10; i++ {
-		edges = append(edges, graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)})
-	}
-	g := buildDOS(t, edges)
-	res, vals := runMinLabel(t, g, Options{MemoryBudget: 64 << 20, DynamicMessages: true})
-	if res.Iterations == 0 || res.Iterations > 15 {
-		t.Errorf("iterations = %d, want a small positive count", res.Iterations)
-	}
-	// All vertices on the path end up labeled with the head's new ID's
-	// minimum ancestor label.
-	want := referenceMinLabels(g.NumVertices, relabeledEdges(t, g, edges))
-	for i := range want {
-		if vals[i].label != want[i] {
-			t.Fatalf("vertex %d label = %d, want %d", i, vals[i].label, want[i])
 		}
 	}
 }

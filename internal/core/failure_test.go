@@ -121,54 +121,3 @@ func TestWrapRunErrMessage(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineZeroVertexGraph runs the engine over an empty graph.
-func TestEngineZeroVertexGraph(t *testing.T) {
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", nil); err != nil {
-		t.Fatal(err)
-	}
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true, MaxIterations: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UpdatesRun != 0 {
-		t.Errorf("updates on empty graph = %d", res.UpdatesRun)
-	}
-	vals, err := eng.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 0 {
-		t.Errorf("values on empty graph = %v", vals)
-	}
-}
-
-// TestEngineSingleVertexSelfLoop exercises the smallest dynamic-message
-// cycle: one vertex messaging itself.
-func TestEngineSingleVertexSelfLoop(t *testing.T) {
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", []graph.Edge{{Src: 7, Dst: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, vals := runMinLabel(t, g, Options{MemoryBudget: 64 << 20, DynamicMessages: true})
-	if len(vals) != 1 || vals[0].label != 0 {
-		t.Errorf("self-loop result = %+v", vals)
-	}
-	if res.MessagesApplied == 0 {
-		t.Error("self-loop should apply at least one dynamic message")
-	}
-}

@@ -505,35 +505,6 @@ func TestDrainTornMessageFile(t *testing.T) {
 	}
 }
 
-// TestMessageConservation: on a forced-spill run to convergence every
-// sent message is either applied inline or buffered, every buffered one
-// is eventually drained, and the registry agrees with the Result.
-func TestMessageConservation(t *testing.T) {
-	g := buildDOS(t, gen.Zipf(400, 8000, 1.2, 72)) // high fan-in: many messages share a destination
-	reg := obs.NewRegistry()
-	res, _ := runMinLabel(t, g, Options{
-		MemoryBudget:    budgetForPartitions(g, 8, 4, 128),
-		DynamicMessages: true,
-		MsgBufferBytes:  128,
-		Obs:             reg,
-	})
-	if res.MessagesSpilled == 0 {
-		t.Fatal("no spills; test needs cross-partition traffic")
-	}
-	if res.MessagesInline+res.MessagesBuffered != res.MessagesSent {
-		t.Errorf("inline %d + buffered %d != sent %d", res.MessagesInline, res.MessagesBuffered, res.MessagesSent)
-	}
-	if res.MessagesApplied != res.MessagesSent {
-		t.Errorf("applied %d != sent %d at convergence", res.MessagesApplied, res.MessagesSent)
-	}
-	if res.MessagesSpilled > res.MessagesBuffered {
-		t.Errorf("spilled %d > buffered %d", res.MessagesSpilled, res.MessagesBuffered)
-	}
-	if got := reg.CounterValue("graphz_messages_spilled_total"); got != res.MessagesSpilled {
-		t.Errorf("graphz_messages_spilled_total = %d, result says %d", got, res.MessagesSpilled)
-	}
-}
-
 // TestStateRoundAllocs: once the staging buffer exists, loading a
 // partition's states and storing them back allocates nothing that grows
 // with the partition — no encode buffer per call, no stream buffers.

@@ -165,46 +165,6 @@ func TestSharedAdjacencyFillOncePerGraph(t *testing.T) {
 	}
 }
 
-// TestSharedAdjacencyTightBudget: the shared cache is not charged to the
-// engine's budget, so even a budget forcing several partitions must run
-// cached — partitions become sub-slices of the resident entries — and its
-// memory timeline, which counts what the budget pays for, stays within it.
-func TestSharedAdjacencyTightBudget(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 83)
-	g := buildDOS(t, edges)
-	sg := NewSharedGraph(g)
-	want := referenceMinLabels(g.NumVertices, relabeledEdges(t, g, edges))
-
-	reg := obs.NewRegistry()
-	opts := Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64, Obs: reg}
-	opts.Name = "tight"
-	opts.SharedAdjacency = sg.Adjacency()
-	eng, err := New[minVal, uint32](sg.View(), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.NumPartitions() < 2 {
-		t.Fatalf("partitions = %d, want >= 2", eng.NumPartitions())
-	}
-	if !eng.AdjacencyCached() {
-		t.Fatal("shared adjacency did not enable the cached path")
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	checkWithinBudget(t, reg.MemSamples())
-	vals, err := eng.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Cleanup()
-	for i := range want {
-		if vals[i].label != want[i] {
-			t.Fatalf("vertex %d label = %d, want %d", i, vals[i].label, want[i])
-		}
-	}
-}
-
 // cancelAfterIter cancels its context the first time iteration `at` runs
 // an update; the engine must notice at the next partition boundary.
 type cancelAfterIter struct {

@@ -12,7 +12,7 @@ import (
 // Handler returns the server's HTTP API (docs/SERVING.md):
 //
 //	POST   /jobs             submit a job (SubmitRequest JSON)
-//	GET    /jobs             list all jobs
+//	GET    /jobs             list the retained jobs
 //	GET    /jobs/{id}        one job's status
 //	GET    /jobs/{id}/result values (?top=N | ?vertex=V | ?all=1)
 //	GET    /jobs/{id}/report the job's RunReport artifact

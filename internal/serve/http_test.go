@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -98,6 +99,14 @@ func TestHTTPAPI(t *testing.T) {
 	if code := doJSON(t, c, "GET", ts.URL+"/jobs/"+st.ID+"/result?vertex="+
 		u32s(res.Top[0].Vertex), nil, &res); code != 200 || res.Vertex == nil {
 		t.Fatalf("vertex query failed: %d %+v", code, res)
+	}
+	// Past the ID map, the map's length, NoVertex itself, and an ID inside
+	// the map that names no vertex: 400s, not a panic.
+	o2n := s.graphs["main"].o2n
+	for _, bad := range []int{1 << 30, len(o2n), int(graph.NoVertex), slices.Index(o2n, graph.NoVertex)} {
+		if code := doJSON(t, c, "GET", ts.URL+"/jobs/"+st.ID+"/result?vertex="+strconv.Itoa(bad), nil, nil); code != 400 {
+			t.Errorf("result?vertex=%d = %d, want 400", bad, code)
+		}
 	}
 	if code := doJSON(t, c, "GET", ts.URL+"/jobs/"+st.ID+"/result?all=1", nil, &res); code != 200 {
 		t.Fatalf("all = %d", code)

@@ -13,7 +13,6 @@ import (
 
 	"graphz/internal/bench"
 	"graphz/internal/core"
-	"graphz/internal/graph"
 	"graphz/internal/obs"
 	"graphz/internal/storage"
 )
@@ -181,11 +180,11 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 		Walkers:    req.Walkers,
 	}
 	if req.Source != nil {
-		old := graph.VertexID(*req.Source)
-		if !rg.old[old] {
-			return JobStatus{}, fmt.Errorf("%w: source vertex %d not in graph %q", ErrBadRequest, old, req.Graph)
+		src, ok := rg.newID(*req.Source)
+		if !ok {
+			return JobStatus{}, fmt.Errorf("%w: source vertex %d not in graph %q", ErrBadRequest, *req.Source, req.Graph)
 		}
-		params.Source = rg.o2n[old]
+		params.Source = src
 	}
 	if len(s.queue) >= s.cfg.QueueLimit {
 		return JobStatus{}, fmt.Errorf("%w: %d jobs queued (limit %d)", ErrQueueFull, len(s.queue), s.cfg.QueueLimit)
@@ -287,6 +286,7 @@ func (s *Server) run(j *Job) {
 		j.err = err
 	}
 	s.exportJobMetricsLocked(j)
+	s.retireLocked(j)
 	s.mu.Unlock()
 	// Release before signalling done so a waiter observing a terminal
 	// state also observes the budget returned.
@@ -329,7 +329,7 @@ func (s *Server) Job(id string) (JobStatus, error) {
 	return j.statusLocked(), nil
 }
 
-// Jobs lists every job in submission order.
+// Jobs lists the retained jobs in submission order.
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,6 +363,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		j.finished = time.Now()
 		j.err = fmt.Errorf("%w: cancelled while queued", core.ErrCancelled)
 		s.exportJobMetricsLocked(j)
+		s.retireLocked(j)
 		close(j.done)
 		// Removing a queued head can unblock nothing (it held no
 		// budget), but the next head may differ in size; re-pump.
@@ -376,7 +377,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 }
 
 // Wait blocks until the job reaches a terminal state (tests and clients
-// that prefer blocking to polling).
+// that prefer blocking to polling) and returns that job's final status —
+// which a lookup by ID could already miss, the job evicted meanwhile.
 func (s *Server) Wait(id string) (JobStatus, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -385,7 +387,9 @@ func (s *Server) Wait(id string) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
 	<-j.done
-	return s.Job(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.statusLocked(), nil
 }
 
 // VertexValue is one (original vertex ID, value) pair of a result.
@@ -440,11 +444,11 @@ func (s *Server) Result(id string, top int, vertex *uint32, all bool) (JobResult
 
 	switch {
 	case vertex != nil:
-		old := graph.VertexID(*vertex)
-		if !rg.old[old] {
-			return JobResult{}, fmt.Errorf("%w: vertex %d not in graph %q", ErrBadRequest, old, j.Graph)
+		v, ok := rg.newID(*vertex)
+		if !ok {
+			return JobResult{}, fmt.Errorf("%w: vertex %d not in graph %q", ErrBadRequest, *vertex, j.Graph)
 		}
-		out.Vertex = &VertexValue{Vertex: uint32(old), Value: values[rg.o2n[old]]}
+		out.Vertex = &VertexValue{Vertex: *vertex, Value: values[v]}
 	case all:
 		out.All = make([]VertexValue, len(values))
 		for newID, v := range values {

@@ -18,6 +18,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"graphz/internal/core"
@@ -64,8 +65,16 @@ type residentGraph struct {
 	name string
 	sg   *core.SharedGraph
 	n2o  []graph.VertexID // new → old
-	o2n  []graph.VertexID // old → new (len MaxOldID+1; entries for absent IDs unused)
-	old  map[graph.VertexID]bool
+	o2n  []graph.VertexID // old → new over [0, MaxOldID]; graph.NoVertex where no vertex is
+}
+
+// newID maps a client's vertex ID into the jobs' ID space; ok is false for
+// an ID outside the map or one that names no vertex (dos.Graph.OldToNew).
+func (g *residentGraph) newID(old uint32) (v graph.VertexID, ok bool) {
+	if int64(old) >= int64(len(g.o2n)) || g.o2n[old] == graph.NoVertex {
+		return 0, false
+	}
+	return g.o2n[old], true
 }
 
 // Server owns the resident graphs, the job table, and the admission
@@ -79,7 +88,8 @@ type Server struct {
 	graphs   map[string]*residentGraph
 	order    []string // graph registration order
 	jobs     map[string]*Job
-	jobOrder []*Job
+	jobOrder []*Job // the retained jobs, in submission order
+	finished []*Job // the retained terminal jobs, oldest-finished first
 	queue    []*Job
 	running  int
 	inUse    int64 // sum of running jobs' budgets
@@ -136,10 +146,6 @@ func (s *Server) RegisterGraph(name string, g *dos.Graph) error {
 	if err != nil {
 		return fmt.Errorf("serve: loading %s ID map: %w", name, err)
 	}
-	old := make(map[graph.VertexID]bool, len(n2o))
-	for _, v := range n2o {
-		old[v] = true
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,7 +157,7 @@ func (s *Server) RegisterGraph(name string, g *dos.Graph) error {
 		return fmt.Errorf("%w: graph %q needs %d resident bytes, %d of %d budget free",
 			ErrBadRequest, name, rb, s.cfg.MemoryBudget-s.resident, s.cfg.MemoryBudget)
 	}
-	s.graphs[name] = &residentGraph{name: name, sg: sg, n2o: n2o, o2n: o2n, old: old}
+	s.graphs[name] = &residentGraph{name: name, sg: sg, n2o: n2o, o2n: o2n}
 	s.order = append(s.order, name)
 	s.resident += rb
 	s.updateGaugesLocked()
@@ -185,6 +191,26 @@ func (s *Server) Graphs() []GraphInfo {
 	return out
 }
 
+// maxFinishedJobs bounds the terminal jobs the server keeps: a finished
+// job holds its values (8 bytes a vertex), report and registry outside
+// every budget, so past this many the oldest-finished is dropped and its
+// ID is not found (docs/SERVING.md). Queued and running jobs are never
+// dropped.
+const maxFinishedJobs = 128
+
+// retireLocked records a job's terminal transition and evicts the
+// oldest-finished job past maxFinishedJobs. Caller holds mu.
+func (s *Server) retireLocked(j *Job) {
+	s.finished = append(s.finished, j)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished = slices.Delete(s.finished, 0, 1) // shifts: no evicted job stays reachable
+	delete(s.jobs, old.ID)
+	s.jobOrder = slices.DeleteFunc(s.jobOrder, func(j *Job) bool { return j == old })
+}
+
 // Stats is the server-level accounting snapshot.
 type Stats struct {
 	MemoryBudget  int64 `json:"memory_budget"`
@@ -192,7 +218,7 @@ type Stats struct {
 	BudgetInUse   int64 `json:"budget_in_use"` // running jobs' budgets
 	JobsRunning   int   `json:"jobs_running"`
 	JobsQueued    int   `json:"jobs_queued"`
-	JobsTotal     int   `json:"jobs_total"`
+	JobsTotal     int   `json:"jobs_total"` // retained: queued, running and the last finished
 	Graphs        int   `json:"graphs"`
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -343,9 +345,16 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(SubmitRequest{Graph: "main", Algo: "nope"}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("unknown algo: %v", err)
 	}
-	bad := uint32(1 << 30)
-	if _, err := s.Submit(SubmitRequest{Graph: "main", Algo: "BFS", Source: &bad}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("bad source: %v", err)
+	// Past the ID map, the map's length, NoVertex itself, and an ID inside
+	// the map that names no vertex.
+	absent := slices.Index(s.graphs["main"].o2n, graph.NoVertex)
+	if absent < 0 {
+		t.Fatal("every ID below the largest names a vertex; no absent ID to ask for")
+	}
+	for _, bad := range []uint32{1 << 30, uint32(len(s.graphs["main"].o2n)), uint32(graph.NoVertex), uint32(absent)} {
+		if _, err := s.Submit(SubmitRequest{Graph: "main", Algo: "BFS", Source: &bad}); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("source %d: %v", bad, err)
+		}
 	}
 	if _, err := s.Job("job-999999"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown job: want ErrNotFound")
@@ -414,6 +423,50 @@ func TestDeviceFileStatsBounded(t *testing.T) {
 		if got := len(rep.Files); got != firstFiles {
 			t.Fatalf("job %d's report lists %d files, job 1's listed %d", i, got, firstFiles)
 		}
+	}
+}
+
+// TestFinishedJobsBounded: a long-lived server keeps the last
+// maxFinishedJobs terminal jobs, not one values vector and report per job
+// ever served. Past the bound the oldest-finished are gone from every view
+// — status, result, report and cancel are 404 — and the table and Stats
+// count what is kept, while the labelled counters, added at each job's
+// terminal transition, count every job.
+func TestFinishedJobsBounded(t *testing.T) {
+	g, _ := buildGraph(t, 99)
+	s := newServer(t, 256<<20, g)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const k = 3
+	var ids []string
+	for i := 0; i < maxFinishedJobs+k; i++ {
+		st := submitWait(t, s, SubmitRequest{Graph: "main", Algo: "BFS", Budget: 8 << 20})
+		if st.State != StateDone {
+			t.Fatalf("job %d: %s (%s)", i+1, st.State, st.Error)
+		}
+		ids = append(ids, st.ID)
+	}
+	if jobs, st := s.Jobs(), s.Stats(); len(jobs) != maxFinishedJobs || st.JobsTotal != maxFinishedJobs || jobs[0].ID != ids[k] {
+		t.Errorf("%d jobs listed from %s, JobsTotal %d; want the last %d", len(jobs), jobs[0].ID, st.JobsTotal, maxFinishedJobs)
+	}
+	for i, id := range ids {
+		_, errJob := s.Job(id)
+		_, errResult := s.Result(id, 0, nil, false)
+		_, errReport := s.Report(id)
+		_, errCancel := s.Cancel(id)
+		for _, err := range []error{errJob, errResult, errReport, errCancel} {
+			if errors.Is(err, ErrNotFound) != (i < k) {
+				t.Fatalf("job %d of %d (%s): %v", i+1, len(ids), id, err)
+			}
+		}
+		for _, path := range []string{"", "/result", "/report"} {
+			if code := doJSON(t, ts.Client(), "GET", ts.URL+"/jobs/"+id+path, nil, nil); (code == 404) != (i < k) {
+				t.Fatalf("GET /jobs/%s%s = %d", id, path, code)
+			}
+		}
+	}
+	if got := s.Registry().CounterValue(obs.LabelName("graphz_serve_jobs_finished_total", "state", "done")); got != maxFinishedJobs+k {
+		t.Errorf("graphz_serve_jobs_finished_total{state=done} = %d, want %d", got, maxFinishedJobs+k)
 	}
 }
 
