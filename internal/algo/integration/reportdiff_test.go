@@ -25,13 +25,9 @@ import (
 func runCCReport(t *testing.T, edges []graph.Edge, budgetFn func(*dos.Graph) int64) (*obs.RunReport, core.Result) {
 	t.Helper()
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-		t.Fatal(err)
-	}
+	must(t, graph.WriteEdges(dev, "raw", edges))
 	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	reg := obs.NewRegistry()
 	tr := obs.NewCollectingTracer(nil)
 	budget := budgetFn(g)
@@ -42,9 +38,7 @@ func runCCReport(t *testing.T, edges []graph.Edge, budgetFn func(*dos.Graph) int
 		Obs:             reg,
 		Trace:           tr,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	rep := obs.BuildReport(obs.ReportInfo{
 		Engine: "graphz", Algo: "cc", BudgetBytes: budget,
 	}, reg, tr, core.DeviceFileIO(dev))

@@ -356,7 +356,6 @@ type Engine[V, M any] struct {
 
 	// selective scheduling state (Options.SelectiveScheduling)
 	sel     *activeSet // per-vertex schedulability bits; nil when off
-	denseAt float64    // density at which a partition streams fully; tests raise it to force the sparse plan
 	planner selPlanner // schedule scratch, reused across partitions and iterations
 
 	// durability state (Options.Checkpoint)
@@ -401,8 +400,6 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		vsize:  vcodec.Size(),
 		msize:  mcodec.Size(),
 		eo:     newEngineObs(opts.Obs, opts.Trace),
-
-		denseAt: defaultSelectiveDensity,
 	}
 	e.sendFn, e.sendAllFn = e.send, e.sendAll
 	if bulk, ok := any(prog).(BulkApplier[V, M]); ok {
@@ -838,7 +835,7 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	var runs []selRun
 	sparse := false
 	if e.sel != nil {
-		sched := e.planner.plan(e.sel, e.layout, lo, hi, start, end, e.adj.BlockEntries, e.denseAt)
+		sched := e.planner.plan(e.sel, e.layout, lo, hi, start, end, e.adj.BlockEntries, defaultSelectiveDensity)
 		e.charge(sched.examined(), sim.CostActiveScan)
 		e.accountSelective(sched)
 		e.heatSelective(sched, start, end)
