@@ -1,10 +1,10 @@
 // Command graphz-report analyzes the run-report artifacts graphz-run
 // -report and the bench harness emit (docs/OBSERVABILITY.md, "Run
-// reports"): `show` renders one report — stage breakdown, memory-budget
-// timeline, block-level IO hot spots — and `diff` compares two reports
-// of the same configuration, localizing regressions to stages, counters,
-// and block ranges. diff exits non-zero when anything regressed, so it
-// can gate CI like graphz-benchdiff does for ns/op.
+// reports"): `show` renders one report — stage breakdown, iteration rows,
+// memory-budget timeline, block-level IO hot spots — and `diff` compares
+// two reports of the same configuration, localizing regressions to stages,
+// counters, and block ranges. diff exits non-zero when anything regressed,
+// so it can gate CI like graphz-benchdiff does for ns/op.
 //
 // Usage:
 //
@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"graphz/internal/obs"
@@ -90,7 +91,8 @@ func fatal(err error) {
 }
 
 // show renders one report: identity, stage breakdown, message/cache/
-// checkpoint summaries, the memory timeline, and the hottest blocks.
+// checkpoint summaries, the iteration rows, the memory timeline, and the
+// hottest blocks.
 func show(w io.Writer, rep *obs.RunReport, top int) {
 	fmt.Fprintf(w, "run: engine=%s algo=%s device=%s budget=%s\n",
 		orDash(rep.Engine), orDash(rep.Algo), orDash(rep.Device), fmtBytes(rep.BudgetBytes))
@@ -100,6 +102,7 @@ func show(w io.Writer, rep *obs.RunReport, top int) {
 
 	showStages(w, rep)
 	showEfficiency(w, rep)
+	showIterations(w, rep)
 	showMemory(w, rep)
 	showBlocks(w, rep, top)
 	showFiles(w, rep)
@@ -194,6 +197,18 @@ func showEfficiency(w io.Writer, rep *obs.RunReport) {
 // showMemory prints the budget-accounting timeline, one row per sampled
 // iteration. Every column but spill is memory the run's own budget pays
 // for — adjcache too: a cache handed in by a server is its owner's.
+// showIterations prints the per-iteration rows, the table graphz-run
+// prints after a run.
+func showIterations(w io.Writer, rep *obs.RunReport) {
+	if len(rep.Iterations) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "\niterations:")
+	for _, line := range strings.Split(strings.TrimRight(obs.FormatIterTable(rep.Iterations), "\n"), "\n") {
+		fmt.Fprintln(w, "  "+line)
+	}
+}
+
 func showMemory(w io.Writer, rep *obs.RunReport) {
 	if len(rep.Memory) == 0 {
 		return
@@ -239,8 +254,8 @@ func showBlocks(w io.Writer, rep *obs.RunReport, top int) {
 		}
 		fmt.Fprintf(w, "\nhot blocks by %s:\n", metric)
 		for _, c := range cells {
-			fmt.Fprintf(w, "  %-20s block %-6d reads=%d read_bytes=%d skips=%d decode_ns=%d drain_msgs=%d\n",
-				c.File, c.Block, c.Reads, c.ReadBytes, c.Skips, c.DecodeNS, c.DrainMsgs)
+			fmt.Fprintf(w, "  %-20s block %-6d read_bytes=%d decode_ns=%d drain_msgs=%d\n",
+				c.File, c.Block, c.ReadBytes, c.DecodeNS, c.DrainMsgs)
 		}
 	}
 	hottest("read_bytes", func(c obs.BlockHeat) int64 { return c.ReadBytes })

@@ -13,7 +13,8 @@ import (
 
 // sampleReport exercises every show section: identity, stages with a
 // dominant-stage partition breakdown, messages/selective/codec/checkpoint
-// summaries, the memory timeline, hot blocks, and per-file IO.
+// summaries, the iteration rows, the memory timeline, hot blocks, and
+// per-file IO.
 func sampleReport() *obs.RunReport {
 	return &obs.RunReport{
 		Schema:      obs.ReportSchemaVersion,
@@ -35,6 +36,10 @@ func sampleReport() *obs.RunReport {
 			"graphz_checkpoint_bytes_total":    2048,
 			"graphz_checkpoint_ns_total":       750_000,
 		},
+		Iterations: []obs.IterStats{
+			{Iteration: 0, MessagesInline: 600, MessagesBuffered: 100, MessagesSpilled: 25, DeviceReadBytes: 8192, DeviceSeeks: 2},
+			{Iteration: 1, MessagesInline: 300, BlocksSkipped: 40, ActiveVertices: 17, DeviceReadBytes: 5120, DeviceWriteBytes: 512},
+		},
 		Memory: []obs.MemSample{
 			{Iteration: 0, BudgetBytes: 64 << 20, IndexBytes: 1 << 20, VertexStateBytes: 2 << 20},
 			{Iteration: 1, BudgetBytes: 64 << 20, IndexBytes: 1 << 20, VertexStateBytes: 2 << 20, SpillBytes: 4096},
@@ -45,8 +50,8 @@ func sampleReport() *obs.RunReport {
 			{Engine: "graphz", Stage: obs.StageWorker, Iter: 0, Part: 0, Spans: 1, NS: 2_000_000},
 		},
 		Blocks: []obs.BlockHeat{
-			{File: "graphz.edges", Block: 0, Reads: 4, ReadBytes: 4096},
-			{File: "graphz.edges", Block: 1, Reads: 9, ReadBytes: 9216, DecodeNS: 1234},
+			{File: "graphz.edges", Block: 0, ReadBytes: 4096},
+			{File: "graphz.edges", Block: 1, ReadBytes: 9216, DecodeNS: 1234},
 			{File: "graphz.vstate", Block: 0, DrainMsgs: 77},
 		},
 		Files: map[string]obs.FileIO{
@@ -70,6 +75,10 @@ func TestShowRendersAllSections(t *testing.T) {
 		"selective: 60 blocks scanned, 40 skipped (40.0%)",
 		"codec: 4.0 KiB raw from 1.0 KiB encoded (4.00x), decode 500µs",
 		"checkpoints: 2 written, 2.0 KiB, 750µs",
+		"iterations:",
+		"iter  inline  buffered  spilled  blkskip  active  readB  writeB  seeks",
+		"   0     600       100       25        0       0   8192       0      2",
+		"   1     300         0        0       40      17   5120     512      0",
 		"memory (budget 64.00 MiB):",
 		"hot blocks by read_bytes:",
 		"hot blocks by drain_msgs:",
@@ -118,7 +127,7 @@ func TestRenderDiff(t *testing.T) {
 		},
 		Blocks: []obs.BlockRangeDelta{
 			{File: "graphz.vstate", Metric: "drain_msgs", FirstBlock: 0, LastBlock: 3, Base: 10, Cur: 500},
-			{File: "graphz.edges", Metric: "reads", FirstBlock: 7, LastBlock: 7, Base: 1, Cur: 40},
+			{File: "graphz.edges", Metric: "read_bytes", FirstBlock: 7, LastBlock: 7, Base: 1024, Cur: 40960},
 		},
 		Regressions: 4,
 	}
@@ -131,7 +140,7 @@ func TestRenderDiff(t *testing.T) {
 		"graphz_messages_spilled_total", "640",
 		"regressed block ranges:",
 		"blocks 0-3", "drain_msgs", "10 -> 500",
-		"block 7", "reads",
+		"block 7", "read_bytes", "1024 -> 40960",
 	} {
 		if !strings.Contains(out, w) {
 			t.Errorf("diff output missing %q\n%s", w, out)

@@ -42,34 +42,12 @@ func topBlock(t *testing.T, out string) string {
 	return out[i:]
 }
 
-// stripWallClock removes the per-iteration stage table: its columns are
-// wall-clock measurements, the only nondeterministic part of the output.
-// Everything else — modeled time, device stats, energy, results — is
-// deterministic and must reproduce exactly.
-func stripWallClock(out string) string {
-	lines := strings.Split(out, "\n")
-	kept := lines[:0]
-	inTable := false
-	for _, l := range lines {
-		if strings.Contains(l, "per-iteration:") {
-			inTable = true
-			continue
-		}
-		if inTable && strings.HasPrefix(l, "    ") {
-			continue
-		}
-		inTable = false
-		kept = append(kept, l)
-	}
-	return strings.Join(kept, "\n")
-}
-
 func TestGeneratedRunReproducibleBySeed(t *testing.T) {
 	bin := buildCmd(t)
 	args := []string{"-gen", "rmat", "-gen-scale", "8", "-gen-edges", "1500", "-seed", "7", "-algo", "cc"}
 	a := runCmd(t, bin, args...)
 	b := runCmd(t, bin, args...)
-	if stripWallClock(a) != stripWallClock(b) {
+	if a != b {
 		t.Fatalf("same seed, different output:\n--- first\n%s--- second\n%s", a, b)
 	}
 	other := runCmd(t, bin, "-gen", "rmat", "-gen-scale", "8", "-gen-edges", "1500", "-seed", "8", "-algo", "cc")

@@ -1,9 +1,11 @@
 package graphz_test
 
 import (
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
+	"graphz/internal/obs"
 	"graphz/internal/serve"
 	"graphz/internal/storage"
 )
@@ -20,7 +23,9 @@ import (
 // code in both directions: every series family a graphz-serve daemon
 // exposes after one job — its own instruments plus every counter the core
 // engine registers — has a table row, and every table row names a family
-// that exists.
+// that exists. Every row of a table with a consumer column names a
+// consumer that resolves, and the run-report tables have a row for every
+// iteration-row field, memory class and heatmap dimension.
 func TestMetricCatalog(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	if err := graph.WriteEdges(dev, "raw", gen.RMAT(7, 600, gen.NaturalRMAT, 5)); err != nil {
@@ -58,14 +63,10 @@ func TestMetricCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := map[string]string{}
-	row := regexp.MustCompile("(?m)^\\| `([a-z_]+)(?:\\{([a-z,]+)\\}([a-z_]+))?` \\| (counter|gauge|histogram) \\|")
+	row := regexp.MustCompile("(?m)^\\| `([a-z_{},]+)` \\| (counter|gauge) \\|")
 	for _, m := range row.FindAllStringSubmatch(string(md), -1) {
-		if m[2] == "" {
-			doc[m[1]] = m[4]
-			continue
-		}
-		for _, alt := range strings.Split(m[2], ",") { // name_{a,b}_suffix
-			doc[m[1]+alt+m[3]] = m[4]
+		for _, n := range expandBraces(m[1]) {
+			doc[n] = m[2]
 		}
 	}
 
@@ -89,9 +90,214 @@ func TestMetricCatalog(t *testing.T) {
 			t.Errorf("%s is a %s, documented as a %s", n, c, d)
 		}
 	}
-	if len(code) < 30 {
+	if len(code) < 26 {
 		t.Errorf("only %d metric families found; the catalog check is vacuous", len(code))
 	}
+
+	serving, err := os.ReadFile("docs/SERVING.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A row names a struct field by its JSON name; a test reads it by its
+	// Go name.
+	goName := map[string]string{}
+	for _, v := range []any{obs.IterStats{}, obs.MemSample{}, obs.BlockHeat{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if name == "" {
+				name = typ.Field(i).Name
+			}
+			if name != "file" && name != "block" { // a heat cell's key, not a dimension
+				goName[name] = typ.Field(i).Name
+			}
+		}
+	}
+	bench, tests := benchmarkMetrics(t), testFuncs(t)
+	listed := map[string]bool{} // what the consumer tables' rows name
+	rows := 0
+	for _, r := range consumerRows(string(md)) {
+		rows++
+		for _, m := range backticked.FindAllStringSubmatch(r.name, -1) {
+			listed[m[1]] = true
+		}
+		if err := resolveConsumer(r, bench, tests, goName, string(serving)); err != "" {
+			t.Errorf("docs/OBSERVABILITY.md row %s: consumer %q %s", r.name, r.consumer, err)
+		}
+	}
+	if rows < len(code) {
+		t.Errorf("only %d rows name a consumer; the consumer check is vacuous", rows)
+	}
+	for name := range goName {
+		if !listed[name] {
+			t.Errorf("%s has no row (and so no consumer) in docs/OBSERVABILITY.md's run-report tables", name)
+		}
+	}
+}
+
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// expandBraces expands one `a{x,y}b` group: a name row or a benchmark
+// consumer may cover a family.
+func expandBraces(s string) []string {
+	m := regexp.MustCompile(`^(.*)\{([a-z,]+)\}(.*)$`).FindStringSubmatch(s)
+	if m == nil {
+		return []string{s}
+	}
+	var out []string
+	for _, alt := range strings.Split(m[2], ",") {
+		out = append(out, m[1]+alt+m[3])
+	}
+	return out
+}
+
+// consumerRow is one row of a markdown table that has a consumer column:
+// its first cell and its consumer cell.
+type consumerRow struct{ name, consumer string }
+
+func consumerRows(md string) []consumerRow {
+	var out []consumerRow
+	col := -1
+	for _, line := range strings.Split(md, "\n") {
+		switch {
+		case !strings.HasPrefix(line, "|"):
+			col = -1
+			continue
+		case strings.HasPrefix(line, "|-"): // the header's separator
+			continue
+		}
+		cells := strings.Split(strings.TrimSuffix(strings.TrimPrefix(line, "| "), " |"), " | ")
+		if col == -1 { // a header
+			col = -2 // a table without a consumer column
+			for i, c := range cells {
+				if c == "consumer" {
+					col = i
+				}
+			}
+		} else if col >= 0 {
+			out = append(out, consumerRow{cells[0], cells[col]})
+		}
+	}
+	return out
+}
+
+// resolveConsumer returns why r's consumer is not one of the four kinds
+// docs/OBSERVABILITY.md admits, or "" when it is.
+func resolveConsumer(r consumerRow, bench map[string]bool, tests, goName map[string]string, serving string) string {
+	kind, arg, _ := strings.Cut(r.consumer, " ")
+	names := backticked.FindAllStringSubmatch(arg, -1)
+	switch strings.TrimSuffix(kind, ":") {
+	case "benchmark":
+		for _, m := range names {
+			for _, n := range expandBraces(m[1]) {
+				if !bench[n] {
+					return "names " + n + ", which BENCHMARK.json does not list"
+				}
+			}
+		}
+	case "test":
+		for _, m := range names {
+			src, ok := tests[m[1]]
+			if !ok {
+				return "names " + m[1] + ", which is no test function of the repository"
+			}
+			if !readsInstrument(src, r.name, goName) {
+				return "names " + m[1] + ", which never reads " + r.name
+			}
+		}
+	case "report":
+		if arg == "show" || arg == "diff" {
+			return ""
+		}
+		return "is neither graphz-report show nor diff"
+	case "serving":
+		for _, m := range backticked.FindAllStringSubmatch(r.name, -1) {
+			if !strings.Contains(serving, m[1]) {
+				return "is an operator question, yet docs/SERVING.md never names " + m[1]
+			}
+		}
+		if strings.HasSuffix(arg, "?") {
+			return ""
+		}
+		return "asks no question"
+	default:
+		return "is none of benchmark, report, serving or test"
+	}
+	if len(names) == 0 {
+		return "names nothing"
+	}
+	return ""
+}
+
+// readsInstrument reports whether a test's source names the instrument of
+// a row: a metric by its name, a struct field by its JSON or Go name.
+func readsInstrument(src, row string, goName map[string]string) bool {
+	for _, m := range backticked.FindAllStringSubmatch(row, -1) {
+		for _, n := range expandBraces(m[1]) {
+			if strings.Contains(src, `"`+n+`"`) || goName[n] != "" && strings.Contains(src, "."+goName[n]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// benchmarkMetrics is the set of metric names BENCHMARK.json declares.
+func benchmarkMetrics(t *testing.T) map[string]bool {
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, m := range append(b.EndToEnd, b.PerLayer...) {
+		out[m.Name] = true
+	}
+	return out
+}
+
+// testFuncs maps each test and fuzz function the repository declares to
+// its source, from its signature to its closing brace.
+func testFuncs(t *testing.T) map[string]string {
+	out := map[string]string{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	for _, f := range repoFiles(t, "_test.go") {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(data)
+		for _, m := range decl.FindAllStringSubmatchIndex(src, -1) {
+			body := src[m[0]:]
+			if end := strings.Index(body, "\n}\n"); end >= 0 {
+				body = body[:end]
+			}
+			out[src[m[2]:m[3]]] = body
+		}
+	}
+	return out
+}
+
+// repoFiles lists the repository's files ending in suffix, as paths
+// relative to its root.
+func repoFiles(t *testing.T, suffix string) []string {
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, suffix) {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestDesignNamesExistingFiles resolves every `file.go` DESIGN.md names in
@@ -100,14 +306,8 @@ func TestMetricCatalog(t *testing.T) {
 // file a PR deleted or renamed. (History is told without the backticks.)
 func TestDesignNamesExistingFiles(t *testing.T) {
 	var files []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
-			files = append(files, "/"+filepath.ToSlash(path))
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range repoFiles(t, ".go") {
+		files = append(files, "/"+filepath.ToSlash(f))
 	}
 	md, err := os.ReadFile("DESIGN.md")
 	if err != nil {

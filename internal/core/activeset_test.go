@@ -455,16 +455,24 @@ func TestSelectiveBFSTailBlockReduction(t *testing.T) {
 		MsgBufferBytes:  64,
 	}
 
+	// Both runs share the device: each reads the edges-file bytes it adds.
+	edgesFile := DOSLayout(g).EdgesFile()
+	edgeReads := func() int64 { return g.Device().FileStats()[edgesFile].ReadBytes }
+
 	fullReg := obs.NewRegistry()
 	fullOpts := base
 	fullOpts.Obs = fullReg
+	fullBytes := -edgeReads()
 	fullRes, fullVals := runMinLabel(t, g, fullOpts)
+	fullBytes += edgeReads()
 
-	selReg := obs.NewRegistry()
+	selReg, selTr := obs.NewRegistry(), obs.NewCollectingTracer(nil)
 	selOpts := base
-	selOpts.Obs = selReg
+	selOpts.Obs, selOpts.Trace = selReg, selTr
 	selOpts.SelectiveScheduling = true
+	selBytes := -edgeReads()
 	selRes, selVals := runMinLabel(t, g, selOpts)
+	selBytes += edgeReads()
 
 	// Both runs reach the same (correct) fixpoint.
 	want := referenceMinLabels(g.NumVertices, relabeledEdges(t, g, edges))
@@ -484,23 +492,38 @@ func TestSelectiveBFSTailBlockReduction(t *testing.T) {
 		t.Fatalf("iterations = %d; chain did not produce a long tail", fullRes.Iterations)
 	}
 
-	fullBlocks := fullReg.CounterValue("graphz_sio_blocks_total")
-	selBlocks := selReg.CounterValue("graphz_sio_blocks_total")
-	t.Logf("partitions=%d iters full=%d sel=%d; blocks full=%d sel=%d skipped=%d",
+	t.Logf("partitions=%d iters full=%d sel=%d; edge bytes read full=%d sel=%d; blocks skipped=%d",
 		fullRes.Partitions, fullRes.Iterations, selRes.Iterations,
-		fullBlocks, selBlocks, selRes.BlocksSkipped)
-	if fullBlocks == 0 {
-		t.Fatal("full run prefetched no blocks")
+		fullBytes, selBytes, selRes.BlocksSkipped)
+	if fullBytes == 0 {
+		t.Fatal("full run read no edges")
 	}
-	if selBlocks*2 > fullBlocks {
-		t.Errorf("selective read %d blocks vs %d full: less than the 2x reduction the tail guarantees",
-			selBlocks, fullBlocks)
+	if selBytes*2 > fullBytes {
+		t.Errorf("selective read %d edge bytes vs %d full: less than the 2x reduction the tail guarantees",
+			selBytes, fullBytes)
 	}
 	if skipped := selReg.CounterValue("graphz_blocks_skipped_total"); skipped == 0 {
 		t.Error("graphz_blocks_skipped_total = 0 on a sparse-tail run")
 	}
-	if selReg.CounterValue("graphz_partitions_skipped_total") == 0 {
-		t.Error("no whole-partition skips on a sparse-tail run")
+	// A partition skipped whole records no worker span: some iteration
+	// after Init must work fewer partitions than the plan has.
+	worked := map[int]int{}
+	for _, ev := range selTr.Events() {
+		if ev.Stage == obs.StageWorker {
+			worked[ev.Iter]++
+		}
+	}
+	wholeSkips := 0
+	for it := 1; it < selRes.Iterations; it++ {
+		wholeSkips += selRes.Partitions - worked[it]
+	}
+	if worked[0] != selRes.Partitions || wholeSkips == 0 {
+		t.Errorf("Init worked %d of %d partitions; %d whole-partition skips on a sparse-tail run",
+			worked[0], selRes.Partitions, wholeSkips)
+	}
+	// The bitmap is accounted once selective scheduling is on.
+	if mem := selReg.MemSamples(); len(mem) != selRes.Iterations || mem[0].BitmapBytes == 0 {
+		t.Errorf("%d memory samples for %d iterations, bitmap not accounted", len(mem), selRes.Iterations)
 	}
 	if selRes.BlocksSkipped == 0 || selRes.BlocksSkipped != selReg.CounterValue("graphz_blocks_skipped_total") {
 		t.Errorf("Result.BlocksSkipped = %d, registry %d",

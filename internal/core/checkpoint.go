@@ -308,7 +308,6 @@ func (e *Engine[V, M]) resume() (Result, error) {
 	e.chargeCheckpointIO(restored, true)
 	d := time.Since(start)
 	e.eo.restores.Inc()
-	e.eo.restoreNS.Add(int64(d))
 	e.eo.Tr.Emit(engineName, obs.StageRestore, m.Iteration, -1, start, d)
 	if m.Converged {
 		// The checkpointed run already finished; nothing to iterate.

@@ -797,10 +797,6 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 		}
 		if pend == 0 && !e.sel.anyInRange(lo, hi) {
 			e.accountSelective(selSchedule{blocksTotal: blocksSpanned(start, end, e.adj.BlockEntries)})
-			// A whole-partition skip schedules no runs: every block of the
-			// partition's entry range is a skip cell.
-			e.heatSelective(selSchedule{}, start, end)
-			e.c.partsSkipped++
 			return nil
 		}
 	}
@@ -810,8 +806,8 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 		return err
 	}
 	// A drain that found nothing pending is not a drain stage: it records
-	// no time, span or drain-path counter, so a run whose every message is
-	// inline reports drain time 0.
+	// no time or span, so a run whose every message is inline reports
+	// drain time 0.
 	var drainStart time.Time
 	if e.eo.On {
 		drainStart = time.Now()
@@ -820,11 +816,8 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	if err := e.drainMessages(p, lo); err != nil {
 		return err
 	}
-	if e.c.Applied != appliedBefore {
-		e.c.drains++
-		if e.eo.On {
-			e.eo.Since(obs.StageDrain, iter, p, drainStart)
-		}
+	if e.eo.On && e.c.Applied != appliedBefore {
+		e.eo.Since(obs.StageDrain, iter, p, drainStart)
 	}
 
 	// The Worker's schedule is a list of vertex runs. A full scan is the
@@ -838,7 +831,6 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 		sched := e.planner.plan(e.sel, e.layout, lo, hi, start, end, e.adj.BlockEntries, defaultSelectiveDensity)
 		e.charge(sched.examined(), sim.CostActiveScan)
 		e.accountSelective(sched)
-		e.heatSelective(sched, start, end)
 		runs, sparse = sched.runs, !sched.streamAll
 	} else {
 		runs = []selRun{{lo: lo, hi: hi, startOff: start, endOff: end}}
@@ -1191,11 +1183,8 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 	if len(e.msgBufs[p]) == 0 {
 		// Nothing in memory; skip even opening the file when the spill
 		// store is empty too (Size is an uncharged catalog lookup).
-		if sz, err := e.dev.Size(e.msgFile(p)); err != nil {
+		if sz, err := e.dev.Size(e.msgFile(p)); err != nil || sz == 0 {
 			return err
-		} else if sz == 0 {
-			e.c.drainSkipped++
-			return nil
 		}
 	}
 	f, err := e.dev.Open(e.msgFile(p))

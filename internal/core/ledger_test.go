@@ -73,24 +73,16 @@ func checkLedgerViews[V, M any](t *testing.T, eng *Engine[V, M], reg *obs.Regist
 	}
 	var sum obs.IterStats
 	for _, row := range reg.Iters() {
-		sum.Stages.Add(row.Stages)
 		sum.MessagesInline += row.MessagesInline
 		sum.MessagesBuffered += row.MessagesBuffered
 		sum.MessagesSpilled += row.MessagesSpilled
-		sum.PrefetchStalls += row.PrefetchStalls
-		sum.AdjCacheHits += row.AdjCacheHits
-		sum.BlocksScanned += row.BlocksScanned
 		sum.BlocksSkipped += row.BlocksSkipped
 	}
 	c := eng.c
 	want := obs.IterStats{
-		Stages:           eng.eo.Run,
 		MessagesInline:   c.Inline - base.Inline,
 		MessagesBuffered: c.Buffered - base.Buffered,
 		MessagesSpilled:  c.Spilled - base.Spilled,
-		PrefetchStalls:   c.sioStalls,
-		AdjCacheHits:     c.adjHits,
-		BlocksScanned:    c.BlocksScanned - base.BlocksScanned,
 		BlocksSkipped:    c.BlocksSkipped - base.BlocksSkipped,
 	}
 	if sum != want {
@@ -210,12 +202,9 @@ func manifestAt(t *testing.T, dir string, iter int) checkpoint.Manifest {
 
 // comparableRun strips what legitimately differs between two runs of one
 // configuration from a Result and its rows: wall-clock; and for a run
-// resumed in a second process the counts Result keeps per process, the
+// resumed in a second process the counts Result keeps per process and the
 // device traffic of the restore (with the states pinned, the first resumed
-// iteration loads what an uninterrupted run never stored) and the resident
-// adjacency's hits, a this-process count like the device columns: the
-// resuming process fills its own cache, so its first partition visit is the
-// fill where the uninterrupted run's was a hit.
+// iteration loads what an uninterrupted run never stored).
 func comparableRun(res Result, rows []obs.IterStats, resumed bool) (Result, []obs.IterStats) {
 	res = stripDurability(res)
 	res.DecodeTime = 0
@@ -224,10 +213,8 @@ func comparableRun(res Result, rows []obs.IterStats, resumed bool) (Result, []ob
 	}
 	out := make([]obs.IterStats, len(rows))
 	for i, row := range rows {
-		row.Stages, row.PrefetchStalls = obs.StageTimes{}, 0
 		if resumed {
 			row.DeviceSeeks, row.DeviceReadBytes, row.DeviceWriteBytes = 0, 0, 0
-			row.AdjCacheHits = 0
 		}
 		out[i] = row
 	}
@@ -240,10 +227,18 @@ func comparableRun(res Result, rows []obs.IterStats, resumed bool) (Result, []ob
 // ledger before partition p of iteration i — plus the charges kept where
 // they happen: Init, the bytes moved, and the selective planner's scan,
 // which is bounded here (one unit per block decided on, at most one more
-// per vertex) since the ledger does not hold it.
-func checkModeledCompute(t *testing.T, eng *Engine[witnessVal, uint32], clock *sim.Clock, snaps []counters, iters int) {
+// per vertex) since the ledger does not hold it. spans is the run's trace:
+// a partition skipped whole records no worker span, and only a selective
+// run may skip one, after Init, with its ledger untouched.
+func checkModeledCompute(t *testing.T, eng *Engine[witnessVal, uint32], clock *sim.Clock, snaps []counters, spans []obs.SpanEvent, iters int) {
 	t.Helper()
 	nParts := eng.NumPartitions()
+	worked := map[[2]int]bool{}
+	for _, s := range spans {
+		if s.Stage == obs.StageWorker {
+			worked[[2]int{s.Iter, s.Part}] = true
+		}
+	}
 	snaps = append(snaps[1:], eng.c)
 	if len(snaps) != iters*nParts+1 {
 		t.Fatalf("%d ledger snapshots for %d iterations of %d partitions", len(snaps), iters, nParts)
@@ -270,7 +265,13 @@ func checkModeledCompute(t *testing.T, eng *Engine[witnessVal, uint32], clock *s
 				units(b.Updates-a.Updates, sim.CostVertexUpdate) +
 				units(b.edges-a.edges, sim.CostEdgeScan) +
 				units((b.Buffered-a.Buffered)*int64((4+eng.msize)/4), sim.CostByteCopy4) // whole 4-byte units per record
-			if b.partsSkipped != a.partsSkipped {
+			if !worked[[2]int{i, p}] && eng.partStarts[p] < eng.partStarts[p+1] {
+				if eng.sel == nil || i == 0 {
+					t.Errorf("iteration %d: partition %d recorded no worker span without selective scheduling", i, p)
+				}
+				if b.Updates != a.Updates || b.Applied != a.Applied || b.edges != a.edges || b.BlocksScanned != a.BlocksScanned {
+					t.Errorf("iteration %d: partition %d was skipped whole, yet its ledger moved", i, p)
+				}
 				continue
 			}
 			scanned += b.BlocksScanned + b.BlocksSkipped - a.BlocksScanned - a.BlocksSkipped
@@ -434,7 +435,7 @@ func TestLedgerViewsAgree(t *testing.T) {
 					t.Errorf("report lacks %s", m.name)
 				}
 			}
-			checkModeledCompute(t, eng, clock, snaps, res.Iterations)
+			checkModeledCompute(t, eng, clock, snaps, tr.Events(), res.Iterations)
 
 			// The same point by the two other routes. A checkpointing point
 			// is killed after iteration 2 and finished by a second process.

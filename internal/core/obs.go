@@ -29,16 +29,11 @@ type counters struct {
 	checkpoint.Counters
 
 	// This process only.
-	edges        int64 // adjacency entries handed to Update (priced by chargeLedger)
-	spillErrs    int64 // spill failures (the first aborts the run)
-	partsSkipped int64 // whole partitions skipped (no bits, no messages)
-	drains       int64 // drains that applied at least one message
-	drainSkipped int64 // drains that found nothing pending
+	edges     int64 // adjacency entries handed to Update (priced by chargeLedger)
+	spillErrs int64 // spill failures (the first aborts the run)
 
 	// Pipeline activity, folded from pipeStats once per partition and so
 	// counted only while a sink is attached.
-	sioBlocks     int64 // adjacency blocks prefetched off the device
-	sioStalls     int64 // Worker waits on an empty prefetch queue
 	adjHits       int64 // partitions served from the resident adjacency cache
 	codecRawBytes int64 // decoded adjacency bytes produced (4 per entry)
 	codecEncBytes int64 // encoded adjacency bytes read off the device
@@ -51,7 +46,8 @@ type counters struct {
 
 // ledgerMetrics is the one name table: every ledger field the registry
 // exposes. Adding or removing a metric is one row here (and one in
-// docs/OBSERVABILITY.md, which TestMetricCatalog holds to it).
+// docs/OBSERVABILITY.md, which TestMetricCatalog holds to it, consumer
+// included).
 var ledgerMetrics = [...]struct {
 	name  string
 	field func(*counters) *int64
@@ -62,11 +58,6 @@ var ledgerMetrics = [...]struct {
 	{"graphz_messages_spill_errors_total", func(c *counters) *int64 { return &c.spillErrs }},
 	{"graphz_blocks_scanned_total", func(c *counters) *int64 { return &c.BlocksScanned }},
 	{"graphz_blocks_skipped_total", func(c *counters) *int64 { return &c.BlocksSkipped }},
-	{"graphz_partitions_skipped_total", func(c *counters) *int64 { return &c.partsSkipped }},
-	{"graphz_drain_serial_total", func(c *counters) *int64 { return &c.drains }},
-	{"graphz_drain_skipped_total", func(c *counters) *int64 { return &c.drainSkipped }},
-	{"graphz_sio_blocks_total", func(c *counters) *int64 { return &c.sioBlocks }},
-	{"graphz_sio_stalls_total", func(c *counters) *int64 { return &c.sioStalls }},
 	{"graphz_adjcache_hits_total", func(c *counters) *int64 { return &c.adjHits }},
 	{"graphz_codec_bytes_raw_total", func(c *counters) *int64 { return &c.codecRawBytes }},
 	{"graphz_codec_bytes_encoded_total", func(c *counters) *int64 { return &c.codecEncBytes }},
@@ -89,7 +80,6 @@ type engineObs struct {
 	// Facts outside the iteration loop, with no Result or row twin: each
 	// keeps its one direct write.
 	restores   *obs.Counter // successful Resume restorations
-	restoreNS  *obs.Counter // wall time spent restoring
 	removeErrs *obs.Counter // failed runtime-file removals
 	semRuns    *obs.Counter // finished runs of the semi-external (one-partition) case
 }
@@ -99,7 +89,6 @@ func newEngineObs(reg *obs.Registry, tr *obs.Tracer) engineObs {
 		StageRecorder: obs.NewStageRecorder(engineName, reg, tr),
 		heat:          reg.Heatmap(),
 		restores:      reg.Counter("graphz_restore_total"),
-		restoreNS:     reg.Counter("graphz_restore_ns_total"),
 		removeErrs:    reg.Counter("graphz_remove_errors_total"),
 		semRuns:       reg.Counter("graphz_sem_runs_total"),
 	}
@@ -126,9 +115,9 @@ func (e *Engine[V, M]) publish() {
 }
 
 // recordIter closes iteration iter: its row is the ledger's delta since
-// before plus the device's since devBefore (the recorder adds the stage
-// time), followed by the iteration's memory sample. It runs on aborted
-// iterations too, so the rows always sum to the ledger.
+// before plus the device's since devBefore, followed by the iteration's
+// memory sample. It runs on aborted iterations too, so the rows always sum
+// to the ledger.
 func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.Stats) {
 	c, io := e.c, e.dev.Stats().Sub(devBefore)
 	row := obs.IterStats{
@@ -136,9 +125,6 @@ func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.S
 		MessagesInline:   c.Inline - before.Inline,
 		MessagesBuffered: c.Buffered - before.Buffered,
 		MessagesSpilled:  c.Spilled - before.Spilled,
-		PrefetchStalls:   c.sioStalls - before.sioStalls,
-		AdjCacheHits:     c.adjHits - before.adjHits,
-		BlocksScanned:    c.BlocksScanned - before.BlocksScanned,
 		BlocksSkipped:    c.BlocksSkipped - before.BlocksSkipped,
 		DeviceReadBytes:  io.ReadBytes,
 		DeviceWriteBytes: io.WriteBytes,
@@ -147,23 +133,18 @@ func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.S
 	if e.sel != nil {
 		row.ActiveVertices = e.sel.count
 	}
-	e.eo.EndIter(row)
+	e.eo.Reg.RecordIter(row)
 	e.sampleMemory(iter)
 }
 
 // pipeStats accumulates one partition's Sio/Dispatcher pipeline activity.
-// The producer (the prefetch goroutine) writes readNS/blocks, the consumer
-// (the Worker, on the engine goroutine) writes stalls/stallNS, and the
+// The producer (the prefetch goroutine) writes readNS, and the
 // Dispatcher's fields are written by whichever side dispatches — the
 // producer on a bulk stream, the consumer on a lazy one — so all of them
 // are atomic. cacheHit stays plain — it is written and read only on the
 // engine goroutine.
 type pipeStats struct {
 	readNS atomic.Int64 // producer: device read time
-	blocks atomic.Int64 // producer: blocks handed to the queue
-
-	stalls  atomic.Int64 // consumer: recv found the queue empty
-	stallNS atomic.Int64 // consumer: time blocked on an empty queue
 
 	dispatchNS atomic.Int64 // block parse (Dispatcher) time
 	decodeNS   atomic.Int64 // block codec decode time (⊆ dispatchNS)
@@ -179,8 +160,8 @@ type pipeStats struct {
 	heatFile string
 }
 
-// heatRead attributes one prefetcher read of `bytes` bytes to entry
-// block b. Safe on a nil heatmap.
+// heatRead attributes `bytes` bytes the prefetcher read to entry block b.
+// Safe on a nil heatmap.
 func (ps *pipeStats) heatRead(b, bytes int64) {
 	if ps.heat != nil {
 		ps.heat.AddRead(ps.heatFile, b, bytes)
@@ -201,8 +182,6 @@ func (ps *pipeStats) heatDecode(b, ns int64) {
 func (e *Engine[V, M]) recordPipe(ps *pipeStats, iter, p int, partStart time.Time) {
 	e.eo.Record(obs.StageSio, iter, p, partStart, time.Duration(ps.readNS.Load()))
 	e.eo.Record(obs.StageDispatch, iter, p, partStart, time.Duration(ps.dispatchNS.Load()))
-	e.c.sioBlocks += ps.blocks.Load()
-	e.c.sioStalls += ps.stalls.Load()
 	if ps.cacheHit {
 		e.c.adjHits++
 	}
@@ -223,32 +202,6 @@ func (e *Engine[V, M]) recordPipe(ps *pipeStats, iter, p int, partStart time.Tim
 // heat-attribution fields resolved.
 func (e *Engine[V, M]) newPipeStats() *pipeStats {
 	return &pipeStats{heat: e.eo.heat, heatFile: e.layout.EdgesFile()}
-}
-
-// heatSelective attributes a partition's skipped adjacency blocks — the
-// blocks of entry range [start, end) no scheduled run touches — to the
-// heatmap, on the edges file's own block grid (matching read attribution
-// and the ledger's BlocksSkipped).
-func (e *Engine[V, M]) heatSelective(sched selSchedule, start, end int64) {
-	h := e.eo.heat
-	if h == nil || sched.streamAll || end <= start {
-		return
-	}
-	be := e.adj.BlockEntries
-	file := e.layout.EdgesFile()
-	b := start / be // first block not yet known read or skipped
-	for _, r := range sched.runs {
-		if r.endOff <= r.startOff {
-			continue
-		}
-		for ; b < r.startOff/be; b++ {
-			h.AddSkip(file, b)
-		}
-		b = max(b, (r.endOff-1)/be+1)
-	}
-	for ; b <= (end-1)/be; b++ {
-		h.AddSkip(file, b)
-	}
 }
 
 // vstateBlock maps a vertex to its DefaultBlockSize byte block of the

@@ -38,8 +38,8 @@ func parseSpans(t *testing.T, buf *bytes.Buffer) []spanEvent {
 // TestEngineObservability runs a multi-partition spilling workload with a
 // registry and tracer attached and checks the full contract: a span for
 // every (iteration, partition, stage) — the drain stage only where a drain
-// applied pending messages, the rest being counted as skipped — counters
-// that agree with Result, and one IterStats row per iteration.
+// applied pending messages — counters that agree with Result, and one
+// IterStats row per iteration.
 func TestEngineObservability(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 22)
 	g := buildDOS(t, edges)
@@ -89,8 +89,6 @@ func TestEngineObservability(t *testing.T) {
 		"graphz_messages_inline_total":   res.MessagesInline,
 		"graphz_messages_buffered_total": res.MessagesBuffered,
 		"graphz_messages_spilled_total":  res.MessagesSpilled,
-		"graphz_drain_serial_total":      drainSpans,
-		"graphz_drain_skipped_total":     int64(res.Iterations*res.Partitions) - drainSpans,
 	}
 	if drainSpans == 0 {
 		t.Error("no drain span on a spilling run")
@@ -106,9 +104,6 @@ func TestEngineObservability(t *testing.T) {
 	}
 	if res.MessagesSpilled == 0 {
 		t.Error("expected spills under a tight budget")
-	}
-	if reg.CounterValue("graphz_sio_blocks_total") == 0 {
-		t.Error("no Sio blocks counted")
 	}
 	if res.Stages.Worker <= 0 || res.Stages.Drain <= 0 {
 		t.Errorf("stage totals not populated: %+v", res.Stages)

@@ -227,9 +227,6 @@ func TestSemObservability(t *testing.T) {
 	if got := reg.CounterValue("graphz_messages_inline_total"); got != res.MessagesSent {
 		t.Errorf("graphz_messages_inline_total = %d, want %d", got, res.MessagesSent)
 	}
-	if got := reg.CounterValue("graphz_drain_serial_total"); got != 0 {
-		t.Errorf("graphz_drain_serial_total = %d, want 0 — nothing was pending", got)
-	}
 
 	spans := parseSpans(t, &traceBuf)
 	byStage := map[string]int{}

@@ -122,7 +122,7 @@ type entryStream struct {
 	adj    storage.BlockLayout
 	ranges []entryRange
 	lazy   bool       // the consumer hops: queue bytes, decode what a window asks for
-	met    *pipeStats // nil-able: the pipeline's timing and stall counters
+	met    *pipeStats // nil-able: the pipeline's timing and codec counters
 
 	// dec is the decode buffer of whichever side dispatches, never both:
 	// the producer's scratch on a bulk stream, on a lazy one the consumer's
@@ -207,7 +207,6 @@ func (s *entryStream) prefetch(f *storage.File) {
 				return
 			}
 			if s.met != nil {
-				s.met.blocks.Add(1)
 				s.met.heatRead(b, hi-lo)
 			}
 			blk := sioBlock{data: buf, idx: b, start: first, end: last}
@@ -438,7 +437,7 @@ func (s *entryStream) fill(off int64, n int) ([]graph.VertexID, error) {
 func (s *entryStream) advance(off int64) error {
 	for {
 		s.blk.release()
-		blk, ok := s.recv()
+		blk, ok := <-s.blocks
 		if !ok {
 			return errAdjExhausted
 		}
@@ -460,24 +459,6 @@ func (s *entryStream) advance(off int64) error {
 	err := s.decode(s.blk)
 	s.blk.release()
 	return err
-}
-
-// recv receives the next prefetched block, counting a stall (and its
-// duration) whenever the consumer finds the queue empty and has to wait
-// for the Sio producer.
-func (s *entryStream) recv() (sioBlock, bool) {
-	select {
-	case blk, ok := <-s.blocks:
-		return blk, ok
-	default:
-	}
-	t0 := time.Now()
-	blk, ok := <-s.blocks
-	if ok && s.met != nil {
-		s.met.stalls.Add(1)
-		s.met.stallNS.Add(int64(time.Since(t0)))
-	}
-	return blk, ok
 }
 
 // stop shuts the prefetcher down, releasing the block in hand, the queued

@@ -570,7 +570,7 @@ func TestEntryStreamSeeks(t *testing.T) {
 				dev := nullDevice()
 				entries := testEntries(100)
 				adj := writeEntryFile(t, dev, "e", entries, l.codec, sioTestBlock)
-				before := pooledOutstanding()
+				before, ops := pooledOutstanding(), dev.Stats().ReadOps
 				ps := &pipeStats{}
 				s, err := openEntryStream(dev, adj, "e", append([]entryRange(nil), ranges...), lazy, ps)
 				if err != nil {
@@ -595,7 +595,7 @@ func TestEntryStreamSeeks(t *testing.T) {
 				if got := pooledOutstanding(); got != before {
 					t.Errorf("%d pooled buffers outstanding after the stream stopped, want %d", got, before)
 				}
-				if got := ps.blocks.Load(); got != fetchedBlocks {
+				if got := dev.Stats().ReadOps - ops; got != fetchedBlocks {
 					t.Errorf("prefetcher read %d blocks, want the ranges' %d", got, fetchedBlocks)
 				}
 				// Lazy: only the blocks a window touched. Bulk: every block

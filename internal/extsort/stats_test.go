@@ -115,8 +115,8 @@ func TestSortSurfacesRemoveErrors(t *testing.T) {
 	if leaked <= int64(st.Runs) || st.RemoveErrors != leaked+1 {
 		t.Errorf("RemoveErrors = %d with %d runs, %d temporaries and the input left", st.RemoveErrors, st.Runs, leaked)
 	}
-	if v := reg.CounterValue(RemoveErrorsCounter); v != st.RemoveErrors {
-		t.Errorf("%s = %d, Stats says %d", RemoveErrorsCounter, v, st.RemoveErrors)
+	if v := reg.CounterValue("graphz_remove_errors_total"); v != st.RemoveErrors {
+		t.Errorf("graphz_remove_errors_total = %d, Stats says %d", v, st.RemoveErrors)
 	}
 	if !fd.Device.Exists("in") {
 		t.Error("input vanished although its removal failed")

@@ -6,9 +6,8 @@ import (
 )
 
 // BlockHeatmap attributes block-granular IO activity to (file, block)
-// cells: reads and read bytes from the Sio prefetchers, skips from the
-// selective scheduler, decode time from the block codec, and drain
-// message fan-in from the MsgManager. Engines feed it from producer
+// cells: read bytes from the Sio prefetchers, decode time from the block
+// codec, and drain message fan-in from the MsgManager. Engines feed it from producer
 // goroutines, so every Add is mutex-guarded; a nil *BlockHeatmap ignores
 // all writes — the disabled fast path, matching the package's other
 // instruments.
@@ -28,9 +27,7 @@ type blockKey struct {
 type BlockHeat struct {
 	File      string `json:"file"`
 	Block     int64  `json:"block"`
-	Reads     int64  `json:"reads,omitempty"`      // prefetcher reads touching the block
-	ReadBytes int64  `json:"read_bytes,omitempty"` // bytes those reads moved
-	Skips     int64  `json:"skips,omitempty"`      // selective-scheduler skip decisions
+	ReadBytes int64  `json:"read_bytes,omitempty"` // bytes the prefetcher read of the block
 	DecodeNS  int64  `json:"decode_ns,omitempty"`  // codec decode time spent on the block
 	DrainMsgs int64  `json:"drain_msgs,omitempty"` // drained messages applied into the block
 }
@@ -50,25 +47,13 @@ func (h *BlockHeatmap) cell(file string, block int64) *BlockHeat {
 	return c
 }
 
-// AddRead records one read of n bytes touching the block.
+// AddRead records n bytes read of the block.
 func (h *BlockHeatmap) AddRead(file string, block, n int64) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	c := h.cell(file, block)
-	c.Reads++
-	c.ReadBytes += n
-	h.mu.Unlock()
-}
-
-// AddSkip records one skip decision for the block.
-func (h *BlockHeatmap) AddSkip(file string, block int64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.cell(file, block).Skips++
+	h.cell(file, block).ReadBytes += n
 	h.mu.Unlock()
 }
 

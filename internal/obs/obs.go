@@ -1,6 +1,7 @@
 // Package obs is the runtime observability layer shared by every engine
-// in the repository: a dependency-free metrics registry (atomic counters,
-// gauges, and lock-cheap duration histograms), a JSONL span tracer, and a
+// in the repository: a dependency-free metrics registry (atomic counters
+// and gauges, plus the per-iteration rows, memory timeline and block
+// heatmap a run report is built from), a JSONL span tracer, and a
 // /metrics + pprof HTTP surface.
 //
 // Every instrument is nil-safe, so an engine resolves its counters once
@@ -13,12 +14,10 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // LabelName embeds Prometheus-style labels in a series name:
@@ -29,8 +28,6 @@ import (
 // # TYPE line, so labeled counters and gauges render as one metric family
 // with many series, exactly what a scraper expects. kv alternates key,
 // value; label values are escaped per the text exposition format.
-// Histograms do not support labeled names (their rendered _bucket/_sum
-// suffixes would land inside the braces); keep histogram names plain.
 func LabelName(base string, kv ...string) string {
 	if len(kv) == 0 {
 		return base
@@ -115,82 +112,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBucketCount covers durations from 1 ns to ~9 minutes in
-// power-of-two buckets; longer observations land in the last bucket.
-const histBucketCount = 40
-
-// Histogram is a lock-free duration histogram with power-of-two
-// nanosecond buckets: bucket i counts observations in [2^i, 2^(i+1)) ns.
-// A nil *Histogram ignores observations.
-type Histogram struct {
-	buckets [histBucketCount]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-}
-
-// bucketOf maps a nanosecond duration to its bucket index.
-func bucketOf(ns int64) int {
-	if ns <= 0 {
-		return 0
-	}
-	b := bits.Len64(uint64(ns)) - 1
-	if b >= histBucketCount {
-		b = histBucketCount - 1
-	}
-	return b
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	ns := d.Nanoseconds()
-	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Quantile returns an upper bound on the q-quantile (q in [0,1]) using
-// the bucket upper edges; 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < histBucketCount; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			return time.Duration(int64(1) << uint(i+1))
-		}
-	}
-	return time.Duration(int64(1) << histBucketCount)
-}
-
 // Registry holds named instruments and the per-iteration rows engines
 // record. A nil *Registry is valid: every lookup returns a nil instrument
 // and every record is dropped, which is how the engines run with
@@ -199,7 +120,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	iters    []IterStats
 	mems     []MemSample // memory-budget timeline (RecordMem)
 	heat     *BlockHeatmap
@@ -210,7 +130,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		heat:     NewBlockHeatmap(),
 	}
 }
@@ -246,21 +165,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // CounterValue reads a counter by name; 0 when absent or r is nil.
 func (r *Registry) CounterValue(name string) int64 {
 	if r == nil {
@@ -270,17 +174,6 @@ func (r *Registry) CounterValue(name string) int64 {
 	c := r.counters[name]
 	r.mu.Unlock()
 	return c.Value()
-}
-
-// GaugeValue reads a gauge by name; 0 when absent or r is nil.
-func (r *Registry) GaugeValue(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	g := r.gauges[name]
-	r.mu.Unlock()
-	return g.Value()
 }
 
 // RecordIter appends one per-iteration breakdown row. Engines call it at
@@ -354,8 +247,7 @@ func (r *Registry) Counters() map[string]int64 {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format: counters as `<name>`, gauges as `<name>`, histograms as
-// `<name>_bucket{le="..."}` / `<name>_sum` / `<name>_count`.
+// format, counters then gauges, each family under one # TYPE line.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -366,45 +258,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, g := range r.gauges {
 		gauges[n] = g.Value()
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
 	r.mu.Unlock()
 
 	if err := writeFamilies(w, counters, "counter"); err != nil {
 		return err
 	}
-	if err := writeFamilies(w, gauges, "gauge"); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(hists))
-	for n := range hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := hists[n]
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
-			return err
-		}
-		var cum int64
-		for i := 0; i < histBucketCount; i++ {
-			c := h.buckets[i].Load()
-			if c == 0 {
-				continue
-			}
-			cum += c
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, int64(1)<<uint(i+1), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-			n, h.count.Load(), n, h.sum.Load(), n, h.count.Load()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeFamilies(w, gauges, "gauge")
 }
 
 // writeFamilies renders counters or gauges grouped into metric families:

@@ -22,7 +22,6 @@ func buildSampleReport() *RunReport {
 	reg.RecordMem(MemSample{Iteration: 1, BudgetBytes: 1 << 20, IndexBytes: 4096, VertexStateBytes: 2048, SpillBytes: 512})
 	reg.Heatmap().AddRead("graphz.edges", 0, 1024)
 	reg.Heatmap().AddRead("graphz.edges", 1, 2048)
-	reg.Heatmap().AddSkip("graphz.edges", 2)
 	reg.Heatmap().AddDecode("graphz.edges", 0, 5000)
 	reg.Heatmap().AddDrain("graphz.vstate", 0, 12)
 
@@ -73,8 +72,8 @@ func TestBuildReportSections(t *testing.T) {
 	}
 
 	// Heatmap cells arrive sorted by (file, block).
-	if len(rep.Blocks) != 4 {
-		t.Fatalf("blocks = %d, want 4: %+v", len(rep.Blocks), rep.Blocks)
+	if len(rep.Blocks) != 3 {
+		t.Fatalf("blocks = %d, want 3: %+v", len(rep.Blocks), rep.Blocks)
 	}
 	for i := 1; i < len(rep.Blocks); i++ {
 		a, b := rep.Blocks[i-1], rep.Blocks[i]
@@ -82,7 +81,7 @@ func TestBuildReportSections(t *testing.T) {
 			t.Errorf("blocks out of order at %d: %+v then %+v", i, a, b)
 		}
 	}
-	if c := rep.Blocks[0]; c.File != "graphz.edges" || c.Block != 0 || c.Reads != 1 || c.ReadBytes != 1024 || c.DecodeNS != 5000 {
+	if c := rep.Blocks[0]; c.File != "graphz.edges" || c.Block != 0 || c.ReadBytes != 1024 || c.DecodeNS != 5000 {
 		t.Errorf("block 0 cell = %+v", c)
 	}
 
@@ -206,7 +205,6 @@ func TestStageAndPartitionTotals(t *testing.T) {
 func TestHeatmapNilSafety(t *testing.T) {
 	var h *BlockHeatmap
 	h.AddRead("f", 0, 1)
-	h.AddSkip("f", 0)
 	h.AddDecode("f", 0, 1)
 	h.AddDrain("f", 0, 1)
 	if h.Cells() != nil {

@@ -90,7 +90,7 @@ type CounterDelta struct {
 // summed base/current values.
 type BlockRangeDelta struct {
 	File       string `json:"file"`
-	Metric     string `json:"metric"` // reads | read_bytes | skips | decode_ns | drain_msgs
+	Metric     string `json:"metric"` // read_bytes | decode_ns | drain_msgs
 	FirstBlock int64  `json:"first_block"`
 	LastBlock  int64  `json:"last_block"`
 	Base       int64  `json:"base"`
@@ -192,9 +192,7 @@ var blockMetrics = []struct {
 	get  func(BlockHeat) int64
 	ns   bool // duration metric (MinNS floor) vs count metric (MinCount)
 }{
-	{"reads", func(c BlockHeat) int64 { return c.Reads }, false},
 	{"read_bytes", func(c BlockHeat) int64 { return c.ReadBytes }, false},
-	{"skips", func(c BlockHeat) int64 { return c.Skips }, false},
 	{"decode_ns", func(c BlockHeat) int64 { return c.DecodeNS }, true},
 	{"drain_msgs", func(c BlockHeat) int64 { return c.DrainMsgs }, false},
 }

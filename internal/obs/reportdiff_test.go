@@ -81,21 +81,21 @@ func TestDiffCounters(t *testing.T) {
 
 func TestDiffBlocksMergesAdjacent(t *testing.T) {
 	base := &RunReport{Schema: 1, Blocks: []BlockHeat{
-		{File: "graphz.edges", Block: 0, Reads: 10},
-		{File: "graphz.edges", Block: 1, Reads: 10},
-		{File: "graphz.edges", Block: 2, Reads: 10},
-		{File: "graphz.edges", Block: 4, Reads: 10},
+		{File: "graphz.edges", Block: 0, ReadBytes: 10},
+		{File: "graphz.edges", Block: 1, ReadBytes: 10},
+		{File: "graphz.edges", Block: 2, ReadBytes: 10},
+		{File: "graphz.edges", Block: 4, ReadBytes: 10},
 	}}
 	cur := &RunReport{Schema: 1, Blocks: []BlockHeat{
-		{File: "graphz.edges", Block: 0, Reads: 100},
-		{File: "graphz.edges", Block: 1, Reads: 100},
-		{File: "graphz.edges", Block: 2, Reads: 10}, // unchanged: breaks the run
-		{File: "graphz.edges", Block: 4, Reads: 100},
+		{File: "graphz.edges", Block: 0, ReadBytes: 100},
+		{File: "graphz.edges", Block: 1, ReadBytes: 100},
+		{File: "graphz.edges", Block: 2, ReadBytes: 10}, // unchanged: breaks the run
+		{File: "graphz.edges", Block: 4, ReadBytes: 100},
 	}}
 	d := DiffReports(base, cur, DiffOptions{})
 	want := []BlockRangeDelta{
-		{File: "graphz.edges", Metric: "reads", FirstBlock: 0, LastBlock: 1, Base: 20, Cur: 200},
-		{File: "graphz.edges", Metric: "reads", FirstBlock: 4, LastBlock: 4, Base: 10, Cur: 100},
+		{File: "graphz.edges", Metric: "read_bytes", FirstBlock: 0, LastBlock: 1, Base: 20, Cur: 200},
+		{File: "graphz.edges", Metric: "read_bytes", FirstBlock: 4, LastBlock: 4, Base: 10, Cur: 100},
 	}
 	if !reflect.DeepEqual(d.Blocks, want) {
 		t.Errorf("blocks =\n %+v\nwant\n %+v", d.Blocks, want)

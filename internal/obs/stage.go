@@ -51,26 +51,12 @@ func (s *StageTimes) AddStage(stage string, d time.Duration) {
 	}
 }
 
-// Add accumulates o into s.
-func (s *StageTimes) Add(o StageTimes) {
-	s.Sio += o.Sio
-	s.Dispatch += o.Dispatch
-	s.Worker += o.Worker
-	s.Drain += o.Drain
-}
-
-// Total returns the summed stage time.
-func (s StageTimes) Total() time.Duration {
-	return s.Sio + s.Dispatch + s.Worker + s.Drain
-}
-
 // StageRecorder is the stage accounting the three engines share: one call
 // per finished stage emits its span and adds the duration to the
-// <engine>_stage_<stage>_ns_total counter, the run total and the current
-// iteration's total, so span sums, counters, Result.Stages and the
-// iteration rows are fed the same measured durations. Stages end at
-// partition boundaries, so that is when the counters advance. Engine
-// goroutine only.
+// <engine>_stage_<stage>_ns_total counter and the run total, so span sums,
+// counters and Result.Stages are fed the same measured durations. Stages
+// end at partition boundaries, so that is when the counters advance.
+// Engine goroutine only.
 type StageRecorder struct {
 	On  bool       // a sink is attached: gates the engines' time.Now calls
 	Reg *Registry  // nil-safe
@@ -78,7 +64,6 @@ type StageRecorder struct {
 	Run StageTimes // whole run so far; the engines' Result.Stages
 
 	engine string
-	iter   StageTimes          // since the last EndIter
 	ns     map[string]*Counter // nil without a registry: every lookup is the no-op nil counter
 }
 
@@ -100,7 +85,6 @@ func (r *StageRecorder) Record(stage string, iter, part int, start time.Time, d 
 	r.Tr.Emit(r.engine, stage, iter, part, start, d)
 	r.ns[stage].Add(int64(d))
 	r.Run.AddStage(stage, d)
-	r.iter.AddStage(stage, d)
 }
 
 // Since records the stage that ran from start until now and returns now,
@@ -111,31 +95,19 @@ func (r *StageRecorder) Since(stage string, iter, part int, start time.Time) tim
 	return now
 }
 
-// EndIter closes an iteration: row receives the stage time recorded since
-// the previous call and joins the registry's per-iteration rows.
-func (r *StageRecorder) EndIter(row IterStats) {
-	row.Stages, r.iter = r.iter, StageTimes{}
-	r.Reg.RecordIter(row)
-}
-
-// IterStats is one iteration's observability breakdown: stage wall times,
-// message routing counts, pipeline stalls, and device traffic deltas.
-// Engines record one row per iteration via StageRecorder.EndIter.
+// IterStats is one iteration's observability breakdown: message routing
+// counts, selective scheduling and device traffic deltas. (Per-iteration
+// stage time is in the run report's span-aggregated stages.) Engines
+// record one row per iteration via Registry.RecordIter.
 type IterStats struct {
 	Iteration int
-	Stages    StageTimes
 
 	// Message routing (GraphZ engine; zero for the analogs).
 	MessagesInline   int64 // applied immediately, destination resident
 	MessagesBuffered int64 // queued for a non-resident destination
 	MessagesSpilled  int64 // buffered messages that reached the device
 
-	// Pipeline behavior.
-	PrefetchStalls int64 // Worker waited on an empty Sio queue
-	AdjCacheHits   int64 // partitions served from the resident adjacency cache
-
 	// Selective block scheduling (zero unless enabled).
-	BlocksScanned  int64 // adjacency blocks the block scheduler read
 	BlocksSkipped  int64 // adjacency blocks proved inactive and skipped
 	ActiveVertices int64 // schedulable vertices at the iteration boundary
 
@@ -151,20 +123,14 @@ func FormatIterTable(rows []IterStats) string {
 	if len(rows) == 0 {
 		return ""
 	}
-	header := []string{"iter", "sio", "dispatch", "worker", "drain",
-		"inline", "buffered", "spilled", "stalls", "blkskip", "active", "readB", "writeB", "seeks"}
+	header := []string{"iter", "inline", "buffered", "spilled", "blkskip", "active", "readB", "writeB", "seeks"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
 			fmt.Sprintf("%d", r.Iteration),
-			fmtShortDur(r.Stages.Sio),
-			fmtShortDur(r.Stages.Dispatch),
-			fmtShortDur(r.Stages.Worker),
-			fmtShortDur(r.Stages.Drain),
 			fmt.Sprintf("%d", r.MessagesInline),
 			fmt.Sprintf("%d", r.MessagesBuffered),
 			fmt.Sprintf("%d", r.MessagesSpilled),
-			fmt.Sprintf("%d", r.PrefetchStalls),
 			fmt.Sprintf("%d", r.BlocksSkipped),
 			fmt.Sprintf("%d", r.ActiveVertices),
 			fmt.Sprintf("%d", r.DeviceReadBytes),
@@ -198,21 +164,4 @@ func FormatIterTable(rows []IterStats) string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// fmtShortDur prints a duration compactly with three significant figures
-// at most.
-func fmtShortDur(d time.Duration) string {
-	switch {
-	case d == 0:
-		return "0"
-	case d < time.Microsecond:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
-	case d < time.Millisecond:
-		return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/1e3)
-	case d < time.Second:
-		return fmt.Sprintf("%.1fms", float64(d.Nanoseconds())/1e6)
-	default:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sync"
@@ -10,8 +9,8 @@ import (
 )
 
 // Tracer writes one JSONL event per span to its sink. A nil *Tracer is
-// valid: Start returns an inert Span and Emit drops the event, so engines
-// trace unconditionally and pay only a nil check when tracing is off.
+// valid: Emit drops the event, so engines trace unconditionally and pay
+// only a nil check when tracing is off.
 //
 // Span schema (one JSON object per line):
 //
@@ -22,14 +21,20 @@ import (
 // partition) the span covers.
 type Tracer struct {
 	mu      sync.Mutex
-	w       *bufio.Writer // nil on a collect-only tracer
+	w       io.Writer // nil on a collect-only tracer
 	c       io.Closer
+	buf     []byte // encoded spans not yet written to w
+	queued  int64  // spans in buf
 	err     error
 	events  []SpanEvent // populated only on collecting tracers
 	collect bool
-	spans   atomic.Int64
-	dropped atomic.Int64
+	spans   atomic.Int64 // spans the sink accepted (or collected)
+	dropped atomic.Int64 // spans a failed sink lost
 }
+
+// traceFlushBytes is how much encoded output Emit buffers before writing
+// it to the sink.
+const traceFlushBytes = 4096
 
 // SpanEvent is one emitted span, as retained by a collecting tracer.
 // Fields mirror the JSONL schema.
@@ -45,7 +50,7 @@ type SpanEvent struct {
 // NewTracer wraps a sink. If w also implements io.Closer, Close closes it
 // after flushing.
 func NewTracer(w io.Writer) *Tracer {
-	t := &Tracer{w: bufio.NewWriter(w)}
+	t := &Tracer{w: w}
 	if c, ok := w.(io.Closer); ok {
 		t.c = c
 	}
@@ -58,7 +63,7 @@ func NewTracer(w io.Writer) *Tracer {
 func NewCollectingTracer(w io.Writer) *Tracer {
 	t := &Tracer{collect: true}
 	if w != nil {
-		t.w = bufio.NewWriter(w)
+		t.w = w
 		if c, ok := w.(io.Closer); ok {
 			t.c = c
 		}
@@ -80,33 +85,6 @@ func (t *Tracer) Events() []SpanEvent {
 	out := make([]SpanEvent, len(t.events))
 	copy(out, t.events)
 	return out
-}
-
-// Span is one in-flight timed region. The zero Span (from a nil Tracer)
-// is inert.
-type Span struct {
-	t      *Tracer
-	engine string
-	stage  string
-	iter   int
-	part   int
-	start  time.Time
-}
-
-// Start opens a span; call End to emit it.
-func (t *Tracer) Start(engine, stage string, iter, part int) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, engine: engine, stage: stage, iter: iter, part: part, start: time.Now()}
-}
-
-// End emits the span with its measured duration.
-func (s Span) End() {
-	if s.t == nil {
-		return
-	}
-	s.t.Emit(s.engine, s.stage, s.iter, s.part, s.start, time.Since(s.start))
 }
 
 // Emit writes one span event with an explicit start and duration; engines
@@ -136,14 +114,31 @@ func (t *Tracer) Emit(engine, stage string, iter, part int, start time.Time, dur
 		t.dropped.Add(1)
 		return
 	}
-	_, err := fmt.Fprintf(t.w, "{\"ts\":%d,\"engine\":%q,\"stage\":%q,\"iter\":%d,\"part\":%d,\"dur_ns\":%d}\n",
+	t.buf = fmt.Appendf(t.buf, "{\"ts\":%d,\"engine\":%q,\"stage\":%q,\"iter\":%d,\"part\":%d,\"dur_ns\":%d}\n",
 		start.UnixNano(), engine, stage, iter, part, dur.Nanoseconds())
+	t.queued++
+	if len(t.buf) >= traceFlushBytes {
+		t.flushLocked() //nolint:errcheck // latched in t.err
+	}
+}
+
+// flushLocked writes the buffered spans to the sink. They count as
+// emitted only once the sink accepts them: on a sink error every buffered
+// span counts as dropped and the error latches. Caller holds mu.
+func (t *Tracer) flushLocked() error {
+	if t.err != nil || len(t.buf) == 0 {
+		return t.err
+	}
+	_, err := t.w.Write(t.buf)
+	n := t.queued
+	t.buf, t.queued = t.buf[:0], 0
 	if err != nil {
 		t.err = err
-		t.dropped.Add(1)
-		return
+		t.dropped.Add(n)
+		return err
 	}
-	t.spans.Add(1)
+	t.spans.Add(n)
+	return nil
 }
 
 // Dropped returns how many span events were lost to a failed sink.
@@ -154,7 +149,8 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped.Load()
 }
 
-// Spans returns the number of events emitted so far.
+// Spans returns the number of events the sink accepted so far (on a
+// collect-only tracer, the number collected).
 func (t *Tracer) Spans() int64 {
 	if t == nil {
 		return 0
@@ -169,16 +165,10 @@ func (t *Tracer) Flush() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.err != nil {
-		return t.err
-	}
-	if t.w == nil {
-		return nil
-	}
-	return t.w.Flush()
+	return t.flushLocked()
 }
 
-// Err returns the first write error, if any.
+// Err returns the first write or flush error, if any.
 func (t *Tracer) Err() error {
 	if t == nil {
 		return nil

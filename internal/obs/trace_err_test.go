@@ -55,6 +55,29 @@ func TestTracerSurfacesWriteErrors(t *testing.T) {
 	}
 }
 
+// TestTracerCountsUnflushedSpansDropped: spans still buffered when the
+// sink fails never reached it, so they count as dropped, not emitted, and
+// the failed flush latches into Err.
+func TestTracerCountsUnflushedSpansDropped(t *testing.T) {
+	tr := NewTracer(&failWriter{})
+	for i := 0; i < 10; i++ {
+		tr.Emit("graphz", StageSio, i, 0, time.Unix(0, 0), time.Nanosecond)
+	}
+	if err := tr.Flush(); !errors.Is(err, errSink) {
+		t.Fatalf("Flush() = %v, want errSink", err)
+	}
+	if err := tr.Err(); !errors.Is(err, errSink) {
+		t.Errorf("Err() = %v after a failed Flush, want errSink", err)
+	}
+	err := tr.Close()
+	if !errors.Is(err, errSink) || !strings.Contains(err.Error(), "(10 spans dropped)") {
+		t.Errorf("Close() = %v, want errSink with 10 spans dropped", err)
+	}
+	if tr.Spans() != 0 || tr.Dropped() != 10 {
+		t.Errorf("Spans() = %d, Dropped() = %d; want 0 and 10", tr.Spans(), tr.Dropped())
+	}
+}
+
 func TestTracerCloseErrorWithoutDrops(t *testing.T) {
 	closeErr := errors.New("close failed")
 	tr := NewTracer(&failWriter{okWrites: 1 << 30, closeErr: closeErr})

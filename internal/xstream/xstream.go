@@ -363,7 +363,7 @@ func (e *Engine[V, U]) Run() (Result, error) {
 		}
 		if e.rec.On {
 			io := e.dev.Stats().Sub(devBefore)
-			e.rec.EndIter(obs.IterStats{Iteration: iters,
+			e.rec.Reg.RecordIter(obs.IterStats{Iteration: iters,
 				DeviceReadBytes: io.ReadBytes, DeviceWriteBytes: io.WriteBytes, DeviceSeeks: io.Seeks})
 		}
 		iters++
