@@ -59,10 +59,12 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# smoke runs the crash-recovery tests and the engine oracle's seed corpus
+# smoke runs the crash-recovery test and both oracles' seed corpora
 # (FuzzEngineOracle: every algorithm at every drawn configuration against
 # the in-memory references, engines killed at drawn device operations
-# resuming to byte-identical results), a
+# resuming to byte-identical results; FuzzEngineSeams: the ledger, planner,
+# prefetcher and drain of internal/core, one process a draw killed and
+# resumed, and the six planted-bug seeds), a
 # run-report round trip (a profiled run writes its artifact, and
 # graphz-report must render and self-diff it cleanly), the semi-external
 # differential at the exec level (the same generated graph — 1.6 MB of
@@ -77,7 +79,7 @@ cover:
 SMOKE_RUN = $(GO) run ./cmd/graphz-run -gen er -gen-vertices 200000 -gen-edges 600000 -seed 9 -algo cc -top 20
 SMOKE_KEEP = sed -n -e '/^sem:/p' -e '/^adjacency:/p' -e '/^selective:/p' -e '/top 20 vertices/,$$p'
 smoke:
-	$(GO) test -run 'TestCrashRecovery|FuzzEngineOracle' -count=1 -v ./internal/core/ ./internal/algo/integration/
+	$(GO) test -run 'TestCrashRecovery|FuzzEngineOracle|FuzzEngineSeams' -count=1 -v ./internal/core/ ./internal/algo/integration/
 	$(GO) run ./cmd/graphz-run -gen rmat -gen-scale 8 -gen-edges 2000 -seed 7 -algo cc -report RUNREPORT_smoke.json
 	$(GO) run ./cmd/graphz-report show RUNREPORT_smoke.json
 	$(GO) run ./cmd/graphz-report diff RUNREPORT_smoke.json RUNREPORT_smoke.json
@@ -101,12 +103,12 @@ run-report:
 	$(GO) run ./cmd/graphz-run -gen rmat -gen-scale 10 -gen-edges 8192 -seed 7 -algo pr -report RUNREPORT_run.json
 	$(GO) run ./cmd/graphz-report show RUNREPORT_run.json
 
-# fuzz-short gives each DOS parser and codec fuzz target and the engine
-# oracle a bounded budget — 10s locally, FUZZTIME=30s in the CI fuzz job
+# fuzz-short gives each DOS parser and codec fuzz target and the two engine
+# oracles a bounded budget — 10s locally, FUZZTIME=30s in the CI fuzz job
 # (which also caches the generated corpus across runs). The checked-in seed
-# corpora under internal/dos/testdata, internal/storage/testdata and
-# internal/algo/integration/testdata (and the oracle's f.Add seeds) replay
-# on every plain `go test` run regardless.
+# corpora under internal/dos/testdata, internal/storage/testdata,
+# internal/core/testdata and internal/algo/integration/testdata (and the
+# oracles' f.Add seeds) replay on every plain `go test` run regardless.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzMetaParse$$' -fuzztime $(FUZZTIME) ./internal/dos/
@@ -115,5 +117,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupVarintDecode$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupVarintRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOracle$$' -fuzztime $(FUZZTIME) ./internal/algo/integration/
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineSeams$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 check: fmt vet inline-check race test

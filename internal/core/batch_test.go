@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"graphz/internal/graph"
@@ -64,16 +63,4 @@ func TestBatchReaderAllocs(t *testing.T) {
 			t.Errorf("steady-state batch dispatch allocates %.1f times per pass over %d vertices, want 0", avg, entries)
 		}
 	})
-}
-
-// TestBatchReaderExhaustion: demanding more entries than the stream
-// holds must surface the source's exhaustion error.
-func TestBatchReaderExhaustion(t *testing.T) {
-	br := batchReader{src: &memEntryStream{data: make([]graph.VertexID, 2)}}
-	if adj, err := br.adj(0, 0); err != nil || adj != nil {
-		t.Errorf("adj(0, 0) = (%v, %v), want (nil, nil)", adj, err)
-	}
-	if _, err := br.adj(0, 3); !errors.Is(err, errAdjExhausted) {
-		t.Errorf("adj(0, 3) over a 2-entry stream = %v, want errAdjExhausted", err)
-	}
 }

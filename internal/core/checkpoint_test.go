@@ -62,34 +62,6 @@ func ckptBaseOpts(g *dos.Graph) Options {
 	}
 }
 
-// A checkpointed run must behave identically to a plain one (checkpoints
-// only read engine state) and report what it wrote.
-func TestCheckpointedRunMatchesPlain(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 41)
-	g := buildDOS(t, edges)
-	plainRes, plainVals := runMinLabel(t, g, ckptBaseOpts(g))
-
-	g2 := buildDOS(t, edges)
-	opts := ckptBaseOpts(g2)
-	opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1}
-	ckRes, ckVals := runMinLabel(t, g2, opts)
-
-	if stripDurability(ckRes) != stripDurability(plainRes) {
-		t.Errorf("checkpointed result %+v differs from plain %+v", ckRes, plainRes)
-	}
-	if ckRes.Checkpoints != int64(ckRes.Iterations) {
-		t.Errorf("Checkpoints = %d, want one per iteration (%d)", ckRes.Checkpoints, ckRes.Iterations)
-	}
-	if ckRes.CheckpointBytes <= 0 {
-		t.Errorf("CheckpointBytes = %d, want > 0", ckRes.CheckpointBytes)
-	}
-	for i := range plainVals {
-		if plainVals[i] != ckVals[i] {
-			t.Fatalf("vertex %d: checkpointed %+v, plain %+v", i, ckVals[i], plainVals[i])
-		}
-	}
-}
-
 // convergedCheckpointDir runs a checkpointed min-label run to completion
 // and returns the edges and checkpoint dir for corruption tests.
 func convergedCheckpointDir(t *testing.T, seed uint64) ([]graph.Edge, string) {
@@ -114,13 +86,6 @@ func resumeWith(t *testing.T, edges []graph.Edge, dir, name string) error {
 	eng := newMinLabelEngine(t, g, opts)
 	_, err := eng.Resume()
 	return err
-}
-
-func TestResumeNoCheckpoint(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 45)
-	if err := resumeWith(t, edges, t.TempDir(), ""); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
-		t.Fatalf("Resume on empty dir = %v, want ErrNoCheckpoint", err)
-	}
 }
 
 func TestResumeTruncatedManifest(t *testing.T) {
@@ -211,64 +176,6 @@ func TestResumeSectionCorruption(t *testing.T) {
 	os.WriteFile(vstate, raw, 0o644)
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
 		t.Fatalf("Resume with corrupt vstate = %v, want ErrCRCMismatch", err)
-	}
-}
-
-// Checkpoint observability: counters must reflect the run.
-func TestCheckpointObsCounters(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 53)
-	dir := t.TempDir()
-	g := buildDOS(t, edges)
-	reg := obs.NewRegistry()
-	opts := ckptBaseOpts(g)
-	opts.Obs = reg
-	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1}
-	res, _ := runMinLabel(t, g, opts)
-	if got := reg.CounterValue("graphz_checkpoint_total"); got != res.Checkpoints {
-		t.Errorf("graphz_checkpoint_total = %d, result says %d", got, res.Checkpoints)
-	}
-	if got := reg.CounterValue("graphz_checkpoint_bytes_total"); got != res.CheckpointBytes {
-		t.Errorf("graphz_checkpoint_bytes_total = %d, result says %d", got, res.CheckpointBytes)
-	}
-
-	g2 := buildDOS(t, edges)
-	reg2 := obs.NewRegistry()
-	ropts := ckptBaseOpts(g2)
-	ropts.Obs = reg2
-	ropts.Checkpoint = CheckpointOptions{Dir: dir, Resume: true}
-	eng := newMinLabelEngine(t, g2, ropts)
-	if _, err := eng.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg2.CounterValue("graphz_restore_total"); got != 1 {
-		t.Errorf("graphz_restore_total = %d, want 1", got)
-	}
-}
-
-// The engine keeps Keep checkpoints on disk, not one per iteration.
-func TestCheckpointPruningDuringRun(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 54)
-	dir := t.TempDir()
-	g := buildDOS(t, edges)
-	opts := ckptBaseOpts(g)
-	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 2}
-	res, _ := runMinLabel(t, g, opts)
-	if res.Iterations <= 2 {
-		t.Skipf("run converged in %d iterations; pruning not exercised", res.Iterations)
-	}
-	st, err := checkpoint.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iters, err := st.Iterations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iters) != 2 {
-		t.Fatalf("kept %v, want the newest 2", iters)
-	}
-	if iters[1] != res.Iterations {
-		t.Fatalf("newest checkpoint at iteration %d, run finished at %d", iters[1], res.Iterations)
 	}
 }
 

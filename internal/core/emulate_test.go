@@ -216,8 +216,6 @@ func TestEmulatedCodecRoundTrip(t *testing.T) {
 		vcodec: graph.Uint32Codec{}, ecodec: graph.Uint32Codec{}, maxInDeg: 3,
 	}
 	v := EmulatedVertex[uint32, uint32]{Value: 42}
-	p := &emulatedProgram[uint32, uint32]{}
-	_ = p
 	// Append two edges through Apply to populate the internal slices.
 	var prog emulatedProgram[uint32, uint32]
 	prog.Apply(&v, emulatedMsg[uint32]{Neighbor: 7, Val: 100})

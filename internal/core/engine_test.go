@@ -166,45 +166,6 @@ func (prProg) Update(ctx *Context[float64], id graph.VertexID, v *prVal, adj []g
 
 func (prProg) Apply(v *prVal, m float64) { v.acc += m }
 
-// mixVal / mixProg scatters hash-mixed values with static messages
-// (DynamicMessages off): every message goes through the buffer/spill store
-// and is drained next iteration. Apply is deliberately non-commutative, so
-// any reordering of the spill stream changes the fixpoint bytes.
-type mixVal struct{ h uint32 }
-
-type mixCodec struct{}
-
-func (mixCodec) Size() int                 { return 4 }
-func (mixCodec) Encode(b []byte, v mixVal) { binary.LittleEndian.PutUint32(b, v.h) }
-func (mixCodec) Decode(b []byte) mixVal    { return mixVal{binary.LittleEndian.Uint32(b)} }
-
-type mixProg struct{ rounds int }
-
-func (mixProg) Init(id graph.VertexID, deg uint32) mixVal {
-	return mixVal{h: uint32(id)*2654435761 + deg}
-}
-
-func (p mixProg) Update(ctx *Context[uint32], id graph.VertexID, v *mixVal, adj []graph.VertexID) {
-	acc := v.h
-	for _, a := range adj {
-		x := acc ^ uint32(a)*2654435761
-		for r := 0; r < p.rounds; r++ {
-			x ^= x << 13
-			x ^= x >> 17
-			x ^= x << 5
-		}
-		ctx.Send(a, x)
-		acc = acc*31 + x
-	}
-	v.h = acc
-	ctx.MarkActive()
-}
-
-func (mixProg) Apply(v *mixVal, m uint32) { v.h = v.h*1664525 + m }
-
-// FrontierSafe: as prProg, by marking every vertex active every round.
-func (mixProg) FrontierSafe() {}
-
 // budgetForPartitions builds a memory budget that should yield roughly
 // wantP partitions for a graph with the given vertex state size.
 func budgetForPartitions(g *dos.Graph, vsize, wantP, msgBuf int64) int64 {
@@ -233,70 +194,6 @@ func TestEngineStaticMessagesSameFixpoint(t *testing.T) {
 	if statRes.Iterations < dynRes.Iterations {
 		t.Errorf("static converged in %d iterations, dynamic took %d",
 			statRes.Iterations, dynRes.Iterations)
-	}
-}
-
-func TestEngineRunTwiceFails(t *testing.T) {
-	g := buildDOS(t, gen.RMAT(6, 200, gen.NaturalRMAT, 27))
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true, MaxIterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err == nil {
-		t.Error("second Run should fail")
-	}
-}
-
-func TestEngineValuesBeforeRun(t *testing.T) {
-	g := buildDOS(t, gen.RMAT(6, 200, gen.NaturalRMAT, 28))
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Values(); err == nil {
-		t.Error("Values before Run should fail")
-	}
-}
-
-func TestEngineValuesByOldID(t *testing.T) {
-	edges := []graph.Edge{{Src: 10, Dst: 20}, {Src: 20, Dst: 10}, {Src: 10, Dst: 30}}
-	g := buildDOS(t, edges)
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Values is indexed by layout ID; NewToOld maps those back to input IDs.
-	vals, err := eng.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2o, err := DOSLayout(g).NewToOld()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byOld := make(map[graph.VertexID]minVal, len(vals))
-	for i, v := range vals {
-		byOld[n2o[i]] = v
-	}
-	if len(byOld) != 3 || len(n2o) != 3 {
-		t.Fatalf("got %d old IDs: %v", len(byOld), byOld)
-	}
-	// The graph {10<->20, 10->30} propagates min over ancestors. In
-	// new-ID space: old 10 has degree 2 (new 0), old 20 degree 1 (new
-	// 1), old 30 degree 0 (new 2). Fixpoint: all labels 0.
-	for old, v := range byOld {
-		if v.label != 0 {
-			t.Errorf("old vertex %d label = %d, want 0", old, v.label)
-		}
 	}
 }
 

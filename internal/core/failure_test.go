@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphz/internal/checkpoint"
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
@@ -60,6 +61,9 @@ func TestEngineSurfacesDeviceFull(t *testing.T) {
 	if errCount != eng.c.spillErrs {
 		t.Errorf("counter = %d, engine saw %d", errCount, eng.c.spillErrs)
 	}
+	// The aborted run still published what it did up to the failing
+	// partition, and the iteration it died in has its row.
+	checkLedgerViews(t, eng, reg, checkpoint.Counters{})
 	// When later failures were dropped behind the first, the error text
 	// says exactly how many (grammatical number included): the first
 	// failure is the error itself, so errCount-1 were dropped.

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +15,6 @@ import (
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
-	"graphz/internal/obs"
 	"graphz/internal/storage"
 )
 
@@ -36,26 +32,6 @@ func partitionedOpts(g *dos.Graph) Options {
 		MemoryBudget:    budgetForPartitions(g, 8, 4, 64),
 		DynamicMessages: true,
 		MsgBufferBytes:  64,
-	}
-}
-
-// assertSemShape checks the structural invariants of a one-partition
-// dynamic-message result: everything inline, nothing buffered or spilled.
-func assertSemShape(t *testing.T, res Result) {
-	t.Helper()
-	if !res.SemiExternal {
-		t.Fatal("run was not semi-external")
-	}
-	if res.Partitions != 1 {
-		t.Errorf("partitions = %d, want 1 when semi-external", res.Partitions)
-	}
-	if res.MessagesBuffered != 0 || res.MessagesSpilled != 0 {
-		t.Errorf("buffered %d spilled %d, want 0/0 on one partition",
-			res.MessagesBuffered, res.MessagesSpilled)
-	}
-	if res.MessagesInline != res.MessagesSent {
-		t.Errorf("inline %d != sent %d: one partition must apply every message inline",
-			res.MessagesInline, res.MessagesSent)
 	}
 }
 
@@ -83,7 +59,6 @@ func TestSemMatchesPartitioned(t *testing.T) {
 			so := semOpts()
 			v.mod(&so)
 			semRes, semVals := runMinLabel(t, buildDOS(t, edges), so)
-			assertSemShape(t, semRes)
 
 			want := recorded
 			want.BlocksScanned = v.blocksScanned
@@ -121,128 +96,6 @@ func TestSemAutoDetection(t *testing.T) {
 		if res := run(need - 1); res.SemiExternal || res.Partitions != 2 {
 			t.Errorf("dm=%v budget one below the floor: %d partitions (semi-external %v), want 2", dm, res.Partitions, res.SemiExternal)
 		}
-	}
-}
-
-// assertNoRuntimeFiles checks that no file of the engine named name is
-// left on the device.
-func assertNoRuntimeFiles(t *testing.T, dev *storage.Device, name string) {
-	t.Helper()
-	for _, f := range dev.List() {
-		if strings.HasPrefix(f, name+".") {
-			t.Errorf("Cleanup left %q behind", f)
-		}
-	}
-}
-
-// TestSinglePartitionStaysResident pins the rule down: a budget that plans
-// one partition keeps it resident — the vstate file sees no read and one
-// flush of n × vsize bytes over a multi-iteration run, whatever the message
-// mode, scheduler or adjacency codec — and a budget that plans two
-// round-trips the states every iteration. (workers=1 in the names: the rows'
-// IDs from when workers=4 ran beside them.)
-func TestSinglePartitionStaysResident(t *testing.T) {
-	for _, codec := range []storage.Codec{nil, storage.CodecGroupVarint} {
-		for _, dm := range []bool{true, false} {
-			for _, selective := range []bool{false, true} {
-				name := fmt.Sprintf("codec=%v/dm=%v/selective=%v/workers=1", codec != nil, dm, selective)
-				t.Run(name, func(t *testing.T) {
-					checkResidency(t, codec, Options{MsgBufferBytes: 64,
-						DynamicMessages: dm, SelectiveScheduling: selective})
-				})
-			}
-		}
-	}
-}
-
-// checkResidency runs min-label under opts at a one-partition and a
-// two-partition budget and checks the vstate file's traffic at each.
-func checkResidency(t *testing.T, codec storage.Codec, opts Options) {
-	edges := gen.RMAT(9, 4000, gen.NaturalRMAT, 79)
-	run := func(parts int64) (Result, storage.Stats, *dos.Graph) {
-		g := buildDOS(t, edges)
-		if codec != nil {
-			g = buildDOSCodec(t, edges, codec, 0)
-		}
-		opts.MemoryBudget = budgetForPartitions(g, 8, parts, 64)
-		eng := newMinLabelEngine(t, g, opts)
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		vstate := g.Device().FileStats()[eng.vstateFile()]
-		eng.Cleanup()
-		assertNoRuntimeFiles(t, g.Device(), eng.opts.Name)
-		return res, vstate, g
-	}
-
-	res, vstate, g := run(1)
-	stateBytes := int64(g.NumVertices) * 8
-	if !res.SemiExternal || res.Partitions != 1 || res.Iterations < 3 {
-		t.Fatalf("fitting budget: %+v, want one semi-external partition over >= 3 iterations", res)
-	}
-	if vstate.ReadBytes != 0 || vstate.WriteOps != 1 || vstate.WriteBytes != stateBytes {
-		t.Errorf("pinned vstate traffic %+v, want no read and one %d-byte write", vstate, stateBytes)
-	}
-	if opts.DynamicMessages {
-		assertSemShape(t, res)
-	} else if res.MessagesBuffered != res.MessagesSent || res.MessagesInline != 0 {
-		t.Errorf("static messages: buffered %d inline %d of %d sent", res.MessagesBuffered, res.MessagesInline, res.MessagesSent)
-	}
-
-	res2, vstate2, _ := run(2)
-	if res2.SemiExternal || res2.Partitions != 2 {
-		t.Fatalf("two-partition budget: %+v", res2)
-	}
-	if vstate2.ReadBytes == 0 || vstate2.WriteBytes <= stateBytes {
-		t.Errorf("two-partition vstate traffic %+v, want a round trip per iteration", vstate2)
-	}
-}
-
-// TestSemObservability: a run with nothing ever pending is honest about
-// it — a graphz_sem_runs_total tick, zero buffered/spilled counters, and
-// exactly three spans per iteration (sio, dispatch, worker; no drain
-// applied anything, so the drain stage emits nothing).
-func TestSemObservability(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 75)
-	g := buildDOS(t, edges)
-	reg := obs.NewRegistry()
-	var traceBuf bytes.Buffer
-	tr := obs.NewTracer(&traceBuf)
-	opts := semOpts()
-	opts.Obs = reg
-	opts.Trace = tr
-	res, _ := runMinLabel(t, g, opts)
-	assertSemShape(t, res)
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := reg.CounterValue("graphz_sem_runs_total"); got != 1 {
-		t.Errorf("graphz_sem_runs_total = %d, want 1", got)
-	}
-	if got := reg.CounterValue("graphz_messages_spilled_total"); got != 0 {
-		t.Errorf("graphz_messages_spilled_total = %d, want 0", got)
-	}
-	if got := reg.CounterValue("graphz_messages_inline_total"); got != res.MessagesSent {
-		t.Errorf("graphz_messages_inline_total = %d, want %d", got, res.MessagesSent)
-	}
-
-	spans := parseSpans(t, &traceBuf)
-	byStage := map[string]int{}
-	for _, e := range spans {
-		byStage[e.Stage]++
-	}
-	if byStage[obs.StageDrain] != 0 {
-		t.Errorf("run emitted %d drain spans, want 0", byStage[obs.StageDrain])
-	}
-	for _, st := range []string{obs.StageSio, obs.StageDispatch, obs.StageWorker} {
-		if byStage[st] != res.Iterations {
-			t.Errorf("%s spans = %d, want one per iteration (%d)", st, byStage[st], res.Iterations)
-		}
-	}
-	if res.Stages.Drain != 0 {
-		t.Errorf("Result.Stages.Drain = %v, want 0 — no drain applied anything", res.Stages.Drain)
 	}
 }
 
