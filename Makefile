@@ -71,7 +71,9 @@ cover:
 # vertex states, 2.4 MB of adjacency entries — run under a budget that fits
 # both and one that fits neither must report semi-external with a resident
 # adjacency and partitioned with a streamed one respectively, both
-# scheduled selectively (CC is frontier-safe), and print byte-identical
+# scheduled selectively (CC is frontier-safe) — the tight run skipping
+# blocks, the one end-to-end run of a sparse schedule over a streamed
+# adjacency — and print byte-identical
 # results, CC being partition-independent, and the fitting run's report
 # must render), and the graphz-serve end-to-end session:
 # boot on a free port, submit BFS and PageRank jobs, poll to completion,
@@ -90,7 +92,7 @@ smoke:
 	grep '^adjacency: resident' SMOKE_fit.txt
 	grep '^adjacency: streamed' SMOKE_tight.txt
 	grep '^selective: ' SMOKE_fit.txt
-	grep '^selective: ' SMOKE_tight.txt
+	grep -E '^selective: [0-9]+ blocks scanned, [1-9][0-9]* skipped' SMOKE_tight.txt
 	diff -I '^sem:' -I '^adjacency:' -I '^selective:' SMOKE_fit.txt SMOKE_tight.txt && rm -f SMOKE_fit.txt SMOKE_tight.txt
 	$(GO) run ./cmd/graphz-report show RUNREPORT_sem.json
 	$(GO) test -run 'TestServe' -count=1 -v ./cmd/graphz-serve/

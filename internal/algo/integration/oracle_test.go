@@ -15,6 +15,7 @@ import (
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
+	"graphz/internal/lattice"
 	"graphz/internal/obs"
 	"graphz/internal/storage"
 )
@@ -40,46 +41,32 @@ func FuzzEngineOracle(f *testing.F) {
 	})
 }
 
-// The axes of a draw, each a list of values.
-var axes = []struct {
-	name   string
-	values []string
-}{
-	{"graph", []string{"rmat", "zipf", "er", "grid", "chain", "star", "empty", "selfloop", "rmat+loops+dups", "frontier"}},
-	{"format", []string{"v1", "raw", "groupvarint"}},
-	{"block", []string{"default", "64", "512"}},
-	{"algo", []string{"PR", "BFS", "CC", "SSSP", "BP", "RW"}},
-	{"parts", []string{"1", "2", "3", "4", "5"}},
-	{"buf", []string{"default", "64", "256"}},
-	{"messages", []string{"dynamic", "static"}},
-	{"selective", []string{"unasked", "asked"}},
-	{"adjacency", []string{"tight", "room", "pinned", "shared", "pinned+shared"}},
-	{"checkpoint", []string{"off", "1", "2"}},
-	{"fault", []string{"crash", "fail", "full"}},
-}
-
-func axis(name string) int {
-	for i := range axes {
-		if axes[i].name == name {
-			return i
-		}
-	}
-	panic("no axis " + name)
-}
-
-// rules are the pairs of axis values no draw combines: more than one
-// partition of a graph of at most one vertex, or around the default 64 KiB
-// message buffers (a budget paying for P of those on graphs this small plans
-// fewer); a block size for the unblocked v1 format; a crash without
-// checkpoints to resume from, and a transient fault or a full device with.
-var rules = []struct {
-	a, b string
-	ok   func(va, vb string) bool
-}{
-	{"graph", "parts", func(g, p string) bool { return p == "1" || (g != "empty" && g != "selfloop") }},
-	{"buf", "parts", func(b, p string) bool { return p == "1" || b != "default" }},
-	{"format", "block", func(f, b string) bool { return f != "v1" || b == "default" }},
-	{"checkpoint", "fault", func(c, f string) bool { return (c == "off") != (f == "crash") }},
+// The axes of a draw, each a list of values, and the rules: the pairs of
+// axis values no draw combines — more than one partition of a graph of at
+// most one vertex, or around the default 64 KiB message buffers (a budget
+// paying for P of those on graphs this small plans fewer); a block size for
+// the unblocked v1 format; a crash without checkpoints to resume from, and a
+// transient fault or a full device with.
+var oracle = &lattice.Lattice{
+	Axes: []lattice.Axis{
+		{Name: "graph", Values: []string{"rmat", "zipf", "er", "grid", "chain", "star", "empty", "selfloop", "rmat+loops+dups", "frontier"}},
+		{Name: "format", Values: []string{"v1", "raw", "groupvarint"}},
+		{Name: "block", Values: []string{"default", "64", "512"}},
+		{Name: "algo", Values: []string{"PR", "BFS", "CC", "SSSP", "BP", "RW"}},
+		{Name: "parts", Values: []string{"1", "2", "3", "4", "5"}},
+		{Name: "buf", Values: []string{"default", "64", "256"}},
+		{Name: "messages", Values: []string{"dynamic", "static"}},
+		{Name: "selective", Values: []string{"unasked", "asked"}},
+		{Name: "adjacency", Values: []string{"tight", "room", "pinned", "shared", "pinned+shared"}},
+		{Name: "checkpoint", Values: []string{"off", "1", "2"}},
+		{Name: "fault", Values: []string{"crash", "fail", "full"}},
+	},
+	Rules: []lattice.Rule{
+		{A: "graph", B: "parts", OK: func(g, p string) bool { return p == "1" || (g != "empty" && g != "selfloop") }},
+		{A: "buf", B: "parts", OK: func(b, p string) bool { return p == "1" || b != "default" }},
+		{A: "format", B: "block", OK: func(f, b string) bool { return f != "v1" || b == "default" }},
+		{A: "checkpoint", B: "fault", OK: func(c, f string) bool { return (c == "off") != (f == "crash") }},
+	},
 }
 
 // TestOracleCorpusCoverage decodes the seed corpus without running it: every
@@ -87,71 +74,29 @@ var rules = []struct {
 // fails here until seeds reach it; and some draw crashes a sparse plan, so a
 // resume is shown to restore a bitmap that skips blocks.
 func TestOracleCorpusCoverage(t *testing.T) {
-	seen, sparseCrash := map[[4]int]bool{}, false
+	var points []lattice.Point
+	sparseCrash := false
 	for _, seed := range oracleSeeds {
 		d := decode(seed)
-		sparseCrash = sparseCrash || d.sparse() && d.val("fault") == "crash"
-		at := d.at
-		for i := range at {
-			for j := i + 1; j < len(at); j++ {
-				seen[[4]int{i, at[i], j, at[j]}] = true
-			}
-		}
+		sparseCrash = sparseCrash || d.sparse() && d.Val("fault") == "crash"
+		points = append(points, d.Point)
 	}
-	for i := range axes {
-		for j := i + 1; j < len(axes); j++ {
-			for vi, a := range axes[i].values {
-				for vj, b := range axes[j].values {
-					legal := true
-					for _, r := range rules {
-						if ra, rb := axis(r.a), axis(r.b); ra == i && rb == j || ra == j && rb == i {
-							legal = legal && (ra == i && r.ok(a, b) || ra == j && r.ok(b, a))
-						}
-					}
-					if legal && !seen[[4]int{i, vi, j, vj}] {
-						t.Errorf("no seed draws %s=%s with %s=%s", axes[i].name, a, axes[j].name, b)
-					}
-				}
-			}
-		}
+	for _, pair := range oracle.Uncovered(points) {
+		t.Errorf("no seed draws %s", pair)
 	}
 	if !sparseCrash {
 		t.Error("no seed crashes a sparse draw")
 	}
 }
 
-// A draw is one lattice point; pick drives its fault: the operation struck,
+// A draw is one lattice point; Pick drives its fault: the operation struck,
 // the slack a full device leaves, the torn write's prefix.
 type draw struct {
 	seed uint64
-	at   [11]int // a value per axis
-	pick uint64
+	lattice.Point
 }
 
-// decode draws every axis from the seed, then moves each value a rule
-// forbids on to the next one it allows.
-func decode(seed uint64) draw {
-	d, s := draw{seed: seed}, seed
-	for i := range d.at {
-		d.at[i] = int(splitmix(&s) % uint64(len(axes[i].values)))
-	}
-	d.pick = splitmix(&s)
-	for _, r := range rules {
-		for b := axis(r.b); !r.ok(d.val(r.a), d.val(r.b)); {
-			d.at[b] = (d.at[b] + 1) % len(axes[b].values)
-		}
-	}
-	return d
-}
-
-func splitmix(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := (*s ^ *s>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-func (d draw) val(name string) string { return axes[axis(name)].values[d.at[axis(name)]] }
+func decode(seed uint64) draw { return draw{seed, oracle.Decode(seed)} }
 
 // sparse reports whether the draw's selective plan must skip blocks: under
 // static messages BFS, CC and SSSP on the paths advance at most a vertex a
@@ -159,16 +104,8 @@ func (d draw) val(name string) string { return axes[axis(name)].values[d.at[axis
 // without an active vertex. (Dynamic messages cross a path pointing up the
 // IDs in one iteration.)
 func (d draw) sparse() bool {
-	return d.val("graph") == "chain" && d.val("block") == "64" && d.val("messages") == "static" &&
-		d.val("selective") == "asked" && bench.Algo(d.val("algo")).FrontierSafe()
-}
-
-func (d draw) String() string {
-	var b strings.Builder
-	for i, a := range axes {
-		fmt.Fprintf(&b, "%s=%s ", a.name, a.values[d.at[i]])
-	}
-	return b.String() + fmt.Sprintf("pick=%#x", d.pick)
+	return d.Val("graph") == "chain" && d.Val("block") == "64" && d.Val("messages") == "static" &&
+		d.Val("selective") == "asked" && bench.Algo(d.Val("algo")).FrontierSafe()
 }
 
 // edges generates the draw's graph, at most ~4 K edges. Every shape but the
@@ -176,7 +113,7 @@ func (d draw) String() string {
 // for P ≤ 5 partitions around 256-byte buffers plan exactly P.
 func (d draw) edges() []graph.Edge {
 	var es []graph.Edge
-	switch d.val("graph") {
+	switch d.Val("graph") {
 	case "rmat":
 		return gen.RMAT(11, 4000, gen.NaturalRMAT, d.seed)
 	case "zipf":
@@ -241,10 +178,10 @@ func must(t *testing.T, err error) {
 }
 
 func (d draw) run(t *testing.T) {
-	x := trial{draw: d, algo: bench.Algo(d.val("algo")), staging: storage.NewDevice(storage.NullDevice, storage.Options{})}
-	codec, _ := storage.CodecByName(d.val("format"))
+	x := trial{draw: d, algo: bench.Algo(d.Val("algo")), staging: storage.NewDevice(storage.NullDevice, storage.Options{})}
+	codec, _ := storage.CodecByName(d.Val("format"))
 	var block int64
-	fmt.Sscan(d.val("block"), &block)
+	fmt.Sscan(d.Val("block"), &block)
 	must(t, graph.WriteEdges(x.staging, "raw", d.edges()))
 	g, err := dos.Convert(dos.ConvertConfig{Dev: x.staging, Codec: codec, BlockEntries: block, RemoveInput: true}, "raw", "g")
 	must(t, err)
@@ -262,17 +199,17 @@ func (d draw) run(t *testing.T) {
 	// The smallest budget that plans the drawn partitions around the drawn
 	// buffers (TestResidencyBoundary's sum; plan wants a byte for the states
 	// even of an empty graph), plus four bytes an edge when it has room.
-	buf := map[string]int{"default": 64 << 10, "64": 64, "256": 256}[d.val("buf")]
+	buf := map[string]int{"default": 64 << 10, "64": 64, "256": 256}[d.Val("buf")]
 	vsize := map[bench.Algo]int64{bench.PR: 8, bench.BFS: 8, bench.CC: 8, bench.SSSP: 8, bench.BP: 16, bench.RW: 12}[x.algo]
-	n, adj := int64(x.adj.N), d.val("adjacency")
-	x.parts = int64(d.at[axis("parts")] + 1)
+	n, adj := int64(x.adj.N), d.Val("adjacency")
+	x.parts = int64(d.Pos("parts") + 1)
 	x.opts = core.Options{
 		MemoryBudget: 6*storage.DefaultBlockSize + g.IndexBytes() + g.BlockTableBytes() +
 			x.parts*int64(buf) + max((n+x.parts-1)/x.parts*vsize, 1),
-		DynamicMessages:     d.val("messages") == "dynamic",
+		DynamicMessages:     d.Val("messages") == "dynamic",
 		MsgBufferBytes:      buf,
 		MaxIterations:       maxIters,
-		SelectiveScheduling: d.val("selective") == "asked",
+		SelectiveScheduling: d.Val("selective") == "asked",
 		StreamAdjacency:     strings.HasPrefix(adj, "pinned"),
 	}
 	if adj == "room" || adj == "pinned" {
@@ -292,7 +229,7 @@ func (d draw) run(t *testing.T) {
 	// every removal, which a run survives (they are counted, not returned),
 	// so that the crash strikes before the removals that close the run;
 	// otherwise it injects nothing, and the run removes what it wrote.
-	crash := d.val("fault") == "crash"
+	crash := d.Val("fault") == "crash"
 	ref := x.device(t, 0)
 	ref.Arm(storage.FaultPlan{FailRemoves: crash})
 	res, want, err := x.exec(t, ref.Device, x.opts, obs.NewRegistry())
@@ -315,20 +252,20 @@ func (d draw) run(t *testing.T) {
 	}
 
 	// The same run under the drawn fault.
-	plan, capacity := storage.FaultPlan{Seed: d.pick}, int64(0)
-	switch op := 1 + int64(d.pick%uint64(max(ref.Ops()-ref.Stats().RemoveErrors, 1))); d.val("fault") {
+	plan, capacity := storage.FaultPlan{Seed: d.Pick}, int64(0)
+	switch op := 1 + int64(d.Pick%uint64(max(ref.Ops()-ref.Stats().RemoveErrors, 1))); d.Val("fault") {
 	case "crash":
 		plan.CrashAtOp, plan.TornWrites = op, true
 	case "fail":
 		plan.FailAtOps = []int64{op}
 	case "full":
-		capacity = x.staging.Used() + int64(d.pick%uint64(2*n*vsize+1))
+		capacity = x.staging.Used() + int64(d.Pick%uint64(2*n*vsize+1))
 	}
 	fd := x.device(t, capacity)
 	fd.Arm(plan)
 	opts := x.opts
-	if d.val("checkpoint") != "off" {
-		opts.Checkpoint = core.CheckpointOptions{Dir: t.TempDir(), Every: d.at[axis("checkpoint")]}
+	if d.Val("checkpoint") != "off" {
+		opts.Checkpoint = core.CheckpointOptions{Dir: t.TempDir(), Every: d.Pos("checkpoint")}
 	}
 	got, vals, err := x.exec(t, fd.Device, opts, obs.NewRegistry())
 	if crash && err == nil {
@@ -381,7 +318,7 @@ func (x *trial) exec(t *testing.T, dev *storage.Device, opts core.Options, reg *
 	if err != nil {
 		return core.Result{}, nil, err
 	}
-	if strings.HasSuffix(x.val("adjacency"), "shared") {
+	if strings.HasSuffix(x.Val("adjacency"), "shared") {
 		opts.SharedAdjacency = core.NewSharedGraph(g).Adjacency()
 	}
 	opts.Obs = reg
@@ -414,12 +351,12 @@ func (x *trial) checkRun(t *testing.T, res core.Result, reg *obs.Registry, opts 
 		res.Iterations < limit && (res.MessagesApplied != res.MessagesSent || !x.algo.FrontierSafe() && edge) {
 		t.Errorf("stopped after %d of %d iterations with %d of %d messages applied", res.Iterations, limit, res.MessagesApplied, res.MessagesSent)
 	}
-	exact := x.val("adjacency") != "room" && x.val("adjacency") != "pinned"
+	exact := x.Val("adjacency") != "room" && x.Val("adjacency") != "pinned"
 	if p := int64(res.Partitions); p > x.parts || exact && p != x.parts || res.SemiExternal != (p == 1) ||
 		res.SemiExternal && opts.DynamicMessages && res.MessagesBuffered+res.MessagesSpilled != 0 {
 		t.Errorf("%d partitions (semi-external %v, %d buffered) of a budget sized for %d", p, res.SemiExternal, res.MessagesBuffered, x.parts)
 	}
-	switch adj := x.val("adjacency"); {
+	switch adj := x.Val("adjacency"); {
 	case strings.HasSuffix(adj, "shared") && !res.ResidentAdjacency, adj == "pinned" && res.ResidentAdjacency,
 		adj == "tight" && edge && res.ResidentAdjacency, adj == "room" && int64(res.Partitions) == x.parts && !res.ResidentAdjacency:
 		t.Errorf("%s adjacency, yet resident = %v", adj, res.ResidentAdjacency)

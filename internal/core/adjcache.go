@@ -34,13 +34,12 @@ func (e *Engine[V, M]) ensureResident(ps *pipeStats) error {
 
 // adjSource returns the adjacency source for the given ascending entry
 // ranges: the resident entries when cached (ensureResident has run; they
-// need no ranges), or one Sio prefetcher — lazy for a sparse schedule's
-// hopping Worker.
-func (e *Engine[V, M]) adjSource(ranges []entryRange, lazy bool, ps *pipeStats) (entrySource, error) {
+// need no ranges), or one Sio prefetcher.
+func (e *Engine[V, M]) adjSource(ranges []entryRange, ps *pipeStats) (entrySource, error) {
 	if e.adjCache != nil {
 		return &e.resident, nil
 	}
-	return openEntryStream(e.dev, e.adj, e.layout.EdgesFile(), ranges, lazy, ps)
+	return openEntryStream(e.dev, e.adj, e.layout.EdgesFile(), ranges, ps)
 }
 
 // AdjacencyCached reports whether the engine serves adjacency from

@@ -14,16 +14,6 @@ import (
 // A checkpoint an older engine wrote resumes to today's uninterrupted run.
 // (Runs killed at drawn points and resumed are the two oracles' to hold.)
 
-// splitmix64 draws the tests' pseudo-random values, seeded so runs
-// reproduce.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 func encodeStates[V any](vc graph.Codec[V], vals []V) []byte {
 	enc := make([]byte, len(vals)*vc.Size())
 	for i, v := range vals {

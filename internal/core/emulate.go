@@ -254,7 +254,7 @@ func InDegrees(l Layout) ([]uint32, error) {
 	if err := l.LoadIndex(); err != nil {
 		return nil, err
 	}
-	stream, err := openEntryStream(l.Device(), l.Adj(), l.EdgesFile(), []entryRange{{start: 0, end: l.NumEdges()}}, false, nil)
+	stream, err := openEntryStream(l.Device(), l.Adj(), l.EdgesFile(), []entryRange{{start: 0, end: l.NumEdges()}}, nil)
 	if err != nil {
 		return nil, err
 	}

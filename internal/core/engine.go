@@ -982,7 +982,7 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 		}
 		e.rangeBuf = ranges
 	}
-	src, err := e.adjSource(ranges, sparse, ps)
+	src, err := e.adjSource(ranges, ps)
 	if err != nil {
 		return false, err
 	}

@@ -70,8 +70,9 @@ func BenchmarkEngineObserved(b *testing.B) {
 }
 
 // BenchmarkEngineSelective runs min-label to convergence with selective
-// block scheduling off and on: the sparse tail iterations are where the
-// bitmap's bookkeeping must pay for itself in skipped block reads.
+// block scheduling off and on. selective=true streams a sparse schedule,
+// which no BENCHMARK.json workload does (grid-frontier-bfs is resident);
+// CI gates only its allocations.
 func BenchmarkEngineSelective(b *testing.B) {
 	g := benchGraph(b)
 	for _, sel := range []bool{false, true} {

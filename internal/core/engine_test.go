@@ -7,6 +7,7 @@ import (
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
+	"graphz/internal/lattice"
 	"graphz/internal/storage"
 )
 
@@ -232,11 +233,11 @@ func TestPartitionOfMatchesDivision(t *testing.T) {
 	}
 	rng := uint64(77)
 	for trial := 0; trial < 60; trial++ {
-		n := int64(1 + splitmix64(&rng)%(1<<32-1))
+		n := int64(1 + lattice.SplitMix(&rng)%(1<<32-1))
 		if trial%3 == 0 {
-			n = 1<<32 - 1 - int64(splitmix64(&rng)%1000) // the top of the ID space
+			n = 1<<32 - 1 - int64(lattice.SplitMix(&rng)%1000) // the top of the ID space
 		}
-		p := min(int64(1+splitmix64(&rng)%maxPartitions), n)
+		p := min(int64(1+lattice.SplitMix(&rng)%maxPartitions), n)
 		if trial%5 == 0 {
 			p = min(maxPartitions, n)
 		}

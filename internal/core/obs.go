@@ -138,11 +138,10 @@ func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.S
 }
 
 // pipeStats accumulates one partition's Sio/Dispatcher pipeline activity.
-// The producer (the prefetch goroutine) writes readNS, and the
-// Dispatcher's fields are written by whichever side dispatches — the
-// producer on a bulk stream, the consumer on a lazy one — so all of them
-// are atomic. cacheHit stays plain — it is written and read only on the
-// engine goroutine.
+// The producer (the prefetch goroutine) writes the atomic fields — it
+// reads, decodes and dispatches — and the engine goroutine reads them.
+// cacheHit stays plain — it is written and read only on the engine
+// goroutine.
 type pipeStats struct {
 	readNS atomic.Int64 // producer: device read time
 

@@ -17,6 +17,7 @@ import (
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
+	"graphz/internal/lattice"
 	"graphz/internal/obs"
 	"graphz/internal/sim"
 	"graphz/internal/storage"
@@ -25,7 +26,7 @@ import (
 // FuzzEngineSeams is internal/core's seam oracle (DESIGN.md §6, "The seam
 // draw"): FuzzEngineOracle one level down, where the ledger, the planner,
 // the prefetcher, the drain and the staging buffer are in reach. A uint64
-// decodes into one lattice point (seamAxes); every draw runs the engine by
+// decodes into one lattice point (seams); every draw runs the engine by
 // all three routes of SendAll and holds the runs to each other, to one
 // roomy partition and to the views of the ledger, then drives the
 // components directly at drawn sizes the runs cannot reach. The seed corpus
@@ -71,92 +72,52 @@ func step(t *testing.T, name string, f func(t *testing.T)) {
 	}
 }
 
-// seamAxes are the axes of a draw, each a list of values.
-var seamAxes = []struct {
-	name   string
-	values []string
-}{
-	{"route", []string{"own", "noBulk", "sendLoop"}},
-	{"record", []string{"8", "6"}},
-	{"graph", []string{"rmat", "ring", "star", "path", "empty", "selfloop"}},
-	{"format", []string{"v1", "raw", "groupvarint"}},
-	{"block", []string{"default", "1", "2", "64"}},
-	{"parts", []string{"1", "2", "3", "4", "5"}},
-	{"buf", []string{"min", "64", "256", "default"}},
-	{"messages", []string{"dynamic", "static"}},
-	{"selective", []string{"off", "on"}},
-	{"adjacency", []string{"roomy", "pinned", "tight", "shared"}},
-	{"checkpoint", []string{"off", "1", "2"}},
-	{"observe", []string{"all", "registry", "tracer", "clock", "none"}},
-}
-
-func seamAxis(name string) int {
-	for i := range seamAxes {
-		if seamAxes[i].name == name {
-			return i
-		}
-	}
-	panic("no axis " + name)
-}
-
-// seamRules are the pairs of axis values no draw combines: more than one
-// partition of a graph of at most one vertex, or around the default 64 KiB
-// buffers (a budget paying for P of those plans fewer); a block size for the
-// unblocked v1 format. The rules, decodeSeams and the pairwise cover repeat
-// internal/algo/integration's oracle_test.go: one copy would need a
-// non-test package that both oracles import, and no program file changes
-// for a test.
-var seamRules = []struct {
-	a, b string
-	ok   func(va, vb string) bool
-}{
-	{"graph", "parts", func(g, p string) bool { return p == "1" || (g != "empty" && g != "selfloop") }},
-	{"buf", "parts", func(b, p string) bool { return p == "1" || b != "default" }},
-	{"format", "block", func(f, b string) bool { return f != "v1" || b == "default" }},
+// seams is the lattice of a draw: its axes, and the pairs of axis values no
+// draw combines — more than one partition of a graph of at most one vertex,
+// or around the default 64 KiB buffers (a budget paying for P of those plans
+// fewer); a block size for the unblocked v1 format.
+var seams = &lattice.Lattice{
+	Axes: []lattice.Axis{
+		{Name: "route", Values: []string{"own", "noBulk", "sendLoop"}},
+		{Name: "record", Values: []string{"8", "6"}},
+		{Name: "graph", Values: []string{"rmat", "ring", "star", "path", "empty", "selfloop"}},
+		{Name: "format", Values: []string{"v1", "raw", "groupvarint"}},
+		{Name: "block", Values: []string{"default", "1", "2", "64"}},
+		{Name: "parts", Values: []string{"1", "2", "3", "4", "5"}},
+		{Name: "buf", Values: []string{"min", "64", "256", "default"}},
+		{Name: "messages", Values: []string{"dynamic", "static"}},
+		{Name: "selective", Values: []string{"off", "on"}},
+		{Name: "adjacency", Values: []string{"roomy", "pinned", "tight", "shared"}},
+		{Name: "checkpoint", Values: []string{"off", "1", "2"}},
+		{Name: "observe", Values: []string{"all", "registry", "tracer", "clock", "none"}},
+	},
+	Rules: []lattice.Rule{
+		{A: "graph", B: "parts", OK: func(g, p string) bool { return p == "1" || (g != "empty" && g != "selfloop") }},
+		{A: "buf", B: "parts", OK: func(b, p string) bool { return p == "1" || b != "default" }},
+		{A: "format", B: "block", OK: func(f, b string) bool { return f != "v1" || b == "default" }},
+	},
 }
 
 // TestSeamCorpusCoverage decodes the seed corpus without running it: every
 // pair of axis values the rules allow meets in some draw, some draw's drain
 // carries a 6-byte record across a device-block boundary, some draw plans a
 // sparse schedule at 1-entry blocks and some streams one, and some draw's
-// prefetcher fills its queue, then stops a bulk and a lazy stream and
-// reads on from each.
+// prefetcher fills its queue, then stops, and some other's reads on.
 func TestSeamCorpusCoverage(t *testing.T) {
-	seen, straddle, sparse, streamed := map[[4]int]bool{}, false, false, false
-	var queueStops, queueReads [2]bool // bulk, lazy
+	var points []lattice.Point
+	straddle, sparse, streamed, queueStop, queueRead := false, false, false, false, false
 	for _, seed := range seamSeeds {
 		d := decodeSeams(seed)
 		straddle = straddle || d.straddles()
-		sparse = sparse || d.sparse() && d.val("block") == "1"
-		streamed = streamed || d.sparse() && d.val("adjacency") == "pinned"
-		if _, _, _, fetched, fault, stops := d.prefetchShape(); fillsQueue(fetched, fault) {
-			for i, stop := range stops {
-				queueStops[i] = queueStops[i] || stop == 0
-				queueReads[i] = queueReads[i] || stop > 0
-			}
+		sparse = sparse || d.sparse() && d.Val("block") == "1"
+		streamed = streamed || d.sparse() && d.Val("adjacency") == "pinned"
+		if _, _, _, fetched, fault, stop := d.prefetchShape(); fillsQueue(fetched, fault) {
+			queueStop, queueRead = queueStop || stop == 0, queueRead || stop > 0
 		}
-		for i := range d.at {
-			for j := i + 1; j < len(d.at); j++ {
-				seen[[4]int{i, d.at[i], j, d.at[j]}] = true
-			}
-		}
+		points = append(points, d.Point)
 	}
-	for i := range seamAxes {
-		for j := i + 1; j < len(seamAxes); j++ {
-			for vi, a := range seamAxes[i].values {
-				for vj, b := range seamAxes[j].values {
-					legal := true
-					for _, r := range seamRules {
-						if ra, rb := seamAxis(r.a), seamAxis(r.b); ra == i && rb == j || ra == j && rb == i {
-							legal = legal && (ra == i && r.ok(a, b) || ra == j && r.ok(b, a))
-						}
-					}
-					if legal && !seen[[4]int{i, vi, j, vj}] {
-						t.Errorf("no seed draws %s=%s with %s=%s", seamAxes[i].name, a, seamAxes[j].name, b)
-					}
-				}
-			}
-		}
+	for _, pair := range seams.Uncovered(points) {
+		t.Errorf("no seed draws %s", pair)
 	}
 	if !straddle {
 		t.Error("no seed drains a record that straddles two device blocks")
@@ -164,62 +125,35 @@ func TestSeamCorpusCoverage(t *testing.T) {
 	if !sparse || !streamed {
 		t.Errorf("no seed plans a sparse schedule at 1-entry blocks (%v) or streams one (%v)", sparse, streamed)
 	}
-	if queueStops != [2]bool{true, true} || queueReads != [2]bool{true, true} {
-		t.Errorf("no seed fills the prefetch queue, then stops a bulk and a lazy stream (%v) and reads on from each (%v)", queueStops, queueReads)
+	if !queueStop || !queueRead {
+		t.Errorf("no seed fills the prefetch queue, then stops the stream (%v) or reads on (%v)", queueStop, queueRead)
 	}
 }
 
-// A seamDraw is one lattice point; pick drives everything the axes leave
+// A seamDraw is one lattice point; Pick drives everything the axes leave
 // open: the kill, the planner's bitmaps, the prefetcher's file, ranges and
 // windows, the drain's sizes and faults.
 type seamDraw struct {
 	seed uint64
-	at   [12]int // a value per axis
-	pick uint64
+	lattice.Point
 }
 
-// decodeSeams draws every axis from the seed, then moves each value a rule
-// forbids on to the next one it allows.
-func decodeSeams(seed uint64) seamDraw {
-	d, s := seamDraw{seed: seed}, seed
-	for i := range d.at {
-		d.at[i] = int(splitmix64(&s) % uint64(len(seamAxes[i].values)))
-	}
-	d.pick = splitmix64(&s)
-	for _, r := range seamRules {
-		for b := seamAxis(r.b); !r.ok(d.val(r.a), d.val(r.b)); {
-			d.at[b] = (d.at[b] + 1) % len(seamAxes[b].values)
-		}
-	}
-	return d
-}
-
-func (d seamDraw) val(name string) string {
-	return seamAxes[seamAxis(name)].values[d.at[seamAxis(name)]]
-}
-
-func (d seamDraw) String() string {
-	var b strings.Builder
-	for i, a := range seamAxes {
-		fmt.Fprintf(&b, "%s=%s ", a.name, a.values[d.at[i]])
-	}
-	return b.String() + fmt.Sprintf("pick=%#x", d.pick)
-}
+func decodeSeams(seed uint64) seamDraw { return seamDraw{seed, seams.Decode(seed)} }
 
 // draws returns a generator of values below n, seeded by pick and salt, so
 // each component draws its own sizes.
 func (d seamDraw) draws(salt uint64) func(n int64) int64 {
-	s := d.pick ^ salt
-	return func(n int64) int64 { return int64(splitmix64(&s) % uint64(max(n, 1))) }
+	s := d.Pick ^ salt
+	return func(n int64) int64 { return int64(lattice.SplitMix(&s) % uint64(max(n, 1))) }
 }
 
-func (d seamDraw) parts() int64 { return int64(d.at[seamAxis("parts")] + 1) }
+func (d seamDraw) parts() int64 { return int64(d.Pos("parts") + 1) }
 
 // mcodec is the message codec: the shipped programs' 8-byte record, or
 // (labels fit 16 bits here) the awkward 6-byte one, which fills neither a
 // 4-byte copy unit, nor a buffer, nor a device block evenly.
 func (d seamDraw) mcodec() graph.Codec[uint32] {
-	if d.val("record") == "6" {
+	if d.Val("record") == "6" {
 		return padCodec{}
 	}
 	return graph.Uint32Codec{}
@@ -230,7 +164,7 @@ func (d seamDraw) rec() int { return 4 + d.mcodec().Size() }
 // buf returns the drawn Options.MsgBufferBytes and the buffer the engine
 // makes of it: "min" asks for one byte, which New raises to four records.
 func (d seamDraw) buf() (opt, eff int) {
-	switch v := d.val("buf"); v {
+	switch v := d.Val("buf"); v {
 	case "min":
 		return 1, 4 * d.rec()
 	case "default":
@@ -245,8 +179,8 @@ func (d seamDraw) buf() (opt, eff int) {
 // path, whose frontier is one vertex an iteration, cut into 1- or 2-entry
 // blocks.
 func (d seamDraw) sparse() bool {
-	return d.val("graph") == "path" && d.val("selective") == "on" && d.val("format") != "v1" &&
-		(d.val("block") == "1" || d.val("block") == "2")
+	return d.Val("graph") == "path" && d.Val("selective") == "on" && d.Val("format") != "v1" &&
+		(d.Val("block") == "1" || d.Val("block") == "2")
 }
 
 // seamMaxIters caps every run; each draw's graph converges in far fewer.
@@ -255,7 +189,7 @@ const seamMaxIters = 100
 // edges generates the draw's graph, at most ~1,700 edges.
 func (d seamDraw) edges() []graph.Edge {
 	var es []graph.Edge
-	switch d.val("graph") {
+	switch d.Val("graph") {
 	case "rmat": // with self-loops and duplicate edges: the one place the order of applies inside a single SendAll can show
 		es = gen.RMAT(9, 1500, gen.NaturalRMAT, d.seed)
 		for i := 0; i < 40; i++ {
@@ -335,7 +269,7 @@ type proc struct {
 	ops    int64                    // device operations Run made
 	before storage.Stats            // the device when Run started
 	total  storage.Stats            // and when it returned
-	files  map[string]storage.Stats // per file, when it returned
+	files  map[string]storage.Stats // per file, what Run moved
 }
 
 // exec runs one process on fd: prog under opts, the device armed with plan
@@ -358,7 +292,7 @@ func (x *seamTrial) exec(t *testing.T, fd *storage.FaultDevice, plan storage.Fau
 		p.clock = sim.NewClock()
 		opts.Clock = p.clock
 	}
-	if x.val("adjacency") == "shared" {
+	if x.Val("adjacency") == "shared" {
 		p.shared = NewSharedGraph(g).Adjacency()
 		opts.SharedAdjacency = p.shared
 	}
@@ -378,9 +312,13 @@ func (x *seamTrial) exec(t *testing.T, fd *storage.FaultDevice, plan storage.Fau
 	p.eng, err = New(DOSLayout(g), prog, witnessCodec{}, x.mcodec(), opts)
 	must(t, err)
 	fd.Arm(plan)
+	files := fd.FileStats()
 	p.before = fd.Stats()
 	p.res, p.err = p.eng.Run()
 	p.ops, p.total, p.files = fd.Ops(), fd.Stats(), fd.FileStats()
+	for name, st := range p.files {
+		p.files[name] = st.Sub(files[name])
+	}
 	return p
 }
 
@@ -393,9 +331,9 @@ func (x *seamTrial) exec(t *testing.T, fd *storage.FaultDevice, plan storage.Fau
 // messages one roomy partition computes the same bits. It returns A.
 func (d seamDraw) run(t *testing.T) *proc {
 	x := &seamTrial{seamDraw: d, staging: storage.NewDevice(storage.NullDevice, storage.Options{})}
-	codec, _ := storage.CodecByName(d.val("format"))
+	codec, _ := storage.CodecByName(d.Val("format"))
 	var block int64
-	fmt.Sscan(d.val("block"), &block)
+	fmt.Sscan(d.Val("block"), &block)
 	must(t, graph.WriteEdges(x.staging, "raw", d.edges()))
 	g, err := dos.Convert(dos.ConvertConfig{Dev: x.staging, Codec: codec, BlockEntries: block, RemoveInput: true}, "raw", "g")
 	must(t, err)
@@ -407,21 +345,21 @@ func (d seamDraw) run(t *testing.T) *proc {
 	parts, n := d.parts(), int64(g.NumVertices)
 	x.opts = Options{
 		MemoryBudget:        pipelineOverheadBytes + g.IndexBytes() + g.BlockTableBytes() + parts*int64(eff) + max((n+parts-1)/parts*12, 1),
-		DynamicMessages:     d.val("messages") == "dynamic",
+		DynamicMessages:     d.Val("messages") == "dynamic",
 		MsgBufferBytes:      opt,
 		MaxIterations:       seamMaxIters,
-		SelectiveScheduling: d.val("selective") == "on",
-		StreamAdjacency:     d.val("adjacency") == "pinned",
+		SelectiveScheduling: d.Val("selective") == "on",
+		StreamAdjacency:     d.Val("adjacency") == "pinned",
 	}
-	if adj := d.val("adjacency"); adj == "roomy" || adj == "pinned" {
+	if adj := d.Val("adjacency"); adj == "roomy" || adj == "pinned" {
 		x.opts.MemoryBudget += 4 * g.NumEdges
 	}
-	all, i := seamAxes[seamAxis("route")].values, d.at[seamAxis("route")]
+	all, i := seams.Axes[seams.Index("route")].Values, d.Pos("route")
 	routes := []string{all[(i+1)%3], all[(i+2)%3], all[i]} // the drawn route last
 	pool := pooledOutstanding()
 	// Each process is a subtest named for what it holds; the checkpoint
 	// directories outlive them.
-	optsB, every := x.opts, d.at[seamAxis("checkpoint")]
+	optsB, every := x.opts, d.Pos("checkpoint")
 	optsS := optsB
 	if every > 0 {
 		optsB.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: every}
@@ -455,12 +393,12 @@ func (d seamDraw) run(t *testing.T) *proc {
 		r := d.draws(0x6b11)
 		plan, kill := storage.FaultPlan{}, -1
 		if closing := int64(b.eng.NumPartitions()); r(2) == 0 && b.ops > closing {
-			plan = storage.FaultPlan{Seed: d.pick, CrashAtOp: 1 + r(b.ops-closing), TornWrites: true}
+			plan = storage.FaultPlan{Seed: d.Pick, CrashAtOp: 1 + r(b.ops-closing), TornWrites: true}
 		} else {
 			kill = int(r(int64(1 + a.res.Iterations*a.eng.NumPartitions())))
 		}
 		fdS := x.device(t)
-		s := x.exec(t, fdS, plan, seamPrograms[routes[2]], optsS, d.val("observe"), kill)
+		s := x.exec(t, fdS, plan, seamPrograms[routes[2]], optsS, d.Val("observe"), kill)
 		if s.err == nil {
 			t.Fatalf("killed (crash at operation %d, cancel at poll %d of %d), yet the run finished", plan.CrashAtOp, kill, len(a.snaps))
 		}
@@ -486,7 +424,7 @@ func (d seamDraw) run(t *testing.T) *proc {
 			s.eng.Cleanup()
 			x.checkLeftovers(t, fdS.Device, true)
 		}
-		s = x.exec(t, fdS, storage.FaultPlan{}, seamPrograms[routes[2]], optsS, d.val("observe"), -1)
+		s = x.exec(t, fdS, storage.FaultPlan{}, seamPrograms[routes[2]], optsS, d.Val("observe"), -1)
 		must(t, s.err)
 		x.checkProc(t, s, start, base)
 		gotRes, gotRows := comparableRun(s.res, s.reg.Iters(), true)
@@ -591,7 +529,7 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 		reg.CounterValue("graphz_sem_runs_total") != int64(b2i(p == 1)) {
 		t.Errorf("%d partitions (semi-external %v) of a budget sized for %d", p, res.SemiExternal, x.parts())
 	}
-	switch adj := x.val("adjacency"); {
+	switch adj := x.Val("adjacency"); {
 	case res.ResidentAdjacency != eng.AdjacencyCached(),
 		adj == "shared" && !res.ResidentAdjacency, adj == "pinned" && res.ResidentAdjacency,
 		adj == "tight" && int64(nParts) == x.parts() && edges > 0 && res.ResidentAdjacency,
@@ -716,6 +654,11 @@ func fullScan(eng *Engine[witnessVal, uint32]) (read, decoded int64) {
 // start from the counters base — to the views attached to it.
 func (x *seamTrial) checkProc(t *testing.T, p *proc, start int, base checkpoint.Counters) {
 	t.Helper()
+	// The producer decodes every block it reads: an observed run's codec
+	// consumed exactly the bytes it read of an encoded edges file.
+	if read := p.files[p.g.EdgesFile()].ReadBytes; p.eng.eo.On && !p.eng.adj.FixedEntries() && p.res.CodecBytesEncoded != read {
+		t.Errorf("the codec consumed %d bytes of the %d read", p.res.CodecBytesEncoded, read)
+	}
 	if p.reg != nil {
 		for name, want := range resultTwins(p.res) {
 			if got := p.reg.CounterValue(name); got != want {
@@ -763,15 +706,20 @@ func (x *seamTrial) checkProc(t *testing.T, p *proc, start int, base checkpoint.
 // checkTwins holds B, the second route with the draw's checkpoints, to A:
 // the same Result, rows, state bytes and device traffic file by file (a
 // checkpoint adds reads of the states and message stores, and its own
-// counters), and the checkpoints the cadence and Keep say. A sparse
-// schedule's lazy stream reads ahead into blocks its Worker may never ask
-// for, as far as the producer got before the stop: there the edges file's
-// reads vary run to run, bounded by a full scan an iteration.
+// counters), and the checkpoints the cadence and Keep say. A streamed
+// sparse schedule's producer reads and decodes ahead into blocks its Worker
+// may never ask for, as far as it got before the stop: there the edges
+// file's reads and the codec counters vary run to run, bounded by a full
+// scan an iteration.
 func (x *seamTrial) checkTwins(t *testing.T, a, b *proc, want []byte, every int) {
 	t.Helper()
 	wantRes, wantRows := comparableRun(a.res, a.reg.Iters(), false)
 	gotRes, gotRows := comparableRun(b.res, b.reg.Iters(), false)
 	ahead := x.opts.SelectiveScheduling && !a.res.ResidentAdjacency
+	scan, decoded := fullScan(b.eng)
+	if iters := int64(b.res.Iterations); ahead && gotRes.CodecBytesEncoded <= iters*scan && gotRes.CodecBytesRaw <= iters*decoded {
+		gotRes.CodecBytesEncoded, gotRes.CodecBytesRaw = wantRes.CodecBytesEncoded, wantRes.CodecBytesRaw
+	}
 	for i := range gotRows {
 		if (every > 0 || ahead) && i < len(wantRows) { // a checkpoint's reads, or a read-ahead, move the read heads
 			gotRows[i].DeviceSeeks = wantRows[i].DeviceSeeks
@@ -792,7 +740,7 @@ func (x *seamTrial) checkTwins(t *testing.T, a, b *proc, want []byte, every int)
 		if every > 0 && name != a.g.EdgesFile() {
 			same = fa.WriteOps == fb.WriteOps && fa.WriteBytes == fb.WriteBytes && fa.ReadBytes <= fb.ReadBytes
 		}
-		if scan, _ := fullScan(b.eng); ahead && name == a.g.EdgesFile() {
+		if ahead && name == a.g.EdgesFile() {
 			same = fa.WriteOps == fb.WriteOps && fa.WriteBytes == fb.WriteBytes && fb.ReadBytes <= int64(b.res.Iterations)*scan
 		}
 		if !same {
@@ -1174,12 +1122,12 @@ func writeEntryFile(t *testing.T, dev *storage.Device, name string, entries []ui
 // its ascending ranges (gaps, shared blocks, empty ones), the blocks the
 // producer fetches for them (on a fixed-entry file every block a range
 // touches, clipped to it; on an encoded one every block once), a fault,
-// and where each stream, bulk then lazy, stops: never, before its first
-// window, or a few windows in.
-func (d seamDraw) prefetchShape() (be, n int64, ranges []entryRange, fetched []int64, fault string, stops [2]int64) {
+// and where the stream stops: never, before its first window, or a few
+// windows in.
+func (d seamDraw) prefetchShape() (be, n int64, ranges []entryRange, fetched []int64, fault string, stop int64) {
 	r := d.draws(0x5e10)
 	be = int64(storage.DefaultBlockSize / 4)
-	fmt.Sscan(d.val("block"), &be)
+	fmt.Sscan(d.Val("block"), &be)
 	n = be*(1+r(3)) + r(be) + r(300)
 	for pos, k := int64(0), r(6); k >= 0; k-- {
 		start := min(pos+[]int64{0, 1, r(be), r(n / 3)}[r(4)], n)
@@ -1188,22 +1136,20 @@ func (d seamDraw) prefetchShape() (be, n int64, ranges []entryRange, fetched []i
 	}
 	for _, rg := range ranges {
 		for b := rg.start / be; rg.end > rg.start && b <= (rg.end-1)/be; b++ {
-			if d.val("format") == "v1" || !slices.Contains(fetched, b) {
+			if d.Val("format") == "v1" || !slices.Contains(fetched, b) {
 				fetched = append(fetched, b)
 			}
 		}
 	}
 	fault = []string{"none", "fail", "corrupt"}[r(3)]
-	if fault != "none" && len(fetched) == 0 || fault == "corrupt" && d.val("format") != "groupvarint" {
+	if fault != "none" && len(fetched) == 0 || fault == "corrupt" && d.Val("format") != "groupvarint" {
 		fault = "none"
 	}
-	for i := range stops {
-		stops[i] = 1 << 62
-		if fault == "none" {
-			stops[i] = []int64{stops[i], stops[i], 0, r(64)}[r(4)]
-		}
+	stop = 1 << 62
+	if fault == "none" {
+		stop = []int64{stop, stop, 0, r(64)}[r(4)]
 	}
-	return be, n, ranges, fetched, fault, stops
+	return be, n, ranges, fetched, fault, stop
 }
 
 // fillsQueue reports whether a stream's producer fills the queue, blocks
@@ -1223,7 +1169,7 @@ func await(cond func() bool) bool {
 	return true
 }
 
-// prefetch drives the Sio prefetcher directly, bulk and lazy, over the
+// prefetch drives the Sio prefetcher directly over the
 // draw's prefetchShape in its format and block size (at the default block,
 // several 256 KiB blocks): windows of drawn sizes and hops, a drawn stop and
 // a drawn fault (a failed read, a corrupt groupvarint block). Where the
@@ -1234,16 +1180,16 @@ func await(cond func() bool) bool {
 // typed errors.
 func (d seamDraw) prefetch(t *testing.T) {
 	const pastRanges = 1 << 40 // an entry beyond every file
-	be, n, ranges, fetched, fault, stops := d.prefetchShape()
+	be, n, ranges, fetched, fault, stop := d.prefetchShape()
 	r := d.draws(0x5e11)
-	codec, _ := storage.CodecByName(d.val("format"))
+	codec, _ := storage.CodecByName(d.Val("format"))
 	entries := make([]uint32, n)
 	for i := range entries {
 		entries[i] = uint32(r(100_003))
 	}
 	fd := storage.NewFaultDevice(storage.NullDevice, storage.Options{})
 	adj := writeEntryFile(t, fd.Device, "e", entries, codec, be)
-	if _, err := openEntryStream(fd.Device, adj, "missing", nil, false, nil); err == nil {
+	if _, err := openEntryStream(fd.Device, adj, "missing", nil, nil); err == nil {
 		t.Error("a stream over a missing file opened")
 	}
 	var want []graph.VertexID // the straight read
@@ -1285,108 +1231,96 @@ func (d seamDraw) prefetch(t *testing.T) {
 		}
 		must(t, storage.WriteAll(fd.Device, "e", data))
 	}
-	for i, lazy := range []bool{false, true} {
-		stop := stops[i]
-		before, gets0 := pooledOutstanding(), pooled.gets.Load()
-		pooled.peak.Store(before)
-		fd.ResetStats()
-		fd.Arm(plan)
-		ps := &pipeStats{}
-		s, err := openEntryStream(fd.Device, adj, "e", slices.Clone(ranges), lazy, ps)
-		must(t, err)
-		touched := map[int64]bool{} // blocks a window asked for
-		windows, askedBad, outgrew := int64(0), false, false
-		if fillsQueue(fetched, fault) {
-			// The producer fills the queue and blocks handing over the next
-			// block — decoded, on a bulk stream: the block a stop must
-			// recycle. Each block took a buffer for its bytes and, on a
-			// bulk stream, one for its entries.
-			per := int64(2 - b2i(lazy))
-			if !await(func() bool { return pooled.gets.Load()-gets0 >= per*(sioQueueDepth+1) }) {
-				t.Fatalf("lazy %v: the producer took %d pooled buffers, never filling the queue", lazy, pooled.gets.Load()-gets0)
+	before, gets0 := pooledOutstanding(), pooled.gets.Load()
+	pooled.peak.Store(before)
+	fd.ResetStats()
+	fd.Arm(plan)
+	ps := &pipeStats{}
+	s, err := openEntryStream(fd.Device, adj, "e", slices.Clone(ranges), ps)
+	must(t, err)
+	windows, outgrew := int64(0), false
+	if fillsQueue(fetched, fault) {
+		// The producer fills the queue and blocks handing over the next
+		// block, decoded: the block a stop must recycle. Each block took a
+		// buffer for its bytes and one for its entries.
+		if !await(func() bool { return pooled.gets.Load()-gets0 >= 2*(sioQueueDepth+1) }) {
+			t.Fatalf("the producer took %d pooled buffers, never filling the queue", pooled.gets.Load()-gets0)
+		}
+		if stop > 0 {
+			// The consumer takes the first block and the producer the bytes
+			// of the next: the queue full and a buffer in each hand, a
+			// high water the producer publishes just after counting it.
+			first := ranges[slices.IndexFunc(ranges, func(rg entryRange) bool { return rg.end > rg.start })].start
+			if w, err := s.window(first, 1); err != nil || w[0] != want[first] {
+				t.Fatalf("window(%d, 1) of a full queue: %v, %v", first, w, err)
 			}
-			if stop > 0 {
-				// The consumer takes the first block (a lazy stream's window
-				// takes the flat buffer first) and the producer the bytes
-				// of the next: the queue full and a buffer in each hand, a
-				// high water the producer publishes just after counting it.
-				first := ranges[slices.IndexFunc(ranges, func(rg entryRange) bool { return rg.end > rg.start })].start
-				if w, err := s.window(first, 1); err != nil || w[0] != want[first] {
-					t.Fatalf("window(%d, 1) of a full queue: %v, %v", first, w, err)
-				}
-				touched[first/be] = true
-				if !await(func() bool { return pooled.peak.Load()-before >= sioQueueDepth+2 }) {
-					t.Errorf("lazy %v: %d block-sized buffers out at once with the queue full, want %d",
-						lazy, pooled.peak.Load()-before, sioQueueDepth+2)
-				}
+			if !await(func() bool { return pooled.peak.Load()-before >= sioQueueDepth+2 }) {
+				t.Errorf("%d block-sized buffers out at once with the queue full, want %d", pooled.peak.Load()-before, sioQueueDepth+2)
 			}
 		}
-		for _, rg := range ranges {
-			for off := rg.start + []int64{0, 0, r(be + 1), r(3 * be)}[r(4)]; off < rg.end && windows < stop && err == nil; windows++ {
-				n := min([]int64{1 + r(8), 1 + r(be), be + r(be)}[r(3)], rg.end-off)
-				outgrew = outgrew || n > workerBatchEntries
-				for b := off / be; b <= (off+n-1)/be; b++ {
-					touched[b], askedBad = true, askedBad || b == bad
-				}
-				var w []graph.VertexID
-				if w, err = s.window(off, int(n)); err != nil {
-					break
-				}
-				if int64(len(w)) < n || lazy && int64(len(w)) != n || !slices.Equal(w[:n], want[off:off+n]) {
-					t.Fatalf("window(%d, %d) of %v, lazy %v: %d entries, want %v", off, n, ranges, lazy, len(w), want[off:off+n])
-				}
-				if s.blk.ents != nil && off >= s.blk.start && off+n <= s.blk.end && &w[0] != &s.blk.ents[off-s.blk.start] {
-					t.Errorf("window(%d, %d) lies in block [%d,%d), yet is no view of it", off, n, s.blk.start, s.blk.end)
-				}
-				off += n + []int64{0, 0, 0, r(be), r(3 * be)}[r(5)]
+	}
+	for _, rg := range ranges {
+		for off := rg.start + []int64{0, 0, r(be + 1), r(3 * be)}[r(4)]; off < rg.end && windows < stop && err == nil; windows++ {
+			n := min([]int64{1 + r(8), 1 + r(be), be + r(be)}[r(3)], rg.end-off)
+			outgrew = outgrew || n > workerBatchEntries
+			var w []graph.VertexID
+			if w, err = s.window(off, int(n)); err != nil {
+				break
 			}
+			if int64(len(w)) < n || !slices.Equal(w[:n], want[off:off+n]) {
+				t.Fatalf("window(%d, %d) of %v: %d entries, want %v", off, n, ranges, len(w), want[off:off+n])
+			}
+			if off >= s.blk.start && off+n <= s.blk.end && &w[0] != &s.blk.ents[off-s.blk.start] {
+				t.Errorf("window(%d, %d) lies in block [%d,%d), yet is no view of it", off, n, s.blk.start, s.blk.end)
+			}
+			off += n + []int64{0, 0, 0, r(be), r(3 * be)}[r(5)]
 		}
-		if windows < stop && err == nil {
-			_, err = s.window(pastRanges, 1)
+	}
+	if windows < stop && err == nil {
+		_, err = s.window(pastRanges, 1)
+	}
+	if windows < stop {
+		if _, again := s.window(pastRanges, 1); again != err {
+			t.Errorf("a failed stream's next window: %v, then %v", err, again)
 		}
-		if windows < stop {
-			if _, again := s.window(pastRanges, 1); again != err {
-				t.Errorf("a failed stream's next window: %v, then %v", err, again)
-			}
-			// The producer stops at a failed read; a lazy stream decodes
-			// only the blocks a window reaches.
-			sentinel, prefix := errAdjExhausted, ""
-			switch {
-			case fault == "fail":
-				sentinel, prefix = storage.ErrInjected, fmt.Sprintf("core: reading block %d at byte ", bad)
-			case fault == "corrupt" && (!lazy || askedBad):
-				sentinel, prefix = storage.ErrCorruptBlock, fmt.Sprintf("core: decoding block %d: ", bad)
-			}
-			if !errors.Is(err, sentinel) || !strings.HasPrefix(err.Error(), prefix) || fault == "fail" && fd.Ops() != plan.FailAtOps[0] {
-				t.Errorf("%s of block %d, lazy %v: the stream ends %v after %d device operations", fault, bad, lazy, err, fd.Ops())
-			}
+		// The producer stops at a failed read or an undecodable block.
+		sentinel, prefix := errAdjExhausted, ""
+		switch fault {
+		case "fail":
+			sentinel, prefix = storage.ErrInjected, fmt.Sprintf("core: reading block %d at byte ", bad)
+		case "corrupt":
+			sentinel, prefix = storage.ErrCorruptBlock, fmt.Sprintf("core: decoding block %d: ", bad)
 		}
-		if fault == "none" && windows < stop {
-			// Every fetched block read once, and decoded: all of them by a
-			// bulk stream's producer, only those a window reached on a lazy one.
-			raw := int64(0)
+		if !errors.Is(err, sentinel) || !strings.HasPrefix(err.Error(), prefix) || fault == "fail" && fd.Ops() != plan.FailAtOps[0] {
+			t.Errorf("%s of block %d: the stream ends %v after %d device operations", fault, bad, err, fd.Ops())
+		}
+	}
+	if fault == "none" && windows < stop {
+		// Every fetched block read once, and decoded: the codec consumed
+		// every byte read.
+		raw, enc := int64(0), int64(0)
+		if !adj.FixedEntries() {
 			for _, b := range fetched {
-				if !adj.FixedEntries() && (!lazy || touched[b]) {
-					raw += 4 * adj.EntriesIn(b)
-				}
+				raw += 4 * adj.EntriesIn(b)
 			}
-			if st := fd.Stats(); st.ReadBytes != fetchedBytes || st.ReadOps != int64(len(fetched)) || ps.codecRawB.Load() != raw {
-				t.Errorf("lazy %v over %v: %d reads of %d bytes decoded into %d; want %d of %d into %d",
-					lazy, ranges, st.ReadOps, st.ReadBytes, ps.codecRawB.Load(), len(fetched), fetchedBytes, raw)
-			}
-			// The Dispatcher's buffers: the queue's, one block in each hand,
-			// the flat buffer and, encoded, the producer's decode scratch —
-			// and, while a straddling window outgrows the flat buffer, the
-			// larger one that replaces it.
-			if peak := pooled.peak.Load() - before + int64(b2i(!adj.FixedEntries())); !lazy && peak > sioQueueDepth+4+int64(b2i(outgrew)) {
-				t.Errorf("a bulk stream held %d block-sized buffers at once", peak)
-			}
+			enc = fetchedBytes
 		}
-		s.stop()
-		fd.Disarm()
-		if got := pooledOutstanding(); got != before {
-			t.Errorf("lazy %v: %d pooled buffers outstanding after the stream stopped, %d before", lazy, got, before)
+		if st := fd.Stats(); st.ReadBytes != fetchedBytes || st.ReadOps != int64(len(fetched)) || ps.codecRawB.Load() != raw || ps.codecEncB.Load() != enc {
+			t.Errorf("over %v: %d reads of %d bytes, %d decoded into %d; want %d of %d, %d into %d",
+				ranges, st.ReadOps, st.ReadBytes, ps.codecEncB.Load(), ps.codecRawB.Load(), len(fetched), fetchedBytes, enc, raw)
 		}
+		// The Dispatcher's buffers: the queue's, one block in each hand,
+		// the flat buffer and, encoded, the producer's decode scratch —
+		// and, while a straddling window outgrows the flat buffer, the
+		// larger one that replaces it.
+		if peak := pooled.peak.Load() - before + int64(b2i(!adj.FixedEntries())); peak > sioQueueDepth+4+int64(b2i(outgrew)) {
+			t.Errorf("the stream held %d block-sized buffers at once", peak)
+		}
+	}
+	s.stop()
+	fd.Disarm()
+	if got := pooledOutstanding(); got != before {
+		t.Errorf("%d pooled buffers outstanding after the stream stopped, %d before", got, before)
 	}
 }
 
@@ -1459,7 +1393,7 @@ func (d seamDraw) drainRound(t *testing.T) {
 	r := d.draws(0xd2a2)
 	parts, rec := d.parts(), int64(d.rec())
 	opt, eff := d.buf()
-	watched := d.val("observe") == "all" || d.val("observe") == "registry"
+	watched := d.Val("observe") == "all" || d.Val("observe") == "registry"
 	states := make([]byte, 12*n)
 	for i := range states {
 		states[i] = byte(r(256))
@@ -1475,7 +1409,7 @@ func (d seamDraw) drainRound(t *testing.T) {
 		if int64(eng.NumPartitions()) != parts {
 			t.Fatalf("%d vertices in %d partitions, want %d", n, eng.NumPartitions(), parts)
 		}
-		if d.val("selective") == "on" {
+		if d.Val("selective") == "on" {
 			eng.sel = newEmptyActiveSet(int(n))
 		}
 		return eng, fd, opts.Obs

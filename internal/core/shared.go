@@ -83,7 +83,7 @@ func (s *SharedAdjacency) load(ps *pipeStats) (data []graph.VertexID, hit bool, 
 	if s.data != nil {
 		return s.data, true, nil
 	}
-	src, err := openEntryStream(s.dev, s.adj, s.file, []entryRange{{start: 0, end: s.entries}}, false, ps)
+	src, err := openEntryStream(s.dev, s.adj, s.file, []entryRange{{start: 0, end: s.entries}}, ps)
 	if err != nil {
 		return nil, false, err
 	}

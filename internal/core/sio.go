@@ -71,11 +71,12 @@ func (p *bufferPool[T]) Put(buf []T) {
 //
 // window returns the entries from offset off on — w[0] is entry off, and
 // len(w) is at least n, usually more: whatever the source holds decoded
-// beyond them. off must not precede the previous call's, the entries must
-// be ones the source was opened over, and w is valid until the next call
-// and must not be written. window may block on the prefetcher; asking for
-// entries beyond the source's last fails with errAdjExhausted. stop
-// releases the source and must be called exactly once.
+// beyond them. off must not precede the end of the previous call's n
+// entries, the entries must be ones the source was opened over, and w is
+// valid until the next call and must not be written. window may block on
+// the prefetcher; asking for entries beyond the source's last fails with
+// errAdjExhausted. stop releases the source and must be called exactly
+// once.
 type entrySource interface {
 	window(off int64, n int) ([]graph.VertexID, error)
 	stop()
@@ -91,21 +92,15 @@ type entryRange struct {
 
 // entryStream is the Sio + Dispatcher pair of the paper's runtime
 // (Section V-A), for every layout: a prefetch goroutine reads the
-// adjacency blocks the ranges need sequentially off the device and hands
-// them to the consumer through a bounded queue, so IO overlaps the
-// Worker's computation, and windows of entries are served by absolute
-// entry offset.
-//
-// Who turns a block's bytes into entries — the Dispatcher's job — depends
-// on the one mode switch, lazy. A bulk stream (a full scan, a cache fill:
-// contiguous ranges consumed whole) dispatches on the prefetch goroutine,
-// as the paper's concurrent stages do: the queue
-// carries decoded entries, a window is a sub-slice of the current block,
-// and only a request that straddles two blocks is assembled in a flat
-// buffer — neither decode nor copy is left on the Worker's goroutine. A
-// lazy stream (a sparse schedule's hopping Worker) queues the bytes as
-// read: a block the consumer hops over is dropped as received, undecoded,
-// and a window converts only the entries asked for.
+// adjacency blocks the ranges need sequentially off the device, turns each
+// block's bytes into its entries — the Dispatcher's job — and hands them
+// to the consumer through a bounded queue, so IO and decode overlap the
+// Worker's computation, as the paper's concurrent stages do. Windows of
+// entries are served by absolute entry offset: a window is a sub-slice of
+// the current block, and only a request that straddles two blocks is
+// assembled in a flat buffer — neither decode nor copy is left on the
+// Worker's goroutine. A consumer that hops (a sparse schedule's Worker)
+// drops the blocks it hops over as received.
 //
 // storage.BlockLayout is where entry offsets meet bytes. A block-encoded
 // file (DOS v2) is fetched whole block by whole block — blocks no range
@@ -121,26 +116,17 @@ type entryStream struct {
 	stopc  chan struct{}
 	adj    storage.BlockLayout
 	ranges []entryRange
-	lazy   bool       // the consumer hops: queue bytes, decode what a window asks for
 	met    *pipeStats // nil-able: the pipeline's timing and codec counters
-
-	// dec is the decode buffer of whichever side dispatches, never both:
-	// the producer's scratch on a bulk stream, on a lazy one the consumer's
-	// current encoded blk, decoded (a fixed-entry blk is served from
-	// blk.data).
-	dec []uint32
+	dec    []uint32   // the producer's decode buffer
 
 	// consumer state
-	blk    sioBlock         // the block being served: entries [blk.start, blk.end)
-	buf    []graph.VertexID // the flat buffer: entries [bufOff, bufOff+len(buf)); pooled
-	bufOff int64
-	err    error
+	blk sioBlock         // the block being served: entries [blk.start, blk.end)
+	buf []graph.VertexID // the flat buffer a straddling window is assembled in; pooled
+	err error
 }
 
-// sioBlock is one block in the queue: its bytes on a lazy stream, its
-// entries on a bulk one.
+// sioBlock is one block in the queue: its entries.
 type sioBlock struct {
-	data       []byte
 	ents       []graph.VertexID
 	idx        int64 // block index
 	start, end int64 // absolute entry span
@@ -150,11 +136,8 @@ type sioBlock struct {
 // openEntryStream starts the prefetcher over the given ascending, disjoint
 // entry ranges of the named adjacency file; the bytes between ranges are
 // never touched (a seek replaces the skipped blocks' reads). A single
-// full range is the seed prefetcher. lazy is for the consumer that hops —
-// a sparse schedule's Worker: blocks then stay bytes until a window
-// reaches into them, and each window converts only the entries it was
-// asked for instead of everything its block holds.
-func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, ranges []entryRange, lazy bool, met *pipeStats) (*entryStream, error) {
+// full range is the seed prefetcher.
+func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, ranges []entryRange, met *pipeStats) (*entryStream, error) {
 	f, err := dev.Open(file)
 	if err != nil {
 		return nil, err
@@ -165,7 +148,6 @@ func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, 
 		stopc:  make(chan struct{}),
 		adj:    adj,
 		ranges: ranges,
-		lazy:   lazy,
 		met:    met,
 	}
 	go s.prefetch(f)
@@ -173,7 +155,7 @@ func openEntryStream(dev *storage.Device, adj storage.BlockLayout, file string, 
 }
 
 // prefetch is the Sio goroutine — the only code in the package that
-// reads the edges file — and, on a bulk stream, the Dispatcher too.
+// reads the edges file — and the Dispatcher too.
 func (s *entryStream) prefetch(f *storage.File) {
 	defer close(s.blocks)
 	be := s.adj.BlockEntries
@@ -209,12 +191,10 @@ func (s *entryStream) prefetch(f *storage.File) {
 			if s.met != nil {
 				s.met.heatRead(b, hi-lo)
 			}
-			blk := sioBlock{data: buf, idx: b, start: first, end: last}
-			if !s.lazy {
-				if blk, err = s.dispatch(blk); err != nil {
-					s.fail(err)
-					return
-				}
+			blk, err := s.dispatch(buf, sioBlock{idx: b, start: first, end: last})
+			if err != nil {
+				s.fail(err)
+				return
 			}
 			select {
 			case s.blocks <- blk:
@@ -254,17 +234,17 @@ func readExtent(f *storage.File, buf []byte, off int64) error {
 	return nil
 }
 
-// dispatch is the Dispatcher step of a bulk stream, run by the producer:
-// the block's bytes become its entries — decoded for an encoded block,
-// widened from little-endian for a fixed-entry one — and go back to their
-// pool. An encoded block's bytes are returned before its entry buffer is
-// taken (the decode buffer stands between them), so the producer holds
-// two pooled buffers at most, never three.
-func (s *entryStream) dispatch(blk sioBlock) (sioBlock, error) {
+// dispatch is the Dispatcher step, run by the producer: the block's bytes,
+// data, become its entries — decoded for an encoded block, widened from
+// little-endian for a fixed-entry one — and go back to their pool. An
+// encoded block's bytes are returned before its entry buffer is taken (the
+// decode buffer stands between them), so the producer holds two pooled
+// buffers at most, never three.
+func (s *entryStream) dispatch(data []byte, blk sioBlock) (sioBlock, error) {
 	fixed := s.adj.FixedEntries()
 	if !fixed {
-		err := s.decode(blk)
-		blockPool.Put(blk.data)
+		err := s.decode(data, blk)
+		blockPool.Put(data)
 		if err != nil {
 			return sioBlock{}, err
 		}
@@ -275,15 +255,14 @@ func (s *entryStream) dispatch(blk sioBlock) (sioBlock, error) {
 	}
 	blk.ents = entryPool.Get(int(blk.end - blk.start))
 	if fixed {
-		widen(blk.ents, blk.data)
-		blockPool.Put(blk.data)
+		widen(blk.ents, data)
+		blockPool.Put(data)
 	} else {
 		ents := blk.ents[:len(s.dec)] // decode checked the count; says so to the compiler
 		for i, v := range s.dec {
 			ents[i] = graph.VertexID(v)
 		}
 	}
-	blk.data = nil
 	if s.met != nil {
 		s.met.dispatchNS.Add(int64(time.Since(t0)))
 	}
@@ -298,9 +277,8 @@ func widen(dst []graph.VertexID, src []byte) {
 	}
 }
 
-// decode decodes an encoded block's bytes into s.dec: the producer's step
-// on a bulk stream, the consumer's on first touch on a lazy one.
-func (s *entryStream) decode(blk sioBlock) error {
+// decode decodes an encoded block's bytes, data, into s.dec.
+func (s *entryStream) decode(data []byte, blk sioBlock) error {
 	if s.dec == nil {
 		// One decode buffer per stream, sized for a whole block up front:
 		// codecs append entry by entry, and growing by doubling would cost
@@ -311,14 +289,14 @@ func (s *entryStream) decode(blk sioBlock) error {
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	dec, err := s.adj.Codec.DecodeBlock(s.dec[:0], blk.data)
+	dec, err := s.adj.Codec.DecodeBlock(s.dec[:0], data)
 	if s.met != nil {
 		// The codec counters are a contract about encoded layouts: they
 		// stay zero where entry offsets are byte arithmetic.
 		ns := int64(time.Since(t0))
 		s.met.dispatchNS.Add(ns)
 		s.met.decodeNS.Add(ns)
-		s.met.codecEncB.Add(int64(len(blk.data)))
+		s.met.codecEncB.Add(int64(len(data)))
 		s.met.codecRawB.Add(int64(len(dec)) * 4)
 		s.met.heatDecode(blk.idx, ns)
 	}
@@ -332,76 +310,46 @@ func (s *entryStream) decode(blk sioBlock) error {
 	return nil
 }
 
-// release returns the block's buffer to its pool.
+// release returns the block's entry buffer to its pool.
 func (b *sioBlock) release() {
-	if b.data != nil {
-		blockPool.Put(b.data)
-		b.data = nil
-	}
 	if b.ents != nil {
 		entryPool.Put(b.ents)
 		b.ents = nil
 	}
 }
 
-// window serves the entries from offset off on, at least n of them: on a
-// bulk stream a view of the current block's entries, on a lazy one the
-// flat buffer topped up to exactly n. A failure sticks.
+// window serves the entries from offset off on, at least n of them:
+// everything the current block holds from off on, as a sub-slice of it,
+// when the n entries lie inside one block — every request but a vertex
+// that straddles a block boundary, which alone is assembled in the flat
+// buffer. A failure sticks.
 func (s *entryStream) window(off int64, n int) ([]graph.VertexID, error) {
+	if s.err == nil && off >= s.blk.end {
+		s.err = s.advance(off)
+	}
 	if s.err != nil {
 		return nil, s.err
 	}
-	var w []graph.VertexID
-	if s.lazy {
-		w, s.err = s.fill(off, n)
-	} else {
-		w, s.err = s.view(off, n)
+	if off+int64(n) <= s.blk.end {
+		return s.blk.ents[off-s.blk.start:], nil
 	}
+	var w []graph.VertexID
+	w, s.err = s.fill(off, n)
 	return w, s.err
 }
 
-// view is a bulk stream's window: everything the current block holds from
-// off on, as a sub-slice of it, when the n entries asked for lie inside
-// one block — every request but a vertex that straddles a block boundary,
-// which alone is assembled in the flat buffer.
-func (s *entryStream) view(off int64, n int) ([]graph.VertexID, error) {
-	if off >= s.blk.end {
-		if err := s.advance(off); err != nil {
-			return nil, err
-		}
-		// Whatever was assembled ended in a block now gone.
-		s.buf, s.bufOff = s.buf[:0], s.blk.start
-	}
-	if off >= s.blk.start && off+int64(n) <= s.blk.end {
-		return s.blk.ents[off-s.blk.start:], nil
-	}
-	return s.fill(off, n)
-}
-
-// fill makes the flat buffer hold the n entries from offset off on: what
-// is already buffered from off on is kept, everything before it —
-// buffered, or in blocks not yet received — is dropped unread, and the
-// rest comes from the current block and the ones that follow. It returns
-// the buffer: a lazy stream's window, a bulk stream's straddler.
+// fill assembles the n entries from offset off on in the flat buffer: the
+// rest of the current block and the ones that follow.
 func (s *entryStream) fill(off int64, n int) ([]graph.VertexID, error) {
-	switch have := s.bufOff + int64(len(s.buf)); {
-	case off < s.bufOff:
-		return nil, fmt.Errorf("core: adjacency stream asked for entry %d after entry %d", off, s.bufOff)
-	case off < have:
-		s.buf = s.buf[:copy(s.buf, s.buf[off-s.bufOff:])]
-	default:
-		s.buf = s.buf[:0]
-	}
-	s.bufOff = off
 	if s.buf == nil {
 		s.buf = entryPool.Get(0)
 	}
 	if n > cap(s.buf) {
-		grown := entryPool.Get(max(n, 2*cap(s.buf)))[:len(s.buf)]
-		copy(grown, s.buf)
+		grown := entryPool.Get(max(n, 2*cap(s.buf)))
 		entryPool.Put(s.buf)
 		s.buf = grown
 	}
+	s.buf = s.buf[:0]
 	for len(s.buf) < n {
 		next := off + int64(len(s.buf)) // the first entry not yet buffered
 		if next >= s.blk.end {
@@ -409,21 +357,7 @@ func (s *entryStream) fill(off int64, n int) ([]graph.VertexID, error) {
 				return nil, err
 			}
 		}
-		take := min(n-len(s.buf), int(s.blk.end-next))
-		dst := s.buf[len(s.buf) : len(s.buf)+take]
-		i := next - s.blk.start
-		switch {
-		case !s.lazy:
-			copy(dst, s.blk.ents[i:])
-		case s.adj.FixedEntries():
-			// Straight from the block bytes: only the entries taken are
-			// ever converted.
-			widen(dst, s.blk.data[4*i:])
-		default:
-			for j, v := range s.dec[i:][:take] {
-				dst[j] = graph.VertexID(v)
-			}
-		}
+		take := copy(s.buf[len(s.buf):n], s.blk.ents[next-s.blk.start:])
 		s.buf = s.buf[:len(s.buf)+take]
 	}
 	return s.buf, nil
@@ -432,10 +366,9 @@ func (s *entryStream) fill(off int64, n int) ([]graph.VertexID, error) {
 // advance makes the block holding entry off the current one. The producer
 // emits exactly the blocks the ranges need, in ascending order; the ones
 // that end at or before off are blocks the consumer hopped over, and go
-// back to the pool as they came — on a lazy stream, undecoded. There the
-// block that is kept is decoded now, on first touch.
+// back to the pool as they came.
 func (s *entryStream) advance(off int64) error {
-	for {
+	for s.blk.end <= off {
 		s.blk.release()
 		blk, ok := <-s.blocks
 		if !ok {
@@ -445,20 +378,12 @@ func (s *entryStream) advance(off int64) error {
 			return blk.err
 		}
 		s.blk = blk
-		if blk.end > off {
-			break
-		}
 	}
 	if off < s.blk.start {
 		return fmt.Errorf("%w: entry %d is outside the stream's ranges (block %d follows with [%d,%d))",
 			errAdjExhausted, off, s.blk.idx, s.blk.start, s.blk.end)
 	}
-	if !s.lazy || s.adj.FixedEntries() {
-		return nil
-	}
-	err := s.decode(s.blk)
-	s.blk.release()
-	return err
+	return nil
 }
 
 // stop shuts the prefetcher down, releasing the block in hand, the queued
