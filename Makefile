@@ -21,8 +21,9 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/checkpoint/... ./internal/storage/... ./internal/bench/... ./internal/serve/... ./internal/algo/integration/...
 
 # inline-check asserts that the compiler inlines Apply into the bulk route
-# of every shipped program with an ApplyAll delegate (ci/inlinecheck.sh) —
-# run it after any edit to a program or to core.ApplyAll.
+# of every shipped program with an ApplyAll delegate, and the bitmap's
+# nextSet/clear/set into the Worker loop (ci/inlinecheck.sh) — run it after
+# any edit to a program, to core.ApplyAll, to updateRuns or to activeSet.
 inline-check:
 	ci/inlinecheck.sh
 

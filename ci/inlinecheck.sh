@@ -18,6 +18,11 @@
 # this script downloads nothing).
 #
 # A program that gains the delegate joins by adding a "<file>:<type>" word.
+#
+# The same build must also report, at the bitmap calls inside the Worker loop
+# (`updateRuns` in internal/core/engine.go, DESIGN.md §9),
+#   inlining call to core.(*activeSet).nextSet | .clear | .set
+# so a selective iteration pays no call per scheduled vertex for its bitmap.
 set -euo pipefail
 
 pkg=internal/algo/graphzalgo
@@ -43,5 +48,21 @@ for entry in $programs; do
 		fi
 	done
 done
+
+engine=internal/core/engine.go
+worker=$(awk '/^func \(e \*Engine\[V, M\]\) updateRuns\(/ { on = 1 } on { print NR": "$0 } on && /^}/ { exit }' "$engine")
+for method in nextSet clear set; do
+	lines=$(grep -E "e\.sel\.$method\(" <<<"$worker" | cut -d: -f1 || true)
+	if [ -z "$lines" ]; then
+		echo "inlinecheck: $engine: updateRuns calls no e.sel.$method" >&2
+		fail=1
+	fi
+	for line in $lines; do
+		if ! grep -Eq "^$engine:$line:[0-9]+: inlining call to core\.\(\*activeSet\)\.$method\$" <<<"$out"; then
+			echo "inlinecheck: updateRuns lost it under $(go version): no \"inlining call to core.(*activeSet).$method\" at $engine:$line" >&2
+			fail=1
+		fi
+	done
+done
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply inlined into ApplyAll for: $programs ($(go version))"
+echo "inlinecheck: Apply inlined into ApplyAll for: $programs; the bitmap inlined into updateRuns ($(go version))"

@@ -82,53 +82,24 @@ func (s *activeSet) get(v graph.VertexID) bool {
 	return s.words[i/64]&(1<<uint(i%64)) != 0
 }
 
-// countRange returns the number of set bits in [lo, hi).
+// countRange returns the number of set bits in [lo, hi): one popcount a
+// word, the first and last word masked to the range.
 func (s *activeSet) countRange(lo, hi graph.VertexID) int64 {
-	var total int64
-	s.eachWord(lo, hi, func(w uint64) bool {
-		total += int64(bits.OnesCount64(w))
-		return true
-	})
-	return total
-}
-
-// anyInRange reports whether any bit in [lo, hi) is set.
-func (s *activeSet) anyInRange(lo, hi graph.VertexID) bool {
-	any := false
-	s.eachWord(lo, hi, func(w uint64) bool {
-		if w != 0 {
-			any = true
-			return false
-		}
-		return true
-	})
-	return any
-}
-
-// rangeMask returns the bits of word w that fall in bit range [i, j).
-func rangeMask(w, i, j int) uint64 {
-	mask := ^uint64(0)
-	if w == i/64 {
-		mask <<= uint(i % 64)
-	}
-	if tail := uint(j % 64); w == (j-1)/64 && tail != 0 {
-		mask &= uint64(1)<<tail - 1
-	}
-	return mask
-}
-
-// eachWord visits the set's words masked to [lo, hi), stopping early
-// when fn returns false.
-func (s *activeSet) eachWord(lo, hi graph.VertexID, fn func(w uint64) bool) {
 	i, j := int(lo), int(hi)
 	if i >= j {
-		return
+		return 0
 	}
-	for w := i / 64; w <= (j-1)/64; w++ {
-		if !fn(s.words[w] & rangeMask(w, i, j)) {
-			return
-		}
+	first, last := i/64, (j-1)/64
+	head := s.words[first] &^ (uint64(1)<<uint(i%64) - 1)
+	tail := ^uint64(0) >> uint(63-(j-1)%64)
+	if first == last {
+		return int64(bits.OnesCount64(head & tail))
 	}
+	n := bits.OnesCount64(head) + bits.OnesCount64(s.words[last]&tail)
+	for _, w := range s.words[first+1 : last] {
+		n += bits.OnesCount64(w)
+	}
+	return int64(n)
 }
 
 // nextBit returns the smallest v' in [v, hi) whose bit equals want, or hi
@@ -226,7 +197,7 @@ func (s selSchedule) examined() int64 {
 // spanIndex is what the planner needs of a Layout: a vertex's entry span,
 // computed (the paper's DOS formula) rather than stored per vertex.
 type spanIndex interface {
-	DegreeOf(x graph.VertexID) uint32
+	DegreeRun(x graph.VertexID) (uint32, graph.VertexID)
 	OffsetOf(x graph.VertexID) int64
 	NextZeroDegree(x, hi graph.VertexID) graph.VertexID
 }
@@ -273,11 +244,13 @@ func blocksSpanned(start, end, epb int64) int64 {
 // bits inside a run. Active zero-degree vertices are scheduled too (their
 // updates consume no entries); inactive ones belong to no run.
 //
-// The cost is O(words + set bits + marked blocks · log vertices): one pass
-// over the set bits marks blocks through the vertex → span arithmetic,
-// and the runs come back from the marked intervals by an offset → vertex
-// search. There is no per-vertex pass and no per-block activity summary to
-// maintain — the word scan that finds the bits is V/64 loads.
+// The cost is O(words + marked blocks · log vertices): one pass marks
+// blocks through the vertex → span arithmetic, and every vertex with
+// entries it visits marks a block (active zero-degree vertices, the runs'
+// business anyway, are stepped over); the runs come back from the marked
+// intervals by an offset → vertex search. There is no per-vertex pass and
+// no per-block activity summary to maintain — the popcount that sizes the
+// frontier is V/64 loads.
 func (pl *selPlanner) plan(as *activeSet, idx spanIndex, lo, hi graph.VertexID, start, end, epb int64, threshold float64) selSchedule {
 	sched := selSchedule{
 		blocksTotal: blocksSpanned(start, end, epb),
@@ -296,27 +269,41 @@ func (pl *selPlanner) plan(as *activeSet, idx spanIndex, lo, hi graph.VertexID, 
 	}
 
 	// Mark the blocks an active vertex's entry span touches. Bits ascend,
-	// so do spans, so the marks arrive as ascending intervals.
+	// so do spans, so the marks arrive as ascending intervals. Once v's
+	// span is marked up to block last, a later vertex whose span ends in
+	// last marks nothing new: the next that can is the owner of entry
+	// (last+1)·epb — found by arithmetic inside v's degree run, by search
+	// past it — so each vertex visited extends the marks.
+	b := runBuilder{as: as, idx: idx, hi: hi, end: end, runs: pl.runs, covered: start}
 	pl.marked = pl.marked[:0]
-	for v := as.nextSet(lo, hi); v < hi; v = as.nextSet(v+1, hi) {
-		d := int64(idx.DegreeOf(v))
+	for v := as.nextSet(lo, hi); v < hi; {
+		d, runEnd := idx.DegreeRun(v)
 		if d == 0 {
+			v = as.nextSet(v+1, hi)
 			continue
 		}
 		off := idx.OffsetOf(v)
-		first, last := off/epb, (off+d-1)/epb
+		first, last := off/epb, (off+int64(d)-1)/epb
 		if n := len(pl.marked); n > 0 && first <= pl.marked[n-1].last+1 {
-			pl.marked[n-1].last = max(pl.marked[n-1].last, last)
+			pl.marked[n-1].last = last
 		} else {
 			pl.marked = append(pl.marked, blockSpan{first, last})
 		}
+		next := (last + 1) * epb
+		if next >= end {
+			break
+		}
+		w := v + graph.VertexID((next-off)/int64(d))
+		if w >= runEnd {
+			w = b.ownerOf(runEnd, next)
+		}
+		v = as.nextSet(w, hi)
 	}
 
 	// A vertex with entries is scheduled iff its span touches a marked
 	// block: the owners of a marked interval's first and last entry and
 	// everyone between them. Between two such ranges only the active
 	// (necessarily zero-degree) vertices are scheduled.
-	b := runBuilder{as: as, idx: idx, hi: hi, end: end, runs: pl.runs, covered: start}
 	next := lo // first vertex no run has considered yet
 	for _, m := range pl.marked {
 		// Clip to the partition, and to what the previous interval's last

@@ -288,6 +288,8 @@ type Result struct {
 	// BlocksScanned/BlocksSkipped count adjacency blocks the selective
 	// scheduler read versus skipped: both zero unless the run was scheduled
 	// selectively, and then (on a graph with an edge) their sum is not.
+	// They count the schedule's blocks, not device reads: on a resident
+	// adjacency every block was read once, by the fill, whatever they say.
 	BlocksScanned int64
 	BlocksSkipped int64
 	// Checkpoints counts the snapshots written this run;
@@ -795,7 +797,7 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 		if err != nil {
 			return err
 		}
-		if pend == 0 && !e.sel.anyInRange(lo, hi) {
+		if pend == 0 && e.sel.nextSet(lo, hi) == hi {
 			e.accountSelective(selSchedule{blocksTotal: blocksSpanned(start, end, e.adj.BlockEntries)})
 			return nil
 		}
@@ -991,16 +993,23 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn}
 	marked := false // an update of this pass called MarkActive (selective: ctx.active is per vertex there)
 	br := batchReader{src: src}
+	var deg uint32
+	var degEnd graph.VertexID // every vertex the loop reaches below degEnd has degree deg
 	for _, run := range runs {
 		off := run.startOff
 		for v := run.lo; v < run.hi; v++ {
 			if sparse {
-				if v = e.sel.nextSet(v, run.hi); v == run.hi {
+				next := e.sel.nextSet(v, run.hi)
+				if next == run.hi {
 					break
 				}
-				off = e.layout.OffsetOf(v)
+				if next != v {
+					v, off = next, e.layout.OffsetOf(next)
+				}
 			}
-			deg := e.layout.DegreeOf(v)
+			if v >= degEnd {
+				deg, degEnd = e.layout.DegreeRun(v)
+			}
 			adj, err := br.adj(off, deg)
 			if err != nil {
 				return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
@@ -1075,9 +1084,12 @@ func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
 	}
 	e.verts = e.verts[:count]
 	if iter == 0 {
-		for i := 0; i < count; i++ {
-			v := lo + graph.VertexID(i)
-			e.verts[i] = e.prog.Init(v, e.layout.DegreeOf(v))
+		var deg uint32
+		for v, end := lo, lo; v < hi; v++ {
+			if v >= end {
+				deg, end = e.layout.DegreeRun(v)
+			}
+			e.verts[v-lo] = e.prog.Init(v, deg)
 		}
 		e.charge(int64(count), sim.CostVertexUpdate)
 		return nil

@@ -29,6 +29,11 @@ type Layout interface {
 	// DegreeOf returns the out-degree of x (index must be resident,
 	// x in range).
 	DegreeOf(x graph.VertexID) uint32
+	// DegreeRun returns x's out-degree and the end of the range
+	// [x, end) of vertices that share it: the rest of x's bucket under
+	// DOS, x+1 under CSR. It is the degree-ordered walk: a loop over
+	// ascending IDs asks again only once it reaches end.
+	DegreeRun(x graph.VertexID) (deg uint32, end graph.VertexID)
 	// OffsetOf returns the edge-entry offset of x's adjacency.
 	OffsetOf(x graph.VertexID) int64
 	// NextZeroDegree returns the smallest y in [x, hi) with no
@@ -88,6 +93,14 @@ func (l *dosLayout) DegreeOf(x graph.VertexID) uint32 {
 	return l.g.Buckets[l.bucketOf(x)].Degree
 }
 
+func (l *dosLayout) DegreeRun(x graph.VertexID) (uint32, graph.VertexID) {
+	b, i := l.g.Buckets, l.bucketOf(x)
+	if i+1 < len(b) {
+		return b[i].Degree, b[i+1].FirstID
+	}
+	return b[i].Degree, graph.VertexID(l.g.NumVertices)
+}
+
 func (l *dosLayout) OffsetOf(x graph.VertexID) int64 {
 	bk := l.g.Buckets[l.bucketOf(x)]
 	return bk.FirstOff + int64(x-bk.FirstID)*int64(bk.Degree)
@@ -129,6 +142,10 @@ func (l *csrLayout) IndexBytes() int64 { return l.g.IndexBytes() }
 func (l *csrLayout) LoadIndex() error { return l.g.LoadIndex() }
 
 func (l *csrLayout) DegreeOf(x graph.VertexID) uint32 { return l.g.DegreeOf(x) }
+
+func (l *csrLayout) DegreeRun(x graph.VertexID) (uint32, graph.VertexID) {
+	return l.g.DegreeOf(x), x + 1
+}
 
 func (l *csrLayout) OffsetOf(x graph.VertexID) int64 { return l.g.OffsetOf(x) }
 

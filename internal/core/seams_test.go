@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"graphz/internal/checkpoint"
+	"graphz/internal/csr"
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
@@ -867,7 +869,8 @@ func (x *seamTrial) checkRoomy(t *testing.T, a *proc, dev *storage.Device, want 
 // entry base — at four bitmap densities: no bit, a few, the densest sparse
 // plan below the threshold, and any; bits outside the partition are set
 // too. Each bitmap is also held, primitive by primitive, to the []bool it
-// was built from, and through a checkpoint's round trip.
+// was built from, and through a checkpoint's round trip. Last, DegreeRun is
+// held to DegreeOf on every layout the planner meets.
 func (d seamDraw) plan(t *testing.T, eng *Engine[witnessVal, uint32]) {
 	r := d.draws(0x91a2)
 	var pl selPlanner // one planner: its scratch is reused plan to plan
@@ -895,6 +898,62 @@ func (d seamDraw) plan(t *testing.T, eng *Engine[witnessVal, uint32]) {
 	}
 	if n := 1 + r(200); newActiveSet(int(n)).count != n || newActiveSet(int(n)).countRange(0, graph.VertexID(n)) != n {
 		t.Errorf("an all-ones set of %d counts %d", n, newActiveSet(int(n)).countRange(0, graph.VertexID(n)))
+	}
+
+	// DegreeRun, on the draw's DOS layout (a run ends at the next bucket),
+	// on the same graph built as CSR (a run of one), and on the test layouts.
+	l, n := eng.layout, graph.VertexID(eng.layout.NumVertices())
+	buckets := l.(*dosLayout).g.Buckets
+	checkDegreeRuns(t, "dos", l, 0, n, func(x graph.VertexID) graph.VertexID {
+		i, _ := slices.BinarySearchFunc(buckets, x+1, func(b dos.Bucket, x graph.VertexID) int { return cmp.Compare(b.FirstID, x) })
+		if i < len(buckets) {
+			return buckets[i].FirstID
+		}
+		return n
+	})
+	if es := d.edges(); len(es) > 0 {
+		dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+		must(t, graph.WriteEdges(dev, "raw", es))
+		g, err := csr.Build(csr.BuildConfig{Dev: dev}, "raw", "g")
+		must(t, err)
+		must(t, g.LoadIndex())
+		checkDegreeRuns(t, "csr", CSRLayout(g), 0, graph.VertexID(g.NumVertices), func(x graph.VertexID) graph.VertexID { return x + 1 })
+	}
+	degs := make([]uint32, r(70))
+	for i := range degs {
+		degs[i] = uint32(r(4))
+	}
+	base := graph.VertexID(r(130))
+	hi := base + graph.VertexID(len(degs))
+	checkDegreeRuns(t, "degIndex", newDegIndex(base, r(40), degs), base, hi, func(x graph.VertexID) graph.VertexID {
+		for y := x + 1; y < hi; y++ {
+			if degs[y-base] != degs[x-base] {
+				return y
+			}
+		}
+		return hi
+	})
+	checkDegreeRuns(t, "flat", flatLayout{n: int(n)}, 0, n, func(graph.VertexID) graph.VertexID { return n })
+}
+
+// checkDegreeRuns holds DegreeRun at every vertex x of [lo, hi) to DegreeOf
+// and to the run end the layout promises: DegreeRun(x) is x's degree, want(x)
+// ends its run, and every vertex of [x, want(x)) has that degree.
+func checkDegreeRuns(t *testing.T, name string, l interface {
+	DegreeOf(graph.VertexID) uint32
+	DegreeRun(graph.VertexID) (uint32, graph.VertexID)
+}, lo, hi graph.VertexID, want func(graph.VertexID) graph.VertexID) {
+	t.Helper()
+	for x := lo; x < hi; x++ {
+		deg, end := l.DegreeRun(x)
+		if deg != l.DegreeOf(x) || end != want(x) || end <= x || end > hi {
+			t.Fatalf("%s: DegreeRun(%d) = %d, %d; degree %d, run end %d, vertices end at %d", name, x, deg, end, l.DegreeOf(x), want(x), hi)
+		}
+		for y := x + 1; y < end; y++ {
+			if l.DegreeOf(y) != deg {
+				t.Fatalf("%s: DegreeRun(%d) = %d up to %d, yet vertex %d has degree %d", name, x, deg, end, y, l.DegreeOf(y))
+			}
+		}
 	}
 }
 
@@ -930,9 +989,9 @@ func drawnBits(t *testing.T, r func(int64) int64, n int, lo, hi graph.VertexID, 
 		}
 		count += int64(b2i(set))
 	}
-	if as.countRange(i, j) != in || as.anyInRange(i, j) != (in > 0) || as.nextSet(i, j) != next {
-		t.Errorf("[%d,%d): count %d, any %v, next %d; the bits hold %d, first %d",
-			i, j, as.countRange(i, j), as.anyInRange(i, j), as.nextSet(i, j), in, next)
+	if as.countRange(i, j) != in || as.nextSet(i, j) != next {
+		t.Errorf("[%d,%d): count %d, next %d; the bits hold %d, first %d",
+			i, j, as.countRange(i, j), as.nextSet(i, j), in, next)
 	}
 	back, err := unmarshalActiveSet(as.marshal(), n)
 	if err != nil || as.count != count || !reflect.DeepEqual(back, as) {
@@ -1086,6 +1145,17 @@ func (x *degIndex) OffsetOf(v graph.VertexID) int64 { return x.offs[v-x.lo] }
 
 func (x *degIndex) DegreeOf(v graph.VertexID) uint32 {
 	return uint32(x.offs[v-x.lo+1] - x.offs[v-x.lo])
+}
+
+// DegreeRun returns the maximal run of v's degree, as a degree-ordered
+// layout would, so shuffled sequences exercise the planner's arithmetic
+// step inside a run as well as its search past one.
+func (x *degIndex) DegreeRun(v graph.VertexID) (uint32, graph.VertexID) {
+	d, end := x.DegreeOf(v), v+1
+	for int(end-x.lo) < len(x.offs)-1 && x.DegreeOf(end) == d {
+		end++
+	}
+	return d, end
 }
 
 func (x *degIndex) NextZeroDegree(v, hi graph.VertexID) graph.VertexID {
@@ -1336,6 +1406,7 @@ func (l flatLayout) NumEdges() int64                                    { return
 func (l flatLayout) IndexBytes() int64                                  { return 0 }
 func (l flatLayout) LoadIndex() error                                   { return nil }
 func (l flatLayout) DegreeOf(graph.VertexID) uint32                     { return 0 }
+func (l flatLayout) DegreeRun(graph.VertexID) (uint32, graph.VertexID)  { return 0, graph.VertexID(l.n) }
 func (l flatLayout) OffsetOf(graph.VertexID) int64                      { return 0 }
 func (l flatLayout) NextZeroDegree(x, hi graph.VertexID) graph.VertexID { return min(x, hi) }
 func (l flatLayout) EdgesFile() string                                  { return "flat.edges" }
