@@ -21,9 +21,12 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/checkpoint/... ./internal/storage/... ./internal/bench/... ./internal/serve/... ./internal/algo/integration/...
 
 # inline-check asserts that the compiler inlines Apply into the bulk route
-# of every shipped program with an ApplyAll delegate, and the bitmap's
-# nextSet/clear/set into the Worker loop (ci/inlinecheck.sh) — run it after
-# any edit to a program, to core.ApplyAll, to updateRuns or to activeSet.
+# of every shipped program with an ApplyAll delegate, Decode and Apply into
+# its ApplyRecords drain delegate, the field codecs into the pair codecs'
+# EncodeAll/DecodeAll loops, and the bitmap's nextSet/clear/set into the
+# Worker loop (ci/inlinecheck.sh) — run it after any edit to a program, to
+# core.ApplyAll or core.ApplyRecords, to internal/graph/pair.go, to
+# updateRuns or to activeSet.
 inline-check:
 	ci/inlinecheck.sh
 

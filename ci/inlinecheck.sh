@@ -19,6 +19,17 @@
 #
 # A program that gains the delegate joins by adding a "<file>:<type>" word.
 #
+# The same programs' drain delegate (core.RecordApplier, DESIGN.md §17)
+# is held the same way: at the line of its one core.ApplyRecords call,
+#   inlining call to core.ApplyRecords[...]
+#   inlining call to <prog>.Apply
+#   inlining call to graph.<codec>.Decode   (the codec that line names)
+# so the drain costs no call per buffered record. And the bulk form of the
+# two pair codecs (graph.U32PairCodec, graph.F32PairCodec) must inline its
+# field codecs: at the loop line of each EncodeAll and DecodeAll in
+# internal/graph/pair.go, an "inlining call to <field codec>.Encode|Decode",
+# so a partition's states load and store with one call, not one per field.
+#
 # The same build must also report, at the bitmap calls inside the Worker loop
 # (`updateRuns` in internal/core/engine.go, DESIGN.md §9),
 #   inlining call to core.(*activeSet).nextSet | .clear | .set
@@ -28,9 +39,12 @@ set -euo pipefail
 pkg=internal/algo/graphzalgo
 programs="pagerank.go:prProgram bfs.go:bfsProgram cc.go:ccProgram"
 
+pairs=internal/graph/pair.go
+pair_codecs="u32PairCodec:Uint32Codec f32PairCodec:Float32Codec"
+
 cd "$(git rev-parse --show-toplevel)"
 # -m's diagnostics are cached with the build and replayed on a cache hit.
-out=$(go build -gcflags=-m "./$pkg" 2>&1) || { echo "$out" >&2; exit 1; }
+out=$(go build -gcflags=-m "./$pkg" ./internal/graph 2>&1) || { echo "$out" >&2; exit 1; }
 
 fail=0
 for entry in $programs; do
@@ -46,6 +60,38 @@ for entry in $programs; do
 			echo "inlinecheck: $prog lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
 			fail=1
 		fi
+	done
+	line=$(grep -n 'core\.ApplyRecords(' "$pkg/$file" | cut -d: -f1)
+	codec=$(grep -o 'graph\.[A-Za-z0-9]*Codec{}\.Decode' "$pkg/$file" | sed 's/{}//' || true)
+	if [ "$(wc -w <<<"$line")" -ne 1 ] || [ "$(wc -w <<<"$codec")" -ne 1 ]; then
+		echo "inlinecheck: $pkg/$file: want exactly one core.ApplyRecords call (the drain delegate) naming one graph.<codec>{}.Decode, found lines: ${line:-none}, codecs: ${codec:-none}" >&2
+		fail=1
+		continue
+	fi
+	for callee in 'core\.ApplyRecords\[.*' "$prog"'\.Apply' "${codec//./\\.}"; do
+		if ! grep -Eq "^$pkg/$file:$line:[0-9]+: inlining call to $callee\$" <<<"$out"; then
+			echo "inlinecheck: $prog's drain lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
+			fail=1
+		fi
+	done
+done
+
+for entry in $pair_codecs; do
+	codec=${entry%%:*} field=${entry##*:}
+	for method in EncodeAll:Encode DecodeAll:Decode; do
+		bulk=${method%%:*} one=${method##*:}
+		body=$(awk -v f="^func \\(c $codec\\) $bulk\\(" '$0 ~ f { on = 1 } on { print NR": "$0 } on && /^}/ { exit }' "$pairs")
+		lines=$(grep -E "c\.$one\(" <<<"$body" | cut -d: -f1 || true)
+		if [ -z "$lines" ]; then
+			echo "inlinecheck: $pairs: $codec.$bulk calls no c.$one" >&2
+			fail=1
+		fi
+		for line in $lines; do
+			if ! grep -Eq "^$pairs:$line:[0-9]+: inlining call to $field\.$one\$" <<<"$out"; then
+				echo "inlinecheck: $codec.$bulk lost it under $(go version): no \"inlining call to $field.$one\" at $pairs:$line" >&2
+				fail=1
+			fi
+		done
 	done
 done
 
@@ -65,4 +111,4 @@ for method in nextSet clear set; do
 	done
 done
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply inlined into ApplyAll for: $programs; the bitmap inlined into updateRuns ($(go version))"
+echo "inlinecheck: Apply inlined into ApplyAll, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns ($(go version))"

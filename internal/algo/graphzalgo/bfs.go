@@ -47,6 +47,12 @@ func (p bfsProgram) ApplyAll(vs []bfsVal, lo graph.VertexID, dsts []graph.Vertex
 	return core.ApplyAll(vs, lo, dsts, m, func(v *bfsVal, m uint32) { p.Apply(v, m) })
 }
 
+// ApplyRecords is the optional drain form (core.RecordApplier): the message
+// codec's Decode and Apply, inlined.
+func (p bfsProgram) ApplyRecords(vs []bfsVal, lo graph.VertexID, recs []byte, rec int) int {
+	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return graph.Uint32Codec{}.Decode(b) }, func(v *bfsVal, m uint32) { p.Apply(v, m) })
+}
+
 // BFS computes hop counts from source (in the graph's ID space) along
 // out-edges, running until quiescent. Unreached vertices report
 // Unreached.

@@ -47,6 +47,12 @@ func (p ccProgram) ApplyAll(vs []ccVal, lo graph.VertexID, dsts []graph.VertexID
 	return core.ApplyAll(vs, lo, dsts, m, func(v *ccVal, m uint32) { p.Apply(v, m) })
 }
 
+// ApplyRecords is the optional drain form (core.RecordApplier): the message
+// codec's Decode and Apply, inlined.
+func (p ccProgram) ApplyRecords(vs []ccVal, lo graph.VertexID, recs []byte, rec int) int {
+	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return graph.Uint32Codec{}.Decode(b) }, func(v *ccVal, m uint32) { p.Apply(v, m) })
+}
+
 // ConnectedComponents labels every vertex with the smallest vertex ID
 // that reaches it, running until quiescent. Symmetrize the graph first
 // for weakly-connected components.

@@ -2,8 +2,10 @@ package graphzalgo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphz/internal/algo/plain"
@@ -415,17 +417,20 @@ func TestAblationLayoutsAgree(t *testing.T) {
 	}
 }
 
-// checkDelegate holds one program's ApplyAll to its definition: over
-// seeded random resident ranges [lo, lo+n) — and none at all, dynamic
-// messages off — and destination lists mixing resident IDs with IDs below
-// lo and at and past lo+n, duplicates and the empty list, the states it
-// leaves are byte-equal to a copy on which Apply was called for each
-// resident destination in list order, and it returns that count.
-func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], state func(*rand.Rand) V, msg func(*rand.Rand) M) {
+// checkDelegate holds one program's ApplyAll and ApplyRecords to their
+// definitions: over seeded random resident ranges [lo, lo+n) — and none at
+// all, dynamic messages off — and destination lists mixing resident IDs
+// with IDs below lo and at and past lo+n, duplicates and the empty list,
+// the states each leaves are byte-equal to a copy on which Apply was called
+// for each resident destination in list order — with ApplyAll's one
+// message, or each record's own, decoded by mc — and each returns that
+// count.
+func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M], state func(*rand.Rand) V, msg func(*rand.Rand) M) {
 	t.Helper()
 	bulk, ok := prog.(core.BulkApplier[V, M])
-	if !ok {
-		t.Fatalf("%T has no ApplyAll", prog)
+	records, ok2 := prog.(core.RecordApplier[V, M])
+	if !ok || !ok2 {
+		t.Fatalf("%T lacks ApplyAll (%v) or ApplyRecords (%v)", prog, ok, ok2)
 	}
 	encode := func(vs []V) []byte {
 		b := make([]byte, len(vs)*vc.Size())
@@ -445,6 +450,7 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Cod
 			got = append(got, state(rng))
 		}
 		want = append(want, got...)
+		drained, drainWant := slices.Clone(got), slices.Clone(got)
 		dsts := make([]graph.VertexID, rng.Intn(60))
 		if c%7 == 0 {
 			dsts = nil
@@ -474,6 +480,20 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Cod
 		if !bytes.Equal(encode(got), encode(want)) {
 			t.Fatalf("%T.ApplyAll over [%d,%d) and %v left %v, Apply in a loop leaves %v", prog, lo, int(lo)+n, dsts, got, want)
 		}
+		var recs []byte
+		for _, dst := range dsts {
+			m := msg(rng)
+			recs = binary.LittleEndian.AppendUint32(recs, uint32(dst))
+			recs = append(recs, make([]byte, mc.Size())...)
+			mc.Encode(recs[len(recs)-mc.Size():], m)
+			if dst >= lo && int(dst-lo) < n {
+				prog.Apply(&drainWant[dst-lo], mc.Decode(recs[len(recs)-mc.Size():]))
+			}
+		}
+		if k := records.ApplyRecords(drained, lo, recs, 4+mc.Size()); k != applied || !bytes.Equal(encode(drained), encode(drainWant)) {
+			t.Fatalf("%T.ApplyRecords over [%d,%d) and %v returned %d (want %d), left %v; Decode and Apply in a loop leave %v",
+				prog, lo, int(lo)+n, dsts, k, applied, drained, drainWant)
+		}
 	}
 }
 
@@ -488,13 +508,13 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 		check func(t *testing.T)
 	}{
 		{"PageRank", func(t *testing.T) {
-			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, f32Pair, (*rand.Rand).Float32)
+			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, graph.Float32Codec{}, f32Pair, (*rand.Rand).Float32)
 		}},
 		{"BFS", func(t *testing.T) {
-			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, u32Pair, u32)
+			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, graph.Uint32Codec{}, u32Pair, u32)
 		}},
 		{"CC", func(t *testing.T) {
-			checkDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, u32Pair, u32)
+			checkDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, graph.Uint32Codec{}, u32Pair, u32)
 		}},
 	} {
 		t.Run(row.name, row.check)

@@ -41,6 +41,12 @@ func (p prProgram) ApplyAll(vs []prVal, lo graph.VertexID, dsts []graph.VertexID
 	return core.ApplyAll(vs, lo, dsts, m, func(v *prVal, m float32) { p.Apply(v, m) })
 }
 
+// ApplyRecords is the optional drain form (core.RecordApplier): the message
+// codec's Decode and Apply, inlined.
+func (p prProgram) ApplyRecords(vs []prVal, lo graph.VertexID, recs []byte, rec int) int {
+	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) float32 { return graph.Float32Codec{}.Decode(b) }, func(v *prVal, m float32) { p.Apply(v, m) })
+}
+
 // PageRank runs the given number of damped PageRank iterations and
 // returns the ranks by the graph's (degree-ordered) vertex ID. Ranks are
 // unnormalized: they sum to roughly the vertex count, as in the paper's

@@ -54,9 +54,7 @@ func TestSparseIterationAllocs(t *testing.T) {
 				SelectiveScheduling: true,
 				MaxIterations:       iters,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			res, err := eng.Run()
 			if err != nil || res.Iterations != iters || res.Partitions != 1 || !eng.AdjacencyCached() {
 				t.Fatalf("ran %d of %d iterations in %d partitions (cached %v): %v",
@@ -89,9 +87,7 @@ func TestSelectiveNeedsFrontierSafe(t *testing.T) {
 		t.Errorf("New over an undeclared program with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)
 	}
 	inDeg, err := InDegrees(DOSLayout(g))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if _, _, err := EmulateGraphChi[uint32, uint32](DOSLayout(g), chiMinProgram{},
 		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg, opts); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("EmulateGraphChi with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)

@@ -121,9 +121,7 @@ func (e *Engine[V, M]) writeCheckpoint(iters int, done bool) error {
 		// the run — encode the checkpoint's copy from the resident array,
 		// not the (stale) device file.
 		vstate = make([]byte, len(e.verts)*e.vsize)
-		for i := range e.verts {
-			e.vcodec.Encode(vstate[i*e.vsize:], e.verts[i])
-		}
+		e.states.EncodeAll(vstate, e.verts)
 	} else {
 		var err error
 		vstate, err = storage.ReadAllFile(e.dev, e.vstateFile())
@@ -256,7 +254,7 @@ func (e *Engine[V, M]) resume() (Result, error) {
 	// memory at the exact occupancy — and capacity — they had, so both
 	// the drain order (file then tail) and every future spill boundary
 	// replay identically.
-	e.msgBufs = e.newMsgBufs()
+	e.makeMsgBufs()
 	rec := int64(4 + e.msize)
 	for p := 0; p < nParts; p++ {
 		data, err := ck.Section(msgSectionName(p))
@@ -271,11 +269,22 @@ func (e *Engine[V, M]) resume() (Result, error) {
 			return Result{}, fmt.Errorf("%w: message sections of partition %d are %d+%d bytes, record size %d",
 				checkpoint.ErrTruncated, p, len(data), len(tail), rec)
 		}
+		// The drain finds a record's state, bit and heat slot by its
+		// destination: every restored record must point inside.
+		lo, hi := e.partStarts[p], e.partStarts[p+1]
+		for _, sec := range [][]byte{data, tail} {
+			for off := int64(0); off < int64(len(sec)); off += rec {
+				if dst := graph.VertexID(binary.LittleEndian.Uint32(sec[off:])); dst < lo || dst >= hi {
+					return Result{}, fmt.Errorf("%w: a message record of partition %d names vertex %d, outside [%d,%d)",
+						checkpoint.ErrTruncated, p, dst, lo, hi)
+				}
+			}
+		}
 		if err := storage.WriteAll(e.dev, e.msgFile(p), data); err != nil {
 			return Result{}, fmt.Errorf("core: restoring messages of partition %d: %w", p, err)
 		}
 		// A tail that leaves no room for one more record was cut by a
-		// larger buffer than this engine's: bufferMessage could neither
+		// larger buffer than this engine's: scatter could neither
 		// take the next record nor spill at the boundary the checkpointed
 		// run would have.
 		if len(tail)+int(rec) > cap(e.msgBufs[p]) {

@@ -48,9 +48,7 @@ func latestManifestPath(t *testing.T, dir string) string {
 func newMinLabelEngine(t *testing.T, g *dos.Graph, opts Options) *Engine[minVal, uint32] {
 	t.Helper()
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return eng
 }
 
@@ -91,9 +89,7 @@ func resumeWith(t *testing.T, edges []graph.Edge, dir, name string) error {
 func TestResumeTruncatedManifest(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 46)
 	path := latestManifestPath(t, dir)
-	if err := os.WriteFile(path, []byte("GZ"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(path, []byte("GZ"), 0o644))
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrTruncated) {
 		t.Fatalf("Resume with truncated manifest = %v, want ErrTruncated", err)
 	}
@@ -103,9 +99,7 @@ func TestResumeManifestCRCMismatch(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 47)
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	raw[len(raw)-1] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
@@ -117,9 +111,7 @@ func TestResumeVersionFromTheFuture(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 48)
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	binary.LittleEndian.PutUint16(raw[6:], checkpoint.FormatVersion+1)
 	os.WriteFile(path, raw, 0o644)
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrVersionTooNew) {
@@ -169,13 +161,44 @@ func TestResumeSectionCorruption(t *testing.T) {
 	path := filepath.Dir(latestManifestPath(t, dir))
 	vstate := filepath.Join(path, "vstate")
 	raw, err := os.ReadFile(vstate)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	raw[0] ^= 0xff
 	os.WriteFile(vstate, raw, 0o644)
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
 		t.Fatalf("Resume with corrupt vstate = %v, want ErrCRCMismatch", err)
+	}
+}
+
+// TestResumeForeignRecord: a message section with a valid CRC whose record
+// names a vertex outside its partition is refused at resume, typed — it
+// would index past the partition's states at the first drain.
+func TestResumeForeignRecord(t *testing.T) {
+	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 53)
+	for _, sec := range []string{msgSectionName(0), tailSectionName(0)} {
+		g := buildDOS(t, edges)
+		opts := ckptBaseOpts(g)
+		opts.MaxIterations = 1
+		opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1}
+		runMinLabel(t, g, opts)
+		st, err := checkpoint.NewStore(opts.Checkpoint.Dir)
+		must(t, err)
+		ck, err := st.Latest()
+		must(t, err)
+		m, secs := ck.Manifest, []checkpoint.SectionData(nil)
+		m.Converged = false // resume runs on, into partition 0's drain
+		for _, s := range m.Sections {
+			data, err := ck.Section(s.Name)
+			must(t, err)
+			if s.Name == sec {
+				binary.LittleEndian.PutUint32(data, uint32(g.NumVertices-1)) // the last partition's
+			}
+			secs = append(secs, checkpoint.SectionData{Name: s.Name, Data: data})
+		}
+		_, err = st.Write(m, secs)
+		must(t, err)
+		if err := resumeWith(t, edges, opts.Checkpoint.Dir, ""); !errors.Is(err, checkpoint.ErrTruncated) {
+			t.Errorf("resume over a record of %s naming vertex %d: %v, want ErrTruncated", sec, g.NumVertices-1, err)
+		}
 	}
 }
 
@@ -185,13 +208,9 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 55)
 	run := func(ckpt bool) int64 {
 		dev := storage.NewDevice(storage.HDD, storage.Options{})
-		if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-			t.Fatal(err)
-		}
+		must(t, graph.WriteEdges(dev, "raw", edges))
 		g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		clock := sim.NewClock()
 		dev.SetClock(clock)
 		opts := ckptBaseOpts(g)
@@ -219,22 +238,16 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear int) {
 	t.Helper()
 	st, err := checkpoint.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	ck, err := st.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	const rec = 8 // 4-byte destination + uint32 label
 	dstOf := func(r []byte) uint32 { return binary.LittleEndian.Uint32(r) }
 	var secs []checkpoint.SectionData
 	var folded int
 	for _, s := range ck.Manifest.Sections {
 		data, err := ck.Section(s.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		var p int
 		if _, err := fmt.Sscanf(s.Name, "msgs.%d", &p); err != nil {
 			secs = append(secs, checkpoint.SectionData{Name: s.Name, Data: data})
@@ -279,17 +292,11 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 	// the manifest payload (magic, u16 version, u32 CRC, JSON) by hand.
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	const header = len("GZCKPT") + 6
 	var m, counters map[string]json.RawMessage
-	if err := json.Unmarshal(raw[header:], &m); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(m["counters"], &counters); err != nil {
-		t.Fatal(err)
-	}
+	must(t, json.Unmarshal(raw[header:], &m))
+	must(t, json.Unmarshal(m["counters"], &counters))
 	counters["combined"] = json.RawMessage(fmt.Sprint(folded))
 	counters["merge_passes"] = json.RawMessage("1")
 	counters["spill_saved"] = json.RawMessage(fmt.Sprint(folded * rec))
@@ -297,13 +304,9 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 		t.Fatal(err)
 	}
 	payload, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	binary.LittleEndian.PutUint32(raw[header-4:], crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(path, append(raw[:header], payload...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(path, append(raw[:header], payload...), 0o644))
 }
 
 // TestSortedCheckpointResume: checkpoints written by the removed sorted
@@ -357,9 +360,7 @@ func TestSortedCheckpointResume(t *testing.T) {
 				t.Fatalf("resume: %v", err)
 			}
 			vals, err := eng.Values()
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			got, want := stripDurability(res), stripDurability(refRes)
 			if mode.fold {
 				if got.MessagesApplied >= want.MessagesApplied {

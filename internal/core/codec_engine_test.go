@@ -18,13 +18,9 @@ import (
 func buildDOSCodec(t *testing.T, edges []graph.Edge, codec storage.Codec, blockEntries int64) *dos.Graph {
 	t.Helper()
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-		t.Fatal(err)
-	}
+	must(t, graph.WriteEdges(dev, "raw", edges))
 	g, err := dos.Convert(dos.ConvertConfig{Dev: dev, Codec: codec, BlockEntries: blockEntries}, "raw", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return g
 }
 
@@ -47,9 +43,7 @@ func TestEngineV2LayoutHash(t *testing.T) {
 	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true}
 	hash := func(g *dos.Graph) uint64 {
 		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		return eng.computeLayoutHash()
 	}
 	h1 := hash(buildDOS(t, edges))
@@ -68,9 +62,7 @@ func TestEngineV2LayoutHash(t *testing.T) {
 func TestInDegreesV2(t *testing.T) {
 	edges := gen.RMAT(7, 600, gen.NaturalRMAT, 35)
 	in1, err := InDegrees(DOSLayout(buildDOS(t, edges)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecGroupVarint} {
 		in2, err := InDegrees(DOSLayout(buildDOSCodec(t, edges, codec, 3)))
 		if err != nil {

@@ -91,12 +91,56 @@ func ApplyAll[V, M any](verts []V, lo graph.VertexID, dsts []graph.VertexID, m M
 	return applied
 }
 
-// applyLoop is the BulkApplier of a program that has none of its own:
-// ApplyAll over its Apply, bound once.
-type applyLoop[V, M any] struct{ apply func(*V, M) }
+// applyLoop is the BulkApplier and the RecordApplier of a program that
+// lacks its own: ApplyAll over its Apply, and ApplyRecords over the message
+// codec's Decode and its Apply, the function values bound once.
+type applyLoop[V, M any] struct {
+	apply  func(*V, M)
+	decode func([]byte) M
+}
 
-func (a applyLoop[V, M]) ApplyAll(verts []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
+func (a *applyLoop[V, M]) ApplyAll(verts []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
 	return ApplyAll(verts, lo, dsts, m, a.apply)
+}
+
+func (a *applyLoop[V, M]) ApplyRecords(verts []V, lo graph.VertexID, recs []byte, rec int) int {
+	return ApplyRecords(verts, lo, recs, rec, a.decode, a.apply)
+}
+
+// RecordApplier is the optional drain form of a Program: Apply over a run
+// of buffered message records, in a loop the compiler can inline the
+// message codec's Decode and the program's Apply into. The only body to
+// give it is the delegate
+//
+//	func (p prog) ApplyRecords(verts []V, lo graph.VertexID, recs []byte, rec int) int {
+//		return core.ApplyRecords(verts, lo, recs, rec, func(b []byte) M { return codec.Decode(b) }, func(v *V, m M) { p.Apply(v, m) })
+//	}
+//
+// where codec is the message codec the program is run with: two closure
+// literals, so Decode and Apply each keep their one definition. New looks
+// for the method once; a program without it runs the same loop over the
+// codec's Decode and its Apply through function values. The engine checks
+// the count an ApplyRecords returns (ErrProgramContract).
+type RecordApplier[V, M any] interface {
+	ApplyRecords(verts []V, lo graph.VertexID, recs []byte, rec int) int
+}
+
+// ApplyRecords applies a run of whole message records — each rec bytes,
+// the destination's 4-byte little-endian ID, then the encoded message — in
+// order to the resident destinations (verts holds the states of vertices
+// [lo, lo+len(verts))), skips the others and returns how many it applied.
+// decode is handed the bytes from the message on, and reads its codec's
+// Size of them. Like ApplyAll it is small enough to be inlined into a
+// RecordApplier delegate, with the two closure literals and what they call
+// (ci/inlinecheck.sh asserts it).
+func ApplyRecords[V, M any](verts []V, lo graph.VertexID, recs []byte, rec int, decode func([]byte) M, apply func(*V, M)) (applied int) {
+	for ; len(recs) >= rec; recs = recs[rec:] {
+		if i := uint64(graph.VertexID(binary.LittleEndian.Uint32(recs)) - lo); i < uint64(len(verts)) {
+			apply(&verts[i], decode(recs[4:]))
+			applied++
+		}
+	}
+	return
 }
 
 // FrontierSafe is the optional marker of a Program that may be scheduled
@@ -240,10 +284,11 @@ var ErrInvalidOptions = errors.New("core: invalid options")
 
 // ErrProgramContract reports a program that broke a rule the engine relies
 // on and can check: a BulkApplier whose ApplyAll returned a count other
-// than the number of resident destinations it was handed. The ledger
-// (inline + buffered == sent) would otherwise go quietly wrong, so the run
-// fails at the next partition boundary and returns no Result. Match with
-// errors.Is.
+// than the number of resident destinations it was handed, or a
+// RecordApplier whose ApplyRecords applied other than every record of the
+// partition's drain. The ledger (inline + buffered == sent) would otherwise
+// go quietly wrong, so the run fails at the next partition boundary and
+// returns no Result. Match with errors.Is.
 var ErrProgramContract = errors.New("core: program contract violated")
 
 // ErrCancelled reports a run aborted because Options.Context was
@@ -316,9 +361,9 @@ type Result struct {
 type Engine[V, M any] struct {
 	layout Layout
 	prog   Program[V, M]
-	bulk   BulkApplier[V, M] // prog's own ApplyAll, or applyLoop over prog.Apply
-	vcodec graph.Codec[V]
+	bulk   BulkApplier[V, M] // prog's own ApplyAll, or applyLoop's
 	mcodec graph.Codec[M]
+	states graph.BulkCodec[V] // the state codec's own bulk form, or its per-value loop
 	opts   Options
 
 	dev        *storage.Device
@@ -368,10 +413,14 @@ type Engine[V, M any] struct {
 
 	// The buffered path's state, kept behind the fields the inline path
 	// reads per message. partScale is partitionOf's fixed-point multiplier
-	// (split). staging is the one byte buffer the MsgManager moves device
-	// blocks through: a partition's encoded states on load and store, the
-	// spill file's blocks in the drain between them — never two at once.
+	// (split). enc holds the message a buffer pass is scattering, encoded
+	// once. records is prog's own ApplyRecords, or applyLoop's. staging is
+	// the one byte buffer the MsgManager moves device blocks through: a
+	// partition's encoded states on load and store, the spill file's blocks
+	// in the drain between them — never two at once.
 	partScale uint64
+	enc       []byte
+	records   RecordApplier[V, M]
 	staging   []byte
 }
 
@@ -394,20 +443,26 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 	e := &Engine[V, M]{
 		layout: layout,
 		prog:   prog,
-		vcodec: vcodec,
 		mcodec: mcodec,
 		opts:   opts,
 		dev:    layout.Device(),
 		adj:    layout.Adj(),
+		states: graph.Bulk(vcodec),
 		vsize:  vcodec.Size(),
 		msize:  mcodec.Size(),
 		eo:     newEngineObs(opts.Obs, opts.Trace),
 	}
 	e.sendFn, e.sendAllFn = e.send, e.sendAll
-	if bulk, ok := any(prog).(BulkApplier[V, M]); ok {
-		e.bulk = bulk
-	} else {
-		e.bulk = applyLoop[V, M]{prog.Apply}
+	e.bulk, _ = any(prog).(BulkApplier[V, M])
+	e.records, _ = any(prog).(RecordApplier[V, M])
+	if e.bulk == nil || e.records == nil {
+		loop := &applyLoop[V, M]{prog.Apply, mcodec.Decode}
+		if e.bulk == nil {
+			e.bulk = loop
+		}
+		if e.records == nil {
+			e.records = loop
+		}
 	}
 	if opts.SharedAdjacency != nil && !opts.SharedAdjacency.matches(layout) {
 		return nil, fmt.Errorf("%w: shared adjacency belongs to %q (%d entries), layout reads %q (%d entries)",
@@ -603,7 +658,7 @@ func (e *Engine[V, M]) Run() (Result, error) {
 		return e.resume()
 	}
 	nParts := e.NumPartitions()
-	e.msgBufs = e.newMsgBufs()
+	e.makeMsgBufs()
 	if _, err := e.dev.Create(e.vstateFile()); err != nil {
 		return Result{}, err
 	}
@@ -900,7 +955,7 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 	i := uint64(dst - lo)
 	if i >= uint64(len(verts)) {
 		e.c.Buffered++
-		e.bufferMessage(dst, m)
+		e.scatter([]graph.VertexID{dst}, m, nil, 0)
 		return
 	}
 	e.prog.Apply(&verts[i], m)
@@ -913,8 +968,8 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 
 // sendAll routes m to every vertex of dsts against the live states — send
 // in a loop, done as three passes over the list. The program's ApplyAll
-// applies m to the inline destinations (ordered dynamic messages); the
-// others, when there are any, are buffered; and under selective scheduling
+// applies m to the inline destinations (ordered dynamic messages); scatter
+// buffers the others, when there are any; and under selective scheduling
 // the inline ones are marked schedulable. Each pass keeps list order, and
 // that makes it the loop's execution: Apply sees only its own vertex, so
 // what is ordered is the applies each destination sees, the records each
@@ -936,12 +991,7 @@ func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
 	applied := e.bulk.ApplyAll(verts, lo, dsts, m)
 	buffered := 0
 	if applied < len(dsts) {
-		for _, dst := range dsts {
-			if uint64(dst-lo) >= uint64(len(verts)) {
-				e.bufferMessage(dst, m)
-				buffered++
-			}
-		}
+		buffered = e.scatter(dsts, m, verts, lo)
 	}
 	if applied+buffered != len(dsts) {
 		if e.runErr == nil {
@@ -961,6 +1011,48 @@ func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
 	e.c.Applied += int64(applied)
 	e.c.Inline += int64(applied)
 	e.c.Buffered += int64(buffered)
+}
+
+// scatter is the record writer, the one way a message is buffered — send's
+// for its one destination, sendAll's buffer pass, kept out of line. It
+// encodes m once, and for every destination of dsts outside verts (the
+// states of [lo, lo+len(verts))), in list order, appends the 4-byte ID and
+// the encoded bytes to the destination partition's buffer, spilling the
+// buffer when full. It returns how many it buffered. Every buffer has room
+// for one more record on entry: makeMsgBufs and resume make them so, and a
+// buffer that could not take another is spilled before the next.
+func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M, verts []V, lo graph.VertexID) int {
+	enc, rec := e.enc, 4+e.msize
+	e.mcodec.Encode(enc, m)
+	// A 4-byte message makes the record one 8-byte word: the ID in its low
+	// half, the encoded message in its high half.
+	var word uint64
+	if rec == 8 {
+		word = uint64(binary.LittleEndian.Uint32(enc)) << 32
+	}
+	buffered := 0
+	for _, dst := range dsts {
+		if uint64(dst-lo) < uint64(len(verts)) {
+			continue
+		}
+		p := e.partitionOf(dst)
+		buf := e.msgBufs[p]
+		n := len(buf)
+		buf = buf[:n+rec]
+		if rec == 8 {
+			binary.LittleEndian.PutUint64(buf[n:], word|uint64(dst))
+		} else {
+			binary.LittleEndian.PutUint32(buf[n:], uint32(dst))
+			copy(buf[n+4:], enc)
+		}
+		if len(buf)+rec > cap(buf) {
+			e.spillBuffer(p, buf)
+			buf = buf[:0]
+		}
+		e.msgBufs[p] = buf
+		buffered++
+	}
+	return buffered
 }
 
 // updateRuns is the Worker loop on live states: it updates the vertices
@@ -1102,9 +1194,7 @@ func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
 	if err := storage.ReadFullAt(f, buf, int64(lo)*int64(e.vsize)); err != nil {
 		return fmt.Errorf("core: loading vertex states [%d,%d): %w", lo, hi, err)
 	}
-	for i := 0; i < count; i++ {
-		e.verts[i] = e.vcodec.Decode(buf[i*e.vsize:])
-	}
+	e.states.DecodeAll(e.verts, buf)
 	e.chargeBytes(int64(len(buf)))
 	return nil
 }
@@ -1113,9 +1203,7 @@ func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
 func (e *Engine[V, M]) storeVertices(lo, hi graph.VertexID) error {
 	count := int(hi - lo)
 	buf := e.stage(count * e.vsize)
-	for i := 0; i < count; i++ {
-		e.vcodec.Encode(buf[i*e.vsize:], e.verts[i])
-	}
+	e.states.EncodeAll(buf, e.verts[:count])
 	f, err := e.dev.Open(e.vstateFile())
 	if err != nil {
 		return err
@@ -1127,38 +1215,23 @@ func (e *Engine[V, M]) storeVertices(lo, hi graph.VertexID) error {
 	return nil
 }
 
-// newMsgBufs makes the message buffers plan charged to the budget, one per
-// partition, empty. Each holds at least one whole record: bufferMessage's
-// re-slice would otherwise panic with slice bounds out of range whenever a
-// record outgrows the configured buffer. New clamps MsgBufferBytes, but the
-// hot path must not depend on a distant invariant surviving refactors.
-func (e *Engine[V, M]) newMsgBufs() [][]byte {
+// makeMsgBufs makes the message buffers plan charged to the budget, one per
+// partition, empty, and behind them scatter's msize bytes of scratch, enc,
+// all in one allocation. Each buffer holds at least one whole record:
+// scatter's re-slice would otherwise panic with slice bounds out of range
+// whenever a record outgrows the configured buffer. New clamps
+// MsgBufferBytes, but the hot path must not depend on a distant invariant
+// surviving refactors. A buffer never grows past its capacity, so none
+// reaches into the next.
+func (e *Engine[V, M]) makeMsgBufs() {
 	c := max(e.opts.MsgBufferBytes, 4+e.msize)
-	bufs := make([][]byte, e.NumPartitions())
-	for p := range bufs {
-		bufs[p] = make([]byte, 0, c)
+	nParts := e.NumPartitions()
+	backing := make([]byte, nParts*c+e.msize)
+	e.msgBufs = make([][]byte, nParts)
+	for p := range e.msgBufs {
+		e.msgBufs[p] = backing[p*c : p*c : (p+1)*c]
 	}
-	return bufs
-}
-
-// bufferMessage queues a message for a non-resident destination (or any
-// destination when dynamic messages are disabled), spilling the
-// destination partition's buffer when full. Every buffer has room for one
-// more record on entry: newMsgBufs and resume make them so, and a buffer
-// that could not take another is spilled before this returns.
-func (e *Engine[V, M]) bufferMessage(dst graph.VertexID, m M) {
-	p := e.partitionOf(dst)
-	rec := 4 + e.msize
-	buf := e.msgBufs[p]
-	n := len(buf)
-	buf = buf[:n+rec]
-	binary.LittleEndian.PutUint32(buf[n:], uint32(dst))
-	e.mcodec.Encode(buf[n+4:], m)
-	if len(buf)+rec > cap(buf) {
-		e.spillBuffer(p, buf)
-		buf = buf[:0]
-	}
-	e.msgBufs[p] = buf
+	e.enc = backing[nParts*c:]
 }
 
 // spillBuffer appends a full message buffer to the partition's message
@@ -1207,12 +1280,11 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 	if size%int64(rec) != 0 {
 		return fmt.Errorf("core: message file %q torn (%d bytes, record %d)", e.msgFile(p), size, rec)
 	}
-	// Drain fan-in attribution: accumulate per vstate block locally and
-	// fold into the heatmap once per drain, keeping the per-record cost
-	// to one map increment.
-	var heatAcc map[int64]int64
+	// Drain fan-in attribution: a count per vstate block of the partition,
+	// folded into the heatmap once per drain.
+	var heat []int64
 	if e.eo.heat != nil {
-		heatAcc = make(map[int64]int64)
+		heat = make([]int64, e.vstateBlock(e.partStarts[p+1]-1)-e.vstateBlock(lo)+1)
 	}
 	block := int(min(size, storage.DefaultBlockSize))
 	buf := e.stage(block + rec) // a carried record is shorter than rec
@@ -1228,37 +1300,47 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 		}
 		off += int64(n)
 		whole := (carry + n) / rec * rec
-		e.applyRecords(buf[:whole], lo, heatAcc)
+		e.applyRecords(buf[:whole], lo, heat)
 		carry = copy(buf, buf[whole:carry+n])
 	}
 	if err := f.Truncate(0); err != nil {
 		return err
 	}
-	e.applyRecords(e.msgBufs[p], lo, heatAcc)
+	e.applyRecords(e.msgBufs[p], lo, heat)
 	e.msgBufs[p] = e.msgBufs[p][:0]
-	if len(heatAcc) > 0 {
-		e.flushDrainHeat(heatAcc)
+	if heat != nil {
+		e.flushDrainHeat(e.vstateBlock(lo), heat)
 	}
 	return nil
 }
 
 // applyRecords applies a run of whole message records — one block of the
-// spill file, or the in-memory tail — to the resident partition, in order.
-func (e *Engine[V, M]) applyRecords(recs []byte, lo graph.VertexID, heatAcc map[int64]int64) {
+// spill file, or the in-memory tail — to the resident partition, in order,
+// through the program's ApplyRecords, and checks the count it returns:
+// every record of a drain is the partition's (scatter routes by
+// partitionOf, resume checks what it restores). Then, each in a pass of its
+// own and only when its feature is on, it marks the destinations
+// schedulable (a delivered message makes its vertex so) and counts them
+// into heat, the drain's fan-in per vstate block from lo's.
+func (e *Engine[V, M]) applyRecords(recs []byte, lo graph.VertexID, heat []int64) {
 	rec := 4 + e.msize
-	verts, prog, mcodec, sel := e.verts, e.prog, e.mcodec, e.sel
-	for off := 0; off+rec <= len(recs); off += rec {
-		dst := graph.VertexID(binary.LittleEndian.Uint32(recs[off:]))
-		prog.Apply(&verts[dst-lo], mcodec.Decode(recs[off+4:off+rec]))
-		if sel != nil {
-			// A delivered message makes the destination schedulable.
-			sel.set(dst)
-		}
-		if heatAcc != nil {
-			heatAcc[e.vstateBlock(dst)]++
+	n := len(recs) / rec
+	if applied := e.records.ApplyRecords(e.verts, lo, recs, rec); applied != n && e.runErr == nil {
+		e.runErr = fmt.Errorf("%w: ApplyRecords applied %d of %d records for [%d,%d)",
+			ErrProgramContract, applied, n, lo, int(lo)+len(e.verts))
+	}
+	if sel := e.sel; sel != nil {
+		for off := 0; off+rec <= len(recs); off += rec {
+			sel.set(graph.VertexID(binary.LittleEndian.Uint32(recs[off:])))
 		}
 	}
-	e.c.Applied += int64(len(recs) / rec)
+	if heat != nil {
+		first := e.vstateBlock(lo)
+		for off := 0; off+rec <= len(recs); off += rec {
+			heat[e.vstateBlock(graph.VertexID(binary.LittleEndian.Uint32(recs[off:])))-first]++
+		}
+	}
+	e.c.Applied += int64(n)
 }
 
 // Values reads the final vertex states (by layout ID) after Run.
@@ -1275,9 +1357,7 @@ func (e *Engine[V, M]) Values() ([]V, error) {
 		return nil, fmt.Errorf("core: vertex state file has %d bytes, want %d", len(data), n*e.vsize)
 	}
 	out := make([]V, n)
-	for i := range out {
-		out[i] = e.vcodec.Decode(data[i*e.vsize:])
-	}
+	e.states.DecodeAll(out, data)
 	return out, nil
 }
 

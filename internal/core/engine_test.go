@@ -87,13 +87,9 @@ func referenceMinLabels(n int, edges []graph.Edge) []uint32 {
 func buildDOS(t *testing.T, edges []graph.Edge) *dos.Graph {
 	t.Helper()
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-		t.Fatal(err)
-	}
+	must(t, graph.WriteEdges(dev, "raw", edges))
 	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return g
 }
 
@@ -101,9 +97,7 @@ func buildDOS(t *testing.T, edges []graph.Edge) *dos.Graph {
 func relabeledEdges(t *testing.T, g *dos.Graph, edges []graph.Edge) []graph.Edge {
 	t.Helper()
 	o2n, err := g.OldToNew()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	out := make([]graph.Edge, len(edges))
 	for i, e := range edges {
 		out[i] = graph.Edge{Src: o2n[e.Src], Dst: o2n[e.Dst]}
@@ -114,17 +108,11 @@ func relabeledEdges(t *testing.T, g *dos.Graph, edges []graph.Edge) []graph.Edge
 func runMinLabel(t *testing.T, g *dos.Graph, opts Options) (Result, []minVal) {
 	t.Helper()
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	vals, err := eng.Values()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	eng.Cleanup()
 	return res, vals
 }

@@ -34,11 +34,11 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	// Shrink the buffer below one 8-byte record, then make the buffers as
 	// Run does.
 	eng.opts.MsgBufferBytes = 4
-	eng.msgBufs = eng.newMsgBufs()
+	eng.makeMsgBufs()
 	const n = 5
 	var want []byte
 	for i := 0; i < n; i++ {
-		eng.bufferMessage(graph.VertexID(i), uint32(100+i))
+		eng.send(graph.VertexID(i), uint32(100+i)) // nothing is resident: the record writer
 		want = binary.LittleEndian.AppendUint32(want, uint32(i))
 		want = binary.LittleEndian.AppendUint32(want, uint32(100+i))
 	}
@@ -64,9 +64,7 @@ func TestDrainBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := eng.drainMessages(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, eng.drainMessages(0, 0))
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > fileBytes/16 {
 		t.Errorf("drain allocated %d bytes for a %d-byte spill file; want bounded streaming", alloc, fileBytes)
@@ -92,9 +90,7 @@ func TestStateRoundAllocs(t *testing.T) {
 	g := buildDOS(t, ringEdges(100_000))
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
 		Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if eng.NumPartitions() < 2 {
 		t.Fatalf("%d partitions; a pinned run never reloads its states", eng.NumPartitions())
 	}
@@ -107,12 +103,8 @@ func TestStateRoundAllocs(t *testing.T) {
 		t.Fatalf("a partition of %d bytes is too small to tell", partition)
 	}
 	round := func(iter int) {
-		if err := eng.loadVertices(lo, hi, iter); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.storeVertices(lo, hi); err != nil {
-			t.Fatal(err)
-		}
+		must(t, eng.loadVertices(lo, hi, iter))
+		must(t, eng.storeVertices(lo, hi))
 	}
 	round(0) // Init, the staging buffer and the file's first bytes
 	var before, after runtime.MemStats
@@ -127,39 +119,56 @@ func TestStateRoundAllocs(t *testing.T) {
 	}
 }
 
-// miscount is witnessLabel with a hand-written ApplyAll that applies
-// every resident destination and reports off more.
+// miscount is witnessLabel with hand-written delegates that apply every
+// resident destination and every record and report off more: ApplyAll, or
+// with drain set ApplyRecords.
 type miscount struct {
 	witnessLabel
-	off int
+	off   int
+	drain bool
 }
 
 func (p miscount) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
-	if n := p.witnessLabel.ApplyAll(vs, lo, dsts, m); n > 0 {
-		return n + p.off
+	n := p.witnessLabel.ApplyAll(vs, lo, dsts, m)
+	if n > 0 && !p.drain {
+		n += p.off
 	}
-	return 0
+	return n
+}
+
+func (p miscount) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
+	n := p.witnessLabel.ApplyRecords(vs, lo, recs, rec)
+	if n > 0 && p.drain {
+		n += p.off
+	}
+	return n
 }
 
 // TestApplyAllMiscountFailsRun: the engine learns how many messages were
 // applied from the program, so a program that miscounts gets a typed error
 // and no Result — not a ledger in which inline + buffered != sent. The
 // ledger the aborted run publishes still adds up: it holds what the buffer
-// pass found, not what the program said.
+// pass and the drain found, not what the program said. A miscounting
+// ApplyAll stops the run after iteration 0's first partition, a
+// miscounting ApplyRecords after its second, the first to drain.
 func TestApplyAllMiscountFailsRun(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 82))
-	for _, parts := range []int64{1, 4} {
+	for _, parts := range []int64{1, 4, -4} {
 		for _, off := range []int{-1, 1} {
-			t.Run(fmt.Sprintf("parts=%d/off=%+d", parts, off), func(t *testing.T) {
+			drain := parts < 0
+			parts := max(parts, -parts)
+			name := fmt.Sprintf("parts=%d/off=%+d", parts, off)
+			if drain {
+				name = fmt.Sprintf("drain/parts=%d/off=%+d", parts, off)
+			}
+			t.Run(name, func(t *testing.T) {
 				reg := obs.NewRegistry()
 				opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, MsgBufferBytes: 64, Obs: reg}
 				if parts > 1 {
 					opts.MemoryBudget = budgetForPartitions(g, 12, parts, 64)
 				}
-				eng, err := New[witnessVal, uint32](DOSLayout(g), miscount{off: off}, witnessCodec{}, graph.Uint32Codec{}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng, err := New[witnessVal, uint32](DOSLayout(g), miscount{off: off, drain: drain}, witnessCodec{}, graph.Uint32Codec{}, opts)
+				must(t, err)
 				res, err := eng.Run()
 				if !errors.Is(err, ErrProgramContract) {
 					t.Fatalf("err = %v, want ErrProgramContract", err)
@@ -167,8 +176,9 @@ func TestApplyAllMiscountFailsRun(t *testing.T) {
 				if res != (Result{}) {
 					t.Errorf("a failed run returned %+v", res)
 				}
-				if first := int64(eng.partStarts[1]); eng.NumPartitions() != int(parts) || eng.c.Updates != first {
-					t.Errorf("%d partitions, %d updates: want %d and the run stopped after the first's %d",
+				first := int64(eng.partStarts[1+b2i(drain)])
+				if eng.NumPartitions() != int(parts) || eng.c.Updates != first {
+					t.Errorf("%d partitions, %d updates: want %d and the run stopped after the failing partition's %d",
 						eng.NumPartitions(), eng.c.Updates, parts, first)
 				}
 				checkLedgerViews(t, eng, reg, checkpoint.Counters{})

@@ -209,12 +209,14 @@ func (e *Engine[V, M]) vstateBlock(dst graph.VertexID) int64 {
 	return int64(dst) * int64(e.vsize) / storage.DefaultBlockSize
 }
 
-// flushDrainHeat folds one drain's per-block fan-in accumulator into the
-// heatmap.
-func (e *Engine[V, M]) flushDrainHeat(acc map[int64]int64) {
+// flushDrainHeat folds one drain's fan-in counts, one per vstate block
+// from block first on, into the heatmap.
+func (e *Engine[V, M]) flushDrainHeat(first int64, counts []int64) {
 	file := e.vstateFile()
-	for b, n := range acc {
-		e.eo.heat.AddDrain(file, b, n)
+	for i, n := range counts {
+		if n > 0 {
+			e.eo.heat.AddDrain(file, first+int64(i), n)
+		}
 	}
 }
 

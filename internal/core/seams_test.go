@@ -218,12 +218,29 @@ func (d seamDraw) edges() []graph.Edge {
 	return es
 }
 
-// The three routes of SendAll: the program's own ApplyAll, the engine's
-// default loop over its Apply, and Send in a loop.
-var seamPrograms = map[string]Program[witnessVal, uint32]{
-	"own":      witnessLabel{},
-	"noBulk":   noBulk[witnessVal, uint32]{witnessLabel{}},
-	"sendLoop": sendLoop[witnessVal, uint32]{witnessLabel{}},
+// program returns the witness program by one of the three routes of
+// SendAll: with its own delegates — ApplyAll, and ApplyRecords over the
+// draw's message codec — the engine's default loops over its Apply, and
+// Send in a loop (which hides the delegates too).
+func (d seamDraw) program(route string) Program[witnessVal, uint32] {
+	own := witnessLabel{pad: d.Val("record") == "6"}
+	switch route {
+	case "noBulk":
+		return noBulk[witnessVal, uint32]{own}
+	case "sendLoop":
+		return sendLoop[witnessVal, uint32]{own}
+	}
+	return own
+}
+
+// vcodec returns the vertex codec a route runs with: witnessCodec with its
+// bulk form, or on the noBulk route without it (the engine's per-value
+// loop).
+func vcodec(route string) graph.Codec[witnessVal] {
+	if route == "noBulk" {
+		return perValue[witnessVal]{witnessCodec{}}
+	}
+	return witnessCodec{}
 }
 
 // A seamTrial is a draw with its graph converted: the files every process
@@ -277,7 +294,7 @@ type proc struct {
 // exec runs one process on fd: prog under opts, the device armed with plan
 // once the graph is loaded, observed as watch says, its context cancelled —
 // cause context.DeadlineExceeded — at poll kill (never when kill < 0).
-func (x *seamTrial) exec(t *testing.T, fd *storage.FaultDevice, plan storage.FaultPlan, prog Program[witnessVal, uint32], opts Options, watch string, kill int) *proc {
+func (x *seamTrial) exec(t *testing.T, fd *storage.FaultDevice, plan storage.FaultPlan, route string, opts Options, watch string, kill int) *proc {
 	t.Helper()
 	g, err := dos.Load(fd.Device, "g")
 	must(t, err)
@@ -311,7 +328,7 @@ func (x *seamTrial) exec(t *testing.T, fd *storage.FaultDevice, plan storage.Fau
 		}
 		p.snaps = append(p.snaps, p.eng.c)
 	}}
-	p.eng, err = New(DOSLayout(g), prog, witnessCodec{}, x.mcodec(), opts)
+	p.eng, err = New(DOSLayout(g), x.program(route), vcodec(route), x.mcodec(), opts)
 	must(t, err)
 	fd.Arm(plan)
 	files := fd.FileStats()
@@ -371,7 +388,7 @@ func (d seamDraw) run(t *testing.T) *proc {
 	var want []byte
 	fdA := x.device(t)
 	step(t, "reference", func(t *testing.T) {
-		a = x.exec(t, fdA, storage.FaultPlan{}, seamPrograms[routes[0]], x.opts, "all", -1)
+		a = x.exec(t, fdA, storage.FaultPlan{}, routes[0], x.opts, "all", -1)
 		must(t, a.err)
 		x.checkReference(t, a, routes[0])
 		x.checkProc(t, a, 0, checkpoint.Counters{})
@@ -381,7 +398,7 @@ func (d seamDraw) run(t *testing.T) *proc {
 	})
 	step(t, "twin", func(t *testing.T) {
 		fdB := x.device(t)
-		b = x.exec(t, fdB, storage.FaultPlan{}, seamPrograms[routes[1]], optsB, "all", -1)
+		b = x.exec(t, fdB, storage.FaultPlan{}, routes[1], optsB, "all", -1)
 		must(t, b.err)
 		x.checkProc(t, b, 0, checkpoint.Counters{})
 		x.checkTwins(t, a, b, want, every)
@@ -400,7 +417,7 @@ func (d seamDraw) run(t *testing.T) *proc {
 			kill = int(r(int64(1 + a.res.Iterations*a.eng.NumPartitions())))
 		}
 		fdS := x.device(t)
-		s := x.exec(t, fdS, plan, seamPrograms[routes[2]], optsS, d.Val("observe"), kill)
+		s := x.exec(t, fdS, plan, routes[2], optsS, d.Val("observe"), kill)
 		if s.err == nil {
 			t.Fatalf("killed (crash at operation %d, cancel at poll %d of %d), yet the run finished", plan.CrashAtOp, kill, len(a.snaps))
 		}
@@ -426,7 +443,7 @@ func (d seamDraw) run(t *testing.T) *proc {
 			s.eng.Cleanup()
 			x.checkLeftovers(t, fdS.Device, true)
 		}
-		s = x.exec(t, fdS, storage.FaultPlan{}, seamPrograms[routes[2]], optsS, d.Val("observe"), -1)
+		s = x.exec(t, fdS, storage.FaultPlan{}, routes[2], optsS, d.Val("observe"), -1)
 		must(t, s.err)
 		x.checkProc(t, s, start, base)
 		gotRes, gotRows := comparableRun(s.res, s.reg.Iters(), true)
@@ -505,8 +522,10 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 	n, edges := int64(l.NumVertices()), l.NumEdges()
 	nParts, iters := eng.NumPartitions(), int64(res.Iterations)
 	sel, dm := x.opts.SelectiveScheduling, x.opts.DynamicMessages
-	if _, own := eng.bulk.(witnessLabel); own != (route == "own") {
-		t.Errorf("route %s: New bound %T", route, eng.bulk)
+	_, bulkLoop := eng.bulk.(*applyLoop[witnessVal, uint32])
+	_, drainLoop := eng.records.(*applyLoop[witnessVal, uint32])
+	if _, states := eng.states.(witnessCodec); bulkLoop == (route == "own") || drainLoop == (route == "own") || states == (route == "noBulk") {
+		t.Errorf("route %s: New bound %T, %T and %T", route, eng.bulk, eng.records, eng.states)
 	}
 
 	// The ledger and the plan.
@@ -806,7 +825,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 		t.Error("Resume after Run succeeded")
 	}
 	fresh := func(opts Options) (*Engine[witnessVal, uint32], error) {
-		return New(DOSLayout(a.g), witnessLabel{}, witnessCodec{}, x.mcodec(), opts)
+		return New(DOSLayout(a.g), x.program("own"), witnessCodec{}, x.mcodec(), opts)
 	}
 	eng, err := fresh(x.opts)
 	must(t, err)
@@ -849,7 +868,7 @@ func (x *seamTrial) checkRoomy(t *testing.T, a *proc, dev *storage.Device, want 
 	reg := obs.NewRegistry()
 	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, SelectiveScheduling: x.opts.SelectiveScheduling,
 		Name: "roomy", Obs: reg, SharedAdjacency: a.shared}
-	eng, err := New(DOSLayout(a.g), witnessLabel{}, witnessCodec{}, x.mcodec(), opts)
+	eng, err := New(DOSLayout(a.g), x.program("own"), witnessCodec{}, x.mcodec(), opts)
 	must(t, err)
 	before := dev.FileStats()[a.g.EdgesFile()]
 	res, err := eng.Run()
@@ -1421,7 +1440,7 @@ func drainEngine[V any](t *testing.T, l Layout, prog Program[V, uint32], vc grap
 	t.Helper()
 	eng, err := New[V, uint32](l, prog, vc, mc, opts)
 	must(t, err)
-	eng.msgBufs = eng.newMsgBufs()
+	eng.makeMsgBufs()
 	for p := 0; p < eng.NumPartitions(); p++ {
 		_, err := eng.dev.Create(eng.msgFile(p))
 		must(t, err)
@@ -1476,7 +1495,7 @@ func (d seamDraw) drainRound(t *testing.T) {
 		if watched {
 			opts.Obs = obs.NewRegistry()
 		}
-		eng := drainEngine(t, flatLayout{int(n), fd.Device}, witnessLabel{}, witnessCodec{}, d.mcodec(), opts)
+		eng := drainEngine(t, flatLayout{int(n), fd.Device}, d.program(d.Val("route")), vcodec(d.Val("route")), d.mcodec(), opts)
 		if int64(eng.NumPartitions()) != parts {
 			t.Fatalf("%d vertices in %d partitions, want %d", n, eng.NumPartitions(), parts)
 		}
@@ -1610,10 +1629,6 @@ func pendingRecords[V any](t *testing.T, eng *Engine[V, uint32], q int, spilled,
 // reference the block-wise drain must match.
 func drainMessagesRef[V, M any](e *Engine[V, M], p int, lo graph.VertexID) error {
 	rec := 4 + e.msize
-	var heatAcc map[int64]int64
-	if e.eo.heat != nil {
-		heatAcc = make(map[int64]int64)
-	}
 	apply := func(b []byte) {
 		dst := graph.VertexID(binary.LittleEndian.Uint32(b))
 		e.prog.Apply(&e.verts[dst-lo], e.mcodec.Decode(b[4:]))
@@ -1621,9 +1636,7 @@ func drainMessagesRef[V, M any](e *Engine[V, M], p int, lo graph.VertexID) error
 		if e.sel != nil {
 			e.sel.set(dst)
 		}
-		if heatAcc != nil {
-			heatAcc[e.vstateBlock(dst)]++
-		}
+		e.eo.heat.AddDrain(e.vstateFile(), e.vstateBlock(dst), 1)
 	}
 	f, err := e.dev.Open(e.msgFile(p))
 	if err != nil {
@@ -1649,9 +1662,6 @@ func drainMessagesRef[V, M any](e *Engine[V, M], p int, lo graph.VertexID) error
 		apply(mem[off : off+rec])
 	}
 	e.msgBufs[p] = mem[:0]
-	if len(heatAcc) > 0 {
-		e.flushDrainHeat(heatAcc)
-	}
 	return nil
 }
 
@@ -1695,7 +1705,25 @@ func (witnessCodec) Decode(b []byte) witnessVal {
 	return witnessVal{binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])}
 }
 
-type witnessLabel struct{}
+func (c witnessCodec) EncodeAll(b []byte, vs []witnessVal) {
+	for i, v := range vs {
+		c.Encode(b[12*i:], v)
+	}
+}
+
+func (c witnessCodec) DecodeAll(vs []witnessVal, b []byte) {
+	for i := range vs {
+		vs[i] = c.Decode(b[12*i:])
+	}
+}
+
+// perValue runs a codec with its bulk form, if it has one, hidden from New:
+// the engine's per-value loop.
+type perValue[T any] struct{ graph.Codec[T] }
+
+// witnessLabel's pad says its records are padCodec's 6-byte ones, not
+// Uint32Codec's 8: its drain delegate decodes with that codec.
+type witnessLabel struct{ pad bool }
 
 func (witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
 	return witnessVal{label: uint32(id), pending: uint32(id)}
@@ -1727,6 +1755,14 @@ func (witnessLabel) FrontierSafe() {}
 // the route that inlines Apply.
 func (p witnessLabel) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
 	return ApplyAll(vs, lo, dsts, m, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+}
+
+// ApplyRecords is the RecordApplier delegate.
+func (p witnessLabel) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
+	if p.pad {
+		return ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return padCodec{}.Decode(b) }, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+	}
+	return ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return graph.Uint32Codec{}.Decode(b) }, func(v *witnessVal, m uint32) { p.Apply(v, m) })
 }
 
 // safeProgram is what the two wrappers below keep of the program they

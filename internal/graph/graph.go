@@ -53,6 +53,43 @@ type Codec[T any] interface {
 	Decode(buf []byte) T
 }
 
+// BulkCodec is the optional bulk form of a Codec: Encode and Decode over a
+// slice of values packed back to back, one call for a whole block. The
+// GraphZ engine moves vertex states a partition at a time, so a codec that
+// has it costs one call per block instead of one per value.
+type BulkCodec[T any] interface {
+	// EncodeAll writes vs[i] into buf[i*Size():] for every i.
+	EncodeAll(buf []byte, vs []T)
+	// DecodeAll reads vs[i] from buf[i*Size():] for every i.
+	DecodeAll(vs []T, buf []byte)
+}
+
+// Bulk returns c's own bulk form, or, for a codec without one, its
+// per-value loop.
+func Bulk[T any](c Codec[T]) BulkCodec[T] {
+	if b, ok := c.(BulkCodec[T]); ok {
+		return b
+	}
+	return perValue[T]{c}
+}
+
+// perValue is the bulk form of a codec that has none: one call per value.
+type perValue[T any] struct{ c Codec[T] }
+
+func (p perValue[T]) EncodeAll(buf []byte, vs []T) {
+	size := p.c.Size()
+	for i, v := range vs {
+		p.c.Encode(buf[i*size:], v)
+	}
+}
+
+func (p perValue[T]) DecodeAll(vs []T, buf []byte) {
+	size := p.c.Size()
+	for i := range vs {
+		vs[i] = p.c.Decode(buf[i*size:])
+	}
+}
+
 // Uint32Codec encodes uint32 values in 4 bytes.
 type Uint32Codec struct{}
 

@@ -185,3 +185,48 @@ func (r *splitMix) next() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// TestPairCodecsBulk: the two pair codecs lay a pair out as A then B, each
+// in its field's codec, and their bulk form is their per-value form in a
+// loop, byte for byte; Bulk finds it, and gives a codec without one the
+// per-value loop.
+func TestPairCodecsBulk(t *testing.T) {
+	u := func(vs []U32Pair) bool {
+		return checkBulk(U32PairCodec, vs, func(b []byte, v U32Pair) bool {
+			return Uint32Codec{}.Decode(b) == v.A && Uint32Codec{}.Decode(b[4:]) == v.B
+		})
+	}
+	f := func(vs []F32Pair) bool {
+		return checkBulk(F32PairCodec, vs, func(b []byte, v F32Pair) bool {
+			return math.Float32bits(Float32Codec{}.Decode(b)) == math.Float32bits(v.A) &&
+				math.Float32bits(Float32Codec{}.Decode(b[4:])) == math.Float32bits(v.B)
+		})
+	}
+	for _, prop := range []any{u, f} {
+		if err := quick.Check(prop, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, ok := Bulk[uint32](Uint32Codec{}).(perValue[uint32]); !ok {
+		t.Error("Bulk of a codec without the bulk form is not the per-value loop")
+	}
+}
+
+func checkBulk[T comparable](c Codec[T], vs []T, laidOut func([]byte, T) bool) bool {
+	bulk, ok := Bulk(c).(interface{ Codec[T] })
+	if !ok || bulk != c {
+		return false
+	}
+	all, one := make([]byte, len(vs)*c.Size()), make([]byte, c.Size())
+	Bulk(c).EncodeAll(all, vs)
+	back := make([]T, len(vs))
+	Bulk(c).DecodeAll(back, all)
+	for i, v := range vs {
+		c.Encode(one, v)
+		b := all[i*c.Size():]
+		if string(b[:c.Size()]) != string(one) || !laidOut(b, v) || c.Decode(b) != back[i] {
+			return false
+		}
+	}
+	return true
+}
