@@ -23,7 +23,8 @@
 # is held the same way: at the line of its one core.ApplyRecords call,
 #   inlining call to core.ApplyRecords[...]
 #   inlining call to <prog>.Apply
-#   inlining call to graph.<codec>.Decode   (the codec that line names)
+#   inlining call to graph.<codec>.Decode   (the codec that line names,
+#                                            through the program's alias)
 # so the drain costs no call per buffered record. And the bulk form of the
 # two pair codecs (graph.U32PairCodec, graph.F32PairCodec) must inline its
 # field codecs: at the loop line of each EncodeAll and DecodeAll in
@@ -62,9 +63,14 @@ for entry in $programs; do
 		fi
 	done
 	line=$(grep -n 'core\.ApplyRecords(' "$pkg/$file" | cut -d: -f1)
-	codec=$(grep -o 'graph\.[A-Za-z0-9]*Codec{}\.Decode' "$pkg/$file" | sed 's/{}//' || true)
+	# The delegate names its codec by the program's alias of a graph codec
+	# (type bfsMsgCodec = graph.Uint32Codec); -m reports the aliased name.
+	codec=$(grep -o '[A-Za-z0-9]*Codec{}\.Decode' "$pkg/$file" | sed 's/{}\.Decode//' || true)
+	if [ "$(wc -w <<<"$codec")" -eq 1 ]; then
+		codec=$(sed -n "s/^type $codec = \(graph\.[A-Za-z0-9]*Codec\)\$/\1.Decode/p" "$pkg/$file")
+	fi
 	if [ "$(wc -w <<<"$line")" -ne 1 ] || [ "$(wc -w <<<"$codec")" -ne 1 ]; then
-		echo "inlinecheck: $pkg/$file: want exactly one core.ApplyRecords call (the drain delegate) naming one graph.<codec>{}.Decode, found lines: ${line:-none}, codecs: ${codec:-none}" >&2
+		echo "inlinecheck: $pkg/$file: want exactly one core.ApplyRecords call (the drain delegate) naming one <alias>{}.Decode, the alias a graph codec's, found lines: ${line:-none}, codecs: ${codec:-none}" >&2
 		fail=1
 		continue
 	fi

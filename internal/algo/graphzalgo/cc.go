@@ -10,6 +10,10 @@ import (
 // inbound messages have proposed (B).
 type ccVal = graph.U32Pair
 
+// ccMsgCodec is the message codec: the engine encodes with it (runLayout
+// below) and ApplyRecords decodes with it, so the two cannot differ.
+type ccMsgCodec = graph.Uint32Codec
+
 // ccProgram propagates the minimum vertex ID along out-edges until
 // fixpoint. On a symmetrized graph (each edge stored in both directions,
 // which is how the harness prepares CC inputs) the fixpoint labels are
@@ -50,7 +54,7 @@ func (p ccProgram) ApplyAll(vs []ccVal, lo graph.VertexID, dsts []graph.VertexID
 // ApplyRecords is the optional drain form (core.RecordApplier): the message
 // codec's Decode and Apply, inlined.
 func (p ccProgram) ApplyRecords(vs []ccVal, lo graph.VertexID, recs []byte, rec int) int {
-	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return graph.Uint32Codec{}.Decode(b) }, func(v *ccVal, m uint32) { p.Apply(v, m) })
+	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return ccMsgCodec{}.Decode(b) }, func(v *ccVal, m uint32) { p.Apply(v, m) })
 }
 
 // ConnectedComponents labels every vertex with the smallest vertex ID
@@ -63,7 +67,7 @@ func ConnectedComponents(g *dos.Graph, opts core.Options) (core.Result, []uint32
 // ConnectedComponentsLayout is CC over an explicit layout (for the
 // ablations).
 func ConnectedComponentsLayout(l core.Layout, opts core.Options) (core.Result, []uint32, error) {
-	res, vals, err := runLayout[ccVal, uint32](l, ccProgram{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
+	res, vals, err := runLayout[ccVal, uint32](l, ccProgram{}, graph.U32PairCodec, ccMsgCodec{}, opts)
 	if err != nil {
 		return core.Result{}, nil, err
 	}

@@ -424,7 +424,8 @@ func TestAblationLayoutsAgree(t *testing.T) {
 // the states each leaves are byte-equal to a copy on which Apply was called
 // for each resident destination in list order — with ApplyAll's one
 // message, or each record's own, decoded by mc — and each returns that
-// count.
+// count. mc is the program's message codec type, the one its runLayout
+// call encodes with, so a delegate that decodes another way fails here.
 func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M], state func(*rand.Rand) V, msg func(*rand.Rand) M) {
 	t.Helper()
 	bulk, ok := prog.(core.BulkApplier[V, M])
@@ -508,13 +509,13 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 		check func(t *testing.T)
 	}{
 		{"PageRank", func(t *testing.T) {
-			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, graph.Float32Codec{}, f32Pair, (*rand.Rand).Float32)
+			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, prMsgCodec{}, f32Pair, (*rand.Rand).Float32)
 		}},
 		{"BFS", func(t *testing.T) {
-			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, graph.Uint32Codec{}, u32Pair, u32)
+			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, bfsMsgCodec{}, u32Pair, u32)
 		}},
 		{"CC", func(t *testing.T) {
-			checkDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, graph.Uint32Codec{}, u32Pair, u32)
+			checkDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, ccMsgCodec{}, u32Pair, u32)
 		}},
 	} {
 		t.Run(row.name, row.check)

@@ -10,6 +10,10 @@ import (
 // rank (A) and the votes accumulated from inbound messages (B).
 type prVal = graph.F32Pair
 
+// prMsgCodec is the message codec: the engine encodes with it (runLayout
+// below) and ApplyRecords decodes with it, so the two cannot differ.
+type prMsgCodec = graph.Float32Codec
+
 // prProgram is the paper's Algorithm 4 with the damping of Equation 2:
 // each update folds the accumulated votes into a new rank and scatters
 // rank/degree votes to the out-neighbors; apply_message accumulates.
@@ -44,7 +48,7 @@ func (p prProgram) ApplyAll(vs []prVal, lo graph.VertexID, dsts []graph.VertexID
 // ApplyRecords is the optional drain form (core.RecordApplier): the message
 // codec's Decode and Apply, inlined.
 func (p prProgram) ApplyRecords(vs []prVal, lo graph.VertexID, recs []byte, rec int) int {
-	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) float32 { return graph.Float32Codec{}.Decode(b) }, func(v *prVal, m float32) { p.Apply(v, m) })
+	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) float32 { return prMsgCodec{}.Decode(b) }, func(v *prVal, m float32) { p.Apply(v, m) })
 }
 
 // PageRank runs the given number of damped PageRank iterations and
@@ -59,7 +63,7 @@ func PageRank(g *dos.Graph, opts core.Options, iterations int, damping float32) 
 // ablations use it to swap storage formats.
 func PageRankLayout(l core.Layout, opts core.Options, iterations int, damping float32) (core.Result, []float32, error) {
 	opts.MaxIterations = iterations
-	res, vals, err := runLayout[prVal, float32](l, prProgram{damping: damping}, graph.F32PairCodec, graph.Float32Codec{}, opts)
+	res, vals, err := runLayout[prVal, float32](l, prProgram{damping: damping}, graph.F32PairCodec, prMsgCodec{}, opts)
 	if err != nil {
 		return core.Result{}, nil, err
 	}

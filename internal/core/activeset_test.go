@@ -54,7 +54,9 @@ func TestSparseIterationAllocs(t *testing.T) {
 				SelectiveScheduling: true,
 				MaxIterations:       iters,
 			})
-			must(t, err)
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := eng.Run()
 			if err != nil || res.Iterations != iters || res.Partitions != 1 || !eng.AdjacencyCached() {
 				t.Fatalf("ran %d of %d iterations in %d partitions (cached %v): %v",
@@ -87,7 +89,9 @@ func TestSelectiveNeedsFrontierSafe(t *testing.T) {
 		t.Errorf("New over an undeclared program with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)
 	}
 	inDeg, err := InDegrees(DOSLayout(g))
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := EmulateGraphChi[uint32, uint32](DOSLayout(g), chiMinProgram{},
 		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg, opts); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("EmulateGraphChi with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)

@@ -26,7 +26,9 @@ func consumeAll(t *testing.T, br *batchReader, n int, check bool) {
 			deg = uint32(rem)
 		}
 		adj, err := br.adj(int64(served), deg)
-		must(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(adj) != int(deg) {
 			t.Fatalf("adj(%d) returned %d entries", deg, len(adj))
 		}

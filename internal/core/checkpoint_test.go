@@ -48,7 +48,9 @@ func latestManifestPath(t *testing.T, dir string) string {
 func newMinLabelEngine(t *testing.T, g *dos.Graph, opts Options) *Engine[minVal, uint32] {
 	t.Helper()
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return eng
 }
 
@@ -89,7 +91,9 @@ func resumeWith(t *testing.T, edges []graph.Edge, dir, name string) error {
 func TestResumeTruncatedManifest(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 46)
 	path := latestManifestPath(t, dir)
-	must(t, os.WriteFile(path, []byte("GZ"), 0o644))
+	if err := os.WriteFile(path, []byte("GZ"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrTruncated) {
 		t.Fatalf("Resume with truncated manifest = %v, want ErrTruncated", err)
 	}
@@ -99,7 +103,9 @@ func TestResumeManifestCRCMismatch(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 47)
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw[len(raw)-1] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
@@ -111,7 +117,9 @@ func TestResumeVersionFromTheFuture(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 48)
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	binary.LittleEndian.PutUint16(raw[6:], checkpoint.FormatVersion+1)
 	os.WriteFile(path, raw, 0o644)
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrVersionTooNew) {
@@ -161,7 +169,9 @@ func TestResumeSectionCorruption(t *testing.T) {
 	path := filepath.Dir(latestManifestPath(t, dir))
 	vstate := filepath.Join(path, "vstate")
 	raw, err := os.ReadFile(vstate)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw[0] ^= 0xff
 	os.WriteFile(vstate, raw, 0o644)
 	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
@@ -208,9 +218,13 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 55)
 	run := func(ckpt bool) int64 {
 		dev := storage.NewDevice(storage.HDD, storage.Options{})
-		must(t, graph.WriteEdges(dev, "raw", edges))
+		if err := graph.WriteEdges(dev, "raw", edges); err != nil {
+			t.Fatal(err)
+		}
 		g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-		must(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		clock := sim.NewClock()
 		dev.SetClock(clock)
 		opts := ckptBaseOpts(g)
@@ -238,16 +252,22 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear int) {
 	t.Helper()
 	st, err := checkpoint.NewStore(dir)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ck, err := st.Latest()
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const rec = 8 // 4-byte destination + uint32 label
 	dstOf := func(r []byte) uint32 { return binary.LittleEndian.Uint32(r) }
 	var secs []checkpoint.SectionData
 	var folded int
 	for _, s := range ck.Manifest.Sections {
 		data, err := ck.Section(s.Name)
-		must(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var p int
 		if _, err := fmt.Sscanf(s.Name, "msgs.%d", &p); err != nil {
 			secs = append(secs, checkpoint.SectionData{Name: s.Name, Data: data})
@@ -292,11 +312,17 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 	// the manifest payload (magic, u16 version, u32 CRC, JSON) by hand.
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const header = len("GZCKPT") + 6
 	var m, counters map[string]json.RawMessage
-	must(t, json.Unmarshal(raw[header:], &m))
-	must(t, json.Unmarshal(m["counters"], &counters))
+	if err := json.Unmarshal(raw[header:], &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(m["counters"], &counters); err != nil {
+		t.Fatal(err)
+	}
 	counters["combined"] = json.RawMessage(fmt.Sprint(folded))
 	counters["merge_passes"] = json.RawMessage("1")
 	counters["spill_saved"] = json.RawMessage(fmt.Sprint(folded * rec))
@@ -304,9 +330,13 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 		t.Fatal(err)
 	}
 	payload, err := json.Marshal(m)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	binary.LittleEndian.PutUint32(raw[header-4:], crc32.ChecksumIEEE(payload))
-	must(t, os.WriteFile(path, append(raw[:header], payload...), 0o644))
+	if err := os.WriteFile(path, append(raw[:header], payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSortedCheckpointResume: checkpoints written by the removed sorted
@@ -360,7 +390,9 @@ func TestSortedCheckpointResume(t *testing.T) {
 				t.Fatalf("resume: %v", err)
 			}
 			vals, err := eng.Values()
-			must(t, err)
+			if err != nil {
+				t.Fatal(err)
+			}
 			got, want := stripDurability(res), stripDurability(refRes)
 			if mode.fold {
 				if got.MessagesApplied >= want.MessagesApplied {

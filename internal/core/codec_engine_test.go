@@ -18,9 +18,13 @@ import (
 func buildDOSCodec(t *testing.T, edges []graph.Edge, codec storage.Codec, blockEntries int64) *dos.Graph {
 	t.Helper()
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	must(t, graph.WriteEdges(dev, "raw", edges))
+	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
+		t.Fatal(err)
+	}
 	g, err := dos.Convert(dos.ConvertConfig{Dev: dev, Codec: codec, BlockEntries: blockEntries}, "raw", "g")
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return g
 }
 
@@ -43,7 +47,9 @@ func TestEngineV2LayoutHash(t *testing.T) {
 	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true}
 	hash := func(g *dos.Graph) uint64 {
 		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-		must(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return eng.computeLayoutHash()
 	}
 	h1 := hash(buildDOS(t, edges))
@@ -62,7 +68,9 @@ func TestEngineV2LayoutHash(t *testing.T) {
 func TestInDegreesV2(t *testing.T) {
 	edges := gen.RMAT(7, 600, gen.NaturalRMAT, 35)
 	in1, err := InDegrees(DOSLayout(buildDOS(t, edges)))
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecGroupVarint} {
 		in2, err := InDegrees(DOSLayout(buildDOSCodec(t, edges, codec, 3)))
 		if err != nil {

@@ -1025,7 +1025,8 @@ func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M, verts []V, lo graph.V
 	enc, rec := e.enc, 4+e.msize
 	e.mcodec.Encode(enc, m)
 	// A 4-byte message makes the record one 8-byte word: the ID in its low
-	// half, the encoded message in its high half.
+	// half, the encoded message in its high half. Any other size takes the
+	// copy below, one memmove a record.
 	var word uint64
 	if rec == 8 {
 		word = uint64(binary.LittleEndian.Uint32(enc)) << 32

@@ -87,9 +87,13 @@ func referenceMinLabels(n int, edges []graph.Edge) []uint32 {
 func buildDOS(t *testing.T, edges []graph.Edge) *dos.Graph {
 	t.Helper()
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	must(t, graph.WriteEdges(dev, "raw", edges))
+	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
+		t.Fatal(err)
+	}
 	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return g
 }
 
@@ -97,7 +101,9 @@ func buildDOS(t *testing.T, edges []graph.Edge) *dos.Graph {
 func relabeledEdges(t *testing.T, g *dos.Graph, edges []graph.Edge) []graph.Edge {
 	t.Helper()
 	o2n, err := g.OldToNew()
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]graph.Edge, len(edges))
 	for i, e := range edges {
 		out[i] = graph.Edge{Src: o2n[e.Src], Dst: o2n[e.Dst]}
@@ -108,11 +114,17 @@ func relabeledEdges(t *testing.T, g *dos.Graph, edges []graph.Edge) []graph.Edge
 func runMinLabel(t *testing.T, g *dos.Graph, opts Options) (Result, []minVal) {
 	t.Helper()
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := eng.Run()
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vals, err := eng.Values()
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng.Cleanup()
 	return res, vals
 }

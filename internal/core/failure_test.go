@@ -22,7 +22,9 @@ func TestEngineSurfacesDeviceFull(t *testing.T) {
 	// Convert on an unlimited staging device, then copy onto a small
 	// one so conversion temp files do not interfere with the test.
 	staging := storage.NewDevice(storage.NullDevice, storage.Options{})
-	must(t, graph.WriteEdges(staging, "raw", edges))
+	if err := graph.WriteEdges(staging, "raw", edges); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := dos.Convert(dos.ConvertConfig{Dev: staging, RemoveInput: true}, "raw", "g"); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,9 @@ func TestEngineSurfacesDeviceFull(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng, err := New[minVal, uint32](DOSLayout(g2), minLabel{}, minValCodec{}, graph.Uint32Codec{},
 		Options{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64, Obs: reg})
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if eng.NumPartitions() < 2 {
 		t.Skip("budget did not force partitioning; nothing spills")
 	}
@@ -83,11 +87,17 @@ func loadOnCapped(t *testing.T, staging *storage.Device, capacity int64) *dos.Gr
 	dev := storage.NewDevice(storage.SSD, storage.Options{Capacity: capacity})
 	for _, name := range staging.List() {
 		data, err := storage.ReadAllFile(staging, name)
-		must(t, err)
-		must(t, storage.WriteAll(dev, name, data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.WriteAll(dev, name, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	g, err := dos.Load(dev, "g")
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return g
 }
 

@@ -64,7 +64,9 @@ func TestDrainBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	must(t, eng.drainMessages(0, 0))
+	if err := eng.drainMessages(0, 0); err != nil {
+		t.Fatal(err)
+	}
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > fileBytes/16 {
 		t.Errorf("drain allocated %d bytes for a %d-byte spill file; want bounded streaming", alloc, fileBytes)
@@ -90,7 +92,9 @@ func TestStateRoundAllocs(t *testing.T) {
 	g := buildDOS(t, ringEdges(100_000))
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
 		Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64})
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if eng.NumPartitions() < 2 {
 		t.Fatalf("%d partitions; a pinned run never reloads its states", eng.NumPartitions())
 	}
@@ -103,8 +107,12 @@ func TestStateRoundAllocs(t *testing.T) {
 		t.Fatalf("a partition of %d bytes is too small to tell", partition)
 	}
 	round := func(iter int) {
-		must(t, eng.loadVertices(lo, hi, iter))
-		must(t, eng.storeVertices(lo, hi))
+		if err := eng.loadVertices(lo, hi, iter); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.storeVertices(lo, hi); err != nil {
+			t.Fatal(err)
+		}
 	}
 	round(0) // Init, the staging buffer and the file's first bytes
 	var before, after runtime.MemStats
@@ -168,7 +176,9 @@ func TestApplyAllMiscountFailsRun(t *testing.T) {
 					opts.MemoryBudget = budgetForPartitions(g, 12, parts, 64)
 				}
 				eng, err := New[witnessVal, uint32](DOSLayout(g), miscount{off: off, drain: drain}, witnessCodec{}, graph.Uint32Codec{}, opts)
-				must(t, err)
+				if err != nil {
+					t.Fatal(err)
+				}
 				res, err := eng.Run()
 				if !errors.Is(err, ErrProgramContract) {
 					t.Fatalf("err = %v, want ErrProgramContract", err)

@@ -25,7 +25,9 @@ func TestObservedAllocs(t *testing.T) {
 				opts.Obs, opts.Trace = obs.NewRegistry(), obs.NewCollectingTracer(nil)
 			}
 			eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, graph.Float64Codec{}, opts)
-			must(t, err)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res, err := eng.Run(); err != nil || res.Iterations != iters {
 				t.Fatalf("ran %d of %d iterations: %v", res.Iterations, iters, err)
 			}

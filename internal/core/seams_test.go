@@ -151,7 +151,7 @@ func (d seamDraw) draws(salt uint64) func(n int64) int64 {
 
 func (d seamDraw) parts() int64 { return int64(d.Pos("parts") + 1) }
 
-// mcodec is the message codec: the shipped programs' 8-byte record, or
+// mcodec is the message codec: the 8-byte record of a 4-byte message, or
 // (labels fit 16 bits here) the awkward 6-byte one, which fills neither a
 // 4-byte copy unit, nor a buffer, nor a device block evenly.
 func (d seamDraw) mcodec() graph.Codec[uint32] {

@@ -109,9 +109,13 @@ func semCheckpoints(t *testing.T, edges []graph.Edge, k int) string {
 	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
 	runMinLabel(t, buildDOS(t, edges), opts)
 	st, err := checkpoint.NewStore(dir)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	iters, err := st.Iterations()
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, it := range iters {
 		if it > k {
 			os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
@@ -127,13 +131,21 @@ func semCheckpoints(t *testing.T, edges []graph.Edge, k int) string {
 func TestSemCheckpointMissingMessages(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 76)
 	st, err := checkpoint.NewStore(semCheckpoints(t, edges, 1))
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ck, err := st.Latest()
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vstate, err := ck.Section("vstate")
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	old, err := checkpoint.NewStore(t.TempDir())
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := old.Write(ck.Manifest, []checkpoint.SectionData{{Name: "vstate", Data: vstate}}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +153,15 @@ func TestSemCheckpointMissingMessages(t *testing.T) {
 	// CRC, JSON) by hand: the writer no longer knows it.
 	path := latestManifestPath(t, old.Dir())
 	raw, err := os.ReadFile(path)
-	must(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const header = len("GZCKPT") + 6
 	payload := append([]byte(`{"sem":true,`), raw[header+1:]...)
 	binary.LittleEndian.PutUint32(raw[header-4:], crc32.ChecksumIEEE(payload))
-	must(t, os.WriteFile(path, append(raw[:header], payload...), 0o644))
+	if err := os.WriteFile(path, append(raw[:header], payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	opts := semOpts()
 	opts.Checkpoint = CheckpointOptions{Dir: old.Dir(), Resume: true}
 	if _, err := newMinLabelEngine(t, buildDOS(t, edges), opts).Resume(); !errors.Is(err, checkpoint.ErrBadManifest) {
