@@ -23,10 +23,12 @@ race:
 # inline-check asserts that the compiler inlines Apply into the bulk route
 # of every shipped program with an ApplyAll delegate, Decode and Apply into
 # its ApplyRecords drain delegate, the field codecs into the pair codecs'
-# EncodeAll/DecodeAll loops, and the bitmap's nextSet/clear/set into the
-# Worker loop (ci/inlinecheck.sh) — run it after any edit to a program, to
-# core.ApplyAll or core.ApplyRecords, to internal/graph/pair.go, to
-# updateRuns or to activeSet.
+# EncodeAll/DecodeAll loops, the bitmap's nextSet/clear/set into the
+# Worker loop, and partitionOf into scatter, the record writer every
+# partitioned run's messages go through (ci/inlinecheck.sh) — run it after
+# any edit to a program, to core.ApplyAll or core.ApplyRecords, to
+# internal/graph/pair.go, to updateRuns, to activeSet, to scatter or to
+# partitionOf.
 inline-check:
 	ci/inlinecheck.sh
 

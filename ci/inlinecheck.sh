@@ -35,6 +35,12 @@
 # (`updateRuns` in internal/core/engine.go, DESIGN.md §9),
 #   inlining call to core.(*activeSet).nextSet | .clear | .set
 # so a selective iteration pays no call per scheduled vertex for its bitmap.
+#
+# And at the partitionOf call inside `scatter` (internal/core/engine.go,
+# DESIGN.md §17), which writes every record of a partitioned run — the
+# resident partition's too —
+#   inlining call to core.(*Engine[...]).partitionOf
+# so routing a record costs no call.
 set -euo pipefail
 
 pkg=internal/algo/graphzalgo
@@ -116,5 +122,17 @@ for method in nextSet clear set; do
 		fi
 	done
 done
+scatter=$(awk '/^func \(e \*Engine\[V, M\]\) scatter\(/ { on = 1 } on { print NR": "$0 } on && /^}/ { exit }' "$engine")
+lines=$(grep -E "e\.partitionOf\(" <<<"$scatter" | cut -d: -f1 || true)
+if [ -z "$lines" ]; then
+	echo "inlinecheck: $engine: scatter calls no e.partitionOf" >&2
+	fail=1
+fi
+for line in $lines; do
+	if ! grep -Eq "^$engine:$line:[0-9]+: inlining call to core\.\(\*Engine\[.*\]\)\.partitionOf\$" <<<"$out"; then
+		echo "inlinecheck: scatter lost it under $(go version): no \"inlining call to core.(*Engine[...]).partitionOf\" at $engine:$line" >&2
+		fail=1
+	fi
+done
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply inlined into ApplyAll, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns ($(go version))"
+echo "inlinecheck: Apply inlined into ApplyAll, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter ($(go version))"

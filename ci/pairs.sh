@@ -14,10 +14,16 @@
 # once per side, base first in odd pairs and change first in even ones.
 # Prints one block per workload: per side, every value of the timing metrics
 # with median and quartiles, the change's wins/ties on each, and whether the
-# three exact IO counts are identical in every run. With --record FILE the
-# same summary is appended to FILE (BENCH_e2e.json, the committed
-# trajectory) as one JSON row per workload: head, base, seed, pair count,
-# both sides' median and quartiles of the six end-to-end metrics, wins.
+# three exact IO counts are identical in every run. The timing metrics
+# include the two absolute medians behind the ratios, which the harness
+# prints ungated (`not gated: median op|job X s … median yardstick Y s`):
+# op_s, the workload's op (a batch op or a served job), and yardstick_s, the
+# in-memory `plain` run it is divided by. The yardstick moves on its own
+# from run to run, so a ratio's move is read as op and yardstick apart.
+# With --record FILE the same summary is appended to FILE (BENCH_e2e.json,
+# the committed trajectory) as one JSON row per workload: head, base, seed,
+# pair count, both sides' median and quartiles of the six end-to-end
+# metrics and the two absolute medians, wins.
 # No network; nothing else is written outside the worktree and each side's
 # .bench_build/.
 set -euo pipefail
@@ -28,7 +34,7 @@ if [ "${1:-}" = --record ]; then
 	record=$2
 	shift 2
 fi
-[ $# -ge 2 ] || { sed -n '2,24p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,30p' "$0" >&2; exit 2; }
 base_ref=$1 workloads=$2 pairs=${3:-10} seed=${4:-1}
 
 root=$(git rev-parse --show-toplevel)
@@ -57,25 +63,28 @@ fi
 base_commit=$(git -C "$base" rev-parse --short HEAD 2>/dev/null || echo "not a checkout")
 head_commit=$(git describe --always --dirty)
 
-timing="run_vs_plain jobs_per_plain_run setup_s"
+timing="run_vs_plain jobs_per_plain_run setup_s op_s yardstick_s"
 exact="io_read_b_per_edge io_write_b_per_edge stored_b_per_edge"
 higher_is_better=" jobs_per_plain_run "
 
 # run <side> <dir>: one benchmark run; appends each metric to $res/<side>.<metric>.
 run() {
-	local side=$1 dir=$2 line m v
-	line=$(cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 15 --trace 0 2>"$res/$side.stderr" | tail -n 1)
+	local side=$1 dir=$2 out line m v
+	out=$(cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 15 --trace 0 2>"$res/$side.stderr")
+	line=$(tail -n 1 <<<"$out")
 	for m in $timing $exact failed; do
-		if [ "$m" = failed ]; then
-			v=$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$line")
-		else
-			v=$(sed -n 's/.*"'"$m"'":{"value":\([^,}]*\).*/\1/p' <<<"$line")
-		fi
+		case $m in
+		failed) v=$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$line") ;;
+		op_s) v=$(sed -n 's/.*not gated: median \(op\|job\) \([^ ]*\) s.*/\2/p' <<<"$out") ;;
+		yardstick_s) v=$(sed -n 's/.*not gated: .*median yardstick \([^ ]*\) s.*/\1/p' <<<"$out") ;;
+		*) v=$(sed -n 's/.*"'"$m"'":{"value":\([^,}]*\).*/\1/p' <<<"$line") ;;
+		esac
 		[ -n "$v" ] || { echo "pairs: $side run printed no $m; last stderr:" >&2; tail -n 5 "$res/$side.stderr" >&2; exit 1; }
 		echo "$v" >>"$res/$side.$m"
 	done
-	printf '  %-6s run_vs_plain %s  setup_s %s  failed %s\n' "$side" \
-		"$(tail -n 1 "$res/$side.run_vs_plain")" "$(tail -n 1 "$res/$side.setup_s")" "$(tail -n 1 "$res/$side.failed")"
+	printf '  %-6s run_vs_plain %s  op_s %s  yardstick_s %s  setup_s %s  failed %s\n' "$side" \
+		"$(tail -n 1 "$res/$side.run_vs_plain")" "$(tail -n 1 "$res/$side.op_s")" "$(tail -n 1 "$res/$side.yardstick_s")" \
+		"$(tail -n 1 "$res/$side.setup_s")" "$(tail -n 1 "$res/$side.failed")"
 }
 
 # quartiles <file> <format>: median, first and third quartile by linear

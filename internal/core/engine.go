@@ -12,9 +12,11 @@
 //  3. the Dispatcher parses blocks into per-vertex adjacency lists;
 //  4. the Worker calls update() on each vertex in ascending ID order and
 //     intercepts every message it sends: a message whose destination is
-//     in the resident partition is applied immediately (an ordered
-//     dynamic message); all others are buffered per destination
-//     partition and spilled to the device.
+//     in the resident partition is an ordered dynamic message, applied in
+//     send order before any update can observe it — on the spot when one
+//     partition holds every state, else from the resident partition's
+//     buffer, drained in place ahead of the Worker; all others are
+//     buffered per destination partition and spilled to the device.
 //
 // Execution is asynchronous (updates see the freshest values) yet
 // deterministic: updates run in ID order and messages are applied in the
@@ -28,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"graphz/internal/checkpoint"
@@ -51,8 +54,13 @@ type Program[V, M any] interface {
 	// message differs per edge calls ctx.Send per neighbor.
 	Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID)
 	// Apply folds a message into the destination vertex — the paper's
-	// apply_message. It runs immediately for in-partition destinations
-	// and at partition load for spilled ones.
+	// apply_message. A resident destination's messages are applied in send
+	// order before any update can observe them: before the destination's
+	// own update, at once when an update sends to its own vertex, and
+	// before the partition's states are stored. A non-resident one's are
+	// applied, in the same order, when its partition is next loaded.
+	// Apply sees only its own vertex, so when within those bounds it runs
+	// is the engine's choice (DESIGN.md §17).
 	Apply(v *V, m M)
 }
 
@@ -68,7 +76,9 @@ type Program[V, M any] interface {
 // one definition. The method value form (core.ApplyAll(..., p.Apply))
 // compiles and runs correctly but is not inlined. New looks for the method
 // once; a program without it runs the same loop over its Apply through a
-// function value, one indirect call per message. The engine checks the
+// function value, one indirect call per message. It is the route of one
+// partition under dynamic messages, where every destination is resident; a
+// partitioned run applies records (RecordApplier). The engine checks the
 // count an ApplyAll returns (ErrProgramContract).
 type BulkApplier[V, M any] interface {
 	ApplyAll(verts []V, lo graph.VertexID, dsts []graph.VertexID, m M) int
@@ -107,9 +117,10 @@ func (a *applyLoop[V, M]) ApplyRecords(verts []V, lo graph.VertexID, recs []byte
 	return ApplyRecords(verts, lo, recs, rec, a.decode, a.apply)
 }
 
-// RecordApplier is the optional drain form of a Program: Apply over a run
-// of buffered message records, in a loop the compiler can inline the
-// message codec's Decode and the program's Apply into. The only body to
+// RecordApplier is the optional records form of a Program: Apply over a
+// run of buffered message records — a drain's, or on a partitioned run the
+// resident partition's own, applied in place — in a loop the compiler can
+// inline the message codec's Decode and the program's Apply into. The only body to
 // give it is the delegate
 //
 //	func (p prog) ApplyRecords(verts []V, lo graph.VertexID, recs []byte, rec int) int {
@@ -171,17 +182,20 @@ type Context[M any] struct {
 // Iteration returns the current iteration number (0-based).
 func (c *Context[M]) Iteration() int { return c.iteration }
 
-// Send sends an ordered dynamic message to dst.
+// Send sends an ordered dynamic message to dst: dst's messages are applied
+// in send order, a resident dst's before any update can observe them — its
+// own, or this one's when dst is the vertex being updated (Program.Apply).
 func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
 
 // SendAll sends m to every vertex of dsts, in order: it is Send in a loop
-// — every destination sees the same applies in the same sequence, the
-// device the same operations, the counters the same totals — handed to
-// the engine as one call per vertex instead of one per edge. Use it when
-// an update scatters one value over its adjacency (ctx.SendAll(adj, msg));
-// keep Send when the message differs from edge to edge. A program that
-// also has the BulkApplier delegate gets its Apply inlined into this
-// route: no call per message at all. dsts is not retained.
+// — every destination sees the same applies in the same sequence, under
+// the same guarantee, the device the same operations, the counters the
+// same totals — handed to the engine as one call per vertex instead of one
+// per edge. Use it when an update scatters one value over its adjacency
+// (ctx.SendAll(adj, msg)); keep Send when the message differs from edge to
+// edge. A program that also has the BulkApplier and RecordApplier
+// delegates gets its Apply inlined into both routes: no call per message
+// at all. dsts is not retained.
 func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) { c.sendAll(dsts, m) }
 
 // MarkActive signals that the vertex's value changed this iteration;
@@ -217,7 +231,8 @@ type Options struct {
 	// Clock receives compute charges; nil disables accounting.
 	Clock *sim.Clock
 	// DynamicMessages enables the paper's ordered dynamic messages
-	// (apply in-partition messages immediately). When false — the
+	// (apply in-partition messages within the pass that sends them,
+	// before any update can observe them). When false — the
 	// Figure 7 "without DM" ablation — every message is spilled to the
 	// message store and applied on the destination partition's next
 	// load, like a static-message system.
@@ -284,9 +299,10 @@ var ErrInvalidOptions = errors.New("core: invalid options")
 
 // ErrProgramContract reports a program that broke a rule the engine relies
 // on and can check: a BulkApplier whose ApplyAll returned a count other
-// than the number of resident destinations it was handed, or a
-// RecordApplier whose ApplyRecords applied other than every record of the
-// partition's drain. The ledger (inline + buffered == sent) would otherwise
+// than the number of destinations it was handed (on one partition every
+// one is resident), or a RecordApplier whose ApplyRecords applied other
+// than every record of a drain or of the resident partition's in-place
+// flush. The ledger (inline + buffered == sent) would otherwise
 // go quietly wrong, so the run fails at the next partition boundary and
 // returns no Result. Match with errors.Is.
 var ErrProgramContract = errors.New("core: program contract violated")
@@ -325,7 +341,7 @@ type Result struct {
 	ResidentAdjacency bool
 	MessagesSent      int64
 	MessagesApplied   int64
-	MessagesInline    int64 // applied immediately as ordered dynamic messages
+	MessagesInline    int64 // to the resident partition: ordered dynamic messages, applied in memory
 	MessagesBuffered  int64 // queued for a non-resident destination
 	MessagesSpilled   int64 // messages that crossed the partition boundary to disk
 	SpillErrors       int64 // spill failures observed (first one aborts the run)
@@ -422,6 +438,22 @@ type Engine[V, M any] struct {
 	enc       []byte
 	records   RecordApplier[V, M]
 	staging   []byte
+
+	// The route (DESIGN.md §17). onSpot is one partition under dynamic
+	// messages: sendAll applies through the BulkApplier as it is called.
+	// Every other run sends records. On a partitioned run under dynamic
+	// messages resPart is the partition the Worker is in: scatter writes
+	// its records into msgBufs[resPart] like any other partition's, and
+	// applyResident applies them there, never spilled — when the Worker's
+	// cursor reaches wm, the smallest pending destination at or after it
+	// (partHi while none is); at once when wm is the cursor, a record
+	// addressing the vertex being updated; when the buffer fills; and at
+	// the end of the pass. Elsewhere resPart is -1 and wm an ID no vertex
+	// reaches.
+	onSpot  bool
+	resPart int
+	cursor  graph.VertexID
+	wm      graph.VertexID
 }
 
 // New validates the configuration and plans the partitioning. It returns
@@ -472,6 +504,8 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 	if err := e.plan(); err != nil {
 		return nil, err
 	}
+	e.onSpot = opts.DynamicMessages && e.SemiExternal()
+	e.resPart, e.wm = -1, math.MaxUint32
 	if opts.SelectiveScheduling {
 		if _, ok := any(prog).(FrontierSafe); !ok {
 			return nil, fmt.Errorf("%w: SelectiveScheduling needs a program that declares core.FrontierSafe; %T does not",
@@ -914,9 +948,18 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	if e.eo.On {
 		workerStart = time.Now()
 	}
+	// A partitioned run under dynamic messages drains this partition's own
+	// records in place, the last of them before the states are stored.
+	inPlace := e.opts.DynamicMessages && !e.onSpot
+	if inPlace {
+		e.resPart, e.wm = p, hi
+	}
 	active, err := e.updateRuns(iter, runs, sparse, ps)
 	if err != nil {
 		return err
+	}
+	if inPlace {
+		e.applyResident()
 	}
 	if e.eo.On {
 		e.eo.Since(obs.StageWorker, iter, p, workerStart)
@@ -934,94 +977,97 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	return e.storeVertices(lo, hi)
 }
 
-// inlineTargets is the inline-versus-buffer rule, stated once for send and
-// sendAll: the states a message is applied to the moment it is sent — the
-// resident partition's, and only under dynamic messages — with the ID of
-// the first. A message to any other destination is buffered for its
-// partition's next drain.
-func (e *Engine[V, M]) inlineTargets() ([]V, graph.VertexID) {
-	if !e.opts.DynamicMessages {
-		return nil, 0
-	}
-	return e.verts, e.partLo
-}
-
-// send routes one message against the live states: sendAll for a single
-// destination, written out because a call per message cannot afford the
-// loop's set-up. Program.Update reaches it through Context.Send.
+// send routes one message: sendAll for a single destination, written out
+// because a call per message cannot afford the loop's set-up. A resident
+// destination's message is Apply itself on one partition and, on the
+// in-place route, while none of the resident partition's records is
+// pending — so a program that sends per edge pays no record for it, and
+// none overtakes an earlier message still in the buffer. Everything else
+// writes the record. Program.Update reaches it through Context.Send.
 func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
-	e.c.Sent++
-	verts, lo := e.inlineTargets()
-	i := uint64(dst - lo)
-	if i >= uint64(len(verts)) {
-		e.c.Buffered++
-		e.scatter([]graph.VertexID{dst}, m, nil, 0)
+	if i := uint64(dst - e.partLo); i < uint64(len(e.verts)) && (e.onSpot || e.resPart >= 0 && len(e.msgBufs[e.resPart]) == 0) {
+		e.prog.Apply(&e.verts[i], m)
+		e.c.Sent++
+		e.c.Applied++
+		e.c.Inline++
+		if e.sel != nil {
+			e.sel.set(dst)
+		}
 		return
 	}
-	e.prog.Apply(&verts[i], m)
-	e.c.Applied++
-	e.c.Inline++
-	if e.sel != nil {
-		e.sel.set(dst)
-	}
+	e.sendRecords([]graph.VertexID{dst}, m)
 }
 
-// sendAll routes m to every vertex of dsts against the live states — send
-// in a loop, done as three passes over the list. The program's ApplyAll
-// applies m to the inline destinations (ordered dynamic messages); scatter
-// buffers the others, when there are any; and under selective scheduling
-// the inline ones are marked schedulable. Each pass keeps list order, and
-// that makes it the loop's execution: Apply sees only its own vertex, so
-// what is ordered is the applies each destination sees, the records each
-// partition buffers and the device operations they cause, all unchanged;
-// the marks are idempotent and nothing reads them before Update returns.
-// The ledger takes the call's totals once (nothing reads it in between: a
-// spill counts spills, nothing else).
+// sendAll routes m to every vertex of dsts — send in a loop. On the spot
+// (one partition under dynamic messages) the program's ApplyAll applies m
+// to every destination as it is called, and under selective scheduling a
+// second pass marks them schedulable. Each pass keeps list order, and that
+// makes it the loop's execution: Apply sees only its own vertex, so what is
+// ordered is the applies each destination sees, unchanged; the marks are
+// idempotent and nothing reads them before Update returns. Every other
+// route writes records (sendRecords).
 //
 // The engine learns how many messages were applied from the program, so the
-// count is checked against what the buffer pass found. A mismatch is
-// recorded the way a failed spill is — Send has no error return — and fails
-// the run at the next partition boundary (ErrProgramContract); the ledger
-// keeps the count that adds up. An ApplyAll that claims every destination is
-// taken at its word: with one partition there is nothing else to claim
-// (dos.Verify bounded every destination), and a second look would cost every
-// call a pass.
+// count is checked: on one partition every destination is resident
+// (dos.Verify bounded each). A mismatch is recorded the way a failed spill
+// is — SendAll has no error return — and fails the run at the next
+// partition boundary (ErrProgramContract); the ledger keeps the count that
+// adds up.
 func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
-	verts, lo := e.inlineTargets()
-	applied := e.bulk.ApplyAll(verts, lo, dsts, m)
-	buffered := 0
-	if applied < len(dsts) {
-		buffered = e.scatter(dsts, m, verts, lo)
+	if !e.onSpot {
+		e.sendRecords(dsts, m)
+		return
 	}
-	if applied+buffered != len(dsts) {
-		if e.runErr == nil {
-			e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, %d are resident",
-				ErrProgramContract, applied, len(dsts), len(dsts)-buffered)
-		}
-		applied = len(dsts) - buffered
+	if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) && e.runErr == nil {
+		e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, all are resident",
+			ErrProgramContract, applied, len(dsts))
 	}
-	if sel := e.sel; sel != nil && applied > 0 {
+	if sel := e.sel; sel != nil {
 		for _, dst := range dsts {
-			if uint64(dst-lo) < uint64(len(verts)) {
+			sel.set(dst)
+		}
+	}
+	e.c.Sent += int64(len(dsts))
+	e.c.Applied += int64(len(dsts))
+	e.c.Inline += int64(len(dsts))
+}
+
+// sendRecords is the records route — sendAll's on every run but one
+// partition under dynamic messages, and send's whenever it does not apply
+// on the spot: scatter writes a record for every destination of dsts, in
+// list order. A resident destination's (only on a partitioned run under
+// dynamic messages) counts as inline the moment it is
+// sent and applied when applyResident drains the buffer — at once here if
+// one addresses the vertex being updated — and under selective scheduling
+// is marked schedulable now, so a sparse Worker's live bitmap finds it
+// ahead of the cursor. The ledger takes the call's totals once.
+func (e *Engine[V, M]) sendRecords(dsts []graph.VertexID, m M) {
+	buffered := e.scatter(dsts, m)
+	if sel, lo, n := e.sel, e.partLo, uint64(len(e.verts)); sel != nil && buffered < len(dsts) {
+		for _, dst := range dsts {
+			if uint64(dst-lo) < n {
 				sel.set(dst)
 			}
 		}
 	}
 	e.c.Sent += int64(len(dsts))
-	e.c.Applied += int64(applied)
-	e.c.Inline += int64(applied)
+	e.c.Inline += int64(len(dsts) - buffered)
 	e.c.Buffered += int64(buffered)
+	if e.wm == e.cursor {
+		e.applyResident()
+	}
 }
 
-// scatter is the record writer, the one way a message is buffered — send's
-// for its one destination, sendAll's buffer pass, kept out of line. It
-// encodes m once, and for every destination of dsts outside verts (the
-// states of [lo, lo+len(verts))), in list order, appends the 4-byte ID and
-// the encoded bytes to the destination partition's buffer, spilling the
-// buffer when full. It returns how many it buffered. Every buffer has room
-// for one more record on entry: makeMsgBufs and resume make them so, and a
-// buffer that could not take another is spilled before the next.
-func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M, verts []V, lo graph.VertexID) int {
+// scatter is the record writer, kept out of line. It encodes m once, and
+// for every destination of dsts, in list order, appends the 4-byte ID and
+// the encoded bytes to the destination partition's buffer. A full buffer is
+// spilled — or, the resident partition's, applied in place. It returns how
+// many records it wrote outside the resident partition, and lowers the
+// watermark to the smallest resident destination at or after the cursor.
+// Every buffer has room for one more record on entry: makeMsgBufs and
+// resume make them so, and a buffer that could not take another is emptied
+// before the next.
+func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M) (buffered int) {
 	enc, rec := e.enc, 4+e.msize
 	e.mcodec.Encode(enc, m)
 	// A 4-byte message makes the record one 8-byte word: the ID in its low
@@ -1031,11 +1077,15 @@ func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M, verts []V, lo graph.V
 	if rec == 8 {
 		word = uint64(binary.LittleEndian.Uint32(enc)) << 32
 	}
-	buffered := 0
+	// The watermark as a distance from the cursor, span: on the in-place
+	// route at most partHi's, so a destination under it is resident and
+	// not yet updated — one unsigned compare, no branch. Elsewhere span is
+	// 0 and nothing is under it.
+	rp, cur, span := e.resPart, e.cursor, graph.VertexID(0)
+	if rp >= 0 {
+		span = e.wm - cur
+	}
 	for _, dst := range dsts {
-		if uint64(dst-lo) < uint64(len(verts)) {
-			continue
-		}
 		p := e.partitionOf(dst)
 		buf := e.msgBufs[p]
 		n := len(buf)
@@ -1046,14 +1096,35 @@ func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M, verts []V, lo graph.V
 			binary.LittleEndian.PutUint32(buf[n:], uint32(dst))
 			copy(buf[n+4:], enc)
 		}
+		span = min(span, dst-cur)
+		if p != rp {
+			buffered++
+		}
 		if len(buf)+rec > cap(buf) {
-			e.spillBuffer(p, buf)
+			if p == rp {
+				e.applyRecords(buf)
+				span = e.partHi - cur // none is pending
+			} else {
+				e.spillBuffer(p, buf)
+			}
 			buf = buf[:0]
 		}
 		e.msgBufs[p] = buf
-		buffered++
+	}
+	if rp >= 0 {
+		e.wm = cur + span
 	}
 	return buffered
+}
+
+// applyResident applies the resident partition's records in place, in send
+// order, and empties its buffer: none is pending, and the watermark is
+// partHi.
+func (e *Engine[V, M]) applyResident() {
+	p := e.resPart
+	e.applyRecords(e.msgBufs[p])
+	e.msgBufs[p] = e.msgBufs[p][:0]
+	e.wm = e.partHi
 }
 
 // updateRuns is the Worker loop on live states: it updates the vertices
@@ -1067,7 +1138,9 @@ func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M, verts []V, lo graph.V
 // somebody else's sake: there the loop's next vertex is the next set bit,
 // read live — a bit an inline message sets ahead of the cursor is picked up
 // in this pass, as a full scan would pick its vertex up. A vertex's own bit
-// is this loop's to write: Context only carries MarkActive's flag back.
+// is this loop's to write: Context only carries MarkActive's flag back. On
+// the in-place route the loop drains the resident records before it updates
+// a vertex at or past the watermark, one of them pending for it.
 func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipeStats) (bool, error) {
 	var ranges []entryRange // what the prefetcher reads; resident entries need none
 	if e.adjCache == nil {
@@ -1107,6 +1180,10 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 			if err != nil {
 				return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
 			}
+			if v >= e.wm {
+				e.applyResident() // v has a record pending
+			}
+			e.cursor = v
 			if e.sel == nil {
 				e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
 			} else {
@@ -1301,13 +1378,13 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 		}
 		off += int64(n)
 		whole := (carry + n) / rec * rec
-		e.applyRecords(buf[:whole], lo, heat)
+		e.drainRecords(buf[:whole], lo, heat)
 		carry = copy(buf, buf[whole:carry+n])
 	}
 	if err := f.Truncate(0); err != nil {
 		return err
 	}
-	e.applyRecords(e.msgBufs[p], lo, heat)
+	e.drainRecords(e.msgBufs[p], lo, heat)
 	e.msgBufs[p] = e.msgBufs[p][:0]
 	if heat != nil {
 		e.flushDrainHeat(e.vstateBlock(lo), heat)
@@ -1316,20 +1393,27 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 }
 
 // applyRecords applies a run of whole message records — one block of the
-// spill file, or the in-memory tail — to the resident partition, in order,
-// through the program's ApplyRecords, and checks the count it returns:
-// every record of a drain is the partition's (scatter routes by
-// partitionOf, resume checks what it restores). Then, each in a pass of its
-// own and only when its feature is on, it marks the destinations
-// schedulable (a delivered message makes its vertex so) and counts them
-// into heat, the drain's fan-in per vstate block from lo's.
-func (e *Engine[V, M]) applyRecords(recs []byte, lo graph.VertexID, heat []int64) {
+// spill file, the in-memory tail, or the resident partition's buffer — to
+// the resident partition, in order, through the program's ApplyRecords,
+// and checks the count it returns: every record is the partition's
+// (scatter routes by partitionOf, resume checks what it restores).
+func (e *Engine[V, M]) applyRecords(recs []byte) {
 	rec := 4 + e.msize
 	n := len(recs) / rec
-	if applied := e.records.ApplyRecords(e.verts, lo, recs, rec); applied != n && e.runErr == nil {
+	if applied := e.records.ApplyRecords(e.verts, e.partLo, recs, rec); applied != n && e.runErr == nil {
 		e.runErr = fmt.Errorf("%w: ApplyRecords applied %d of %d records for [%d,%d)",
-			ErrProgramContract, applied, n, lo, int(lo)+len(e.verts))
+			ErrProgramContract, applied, n, e.partLo, int(e.partLo)+len(e.verts))
 	}
+	e.c.Applied += int64(n)
+}
+
+// drainRecords applies a run of the drain's records (applyRecords) and
+// then, each in a pass of its own and only when its feature is on, marks
+// the destinations schedulable (a delivered message makes its vertex so)
+// and counts them into heat, the drain's fan-in per vstate block from lo's.
+func (e *Engine[V, M]) drainRecords(recs []byte, lo graph.VertexID, heat []int64) {
+	e.applyRecords(recs)
+	rec := 4 + e.msize
 	if sel := e.sel; sel != nil {
 		for off := 0; off+rec <= len(recs); off += rec {
 			sel.set(graph.VertexID(binary.LittleEndian.Uint32(recs[off:])))
@@ -1341,7 +1425,6 @@ func (e *Engine[V, M]) applyRecords(recs []byte, lo graph.VertexID, heat []int64
 			heat[e.vstateBlock(graph.VertexID(binary.LittleEndian.Uint32(recs[off:])))-first]++
 		}
 	}
-	e.c.Applied += int64(n)
 }
 
 // Values reads the final vertex states (by layout ID) after Run.

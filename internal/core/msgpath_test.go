@@ -129,16 +129,16 @@ func TestStateRoundAllocs(t *testing.T) {
 
 // miscount is witnessLabel with hand-written delegates that apply every
 // resident destination and every record and report off more: ApplyAll, or
-// with drain set ApplyRecords.
+// with records set ApplyRecords.
 type miscount struct {
 	witnessLabel
-	off   int
-	drain bool
+	off     int
+	records bool
 }
 
 func (p miscount) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
 	n := p.witnessLabel.ApplyAll(vs, lo, dsts, m)
-	if n > 0 && !p.drain {
+	if n > 0 && !p.records {
 		n += p.off
 	}
 	return n
@@ -146,7 +146,7 @@ func (p miscount) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.Vert
 
 func (p miscount) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
 	n := p.witnessLabel.ApplyRecords(vs, lo, recs, rec)
-	if n > 0 && p.drain {
+	if n > 0 && p.records {
 		n += p.off
 	}
 	return n
@@ -156,9 +156,11 @@ func (p miscount) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, 
 // applied from the program, so a program that miscounts gets a typed error
 // and no Result — not a ledger in which inline + buffered != sent. The
 // ledger the aborted run publishes still adds up: it holds what the buffer
-// pass and the drain found, not what the program said. A miscounting
-// ApplyAll stops the run after iteration 0's first partition, a
-// miscounting ApplyRecords after its second, the first to drain.
+// pass and the drain found, not what the program said. ApplyAll's count is
+// the one-partition route's; a partitioned run applies records, and a
+// miscounting ApplyRecords stops it after iteration 0's first partition,
+// at its first in-place flush — under static messages after its second,
+// the first to drain.
 func TestApplyAllMiscountFailsRun(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 82))
 	for _, parts := range []int64{1, 4, -4} {
@@ -171,11 +173,11 @@ func TestApplyAllMiscountFailsRun(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				reg := obs.NewRegistry()
-				opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, MsgBufferBytes: 64, Obs: reg}
+				opts := Options{MemoryBudget: 64 << 20, DynamicMessages: !drain, MsgBufferBytes: 64, Obs: reg}
 				if parts > 1 {
 					opts.MemoryBudget = budgetForPartitions(g, 12, parts, 64)
 				}
-				eng, err := New[witnessVal, uint32](DOSLayout(g), miscount{off: off, drain: drain}, witnessCodec{}, graph.Uint32Codec{}, opts)
+				eng, err := New[witnessVal, uint32](DOSLayout(g), miscount{off: off, records: parts > 1}, witnessCodec{}, graph.Uint32Codec{}, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1729,16 +1729,18 @@ func (witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
 	return witnessVal{label: uint32(id), pending: uint32(id)}
 }
 
+// Update reads the vertex's trace after it sends, so a message sent to the
+// vertex itself (the rmat draw's self-loops) must have been applied by then.
 func (witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, adj []graph.VertexID) {
-	if ctx.Iteration() == 0 {
-		ctx.SendAll(adj, v.label) // sinks send to nobody: an empty dsts
-		return
-	}
-	if v.pending < v.label {
+	if ctx.Iteration() > 0 {
+		if v.pending >= v.label {
+			return
+		}
 		v.label = v.pending
 		ctx.MarkActive()
-		ctx.SendAll(adj, v.label)
 	}
+	ctx.SendAll(adj, v.label) // sinks send to nobody: an empty dsts
+	v.trace = v.trace<<1 | v.trace>>31
 }
 
 func (witnessLabel) Apply(v *witnessVal, m uint32) {

@@ -268,8 +268,9 @@ func BenchmarkEngineSEM(b *testing.B) {
 // medium Zipf graph the zero-spill resident-state run costs at most 10x it
 // (4.6-5.9x alone, up to 7.3x beside other packages' tests; a ratio to the
 // buffered run would shrink with every gain on the buffered path). Best of
-// 25 interleaved runs per side; skipped under -short and race builds, and
-// the timing half under coverage builds.
+// 25 interleaved runs per side; skipped under -short, race and coverage
+// builds. (That the run is semi-external, nothing buffered or spilled, is
+// every one-partition seam draw's.)
 func TestSEMSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test; skipped in -short")
@@ -277,24 +278,12 @@ func TestSEMSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing test; race instrumentation distorts it")
 	}
-	g := semZipfGraph(t)
-
-	// The differential guard first: same graph, same program, the SEM
-	// run must be zero-spill while the baseline actually buffers.
-	base := runSemBench(t, g, false)
-	if base.MessagesSpilled == 0 {
-		t.Fatal("partitioned baseline did not spill — speedup would be meaningless")
-	}
-	semRes := runSemBench(t, g, true)
-	if !semRes.SemiExternal || semRes.MessagesSpilled != 0 || semRes.MessagesBuffered != 0 {
-		t.Fatalf("sem run shape wrong: %+v", semRes)
-	}
-
 	// Coverage counters cost the engine's inline loop and, core being the
 	// package under test, not the yardstick's: the bar is for plain builds.
 	if testing.CoverMode() != "" {
-		t.Skip("timing half; coverage instrumentation distorts it")
+		t.Skip("timing test; coverage instrumentation distorts it")
 	}
+	g := semZipfGraph(t)
 
 	adj := plain.BuildAdjacency(semZipfVertices, semZipfEdges())
 	// Interleaved, so a slow phase of the box lands on both sides.
