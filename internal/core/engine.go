@@ -1159,6 +1159,7 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn}
 	marked := false // an update of this pass called MarkActive (selective: ctx.active is per vertex there)
 	br := batchReader{src: src}
+	inPlace := e.resPart >= 0 // only the in-place route reads the cursor and the watermark
 	var deg uint32
 	var degEnd graph.VertexID // every vertex the loop reaches below degEnd has degree deg
 	for _, run := range runs {
@@ -1180,10 +1181,12 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 			if err != nil {
 				return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
 			}
-			if v >= e.wm {
-				e.applyResident() // v has a record pending
+			if inPlace {
+				if v >= e.wm {
+					e.applyResident() // v has a record pending
+				}
+				e.cursor = v
 			}
-			e.cursor = v
 			if e.sel == nil {
 				e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
 			} else {

@@ -268,9 +268,8 @@ func BenchmarkEngineSEM(b *testing.B) {
 // medium Zipf graph the zero-spill resident-state run costs at most 10x it
 // (4.6-5.9x alone, up to 7.3x beside other packages' tests; a ratio to the
 // buffered run would shrink with every gain on the buffered path). Best of
-// 25 interleaved runs per side; skipped under -short, race and coverage
-// builds. (That the run is semi-external, nothing buffered or spilled, is
-// every one-partition seam draw's.)
+// 25 interleaved runs per side; skipped under -short and race builds, and
+// the timing half under coverage builds.
 func TestSEMSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test; skipped in -short")
@@ -278,12 +277,20 @@ func TestSEMSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing test; race instrumentation distorts it")
 	}
+	// The differential guard first: the baseline spills, and the timed
+	// config runs semi-external with nothing buffered or spilled.
+	g := semZipfGraph(t)
+	if r := runSemBench(t, g, false); r.MessagesSpilled == 0 {
+		t.Fatal("partitioned baseline did not spill — speedup would be meaningless")
+	}
+	if r := runSemBench(t, g, true); !r.SemiExternal || r.MessagesSpilled != 0 || r.MessagesBuffered != 0 {
+		t.Fatalf("sem run shape wrong: %+v", r)
+	}
 	// Coverage counters cost the engine's inline loop and, core being the
 	// package under test, not the yardstick's: the bar is for plain builds.
 	if testing.CoverMode() != "" {
-		t.Skip("timing test; coverage instrumentation distorts it")
+		t.Skip("timing half; coverage instrumentation distorts it")
 	}
-	g := semZipfGraph(t)
 
 	adj := plain.BuildAdjacency(semZipfVertices, semZipfEdges())
 	// Interleaved, so a slow phase of the box lands on both sides.
