@@ -21,14 +21,15 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/checkpoint/... ./internal/storage/... ./internal/bench/... ./internal/serve/... ./internal/algo/integration/...
 
 # inline-check asserts that the compiler inlines Apply into the bulk route
-# of every shipped program with an ApplyAll delegate, Decode and Apply into
+# of every shipped program with an ApplyAll delegate, core.UpdateRun and
+# its Update closure into the UpdateRun run delegate, Decode and Apply into
 # its ApplyRecords drain delegate, the field codecs into the pair codecs'
 # EncodeAll/DecodeAll loops, the bitmap's nextSet/clear/set into the
 # Worker loop, and partitionOf into scatter, the record writer every
 # partitioned run's messages go through (ci/inlinecheck.sh) — run it after
-# any edit to a program, to core.ApplyAll or core.ApplyRecords, to
-# internal/graph/pair.go, to updateRuns, to activeSet, to scatter or to
-# partitionOf.
+# any edit to a program, to core.ApplyAll, core.UpdateRun or
+# core.ApplyRecords, to internal/graph/pair.go, to updateRuns, to
+# activeSet, to scatter or to partitionOf.
 inline-check:
 	ci/inlinecheck.sh
 
@@ -54,12 +55,13 @@ benchdiff: bench-json
 # list, or `all`) at git ref BASE and on the working tree, with medians,
 # quartiles, wins and the exact IO counts per workload (ci/pairs.sh).
 # RECORD=BENCH_e2e.json also appends one row per workload to the committed
-# trajectory. Examples: make pairs BASE=HEAD~1 W=stream-pr
-#                       make pairs BASE=HEAD~1 W=all RECORD=BENCH_e2e.json
+# trajectory. LAYOUT=N builds both sides with -ldflags=-randlayout=N.
+# Examples: make pairs BASE=HEAD~1 W=stream-pr
+#           make pairs BASE=HEAD~1 W=all RECORD=BENCH_e2e.json LAYOUT=3
 PAIRS ?= 10
 SEED ?= 1
 pairs:
-	ci/pairs.sh $(if $(RECORD),--record $(RECORD)) $(BASE) $(W) $(PAIRS) $(SEED)
+	ci/pairs.sh $(if $(RECORD),--record $(RECORD)) $(if $(LAYOUT),--layout $(LAYOUT)) $(BASE) $(W) $(PAIRS) $(SEED)
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

@@ -19,6 +19,14 @@
 #
 # A program that gains the delegate joins by adding a "<file>:<type>" word.
 #
+# The same programs' run delegate (core.RunUpdater, DESIGN.md §14) is held
+# at the line of its one core.UpdateRun call:
+#   inlining call to core.UpdateRun[...]
+#   inlining call to <prog>.UpdateRun.func1   (the closure literal)
+# so a degree run costs the Worker one call, and each of its vertices one
+# direct call to Update, not an interface call. A method value
+# (core.UpdateRun(..., p.Update)) compiles but leaves no func1 to inline.
+#
 # The same programs' drain delegate (core.RecordApplier, DESIGN.md §17)
 # is held the same way: at the line of its one core.ApplyRecords call,
 #   inlining call to core.ApplyRecords[...]
@@ -65,6 +73,18 @@ for entry in $programs; do
 	for callee in 'core\.ApplyAll\[.*' "$prog"'\.Apply'; do
 		if ! grep -Eq "^$pkg/$file:$line:[0-9]+: inlining call to $callee\$" <<<"$out"; then
 			echo "inlinecheck: $prog lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
+			fail=1
+		fi
+	done
+	line=$(grep -n 'core\.UpdateRun(' "$pkg/$file" | cut -d: -f1)
+	if [ "$(wc -w <<<"$line")" -ne 1 ]; then
+		echo "inlinecheck: $pkg/$file: want exactly one core.UpdateRun call (the run delegate), found lines: ${line:-none}" >&2
+		fail=1
+		continue
+	fi
+	for callee in 'core\.UpdateRun\[.*' "$prog"'\.UpdateRun\.func1'; do
+		if ! grep -Eq "^$pkg/$file:$line:[0-9]+: inlining call to $callee\$" <<<"$out"; then
+			echo "inlinecheck: $prog's run delegate lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
 			fail=1
 		fi
 	done
@@ -135,4 +155,4 @@ for line in $lines; do
 	fi
 done
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply inlined into ApplyAll, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter ($(go version))"
+echo "inlinecheck: Apply inlined into ApplyAll, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter ($(go version))"

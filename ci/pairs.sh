@@ -3,7 +3,7 @@
 # ROADMAP.md requires of every performance claim, and of its no-regression
 # side on the workloads the claim is not about.
 #
-#   ci/pairs.sh [--record FILE] <base-ref> <workload[,workload...]|all> [pairs=10] [seed=1]
+#   ci/pairs.sh [--record FILE] [--layout N] <base-ref> <workload[,workload...]|all> [pairs=10] [seed=1]
 #
 # <base-ref> is checked out into a throwaway git worktree under
 # .bench_build/ (or, if it names a directory, that checkout is used as the
@@ -24,17 +24,36 @@
 # the committed trajectory) as one JSON row per workload: head, base, seed,
 # pair count, both sides' median and quartiles of the six end-to-end
 # metrics and the two absolute medians, wins.
+# With --layout N both sides are built with -ldflags=-randlayout=N (passed
+# to benchmark/run.sh's go build through GOFLAGS): the same function
+# layout seed on both, so a move that layout alone makes can be told from
+# the code's by repeating a series under a few N. The layout is printed in
+# each workload's header and recorded in its row ("layout": N, or null for
+# the linker's default order).
 # No network; nothing else is written outside the worktree and each side's
 # .bench_build/.
 set -euo pipefail
 
-record=
-if [ "${1:-}" = --record ]; then
-	[ $# -ge 2 ] || { echo "pairs: --record needs a file" >&2; exit 2; }
-	record=$2
-	shift 2
+record= layout=
+while :; do
+	case "${1:-}" in
+	--record)
+		[ $# -ge 2 ] || { echo "pairs: --record needs a file" >&2; exit 2; }
+		record=$2
+		shift 2
+		;;
+	--layout)
+		[[ "${2:-}" =~ ^[0-9]+$ ]] || { echo "pairs: --layout needs a number" >&2; exit 2; }
+		layout=$2
+		shift 2
+		;;
+	*) break ;;
+	esac
+done
+[ $# -ge 2 ] || { sed -n '2,34p' "$0" >&2; exit 2; }
+if [ -n "$layout" ]; then
+	export GOFLAGS="${GOFLAGS:+$GOFLAGS }-ldflags=-randlayout=$layout"
 fi
-[ $# -ge 2 ] || { sed -n '2,30p' "$0" >&2; exit 2; }
 base_ref=$1 workloads=$2 pairs=${3:-10} seed=${4:-1}
 
 root=$(git rev-parse --show-toplevel)
@@ -121,7 +140,7 @@ append_row() {
 
 for workload in ${workloads//,/ }; do
 	rm -f "$res"/base.* "$res"/change.*
-	echo "pairs: $workload seed $seed, $pairs pairs, base $base_ref ($base_commit) vs working tree ($head_commit)"
+	echo "pairs: $workload seed $seed, $pairs pairs, base $base_ref ($base_commit) vs working tree ($head_commit), layout ${layout:+-randlayout=}${layout:-default}"
 	for i in $(seq 1 "$pairs"); do
 		echo "pair $i"
 		if [ $((i % 2)) -eq 1 ]; then
@@ -157,8 +176,8 @@ for workload in ${workloads//,/ }; do
 				"$(quartiles "$res/change.$m" '{"median":%s,"q1":%s,"q3":%s}')" \
 				"$(wins "$m" '"wins":%d,"of":%d,"ties":%d')")
 		done
-		append_row "$(printf '{"date":"%s","workload":"%s","head":"%s","base":"%s","seed":%s,"pairs":%s,"failed":{"base":%s,"change":%s},"metrics":{%s}}' \
-			"$(date -u +%F)" "$workload" "$head_commit" "$base_commit" "$seed" "$pairs" \
+		append_row "$(printf '{"date":"%s","workload":"%s","head":"%s","base":"%s","seed":%s,"pairs":%s,"layout":%s,"failed":{"base":%s,"change":%s},"metrics":{%s}}' \
+			"$(date -u +%F)" "$workload" "$head_commit" "$base_commit" "$seed" "$pairs" "${layout:-null}" \
 			"$(total "$res/base.failed")" "$(total "$res/change.failed")" "$metrics")"
 		echo "recorded $workload in ${record#"$root"/}"
 		echo

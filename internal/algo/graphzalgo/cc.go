@@ -51,6 +51,14 @@ func (p ccProgram) ApplyAll(vs []ccVal, lo graph.VertexID, dsts []graph.VertexID
 	return core.ApplyAll(vs, lo, dsts, m, func(v *ccVal, m uint32) { p.Apply(v, m) })
 }
 
+// UpdateRun is the optional run form (core.RunUpdater): Update, inlined
+// over a degree run.
+func (p ccProgram) UpdateRun(ctx *core.Context[uint32], lo graph.VertexID, vs []ccVal, adj []graph.VertexID, deg uint32) {
+	core.UpdateRun(ctx, lo, vs, adj, deg, func(ctx *core.Context[uint32], id graph.VertexID, v *ccVal, a []graph.VertexID) {
+		p.Update(ctx, id, v, a)
+	})
+}
+
 // ApplyRecords is the optional drain form (core.RecordApplier): the message
 // codec's Decode and Apply, inlined.
 func (p ccProgram) ApplyRecords(vs []ccVal, lo graph.VertexID, recs []byte, rec int) int {

@@ -3,6 +3,7 @@ package graphzalgo
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -499,7 +500,7 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Cod
 }
 
 // TestApplyAllIsApplyInALoop covers every program that has the optional
-// bulk form; one that gains it joins by adding a row.
+// bulk and run forms; one that gains them joins by adding a row.
 func TestApplyAllIsApplyInALoop(t *testing.T) {
 	u32 := func(rng *rand.Rand) uint32 { return uint32(rng.Intn(50)) } // small: messages both below and above B
 	u32Pair := func(rng *rand.Rand) graph.U32Pair { return graph.U32Pair{A: u32(rng), B: u32(rng)} }
@@ -510,14 +511,95 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 	}{
 		{"PageRank", func(t *testing.T) {
 			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, prMsgCodec{}, f32Pair, (*rand.Rand).Float32)
+			checkRunDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, prMsgCodec{})
 		}},
 		{"BFS", func(t *testing.T) {
 			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, bfsMsgCodec{}, u32Pair, u32)
+			checkRunDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, bfsMsgCodec{})
 		}},
 		{"CC", func(t *testing.T) {
 			checkDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, ccMsgCodec{}, u32Pair, u32)
+			checkRunDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, ccMsgCodec{})
 		}},
 	} {
 		t.Run(row.name, row.check)
 	}
+}
+
+// checkRunDelegate holds one program's UpdateRun to its definition, Update
+// in a loop: the engine runs the program with the method and with it
+// hidden — on one partition, where SendAll takes its one hop, and in
+// partitions under static messages, both over an adjacency streamed in
+// 7-entry blocks, so windows cut degree runs and vertices straddle blocks —
+// and each pair of runs leaves the same Result and state bytes and makes
+// the same SendAll calls (on one partition, where ApplyAll sees them), with
+// the same messages, in the same order.
+func checkRunDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M]) {
+	t.Helper()
+	runs, ok := prog.(core.RunUpdater[V, M])
+	if !ok {
+		t.Fatalf("%T lacks UpdateRun", prog)
+	}
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	if err := graph.WriteEdges(dev, "raw", gen.RMAT(8, 1500, gen.NaturalRMAT, 5)); err != nil {
+		t.Fatal(err)
+	}
+	g, err := dos.Convert(dos.ConvertConfig{Dev: dev, Codec: storage.CodecGroupVarint, BlockEntries: 7}, "raw", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := tightOpts(g, vc.Size())
+	static.MemoryBudget += g.BlockTableBytes()
+	static.DynamicMessages = false
+	for _, opts := range []core.Options{{MemoryBudget: 64 << 20, DynamicMessages: true}, static} {
+		opts.StreamAdjacency, opts.MaxIterations = true, 6
+		var logs [2][]string
+		var res [2]core.Result
+		var states [2][]byte
+		calls := 0
+		for i := range logs {
+			var p core.Program[V, M] = sendLog[V, M]{prog, &logs[i]}
+			if i == 1 {
+				p = runLog[V, M]{sendLog[V, M]{prog, &logs[i]}, runs, &calls}
+			}
+			var vals []V
+			if res[i], vals, err = runLayout(core.DOSLayout(g), p, vc, mc, opts); err != nil {
+				t.Fatal(err)
+			}
+			states[i] = make([]byte, len(vals)*vc.Size())
+			for j, v := range vals {
+				vc.Encode(states[i][j*vc.Size():], v)
+			}
+		}
+		if calls == 0 || res[1] != res[0] || !bytes.Equal(states[1], states[0]) || !slices.Equal(logs[1], logs[0]) {
+			t.Fatalf("%T, %d partitions: with UpdateRun (%d calls) %+v and %d SendAlls, Update in a loop %+v and %d; states equal %v, sends equal %v",
+				prog, res[0].Partitions, calls, res[1], len(logs[1]), res[0], len(logs[0]), bytes.Equal(states[1], states[0]), slices.Equal(logs[1], logs[0]))
+		}
+	}
+}
+
+// sendLog runs a program with its own UpdateRun and ApplyAll hidden, and an
+// ApplyAll that logs every SendAll reaching it — destinations and message —
+// then applies by Apply.
+type sendLog[V, M any] struct {
+	core.Program[V, M]
+	log *[]string
+}
+
+func (p sendLog[V, M]) ApplyAll(vs []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
+	*p.log = append(*p.log, fmt.Sprint(dsts, m))
+	return core.ApplyAll(vs, lo, dsts, m, p.Apply)
+}
+
+// runLog is sendLog with the program's UpdateRun, counted; the Update it
+// calls sends through the engine, so sendLog's ApplyAll logs its sends too.
+type runLog[V, M any] struct {
+	sendLog[V, M]
+	runs  core.RunUpdater[V, M]
+	calls *int
+}
+
+func (p runLog[V, M]) UpdateRun(ctx *core.Context[M], lo graph.VertexID, vs []V, adj []graph.VertexID, deg uint32) {
+	*p.calls++
+	p.runs.UpdateRun(ctx, lo, vs, adj, deg)
 }

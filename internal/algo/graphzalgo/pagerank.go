@@ -45,6 +45,14 @@ func (p prProgram) ApplyAll(vs []prVal, lo graph.VertexID, dsts []graph.VertexID
 	return core.ApplyAll(vs, lo, dsts, m, func(v *prVal, m float32) { p.Apply(v, m) })
 }
 
+// UpdateRun is the optional run form (core.RunUpdater): Update, inlined
+// over a degree run.
+func (p prProgram) UpdateRun(ctx *core.Context[float32], lo graph.VertexID, vs []prVal, adj []graph.VertexID, deg uint32) {
+	core.UpdateRun(ctx, lo, vs, adj, deg, func(ctx *core.Context[float32], id graph.VertexID, v *prVal, a []graph.VertexID) {
+		p.Update(ctx, id, v, a)
+	})
+}
+
 // ApplyRecords is the optional drain form (core.RecordApplier): the message
 // codec's Decode and Apply, inlined.
 func (p prProgram) ApplyRecords(vs []prVal, lo graph.VertexID, recs []byte, rec int) int {

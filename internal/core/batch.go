@@ -49,3 +49,22 @@ func (r *batchReader) adj(off int64, deg uint32) ([]graph.VertexID, error) {
 	}
 	return r.w[i : i+n : i+n], nil
 }
+
+// run returns the adjacency of up to n consecutive vertices of degree deg
+// whose entries start at absolute offset off: as many whole vertices as
+// the source's current window holds from off on — at least one, whose
+// entries are fetched as adj fetches them — as one slice of k·deg
+// entries, and k. Vertices of degree 0 need no entries: all n come back.
+// The same contract as adj's: offsets must not descend, and the slice is
+// valid until the next call.
+func (r *batchReader) run(off int64, deg uint32, n graph.VertexID) ([]graph.VertexID, graph.VertexID, error) {
+	if deg == 0 {
+		return nil, n, nil
+	}
+	if _, err := r.adj(off, deg); err != nil {
+		return nil, 0, err
+	}
+	d, i := int64(deg), off-r.at
+	k := min(int64(n), (int64(len(r.w))-i)/d)
+	return r.w[i : i+k*d : i+k*d], graph.VertexID(k), nil
+}

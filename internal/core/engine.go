@@ -51,7 +51,9 @@ type Program[V, M any] interface {
 	// Update is called on every vertex every iteration, in ascending
 	// ID order, with the vertex's out-neighbors. A program that scatters
 	// one value to all of them says ctx.SendAll(adj, msg); one whose
-	// message differs per edge calls ctx.Send per neighbor.
+	// message differs per edge calls ctx.Send per neighbor. Update is the
+	// one definition of the update: a program's UpdateRun (RunUpdater)
+	// calls it and nothing else.
 	Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID)
 	// Apply folds a message into the destination vertex — the paper's
 	// apply_message. A resident destination's messages are applied in send
@@ -152,6 +154,45 @@ func ApplyRecords[V, M any](verts []V, lo graph.VertexID, recs []byte, rec int, 
 		}
 	}
 	return
+}
+
+// RunUpdater is the optional run form of a Program: Update over a run of
+// vertices that share one out-degree, in a loop the compiler can inline it
+// into. Under DOS a degree run's vertices are consecutive and so are their
+// adjacency lists (offset = first + (x − first)·deg), so the Worker hands
+// over as many whole vertices of one run as its adjacency window holds and
+// pays its per-vertex plumbing once a call. The only body to give it is the
+// delegate
+//
+//	func (p prog) UpdateRun(ctx *core.Context[M], lo graph.VertexID, verts []V, adj []graph.VertexID, deg uint32) {
+//		core.UpdateRun(ctx, lo, verts, adj, deg, func(ctx *core.Context[M], id graph.VertexID, v *V, a []graph.VertexID) { p.Update(ctx, id, v, a) })
+//	}
+//
+// — a closure literal that calls Update and nothing else, so Update keeps
+// its one definition. New looks for the method once. The Worker takes the
+// run route on every pass that needs no hook between two updates: dense,
+// not scheduled selectively and not on the in-place route — one partition
+// under dynamic messages, and static messages. A selective pass clears and
+// sets each vertex's bit around its update, and the in-place route drains
+// the resident records before the update of a vertex that has one pending
+// and moves the cursor scatter reads: those passes, and every program
+// without the method, update a vertex a call.
+type RunUpdater[V, M any] interface {
+	UpdateRun(ctx *Context[M], lo graph.VertexID, verts []V, adj []graph.VertexID, deg uint32)
+}
+
+// UpdateRun updates verts — the states of vertices [lo, lo+len(verts)), all
+// of out-degree deg — in ascending ID order, handing each its deg entries of
+// adj, which holds exactly len(verts)·deg of them, the vertices' adjacency
+// lists back to back. It is small enough to be inlined into a RunUpdater
+// delegate, with the closure literal and the Update the literal calls
+// (ci/inlinecheck.sh asserts the first two).
+func UpdateRun[V, M any](ctx *Context[M], lo graph.VertexID, verts []V, adj []graph.VertexID, deg uint32, update func(*Context[M], graph.VertexID, *V, []graph.VertexID)) {
+	d := int(deg)
+	for i := range verts {
+		update(ctx, lo+graph.VertexID(i), &verts[i], adj[:d:d])
+		adj = adj[d:]
+	}
 }
 
 // FrontierSafe is the optional marker of a Program that may be scheduled
@@ -378,6 +419,7 @@ type Engine[V, M any] struct {
 	layout Layout
 	prog   Program[V, M]
 	bulk   BulkApplier[V, M] // prog's own ApplyAll, or applyLoop's
+	runs   RunUpdater[V, M]  // prog's own UpdateRun; nil updates a vertex a call
 	mcodec graph.Codec[M]
 	states graph.BulkCodec[V] // the state codec's own bulk form, or its per-value loop
 	opts   Options
@@ -403,10 +445,14 @@ type Engine[V, M any] struct {
 	published counters // c as of the last publish
 
 	// sendFn and sendAllFn are e.send and e.sendAll, bound once: every
-	// Worker pass hands them to its Context. rangeBuf is the entry-range
-	// list updateRuns opens its prefetcher over, reused across passes.
+	// Worker pass hands them to its Context. spotFn is the resident
+	// applier, bound once: ApplyAll over the pinned states, counted in
+	// c.spot — SendAll's one hop on an unscheduled pass on the spot, and
+	// sendAll's apply on a scheduled one. rangeBuf is the entry-range list
+	// updateRuns opens its prefetcher over, reused across passes.
 	sendFn    func(dst graph.VertexID, m M)
 	sendAllFn func(dsts []graph.VertexID, m M)
+	spotFn    func(dsts []graph.VertexID, m M)
 	rangeBuf  []entryRange
 
 	// convergeOnInactivity stops the run as soon as an iteration ends with
@@ -485,7 +531,15 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		eo:     newEngineObs(opts.Obs, opts.Trace),
 	}
 	e.sendFn, e.sendAllFn = e.send, e.sendAll
+	e.spotFn = func(dsts []graph.VertexID, m M) {
+		if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) && e.runErr == nil {
+			e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, all are resident",
+				ErrProgramContract, applied, len(dsts))
+		}
+		e.c.spot += int64(len(dsts))
+	}
 	e.bulk, _ = any(prog).(BulkApplier[V, M])
+	e.runs, _ = any(prog).(RunUpdater[V, M])
 	e.records, _ = any(prog).(RecordApplier[V, M])
 	if e.bulk == nil || e.records == nil {
 		loop := &applyLoop[V, M]{prog.Apply, mcodec.Decode}
@@ -1000,36 +1054,33 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 
 // sendAll routes m to every vertex of dsts — send in a loop. On the spot
 // (one partition under dynamic messages) the program's ApplyAll applies m
-// to every destination as it is called, and under selective scheduling a
-// second pass marks them schedulable. Each pass keeps list order, and that
-// makes it the loop's execution: Apply sees only its own vertex, so what is
-// ordered is the applies each destination sees, unchanged; the marks are
-// idempotent and nothing reads them before Update returns. Every other
-// route writes records (sendRecords).
+// to every destination as it is called (spotFn), and under selective
+// scheduling a second pass marks them schedulable. Each pass keeps list
+// order, and that makes it the loop's execution: Apply sees only its own
+// vertex, so what is ordered is the applies each destination sees,
+// unchanged; the marks are idempotent and nothing reads them before Update
+// returns. An unscheduled pass on the spot does not come here: its Context
+// calls spotFn itself, one hop. Every other route writes records
+// (sendRecords).
 //
 // The engine learns how many messages were applied from the program, so the
 // count is checked: on one partition every destination is resident
 // (dos.Verify bounded each). A mismatch is recorded the way a failed spill
 // is — SendAll has no error return — and fails the run at the next
 // partition boundary (ErrProgramContract); the ledger keeps the count that
-// adds up.
+// adds up: spotFn counts every destination in c.spot, which the Worker
+// folds into Sent, Applied and Inline at the end of its pass.
 func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
 	if !e.onSpot {
 		e.sendRecords(dsts, m)
 		return
 	}
-	if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) && e.runErr == nil {
-		e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, all are resident",
-			ErrProgramContract, applied, len(dsts))
-	}
+	e.spotFn(dsts, m)
 	if sel := e.sel; sel != nil {
 		for _, dst := range dsts {
 			sel.set(dst)
 		}
 	}
-	e.c.Sent += int64(len(dsts))
-	e.c.Applied += int64(len(dsts))
-	e.c.Inline += int64(len(dsts))
 }
 
 // sendRecords is the records route — sendAll's on every run but one
@@ -1141,7 +1192,16 @@ func (e *Engine[V, M]) applyResident() {
 // is this loop's to write: Context only carries MarkActive's flag back. On
 // the in-place route the loop drains the resident records before it updates
 // a vertex at or past the watermark, one of them pending for it.
+//
+// That is the vertex loop, one Update a vertex. A pass that needs none of
+// its per-vertex hooks — no bitmap, no watermark or cursor — and a program
+// with UpdateRun take the run loop instead: one UpdateRun a degree run, or
+// a window's worth of one, the same vertices in the same order with the
+// same adjacency, the ledger's update and edge counts folded once a call.
+// On the spot the messages are counted in c.spot and folded here once the
+// pass ends.
 func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipeStats) (bool, error) {
+	defer e.foldSpot()
 	var ranges []entryRange // what the prefetcher reads; resident entries need none
 	if e.adjCache == nil {
 		ranges = e.rangeBuf[:0]
@@ -1157,11 +1217,35 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 	defer src.stop()
 
 	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn}
+	if e.onSpot && e.sel == nil {
+		ctx.sendAll = e.spotFn // nothing to mark: one hop to the applier
+	}
 	marked := false // an update of this pass called MarkActive (selective: ctx.active is per vertex there)
 	br := batchReader{src: src}
 	inPlace := e.resPart >= 0 // only the in-place route reads the cursor and the watermark
 	var deg uint32
 	var degEnd graph.VertexID // every vertex the loop reaches below degEnd has degree deg
+	if e.runs != nil && e.sel == nil && !inPlace {
+		for _, run := range runs {
+			off := run.startOff
+			for v := run.lo; v < run.hi; {
+				if v >= degEnd {
+					deg, degEnd = e.layout.DegreeRun(v)
+				}
+				adj, k, err := br.run(off, deg, min(degEnd, run.hi)-v)
+				if err != nil {
+					return false, fmt.Errorf("core: adjacency stream for vertex %d: %w", v, err)
+				}
+				i := v - e.partLo
+				e.runs.UpdateRun(ctx, v, e.verts[i:i+k], adj, deg)
+				e.c.Updates += int64(k)
+				e.c.edges += int64(k) * int64(deg)
+				off += int64(k) * int64(deg)
+				v += k
+			}
+		}
+		return ctx.active, nil
+	}
 	for _, run := range runs {
 		off := run.startOff
 		for v := run.lo; v < run.hi; v++ {
@@ -1211,6 +1295,16 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 		}
 	}
 	return marked || ctx.active, nil
+}
+
+// foldSpot folds the messages applied on the spot during a Worker pass into
+// the ledger's send totals: each was sent, applied and inline.
+func (e *Engine[V, M]) foldSpot() {
+	n := e.c.spot
+	e.c.Sent += n
+	e.c.Applied += n
+	e.c.Inline += n
+	e.c.spot = 0
 }
 
 // pendingBytes returns the bytes of messages pending for partition p:

@@ -31,6 +31,7 @@ type counters struct {
 	// This process only.
 	edges     int64 // adjacency entries handed to Update (priced by chargeLedger)
 	spillErrs int64 // spill failures (the first aborts the run)
+	spot      int64 // messages applied on the spot this Worker pass, folded into Sent, Applied and Inline at its end
 
 	// Pipeline activity, folded from pipeStats once per partition and so
 	// counted only while a sink is attached.

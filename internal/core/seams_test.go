@@ -219,9 +219,9 @@ func (d seamDraw) edges() []graph.Edge {
 }
 
 // program returns the witness program by one of the three routes of
-// SendAll: with its own delegates — ApplyAll, and ApplyRecords over the
-// draw's message codec — the engine's default loops over its Apply, and
-// Send in a loop (which hides the delegates too).
+// SendAll: with its own delegates — ApplyAll, ApplyRecords over the draw's
+// message codec, and UpdateRun — the engine's default loops over its Apply
+// and Update, and Send in a loop (which hides the delegates too).
 func (d seamDraw) program(route string) Program[witnessVal, uint32] {
 	own := witnessLabel{pad: d.Val("record") == "6"}
 	switch route {
@@ -524,8 +524,8 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 	sel, dm := x.opts.SelectiveScheduling, x.opts.DynamicMessages
 	_, bulkLoop := eng.bulk.(*applyLoop[witnessVal, uint32])
 	_, drainLoop := eng.records.(*applyLoop[witnessVal, uint32])
-	if _, states := eng.states.(witnessCodec); bulkLoop == (route == "own") || drainLoop == (route == "own") || states == (route == "noBulk") {
-		t.Errorf("route %s: New bound %T, %T and %T", route, eng.bulk, eng.records, eng.states)
+	if _, states := eng.states.(witnessCodec); bulkLoop == (route == "own") || drainLoop == (route == "own") || (eng.runs == nil) == (route == "own") || states == (route == "noBulk") {
+		t.Errorf("route %s: New bound %T, %T, %T and %T", route, eng.bulk, eng.records, eng.runs, eng.states)
 	}
 
 	// The ledger and the plan.
@@ -1757,6 +1757,14 @@ func (witnessLabel) FrontierSafe() {}
 // the route that inlines Apply.
 func (p witnessLabel) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
 	return ApplyAll(vs, lo, dsts, m, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+}
+
+// UpdateRun is the RunUpdater delegate: witnessLabel as written takes the
+// run route on every pass that has one.
+func (p witnessLabel) UpdateRun(ctx *Context[uint32], lo graph.VertexID, vs []witnessVal, adj []graph.VertexID, deg uint32) {
+	UpdateRun(ctx, lo, vs, adj, deg, func(ctx *Context[uint32], id graph.VertexID, v *witnessVal, a []graph.VertexID) {
+		p.Update(ctx, id, v, a)
+	})
 }
 
 // ApplyRecords is the RecordApplier delegate.
