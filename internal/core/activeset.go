@@ -13,7 +13,7 @@ import (
 // converging algorithms spend their tail iterations touching a handful of
 // vertices, yet a streaming engine re-reads every adjacency block anyway.
 // The engine keeps one bit per vertex — set when a message is applied to
-// the vertex or, a resident record, sent to it (send, sendAll, sendRecords,
+// the vertex or, a resident record, sent to it (send, applyOnSpot, sendRecords,
 // drainRecords), or its update called MarkActive (updateRuns, which reads
 // the Context's flag once Update returns), cleared
 // just before its update runs (except during iteration 0: the Init pass

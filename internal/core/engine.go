@@ -444,15 +444,14 @@ type Engine[V, M any] struct {
 	c         counters // the ledger: every cumulative count, one writer each
 	published counters // c as of the last publish
 
-	// sendFn and sendAllFn are e.send and e.sendAll, bound once: every
-	// Worker pass hands them to its Context. spotFn is the resident
-	// applier, bound once: ApplyAll over the pinned states, counted in
-	// c.spot — SendAll's one hop on an unscheduled pass on the spot, and
-	// sendAll's apply on a scheduled one. rangeBuf is the entry-range list
-	// updateRuns opens its prefetcher over, reused across passes.
+	// sendFn and sendAllFn are Context.Send's and Context.SendAll's
+	// routes, bound once in New: every Worker pass hands them to its
+	// Context. sendFn is e.send; sendAllFn is the resident applier on the
+	// spot (onSpot) and e.sendRecords elsewhere. rangeBuf is the
+	// entry-range list updateRuns opens its prefetcher over, reused across
+	// passes.
 	sendFn    func(dst graph.VertexID, m M)
 	sendAllFn func(dsts []graph.VertexID, m M)
-	spotFn    func(dsts []graph.VertexID, m M)
 	rangeBuf  []entryRange
 
 	// convergeOnInactivity stops the run as soon as an iteration ends with
@@ -486,7 +485,8 @@ type Engine[V, M any] struct {
 	staging   []byte
 
 	// The route (DESIGN.md §17). onSpot is one partition under dynamic
-	// messages: sendAll applies through the BulkApplier as it is called.
+	// messages: SendAll applies through the BulkApplier as it is called
+	// (applyOnSpot).
 	// Every other run sends records. On a partitioned run under dynamic
 	// messages resPart is the partition the Worker is in: scatter writes
 	// its records into msgBufs[resPart] like any other partition's, and
@@ -530,14 +530,6 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		msize:  mcodec.Size(),
 		eo:     newEngineObs(opts.Obs, opts.Trace),
 	}
-	e.sendFn, e.sendAllFn = e.send, e.sendAll
-	e.spotFn = func(dsts []graph.VertexID, m M) {
-		if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) && e.runErr == nil {
-			e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, all are resident",
-				ErrProgramContract, applied, len(dsts))
-		}
-		e.c.spot += int64(len(dsts))
-	}
 	e.bulk, _ = any(prog).(BulkApplier[V, M])
 	e.runs, _ = any(prog).(RunUpdater[V, M])
 	e.records, _ = any(prog).(RecordApplier[V, M])
@@ -559,6 +551,12 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		return nil, err
 	}
 	e.onSpot = opts.DynamicMessages && e.SemiExternal()
+	e.sendFn = e.send
+	if e.onSpot {
+		e.sendAllFn = e.applyOnSpot()
+	} else {
+		e.sendAllFn = e.sendRecords
+	}
 	e.resPart, e.wm = -1, math.MaxUint32
 	if opts.SelectiveScheduling {
 		if _, ok := any(prog).(FrontierSafe); !ok {
@@ -1031,8 +1029,8 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	return e.storeVertices(lo, hi)
 }
 
-// send routes one message: sendAll for a single destination, written out
-// because a call per message cannot afford the loop's set-up. A resident
+// send routes one message: SendAll's route for a single destination,
+// written out because a call per message cannot afford the loop's set-up. A resident
 // destination's message is Apply itself on one partition and, on the
 // in-place route, while none of the resident partition's records is
 // pending — so a program that sends per edge pays no record for it, and
@@ -1052,38 +1050,39 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 	e.sendRecords([]graph.VertexID{dst}, m)
 }
 
-// sendAll routes m to every vertex of dsts — send in a loop. On the spot
-// (one partition under dynamic messages) the program's ApplyAll applies m
-// to every destination as it is called (spotFn), and under selective
-// scheduling a second pass marks them schedulable. Each pass keeps list
-// order, and that makes it the loop's execution: Apply sees only its own
-// vertex, so what is ordered is the applies each destination sees,
+// applyOnSpot returns SendAll's route on the spot (one partition under
+// dynamic messages), where every destination is resident: a closure that
+// has the program's ApplyAll apply m to every vertex of dsts as it is
+// called and, under selective scheduling, marks them schedulable in a
+// second pass — Context.SendAll's one hop to the applier. Each pass keeps
+// list order, and that makes it the loop's execution: Apply sees only its
+// own vertex, so what is ordered is the applies each destination sees,
 // unchanged; the marks are idempotent and nothing reads them before Update
-// returns. An unscheduled pass on the spot does not come here: its Context
-// calls spotFn itself, one hop. Every other route writes records
-// (sendRecords).
+// returns.
 //
 // The engine learns how many messages were applied from the program, so the
 // count is checked: on one partition every destination is resident
 // (dos.Verify bounded each). A mismatch is recorded the way a failed spill
 // is — SendAll has no error return — and fails the run at the next
 // partition boundary (ErrProgramContract); the ledger keeps the count that
-// adds up: spotFn counts every destination in c.spot, which the Worker
-// folds into Sent, Applied and Inline at the end of its pass.
-func (e *Engine[V, M]) sendAll(dsts []graph.VertexID, m M) {
-	if !e.onSpot {
-		e.sendRecords(dsts, m)
-		return
-	}
-	e.spotFn(dsts, m)
-	if sel := e.sel; sel != nil {
-		for _, dst := range dsts {
-			sel.set(dst)
+// adds up: every destination is counted in c.spot, which the Worker folds
+// into Sent, Applied and Inline at the end of its pass.
+func (e *Engine[V, M]) applyOnSpot() func(dsts []graph.VertexID, m M) {
+	return func(dsts []graph.VertexID, m M) {
+		if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) && e.runErr == nil {
+			e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, all are resident",
+				ErrProgramContract, applied, len(dsts))
 		}
+		if sel := e.sel; sel != nil {
+			for _, dst := range dsts {
+				sel.set(dst)
+			}
+		}
+		e.c.spot += int64(len(dsts))
 	}
 }
 
-// sendRecords is the records route — sendAll's on every run but one
+// sendRecords is the records route — SendAll's on every run but one
 // partition under dynamic messages, and send's whenever it does not apply
 // on the spot: scatter writes a record for every destination of dsts, in
 // list order. A resident destination's (only on a partitioned run under
@@ -1217,9 +1216,6 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 	defer src.stop()
 
 	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn}
-	if e.onSpot && e.sel == nil {
-		ctx.sendAll = e.spotFn // nothing to mark: one hop to the applier
-	}
 	marked := false // an update of this pass called MarkActive (selective: ctx.active is per vertex there)
 	br := batchReader{src: src}
 	inPlace := e.resPart >= 0 // only the in-place route reads the cursor and the watermark

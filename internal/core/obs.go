@@ -15,7 +15,8 @@ const engineName = "graphz"
 
 // counters is the engine's one ledger: every cumulative count it keeps,
 // each written on the engine goroutine as a plain += at the one site
-// where the fact happens (send per message, sendAll once per call).
+// where the fact happens (send per message, sendRecords once per call;
+// on the spot, c.spot per call, folded once a Worker pass).
 // Everything else is a view: Result is a projection at finish, the
 // iteration row is the delta across an iteration (recordIter), the registry
 // receives current − last published through ledgerMetrics (publish),
