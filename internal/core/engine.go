@@ -1030,9 +1030,9 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 }
 
 // send routes one message: SendAll's route for a single destination,
-// written out because a call per message cannot afford the loop's set-up. A resident
-// destination's message is Apply itself on one partition and, on the
-// in-place route, while none of the resident partition's records is
+// written out because a call per message cannot afford the loop's set-up.
+// A resident destination's message is Apply itself on one partition and,
+// on the in-place route, while none of the resident partition's records is
 // pending — so a program that sends per edge pays no record for it, and
 // none overtakes an earlier message still in the buffer. Everything else
 // writes the record. Program.Update reaches it through Context.Send.
