@@ -1067,6 +1067,12 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 // partition boundary (ErrProgramContract); the ledger keeps the count that
 // adds up: every destination is counted in c.spot, which the Worker folds
 // into Sent, Applied and Inline at the end of its pass.
+//
+// It is kept out of New on purpose: New is a big function, inside which the
+// inliner admits only the smallest callees, and the closure built there
+// called activeSet.set once a mark instead of inlining it.
+//
+//go:noinline
 func (e *Engine[V, M]) applyOnSpot() func(dsts []graph.VertexID, m M) {
 	return func(dsts []graph.VertexID, m M) {
 		if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) && e.runErr == nil {
