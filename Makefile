@@ -21,27 +21,28 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/checkpoint/... ./internal/storage/... ./internal/bench/... ./internal/serve/... ./internal/algo/integration/...
 
 # inline-check asserts that the compiler inlines Apply into the bulk route
-# of every shipped program with an ApplyAll delegate, core.UpdateRun and
-# its Update closure into the UpdateRun run delegate, Decode and Apply into
-# its ApplyRecords drain delegate, the field codecs into the pair codecs'
+# of every shipped program with an ApplyAll or ApplyEach delegate,
+# core.UpdateRun and its Update closure into the UpdateRun run delegate,
+# Decode and Apply into its ApplyRecords drain delegate — each program
+# listed with the delegates it has — the field codecs into the pair codecs'
 # EncodeAll/DecodeAll loops, the bitmap's nextSet/clear/set into the
 # Worker loop, and partitionOf into scatter, the record writer every
 # partitioned run's messages go through (ci/inlinecheck.sh) — run it after
-# any edit to a program, to core.ApplyAll, core.UpdateRun or
-# core.ApplyRecords, to internal/graph/pair.go, to updateRuns, to
+# any edit to a program, to core.ApplyAll, core.ApplyEach, core.UpdateRun
+# or core.ApplyRecords, to internal/graph/pair.go, to updateRuns, to
 # activeSet, to scatter or to partitionOf.
 inline-check:
 	ci/inlinecheck.sh
 
 bench:
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkSendAll' -benchmem -run '^$$' ./internal/core/
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkSendAll|BenchmarkSendEach' -benchmem -run '^$$' ./internal/core/
 
 # bench-json records the engine, codec and preprocessing benchmarks as a
 # JSON snapshot for the CI regression gate; benchdiff compares it to the
 # committed baseline, whose engine and preprocessing rows gate allocs/op
 # only (nanoseconds on a shared box gate nothing: ROADMAP item 6(a)).
 bench-json:
-	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkSendAll' -benchmem -run '^$$' ./internal/core/ ; \
+	{ $(GO) test -bench 'BenchmarkEngine|BenchmarkSendAll|BenchmarkSendEach' -benchmem -run '^$$' ./internal/core/ ; \
 	  $(GO) test -bench BenchmarkCodec -benchmem -run '^$$' ./internal/storage/ ; \
 	  $(GO) test -bench BenchmarkSort -benchmem -run '^$$' ./internal/extsort/ ; \
 	  $(GO) test -bench BenchmarkConvert -benchmem -run '^$$' ./internal/dos/ ; } \

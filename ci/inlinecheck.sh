@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # inlinecheck.sh — asserts that the compiler inlines Apply into the bulk
 # route of every shipped program that has the optional ApplyAll delegate
-# (core.BulkApplier; DESIGN.md §19): at the delegate's line,
-# `go build -gcflags=-m` must report
-#   inlining call to core.ApplyAll[...]
+# (core.BulkApplier; DESIGN.md §19) or its per-edge twin ApplyEach
+# (core.EachApplier): at the delegate's line, `go build -gcflags=-m` must
+# report
+#   inlining call to core.ApplyAll[...]   (or core.ApplyEach[...])
 #   inlining call to <prog>.Apply
 # i.e. the generic loop went into the delegate and the program's Apply went
-# into the loop, so a SendAll costs one call per vertex and none per message.
+# into the loop, so a SendAll or a SendEach costs one call per vertex and
+# none per message.
 #
 # Results never depend on this: a toolchain that does not inline runs the
 # same code through one call per message, at the speed of the engine's
@@ -17,7 +19,10 @@
 # not gated; it could not be tried offline (only go1.24.0 is installed, and
 # this script downloads nothing).
 #
-# A program that gains the delegate joins by adding a "<file>:<type>" word.
+# A program joins by adding a "<file>:<type>:<delegates>" word that lists
+# the delegates it has (ApplyAll or ApplyEach, UpdateRun, ApplyRecords);
+# SSSP, which sends per edge, has ApplyEach and UpdateRun and no drain
+# delegate.
 #
 # The same programs' run delegate (core.RunUpdater, DESIGN.md §14) is held
 # at the line of its one core.UpdateRun call:
@@ -52,7 +57,10 @@
 set -euo pipefail
 
 pkg=internal/algo/graphzalgo
-programs="pagerank.go:prProgram bfs.go:bfsProgram cc.go:ccProgram"
+# Each program names the delegates it has: the bulk routes (ApplyAll for a
+# scatter, ApplyEach for a program that sends per edge), the run delegate
+# and the drain delegate.
+programs="pagerank.go:prProgram:ApplyAll,UpdateRun,ApplyRecords bfs.go:bfsProgram:ApplyAll,UpdateRun,ApplyRecords cc.go:ccProgram:ApplyAll,UpdateRun,ApplyRecords sssp.go:ssspProgram:ApplyEach,UpdateRun"
 
 pairs=internal/graph/pair.go
 pair_codecs="u32PairCodec:Uint32Codec f32PairCodec:Float32Codec"
@@ -63,48 +71,43 @@ out=$(go build -gcflags=-m "./$pkg" ./internal/graph 2>&1) || { echo "$out" >&2;
 
 fail=0
 for entry in $programs; do
-	file=${entry%%:*} prog=${entry##*:}
-	line=$(grep -n 'core\.ApplyAll(' "$pkg/$file" | cut -d: -f1)
-	if [ "$(wc -w <<<"$line")" -ne 1 ]; then
-		echo "inlinecheck: $pkg/$file: want exactly one core.ApplyAll call (the delegate), found lines: ${line:-none}" >&2
-		fail=1
-		continue
-	fi
-	for callee in 'core\.ApplyAll\[.*' "$prog"'\.Apply'; do
-		if ! grep -Eq "^$pkg/$file:$line:[0-9]+: inlining call to $callee\$" <<<"$out"; then
-			echo "inlinecheck: $prog lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
+	IFS=: read -r file prog delegates <<<"$entry"
+	for delegate in ${delegates//,/ }; do
+		line=$(grep -n "core\.$delegate(" "$pkg/$file" | cut -d: -f1)
+		case $delegate in
+		ApplyAll | ApplyEach)
+			what="the bulk route" callees=("core\.$delegate\[.*" "$prog"'\.Apply')
+			;;
+		UpdateRun)
+			what="the run delegate" callees=('core\.UpdateRun\[.*' "$prog"'\.UpdateRun\.func1')
+			;;
+		ApplyRecords)
+			# The delegate names its codec by the program's alias of a graph
+			# codec (type bfsMsgCodec = graph.Uint32Codec); -m reports the
+			# aliased name.
+			codec=$(grep -o '[A-Za-z0-9]*Codec{}\.Decode' "$pkg/$file" | sed 's/{}\.Decode//' || true)
+			if [ "$(wc -w <<<"$codec")" -eq 1 ]; then
+				codec=$(sed -n "s/^type $codec = \(graph\.[A-Za-z0-9]*Codec\)\$/\1.Decode/p" "$pkg/$file")
+			fi
+			if [ "$(wc -w <<<"$codec")" -ne 1 ]; then
+				echo "inlinecheck: $pkg/$file: want the drain delegate to name one <alias>{}.Decode, the alias a graph codec's, found: ${codec:-none}" >&2
+				fail=1
+				continue
+			fi
+			what="the drain" callees=('core\.ApplyRecords\[.*' "$prog"'\.Apply' "${codec//./\\.}")
+			;;
+		esac
+		if [ "$(wc -w <<<"$line")" -ne 1 ]; then
+			echo "inlinecheck: $pkg/$file: want exactly one core.$delegate call (the delegate), found lines: ${line:-none}" >&2
 			fail=1
+			continue
 		fi
-	done
-	line=$(grep -n 'core\.UpdateRun(' "$pkg/$file" | cut -d: -f1)
-	if [ "$(wc -w <<<"$line")" -ne 1 ]; then
-		echo "inlinecheck: $pkg/$file: want exactly one core.UpdateRun call (the run delegate), found lines: ${line:-none}" >&2
-		fail=1
-		continue
-	fi
-	for callee in 'core\.UpdateRun\[.*' "$prog"'\.UpdateRun\.func1'; do
-		if ! grep -Eq "^$pkg/$file:$line:[0-9]+: inlining call to $callee\$" <<<"$out"; then
-			echo "inlinecheck: $prog's run delegate lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
-			fail=1
-		fi
-	done
-	line=$(grep -n 'core\.ApplyRecords(' "$pkg/$file" | cut -d: -f1)
-	# The delegate names its codec by the program's alias of a graph codec
-	# (type bfsMsgCodec = graph.Uint32Codec); -m reports the aliased name.
-	codec=$(grep -o '[A-Za-z0-9]*Codec{}\.Decode' "$pkg/$file" | sed 's/{}\.Decode//' || true)
-	if [ "$(wc -w <<<"$codec")" -eq 1 ]; then
-		codec=$(sed -n "s/^type $codec = \(graph\.[A-Za-z0-9]*Codec\)\$/\1.Decode/p" "$pkg/$file")
-	fi
-	if [ "$(wc -w <<<"$line")" -ne 1 ] || [ "$(wc -w <<<"$codec")" -ne 1 ]; then
-		echo "inlinecheck: $pkg/$file: want exactly one core.ApplyRecords call (the drain delegate) naming one <alias>{}.Decode, the alias a graph codec's, found lines: ${line:-none}, codecs: ${codec:-none}" >&2
-		fail=1
-		continue
-	fi
-	for callee in 'core\.ApplyRecords\[.*' "$prog"'\.Apply' "${codec//./\\.}"; do
-		if ! grep -Eq "^$pkg/$file:$line:[0-9]+: inlining call to $callee\$" <<<"$out"; then
-			echo "inlinecheck: $prog's drain lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
-			fail=1
-		fi
+		for callee in "${callees[@]}"; do
+			if ! grep -Eq "^$pkg/$file:$line:[0-9]+: inlining call to $callee\$" <<<"$out"; then
+				echo "inlinecheck: $prog's $delegate ($what) lost it under $(go version): no \"inlining call to ${callee//\\/}\" at $pkg/$file:$line" >&2
+				fail=1
+			fi
+		done
 	done
 done
 
@@ -155,4 +158,4 @@ for line in $lines; do
 	fi
 done
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply inlined into ApplyAll, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter ($(go version))"
+echo "inlinecheck: Apply inlined into ApplyAll or ApplyEach, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter ($(go version))"

@@ -418,21 +418,24 @@ func TestAblationLayoutsAgree(t *testing.T) {
 	}
 }
 
-// checkDelegate holds one program's ApplyAll and ApplyRecords to their
-// definitions: over seeded random resident ranges [lo, lo+n) — and none at
+// checkDelegate holds each of one program's ApplyAll, ApplyEach and
+// ApplyRecords to its definition — the delegates it has, which are the ones
+// want names: over seeded random resident ranges [lo, lo+n) — and none at
 // all, dynamic messages off — and destination lists mixing resident IDs
 // with IDs below lo and at and past lo+n, duplicates and the empty list,
 // the states each leaves are byte-equal to a copy on which Apply was called
 // for each resident destination in list order — with ApplyAll's one
-// message, or each record's own, decoded by mc — and each returns that
-// count. mc is the program's message codec type, the one its runLayout
-// call encodes with, so a delegate that decodes another way fails here.
-func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M], state func(*rand.Rand) V, msg func(*rand.Rand) M) {
+// message, ApplyEach's own for each destination, or each record's own,
+// decoded by mc — and each returns that count. mc is the program's message
+// codec type, the one its runLayout call encodes with, so a delegate that
+// decodes another way fails here.
+func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], want string, vc graph.Codec[V], mc graph.Codec[M], state func(*rand.Rand) V, msg func(*rand.Rand) M) {
 	t.Helper()
 	bulk, ok := prog.(core.BulkApplier[V, M])
-	records, ok2 := prog.(core.RecordApplier[V, M])
-	if !ok || !ok2 {
-		t.Fatalf("%T lacks ApplyAll (%v) or ApplyRecords (%v)", prog, ok, ok2)
+	each, ok2 := prog.(core.EachApplier[V, M])
+	records, ok3 := prog.(core.RecordApplier[V, M])
+	if has := fmt.Sprintf("ApplyAll:%v ApplyEach:%v ApplyRecords:%v", ok, ok2, ok3); has != want {
+		t.Fatalf("%T has %s, want %s", prog, has, want)
 	}
 	encode := func(vs []V) []byte {
 		b := make([]byte, len(vs)*vc.Size())
@@ -470,17 +473,28 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Cod
 			}
 		}
 		m, applied := msg(rng), 0
-		for _, dst := range dsts {
-			if dst >= lo && int(dst-lo) < n {
+		ms, eachGot, eachWant := make([]M, len(dsts)), slices.Clone(got), slices.Clone(got)
+		for k, dst := range dsts {
+			if ms[k] = msg(rng); dst >= lo && int(dst-lo) < n {
 				prog.Apply(&want[dst-lo], m)
+				prog.Apply(&eachWant[dst-lo], ms[k])
 				applied++
 			}
 		}
-		if k := bulk.ApplyAll(got, lo, dsts, m); k != applied {
-			t.Fatalf("%T.ApplyAll over [%d,%d) and %v returned %d, want %d", prog, lo, int(lo)+n, dsts, k, applied)
+		if ok {
+			if k := bulk.ApplyAll(got, lo, dsts, m); k != applied || !bytes.Equal(encode(got), encode(want)) {
+				t.Fatalf("%T.ApplyAll over [%d,%d) and %v returned %d (want %d), left %v; Apply in a loop leaves %v",
+					prog, lo, int(lo)+n, dsts, k, applied, got, want)
+			}
 		}
-		if !bytes.Equal(encode(got), encode(want)) {
-			t.Fatalf("%T.ApplyAll over [%d,%d) and %v left %v, Apply in a loop leaves %v", prog, lo, int(lo)+n, dsts, got, want)
+		if ok2 {
+			if k := each.ApplyEach(eachGot, lo, dsts, ms); k != applied || !bytes.Equal(encode(eachGot), encode(eachWant)) {
+				t.Fatalf("%T.ApplyEach over [%d,%d), %v and %v returned %d (want %d), left %v; Apply in a loop leaves %v",
+					prog, lo, int(lo)+n, dsts, ms, k, applied, eachGot, eachWant)
+			}
+		}
+		if !ok3 {
+			continue
 		}
 		var recs []byte
 		for _, dst := range dsts {
@@ -500,8 +514,10 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Cod
 }
 
 // TestApplyAllIsApplyInALoop covers every program that has the optional
-// bulk and run forms; one that gains them joins by adding a row.
+// bulk and run forms; one that gains them joins by adding a row. SSSP's row
+// also holds its SendEach form of Update to the Send loop it replaced.
 func TestApplyAllIsApplyInALoop(t *testing.T) {
+	const scatter, perEdge = "ApplyAll:true ApplyEach:false ApplyRecords:true", "ApplyAll:false ApplyEach:true ApplyRecords:false"
 	u32 := func(rng *rand.Rand) uint32 { return uint32(rng.Intn(50)) } // small: messages both below and above B
 	u32Pair := func(rng *rand.Rand) graph.U32Pair { return graph.U32Pair{A: u32(rng), B: u32(rng)} }
 	f32Pair := func(rng *rand.Rand) graph.F32Pair { return graph.F32Pair{A: rng.Float32(), B: rng.Float32()} }
@@ -510,16 +526,21 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 		check func(t *testing.T)
 	}{
 		{"PageRank", func(t *testing.T) {
-			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, prMsgCodec{}, f32Pair, (*rand.Rand).Float32)
+			checkDelegate[prVal, float32](t, prProgram{damping: 0.85}, scatter, graph.F32PairCodec, prMsgCodec{}, f32Pair, (*rand.Rand).Float32)
 			checkRunDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, prMsgCodec{})
 		}},
 		{"BFS", func(t *testing.T) {
-			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, bfsMsgCodec{}, u32Pair, u32)
+			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, scatter, graph.U32PairCodec, bfsMsgCodec{}, u32Pair, u32)
 			checkRunDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, bfsMsgCodec{})
 		}},
 		{"CC", func(t *testing.T) {
-			checkDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, ccMsgCodec{}, u32Pair, u32)
+			checkDelegate[ccVal, uint32](t, ccProgram{}, scatter, graph.U32PairCodec, ccMsgCodec{}, u32Pair, u32)
 			checkRunDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, ccMsgCodec{})
+		}},
+		{"SSSP", func(t *testing.T) {
+			checkDelegate[ssspVal, float32](t, ssspProgram{source: 3}, perEdge, graph.F32PairCodec, graph.Float32Codec{}, f32Pair, (*rand.Rand).Float32)
+			checkRunDelegate[ssspVal, float32](t, ssspProgram{source: 3}, graph.F32PairCodec, graph.Float32Codec{})
+			checkSendEach(t)
 		}},
 	} {
 		t.Run(row.name, row.check)
@@ -578,9 +599,9 @@ func checkRunDelegate[V, M any](t *testing.T, prog core.Program[V, M], vc graph.
 	}
 }
 
-// sendLog runs a program with its own UpdateRun and ApplyAll hidden, and an
-// ApplyAll that logs every SendAll reaching it — destinations and message —
-// then applies by Apply.
+// sendLog runs a program with its own UpdateRun, ApplyAll and ApplyEach
+// hidden, and an ApplyAll and an ApplyEach that log every SendAll and
+// SendEach reaching them — destinations and messages — then apply by Apply.
 type sendLog[V, M any] struct {
 	core.Program[V, M]
 	log *[]string
@@ -589,6 +610,11 @@ type sendLog[V, M any] struct {
 func (p sendLog[V, M]) ApplyAll(vs []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
 	*p.log = append(*p.log, fmt.Sprint(dsts, m))
 	return core.ApplyAll(vs, lo, dsts, m, p.Apply)
+}
+
+func (p sendLog[V, M]) ApplyEach(vs []V, lo graph.VertexID, dsts []graph.VertexID, ms []M) int {
+	*p.log = append(*p.log, fmt.Sprint(dsts, ms))
+	return core.ApplyEach(vs, lo, dsts, ms, p.Apply)
 }
 
 // runLog is sendLog with the program's UpdateRun, counted; the Update it
@@ -602,4 +628,93 @@ type runLog[V, M any] struct {
 func (p runLog[V, M]) UpdateRun(ctx *core.Context[M], lo graph.VertexID, vs []V, adj []graph.VertexID, deg uint32) {
 	*p.calls++
 	p.runs.UpdateRun(ctx, lo, vs, adj, deg)
+}
+
+// checkSendEach holds SSSP's Update, which computes its messages into
+// Messages' scratch and hands them to SendEach, to the Send per edge it
+// replaced (ssspSendUpdate): run on one partition, partitioned under dynamic
+// messages and partitioned under static ones, the two forms leave the same
+// Result and state bytes and apply the same (destination, message) pairs
+// in the same order — on one partition, the order they were sent in.
+func checkSendEach(t *testing.T) {
+	f := newFixture(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 5))
+	dynamic, static := tightOpts(f.g, 12), tightOpts(f.g, 12)
+	static.DynamicMessages = false
+	for _, opts := range []core.Options{bigOpts(), dynamic, static} {
+		var logs [2][]string
+		var res [2]core.Result
+		var states [2][]byte
+		for i, update := range []func(*core.Context[float32], graph.VertexID, *ssspVal, []graph.VertexID){ssspProgram{}.Update, ssspSendUpdate} {
+			p := sendTrace{ssspProgram{source: 3}, update, &logs[i]}
+			r, vals, err := runLayout[traceVal, float32](core.DOSLayout(f.g), p, traceCodec{}, graph.Float32Codec{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i] = r
+			for _, v := range vals {
+				states[i] = traceCodec{}.append(states[i], v)
+			}
+		}
+		if res[0] != res[1] || !bytes.Equal(states[0], states[1]) || !slices.Equal(logs[0], logs[1]) || len(logs[0]) == 0 ||
+			(res[0].Partitions == 1) != (opts.MemoryBudget == bigOpts().MemoryBudget) {
+			t.Fatalf("SendEach: %+v, %d applies; Send per edge: %+v, %d; states equal %v, applies equal %v",
+				res[0], len(logs[0]), res[1], len(logs[1]), bytes.Equal(states[0], states[1]), slices.Equal(logs[0], logs[1]))
+		}
+	}
+}
+
+// ssspSendUpdate is SSSP's Update as it was written before SendEach: a Send
+// per edge, each message computed as it is sent.
+func ssspSendUpdate(ctx *core.Context[float32], id graph.VertexID, v *ssspVal, adj []graph.VertexID) {
+	if v.B < v.A {
+		v.A = v.B
+		ctx.MarkActive()
+		for _, a := range adj {
+			ctx.Send(a, v.A+graph.EdgeWeight(id, a))
+		}
+	}
+}
+
+// sendTrace runs SSSP by the update given, on states tagged with their
+// vertex's ID, and logs every (destination, message) pair its Apply folds
+// in.
+type sendTrace struct {
+	sssp   ssspProgram
+	update func(*core.Context[float32], graph.VertexID, *ssspVal, []graph.VertexID)
+	log    *[]string
+}
+
+type traceVal struct {
+	id graph.VertexID
+	v  ssspVal
+}
+
+func (p sendTrace) Init(id graph.VertexID, deg uint32) traceVal { return traceVal{id, p.sssp.Init(id, deg)} }
+
+func (p sendTrace) Update(ctx *core.Context[float32], id graph.VertexID, v *traceVal, adj []graph.VertexID) {
+	p.update(ctx, id, &v.v, adj)
+}
+
+func (p sendTrace) Apply(v *traceVal, m float32) {
+	*p.log = append(*p.log, fmt.Sprint(v.id, m))
+	p.sssp.Apply(&v.v, m)
+}
+
+type traceCodec struct{}
+
+func (traceCodec) Size() int { return 12 }
+
+func (traceCodec) Encode(b []byte, v traceVal) {
+	binary.LittleEndian.PutUint32(b, uint32(v.id))
+	graph.F32PairCodec.Encode(b[4:], v.v)
+}
+
+func (traceCodec) Decode(b []byte) traceVal {
+	return traceVal{graph.VertexID(binary.LittleEndian.Uint32(b)), graph.F32PairCodec.Decode(b[4:])}
+}
+
+func (c traceCodec) append(b []byte, v traceVal) []byte {
+	b = append(b, make([]byte, c.Size())...)
+	c.Encode(b[len(b)-c.Size():], v)
+	return b
 }

@@ -33,9 +33,11 @@ func (p ssspProgram) Update(ctx *core.Context[float32], id graph.VertexID, v *ss
 	if v.B < v.A {
 		v.A = v.B
 		ctx.MarkActive()
-		for _, a := range adj {
-			ctx.Send(a, v.A+graph.EdgeWeight(id, a))
+		ms := ctx.Messages(len(adj))
+		for i, a := range adj {
+			ms[i] = v.A + graph.EdgeWeight(id, a)
 		}
+		ctx.SendEach(adj, ms)
 	}
 }
 
@@ -48,6 +50,20 @@ func (ssspProgram) Apply(v *ssspVal, m float32) {
 // FrontierSafe declares core.FrontierSafe: without a message B is not below
 // A, and Update does nothing.
 func (ssspProgram) FrontierSafe() {}
+
+// ApplyEach is the optional per-edge bulk form (core.EachApplier): Apply,
+// inlined.
+func (p ssspProgram) ApplyEach(vs []ssspVal, lo graph.VertexID, dsts []graph.VertexID, ms []float32) int {
+	return core.ApplyEach(vs, lo, dsts, ms, func(v *ssspVal, m float32) { p.Apply(v, m) })
+}
+
+// UpdateRun is the optional run form (core.RunUpdater): Update, inlined
+// over a degree run.
+func (p ssspProgram) UpdateRun(ctx *core.Context[float32], lo graph.VertexID, vs []ssspVal, adj []graph.VertexID, deg uint32) {
+	core.UpdateRun(ctx, lo, vs, adj, deg, func(ctx *core.Context[float32], id graph.VertexID, v *ssspVal, a []graph.VertexID) {
+		p.Update(ctx, id, v, a)
+	})
+}
 
 // SSSP computes single-source shortest path distances from source (in
 // the graph's ID space) with hash-derived positive edge weights, running

@@ -51,9 +51,9 @@ type Program[V, M any] interface {
 	// Update is called on every vertex every iteration, in ascending
 	// ID order, with the vertex's out-neighbors. A program that scatters
 	// one value to all of them says ctx.SendAll(adj, msg); one whose
-	// message differs per edge calls ctx.Send per neighbor. Update is the
-	// one definition of the update: a program's UpdateRun (RunUpdater)
-	// calls it and nothing else.
+	// message differs per edge writes them into ms := ctx.Messages(len(adj))
+	// and says ctx.SendEach(adj, ms). Update is the one definition of the
+	// update: a program's UpdateRun (RunUpdater) calls it and nothing else.
 	Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID)
 	// Apply folds a message into the destination vertex — the paper's
 	// apply_message. A resident destination's messages are applied in send
@@ -103,9 +103,46 @@ func ApplyAll[V, M any](verts []V, lo graph.VertexID, dsts []graph.VertexID, m M
 	return applied
 }
 
-// applyLoop is the BulkApplier and the RecordApplier of a program that
-// lacks its own: ApplyAll over its Apply, and ApplyRecords over the message
-// codec's Decode and its Apply, the function values bound once.
+// EachApplier is the optional per-edge form of BulkApplier: Apply over a
+// list of destinations, each with its own message, in a loop the compiler
+// can inline it into. A program that sends through Context.SendEach may add
+// it, and the only body to give it is the delegate
+//
+//	func (p prog) ApplyEach(verts []V, lo graph.VertexID, dsts []graph.VertexID, ms []M) int {
+//		return core.ApplyEach(verts, lo, dsts, ms, func(v *V, m M) { p.Apply(v, m) })
+//	}
+//
+// — as with ApplyAll, a closure literal, not the method value. New looks for
+// the method once; a program without it runs the same loop over its Apply
+// through a function value. It is SendEach's route on one partition under
+// dynamic messages, where every destination is resident, and the engine
+// checks the count it returns (ErrProgramContract).
+type EachApplier[V, M any] interface {
+	ApplyEach(verts []V, lo graph.VertexID, dsts []graph.VertexID, ms []M) int
+}
+
+// ApplyEach applies ms[k] to dsts[k], in list order, for every k whose
+// destination is resident — verts holds the states of vertices [lo,
+// lo+len(verts)) — skips the others, and returns how many it applied. ms
+// holds at least len(dsts) messages. Like ApplyAll it is small enough to be
+// inlined into an EachApplier delegate, with the closure literal and the
+// Apply the literal calls (ci/inlinecheck.sh asserts it).
+func ApplyEach[V, M any](verts []V, lo graph.VertexID, dsts []graph.VertexID, ms []M, apply func(*V, M)) int {
+	applied := 0
+	ms = ms[:len(dsts)]
+	for k, dst := range dsts {
+		if i := uint64(dst - lo); i < uint64(len(verts)) {
+			apply(&verts[i], ms[k])
+			applied++
+		}
+	}
+	return applied
+}
+
+// applyLoop is the BulkApplier, the EachApplier and the RecordApplier of a
+// program that lacks its own: ApplyAll and ApplyEach over its Apply, and
+// ApplyRecords over the message codec's Decode and its Apply, the function
+// values bound once.
 type applyLoop[V, M any] struct {
 	apply  func(*V, M)
 	decode func([]byte) M
@@ -113,6 +150,10 @@ type applyLoop[V, M any] struct {
 
 func (a *applyLoop[V, M]) ApplyAll(verts []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
 	return ApplyAll(verts, lo, dsts, m, a.apply)
+}
+
+func (a *applyLoop[V, M]) ApplyEach(verts []V, lo graph.VertexID, dsts []graph.VertexID, ms []M) int {
+	return ApplyEach(verts, lo, dsts, ms, a.apply)
 }
 
 func (a *applyLoop[V, M]) ApplyRecords(verts []V, lo graph.VertexID, recs []byte, rec int) int {
@@ -213,11 +254,14 @@ type FrontierSafe interface {
 }
 
 // Context is the per-update view of the runtime handed to Program.Update.
+// An engine has one, its routes bound in New.
 type Context[M any] struct {
 	iteration int
 	send      func(dst graph.VertexID, m M)
-	sendAll   func(dsts []graph.VertexID, m M) // the bulk route
-	active    bool                             // an update called MarkActive since the Worker last cleared it
+	sendAll   func(dsts []graph.VertexID, m M)    // the bulk route
+	sendEach  func(dsts []graph.VertexID, ms []M) // the per-edge bulk route
+	msgs      []M                                 // Messages' scratch
+	active    bool                                // an update called MarkActive since the Worker last cleared it
 }
 
 // Iteration returns the current iteration number (0-based).
@@ -226,6 +270,9 @@ func (c *Context[M]) Iteration() int { return c.iteration }
 // Send sends an ordered dynamic message to dst: dst's messages are applied
 // in send order, a resident dst's before any update can observe them — its
 // own, or this one's when dst is the vertex being updated (Program.Apply).
+// An update that sends to its whole adjacency says SendAll or SendEach
+// instead; Send is for the program that picks its destinations (a random
+// walk) or sends what an Apply during the sends may change.
 func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
 
 // SendAll sends m to every vertex of dsts, in order: it is Send in a loop
@@ -238,6 +285,33 @@ func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
 // delegates gets its Apply inlined into both routes: no call per message
 // at all. dsts is not retained.
 func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) { c.sendAll(dsts, m) }
+
+// SendEach sends ms[i] to dsts[i] for every i, in order: it is Send in a
+// loop — under the same guarantee, with the same ledger totals and the same
+// device operations — handed to the engine as one call per vertex instead
+// of one per edge. Use it when the message differs from edge to edge and no
+// Apply during the sends can change it: the update computes every message
+// first, into Messages' scratch. On one partition a program that also has
+// the EachApplier delegate gets its Apply inlined: no call per message.
+// ms must hold exactly len(dsts) messages; otherwise nothing is sent and
+// the run fails at the next partition boundary (ErrProgramContract).
+// Neither slice is retained.
+func (c *Context[M]) SendEach(dsts []graph.VertexID, ms []M) { c.sendEach(dsts, ms) }
+
+// Messages returns a scratch slice of n messages for SendEach, owned by the
+// Context and reused from update to update: it is valid until the next
+// call, and holds whatever the last user left in it.
+func (c *Context[M]) Messages(n int) []M {
+	if cap(c.msgs) < n {
+		c.growMessages(n)
+	}
+	return c.msgs[:n]
+}
+
+// growMessages replaces Messages' scratch with one of at least n messages,
+// doubling, so a run whose degrees climb allocates a few times, not once a
+// degree.
+func (c *Context[M]) growMessages(n int) { c.msgs = make([]M, max(n, 2*cap(c.msgs))) }
 
 // MarkActive signals that the vertex's value changed this iteration;
 // the engine keeps iterating while any vertex is active or any message
@@ -339,13 +413,15 @@ var ErrMemoryBudget = errors.New("core: memory budget exceeded")
 var ErrInvalidOptions = errors.New("core: invalid options")
 
 // ErrProgramContract reports a program that broke a rule the engine relies
-// on and can check: a BulkApplier whose ApplyAll returned a count other
-// than the number of destinations it was handed (on one partition every
-// one is resident), or a RecordApplier whose ApplyRecords applied other
-// than every record of a drain or of the resident partition's in-place
-// flush. The ledger (inline + buffered == sent) would otherwise
-// go quietly wrong, so the run fails at the next partition boundary and
-// returns no Result. Match with errors.Is.
+// on and can check: a BulkApplier or EachApplier whose ApplyAll or
+// ApplyEach returned a count other than the number of destinations it was
+// handed (on one partition every one is resident), a RecordApplier whose
+// ApplyRecords applied other than every record of a drain or of the
+// resident partition's in-place flush, or a SendEach whose messages do not
+// match its destinations one for one. The ledger (inline + buffered ==
+// sent) would otherwise go quietly wrong, or a send panic, so the run fails
+// at the next partition boundary and returns no Result. Match with
+// errors.Is.
 var ErrProgramContract = errors.New("core: program contract violated")
 
 // ErrCancelled reports a run aborted because Options.Context was
@@ -419,6 +495,7 @@ type Engine[V, M any] struct {
 	layout Layout
 	prog   Program[V, M]
 	bulk   BulkApplier[V, M] // prog's own ApplyAll, or applyLoop's
+	each   EachApplier[V, M] // prog's own ApplyEach, or applyLoop's
 	runs   RunUpdater[V, M]  // prog's own UpdateRun; nil updates a vertex a call
 	mcodec graph.Codec[M]
 	states graph.BulkCodec[V] // the state codec's own bulk form, or its per-value loop
@@ -444,15 +521,13 @@ type Engine[V, M any] struct {
 	c         counters // the ledger: every cumulative count, one writer each
 	published counters // c as of the last publish
 
-	// sendFn and sendAllFn are Context.Send's and Context.SendAll's
-	// routes, bound once in New: every Worker pass hands them to its
-	// Context. sendFn is e.send; sendAllFn is the resident applier on the
-	// spot (onSpot) and e.sendRecords elsewhere. rangeBuf is the
-	// entry-range list updateRuns opens its prefetcher over, reused across
-	// passes.
-	sendFn    func(dst graph.VertexID, m M)
-	sendAllFn func(dsts []graph.VertexID, m M)
-	rangeBuf  []entryRange
+	// ctx is the Context every Worker pass hands its updates, its routes
+	// bound once in New: Send's is e.send; SendAll's and SendEach's are the
+	// resident appliers on the spot (onSpot) and e.sendRecords and
+	// e.sendEach elsewhere. rangeBuf is the entry-range list updateRuns
+	// opens its prefetcher over, reused across passes.
+	ctx      Context[M]
+	rangeBuf []entryRange
 
 	// convergeOnInactivity stops the run as soon as an iteration ends with
 	// no vertex marked active, even if messages were sent. It is a property
@@ -531,12 +606,16 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		eo:     newEngineObs(opts.Obs, opts.Trace),
 	}
 	e.bulk, _ = any(prog).(BulkApplier[V, M])
+	e.each, _ = any(prog).(EachApplier[V, M])
 	e.runs, _ = any(prog).(RunUpdater[V, M])
 	e.records, _ = any(prog).(RecordApplier[V, M])
-	if e.bulk == nil || e.records == nil {
+	if e.bulk == nil || e.each == nil || e.records == nil {
 		loop := &applyLoop[V, M]{prog.Apply, mcodec.Decode}
 		if e.bulk == nil {
 			e.bulk = loop
+		}
+		if e.each == nil {
+			e.each = loop
 		}
 		if e.records == nil {
 			e.records = loop
@@ -551,11 +630,11 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		return nil, err
 	}
 	e.onSpot = opts.DynamicMessages && e.SemiExternal()
-	e.sendFn = e.send
+	e.ctx.send = e.send
 	if e.onSpot {
-		e.sendAllFn = e.applyOnSpot()
+		e.ctx.sendAll, e.ctx.sendEach = e.applyOnSpot(), e.applyEachOnSpot()
 	} else {
-		e.sendAllFn = e.sendRecords
+		e.ctx.sendAll, e.ctx.sendEach = e.sendRecords, e.sendEach
 	}
 	e.resPart, e.wm = -1, math.MaxUint32
 	if opts.SelectiveScheduling {
@@ -1088,6 +1167,57 @@ func (e *Engine[V, M]) applyOnSpot() func(dsts []graph.VertexID, m M) {
 	}
 }
 
+// applyEachOnSpot is applyOnSpot for SendEach: a closure that has the
+// program's ApplyEach apply ms[k] to dsts[k] for every k as it is called —
+// each destination sees its applies in send order, as in the loop of Sends
+// it stands for — marks the destinations schedulable in a second pass, and
+// counts them in c.spot. ApplyEach's count is checked as ApplyAll's is, and
+// so is the call: ms must match dsts one for one, or nothing is sent and the
+// run fails at the next partition boundary. It is kept out of New for the
+// reason applyOnSpot is.
+//
+//go:noinline
+func (e *Engine[V, M]) applyEachOnSpot() func(dsts []graph.VertexID, ms []M) {
+	return func(dsts []graph.VertexID, ms []M) {
+		if len(ms) != len(dsts) {
+			e.eachMismatch(dsts, ms)
+			return
+		}
+		if applied := e.each.ApplyEach(e.verts, e.partLo, dsts, ms); applied != len(dsts) && e.runErr == nil {
+			e.runErr = fmt.Errorf("%w: ApplyEach reported %d of %d destinations applied, all are resident",
+				ErrProgramContract, applied, len(dsts))
+		}
+		if sel := e.sel; sel != nil {
+			for _, dst := range dsts {
+				sel.set(dst)
+			}
+		}
+		e.c.spot += int64(len(dsts))
+	}
+}
+
+// sendEach is SendEach's route on every run but one partition under dynamic
+// messages: send in a loop, ms[i] to dsts[i] — the per-edge route as Send
+// takes it, so the in-place watermark and the record order are Send's.
+func (e *Engine[V, M]) sendEach(dsts []graph.VertexID, ms []M) {
+	if len(ms) != len(dsts) {
+		e.eachMismatch(dsts, ms)
+		return
+	}
+	for i, dst := range dsts {
+		e.send(dst, ms[i])
+	}
+}
+
+// eachMismatch records a SendEach whose messages do not match its
+// destinations one for one; like a miscounting applier it fails the run at
+// the next partition boundary (ErrProgramContract).
+func (e *Engine[V, M]) eachMismatch(dsts []graph.VertexID, ms []M) {
+	if e.runErr == nil {
+		e.runErr = fmt.Errorf("%w: SendEach handed %d messages for %d destinations", ErrProgramContract, len(ms), len(dsts))
+	}
+}
+
 // sendRecords is the records route — SendAll's on every run but one
 // partition under dynamic messages, and send's whenever it does not apply
 // on the spot: scatter writes a record for every destination of dsts, in
@@ -1221,7 +1351,8 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 	}
 	defer src.stop()
 
-	ctx := &Context[M]{iteration: iter, send: e.sendFn, sendAll: e.sendAllFn}
+	ctx := &e.ctx
+	ctx.iteration, ctx.active = iter, false
 	marked := false // an update of this pass called MarkActive (selective: ctx.active is per vertex there)
 	br := batchReader{src: src}
 	inPlace := e.resPart >= 0 // only the in-place route reads the cursor and the watermark

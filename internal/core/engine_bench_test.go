@@ -100,20 +100,28 @@ func BenchmarkEngineSelective(b *testing.B) {
 }
 
 // BenchmarkSendAll runs witnessLabel to convergence with every state
-// resident — each message goes through sendAll and is applied inline — by
+// resident — each message goes through SendAll and is applied inline — by
 // the bulk route's two forms: the program's ApplyAll delegate, which inlines
 // Apply, and the engine's default loop over the bound Apply (the method
 // hidden). What it predicts is stream-pr's run_vs_plain, so like stream-pr it
 // streams the adjacency (pinned: this small graph would fit); what CI gates
 // of it is the allocation count, which the route must not move.
-func BenchmarkSendAll(b *testing.B) {
+func BenchmarkSendAll(b *testing.B) { benchSendRoutes(b, witnessLabel{each: -1}) }
+
+// BenchmarkSendEach is BenchmarkSendAll with every vertex sending per edge
+// through SendEach, by the ApplyEach delegate and the default loop: the
+// route SSSP's served jobs take, so what it predicts is serve-mix's
+// jobs_per_plain_run.
+func BenchmarkSendEach(b *testing.B) { benchSendRoutes(b, witnessLabel{each: 1}) }
+
+func benchSendRoutes(b *testing.B, own witnessLabel) {
 	g := benchGraph(b)
 	for _, route := range []struct {
 		name string
 		prog Program[witnessVal, uint32]
 	}{
-		{"delegate", witnessLabel{}},
-		{"default", noBulk[witnessVal, uint32]{witnessLabel{}}},
+		{"delegate", own},
+		{"default", noBulk[witnessVal, uint32]{own}},
 	} {
 		b.Run(route.name, func(b *testing.B) {
 			opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, StreamAdjacency: true}

@@ -3,22 +3,18 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 
-	"graphz/internal/checkpoint"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
-	"graphz/internal/obs"
 	"graphz/internal/storage"
 )
 
 // The message path beside the seam draw: the buffer clamp no option
-// reaches, the drain's and the state round's allocation bounds, and a
-// program that miscounts its applies. (The drain against the per-record
-// one, and the round through the staging buffer, are FuzzEngineSeams's.)
+// reaches, and the drain's and the state round's allocation bounds. (The
+// drain against the per-record one, the round through the staging buffer,
+// and a program that miscounts its applies are FuzzEngineSeams's.)
 
 // TestBufferMessageRecordLargerThanBuffer: a destination buffer made with
 // exactly MsgBufferBytes capacity and then re-sliced by one record panics
@@ -124,77 +120,5 @@ func TestStateRoundAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := int64(after.TotalAlloc-before.TotalAlloc) / rounds; per >= 1<<10 {
 		t.Errorf("a load+store round of a %d-byte partition allocates %d bytes, want < 1 KiB", partition, per)
-	}
-}
-
-// miscount is witnessLabel with hand-written delegates that apply every
-// resident destination and every record and report off more: ApplyAll, or
-// with records set ApplyRecords.
-type miscount struct {
-	witnessLabel
-	off     int
-	records bool
-}
-
-func (p miscount) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
-	n := p.witnessLabel.ApplyAll(vs, lo, dsts, m)
-	if n > 0 && !p.records {
-		n += p.off
-	}
-	return n
-}
-
-func (p miscount) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
-	n := p.witnessLabel.ApplyRecords(vs, lo, recs, rec)
-	if n > 0 && p.records {
-		n += p.off
-	}
-	return n
-}
-
-// TestApplyAllMiscountFailsRun: the engine learns how many messages were
-// applied from the program, so a program that miscounts gets a typed error
-// and no Result — not a ledger in which inline + buffered != sent. The
-// ledger the aborted run publishes still adds up: it holds what the buffer
-// pass and the drain found, not what the program said. ApplyAll's count is
-// the one-partition route's; a partitioned run applies records, and a
-// miscounting ApplyRecords stops it after iteration 0's first partition,
-// at its first in-place flush — under static messages after its second,
-// the first to drain.
-func TestApplyAllMiscountFailsRun(t *testing.T) {
-	g := buildDOS(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 82))
-	for _, parts := range []int64{1, 4, -4} {
-		for _, off := range []int{-1, 1} {
-			drain := parts < 0
-			parts := max(parts, -parts)
-			name := fmt.Sprintf("parts=%d/off=%+d", parts, off)
-			if drain {
-				name = fmt.Sprintf("drain/parts=%d/off=%+d", parts, off)
-			}
-			t.Run(name, func(t *testing.T) {
-				reg := obs.NewRegistry()
-				opts := Options{MemoryBudget: 64 << 20, DynamicMessages: !drain, MsgBufferBytes: 64, Obs: reg}
-				if parts > 1 {
-					opts.MemoryBudget = budgetForPartitions(g, 12, parts, 64)
-				}
-				eng, err := New[witnessVal, uint32](DOSLayout(g), miscount{off: off, records: parts > 1}, witnessCodec{}, graph.Uint32Codec{}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := eng.Run()
-				if !errors.Is(err, ErrProgramContract) {
-					t.Fatalf("err = %v, want ErrProgramContract", err)
-				}
-				if res != (Result{}) {
-					t.Errorf("a failed run returned %+v", res)
-				}
-				first := int64(eng.partStarts[1+b2i(drain)])
-				if eng.NumPartitions() != int(parts) || eng.c.Updates != first {
-					t.Errorf("%d partitions, %d updates: want %d and the run stopped after the failing partition's %d",
-						eng.NumPartitions(), eng.c.Updates, parts, first)
-				}
-				checkLedgerViews(t, eng, reg, checkpoint.Counters{})
-			})
-		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -29,9 +31,9 @@ import (
 // draw"): FuzzEngineOracle one level down, where the ledger, the planner,
 // the prefetcher, the drain and the staging buffer are in reach. A uint64
 // decodes into one lattice point (seams); every draw runs the engine by
-// all three routes of SendAll and holds the runs to each other, to one
-// roomy partition and to the views of the ledger, then drives the
-// components directly at drawn sizes the runs cannot reach. The seed corpus
+// all three routes of SendAll and SendEach and holds the runs to each
+// other, to one roomy partition and to the views of the ledger, then drives
+// the components directly at drawn sizes the runs cannot reach. The corpus
 // (seamSeeds and the named regression seeds under
 // testdata/fuzz/FuzzEngineSeams) replays on every go test and reaches every
 // legal pair of axis values (TestSeamCorpusCoverage); -fuzz draws more.
@@ -219,9 +221,10 @@ func (d seamDraw) edges() []graph.Edge {
 }
 
 // program returns the witness program by one of the three routes of
-// SendAll: with its own delegates — ApplyAll, ApplyRecords over the draw's
-// message codec, and UpdateRun — the engine's default loops over its Apply
-// and Update, and Send in a loop (which hides the delegates too).
+// SendAll and SendEach: with its own delegates — ApplyAll, ApplyEach,
+// ApplyRecords over the draw's message codec, and UpdateRun — the engine's
+// default loops over its Apply and Update, and Send in a loop (which hides
+// the delegates too).
 func (d seamDraw) program(route string) Program[witnessVal, uint32] {
 	own := witnessLabel{pad: d.Val("record") == "6"}
 	switch route {
@@ -523,9 +526,10 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 	nParts, iters := eng.NumPartitions(), int64(res.Iterations)
 	sel, dm := x.opts.SelectiveScheduling, x.opts.DynamicMessages
 	_, bulkLoop := eng.bulk.(*applyLoop[witnessVal, uint32])
+	_, eachLoop := eng.each.(*applyLoop[witnessVal, uint32])
 	_, drainLoop := eng.records.(*applyLoop[witnessVal, uint32])
-	if _, states := eng.states.(witnessCodec); bulkLoop == (route == "own") || drainLoop == (route == "own") || (eng.runs == nil) == (route == "own") || states == (route == "noBulk") {
-		t.Errorf("route %s: New bound %T, %T, %T and %T", route, eng.bulk, eng.records, eng.runs, eng.states)
+	if _, states := eng.states.(witnessCodec); bulkLoop == (route == "own") || eachLoop == (route == "own") || drainLoop == (route == "own") || (eng.runs == nil) == (route == "own") || states == (route == "noBulk") {
+		t.Errorf("route %s: New bound %T, %T, %T, %T and %T", route, eng.bulk, eng.each, eng.records, eng.runs, eng.states)
 	}
 
 	// The ledger and the plan.
@@ -815,9 +819,27 @@ func checkManifests(t *testing.T, dirA, dirB string) {
 // one has no values and, without a directory or from an empty one, no
 // checkpoint to resume, and New fails
 // typed on a budget of nothing, on one that holds the fixed floor only,
-// and on another graph's shared adjacency.
+// and on another graph's shared adjacency. A program that breaks the
+// contract in a way the draw's route takes fails the run typed, at the
+// boundary after the visit it broke it in, with no Result and the ledger's
+// views agreeing; one that breaks it off the route finishes.
 func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	t.Helper()
+	r, polls, broke := x.draws(0xb4ea), 0, -1
+	kinds := []string{"ApplyRecords", "short"}
+	if x.opts.DynamicMessages && a.eng.NumPartitions() == 1 {
+		kinds = []string{"ApplyAll", "ApplyEach", "short"}
+	}
+	bp := breaker{x.program("own").(witnessLabel), kinds[r(int64(len(kinds)))], int(1 - 2*r(2)), &polls, &broke}
+	opts := x.opts
+	opts.Obs, opts.Context = obs.NewRegistry(), ledgerProbe{context.Background(), func() { polls++ }}
+	eng, err := New[witnessVal, uint32](DOSLayout(a.g), bp, witnessCodec{}, x.mcodec(), opts)
+	must(t, err)
+	if res, err := eng.Run(); broke >= 0 && (!errors.Is(err, ErrProgramContract) || res != (Result{}) || polls != broke) || broke < 0 && err != nil {
+		t.Errorf("%s off by %+d, broken at poll %d: stopped at poll %d with %+v, %v", bp.which, bp.off, broke, polls, res, err)
+	}
+	checkLedgerViews(t, eng, opts.Obs, checkpoint.Counters{})
+	eng.Cleanup()
 	if _, err := a.eng.Run(); err == nil {
 		t.Error("a second Run succeeded")
 	}
@@ -827,7 +849,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	fresh := func(opts Options) (*Engine[witnessVal, uint32], error) {
 		return New(DOSLayout(a.g), x.program("own"), witnessCodec{}, x.mcodec(), opts)
 	}
-	eng, err := fresh(x.opts)
+	eng, err = fresh(x.opts)
 	must(t, err)
 	if _, err := eng.Values(); err == nil {
 		t.Error("Values before Run succeeded")
@@ -835,7 +857,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	if _, err := eng.Resume(); err == nil {
 		t.Error("Resume without a checkpoint directory succeeded")
 	}
-	opts := x.opts
+	opts = x.opts
 	opts.Checkpoint.Dir = t.TempDir()
 	if eng, err = fresh(opts); err == nil {
 		_, err = eng.Resume()
@@ -856,6 +878,40 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	opts.SharedAdjacency = NewSharedAdjacency(DOSLayout(b.g))
 	if _, err := fresh(opts); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("another device's shared adjacency: %v, want ErrInvalidOptions", err)
+	}
+	// B's last checkpoint resumes only the engine that wrote it, intact:
+	// under another name or partition count, its manifest cut short or a
+	// byte of it or of the states flipped, Resume fails typed.
+	if dir := b.eng.opts.Checkpoint.Dir; dir != "" && a.g.NumVertices > 1 {
+		opts = x.opts
+		opts.Checkpoint = CheckpointOptions{Dir: dir, Resume: true}
+		kind, file := []string{"name", "parts", "cut", "crc", "states"}[r(5)], latestManifestPath(t, dir)
+		want := map[string]error{"cut": checkpoint.ErrTruncated, "crc": checkpoint.ErrCRCMismatch, "states": checkpoint.ErrCRCMismatch}[kind]
+		if kind == "states" {
+			file = filepath.Join(filepath.Dir(file), "vstate")
+		}
+		raw, err := os.ReadFile(file)
+		must(t, err)
+		switch kind {
+		case "name":
+			opts.Name, want = "other", checkpoint.ErrConfigMismatch
+		case "parts": // one partition resumed partitioned, or the other way
+			opts.MemoryBudget, opts.MsgBufferBytes, want = 64<<20, 0, checkpoint.ErrConfigMismatch
+			if b.eng.NumPartitions() == 1 {
+				opts.MemoryBudget, opts.MsgBufferBytes = budgetForPartitions(a.g, 12, 2, 64), 64
+			}
+		case "cut":
+			raw = raw[:2]
+		default:
+			raw[len(raw)-1] ^= 0xff
+		}
+		must(t, os.WriteFile(file, raw, 0o644))
+		if eng, err = fresh(opts); err == nil {
+			_, err = eng.Resume()
+		}
+		if !errors.Is(err, want) {
+			t.Errorf("resuming %d partitions' checkpoint by %s: %v, want %v", b.eng.NumPartitions(), kind, err, want)
+		}
 	}
 }
 
@@ -1591,6 +1647,20 @@ func (d seamDraw) drainRound(t *testing.T) {
 	if gotIO, wantIO := got.dev.FileStats(), want.dev.FileStats(); !faulted && !reflect.DeepEqual(gotIO, wantIO) {
 		t.Errorf("device traffic %+v, per record %+v", gotIO, wantIO)
 	}
+	// ApplyEach against Apply in a loop, on the last partition drained: a
+	// message each for destinations drawn in it and just outside it.
+	lo, hi := got.partLo, got.partHi
+	dsts, ms, applied := make([]graph.VertexID, r(40)), make([]uint32, 40), 0
+	for k := range dsts {
+		dsts[k], ms[k] = []graph.VertexID{lo + graph.VertexID(r(int64(hi-lo))), hi + graph.VertexID(r(2)), lo - 1}[r(3)], uint32(r(1<<16))
+		if i := dsts[k] - lo; i < hi-lo {
+			want.prog.Apply(&want.verts[i], ms[k])
+			applied++
+		}
+	}
+	if n := got.each.ApplyEach(got.verts, lo, dsts, ms); n != applied || !slices.Equal(got.verts, want.verts) {
+		t.Errorf("ApplyEach over [%d,%d) and %v applied %d of %d; same states %v", lo, hi, dsts, n, applied, slices.Equal(got.verts, want.verts))
+	}
 }
 
 // drainHeat sums a registry's drain heat per state-file block.
@@ -1684,11 +1754,11 @@ var seamSeeds = []uint64{
 	313, 1009, 1577, 4143, 176, 785, 228, 1, 48, 79, 0, 174, 1485, 753,
 }
 
-// witnessLabel is minLabel written as a scatter program — one SendAll per
-// update — whose Apply also folds every message, in arrival order, into a
-// hash: any difference in which messages a vertex was applied, or in what
-// order, changes its state bytes. The hash steers nothing, so the program
-// stays frontier-safe.
+// witnessLabel is minLabel written as a scatter program — one SendAll or
+// SendEach per update — whose Apply also folds every message, in arrival
+// order, into a hash: any difference in which messages a vertex was
+// applied, or in what order, changes its state bytes. The hash steers
+// nothing, so the program stays frontier-safe.
 type witnessVal struct{ label, pending, trace uint32 }
 
 type witnessCodec struct{}
@@ -1722,8 +1792,12 @@ func (c witnessCodec) DecodeAll(vs []witnessVal, b []byte) {
 type perValue[T any] struct{ graph.Codec[T] }
 
 // witnessLabel's pad says its records are padCodec's 6-byte ones, not
-// Uint32Codec's 8: its drain delegate decodes with that codec.
-type witnessLabel struct{ pad bool }
+// Uint32Codec's 8: its drain delegate decodes with that codec. each says
+// which vertices send per edge: the odd ones (0), none (-1) or all (1).
+type witnessLabel struct {
+	pad  bool
+	each int
+}
 
 func (witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
 	return witnessVal{label: uint32(id), pending: uint32(id)}
@@ -1731,7 +1805,10 @@ func (witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
 
 // Update reads the vertex's trace after it sends, so a message sent to the
 // vertex itself (the rmat draw's self-loops) must have been applied by then.
-func (witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, adj []graph.VertexID) {
+// A message is the label over a 7-bit tag: 0 from SendAll, and per edge the
+// destination's low bits, so an edge's message applied to another edge's
+// destination changes the trace.
+func (p witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, adj []graph.VertexID) {
 	if ctx.Iteration() > 0 {
 		if v.pending >= v.label {
 			return
@@ -1739,14 +1816,22 @@ func (witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVa
 		v.label = v.pending
 		ctx.MarkActive()
 	}
-	ctx.SendAll(adj, v.label) // sinks send to nobody: an empty dsts
+	if p.each > 0 || p.each == 0 && id%2 == 1 {
+		ms := ctx.Messages(len(adj))
+		for i, a := range adj {
+			ms[i] = v.label<<7 | uint32(a)&127
+		}
+		ctx.SendEach(adj, ms)
+	} else {
+		ctx.SendAll(adj, v.label<<7) // sinks send to nobody: an empty dsts
+	}
 	v.trace = v.trace<<1 | v.trace>>31
 }
 
 func (witnessLabel) Apply(v *witnessVal, m uint32) {
 	v.trace = v.trace*1664525 + m + 1
-	if m < v.pending {
-		v.pending = m
+	if m>>7 < v.pending {
+		v.pending = m >> 7
 	}
 }
 
@@ -1757,6 +1842,11 @@ func (witnessLabel) FrontierSafe() {}
 // the route that inlines Apply.
 func (p witnessLabel) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
 	return ApplyAll(vs, lo, dsts, m, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+}
+
+// ApplyEach is the EachApplier delegate.
+func (p witnessLabel) ApplyEach(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, ms []uint32) int {
+	return ApplyEach(vs, lo, dsts, ms, func(v *witnessVal, m uint32) { p.Apply(v, m) })
 }
 
 // UpdateRun is the RunUpdater delegate: witnessLabel as written takes the
@@ -1775,6 +1865,54 @@ func (p witnessLabel) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []by
 	return ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return graph.Uint32Codec{}.Decode(b) }, func(v *witnessVal, m uint32) { p.Apply(v, m) })
 }
 
+// breaker is witnessLabel breaking the contract the drawn way: its which
+// delegate reports off more than it applied, or (which "short") every
+// vertex with an edge hands SendEach one message too few. broke is the
+// context's poll count when it first did.
+type breaker struct {
+	witnessLabel
+	which        string
+	off          int
+	polls, broke *int
+}
+
+func (p breaker) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, adj []graph.VertexID) {
+	if p.which == "short" && len(adj) > 0 {
+		p.count("short", 1)
+		ctx.SendEach(adj, ctx.Messages(len(adj)-1))
+		return
+	}
+	p.witnessLabel.Update(ctx, id, v, adj)
+}
+
+func (p breaker) UpdateRun(ctx *Context[uint32], lo graph.VertexID, vs []witnessVal, adj []graph.VertexID, deg uint32) {
+	UpdateRun(ctx, lo, vs, adj, deg, p.Update)
+}
+
+func (p breaker) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	return p.count("ApplyAll", p.witnessLabel.ApplyAll(vs, lo, dsts, m))
+}
+
+func (p breaker) ApplyEach(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, ms []uint32) int {
+	return p.count("ApplyEach", p.witnessLabel.ApplyEach(vs, lo, dsts, ms))
+}
+
+func (p breaker) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
+	return p.count("ApplyRecords", p.witnessLabel.ApplyRecords(vs, lo, recs, rec))
+}
+
+// count returns what a delegate applied, n, plus off when it is the one that
+// breaks and applied anything.
+func (p breaker) count(which string, n int) int {
+	if which != p.which || n == 0 {
+		return n
+	}
+	if *p.broke < 0 {
+		*p.broke = *p.polls
+	}
+	return n + p.off
+}
+
 // safeProgram is what the two wrappers below keep of the program they
 // wrap: Program's three methods and the FrontierSafe declaration selective
 // draws need, forwarded and no more.
@@ -1788,15 +1926,20 @@ type safeProgram[V, M any] interface {
 // route, ApplyAll over the bound Apply.
 type noBulk[V, M any] struct{ safeProgram[V, M] }
 
-// sendLoop runs a program with Context.SendAll degraded to its
-// definition, Send in a loop (a Context serves one Worker pass of one
-// program, so the route is swapped and never restored).
+// sendLoop runs a program with Context.SendAll and SendEach degraded to
+// their definition, Send in a loop (a Context serves one engine of one
+// program, so the routes are swapped and never restored).
 type sendLoop[V, M any] struct{ safeProgram[V, M] }
 
 func (p sendLoop[V, M]) Update(ctx *Context[M], id graph.VertexID, v *V, adj []graph.VertexID) {
 	ctx.sendAll = func(dsts []graph.VertexID, m M) {
 		for _, dst := range dsts {
 			ctx.send(dst, m)
+		}
+	}
+	ctx.sendEach = func(dsts []graph.VertexID, ms []M) {
+		for i, dst := range dsts {
+			ctx.send(dst, ms[i])
 		}
 	}
 	p.safeProgram.Update(ctx, id, v, adj)

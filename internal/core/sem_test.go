@@ -169,35 +169,6 @@ func TestSemCheckpointMissingMessages(t *testing.T) {
 	}
 }
 
-// TestSemCheckpointCrossMode: a checkpoint only resumes under a budget
-// that plans the partition count it was written with — the message
-// sections are per partition — so crossing between a one-partition and a
-// partitioned engine, either way, fails typed instead of corrupting.
-func TestSemCheckpointCrossMode(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 77)
-
-	// One-partition checkpoint, partitioned resume.
-	g2 := buildDOS(t, edges)
-	po := partitionedOpts(g2)
-	po.Checkpoint = CheckpointOptions{Dir: semCheckpoints(t, edges, 1<<20), Resume: true}
-	if _, err := newMinLabelEngine(t, g2, po).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
-		t.Errorf("partitioned resume of one-partition checkpoint = %v, want ErrConfigMismatch", err)
-	}
-
-	// Partitioned checkpoint, one-partition resume.
-	partDir := t.TempDir()
-	g3 := buildDOS(t, edges)
-	po2 := partitionedOpts(g3)
-	po2.Checkpoint = CheckpointOptions{Dir: partDir, Every: 1}
-	runMinLabel(t, g3, po2)
-
-	so := semOpts()
-	so.Checkpoint = CheckpointOptions{Dir: partDir, Resume: true}
-	if _, err := newMinLabelEngine(t, buildDOS(t, edges), so).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
-		t.Errorf("one-partition resume of partitioned checkpoint = %v, want ErrConfigMismatch", err)
-	}
-}
-
 // semZipfGraph is the medium high-fan-in graph the semi-external
 // crossover is measured on: the partitioned baseline buffers and spills
 // heavily, the fitting budget pins 16000 states in a few hundred KiB.
