@@ -300,18 +300,14 @@ func (c *Context[M]) SendEach(dsts []graph.VertexID, ms []M) { c.sendEach(dsts, 
 
 // Messages returns a scratch slice of n messages for SendEach, owned by the
 // Context and reused from update to update: it is valid until the next
-// call, and holds whatever the last user left in it.
+// call, and holds whatever the last user left in it. It grows by doubling,
+// so a run whose degrees climb allocates a few times, not once a degree.
 func (c *Context[M]) Messages(n int) []M {
 	if cap(c.msgs) < n {
-		c.growMessages(n)
+		c.msgs = make([]M, max(n, 2*cap(c.msgs)))
 	}
 	return c.msgs[:n]
 }
-
-// growMessages replaces Messages' scratch with one of at least n messages,
-// doubling, so a run whose degrees climb allocates a few times, not once a
-// degree.
-func (c *Context[M]) growMessages(n int) { c.msgs = make([]M, max(n, 2*cap(c.msgs))) }
 
 // MarkActive signals that the vertex's value changed this iteration;
 // the engine keeps iterating while any vertex is active or any message
