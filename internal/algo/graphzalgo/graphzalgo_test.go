@@ -689,7 +689,9 @@ type traceVal struct {
 	v  ssspVal
 }
 
-func (p sendTrace) Init(id graph.VertexID, deg uint32) traceVal { return traceVal{id, p.sssp.Init(id, deg)} }
+func (p sendTrace) Init(id graph.VertexID, deg uint32) traceVal {
+	return traceVal{id, p.sssp.Init(id, deg)}
+}
 
 func (p sendTrace) Update(ctx *core.Context[float32], id graph.VertexID, v *traceVal, adj []graph.VertexID) {
 	p.update(ctx, id, &v.v, adj)
