@@ -26,9 +26,7 @@ func consumeAll(t *testing.T, br *batchReader, n int) {
 			deg = uint32(rem)
 		}
 		adj, err := br.adj(int64(served), deg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if len(adj) != int(deg) {
 			t.Fatalf("adj(%d) returned %d entries", deg, len(adj))
 		}

@@ -48,9 +48,7 @@ func latestManifestPath(t *testing.T, dir string) string {
 func newMinLabelEngine(t *testing.T, g *dos.Graph, opts Options) *Engine[minVal, uint32] {
 	t.Helper()
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return eng
 }
 
@@ -77,26 +75,46 @@ func convergedCheckpointDir(t *testing.T, seed uint64) ([]graph.Edge, string) {
 
 // resumeWith builds a fresh engine over edges and calls Resume against
 // dir, returning the error (typed, never a panic).
-func resumeWith(t *testing.T, edges []graph.Edge, dir string) error {
+func resumeWith(t *testing.T, edges []graph.Edge, dir, name string) error {
 	t.Helper()
 	g := buildDOS(t, edges)
 	opts := ckptBaseOpts(g)
+	opts.Name = name
 	opts.Checkpoint = CheckpointOptions{Dir: dir, Resume: true}
 	eng := newMinLabelEngine(t, g, opts)
 	_, err := eng.Resume()
 	return err
 }
 
+func TestResumeTruncatedManifest(t *testing.T) {
+	edges, dir := convergedCheckpointDir(t, 46)
+	path := latestManifestPath(t, dir)
+	must(t, os.WriteFile(path, []byte("GZ"), 0o644))
+	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrTruncated) {
+		t.Fatalf("Resume with truncated manifest = %v, want ErrTruncated", err)
+	}
+}
+
+func TestResumeManifestCRCMismatch(t *testing.T) {
+	edges, dir := convergedCheckpointDir(t, 47)
+	path := latestManifestPath(t, dir)
+	raw, err := os.ReadFile(path)
+	must(t, err)
+	raw[len(raw)-1] ^= 0xff
+	os.WriteFile(path, raw, 0o644)
+	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
+		t.Fatalf("Resume with corrupt manifest = %v, want ErrCRCMismatch", err)
+	}
+}
+
 func TestResumeVersionFromTheFuture(t *testing.T) {
 	edges, dir := convergedCheckpointDir(t, 48)
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	binary.LittleEndian.PutUint16(raw[6:], checkpoint.FormatVersion+1)
 	os.WriteFile(path, raw, 0o644)
-	if err := resumeWith(t, edges, dir); !errors.Is(err, checkpoint.ErrVersionTooNew) {
+	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrVersionTooNew) {
 		t.Fatalf("Resume with future version = %v, want ErrVersionTooNew", err)
 	}
 }
@@ -105,17 +123,22 @@ func TestResumeLayoutMismatch(t *testing.T) {
 	_, dir := convergedCheckpointDir(t, 49)
 	// A different graph: same generator family, different seed and size.
 	other := gen.RMAT(8, 1700, gen.NaturalRMAT, 50)
-	if err := resumeWith(t, other, dir); !errors.Is(err, checkpoint.ErrLayoutMismatch) {
+	if err := resumeWith(t, other, dir, ""); !errors.Is(err, checkpoint.ErrLayoutMismatch) {
 		t.Fatalf("Resume against different graph = %v, want ErrLayoutMismatch", err)
 	}
 }
 
-// TestResumeConfigMismatch: buffer tails cut by 256-byte buffers do not fit
-// an engine of the same partitioning planned with 64-byte ones: it could not
-// take the next record into them.
 func TestResumeConfigMismatch(t *testing.T) {
-	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 53)
-	dir := t.TempDir()
+	edges, dir := convergedCheckpointDir(t, 51)
+	if err := resumeWith(t, edges, dir, "other-engine"); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Fatalf("Resume with different engine name = %v, want ErrConfigMismatch", err)
+	}
+
+	// Buffer tails cut by 256-byte buffers do not fit an engine of the same
+	// partitioning planned with 64-byte ones: it could not take the next
+	// record into them.
+	edges = gen.RMAT(8, 1500, gen.NaturalRMAT, 53)
+	dir = t.TempDir()
 	g := buildDOS(t, edges)
 	opts := ckptBaseOpts(g)
 	opts.MemoryBudget, opts.MsgBufferBytes, opts.MaxIterations = budgetForPartitions(g, 8, 4, 256), 256, 1
@@ -128,6 +151,21 @@ func TestResumeConfigMismatch(t *testing.T) {
 	}
 	if _, err := eng.Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) || !strings.Contains(err.Error(), "buffer tail") {
 		t.Fatalf("Resume with smaller message buffers = %v, want ErrConfigMismatch naming the buffer tail", err)
+	}
+}
+
+// Corrupting a section (not the manifest) must also fail with a typed
+// error at restore time.
+func TestResumeSectionCorruption(t *testing.T) {
+	edges, dir := convergedCheckpointDir(t, 52)
+	path := filepath.Dir(latestManifestPath(t, dir))
+	vstate := filepath.Join(path, "vstate")
+	raw, err := os.ReadFile(vstate)
+	must(t, err)
+	raw[0] ^= 0xff
+	os.WriteFile(vstate, raw, 0o644)
+	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
+		t.Fatalf("Resume with corrupt vstate = %v, want ErrCRCMismatch", err)
 	}
 }
 
@@ -158,7 +196,7 @@ func TestResumeForeignRecord(t *testing.T) {
 		}
 		_, err = st.Write(m, secs)
 		must(t, err)
-		if err := resumeWith(t, edges, opts.Checkpoint.Dir); !errors.Is(err, checkpoint.ErrTruncated) {
+		if err := resumeWith(t, edges, opts.Checkpoint.Dir, ""); !errors.Is(err, checkpoint.ErrTruncated) {
 			t.Errorf("resume over a record of %s naming vertex %d: %v, want ErrTruncated", sec, g.NumVertices-1, err)
 		}
 	}
@@ -170,13 +208,9 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 55)
 	run := func(ckpt bool) int64 {
 		dev := storage.NewDevice(storage.HDD, storage.Options{})
-		if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-			t.Fatal(err)
-		}
+		must(t, graph.WriteEdges(dev, "raw", edges))
 		g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		clock := sim.NewClock()
 		dev.SetClock(clock)
 		opts := ckptBaseOpts(g)
@@ -204,22 +238,16 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear int) {
 	t.Helper()
 	st, err := checkpoint.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	ck, err := st.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	const rec = 8 // 4-byte destination + uint32 label
 	dstOf := func(r []byte) uint32 { return binary.LittleEndian.Uint32(r) }
 	var secs []checkpoint.SectionData
 	var folded int
 	for _, s := range ck.Manifest.Sections {
 		data, err := ck.Section(s.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		var p int
 		if _, err := fmt.Sscanf(s.Name, "msgs.%d", &p); err != nil {
 			secs = append(secs, checkpoint.SectionData{Name: s.Name, Data: data})
@@ -264,17 +292,11 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 	// the manifest payload (magic, u16 version, u32 CRC, JSON) by hand.
 	path := latestManifestPath(t, dir)
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	const header = len("GZCKPT") + 6
 	var m, counters map[string]json.RawMessage
-	if err := json.Unmarshal(raw[header:], &m); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(m["counters"], &counters); err != nil {
-		t.Fatal(err)
-	}
+	must(t, json.Unmarshal(raw[header:], &m))
+	must(t, json.Unmarshal(m["counters"], &counters))
 	counters["combined"] = json.RawMessage(fmt.Sprint(folded))
 	counters["merge_passes"] = json.RawMessage("1")
 	counters["spill_saved"] = json.RawMessage(fmt.Sprint(folded * rec))
@@ -282,13 +304,9 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 		t.Fatal(err)
 	}
 	payload, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	binary.LittleEndian.PutUint32(raw[header-4:], crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(path, append(raw[:header], payload...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(path, append(raw[:header], payload...), 0o644))
 }
 
 // TestSortedCheckpointResume: checkpoints written by the removed sorted
@@ -342,9 +360,7 @@ func TestSortedCheckpointResume(t *testing.T) {
 				t.Fatalf("resume: %v", err)
 			}
 			vals, err := eng.Values()
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			got, want := stripDurability(res), stripDurability(refRes)
 			if mode.fold {
 				if got.MessagesApplied >= want.MessagesApplied {
@@ -362,7 +378,7 @@ func TestSortedCheckpointResume(t *testing.T) {
 				}
 			}
 
-			if err := resumeWith(t, edges, midRunDir(t, mode.fold, 3)); !errors.Is(err, checkpoint.ErrTruncated) {
+			if err := resumeWith(t, edges, midRunDir(t, mode.fold, 3), ""); !errors.Is(err, checkpoint.ErrTruncated) {
 				t.Fatalf("Resume with a torn msgs section = %v, want ErrTruncated", err)
 			}
 		})

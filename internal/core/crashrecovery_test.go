@@ -35,9 +35,7 @@ func TestCrashRecoveryParentCheckpoint(t *testing.T) {
 
 	// Resume from a copy: the resumed run checkpoints where it resumes from.
 	src, dir := "testdata/ckpt-parent-b279982/"+ckptDirName(2), t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, ckptDirName(2)), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.Mkdir(filepath.Join(dir, ckptDirName(2)), 0o755))
 	files, err := filepath.Glob(src + "/*")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("%d fixture files under %s: %v", len(files), src, err)
@@ -47,9 +45,7 @@ func TestCrashRecoveryParentCheckpoint(t *testing.T) {
 		if err == nil {
 			err = os.WriteFile(filepath.Join(dir, ckptDirName(2), filepath.Base(f)), data, 0o644)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 	}
 	reg := obs.NewRegistry()
 	opts.Obs, opts.Checkpoint = reg, CheckpointOptions{Dir: dir, Resume: true}

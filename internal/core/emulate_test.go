@@ -45,15 +45,11 @@ func TestEmulateGraphChiMinLabels(t *testing.T) {
 	g := buildDOS(t, edges)
 	layout := DOSLayout(g)
 	inDeg, err := InDegrees(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	res, vals, err := EmulateGraphChi[uint32, uint32](layout, chiMinProgram{},
 		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg,
 		Options{MemoryBudget: 256 << 20, DynamicMessages: true, MaxIterations: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// The emulation re-sends every edge value every round: only inactivity
 	// convergence, which EmulateGraphChi sets, ends this run before the cap.
 	if res.Iterations != 3 {
@@ -116,9 +112,7 @@ func TestEmulateNonCommutativeGather(t *testing.T) {
 	g := buildDOS(t, edges)
 	layout := DOSLayout(g)
 	inDeg, err := InDegrees(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// True in-neighbor lists in the relabeled space (sorted, with
 	// duplicates for parallel edges).
 	rel := relabeledEdges(t, g, edges)
@@ -133,17 +127,13 @@ func TestEmulateNonCommutativeGather(t *testing.T) {
 	_, vals, err := EmulateGraphChi[uint32, uint32](layout, prog,
 		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg,
 		Options{MemoryBudget: 256 << 20, DynamicMessages: true, MaxIterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// Deterministic across runs.
 	prog2 := &chiInsetProgram{inNeighbors: inN, t: t}
 	_, vals2, err := EmulateGraphChi[uint32, uint32](layout, prog2,
 		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg,
 		Options{MemoryBudget: 256 << 20, DynamicMessages: true, MaxIterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for i := range vals {
 		if vals[i] != vals2[i] {
 			t.Fatal("emulated non-commutative program not deterministic")
@@ -164,13 +154,9 @@ func TestInDegrees(t *testing.T) {
 	g := buildDOS(t, edges)
 	layout := DOSLayout(g)
 	inDeg, err := InDegrees(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	o2n, err := g.OldToNew()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if inDeg[o2n[1]] != 2 || inDeg[o2n[0]] != 1 || inDeg[o2n[2]] != 0 {
 		t.Errorf("in-degrees = %v", inDeg)
 	}
@@ -183,20 +169,14 @@ func TestInDegrees(t *testing.T) {
 func TestInDegreesOutOfRangeEntry(t *testing.T) {
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}
-	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-		t.Fatal(err)
-	}
+	must(t, graph.WriteEdges(dev, "raw", edges))
 	g, err := csr.Build(csr.BuildConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if _, err := InDegrees(CSRLayout(g)); err != nil {
 		t.Fatalf("in-degrees of the intact layout: %v", err)
 	}
 	f, err := dev.Open(g.EdgesFile())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// Entry 2 (vertex 1's only neighbour) becomes vertex 3 of a 3-vertex graph.
 	if _, err := f.WriteAt([]byte{3, 0, 0, 0}, 2*4); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 
 // The message path beside the seam draw: the buffer clamp no option
 // reaches, and the drain's and the state round's allocation bounds. (The
-// drain against the per-record one, the round through the staging buffer,
-// and a program that miscounts its applies are FuzzEngineSeams's.)
+// drain against the per-record one and the round through the staging buffer
+// are FuzzEngineSeams's; TestApplyAllMiscountFailsRun sits by its breaker.)
 
 // TestBufferMessageRecordLargerThanBuffer: a destination buffer made with
 // exactly MsgBufferBytes capacity and then re-sliced by one record panics
@@ -60,9 +60,7 @@ func TestDrainBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := eng.drainMessages(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	must(t, eng.drainMessages(0, 0))
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > fileBytes/16 {
 		t.Errorf("drain allocated %d bytes for a %d-byte spill file; want bounded streaming", alloc, fileBytes)
@@ -88,9 +86,7 @@ func TestStateRoundAllocs(t *testing.T) {
 	g := buildDOS(t, ringEdges(100_000))
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
 		Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if eng.NumPartitions() < 2 {
 		t.Fatalf("%d partitions; a pinned run never reloads its states", eng.NumPartitions())
 	}
@@ -103,12 +99,8 @@ func TestStateRoundAllocs(t *testing.T) {
 		t.Fatalf("a partition of %d bytes is too small to tell", partition)
 	}
 	round := func(iter int) {
-		if err := eng.loadVertices(lo, hi, iter); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.storeVertices(lo, hi); err != nil {
-			t.Fatal(err)
-		}
+		must(t, eng.loadVertices(lo, hi, iter))
+		must(t, eng.storeVertices(lo, hi))
 	}
 	round(0) // Init, the staging buffer and the file's first bytes
 	var before, after runtime.MemStats

@@ -25,9 +25,7 @@ func TestObservedAllocs(t *testing.T) {
 				opts.Obs, opts.Trace = obs.NewRegistry(), obs.NewCollectingTracer(nil)
 			}
 			eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, graph.Float64Codec{}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if res, err := eng.Run(); err != nil || res.Iterations != iters {
 				t.Fatalf("ran %d of %d iterations: %v", res.Iterations, iters, err)
 			}

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -878,40 +876,6 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	opts.SharedAdjacency = NewSharedAdjacency(DOSLayout(b.g))
 	if _, err := fresh(opts); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("another device's shared adjacency: %v, want ErrInvalidOptions", err)
-	}
-	// B's last checkpoint resumes only the engine that wrote it, intact:
-	// under another name or partition count, its manifest cut short or a
-	// byte of it or of the states flipped, Resume fails typed.
-	if dir := b.eng.opts.Checkpoint.Dir; dir != "" && a.g.NumVertices > 1 {
-		opts = x.opts
-		opts.Checkpoint = CheckpointOptions{Dir: dir, Resume: true}
-		kind, file := []string{"name", "parts", "cut", "crc", "states"}[r(5)], latestManifestPath(t, dir)
-		want := map[string]error{"cut": checkpoint.ErrTruncated, "crc": checkpoint.ErrCRCMismatch, "states": checkpoint.ErrCRCMismatch}[kind]
-		if kind == "states" {
-			file = filepath.Join(filepath.Dir(file), "vstate")
-		}
-		raw, err := os.ReadFile(file)
-		must(t, err)
-		switch kind {
-		case "name":
-			opts.Name, want = "other", checkpoint.ErrConfigMismatch
-		case "parts": // one partition resumed partitioned, or the other way
-			opts.MemoryBudget, opts.MsgBufferBytes, want = 64<<20, 0, checkpoint.ErrConfigMismatch
-			if b.eng.NumPartitions() == 1 {
-				opts.MemoryBudget, opts.MsgBufferBytes = budgetForPartitions(a.g, 12, 2, 64), 64
-			}
-		case "cut":
-			raw = raw[:2]
-		default:
-			raw[len(raw)-1] ^= 0xff
-		}
-		must(t, os.WriteFile(file, raw, 0o644))
-		if eng, err = fresh(opts); err == nil {
-			_, err = eng.Resume()
-		}
-		if !errors.Is(err, want) {
-			t.Errorf("resuming %d partitions' checkpoint by %s: %v, want %v", b.eng.NumPartitions(), kind, err, want)
-		}
 	}
 }
 
@@ -1911,6 +1875,53 @@ func (p breaker) count(which string, n int) int {
 		*p.broke = *p.polls
 	}
 	return n + p.off
+}
+
+// TestApplyAllMiscountFailsRun: the engine learns how many messages were
+// applied from the program, so a program that miscounts gets a typed error
+// and no Result — not a ledger in which inline + buffered != sent. The
+// ledger the aborted run publishes still adds up: it holds what the buffer
+// pass and the drain found, not what the program said. ApplyAll's count is
+// the one-partition route's; a partitioned run applies records, and a
+// miscounting ApplyRecords stops it after iteration 0's first partition,
+// at its first in-place flush — under static messages after its second,
+// the first to drain.
+func TestApplyAllMiscountFailsRun(t *testing.T) {
+	g := buildDOS(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 82))
+	for _, parts := range []int64{1, 4, -4} {
+		for _, off := range []int{-1, 1} {
+			drain := parts < 0
+			parts := max(parts, -parts)
+			name := fmt.Sprintf("parts=%d/off=%+d", parts, off)
+			if drain {
+				name = fmt.Sprintf("drain/parts=%d/off=%+d", parts, off)
+			}
+			t.Run(name, func(t *testing.T) {
+				reg := obs.NewRegistry()
+				opts := Options{MemoryBudget: 64 << 20, DynamicMessages: !drain, MsgBufferBytes: 64, Obs: reg}
+				which, polls, broke := "ApplyAll", 0, -1
+				if parts > 1 {
+					opts.MemoryBudget, which = budgetForPartitions(g, 12, parts, 64), "ApplyRecords"
+				}
+				bp := breaker{witnessLabel{each: -1}, which, off, &polls, &broke}
+				eng, err := New[witnessVal, uint32](DOSLayout(g), bp, witnessCodec{}, graph.Uint32Codec{}, opts)
+				must(t, err)
+				res, err := eng.Run()
+				if !errors.Is(err, ErrProgramContract) {
+					t.Fatalf("err = %v, want ErrProgramContract", err)
+				}
+				if res != (Result{}) {
+					t.Errorf("a failed run returned %+v", res)
+				}
+				first := int64(eng.partStarts[1+b2i(drain)])
+				if eng.NumPartitions() != int(parts) || eng.c.Updates != first {
+					t.Errorf("%d partitions, %d updates: want %d and the run stopped after the failing partition's %d",
+						eng.NumPartitions(), eng.c.Updates, parts, first)
+				}
+				checkLedgerViews(t, eng, reg, checkpoint.Counters{})
+			})
+		}
+	}
 }
 
 // safeProgram is what the two wrappers below keep of the program they

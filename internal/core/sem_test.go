@@ -109,13 +109,9 @@ func semCheckpoints(t *testing.T, edges []graph.Edge, k int) string {
 	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
 	runMinLabel(t, buildDOS(t, edges), opts)
 	st, err := checkpoint.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	iters, err := st.Iterations()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, it := range iters {
 		if it > k {
 			os.RemoveAll(filepath.Join(dir, ckptDirName(it)))
@@ -131,21 +127,13 @@ func semCheckpoints(t *testing.T, edges []graph.Edge, k int) string {
 func TestSemCheckpointMissingMessages(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 76)
 	st, err := checkpoint.NewStore(semCheckpoints(t, edges, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	ck, err := st.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	vstate, err := ck.Section("vstate")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	old, err := checkpoint.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if _, err := old.Write(ck.Manifest, []checkpoint.SectionData{{Name: "vstate", Data: vstate}}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,19 +141,44 @@ func TestSemCheckpointMissingMessages(t *testing.T) {
 	// CRC, JSON) by hand: the writer no longer knows it.
 	path := latestManifestPath(t, old.Dir())
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	const header = len("GZCKPT") + 6
 	payload := append([]byte(`{"sem":true,`), raw[header+1:]...)
 	binary.LittleEndian.PutUint32(raw[header-4:], crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(path, append(raw[:header], payload...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(path, append(raw[:header], payload...), 0o644))
 	opts := semOpts()
 	opts.Checkpoint = CheckpointOptions{Dir: old.Dir(), Resume: true}
 	if _, err := newMinLabelEngine(t, buildDOS(t, edges), opts).Resume(); !errors.Is(err, checkpoint.ErrBadManifest) {
 		t.Errorf("checkpoint without message sections = %v, want ErrBadManifest", err)
+	}
+}
+
+// TestSemCheckpointCrossMode: a checkpoint only resumes under a budget
+// that plans the partition count it was written with — the message
+// sections are per partition — so crossing between a one-partition and a
+// partitioned engine, either way, fails typed instead of corrupting.
+func TestSemCheckpointCrossMode(t *testing.T) {
+	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 77)
+
+	// One-partition checkpoint, partitioned resume.
+	g2 := buildDOS(t, edges)
+	po := partitionedOpts(g2)
+	po.Checkpoint = CheckpointOptions{Dir: semCheckpoints(t, edges, 1<<20), Resume: true}
+	if _, err := newMinLabelEngine(t, g2, po).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Errorf("partitioned resume of one-partition checkpoint = %v, want ErrConfigMismatch", err)
+	}
+
+	// Partitioned checkpoint, one-partition resume.
+	partDir := t.TempDir()
+	g3 := buildDOS(t, edges)
+	po2 := partitionedOpts(g3)
+	po2.Checkpoint = CheckpointOptions{Dir: partDir, Every: 1}
+	runMinLabel(t, g3, po2)
+
+	so := semOpts()
+	so.Checkpoint = CheckpointOptions{Dir: partDir, Resume: true}
+	if _, err := newMinLabelEngine(t, buildDOS(t, edges), so).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Errorf("one-partition resume of partitioned checkpoint = %v, want ErrConfigMismatch", err)
 	}
 }
 
