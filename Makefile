@@ -27,10 +27,12 @@ race:
 # listed with the delegates it has — the field codecs into the pair codecs'
 # EncodeAll/DecodeAll loops, the bitmap's nextSet/clear/set into the
 # Worker loop, and partitionOf into scatter, the record writer every
-# partitioned run's messages go through (ci/inlinecheck.sh) — run it after
-# any edit to a program, to core.ApplyAll, core.ApplyEach, core.UpdateRun
-# or core.ApplyRecords, to internal/graph/pair.go, to updateRuns, to
-# activeSet, to scatter or to partitionOf.
+# partitioned run's messages go through; and, from a -gcflags=-d=wb build,
+# that scatter has no GC write barrier outside its flush branch, so a
+# record stores its buffer's length, not the slice (ci/inlinecheck.sh) —
+# run it after any edit to a program, to core.ApplyAll, core.ApplyEach,
+# core.UpdateRun or core.ApplyRecords, to internal/graph/pair.go, to
+# updateRuns, to activeSet, to scatter or to partitionOf.
 inline-check:
 	ci/inlinecheck.sh
 

@@ -52,8 +52,13 @@
 # And at the partitionOf call inside `scatter` (internal/core/engine.go,
 # DESIGN.md §17), which writes every record of a partitioned run — the
 # resident partition's too —
-#   inlining call to core.(*Engine[...]).partitionOf
-# so routing a record costs no call.
+#   inlining call to core.split.partitionOf
+# so routing a record costs no call. A second build, with -gcflags=-d=wb,
+# must report no "write barrier" inside scatter outside its flush branch
+# (the `if` that tests the buffer's capacity): a record advances its
+# buffer's length in place, and writing the whole slice header back per
+# record stores a pointer, which the garbage collector's write barrier
+# then guards on every record.
 set -euo pipefail
 
 pkg=internal/algo/graphzalgo
@@ -146,16 +151,31 @@ for method in nextSet clear set; do
 	done
 done
 scatter=$(awk '/^func \(e \*Engine\[V, M\]\) scatter\(/ { on = 1 } on { print NR": "$0 } on && /^}/ { exit }' "$engine")
-lines=$(grep -E "e\.partitionOf\(" <<<"$scatter" | cut -d: -f1 || true)
+lines=$(grep -E "\.partitionOf\(" <<<"$scatter" | cut -d: -f1 || true)
 if [ -z "$lines" ]; then
-	echo "inlinecheck: $engine: scatter calls no e.partitionOf" >&2
+	echo "inlinecheck: $engine: scatter calls no partitionOf" >&2
 	fail=1
 fi
 for line in $lines; do
-	if ! grep -Eq "^$engine:$line:[0-9]+: inlining call to core\.\(\*Engine\[.*\]\)\.partitionOf\$" <<<"$out"; then
-		echo "inlinecheck: scatter lost it under $(go version): no \"inlining call to core.(*Engine[...]).partitionOf\" at $engine:$line" >&2
+	if ! grep -Eq "^$engine:$line:[0-9]+: inlining call to core\.split\.partitionOf\$" <<<"$out"; then
+		echo "inlinecheck: scatter lost it under $(go version): no \"inlining call to core.split.partitionOf\" at $engine:$line" >&2
 		fail=1
 	fi
 done
+# scatter's lines, and its flush branch's: from the line that tests the
+# buffer's capacity to the brace at that line's indent that closes it.
+read -r first last < <(sed -n '1s/:.*//p; $s/:.*//p' <<<"$scatter" | paste -sd' ')
+read -r flush_lo flush_hi < <(awk -F': ' '$2 ~ /> cap\(/ && !lo { lo = $1; match($2, /^\t*/); ind = substr($2, 1, RLENGTH) } lo && $1 > lo && $2 == ind "}" { print lo, $1; exit }' <<<"$scatter") || true
+if [ -z "${flush_hi:-}" ]; then
+	echo "inlinecheck: $engine: scatter has no flush branch (an if that tests a buffer's cap)" >&2
+	fail=1
+fi
+wb=$(go build -gcflags=-d=wb "./$pkg" 2>&1) || { echo "$wb" >&2; exit 1; }
+barriers=$(sed -n "s|^$engine:\([0-9]*\):[0-9]*: write barrier\$|\1|p" <<<"$wb" | sort -un |
+	awk -v first="$first" -v last="$last" -v lo="${flush_lo:-0}" -v hi="${flush_hi:-0}" '$1 >= first && $1 <= last && ($1 < lo || $1 > hi)' | paste -sd' ')
+if [ -n "$barriers" ]; then
+	echo "inlinecheck: scatter stores a pointer per record under $(go version): \"write barrier\" at $engine line(s) $barriers, outside its flush branch (lines $flush_lo-$flush_hi)" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply inlined into ApplyAll or ApplyEach, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter ($(go version))"
+echo "inlinecheck: Apply inlined into ApplyAll or ApplyEach, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter, and no write barrier in scatter outside its flush branch ($(go version))"

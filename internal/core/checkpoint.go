@@ -271,7 +271,7 @@ func (e *Engine[V, M]) resume() (Result, error) {
 		}
 		// The drain finds a record's state, bit and heat slot by its
 		// destination: every restored record must point inside.
-		lo, hi := e.partStarts[p], e.partStarts[p+1]
+		lo, hi := e.parts.starts[p], e.parts.starts[p+1]
 		for _, sec := range [][]byte{data, tail} {
 			for off := int64(0); off < int64(len(sec)); off += rec {
 				if dst := graph.VertexID(binary.LittleEndian.Uint32(sec[off:])); dst < lo || dst >= hi {

@@ -497,12 +497,12 @@ type Engine[V, M any] struct {
 	states graph.BulkCodec[V] // the state codec's own bulk form, or its per-value loop
 	opts   Options
 
-	dev        *storage.Device
-	adj        storage.BlockLayout // how the edges file maps entries to bytes
-	partStarts []graph.VertexID    // partition p covers [partStarts[p], partStarts[p+1])
-	msgFiles   []string            // partition p's message store on the device
-	vsize      int
-	msize      int
+	dev      *storage.Device
+	adj      storage.BlockLayout // how the edges file maps entries to bytes
+	parts    split               // partition p covers [parts.starts[p], parts.starts[p+1])
+	msgFiles []string            // partition p's message store on the device
+	vsize    int
+	msize    int
 
 	// per-run state
 	verts     []V // states of the resident partition, [partLo, partHi)
@@ -544,16 +544,14 @@ type Engine[V, M any] struct {
 	eo engineObs
 
 	// The buffered path's state, kept behind the fields the inline path
-	// reads per message. partScale is partitionOf's fixed-point multiplier
-	// (split). enc holds the message a buffer pass is scattering, encoded
-	// once. records is prog's own ApplyRecords, or applyLoop's. staging is
-	// the one byte buffer the MsgManager moves device blocks through: a
-	// partition's encoded states on load and store, the spill file's blocks
-	// in the drain between them — never two at once.
-	partScale uint64
-	enc       []byte
-	records   RecordApplier[V, M]
-	staging   []byte
+	// reads per message. enc holds the message a buffer pass is scattering,
+	// encoded once. records is prog's own ApplyRecords, or applyLoop's.
+	// staging is the one byte buffer the MsgManager moves device blocks
+	// through: a partition's encoded states on load and store, the spill
+	// file's blocks in the drain between them — never two at once.
+	enc     []byte
+	records RecordApplier[V, M]
+	staging []byte
 
 	// The route (DESIGN.md §17). onSpot is one partition under dynamic
 	// messages: SendAll applies through the BulkApplier as it is called
@@ -699,7 +697,7 @@ func (e *Engine[V, M]) plan() error {
 				ErrMemoryBudget, n, e.vsize, maxPartitions)
 		}
 	}
-	e.split(n, p)
+	e.parts = newSplit(n, p)
 	// Named once: every iteration looks each store's size up, and a run
 	// with nothing pending must not pay an allocation per lookup.
 	e.msgFiles = make([]string, p)
@@ -717,21 +715,32 @@ func (e *Engine[V, M]) plan() error {
 	return nil
 }
 
-// split divides n vertices evenly into p partitions and derives
-// partitionOf's multiplier, ⌊2^32·p/n⌋: for v < n the product stays below
-// 2^32·p ≤ 2^48, and its high part is ⌊v·p/n⌋ or one less.
-func (e *Engine[V, M]) split(n, p int64) {
-	e.partStarts = make([]graph.VertexID, p+1)
+// split is an even division of the vertex IDs [0, n) into P partitions,
+// partition p covering [starts[p], starts[p+1]), and scale, partitionOf's
+// fixed-point multiplier ⌊2^32·P/n⌋. It is a slice and a word, 32 bytes,
+// so the compiler keeps a local copy's fields as values of their own; a
+// bigger struct is copied at every inlined partitionOf call.
+type split struct {
+	starts []graph.VertexID
+	scale  uint64
+}
+
+// newSplit divides n vertices evenly into p partitions: starts[i] = ⌊i·n/p⌋.
+// For v ≤ n−1 the product v·scale stays below 2^32·p ≤ 2^48, and its high
+// part is ⌊v·p/n⌋ or one less.
+func newSplit(n, p int64) split {
+	s := split{starts: make([]graph.VertexID, p+1)}
 	for i := int64(0); i <= p; i++ {
-		e.partStarts[i] = graph.VertexID(i * n / p)
+		s.starts[i] = graph.VertexID(i * n / p)
 	}
 	if n > 0 {
-		e.partScale = uint64(p) << 32 / uint64(n)
+		s.scale = uint64(p) << 32 / uint64(n)
 	}
+	return s
 }
 
 // NumPartitions returns the planned partition count.
-func (e *Engine[V, M]) NumPartitions() int { return len(e.partStarts) - 1 }
+func (e *Engine[V, M]) NumPartitions() int { return len(e.parts.starts) - 1 }
 
 // SemiExternal reports the one-partition case (resolved at New): the whole
 // vertex-state array fits the budget, so it is loaded once, stays pinned in
@@ -745,20 +754,21 @@ func (e *Engine[V, M]) SemiExternal() bool { return e.NumPartitions() == 1 }
 // vertex-state file is then stale until the final flush.
 func (e *Engine[V, M]) pinned() bool { return e.SemiExternal() && e.verts != nil }
 
-// partitionOf returns the partition index containing vertex v. Partitions
-// are an even split, so this is arithmetic, not search — and fixed-point
-// arithmetic, not a divide per message: v·partScale >> 32 is ⌊v·P/n⌋ or
-// one below it, which is itself the partition or one below it. The two
-// loops are the proof that rounding does not matter: wherever they start,
-// they end on the one partition whose range holds v — here after at most
-// two steps.
-func (e *Engine[V, M]) partitionOf(v graph.VertexID) int {
-	i := min(int(uint64(v)*e.partScale>>32), len(e.partStarts)-2)
-	for i+1 < len(e.partStarts)-1 && v >= e.partStarts[i+1] {
+// partitionOf returns the partition that holds vertex v, and the last
+// partition for an ID past the last vertex: that message fails its drain
+// typed (ErrProgramContract), as any record its partition does not hold
+// does. Partitions are an even split, so this is arithmetic, not search —
+// and fixed-point arithmetic, not a divide per message. The ID is clamped
+// first, so the estimate d·scale >> 32 is ⌊d·P/n⌋ or one below it, never
+// above d's partition: one loop climbs from it, 0–2 steps (more only across
+// the empty partitions of a split with more partitions than vertices), and
+// it stops at partition P−1 at the latest, whose end n is above d. With no
+// vertex there is no partition to route to, and no update sends.
+func (s split) partitionOf(v graph.VertexID) int {
+	d := min(v, s.starts[len(s.starts)-1]-1)
+	i := int(uint64(d) * s.scale >> 32)
+	for d >= s.starts[i+1] {
 		i++
-	}
-	for i > 0 && v < e.partStarts[i] {
-		i--
 	}
 	return i
 }
@@ -996,7 +1006,7 @@ func (e *Engine[V, M]) wrapRunErr() error {
 
 // runPartition processes one partition for one iteration.
 func (e *Engine[V, M]) runPartition(p, iter int) error {
-	lo, hi := e.partStarts[p], e.partStarts[p+1]
+	lo, hi := e.parts.starts[p], e.parts.starts[p+1]
 	if lo == hi {
 		return nil
 	}
@@ -1267,31 +1277,34 @@ func (e *Engine[V, M]) scatter(dsts []graph.VertexID, m M) (buffered int) {
 	if rp >= 0 {
 		span = e.wm - cur
 	}
+	// The loop's invariants live in locals. A record grows its buffer in
+	// place: bufs[p] = bufs[p][:n] is a self-reslice, which stores the
+	// length alone — no slice pointer, so no write barrier (make
+	// inline-check holds that) — and so does emptying a flushed buffer.
+	bufs, parts := e.msgBufs, e.parts
 	for _, dst := range dsts {
-		p := e.partitionOf(dst)
-		buf := e.msgBufs[p]
-		n := len(buf)
-		buf = buf[:n+rec]
+		p := parts.partitionOf(dst)
+		n := len(bufs[p])
+		bufs[p] = bufs[p][:n+rec]
 		if rec == 8 {
-			binary.LittleEndian.PutUint64(buf[n:], word|uint64(dst))
+			binary.LittleEndian.PutUint64(bufs[p][n:], word|uint64(dst))
 		} else {
-			binary.LittleEndian.PutUint32(buf[n:], uint32(dst))
-			copy(buf[n+4:], enc)
+			binary.LittleEndian.PutUint32(bufs[p][n:], uint32(dst))
+			copy(bufs[p][n+4:], enc)
 		}
 		span = min(span, dst-cur)
 		if p != rp {
 			buffered++
 		}
-		if len(buf)+rec > cap(buf) {
+		if len(bufs[p])+rec > cap(bufs[p]) {
 			if p == rp {
-				e.applyRecords(buf)
+				e.applyRecords(bufs[p])
 				span = e.partHi - cur // none is pending
 			} else {
-				e.spillBuffer(p, buf)
+				e.spillBuffer(p, bufs[p])
 			}
-			buf = buf[:0]
+			bufs[p] = bufs[p][:0]
 		}
-		e.msgBufs[p] = buf
 	}
 	if rp >= 0 {
 		e.wm = cur + span
@@ -1588,7 +1601,7 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 	// folded into the heatmap once per drain.
 	var heat []int64
 	if e.eo.heat != nil {
-		heat = make([]int64, e.vstateBlock(e.partStarts[p+1]-1)-e.vstateBlock(lo)+1)
+		heat = make([]int64, e.vstateBlock(e.parts.starts[p+1]-1)-e.vstateBlock(lo)+1)
 	}
 	block := int(min(size, storage.DefaultBlockSize))
 	buf := e.stage(block + rec) // a carried record is shorter than rec
@@ -1622,23 +1635,32 @@ func (e *Engine[V, M]) drainMessages(p int, lo graph.VertexID) error {
 // spill file, the in-memory tail, or the resident partition's buffer — to
 // the resident partition, in order, through the program's ApplyRecords,
 // and checks the count it returns: every record is the partition's
-// (scatter routes by partitionOf, resume checks what it restores).
-func (e *Engine[V, M]) applyRecords(recs []byte) {
+// (scatter routes by partitionOf, resume checks what it restores) unless a
+// program sent past the last vertex, which partitionOf routes here too. It
+// reports whether the count held; a miscount fails the run at the next
+// partition boundary.
+func (e *Engine[V, M]) applyRecords(recs []byte) bool {
 	rec := 4 + e.msize
 	n := len(recs) / rec
-	if applied := e.records.ApplyRecords(e.verts, e.partLo, recs, rec); applied != n && e.runErr == nil {
+	applied := e.records.ApplyRecords(e.verts, e.partLo, recs, rec)
+	if applied != n && e.runErr == nil {
 		e.runErr = fmt.Errorf("%w: ApplyRecords applied %d of %d records for [%d,%d)",
 			ErrProgramContract, applied, n, e.partLo, int(e.partLo)+len(e.verts))
 	}
 	e.c.Applied += int64(n)
+	return applied == n
 }
 
 // drainRecords applies a run of the drain's records (applyRecords) and
 // then, each in a pass of its own and only when its feature is on, marks
 // the destinations schedulable (a delivered message makes its vertex so)
 // and counts them into heat, the drain's fan-in per vstate block from lo's.
+// After a miscount it does neither: the run is failing, and a record past
+// the last vertex has no bit or block to count in.
 func (e *Engine[V, M]) drainRecords(recs []byte, lo graph.VertexID, heat []int64) {
-	e.applyRecords(recs)
+	if !e.applyRecords(recs) {
+		return
+	}
 	rec := 4 + e.msize
 	if sel := e.sel; sel != nil {
 		for off := 0; off+rec <= len(recs); off += rec {

@@ -186,37 +186,27 @@ func TestEngineStaticMessagesSameFixpoint(t *testing.T) {
 	}
 }
 
-// TestPartitionOfMatchesDivision: the fixed-point partitionOf names the
-// partition the division it replaced named — ⌊v·P/n⌋, fixed up by the same
-// two loops — for every vertex of every small split (P past n included:
-// partitions that hold no vertex), and at both sides of every boundary of
-// large random ones.
+// TestPartitionOfMatchesDivision: partitionOf names the partition whose
+// range holds v for every vertex of every small split (P past n included:
+// empty partitions) and at both sides of every boundary of large random
+// ones; its estimate is never above ⌊v·P/n⌋, nor that above the partition,
+// and an ID past the last vertex (n, the ID space's top) routes to the last.
 func TestPartitionOfMatchesDivision(t *testing.T) {
-	var eng Engine[minVal, uint32]
-	byDivision := func(n int64, v graph.VertexID) int {
-		p := len(eng.partStarts) - 1
-		i := int(int64(v) * int64(p) / n)
-		for i+1 < p && v >= eng.partStarts[i+1] {
-			i++
-		}
-		for i > 0 && v < eng.partStarts[i] {
-			i--
-		}
-		return i
-	}
-	check := func(n, p int64, v graph.VertexID) {
-		got := eng.partitionOf(v)
-		if got != byDivision(n, v) || v < eng.partStarts[got] || v >= eng.partStarts[got+1] {
-			t.Fatalf("n=%d P=%d: partitionOf(%d) = %d covering [%d,%d), division says %d",
-				n, p, v, got, eng.partStarts[got], eng.partStarts[got+1], byDivision(n, v))
+	check := func(s split, n, p int64, v graph.VertexID) {
+		got, d := s.partitionOf(v), graph.VertexID(min(int64(v), n-1))
+		est, div := int(uint64(d)*s.scale>>32), int(int64(d)*p/n)
+		if est > div || div > got || d < s.starts[got] || d >= s.starts[got+1] || int64(v) >= n && got != int(p)-1 {
+			t.Fatalf("n=%d P=%d: partitionOf(%d) = %d covering [%d,%d), estimate %d, division %d",
+				n, p, v, got, s.starts[got], s.starts[got+1], est, div)
 		}
 	}
 	for n := int64(1); n <= 300; n++ {
 		for p := int64(1); p <= n+2; p++ {
-			eng.split(n, p)
-			for v := int64(0); v < n; v++ {
-				check(n, p, graph.VertexID(v))
+			s := newSplit(n, p)
+			for v := int64(0); v <= n; v++ {
+				check(s, n, p, graph.VertexID(v))
 			}
+			check(s, n, p, ^graph.VertexID(0))
 		}
 	}
 	rng := uint64(77)
@@ -229,12 +219,12 @@ func TestPartitionOfMatchesDivision(t *testing.T) {
 		if trial%5 == 0 {
 			p = min(maxPartitions, n)
 		}
-		eng.split(n, p)
-		check(n, p, 0)
-		check(n, p, graph.VertexID(n-1))
-		for _, start := range eng.partStarts[1:p] {
-			check(n, p, start-1)
-			check(n, p, start)
+		s := newSplit(n, p)
+		check(s, n, p, 0)
+		check(s, n, p, ^graph.VertexID(0))
+		for _, start := range s.starts[1:] { // the last is n
+			check(s, n, p, start-1)
+			check(s, n, p, start)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	}
 	// Every record was bigger than the buffer, so each was spilled at once,
 	// in order.
-	data, err := storage.ReadAllFile(eng.dev, eng.msgFile(eng.partitionOf(0)))
+	data, err := storage.ReadAllFile(eng.dev, eng.msgFile(eng.parts.partitionOf(0)))
 	if err != nil || eng.runErr != nil || eng.c.Spilled != n || !bytes.Equal(data, want) {
 		t.Errorf("%d records spilled (%v, %v): the message file holds %v, want %v", eng.c.Spilled, err, eng.runErr, data, want)
 	}
@@ -93,7 +93,7 @@ func TestStateRoundAllocs(t *testing.T) {
 	if _, err := eng.dev.Create(eng.vstateFile()); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := eng.partStarts[0], eng.partStarts[1]
+	lo, hi := eng.parts.starts[0], eng.parts.starts[1]
 	partition := int64(hi-lo) * int64(eng.vsize)
 	if partition < 64<<10 {
 		t.Fatalf("a partition of %d bytes is too small to tell", partition)

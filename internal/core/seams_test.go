@@ -656,7 +656,7 @@ func worked(a, b counters) bool { return a.Updates != b.Updates || a.Applied != 
 func fullScan(eng *Engine[witnessVal, uint32]) (read, decoded int64) {
 	adj := eng.adj
 	for p := 0; p < eng.NumPartitions(); p++ {
-		lo, hi := eng.partStarts[p], eng.partStarts[p+1]
+		lo, hi := eng.parts.starts[p], eng.parts.starts[p+1]
 		if lo == hi {
 			continue
 		}
@@ -815,29 +815,32 @@ func checkManifests(t *testing.T, dirA, dirB string) {
 
 // checkMisuse: a finished engine neither runs nor resumes again, a fresh
 // one has no values and, without a directory or from an empty one, no
-// checkpoint to resume, and New fails
-// typed on a budget of nothing, on one that holds the fixed floor only,
-// and on another graph's shared adjacency. A program that breaks the
-// contract in a way the draw's route takes fails the run typed, at the
-// boundary after the visit it broke it in, with no Result and the ledger's
-// views agreeing; one that breaks it off the route finishes.
+// checkpoint to resume, and New fails typed on a budget of nothing, on one
+// that holds the fixed floor only, and on another graph's shared adjacency.
+// A program that breaks the contract in a way the draw's route takes, or
+// sends past the last vertex (every draw's "stray"), fails the run typed at
+// the boundary after the visit that broke it, with no Result and the
+// ledger's views agreeing; one that breaks it off the route finishes.
 func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	t.Helper()
-	r, polls, broke := x.draws(0xb4ea), 0, -1
+	r := x.draws(0xb4ea)
 	kinds := []string{"ApplyRecords", "short"}
 	if x.opts.DynamicMessages && a.eng.NumPartitions() == 1 {
 		kinds = []string{"ApplyAll", "ApplyEach", "short"}
 	}
-	bp := breaker{x.program("own").(witnessLabel), kinds[r(int64(len(kinds)))], int(1 - 2*r(2)), &polls, &broke}
-	opts := x.opts
-	opts.Obs, opts.Context = obs.NewRegistry(), ledgerProbe{context.Background(), func() { polls++ }}
-	eng, err := New[witnessVal, uint32](DOSLayout(a.g), bp, witnessCodec{}, x.mcodec(), opts)
-	must(t, err)
-	if res, err := eng.Run(); broke >= 0 && (!errors.Is(err, ErrProgramContract) || res != (Result{}) || polls != broke) || broke < 0 && err != nil {
-		t.Errorf("%s off by %+d, broken at poll %d: stopped at poll %d with %+v, %v", bp.which, bp.off, broke, polls, res, err)
+	for _, which := range []string{kinds[r(int64(len(kinds)))], "stray"} {
+		polls, broke := 0, -1
+		bp := breaker{x.program("own").(witnessLabel), which, int(1 - 2*r(2)), &polls, &broke}
+		opts := x.opts
+		opts.Obs, opts.Context = obs.NewRegistry(), ledgerProbe{context.Background(), func() { polls++ }}
+		eng, err := New[witnessVal, uint32](DOSLayout(a.g), bp, witnessCodec{}, x.mcodec(), opts)
+		must(t, err)
+		if res, err := eng.Run(); broke >= 0 && (!errors.Is(err, ErrProgramContract) || res != (Result{}) || polls != broke) || broke < 0 && (err != nil || which == "stray" && a.g.NumVertices > 0) {
+			t.Errorf("%s off by %+d, broken at poll %d: stopped at poll %d with %+v, %v", bp.which, bp.off, broke, polls, res, err)
+		}
+		checkLedgerViews(t, eng, opts.Obs, checkpoint.Counters{})
+		eng.Cleanup()
 	}
-	checkLedgerViews(t, eng, opts.Obs, checkpoint.Counters{})
-	eng.Cleanup()
 	if _, err := a.eng.Run(); err == nil {
 		t.Error("a second Run succeeded")
 	}
@@ -847,7 +850,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	fresh := func(opts Options) (*Engine[witnessVal, uint32], error) {
 		return New(DOSLayout(a.g), x.program("own"), witnessCodec{}, x.mcodec(), opts)
 	}
-	eng, err = fresh(x.opts)
+	eng, err := fresh(x.opts)
 	must(t, err)
 	if _, err := eng.Values(); err == nil {
 		t.Error("Values before Run succeeded")
@@ -855,7 +858,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	if _, err := eng.Resume(); err == nil {
 		t.Error("Resume without a checkpoint directory succeeded")
 	}
-	opts = x.opts
+	opts := x.opts
 	opts.Checkpoint.Dir = t.TempDir()
 	if eng, err = fresh(opts); err == nil {
 		_, err = eng.Resume()
@@ -914,7 +917,7 @@ func (d seamDraw) plan(t *testing.T, eng *Engine[witnessVal, uint32]) {
 	r := d.draws(0x91a2)
 	var pl selPlanner // one planner: its scratch is reused plan to plan
 	for p := 0; p < eng.NumPartitions(); p++ {
-		lo, hi := eng.partStarts[p], eng.partStarts[p+1]
+		lo, hi := eng.parts.starts[p], eng.parts.starts[p+1]
 		count := int64(hi - lo)
 		degs := make([]uint32, count)
 		for i := range degs {
@@ -1536,7 +1539,7 @@ func (d seamDraw) drainRound(t *testing.T) {
 		if i+1 < len(order) {
 			sp, tl = 0, min(tail, 1+r(3))
 		}
-		lo, hi := got.partStarts[q], got.partStarts[q+1]
+		lo, hi := got.parts.starts[q], got.parts.starts[q+1]
 		pendingRecords(t, got, q, sp, tl)
 		pendingRecords(t, want, q, sp, tl)
 		must(t, want.loadVertices(lo, hi, 1))
@@ -1641,7 +1644,7 @@ func drainHeat(reg *obs.Registry) map[int64]int64 {
 // pseudo-random sequence.
 func pendingRecords[V any](t *testing.T, eng *Engine[V, uint32], q int, spilled, tail int64) {
 	t.Helper()
-	lo, hi := eng.partStarts[q], eng.partStarts[q+1]
+	lo, hi := eng.parts.starts[q], eng.parts.starts[q+1]
 	var recs []byte
 	for i, x := int64(0), uint32(2463534242)+uint32(q); i < spilled+tail; i++ {
 		x = x*1664525 + 1013904223
@@ -1830,9 +1833,9 @@ func (p witnessLabel) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []by
 }
 
 // breaker is witnessLabel breaking the contract the drawn way: its which
-// delegate reports off more than it applied, or (which "short") every
-// vertex with an edge hands SendEach one message too few. broke is the
-// context's poll count when it first did.
+// delegate reports off more than it applied, every vertex with an edge hands
+// SendEach one message too few ("short"), or vertex 0 sends once to the top
+// of the ID space ("stray"). broke is the poll count of the first breach.
 type breaker struct {
 	witnessLabel
 	which        string
@@ -1845,6 +1848,9 @@ func (p breaker) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, 
 		p.count("short", 1)
 		ctx.SendEach(adj, ctx.Messages(len(adj)-1))
 		return
+	}
+	if p.which == "stray" && ctx.Iteration() == 0 && id == 0 {
+		ctx.Send(^graph.VertexID(0), 0)
 	}
 	p.witnessLabel.Update(ctx, id, v, adj)
 }
@@ -1862,7 +1868,11 @@ func (p breaker) ApplyEach(vs []witnessVal, lo graph.VertexID, dsts []graph.Vert
 }
 
 func (p breaker) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
-	return p.count("ApplyRecords", p.witnessLabel.ApplyRecords(vs, lo, recs, rec))
+	n := p.witnessLabel.ApplyRecords(vs, lo, recs, rec)
+	if p.which == "stray" && n < len(recs)/rec {
+		p.count("stray", 1)
+	}
+	return p.count("ApplyRecords", n)
 }
 
 // count returns what a delegate applied, n, plus off when it is the one that
@@ -1913,7 +1923,7 @@ func TestApplyAllMiscountFailsRun(t *testing.T) {
 				if res != (Result{}) {
 					t.Errorf("a failed run returned %+v", res)
 				}
-				first := int64(eng.partStarts[1+b2i(drain)])
+				first := int64(eng.parts.starts[1+b2i(drain)])
 				if eng.NumPartitions() != int(parts) || eng.c.Updates != first {
 					t.Errorf("%d partitions, %d updates: want %d and the run stopped after the failing partition's %d",
 						eng.NumPartitions(), eng.c.Updates, parts, first)
@@ -2088,7 +2098,7 @@ func checkModeledCompute(t *testing.T, p *proc, start int) {
 				units(b.Updates-a.Updates, sim.CostVertexUpdate) +
 				units(b.edges-a.edges, sim.CostEdgeScan) +
 				units((b.Buffered-a.Buffered)*int64((4+eng.msize)/4), sim.CostByteCopy4) // whole 4-byte units per record
-			if !worked(a, b) && eng.partStarts[q] < eng.partStarts[q+1] {
+			if !worked(a, b) && eng.parts.starts[q] < eng.parts.starts[q+1] {
 				if eng.sel == nil || i == 0 || b.edges != a.edges || b.BlocksScanned != a.BlocksScanned {
 					t.Errorf("iteration %d: partition %d was skipped whole, selective %v, its ledger %+v → %+v", i, q, eng.sel != nil, a, b)
 				}
@@ -2101,7 +2111,7 @@ func checkModeledCompute(t *testing.T, p *proc, start int) {
 			}
 			if nParts > 1 {
 				// Stored every iteration, loaded every one but the first.
-				moved := int64(eng.partStarts[q+1]-eng.partStarts[q]) * int64(eng.vsize) / 4
+				moved := int64(eng.parts.starts[q+1]-eng.parts.starts[q]) * int64(eng.vsize) / 4
 				if i > 0 {
 					moved *= 2
 				}
