@@ -13,13 +13,13 @@ import (
 // converging algorithms spend their tail iterations touching a handful of
 // vertices, yet a streaming engine re-reads every adjacency block anyway.
 // The engine keeps one bit per vertex — set when a message is applied to
-// the vertex or, a resident record, sent to it (send, applyOnSpot, sendRecords,
-// drainRecords), or its update called MarkActive (updateRuns, which reads
-// the Context's flag once Update returns), cleared
-// just before its update runs (except during iteration 0: the Init pass
-// conventionally broadcasts and ignores pending messages, so its bits
-// survive into iteration 1, where the first real update acts on them),
-// replaced whole by resume — every writer is a method of Engine — and, per
+// the vertex or, a resident record, sent to it (send, applyOnSpot,
+// applyEachOnSpot, sendRecords, drainRecords), or its update called
+// MarkActive (updateRuns, which reads the Context's flag once Update
+// returns), cleared just before its update runs (except during iteration
+// 0: the Init pass conventionally broadcasts and ignores pending messages,
+// so its bits survive into iteration 1, where the first real update acts
+// on them), replaced whole by resume — every writer is a method of Engine — and, per
 // partition per iteration, derives per-block activity from the bitmap.
 // Degree-Ordered Storage makes that derivation arithmetic: a partition's
 // adjacency is a contiguous entry range, so "does block b contain an

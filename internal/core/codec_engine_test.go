@@ -15,7 +15,7 @@ import (
 
 // buildDOSCodec converts edges to a v2 graph with the given codec on a
 // fresh null device. blockEntries 0 keeps the convert default.
-func buildDOSCodec(t *testing.T, edges []graph.Edge, codec storage.Codec, blockEntries int64) *dos.Graph {
+func buildDOSCodec(t testing.TB, edges []graph.Edge, codec storage.Codec, blockEntries int64) *dos.Graph {
 	t.Helper()
 	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
 	must(t, graph.WriteEdges(dev, "raw", edges))

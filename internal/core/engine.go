@@ -505,15 +505,20 @@ type Engine[V, M any] struct {
 	msize    int
 
 	// per-run state
-	verts     []V // states of the resident partition, [partLo, partHi)
-	partLo    graph.VertexID
-	partHi    graph.VertexID
-	adjCache  *SharedAdjacency // adjacency cache, shared or private; nil streams from the device
-	resident  memEntryStream   // the cache's whole-file entries, once filled
-	msgBufs   [][]byte
-	active    bool
-	finished  bool
-	runErr    error    // first deferred error: a failed spill, a miscounting ApplyAll
+	verts    []V // states of the resident partition, [partLo, partHi)
+	partLo   graph.VertexID
+	partHi   graph.VertexID
+	adjCache *SharedAdjacency // adjacency cache, shared or private; nil streams from the device
+	resident memEntryStream   // the cache's whole-file entries, once filled
+	msgBufs  [][]byte
+	active   bool
+	finished bool
+	// runErr is the first deferred error, returned at the next partition
+	// boundary: a failed spill, or a program contract breach
+	// (ErrProgramContract) — an ApplyAll, ApplyEach or ApplyRecords whose
+	// count does not hold, a destination past the last vertex, or a
+	// SendEach whose messages do not match its destinations.
+	runErr    error
 	c         counters // the ledger: every cumulative count, one writer each
 	published counters // c as of the last publish
 
@@ -1138,12 +1143,12 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 // applyOnSpot returns SendAll's route on the spot (one partition under
 // dynamic messages), where every destination is resident: a closure that
 // has the program's ApplyAll apply m to every vertex of dsts as it is
-// called and, under selective scheduling, marks them schedulable in a
-// second pass — Context.SendAll's one hop to the applier. Each pass keeps
-// list order, and that makes it the loop's execution: Apply sees only its
-// own vertex, so what is ordered is the applies each destination sees,
-// unchanged; the marks are idempotent and nothing reads them before Update
-// returns.
+// called and, under selective scheduling and only when the count held (see
+// below), marks them schedulable in a second pass — Context.SendAll's one
+// hop to the applier. Each pass keeps list order, and that makes it the
+// loop's execution: Apply sees only its own vertex, so what is ordered is
+// the applies each destination sees, unchanged; the marks are idempotent
+// and nothing reads them before Update returns.
 //
 // The engine learns how many messages were applied from the program, so the
 // count is checked: on one partition every destination is resident
@@ -1151,7 +1156,11 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 // is — SendAll has no error return — and fails the run at the next
 // partition boundary (ErrProgramContract); the ledger keeps the count that
 // adds up: every destination is counted in c.spot, which the Worker folds
-// into Sent, Applied and Inline at the end of its pass.
+// into Sent, Applied and Inline at the end of its pass. After a miscount it
+// marks nothing, as drainRecords does: the run is failing, and a
+// destination past the last vertex (which ApplyAll skips) has no bit. The
+// marks sit in the else of the count's compare, so the closure gains no
+// branch.
 //
 // It is kept out of New on purpose: New is a big function, inside which the
 // inliner admits only the smallest callees, and the closure built there
@@ -1160,11 +1169,12 @@ func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
 //go:noinline
 func (e *Engine[V, M]) applyOnSpot() func(dsts []graph.VertexID, m M) {
 	return func(dsts []graph.VertexID, m M) {
-		if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) && e.runErr == nil {
-			e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, all are resident",
-				ErrProgramContract, applied, len(dsts))
-		}
-		if sel := e.sel; sel != nil {
+		if applied := e.bulk.ApplyAll(e.verts, e.partLo, dsts, m); applied != len(dsts) {
+			if e.runErr == nil {
+				e.runErr = fmt.Errorf("%w: ApplyAll reported %d of %d destinations applied, all are resident",
+					ErrProgramContract, applied, len(dsts))
+			}
+		} else if sel := e.sel; sel != nil {
 			for _, dst := range dsts {
 				sel.set(dst)
 			}
@@ -1176,11 +1186,11 @@ func (e *Engine[V, M]) applyOnSpot() func(dsts []graph.VertexID, m M) {
 // applyEachOnSpot is applyOnSpot for SendEach: a closure that has the
 // program's ApplyEach apply ms[k] to dsts[k] for every k as it is called —
 // each destination sees its applies in send order, as in the loop of Sends
-// it stands for — marks the destinations schedulable in a second pass, and
-// counts them in c.spot. ApplyEach's count is checked as ApplyAll's is, and
-// so is the call: ms must match dsts one for one, or nothing is sent and the
-// run fails at the next partition boundary. It is kept out of New for the
-// reason applyOnSpot is.
+// it stands for — marks the destinations schedulable in a second pass when
+// the count held, and counts them in c.spot. ApplyEach's count is checked as
+// ApplyAll's is, and so is the call: ms must match dsts one for one, or
+// nothing is sent and the run fails at the next partition boundary. It is
+// kept out of New for the reason applyOnSpot is.
 //
 //go:noinline
 func (e *Engine[V, M]) applyEachOnSpot() func(dsts []graph.VertexID, ms []M) {
@@ -1189,11 +1199,12 @@ func (e *Engine[V, M]) applyEachOnSpot() func(dsts []graph.VertexID, ms []M) {
 			e.eachMismatch(dsts, ms)
 			return
 		}
-		if applied := e.each.ApplyEach(e.verts, e.partLo, dsts, ms); applied != len(dsts) && e.runErr == nil {
-			e.runErr = fmt.Errorf("%w: ApplyEach reported %d of %d destinations applied, all are resident",
-				ErrProgramContract, applied, len(dsts))
-		}
-		if sel := e.sel; sel != nil {
+		if applied := e.each.ApplyEach(e.verts, e.partLo, dsts, ms); applied != len(dsts) {
+			if e.runErr == nil {
+				e.runErr = fmt.Errorf("%w: ApplyEach reported %d of %d destinations applied, all are resident",
+					ErrProgramContract, applied, len(dsts))
+			}
+		} else if sel := e.sel; sel != nil {
 			for _, dst := range dsts {
 				sel.set(dst)
 			}

@@ -9,23 +9,13 @@ import (
 	"graphz/internal/gen"
 	"graphz/internal/graph"
 	"graphz/internal/obs"
-	"graphz/internal/storage"
 )
 
 // benchGraph builds one multi-partition DOS graph shared by the engine
 // benchmarks.
 func benchGraph(b *testing.B) *dos.Graph {
 	b.Helper()
-	edges := gen.RMAT(12, 40000, gen.NaturalRMAT, 7)
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-		b.Fatal(err)
-	}
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
+	return buildDOS(b, gen.RMAT(12, 40000, gen.NaturalRMAT, 7))
 }
 
 func benchRun(b *testing.B, g *dos.Graph, reg *obs.Registry, tr *obs.Tracer) {
@@ -146,15 +136,7 @@ func benchSendRoutes(b *testing.B, own witnessLabel) {
 // high-fan-in Zipf graph with a PageRank-style program that spills every
 // iteration (min-label converges and starves the path).
 func BenchmarkEngineSpill(b *testing.B) {
-	edges := gen.Zipf(16000, 160_000, 1.05, 7)
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
-		b.Fatal(err)
-	}
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := buildDOS(b, gen.Zipf(16000, 160_000, 1.05, 7))
 	opts := Options{
 		MemoryBudget:    budgetForPartitions(g, 16, 4, 4096),
 		DynamicMessages: true,

@@ -8,7 +8,6 @@ import (
 	"graphz/internal/gen"
 	"graphz/internal/graph"
 	"graphz/internal/lattice"
-	"graphz/internal/storage"
 )
 
 // minLabel is a connected-components-style test program: every vertex
@@ -84,13 +83,9 @@ func referenceMinLabels(n int, edges []graph.Edge) []uint32 {
 }
 
 // buildDOS converts edges on a fresh null device.
-func buildDOS(t *testing.T, edges []graph.Edge) *dos.Graph {
+func buildDOS(t testing.TB, edges []graph.Edge) *dos.Graph {
 	t.Helper()
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	must(t, graph.WriteEdges(dev, "raw", edges))
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	must(t, err)
-	return g
+	return buildDOSCodec(t, edges, nil, 0)
 }
 
 // relabeledEdges maps edges into the DOS graph's new ID space.

@@ -253,7 +253,7 @@ type seamTrial struct {
 	opts    Options
 }
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -818,9 +818,10 @@ func checkManifests(t *testing.T, dirA, dirB string) {
 // checkpoint to resume, and New fails typed on a budget of nothing, on one
 // that holds the fixed floor only, and on another graph's shared adjacency.
 // A program that breaks the contract in a way the draw's route takes, or
-// sends past the last vertex (every draw's "stray"), fails the run typed at
-// the boundary after the visit that broke it, with no Result and the
-// ledger's views agreeing; one that breaks it off the route finishes.
+// sends past the last vertex by a drawn route (every draw's "stray"), fails
+// the run typed at the boundary after the visit that broke it, with no
+// Result and the ledger's views agreeing; one that breaks it off the route
+// finishes.
 func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	t.Helper()
 	r := x.draws(0xb4ea)
@@ -829,8 +830,11 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 		kinds = []string{"ApplyAll", "ApplyEach", "short"}
 	}
 	for _, which := range []string{kinds[r(int64(len(kinds)))], "stray"} {
-		polls, broke := 0, -1
-		bp := breaker{x.program("own").(witnessLabel), which, int(1 - 2*r(2)), &polls, &broke}
+		polls, broke, off := 0, -1, int(1-2*r(2))
+		if which == "stray" {
+			off = int(r(3)) - 1 // the route: Send, SendAll, SendEach
+		}
+		bp := breaker{x.program("own").(witnessLabel), which, off, &polls, &broke}
 		opts := x.opts
 		opts.Obs, opts.Context = obs.NewRegistry(), ledgerProbe{context.Background(), func() { polls++ }}
 		eng, err := New[witnessVal, uint32](DOSLayout(a.g), bp, witnessCodec{}, x.mcodec(), opts)
@@ -1835,7 +1839,8 @@ func (p witnessLabel) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []by
 // breaker is witnessLabel breaking the contract the drawn way: its which
 // delegate reports off more than it applied, every vertex with an edge hands
 // SendEach one message too few ("short"), or vertex 0 sends once to the top
-// of the ID space ("stray"). broke is the poll count of the first breach.
+// of the ID space ("stray") by Send, SendAll or SendEach as off is -1, 0 or
+// 1. broke is the poll count of the first breach.
 type breaker struct {
 	witnessLabel
 	which        string
@@ -1845,12 +1850,19 @@ type breaker struct {
 
 func (p breaker) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, adj []graph.VertexID) {
 	if p.which == "short" && len(adj) > 0 {
-		p.count("short", 1)
+		p.count("short", 1, 1)
 		ctx.SendEach(adj, ctx.Messages(len(adj)-1))
 		return
 	}
 	if p.which == "stray" && ctx.Iteration() == 0 && id == 0 {
-		ctx.Send(^graph.VertexID(0), 0)
+		switch top := []graph.VertexID{^graph.VertexID(0)}; p.off {
+		case -1:
+			ctx.Send(top[0], 0)
+		case 0:
+			ctx.SendAll(top, 0)
+		default:
+			ctx.SendEach(top, ctx.Messages(1))
+		}
 	}
 	p.witnessLabel.Update(ctx, id, v, adj)
 }
@@ -1860,29 +1872,27 @@ func (p breaker) UpdateRun(ctx *Context[uint32], lo graph.VertexID, vs []witness
 }
 
 func (p breaker) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
-	return p.count("ApplyAll", p.witnessLabel.ApplyAll(vs, lo, dsts, m))
+	return p.count("ApplyAll", p.witnessLabel.ApplyAll(vs, lo, dsts, m), len(dsts))
 }
 
 func (p breaker) ApplyEach(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, ms []uint32) int {
-	return p.count("ApplyEach", p.witnessLabel.ApplyEach(vs, lo, dsts, ms))
+	return p.count("ApplyEach", p.witnessLabel.ApplyEach(vs, lo, dsts, ms), len(dsts))
 }
 
 func (p breaker) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
-	n := p.witnessLabel.ApplyRecords(vs, lo, recs, rec)
-	if p.which == "stray" && n < len(recs)/rec {
-		p.count("stray", 1)
-	}
-	return p.count("ApplyRecords", n)
+	return p.count("ApplyRecords", p.witnessLabel.ApplyRecords(vs, lo, recs, rec), len(recs)/rec)
 }
 
-// count returns what a delegate applied, n, plus off when it is the one that
-// breaks and applied anything.
-func (p breaker) count(which string, n int) int {
-	if which != p.which || n == 0 {
-		return n
-	}
-	if *p.broke < 0 {
+// count returns what a delegate applied, n of the want it was handed, plus
+// off when it is the one that breaks and applied anything. A stray breaker
+// breaks where a delegate applied fewer than want: the stray was skipped.
+func (p breaker) count(which string, n, want int) int {
+	breaks := which == p.which && n > 0
+	if (breaks || p.which == "stray" && n < want) && *p.broke < 0 {
 		*p.broke = *p.polls
+	}
+	if !breaks {
+		return n
 	}
 	return n + p.off
 }

@@ -15,7 +15,6 @@ import (
 	"graphz/internal/dos"
 	"graphz/internal/gen"
 	"graphz/internal/graph"
-	"graphz/internal/storage"
 )
 
 // semOpts is a fitting budget: the planner cuts one partition, so the
@@ -191,15 +190,7 @@ func semZipfEdges() []graph.Edge { return gen.Zipf(semZipfVertices, 160_000, 1.0
 
 func semZipfGraph(tb testing.TB) *dos.Graph {
 	tb.Helper()
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", semZipfEdges()); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", "g")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return g
+	return buildDOS(tb, semZipfEdges())
 }
 
 // semBenchOpts pairs the buffered multi-partition budget against the
