@@ -23,8 +23,8 @@ race:
 # inline-check asserts that the compiler inlines Apply into the bulk route
 # of every shipped program with an ApplyAll or ApplyEach delegate,
 # core.UpdateRun and its Update closure into the UpdateRun run delegate,
-# Decode and Apply into its ApplyRecords drain delegate — each program
-# listed with the delegates it has — the field codecs into the pair codecs'
+# Decode and Apply into its ApplyRecords drain delegate — every delegate
+# the programs' source defines — the field codecs into the pair codecs'
 # EncodeAll/DecodeAll loops, the bitmap's nextSet/clear/set into the
 # Worker loop, and partitionOf into scatter, the record writer every
 # partitioned run's messages go through; and, from a -gcflags=-d=wb build,

@@ -19,10 +19,10 @@
 # not gated; it could not be tried offline (only go1.24.0 is installed, and
 # this script downloads nothing).
 #
-# A program joins by adding a "<file>:<type>:<delegates>" word that lists
-# the delegates it has (ApplyAll or ApplyEach, UpdateRun, ApplyRecords);
-# SSSP, which sends per edge, has ApplyEach and UpdateRun and no drain
-# delegate.
+# The programs and their delegates are read from the source: every method
+# `func (p <type>) ApplyAll|ApplyEach|UpdateRun|ApplyRecords(` that a
+# non-test file of the package defines is checked, so a program joins by
+# defining one, and no delegate can be added or kept without being held.
 #
 # The same programs' run delegate (core.RunUpdater, DESIGN.md §14) is held
 # at the line of its one core.UpdateRun call:
@@ -62,15 +62,22 @@
 set -euo pipefail
 
 pkg=internal/algo/graphzalgo
-# Each program names the delegates it has: the bulk routes (ApplyAll for a
-# scatter, ApplyEach for a program that sends per edge), the run delegate
-# and the drain delegate.
-programs="pagerank.go:prProgram:ApplyAll,UpdateRun,ApplyRecords bfs.go:bfsProgram:ApplyAll,UpdateRun,ApplyRecords cc.go:ccProgram:ApplyAll,UpdateRun,ApplyRecords sssp.go:ssspProgram:ApplyEach,UpdateRun"
-
 pairs=internal/graph/pair.go
 pair_codecs="u32PairCodec:Uint32Codec f32PairCodec:Float32Codec"
 
 cd "$(git rev-parse --show-toplevel)"
+# One "<file>:<type>:<delegates>" word per program that defines a delegate:
+# the bulk routes (ApplyAll for a scatter, ApplyEach for a program that sends
+# per edge), the run delegate and the drain delegate.
+programs=$(for f in "$pkg"/*.go; do
+	case $f in *_test.go) continue ;; esac
+	sed -nE "s/^func \([a-z]+ ([A-Za-z0-9]+)\) (ApplyAll|ApplyEach|UpdateRun|ApplyRecords)\(.*/${f##*/}:\1:\2/p" "$f"
+done | awk -F: '{ k = $1 ":" $2; if (!(k in d)) order[++n] = k; d[k] = d[k] (d[k] == "" ? "" : ",") $3 }
+	END { for (i = 1; i <= n; i++) printf "%s%s:%s", (i > 1 ? " " : ""), order[i], d[order[i]] }')
+if [ -z "$programs" ]; then
+	echo "inlinecheck: $pkg defines no ApplyAll, ApplyEach, UpdateRun or ApplyRecords delegate" >&2
+	exit 1
+fi
 # -m's diagnostics are cached with the build and replayed on a cache hit.
 out=$(go build -gcflags=-m "./$pkg" ./internal/graph 2>&1) || { echo "$out" >&2; exit 1; }
 
@@ -88,7 +95,7 @@ for entry in $programs; do
 			;;
 		ApplyRecords)
 			# The delegate names its codec by the program's alias of a graph
-			# codec (type bfsMsgCodec = graph.Uint32Codec); -m reports the
+			# codec (type prMsgCodec = graph.Float32Codec); -m reports the
 			# aliased name.
 			codec=$(grep -o '[A-Za-z0-9]*Codec{}\.Decode' "$pkg/$file" | sed 's/{}\.Decode//' || true)
 			if [ "$(wc -w <<<"$codec")" -eq 1 ]; then

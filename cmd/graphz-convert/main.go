@@ -72,18 +72,8 @@ func main() {
 		fatal(fmt.Errorf("conversion self-check failed: %w", err))
 	}
 
-	// Export the DOS files to the host filesystem.
-	for devName, hostSuffix := range map[string]string{
-		"g.edges": ".edges", "g.meta": ".meta",
-		"g.new2old": ".new2old", "g.old2new": ".old2new",
-	} {
-		data, err := storage.ReadAllFile(dev, devName)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*prefix+hostSuffix, data, 0o644); err != nil {
-			fatal(err)
-		}
+	if err := dos.Export(g, *prefix); err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("converted %s -> %s.{edges,meta,new2old,old2new}\n", *in, *prefix)

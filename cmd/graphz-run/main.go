@@ -180,9 +180,10 @@ func main() {
 	)
 	switch *engine {
 	case "graphz":
+		var g *dos.Graph // a -dos graph, imported; nil converts the input
 		if *dosPfx != "" {
-			if err := importDOS(dev, *dosPfx); err != nil {
-				fatal(err)
+			if g, err = dos.Import(dev, *dosPfx, "g"); err != nil {
+				fatal(fmt.Errorf("-dos %s: %w", *dosPfx, err))
 			}
 		}
 		ck := core.CheckpointOptions{Dir: *ckDir, Every: *ckEvery, Keep: *ckKeep, Resume: *resume}
@@ -193,7 +194,7 @@ func main() {
 				}
 			}
 		}
-		iterations, values, err = runGraphZ(ctx, dev, clock, reg, tracer, *algo, *budget, *iters, src, *dosPfx != "", ck, config)
+		iterations, values, err = runGraphZ(ctx, g, dev, clock, reg, tracer, *algo, *budget, *iters, src, ck, config)
 	case "graphchi":
 		iterations, values, err = runGraphChi(dev, clock, reg, tracer, *algo, *budget, *iters, src)
 	case "xstream":
@@ -258,60 +259,18 @@ func main() {
 	}
 }
 
-// importDOS copies graphz-convert's exported files onto the device under
-// the prefix "g" so the run can skip conversion. The files come from
-// outside the program, so they are verified first — an out-of-range
-// adjacency entry would otherwise index vertex state — on a scratch
-// device, so the run's device statistics and modeled clock describe the
-// run and not the check.
-func importDOS(dev *storage.Device, prefix string) error {
-	suffixes := []string{".edges", ".meta", ".new2old", ".old2new"}
-	files := make([][]byte, len(suffixes))
-	for i, suffix := range suffixes {
-		data, err := os.ReadFile(prefix + suffix)
-		if err != nil {
-			return err
-		}
-		files[i] = data
-	}
-	put := func(d *storage.Device) error {
-		for i, suffix := range suffixes {
-			if err := storage.WriteAll(d, "g"+suffix, files[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	scratch := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := put(scratch); err != nil {
-		return err
-	}
-	g, err := dos.Load(scratch, "g")
-	if err == nil {
-		err = dos.Verify(g)
-	}
-	if err != nil {
-		return fmt.Errorf("-dos %s: %w", prefix, err)
-	}
-	return put(dev)
-}
-
-// runGraphZ preprocesses to DOS (or loads a pre-converted graph) and runs
-// the algorithm, returning values keyed by original IDs. It adds to config
+// runGraphZ preprocesses to DOS (unless handed a graph -dos imported) and
+// runs the algorithm, returning values keyed by original IDs. It adds to config
 // what the run report says of this engine: whether blocks were scheduled
 // selectively (asked for whenever the algorithm is frontier-safe; the counts
 // on the selective: line are the Result's, which a resumed run continues
 // from its checkpoint) and the adjacency residency the budget decided.
-func runGraphZ(ctx context.Context, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, preconverted bool, ck core.CheckpointOptions, config map[string]string) (int, map[graph.VertexID]float64, error) {
-	var g *dos.Graph
+func runGraphZ(ctx context.Context, g *dos.Graph, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, ck core.CheckpointOptions, config map[string]string) (int, map[graph.VertexID]float64, error) {
 	var err error
-	if preconverted {
-		g, err = dos.Load(dev, "g")
-	} else {
-		g, err = dos.Convert(dos.ConvertConfig{Dev: dev, Clock: clock, MemoryBudget: budget / 4}, "raw", "g")
-	}
-	if err != nil {
-		return 0, nil, err
+	if g == nil {
+		if g, err = dos.Convert(dos.ConvertConfig{Dev: dev, Clock: clock, MemoryBudget: budget / 4}, "raw", "g"); err != nil {
+			return 0, nil, err
+		}
 	}
 	o2n, err := g.OldToNew()
 	if err != nil {

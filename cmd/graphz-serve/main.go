@@ -81,7 +81,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		g, err := importConverted(dev, name, prefix)
+		g, err := dos.Import(dev, prefix, name+".dos")
 		if err != nil {
 			fatal(fmt.Errorf("-graph %s: %w", spec, err))
 		}
@@ -165,28 +165,6 @@ func convert(dev *storage.Device, name, codecName string, budget int64) *dos.Gra
 		fatal(fmt.Errorf("converting %s: %w", name, err))
 	}
 	return g
-}
-
-// importConverted copies graphz-convert's exported host files onto the
-// device under the graph's own prefix, loads them, and verifies them: the
-// files come from outside the program, and one out-of-range entry would
-// otherwise surface as an index panic inside a job, taking the daemon
-// with it.
-func importConverted(dev *storage.Device, name, prefix string) (*dos.Graph, error) {
-	for _, suffix := range []string{".edges", ".meta", ".new2old", ".old2new"} {
-		data, err := os.ReadFile(prefix + suffix)
-		if err != nil {
-			return nil, err
-		}
-		if err := storage.WriteAll(dev, name+".dos"+suffix, data); err != nil {
-			return nil, err
-		}
-	}
-	g, err := dos.Load(dev, name+".dos")
-	if err != nil {
-		return nil, err
-	}
-	return g, dos.Verify(g)
 }
 
 // splitSpec parses "name=value".

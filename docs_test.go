@@ -476,7 +476,7 @@ func TestDesignSectionCitations(t *testing.T) {
 // A test that a draw comes to hold is deleted to pay for the next one, never
 // packed into fewer lines (every error check there is already one
 // must(t, err)).
-const coreTestLines = 4183
+const coreTestLines = 4167
 
 // TestCoreTestLineBudget holds internal/core's tests to coreTestLines.
 func TestCoreTestLineBudget(t *testing.T) {

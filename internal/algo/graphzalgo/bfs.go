@@ -13,10 +13,6 @@ const Unreached = uint32(0xFFFFFFFF)
 // level (A) and a possible value change delivered by messages (B).
 type bfsVal = graph.U32Pair
 
-// bfsMsgCodec is the message codec: the engine encodes with it (runLayout
-// below) and ApplyRecords decodes with it, so the two cannot differ.
-type bfsMsgCodec = graph.Uint32Codec
-
 type bfsProgram struct {
 	source graph.VertexID
 }
@@ -59,12 +55,6 @@ func (p bfsProgram) UpdateRun(ctx *core.Context[uint32], lo graph.VertexID, vs [
 	})
 }
 
-// ApplyRecords is the optional drain form (core.RecordApplier): the message
-// codec's Decode and Apply, inlined.
-func (p bfsProgram) ApplyRecords(vs []bfsVal, lo graph.VertexID, recs []byte, rec int) int {
-	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return bfsMsgCodec{}.Decode(b) }, func(v *bfsVal, m uint32) { p.Apply(v, m) })
-}
-
 // BFS computes hop counts from source (in the graph's ID space) along
 // out-edges, running until quiescent. Unreached vertices report
 // Unreached.
@@ -74,7 +64,7 @@ func BFS(g *dos.Graph, opts core.Options, source graph.VertexID) (core.Result, [
 
 // BFSLayout is BFS over an explicit layout (for the ablations).
 func BFSLayout(l core.Layout, opts core.Options, source graph.VertexID) (core.Result, []uint32, error) {
-	res, vals, err := runLayout[bfsVal, uint32](l, bfsProgram{source: source}, graph.U32PairCodec, bfsMsgCodec{}, opts)
+	res, vals, err := runLayout[bfsVal, uint32](l, bfsProgram{source: source}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 	if err != nil {
 		return core.Result{}, nil, err
 	}

@@ -10,10 +10,6 @@ import (
 // inbound messages have proposed (B).
 type ccVal = graph.U32Pair
 
-// ccMsgCodec is the message codec: the engine encodes with it (runLayout
-// below) and ApplyRecords decodes with it, so the two cannot differ.
-type ccMsgCodec = graph.Uint32Codec
-
 // ccProgram propagates the minimum vertex ID along out-edges until
 // fixpoint. On a symmetrized graph (each edge stored in both directions,
 // which is how the harness prepares CC inputs) the fixpoint labels are
@@ -46,25 +42,6 @@ func (ccProgram) Apply(v *ccVal, m uint32) {
 // without a message B is not below A, and Update does nothing.
 func (ccProgram) FrontierSafe() {}
 
-// ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
-func (p ccProgram) ApplyAll(vs []ccVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
-	return core.ApplyAll(vs, lo, dsts, m, func(v *ccVal, m uint32) { p.Apply(v, m) })
-}
-
-// UpdateRun is the optional run form (core.RunUpdater): Update, inlined
-// over a degree run.
-func (p ccProgram) UpdateRun(ctx *core.Context[uint32], lo graph.VertexID, vs []ccVal, adj []graph.VertexID, deg uint32) {
-	core.UpdateRun(ctx, lo, vs, adj, deg, func(ctx *core.Context[uint32], id graph.VertexID, v *ccVal, a []graph.VertexID) {
-		p.Update(ctx, id, v, a)
-	})
-}
-
-// ApplyRecords is the optional drain form (core.RecordApplier): the message
-// codec's Decode and Apply, inlined.
-func (p ccProgram) ApplyRecords(vs []ccVal, lo graph.VertexID, recs []byte, rec int) int {
-	return core.ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return ccMsgCodec{}.Decode(b) }, func(v *ccVal, m uint32) { p.Apply(v, m) })
-}
-
 // ConnectedComponents labels every vertex with the smallest vertex ID
 // that reaches it, running until quiescent. Symmetrize the graph first
 // for weakly-connected components.
@@ -75,7 +52,7 @@ func ConnectedComponents(g *dos.Graph, opts core.Options) (core.Result, []uint32
 // ConnectedComponentsLayout is CC over an explicit layout (for the
 // ablations).
 func ConnectedComponentsLayout(l core.Layout, opts core.Options) (core.Result, []uint32, error) {
-	res, vals, err := runLayout[ccVal, uint32](l, ccProgram{}, graph.U32PairCodec, ccMsgCodec{}, opts)
+	res, vals, err := runLayout[ccVal, uint32](l, ccProgram{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 	if err != nil {
 		return core.Result{}, nil, err
 	}

@@ -320,7 +320,7 @@ func TestRandomWalkConservation(t *testing.T) {
 
 	// Single partition, dynamic messages: every send applies
 	// immediately, so conservation is exact.
-	final, err := RandomWalkFinalWalkers(f.g, bigOpts(), 5, perVertex)
+	final, err := finalWalkers(f.g, bigOpts(), 5, perVertex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestRandomWalkConservation(t *testing.T) {
 	// Multi-partition: a MaxIterations stop can leave messages (and
 	// their walkers) in flight in the spilled message store, so the
 	// landed count is a lower bound that must never exceed the total.
-	final, err = RandomWalkFinalWalkers(f.g, tightOpts(f.g, 12), 5, perVertex)
+	final, err = finalWalkers(f.g, tightOpts(f.g, 12), 5, perVertex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +349,21 @@ func TestRandomWalkConservation(t *testing.T) {
 	if sum < total/2 {
 		t.Fatalf("too many walkers in flight: %d of %d landed", sum, total)
 	}
+}
+
+// finalWalkers runs RandomWalk and returns where the walkers sit after the
+// last step (the Incoming field).
+func finalWalkers(g *dos.Graph, opts core.Options, iterations int, walkersPerVertex uint32) ([]uint32, error) {
+	opts.MaxIterations = iterations
+	_, vals, err := runLayout[rwVal, uint32](core.DOSLayout(g), rwProgram{walkersPerVertex: walkersPerVertex}, rwValCodec{}, graph.Uint32Codec{}, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, len(vals))
+	for i, v := range vals {
+		out[i] = v.Incoming
+	}
+	return out, nil
 }
 
 func TestRandomWalkVisits(t *testing.T) {
@@ -437,6 +452,9 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], want string,
 	if has := fmt.Sprintf("ApplyAll:%v ApplyEach:%v ApplyRecords:%v", ok, ok2, ok3); has != want {
 		t.Fatalf("%T has %s, want %s", prog, has, want)
 	}
+	if !ok && !ok2 && !ok3 {
+		return
+	}
 	encode := func(vs []V) []byte {
 		b := make([]byte, len(vs)*vc.Size())
 		for i, v := range vs {
@@ -513,11 +531,14 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], want string,
 	}
 }
 
-// TestApplyAllIsApplyInALoop covers every program that has the optional
-// bulk and run forms; one that gains them joins by adding a row. SSSP's row
-// also holds its SendEach form of Update to the Send loop it replaced.
+// TestApplyAllIsApplyInALoop covers every program that scatters through
+// SendAll or SendEach, with the optional forms it has; one that gains or
+// loses one changes its row. CC has none: its row holds the engine's
+// applyLoop to Apply in a loop. SSSP's row also holds its SendEach form of
+// Update to the Send loop it replaced.
 func TestApplyAllIsApplyInALoop(t *testing.T) {
-	const scatter, perEdge = "ApplyAll:true ApplyEach:false ApplyRecords:true", "ApplyAll:false ApplyEach:true ApplyRecords:false"
+	const scatter, bulk, none = "ApplyAll:true ApplyEach:false ApplyRecords:true", "ApplyAll:true ApplyEach:false ApplyRecords:false", "ApplyAll:false ApplyEach:false ApplyRecords:false"
+	const perEdge = "ApplyAll:false ApplyEach:true ApplyRecords:false"
 	u32 := func(rng *rand.Rand) uint32 { return uint32(rng.Intn(50)) } // small: messages both below and above B
 	u32Pair := func(rng *rand.Rand) graph.U32Pair { return graph.U32Pair{A: u32(rng), B: u32(rng)} }
 	f32Pair := func(rng *rand.Rand) graph.F32Pair { return graph.F32Pair{A: rng.Float32(), B: rng.Float32()} }
@@ -530,12 +551,13 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 			checkRunDelegate[prVal, float32](t, prProgram{damping: 0.85}, graph.F32PairCodec, prMsgCodec{})
 		}},
 		{"BFS", func(t *testing.T) {
-			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, scatter, graph.U32PairCodec, bfsMsgCodec{}, u32Pair, u32)
-			checkRunDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, bfsMsgCodec{})
+			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, bulk, graph.U32PairCodec, graph.Uint32Codec{}, u32Pair, u32)
+			checkRunDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, graph.Uint32Codec{})
+			checkApplyLoop[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, graph.Uint32Codec{})
 		}},
 		{"CC", func(t *testing.T) {
-			checkDelegate[ccVal, uint32](t, ccProgram{}, scatter, graph.U32PairCodec, ccMsgCodec{}, u32Pair, u32)
-			checkRunDelegate[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, ccMsgCodec{})
+			checkDelegate[ccVal, uint32](t, ccProgram{}, none, graph.U32PairCodec, graph.Uint32Codec{}, u32Pair, u32)
+			checkApplyLoop[ccVal, uint32](t, ccProgram{}, graph.U32PairCodec, graph.Uint32Codec{})
 		}},
 		{"SSSP", func(t *testing.T) {
 			checkDelegate[ssspVal, float32](t, ssspProgram{source: 3}, perEdge, graph.F32PairCodec, graph.Float32Codec{}, f32Pair, (*rand.Rand).Float32)
@@ -545,6 +567,62 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 	} {
 		t.Run(row.name, row.check)
 	}
+}
+
+// checkApplyLoop holds the appliers a program runs with — its own
+// delegates, and the engine's applyLoop over its Apply where it has none —
+// to Apply in a loop written out here (byHand): run on one partition, where
+// SendAll applies as it is called, and in partitions, where records are
+// applied in place and at the drains, the two leave the same Result and
+// state bytes.
+func checkApplyLoop[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M]) {
+	t.Helper()
+	f := newFixture(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 5))
+	for _, opts := range []core.Options{bigOpts(), tightOpts(f.g, vc.Size())} {
+		var res [2]core.Result
+		var states [2][]byte
+		for i, p := range []core.Program[V, M]{prog, byHand[V, M]{prog, mc.Decode}} {
+			r, vals, err := runLayout(core.DOSLayout(f.g), p, vc, mc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i], states[i] = r, make([]byte, len(vals)*vc.Size())
+			for j, v := range vals {
+				vc.Encode(states[i][j*vc.Size():], v)
+			}
+		}
+		if res[0] != res[1] || !bytes.Equal(states[0], states[1]) || (res[0].Partitions == 1) != (opts.MemoryBudget == bigOpts().MemoryBudget) {
+			t.Fatalf("%T, %d partitions: as run %+v, Apply in a loop %+v; states equal %v",
+				prog, res[0].Partitions, res[0], res[1], bytes.Equal(states[0], states[1]))
+		}
+	}
+}
+
+// byHand runs a program with its own optional forms hidden, and an ApplyAll
+// and an ApplyRecords that call its Apply in a loop of their own.
+type byHand[V, M any] struct {
+	core.Program[V, M]
+	decode func([]byte) M
+}
+
+func (p byHand[V, M]) ApplyAll(vs []V, lo graph.VertexID, dsts []graph.VertexID, m M) (applied int) {
+	for _, dst := range dsts {
+		if dst >= lo && int(dst-lo) < len(vs) {
+			p.Apply(&vs[dst-lo], m)
+			applied++
+		}
+	}
+	return applied
+}
+
+func (p byHand[V, M]) ApplyRecords(vs []V, lo graph.VertexID, recs []byte, rec int) (applied int) {
+	for off := 0; off+rec <= len(recs); off += rec {
+		if dst := graph.VertexID(binary.LittleEndian.Uint32(recs[off:])); dst >= lo && int(dst-lo) < len(vs) {
+			p.Apply(&vs[dst-lo], p.decode(recs[off+4:]))
+			applied++
+		}
+	}
+	return applied
 }
 
 // checkRunDelegate holds one program's UpdateRun to its definition, Update

@@ -115,18 +115,3 @@ func RandomWalkLayout(l core.Layout, opts core.Options, iterations int, walkersP
 	}
 	return res, visits, nil
 }
-
-// RandomWalkFinalWalkers exposes where the walkers sit after the last
-// step (the Incoming field), for conservation checks and examples.
-func RandomWalkFinalWalkers(g *dos.Graph, opts core.Options, iterations int, walkersPerVertex uint32) ([]uint32, error) {
-	opts.MaxIterations = iterations
-	_, vals, err := runLayout[rwVal, uint32](core.DOSLayout(g), rwProgram{walkersPerVertex: walkersPerVertex}, rwValCodec{}, graph.Uint32Codec{}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, len(vals))
-	for i, v := range vals {
-		out[i] = v.Incoming
-	}
-	return out, nil
-}

@@ -111,18 +111,3 @@ func RandomWalk(pt *xstream.Partitioned, opts xstream.Options, iterations int, w
 	}
 	return res, visits, nil
 }
-
-// RandomWalkFinalWalkers returns where walkers sit after the last step,
-// for conservation checks.
-func RandomWalkFinalWalkers(pt *xstream.Partitioned, opts xstream.Options, iterations int, walkersPerVertex uint32) ([]uint32, error) {
-	opts.MaxIterations = iterations
-	_, vals, err := run[rwVal, uint32](pt, rwProgram{perVertex: walkersPerVertex}, rwValCodec{}, graph.Uint32Codec{}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, len(vals))
-	for i, v := range vals {
-		out[i] = v.Walkers
-	}
-	return out, nil
-}

@@ -135,7 +135,7 @@ func TestRWConservationExact(t *testing.T) {
 	edges := gen.RMAT(7, 700, gen.NaturalRMAT, 126)
 	pt := partition(t, edges, 2)
 	const perVertex = 3
-	final, err := RandomWalkFinalWalkers(pt, opts(), 6, perVertex)
+	final, err := finalWalkers(pt, opts(), 6, perVertex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +158,21 @@ func TestRWConservationExact(t *testing.T) {
 	if want := int64(pt.NumVertices) * perVertex * 6; total != want {
 		t.Errorf("total visits = %d, want %d", total, want)
 	}
+}
+
+// finalWalkers runs RandomWalk and returns where the walkers sit after the
+// last step.
+func finalWalkers(pt *xstream.Partitioned, opts xstream.Options, iterations int, walkersPerVertex uint32) ([]uint32, error) {
+	opts.MaxIterations = iterations
+	_, vals, err := run[rwVal, uint32](pt, rwProgram{perVertex: walkersPerVertex}, rwValCodec{}, graph.Uint32Codec{}, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, len(vals))
+	for i, v := range vals {
+		out[i] = v.Walkers
+	}
+	return out, nil
 }
 
 // TestRWMatchesPlainExactly: the plain generator mirrors the BSP

@@ -56,9 +56,9 @@ func TestSparseIterationAllocs(t *testing.T) {
 			})
 			must(t, err)
 			res, err := eng.Run()
-			if err != nil || res.Iterations != iters || res.Partitions != 1 || !eng.AdjacencyCached() {
+			if err != nil || res.Iterations != iters || res.Partitions != 1 || !res.ResidentAdjacency {
 				t.Fatalf("ran %d of %d iterations in %d partitions (cached %v): %v",
-					res.Iterations, iters, res.Partitions, eng.AdjacencyCached(), err)
+					res.Iterations, iters, res.Partitions, res.ResidentAdjacency, err)
 			}
 			if res.UpdatesRun > 3*int64(g.NumVertices)+4*int64(iters) {
 				t.Fatalf("%d updates in %d iterations: the tail is not sparse", res.UpdatesRun, iters)

@@ -41,8 +41,3 @@ func (e *Engine[V, M]) adjSource(ranges []entryRange, ps *pipeStats) (entrySourc
 	}
 	return openEntryStream(e.dev, e.adj, e.layout.EdgesFile(), ranges, ps)
 }
-
-// AdjacencyCached reports whether the engine serves adjacency from
-// memory (resolved at New): its own budget fits the decoded entries, or it
-// was handed a SharedAdjacency.
-func (e *Engine[V, M]) AdjacencyCached() bool { return e.adjCache != nil }

@@ -28,7 +28,7 @@ type CheckpointOptions struct {
 	// Resume makes Run continue from the newest complete checkpoint in
 	// Dir when one exists (and start fresh when the directory is empty
 	// or absent). A corrupt checkpoint is an error, never a silent
-	// restart. Engine.Resume is the explicit form.
+	// restart.
 	Resume bool
 }
 
@@ -194,30 +194,14 @@ func (e *Engine[V, M]) chargeCheckpointIO(n int64, read bool) {
 	e.opts.Clock.IO(t)
 }
 
-// Resume validates the newest checkpoint in Options.Checkpoint.Dir and
-// continues the run from it: a converged checkpoint just restores the
-// final vertex states; an in-flight one re-enters the iteration loop at
-// iteration k. Validation failures return the typed errors of package
-// checkpoint (ErrNoCheckpoint, ErrTruncated, ErrCRCMismatch,
-// ErrVersionTooNew, ErrLayoutMismatch, ErrConfigMismatch) — never a
-// panic, and never a silent restart from iteration 0.
-func (e *Engine[V, M]) Resume() (Result, error) {
-	if e.finished {
-		return Result{}, fmt.Errorf("core: engine already ran; create a new one")
-	}
-	if !e.opts.Checkpoint.enabled() {
-		return Result{}, fmt.Errorf("core: Resume without Options.Checkpoint.Dir")
-	}
-	if err := e.layout.LoadIndex(); err != nil {
-		return Result{}, err
-	}
-	if err := e.initCheckpointing(); err != nil {
-		return Result{}, err
-	}
-	return e.resume()
-}
-
-// resume does the restore work once index and store are ready.
+// resume validates the newest checkpoint in Options.Checkpoint.Dir and
+// continues the run from it, once index and store are ready (Run with
+// Checkpoint.Resume): a converged checkpoint just restores the final vertex
+// states; an in-flight one re-enters the iteration loop at iteration k.
+// Validation failures return the typed errors of package checkpoint
+// (ErrTruncated, ErrCRCMismatch, ErrVersionTooNew, ErrLayoutMismatch,
+// ErrConfigMismatch, ErrBadManifest) — never a panic, and never a silent
+// restart from iteration 0.
 func (e *Engine[V, M]) resume() (Result, error) {
 	start := time.Now()
 	ck, err := e.ckStore.Latest()

@@ -73,7 +73,7 @@ func convergedCheckpointDir(t *testing.T, seed uint64) ([]graph.Edge, string) {
 	return edges, dir
 }
 
-// resumeWith builds a fresh engine over edges and calls Resume against
+// resumeWith builds a fresh engine over edges and runs it resuming from
 // dir, returning the error (typed, never a panic).
 func resumeWith(t *testing.T, edges []graph.Edge, dir, name string) error {
 	t.Helper()
@@ -81,8 +81,7 @@ func resumeWith(t *testing.T, edges []graph.Edge, dir, name string) error {
 	opts := ckptBaseOpts(g)
 	opts.Name = name
 	opts.Checkpoint = CheckpointOptions{Dir: dir, Resume: true}
-	eng := newMinLabelEngine(t, g, opts)
-	_, err := eng.Resume()
+	_, err := newMinLabelEngine(t, g, opts).Run()
 	return err
 }
 
@@ -149,7 +148,7 @@ func TestResumeConfigMismatch(t *testing.T) {
 	if eng.NumPartitions() != res.Partitions {
 		t.Fatalf("resuming engine plans %d partitions, the checkpointed run used %d", eng.NumPartitions(), res.Partitions)
 	}
-	if _, err := eng.Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) || !strings.Contains(err.Error(), "buffer tail") {
+	if _, err := eng.Run(); !errors.Is(err, checkpoint.ErrConfigMismatch) || !strings.Contains(err.Error(), "buffer tail") {
 		t.Fatalf("Resume with smaller message buffers = %v, want ErrConfigMismatch naming the buffer tail", err)
 	}
 }

@@ -378,9 +378,9 @@ type Options struct {
 	// Checkpoint enables iteration-boundary checkpoint/restore: with a
 	// non-empty Dir the engine atomically persists vertex states,
 	// pending messages, and counters to the host filesystem after
-	// configured iterations, and Resume (or Run with Checkpoint.Resume)
-	// continues a crashed run from the last complete checkpoint —
-	// byte-identical to an uninterrupted run (docs/DURABILITY.md).
+	// configured iterations, and Run with Checkpoint.Resume continues a
+	// crashed run from the last complete checkpoint — byte-identical to an
+	// uninterrupted run (docs/DURABILITY.md).
 	Checkpoint CheckpointOptions
 	// Obs receives the engine's runtime metrics: message-routing
 	// counters, per-stage timings, and one IterStats row per iteration.
@@ -816,7 +816,7 @@ func (e *Engine[V, M]) chargeBytes(n int64) {
 // final vertex states in the engine's vertex-state file. With
 // Options.Checkpoint.Resume set and a complete checkpoint present in
 // Options.Checkpoint.Dir, Run continues from it instead of starting over
-// (see Resume).
+// (resume).
 func (e *Engine[V, M]) Run() (Result, error) {
 	if e.finished {
 		return Result{}, fmt.Errorf("core: engine already ran; create a new one")
@@ -954,7 +954,7 @@ func (e *Engine[V, M]) finish(iters int) Result {
 		Iterations:        iters,
 		Partitions:        e.NumPartitions(),
 		SemiExternal:      e.SemiExternal(),
-		ResidentAdjacency: e.AdjacencyCached(),
+		ResidentAdjacency: e.adjCache != nil,
 		MessagesSent:      e.c.Sent,
 		MessagesApplied:   e.c.Applied,
 		MessagesInline:    e.c.Inline,

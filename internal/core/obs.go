@@ -81,7 +81,7 @@ type engineObs struct {
 
 	// Facts outside the iteration loop, with no Result or row twin: each
 	// keeps its one direct write.
-	restores   *obs.Counter // successful Resume restorations
+	restores   *obs.Counter // successful checkpoint restorations
 	removeErrs *obs.Counter // failed runtime-file removals
 	semRuns    *obs.Counter // finished runs of the semi-external (one-partition) case
 }

@@ -553,8 +553,7 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 		t.Errorf("%d partitions (semi-external %v) of a budget sized for %d", p, res.SemiExternal, x.parts())
 	}
 	switch adj := x.Val("adjacency"); {
-	case res.ResidentAdjacency != eng.AdjacencyCached(),
-		adj == "shared" && !res.ResidentAdjacency, adj == "pinned" && res.ResidentAdjacency,
+	case adj == "shared" && !res.ResidentAdjacency, adj == "pinned" && res.ResidentAdjacency,
 		adj == "tight" && int64(nParts) == x.parts() && edges > 0 && res.ResidentAdjacency,
 		adj == "roomy" && int64(nParts) == x.parts() && !res.ResidentAdjacency:
 		t.Errorf("%s adjacency, yet resident = %v", adj, res.ResidentAdjacency)
@@ -848,9 +847,6 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	if _, err := a.eng.Run(); err == nil {
 		t.Error("a second Run succeeded")
 	}
-	if _, err := a.eng.Resume(); err == nil {
-		t.Error("Resume after Run succeeded")
-	}
 	fresh := func(opts Options) (*Engine[witnessVal, uint32], error) {
 		return New(DOSLayout(a.g), x.program("own"), witnessCodec{}, x.mcodec(), opts)
 	}
@@ -859,18 +855,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 	if _, err := eng.Values(); err == nil {
 		t.Error("Values before Run succeeded")
 	}
-	if _, err := eng.Resume(); err == nil {
-		t.Error("Resume without a checkpoint directory succeeded")
-	}
 	opts := x.opts
-	opts.Checkpoint.Dir = t.TempDir()
-	if eng, err = fresh(opts); err == nil {
-		_, err = eng.Resume()
-	}
-	if !errors.Is(err, checkpoint.ErrNoCheckpoint) {
-		t.Errorf("Resume from an empty directory: %v, want checkpoint.ErrNoCheckpoint", err)
-	}
-	opts = x.opts
 	opts.MemoryBudget = 0
 	if _, err := fresh(opts); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("no budget: %v, want ErrInvalidOptions", err)

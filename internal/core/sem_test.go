@@ -147,7 +147,7 @@ func TestSemCheckpointMissingMessages(t *testing.T) {
 	must(t, os.WriteFile(path, append(raw[:header], payload...), 0o644))
 	opts := semOpts()
 	opts.Checkpoint = CheckpointOptions{Dir: old.Dir(), Resume: true}
-	if _, err := newMinLabelEngine(t, buildDOS(t, edges), opts).Resume(); !errors.Is(err, checkpoint.ErrBadManifest) {
+	if _, err := newMinLabelEngine(t, buildDOS(t, edges), opts).Run(); !errors.Is(err, checkpoint.ErrBadManifest) {
 		t.Errorf("checkpoint without message sections = %v, want ErrBadManifest", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestSemCheckpointCrossMode(t *testing.T) {
 	g2 := buildDOS(t, edges)
 	po := partitionedOpts(g2)
 	po.Checkpoint = CheckpointOptions{Dir: semCheckpoints(t, edges, 1<<20), Resume: true}
-	if _, err := newMinLabelEngine(t, g2, po).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+	if _, err := newMinLabelEngine(t, g2, po).Run(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Errorf("partitioned resume of one-partition checkpoint = %v, want ErrConfigMismatch", err)
 	}
 
@@ -176,7 +176,7 @@ func TestSemCheckpointCrossMode(t *testing.T) {
 
 	so := semOpts()
 	so.Checkpoint = CheckpointOptions{Dir: partDir, Resume: true}
-	if _, err := newMinLabelEngine(t, buildDOS(t, edges), so).Resume(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
+	if _, err := newMinLabelEngine(t, buildDOS(t, edges), so).Run(); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 		t.Errorf("one-partition resume of partitioned checkpoint = %v, want ErrConfigMismatch", err)
 	}
 }

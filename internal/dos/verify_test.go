@@ -1,6 +1,9 @@
 package dos
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,6 +62,41 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 	if err := Verify(g); err == nil {
 		t.Error("truncated edge file not caught")
+	}
+}
+
+// TestExportImport: Import reads back the host files Export wrote, byte for
+// byte, onto the device it is handed; a corrupt edges file fails Verify on
+// the scratch device, so nothing reaches that device and its statistics
+// stay zero.
+func TestExportImport(t *testing.T) {
+	g := convertEdges(t, storage.NewDevice(storage.NullDevice, storage.Options{}), gen.RMAT(8, 1500, gen.NaturalRMAT, 134), "g")
+	host := filepath.Join(t.TempDir(), "web")
+	if err := Export(g, host); err != nil {
+		t.Fatal(err)
+	}
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	got, err := Import(dev, host, "web.dos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range hostSuffixes {
+		want, _ := storage.ReadAllFile(g.Device(), g.Prefix()+suffix)
+		if b, err := storage.ReadAllFile(dev, got.Prefix()+suffix); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("%s: %d bytes imported (%v), %d exported", suffix, len(b), err, len(want))
+		}
+	}
+	edges, err := os.ReadFile(host + suffixEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(edges, []byte{0xFF, 0xFF, 0xFF, 0x7F})
+	if err := os.WriteFile(host+suffixEdges, edges, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clean := storage.NewDevice(storage.NullDevice, storage.Options{})
+	if _, err := Import(clean, host, "web.dos"); err == nil || !strings.Contains(err.Error(), "verify web.dos.edges@") || clean.Stats() != (storage.Stats{}) {
+		t.Errorf("corrupt edges imported: %v, device %+v", err, clean.Stats())
 	}
 }
 
