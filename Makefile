@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race inline-check bench bench-json benchdiff pairs cover smoke fuzz-short run-report
+.PHONY: build test check fmt vet race inline-check bench bench-json benchdiff pairs tables cover smoke fuzz-short run-report
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,14 @@ PAIRS ?= 10
 SEED ?= 1
 pairs:
 	ci/pairs.sh $(if $(RECORD),--record $(RECORD)) $(if $(LAYOUT),--layout $(LAYOUT)) $(BASE) $(W) $(PAIRS) $(SEED)
+
+# tables checks that a change leaves the modeled tables byte-identical:
+# graphz-bench -experiments EXPERIMENTS (default: every experiment this
+# box's memory runs) at git ref BASE and on the working tree, diffed
+# without the wall-clock lines (ci/tables.sh). ~20 min a side.
+# Example: make tables BASE=HEAD~1 [EXPERIMENTS=t11,t12]
+tables:
+	ci/tables.sh $(BASE) $(EXPERIMENTS)
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

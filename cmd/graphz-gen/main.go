@@ -10,7 +10,7 @@
 package main
 
 import (
-	"encoding/binary"
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -50,15 +50,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "graphz-gen:", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	buf := make([]byte, graph.EdgeBytes)
+	w := bufio.NewWriter(f)
+	var buf [graph.EdgeBytes]byte
 	for _, e := range es {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(e.Src))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(e.Dst))
-		if _, err := f.Write(buf); err != nil {
-			fmt.Fprintln(os.Stderr, "graphz-gen:", err)
-			os.Exit(1)
-		}
+		graph.PutEdge(buf[:], e)
+		w.Write(buf[:]) // a failed write sticks: Flush returns it
+	}
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphz-gen:", err)
+		os.Exit(1)
 	}
 	st := gen.Summarize(es)
 	fmt.Printf("wrote %s: %d edges, %d vertices (max ID %d), %d unique degrees\n",

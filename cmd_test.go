@@ -41,18 +41,33 @@ func TestCommandLineTools(t *testing.T) {
 		}
 		return bin
 	}
-	gen := build("graphz-gen")
+	genTool := build("graphz-gen")
 	convert := build("graphz-convert")
 	run := build("graphz-run")
 
 	graphFile := filepath.Join(dir, "g.bin")
-	out, err := exec.Command(gen, "-kind", "rmat", "-scale", "10", "-edges", "20000",
+	out, err := exec.Command(genTool, "-kind", "rmat", "-scale", "10", "-edges", "20000",
 		"-seed", "3", "-out", graphFile).CombinedOutput()
 	if err != nil {
 		t.Fatalf("graphz-gen: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "unique degrees") {
 		t.Errorf("gen output missing summary: %s", out)
+	}
+	// The file is the raw edge format byte for byte: what graph.WriteEdges
+	// writes for the same spec and seed.
+	es, err := gen.Generate(gen.Spec{Kind: "rmat", Scale: 10, Vertices: 10000, Edges: 20000,
+		Skew: 0.9, Rows: 100, Cols: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	if err := graph.WriteEdges(dev, "raw", es); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := storage.ReadAllFile(dev, "raw")
+	if got, err := os.ReadFile(graphFile); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("graphz-gen wrote %d bytes (%v), not graph.WriteEdges' %d", len(got), err, len(want))
 	}
 
 	out, err = exec.Command(convert, "-in", graphFile).CombinedOutput()
@@ -168,7 +183,7 @@ func TestCommandLineTools(t *testing.T) {
 		{run, []string{"-in", graphFile, "-device", "sdd"}, 2, `unknown device "sdd"`},
 		{convert, []string{"-in", graphFile, "-device", "sdd"}, 2, `unknown device "sdd"`},
 		{serve, []string{"-in", "g=" + graphFile, "-device", "sdd"}, 2, `unknown device "sdd"`},
-		{gen, []string{"-kind", "rmatt", "-out", filepath.Join(dir, "x.bin")}, 2, `unknown generator "rmatt" (want rmat, zipf, er, or grid)`},
+		{genTool, []string{"-kind", "rmatt", "-out", filepath.Join(dir, "x.bin")}, 2, `unknown generator "rmatt" (want rmat, zipf, er, or grid)`},
 		{run, []string{"-gen", "rmatt"}, 0, `unknown generator "rmatt" (want rmat, zipf, er, or grid)`},
 		{serve, []string{"-gen", "g=rmatt"}, 0, `unknown generator "rmatt" (want rmat, zipf, er, or grid)`},
 		{convert, []string{"-in", graphFile, "-codec", "varint"}, 0, `"varint" (id 1) is retired, reconvert`},

@@ -179,9 +179,6 @@ func (e *Engine[V, M]) writeCheckpoint(iters int, done bool) error {
 // durable volume — this is what makes checkpoint overhead visible in the
 // bench tables' modeled Runtime.
 func (e *Engine[V, M]) chargeCheckpointIO(n int64, read bool) {
-	if e.opts.Clock == nil {
-		return
-	}
 	prof := storage.ProfileFor(e.dev.Kind())
 	t := prof.SeekLatency
 	bw := prof.WriteBandwidth

@@ -495,6 +495,7 @@ type Engine[V, M any] struct {
 	runs   RunUpdater[V, M]  // prog's own UpdateRun; nil updates a vertex a call
 	mcodec graph.Codec[M]
 	states graph.BulkCodec[V] // the state codec's own bulk form, or its per-value loop
+	vstate graph.StateFile[V] // the vertex-state file, coded by states
 	opts   Options
 
 	dev      *storage.Device
@@ -600,6 +601,7 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		dev:    layout.Device(),
 		adj:    layout.Adj(),
 		states: graph.Bulk(vcodec),
+		vstate: graph.NewStateFile(layout.Device(), opts.Name+".vstate", vcodec, opts.Clock),
 		vsize:  vcodec.Size(),
 		msize:  mcodec.Size(),
 		eo:     newEngineObs(opts.Obs, opts.Trace),
@@ -778,15 +780,9 @@ func (s split) partitionOf(v graph.VertexID) int {
 	return i
 }
 
-func (e *Engine[V, M]) vstateFile() string { return e.opts.Name + ".vstate" }
+func (e *Engine[V, M]) vstateFile() string { return e.vstate.Name() }
 
 func (e *Engine[V, M]) msgFile(p int) string { return e.msgFiles[p] }
-
-func (e *Engine[V, M]) charge(n int64, cost time.Duration) {
-	if e.opts.Clock != nil {
-		e.opts.Clock.ComputeUnits(n, cost)
-	}
-}
 
 // chargeLedger charges the modeled clock for the messages, updates and
 // adjacency entries the ledger gained since before, and for the bytes of
@@ -796,20 +792,11 @@ func (e *Engine[V, M]) charge(n int64, cost time.Duration) {
 // one partition's work is priced here in one charge — the same integer sum
 // the per-event charges came to.
 func (e *Engine[V, M]) chargeLedger(before *counters) {
-	if e.opts.Clock == nil {
-		return
-	}
 	e.opts.Clock.Compute(time.Duration(e.c.Sent-before.Sent)*sim.CostMessageSend +
 		time.Duration(e.c.Applied-before.Applied)*sim.CostMessageApply +
 		time.Duration(e.c.Updates-before.Updates)*sim.CostVertexUpdate +
 		time.Duration(e.c.edges-before.edges)*sim.CostEdgeScan +
 		time.Duration((e.c.Buffered-before.Buffered)*int64((4+e.msize)/4))*sim.CostByteCopy4)
-}
-
-func (e *Engine[V, M]) chargeBytes(n int64) {
-	if e.opts.Clock != nil {
-		e.opts.Clock.ComputeBytes(n)
-	}
 }
 
 // Run executes the program to convergence or MaxIterations and leaves the
@@ -854,9 +841,7 @@ func (e *Engine[V, M]) loop(startIter int) (Result, error) {
 	nParts := e.NumPartitions()
 	iters := startIter
 	for {
-		if e.opts.Clock != nil {
-			e.opts.Clock.BeginPhase(fmt.Sprintf("iter%d", iters))
-		}
+		e.opts.Clock.BeginIteration(iters)
 		e.active = false
 		before := e.c
 		var pendingBefore int64
@@ -1062,7 +1047,7 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	sparse := false
 	if e.sel != nil {
 		sched := e.planner.plan(e.sel, e.layout, lo, hi, start, end, e.adj.BlockEntries, defaultSelectiveDensity)
-		e.charge(sched.examined(), sim.CostActiveScan)
+		e.opts.Clock.ComputeUnits(sched.examined(), sim.CostActiveScan)
 		e.accountSelective(sched)
 		runs, sparse = sched.runs, !sched.streamAll
 	} else {
@@ -1511,36 +1496,16 @@ func (e *Engine[V, M]) loadVertices(lo, hi graph.VertexID, iter int) error {
 			}
 			e.verts[v-lo] = e.prog.Init(v, deg)
 		}
-		e.charge(int64(count), sim.CostVertexUpdate)
+		e.opts.Clock.ComputeUnits(int64(count), sim.CostVertexUpdate)
 		return nil
 	}
-	f, err := e.dev.Open(e.vstateFile())
-	if err != nil {
-		return err
-	}
-	buf := e.stage(count * e.vsize)
-	if err := storage.ReadFullAt(f, buf, int64(lo)*int64(e.vsize)); err != nil {
-		return fmt.Errorf("core: loading vertex states [%d,%d): %w", lo, hi, err)
-	}
-	e.states.DecodeAll(e.verts, buf)
-	e.chargeBytes(int64(len(buf)))
-	return nil
+	return e.vstate.Load(e.verts, lo, e.stage(count*e.vsize))
 }
 
 // storeVertices writes [lo, hi) back to the vertex state file.
 func (e *Engine[V, M]) storeVertices(lo, hi graph.VertexID) error {
 	count := int(hi - lo)
-	buf := e.stage(count * e.vsize)
-	e.states.EncodeAll(buf, e.verts[:count])
-	f, err := e.dev.Open(e.vstateFile())
-	if err != nil {
-		return err
-	}
-	if err := storage.WriteFullAt(f, buf, int64(lo)*int64(e.vsize)); err != nil {
-		return err
-	}
-	e.chargeBytes(int64(len(buf)))
-	return nil
+	return e.vstate.Store(e.verts[:count], lo, e.stage(count*e.vsize))
 }
 
 // makeMsgBufs makes the message buffers plan charged to the budget, one per
@@ -1691,17 +1656,7 @@ func (e *Engine[V, M]) Values() ([]V, error) {
 	if !e.finished {
 		return nil, fmt.Errorf("core: Values before Run")
 	}
-	data, err := storage.ReadAllFile(e.dev, e.vstateFile())
-	if err != nil {
-		return nil, err
-	}
-	n := e.layout.NumVertices()
-	if len(data) != n*e.vsize {
-		return nil, fmt.Errorf("core: vertex state file has %d bytes, want %d", len(data), n*e.vsize)
-	}
-	out := make([]V, n)
-	e.states.DecodeAll(out, data)
-	return out, nil
+	return e.vstate.ReadAll(e.layout.NumVertices())
 }
 
 // Cleanup removes the engine's runtime files from the device. Removal

@@ -12,7 +12,6 @@ package csr
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"graphz/internal/extsort"
 	"graphz/internal/graph"
@@ -157,14 +156,13 @@ func Build(cfg BuildConfig, edgeFile, prefix string) (*Graph, error) {
 	// natural ID space includes destinations; a first quick scan finds
 	// it. The paper charges GraphChi-style systems this extra pass too
 	// (their preprocessing computes vertex counts up front).
-	maxID, err := scanMaxID(dev, bySrc)
-	if err != nil {
-		return nil, err
-	}
-
 	inF, err := dev.Open(bySrc)
 	if err != nil {
 		return nil, err
+	}
+	maxID, _, err := graph.Extent(inF)
+	if err != nil {
+		return nil, fmt.Errorf("csr: %w", err)
 	}
 	eF, err := dev.Create(g.EdgesFile())
 	if err != nil {
@@ -174,7 +172,7 @@ func Build(cfg BuildConfig, edgeFile, prefix string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := storage.NewReader(inF)
+	s := graph.NewEdgeScanner(inF)
 	ew := storage.NewWriter(eF)
 	iw := storage.NewWriter(iF)
 
@@ -194,23 +192,20 @@ func Build(cfg BuildConfig, edgeFile, prefix string) (*Graph, error) {
 		}
 		return nil
 	}
-	var ebuf [graph.EdgeBytes]byte
-	for {
-		err := r.ReadFull(ebuf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("csr: scanning: %w", err)
-		}
-		e := graph.GetEdge(ebuf[:])
+	var entry [EntryBytes]byte
+	for s.Scan() {
+		e := s.Edge()
 		if err := writeIndexUpTo(int(e.Src)); err != nil {
 			return nil, err
 		}
-		if _, err := ew.Write(ebuf[4:8]); err != nil {
+		binary.LittleEndian.PutUint32(entry[:], uint32(e.Dst))
+		if _, err := ew.Write(entry[:]); err != nil {
 			return nil, err
 		}
 		off++
+	}
+	if s.Err() != nil {
+		return nil, fmt.Errorf("csr: scanning: %w", s.Err())
 	}
 	// Trailing vertices with no out-edges plus the terminator entry.
 	if err := writeIndexUpTo(numVertices); err != nil {
@@ -224,39 +219,11 @@ func Build(cfg BuildConfig, edgeFile, prefix string) (*Graph, error) {
 	}
 	g.NumVertices = numVertices
 	g.NumEdges = off
-	if cfg.Clock != nil {
-		cfg.Clock.ComputeBytes(off * graph.EdgeBytes)
-	}
+	cfg.Clock.ComputeBytes(off * graph.EdgeBytes)
 	if err := g.writeMeta(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-func scanMaxID(dev *storage.Device, name string) (graph.VertexID, error) {
-	f, err := dev.Open(name)
-	if err != nil {
-		return 0, err
-	}
-	r := storage.NewReader(f)
-	var maxID graph.VertexID
-	var buf [graph.EdgeBytes]byte
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			return maxID, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		e := graph.GetEdge(buf[:])
-		if e.Src > maxID {
-			maxID = e.Src
-		}
-		if e.Dst > maxID {
-			maxID = e.Dst
-		}
-	}
 }
 
 const metaMagic = 0x525343_47534f44

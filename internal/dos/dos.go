@@ -539,12 +539,6 @@ func (c *converter) sortOpt(recSz int, key func(rec []byte) uint64, in, out stri
 	}, in, out)
 }
 
-func (c *converter) charge(bytes int64) {
-	if c.cfg.Clock != nil {
-		c.cfg.Clock.ComputeBytes(bytes)
-	}
-}
-
 // putID, putPair and putTriad write the conversion's three record shapes —
 // one, two and three little-endian 32-bit words — where they go in w's
 // block buffer.
@@ -713,85 +707,50 @@ func (c *converter) run() (*Graph, error) {
 var hostDegreeCapIDs = int64(1) << 28
 
 // buildTriads emits the (src, dst, deg) triad list from the raw edges.
+// The edge file's extent comes first, from one sequential pass.
 func (c *converter) buildTriads(in, out string) (maxOld graph.VertexID, numEdges int64, err error) {
-	maxOld, numEdges, err = c.scanExtent(in)
+	inF, err := c.cfg.Dev.Open(in)
 	if err != nil {
 		return 0, 0, err
 	}
+	if maxOld, numEdges, err = graph.Extent(inF); err != nil {
+		return 0, 0, fmt.Errorf("dos: %w", err)
+	}
 	if int64(maxOld)+1 <= hostDegreeCapIDs {
-		err = c.buildTriadsCounted(in, out, maxOld, numEdges)
+		err = c.buildTriadsCounted(inF, out, maxOld, numEdges)
 		return maxOld, numEdges, err
 	}
 	err = c.buildTriadsSorted(in, out, numEdges)
 	return maxOld, numEdges, err
 }
 
-// scanExtent finds the maximum ID and edge count with one sequential
-// pass.
-func (c *converter) scanExtent(in string) (maxOld graph.VertexID, numEdges int64, err error) {
-	inF, err := c.cfg.Dev.Open(in)
-	if err != nil {
-		return 0, 0, err
-	}
-	r := storage.NewReader(inF)
-	for {
-		rec, rerr := r.Next(graph.EdgeBytes)
-		if rerr == io.EOF {
-			return maxOld, numEdges, nil
-		}
-		if rerr != nil {
-			return 0, 0, fmt.Errorf("dos: scanning edges: %w", rerr)
-		}
-		e := graph.GetEdge(rec)
-		numEdges++
-		if e.Src > maxOld {
-			maxOld = e.Src
-		}
-		if e.Dst > maxOld {
-			maxOld = e.Dst
-		}
-	}
-}
-
 // buildTriadsCounted counts out-degrees into a host array with one scan,
 // then annotates every edge with its source degree in a second scan.
-func (c *converter) buildTriadsCounted(in, out string, maxOld graph.VertexID, numEdges int64) error {
+func (c *converter) buildTriadsCounted(inF *storage.File, out string, maxOld graph.VertexID, numEdges int64) error {
 	deg := make([]uint32, int64(maxOld)+1)
-	inF, err := c.cfg.Dev.Open(in)
-	if err != nil {
-		return err
+	s := graph.NewEdgeScanner(inF)
+	for s.Scan() {
+		deg[s.Edge().Src]++
 	}
-	r := storage.NewReader(inF)
-	for {
-		rec, rerr := r.Next(graph.EdgeBytes)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return fmt.Errorf("dos: counting degrees: %w", rerr)
-		}
-		deg[graph.GetEdge(rec).Src]++
+	if s.Err() != nil {
+		return fmt.Errorf("dos: counting degrees: %w", s.Err())
 	}
 	outF, err := c.cfg.Dev.Create(out)
 	if err != nil {
 		return err
 	}
 	w := storage.NewWriter(outF)
-	r = storage.NewReader(inF)
-	for {
-		rec, rerr := r.Next(graph.EdgeBytes)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return fmt.Errorf("dos: emitting triads: %w", rerr)
-		}
-		e := graph.GetEdge(rec)
+	s = graph.NewEdgeScanner(inF)
+	for s.Scan() {
+		e := s.Edge()
 		if err := putTriad(w, uint32(e.Src), uint32(e.Dst), deg[e.Src]); err != nil {
 			return err
 		}
 	}
-	c.charge(numEdges * (graph.EdgeBytes + triadBytes))
+	if s.Err() != nil {
+		return fmt.Errorf("dos: emitting triads: %w", s.Err())
+	}
+	c.cfg.Clock.ComputeBytes(numEdges * (graph.EdgeBytes + triadBytes))
 	return w.Flush()
 }
 
@@ -813,7 +772,7 @@ func (c *converter) buildTriadsSorted(in, out string, numEdges int64) error {
 		return err
 	}
 	w := storage.NewWriter(outF)
-	r := storage.NewReader(inF)
+	s := graph.NewEdgeScanner(inF)
 
 	var runSrc graph.VertexID
 	var runDsts []graph.VertexID
@@ -829,15 +788,8 @@ func (c *converter) buildTriadsSorted(in, out string, numEdges int64) error {
 	}
 
 	first := true
-	for {
-		rec, rerr := r.Next(graph.EdgeBytes)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return fmt.Errorf("dos: scanning sorted edges: %w", rerr)
-		}
-		e := graph.GetEdge(rec)
+	for s.Scan() {
+		e := s.Edge()
 		if first || e.Src != runSrc {
 			if !first {
 				if err := flush(); err != nil {
@@ -849,12 +801,15 @@ func (c *converter) buildTriadsSorted(in, out string, numEdges int64) error {
 		}
 		runDsts = append(runDsts, e.Dst)
 	}
+	if s.Err() != nil {
+		return fmt.Errorf("dos: scanning sorted edges: %w", s.Err())
+	}
 	if !first {
 		if err := flush(); err != nil {
 			return err
 		}
 	}
-	c.charge(numEdges * (graph.EdgeBytes + triadBytes))
+	c.cfg.Clock.ComputeBytes(numEdges * (graph.EdgeBytes + triadBytes))
 	return w.Flush()
 }
 
@@ -926,7 +881,7 @@ func (c *converter) relabelSources(in, edgesOut, pairsOut string, g *Graph) (int
 			return 0, err
 		}
 	}
-	c.charge(bytesScanned)
+	c.cfg.Clock.ComputeBytes(bytesScanned)
 	if err := ew.Flush(); err != nil {
 		return 0, err
 	}
@@ -991,7 +946,7 @@ func (c *converter) relabelDestinations(byDst, pairsByOld, edgesOut, zeroPairs s
 	if err != nil {
 		return 0, err
 	}
-	r := storage.NewReader(inF)
+	s := graph.NewEdgeScanner(inF)
 	ew := storage.NewWriter(eF)
 	zw := storage.NewWriter(zF)
 
@@ -1000,17 +955,9 @@ func (c *converter) relabelDestinations(byDst, pairsByOld, edgesOut, zeroPairs s
 	var lastNew uint32
 	haveLast := false
 	var bytesScanned int64
-	for {
-		rec, err := r.Next(graph.EdgeBytes)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, fmt.Errorf("dos: scanning dst-sorted edges: %w", err)
-		}
+	for s.Scan() {
 		bytesScanned += graph.EdgeBytes
-		newSrc := binary.LittleEndian.Uint32(rec[0:])
-		dst := binary.LittleEndian.Uint32(rec[4:])
+		newSrc, dst := uint32(s.Edge().Src), uint32(s.Edge().Dst)
 		if !haveLast || dst != lastDst {
 			// Advance the map to dst.
 			for !m.done && m.a < dst {
@@ -1035,7 +982,10 @@ func (c *converter) relabelDestinations(byDst, pairsByOld, edgesOut, zeroPairs s
 			return 0, err
 		}
 	}
-	c.charge(bytesScanned)
+	if s.Err() != nil {
+		return 0, fmt.Errorf("dos: scanning dst-sorted edges: %w", s.Err())
+	}
+	c.cfg.Clock.ComputeBytes(bytesScanned)
 	if err := ew.Flush(); err != nil {
 		return 0, err
 	}
@@ -1131,32 +1081,28 @@ func (c *converter) emitEdges(finalSorted string, g *Graph) error {
 	if err != nil {
 		return err
 	}
-	r := storage.NewReader(inF)
+	s := graph.NewEdgeScanner(inF)
 	w := storage.NewWriter(outF)
 	var entries int64
-	var prevSrc uint32
-	for {
-		rec, err := r.Next(graph.EdgeBytes)
-		if err == io.EOF {
-			break
+	var prevSrc graph.VertexID
+	for s.Scan() {
+		e := s.Edge()
+		if e.Src < prevSrc {
+			return fmt.Errorf("dos: final edges not sorted: src %d after %d", e.Src, prevSrc)
 		}
-		if err != nil {
-			return fmt.Errorf("dos: emitting edges: %w", err)
-		}
-		src := binary.LittleEndian.Uint32(rec[0:])
-		if src < prevSrc {
-			return fmt.Errorf("dos: final edges not sorted: src %d after %d", src, prevSrc)
-		}
-		prevSrc = src
-		if err := putID(w, binary.LittleEndian.Uint32(rec[4:])); err != nil {
+		prevSrc = e.Src
+		if err := putID(w, uint32(e.Dst)); err != nil {
 			return err
 		}
 		entries++
 	}
+	if s.Err() != nil {
+		return fmt.Errorf("dos: emitting edges: %w", s.Err())
+	}
 	if entries != g.NumEdges {
 		return fmt.Errorf("dos: emitted %d entries, expected %d", entries, g.NumEdges)
 	}
-	c.charge(entries * graph.EdgeBytes)
+	c.cfg.Clock.ComputeBytes(entries * graph.EdgeBytes)
 	return w.Flush()
 }
 
@@ -1174,7 +1120,7 @@ func (c *converter) emitEdgesV2(finalSorted string, g *Graph) error {
 	if err != nil {
 		return err
 	}
-	r := storage.NewReader(inF)
+	s := graph.NewEdgeScanner(inF)
 	w := storage.NewWriter(outF)
 
 	block := make([]uint32, 0, g.blockEntries)
@@ -1197,16 +1143,8 @@ func (c *converter) emitEdgesV2(finalSorted string, g *Graph) error {
 
 	var entries int64
 	var prevSrc, prevDst uint32
-	for {
-		rec, err := r.Next(graph.EdgeBytes)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("dos: emitting edges: %w", err)
-		}
-		src := binary.LittleEndian.Uint32(rec[0:])
-		dst := binary.LittleEndian.Uint32(rec[4:])
+	for s.Scan() {
+		src, dst := uint32(s.Edge().Src), uint32(s.Edge().Dst)
 		if src < prevSrc || (src == prevSrc && entries > 0 && dst < prevDst) {
 			return fmt.Errorf("dos: final edges not sorted: (%d,%d) after (%d,%d)", src, dst, prevSrc, prevDst)
 		}
@@ -1219,6 +1157,9 @@ func (c *converter) emitEdgesV2(finalSorted string, g *Graph) error {
 		}
 		entries++
 	}
+	if s.Err() != nil {
+		return fmt.Errorf("dos: emitting edges: %w", s.Err())
+	}
 	if err := flush(); err != nil {
 		return err
 	}
@@ -1226,6 +1167,6 @@ func (c *converter) emitEdgesV2(finalSorted string, g *Graph) error {
 		return fmt.Errorf("dos: emitted %d entries, expected %d", entries, g.NumEdges)
 	}
 	// Encoding is a compute pass over every entry on top of the scan.
-	c.charge(entries * (graph.EdgeBytes + EntryBytes))
+	c.cfg.Clock.ComputeBytes(entries * (graph.EdgeBytes + EntryBytes))
 	return w.Flush()
 }

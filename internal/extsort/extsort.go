@@ -222,7 +222,7 @@ func Sort(cfg Config, input, output string) error {
 
 	// Charge the comparison work up front: ~N log2 N record moves
 	// across run formation plus all merge passes.
-	if cfg.Clock != nil && nRecords > 1 {
+	if nRecords > 1 {
 		levels := int64(math.Ceil(math.Log2(float64(nRecords))))
 		cfg.Clock.ComputeUnits(nRecords*levels, sim.CostRecordSort)
 	}

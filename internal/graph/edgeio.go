@@ -36,22 +36,20 @@ func ReadEdges(dev *storage.Device, name string) ([]Edge, error) {
 		return nil, fmt.Errorf("graph: %q size %d is not a multiple of %d", name, size, EdgeBytes)
 	}
 	edges := make([]Edge, 0, size/EdgeBytes)
-	r := storage.NewReader(f)
-	var buf [EdgeBytes]byte
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			return edges, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading edges from %q: %w", name, err)
-		}
-		edges = append(edges, GetEdge(buf[:]))
+	s := NewEdgeScanner(f)
+	for s.Scan() {
+		edges = append(edges, s.Edge())
 	}
+	if err := s.Err(); err != nil {
+		return nil, fmt.Errorf("graph: reading edges from %q: %w", name, err)
+	}
+	return edges, nil
 }
 
 // EdgeScanner streams edges from a device file without loading them all,
-// the access pattern out-of-core preprocessing uses.
+// the access pattern out-of-core preprocessing uses. It decodes each
+// record where it lies in its Reader's block buffer (storage.Reader.Next),
+// issuing the device reads a ReadFull per record would.
 type EdgeScanner struct {
 	r   *storage.Reader
 	cur Edge
@@ -65,21 +63,36 @@ func NewEdgeScanner(f *storage.File) *EdgeScanner {
 
 // Scan advances to the next edge, returning false at EOF or error.
 func (s *EdgeScanner) Scan() bool {
-	var buf [EdgeBytes]byte
-	err := s.r.ReadFull(buf[:])
-	if err == io.EOF {
-		return false
-	}
+	rec, err := s.r.Next(EdgeBytes)
 	if err != nil {
-		s.err = err
+		if err != io.EOF {
+			s.err = err
+		}
 		return false
 	}
-	s.cur = GetEdge(buf[:])
+	s.cur = GetEdge(rec)
 	return true
 }
 
 // Edge returns the current edge.
 func (s *EdgeScanner) Edge() Edge { return s.cur }
 
-// Err returns the first non-EOF error encountered.
+// Err returns the first non-EOF error encountered: a device error, or
+// io.ErrUnexpectedEOF for a file that ends inside a record.
 func (s *EdgeScanner) Err() error { return s.err }
+
+// Extent scans an edge file once for the largest vertex ID its edges
+// name, as source or destination, and for its edge count. An empty file
+// has extent (0, 0).
+func Extent(f *storage.File) (maxID VertexID, edges int64, err error) {
+	s := NewEdgeScanner(f)
+	for s.Scan() {
+		e := s.Edge()
+		edges++
+		maxID = max(maxID, e.Src, e.Dst)
+	}
+	if s.Err() != nil {
+		return 0, 0, fmt.Errorf("graph: scanning the extent of %q: %w", f.Name(), s.Err())
+	}
+	return maxID, edges, nil
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"graphz/internal/graph"
@@ -94,9 +95,11 @@ type Engine[V, E any] struct {
 	ecodec graph.Codec[E]
 	opts   Options
 	dev    *storage.Device
+	states graph.StateFile[V]
 
 	inDeg, outDeg []uint32
-	verts         []V
+	verts         []V    // states of the interval being updated
+	stage         []byte // their encoded bytes on load and store
 	updates       int64
 	traversed     int64
 	finished      bool
@@ -123,23 +126,10 @@ func New[V, E any](sh *Shards, prog Program[V, E], vcodec graph.Codec[V], ecodec
 	}
 	return &Engine[V, E]{
 		sh: sh, prog: prog, vcodec: vcodec, ecodec: ecodec, opts: opts,
-		dev: sh.Device(),
-		rec: obs.NewStageRecorder(engineName, opts.Obs, opts.Trace),
+		dev:    sh.Device(),
+		states: graph.NewStateFile(sh.Device(), opts.Name+".vstate", vcodec, opts.Clock),
+		rec:    obs.NewStageRecorder(engineName, opts.Obs, opts.Trace),
 	}, nil
-}
-
-func (e *Engine[V, E]) vstateFile() string { return e.opts.Name + ".vstate" }
-
-func (e *Engine[V, E]) charge(n int64, cost time.Duration) {
-	if e.opts.Clock != nil {
-		e.opts.Clock.ComputeUnits(n, cost)
-	}
-}
-
-func (e *Engine[V, E]) chargeBytes(n int64) {
-	if e.opts.Clock != nil {
-		e.opts.Clock.ComputeBytes(n)
-	}
 }
 
 // Run executes the program.
@@ -155,9 +145,7 @@ func (e *Engine[V, E]) Run() (Result, error) {
 	}
 	iters := 0
 	for {
-		if e.opts.Clock != nil {
-			e.opts.Clock.BeginPhase(fmt.Sprintf("iter%d", iters))
-		}
+		e.opts.Clock.BeginIteration(iters)
 		active := false
 		var devBefore storage.Stats
 		if e.rec.On {
@@ -212,10 +200,8 @@ func (e *Engine[V, E]) loadDegrees() error {
 // initPass writes initial vertex states and rewrites every shard with the
 // program's initial edge values (GraphChi's data initialization IO).
 func (e *Engine[V, E]) initPass() error {
-	if e.opts.Clock != nil {
-		e.opts.Clock.BeginPhase("init")
-	}
-	vf, err := e.dev.Create(e.vstateFile())
+	e.opts.Clock.BeginPhase("init")
+	vf, err := e.dev.Create(e.states.Name())
 	if err != nil {
 		return err
 	}
@@ -230,7 +216,7 @@ func (e *Engine[V, E]) initPass() error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	e.chargeBytes(int64(e.sh.NumVertices) * int64(e.vcodec.Size()))
+	e.opts.Clock.ComputeBytes(int64(e.sh.NumVertices) * int64(e.vcodec.Size()))
 
 	rec := e.sh.recBytes()
 	for p := 0; p < e.sh.NumShards(); p++ {
@@ -259,7 +245,7 @@ func (e *Engine[V, E]) initPass() error {
 		if err := out.Flush(); err != nil {
 			return err
 		}
-		e.chargeBytes(e.sh.ShardEntries[p] * int64(rec))
+		e.opts.Clock.ComputeBytes(e.sh.ShardEntries[p] * int64(rec))
 	}
 	return nil
 }
@@ -312,7 +298,9 @@ func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *b
 		t = time.Now()
 	}
 	// Load vertex states.
-	if err := e.loadVertices(lo, hi); err != nil {
+	e.verts = slices.Grow(e.verts[:0], count)[:count]
+	e.stage = slices.Grow(e.stage[:0], count*e.vcodec.Size())
+	if err := e.states.Load(e.verts, lo, e.stage); err != nil {
 		return err
 	}
 	// Load the memory shard (in-edges of the interval).
@@ -385,15 +373,15 @@ func (e *Engine[V, E]) runInterval(p, iter int, cursors []shardCursor, active *b
 		e.updates++
 		ne := int64(len(in[i]) + len(out[i]))
 		e.traversed += ne
-		e.charge(1, sim.CostVertexUpdate)
-		e.charge(ne, sim.CostEdgeScan)
+		e.opts.Clock.ComputeUnits(1, sim.CostVertexUpdate)
+		e.opts.Clock.ComputeUnits(ne, sim.CostEdgeScan)
 	}
 	if e.rec.On {
 		t = e.rec.Since(obs.StageWorker, iter, p, t)
 	}
 
 	// Write back: vertex states, the memory shard, and the windows.
-	if err := e.storeVertices(lo, hi); err != nil {
+	if err := e.states.Store(e.verts, lo, e.stage); err != nil {
 		return err
 	}
 	if err := e.storeShardRange(p, 0, ms.src, ms.dst, ms.vals); err != nil {
@@ -453,7 +441,7 @@ func (e *Engine[V, E]) loadShard(p int) (*memShard[E], error) {
 		ms.dst[i] = graph.VertexID(binary.LittleEndian.Uint32(data[o+4:]))
 		ms.vals[i] = e.ecodec.Decode(data[o+8:])
 	}
-	e.chargeBytes(int64(len(data)))
+	e.opts.Clock.ComputeBytes(int64(len(data)))
 	return ms, nil
 }
 
@@ -508,7 +496,7 @@ func (e *Engine[V, E]) loadWindow(j int, hi graph.VertexID, cur *shardCursor) (*
 			break
 		}
 	}
-	e.chargeBytes(int64(len(w.src)) * rec)
+	e.opts.Clock.ComputeBytes(int64(len(w.src)) * rec)
 	return w, nil
 }
 
@@ -534,51 +522,7 @@ func (e *Engine[V, E]) storeShardRange(p int, startEntry int64, src, dst []graph
 	if _, err := w.Write(data); err != nil {
 		return err
 	}
-	e.chargeBytes(int64(len(data)))
-	return w.Flush()
-}
-
-// loadVertices reads the interval's vertex states into e.verts.
-func (e *Engine[V, E]) loadVertices(lo, hi graph.VertexID) error {
-	count := int(hi - lo)
-	if cap(e.verts) < count {
-		e.verts = make([]V, count)
-	}
-	e.verts = e.verts[:count]
-	f, err := e.dev.Open(e.vstateFile())
-	if err != nil {
-		return err
-	}
-	vs := int64(e.vcodec.Size())
-	buf := make([]byte, int64(count)*vs)
-	r := storage.NewRangeReader(f, int64(lo)*vs, int64(hi)*vs)
-	if err := r.ReadFull(buf); err != nil {
-		return fmt.Errorf("graphchi: loading vertices [%d,%d): %w", lo, hi, err)
-	}
-	for i := 0; i < count; i++ {
-		e.verts[i] = e.vcodec.Decode(buf[int64(i)*vs:])
-	}
-	e.chargeBytes(int64(len(buf)))
-	return nil
-}
-
-// storeVertices writes the interval's vertex states back.
-func (e *Engine[V, E]) storeVertices(lo, hi graph.VertexID) error {
-	count := int(hi - lo)
-	vs := e.vcodec.Size()
-	buf := make([]byte, count*vs)
-	for i := 0; i < count; i++ {
-		e.vcodec.Encode(buf[i*vs:], e.verts[i])
-	}
-	f, err := e.dev.Open(e.vstateFile())
-	if err != nil {
-		return err
-	}
-	w := storage.NewWriterAt(f, int64(lo)*int64(vs))
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	e.chargeBytes(int64(len(buf)))
+	e.opts.Clock.ComputeBytes(int64(len(data)))
 	return w.Flush()
 }
 
@@ -587,23 +531,10 @@ func (e *Engine[V, E]) Values() ([]V, error) {
 	if !e.finished {
 		return nil, fmt.Errorf("graphchi: Values before Run")
 	}
-	data, err := storage.ReadAllFile(e.dev, e.vstateFile())
-	if err != nil {
-		return nil, err
-	}
-	vs := e.vcodec.Size()
-	n := e.sh.NumVertices
-	if len(data) != n*vs {
-		return nil, fmt.Errorf("graphchi: vertex state file has %d bytes, want %d", len(data), n*vs)
-	}
-	out := make([]V, n)
-	for i := range out {
-		out[i] = e.vcodec.Decode(data[i*vs:])
-	}
-	return out, nil
+	return e.states.ReadAll(e.sh.NumVertices)
 }
 
 // Cleanup removes the engine's runtime files.
 func (e *Engine[V, E]) Cleanup() {
-	e.dev.Remove(e.vstateFile())
+	e.dev.Remove(e.states.Name())
 }

@@ -16,7 +16,6 @@ package graphchi
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"graphz/internal/extsort"
 	"graphz/internal/graph"
@@ -115,9 +114,13 @@ func Shard(cfg ShardConfig, edgeFile, prefix string) (*Shards, error) {
 	}
 	defer dev.Remove(byDst)
 
-	maxID, numEdges, err := scanMax(dev, byDst)
+	byDstF, err := dev.Open(byDst)
 	if err != nil {
 		return nil, err
+	}
+	maxID, numEdges, err := graph.Extent(byDstF)
+	if err != nil {
+		return nil, fmt.Errorf("graphchi: %w", err)
 	}
 	s.NumEdges = numEdges
 	if numEdges > 0 || maxID > 0 {
@@ -131,7 +134,7 @@ func Shard(cfg ShardConfig, edgeFile, prefix string) (*Shards, error) {
 
 	// Pass 2: split the dst-sorted edges into nShards interval files
 	// at destination boundaries.
-	parts, starts, err := splitByDst(dev, byDst, prefix, numEdges, nShards, graph.VertexID(s.NumVertices))
+	parts, starts, err := splitByDst(dev, byDstF, prefix, numEdges, nShards, graph.VertexID(s.NumVertices))
 	if err != nil {
 		return nil, err
 	}
@@ -161,9 +164,7 @@ func Shard(cfg ShardConfig, edgeFile, prefix string) (*Shards, error) {
 	if err := writeDegrees(dev, cfg, s, edgeFile); err != nil {
 		return nil, err
 	}
-	if cfg.Clock != nil {
-		cfg.Clock.ComputeBytes(3 * numEdges * graph.EdgeBytes)
-	}
+	cfg.Clock.ComputeBytes(3 * numEdges * graph.EdgeBytes)
 	if err := s.writeMeta(); err != nil {
 		return nil, err
 	}
@@ -185,43 +186,10 @@ func autoShards(s *Shards, budget int64) int {
 	return n
 }
 
-func scanMax(dev *storage.Device, name string) (graph.VertexID, int64, error) {
-	f, err := dev.Open(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	r := storage.NewReader(f)
-	var maxID graph.VertexID
-	var n int64
-	var buf [graph.EdgeBytes]byte
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			return maxID, n, nil
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		e := graph.GetEdge(buf[:])
-		n++
-		if e.Src > maxID {
-			maxID = e.Src
-		}
-		if e.Dst > maxID {
-			maxID = e.Dst
-		}
-	}
-}
-
 // splitByDst cuts the dst-sorted edge stream into nShards parts of
 // roughly equal edge count, never splitting a destination across parts.
 // It returns the part files and the interval start IDs.
-func splitByDst(dev *storage.Device, byDst, prefix string, numEdges int64, nShards int, numVertices graph.VertexID) ([]string, []graph.VertexID, error) {
-	f, err := dev.Open(byDst)
-	if err != nil {
-		return nil, nil, err
-	}
-	r := storage.NewReader(f)
+func splitByDst(dev *storage.Device, byDst *storage.File, prefix string, numEdges int64, nShards int, numVertices graph.VertexID) ([]string, []graph.VertexID, error) {
 	target := numEdges / int64(nShards)
 	if target < 1 {
 		target = 1
@@ -248,15 +216,9 @@ func splitByDst(dev *storage.Device, byDst, prefix string, numEdges int64, nShar
 	var lastDst graph.VertexID
 	havePrev := false
 	var buf [graph.EdgeBytes]byte
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		e := graph.GetEdge(buf[:])
+	sc := graph.NewEdgeScanner(byDst)
+	for sc.Scan() {
+		e := sc.Edge()
 		// Cut at a destination boundary once the part is full, as
 		// long as more shards are allowed.
 		if havePrev && e.Dst != lastDst && inPart >= target && len(parts) < nShards {
@@ -270,12 +232,16 @@ func splitByDst(dev *storage.Device, byDst, prefix string, numEdges int64, nShar
 			}
 			inPart = 0
 		}
+		graph.PutEdge(buf[:], e)
 		if _, err := w.Write(buf[:]); err != nil {
 			return nil, nil, err
 		}
 		inPart++
 		lastDst = e.Dst
 		havePrev = true
+	}
+	if sc.Err() != nil {
+		return nil, nil, sc.Err()
 	}
 	if err := w.Flush(); err != nil {
 		return nil, nil, err
@@ -306,27 +272,19 @@ func emitShard(dev *storage.Device, in, out string, evalSize int) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	r := storage.NewReader(inF)
+	sc := graph.NewEdgeScanner(inF)
 	w := storage.NewWriter(outF)
-	rec := make([]byte, 8+evalSize)
-	var ebuf [graph.EdgeBytes]byte
+	rec := make([]byte, 8+evalSize) // the edge value stays zero
 	var n int64
-	for {
-		err := r.ReadFull(ebuf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-		copy(rec[:8], ebuf[:])
-		for i := 8; i < len(rec); i++ {
-			rec[i] = 0
-		}
+	for sc.Scan() {
+		graph.PutEdge(rec, sc.Edge())
 		if _, err := w.Write(rec); err != nil {
 			return 0, err
 		}
 		n++
+	}
+	if sc.Err() != nil {
+		return 0, sc.Err()
 	}
 	return n, w.Flush()
 }
@@ -343,19 +301,13 @@ func writeDegrees(dev *storage.Device, cfg ShardConfig, s *Shards, edgeFile stri
 	if err != nil {
 		return err
 	}
-	r := storage.NewReader(f)
-	var buf [graph.EdgeBytes]byte
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		e := graph.GetEdge(buf[:])
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
+	sc := graph.NewEdgeScanner(f)
+	for sc.Scan() {
+		outDeg[sc.Edge().Src]++
+		inDeg[sc.Edge().Dst]++
+	}
+	if sc.Err() != nil {
+		return sc.Err()
 	}
 	df, err := dev.Create(s.DegreeFile())
 	if err != nil {

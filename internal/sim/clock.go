@@ -65,7 +65,9 @@ func (p Phase) Wall() time.Duration {
 }
 
 // Clock accumulates modeled compute and IO time, split into phases. The
-// zero value is not usable; call NewClock. Clock is safe for concurrent
+// zero value is not usable; call NewClock. A nil *Clock is "no
+// accounting": every method on it does nothing and reads as zero, so a
+// caller charges it without asking first. Clock is safe for concurrent
 // use: engine pipelines charge compute from workers while the device
 // charges IO.
 type Clock struct {
@@ -84,6 +86,9 @@ func NewClock() *Clock {
 // BeginPhase closes the current phase (if it accumulated any time) and
 // opens a new one with the given name.
 func (c *Clock) BeginPhase(name string) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.open && (c.current.Compute > 0 || c.current.IO > 0) {
@@ -93,9 +98,18 @@ func (c *Clock) BeginPhase(name string) {
 	c.open = true
 }
 
+// BeginIteration opens the phase of iteration i, named "iter<i>". On a nil
+// Clock it does not build the name.
+func (c *Clock) BeginIteration(i int) {
+	if c == nil {
+		return
+	}
+	c.BeginPhase(fmt.Sprintf("iter%d", i))
+}
+
 // Compute charges d of compute time to the current phase.
 func (c *Clock) Compute(d time.Duration) {
-	if d <= 0 {
+	if c == nil || d <= 0 {
 		return
 	}
 	c.mu.Lock()
@@ -119,7 +133,7 @@ func (c *Clock) ComputeBytes(n int64) {
 
 // IO charges d of IO time to the current phase.
 func (c *Clock) IO(d time.Duration) {
-	if d <= 0 {
+	if c == nil || d <= 0 {
 		return
 	}
 	c.mu.Lock()
@@ -130,6 +144,9 @@ func (c *Clock) IO(d time.Duration) {
 // Phases returns a copy of all phases, including the current one if it has
 // accumulated time.
 func (c *Clock) Phases() []Phase {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Phase, len(c.phases), len(c.phases)+1)

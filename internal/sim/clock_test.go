@@ -96,3 +96,34 @@ func TestPhaseWall(t *testing.T) {
 		t.Errorf("Wall = %v, want 7s", p.Wall())
 	}
 }
+
+// TestNilClock: a nil *Clock is "no accounting" — every method does
+// nothing, none panics, and every reading is zero.
+func TestNilClock(t *testing.T) {
+	var c *Clock
+	c.BeginPhase("a")
+	c.BeginIteration(3)
+	c.Compute(time.Second)
+	c.ComputeUnits(10, CostEdgeScan)
+	c.ComputeBytes(4096)
+	c.IO(time.Second)
+	if p := c.Phases(); p != nil {
+		t.Errorf("Phases = %v, want nil", p)
+	}
+	if c.Total() != 0 || c.TotalCompute() != 0 || c.TotalIO() != 0 {
+		t.Errorf("Total %v, TotalCompute %v, TotalIO %v, want all 0", c.Total(), c.TotalCompute(), c.TotalIO())
+	}
+	if got, want := c.String(), "sim.Clock{total=0s compute=0s io=0s phases=0}"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
+// TestBeginIteration: the iteration phase is BeginPhase of "iter<i>".
+func TestBeginIteration(t *testing.T) {
+	c := NewClock()
+	c.BeginIteration(7)
+	c.Compute(time.Millisecond)
+	if p := c.Phases(); len(p) != 1 || p[0].Name != "iter7" {
+		t.Errorf("phases = %v, want one named iter7", p)
+	}
+}

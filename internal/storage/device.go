@@ -408,9 +408,7 @@ func (d *Device) chargeRead(f *file, off, n int64) {
 	if d.profile.ReadBandwidth > 0 {
 		t += time.Duration(float64(n) / d.profile.ReadBandwidth * float64(time.Second))
 	}
-	if d.clock != nil {
-		d.clock.IO(t)
-	}
+	d.clock.IO(t)
 }
 
 // chargeWrite accounts one write op of n bytes at offset off (writes are
@@ -434,9 +432,7 @@ func (d *Device) chargeWrite(f *file, off, n int64) {
 	if d.profile.WriteBandwidth > 0 {
 		t += time.Duration(float64(n) / d.profile.WriteBandwidth * float64(time.Second))
 	}
-	if d.clock != nil {
-		d.clock.IO(t)
-	}
+	d.clock.IO(t)
 }
 
 // setSize makes the file size bytes long by attaching or dropping extents.

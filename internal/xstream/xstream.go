@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"graphz/internal/graph"
@@ -134,40 +135,21 @@ func Partition(cfg PartitionConfig, edgeFile, prefix string) (*Partitioned, erro
 		return nil, err
 	}
 	// Pass 1: max ID, edge count, out-degrees.
-	r := storage.NewReader(f)
-	var maxID graph.VertexID
-	var buf [graph.EdgeBytes]byte
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		e := graph.GetEdge(buf[:])
-		p.NumEdges++
-		if e.Src > maxID {
-			maxID = e.Src
-		}
-		if e.Dst > maxID {
-			maxID = e.Dst
-		}
+	maxID, numEdges, err := graph.Extent(f)
+	if err != nil {
+		return nil, fmt.Errorf("xstream: %w", err)
 	}
+	p.NumEdges = numEdges
 	if p.NumEdges > 0 || maxID > 0 {
 		p.NumVertices = int(maxID) + 1
 	}
 	outDeg := make([]uint32, p.NumVertices)
-	r = storage.NewReader(f)
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		outDeg[graph.GetEdge(buf[:]).Src]++
+	s := graph.NewEdgeScanner(f)
+	for s.Scan() {
+		outDeg[s.Edge().Src]++
+	}
+	if s.Err() != nil {
+		return nil, s.Err()
 	}
 	df, err := dev.Create(p.DegreeFile())
 	if err != nil {
@@ -211,28 +193,23 @@ func Partition(cfg PartitionConfig, edgeFile, prefix string) (*Partitioned, erro
 		}
 		writers[i] = storage.NewWriter(pf)
 	}
-	r = storage.NewReader(f)
-	for {
-		err := r.ReadFull(buf[:])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	var buf [graph.EdgeBytes]byte
+	s = graph.NewEdgeScanner(f)
+	for s.Scan() {
+		graph.PutEdge(buf[:], s.Edge())
+		if _, err := writers[p.partitionOf(s.Edge().Src)].Write(buf[:]); err != nil {
 			return nil, err
 		}
-		e := graph.GetEdge(buf[:])
-		if _, err := writers[p.partitionOf(e.Src)].Write(buf[:]); err != nil {
-			return nil, err
-		}
+	}
+	if s.Err() != nil {
+		return nil, s.Err()
 	}
 	for _, w := range writers {
 		if err := w.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.Clock != nil {
-		cfg.Clock.ComputeBytes(3 * p.NumEdges * graph.EdgeBytes)
-	}
+	cfg.Clock.ComputeBytes(3 * p.NumEdges * graph.EdgeBytes)
 	if err := p.writeMeta(); err != nil {
 		return nil, err
 	}
@@ -288,8 +265,10 @@ type Engine[V, U any] struct {
 	ucodec graph.Codec[U]
 	opts   Options
 	dev    *storage.Device
+	states graph.StateFile[V]
 
-	verts    []V
+	verts    []V    // states of the partition being streamed
+	stage    []byte // their encoded bytes on load and store
 	updates  int64
 	streamed int64
 	finished bool
@@ -307,27 +286,14 @@ func New[V, U any](pt *Partitioned, prog Program[V, U], vcodec graph.Codec[V], u
 	}
 	return &Engine[V, U]{
 		pt: pt, prog: prog, vcodec: vcodec, ucodec: ucodec, opts: opts,
-		dev: pt.Device(),
-		rec: obs.NewStageRecorder(engineName, opts.Obs, opts.Trace),
+		dev:    pt.Device(),
+		states: graph.NewStateFile(pt.Device(), opts.Name+".vstate", vcodec, opts.Clock),
+		rec:    obs.NewStageRecorder(engineName, opts.Obs, opts.Trace),
 	}, nil
 }
 
-func (e *Engine[V, U]) vstateFile() string { return e.opts.Name + ".vstate" }
-
 func (e *Engine[V, U]) updateFile(k int) string {
 	return fmt.Sprintf("%s.upd.%d", e.opts.Name, k)
-}
-
-func (e *Engine[V, U]) charge(n int64, cost time.Duration) {
-	if e.opts.Clock != nil {
-		e.opts.Clock.ComputeUnits(n, cost)
-	}
-}
-
-func (e *Engine[V, U]) chargeBytes(n int64) {
-	if e.opts.Clock != nil {
-		e.opts.Clock.ComputeBytes(n)
-	}
 }
 
 // Run executes the program.
@@ -346,9 +312,7 @@ func (e *Engine[V, U]) Run() (Result, error) {
 	}
 	iters := 0
 	for {
-		if e.opts.Clock != nil {
-			e.opts.Clock.BeginPhase(fmt.Sprintf("iter%d", iters))
-		}
+		e.opts.Clock.BeginIteration(iters)
 		var devBefore storage.Stats
 		if e.rec.On {
 			devBefore = e.dev.Stats()
@@ -389,14 +353,12 @@ func (e *Engine[V, U]) Run() (Result, error) {
 
 // initPass streams the degree file and writes initial vertex states.
 func (e *Engine[V, U]) initPass() error {
-	if e.opts.Clock != nil {
-		e.opts.Clock.BeginPhase("init")
-	}
+	e.opts.Clock.BeginPhase("init")
 	df, err := e.dev.Open(e.pt.DegreeFile())
 	if err != nil {
 		return err
 	}
-	vf, err := e.dev.Create(e.vstateFile())
+	vf, err := e.dev.Create(e.states.Name())
 	if err != nil {
 		return err
 	}
@@ -414,7 +376,7 @@ func (e *Engine[V, U]) initPass() error {
 			return err
 		}
 	}
-	e.chargeBytes(int64(e.pt.NumVertices) * int64(e.vcodec.Size()+4))
+	e.opts.Clock.ComputeBytes(int64(e.pt.NumVertices) * int64(e.vcodec.Size()+4))
 	return w.Flush()
 }
 
@@ -442,7 +404,7 @@ func (e *Engine[V, U]) scatterPhase(iter int) (int64, error) {
 		if e.rec.On {
 			t = time.Now()
 		}
-		if err := e.loadVertices(lo, hi); err != nil {
+		if err := e.load(lo, hi); err != nil {
 			return 0, err
 		}
 		if e.rec.On {
@@ -452,35 +414,30 @@ func (e *Engine[V, U]) scatterPhase(iter int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		r := storage.NewReader(f)
-		var ebuf [graph.EdgeBytes]byte
-		for {
-			err := r.ReadFull(ebuf[:])
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return 0, fmt.Errorf("xstream: streaming edges of partition %d: %w", p, err)
-			}
-			ed := graph.GetEdge(ebuf[:])
+		s := graph.NewEdgeScanner(f)
+		for s.Scan() {
+			ed := s.Edge()
 			e.streamed++
-			e.charge(1, sim.CostEdgeScan)
+			e.opts.Clock.ComputeUnits(1, sim.CostEdgeScan)
 			u, ok := e.prog.Scatter(iter, ed.Src, &e.verts[ed.Src-lo], ed.Dst)
 			if !ok {
 				continue
 			}
 			emitted++
 			e.updates++
-			e.charge(1, sim.CostMessageSend)
+			e.opts.Clock.ComputeUnits(1, sim.CostMessageSend)
 			binary.LittleEndian.PutUint32(urec, uint32(ed.Dst))
 			e.ucodec.Encode(urec[4:], u)
 			if _, err := bins[e.pt.partitionOf(ed.Dst)].Write(urec); err != nil {
 				return 0, err
 			}
 		}
+		if s.Err() != nil {
+			return 0, fmt.Errorf("xstream: streaming edges of partition %d: %w", p, s.Err())
+		}
 		// Scatter may have read-modify-write semantics on the source
 		// (e.g. clearing an "active" flag); write states back.
-		if err := e.storeVertices(lo, hi); err != nil {
+		if err := e.states.Store(e.verts, lo, e.stage); err != nil {
 			return 0, err
 		}
 		if e.rec.On {
@@ -510,7 +467,7 @@ func (e *Engine[V, U]) gatherPhase(iter int) (bool, error) {
 		if e.rec.On {
 			t = time.Now()
 		}
-		if err := e.loadVertices(lo, hi); err != nil {
+		if err := e.load(lo, hi); err != nil {
 			return false, err
 		}
 		f, err := e.dev.Open(e.updateFile(p))
@@ -531,7 +488,7 @@ func (e *Engine[V, U]) gatherPhase(iter int) (bool, error) {
 			}
 			dst := graph.VertexID(binary.LittleEndian.Uint32(urec))
 			e.prog.Gather(iter, dst, &e.verts[dst-lo], e.ucodec.Decode(urec[4:]))
-			e.charge(1, sim.CostMessageApply)
+			e.opts.Clock.ComputeUnits(1, sim.CostMessageApply)
 		}
 		if err := f.Truncate(0); err != nil {
 			return false, err
@@ -542,8 +499,8 @@ func (e *Engine[V, U]) gatherPhase(iter int) (bool, error) {
 				active = true
 			}
 		}
-		e.charge(int64(len(e.verts)), sim.CostVertexUpdate)
-		if err := e.storeVertices(lo, hi); err != nil {
+		e.opts.Clock.ComputeUnits(int64(len(e.verts)), sim.CostVertexUpdate)
+		if err := e.states.Store(e.verts, lo, e.stage); err != nil {
 			return false, err
 		}
 		if e.rec.On {
@@ -553,48 +510,12 @@ func (e *Engine[V, U]) gatherPhase(iter int) (bool, error) {
 	return active, nil
 }
 
-// loadVertices reads [lo, hi) vertex states into e.verts.
-func (e *Engine[V, U]) loadVertices(lo, hi graph.VertexID) error {
-	count := int(hi - lo)
-	if cap(e.verts) < count {
-		e.verts = make([]V, count)
-	}
-	e.verts = e.verts[:count]
-	f, err := e.dev.Open(e.vstateFile())
-	if err != nil {
-		return err
-	}
-	vs := int64(e.vcodec.Size())
-	buf := make([]byte, int64(count)*vs)
-	r := storage.NewRangeReader(f, int64(lo)*vs, int64(hi)*vs)
-	if err := r.ReadFull(buf); err != nil {
-		return fmt.Errorf("xstream: loading vertices [%d,%d): %w", lo, hi, err)
-	}
-	for i := 0; i < count; i++ {
-		e.verts[i] = e.vcodec.Decode(buf[int64(i)*vs:])
-	}
-	e.chargeBytes(int64(len(buf)))
-	return nil
-}
-
-// storeVertices writes [lo, hi) vertex states back.
-func (e *Engine[V, U]) storeVertices(lo, hi graph.VertexID) error {
-	count := int(hi - lo)
-	vs := e.vcodec.Size()
-	buf := make([]byte, count*vs)
-	for i := 0; i < count; i++ {
-		e.vcodec.Encode(buf[i*vs:], e.verts[i])
-	}
-	f, err := e.dev.Open(e.vstateFile())
-	if err != nil {
-		return err
-	}
-	w := storage.NewWriterAt(f, int64(lo)*int64(vs))
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	e.chargeBytes(int64(len(buf)))
-	return w.Flush()
+// load sizes e.verts for partition [lo, hi) and reads its states in.
+func (e *Engine[V, U]) load(lo, hi graph.VertexID) error {
+	n := int(hi - lo)
+	e.verts = slices.Grow(e.verts[:0], n)[:n]
+	e.stage = slices.Grow(e.stage[:0], n*e.vcodec.Size())
+	return e.states.Load(e.verts, lo, e.stage)
 }
 
 // Values reads the final vertex states after Run.
@@ -602,25 +523,12 @@ func (e *Engine[V, U]) Values() ([]V, error) {
 	if !e.finished {
 		return nil, fmt.Errorf("xstream: Values before Run")
 	}
-	data, err := storage.ReadAllFile(e.dev, e.vstateFile())
-	if err != nil {
-		return nil, err
-	}
-	vs := e.vcodec.Size()
-	n := e.pt.NumVertices
-	if len(data) != n*vs {
-		return nil, fmt.Errorf("xstream: vertex state file has %d bytes, want %d", len(data), n*vs)
-	}
-	out := make([]V, n)
-	for i := range out {
-		out[i] = e.vcodec.Decode(data[i*vs:])
-	}
-	return out, nil
+	return e.states.ReadAll(e.pt.NumVertices)
 }
 
 // Cleanup removes the engine's runtime files.
 func (e *Engine[V, U]) Cleanup() {
-	e.dev.Remove(e.vstateFile())
+	e.dev.Remove(e.states.Name())
 	for i := 0; i < e.pt.NumPartitions(); i++ {
 		e.dev.Remove(e.updateFile(i))
 	}
