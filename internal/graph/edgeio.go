@@ -47,13 +47,15 @@ func ReadEdges(dev *storage.Device, name string) ([]Edge, error) {
 }
 
 // EdgeScanner streams edges from a device file without loading them all,
-// the access pattern out-of-core preprocessing uses. It decodes each
-// record where it lies in its Reader's block buffer (storage.Reader.Next),
-// issuing the device reads a ReadFull per record would.
+// the access pattern out-of-core preprocessing uses. It takes a block's
+// records at a time from its Reader (storage.Reader.Next) and decodes each
+// where it lies in the block buffer, issuing the device reads a ReadFull
+// per record would.
 type EdgeScanner struct {
-	r   *storage.Reader
-	cur Edge
-	err error
+	r    *storage.Reader
+	recs []byte // the current block's records not yet scanned
+	cur  Edge
+	err  error
 }
 
 // NewEdgeScanner returns a scanner over the whole file.
@@ -63,14 +65,28 @@ func NewEdgeScanner(f *storage.File) *EdgeScanner {
 
 // Scan advances to the next edge, returning false at EOF or error.
 func (s *EdgeScanner) Scan() bool {
-	rec, err := s.r.Next(EdgeBytes)
+	if len(s.recs) == 0 && !s.nextBlock() {
+		return false
+	}
+	s.cur = GetEdge(s.recs)
+	s.recs = s.recs[EdgeBytes:]
+	return true
+}
+
+// nextBlock takes the whole records of the Reader's next block as one
+// view. Blocks start at multiples of DefaultBlockSize, a multiple of
+// EdgeBytes, so no record straddles two; only a torn file's tail is less
+// than a record, which Next reports as io.ErrUnexpectedEOF.
+func (s *EdgeScanner) nextBlock() bool {
+	n := min(s.r.Remaining(), storage.DefaultBlockSize) / EdgeBytes * EdgeBytes
+	recs, err := s.r.Next(int(max(n, EdgeBytes)))
 	if err != nil {
 		if err != io.EOF {
 			s.err = err
 		}
 		return false
 	}
-	s.cur = GetEdge(rec)
+	s.recs = recs
 	return true
 }
 
