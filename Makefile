@@ -26,7 +26,7 @@ race:
 # Decode and Apply into its ApplyRecords drain delegate — every delegate
 # the programs' source defines — the field codecs into the pair codecs'
 # EncodeAll/DecodeAll loops, the bitmap's nextSet/clear/set into the
-# Worker loop, and partitionOf into scatter, the record writer every
+# Worker loop and nextSet into the planner's walks, and partitionOf into scatter, the record writer every
 # partitioned run's messages go through; and, from a -gcflags=-d=wb build,
 # that scatter has no GC write barrier outside its flush branch, so a
 # record stores its buffer's length, not the slice (ci/inlinecheck.sh) —

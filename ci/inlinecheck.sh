@@ -47,7 +47,14 @@
 # The same build must also report, at the bitmap calls inside the Worker loop
 # (`updateRuns` in internal/core/engine.go, DESIGN.md §9),
 #   inlining call to core.(*activeSet).nextSet | .clear | .set
-# so a selective iteration pays no call per scheduled vertex for its bitmap.
+# so a selective iteration pays no call per scheduled vertex for its bitmap —
+# set and clear keep the two-level set's summary bit too (inline costs 56 and
+# 63 of 80 under go1.24.0, nextSet 63) — and, at the nextSet calls of the
+# planner's marking loop (`selPlanner.plan`) and of `runBuilder.appendActive`
+# in internal/core/activeset.go, which are core's own code and so reported
+# unqualified,
+#   inlining call to (*activeSet).nextSet
+# so planning walks the set bits with no call per bit beyond the walk's own.
 #
 # And at the partitionOf call inside `scatter` (internal/core/engine.go,
 # DESIGN.md §17), which writes every record of a partitioned run — the
@@ -79,7 +86,7 @@ if [ -z "$programs" ]; then
 	exit 1
 fi
 # -m's diagnostics are cached with the build and replayed on a cache hit.
-out=$(go build -gcflags=-m "./$pkg" ./internal/graph 2>&1) || { echo "$out" >&2; exit 1; }
+out=$(go build -gcflags=-m "./$pkg" ./internal/graph ./internal/core 2>&1) || { echo "$out" >&2; exit 1; }
 
 fail=0
 for entry in $programs; do
@@ -157,6 +164,21 @@ for method in nextSet clear set; do
 		fi
 	done
 done
+planner=internal/core/activeset.go
+for fn in '(pl *selPlanner) plan' '(b *runBuilder) appendActive'; do
+	body=$(awk -v f="func $fn(" 'index($0, f) == 1 { on = 1 } on { print NR": "$0 } on && /^}/ { exit }' "$planner")
+	lines=$(grep -E "\.nextSet\(" <<<"$body" | cut -d: -f1 || true)
+	if [ -z "$lines" ]; then
+		echo "inlinecheck: $planner: $fn calls no nextSet" >&2
+		fail=1
+	fi
+	for line in $lines; do
+		if ! grep -Eq "^$planner:$line:[0-9]+: inlining call to \(\*activeSet\)\.nextSet\$" <<<"$out"; then
+			echo "inlinecheck: $fn lost it under $(go version): no \"inlining call to (*activeSet).nextSet\" at $planner:$line" >&2
+			fail=1
+		fi
+	done
+done
 scatter=$(awk '/^func \(e \*Engine\[V, M\]\) scatter\(/ { on = 1 } on { print NR": "$0 } on && /^}/ { exit }' "$engine")
 lines=$(grep -E "\.partitionOf\(" <<<"$scatter" | cut -d: -f1 || true)
 if [ -z "$lines" ]; then
@@ -185,4 +207,4 @@ if [ -n "$barriers" ]; then
 	fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply inlined into ApplyAll or ApplyEach, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns; partitionOf into scatter, and no write barrier in scatter outside its flush branch ($(go version))"
+echo "inlinecheck: Apply inlined into ApplyAll or ApplyEach, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns, selPlanner.plan and appendActive; partitionOf into scatter, and no write barrier in scatter outside its flush branch ($(go version))"

@@ -38,9 +38,10 @@ func (bfsProgram) Apply(v *bfsVal, m uint32) {
 	}
 }
 
-// FrontierSafe declares core.FrontierSafe: without a message B is not below
-// A, and Update does nothing.
-func (bfsProgram) FrontierSafe() {}
+// InitialFrontier declares core.FrontierSafe: without a message B is not
+// below A, and Update does nothing — after Init, everywhere but at the
+// source.
+func (p bfsProgram) InitialFrontier() []graph.VertexID { return []graph.VertexID{p.source} }
 
 // ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
 func (p bfsProgram) ApplyAll(vs []bfsVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {

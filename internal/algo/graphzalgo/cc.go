@@ -38,9 +38,10 @@ func (ccProgram) Apply(v *ccVal, m uint32) {
 	}
 }
 
-// FrontierSafe declares core.FrontierSafe: after iteration 0's broadcast,
-// without a message B is not below A, and Update does nothing.
-func (ccProgram) FrontierSafe() {}
+// InitialFrontier declares core.FrontierSafe: after iteration 0's
+// broadcast from every vertex (nil), without a message B is not below A,
+// and Update does nothing.
+func (ccProgram) InitialFrontier() []graph.VertexID { return nil }
 
 // ConnectedComponents labels every vertex with the smallest vertex ID
 // that reaches it, running until quiescent. Symmetrize the graph first

@@ -47,9 +47,10 @@ func (ssspProgram) Apply(v *ssspVal, m float32) {
 	}
 }
 
-// FrontierSafe declares core.FrontierSafe: without a message B is not below
-// A, and Update does nothing.
-func (ssspProgram) FrontierSafe() {}
+// InitialFrontier declares core.FrontierSafe: without a message B is not
+// below A, and Update does nothing — after Init, everywhere but at the
+// source.
+func (p ssspProgram) InitialFrontier() []graph.VertexID { return []graph.VertexID{p.source} }
 
 // ApplyEach is the optional per-edge bulk form (core.EachApplier): Apply,
 // inlined.

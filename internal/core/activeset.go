@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"graphz/internal/checkpoint"
 	"graphz/internal/graph"
 )
 
@@ -12,37 +13,47 @@ import (
 // that declare FrontierSafe), the GraphMP observation applied to GraphZ:
 // converging algorithms spend their tail iterations touching a handful of
 // vertices, yet a streaming engine re-reads every adjacency block anyway.
-// The engine keeps one bit per vertex — set when a message is applied to
-// the vertex or, a resident record, sent to it (send, applyOnSpot,
-// applyEachOnSpot, sendRecords, drainRecords), or its update called
-// MarkActive (updateRuns, which reads the Context's flag once Update
-// returns), cleared just before its update runs (except during iteration
-// 0: the Init pass conventionally broadcasts and ignores pending messages,
-// so its bits survive into iteration 1, where the first real update acts
-// on them), replaced whole by resume — every writer is a method of Engine — and, per
-// partition per iteration, derives per-block activity from the bitmap.
-// Degree-Ordered Storage makes that derivation arithmetic: a partition's
-// adjacency is a contiguous entry range, so "does block b contain an
-// active vertex's edges" is a bitmap range test over a contiguous new-ID
-// range. Blocks with no active vertex are never read; when the active
-// density reaches a threshold the partition falls back to full streaming
-// (dense iterations are faster streamed, as GraphMP observes). See
-// DESIGN.md §9.
+// The engine keeps one bit per vertex — initially the program's declared
+// initial frontier (every vertex when it declares nil), set when a message
+// is applied to the vertex or, a resident record, sent to it (send,
+// applyOnSpot, applyEachOnSpot, sendRecords, drainRecords), or its update
+// called MarkActive (updateRuns, which reads the Context's flag once Update
+// returns), cleared just before its update runs (except during an Init pass
+// over every vertex: it conventionally broadcasts and ignores pending
+// messages, so its bits survive into iteration 1, where the first real
+// update acts on them), replaced whole by resume — every writer is a method
+// of Engine — and, per partition per iteration, derives per-block activity
+// from the bitmap. Degree-Ordered Storage makes that derivation arithmetic:
+// a partition's adjacency is a contiguous entry range, so "does block b
+// contain an active vertex's edges" is a bitmap range test over a
+// contiguous new-ID range. Blocks with no active vertex are never read;
+// when the active density reaches a threshold the partition falls back to
+// full streaming (dense iterations are faster streamed, as GraphMP
+// observes). A summary word per 64 bitmap words marks the non-empty ones,
+// so every walk of the bits — the Worker's, the planner's, appendActive's —
+// steps over 64 empty words at a time: a frontier of a few hundred vertices
+// costs what it holds, not V/64 loads a walk. See DESIGN.md §9.
 
 // defaultSelectiveDensity is the active-vertex density at or above which
 // a partition streams fully instead of scheduling blocks.
 const defaultSelectiveDensity = 0.25
 
 // activeSet is a dense bitmap over vertex IDs [0, n) with a maintained
-// population count.
+// population count and a summary: one bit per bitmap word, set exactly when
+// the word is not zero. set and clear keep both true; the walks (nextSet,
+// countRange) step over 64 empty words per summary word, so a thin
+// frontier costs what it holds, not V/64.
 type activeSet struct {
 	words []uint64
+	sum   []uint64 // bit w set ⇔ words[w] != 0
 	count int64
+	n     int
 }
 
 // newActiveSet returns an all-ones set over [0, n): every vertex is
-// schedulable until its first update runs (iteration 0 is the Init
-// pass, which must visit everyone).
+// schedulable until its first update runs — the Init pass of a program
+// whose initial frontier is every vertex, or a resume from a checkpoint
+// without a bitmap.
 func newActiveSet(n int) *activeSet {
 	s := newEmptyActiveSet(n)
 	for i := range s.words {
@@ -52,12 +63,26 @@ func newActiveSet(n int) *activeSet {
 		s.words[len(s.words)-1] = (uint64(1) << tail) - 1
 	}
 	s.count = int64(n)
+	s.summarize()
 	return s
 }
 
-// newEmptyActiveSet returns an all-zeros set over [0, n).
+// newEmptyActiveSet returns an all-zeros set over [0, n): the words and
+// their summary in one allocation.
 func newEmptyActiveSet(n int) *activeSet {
-	return &activeSet{words: make([]uint64, (n+63)/64)}
+	words := (n + 63) / 64
+	buf := make([]uint64, words+(words+63)/64)
+	return &activeSet{words: buf[:words:words], sum: buf[words:], n: n}
+}
+
+// summarize rebuilds the summary from the words.
+func (s *activeSet) summarize() {
+	clear(s.sum)
+	for w, x := range s.words {
+		if x != 0 {
+			s.sum[w/64] |= 1 << uint(w%64)
+		}
+	}
 }
 
 func (s *activeSet) set(v graph.VertexID) {
@@ -65,6 +90,7 @@ func (s *activeSet) set(v graph.VertexID) {
 	w, b := i/64, uint(i%64)
 	if s.words[w]&(1<<b) == 0 {
 		s.words[w] |= 1 << b
+		s.sum[w/64] |= 1 << uint(w%64)
 		s.count++
 	}
 }
@@ -73,7 +99,9 @@ func (s *activeSet) clear(v graph.VertexID) {
 	i := int(v)
 	w, b := i/64, uint(i%64)
 	if s.words[w]&(1<<b) != 0 {
-		s.words[w] &^= 1 << b
+		if s.words[w] &^= 1 << b; s.words[w] == 0 {
+			s.sum[w/64] &^= 1 << uint(w%64)
+		}
 		s.count--
 	}
 }
@@ -83,12 +111,33 @@ func (s *activeSet) get(v graph.VertexID) bool {
 	return s.words[i/64]&(1<<uint(i%64)) != 0
 }
 
-// countRange returns the number of set bits in [lo, hi): one popcount a
-// word, the first and last word masked to the range.
+// nextWord returns the first word index in [w, end) whose word is not zero,
+// or end: a summary word a step.
+func (s *activeSet) nextWord(w, end int) int {
+	if w >= end {
+		return end
+	}
+	k := w / 64
+	m := s.sum[k] &^ (uint64(1)<<uint(w%64) - 1)
+	for m == 0 {
+		if k++; k*64 >= end {
+			return end
+		}
+		m = s.sum[k]
+	}
+	return min(k*64+bits.TrailingZeros64(m), end)
+}
+
+// countRange returns the number of set bits in [lo, hi): the maintained
+// count over the whole set, else one popcount a non-empty word, the first
+// and last word masked to the range.
 func (s *activeSet) countRange(lo, hi graph.VertexID) int64 {
 	i, j := int(lo), int(hi)
 	if i >= j {
 		return 0
+	}
+	if i == 0 && j == s.n {
+		return s.count
 	}
 	first, last := i/64, (j-1)/64
 	head := s.words[first] &^ (uint64(1)<<uint(i%64) - 1)
@@ -97,15 +146,17 @@ func (s *activeSet) countRange(lo, hi graph.VertexID) int64 {
 		return int64(bits.OnesCount64(head & tail))
 	}
 	n := bits.OnesCount64(head) + bits.OnesCount64(s.words[last]&tail)
-	for _, w := range s.words[first+1 : last] {
-		n += bits.OnesCount64(w)
+	for w := s.nextWord(first+1, last); w < last; w = s.nextWord(w+1, last) {
+		n += bits.OnesCount64(s.words[w])
 	}
 	return int64(n)
 }
 
 // nextBit returns the smallest v' in [v, hi) whose bit equals want, or hi
 // when there is none. It reads the live words, so a caller that sets bits
-// ahead of v between calls finds them.
+// ahead of v between calls finds them. A set bit is looked for through the
+// summary; a clear one word by word (a summary bit says a word is not
+// empty, not that it is not full).
 func (s *activeSet) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
 	i, j := int(v), int(hi)
 	if i >= j {
@@ -115,11 +166,15 @@ func (s *activeSet) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
 	if !want {
 		flip = ^uint64(0)
 	}
-	w := i / 64
+	w, end := i/64, (j+63)/64
 	word := (s.words[w] ^ flip) &^ (uint64(1)<<uint(i%64) - 1)
 	for word == 0 {
-		w++
-		if w*64 >= j {
+		if want {
+			w = s.nextWord(w+1, end)
+		} else {
+			w++
+		}
+		if w >= end {
 			return hi
 		}
 		word = s.words[w] ^ flip
@@ -145,11 +200,15 @@ func (s *activeSet) marshal() []byte {
 }
 
 // unmarshalActiveSet restores a checkpointed bitmap over [0, n),
-// recomputing the population count.
+// recomputing the population count and the summary. A section of the wrong
+// length, or with a bit set at or past n, is a damaged checkpoint
+// (checkpoint.ErrTruncated): such a bit would skew the count the planner
+// sizes a partition's frontier by.
 func unmarshalActiveSet(data []byte, n int) (*activeSet, error) {
 	s := newEmptyActiveSet(n)
 	if len(data) != len(s.words)*8 {
-		return nil, fmt.Errorf("core: active-set section is %d bytes, %d vertices need %d", len(data), n, len(s.words)*8)
+		return nil, fmt.Errorf("%w: active-set section is %d bytes, %d vertices need %d",
+			checkpoint.ErrTruncated, len(data), n, len(s.words)*8)
 	}
 	for i := range s.words {
 		var w uint64
@@ -159,6 +218,10 @@ func unmarshalActiveSet(data []byte, n int) (*activeSet, error) {
 		s.words[i] = w
 		s.count += int64(bits.OnesCount64(w))
 	}
+	if tail := uint(n % 64); tail != 0 && s.words[len(s.words)-1]>>tail != 0 {
+		return nil, fmt.Errorf("%w: active-set section sets a bit at or past vertex %d", checkpoint.ErrTruncated, n)
+	}
+	s.summarize()
 	return s, nil
 }
 
@@ -245,13 +308,14 @@ func blocksSpanned(start, end, epb int64) int64 {
 // bits inside a run. Active zero-degree vertices are scheduled too (their
 // updates consume no entries); inactive ones belong to no run.
 //
-// The cost is O(words + marked blocks · log vertices): one pass marks
-// blocks through the vertex → span arithmetic, and every vertex with
-// entries it visits marks a block (active zero-degree vertices, the runs'
-// business anyway, are stepped over); the runs come back from the marked
-// intervals by an offset → vertex search. There is no per-vertex pass and
-// no per-block activity summary to maintain — the popcount that sizes the
-// frontier is V/64 loads.
+// The cost is O(summary words + non-empty words + marked blocks · log
+// vertices): the frontier is sized by the set's maintained count (over the
+// whole set) or a popcount of its non-empty words, one pass marks blocks
+// through the vertex → span arithmetic, and every vertex with entries it
+// visits marks a block (active zero-degree vertices, the runs' business
+// anyway, are stepped over); the runs come back from the marked intervals
+// by an offset → vertex search. There is no per-vertex pass and no
+// per-block activity summary to maintain.
 func (pl *selPlanner) plan(as *activeSet, idx spanIndex, lo, hi graph.VertexID, start, end, epb int64, threshold float64) selSchedule {
 	sched := selSchedule{
 		blocksTotal: blocksSpanned(start, end, epb),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"graphz/internal/gen"
@@ -50,10 +51,8 @@ func TestResidencyBoundary(t *testing.T) {
 						t.Errorf("budget one below the fit: resident %v in %d partitions, want streamed in %d",
 							below.ResidentAdjacency, below.Partitions, parts)
 					}
-					for v := range fitVals {
-						if fitVals[v] != belowVals[v] {
-							t.Fatalf("vertex %d = %+v resident, %+v streamed", v, fitVals[v], belowVals[v])
-						}
+					if !slices.Equal(fitVals, belowVals) {
+						t.Fatalf("states %+v resident, %+v streamed", fitVals, belowVals)
 					}
 				})
 			}

@@ -21,10 +21,7 @@ func consumeAll(t *testing.T, br *batchReader, n int) {
 	t.Helper()
 	served := 0
 	for i := 0; served < n; i++ {
-		deg := batchDegrees[i%len(batchDegrees)]
-		if rem := n - served; int(deg) > rem {
-			deg = uint32(rem)
-		}
+		deg := min(batchDegrees[i%len(batchDegrees)], uint32(n-served))
 		adj, err := br.adj(int64(served), deg)
 		must(t, err)
 		if len(adj) != int(deg) {

@@ -275,21 +275,20 @@ func (e *Engine[V, M]) resume() (Result, error) {
 		e.msgBufs[p] = append(e.msgBufs[p], tail...)
 		restored += int64(len(data) + len(tail))
 	}
-	if e.sel != nil {
-		if ck.HasSection(activeSectionName) {
-			data, err := ck.Section(activeSectionName)
-			if err != nil {
-				return Result{}, err
-			}
-			as, err := unmarshalActiveSet(data, e.layout.NumVertices())
-			if err != nil {
-				return Result{}, fmt.Errorf("%w: %v", checkpoint.ErrTruncated, err)
-			}
-			e.sel = as
+	if e.sel != nil && !ck.HasSection(activeSectionName) {
+		// A checkpoint from a non-selective run has no bitmap: every vertex
+		// is scheduled — a conservative full rescan, never a wrongly
+		// skipped vertex. Not the set New built: that is the program's
+		// initial frontier, which only iteration 0 starts from.
+		e.sel = newActiveSet(e.layout.NumVertices())
+	} else if e.sel != nil {
+		data, err := ck.Section(activeSectionName)
+		if err != nil {
+			return Result{}, err
 		}
-		// A checkpoint from a non-selective run has no bitmap; the
-		// all-ones set New built stands — a conservative full rescan,
-		// never a wrongly skipped vertex.
+		if e.sel, err = unmarshalActiveSet(data, e.layout.NumVertices()); err != nil {
+			return Result{}, err
+		}
 	}
 	// The ledger continues the logical run; publishing the restored
 	// baseline once keeps this process's registry equal to its Result.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -52,14 +53,6 @@ func newMinLabelEngine(t *testing.T, g *dos.Graph, opts Options) *Engine[minVal,
 	return eng
 }
 
-func ckptBaseOpts(g *dos.Graph) Options {
-	return Options{
-		MemoryBudget:    budgetForPartitions(g, 8, 4, 64),
-		DynamicMessages: true,
-		MsgBufferBytes:  64,
-	}
-}
-
 // convergedCheckpointDir runs a checkpointed min-label run to completion
 // and returns the edges and checkpoint dir for corruption tests.
 func convergedCheckpointDir(t *testing.T, seed uint64) ([]graph.Edge, string) {
@@ -67,7 +60,7 @@ func convergedCheckpointDir(t *testing.T, seed uint64) ([]graph.Edge, string) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, seed)
 	dir := t.TempDir()
 	g := buildDOS(t, edges)
-	opts := ckptBaseOpts(g)
+	opts := partitionedOpts(g)
 	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1}
 	runMinLabel(t, g, opts)
 	return edges, dir
@@ -78,44 +71,45 @@ func convergedCheckpointDir(t *testing.T, seed uint64) ([]graph.Edge, string) {
 func resumeWith(t *testing.T, edges []graph.Edge, dir, name string) error {
 	t.Helper()
 	g := buildDOS(t, edges)
-	opts := ckptBaseOpts(g)
+	opts := partitionedOpts(g)
 	opts.Name = name
 	opts.Checkpoint = CheckpointOptions{Dir: dir, Resume: true}
 	_, err := newMinLabelEngine(t, g, opts).Run()
 	return err
 }
 
-func TestResumeTruncatedManifest(t *testing.T) {
-	edges, dir := convergedCheckpointDir(t, 46)
-	path := latestManifestPath(t, dir)
-	must(t, os.WriteFile(path, []byte("GZ"), 0o644))
-	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrTruncated) {
-		t.Fatalf("Resume with truncated manifest = %v, want ErrTruncated", err)
+// resumeDamaged resumes a converged checkpointed run (convergedCheckpointDir's
+// of seed) after damage rewrote one file of its newest checkpoint — its
+// MANIFEST or a section — and fails the test unless the resume fails with
+// want.
+func resumeDamaged(t *testing.T, seed uint64, file string, want error, damage func([]byte) []byte) {
+	t.Helper()
+	edges, dir := convergedCheckpointDir(t, seed)
+	path := filepath.Join(filepath.Dir(latestManifestPath(t, dir)), file)
+	raw, err := os.ReadFile(path)
+	must(t, err)
+	must(t, os.WriteFile(path, damage(raw), 0o644))
+	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, want) {
+		t.Fatalf("resume with a damaged %s = %v, want %v", file, err, want)
 	}
+}
+
+func TestResumeTruncatedManifest(t *testing.T) {
+	resumeDamaged(t, 46, "MANIFEST", checkpoint.ErrTruncated, func([]byte) []byte { return []byte("GZ") })
 }
 
 func TestResumeManifestCRCMismatch(t *testing.T) {
-	edges, dir := convergedCheckpointDir(t, 47)
-	path := latestManifestPath(t, dir)
-	raw, err := os.ReadFile(path)
-	must(t, err)
-	raw[len(raw)-1] ^= 0xff
-	os.WriteFile(path, raw, 0o644)
-	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
-		t.Fatalf("Resume with corrupt manifest = %v, want ErrCRCMismatch", err)
-	}
+	resumeDamaged(t, 47, "MANIFEST", checkpoint.ErrCRCMismatch, func(raw []byte) []byte {
+		raw[len(raw)-1] ^= 0xff
+		return raw
+	})
 }
 
 func TestResumeVersionFromTheFuture(t *testing.T) {
-	edges, dir := convergedCheckpointDir(t, 48)
-	path := latestManifestPath(t, dir)
-	raw, err := os.ReadFile(path)
-	must(t, err)
-	binary.LittleEndian.PutUint16(raw[6:], checkpoint.FormatVersion+1)
-	os.WriteFile(path, raw, 0o644)
-	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrVersionTooNew) {
-		t.Fatalf("Resume with future version = %v, want ErrVersionTooNew", err)
-	}
+	resumeDamaged(t, 48, "MANIFEST", checkpoint.ErrVersionTooNew, func(raw []byte) []byte {
+		binary.LittleEndian.PutUint16(raw[6:], checkpoint.FormatVersion+1)
+		return raw
+	})
 }
 
 func TestResumeLayoutMismatch(t *testing.T) {
@@ -139,7 +133,7 @@ func TestResumeConfigMismatch(t *testing.T) {
 	edges = gen.RMAT(8, 1500, gen.NaturalRMAT, 53)
 	dir = t.TempDir()
 	g := buildDOS(t, edges)
-	opts := ckptBaseOpts(g)
+	opts := partitionedOpts(g)
 	opts.MemoryBudget, opts.MsgBufferBytes, opts.MaxIterations = budgetForPartitions(g, 8, 4, 256), 256, 1
 	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1}
 	res, _ := runMinLabel(t, g, opts)
@@ -156,16 +150,10 @@ func TestResumeConfigMismatch(t *testing.T) {
 // Corrupting a section (not the manifest) must also fail with a typed
 // error at restore time.
 func TestResumeSectionCorruption(t *testing.T) {
-	edges, dir := convergedCheckpointDir(t, 52)
-	path := filepath.Dir(latestManifestPath(t, dir))
-	vstate := filepath.Join(path, "vstate")
-	raw, err := os.ReadFile(vstate)
-	must(t, err)
-	raw[0] ^= 0xff
-	os.WriteFile(vstate, raw, 0o644)
-	if err := resumeWith(t, edges, dir, ""); !errors.Is(err, checkpoint.ErrCRCMismatch) {
-		t.Fatalf("Resume with corrupt vstate = %v, want ErrCRCMismatch", err)
-	}
+	resumeDamaged(t, 52, "vstate", checkpoint.ErrCRCMismatch, func(raw []byte) []byte {
+		raw[0] ^= 0xff
+		return raw
+	})
 }
 
 // TestResumeForeignRecord: a message section with a valid CRC whose record
@@ -175,7 +163,7 @@ func TestResumeForeignRecord(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 53)
 	for _, sec := range []string{msgSectionName(0), tailSectionName(0)} {
 		g := buildDOS(t, edges)
-		opts := ckptBaseOpts(g)
+		opts := partitionedOpts(g)
 		opts.MaxIterations = 1
 		opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1}
 		runMinLabel(t, g, opts)
@@ -212,7 +200,7 @@ func TestCheckpointChargesModeledClock(t *testing.T) {
 		must(t, err)
 		clock := sim.NewClock()
 		dev.SetClock(clock)
-		opts := ckptBaseOpts(g)
+		opts := partitionedOpts(g)
 		opts.Clock = clock
 		if ckpt {
 			opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1}
@@ -320,7 +308,7 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 func TestSortedCheckpointResume(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 74)
 	gRef := buildDOS(t, edges)
-	refRes, refVals := runMinLabel(t, gRef, ckptBaseOpts(gRef))
+	refRes, refVals := runMinLabel(t, gRef, partitionedOpts(gRef))
 	if refRes.Iterations < 3 {
 		t.Fatalf("converged in %d iterations; too few for mid-run resume", refRes.Iterations)
 	}
@@ -330,7 +318,7 @@ func TestSortedCheckpointResume(t *testing.T) {
 	midRunDir := func(t *testing.T, fold bool, tear int) string {
 		dir := t.TempDir()
 		g := buildDOS(t, edges)
-		opts := ckptBaseOpts(g)
+		opts := partitionedOpts(g)
 		opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Keep: 1 << 20}
 		runMinLabel(t, g, opts)
 		for it := 2; it <= refRes.Iterations; it++ {
@@ -351,7 +339,7 @@ func TestSortedCheckpointResume(t *testing.T) {
 				t.Fatalf("checkpoint 1 has runs sections %v (err=%v), want one per partition", runs, err)
 			}
 			g := buildDOS(t, edges)
-			opts := ckptBaseOpts(g)
+			opts := partitionedOpts(g)
 			opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1, Resume: true}
 			eng := newMinLabelEngine(t, g, opts)
 			res, err := eng.Run()
@@ -371,10 +359,8 @@ func TestSortedCheckpointResume(t *testing.T) {
 			if got != want {
 				t.Errorf("resumed result %+v, uninterrupted %+v", res, refRes)
 			}
-			for i := range refVals {
-				if vals[i] != refVals[i] {
-					t.Fatalf("vertex %d = %+v, uninterrupted %+v", i, vals[i], refVals[i])
-				}
+			if !slices.Equal(vals, refVals) {
+				t.Fatalf("states %+v, uninterrupted %+v", vals, refVals)
 			}
 
 			if err := resumeWith(t, edges, midRunDir(t, mode.fold, 3), ""); !errors.Is(err, checkpoint.ErrTruncated) {

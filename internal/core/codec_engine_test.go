@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"graphz/internal/dos"
@@ -68,13 +69,8 @@ func TestInDegreesV2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
 		}
-		if len(in1) != len(in2) {
-			t.Fatalf("%s: %d in-degrees, want %d", codec.Name(), len(in2), len(in1))
-		}
-		for v := range in1 {
-			if in1[v] != in2[v] {
-				t.Fatalf("%s: vertex %d in-degree %d, want %d", codec.Name(), v, in2[v], in1[v])
-			}
+		if !slices.Equal(in1, in2) {
+			t.Fatalf("%s: in-degrees %v, want %v", codec.Name(), in2, in1)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func encodeStates[V any](vc graph.Codec[V], vals []V) []byte {
 func TestCrashRecoveryParentCheckpoint(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 61)
 	g := buildDOS(t, edges)
-	opts := ckptBaseOpts(g)
+	opts := partitionedOpts(g)
 	opts.SelectiveScheduling = true
 	refRes, refVals := runMinLabel(t, g, opts)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,9 +25,7 @@ func (chiMinProgram) InitEdge(src, dst graph.VertexID) uint32 { return 0xFFFFFFF
 func (chiMinProgram) Update(ctx *graphchi.Context, id graph.VertexID, v *uint32, in, out []graphchi.EdgeRef[uint32]) {
 	newLabel := *v
 	for _, e := range in {
-		if *e.Val < newLabel {
-			newLabel = *e.Val
-		}
+		newLabel = min(newLabel, *e.Val)
 	}
 	changed := newLabel < *v
 	*v = newLabel
@@ -56,10 +55,8 @@ func TestEmulateGraphChiMinLabels(t *testing.T) {
 		t.Fatalf("ran %d iterations, want the 3 that inactivity convergence stops at", res.Iterations)
 	}
 	want := referenceMinLabels(g.NumVertices, relabeledEdges(t, g, edges))
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("vertex %d = %d, want %d", i, vals[i], want[i])
-		}
+	if !slices.Equal(vals, want) {
+		t.Fatalf("labels %v, want %v", vals, want)
 	}
 }
 
@@ -121,31 +118,16 @@ func TestEmulateNonCommutativeGather(t *testing.T) {
 		inN[e.Dst] = append(inN[e.Dst], e.Src)
 	}
 	for _, l := range inN {
-		sortIDs(l)
+		slices.Sort(l)
 	}
-	prog := &chiInsetProgram{inNeighbors: inN, t: t}
-	_, vals, err := EmulateGraphChi[uint32, uint32](layout, prog,
-		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg,
-		Options{MemoryBudget: 256 << 20, DynamicMessages: true, MaxIterations: 4})
-	must(t, err)
-	// Deterministic across runs.
-	prog2 := &chiInsetProgram{inNeighbors: inN, t: t}
-	_, vals2, err := EmulateGraphChi[uint32, uint32](layout, prog2,
-		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg,
-		Options{MemoryBudget: 256 << 20, DynamicMessages: true, MaxIterations: 4})
-	must(t, err)
+	var vals [2][]uint32 // deterministic across runs
 	for i := range vals {
-		if vals[i] != vals2[i] {
-			t.Fatal("emulated non-commutative program not deterministic")
-		}
+		_, vals[i], err = EmulateGraphChi[uint32, uint32](layout, &chiInsetProgram{inNeighbors: inN, t: t},
+			graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg, Options{MemoryBudget: 256 << 20, DynamicMessages: true, MaxIterations: 4})
+		must(t, err)
 	}
-}
-
-func sortIDs(a []graph.VertexID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+	if !slices.Equal(vals[0], vals[1]) {
+		t.Fatal("emulated non-commutative program not deterministic")
 	}
 }
 

@@ -237,20 +237,28 @@ func UpdateRun[V, M any](ctx *Context[M], lo graph.VertexID, verts []V, adj []gr
 }
 
 // FrontierSafe is the optional marker of a Program that may be scheduled
-// selectively (Options.SelectiveScheduling). Declaring it, with
-// func (prog) FrontierSafe() {}, promises that Update on a vertex no message
-// was applied to since its last update changes nothing and sends nothing; a
-// program that wants a vertex updated next iteration anyway calls MarkActive
-// on it. (Iteration 0 visits every vertex, so a program may broadcast
-// there.) The engine then skips such updates and the blocks only they would
-// read, and the final states are byte-identical to a full-streaming run's;
-// iteration, update and message counts may differ, since a skipped vertex's
-// propagation can shift by an iteration. A program whose Update acts
-// unprompted — PageRank re-sending its rank every round — must not declare
-// it: its unscheduled vertices would silently stop contributing. An
-// undeclared program is never scheduled selectively (New, DESIGN.md §9).
+// selectively (Options.SelectiveScheduling). Declaring it promises that
+// Update on a vertex no message was applied to since its last update
+// changes nothing and sends nothing; a program that wants a vertex updated
+// next iteration anyway calls MarkActive on it. The engine then skips such
+// updates and the blocks only they would read, and, where Apply does not
+// depend on the order messages arrive in (BFS's, CC's and SSSP's minima),
+// the final states are byte-identical to a full-streaming run's;
+// iteration, update and message counts may differ, since a skipped
+// vertex's propagation can shift by an iteration. A program whose Update acts unprompted — PageRank re-sending
+// its rank every round — must not declare it: its unscheduled vertices
+// would silently stop contributing. An undeclared program is never
+// scheduled selectively (New, DESIGN.md §9).
+//
+// InitialFrontier says which vertices have work right after Init, the same
+// promise for iteration 0. nil is every vertex: iteration 0 is the Init
+// pass, which visits everyone (a program may broadcast there) and leaves
+// every bit set for iteration 1. A list — BFS's and SSSP's source — makes
+// iteration 0 an ordinary frontier iteration over the listed vertices;
+// every state is still initialized, and IDs past the last vertex, which no
+// update can reach, are ignored.
 type FrontierSafe interface {
-	FrontierSafe()
+	InitialFrontier() []graph.VertexID
 }
 
 // Context is the per-update view of the runtime handed to Program.Update.
@@ -542,6 +550,7 @@ type Engine[V, M any] struct {
 	// selective scheduling state (Options.SelectiveScheduling)
 	sel     *activeSet // per-vertex schedulability bits; nil when off
 	planner selPlanner // schedule scratch, reused across partitions and iterations
+	initAll bool       // the initial frontier is every vertex: iteration 0's bits survive it
 
 	// durability state (Options.Checkpoint)
 	ckStore    *checkpoint.Store
@@ -639,17 +648,29 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 	}
 	e.resPart, e.wm = -1, math.MaxUint32
 	if opts.SelectiveScheduling {
-		if _, ok := any(prog).(FrontierSafe); !ok {
+		fs, ok := any(prog).(FrontierSafe)
+		if !ok {
 			return nil, fmt.Errorf("%w: SelectiveScheduling needs a program that declares core.FrontierSafe; %T does not",
 				ErrInvalidOptions, prog)
 		}
-		// One bit per vertex (1/32 of a minimal uint32 state). It is
-		// deliberately NOT budget-accounted by plan, in the partition count
-		// or in the adjacency fit: charging it would shift partition
-		// boundaries, or the adjacency's residency, between selective and
-		// full-streaming runs of the same budget, breaking their
-		// comparability.
-		e.sel = newActiveSet(layout.NumVertices())
+		// One bit per vertex (1/32 of a minimal uint32 state), and a
+		// summary bit per 64 of them. It is deliberately NOT
+		// budget-accounted by plan, in the partition count or in the
+		// adjacency fit: charging it would shift partition boundaries, or
+		// the adjacency's residency, between selective and full-streaming
+		// runs of the same budget, breaking their comparability.
+		n := layout.NumVertices()
+		initial := fs.InitialFrontier()
+		if e.initAll = initial == nil; e.initAll {
+			e.sel = newActiveSet(n)
+		} else {
+			e.sel = newEmptyActiveSet(n)
+			for _, v := range initial {
+				if int(v) < n {
+					e.sel.set(v)
+				}
+			}
+		}
 	}
 	return e, nil
 }
@@ -1006,8 +1027,8 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	// Selective scheduling: a partition with no schedulable vertex and
 	// no pending message cannot change any state this iteration — skip
 	// it wholly, without loading states or touching the adjacency.
-	// Iteration 0 is the Init pass and never skips (the bitmap starts
-	// all-ones anyway).
+	// Iteration 0 never skips: it initializes every state, a partition
+	// without a vertex of the initial frontier too.
 	if e.sel != nil && iter > 0 {
 		pend, err := e.pendingBytes(p)
 		if err != nil {
@@ -1392,9 +1413,12 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 				if next == run.hi {
 					break
 				}
-				if next != v {
-					v, off = next, e.layout.OffsetOf(next)
+				if next < degEnd { // inside the current degree run the offset is arithmetic
+					off += int64(next-v) * int64(deg)
+				} else if next != v {
+					off = e.layout.OffsetOf(next)
 				}
+				v = next
 			}
 			if v >= degEnd {
 				deg, degEnd = e.layout.DegreeRun(v)
@@ -1413,11 +1437,11 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 				e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
 			} else {
 				// The bit is cleared before the update and set again if it
-				// marked active. Iteration 0 is the Init pass: programs
-				// conventionally broadcast there and ignore pending messages,
-				// so its bits survive into iteration 1 (where the update acts
-				// on them).
-				if iter > 0 {
+				// marked active. An Init pass over every vertex (the initial
+				// frontier nil) is the exception: programs conventionally
+				// broadcast there and ignore pending messages, so its bits
+				// survive into iteration 1 (where the update acts on them).
+				if iter > 0 || !e.initAll {
 					e.sel.clear(v)
 				}
 				ctx.active = false

@@ -18,16 +18,11 @@ func benchGraph(b *testing.B) *dos.Graph {
 	return buildDOS(b, gen.RMAT(12, 40000, gen.NaturalRMAT, 7))
 }
 
-func benchRun(b *testing.B, g *dos.Graph, reg *obs.Registry, tr *obs.Tracer) {
+// benchRun runs min-label b.N times over g in about four partitions around
+// 4 KiB buffers, with opts's iteration cap, scheduling and observers.
+func benchRun(b *testing.B, g *dos.Graph, opts Options) {
 	b.Helper()
-	opts := Options{
-		MemoryBudget:    budgetForPartitions(g, 8, 4, 4096),
-		DynamicMessages: true,
-		MsgBufferBytes:  4096,
-		MaxIterations:   3,
-		Obs:             reg,
-		Trace:           tr,
-	}
+	opts.MemoryBudget, opts.DynamicMessages, opts.MsgBufferBytes = budgetForPartitions(g, 8, 4, 4096), true, 4096
 	for i := 0; i < b.N; i++ {
 		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
 		if err != nil {
@@ -47,7 +42,7 @@ func BenchmarkEngine(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	benchRun(b, g, nil, nil)
+	benchRun(b, g, Options{MaxIterations: 3})
 }
 
 // BenchmarkEngineObserved is the same run with a registry and a tracer
@@ -56,7 +51,7 @@ func BenchmarkEngineObserved(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	benchRun(b, g, obs.NewRegistry(), obs.NewTracer(io.Discard))
+	benchRun(b, g, Options{MaxIterations: 3, Obs: obs.NewRegistry(), Trace: obs.NewTracer(io.Discard)})
 }
 
 // BenchmarkEngineSelective runs min-label to convergence with selective
@@ -67,24 +62,9 @@ func BenchmarkEngineSelective(b *testing.B) {
 	g := benchGraph(b)
 	for _, sel := range []bool{false, true} {
 		b.Run(fmt.Sprintf("selective=%v", sel), func(b *testing.B) {
-			opts := Options{
-				MemoryBudget:        budgetForPartitions(g, 8, 4, 4096),
-				DynamicMessages:     true,
-				MsgBufferBytes:      4096,
-				SelectiveScheduling: sel,
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-				eng.Cleanup()
-			}
+			benchRun(b, g, Options{SelectiveScheduling: sel})
 		})
 	}
 }

@@ -38,30 +38,23 @@ func (minLabel) Init(id graph.VertexID, deg uint32) minVal {
 }
 
 func (minLabel) Update(ctx *Context[uint32], id graph.VertexID, v *minVal, adj []graph.VertexID) {
-	if ctx.Iteration() == 0 {
-		for _, a := range adj {
-			ctx.Send(a, v.label)
+	if ctx.Iteration() > 0 {
+		if v.pending >= v.label {
+			return
 		}
-		return
-	}
-	if v.pending < v.label {
 		v.label = v.pending
 		ctx.MarkActive()
-		for _, a := range adj {
-			ctx.Send(a, v.label)
-		}
+	}
+	for _, a := range adj {
+		ctx.Send(a, v.label)
 	}
 }
 
-// FrontierSafe: after iteration 0, without a message pending is not below
-// label and Update does nothing.
-func (minLabel) FrontierSafe() {}
+// InitialFrontier: every vertex broadcasts in iteration 0 (nil); after it,
+// without a message pending is not below label and Update does nothing.
+func (minLabel) InitialFrontier() []graph.VertexID { return nil }
 
-func (minLabel) Apply(v *minVal, m uint32) {
-	if m < v.pending {
-		v.pending = m
-	}
-}
+func (minLabel) Apply(v *minVal, m uint32) { v.pending = min(v.pending, m) }
 
 // referenceMinLabels computes the fixpoint in memory over the layout's ID
 // space.
@@ -102,14 +95,25 @@ func relabeledEdges(t *testing.T, g *dos.Graph, edges []graph.Edge) []graph.Edge
 
 func runMinLabel(t *testing.T, g *dos.Graph, opts Options) (Result, []minVal) {
 	t.Helper()
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
+	res, vals, err := minLabelRun(DOSLayout(g), opts)
 	must(t, err)
-	res, err := eng.Run()
-	must(t, err)
-	vals, err := eng.Values()
-	must(t, err)
-	eng.Cleanup()
 	return res, vals
+}
+
+// minLabelRun is runMinLabel over any layout, failing by its error rather
+// than the test's, so a goroutine may call it.
+func minLabelRun(l Layout, opts Options) (Result, []minVal, error) {
+	eng, err := New[minVal, uint32](l, minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	defer eng.Cleanup()
+	res, err := eng.Run()
+	if err != nil {
+		return Result{}, nil, err
+	}
+	vals, err := eng.Values()
+	return res, vals, err
 }
 
 // prVal / prProg is PageRank with ordered dynamic messages: every vertex

@@ -246,7 +246,7 @@ func (e *Engine[V, M]) sampleMemory(iter int) {
 		}
 	}
 	if e.sel != nil {
-		s.BitmapBytes = int64(len(e.sel.words)) * 8
+		s.BitmapBytes = 8 * int64(len(e.sel.words)+len(e.sel.sum)) // the bits and their summary
 	}
 	e.eo.Reg.RecordMem(s)
 }

@@ -47,15 +47,20 @@ func FuzzEngineSeams(f *testing.F) {
 		// with the planner's fixed floor (the vertex index, the codec's
 		// offset table, the pipeline), the budget, P buffers, the run's own
 		// resident adjacency at four bytes an entry (a shared one is its
-		// owner's) and, outside the budget, the bitmap of a selective run.
+		// owner's) and, outside the budget, the bitmap of a selective run with
+		// its summary, every word of the two.
 		l, eng, own := a.eng.layout, a.eng, a.res.ResidentAdjacency && a.shared == nil
+		bitmap := 0
+		if eng.sel != nil {
+			bitmap = 8 * (cap(eng.sel.words) + cap(eng.sel.sum))
+		}
 		if mem := a.reg.MemSamples(); len(mem) != a.res.Iterations {
 			t.Errorf("%d memory samples for %d iterations", len(mem), a.res.Iterations)
 		}
 		for _, m := range a.reg.MemSamples() {
 			if m.IndexBytes != l.IndexBytes() || m.TableBytes != eng.adj.TableBytes() || m.PipelineBytes != pipelineOverheadBytes ||
 				m.BudgetBytes != eng.opts.MemoryBudget || m.MsgBufferBytes != int64(eng.NumPartitions()*cap(eng.msgBufs[0])) ||
-				m.AdjCacheBytes != 4*l.NumEdges()*int64(b2i(own)) || (m.BitmapBytes > 0) != (eng.sel != nil && l.NumVertices() > 0) {
+				m.AdjCacheBytes != 4*l.NumEdges()*int64(b2i(own)) || m.BitmapBytes != int64(bitmap) {
 				t.Errorf("iteration %d samples %+v: index %d, table %d, pipeline %d, own adjacency %v, selective %v",
 					m.Iteration, m, l.IndexBytes(), eng.adj.TableBytes(), pipelineOverheadBytes, own, eng.sel != nil)
 			}
@@ -218,13 +223,13 @@ func (d seamDraw) edges() []graph.Edge {
 	return es
 }
 
-// program returns the witness program by one of the three routes of
-// SendAll and SendEach: with its own delegates — ApplyAll, ApplyEach,
+// program returns the witness program over n vertices by one of the three
+// routes of SendAll and SendEach: with its own delegates — ApplyAll, ApplyEach,
 // ApplyRecords over the draw's message codec, and UpdateRun — the engine's
 // default loops over its Apply and Update, and Send in a loop (which hides
 // the delegates too).
-func (d seamDraw) program(route string) Program[witnessVal, uint32] {
-	own := witnessLabel{pad: d.Val("record") == "6"}
+func (d seamDraw) program(route string, n int) Program[witnessVal, uint32] {
+	own := witnessLabel{pad: d.Val("record") == "6", root: d.root(n)}
 	switch route {
 	case "noBulk":
 		return noBulk[witnessVal, uint32]{own}
@@ -232,6 +237,20 @@ func (d seamDraw) program(route string) Program[witnessVal, uint32] {
 		return sendLoop[witnessVal, uint32]{own}
 	}
 	return own
+}
+
+// root draws the initial frontier of the witness over n vertices: at half
+// the draws with a vertex, the rooted witness's, a drawn vertex — the path's
+// head on the path — and at the others nil, every vertex.
+func (d seamDraw) root(n int) []graph.VertexID {
+	if r := d.draws(0x2007); n > 0 && r(2) == 0 {
+		root := graph.VertexID(r(int64(n)))
+		if d.Val("graph") == "path" {
+			root = 0
+		}
+		return []graph.VertexID{root}
+	}
+	return nil
 }
 
 // vcodec returns the vertex codec a route runs with: witnessCodec with its
@@ -329,7 +348,7 @@ func (x *seamTrial) exec(t *testing.T, fd *storage.FaultDevice, plan storage.Fau
 		}
 		p.snaps = append(p.snaps, p.eng.c)
 	}}
-	p.eng, err = New(DOSLayout(g), x.program(route), vcodec(route), x.mcodec(), opts)
+	p.eng, err = New(DOSLayout(g), x.program(route, g.NumVertices), vcodec(route), x.mcodec(), opts)
 	must(t, err)
 	fd.Arm(plan)
 	files := fd.FileStats()
@@ -462,6 +481,24 @@ func (d seamDraw) run(t *testing.T) *proc {
 		s.eng.Cleanup()
 		x.checkLeftovers(t, fdS.Device, true)
 	})
+	// A non-selective run's checkpoints carry no bitmap: the selective run
+	// resumed from one, cancelled after its first, schedules every vertex,
+	// not the initial frontier (its traces may differ, as checkRoomy says).
+	if x.opts.SelectiveScheduling && every > 0 {
+		step(t, "bitmapless", func(t *testing.T) {
+			opts, fd := x.opts, x.device(t)
+			opts.SelectiveScheduling, opts.Checkpoint = false, CheckpointOptions{Dir: t.TempDir(), Every: every}
+			if s := x.exec(t, fd, storage.FaultPlan{}, routes[2], opts, "none", 1+every*a.eng.NumPartitions()); s.err != nil && !errors.Is(s.err, ErrCancelled) {
+				t.Fatalf("cancelled run: %v", s.err)
+			}
+			opts.SelectiveScheduling, opts.Checkpoint.Resume = true, true
+			s := x.exec(t, fd, storage.FaultPlan{}, routes[2], opts, "none", -1)
+			if must(t, s.err); !slices.Equal(untraced(stateBytes(t, s.eng)), untraced(want)) {
+				t.Error("resumed selectively from a checkpoint without a bitmap, the run leaves different labels")
+			}
+			s.eng.Cleanup()
+		})
+	}
 	step(t, "misuse", func(t *testing.T) { x.checkMisuse(t, a, b) })
 	if x.opts.DynamicMessages {
 		step(t, "roomy", func(t *testing.T) { x.checkRoomy(t, a, fdA.Device, want) })
@@ -499,6 +536,15 @@ func stateBytes(t *testing.T, eng *Engine[witnessVal, uint32]) []byte {
 	vals, err := eng.Values()
 	must(t, err)
 	return encodeStates[witnessVal](witnessCodec{}, vals)
+}
+
+// untraced returns a copy of state bytes with every trace zeroed.
+func untraced(b []byte) []byte {
+	b = slices.Clone(b)
+	for i := 8; i < len(b); i += 12 {
+		clear(b[i : i+4])
+	}
+	return b
 }
 
 // checkLeftovers: the device holds the graph's files and — unless strict,
@@ -608,7 +654,7 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 	}
 	visits, ledger := int64(0), ledgerAt(a)
 	for j := 0; j+1 < len(ledger); j++ {
-		visits += int64(b2i(worked(ledger[j], ledger[j+1])))
+		visits += int64(b2i(visited(eng, 0, j, ledger)))
 	}
 	if x.sparse() && nParts > 1 && iters > 3 && visits == iters*int64(nParts) {
 		t.Errorf("a one-vertex frontier in %d partitions, yet no visit of %d iterations was skipped whole", nParts, iters)
@@ -644,10 +690,16 @@ func b2i(b bool) int {
 	return 0
 }
 
-// worked reports whether a partition visit did any work between two
-// snapshots of the ledger: a visit updates a vertex or applies a message,
-// or was skipped whole.
-func worked(a, b counters) bool { return a.Updates != b.Updates || a.Applied != b.Applied }
+// visited reports whether visit j of a process started at iteration start
+// ran, from the ledger before and after it (snaps[j], snaps[j+1]): every
+// non-empty partition runs in iteration 0, which initializes its states;
+// after it a visit updates a vertex or applies a message, or was skipped
+// whole.
+func visited(eng *Engine[witnessVal, uint32], start, j int, snaps []counters) bool {
+	q := j % eng.NumPartitions()
+	return start+j/eng.NumPartitions() == 0 && eng.parts.starts[q] < eng.parts.starts[q+1] ||
+		snaps[j].Updates != snaps[j+1].Updates || snaps[j].Applied != snaps[j+1].Applied
+}
 
 // fullScan returns what one iteration streaming every partition reads of
 // the edges file and decodes from it: each partition streams its own entry
@@ -833,7 +885,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 		if which == "stray" {
 			off = int(r(3)) - 1 // the route: Send, SendAll, SendEach
 		}
-		bp := breaker{x.program("own").(witnessLabel), which, off, &polls, &broke}
+		bp := breaker{x.program("own", a.g.NumVertices).(witnessLabel), which, off, &polls, &broke}
 		opts := x.opts
 		opts.Obs, opts.Context = obs.NewRegistry(), ledgerProbe{context.Background(), func() { polls++ }}
 		eng, err := New[witnessVal, uint32](DOSLayout(a.g), bp, witnessCodec{}, x.mcodec(), opts)
@@ -848,7 +900,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 		t.Error("a second Run succeeded")
 	}
 	fresh := func(opts Options) (*Engine[witnessVal, uint32], error) {
-		return New(DOSLayout(a.g), x.program("own"), witnessCodec{}, x.mcodec(), opts)
+		return New(DOSLayout(a.g), x.program("own", a.g.NumVertices), witnessCodec{}, x.mcodec(), opts)
 	}
 	eng, err := fresh(x.opts)
 	must(t, err)
@@ -873,19 +925,27 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 
 // checkRoomy: under dynamic messages one roomy partition applies every
 // vertex's messages in the order the draw's plan did, so it leaves the same
-// bits and, unscheduled, takes no more iterations. A shared adjacency A
-// filled serves it without a read or a decode.
+// bits and, unscheduled, takes no more iterations. A sparse plan leaves a bit
+// set ahead of the cursor outside its runs to the next iteration, and which
+// bits depends on the plan: from iteration 0 on, a selective rooted
+// witness's arrival orders — its traces — differ from plan to plan, its
+// labels do not. A shared adjacency A filled serves it without a read or a
+// decode.
 func (x *seamTrial) checkRoomy(t *testing.T, a *proc, dev *storage.Device, want []byte) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, SelectiveScheduling: x.opts.SelectiveScheduling,
 		Name: "roomy", Obs: reg, SharedAdjacency: a.shared}
-	eng, err := New(DOSLayout(a.g), x.program("own"), witnessCodec{}, x.mcodec(), opts)
+	eng, err := New(DOSLayout(a.g), x.program("own", a.g.NumVertices), witnessCodec{}, x.mcodec(), opts)
 	must(t, err)
 	before := dev.FileStats()[a.g.EdgesFile()]
 	res, err := eng.Run()
 	must(t, err)
-	if same := slices.Equal(stateBytes(t, eng), want); !same || !opts.SelectiveScheduling && res.Iterations > a.res.Iterations {
+	got := stateBytes(t, eng)
+	if opts.SelectiveScheduling && !eng.initAll {
+		got, want = untraced(got), untraced(want)
+	}
+	if same := slices.Equal(got, want); !same || !opts.SelectiveScheduling && res.Iterations > a.res.Iterations {
 		t.Errorf("one roomy partition: %d iterations (the draw's plan: %d), same bits %v", res.Iterations, a.res.Iterations, same)
 	}
 	io := dev.FileStats()[a.g.EdgesFile()].Sub(before)
@@ -927,8 +987,11 @@ func (d seamDraw) plan(t *testing.T, eng *Engine[witnessVal, uint32]) {
 			planBoth(t, &pl, as, newDegIndex(base, start, shuffled), base, start, shuffled, 1+r(9))
 		}
 	}
-	if n := 1 + r(200); newActiveSet(int(n)).count != n || newActiveSet(int(n)).countRange(0, graph.VertexID(n)) != n {
-		t.Errorf("an all-ones set of %d counts %d", n, newActiveSet(int(n)).countRange(0, graph.VertexID(n)))
+	full := newActiveSet(int(1 + r(9000)))
+	if back, err := unmarshalActiveSet(full.marshal(), full.n); err != nil || !reflect.DeepEqual(back, full) ||
+		full.count != int64(full.n) || full.countRange(1, graph.VertexID(full.n)) != int64(full.n-1) {
+		t.Errorf("an all-ones set of %d counts %d, %d past its first; back from a checkpoint: %v",
+			full.n, full.count, full.countRange(1, graph.VertexID(full.n)), err)
 	}
 
 	// DegreeRun, on the draw's DOS layout (a run ends at the next bucket),
@@ -988,56 +1051,75 @@ func checkDegreeRuns(t *testing.T, name string, l interface {
 	}
 }
 
-// drawnBits returns a bitmap over [0, n) with k bits set at random in
-// [lo, hi) and the two just outside it, after holding the bitmap's
-// primitives to the []bool it mirrors, and its marshal to its unmarshal.
+// drawnBits returns a bitmap over [0, n) — at a third of the draws widened
+// past 4,096 vertices, so its summary has more than one word — with k bits
+// set at random in [lo, hi), the one just below it and a few from hi on.
+// With every bit of a drawn word, or of a summary word's 64 words, cleared
+// (and set back after), it holds the bitmap's primitives to the []bool it
+// mirrors, and its marshal to its unmarshal, which refuses a section a word
+// short or with a bit at or past n.
 func drawnBits(t *testing.T, r func(int64) int64, n int, lo, hi graph.VertexID, k int64) *activeSet {
 	t.Helper()
+	if r(3) == 0 {
+		n += 4096 + int(r(8192))
+	}
 	as, ref := newEmptyActiveSet(n), make([]bool, n)
-	mark := func(v graph.VertexID) {
-		as.set(v)
-		as.set(v) // idempotent
-		ref[v] = true
+	mark := func(v graph.VertexID, on bool) {
+		op := map[bool]func(graph.VertexID){true: as.set, false: as.clear}[on]
+		op(v)
+		op(v) // idempotent
+		ref[v] = on
 	}
 	for _, i := range randPerm(r, int64(hi-lo))[:k] {
-		mark(lo + graph.VertexID(i))
+		mark(lo+graph.VertexID(i), true)
 	}
 	if lo > 0 {
-		mark(lo - 1)
+		mark(lo-1, true)
 	}
-	if int(hi) < n {
-		mark(hi)
+	for v := int(hi); v < n; v += 1 + int(r(4096)) {
+		mark(graph.VertexID(v), true)
+	}
+	span := 64 << (6 * r(2)) // the word, or the summary word, of the first set bit from a drawn vertex on
+	from := int(as.nextSet(graph.VertexID(r(int64(n))), graph.VertexID(n))) % n / span * span
+	var gone []graph.VertexID
+	for v := graph.VertexID(from); int(v) < min(from+span, n); v++ {
+		if ref[v] {
+			mark(v, false)
+			gone = append(gone, v)
+		}
 	}
 	i, j := graph.VertexID(r(int64(n+1))), graph.VertexID(r(int64(n+1)))
 	i, j = min(i, j), max(i, j)
 	var count, in int64 // bits set, and set in [i, j)
-	next := j           // the first of those
+	next, gap := j, j   // the first set and the first clear bit there
 	for v, set := range ref {
 		if u := graph.VertexID(v); as.get(u) != set {
 			t.Fatalf("bit %d reads %v, was set %v", v, !set, set)
-		} else if set && u >= i && u < j {
+		} else if u >= i && u < j && set {
 			in, next = in+1, min(next, u)
+		} else if u >= i && u < j {
+			gap = min(gap, u)
 		}
 		count += int64(b2i(set))
 	}
-	if as.countRange(i, j) != in || as.nextSet(i, j) != next {
-		t.Errorf("[%d,%d): count %d, next %d; the bits hold %d, first %d",
-			i, j, as.countRange(i, j), as.nextSet(i, j), in, next)
+	if as.count != count || as.countRange(i, j) != in || as.nextSet(i, j) != next || as.nextBit(i, j, false) != gap {
+		t.Errorf("[%d,+%d) cleared: %d bits counted %d; [%d,%d): count %d, next %d, next clear %d; the bits hold %d, first %d, first clear %d",
+			from, span, count, as.count, i, j, as.countRange(i, j), as.nextSet(i, j), as.nextBit(i, j, false), in, next, gap)
 	}
-	back, err := unmarshalActiveSet(as.marshal(), n)
-	if err != nil || as.count != count || !reflect.DeepEqual(back, as) {
-		t.Errorf("%d bits counted %d, and back from a checkpoint %+v (%v)", count, as.count, back, err)
+	data := as.marshal()
+	if back, err := unmarshalActiveSet(data, n); err != nil || !reflect.DeepEqual(back, as) {
+		t.Errorf("back from a checkpoint %+v (%v), was %+v", back, err, as)
 	}
-	if _, err := unmarshalActiveSet(as.marshal(), n+64); err == nil {
-		t.Error("a bitmap section one word short unmarshaled")
+	if _, err := unmarshalActiveSet(data[8:], n); !errors.Is(err, checkpoint.ErrTruncated) {
+		t.Errorf("a bitmap section one word short: %v, want checkpoint.ErrTruncated", err)
 	}
-	if v := graph.VertexID(r(int64(n + 1))); int(v) < n && ref[v] {
-		as.clear(v)
-		as.clear(v)
-		if as.get(v) || as.count != count-1 {
-			t.Errorf("clearing bit %d left it %v, counted %d of %d", v, as.get(v), as.count, count-1)
+	if data[len(data)-1] |= 0x80; n%64 != 0 { // vertex 64·⌈n/64⌉−1, past the last
+		if _, err := unmarshalActiveSet(data, n); !errors.Is(err, checkpoint.ErrTruncated) {
+			t.Errorf("a bit past vertex %d: %v, want checkpoint.ErrTruncated", n-1, err)
 		}
-		as.set(v)
+	}
+	for _, v := range gone {
+		mark(v, true)
 	}
 	return as
 }
@@ -1144,10 +1226,7 @@ func planSelectiveRef(as *activeSet, lo, hi graph.VertexID, start int64, degs []
 		if r.endOff == r.startOff {
 			continue
 		}
-		first, end := r.startOff/epb, (r.endOff-1)/epb
-		if first <= last {
-			first = last + 1
-		}
+		first, end := max(r.startOff/epb, last+1), (r.endOff-1)/epb
 		if end >= first {
 			sched.blocksRead += end - first + 1
 			last = end
@@ -1507,7 +1586,7 @@ func (d seamDraw) drainRound(t *testing.T) {
 		if watched {
 			opts.Obs = obs.NewRegistry()
 		}
-		eng := drainEngine(t, flatLayout{int(n), fd.Device}, d.program(d.Val("route")), vcodec(d.Val("route")), d.mcodec(), opts)
+		eng := drainEngine(t, flatLayout{int(n), fd.Device}, d.program(d.Val("route"), 0), vcodec(d.Val("route")), d.mcodec(), opts)
 		if int64(eng.NumPartitions()) != parts {
 			t.Fatalf("%d vertices in %d partitions, want %d", n, eng.NumPartitions(), parts)
 		}
@@ -1750,12 +1829,21 @@ type perValue[T any] struct{ graph.Codec[T] }
 // witnessLabel's pad says its records are padCodec's 6-byte ones, not
 // Uint32Codec's 8: its drain delegate decodes with that codec. each says
 // which vertices send per edge: the odd ones (0), none (-1) or all (1).
+// root, when not nil, makes it the rooted witness: every vertex starts
+// unlabelled and only the root pending its ID, so only the root has work
+// after Init — its initial frontier.
 type witnessLabel struct {
 	pad  bool
 	each int
+	root []graph.VertexID
 }
 
-func (witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
+func (p witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
+	if p.root != nil && id != p.root[0] {
+		return witnessVal{label: 0xffff, pending: 0xffff}
+	} else if p.root != nil {
+		return witnessVal{label: 0xffff, pending: uint32(id)}
+	}
 	return witnessVal{label: uint32(id), pending: uint32(id)}
 }
 
@@ -1765,7 +1853,7 @@ func (witnessLabel) Init(id graph.VertexID, deg uint32) witnessVal {
 // destination's low bits, so an edge's message applied to another edge's
 // destination changes the trace.
 func (p witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, adj []graph.VertexID) {
-	if ctx.Iteration() > 0 {
+	if ctx.Iteration() > 0 || p.root != nil {
 		if v.pending >= v.label {
 			return
 		}
@@ -1786,13 +1874,11 @@ func (p witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witness
 
 func (witnessLabel) Apply(v *witnessVal, m uint32) {
 	v.trace = v.trace*1664525 + m + 1
-	if m>>7 < v.pending {
-		v.pending = m >> 7
-	}
+	v.pending = min(v.pending, m>>7)
 }
 
-// FrontierSafe: as minLabel — the trace steers nothing.
-func (witnessLabel) FrontierSafe() {}
+// InitialFrontier: as minLabel, or the root — the trace steers nothing.
+func (p witnessLabel) InitialFrontier() []graph.VertexID { return p.root }
 
 // ApplyAll is the BulkApplier delegate, so witnessLabel as written takes
 // the route that inlines Apply.
@@ -1825,7 +1911,8 @@ func (p witnessLabel) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []by
 // delegate reports off more than it applied, every vertex with an edge hands
 // SendEach one message too few ("short"), or vertex 0 sends once to the top
 // of the ID space ("stray") by Send, SendAll or SendEach as off is -1, 0 or
-// 1. broke is the poll count of the first breach.
+// 1 (the rooted witness's root instead, the one vertex with work then).
+// broke is the poll count of the first breach.
 type breaker struct {
 	witnessLabel
 	which        string
@@ -1839,7 +1926,7 @@ func (p breaker) Update(ctx *Context[uint32], id graph.VertexID, v *witnessVal, 
 		ctx.SendEach(adj, ctx.Messages(len(adj)-1))
 		return
 	}
-	if p.which == "stray" && ctx.Iteration() == 0 && id == 0 {
+	if p.which == "stray" && ctx.Iteration() == 0 && id == append(p.root, 0)[0] { // the root, or vertex 0
 		switch top := []graph.VertexID{^graph.VertexID(0)}; p.off {
 		case -1:
 			ctx.Send(top[0], 0)
@@ -1897,11 +1984,7 @@ func TestApplyAllMiscountFailsRun(t *testing.T) {
 		for _, off := range []int{-1, 1} {
 			drain := parts < 0
 			parts := max(parts, -parts)
-			name := fmt.Sprintf("parts=%d/off=%+d", parts, off)
-			if drain {
-				name = fmt.Sprintf("drain/parts=%d/off=%+d", parts, off)
-			}
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("%sparts=%d/off=%+d", map[bool]string{true: "drain/"}[drain], parts, off), func(t *testing.T) {
 				reg := obs.NewRegistry()
 				opts := Options{MemoryBudget: 64 << 20, DynamicMessages: !drain, MsgBufferBytes: 64, Obs: reg}
 				which, polls, broke := "ApplyAll", 0, -1
@@ -2093,8 +2176,8 @@ func checkModeledCompute(t *testing.T, p *proc, start int) {
 				units(b.Updates-a.Updates, sim.CostVertexUpdate) +
 				units(b.edges-a.edges, sim.CostEdgeScan) +
 				units((b.Buffered-a.Buffered)*int64((4+eng.msize)/4), sim.CostByteCopy4) // whole 4-byte units per record
-			if !worked(a, b) && eng.parts.starts[q] < eng.parts.starts[q+1] {
-				if eng.sel == nil || i == 0 || b.edges != a.edges || b.BlocksScanned != a.BlocksScanned {
+			if !visited(eng, start, j, snaps) && eng.parts.starts[q] < eng.parts.starts[q+1] {
+				if eng.sel == nil || b.edges != a.edges || b.BlocksScanned != a.BlocksScanned {
 					t.Errorf("iteration %d: partition %d was skipped whole, selective %v, its ledger %+v → %+v", i, q, eng.sel != nil, a, b)
 				}
 				continue
@@ -2120,7 +2203,7 @@ func checkModeledCompute(t *testing.T, p *proc, start int) {
 			want += units(n*int64(eng.vsize)/4, sim.CostByteCopy4) // the one flush
 		}
 		lo, hi := want+units(scanned, sim.CostActiveScan), want+units(scanned+n, sim.CostActiveScan)
-		if i == 0 {
+		if i == 0 && eng.initAll {
 			hi = lo // every bit set: each partition streams fully, no bit is walked
 		}
 		if got := compute[fmt.Sprintf("iter%d", i)]; got < lo || got > hi {
@@ -2130,7 +2213,7 @@ func checkModeledCompute(t *testing.T, p *proc, start int) {
 }
 
 // checkSpans holds a traced process's spans to its ledger: a partition
-// visit that worked has one sio, one dispatch and one worker span and one
+// visit that ran has one sio, one dispatch and one worker span and one
 // skipped whole has none; a drain span marks exactly the visits that found
 // messages pending; and each checkpoint written and each restore has its
 // span.
@@ -2150,9 +2233,9 @@ func checkSpans(t *testing.T, p *proc, start int) {
 	}
 	for j := 0; j+1 < len(snaps); j++ {
 		got := spans[[2]int{start + j/nParts, j % nParts}]
-		w := b2i(worked(snaps[j], snaps[j+1]))
+		w := b2i(visited(p.eng, start, j, snaps))
 		if got[obs.StageSio] != w || got[obs.StageDispatch] != w || got[obs.StageWorker] != w || got[obs.StageDrain] != b2i(p.pend[j] > 0) {
-			t.Errorf("iteration %d, partition %d (worked %v, %d bytes pending): spans %v", start+j/nParts, j%nParts, w == 1, p.pend[j], got)
+			t.Errorf("iteration %d, partition %d (visited %v, %d bytes pending): spans %v", start+j/nParts, j%nParts, w == 1, p.pend[j], got)
 		}
 	}
 	if whole := spans[[2]int{-1, -1}]; int64(whole[obs.StageCheckpoint]) != p.res.Checkpoints || whole[obs.StageRestore] != b2i(start > 0) {

@@ -169,10 +169,8 @@ func TestSemCheckpointCrossMode(t *testing.T) {
 
 	// Partitioned checkpoint, one-partition resume.
 	partDir := t.TempDir()
-	g3 := buildDOS(t, edges)
-	po2 := partitionedOpts(g3)
-	po2.Checkpoint = CheckpointOptions{Dir: partDir, Every: 1}
-	runMinLabel(t, g3, po2)
+	po.Checkpoint = CheckpointOptions{Dir: partDir, Every: 1}
+	runMinLabel(t, buildDOS(t, edges), po)
 
 	so := semOpts()
 	so.Checkpoint = CheckpointOptions{Dir: partDir, Resume: true}

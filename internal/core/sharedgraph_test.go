@@ -1,11 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"graphz/internal/gen"
-	"graphz/internal/graph"
 )
 
 // The resident-sharing split (SharedGraph / SharedAdjacency) under
@@ -55,23 +55,7 @@ func TestSharedGraphConcurrentEngines(t *testing.T) {
 			defer wg.Done()
 			o.Name = "job-" + string(rune('a'+i))
 			o.SharedAdjacency = sg.Adjacency()
-			eng, err := New[minVal, uint32](sg.View(), minLabel{}, minValCodec{}, graph.Uint32Codec{}, o)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer eng.Cleanup()
-			res, err := eng.Run()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			vals, err := eng.Values()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outRes[i], outVals[i] = res, vals
+			outRes[i], outVals[i], errs[i] = minLabelRun(sg.View(), o)
 		}(i, o)
 	}
 	wg.Wait()
@@ -83,10 +67,8 @@ func TestSharedGraphConcurrentEngines(t *testing.T) {
 		if got, want := counterFields(outRes[i]), counterFields(solos[i].res); got != want {
 			t.Errorf("engine %d counters %v, solo %v", i, got, want)
 		}
-		for v := range solos[i].vals {
-			if outVals[i][v] != solos[i].vals[v] {
-				t.Fatalf("engine %d vertex %d state %+v, solo %+v", i, v, outVals[i][v], solos[i].vals[v])
-			}
+		if !slices.Equal(outVals[i], solos[i].vals) {
+			t.Fatalf("engine %d states %+v, solo %+v", i, outVals[i], solos[i].vals)
 		}
 	}
 	if !sg.Adjacency().Filled() {

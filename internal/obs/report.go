@@ -60,7 +60,7 @@ type MemSample struct {
 	AdjCacheBytes    int64 `json:"adj_cache_bytes"`    // resident adjacency cache
 	MsgBufferBytes   int64 `json:"msg_buffer_bytes"`   // in-memory message buffers (capacity)
 	SpillBytes       int64 `json:"spill_bytes"`        // spilled messages on the device
-	BitmapBytes      int64 `json:"bitmap_bytes"`       // selective-scheduling bitmap
+	BitmapBytes      int64 `json:"bitmap_bytes"`       // selective-scheduling bitmap and its summary
 }
 
 // ResidentBytes sums the budget-accounted classes of the sample (spill
