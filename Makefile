@@ -20,8 +20,9 @@ vet:
 race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/checkpoint/... ./internal/storage/... ./internal/bench/... ./internal/serve/... ./internal/algo/integration/...
 
-# inline-check asserts that the compiler inlines Apply into the bulk route
-# of every shipped program with an ApplyAll or ApplyEach delegate,
+# inline-check asserts that the compiler inlines Apply, and the bitmap's
+# set that marks what it changed, into the bulk route of every shipped
+# program with an ApplyAll or ApplyEach delegate,
 # core.UpdateRun and its Update closure into the UpdateRun run delegate,
 # Decode and Apply into its ApplyRecords drain delegate — every delegate
 # the programs' source defines — the field codecs into the pair codecs'
@@ -32,7 +33,7 @@ race:
 # record stores its buffer's length, not the slice (ci/inlinecheck.sh) —
 # run it after any edit to a program, to core.ApplyAll, core.ApplyEach,
 # core.UpdateRun or core.ApplyRecords, to internal/graph/pair.go, to
-# updateRuns, to activeSet, to scatter or to partitionOf.
+# updateRuns, to the Frontier (activeset.go), to scatter or to partitionOf.
 inline-check:
 	ci/inlinecheck.sh
 

@@ -27,25 +27,26 @@ func (p bfsProgram) Init(id graph.VertexID, deg uint32) bfsVal {
 func (p bfsProgram) Update(ctx *core.Context[uint32], id graph.VertexID, v *bfsVal, adj []graph.VertexID) {
 	if v.B < v.A {
 		v.A = v.B
-		ctx.MarkActive()
 		ctx.SendAll(adj, v.A+1)
 	}
 }
 
-func (bfsProgram) Apply(v *bfsVal, m uint32) {
+func (bfsProgram) Apply(v *bfsVal, m uint32) bool {
 	if m < v.B {
 		v.B = m
+		return true
 	}
+	return false
 }
 
-// InitialFrontier declares core.FrontierSafe: without a message B is not
-// below A, and Update does nothing — after Init, everywhere but at the
-// source.
+// InitialFrontier declares core.FrontierSafe: unless a message lowered B
+// (Apply reports it) B is not below A, and Update does nothing — after
+// Init, everywhere but at the source.
 func (p bfsProgram) InitialFrontier() []graph.VertexID { return []graph.VertexID{p.source} }
 
 // ApplyAll is the optional bulk form (core.BulkApplier): Apply, inlined.
-func (p bfsProgram) ApplyAll(vs []bfsVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
-	return core.ApplyAll(vs, lo, dsts, m, func(v *bfsVal, m uint32) { p.Apply(v, m) })
+func (p bfsProgram) ApplyAll(f *core.Frontier, vs []bfsVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	return core.ApplyAll(f, vs, lo, dsts, m, func(v *bfsVal, m uint32) bool { return p.Apply(v, m) })
 }
 
 // UpdateRun is the optional run form (core.RunUpdater): Update, inlined

@@ -119,9 +119,10 @@ func (bpProgram) Update(ctx *core.Context[bpMsg], id graph.VertexID, v *bpVal, a
 	}
 }
 
-func (bpProgram) Apply(v *bpVal, m bpMsg) {
+func (bpProgram) Apply(v *bpVal, m bpMsg) bool {
 	v.A0 += m.M0
 	v.A1 += m.M1
+	return true
 }
 
 // BeliefPropagation runs the given number of loopy BP iterations and

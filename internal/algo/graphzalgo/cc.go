@@ -27,20 +27,21 @@ func (ccProgram) Update(ctx *core.Context[uint32], id graph.VertexID, v *ccVal, 
 	}
 	if v.B < v.A {
 		v.A = v.B
-		ctx.MarkActive()
 		ctx.SendAll(adj, v.A)
 	}
 }
 
-func (ccProgram) Apply(v *ccVal, m uint32) {
+func (ccProgram) Apply(v *ccVal, m uint32) bool {
 	if m < v.B {
 		v.B = m
+		return true
 	}
+	return false
 }
 
 // InitialFrontier declares core.FrontierSafe: after iteration 0's
-// broadcast from every vertex (nil), without a message B is not below A,
-// and Update does nothing.
+// broadcast from every vertex (nil), unless a message lowered B (Apply
+// reports it) B is not below A, and Update does nothing.
 func (ccProgram) InitialFrontier() []graph.VertexID { return nil }
 
 // ConnectedComponents labels every vertex with the smallest vertex ID

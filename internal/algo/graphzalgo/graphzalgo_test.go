@@ -162,48 +162,113 @@ func TestBFSUnreachedStaysUnreached(t *testing.T) {
 // updates bits. A BFS across a 64x64 grid is dozens of iterations of a
 // thin frontier over one adjacency block; with selective scheduling on the
 // run is the full-streaming run — same levels, same iterations, same
-// messages — except that Update runs on the vertices whose bit is set, not
-// on every vertex whose block was read: a few per vertex over the whole
-// run (each is updated when reached and once more for having marked itself
-// active), where streaming makes one per vertex per iteration.
+// messages — except that Update runs on the vertices a message changed,
+// not on every vertex whose block was read: once per reached vertex over
+// the whole run on one partition, where a vertex is scheduled when its
+// Apply reports a change and a level sent back to a parent schedules
+// nothing, and one per vertex per iteration streaming. A path, reached one
+// vertex an iteration from one end, holds the same count.
 func TestSelectiveUpdatesTrackFrontier(t *testing.T) {
-	f := newFixture(t, gen.Grid(64, 64))
-	o2n, err := f.g.OldToNew()
-	if err != nil {
-		t.Fatal(err)
+	var path []graph.Edge
+	for v := graph.VertexID(0); v+1 < 300; v++ {
+		path = append(path, graph.Edge{Src: v, Dst: v + 1}, graph.Edge{Src: v + 1, Dst: v})
 	}
-	source := o2n[32*64+32] // the centre: in vertex order the frontier advances about a row per iteration
-	want := plain.BFS(f.adj, source)
-	full, fullLevels, err := BFS(f.g, bigOpts(), source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := bigOpts()
-	opts.SelectiveScheduling = true
-	sel, selLevels, err := BFS(f.g, opts, source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if fullLevels[i] != want[i] || selLevels[i] != want[i] {
-			t.Fatalf("level[%d] = %d streaming, %d selective, want %d", i, fullLevels[i], selLevels[i], want[i])
+	for _, c := range []struct {
+		edges    []graph.Edge
+		source   graph.VertexID // old ID
+		minIters int
+	}{{gen.Grid(64, 64), 32*64 + 32, 50}, {path, 299, 299}} {
+		f := newFixture(t, c.edges)
+		o2n, err := f.g.OldToNew()
+		if err != nil {
+			t.Fatal(err)
+		}
+		source := o2n[c.source]
+		want := plain.BFS(f.adj, source)
+		full, fullLevels, err := BFS(f.g, bigOpts(), source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := bigOpts()
+		opts.SelectiveScheduling = true
+		sel, selLevels, err := BFS(f.g, opts, source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reached := int64(0)
+		for i := range want {
+			if fullLevels[i] != want[i] || selLevels[i] != want[i] {
+				t.Fatalf("level[%d] = %d streaming, %d selective, want %d", i, fullLevels[i], selLevels[i], want[i])
+			}
+			reached += int64(b2i(want[i] != Unreached))
+		}
+		if sel.Iterations != full.Iterations || sel.MessagesSent != full.MessagesSent {
+			t.Errorf("selective ran %d iterations / %d messages, streaming %d / %d",
+				sel.Iterations, sel.MessagesSent, full.Iterations, full.MessagesSent)
+		}
+		if sel.Iterations < c.minIters || sel.BlocksScanned == 0 {
+			t.Fatalf("want a long scheduled run, got %+v", sel)
+		}
+		v := int64(f.g.NumVertices)
+		if sel.UpdatesRun != reached {
+			t.Errorf("selective ran %d updates, want one per reached vertex, %d (streaming: %d)", sel.UpdatesRun, reached, full.UpdatesRun)
+		}
+		if full.UpdatesRun != int64(full.Iterations)*v {
+			t.Errorf("streaming ran %d updates, want %d iterations x %d vertices", full.UpdatesRun, full.Iterations, v)
 		}
 	}
-	if sel.Iterations != full.Iterations || sel.MessagesSent != full.MessagesSent {
-		t.Errorf("selective ran %d iterations / %d messages, streaming %d / %d",
-			sel.Iterations, sel.MessagesSent, full.Iterations, full.MessagesSent)
+}
+
+// TestSelectiveMatchesFullScan: SSSP and CC scheduled selectively — a vertex
+// scheduled by a message that changed it, never by itself — leave the full
+// scan's values byte for byte, in fewer updates: on one partition, where a
+// mark follows Apply's report, in partitions, where a resident record is
+// marked when sent and a drained one when delivered, and under static
+// messages, all drained.
+func TestSelectiveMatchesFullScan(t *testing.T) {
+	base := gen.RMAT(9, 3000, gen.NaturalRMAT, 36)
+	var edges []graph.Edge
+	for _, e := range base {
+		edges = append(edges, e, graph.Edge{Src: e.Dst, Dst: e.Src})
 	}
-	if sel.Iterations < 50 || sel.BlocksScanned == 0 {
-		t.Fatalf("want a long scheduled run, got %+v", sel)
+	f := newFixture(t, edges)
+	static := tightOpts(f.g, 8)
+	static.DynamicMessages = false
+	runs := map[string]func(core.Options) (core.Result, []uint32, error){
+		"SSSP": func(opts core.Options) (core.Result, []uint32, error) {
+			res, dists, err := SSSP(f.g, opts, 0)
+			bits := make([]uint32, len(dists))
+			for i, d := range dists {
+				bits[i] = math.Float32bits(d)
+			}
+			return res, bits, err
+		},
+		"CC": func(opts core.Options) (core.Result, []uint32, error) { return ConnectedComponents(f.g, opts) },
 	}
-	v := int64(f.g.NumVertices)
-	if sel.UpdatesRun > 4*v {
-		t.Errorf("selective ran %d updates over %d vertices, want at most 4 per vertex (streaming: %d)",
-			sel.UpdatesRun, v, full.UpdatesRun)
+	for name, run := range runs {
+		for _, opts := range []core.Options{bigOpts(), tightOpts(f.g, 8), static} {
+			full, want, err := run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.SelectiveScheduling = true
+			sel, got, err := run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) || sel.UpdatesRun >= full.UpdatesRun || sel.Partitions != full.Partitions {
+				t.Errorf("%s in %d partitions (dynamic %v): selective values equal %v, %d updates; full scan %d",
+					name, full.Partitions, opts.DynamicMessages, slices.Equal(got, want), sel.UpdatesRun, full.UpdatesRun)
+			}
+		}
 	}
-	if full.UpdatesRun != int64(full.Iterations)*v {
-		t.Errorf("streaming ran %d updates, want %d iterations x %d vertices", full.UpdatesRun, full.Iterations, v)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 func TestConnectedComponentsMatchesPlain(t *testing.T) {
@@ -500,13 +565,13 @@ func checkDelegate[V, M any](t *testing.T, prog core.Program[V, M], want string,
 			}
 		}
 		if ok {
-			if k := bulk.ApplyAll(got, lo, dsts, m); k != applied || !bytes.Equal(encode(got), encode(want)) {
+			if k := bulk.ApplyAll(nil, got, lo, dsts, m); k != applied || !bytes.Equal(encode(got), encode(want)) {
 				t.Fatalf("%T.ApplyAll over [%d,%d) and %v returned %d (want %d), left %v; Apply in a loop leaves %v",
 					prog, lo, int(lo)+n, dsts, k, applied, got, want)
 			}
 		}
 		if ok2 {
-			if k := each.ApplyEach(eachGot, lo, dsts, ms); k != applied || !bytes.Equal(encode(eachGot), encode(eachWant)) {
+			if k := each.ApplyEach(nil, eachGot, lo, dsts, ms); k != applied || !bytes.Equal(encode(eachGot), encode(eachWant)) {
 				t.Fatalf("%T.ApplyEach over [%d,%d), %v and %v returned %d (want %d), left %v; Apply in a loop leaves %v",
 					prog, lo, int(lo)+n, dsts, ms, k, applied, eachGot, eachWant)
 			}
@@ -599,13 +664,14 @@ func checkApplyLoop[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Co
 }
 
 // byHand runs a program with its own optional forms hidden, and an ApplyAll
-// and an ApplyRecords that call its Apply in a loop of their own.
+// and an ApplyRecords that call its Apply in a loop of their own (marking
+// nothing: checkApplyLoop's runs are not selective).
 type byHand[V, M any] struct {
 	core.Program[V, M]
 	decode func([]byte) M
 }
 
-func (p byHand[V, M]) ApplyAll(vs []V, lo graph.VertexID, dsts []graph.VertexID, m M) (applied int) {
+func (p byHand[V, M]) ApplyAll(_ *core.Frontier, vs []V, lo graph.VertexID, dsts []graph.VertexID, m M) (applied int) {
 	for _, dst := range dsts {
 		if dst >= lo && int(dst-lo) < len(vs) {
 			p.Apply(&vs[dst-lo], m)
@@ -685,14 +751,14 @@ type sendLog[V, M any] struct {
 	log *[]string
 }
 
-func (p sendLog[V, M]) ApplyAll(vs []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
+func (p sendLog[V, M]) ApplyAll(f *core.Frontier, vs []V, lo graph.VertexID, dsts []graph.VertexID, m M) int {
 	*p.log = append(*p.log, fmt.Sprint(dsts, m))
-	return core.ApplyAll(vs, lo, dsts, m, p.Apply)
+	return core.ApplyAll(f, vs, lo, dsts, m, p.Apply)
 }
 
-func (p sendLog[V, M]) ApplyEach(vs []V, lo graph.VertexID, dsts []graph.VertexID, ms []M) int {
+func (p sendLog[V, M]) ApplyEach(f *core.Frontier, vs []V, lo graph.VertexID, dsts []graph.VertexID, ms []M) int {
 	*p.log = append(*p.log, fmt.Sprint(dsts, ms))
-	return core.ApplyEach(vs, lo, dsts, ms, p.Apply)
+	return core.ApplyEach(f, vs, lo, dsts, ms, p.Apply)
 }
 
 // runLog is sendLog with the program's UpdateRun, counted; the Update it
@@ -746,7 +812,6 @@ func checkSendEach(t *testing.T) {
 func ssspSendUpdate(ctx *core.Context[float32], id graph.VertexID, v *ssspVal, adj []graph.VertexID) {
 	if v.B < v.A {
 		v.A = v.B
-		ctx.MarkActive()
 		for _, a := range adj {
 			ctx.Send(a, v.A+graph.EdgeWeight(id, a))
 		}
@@ -775,9 +840,9 @@ func (p sendTrace) Update(ctx *core.Context[float32], id graph.VertexID, v *trac
 	p.update(ctx, id, &v.v, adj)
 }
 
-func (p sendTrace) Apply(v *traceVal, m float32) {
+func (p sendTrace) Apply(v *traceVal, m float32) bool {
 	*p.log = append(*p.log, fmt.Sprint(v.id, m))
-	p.sssp.Apply(&v.v, m)
+	return p.sssp.Apply(&v.v, m)
 }
 
 type traceCodec struct{}

@@ -91,8 +91,9 @@ func (p rwProgram) Update(ctx *core.Context[uint32], id graph.VertexID, v *rwVal
 	}
 }
 
-func (rwProgram) Apply(v *rwVal, m uint32) {
+func (rwProgram) Apply(v *rwVal, m uint32) bool {
 	v.Incoming += m
+	return true
 }
 
 // RandomWalk runs the given number of steps with walkersPerVertex walkers

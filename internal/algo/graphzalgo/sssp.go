@@ -32,7 +32,6 @@ func (p ssspProgram) Init(id graph.VertexID, deg uint32) ssspVal {
 func (p ssspProgram) Update(ctx *core.Context[float32], id graph.VertexID, v *ssspVal, adj []graph.VertexID) {
 	if v.B < v.A {
 		v.A = v.B
-		ctx.MarkActive()
 		ms := ctx.Messages(len(adj))
 		for i, a := range adj {
 			ms[i] = v.A + graph.EdgeWeight(id, a)
@@ -41,21 +40,23 @@ func (p ssspProgram) Update(ctx *core.Context[float32], id graph.VertexID, v *ss
 	}
 }
 
-func (ssspProgram) Apply(v *ssspVal, m float32) {
+func (ssspProgram) Apply(v *ssspVal, m float32) bool {
 	if m < v.B {
 		v.B = m
+		return true
 	}
+	return false
 }
 
-// InitialFrontier declares core.FrontierSafe: without a message B is not
-// below A, and Update does nothing — after Init, everywhere but at the
-// source.
+// InitialFrontier declares core.FrontierSafe: unless a message lowered B
+// (Apply reports it) B is not below A, and Update does nothing — after
+// Init, everywhere but at the source.
 func (p ssspProgram) InitialFrontier() []graph.VertexID { return []graph.VertexID{p.source} }
 
 // ApplyEach is the optional per-edge bulk form (core.EachApplier): Apply,
 // inlined.
-func (p ssspProgram) ApplyEach(vs []ssspVal, lo graph.VertexID, dsts []graph.VertexID, ms []float32) int {
-	return core.ApplyEach(vs, lo, dsts, ms, func(v *ssspVal, m float32) { p.Apply(v, m) })
+func (p ssspProgram) ApplyEach(f *core.Frontier, vs []ssspVal, lo graph.VertexID, dsts []graph.VertexID, ms []float32) int {
+	return core.ApplyEach(f, vs, lo, dsts, ms, func(v *ssspVal, m float32) bool { return p.Apply(v, m) })
 }
 
 // UpdateRun is the optional run form (core.RunUpdater): Update, inlined

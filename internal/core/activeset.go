@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -15,38 +16,44 @@ import (
 // vertices, yet a streaming engine re-reads every adjacency block anyway.
 // The engine keeps one bit per vertex — initially the program's declared
 // initial frontier (every vertex when it declares nil), set when a message
-// is applied to the vertex or, a resident record, sent to it (send,
-// applyOnSpot, applyEachOnSpot, sendRecords, drainRecords), or its update
-// called MarkActive (updateRuns, which reads the Context's flag once Update
-// returns), cleared just before its update runs (except during an Init pass
-// over every vertex: it conventionally broadcasts and ignores pending
-// messages, so its bits survive into iteration 1, where the first real
-// update acts on them), replaced whole by resume — every writer is a method
-// of Engine — and, per partition per iteration, derives per-block activity
-// from the bitmap. Degree-Ordered Storage makes that derivation arithmetic:
-// a partition's adjacency is a contiguous entry range, so "does block b
-// contain an active vertex's edges" is a bitmap range test over a
-// contiguous new-ID range. Blocks with no active vertex are never read;
-// when the active density reaches a threshold the partition falls back to
-// full streaming (dense iterations are faster streamed, as GraphMP
-// observes). A summary word per 64 bitmap words marks the non-empty ones,
-// so every walk of the bits — the Worker's, the planner's, appendActive's —
-// steps over 64 empty words at a time: a frontier of a few hundred vertices
-// costs what it holds, not V/64 loads a walk. See DESIGN.md §9.
+// changes the vertex (its Apply reports true: send's inline apply, and
+// ApplyAll and ApplyEach through applyOnSpot and applyEachOnSpot), when a
+// record to it is delivered (drainRecords) or, resident, sent (sendRecords,
+// and send on the in-place route) — whatever Apply reports there, a safe
+// superset — or when its update called MarkActive (updateRuns, which reads
+// the Context's flag once Update returns), cleared just before its update
+// runs (except during an Init pass over every vertex: it conventionally
+// broadcasts and ignores pending messages, so its bits survive into
+// iteration 1, where the first real update acts on them), replaced whole by
+// resume — every writer is the engine's — and, per partition per iteration,
+// derives per-block activity from the bitmap. Degree-Ordered Storage makes
+// that derivation arithmetic: a partition's adjacency is a contiguous entry
+// range, so "does block b contain an active vertex's edges" is a bitmap
+// range test over a contiguous new-ID range. Blocks with no active vertex
+// are never read; when the active density reaches a threshold the partition
+// falls back to full streaming (dense iterations are faster streamed, as
+// GraphMP observes). A summary byte per bitmap word marks the non-empty
+// ones, so every walk of the bits — the Worker's, the planner's,
+// appendActive's — steps over 8 empty words a load: a frontier of a few
+// hundred vertices costs what it holds, not V/64 loads a walk. See
+// DESIGN.md §9.
 
 // defaultSelectiveDensity is the active-vertex density at or above which
 // a partition streams fully instead of scheduling blocks.
 const defaultSelectiveDensity = 0.25
 
-// activeSet is a dense bitmap over vertex IDs [0, n) with a maintained
-// population count and a summary: one bit per bitmap word, set exactly when
-// the word is not zero. set and clear keep both true; the walks (nextSet,
-// countRange) step over 64 empty words per summary word, so a thin
-// frontier costs what it holds, not V/64.
-type activeSet struct {
+// Frontier is the set of schedulable vertices under selective scheduling: a
+// dense bitmap over vertex IDs [0, n) and a summary of it, one byte per
+// bitmap word, non-zero exactly when the word is not zero. set and clear
+// keep the summary true with one plain store; the walks (nextSet,
+// countRange) read it eight bytes at a load and so step over 8 empty words
+// at a time, and a thin frontier costs what it holds, not V/64. It is
+// opaque outside the engine: a program's bulk appliers (ApplyAll,
+// ApplyEach) are handed it, nil when the run is not scheduled selectively,
+// and mark in it through the helpers.
+type Frontier struct {
 	words []uint64
-	sum   []uint64 // bit w set ⇔ words[w] != 0
-	count int64
+	sum   []byte // sum[w] != 0 ⇔ words[w] != 0; padded to whole 8-byte loads
 	n     int
 }
 
@@ -54,7 +61,7 @@ type activeSet struct {
 // schedulable until its first update runs — the Init pass of a program
 // whose initial frontier is every vertex, or a resume from a checkpoint
 // without a bitmap.
-func newActiveSet(n int) *activeSet {
+func newActiveSet(n int) *Frontier {
 	s := newEmptyActiveSet(n)
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
@@ -62,82 +69,67 @@ func newActiveSet(n int) *activeSet {
 	if tail := uint(n % 64); tail != 0 {
 		s.words[len(s.words)-1] = (uint64(1) << tail) - 1
 	}
-	s.count = int64(n)
 	s.summarize()
 	return s
 }
 
-// newEmptyActiveSet returns an all-zeros set over [0, n): the words and
-// their summary in one allocation.
-func newEmptyActiveSet(n int) *activeSet {
+// newEmptyActiveSet returns an all-zeros set over [0, n).
+func newEmptyActiveSet(n int) *Frontier {
 	words := (n + 63) / 64
-	buf := make([]uint64, words+(words+63)/64)
-	return &activeSet{words: buf[:words:words], sum: buf[words:], n: n}
+	return &Frontier{words: make([]uint64, words), sum: make([]byte, (words+7)&^7), n: n}
 }
 
 // summarize rebuilds the summary from the words.
-func (s *activeSet) summarize() {
+func (s *Frontier) summarize() {
 	clear(s.sum)
 	for w, x := range s.words {
 		if x != 0 {
-			s.sum[w/64] |= 1 << uint(w%64)
+			s.sum[w] = 1
 		}
 	}
 }
 
-func (s *activeSet) set(v graph.VertexID) {
-	i := int(v)
-	w, b := i/64, uint(i%64)
-	if s.words[w]&(1<<b) == 0 {
-		s.words[w] |= 1 << b
-		s.sum[w/64] |= 1 << uint(w%64)
-		s.count++
+// set marks v. Two stores and no test, so it inlines into the bulk
+// appliers' loops (ci/inlinecheck.sh) as well as into the Worker's.
+func (s *Frontier) set(v graph.VertexID) {
+	s.words[v/64] |= 1 << (v % 64)
+	s.sum[v/64] = 1
+}
+
+func (s *Frontier) clear(v graph.VertexID) {
+	w := v / 64
+	if s.words[w] &^= 1 << (v % 64); s.words[w] == 0 {
+		s.sum[w] = 0
 	}
 }
 
-func (s *activeSet) clear(v graph.VertexID) {
-	i := int(v)
-	w, b := i/64, uint(i%64)
-	if s.words[w]&(1<<b) != 0 {
-		if s.words[w] &^= 1 << b; s.words[w] == 0 {
-			s.sum[w/64] &^= 1 << uint(w%64)
-		}
-		s.count--
-	}
-}
-
-func (s *activeSet) get(v graph.VertexID) bool {
-	i := int(v)
-	return s.words[i/64]&(1<<uint(i%64)) != 0
+func (s *Frontier) get(v graph.VertexID) bool {
+	return s.words[v/64]&(1<<(v%64)) != 0
 }
 
 // nextWord returns the first word index in [w, end) whose word is not zero,
-// or end: a summary word a step.
-func (s *activeSet) nextWord(w, end int) int {
+// or end: eight summary bytes a load, from the aligned group that holds w.
+func (s *Frontier) nextWord(w, end int) int {
 	if w >= end {
 		return end
 	}
-	k := w / 64
-	m := s.sum[k] &^ (uint64(1)<<uint(w%64) - 1)
+	k := w &^ 7
+	m := binary.LittleEndian.Uint64(s.sum[k:]) &^ (uint64(1)<<(8*uint(w-k)) - 1)
 	for m == 0 {
-		if k++; k*64 >= end {
+		if k += 8; k >= end {
 			return end
 		}
-		m = s.sum[k]
+		m = binary.LittleEndian.Uint64(s.sum[k:])
 	}
-	return min(k*64+bits.TrailingZeros64(m), end)
+	return min(k+bits.TrailingZeros64(m)/8, end)
 }
 
-// countRange returns the number of set bits in [lo, hi): the maintained
-// count over the whole set, else one popcount a non-empty word, the first
-// and last word masked to the range.
-func (s *activeSet) countRange(lo, hi graph.VertexID) int64 {
+// countRange returns the number of set bits in [lo, hi): one popcount a
+// non-empty word, the first and last word masked to the range.
+func (s *Frontier) countRange(lo, hi graph.VertexID) int64 {
 	i, j := int(lo), int(hi)
 	if i >= j {
 		return 0
-	}
-	if i == 0 && j == s.n {
-		return s.count
 	}
 	first, last := i/64, (j-1)/64
 	head := s.words[first] &^ (uint64(1)<<uint(i%64) - 1)
@@ -157,7 +149,7 @@ func (s *activeSet) countRange(lo, hi graph.VertexID) int64 {
 // ahead of v between calls finds them. A set bit is looked for through the
 // summary; a clear one word by word (a summary bit says a word is not
 // empty, not that it is not full).
-func (s *activeSet) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
+func (s *Frontier) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
 	i, j := int(v), int(hi)
 	if i >= j {
 		return hi
@@ -186,10 +178,10 @@ func (s *activeSet) nextBit(v, hi graph.VertexID, want bool) graph.VertexID {
 }
 
 // nextSet returns the smallest set bit in [v, hi), or hi.
-func (s *activeSet) nextSet(v, hi graph.VertexID) graph.VertexID { return s.nextBit(v, hi, true) }
+func (s *Frontier) nextSet(v, hi graph.VertexID) graph.VertexID { return s.nextBit(v, hi, true) }
 
 // marshal serializes the bitmap words little-endian for checkpointing.
-func (s *activeSet) marshal() []byte {
+func (s *Frontier) marshal() []byte {
 	out := make([]byte, len(s.words)*8)
 	for i, w := range s.words {
 		for b := 0; b < 8; b++ {
@@ -200,11 +192,10 @@ func (s *activeSet) marshal() []byte {
 }
 
 // unmarshalActiveSet restores a checkpointed bitmap over [0, n),
-// recomputing the population count and the summary. A section of the wrong
-// length, or with a bit set at or past n, is a damaged checkpoint
-// (checkpoint.ErrTruncated): such a bit would skew the count the planner
-// sizes a partition's frontier by.
-func unmarshalActiveSet(data []byte, n int) (*activeSet, error) {
+// recomputing the summary. A section of the wrong length, or with a bit set
+// at or past n, is a damaged checkpoint (checkpoint.ErrTruncated): such a
+// bit would skew the count the planner sizes a partition's frontier by.
+func unmarshalActiveSet(data []byte, n int) (*Frontier, error) {
 	s := newEmptyActiveSet(n)
 	if len(data) != len(s.words)*8 {
 		return nil, fmt.Errorf("%w: active-set section is %d bytes, %d vertices need %d",
@@ -216,7 +207,6 @@ func unmarshalActiveSet(data []byte, n int) (*activeSet, error) {
 			w |= uint64(data[i*8+b]) << (8 * uint(b))
 		}
 		s.words[i] = w
-		s.count += int64(bits.OnesCount64(w))
 	}
 	if tail := uint(n % 64); tail != 0 && s.words[len(s.words)-1]>>tail != 0 {
 		return nil, fmt.Errorf("%w: active-set section sets a bit at or past vertex %d", checkpoint.ErrTruncated, n)
@@ -279,7 +269,7 @@ type selPlanner struct {
 // runBuilder assembles one plan's runs over partition [.., hi), whose
 // adjacency ends at entry offset end.
 type runBuilder struct {
-	as      *activeSet
+	as      *Frontier
 	idx     spanIndex
 	hi      graph.VertexID
 	end     int64
@@ -308,15 +298,15 @@ func blocksSpanned(start, end, epb int64) int64 {
 // bits inside a run. Active zero-degree vertices are scheduled too (their
 // updates consume no entries); inactive ones belong to no run.
 //
-// The cost is O(summary words + non-empty words + marked blocks · log
-// vertices): the frontier is sized by the set's maintained count (over the
-// whole set) or a popcount of its non-empty words, one pass marks blocks
-// through the vertex → span arithmetic, and every vertex with entries it
+// The cost is O(summary loads + non-empty words + marked blocks · log
+// vertices): the frontier is sized by a popcount of its non-empty words,
+// one pass marks blocks through the vertex → span arithmetic, and every
+// vertex with entries it
 // visits marks a block (active zero-degree vertices, the runs' business
 // anyway, are stepped over); the runs come back from the marked intervals
 // by an offset → vertex search. There is no per-vertex pass and no
 // per-block activity summary to maintain.
-func (pl *selPlanner) plan(as *activeSet, idx spanIndex, lo, hi graph.VertexID, start, end, epb int64, threshold float64) selSchedule {
+func (pl *selPlanner) plan(as *Frontier, idx spanIndex, lo, hi graph.VertexID, start, end, epb int64, threshold float64) selSchedule {
 	sched := selSchedule{
 		blocksTotal: blocksSpanned(start, end, epb),
 		activeCount: as.countRange(lo, hi),

@@ -48,7 +48,7 @@ func TestSparseIterationAllocs(t *testing.T) {
 	g := buildDOS(t, slowChainEdges(k)) // one frontier vertex per tail iteration
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{
+			eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, Options{
 				MemoryBudget:        64 << 20,
 				DynamicMessages:     true,
 				SelectiveScheduling: true,

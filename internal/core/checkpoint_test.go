@@ -48,7 +48,7 @@ func latestManifestPath(t *testing.T, dir string) string {
 
 func newMinLabelEngine(t *testing.T, g *dos.Graph, opts Options) *Engine[minVal, uint32] {
 	t.Helper()
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
+	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 	must(t, err)
 	return eng
 }

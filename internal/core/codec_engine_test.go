@@ -43,7 +43,7 @@ func TestEngineV2LayoutHash(t *testing.T) {
 	edges := gen.RMAT(7, 600, gen.NaturalRMAT, 34)
 	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true}
 	hash := func(g *dos.Graph) uint64 {
-		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
+		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 		must(t, err)
 		return eng.computeLayoutHash()
 	}

@@ -56,7 +56,7 @@ func TestCrashRecoveryParentCheckpoint(t *testing.T) {
 	if stripDurability(res) != stripDurability(refRes) {
 		t.Errorf("resumed result %+v, uninterrupted %+v", res, refRes)
 	}
-	if !bytes.Equal(encodeStates[minVal](minValCodec{}, vals), encodeStates[minVal](minValCodec{}, refVals)) {
+	if !bytes.Equal(encodeStates[minVal](graph.U32PairCodec, vals), encodeStates[minVal](graph.U32PairCodec, refVals)) {
 		t.Error("resumed run's state bytes differ from the uninterrupted run's")
 	}
 }

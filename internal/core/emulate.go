@@ -87,8 +87,9 @@ func (p *emulatedProgram[V, E]) Update(ctx *Context[emulatedMsg[E]], id graph.Ve
 
 // Apply is neither commutative nor idempotent: each message contributes
 // one edge slot, and the slot order is the arrival order — which the
-// engine's arrival-order message store preserves.
-func (p *emulatedProgram[V, E]) Apply(v *EmulatedVertex[V, E], m emulatedMsg[E]) {
+// engine's arrival-order message store preserves. Every message changes
+// its vertex, so it reports true.
+func (p *emulatedProgram[V, E]) Apply(v *EmulatedVertex[V, E], m emulatedMsg[E]) bool {
 	// Algorithm 6's apply_message: append the edge. The value slice is
 	// stable per apply round because Edges is rebuilt alongside it.
 	v.vals = append(v.vals, m.Val)
@@ -96,6 +97,7 @@ func (p *emulatedProgram[V, E]) Apply(v *EmulatedVertex[V, E], m emulatedMsg[E])
 	for i := range v.Edges {
 		v.Edges[i].Val = &v.vals[i]
 	}
+	return true
 }
 
 // emulatedCodec persists EmulatedVertex values. The edge list is

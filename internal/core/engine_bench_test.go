@@ -24,7 +24,7 @@ func benchRun(b *testing.B, g *dos.Graph, opts Options) {
 	b.Helper()
 	opts.MemoryBudget, opts.DynamicMessages, opts.MsgBufferBytes = budgetForPartitions(g, 8, 4, 4096), true, 4096
 	for i := 0; i < b.N; i++ {
-		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
+		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

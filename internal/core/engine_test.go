@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"graphz/internal/dos"
@@ -14,47 +13,35 @@ import (
 // starts with its own ID as label and the minimum label propagates along
 // out-edges until fixpoint. It exercises init, update, dynamic apply,
 // cross-partition spill, MarkActive, and convergence.
-type minVal struct {
-	label, pending uint32
-}
-
-type minValCodec struct{}
-
-func (minValCodec) Size() int { return 8 }
-
-func (minValCodec) Encode(b []byte, v minVal) {
-	binary.LittleEndian.PutUint32(b, v.label)
-	binary.LittleEndian.PutUint32(b[4:], v.pending)
-}
-
-func (minValCodec) Decode(b []byte) minVal {
-	return minVal{binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])}
-}
+type minVal = graph.U32Pair // A is the label, B the smallest label sent to it
 
 type minLabel struct{}
 
 func (minLabel) Init(id graph.VertexID, deg uint32) minVal {
-	return minVal{label: uint32(id), pending: uint32(id)}
+	return minVal{A: uint32(id), B: uint32(id)}
 }
 
 func (minLabel) Update(ctx *Context[uint32], id graph.VertexID, v *minVal, adj []graph.VertexID) {
 	if ctx.Iteration() > 0 {
-		if v.pending >= v.label {
+		if v.B >= v.A {
 			return
 		}
-		v.label = v.pending
+		v.A = v.B
 		ctx.MarkActive()
 	}
 	for _, a := range adj {
-		ctx.Send(a, v.label)
+		ctx.Send(a, v.A)
 	}
 }
 
 // InitialFrontier: every vertex broadcasts in iteration 0 (nil); after it,
-// without a message pending is not below label and Update does nothing.
+// without a message B is not below A and Update does nothing.
 func (minLabel) InitialFrontier() []graph.VertexID { return nil }
 
-func (minLabel) Apply(v *minVal, m uint32) { v.pending = min(v.pending, m) }
+func (minLabel) Apply(v *minVal, m uint32) bool {
+	v.B, m = min(v.B, m), v.B
+	return v.B != m
+}
 
 // referenceMinLabels computes the fixpoint in memory over the layout's ID
 // space.
@@ -103,7 +90,7 @@ func runMinLabel(t *testing.T, g *dos.Graph, opts Options) (Result, []minVal) {
 // minLabelRun is runMinLabel over any layout, failing by its error rather
 // than the test's, so a goroutine may call it.
 func minLabelRun(l Layout, opts Options) (Result, []minVal, error) {
-	eng, err := New[minVal, uint32](l, minLabel{}, minValCodec{}, graph.Uint32Codec{}, opts)
+	eng, err := New[minVal, uint32](l, minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -152,7 +139,10 @@ func (prProg) Update(ctx *Context[float64], id graph.VertexID, v *prVal, adj []g
 	ctx.MarkActive()
 }
 
-func (prProg) Apply(v *prVal, m float64) { v.acc += m }
+func (prProg) Apply(v *prVal, m float64) bool {
+	v.acc += m
+	return true
+}
 
 // budgetForPartitions builds a memory budget that should yield roughly
 // wantP partitions for a graph with the given vertex state size.
@@ -168,8 +158,8 @@ func TestEngineStaticMessagesSameFixpoint(t *testing.T) {
 	dynRes, dynVals := runMinLabel(t, g, Options{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64})
 	statRes, statVals := runMinLabel(t, g, Options{MemoryBudget: budget, DynamicMessages: false, MsgBufferBytes: 64})
 	for i := range dynVals {
-		if dynVals[i].label != statVals[i].label {
-			t.Fatalf("vertex %d: dynamic %d vs static %d", i, dynVals[i].label, statVals[i].label)
+		if dynVals[i].A != statVals[i].A {
+			t.Fatalf("vertex %d: dynamic %d vs static %d", i, dynVals[i].A, statVals[i].A)
 		}
 	}
 	// Static messages must spill strictly more (every message goes to

@@ -35,7 +35,7 @@ func TestEngineSurfacesDeviceFull(t *testing.T) {
 
 	budget := int64(pipelineOverheadBytes) + g2.IndexBytes() + int64(g2.NumVertices)*8/4 + 8*64
 	reg := obs.NewRegistry()
-	eng, err := New[minVal, uint32](DOSLayout(g2), minLabel{}, minValCodec{}, graph.Uint32Codec{},
+	eng, err := New[minVal, uint32](DOSLayout(g2), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{},
 		Options{MemoryBudget: budget, DynamicMessages: true, MsgBufferBytes: 64, Obs: reg})
 	must(t, err)
 	if eng.NumPartitions() < 2 {

@@ -26,7 +26,7 @@ import (
 // oversized record and spill it whole instead.
 func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(7, 400, gen.NaturalRMAT, 50))
-	eng := drainEngine(t, DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{MemoryBudget: 64 << 20, MsgBufferBytes: 64})
+	eng := drainEngine(t, DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, Options{MemoryBudget: 64 << 20, MsgBufferBytes: 64})
 	// Shrink the buffer below one 8-byte record, then make the buffers as
 	// Run does.
 	eng.opts.MsgBufferBytes = 4
@@ -52,7 +52,7 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 // not allocate anywhere near the file size.
 func TestDrainBoundedMemory(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(7, 400, gen.NaturalRMAT, 51))
-	eng := drainEngine(t, DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{}, Options{MemoryBudget: 4 << 20})
+	eng := drainEngine(t, DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, Options{MemoryBudget: 4 << 20})
 	eng.verts = make([]minVal, g.NumVertices)
 	const fileBytes = 16 << 20
 	records := int64(fileBytes / (4 + eng.msize))
@@ -84,7 +84,7 @@ func ringEdges(n int) []graph.Edge {
 // with the partition — no encode buffer per call, no stream buffers.
 func TestStateRoundAllocs(t *testing.T) {
 	g := buildDOS(t, ringEdges(100_000))
-	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
+	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{},
 		Options{MemoryBudget: budgetForPartitions(g, 8, 4, 64), DynamicMessages: true, MsgBufferBytes: 64})
 	must(t, err)
 	if eng.NumPartitions() < 2 {

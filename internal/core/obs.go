@@ -133,7 +133,7 @@ func (e *Engine[V, M]) recordIter(iter int, before counters, devBefore storage.S
 		DeviceSeeks:      io.Seeks,
 	}
 	if e.sel != nil {
-		row.ActiveVertices = e.sel.count
+		row.ActiveVertices = e.sel.countRange(0, graph.VertexID(e.sel.n))
 	}
 	e.eo.Reg.RecordIter(row)
 	e.sampleMemory(iter)
@@ -246,7 +246,7 @@ func (e *Engine[V, M]) sampleMemory(iter int) {
 		}
 	}
 	if e.sel != nil {
-		s.BitmapBytes = 8 * int64(len(e.sel.words)+len(e.sel.sum)) // the bits and their summary
+		s.BitmapBytes = 8*int64(len(e.sel.words)) + int64(len(e.sel.sum)) // the bits and their summary
 	}
 	e.eo.Reg.RecordMem(s)
 }

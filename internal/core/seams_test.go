@@ -52,7 +52,7 @@ func FuzzEngineSeams(f *testing.F) {
 		l, eng, own := a.eng.layout, a.eng, a.res.ResidentAdjacency && a.shared == nil
 		bitmap := 0
 		if eng.sel != nil {
-			bitmap = 8 * (cap(eng.sel.words) + cap(eng.sel.sum))
+			bitmap = 8*cap(eng.sel.words) + cap(eng.sel.sum)
 		}
 		if mem := a.reg.MemSamples(); len(mem) != a.res.Iterations {
 			t.Errorf("%d memory samples for %d iterations", len(mem), a.res.Iterations)
@@ -989,9 +989,9 @@ func (d seamDraw) plan(t *testing.T, eng *Engine[witnessVal, uint32]) {
 	}
 	full := newActiveSet(int(1 + r(9000)))
 	if back, err := unmarshalActiveSet(full.marshal(), full.n); err != nil || !reflect.DeepEqual(back, full) ||
-		full.count != int64(full.n) || full.countRange(1, graph.VertexID(full.n)) != int64(full.n-1) {
+		full.countRange(0, graph.VertexID(full.n)) != int64(full.n) || full.countRange(1, graph.VertexID(full.n)) != int64(full.n-1) {
 		t.Errorf("an all-ones set of %d counts %d, %d past its first; back from a checkpoint: %v",
-			full.n, full.count, full.countRange(1, graph.VertexID(full.n)), err)
+			full.n, full.countRange(0, graph.VertexID(full.n)), full.countRange(1, graph.VertexID(full.n)), err)
 	}
 
 	// DegreeRun, on the draw's DOS layout (a run ends at the next bucket),
@@ -1052,13 +1052,13 @@ func checkDegreeRuns(t *testing.T, name string, l interface {
 }
 
 // drawnBits returns a bitmap over [0, n) — at a third of the draws widened
-// past 4,096 vertices, so its summary has more than one word — with k bits
+// past 4,096 vertices, so its summary takes many 8-byte loads — with k bits
 // set at random in [lo, hi), the one just below it and a few from hi on.
-// With every bit of a drawn word, or of a summary word's 64 words, cleared
+// With every bit of a drawn word, or of one summary load's 8 words, cleared
 // (and set back after), it holds the bitmap's primitives to the []bool it
 // mirrors, and its marshal to its unmarshal, which refuses a section a word
 // short or with a bit at or past n.
-func drawnBits(t *testing.T, r func(int64) int64, n int, lo, hi graph.VertexID, k int64) *activeSet {
+func drawnBits(t *testing.T, r func(int64) int64, n int, lo, hi graph.VertexID, k int64) *Frontier {
 	t.Helper()
 	if r(3) == 0 {
 		n += 4096 + int(r(8192))
@@ -1079,7 +1079,7 @@ func drawnBits(t *testing.T, r func(int64) int64, n int, lo, hi graph.VertexID, 
 	for v := int(hi); v < n; v += 1 + int(r(4096)) {
 		mark(graph.VertexID(v), true)
 	}
-	span := 64 << (6 * r(2)) // the word, or the summary word, of the first set bit from a drawn vertex on
+	span := 64 << (3 * r(2)) // the word, or the summary load, of the first set bit from a drawn vertex on
 	from := int(as.nextSet(graph.VertexID(r(int64(n))), graph.VertexID(n))) % n / span * span
 	var gone []graph.VertexID
 	for v := graph.VertexID(from); int(v) < min(from+span, n); v++ {
@@ -1102,9 +1102,9 @@ func drawnBits(t *testing.T, r func(int64) int64, n int, lo, hi graph.VertexID, 
 		}
 		count += int64(b2i(set))
 	}
-	if as.count != count || as.countRange(i, j) != in || as.nextSet(i, j) != next || as.nextBit(i, j, false) != gap {
+	if all := as.countRange(0, graph.VertexID(n)); all != count || as.countRange(i, j) != in || as.nextSet(i, j) != next || as.nextBit(i, j, false) != gap {
 		t.Errorf("[%d,+%d) cleared: %d bits counted %d; [%d,%d): count %d, next %d, next clear %d; the bits hold %d, first %d, first clear %d",
-			from, span, count, as.count, i, j, as.countRange(i, j), as.nextSet(i, j), as.nextBit(i, j, false), in, next, gap)
+			from, span, count, all, i, j, as.countRange(i, j), as.nextSet(i, j), as.nextBit(i, j, false), in, next, gap)
 	}
 	data := as.marshal()
 	if back, err := unmarshalActiveSet(data, n); err != nil || !reflect.DeepEqual(back, as) {
@@ -1136,7 +1136,7 @@ func randPerm(r func(int64) int64, n int64) []int64 {
 
 // planBoth plans with the planner and with the reference, and fails the
 // test unless they agree on everything the engine reads off a schedule.
-func planBoth(t *testing.T, pl *selPlanner, as *activeSet, idx spanIndex, lo graph.VertexID, start int64, degs []uint32, epb int64) {
+func planBoth(t *testing.T, pl *selPlanner, as *Frontier, idx spanIndex, lo graph.VertexID, start int64, degs []uint32, epb int64) {
 	t.Helper()
 	hi, end := lo+graph.VertexID(len(degs)), start
 	for _, d := range degs {
@@ -1161,7 +1161,7 @@ func planBoth(t *testing.T, pl *selPlanner, as *activeSet, idx spanIndex, lo gra
 // is read whole, and every vertex whose entries touch such a block is
 // scheduled. Active zero-degree vertices are scheduled too (their updates
 // consume no entries).
-func planSelectiveRef(as *activeSet, lo, hi graph.VertexID, start int64, degs []uint32, epb int64, threshold float64) selSchedule {
+func planSelectiveRef(as *Frontier, lo, hi graph.VertexID, start int64, degs []uint32, epb int64, threshold float64) selSchedule {
 	count := int64(hi - lo)
 	var entries int64
 	for _, d := range degs {
@@ -1683,18 +1683,22 @@ func (d seamDraw) drainRound(t *testing.T) {
 		t.Errorf("device traffic %+v, per record %+v", gotIO, wantIO)
 	}
 	// ApplyEach against Apply in a loop, on the last partition drained: a
-	// message each for destinations drawn in it and just outside it.
+	// message each for destinations drawn in it and just outside it, and a
+	// mark for each whose Apply reported a change.
 	lo, hi := got.partLo, got.partHi
 	dsts, ms, applied := make([]graph.VertexID, r(40)), make([]uint32, 40), 0
+	marks, wantMarks := newEmptyActiveSet(int(hi)+2), newEmptyActiveSet(int(hi)+2)
 	for k := range dsts {
 		dsts[k], ms[k] = []graph.VertexID{lo + graph.VertexID(r(int64(hi-lo))), hi + graph.VertexID(r(2)), lo - 1}[r(3)], uint32(r(1<<16))
 		if i := dsts[k] - lo; i < hi-lo {
-			want.prog.Apply(&want.verts[i], ms[k])
+			if want.prog.Apply(&want.verts[i], ms[k]) {
+				wantMarks.set(dsts[k])
+			}
 			applied++
 		}
 	}
-	if n := got.each.ApplyEach(got.verts, lo, dsts, ms); n != applied || !slices.Equal(got.verts, want.verts) {
-		t.Errorf("ApplyEach over [%d,%d) and %v applied %d of %d; same states %v", lo, hi, dsts, n, applied, slices.Equal(got.verts, want.verts))
+	if n := got.each.ApplyEach(marks, got.verts, lo, dsts, ms); n != applied || !slices.Equal(got.verts, want.verts) || !reflect.DeepEqual(marks, wantMarks) {
+		t.Errorf("ApplyEach over [%d,%d) and %v applied %d of %d; same states %v, same marks %v", lo, hi, dsts, n, applied, slices.Equal(got.verts, want.verts), reflect.DeepEqual(marks, wantMarks))
 	}
 }
 
@@ -1872,9 +1876,10 @@ func (p witnessLabel) Update(ctx *Context[uint32], id graph.VertexID, v *witness
 	v.trace = v.trace<<1 | v.trace>>31
 }
 
-func (witnessLabel) Apply(v *witnessVal, m uint32) {
+func (witnessLabel) Apply(v *witnessVal, m uint32) bool {
 	v.trace = v.trace*1664525 + m + 1
-	v.pending = min(v.pending, m>>7)
+	v.pending, m = min(v.pending, m>>7), v.pending
+	return v.pending != m
 }
 
 // InitialFrontier: as minLabel, or the root — the trace steers nothing.
@@ -1882,13 +1887,13 @@ func (p witnessLabel) InitialFrontier() []graph.VertexID { return p.root }
 
 // ApplyAll is the BulkApplier delegate, so witnessLabel as written takes
 // the route that inlines Apply.
-func (p witnessLabel) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
-	return ApplyAll(vs, lo, dsts, m, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+func (p witnessLabel) ApplyAll(f *Frontier, vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	return ApplyAll(f, vs, lo, dsts, m, func(v *witnessVal, m uint32) bool { return p.Apply(v, m) })
 }
 
 // ApplyEach is the EachApplier delegate.
-func (p witnessLabel) ApplyEach(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, ms []uint32) int {
-	return ApplyEach(vs, lo, dsts, ms, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+func (p witnessLabel) ApplyEach(f *Frontier, vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, ms []uint32) int {
+	return ApplyEach(f, vs, lo, dsts, ms, func(v *witnessVal, m uint32) bool { return p.Apply(v, m) })
 }
 
 // UpdateRun is the RunUpdater delegate: witnessLabel as written takes the
@@ -1902,9 +1907,9 @@ func (p witnessLabel) UpdateRun(ctx *Context[uint32], lo graph.VertexID, vs []wi
 // ApplyRecords is the RecordApplier delegate.
 func (p witnessLabel) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {
 	if p.pad {
-		return ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return padCodec{}.Decode(b) }, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+		return ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return padCodec{}.Decode(b) }, func(v *witnessVal, m uint32) bool { return p.Apply(v, m) })
 	}
-	return ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return graph.Uint32Codec{}.Decode(b) }, func(v *witnessVal, m uint32) { p.Apply(v, m) })
+	return ApplyRecords(vs, lo, recs, rec, func(b []byte) uint32 { return graph.Uint32Codec{}.Decode(b) }, func(v *witnessVal, m uint32) bool { return p.Apply(v, m) })
 }
 
 // breaker is witnessLabel breaking the contract the drawn way: its which
@@ -1943,12 +1948,12 @@ func (p breaker) UpdateRun(ctx *Context[uint32], lo graph.VertexID, vs []witness
 	UpdateRun(ctx, lo, vs, adj, deg, p.Update)
 }
 
-func (p breaker) ApplyAll(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
-	return p.count("ApplyAll", p.witnessLabel.ApplyAll(vs, lo, dsts, m), len(dsts))
+func (p breaker) ApplyAll(f *Frontier, vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, m uint32) int {
+	return p.count("ApplyAll", p.witnessLabel.ApplyAll(f, vs, lo, dsts, m), len(dsts))
 }
 
-func (p breaker) ApplyEach(vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, ms []uint32) int {
-	return p.count("ApplyEach", p.witnessLabel.ApplyEach(vs, lo, dsts, ms), len(dsts))
+func (p breaker) ApplyEach(f *Frontier, vs []witnessVal, lo graph.VertexID, dsts []graph.VertexID, ms []uint32) int {
+	return p.count("ApplyEach", p.witnessLabel.ApplyEach(f, vs, lo, dsts, ms), len(dsts))
 }
 
 func (p breaker) ApplyRecords(vs []witnessVal, lo graph.VertexID, recs []byte, rec int) int {

@@ -65,7 +65,7 @@ func TestSemMatchesPartitioned(t *testing.T) {
 				t.Errorf("fitting-budget result %+v, recorded %+v", semRes, want)
 			}
 			h := fnv.New64a()
-			h.Write(encodeStates[minVal](minValCodec{}, semVals))
+			h.Write(encodeStates[minVal](graph.U32PairCodec, semVals))
 			if h.Sum64() != recordedStates {
 				t.Errorf("fitting-budget states hash %#x, recorded %#x", h.Sum64(), uint64(recordedStates))
 			}
