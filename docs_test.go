@@ -476,7 +476,7 @@ func TestDesignSectionCitations(t *testing.T) {
 // A test that a draw comes to hold is deleted to pay for the next one, never
 // packed into fewer lines (every error check there is already one
 // must(t, err)).
-const coreTestLines = 4167
+const coreTestLines = 4162
 
 // TestCoreTestLineBudget holds internal/core's tests to coreTestLines.
 func TestCoreTestLineBudget(t *testing.T) {
@@ -501,7 +501,7 @@ func TestCoreTestLineBudget(t *testing.T) {
 // budget was last set, under ROADMAP item 7's 800. Like coreTestLines it
 // only falls: a section that grows pays with history moved to
 // docs/MEASURED.md, never with packed lines.
-const designLines = 798
+const designLines = 796
 
 // TestDesignLineBudget holds DESIGN.md to designLines.
 func TestDesignLineBudget(t *testing.T) {
