@@ -84,14 +84,15 @@ cover:
 # the in-memory references, engines killed at drawn device operations
 # resuming to byte-identical results; FuzzEngineSeams: the ledger, planner,
 # prefetcher and drain of internal/core, one process a draw killed and
-# resumed, and the six planted-bug seeds), a
+# resumed, and the named planted-bug seeds), a
 # run-report round trip (a profiled run writes its artifact, and
 # graphz-report must render and self-diff it cleanly), the semi-external
 # differential at the exec level (the same generated graph — 1.6 MB of
 # vertex states, 2.4 MB of adjacency entries — run under a budget that fits
 # both and one that fits neither must report semi-external with a resident
 # adjacency and partitioned with a streamed one respectively, both
-# scheduled selectively (CC is frontier-safe) — the tight run skipping
+# scheduled selectively with nothing asked (CC declares core.FrontierSafe,
+# and no graphz-run run pins the paper's engine) — the tight run skipping
 # blocks, the one end-to-end run of a sparse schedule over a streamed
 # adjacency — and print byte-identical
 # results, CC being partition-independent, and the fitting run's report

@@ -262,9 +262,9 @@ func main() {
 // runGraphZ preprocesses to DOS (unless handed a graph -dos imported) and
 // runs the algorithm, returning values keyed by original IDs. It adds to config
 // what the run report says of this engine: whether blocks were scheduled
-// selectively (asked for whenever the algorithm is frontier-safe; the counts
-// on the selective: line are the Result's, which a resumed run continues
-// from its checkpoint) and the adjacency residency the budget decided.
+// selectively (as its program declares; the counts on the selective: line
+// are the Result's, which a resumed run continues from its checkpoint) and
+// the adjacency residency the budget decided.
 func runGraphZ(ctx context.Context, g *dos.Graph, dev *storage.Device, clock *sim.Clock, reg *obs.Registry, tracer *obs.Tracer, algo string, budget int64, iters int, src graph.VertexID, ck core.CheckpointOptions, config map[string]string) (int, map[graph.VertexID]float64, error) {
 	var err error
 	if g == nil {
@@ -286,7 +286,7 @@ func runGraphZ(ctx context.Context, g *dos.Graph, dev *storage.Device, clock *si
 	}
 	opts := core.Options{
 		Context: ctx, MemoryBudget: budget, Clock: clock, DynamicMessages: true, MaxIterations: 200,
-		SelectiveScheduling: a.FrontierSafe(), Obs: reg, Trace: tracer, Checkpoint: ck,
+		Obs: reg, Trace: tracer, Checkpoint: ck,
 	}
 	if ck.Dir != "" {
 		// Bind checkpoints to the algorithm: resuming a "pr" checkpoint
@@ -307,7 +307,8 @@ func runGraphZ(ctx context.Context, g *dos.Graph, dev *storage.Device, clock *si
 	} else {
 		fmt.Printf("sem: partitioned — %d partitions, resident vertex states would exceed the %d B budget\n", res.Partitions, budget)
 	}
-	config["selective"] = fmt.Sprint(opts.SelectiveScheduling)
+	selective := res.BlocksScanned+res.BlocksSkipped > 0
+	config["selective"] = fmt.Sprint(selective)
 	config["adjacency"] = "streamed"
 	verdict := "exceed"
 	if res.ResidentAdjacency {
@@ -320,7 +321,7 @@ func runGraphZ(ctx context.Context, g *dos.Graph, dev *storage.Device, clock *si
 		fmt.Printf("checkpoint: %d written (%d B, %v) -> %s\n",
 			res.Checkpoints, res.CheckpointBytes, res.CheckpointTime, ck.Dir)
 	}
-	if opts.SelectiveScheduling {
+	if selective {
 		fmt.Printf("selective: %d blocks scanned, %d skipped\n",
 			res.BlocksScanned, res.BlocksSkipped)
 	}

@@ -292,11 +292,11 @@ func TestRunSchedulesWhatTheAlgorithmAllows(t *testing.T) {
 	}
 }
 
-// TestRunResumesNonSelectiveCheckpoint: graphz-run -algo cc now always
-// schedules selectively, and a checkpoint directory written before it did
-// — by an engine with no bitmap, so with no activeset section — must still
-// resume, to the labels an uninterrupted run prints. resume's all-ones
-// fallback is what makes that so.
+// TestRunResumesNonSelectiveCheckpoint: graphz-run -algo cc always
+// schedules selectively, and a checkpoint directory written by an engine
+// with no bitmap — the paper's (StreamAdjacency), so with no activeset
+// section — must still resume, to the labels an uninterrupted run prints.
+// resume's all-ones fallback is what makes that so.
 func TestRunResumesNonSelectiveCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the CLI binaries")
@@ -324,7 +324,7 @@ func TestRunResumesNonSelectiveCheckpoint(t *testing.T) {
 	ckDir := filepath.Join(dir, "ck")
 	res, _, err := graphzalgo.ConnectedComponents(g, core.Options{
 		MemoryBudget: 8 << 20, DynamicMessages: true, MaxIterations: 200, Name: "graphz-cc",
-		Checkpoint: core.CheckpointOptions{Dir: ckDir, Every: 1, Keep: 1 << 20},
+		StreamAdjacency: true, Checkpoint: core.CheckpointOptions{Dir: ckDir, Every: 1, Keep: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -104,9 +104,11 @@ func TestPageRankMassSane(t *testing.T) {
 }
 
 // routing is the part of a Result that says what a run did with its
-// messages. BFS and CC scatter through Context.SendAll; the values pinned
-// below are the ones their per-edge Send loops produced on these fixtures
-// before the switch, so the bulk route changed no count.
+// messages. BFS and CC scatter through Context.SendAll; the message counts
+// pinned below are the ones their per-edge Send loops produced on these
+// fixtures before the switch, so the bulk route changed no count. The
+// update counts are the selective schedule's (a full scan runs every
+// vertex every iteration).
 type routing struct {
 	iterations, partitions                      int
 	sent, inline, buffered, spilled, updatesRun int64
@@ -131,8 +133,8 @@ func TestBFSMatchesPlain(t *testing.T) {
 			}
 		}
 		wantRouting := []routing{
-			{3, 1, 2894, 2894, 0, 0, 1161},
-			{4, 3, 2894, 2141, 753, 704, 1548},
+			{3, 1, 2894, 2894, 0, 0, 327},
+			{4, 3, 2894, 2141, 753, 704, 529},
 		}[i]
 		if got := routingOf(res); got != wantRouting {
 			t.Errorf("routing = %+v, want %+v", got, wantRouting)
@@ -160,10 +162,10 @@ func TestBFSUnreachedStaysUnreached(t *testing.T) {
 
 // TestSelectiveUpdatesTrackFrontier: selective scheduling reads blocks but
 // updates bits. A BFS across a 64x64 grid is dozens of iterations of a
-// thin frontier over one adjacency block; with selective scheduling on the
-// run is the full-streaming run — same levels, same iterations, same
-// messages — except that Update runs on the vertices a message changed,
-// not on every vertex whose block was read: once per reached vertex over
+// thin frontier over one adjacency block; scheduled, the run is the full
+// scan's — the same program undeclared (Undeclared): same levels, same
+// iterations, same messages — except that Update runs on the vertices a
+// message changed, not on every vertex whose block was read: once per reached vertex over
 // the whole run on one partition, where a vertex is scheduled when its
 // Apply reports a change and a level sent back to a parent schedules
 // nothing, and one per vertex per iteration streaming. A path, reached one
@@ -185,13 +187,11 @@ func TestSelectiveUpdatesTrackFrontier(t *testing.T) {
 		}
 		source := o2n[c.source]
 		want := plain.BFS(f.adj, source)
-		full, fullLevels, err := BFS(f.g, bigOpts(), source)
+		full, fullLevels, err := BFSLayout(Undeclared(core.DOSLayout(f.g)), bigOpts(), source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := bigOpts()
-		opts.SelectiveScheduling = true
-		sel, selLevels, err := BFS(f.g, opts, source)
+		sel, selLevels, err := BFS(f.g, bigOpts(), source)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,12 +219,13 @@ func TestSelectiveUpdatesTrackFrontier(t *testing.T) {
 	}
 }
 
-// TestSelectiveMatchesFullScan: SSSP and CC scheduled selectively — a vertex
-// scheduled by a message that changed it, never by itself — leave the full
-// scan's values byte for byte, in fewer updates: on one partition, where a
-// mark follows Apply's report, in partitions, where a resident record is
-// marked when sent and a drained one when delivered, and under static
-// messages, all drained.
+// TestSelectiveMatchesFullScan: SSSP and CC scheduled selectively, as they
+// declare — a vertex scheduled by a message that changed it, never by itself
+// — leave the full scan's values byte for byte, in fewer updates: on one
+// partition, where a mark follows Apply's report, in partitions, where a
+// resident record is marked when sent and a drained one when delivered, and
+// under static messages, all drained; the full scan is the same program
+// undeclared.
 func TestSelectiveMatchesFullScan(t *testing.T) {
 	base := gen.RMAT(9, 3000, gen.NaturalRMAT, 36)
 	var edges []graph.Edge
@@ -234,25 +235,26 @@ func TestSelectiveMatchesFullScan(t *testing.T) {
 	f := newFixture(t, edges)
 	static := tightOpts(f.g, 8)
 	static.DynamicMessages = false
-	runs := map[string]func(core.Options) (core.Result, []uint32, error){
-		"SSSP": func(opts core.Options) (core.Result, []uint32, error) {
-			res, dists, err := SSSP(f.g, opts, 0)
+	runs := map[string]func(core.Layout, core.Options) (core.Result, []uint32, error){
+		"SSSP": func(l core.Layout, opts core.Options) (core.Result, []uint32, error) {
+			res, dists, err := SSSPLayout(l, opts, 0)
 			bits := make([]uint32, len(dists))
 			for i, d := range dists {
 				bits[i] = math.Float32bits(d)
 			}
 			return res, bits, err
 		},
-		"CC": func(opts core.Options) (core.Result, []uint32, error) { return ConnectedComponents(f.g, opts) },
+		"CC": func(l core.Layout, opts core.Options) (core.Result, []uint32, error) {
+			return ConnectedComponentsLayout(l, opts)
+		},
 	}
 	for name, run := range runs {
 		for _, opts := range []core.Options{bigOpts(), tightOpts(f.g, 8), static} {
-			full, want, err := run(opts)
+			full, want, err := run(Undeclared(core.DOSLayout(f.g)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.SelectiveScheduling = true
-			sel, got, err := run(opts)
+			sel, got, err := run(core.DOSLayout(f.g), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,8 +293,8 @@ func TestConnectedComponentsMatchesPlain(t *testing.T) {
 			}
 		}
 		wantRouting := []routing{
-			{3, 1, 4551, 4551, 0, 0, 603},
-			{4, 2, 4551, 3853, 698, 608, 804},
+			{3, 1, 4551, 4551, 0, 0, 402},
+			{4, 2, 4551, 3853, 698, 608, 509},
 		}[i]
 		if got := routingOf(res); got != wantRouting {
 			t.Errorf("routing = %+v, want %+v", got, wantRouting)
@@ -639,11 +641,13 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 // to Apply in a loop written out here (byHand): run on one partition, where
 // SendAll applies as it is called, and in partitions, where records are
 // applied in place and at the drains, the two leave the same Result and
-// state bytes.
+// state bytes. Both runs pin the paper's engine (StreamAdjacency), which
+// schedules no program selectively.
 func checkApplyLoop[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Codec[V], mc graph.Codec[M]) {
 	t.Helper()
 	f := newFixture(t, gen.RMAT(8, 1500, gen.NaturalRMAT, 5))
 	for _, opts := range []core.Options{bigOpts(), tightOpts(f.g, vc.Size())} {
+		opts.StreamAdjacency = true
 		var res [2]core.Result
 		var states [2][]byte
 		for i, p := range []core.Program[V, M]{prog, byHand[V, M]{prog, mc.Decode}} {
@@ -665,7 +669,7 @@ func checkApplyLoop[V, M any](t *testing.T, prog core.Program[V, M], vc graph.Co
 
 // byHand runs a program with its own optional forms hidden, and an ApplyAll
 // and an ApplyRecords that call its Apply in a loop of their own (marking
-// nothing: checkApplyLoop's runs are not selective).
+// nothing: checkApplyLoop's runs are not scheduled).
 type byHand[V, M any] struct {
 	core.Program[V, M]
 	decode func([]byte) M

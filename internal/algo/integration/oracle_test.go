@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphz/internal/algo/graphzalgo"
 	"graphz/internal/algo/plain"
 	"graphz/internal/bench"
 	"graphz/internal/checkpoint"
@@ -56,7 +57,7 @@ var oracle = &lattice.Lattice{
 		{Name: "parts", Values: []string{"1", "2", "3", "4", "5"}},
 		{Name: "buf", Values: []string{"default", "64", "256"}},
 		{Name: "messages", Values: []string{"dynamic", "static"}},
-		{Name: "selective", Values: []string{"unasked", "asked"}},
+		{Name: "selective", Values: []string{"undeclared", "declared"}},
 		{Name: "adjacency", Values: []string{"tight", "room", "pinned", "shared", "pinned+shared"}},
 		{Name: "checkpoint", Values: []string{"off", "1", "2"}},
 		{Name: "fault", Values: []string{"crash", "fail", "full"}},
@@ -98,14 +99,32 @@ type draw struct {
 
 func decode(seed uint64) draw { return draw{seed, oracle.Decode(seed)} }
 
+// converges reports whether the draw's algorithm is one that runs until no
+// vertex changes: BFS, CC and SSSP, the three whose programs declare
+// core.FrontierSafe.
+func (d draw) converges() bool {
+	a := bench.Algo(d.Val("algo"))
+	return a == bench.BFS || a == bench.CC || a == bench.SSSP
+}
+
+// declared reports whether the draw runs a program that declares
+// core.FrontierSafe: one of those three as declared (the selective axis;
+// "undeclared" runs it through graphzalgo.Undeclared).
+func (d draw) declared() bool { return d.Val("selective") == "declared" && d.converges() }
+
+// scheduled reports whether the draw's run is scheduled selectively: its
+// program declared, on an adjacency not pinned to the paper's engine.
+func (d draw) scheduled() bool {
+	return d.declared() && !strings.HasPrefix(d.Val("adjacency"), "pinned")
+}
+
 // sparse reports whether the draw's selective plan must skip blocks: under
 // static messages BFS, CC and SSSP on the paths advance at most a vertex a
 // path and partition per iteration, leaving most of their 64-entry blocks
 // without an active vertex. (Dynamic messages cross a path pointing up the
 // IDs in one iteration.)
 func (d draw) sparse() bool {
-	return d.Val("graph") == "chain" && d.Val("block") == "64" && d.Val("messages") == "static" &&
-		d.Val("selective") == "asked" && bench.Algo(d.Val("algo")).FrontierSafe()
+	return d.Val("graph") == "chain" && d.Val("block") == "64" && d.Val("messages") == "static" && d.scheduled()
 }
 
 // edges generates the draw's graph, at most ~4 K edges. Every shape but the
@@ -206,21 +225,13 @@ func (d draw) run(t *testing.T) {
 	x.opts = core.Options{
 		MemoryBudget: 6*storage.DefaultBlockSize + g.IndexBytes() + g.BlockTableBytes() +
 			x.parts*int64(buf) + max((n+x.parts-1)/x.parts*vsize, 1),
-		DynamicMessages:     d.Val("messages") == "dynamic",
-		MsgBufferBytes:      buf,
-		MaxIterations:       maxIters,
-		SelectiveScheduling: d.Val("selective") == "asked",
-		StreamAdjacency:     strings.HasPrefix(adj, "pinned"),
+		DynamicMessages: d.Val("messages") == "dynamic",
+		MsgBufferBytes:  buf,
+		MaxIterations:   maxIters,
+		StreamAdjacency: strings.HasPrefix(adj, "pinned"),
 	}
 	if adj == "room" || adj == "pinned" {
 		x.opts.MemoryBudget += 4 * x.edges
-	}
-	if x.opts.SelectiveScheduling && !x.algo.FrontierSafe() {
-		// Not frontier-safe: New refuses, and the draw runs unscheduled.
-		if _, _, err := x.exec(t, x.staging, x.opts, nil); !errors.Is(err, core.ErrInvalidOptions) {
-			t.Fatalf("selective %s: err = %v, want core.ErrInvalidOptions", x.algo, err)
-		}
-		x.opts.SelectiveScheduling = false
 	}
 
 	// The uninterrupted run, on an armed device, counts the operations the
@@ -243,10 +254,11 @@ func (d draw) run(t *testing.T) {
 		// whatever the plan, so one roomy partition computes the same bits
 		// (the references' tolerance would hide an apply out of order) and,
 		// unscheduled, in no more iterations: nothing there waits for a
-		// drain (a selective schedule can shift a turn either way).
-		roomy := core.Options{MemoryBudget: 64 << 20, DynamicMessages: true, SelectiveScheduling: x.opts.SelectiveScheduling}
+		// drain (a selective schedule can shift a turn either way; one roomy
+		// partition of a declared program is scheduled).
+		roomy := core.Options{MemoryBudget: 64 << 20, DynamicMessages: true}
 		if one, vals, err := x.exec(t, x.device(t, 0).Device, roomy, nil); err != nil || differ(vals, want) >= 0 ||
-			!roomy.SelectiveScheduling && one.Iterations > res.Iterations {
+			!d.declared() && one.Iterations > res.Iterations {
 			t.Fatalf("one partition: %v, %d iterations, first value apart %d; the draw's plan: %d iterations", err, one.Iterations, differ(vals, want), res.Iterations)
 		}
 	}
@@ -323,7 +335,11 @@ func (x *trial) exec(t *testing.T, dev *storage.Device, opts core.Options, reg *
 	}
 	opts.Obs = reg
 	before := dev.FileStats()[g.EdgesFile()].ReadBytes
-	res, vals, err := bench.ExecAlgo(x.algo, core.DOSLayout(g), opts, params)
+	layout := core.DOSLayout(g)
+	if x.Val("selective") == "undeclared" {
+		layout = graphzalgo.Undeclared(layout)
+	}
+	res, vals, err := bench.ExecAlgo(x.algo, layout, opts, params)
 	read := dev.FileStats()[g.EdgesFile()].ReadBytes - before
 	if size, _ := dev.Size(g.EdgesFile()); err == nil && res.ResidentAdjacency && read > size {
 		t.Errorf("a resident adjacency read %d bytes of a %d-byte edges file", read, size)
@@ -341,14 +357,14 @@ func (x *trial) checkRun(t *testing.T, res core.Result, reg *obs.Registry, opts 
 	t.Helper()
 	edge, n := x.edges > 0, int64(x.adj.N)
 	if res.MessagesInline+res.MessagesBuffered != res.MessagesSent || res.MessagesSpilled > res.MessagesBuffered ||
-		(res.MessagesSent > 0) != edge || res.UpdatesRun > int64(res.Iterations)*n || !opts.SelectiveScheduling && res.UpdatesRun != int64(res.Iterations)*n {
+		(res.MessagesSent > 0) != edge || res.UpdatesRun > int64(res.Iterations)*n || !x.scheduled() && res.UpdatesRun != int64(res.Iterations)*n {
 		t.Errorf("sent %d = inline %d + buffered %d ⊇ spilled %d; %d updates of %d vertices in %d iterations",
 			res.MessagesSent, res.MessagesInline, res.MessagesBuffered, res.MessagesSpilled, res.UpdatesRun, n, res.Iterations)
 	}
 	// PR, BP and RW run their ten iterations; BFS, CC and SSSP converge
 	// before the cap, every message applied.
-	if limit := map[bool]int{true: maxIters, false: params.Iterations}[x.algo.FrontierSafe()]; res.Iterations > limit ||
-		res.Iterations < limit && (res.MessagesApplied != res.MessagesSent || !x.algo.FrontierSafe() && edge) {
+	if limit := map[bool]int{true: maxIters, false: params.Iterations}[x.converges()]; res.Iterations > limit ||
+		res.Iterations < limit && (res.MessagesApplied != res.MessagesSent || !x.converges() && edge) {
 		t.Errorf("stopped after %d of %d iterations with %d of %d messages applied", res.Iterations, limit, res.MessagesApplied, res.MessagesSent)
 	}
 	exact := x.Val("adjacency") != "room" && x.Val("adjacency") != "pinned"
@@ -361,8 +377,8 @@ func (x *trial) checkRun(t *testing.T, res core.Result, reg *obs.Registry, opts 
 		adj == "tight" && edge && res.ResidentAdjacency, adj == "room" && int64(res.Partitions) == x.parts && !res.ResidentAdjacency:
 		t.Errorf("%s adjacency, yet resident = %v", adj, res.ResidentAdjacency)
 	}
-	if scheduled := res.BlocksScanned+res.BlocksSkipped > 0; scheduled != (opts.SelectiveScheduling && edge) {
-		t.Errorf("selective %v, yet the planner scanned %d blocks and skipped %d", opts.SelectiveScheduling, res.BlocksScanned, res.BlocksSkipped)
+	if scheduled := res.BlocksScanned+res.BlocksSkipped > 0; scheduled != (x.scheduled() && edge) {
+		t.Errorf("scheduled %v, yet the planner scanned %d blocks and skipped %d", x.scheduled(), res.BlocksScanned, res.BlocksSkipped)
 	}
 	// The registry's counters and the sum of its rows (a resumed process's
 	// rows cover its own iterations only) against the ledger.
@@ -399,7 +415,7 @@ func (x *trial) checkRun(t *testing.T, res core.Result, reg *obs.Registry, opts 
 // of it and RW's visits exactly.
 func (x *trial) checkAnswer(t *testing.T, res core.Result, got []float64) {
 	t.Helper()
-	if x.algo.FrontierSafe() && res.Iterations >= maxIters {
+	if x.converges() && res.Iterations >= maxIters {
 		t.Fatalf("%s did not converge in %d iterations", x.algo, res.Iterations)
 	}
 	type state = []float64
@@ -598,5 +614,5 @@ var oracleSeeds = []uint64{
 	3901, 7752, 4130, 384, 27434, 21107, 978, 1825, 6814, 8730, 76, 2248,
 	44, 252, 1308, 410, 1913, 22, 58, 151, 195, 207, 398, 863,
 	1125, 1624, 28, 210, 3, 15, 19, 40, 56, 62, 77, 88,
-	109, 113, 489, 5214,
+	109, 113, 23576, 12302,
 }

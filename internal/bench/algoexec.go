@@ -123,15 +123,6 @@ func ExecAlgo(a Algo, layout core.Layout, opts core.Options, p AlgoParams) (core
 	return core.Result{}, nil, fmt.Errorf("bench: unknown algorithm %q", a)
 }
 
-// FrontierSafe reports whether the program ExecAlgo runs for a declares
-// core.FrontierSafe, so a caller may ask for Options.SelectiveScheduling:
-// graphz-run does whenever it is true; the paper's tables (run.go) and
-// graphz-serve never. Residency is not what keeps a served job off it —
-// grid-frontier-bfs is resident and is where it wins — but serve-mix, whose
-// jobs converge in a few dense iterations, read 3–5 % slower with it
-// (docs/MEASURED.md "§9 Frontier safety is the program's to declare").
-func (a Algo) FrontierSafe() bool { return a == BFS || a == CC || a == SSSP }
-
 // ExecGraphChi runs algorithm a on the PSW baseline over sh, with
 // ExecAlgo's parameter defaults and value widening. Source and the values
 // are in original vertex IDs: GraphChi does not relabel.

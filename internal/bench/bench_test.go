@@ -1,15 +1,10 @@
 package bench
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
-	"graphz/internal/core"
-	"graphz/internal/dos"
-	"graphz/internal/gen"
-	"graphz/internal/graph"
 	"graphz/internal/obs"
 	"graphz/internal/storage"
 )
@@ -253,30 +248,5 @@ func TestRunEmitsReport(t *testing.T) {
 	// Failed runs carry none.
 	if f := Run(RunConfig{Scale: XLarge, Algo: PR, Engine: GraphChi, Kind: storage.SSD, Budget: Mem8}); f.Report != nil {
 		t.Error("failed run carries a report")
-	}
-}
-
-// TestAlgoFrontierSafeMatchesPrograms holds Algo.FrontierSafe, which
-// graphz-run reads, equal to the markers core.New reads:
-// ExecAlgo under selective scheduling succeeds exactly for the algorithms
-// it names, and is core.ErrInvalidOptions for the others.
-func TestAlgoFrontierSafeMatchesPrograms(t *testing.T) {
-	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
-	if err := graph.WriteEdges(dev, "raw", gen.RMAT(8, 1500, gen.NaturalRMAT, 5)); err != nil {
-		t.Fatal(err)
-	}
-	g, err := dos.Convert(dos.ConvertConfig{Dev: dev}, "raw", Prefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range Algos {
-		opts := core.Options{MemoryBudget: 64 << 20, DynamicMessages: true, SelectiveScheduling: true}
-		_, _, err := ExecAlgo(a, core.DOSLayout(g), opts, AlgoParams{Iterations: 2})
-		switch {
-		case a.FrontierSafe() && err != nil:
-			t.Errorf("%s says FrontierSafe, but its program is refused: %v", a, err)
-		case !a.FrontierSafe() && !errors.Is(err, core.ErrInvalidOptions):
-			t.Errorf("%s does not say FrontierSafe, yet selective scheduling of its program returned %v, want ErrInvalidOptions", a, err)
-		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 	"graphz/internal/graph"
 )
 
-// Selective block scheduling (Options.SelectiveScheduling, for programs
-// that declare FrontierSafe), the GraphMP observation applied to GraphZ:
+// Selective block scheduling (of every program that declares FrontierSafe,
+// on every run but one that pins the paper's engine with
+// Options.StreamAdjacency), the GraphMP observation applied to GraphZ:
 // converging algorithms spend their tail iterations touching a handful of
 // vertices, yet a streaming engine re-reads every adjacency block anyway.
 // The engine keeps one bit per vertex — initially the program's declared

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"graphz/internal/gen"
@@ -49,10 +48,9 @@ func TestSparseIterationAllocs(t *testing.T) {
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, Options{
-				MemoryBudget:        64 << 20,
-				DynamicMessages:     true,
-				SelectiveScheduling: true,
-				MaxIterations:       iters,
+				MemoryBudget:    64 << 20,
+				DynamicMessages: true,
+				MaxIterations:   iters,
 			})
 			must(t, err)
 			res, err := eng.Run()
@@ -75,21 +73,19 @@ func TestSparseIterationAllocs(t *testing.T) {
 }
 
 // TestSelectiveNeedsFrontierSafe holds DESIGN.md §9's invariant: a program
-// that does not declare FrontierSafe is never scheduled selectively. prProg
-// re-sends its rank every round, as the shipped PageRank does, so a source
-// no message reaches would never run again under a selective schedule and
-// its votes would freeze; New refuses instead, and so does the Section IV-E
-// emulation, which re-sends every round too.
+// that does not declare FrontierSafe — prProg, re-sending its rank every round
+// as PageRank does, or the Section IV-E emulation — is never scheduled.
 func TestSelectiveNeedsFrontierSafe(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(6, 200, gen.NaturalRMAT, 85))
-	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, SelectiveScheduling: true}
-	if _, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, graph.Float64Codec{}, opts); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("New over an undeclared program with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)
-	}
+	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, MaxIterations: 3}
+	eng, err := New[prVal, float64](DOSLayout(g), prProg{}, prCodec{}, graph.Float64Codec{}, opts)
+	must(t, err)
+	pr, err := eng.Run()
+	must(t, err)
 	inDeg, err := InDegrees(DOSLayout(g))
 	must(t, err)
-	if _, _, err := EmulateGraphChi[uint32, uint32](DOSLayout(g), chiMinProgram{},
-		graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg, opts); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("EmulateGraphChi with SelectiveScheduling: err = %v, want ErrInvalidOptions", err)
+	chi, _, err := EmulateGraphChi[uint32, uint32](DOSLayout(g), chiMinProgram{}, graph.Uint32Codec{}, graph.Uint32Codec{}, inDeg, opts)
+	if must(t, err); pr.BlocksScanned+pr.BlocksSkipped+chi.BlocksScanned+chi.BlocksSkipped != 0 {
+		t.Errorf("undeclared programs were scheduled: prProg %+v, EmulateGraphChi %+v", pr, chi)
 	}
 }

@@ -30,7 +30,6 @@ func TestCrashRecoveryParentCheckpoint(t *testing.T) {
 	edges := gen.RMAT(8, 1500, gen.NaturalRMAT, 61)
 	g := buildDOS(t, edges)
 	opts := partitionedOpts(g)
-	opts.SelectiveScheduling = true
 	refRes, refVals := runMinLabel(t, g, opts)
 
 	// Resume from a copy: the resumed run checkpoints where it resumes from.

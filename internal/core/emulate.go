@@ -199,8 +199,8 @@ func (c emulatedMsgCodec[E]) Decode(buf []byte) emulatedMsg[E] {
 // final vertex values (by layout ID). inDegrees must give each vertex's
 // in-degree in the layout's ID space (GraphChi's Init receives it). The
 // construction re-sends every out-edge value every round, message or none,
-// so it does not declare FrontierSafe: with opts.SelectiveScheduling New's
-// ErrInvalidOptions comes back.
+// so it does not declare FrontierSafe: the engine scans every block every
+// iteration.
 func EmulateGraphChi[V, E any](layout Layout, prog graphchi.Program[V, E],
 	vcodec graph.Codec[V], ecodec graph.Codec[E], inDegrees []uint32, opts Options) (Result, []V, error) {
 

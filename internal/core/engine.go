@@ -251,8 +251,11 @@ func UpdateRun[V, M any](ctx *Context[M], lo graph.VertexID, verts []V, adj []gr
 	}
 }
 
-// FrontierSafe is the optional marker of a Program that may be scheduled
-// selectively (Options.SelectiveScheduling). Declaring it promises that
+// FrontierSafe is the optional marker of a Program that is scheduled
+// selectively: the engine keeps a bit per vertex, reads only the blocks
+// (and loads only the partitions) that hold a set bit or a pending message,
+// and updates only the vertices whose bit is set (DESIGN.md §9;
+// Result.BlocksScanned/BlocksSkipped count it). Declaring it promises that
 // Update on a vertex no message changed since its last update — no Apply on
 // it reported true — changes nothing and sends nothing; a program that
 // wants a vertex updated next iteration anyway calls MarkActive on it. The
@@ -264,8 +267,8 @@ func UpdateRun[V, M any](ctx *Context[M], lo graph.VertexID, verts []V, adj []gr
 // since a skipped vertex's propagation can shift by an iteration. A program
 // whose Update acts unprompted — PageRank re-sending its rank every round —
 // must not declare it: its unscheduled vertices would silently stop
-// contributing. An undeclared program is never scheduled selectively (New,
-// DESIGN.md §9).
+// contributing. An undeclared program is never scheduled selectively, a
+// declared one on every run that does not pin Options.StreamAdjacency.
 //
 // InitialFrontier says which vertices have work right after Init, the same
 // promise for iteration 0. nil is every vertex: iteration 0 is the Init
@@ -379,26 +382,18 @@ type Options struct {
 	// MsgBufferBytes is the in-memory buffer per destination partition
 	// before spilling; defaults to 64 KiB.
 	MsgBufferBytes int
-	// StreamAdjacency makes the engine never keep the adjacency, whatever
-	// the budget leaves: the paper's engine, which re-reads the edges file
-	// every iteration (§VI-E). Left false, the planner keeps the decoded
-	// adjacency resident after one pass whenever 4 bytes per edge fit
-	// beside everything else the budget pays for (Result.ResidentAdjacency
-	// says which it was). It pins the engine for the paper's tables and for
-	// tests of the streaming pipeline, as DynamicMessages pins Figure 7's;
-	// no binary exposes it.
+	// StreamAdjacency pins the paper's engine (§VI-E): it re-reads the
+	// whole edges file every iteration, whatever the budget leaves, and
+	// schedules no vertex selectively, so no block is skipped either. Left
+	// false, the planner keeps the decoded adjacency resident after one
+	// pass whenever 4 bytes per edge fit beside everything else the budget
+	// pays for (Result.ResidentAdjacency says which it was), and a program
+	// that declares FrontierSafe is scheduled selectively. It pins the
+	// engine for the paper's tables and for tests of the streaming
+	// pipeline, as DynamicMessages pins Figure 7's; no binary exposes it.
 	StreamAdjacency bool
-	// SelectiveScheduling enables GraphMP-style selective block
-	// scheduling: the engine keeps one schedulability bit per vertex — set
-	// when a message changes it or its update marks active, cleared
-	// when its update runs — reads only the adjacency blocks (and loads
-	// only the partitions) that hold a schedulable vertex or a pending
-	// message, runs Update only on the vertices whose bit is set when the
-	// Worker reaches them, and streams a partition fully once a quarter of
-	// it is schedulable. Result.BlocksScanned/BlocksSkipped and UpdatesRun
-	// count what it did. Only a program that declares FrontierSafe — where
-	// the contract lives — may ask: for any other, New returns
-	// ErrInvalidOptions.
+	// Deprecated: ignored; selective scheduling is the program's to declare
+	// (FrontierSafe). It stays until the repository benchmark stops setting it.
 	SelectiveScheduling bool
 	// Name prefixes the engine's runtime files on the device; defaults
 	// to "graphz".
@@ -430,9 +425,8 @@ func DefaultOptions(budget int64) Options {
 var ErrMemoryBudget = errors.New("core: memory budget exceeded")
 
 // ErrInvalidOptions reports a configuration New rejects outright — a
-// non-positive budget, a shared adjacency that belongs to a different
-// graph, selective scheduling of a program that does not declare
-// FrontierSafe. It marks errors a caller caused (a serving API maps it to
+// non-positive budget, or a shared adjacency that belongs to a different
+// graph. It marks errors a caller caused (a serving API maps it to
 // HTTP 400), as opposed to runtime failures. Match with errors.Is.
 var ErrInvalidOptions = errors.New("core: invalid options")
 
@@ -567,7 +561,7 @@ type Engine[V, M any] struct {
 	// can only be followed by inactive rounds.
 	convergeOnInactivity bool
 
-	// selective scheduling state (Options.SelectiveScheduling)
+	// selective scheduling state (FrontierSafe)
 	sel     *Frontier  // per-vertex schedulability bits; nil when off
 	planner selPlanner // schedule scratch, reused across partitions and iterations
 	initAll bool       // the initial frontier is every vertex: iteration 0's bits survive it
@@ -667,12 +661,7 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		e.ctx.sendAll, e.ctx.sendEach = e.sendRecords, e.sendEach
 	}
 	e.resPart, e.wm = -1, math.MaxUint32
-	if opts.SelectiveScheduling {
-		fs, ok := any(prog).(FrontierSafe)
-		if !ok {
-			return nil, fmt.Errorf("%w: SelectiveScheduling needs a program that declares core.FrontierSafe; %T does not",
-				ErrInvalidOptions, prog)
-		}
+	if fs, ok := any(prog).(FrontierSafe); ok && !opts.StreamAdjacency {
 		// One bit per vertex (1/32 of a minimal uint32 state), and a
 		// summary bit per 64 of them. It is deliberately NOT
 		// budget-accounted by plan, in the partition count or in the

@@ -19,12 +19,12 @@ func benchGraph(b *testing.B) *dos.Graph {
 }
 
 // benchRun runs min-label b.N times over g in about four partitions around
-// 4 KiB buffers, with opts's iteration cap, scheduling and observers.
-func benchRun(b *testing.B, g *dos.Graph, opts Options) {
+// 4 KiB buffers, with opts's iteration cap and observers.
+func benchRun(b *testing.B, g *dos.Graph, prog Program[minVal, uint32], opts Options) {
 	b.Helper()
 	opts.MemoryBudget, opts.DynamicMessages, opts.MsgBufferBytes = budgetForPartitions(g, 8, 4, 4096), true, 4096
 	for i := 0; i < b.N; i++ {
-		eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
+		eng, err := New[minVal, uint32](DOSLayout(g), prog, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkEngine(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	benchRun(b, g, Options{MaxIterations: 3})
+	benchRun(b, g, minLabel{}, Options{MaxIterations: 3})
 }
 
 // BenchmarkEngineObserved is the same run with a registry and a tracer
@@ -51,20 +51,19 @@ func BenchmarkEngineObserved(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	benchRun(b, g, Options{MaxIterations: 3, Obs: obs.NewRegistry(), Trace: obs.NewTracer(io.Discard)})
+	benchRun(b, g, minLabel{}, Options{MaxIterations: 3, Obs: obs.NewRegistry(), Trace: obs.NewTracer(io.Discard)})
 }
 
-// BenchmarkEngineSelective runs min-label to convergence with selective
-// block scheduling off and on. selective=true streams a sparse schedule,
-// which no BENCHMARK.json workload does (grid-frontier-bfs is resident);
-// CI gates only its allocations.
+// BenchmarkEngineSelective runs min-label to convergence undeclared and as
+// declared, scheduled: a sparse schedule streamed, which no BENCHMARK.json
+// workload does (grid-frontier-bfs is resident). CI gates its allocations.
 func BenchmarkEngineSelective(b *testing.B) {
 	g := benchGraph(b)
-	for _, sel := range []bool{false, true} {
-		b.Run(fmt.Sprintf("selective=%v", sel), func(b *testing.B) {
+	for i, prog := range []Program[minVal, uint32]{undeclared[minVal, uint32]{minLabel{}}, minLabel{}} {
+		b.Run(fmt.Sprintf("selective=%v", i == 1), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
-			benchRun(b, g, Options{SelectiveScheduling: sel})
+			benchRun(b, g, prog, Options{})
 		})
 	}
 }

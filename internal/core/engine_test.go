@@ -43,6 +43,9 @@ func (minLabel) Apply(v *minVal, m uint32) bool {
 	return v.B != m
 }
 
+// undeclared hides a program's delegates and FrontierSafe declaration.
+type undeclared[V, M any] struct{ Program[V, M] }
+
 // referenceMinLabels computes the fixpoint in memory over the layout's ID
 // space.
 func referenceMinLabels(n int, edges []graph.Edge) []uint32 {
@@ -82,15 +85,15 @@ func relabeledEdges(t *testing.T, g *dos.Graph, edges []graph.Edge) []graph.Edge
 
 func runMinLabel(t *testing.T, g *dos.Graph, opts Options) (Result, []minVal) {
 	t.Helper()
-	res, vals, err := minLabelRun(DOSLayout(g), opts)
+	res, vals, err := minLabelRun(DOSLayout(g), minLabel{}, opts)
 	must(t, err)
 	return res, vals
 }
 
-// minLabelRun is runMinLabel over any layout, failing by its error rather
-// than the test's, so a goroutine may call it.
-func minLabelRun(l Layout, opts Options) (Result, []minVal, error) {
-	eng, err := New[minVal, uint32](l, minLabel{}, graph.U32PairCodec, graph.Uint32Codec{}, opts)
+// minLabelRun is runMinLabel of prog over any layout, failing by its error
+// rather than the test's, so a goroutine may call it.
+func minLabelRun(l Layout, prog Program[minVal, uint32], opts Options) (Result, []minVal, error) {
+	eng, err := New[minVal, uint32](l, prog, graph.U32PairCodec, graph.Uint32Codec{}, opts)
 	if err != nil {
 		return Result{}, nil, err
 	}

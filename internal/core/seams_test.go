@@ -117,7 +117,7 @@ func TestSeamCorpusCoverage(t *testing.T) {
 		d := decodeSeams(seed)
 		straddle = straddle || d.straddles()
 		sparse = sparse || d.sparse() && d.Val("block") == "1"
-		streamed = streamed || d.sparse() && d.Val("adjacency") == "pinned"
+		streamed = streamed || d.sparse() && d.Val("adjacency") == "tight"
 		if _, _, _, fetched, fault, stop := d.prefetchShape(); fillsQueue(fetched, fault) {
 			queueStop, queueRead = queueStop || stop == 0, queueRead || stop > 0
 		}
@@ -182,12 +182,16 @@ func (d seamDraw) buf() (opt, eff int) {
 	}
 }
 
-// sparse reports whether the draw's selective runs must skip blocks: on the
+// sparse reports whether the draw's scheduled runs must skip blocks: on the
 // path, whose frontier is one vertex an iteration, cut into 1- or 2-entry
 // blocks.
 func (d seamDraw) sparse() bool {
-	return d.Val("graph") == "path" && d.Val("selective") == "on" && d.Val("format") != "v1" &&
-		(d.Val("block") == "1" || d.Val("block") == "2")
+	return d.Val("graph") == "path" && d.scheduled() && d.Val("format") != "v1" && (d.Val("block") == "1" || d.Val("block") == "2")
+}
+
+// scheduled: the witness declared, its adjacency not pinned.
+func (d seamDraw) scheduled() bool {
+	return d.Val("selective") == "on" && d.Val("adjacency") != "pinned"
 }
 
 // seamMaxIters caps every run; each draw's graph converges in far fewer.
@@ -227,16 +231,20 @@ func (d seamDraw) edges() []graph.Edge {
 // routes of SendAll and SendEach: with its own delegates — ApplyAll, ApplyEach,
 // ApplyRecords over the draw's message codec, and UpdateRun — the engine's
 // default loops over its Apply and Update, and Send in a loop (which hides
-// the delegates too).
+// the delegates too), its FrontierSafe declaration kept or hidden (selective).
 func (d seamDraw) program(route string, n int) Program[witnessVal, uint32] {
 	own := witnessLabel{pad: d.Val("record") == "6", root: d.root(n)}
-	switch route {
-	case "noBulk":
-		return noBulk[witnessVal, uint32]{own}
-	case "sendLoop":
-		return sendLoop[witnessVal, uint32]{own}
+	p := map[string]Program[witnessVal, uint32]{
+		"own": own, "noBulk": noBulk[witnessVal, uint32]{own}, "sendLoop": sendLoop[witnessVal, uint32]{own}}[route]
+	if d.Val("selective") == "on" {
+		return p
+	} else if route == "own" { // its delegates kept, the field hides the promoted declaration
+		return struct {
+			witnessLabel
+			InitialFrontier struct{}
+		}{witnessLabel: own}
 	}
-	return own
+	return undeclared[witnessVal, uint32]{p}
 }
 
 // root draws the initial frontier of the witness over n vertices: at half
@@ -383,12 +391,11 @@ func (d seamDraw) run(t *testing.T) *proc {
 	opt, eff := d.buf()
 	parts, n := d.parts(), int64(g.NumVertices)
 	x.opts = Options{
-		MemoryBudget:        pipelineOverheadBytes + g.IndexBytes() + g.BlockTableBytes() + parts*int64(eff) + max((n+parts-1)/parts*12, 1),
-		DynamicMessages:     d.Val("messages") == "dynamic",
-		MsgBufferBytes:      opt,
-		MaxIterations:       seamMaxIters,
-		SelectiveScheduling: d.Val("selective") == "on",
-		StreamAdjacency:     d.Val("adjacency") == "pinned",
+		MemoryBudget:    pipelineOverheadBytes + g.IndexBytes() + g.BlockTableBytes() + parts*int64(eff) + max((n+parts-1)/parts*12, 1),
+		DynamicMessages: d.Val("messages") == "dynamic",
+		MsgBufferBytes:  opt,
+		MaxIterations:   seamMaxIters,
+		StreamAdjacency: d.Val("adjacency") == "pinned",
 	}
 	if adj := d.Val("adjacency"); adj == "roomy" || adj == "pinned" {
 		x.opts.MemoryBudget += 4 * g.NumEdges
@@ -481,17 +488,17 @@ func (d seamDraw) run(t *testing.T) *proc {
 		s.eng.Cleanup()
 		x.checkLeftovers(t, fdS.Device, true)
 	})
-	// A non-selective run's checkpoints carry no bitmap: the selective run
-	// resumed from one, cancelled after its first, schedules every vertex,
-	// not the initial frontier (its traces may differ, as checkRoomy says).
-	if x.opts.SelectiveScheduling && every > 0 {
+	// The paper's engine's checkpoints carry no bitmap: the declared witness
+	// resumed unpinned from one, cancelled after its first, schedules every
+	// vertex, not the initial frontier (traces may differ, as checkRoomy says).
+	if x.Val("selective") == "on" && every > 0 {
 		step(t, "bitmapless", func(t *testing.T) {
 			opts, fd := x.opts, x.device(t)
-			opts.SelectiveScheduling, opts.Checkpoint = false, CheckpointOptions{Dir: t.TempDir(), Every: every}
+			opts.StreamAdjacency, opts.Checkpoint = true, CheckpointOptions{Dir: t.TempDir(), Every: every}
 			if s := x.exec(t, fd, storage.FaultPlan{}, routes[2], opts, "none", 1+every*a.eng.NumPartitions()); s.err != nil && !errors.Is(s.err, ErrCancelled) {
 				t.Fatalf("cancelled run: %v", s.err)
 			}
-			opts.SelectiveScheduling, opts.Checkpoint.Resume = true, true
+			opts.StreamAdjacency, opts.Checkpoint.Resume = false, true
 			s := x.exec(t, fd, storage.FaultPlan{}, routes[2], opts, "none", -1)
 			if must(t, s.err); !slices.Equal(untraced(stateBytes(t, s.eng)), untraced(want)) {
 				t.Error("resumed selectively from a checkpoint without a bitmap, the run leaves different labels")
@@ -568,7 +575,7 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 	l := eng.layout
 	n, edges := int64(l.NumVertices()), l.NumEdges()
 	nParts, iters := eng.NumPartitions(), int64(res.Iterations)
-	sel, dm := x.opts.SelectiveScheduling, x.opts.DynamicMessages
+	sel, dm := x.scheduled(), x.opts.DynamicMessages
 	_, bulkLoop := eng.bulk.(*applyLoop[witnessVal, uint32])
 	_, eachLoop := eng.each.(*applyLoop[witnessVal, uint32])
 	_, drainLoop := eng.records.(*applyLoop[witnessVal, uint32])
@@ -587,7 +594,7 @@ func (x *seamTrial) checkReference(t *testing.T, a *proc, route string) {
 			res.MessagesSent, res.MessagesInline, res.MessagesBuffered, res.MessagesSpilled, res.UpdatesRun, n, iters)
 	}
 	if scheduled := res.BlocksScanned+res.BlocksSkipped > 0; scheduled != (sel && edges > 0) {
-		t.Errorf("selective %v, yet the planner scanned %d blocks and skipped %d", sel, res.BlocksScanned, res.BlocksSkipped)
+		t.Errorf("scheduled %v, yet the planner scanned %d blocks and skipped %d", sel, res.BlocksScanned, res.BlocksSkipped)
 	}
 	rows := reg.Iters()
 	skipped := slices.ContainsFunc(rows[min(2, len(rows)):], func(r obs.IterStats) bool { return r.BlocksSkipped > 0 })
@@ -789,7 +796,7 @@ func (x *seamTrial) checkTwins(t *testing.T, a, b *proc, want []byte, every int)
 	t.Helper()
 	wantRes, wantRows := comparableRun(a.res, a.reg.Iters(), false)
 	gotRes, gotRows := comparableRun(b.res, b.reg.Iters(), false)
-	ahead := x.opts.SelectiveScheduling && !a.res.ResidentAdjacency
+	ahead := x.scheduled() && !a.res.ResidentAdjacency
 	scan, decoded := fullScan(b.eng)
 	if iters := int64(b.res.Iterations); ahead && gotRes.CodecBytesEncoded <= iters*scan && gotRes.CodecBytesRaw <= iters*decoded {
 		gotRes.CodecBytesEncoded, gotRes.CodecBytesRaw = wantRes.CodecBytesEncoded, wantRes.CodecBytesRaw
@@ -885,7 +892,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 		if which == "stray" {
 			off = int(r(3)) - 1 // the route: Send, SendAll, SendEach
 		}
-		bp := breaker{x.program("own", a.g.NumVertices).(witnessLabel), which, off, &polls, &broke}
+		bp := breaker{witnessLabel{pad: x.Val("record") == "6", root: x.root(a.g.NumVertices)}, which, off, &polls, &broke}
 		opts := x.opts
 		opts.Obs, opts.Context = obs.NewRegistry(), ledgerProbe{context.Background(), func() { polls++ }}
 		eng, err := New[witnessVal, uint32](DOSLayout(a.g), bp, witnessCodec{}, x.mcodec(), opts)
@@ -925,7 +932,7 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 
 // checkRoomy: under dynamic messages one roomy partition applies every
 // vertex's messages in the order the draw's plan did, so it leaves the same
-// bits and, unscheduled, takes no more iterations. A sparse plan leaves a bit
+// bits and, undeclared, takes no more iterations. A sparse plan leaves a bit
 // set ahead of the cursor outside its runs to the next iteration, and which
 // bits depends on the plan: from iteration 0 on, a selective rooted
 // witness's arrival orders — its traces — differ from plan to plan, its
@@ -934,18 +941,17 @@ func (x *seamTrial) checkMisuse(t *testing.T, a, b *proc) {
 func (x *seamTrial) checkRoomy(t *testing.T, a *proc, dev *storage.Device, want []byte) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, SelectiveScheduling: x.opts.SelectiveScheduling,
-		Name: "roomy", Obs: reg, SharedAdjacency: a.shared}
+	opts := Options{MemoryBudget: 64 << 20, DynamicMessages: true, Name: "roomy", Obs: reg, SharedAdjacency: a.shared}
 	eng, err := New(DOSLayout(a.g), x.program("own", a.g.NumVertices), witnessCodec{}, x.mcodec(), opts)
 	must(t, err)
 	before := dev.FileStats()[a.g.EdgesFile()]
 	res, err := eng.Run()
 	must(t, err)
 	got := stateBytes(t, eng)
-	if opts.SelectiveScheduling && !eng.initAll {
+	if eng.sel != nil && !eng.initAll {
 		got, want = untraced(got), untraced(want)
 	}
-	if same := slices.Equal(got, want); !same || !opts.SelectiveScheduling && res.Iterations > a.res.Iterations {
+	if same := slices.Equal(got, want); !same || x.Val("selective") == "off" && res.Iterations > a.res.Iterations {
 		t.Errorf("one roomy partition: %d iterations (the draw's plan: %d), same bits %v", res.Iterations, a.res.Iterations, same)
 	}
 	io := dev.FileStats()[a.g.EdgesFile()].Sub(before)
@@ -1790,7 +1796,7 @@ func (padCodec) Decode(b []byte) uint32 { return uint32(binary.LittleEndian.Uint
 var seamSeeds = []uint64{
 	2290, 76, 3147, 9938, 17118, 3478, 25269, 32155, 53049, 8072, 5572, 19500, 46189, 48862,
 	41445, 125, 1690, 25552, 9016, 46362, 5497, 1812, 2682, 15146, 4471, 12222, 2241, 91,
-	313, 1009, 1577, 4143, 176, 785, 228, 1, 48, 79, 0, 174, 1485, 753,
+	313, 1009, 1577, 4143, 176, 785, 228, 1, 48, 79, 0, 174, 2928, 305,
 }
 
 // witnessLabel is minLabel written as a scatter program — one SendAll or

@@ -45,22 +45,15 @@ func TestSemMatchesPartitioned(t *testing.T) {
 	recorded := Result{Iterations: 3, Partitions: 1, SemiExternal: true, ResidentAdjacency: true, // 64 MiB keeps both
 		MessagesSent: 7593, MessagesApplied: 7593, MessagesInline: 7593, UpdatesRun: 1248}
 	const recordedStates = 0x76344cf5835dcb95 // FNV-64a of the encoded states
-	variants := []struct {
-		name          string
-		mod           func(*Options)
-		blocksScanned int64
-	}{
-		{"sequential", func(*Options) {}, 0},
-		{"selective", func(o *Options) { o.SelectiveScheduling = true }, 3},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			so := semOpts()
-			v.mod(&so)
-			semRes, semVals := runMinLabel(t, buildDOS(t, edges), so)
-
+	for _, name := range []string{"sequential", "selective"} {
+		t.Run(name, func(t *testing.T) {
+			var prog Program[minVal, uint32] = undeclared[minVal, uint32]{minLabel{}} // a full scan
 			want := recorded
-			want.BlocksScanned = v.blocksScanned
+			if name == "selective" {
+				prog, want.BlocksScanned = minLabel{}, 3
+			}
+			semRes, semVals, err := minLabelRun(DOSLayout(buildDOS(t, edges)), prog, semOpts())
+			must(t, err)
 			if stripDurability(semRes) != want {
 				t.Errorf("fitting-budget result %+v, recorded %+v", semRes, want)
 			}

@@ -55,7 +55,7 @@ func TestSharedGraphConcurrentEngines(t *testing.T) {
 			defer wg.Done()
 			o.Name = "job-" + string(rune('a'+i))
 			o.SharedAdjacency = sg.Adjacency()
-			outRes[i], outVals[i], errs[i] = minLabelRun(sg.View(), o)
+			outRes[i], outVals[i], errs[i] = minLabelRun(sg.View(), minLabel{}, o)
 		}(i, o)
 	}
 	wg.Wait()

@@ -90,10 +90,10 @@ type JobStatus struct {
 	Started   time.Time `json:"started,omitempty"`
 	Finished  time.Time `json:"finished,omitempty"`
 	Error     string    `json:"error,omitempty"`
-	// ErrorKind classifies failures: "bad_request" for configurations
-	// the caller must fix (core.ErrInvalidOptions), "budget" for runs
-	// whose engine budget could not fit the graph (core.ErrMemoryBudget),
-	// "internal" otherwise.
+	// ErrorKind classifies failures: "cancelled", "bad_request" for
+	// configurations the caller must fix (core.ErrInvalidOptions, which no
+	// admitted job's options draw), "budget" for runs whose engine budget
+	// could not fit the graph (core.ErrMemoryBudget), "internal" otherwise.
 	ErrorKind string `json:"error_kind,omitempty"`
 
 	Iterations        int           `json:"iterations,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphz/internal/algo/plain"
 	"graphz/internal/bench"
 	"graphz/internal/core"
 	"graphz/internal/dos"
@@ -157,6 +158,59 @@ func TestServingWin(t *testing.T) {
 		if vv.Value != prWant[vv.Vertex] {
 			t.Fatalf("PR vertex %d = %v, solo %v", vv.Vertex, vv.Value, prWant[vv.Vertex])
 		}
+	}
+}
+
+// TestServedJobsScheduled: a job asks for no scheduling, yet a BFS job,
+// whose program declares core.FrontierSafe, is scheduled selectively — over
+// a grid cut into 64-entry blocks, its thin frontier leaves blocks unread —
+// and still returns plain.BFS's levels; a PageRank job, undeclared, scans
+// and skips no block.
+func TestServedJobsScheduled(t *testing.T) {
+	const rows, cols = 48, 48
+	edges := gen.Grid(rows, cols)
+	dev := storage.NewDevice(storage.NullDevice, storage.Options{})
+	if err := graph.WriteEdges(dev, "raw", edges); err != nil {
+		t.Fatal(err)
+	}
+	g, err := dos.Convert(dos.ConvertConfig{Dev: dev, Codec: storage.CodecRaw, BlockEntries: 64}, "raw", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t, 256<<20, g)
+	src := uint32(rows/2*cols + cols/2)
+	run := func(algo string) (string, map[string]int64) {
+		st := submitWait(t, s, SubmitRequest{Graph: "main", Algo: algo, Source: &src})
+		if st.State != StateDone {
+			t.Fatalf("%s job: %s (%s)", algo, st.State, st.Error)
+		}
+		rep, err := s.Report(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID, rep.Counters
+	}
+	id, c := run("BFS")
+	if c["graphz_blocks_skipped_total"] == 0 || c["graphz_blocks_scanned_total"] == 0 {
+		t.Errorf("BFS job scanned %d blocks and skipped %d, want a selective schedule",
+			c["graphz_blocks_scanned_total"], c["graphz_blocks_skipped_total"])
+	}
+	want := plain.BFS(plain.BuildAdjacency(rows*cols, edges), graph.VertexID(src))
+	res, err := s.Result(id, 0, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.All) != len(want) {
+		t.Fatalf("BFS job returned %d values for %d vertices", len(res.All), len(want))
+	}
+	for _, vv := range res.All {
+		if vv.Value != float64(want[vv.Vertex]) {
+			t.Fatalf("BFS job vertex %d = %v, plain.BFS %d", vv.Vertex, vv.Value, want[vv.Vertex])
+		}
+	}
+	if _, c := run("PR"); c["graphz_blocks_scanned_total"]+c["graphz_blocks_skipped_total"] != 0 {
+		t.Errorf("PageRank job scanned %d blocks and skipped %d, want no schedule",
+			c["graphz_blocks_scanned_total"], c["graphz_blocks_skipped_total"])
 	}
 }
 
