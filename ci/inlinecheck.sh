@@ -38,6 +38,13 @@
 # direct call to Update, not an interface call. A method value
 # (core.UpdateRun(..., p.Update)) compiles but leaves no func1 to inline.
 #
+# A program that declares core.FrontierSafe (InitialFrontier) is scheduled
+# selectively on every run but one pinned by Options.StreamAdjacency, and a
+# selective pass never takes the run loop: its run delegate would serve that
+# pinned run alone, which no benchmark workload times (DESIGN.md §5). So a
+# shipped program that defines UpdateRun beside InitialFrontier fails,
+# naming the file.
+#
 # The same programs' drain delegate (core.RecordApplier, DESIGN.md §17)
 # is held the same way: at the line of its one core.ApplyRecords call,
 #   inlining call to core.ApplyRecords[...]
@@ -95,6 +102,15 @@ fi
 out=$(go build -gcflags=-m "./$pkg" ./internal/graph ./internal/core 2>&1) || { echo "$out" >&2; exit 1; }
 
 fail=0
+sources=$(ls "$pkg"/*.go | grep -v '_test\.go$')
+for f in $sources; do
+	for prog in $(sed -nE 's/^func \([a-z]+ ([A-Za-z0-9]+)\) UpdateRun\(.*/\1/p' "$f"); do
+		if grep -Eq "^func \(([a-z]+ )?$prog\) InitialFrontier\(" $sources; then
+			echo "inlinecheck: $f: $prog declares core.FrontierSafe and defines UpdateRun, which only a run that pins StreamAdjacency reaches" >&2
+			fail=1
+		fi
+	done
+done
 for entry in $programs; do
 	IFS=: read -r file prog delegates <<<"$entry"
 	for delegate in ${delegates//,/ }; do

@@ -49,14 +49,6 @@ func (p bfsProgram) ApplyAll(f *core.Frontier, vs []bfsVal, lo graph.VertexID, d
 	return core.ApplyAll(f, vs, lo, dsts, m, func(v *bfsVal, m uint32) bool { return p.Apply(v, m) })
 }
 
-// UpdateRun is the optional run form (core.RunUpdater): Update, inlined
-// over a degree run.
-func (p bfsProgram) UpdateRun(ctx *core.Context[uint32], lo graph.VertexID, vs []bfsVal, adj []graph.VertexID, deg uint32) {
-	core.UpdateRun(ctx, lo, vs, adj, deg, func(ctx *core.Context[uint32], id graph.VertexID, v *bfsVal, a []graph.VertexID) {
-		p.Update(ctx, id, v, a)
-	})
-}
-
 // BFS computes hop counts from source (in the graph's ID space) along
 // out-edges, running until quiescent. Unreached vertices report
 // Unreached.

@@ -23,6 +23,9 @@ func (ccProgram) Init(id graph.VertexID, deg uint32) ccVal {
 func (ccProgram) Update(ctx *core.Context[uint32], id graph.VertexID, v *ccVal, adj []graph.VertexID) {
 	if ctx.Iteration() == 0 {
 		ctx.SendAll(adj, v.A)
+		if v.B < v.A {
+			ctx.MarkActive() // a message lowered B before the broadcast: act on it next iteration
+		}
 		return
 	}
 	if v.B < v.A {
@@ -39,9 +42,10 @@ func (ccProgram) Apply(v *ccVal, m uint32) bool {
 	return false
 }
 
-// InitialFrontier declares core.FrontierSafe: after iteration 0's
-// broadcast from every vertex (nil), unless a message lowered B (Apply
-// reports it) B is not below A, and Update does nothing.
+// InitialFrontier declares core.FrontierSafe: every vertex (nil)
+// broadcasts in iteration 0, and after it, unless a message lowered B
+// (Apply reports it, or the broadcast marked it) B is not below A, and
+// Update does nothing.
 func (ccProgram) InitialFrontier() []graph.VertexID { return nil }
 
 // ConnectedComponents labels every vertex with the smallest vertex ID

@@ -219,6 +219,29 @@ func TestSelectiveUpdatesTrackFrontier(t *testing.T) {
 	}
 }
 
+// TestFanInUpdatesOnlyTheSink: CC's iteration 0 is an ordinary frontier
+// iteration over every vertex, its bits cleared before the updates. On 1,000
+// sources feeding one sink only the sink has work after it — its broadcast
+// marks it when a message already lowered its label — so the run updates
+// V+1 vertices, not every vertex twice, and iteration 1 skips the block.
+func TestFanInUpdatesOnlyTheSink(t *testing.T) {
+	var edges []graph.Edge
+	for v := graph.VertexID(1); v <= 1000; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: 0})
+	}
+	f := newFixture(t, edges)
+	res, labels, err := ConnectedComponents(f.g, bigOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := plain.ConnectedComponents(f.adj); !slices.Equal(labels, want) {
+		t.Errorf("labels %v, want %v", labels, want)
+	}
+	if v := int64(f.g.NumVertices); res.UpdatesRun != v+1 || res.BlocksSkipped == 0 {
+		t.Errorf("%d updates, %d blocks skipped; want %d updates and a skipped block", res.UpdatesRun, res.BlocksSkipped, v+1)
+	}
+}
+
 // TestSelectiveMatchesFullScan: SSSP and CC scheduled selectively, as they
 // declare — a vertex scheduled by a message that changed it, never by itself
 // — leave the full scan's values byte for byte, in fewer updates: on one
@@ -619,7 +642,6 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 		}},
 		{"BFS", func(t *testing.T) {
 			checkDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, bulk, graph.U32PairCodec, graph.Uint32Codec{}, u32Pair, u32)
-			checkRunDelegate[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, graph.Uint32Codec{})
 			checkApplyLoop[bfsVal, uint32](t, bfsProgram{source: 3}, graph.U32PairCodec, graph.Uint32Codec{})
 		}},
 		{"CC", func(t *testing.T) {
@@ -628,7 +650,6 @@ func TestApplyAllIsApplyInALoop(t *testing.T) {
 		}},
 		{"SSSP", func(t *testing.T) {
 			checkDelegate[ssspVal, float32](t, ssspProgram{source: 3}, perEdge, graph.F32PairCodec, graph.Float32Codec{}, f32Pair, (*rand.Rand).Float32)
-			checkRunDelegate[ssspVal, float32](t, ssspProgram{source: 3}, graph.F32PairCodec, graph.Float32Codec{})
 			checkSendEach(t)
 		}},
 	} {

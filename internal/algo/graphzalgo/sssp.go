@@ -59,14 +59,6 @@ func (p ssspProgram) ApplyEach(f *core.Frontier, vs []ssspVal, lo graph.VertexID
 	return core.ApplyEach(f, vs, lo, dsts, ms, func(v *ssspVal, m float32) bool { return p.Apply(v, m) })
 }
 
-// UpdateRun is the optional run form (core.RunUpdater): Update, inlined
-// over a degree run.
-func (p ssspProgram) UpdateRun(ctx *core.Context[float32], lo graph.VertexID, vs []ssspVal, adj []graph.VertexID, deg uint32) {
-	core.UpdateRun(ctx, lo, vs, adj, deg, func(ctx *core.Context[float32], id graph.VertexID, v *ssspVal, a []graph.VertexID) {
-		p.Update(ctx, id, v, a)
-	})
-}
-
 // SSSP computes single-source shortest path distances from source (in
 // the graph's ID space) with hash-derived positive edge weights, running
 // until quiescent. Unreached vertices report +Inf.

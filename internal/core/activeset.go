@@ -23,21 +23,18 @@ import (
 // and send on the in-place route) — whatever Apply reports there, a safe
 // superset — or when its update called MarkActive (updateRuns, which reads
 // the Context's flag once Update returns), cleared just before its update
-// runs (except during an Init pass over every vertex: it conventionally
-// broadcasts and ignores pending messages, so its bits survive into
-// iteration 1, where the first real update acts on them), replaced whole by
-// resume — every writer is the engine's — and, per partition per iteration,
-// derives per-block activity from the bitmap. Degree-Ordered Storage makes
-// that derivation arithmetic: a partition's adjacency is a contiguous entry
-// range, so "does block b contain an active vertex's edges" is a bitmap
-// range test over a contiguous new-ID range. Blocks with no active vertex
-// are never read; when the active density reaches a threshold the partition
-// falls back to full streaming (dense iterations are faster streamed, as
-// GraphMP observes). A summary byte per bitmap word marks the non-empty
-// ones, so every walk of the bits — the Worker's, the planner's,
-// appendActive's — steps over 8 empty words a load: a frontier of a few
-// hundred vertices costs what it holds, not V/64 loads a walk. See
-// DESIGN.md §9.
+// runs, iteration 0's too, replaced whole by resume — every writer is the
+// engine's — and, per partition per iteration, derives per-block activity
+// from the bitmap. Degree-Ordered Storage makes that derivation arithmetic:
+// a partition's adjacency is a contiguous entry range, so "does block b
+// contain an active vertex's edges" is a bitmap range test over a
+// contiguous new-ID range. Blocks with no active vertex are never read;
+// when the active density reaches a threshold the partition falls back to
+// full streaming (dense iterations are faster streamed, as GraphMP
+// observes). A summary byte per bitmap word marks the non-empty ones, so
+// every walk of the bits — the Worker's, the planner's, appendActive's —
+// steps over 8 empty words a load: a frontier of a few hundred vertices
+// costs what it holds, not V/64 loads a walk. See DESIGN.md §9.
 
 // defaultSelectiveDensity is the active-vertex density at or above which
 // a partition streams fully instead of scheduling blocks.
@@ -59,8 +56,8 @@ type Frontier struct {
 }
 
 // newActiveSet returns an all-ones set over [0, n): every vertex is
-// schedulable until its first update runs — the Init pass of a program
-// whose initial frontier is every vertex, or a resume from a checkpoint
+// schedulable until its first update runs — iteration 0 of a program whose
+// initial frontier is every vertex (nil), or a resume from a checkpoint
 // without a bitmap.
 func newActiveSet(n int) *Frontier {
 	s := newEmptyActiveSet(n)

@@ -271,9 +271,8 @@ func sortedRunCheckpoint(t *testing.T, dir string, bufBytes int, fold bool, tear
 	if fold && folded == 0 {
 		t.Fatal("no run held two messages for one destination; nothing was folded")
 	}
-	if _, err := st.Write(ck.Manifest, secs); err != nil {
-		t.Fatal(err)
-	}
+	_, err = st.Write(ck.Manifest, secs)
+	must(t, err)
 
 	// The writer no longer knows the sort-reduce counters; splice them into
 	// the manifest payload (magic, u16 version, u32 CRC, JSON) by hand.

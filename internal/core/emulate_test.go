@@ -160,9 +160,8 @@ func TestInDegreesOutOfRangeEntry(t *testing.T) {
 	f, err := dev.Open(g.EdgesFile())
 	must(t, err)
 	// Entry 2 (vertex 1's only neighbour) becomes vertex 3 of a 3-vertex graph.
-	if _, err := f.WriteAt([]byte{3, 0, 0, 0}, 2*4); err != nil {
-		t.Fatal(err)
-	}
+	_, err = f.WriteAt([]byte{3, 0, 0, 0}, 2*4)
+	must(t, err)
 	_, err = InDegrees(CSRLayout(g))
 	if !errors.Is(err, storage.ErrCorruptBlock) {
 		t.Fatalf("InDegrees over an out-of-range entry = %v, want an error matching storage.ErrCorruptBlock", err)

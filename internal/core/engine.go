@@ -226,13 +226,16 @@ func ApplyRecords[V, M any](verts []V, lo graph.VertexID, recs []byte, rec int, 
 //
 // — a closure literal that calls Update and nothing else, so Update keeps
 // its one definition. New looks for the method once. The Worker takes the
-// run route on every pass that needs no hook between two updates: dense,
-// not scheduled selectively and not on the in-place route — one partition
+// run route on every pass that needs no hook between two updates: not
+// scheduled selectively and not on the in-place route — one partition
 // under dynamic messages, and static messages. A selective pass clears and
 // sets each vertex's bit around its update, and the in-place route drains
 // the resident records before the update of a vertex that has one pending
 // and moves the cursor scatter reads: those passes, and every program
-// without the method, update a vertex a call.
+// without the method, update a vertex a call. A FrontierSafe program is
+// scheduled on every run but one that pins Options.StreamAdjacency, so
+// only such a run would reach its method: the shipped ones have none
+// (ci/inlinecheck.sh fails one that defines both).
 type RunUpdater[V, M any] interface {
 	UpdateRun(ctx *Context[M], lo graph.VertexID, verts []V, adj []graph.VertexID, deg uint32)
 }
@@ -271,11 +274,13 @@ func UpdateRun[V, M any](ctx *Context[M], lo graph.VertexID, verts []V, adj []gr
 // declared one on every run that does not pin Options.StreamAdjacency.
 //
 // InitialFrontier says which vertices have work right after Init, the same
-// promise for iteration 0. nil is every vertex: iteration 0 is the Init
-// pass, which visits everyone (a program may broadcast there) and leaves
-// every bit set for iteration 1. A list — BFS's and SSSP's source — makes
-// iteration 0 an ordinary frontier iteration over the listed vertices;
-// every state is still initialized, and IDs past the last vertex, which no
+// promise for iteration 0: nil is every vertex, a list — BFS's and SSSP's
+// source — the listed ones. Iteration 0 is an ordinary frontier iteration
+// either way: a vertex's bit is cleared before its update there too, so an
+// update that does not act on a message already applied to its vertex —
+// CC's iteration 0 broadcasts its own label — calls MarkActive to keep the
+// vertex scheduled.
+// Every state is still initialized, and IDs past the last vertex, which no
 // update can reach, are ignored.
 type FrontierSafe interface {
 	InitialFrontier() []graph.VertexID
@@ -564,7 +569,6 @@ type Engine[V, M any] struct {
 	// selective scheduling state (FrontierSafe)
 	sel     *Frontier  // per-vertex schedulability bits; nil when off
 	planner selPlanner // schedule scratch, reused across partitions and iterations
-	initAll bool       // the initial frontier is every vertex: iteration 0's bits survive it
 
 	// durability state (Options.Checkpoint)
 	ckStore    *checkpoint.Store
@@ -669,8 +673,7 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		// the adjacency's residency, between selective and full-streaming
 		// runs of the same budget, breaking their comparability.
 		n := layout.NumVertices()
-		initial := fs.InitialFrontier()
-		if e.initAll = initial == nil; e.initAll {
+		if initial := fs.InitialFrontier(); initial == nil {
 			e.sel = newActiveSet(n)
 		} else {
 			e.sel = newEmptyActiveSet(n)
@@ -1349,13 +1352,14 @@ func (e *Engine[V, M]) applyResident() {
 // the in-place route the loop drains the resident records before it updates
 // a vertex at or past the watermark, one of them pending for it.
 //
-// That is the vertex loop, one Update a vertex. A pass that needs none of
-// its per-vertex hooks — no bitmap, no watermark or cursor — and a program
-// with UpdateRun take the run loop instead: one UpdateRun a degree run, or
-// a window's worth of one, the same vertices in the same order with the
-// same adjacency, the ledger's update and edge counts folded once a call.
-// On the spot the messages are counted in c.spot and folded here once the
-// pass ends.
+// That is the vertex loop, one Update a vertex; a selective pass clears a
+// vertex's bit before its update, in iteration 0 too. A pass that needs
+// none of its per-vertex hooks — no bitmap, no watermark or cursor — and a
+// program with UpdateRun (PageRank's; a scheduled program has none) take
+// the run loop instead: one UpdateRun a degree run, or a window's worth of
+// one, the same vertices in the same order with the same adjacency, the
+// ledger's update and edge counts folded once a call. On the spot the
+// messages are counted in c.spot and folded here once the pass ends.
 func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipeStats) (bool, error) {
 	defer e.foldSpot()
 	var ranges []entryRange // what the prefetcher reads; resident entries need none
@@ -1432,13 +1436,8 @@ func (e *Engine[V, M]) updateRuns(iter int, runs []selRun, sparse bool, ps *pipe
 				e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
 			} else {
 				// The bit is cleared before the update and set again if it
-				// marked active. An Init pass over every vertex (the initial
-				// frontier nil) is the exception: programs conventionally
-				// broadcast there and ignore pending messages, so its bits
-				// survive into iteration 1 (where the update acts on them).
-				if iter > 0 || !e.initAll {
-					e.sel.clear(v)
-				}
+				// marked active.
+				e.sel.clear(v)
 				ctx.active = false
 				e.prog.Update(ctx, v, &e.verts[v-e.partLo], adj)
 				if ctx.active {

@@ -28,6 +28,8 @@ func (minLabel) Update(ctx *Context[uint32], id graph.VertexID, v *minVal, adj [
 		}
 		v.A = v.B
 		ctx.MarkActive()
+	} else if v.B < v.A {
+		ctx.MarkActive() // iteration 0 broadcasts A: a lowered B waits for iteration 1
 	}
 	for _, a := range adj {
 		ctx.Send(a, v.A)
@@ -35,7 +37,7 @@ func (minLabel) Update(ctx *Context[uint32], id graph.VertexID, v *minVal, adj [
 }
 
 // InitialFrontier: every vertex broadcasts in iteration 0 (nil); after it,
-// without a message B is not below A and Update does nothing.
+// without a message or a mark B is not below A and Update does nothing.
 func (minLabel) InitialFrontier() []graph.VertexID { return nil }
 
 func (minLabel) Apply(v *minVal, m uint32) bool {

@@ -90,9 +90,8 @@ func TestStateRoundAllocs(t *testing.T) {
 	if eng.NumPartitions() < 2 {
 		t.Fatalf("%d partitions; a pinned run never reloads its states", eng.NumPartitions())
 	}
-	if _, err := eng.dev.Create(eng.vstateFile()); err != nil {
-		t.Fatal(err)
-	}
+	_, err = eng.dev.Create(eng.vstateFile())
+	must(t, err)
 	lo, hi := eng.parts.starts[0], eng.parts.starts[1]
 	partition := int64(hi-lo) * int64(eng.vsize)
 	if partition < 64<<10 {

@@ -126,9 +126,8 @@ func TestSemCheckpointMissingMessages(t *testing.T) {
 	must(t, err)
 	old, err := checkpoint.NewStore(t.TempDir())
 	must(t, err)
-	if _, err := old.Write(ck.Manifest, []checkpoint.SectionData{{Name: "vstate", Data: vstate}}); err != nil {
-		t.Fatal(err)
-	}
+	_, err = old.Write(ck.Manifest, []checkpoint.SectionData{{Name: "vstate", Data: vstate}})
+	must(t, err)
 	// Splice the key into the manifest payload (magic, u16 version, u32
 	// CRC, JSON) by hand: the writer no longer knows it.
 	path := latestManifestPath(t, old.Dir())

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,7 +178,7 @@ func (s *entryStream) prefetch(f *storage.File) {
 			if s.met != nil {
 				t0 = time.Now()
 			}
-			err := readExtent(f, buf, lo)
+			err := storage.ReadFullAt(f, buf, lo)
 			if s.met != nil {
 				s.met.readNS.Add(int64(time.Since(t0)))
 			}
@@ -215,23 +214,6 @@ func (s *entryStream) fail(err error) {
 	case s.blocks <- sioBlock{err: err}:
 	case <-s.stopc:
 	}
-}
-
-// readExtent fills buf from file offset off in device-block-sized
-// operations, so op counts reflect realistic request sizes even for an
-// encoded block larger than DefaultBlockSize.
-func readExtent(f *storage.File, buf []byte, off int64) error {
-	for done := 0; done < len(buf); {
-		n, err := f.ReadAt(buf[done:min(len(buf), done+storage.DefaultBlockSize)], off+int64(done))
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return io.ErrUnexpectedEOF
-		}
-		done += n
-	}
-	return nil
 }
 
 // dispatch is the Dispatcher step, run by the producer: the block's bytes,

@@ -47,13 +47,6 @@ func (g *Graph) bucketByte(i int) int64 {
 	return g.metaHeaderBytes() + int64(i)*BucketBytes
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // violate builds a *Violation against one of g's files.
 func violate(file string, off int64, bucket int, format string, args ...any) error {
 	return &Violation{File: file, Offset: off, Bucket: bucket, Detail: fmt.Sprintf(format, args...)}
@@ -161,11 +154,11 @@ func verifyEdges(g *Graph) error {
 			}
 		}
 		if last := offs[len(offs)-1]; f.Size() != last {
-			return violate(edges, min64(f.Size(), last), -1,
+			return violate(edges, min(f.Size(), last), -1,
 				"edge file has %d bytes, block offset table ends at %d", f.Size(), last)
 		}
 	} else if f.Size() != g.NumEdges*EntryBytes {
-		return violate(edges, min64(f.Size(), g.NumEdges*EntryBytes), -1,
+		return violate(edges, min(f.Size(), g.NumEdges*EntryBytes), -1,
 			"edge file has %d bytes, want %d", f.Size(), g.NumEdges*EntryBytes)
 	}
 	r, err := g.Entries(0, g.NumEdges)
@@ -202,7 +195,7 @@ func verifyMaps(g *Graph) error {
 		return err
 	}
 	if n2oF.Size() != int64(g.NumVertices)*4 {
-		return violate(n2oName, min64(n2oF.Size(), int64(g.NumVertices)*4), -1,
+		return violate(n2oName, min(n2oF.Size(), int64(g.NumVertices)*4), -1,
 			"new2old has %d bytes, want %d", n2oF.Size(), g.NumVertices*4)
 	}
 	o2nF, err := g.dev.Open(o2nName)
@@ -214,7 +207,7 @@ func verifyMaps(g *Graph) error {
 		wantOld = o2nF.Size() / 4 // empty graphs have a degenerate map
 	}
 	if o2nF.Size() != wantOld*4 {
-		return violate(o2nName, min64(o2nF.Size(), wantOld*4), -1,
+		return violate(o2nName, min(o2nF.Size(), wantOld*4), -1,
 			"old2new has %d bytes, want %d", o2nF.Size(), wantOld*4)
 	}
 

@@ -388,7 +388,7 @@ func (l BlockLayout) NumBlocks() int64 {
 // BlockRange returns the byte extent [lo, hi) of block b.
 func (l BlockLayout) BlockRange(b int64) (lo, hi int64) {
 	if l.BlockOffs == nil {
-		return b * l.BlockEntries * 4, min64((b+1)*l.BlockEntries, l.NumEntries) * 4
+		return b * l.BlockEntries * 4, min((b+1)*l.BlockEntries, l.NumEntries) * 4
 	}
 	return l.BlockOffs[b], l.BlockOffs[b+1]
 }
@@ -396,15 +396,8 @@ func (l BlockLayout) BlockRange(b int64) (lo, hi int64) {
 // EntriesIn returns how many entries block b holds (only the final block
 // may be short).
 func (l BlockLayout) EntriesIn(b int64) int64 {
-	return min64((b+1)*l.BlockEntries, l.NumEntries) - b*l.BlockEntries
+	return min((b+1)*l.BlockEntries, l.NumEntries) - b*l.BlockEntries
 }
 
 // TableBytes returns the resident size of the per-block offset table.
 func (l BlockLayout) TableBytes() int64 { return int64(len(l.BlockOffs)) * 8 }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
