@@ -69,6 +69,14 @@
 #   inlining call to (*Frontier).nextSet
 # so planning walks the set bits with no call per bit beyond the walk's own.
 #
+# Send is SendAll over one destination (DESIGN.md §17): at every ctx.Send(
+# call in a non-test file of the package and in internal/core/emulate.go
+# (the Section IV-E emulation, instantiated by examples/emulation) the
+# build must report
+#   inlining call to core.(*Context[...]).Send
+# so a program that picks its destinations pays the one bound route call a
+# message, as SendAll pays it a vertex, and no call to Send itself.
+#
 # And at the partitionOf call inside `scatter` (internal/core/engine.go,
 # DESIGN.md §17), which writes every record of a partitioned run — the
 # resident partition's too —
@@ -99,7 +107,7 @@ if [ -z "$programs" ]; then
 	exit 1
 fi
 # -m's diagnostics are cached with the build and replayed on a cache hit.
-out=$(go build -gcflags=-m "./$pkg" ./internal/graph ./internal/core 2>&1) || { echo "$out" >&2; exit 1; }
+out=$(go build -gcflags=-m "./$pkg" ./internal/graph ./internal/core ./examples/emulation 2>&1) || { echo "$out" >&2; exit 1; }
 
 fail=0
 sources=$(ls "$pkg"/*.go | grep -v '_test\.go$')
@@ -171,6 +179,21 @@ for entry in $pair_codecs; do
 	done
 done
 
+sends=0
+for f in $sources internal/core/emulate.go; do
+	for line in $(grep -n 'ctx\.Send(' "$f" | cut -d: -f1); do
+		sends=$((sends + 1))
+		if ! grep -Eq "^(\./)?$f:$line:[0-9]+: inlining call to core\.\(\*Context\[.*\]\)\.Send\$" <<<"$out"; then
+			echo "inlinecheck: Context.Send lost it under $(go version): no \"inlining call to core.(*Context[...]).Send\" at $f:$line" >&2
+			fail=1
+		fi
+	done
+done
+if [ "$sends" -eq 0 ]; then
+	echo "inlinecheck: no ctx.Send( call in $pkg or internal/core/emulate.go to hold" >&2
+	fail=1
+fi
+
 engine=internal/core/engine.go
 worker=$(awk '/^func \(e \*Engine\[V, M\]\) updateRuns\(/ { on = 1 } on { print NR": "$0 } on && /^}/ { exit }' "$engine")
 for method in nextSet clear set; do
@@ -229,4 +252,4 @@ if [ -n "$barriers" ]; then
 	fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "inlinecheck: Apply and the bitmap's set inlined into ApplyAll or ApplyEach, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns, selPlanner.plan and appendActive; partitionOf into scatter, and no write barrier in scatter outside its flush branch ($(go version))"
+echo "inlinecheck: Apply and the bitmap's set inlined into ApplyAll or ApplyEach, the Update closure into UpdateRun, Decode and Apply into ApplyRecords for: $programs; Context.Send at its $sends call sites; the field codecs into the pair codecs' bulk loops; the bitmap inlined into updateRuns, selPlanner.plan and appendActive; partitionOf into scatter, and no write barrier in scatter outside its flush branch ($(go version))"

@@ -82,9 +82,6 @@ type Outcome struct {
 	// SemiExternal reports the GraphZ run's budget planned one partition,
 	// so its vertex states stayed resident (core.Result.SemiExternal).
 	SemiExternal bool
-	// SpillErrors counts spill failures the engine observed (GraphZ
-	// engines; the first failure aborts the run).
-	SpillErrors int64
 	// Stages is the per-pipeline-stage wall-clock breakdown reported by
 	// the engine's observability layer.
 	Stages obs.StageTimes
@@ -266,7 +263,6 @@ func runGraphZ(cfg RunConfig, dev *storage.Device, clock *sim.Clock, reg *obs.Re
 	out.Spilled = res.MessagesSpilled
 	out.Inline = res.MessagesInline
 	out.SemiExternal = res.SemiExternal
-	out.SpillErrors = res.SpillErrors
 	out.Stages = res.Stages
 	return nil
 }

@@ -17,10 +17,10 @@ import (
 // vertices, yet a streaming engine re-reads every adjacency block anyway.
 // The engine keeps one bit per vertex — initially the program's declared
 // initial frontier (every vertex when it declares nil), set when a message
-// changes the vertex (its Apply reports true: send's inline apply, and
-// ApplyAll and ApplyEach through applyOnSpot and applyEachOnSpot), when a
-// record to it is delivered (drainRecords) or, resident, sent (sendRecords,
-// and send on the in-place route) — whatever Apply reports there, a safe
+// changes the vertex (its Apply reports true: ApplyAll and ApplyEach
+// through applyOnSpot and applyEachOnSpot, Send being SendAll over one
+// destination), when a record to it is delivered (drainRecords) or,
+// resident, sent (sendRecords) — whatever Apply reports there, a safe
 // superset — or when its update called MarkActive (updateRuns, which reads
 // the Context's flag once Update returns), cleared just before its update
 // runs, iteration 0's too, replaced whole by resume — every writer is the

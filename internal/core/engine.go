@@ -63,6 +63,9 @@ type Program[V, M any] interface {
 	// are stored. A non-resident one's are applied, in the same order, when
 	// its partition is next loaded. Apply sees only its own vertex, so when
 	// within those bounds it runs is the engine's choice (DESIGN.md §17).
+	// Send, SendAll and SendEach reach it by one of two routes — on one
+	// partition under dynamic messages ApplyAll or ApplyEach as they are
+	// called, elsewhere a record — Send being SendAll over one destination.
 	// Under selective scheduling a report of true makes the vertex
 	// schedulable, and false leaves it as it was (FrontierSafe); true is
 	// always safe, and a program that is never scheduled selectively
@@ -290,9 +293,9 @@ type FrontierSafe interface {
 // An engine has one, its routes bound in New.
 type Context[M any] struct {
 	iteration int
-	send      func(dst graph.VertexID, m M)
-	sendAll   func(dsts []graph.VertexID, m M)    // the bulk route
-	sendEach  func(dsts []graph.VertexID, ms []M) // the per-edge bulk route
+	sendAll   func(dsts []graph.VertexID, m M)    // the route of Send and SendAll
+	sendEach  func(dsts []graph.VertexID, ms []M) // SendEach's route
+	one       [1]graph.VertexID                   // Send's dsts, owned: a literal would escape and allocate
 	msgs      []M                                 // Messages' scratch
 	active    bool                                // an update called MarkActive since the Worker last cleared it
 }
@@ -303,29 +306,37 @@ func (c *Context[M]) Iteration() int { return c.iteration }
 // Send sends an ordered dynamic message to dst: dst's messages are applied
 // in send order, a resident dst's before any update can observe them — its
 // own, or this one's when dst is the vertex being updated (Program.Apply).
-// An update that sends to its whole adjacency says SendAll or SendEach
-// instead; Send is for the program that picks its destinations (a random
-// walk) or sends what an Apply during the sends may change.
-func (c *Context[M]) Send(dst graph.VertexID, m M) { c.send(dst, m) }
+// It is SendAll over one destination, the route and the checks the same: a
+// dst past the last vertex fails the run (ErrProgramContract). An update
+// that sends to its whole adjacency says SendAll or SendEach instead; Send
+// is for the program that picks its destinations (a random walk) or sends
+// what an Apply during the sends may change.
+func (c *Context[M]) Send(dst graph.VertexID, m M) {
+	c.one[0] = dst
+	c.sendAll(c.one[:], m)
+}
 
 // SendAll sends m to every vertex of dsts, in order: it is Send in a loop
 // — every destination sees the same applies in the same sequence, under
 // the same guarantee, the device the same operations, the counters the
 // same totals — handed to the engine as one call per vertex instead of one
-// per edge. Use it when an update scatters one value over its adjacency
-// (ctx.SendAll(adj, msg)); keep Send when the message differs from edge to
-// edge. A program that also has the BulkApplier and RecordApplier
-// delegates gets its Apply inlined into both routes: no call per message
-// at all. dsts is not retained.
+// per edge (Send is this route over one destination). Use it when an
+// update scatters one value over its adjacency (ctx.SendAll(adj, msg));
+// keep Send when the message differs from edge to edge. A program that
+// also has the BulkApplier and RecordApplier delegates gets its Apply
+// inlined into both routes: no call per message at all. dsts is not
+// retained.
 func (c *Context[M]) SendAll(dsts []graph.VertexID, m M) { c.sendAll(dsts, m) }
 
 // SendEach sends ms[i] to dsts[i] for every i, in order: it is Send in a
 // loop — under the same guarantee, with the same ledger totals and the same
 // device operations — handed to the engine as one call per vertex instead
-// of one per edge. Use it when the message differs from edge to edge and no
-// Apply during the sends can change it: the update computes every message
-// first, into Messages' scratch. On one partition a program that also has
-// the EachApplier delegate gets its Apply inlined: no call per message.
+// of one per edge; off one partition it is that loop, SendAll's records
+// route over one destination a message. Use it when the message differs
+// from edge to edge and no Apply during the sends can change it: the
+// update computes every message first, into Messages' scratch. On one
+// partition a program that also has the EachApplier delegate gets its
+// Apply inlined: no call per message.
 // ms must hold exactly len(dsts) messages; otherwise nothing is sent and
 // the run fails at the next partition boundary (ErrProgramContract).
 // Neither slice is retained.
@@ -438,13 +449,14 @@ var ErrInvalidOptions = errors.New("core: invalid options")
 // ErrProgramContract reports a program that broke a rule the engine relies
 // on and can check: a BulkApplier or EachApplier whose ApplyAll or
 // ApplyEach returned a count other than the number of destinations it was
-// handed (on one partition every one is resident), a RecordApplier whose
-// ApplyRecords applied other than every record of a drain or of the
-// resident partition's in-place flush, or a SendEach whose messages do not
-// match its destinations one for one. The ledger (inline + buffered ==
-// sent) would otherwise go quietly wrong, or a send panic, so the run fails
-// at the next partition boundary and returns no Result. Match with
-// errors.Is.
+// handed (on one partition every one is resident, so a destination past
+// the last vertex, which the loop skips, by Send, SendAll or SendEach
+// alike, comes up short), a RecordApplier whose ApplyRecords applied other
+// than every record of a drain or of the resident partition's in-place
+// flush, or a SendEach whose messages do not match its destinations one
+// for one. The ledger (inline + buffered == sent) would otherwise go
+// quietly wrong, or a send panic, so the run fails at the next partition
+// boundary and returns no Result. Match with errors.Is.
 var ErrProgramContract = errors.New("core: program contract violated")
 
 // ErrCancelled reports a run aborted because Options.Context was
@@ -484,7 +496,6 @@ type Result struct {
 	MessagesInline    int64 // to the resident partition: ordered dynamic messages, applied in memory
 	MessagesBuffered  int64 // queued for a non-resident destination
 	MessagesSpilled   int64 // messages that crossed the partition boundary to disk
-	SpillErrors       int64 // spill failures observed (first one aborts the run)
 	UpdatesRun        int64
 	// BlocksScanned/BlocksSkipped count adjacency blocks the selective
 	// scheduler read versus skipped: both zero unless the run was scheduled
@@ -551,7 +562,7 @@ type Engine[V, M any] struct {
 	published counters // c as of the last publish
 
 	// ctx is the Context every Worker pass hands its updates, its routes
-	// bound once in New: Send's is e.send; SendAll's and SendEach's are the
+	// bound once in New: SendAll's (and so Send's) and SendEach's are the
 	// resident appliers on the spot (onSpot) and e.sendRecords and
 	// e.sendEach elsewhere. rangeBuf is the entry-range list updateRuns
 	// opens its prefetcher over, reused across passes.
@@ -658,7 +669,6 @@ func New[V, M any](layout Layout, prog Program[V, M], vcodec graph.Codec[V], mco
 		return nil, err
 	}
 	e.onSpot = opts.DynamicMessages && e.SemiExternal()
-	e.ctx.send = e.send
 	if e.onSpot {
 		e.ctx.sendAll, e.ctx.sendEach = e.applyOnSpot(), e.applyEachOnSpot()
 	} else {
@@ -978,7 +988,6 @@ func (e *Engine[V, M]) finish(iters int) Result {
 		MessagesInline:    e.c.Inline,
 		MessagesBuffered:  e.c.Buffered,
 		MessagesSpilled:   e.c.Spilled,
-		SpillErrors:       e.c.spillErrs,
 		UpdatesRun:        e.c.Updates,
 		BlocksScanned:     e.c.BlocksScanned,
 		BlocksSkipped:     e.c.BlocksSkipped,
@@ -1137,29 +1146,6 @@ func (e *Engine[V, M]) runPartition(p, iter int) error {
 	return e.storeVertices(lo, hi)
 }
 
-// send routes one message: SendAll's route for a single destination,
-// written out because a call per message cannot afford the loop's set-up.
-// A resident destination's message is Apply itself on one partition and,
-// on the in-place route, while none of the resident partition's records is
-// pending — so a program that sends per edge pays no record for it, and
-// none overtakes an earlier message still in the buffer. Under selective
-// scheduling the destination is marked when Apply reports a change, and on
-// the in-place route whatever it reports, as sendRecords marks it there: a
-// Send loop leaves SendAll's bits. Everything else writes the record.
-// Program.Update reaches it through Context.Send.
-func (e *Engine[V, M]) send(dst graph.VertexID, m M) {
-	if i := uint64(dst - e.partLo); i < uint64(len(e.verts)) && (e.onSpot || e.resPart >= 0 && len(e.msgBufs[e.resPart]) == 0) {
-		if changed := e.prog.Apply(&e.verts[i], m); e.sel != nil && (changed || !e.onSpot) {
-			e.sel.set(dst)
-		}
-		e.c.Sent++
-		e.c.Applied++
-		e.c.Inline++
-		return
-	}
-	e.sendRecords([]graph.VertexID{dst}, m)
-}
-
 // applyOnSpot returns SendAll's route on the spot (one partition under
 // dynamic messages), where every destination is resident: a closure that
 // has the program's ApplyAll apply m to every vertex of dsts as it is
@@ -1216,15 +1202,16 @@ func (e *Engine[V, M]) applyEachOnSpot() func(dsts []graph.VertexID, ms []M) {
 }
 
 // sendEach is SendEach's route on every run but one partition under dynamic
-// messages: send in a loop, ms[i] to dsts[i] — the per-edge route as Send
-// takes it, so the in-place watermark and the record order are Send's.
+// messages: the records route over one destination a message, ms[i] to
+// dsts[i] — Send in a loop, so the in-place watermark and the record order
+// are Send's.
 func (e *Engine[V, M]) sendEach(dsts []graph.VertexID, ms []M) {
 	if len(ms) != len(dsts) {
 		e.eachMismatch(dsts, ms)
 		return
 	}
-	for i, dst := range dsts {
-		e.send(dst, ms[i])
+	for i := range dsts {
+		e.sendRecords(dsts[i:i+1], ms[i])
 	}
 }
 
@@ -1237,17 +1224,17 @@ func (e *Engine[V, M]) eachMismatch(dsts []graph.VertexID, ms []M) {
 	}
 }
 
-// sendRecords is the records route — SendAll's on every run but one
-// partition under dynamic messages, and send's whenever it does not apply
-// on the spot: scatter writes a record for every destination of dsts, in
-// list order. A resident destination's (only on a partitioned run under
-// dynamic messages) counts as inline the moment it is
-// sent and applied when applyResident drains the buffer — at once here if
-// one addresses the vertex being updated — and under selective scheduling
-// is marked schedulable now, changed or not, so a sparse Worker's live
-// bitmap finds it ahead of the cursor: its Apply has not run yet, and the
-// mark is a superset of the one Apply would report. The ledger takes the
-// call's totals once.
+// sendRecords is the records route — SendAll's, and so Send's, on every
+// run but one partition under dynamic messages, and sendEach's one
+// destination at a time: scatter writes a record for every destination of
+// dsts, in list order. A resident destination's (only on a partitioned
+// run under dynamic messages) counts as inline the moment it is sent and
+// applied when applyResident drains the buffer — at once here if one
+// addresses the vertex being updated — and under selective scheduling is
+// marked schedulable now, changed or not, so a sparse Worker's live bitmap
+// finds it ahead of the cursor: its Apply has not run yet, and the mark is
+// a superset of the one Apply would report (a marking ApplyRecords would
+// not inline, DESIGN.md §17). The ledger takes the call's totals once.
 func (e *Engine[V, M]) sendRecords(dsts []graph.VertexID, m M) {
 	buffered := e.scatter(dsts, m)
 	if sel, lo, n := e.sel, e.partLo, uint64(len(e.verts)); sel != nil && buffered < len(dsts) {

@@ -135,11 +135,9 @@ func (prProg) Update(ctx *Context[float64], id graph.VertexID, v *prVal, adj []g
 		v.rank = 0.15 + 0.85*v.acc
 		v.acc = 0
 	}
-	if len(adj) > 0 {
-		share := v.rank / float64(len(adj))
-		for _, a := range adj {
-			ctx.Send(a, share)
-		}
+	share := v.rank / float64(len(adj)) // +Inf at a sink, which sends nothing
+	for _, a := range adj {
+		ctx.Send(a, share)
 	}
 	ctx.MarkActive()
 }

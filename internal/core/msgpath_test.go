@@ -34,7 +34,7 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	const n = 5
 	var want []byte
 	for i := 0; i < n; i++ {
-		eng.send(graph.VertexID(i), uint32(100+i)) // nothing is resident: the record writer
+		eng.sendRecords([]graph.VertexID{graph.VertexID(i)}, uint32(100+i))
 		want = binary.LittleEndian.AppendUint32(want, uint32(i))
 		want = binary.LittleEndian.AppendUint32(want, uint32(100+i))
 	}
